@@ -1,10 +1,11 @@
 """Shared helpers for the figure-reproduction benchmarks.
 
 Every ``bench_figNN_*.py`` file regenerates one figure/table of the
-paper's Section 8 at reduced scale (see EXPERIMENTS.md for the scale
-mapping), printing the series the figure plots.  Run with::
+paper's Section 8 at reduced scale (README.md's "Benchmarks and
+experiments" table has the mapping), printing the series the figure
+plots.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_*.py --benchmark-only
 
 Each experiment driver runs exactly once inside ``benchmark.pedantic``:
 the measured quantity is the whole experiment, and the interesting output
@@ -23,9 +24,8 @@ def series(capfd):
     """A printer that bypasses pytest's output capture.
 
     The interesting output of these benchmarks is the printed figure
-    series; emitting through this fixture makes
-    ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` record
-    them without needing ``-s``.
+    series; emitting through this fixture lets the command above, piped
+    to ``tee bench_output.txt``, record them without needing ``-s``.
     """
 
     def emit(*args, **kwargs):

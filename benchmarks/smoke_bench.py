@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 
 from repro.bench.experiments import (
+    run_compaction_policies,
     run_durability,
     run_multi_get,
     run_negative_lookup,
@@ -77,34 +79,23 @@ def collect_counters() -> dict:
     }
 
 
-def collect_compaction() -> tuple:
-    """Ratio rows for the compaction policy and incremental snapshots.
+#: fig22 at smoke scale (also what tests/test_experiments.py pins).
+compaction_cells = partial(
+    run_compaction_policies, size_ratios=(4,), blocks=60, puts_per_block=16, reads=40
+)
 
-    Two design-invariant ratios, both deterministic functions of fixed
-    seeds rather than hardware speed: the leveling/tiering rewritten-byte
-    ratio under the fig22 shard-skewed stream (tiering must rewrite
-    strictly less), and the full/incremental snapshot copied-byte ratio
-    for a small delta on a settled store (an incremental must copy a
-    small fraction of the full snapshot).
+
+def collect_compaction() -> list:
+    """Leveling/tiering rewritten-byte ratio under the fig22 stream.
+
+    A design-invariant ratio, a deterministic function of fixed seeds
+    rather than hardware speed: under the shard-skewed stream tiering
+    must rewrite strictly less than leveling.
     """
-    import hashlib
-    import os
-    import tempfile
-
-    from repro.bench.experiments import run_compaction_policies
-    from repro.common.params import ColeParams
-    from repro.core import Cole
-    from repro.wal import snapshot_store
-
-    cells = {
-        row["policy"]: row
-        for row in run_compaction_policies(
-            size_ratios=(4,), blocks=60, puts_per_block=16, reads=40
-        )
-    }
+    cells = {row["policy"]: row for row in compaction_cells()}
     if any(row["content_mismatches"] for row in cells.values()):
         raise SystemExit("compaction smoke served wrong content")
-    compaction = [
+    return [
         {
             "config": "rewrite_ratio",
             "ratio": cells["leveling"]["bytes_rewritten"]
@@ -113,6 +104,21 @@ def collect_compaction() -> tuple:
             "tiering_bytes": cells["tiering"]["bytes_rewritten"],
         }
     ]
+
+
+def collect_incremental_snapshot() -> list:
+    """Full/incremental snapshot copied-byte ratio on a settled store.
+
+    Deterministic like :func:`collect_compaction`: an incremental
+    snapshot of a small delta must copy a small fraction of the full one.
+    """
+    import hashlib
+    import os
+    import tempfile
+
+    from repro.common.params import ColeParams
+    from repro.core import Cole
+    from repro.wal import snapshot_store
 
     def copied_bytes(meta: dict) -> int:
         return sum(entry["size"] for entry in meta["files"].values())
@@ -151,7 +157,7 @@ def collect_compaction() -> tuple:
             )
         finally:
             engine.close()
-    incremental = [
+    return [
         {
             "config": "bytes_ratio",
             "ratio": copied_bytes(full_meta) / max(1, copied_bytes(inc_meta)),
@@ -160,67 +166,54 @@ def collect_compaction() -> tuple:
             "reused_files": len(inc_meta["reused"]),
         }
     ]
-    return compaction, incremental
 
 
-def main(argv) -> int:
-    out_path = argv[1] if len(argv) > 1 else "smoke-bench.json"
-    sharding = run_sharding_scalability(shard_counts=(1, 2), blocks=40, repeats=1)
-    service = run_service_throughput(
-        client_counts=(1, 8), ops_per_client=100, num_keys=512
-    )
-    durability = run_durability(
-        policies=("off", "batch"), clients=8, ops_per_client=100, num_keys=512
-    )
+#: Every gated section, in output order: (JSON key, rows producer).
+SECTIONS = (
+    ("sharding", partial(
+        run_sharding_scalability, shard_counts=(1, 2), blocks=40, repeats=1)),
+    ("service", partial(
+        run_service_throughput, client_counts=(1, 8), ops_per_client=100, num_keys=512)),
+    ("durability", partial(
+        run_durability, policies=("off", "batch"), clients=8, ops_per_client=100,
+        num_keys=512)),
     # fig20 smoke: single-engine range scans, gated on scans/s; the
     # driver verifies every configuration against a brute-force model
     # (latest and at_blk) before timing anything.
-    scan = run_scan_throughput(
-        shard_counts=(1,),
-        scan_lengths=(8, 64),
-        num_addresses=1024,
-        blocks=48,
-        puts_per_block=128,
-        scans_per_point=120,
-    )
+    ("scan", partial(
+        run_scan_throughput, shard_counts=(1,), scan_lengths=(8, 64),
+        num_addresses=1024, blocks=48, puts_per_block=128, scans_per_point=120)),
     # fig19 smoke: 1 primary + 1 replica; the driver raises unless the
     # replica's root is byte-identical to the primary's at every wave.
-    replication = run_read_scaling(
-        replica_counts=(0, 1),
-        readers_per_node=4,
-        reads_per_reader=100,
-        num_keys=256,
-        load_waves=2,
-    )
-    if not replication[-1]["roots_checked"]:
-        raise SystemExit("replication smoke verified no replica roots")
+    ("replication", partial(
+        run_read_scaling, replica_counts=(0, 1), readers_per_node=4,
+        reads_per_reader=100, num_keys=256, load_waves=2)),
     # Hot-path smoke: MULTI_GET amortization, negative-lookup caching,
     # and scan resistance — gated on *ratio* floors (speedup / hit
     # ratio), which hardware variance cannot flake the way absolute
     # throughput can.
-    multi_get = run_multi_get(
-        batch_sizes=(1, 16), clients=4, ops_per_client=60, num_keys=1024, blocks=16
-    )
-    negative_lookup = run_negative_lookup(absent_keys=48, passes=20, num_keys=512)
-    scan_vs_hotset = run_scan_vs_hotset(num_keys=512, blocks=24)
+    ("multi_get", partial(
+        run_multi_get, batch_sizes=(1, 16), clients=4, ops_per_client=60,
+        num_keys=1024, blocks=16)),
+    ("negative_lookup", partial(
+        run_negative_lookup, absent_keys=48, passes=20, num_keys=512)),
+    ("scan_vs_hotset", partial(run_scan_vs_hotset, num_keys=512, blocks=24)),
     # Compaction-policy and incremental-snapshot ratios: design
     # invariants gated with fixed floors, immune to runner speed.
-    compaction, incremental_snapshot = collect_compaction()
+    ("compaction", collect_compaction),
+    ("incremental_snapshot", collect_incremental_snapshot),
+)
+
+
+def main(argv) -> int:
+    out_path = argv[1] if len(argv) > 1 else "smoke-bench.json"
+    results = {name: collect() for name, collect in SECTIONS}
+    if not results["replication"][-1]["roots_checked"]:
+        raise SystemExit("replication smoke verified no replica roots")
     counters = collect_counters()
     print("\n-- counters --")
     print(format_table(list(counters), [[counters[k] for k in counters]]))
-    for name, rows in (
-        ("sharding", sharding),
-        ("service", service),
-        ("durability", durability),
-        ("scan", scan),
-        ("replication", replication),
-        ("multi_get", multi_get),
-        ("negative_lookup", negative_lookup),
-        ("scan_vs_hotset", scan_vs_hotset),
-        ("compaction", compaction),
-        ("incremental_snapshot", incremental_snapshot),
-    ):
+    for name, rows in results.items():
         print(f"\n-- {name} --")
         print(
             format_table(
@@ -228,23 +221,7 @@ def main(argv) -> int:
             )
         )
     with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "sharding": sharding,
-                "service": service,
-                "durability": durability,
-                "scan": scan,
-                "replication": replication,
-                "multi_get": multi_get,
-                "negative_lookup": negative_lookup,
-                "scan_vs_hotset": scan_vs_hotset,
-                "compaction": compaction,
-                "incremental_snapshot": incremental_snapshot,
-                "counters": counters,
-            },
-            handle,
-            indent=2,
-        )
+        json.dump({**results, "counters": counters}, handle, indent=2)
     print(f"\nwrote {out_path}")
     return 0
 

@@ -5,8 +5,9 @@ substrates.  The most common entry points:
 
 >>> from repro import Cole, ColeParams, verify_provenance
 
-See README.md for a tour, DESIGN.md for the system inventory, and
-EXPERIMENTS.md for measured reproductions of every table and figure.
+See README.md for a tour (its "Benchmarks and experiments" table lists
+the reproduction of every table and figure) and DESIGN.md for the system
+inventory.
 """
 
 from repro.common.params import ColeParams, ShardParams, SystemParams

@@ -2,9 +2,10 @@
 
 :mod:`repro.bench.harness` builds engines and runs workload phases;
 :mod:`repro.bench.experiments` contains one driver per paper figure or
-table; :mod:`repro.bench.report` prints the paper-style series.  The
-``benchmarks/`` pytest-benchmark suite wraps these drivers at reduced
-scale; EXPERIMENTS.md records paper-vs-measured outcomes.
+table, each a sweep over a few shared cells; :mod:`repro.bench.report`
+prints the paper-style series.  The ``benchmarks/`` pytest-benchmark
+suite wraps these drivers at reduced scale; README.md's "Benchmarks and
+experiments" table maps every experiment to its driver and file.
 """
 
 from repro.bench.harness import (

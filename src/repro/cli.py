@@ -53,6 +53,14 @@ _EXPERIMENTS = {
     "scan-hotset": ("run_scan_vs_hotset", {}),
 }
 
+#: ``repro experiment`` sweep flag -> (driver parameter, element parser).
+_SWEEP_FLAGS = {
+    "heights": ("heights", int),
+    "engines": ("engines", str),
+    "shards": ("shard_counts", int),
+    "replicas": ("replica_counts", int),
+}
+
 #: Default WAL directory inside a workspace (a sibling of the shard /
 #: run files; engine recovery ignores subdirectories).
 WAL_DIRNAME = "wal"
@@ -160,6 +168,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one paper experiment and print its series."""
+    import inspect
+
     from repro.bench import experiments
 
     name = args.name
@@ -168,15 +178,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     function_name, kwargs = _EXPERIMENTS[name]
     driver = getattr(experiments, function_name)
+    accepted = inspect.signature(driver).parameters
     call_kwargs = dict(kwargs)
-    if args.heights and "heights" in driver.__code__.co_varnames:
-        call_kwargs["heights"] = tuple(int(h) for h in args.heights.split(","))
-    if args.engines and "engines" in driver.__code__.co_varnames:
-        call_kwargs["engines"] = tuple(args.engines.split(","))
-    if args.shards and "shard_counts" in driver.__code__.co_varnames:
-        call_kwargs["shard_counts"] = tuple(int(n) for n in args.shards.split(","))
-    if args.replicas and "replica_counts" in driver.__code__.co_varnames:
-        call_kwargs["replica_counts"] = tuple(int(n) for n in args.replicas.split(","))
+    for flag, (parameter, parse) in _SWEEP_FLAGS.items():
+        value = getattr(args, flag)
+        if not value:
+            continue
+        if parameter not in accepted:
+            usable = [f"--{f}" for f, (p, _) in _SWEEP_FLAGS.items() if p in accepted]
+            print(
+                f"experiment {name!r} has no --{flag}; "
+                f"it accepts {', '.join(usable) or 'no sweep flags'}"
+            )
+            return 2
+        call_kwargs[parameter] = tuple(parse(item) for item in value.split(","))
     result = driver(**call_kwargs)
     if isinstance(result, dict):
         for key, value in result.items():

@@ -98,6 +98,15 @@ def test_fig20_experiment_registered_and_runs_tiny():
     assert len({row["entries"] for row in rows}) == 1
 
 
+def test_experiment_rejects_flag_the_driver_has_no_parameter_for(capsys):
+    # fig20 has a *local* named ``engines``: the check must read the
+    # signature, not ``co_varnames``.
+    assert main(["experiment", "fig20", "--engines", "cole"]) == 2
+    assert "'fig20' has no --engines; it accepts --shards" in capsys.readouterr().out
+    assert main(["experiment", "fig13", "--heights", "5"]) == 2
+    assert "'fig13' has no --heights" in capsys.readouterr().out
+
+
 def test_unknown_experiment(capsys):
     assert main(["experiment", "nope"]) == 2
     assert "unknown experiment" in capsys.readouterr().out
