@@ -1,13 +1,16 @@
 """``repro.analysis`` — the invariant lint suite (``repro lint``).
 
-Four AST checkers encode the concurrency and protocol invariants that
-previously lived only in DESIGN.md prose (see each module's docstring
-for the bug class it targets):
+Three AST checkers encode the concurrency invariants that previously
+lived only in DESIGN.md prose (see each module's docstring for the bug
+class it targets):
 
 * :mod:`~repro.analysis.gate_discipline` — CommitGate usage;
 * :mod:`~repro.analysis.async_blocking` — no sync IO on the event loop;
-* :mod:`~repro.analysis.protocol_surface` — Op/Status completeness;
 * :mod:`~repro.analysis.error_taxonomy` — typed, never-swallowed errors.
+
+Op/Status completeness needs no checker: every op is one row of
+``repro.server.protocol.OPS`` and ``tests/test_protocol_table.py``
+asserts each row is wired end to end.
 
 The dynamic half — the ``REPRO_DEBUG_LOCKS=1`` lock-order detector —
 lives in :mod:`repro.common.debuglock` (the locks it wraps sit below

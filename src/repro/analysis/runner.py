@@ -25,7 +25,6 @@ from repro.analysis.async_blocking import AsyncBlockingChecker
 from repro.analysis.base import Checker, Finding, SourceTree, load_tree
 from repro.analysis.error_taxonomy import ErrorTaxonomyChecker
 from repro.analysis.gate_discipline import GateDisciplineChecker
-from repro.analysis.protocol_surface import ProtocolSurfaceChecker
 
 REPORT_VERSION = 1
 
@@ -34,7 +33,6 @@ def default_checkers() -> List[Checker]:
     return [
         GateDisciplineChecker(),
         AsyncBlockingChecker(),
-        ProtocolSurfaceChecker(),
         ErrorTaxonomyChecker(),
     ]
 

@@ -863,8 +863,7 @@ def run_cluster_scaling(
             oracle.close()
 
     async def saturate(address: str, keys: List[bytes]) -> float:
-        host, _, port = address.rpartition(":")
-        async with ServerClient(host, int(port)) as client:
+        async with connect(address) as client:
             async def writer(writer_id: int) -> None:
                 for index in range(writes_per_writer):
                     rank = (writer_id * writes_per_writer + index) % len(keys)

@@ -203,21 +203,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_host_port(value: str) -> tuple:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--replica-of expects HOST:PORT, got {value!r}")
-    return host, int(port)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a COLE workspace over TCP until interrupted."""
     import asyncio
     import os
 
+    from repro.common.errors import StorageError
     from repro.server import ColeServer, ServerConfig
+    from repro.server.protocol import parse_address
 
-    replica_of = _parse_host_port(args.replica_of) if args.replica_of else None
+    try:
+        replica_of = parse_address(args.replica_of) if args.replica_of else None
+    except StorageError as exc:
+        raise SystemExit(f"--replica-of: {exc}")
     if replica_of is not None and args.wal:
         raise SystemExit(
             "--replica-of and --wal are mutually exclusive: a replica's "
@@ -1018,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the invariant lint suite (gate discipline, async "
-        "blocking calls, protocol surface, error taxonomy)",
+        "blocking calls, error taxonomy)",
     )
     lint.add_argument(
         "--root",

@@ -15,7 +15,9 @@ document served by the *referred-to* address, falling back to patching
 the single routing entry the referral carried — and retry, bounded by
 ``max_retries``.  A connection failure retries the same way after a
 short delay, which also covers the one-moment window in which a
-promoted shard server rebinds its port.
+promoted shard server rebinds its port; so does a *repeated* referral —
+mid-cutover the source already answers ``MOVED`` while the target still
+answers ``NOT_PRIMARY``, and only waiting for the promotion ends that.
 
 ``multi_get`` / ``multi_put`` split each batch per owning server, issue
 the sub-batches concurrently, and reassemble positionally; a referral
@@ -38,8 +40,49 @@ from repro.cluster.manifest import ClusterManifest
 from repro.common.errors import StorageError
 from repro.common.hashing import hash_concat
 from repro.server import protocol
-from repro.server.client import KVClient, ServerClient, _parse_addr
-from repro.server.protocol import MovedError, Op, Referral, RootInfo
+from repro.server.client import KVClient, ServerClient
+from repro.server.protocol import (
+    MovedError,
+    Op,
+    OpSpec,
+    Referral,
+    RootInfo,
+    parse_address,
+)
+
+
+async def request_once(address: str, frame: bytes) -> bytes:
+    """One request on a throwaway connection: connect to ``address``,
+    send ``frame``, read one response body, close."""
+    host, port = parse_address(address)
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(frame)
+        await writer.drain()
+        body = await protocol.read_frame(reader)
+        if body is None:
+            raise StorageError(f"{address} closed the connection")
+        return body
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+
+
+async def fetch_manifest(address: str) -> ClusterManifest:
+    """One-shot manifest fetch (``Op.CLUSTER``) from any cluster member."""
+    spec = protocol.OPS[Op.CLUSTER]
+    return ClusterManifest.from_dict(
+        spec.decode(await request_once(address, spec.encode()))
+    )
+
+
+async def admin_call(address: str, command: dict) -> dict:
+    """One ``Op.ADMIN`` command against a node's control server."""
+    spec = protocol.OPS[Op.ADMIN]
+    return spec.decode(await request_once(address, spec.encode(command)))
 
 
 class ClusterClient(KVClient):
@@ -66,7 +109,6 @@ class ClusterClient(KVClient):
         self.max_retries = max_retries
         self.retry_delay = retry_delay
         self._clients: Dict[str, ServerClient] = {}
-        self._connected = False
         #: MOVED referrals followed (the transparently-retried kind).
         self.moved_retries = 0
         #: Manifest refreshes performed (referrals + connection failures).
@@ -86,19 +128,17 @@ class ClusterClient(KVClient):
             self._manifest = ClusterManifest.load(self._manifest_file)
         if self._manifest is None:
             self._manifest = await self._fetch_manifest(self._seeds)
-        self._connected = True
         return self
 
     async def close(self) -> None:
         clients, self._clients = self._clients, {}
-        self._connected = False
         for client in clients.values():
             await client.close()
 
     async def _client_for(self, address: str) -> ServerClient:
         client = self._clients.get(address)
         if client is None:
-            client = ServerClient(*_parse_addr(address), pool_size=self.pool_size)
+            client = ServerClient(*parse_address(address), pool_size=self.pool_size)
             await client.connect()
             self._clients[address] = client
         return client
@@ -117,22 +157,7 @@ class ClusterClient(KVClient):
         last_error: Optional[Exception] = None
         for address in addresses:
             try:
-                host, port = _parse_addr(address)
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    writer.write(protocol.encode_simple(Op.CLUSTER))
-                    await writer.drain()
-                    body = await protocol.read_frame(reader)
-                    if body is None:
-                        raise StorageError(f"{address} closed the connection")
-                    data = protocol.decode_json_response(body)
-                finally:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        pass
-                return ClusterManifest.from_dict(data)
+                return await fetch_manifest(address)
             except (StorageError, ConnectionError, OSError) as exc:
                 last_error = exc
         raise StorageError(
@@ -191,54 +216,62 @@ class ClusterClient(KVClient):
                 {exc.shard_id: exc.address}
             )
 
-    async def _call(self, address_of, issue):
-        """Issue ``issue(client)`` against ``address_of(manifest)``,
+    async def _recover(self, exc: Exception, address: str) -> None:
+        """Before a retry: follow a referral, or — the server at
+        ``address`` being unreachable — drop its connections and look
+        for a manifest that no longer names it."""
+        if isinstance(exc, Referral):
+            await self._on_referral(exc)
+            return
+        await self._drop_client(address)
+        try:
+            await self.refresh_manifest()
+        except StorageError:
+            pass
+
+    async def _call(self, address_of, call, *args, **kwargs):
+        """``call(client, ...)`` against ``address_of(manifest)``,
         retrying through referrals and connection failures."""
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             address = address_of(self.manifest)
             try:
                 client = await self._client_for(address)
-                return await issue(client)
-            except Referral as exc:
+                return await call(client, *args, **kwargs)
+            except (Referral, ConnectionError, OSError) as exc:
                 last_exc = exc
-                await self._on_referral(exc)
-            except (ConnectionError, OSError) as exc:
-                last_exc = exc
-                await self._drop_client(address)
-                try:
-                    await self.refresh_manifest()
-                except StorageError:
-                    pass
-                if attempt < self.max_retries:
+                await self._recover(exc, address)
+                # A first referral is followed at once (a stale manifest).
+                # A repeat means the shard is mid-cutover — the source
+                # already answers MOVED, the target NOT_PRIMARY until it
+                # is promoted — so wait it out like a connection failure.
+                first_referral = isinstance(exc, Referral) and attempt == 0
+                if not first_referral and attempt < self.max_retries:
                     await asyncio.sleep(self.retry_delay * (attempt + 1))
         raise StorageError(
             f"cluster op failed after {self.max_retries + 1} attempts: "
             f"{last_exc}"
         )
 
-    def _shard_call(self, shard_id: int, issue):
-        return self._call(lambda m: m.address_of(shard_id), issue)
+    async def _route(self, spec: OpSpec, *args):
+        """A single-key op goes to the owner of the one address it
+        routes by.  Every other typed method is overridden below: its
+        answer *combines* what several shards return."""
+        (addr,) = spec.addresses(args)
+        return await self._call(
+            lambda m: m.owner_address(addr), ServerClient._route, spec, *args
+        )
 
-    def _keyed_call(self, addr: bytes, issue):
-        return self._call(lambda m: m.owner_address(addr), issue)
-
-    # -- point ops ------------------------------------------------------------
-
-    async def put(self, addr: bytes, value: bytes) -> int:
-        return await self._keyed_call(addr, lambda c: c.put(addr, value))
-
-    async def get(self, addr: bytes) -> Optional[bytes]:
-        return await self._keyed_call(addr, lambda c: c.get(addr))
-
-    async def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
-        return await self._keyed_call(addr, lambda c: c.get_at(addr, blk))
-
-    async def prov(
-        self, addr: bytes, blk_low: int, blk_high: int
-    ) -> Tuple[object, bytes]:
-        return await self._keyed_call(
-            addr, lambda c: c.prov(addr, blk_low, blk_high)
+    async def _every_shard(self, call, *args, **kwargs) -> list:
+        """``call(client, ...)`` on every shard's owner, concurrently;
+        results in shard order."""
+        return await asyncio.gather(
+            *(
+                self._call(
+                    lambda m, s=shard_id: m.address_of(s), call, *args, **kwargs
+                )
+                for shard_id in range(self.manifest.num_shards)
+            )
         )
 
     # -- batched ops ----------------------------------------------------------
@@ -247,34 +280,28 @@ class ClusterClient(KVClient):
         """Batched read, split per owner and reassembled positionally."""
         addrs = list(addrs)
         results: List[Optional[bytes]] = [None] * len(addrs)
-
-        async def issue(client: ServerClient, positions: List[int]) -> None:
-            values = await client.multi_get([addrs[p] for p in positions])
+        for positions, values in await self._fan_out(
+            protocol.OPS[Op.MULTI_GET], addrs
+        ):
             for position, value in zip(positions, values):
                 results[position] = value
-
-        await self._fan_out(list(enumerate(addrs)), issue)
         return results
 
     async def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> int:
         """Batched write, split per owner; returns the *highest* height
         assigned — each shard commits independently, and the max is the
         height at which every key of the batch is readable."""
-        items = list(items)
-        heights: List[int] = []
+        answers = await self._fan_out(protocol.OPS[Op.MULTI_PUT], list(items))
+        return max(height for _, height in answers)
 
-        async def issue(client: ServerClient, positions: List[int]) -> None:
-            heights.append(await client.multi_put([items[p] for p in positions]))
-
-        await self._fan_out(
-            [(pos, addr) for pos, (addr, _) in enumerate(items)], issue
-        )
-        return max(heights)
-
-    async def _fan_out(self, indexed, issue) -> None:
-        """Split ``(position, addr)`` pairs per owning server, run
-        ``issue(client, positions)`` per group concurrently, and
-        **re-split** any group a referral or connection failure touched.
+    async def _fan_out(
+        self, spec: OpSpec, batch: list
+    ) -> List[Tuple[List[int], object]]:
+        """Split ``batch`` per owning server by the addresses ``spec``
+        routes it by, send each group as its own ``spec`` request
+        concurrently, and **re-split** any group a referral or
+        connection failure touched.  Returns ``(positions, answer)`` per
+        group that was answered.
 
         Re-splitting (rather than retrying a group verbatim against one
         server) matters mid-migration: a group built from the stale
@@ -282,7 +309,8 @@ class ClusterClient(KVClient):
         only re-grouping under the refreshed manifest can ever route it
         correctly.
         """
-        pending: List[Tuple[int, bytes]] = list(indexed)
+        answers: List[Tuple[List[int], object]] = []
+        pending: List[Tuple[int, bytes]] = list(enumerate(spec.addresses((batch,))))
         last_exc: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             manifest = self.manifest
@@ -297,25 +325,19 @@ class ClusterClient(KVClient):
             async def run_group(address: str, members) -> None:
                 try:
                     client = await self._client_for(address)
-                    await issue(client, [p for p, _ in members])
-                except Referral as exc:
+                    positions = [p for p, _ in members]
+                    answer = await client._route(spec, [batch[p] for p in positions])
+                    answers.append((positions, answer))
+                except (Referral, ConnectionError, OSError) as exc:
                     failures.append(exc)
                     failed.extend(members)
-                    await self._on_referral(exc)
-                except (ConnectionError, OSError) as exc:
-                    failures.append(exc)
-                    failed.extend(members)
-                    await self._drop_client(address)
-                    try:
-                        await self.refresh_manifest()
-                    except StorageError:
-                        pass
+                    await self._recover(exc, address)
 
             await asyncio.gather(
                 *(run_group(address, members) for address, members in groups.items())
             )
             if not failed:
-                return
+                return answers
             last_exc = failures[-1]
             pending = failed
             if attempt < self.max_retries:
@@ -328,15 +350,10 @@ class ClusterClient(KVClient):
     # -- range scans ----------------------------------------------------------
 
     async def scan(
-        self,
-        addr_low: bytes,
-        addr_high: bytes,
-        *,
-        at_blk: Optional[int] = None,
-        limit: Optional[int] = None,
-        page_size: int = 0,
+        self, addr_low: bytes, addr_high: bytes, **options
     ) -> List[Tuple[bytes, int, bytes]]:
-        """Key-ordered range scan across every shard, k-way merged.
+        """Key-ordered range scan across every shard, k-way merged;
+        ``options`` as in :meth:`KVClient.scan`.
 
         The hash partitioning spreads any address range over all shards,
         so the fan-out is total by construction.  Each shard's pages are
@@ -344,73 +361,32 @@ class ClusterClient(KVClient):
         merged result is per-shard consistent, which is the cluster's
         contract — cross-shard heights advance independently.
         """
-        per_shard = await asyncio.gather(
-            *(
-                self._shard_call(
-                    shard_id,
-                    lambda c: c.scan(
-                        addr_low,
-                        addr_high,
-                        at_blk=at_blk,
-                        limit=limit,
-                        page_size=page_size,
-                    ),
-                )
-                for shard_id in range(self.manifest.num_shards)
-            )
+        per_shard = await self._every_shard(
+            ServerClient.scan, addr_low, addr_high, **options
         )
         merged = heapq.merge(*per_shard, key=lambda row: row[0])
-        if limit is not None:
-            return list(itertools.islice(merged, limit))
-        return list(merged)
+        return list(itertools.islice(merged, options.get("limit")))
 
     # -- control plane --------------------------------------------------------
 
     async def shard_roots(self) -> List[RootInfo]:
         """Every shard's ROOT, in shard order."""
-        return list(
-            await asyncio.gather(
-                *(
-                    self._shard_call(shard_id, lambda c: c.root())
-                    for shard_id in range(self.manifest.num_shards)
-                )
-            )
-        )
+        return await self._every_shard(ServerClient.root)
 
     async def root(self) -> RootInfo:
         """The composite state anchor: ``hash(root_0 || ... || root_n)``
         over the ordered shard roots — byte-identical to a
         ``ShardedCole`` holding the same per-shard states, so cluster
         state is comparable against a single-process oracle."""
-        roots = await self.shard_roots()
-        return RootInfo(
-            digest=hash_concat([info.digest for info in roots]),
-            version=sum(info.version for info in roots),
-            height=max(info.height for info in roots),
-        )
+        return _composite(await self.shard_roots())
 
     async def flush(self) -> RootInfo:
         """Force a group commit on every shard; composite anchor back."""
-        flushed = await asyncio.gather(
-            *(
-                self._shard_call(shard_id, lambda c: c.flush())
-                for shard_id in range(self.manifest.num_shards)
-            )
-        )
-        return RootInfo(
-            digest=hash_concat([info.digest for info in flushed]),
-            version=sum(info.version for info in flushed),
-            height=max(info.height for info in flushed),
-        )
+        return _composite(await self._every_shard(ServerClient.flush))
 
     async def stats(self) -> dict:
         """Cluster-shaped STATS: the manifest plus every shard's STATS."""
-        per_shard = await asyncio.gather(
-            *(
-                self._shard_call(shard_id, lambda c: c.stats())
-                for shard_id in range(self.manifest.num_shards)
-            )
-        )
+        per_shard = await self._every_shard(ServerClient.stats)
         manifest = self.manifest
         return {
             "cluster": {
@@ -444,13 +420,19 @@ class ClusterClient(KVClient):
             )
         parts: List[str] = []
         for address, shard_ids in addresses.items():
-            text = await self._call(
-                lambda m, a=address: a, lambda c: c.metrics()
-            )
+            text = await self._call(lambda m, a=address: a, ServerClient.metrics)
             parts.append(
                 f"# cluster server {address} (shards {shard_ids})\n{text}"
             )
         return "\n".join(parts)
+
+
+def _composite(roots: List[RootInfo]) -> RootInfo:
+    return RootInfo(
+        digest=hash_concat([info.digest for info in roots]),
+        version=sum(info.version for info in roots),
+        height=max(info.height for info in roots),
+    )
 
 
 def _sum_ops(per_shard: List[dict]) -> dict:
@@ -472,41 +454,3 @@ def _merge_cache(snapshots: List[dict]) -> dict:
         "hit_rate": hits / lookups if lookups else 0.0,
         "entries": sum(s.get("entries", 0) for s in snapshots),
     }
-
-
-async def fetch_manifest(address: str) -> ClusterManifest:
-    """One-shot manifest fetch from any cluster member (CLI helper)."""
-    host, port = _parse_addr(address)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(protocol.encode_simple(Op.CLUSTER))
-        await writer.drain()
-        body = await protocol.read_frame(reader)
-        if body is None:
-            raise StorageError(f"{address} closed the connection")
-        return ClusterManifest.from_dict(protocol.decode_json_response(body))
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
-async def admin_call(address: str, command: dict) -> dict:
-    """One ADMIN command against a node's control server."""
-    host, port = _parse_addr(address)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(protocol.encode_admin(command))
-        await writer.drain()
-        body = await protocol.read_frame(reader)
-        if body is None:
-            raise StorageError(f"{address} closed the connection mid-command")
-        return protocol.decode_json_response(body)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass

@@ -32,15 +32,15 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.manifest import ClusterManifest
 from repro.common.errors import StorageError
 from repro.server import protocol
-from repro.server.protocol import Op
+from repro.server.eventloop import LoopThread
+from repro.server.protocol import Op, parse_address
 from repro.server.server import ColeServer, ServerConfig
 
 #: Migration phase -> gauge code (``repro_cluster_migration_phase``).
@@ -51,25 +51,6 @@ PHASE_CODES = {
     "promoting": 3,
     "moved": 4,
 }
-
-#: Ops that touch shard data and therefore obey MOVED referrals; control
-#: ops (ROOT / STATS / METRICS / CLUSTER) keep answering on a moved husk
-#: so operators and the migration coordinator can still observe it.
-_DATA_OPS = frozenset(
-    {
-        Op.PUT,
-        Op.GET,
-        Op.GET_AT,
-        Op.PROV,
-        Op.SCAN,
-        Op.MULTI_GET,
-        Op.MULTI_PUT,
-        Op.FLUSH,
-    }
-)
-
-#: Single-key ops whose first argument is the address to route-check.
-_KEYED_OPS = frozenset({Op.PUT, Op.GET, Op.GET_AT, Op.PROV})
 
 
 class ShardRole:
@@ -103,26 +84,25 @@ class ShardRole:
         Two referral sources, checked in order: the shard as a whole has
         moved (post-cutover), or the request's key belongs to a
         different shard (a client routing with a stale or absent
-        manifest).  Scans are exempt from the key check — a cluster
-        client legitimately fans a range over every shard.
+        manifest).  Only data ops (the ``read`` / ``write`` classes of
+        the op table) obey either: control ops keep answering on a moved
+        husk so operators and the migration coordinator can still
+        observe it.  The key check covers every address the op's table
+        row routes by; SCAN / FLUSH route by none — a cluster client
+        legitimately fans them over every shard.
         """
-        if op not in _DATA_OPS:
+        spec = protocol.OPS[op]
+        if spec.kind not in protocol.DATA_CLASSES:
             return None
         if self.moved_to is not None:
             self.moved_referrals += 1
             return protocol.encode_moved(
                 self.moved_to, self.moved_epoch, self.shard_id
             )
-        manifest = self.manifest
-        if op in _KEYED_OPS:
-            addrs = (args[0],)
-        elif op == Op.MULTI_GET:
-            addrs = tuple(args[0])
-        elif op == Op.MULTI_PUT:
-            addrs = tuple(addr for addr, _ in args[0])
-        else:  # SCAN / FLUSH carry no routable key
+        if spec.addresses is None:
             return None
-        for addr in addrs:
+        manifest = self.manifest
+        for addr in spec.addresses(args):
             owner = manifest.shard_for(addr)
             if owner != self.shard_id:
                 self.moved_referrals += 1
@@ -170,22 +150,10 @@ class _ShardServing:
     wal: object
     server: ColeServer
     role: ShardRole
-    #: Primary address this shard tails during migration catch-up
-    #: (``None`` once promoted / for ordinary primaries).
-    replica_source: Optional[Tuple[str, int]] = None
-    directory: str = ""
-    extras: dict = field(default_factory=dict)
 
     @property
     def address(self) -> str:
         return f"{self.server.host}:{self.server.port}"
-
-
-def _parse_hostport(value: str) -> Tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise StorageError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
 
 
 def shard_dirname(shard_id: int) -> str:
@@ -243,7 +211,7 @@ class ClusterNode:
         try:
             for shard_id in self.manifest.shards_of_node(self.name):
                 await self._start_shard_primary(shard_id)
-            host, port = _parse_hostport(self.manifest.nodes[self.name])
+            host, port = parse_address(self.manifest.nodes[self.name])
             if self.ephemeral:
                 port = 0
             self._control_server = await asyncio.start_server(
@@ -256,55 +224,55 @@ class ClusterNode:
             raise
         return self.control_host, self.control_port
 
-    async def _start_shard_primary(
-        self,
-        shard_id: int,
-        address: Optional[str] = None,
-        engine=None,
-        wal=None,
-        phase: str = "serving",
-    ) -> _ShardServing:
+    async def _open_store(self, shard_id: int):
+        """Open (creating on first use) one shard's engine and WAL.
+
+        Construction replays manifests and WAL tails from disk —
+        executor work, never event-loop work.
+        """
         from repro.common.params import ColeParams
         from repro.core import Cole
         from repro.wal import WriteAheadLog
 
         directory = os.path.join(self.workspace, shard_dirname(shard_id))
-        # Engine/WAL construction replays manifests and WAL tails from
-        # disk — executor work, never event-loop work.
-        loop = asyncio.get_running_loop()
-        if engine is None:
 
-            def _open_engine() -> "Cole":
-                os.makedirs(directory, exist_ok=True)
-                return Cole(
-                    directory,
-                    ColeParams(async_merge=True, mem_capacity=self.mem_capacity),
-                )
+        def _open():
+            os.makedirs(directory, exist_ok=True)
+            engine = Cole(
+                directory,
+                ColeParams(async_merge=True, mem_capacity=self.mem_capacity),
+            )
+            wal = WriteAheadLog(
+                os.path.join(directory, "wal"),
+                num_shards=1,
+                sync_policy=self.wal_sync,
+            )
+            return engine, wal
 
-            engine = await loop.run_in_executor(None, _open_engine)
-        if wal is None:
+        return await asyncio.get_running_loop().run_in_executor(None, _open)
 
-            def _open_wal() -> "WriteAheadLog":
-                return WriteAheadLog(
-                    os.path.join(directory, "wal"),
-                    num_shards=1,
-                    sync_policy=self.wal_sync,
-                )
-
-            wal = await loop.run_in_executor(None, _open_wal)
-        host, port = _parse_hostport(
-            address or self.manifest.address_of(shard_id)
-        )
-        if self.ephemeral and address is None:
-            port = 0
-        role = ShardRole(self, shard_id)
-        role.phase = phase
-        server = ColeServer(
-            engine, host, port, self.config, wal=wal, cluster=role
-        )
+    async def _serve_shard(
+        self, shard_id: int, engine, wal, host: str, port: int, phase: str,
+        replica_of: Optional[Tuple[str, int]],
+    ) -> _ShardServing:
+        """Start one shard's server — a WAL-enabled primary, or with
+        ``replica_of`` a catch-up replica mirroring into ``wal`` — and
+        register it; a failed bind closes the store it was handed."""
+        shard_role = ShardRole(self, shard_id)
+        shard_role.phase = phase
+        if replica_of is None:
+            server = ColeServer(
+                engine, host, port, self.config, wal=wal, cluster=shard_role
+            )
+        else:
+            server = ColeServer(
+                engine, host, port, self.config,
+                replica_of=replica_of, replica_wal=wal, cluster=shard_role,
+            )
         try:
             await server.start()
         except BaseException:
+            loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, wal.close)
             await loop.run_in_executor(None, engine.close)
             raise
@@ -313,11 +281,18 @@ class ClusterNode:
             engine=engine,
             wal=wal,
             server=server,
-            role=role,
-            directory=directory,
+            role=shard_role,
         )
         self.shards[shard_id] = serving
         return serving
+
+    async def _start_shard_primary(self, shard_id: int) -> _ShardServing:
+        engine, wal = await self._open_store(shard_id)
+        host, port = parse_address(self.manifest.address_of(shard_id))
+        return await self._serve_shard(
+            shard_id, engine, wal, host, 0 if self.ephemeral else port,
+            "serving", None,
+        )
 
     async def stop(self) -> None:
         """Stop every server and close every engine/WAL (idempotent)."""
@@ -534,9 +509,7 @@ class ClusterNode:
         with a local ``replica_wal`` mirroring every applied batch so
         the state survives a crash-and-promote (see server.py).
         """
-        from repro.common.params import ColeParams
-        from repro.core import Cole
-        from repro.wal import WriteAheadLog, replay_wal, restore_store
+        from repro.wal import replay_wal, restore_store
 
         if shard_id in self.shards:
             raise StorageError(
@@ -545,53 +518,22 @@ class ClusterNode:
         directory = os.path.join(self.workspace, shard_dirname(shard_id))
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, restore_store, snapshot, directory)
-
-        def _open_engine() -> "Cole":
-            return Cole(
-                directory,
-                ColeParams(async_merge=True, mem_capacity=self.mem_capacity),
-            )
-
-        def _open_wal() -> "WriteAheadLog":
-            return WriteAheadLog(
-                os.path.join(directory, "wal"),
-                num_shards=1,
-                sync_policy=self.wal_sync,
-            )
-
-        engine = await loop.run_in_executor(None, _open_engine)
-        wal = await loop.run_in_executor(None, _open_wal)
+        engine, wal = await self._open_store(shard_id)
         await loop.run_in_executor(None, replay_wal, engine, wal)
-        source_addr = _parse_hostport(source)
-        host, _ = _parse_hostport(self.manifest.nodes[self.name])
-        role = ShardRole(self, shard_id)
-        role.phase = "catchup"
-        server = ColeServer(
+        host, _ = parse_address(self.manifest.nodes[self.name])
+        serving = await self._serve_shard(
+            shard_id,
             engine,
+            wal,
             host,
             0,  # ephemeral: the new manifest records the actual port
-            self.config,
-            replica_of=source_addr,
-            replica_wal=wal,
-            cluster=role,
+            "catchup",
+            parse_address(source),
         )
-        try:
-            await server.start()
-        except BaseException:
-            await loop.run_in_executor(None, wal.close)
-            await loop.run_in_executor(None, engine.close)
-            raise
-        serving = _ShardServing(
-            shard_id=shard_id,
-            engine=engine,
-            wal=wal,
-            server=server,
-            role=role,
-            replica_source=source_addr,
-            directory=directory,
-        )
-        self.shards[shard_id] = serving
-        return {"address": serving.address, "height": server.replica.applied_height}
+        return {
+            "address": serving.address,
+            "height": serving.server.replica.applied_height,
+        }
 
     def _migration_status(self, shard_id: int) -> dict:
         serving = self._serving(shard_id)
@@ -667,13 +609,9 @@ class ClusterNode:
             )
         if manifest_data is not None:
             self._set_manifest(manifest_data)
-        serving.replica_source = None
         del self.shards[shard_id]
-        promoted = await self._start_shard_primary(
-            shard_id,
-            address=f"{host}:{port}",
-            engine=serving.engine,
-            wal=serving.wal,
+        promoted = await self._serve_shard(
+            shard_id, serving.engine, serving.wal, host, port, "serving", None
         )
         return {
             "address": promoted.address,
@@ -681,65 +619,14 @@ class ClusterNode:
         }
 
 
-class NodeThread:
+class NodeThread(LoopThread):
     """A :class:`ClusterNode` on its own event-loop thread.
 
     The in-process deployment shape for tests and the demo — the cluster
     analogue of :class:`~repro.server.ServerThread`.  ``start`` blocks
-    until every port is bound; all interaction afterwards goes through
-    real sockets (data, CLUSTER, ADMIN), never cross-thread calls.
+    until every port is bound and returns the control ``(host, port)``.
     """
 
     def __init__(self, node: ClusterNode) -> None:
         self.node = node
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> Tuple[str, int]:
-        if self._thread is not None and self._thread.is_alive():
-            return self.node.control_host, self.node.control_port
-        self._thread = threading.Thread(
-            target=self._run, name=f"cluster-{self.node.name}", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self.node.control_host, self.node.control_port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.node.start())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-            loop.run_until_complete(self.node.stop())
-        finally:
-            loop.close()
-
-    def stop(self) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
-            return
-        if thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-        thread.join()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "NodeThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        super().__init__(node, f"cluster-{node.name}")

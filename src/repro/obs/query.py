@@ -102,13 +102,6 @@ class QueryTarget:
         return path
 
 
-def _parse_server(value: str) -> Tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise click.BadParameter(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
-
-
 # =============================================================================
 # shared decorators and rendering
 # =============================================================================
@@ -651,7 +644,12 @@ def query_group(ctx: click.Context, workspace: Optional[str], server_addr: Optio
         raise click.UsageError(
             "give exactly one of --workspace/-w or --server/-s"
         )
-    server = _parse_server(server_addr) if server_addr is not None else None
+    from repro.server.protocol import parse_address
+
+    try:
+        server = parse_address(server_addr) if server_addr is not None else None
+    except StorageError as exc:
+        raise click.BadParameter(str(exc), param_hint="--server")
     ctx.obj = QueryTarget(workspace, server)
 
 

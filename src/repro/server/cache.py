@@ -27,7 +27,8 @@ until the next commit, so repeated misses (zipfian reads over a sparse
 keyspace) short-circuit before any bloom probe or index descent.  It
 lives beside the read cache rather than inside it so a miss-heavy
 workload cannot evict the hot positive working set — the two caches
-compete for nothing but share the ``advance()`` invalidation rule.
+compete for nothing but share one implementation (:class:`_EpochLRU`)
+and with it the ``advance()`` invalidation rule.
 """
 
 from __future__ import annotations
@@ -37,51 +38,49 @@ from collections import OrderedDict
 from typing import Hashable, Optional, Tuple
 
 
-class VersionedReadCache:
-    """An LRU cache of ``key -> (version, value)`` with epoch invalidation.
+class _EpochLRU:
+    """The core both caches share: an LRU of ``key -> (stamp, value)``
+    under one lock, with an epoch floor and lazy stale eviction.
 
-    ``value`` may be ``None`` — negative answers ("no such address") are
-    as cacheable as positive ones.  Thread-safe: the server fills it from
-    executor threads while the event loop reads counters.
+    Thread-safe: the server fills it from executor threads while the
+    event loop reads counters.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Tuple[int, Optional[bytes]]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
-        #: Current epoch floor: puts stamped below it are dead on arrival
+        #: Current epoch floor: fills stamped below it are dead on arrival
         #: (advanced by the server on every group commit).
         self._floor = 0
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Hashable, version: int) -> Tuple[bool, Optional[bytes]]:
-        """Return ``(hit, value)``; only entries stamped ``version`` hit."""
+    def _lookup(
+        self, key: Hashable, version: int
+    ) -> Optional[Tuple[int, Optional[bytes]]]:
+        """The entry for ``key`` if it is stamped ``version``, else
+        ``None``; an entry from another epoch is evicted on the way."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return False, None
-            stamp, value = entry
-            if stamp != version:
+            if entry is not None:
+                if entry[0] == version:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    return entry
                 del self._entries[key]  # stale epoch: lazily evict
-                self.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, value
+            self.misses += 1
+            return None
 
-    def put(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
+    def _fill(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
         """Store an answer computed while ``version`` was current.
 
         A fill that raced a commit arrives stamped with the pre-commit
         version: it could never hit (lookups compare against the current
         epoch) but it *could* evict a live entry.  Such dead-on-arrival
-        puts are dropped against the epoch floor instead.
+        fills are dropped against the epoch floor instead.
         """
         with self._lock:
             if version < self._floor:
@@ -136,14 +135,37 @@ class VersionedReadCache:
             self.misses = 0
 
 
-class NegativeLookupCache:
-    """An LRU set of ``addr -> version`` recording proven absence.
+class VersionedReadCache(_EpochLRU):
+    """An LRU cache of ``key -> (version, value)`` with epoch invalidation.
+
+    ``value`` may be ``None`` — negative answers ("no such address") are
+    as cacheable as positive ones.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        super().__init__(capacity)
+
+    def get(self, key: Hashable, version: int) -> Tuple[bool, Optional[bytes]]:
+        """Return ``(hit, value)``; only entries stamped ``version`` hit."""
+        entry = self._lookup(key, version)
+        return (False, None) if entry is None else (True, entry[1])
+
+    def put(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
+        """Store an answer computed while ``version`` was current (fills
+        that raced a commit are dropped — see :meth:`_EpochLRU._fill`)."""
+        self._fill(key, version, value)
+
+
+class NegativeLookupCache(_EpochLRU):
+    """An LRU set of addresses recording proven absence.
 
     ``contains(addr, version)`` answers "was ``addr`` proven absent at
     exactly this commit version?" — the only version a hit is sound at,
     by the same exactness argument as :class:`VersionedReadCache`: the
     committed state is immutable between commits, and the batcher
-    overlay (consulted first) covers everything newer.  Thread-safe.
+    overlay (consulted first) covers everything newer.
     Capacity 0 disables the cache (every add is immediately evicted) —
     the cold-miss baseline of the negative-lookup benchmark.
     """
@@ -151,70 +173,13 @@ class NegativeLookupCache:
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 0:
             raise ValueError("cache capacity cannot be negative")
-        self.capacity = capacity
-        self._entries: "OrderedDict[bytes, int]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._floor = 0
-        self.hits = 0
-        self.misses = 0
+        super().__init__(capacity)
 
     def contains(self, addr: bytes, version: int) -> bool:
         """True when ``addr`` is known absent at commit ``version``."""
-        with self._lock:
-            stamp = self._entries.get(addr)
-            if stamp is None:
-                self.misses += 1
-                return False
-            if stamp != version:
-                del self._entries[addr]  # stale epoch: lazily evict
-                self.misses += 1
-                return False
-            self._entries.move_to_end(addr)
-            self.hits += 1
-            return True
+        return self._lookup(addr, version) is not None
 
     def add(self, addr: bytes, version: int) -> None:
-        """Record that a full walk at ``version`` found nothing.
-
-        Fills that raced a commit (stamped below the epoch floor) are
-        dropped — they could never hit but could evict a live entry.
-        """
-        with self._lock:
-            if version < self._floor:
-                return
-            self._entries[addr] = version
-            self._entries.move_to_end(addr)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def advance(self, version: int) -> None:
-        """Raise the epoch floor (called at every group commit)."""
-        with self._lock:
-            if version > self._floor:
-                self._floor = version
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        """One consistent snapshot of the counters, under the lock."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            entries = len(self._entries)
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "lookups": total,
-            "hit_rate": hits / total if total else 0.0,
-            "entries": entries,
-            "capacity": self.capacity,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries and counters (the epoch floor stays)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+        """Record that a full walk at ``version`` found nothing (fills
+        that raced a commit are dropped, as in the read cache)."""
+        self._fill(addr, version, None)

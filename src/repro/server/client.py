@@ -29,7 +29,9 @@ from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import StorageError
 from repro.server import protocol
-from repro.server.protocol import Referral, Op, RootInfo
+from repro.server.protocol import Op, OpSpec, Referral, RootInfo, parse_address
+
+_OPS = protocol.OPS
 
 
 class KVClient:
@@ -38,8 +40,10 @@ class KVClient:
     ``connect()`` / ``close()`` bracket the session (or use ``async
     with``); between them the data plane is ``get / put / get_at /
     multi_get / multi_put / scan / prov`` and the control plane is
-    ``root / flush / stats / metrics``.  Subclasses differ only in
-    *routing* — which server a request reaches — never in semantics.
+    ``root / flush / stats / metrics``.  The typed methods are written
+    once, here, over :meth:`_route` — *one request by its op-table row
+    to the server that should answer it* — so subclasses differ only in
+    routing, never in semantics.
     """
 
     async def connect(self) -> "KVClient":
@@ -48,7 +52,12 @@ class KVClient:
     async def close(self) -> None:
         raise NotImplementedError
 
-    async def __aenter__(self) -> "KVClient":
+    async def _route(self, spec: OpSpec, *args):
+        """Send one ``spec`` request built from ``args`` to the server
+        this topology picks for it; returns the decoded response."""
+        raise NotImplementedError
+
+    async def __aenter__(self):
         return await self.connect()
 
     async def __aexit__(self, *exc_info: object) -> None:
@@ -57,24 +66,33 @@ class KVClient:
     # -- data plane -----------------------------------------------------------
 
     async def put(self, addr: bytes, value: bytes) -> int:
-        raise NotImplementedError
+        """Buffer a write on the server; returns its target block height."""
+        return await self._route(_OPS[Op.PUT], addr, value)
 
     async def get(self, addr: bytes) -> Optional[bytes]:
-        raise NotImplementedError
+        """Latest value of ``addr`` (read-your-writes across all clients)."""
+        return await self._route(_OPS[Op.GET], addr)
 
     async def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
-        raise NotImplementedError
+        """Value of ``addr`` as of block ``blk``."""
+        return await self._route(_OPS[Op.GET_AT], addr, blk)
 
     async def multi_get(self, addrs: Sequence[bytes]) -> List[Optional[bytes]]:
-        raise NotImplementedError
+        """Latest values of ``addrs`` in one round trip, positionally
+        matched (``None`` per absent address)."""
+        return await self._route(_OPS[Op.MULTI_GET], list(addrs))
 
     async def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> int:
-        raise NotImplementedError
+        """Write a whole ``(addr, value)`` batch in one round trip;
+        returns the single block height the batch will commit at."""
+        return await self._route(_OPS[Op.MULTI_PUT], list(items))
 
     async def prov(
         self, addr: bytes, blk_low: int, blk_high: int
     ) -> Tuple[object, bytes]:
-        raise NotImplementedError
+        """Provenance result plus the ``Hstate`` digest it verifies
+        against — the proof self-verifies, whichever node served it."""
+        return await self._route(_OPS[Op.PROV], addr, blk_low, blk_high)
 
     async def scan(
         self,
@@ -85,21 +103,61 @@ class KVClient:
         limit: Optional[int] = None,
         page_size: int = 0,
     ) -> List[Tuple[bytes, int, bytes]]:
-        raise NotImplementedError
+        """Key-ordered range scan: live ``(addr, blk, value)`` triples in
+        ``[addr_low, addr_high]``, ascending.
+
+        Drives the continuation protocol: each request fetches one
+        result page (``page_size``; 0 lets the server pick) and the next
+        request resumes from the returned continuation key, so one
+        logical scan streams past any single frame.  ``at_blk`` reads
+        the historical state as of that block; ``limit`` caps the total
+        triples returned.
+
+        Multi-page scans are snapshot-consistent: the server pins every
+        page to a committed height and reports it, and continuation
+        pages are re-requested at the *first* page's height — writers
+        committing between pages cannot tear the reassembled result
+        across commit epochs.
+        """
+        results: List[Tuple[bytes, int, bytes]] = []
+        cursor_addr = addr_low
+        pin = at_blk
+        while True:
+            want = page_size
+            if limit is not None:
+                remaining = limit - len(results)
+                if remaining <= 0:
+                    return results
+                want = min(want, remaining) if want else remaining
+            rows, continuation, height = await self._route(
+                _OPS[Op.SCAN], cursor_addr, addr_high, pin, want
+            )
+            results.extend(rows)
+            if pin is None:
+                pin = height  # later pages stay in this page's snapshot
+            if limit is not None and len(results) >= limit:
+                return results[:limit]
+            if continuation is None:
+                return results
+            cursor_addr = continuation
 
     # -- control plane --------------------------------------------------------
 
     async def root(self) -> RootInfo:
-        raise NotImplementedError
+        """Committed state root, commit version, and block height."""
+        return await self._route(_OPS[Op.ROOT])
 
     async def flush(self) -> RootInfo:
-        raise NotImplementedError
+        """Force a group commit; returns the new state anchor."""
+        return await self._route(_OPS[Op.FLUSH])
 
     async def stats(self) -> dict:
-        raise NotImplementedError
+        """The server's serving statistics (JSON-decoded)."""
+        return await self._route(_OPS[Op.STATS])
 
     async def metrics(self) -> str:
-        raise NotImplementedError
+        """The server's Prometheus-style metrics text exposition."""
+        return await self._route(_OPS[Op.METRICS])
 
 
 class _Connection:
@@ -149,6 +207,15 @@ class _Connection:
         """Send one frame, await its response body (pipelined)."""
         if self._closed or self.writer is None:
             raise StorageError("connection is closed")
+        if self._reader_task.done():
+            # The server hung up (the read loop saw EOF) but the socket
+            # may still accept writes: a request sent now would wait for
+            # a response nobody is left to read.  Raised as the transport
+            # failure it is — what a send on a reset socket raises too —
+            # so the cluster and replica clients reconnect and retry.
+            raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
+                "connection closed by server"
+            )
         future = asyncio.get_running_loop().create_future()
         # The (enqueue, write) pair must be atomic per request so the
         # FIFO future queue matches the server's response order.
@@ -228,12 +295,6 @@ class ServerClient(KVClient):
         for conn in conns:
             await conn.close()
 
-    async def __aenter__(self) -> "ServerClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
     def _conn(self) -> _Connection:
         if not self._conns:
             raise StorageError("client is not connected")
@@ -241,123 +302,12 @@ class ServerClient(KVClient):
         self._next += 1
         return conn
 
-    # -- ops ------------------------------------------------------------------
-
-    async def put(self, addr: bytes, value: bytes) -> int:
-        """Buffer a write on the server; returns its target block height."""
-        body = await self._conn().request(protocol.encode_put(addr, value))
-        return protocol.decode_height_response(body)
-
-    async def get(self, addr: bytes) -> Optional[bytes]:
-        """Latest value of ``addr`` (read-your-writes across all clients)."""
-        body = await self._conn().request(protocol.encode_get(addr))
-        return protocol.decode_value_response(body)
-
-    async def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
-        """Value of ``addr`` as of block ``blk``."""
-        body = await self._conn().request(protocol.encode_get_at(addr, blk))
-        return protocol.decode_value_response(body)
-
-    async def multi_get(self, addrs: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Latest values of ``addrs`` in one round trip, positionally
-        matched (``None`` per absent address).  Encoded — and its batch
-        size validated — before any connection is touched."""
-        frame = protocol.encode_multi_get(list(addrs))
-        body = await self._conn().request(frame)
-        return protocol.decode_multi_get_response(body)
-
-    async def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> int:
-        """Write a whole ``(addr, value)`` batch in one round trip;
-        returns the single block height the batch will commit at."""
-        frame = protocol.encode_multi_put(list(items))
-        body = await self._conn().request(frame)
-        return protocol.decode_height_response(body)
-
-    async def prov(
-        self, addr: bytes, blk_low: int, blk_high: int
-    ) -> Tuple[object, bytes]:
-        """Provenance result plus the ``Hstate`` digest it verifies against."""
-        body = await self._conn().request(protocol.encode_prov(addr, blk_low, blk_high))
-        result, root = protocol.decode_prov_response(body)
-        return result, root
-
-    async def scan(
-        self,
-        addr_low: bytes,
-        addr_high: bytes,
-        *,
-        at_blk: Optional[int] = None,
-        limit: Optional[int] = None,
-        page_size: int = 0,
-    ) -> List[Tuple[bytes, int, bytes]]:
-        """Key-ordered range scan: live ``(addr, blk, value)`` triples in
-        ``[addr_low, addr_high]``, ascending.
-
-        Drives the continuation protocol: each request fetches one
-        result page (``page_size``; 0 lets the server pick) and the next
-        request resumes from the returned continuation key, so one
-        logical scan streams past any single frame.  ``at_blk`` reads
-        the historical state as of that block; ``limit`` caps the total
-        triples returned.
-
-        Multi-page scans are snapshot-consistent: the server pins every
-        page to a committed height and reports it, and continuation
-        pages are re-requested at the *first* page's height — writers
-        committing between pages cannot tear the reassembled result
-        across commit epochs.
-        """
-        results: List[Tuple[bytes, int, bytes]] = []
-        cursor_addr = addr_low
-        pin = at_blk
-        while True:
-            want = page_size
-            if limit is not None:
-                remaining = limit - len(results)
-                if remaining <= 0:
-                    return results
-                want = min(want, remaining) if want else remaining
-            body = await self._conn().request(
-                protocol.encode_scan(cursor_addr, addr_high, pin, want)
-            )
-            rows, continuation, height = protocol.decode_scan_response(body)
-            results.extend(rows)
-            if pin is None:
-                pin = height  # later pages stay in this page's snapshot
-            if limit is not None and len(results) >= limit:
-                return results[:limit]
-            if continuation is None:
-                return results
-            cursor_addr = continuation
-
-    async def root(self) -> RootInfo:
-        """Committed state root, commit version, and block height."""
-        body = await self._conn().request(protocol.encode_simple(Op.ROOT))
-        return protocol.decode_root_response(body)
-
-    async def stats(self) -> dict:
-        """The server's serving statistics (JSON-decoded)."""
-        import json
-
-        body = await self._conn().request(protocol.encode_simple(Op.STATS))
-        return json.loads(protocol.decode_blob_response(body))
-
-    async def metrics(self) -> str:
-        """The server's Prometheus-style metrics text exposition."""
-        body = await self._conn().request(protocol.encode_simple(Op.METRICS))
-        return protocol.decode_blob_response(body).decode("utf-8")
-
-    async def flush(self) -> RootInfo:
-        """Force a group commit; returns the new state anchor."""
-        body = await self._conn().request(protocol.encode_simple(Op.FLUSH))
-        return protocol.decode_root_response(body)
-
-
-def _parse_addr(addr: str) -> Tuple[str, int]:
-    """``host:port`` -> ``(host, port)`` (the referral payload shape)."""
-    host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise StorageError(f"malformed primary address {addr!r}")
-    return host, int(port)
+    async def _route(self, spec: OpSpec, *args):
+        """Encode, send down the next pooled connection, decode.  The
+        frame is built — and a batch's size validated — before any
+        connection is touched."""
+        frame = spec.encode(*args)
+        return spec.decode(await self._conn().request(frame))
 
 
 class ReplicatedClient(KVClient):
@@ -429,13 +379,14 @@ class ReplicatedClient(KVClient):
             primary, self._primary = self._primary, None
             await primary.close()
 
-    async def __aenter__(self) -> "ReplicatedClient":
-        return await self.connect()
+    # -- routing --------------------------------------------------------------
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    # -- read routing ---------------------------------------------------------
+    async def _route(self, spec: OpSpec, *args):
+        """``read`` ops fan across the replicas; everything else (writes
+        and the control plane) is the primary's to answer."""
+        if spec.kind == protocol.READ:
+            return await self._on_replica(ServerClient._route, spec, *args)
+        return await self._on_primary(ServerClient._route, spec, *args)
 
     def _read_targets(self) -> List[ServerClient]:
         """Round-robin order for one read: chosen node first, primary last."""
@@ -453,11 +404,14 @@ class ReplicatedClient(KVClient):
             ordered.append(self._primary)  # last-resort fallback
         return ordered
 
-    async def _read(self, issue):
+    async def _on_replica(self, call, *args, **kwargs):
+        """``call(node, ...)`` on the next replica, falling back node by
+        node to the primary — replica reads are idempotent, so the
+        retry is safe."""
         targets = self._read_targets()
         for index, target in enumerate(targets):
             try:
-                return await issue(target)
+                return await call(target, *args, **kwargs)
             except (StorageError, ConnectionError, OSError):
                 # NotPrimaryError cannot happen on reads; anything else
                 # (replica down, mid-stream disconnect) falls through to
@@ -466,89 +420,38 @@ class ReplicatedClient(KVClient):
                     raise
                 self.read_fallbacks += 1
 
-    async def get(self, addr: bytes) -> Optional[bytes]:
-        """Latest value of ``addr`` from any replica (primary fallback)."""
-        return await self._read(lambda client: client.get(addr))
-
-    async def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
-        """Value of ``addr`` as of block ``blk`` from any replica."""
-        return await self._read(lambda client: client.get_at(addr, blk))
-
-    async def multi_get(self, addrs: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Batched latest-value read from any replica (primary fallback)."""
-        return await self._read(lambda client: client.multi_get(addrs))
-
-    async def prov(
-        self, addr: bytes, blk_low: int, blk_high: int
-    ) -> Tuple[object, bytes]:
-        """Provenance from any replica — the proof self-verifies against
-        the ``Hstate`` digest it returns, replica or not."""
-        return await self._read(lambda client: client.prov(addr, blk_low, blk_high))
-
-    async def scan(
-        self,
-        addr_low: bytes,
-        addr_high: bytes,
-        *,
-        at_blk: Optional[int] = None,
-        limit: Optional[int] = None,
-        page_size: int = 0,
-    ) -> List[Tuple[bytes, int, bytes]]:
-        """Range scan from any replica (primary fallback).
-
-        The whole paged scan runs against one chosen node: pages are
-        snapshot-pinned to the first page's height, and a different
-        replica might not have applied that height yet — it would
-        silently serve an incomplete view of the pinned snapshot.
-        """
-        return await self._read(
-            lambda client: client.scan(
-                addr_low, addr_high, at_blk=at_blk, limit=limit, page_size=page_size
-            )
-        )
-
-    # -- write routing --------------------------------------------------------
-
-    async def _on_primary(self, issue):
+    async def _on_primary(self, call, *args):
+        """``call(primary, ...)``, following one referral."""
         try:
-            return await issue(self.primary)
+            return await call(self.primary, *args)
         except Referral as exc:
             # The configured primary is a replica (NOT_PRIMARY) or the
             # shard has moved (MOVED): either way the rejection names
             # the server that will accept the write — follow it.
             self.redirects += 1
             redirected = ServerClient(
-                *_parse_addr(exc.address), pool_size=self.pool_size
+                *parse_address(exc.address), pool_size=self.pool_size
             )
             await redirected.connect()
             stale, self._primary = self._primary, redirected
             if stale is not None:
                 await stale.close()
-            return await issue(self.primary)
+            return await call(self.primary, *args)
 
-    async def put(self, addr: bytes, value: bytes) -> int:
-        """Write through the primary (follows NOT_PRIMARY referrals)."""
-        return await self._on_primary(lambda client: client.put(addr, value))
+    async def scan(
+        self, addr_low: bytes, addr_high: bytes, **options
+    ) -> List[Tuple[bytes, int, bytes]]:
+        """Range scan from any replica (primary fallback); ``options``
+        as in :meth:`KVClient.scan`.
 
-    async def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> int:
-        """Batched write through the primary (follows referrals)."""
-        return await self._on_primary(lambda client: client.multi_put(items))
-
-    async def flush(self) -> RootInfo:
-        """Force a group commit on the primary."""
-        return await self._on_primary(lambda client: client.flush())
-
-    async def root(self) -> RootInfo:
-        """The primary's committed state anchor."""
-        return await self._on_primary(lambda client: client.root())
-
-    async def stats(self) -> dict:
-        """The primary's STATS."""
-        return await self._on_primary(lambda client: client.stats())
-
-    async def metrics(self) -> str:
-        """The primary's metrics exposition."""
-        return await self._on_primary(lambda client: client.metrics())
+        The whole paged scan runs against one chosen node: pages are
+        snapshot-pinned to the first page's height, and a different
+        replica might not have applied that height yet — it would
+        silently serve an incomplete view of the pinned snapshot.
+        """
+        return await self._on_replica(
+            ServerClient.scan, addr_low, addr_high, **options
+        )
 
     # -- replica health -------------------------------------------------------
 
@@ -584,7 +487,7 @@ Target = Union[str, Tuple[str, int]]
 def _to_addr(target: Target) -> Tuple[str, int]:
     """Accept ``"host:port"`` or ``(host, port)``; return the tuple."""
     if isinstance(target, str):
-        return _parse_addr(target)
+        return parse_address(target)
     host, port = target
     return host, int(port)
 

@@ -12,30 +12,47 @@ big-endian.  Variable-length byte strings are encoded as ``u16 length``
 Ops
 ---
 
-==============  ===================================  =========================
-op              request payload                      OK response payload
-==============  ===================================  =========================
-PUT             addr16, value32                      u64 block height assigned
-GET             addr16                               value32 (or NOT_FOUND)
-GET_AT          addr16, u64 blk                      value32 (or NOT_FOUND)
-MULTI_GET       u16 count, count x addr16            u16 count, count x
-                                                     (u8 present, [value32])
-MULTI_PUT       u16 count, count x (addr16,          u64 block height assigned
-                value32)                             to the whole batch
-PROV            addr16, u64 blk_low, u64 blk_high    blob32 (pickled result)
-SCAN            lo16, hi16, u64 at_blk, u32 limit    one result page: u8 more,
-                                                     [cont16,] u64 snapshot
-                                                     height, u32 count, then
-                                                     count x (addr16, u64 blk,
-                                                     value32)
-ROOT            —                                    digest16, u64 ver, u64 blk
-STATS           —                                    blob32 (JSON, utf-8)
-FLUSH           —                                    digest16, u64 ver, u64 blk
-METRICS         —                                    blob32 (Prometheus text
-                                                     exposition, utf-8)
-REPL_SUBSCRIBE  u64 start_height                     u64 primary height, then
-                                                     a stream of record frames
-==============  ===================================  =========================
+Every op is declared **once**, as a row of :data:`OPS` at the bottom of
+this module; request decoding, the server's dispatch and counters, the
+typed client methods and the cluster key check all read that table.
+
+==============  =======  ==========  ========================  =========================
+op              class    routes by   request payload           OK response payload
+==============  =======  ==========  ========================  =========================
+PUT             write    addr        addr16, value32           u64 block height assigned
+GET             read     addr        addr16                    value32 (or NOT_FOUND)
+GET_AT          read     addr        addr16, u64 blk           value32 (or NOT_FOUND)
+PROV            read     addr        addr16, u64 blk_low,      blob32 (pickled result)
+                                     u64 blk_high
+ROOT            control  —           —                         digest16, u64 ver, u64 blk
+STATS           control  —           —                         blob32 (JSON, utf-8)
+FLUSH           write    —           —                         digest16, u64 ver, u64 blk
+REPL_SUBSCRIBE  stream   —           u64 start_height          u64 primary height, then
+                                                               a stream of record frames
+SCAN            read     —           lo16, hi16, u64 at_blk,   one result page: u8 more,
+                                     u32 limit                 [cont16,] u64 snapshot
+                                                               height, u32 count, then
+                                                               count x (addr16, u64 blk,
+                                                               value32)
+MULTI_GET       read     every addr  u16 count, count x        u16 count, count x
+                                     addr16                    (u8 present, [value32])
+MULTI_PUT       write    every addr  u16 count, count x        u64 block height assigned
+                                     (addr16, value32)         to the whole batch
+METRICS         control  —           —                         blob32 (Prometheus text
+                                                               exposition, utf-8)
+CLUSTER         control  —           —                         blob32 (manifest JSON)
+ADMIN           control  —           blob32 (JSON command)     blob32 (JSON result)
+==============  =======  ==========  ========================  =========================
+
+The **class** decides who may answer: a replica rejects ``write`` ops
+with ``NOT_PRIMARY``; a shard that has moved away answers ``MOVED`` to
+every ``read`` and ``write`` op (the *data* ops) but keeps serving
+``control`` ops so operators and the migration coordinator can still
+observe it; a ``stream`` op takes over its connection.  **Routes by**
+names the addresses a cluster shard checks ownership of (and a cluster
+client picks the owner by); SCAN and FLUSH are data ops with no routable
+key — a cluster client fans them over every shard.  A request with bytes
+left over after its payload is rejected, whatever the op.
 
 ``MULTI_GET`` / ``MULTI_PUT`` are the vectorized point ops: N keys cost
 one round trip, one frame parse, and (for puts) one batcher handoff and
@@ -103,10 +120,12 @@ responses to requests by position (see ``repro.server.client``).
 
 from __future__ import annotations
 
+import json
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import StorageError
 
@@ -178,6 +197,15 @@ class Referral(StorageError):
         self.address = address
         self.manifest_epoch = manifest_epoch
         self.shard_id = shard_id
+
+
+def parse_address(address: str) -> Tuple[str, int]:
+    """``host:port`` -> ``(host, port)``: the shape of every referral
+    payload, manifest entry and CLI address option."""
+    host, _, port = address.rpartition(":")
+    if not host or not port.isdigit():
+        raise StorageError(f"expected HOST:PORT, got {address!r}")
+    return host, int(port)
 
 
 class NotPrimaryError(Referral):
@@ -342,8 +370,6 @@ def encode_simple(op: int) -> bytes:
 
 def encode_admin(payload: dict) -> bytes:
     """One ADMIN request: a JSON command blob for a cluster control server."""
-    import json
-
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return encode_frame(bytes([Op.ADMIN]) + pack_bytes32(blob))
 
@@ -354,38 +380,16 @@ def encode_repl_subscribe(start_height: int) -> bytes:
 
 
 def decode_request(body: bytes) -> Tuple[int, tuple]:
-    """Decode a request body into ``(opcode, args)``."""
+    """Decode a request body into ``(opcode, args)`` by the op table."""
     cursor = Cursor(body)
     op = cursor.u8()
-    if op == Op.PUT:
-        return op, (cursor.bytes16(), cursor.bytes32())
-    if op == Op.GET:
-        return op, (cursor.bytes16(),)
-    if op == Op.GET_AT:
-        return op, (cursor.bytes16(), cursor.u64())
-    if op == Op.PROV:
-        return op, (cursor.bytes16(), cursor.u64(), cursor.u64())
-    if op == Op.SCAN:
-        return op, (cursor.bytes16(), cursor.bytes16(), cursor.u64(), cursor.u32())
-    if op == Op.MULTI_GET:
-        count = _check_batch_count(cursor.u16())
-        addrs = [cursor.bytes16() for _ in range(count)]
-        if not cursor.done():
-            raise StorageError("trailing bytes after MULTI_GET batch")
-        return op, (addrs,)
-    if op == Op.MULTI_PUT:
-        count = _check_batch_count(cursor.u16())
-        items = [(cursor.bytes16(), cursor.bytes32()) for _ in range(count)]
-        if not cursor.done():
-            raise StorageError("trailing bytes after MULTI_PUT batch")
-        return op, (items,)
-    if op == Op.REPL_SUBSCRIBE:
-        return op, (cursor.u64(),)
-    if op == Op.ADMIN:
-        return op, (cursor.bytes32(),)
-    if op in (Op.ROOT, Op.STATS, Op.FLUSH, Op.METRICS, Op.CLUSTER):
-        return op, ()
-    raise StorageError(f"unknown opcode {op}")
+    spec = OPS.get(op)
+    if spec is None:
+        raise StorageError(f"unknown opcode {op}")
+    args = spec.decode_args(cursor)
+    if not cursor.done():
+        raise StorageError(f"trailing bytes after {spec.name.upper()} request")
+    return op, args
 
 
 # =============================================================================
@@ -500,11 +504,14 @@ def decode_prov_response(body: bytes) -> object:
     return pickle.loads(decode_blob_response(body))
 
 
+def decode_text_response(body: bytes) -> str:
+    """METRICS response: a utf-8 text blob."""
+    return decode_blob_response(body).decode("utf-8")
+
+
 def decode_json_response(body: bytes) -> dict:
     """STATS / CLUSTER / ADMIN responses: a JSON blob."""
-    import json
-
-    return json.loads(decode_blob_response(body).decode("utf-8"))
+    return json.loads(decode_text_response(body))
 
 
 def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
@@ -569,15 +576,10 @@ def decode_scan_response(
     return rows, continuation, height
 
 
-def encode_repl_handshake(height: int) -> bytes:
-    """REPL_SUBSCRIBE accepted: the primary's committed height."""
-    return encode_ok(_U64.pack(height))
-
-
-def decode_repl_handshake(body: bytes) -> int:
-    cursor = Cursor(body)
-    check_status(cursor)
-    return cursor.u64()
+#: REPL_SUBSCRIBE accepted: the primary's committed height — the same
+#: ``u64 height`` payload a PUT is answered with.
+encode_repl_handshake = encode_height_response
+decode_repl_handshake = decode_height_response
 
 
 def encode_repl_record(record: bytes) -> bytes:
@@ -590,6 +592,83 @@ def decode_repl_record(body: bytes) -> bytes:
     cursor = Cursor(body)
     check_status(cursor)
     return cursor.data[cursor.pos:]
+
+
+# =============================================================================
+# the op table
+# =============================================================================
+
+READ, WRITE, CONTROL, STREAM = "read", "write", "control", "stream"
+
+#: Classes whose ops touch shard data: they obey MOVED referrals.
+DATA_CLASSES = (READ, WRITE)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One row of the op table: all the serving layer knows about an op.
+
+    ``addresses(args)`` yields the addresses the decoded request routes
+    by (``None``: it carries no routable key).  ``encode(*args)`` builds
+    the request frame, ``decode_args(cursor)`` reads its payload back
+    into ``args``, and ``decode(body)`` turns the response body into the
+    typed result (funnelling through :func:`check_status`).
+    """
+
+    op: int
+    name: str  # STATS / metrics label
+    kind: str  # READ / WRITE / CONTROL / STREAM
+    addresses: Optional[Callable[[tuple], Sequence[bytes]]]
+    encode: Callable[..., bytes]
+    decode_args: Callable[[Cursor], tuple]
+    decode: Callable[[bytes], object]
+
+
+def _first_arg(args: tuple) -> tuple:
+    return args[:1]
+
+
+def _bare(op: int, name: str, kind: str, decode: Callable) -> OpSpec:
+    """An opcode-only request."""
+    encode = partial(encode_simple, op)
+    return OpSpec(op, name, kind, None, encode, lambda c: (), decode)
+
+
+#: opcode -> spec, in opcode order (the order STATS["ops"] reports).
+OPS: Dict[int, OpSpec] = {
+    spec.op: spec
+    for spec in (
+        OpSpec(Op.PUT, "put", WRITE, _first_arg, encode_put,
+               lambda c: (c.bytes16(), c.bytes32()), decode_height_response),
+        OpSpec(Op.GET, "get", READ, _first_arg, encode_get,
+               lambda c: (c.bytes16(),), decode_value_response),
+        OpSpec(Op.GET_AT, "get_at", READ, _first_arg, encode_get_at,
+               lambda c: (c.bytes16(), c.u64()), decode_value_response),
+        OpSpec(Op.PROV, "prov", READ, _first_arg, encode_prov,
+               lambda c: (c.bytes16(), c.u64(), c.u64()), decode_prov_response),
+        _bare(Op.ROOT, "root", CONTROL, decode_root_response),
+        _bare(Op.STATS, "stats", CONTROL, decode_json_response),
+        _bare(Op.FLUSH, "flush", WRITE, decode_root_response),
+        OpSpec(Op.REPL_SUBSCRIBE, "repl", STREAM, None, encode_repl_subscribe,
+               lambda c: (c.u64(),), decode_repl_handshake),
+        OpSpec(Op.SCAN, "scan", READ, None, encode_scan,
+               lambda c: (c.bytes16(), c.bytes16(), c.u64(), c.u32()),
+               decode_scan_response),
+        OpSpec(Op.MULTI_GET, "multi_get", READ, lambda args: args[0],
+               encode_multi_get,
+               lambda c: ([c.bytes16() for _ in range(_check_batch_count(c.u16()))],),
+               decode_multi_get_response),
+        OpSpec(Op.MULTI_PUT, "multi_put", WRITE,
+               lambda args: [addr for addr, _ in args[0]], encode_multi_put,
+               lambda c: ([(c.bytes16(), c.bytes32())
+                           for _ in range(_check_batch_count(c.u16()))],),
+               decode_height_response),
+        _bare(Op.METRICS, "metrics", CONTROL, decode_text_response),
+        _bare(Op.CLUSTER, "cluster", CONTROL, decode_json_response),
+        OpSpec(Op.ADMIN, "admin", CONTROL, None, encode_admin,
+               lambda c: (c.bytes32(),), decode_json_response),
+    )
+}
 
 
 # =============================================================================

@@ -55,7 +55,6 @@ import asyncio
 import heapq
 import json
 import pickle
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,26 +65,12 @@ from repro.obs import MetricsRegistry
 from repro.server import protocol
 from repro.server.batcher import MISSING, WriteBatcher
 from repro.server.cache import NegativeLookupCache, VersionedReadCache
+from repro.server.eventloop import LoopThread
 from repro.server.protocol import Op, RootInfo
 
-#: Opcode -> STATS/metrics label, shared by the op counters and the
-#: per-op latency histograms.
-OP_NAMES = {
-    Op.PUT: "put",
-    Op.GET: "get",
-    Op.GET_AT: "get_at",
-    Op.PROV: "prov",
-    Op.ROOT: "root",
-    Op.STATS: "stats",
-    Op.FLUSH: "flush",
-    Op.REPL_SUBSCRIBE: "repl",
-    Op.SCAN: "scan",
-    Op.MULTI_GET: "multi_get",
-    Op.MULTI_PUT: "multi_put",
-    Op.METRICS: "metrics",
-    Op.CLUSTER: "cluster",
-    Op.ADMIN: "admin",
-}
+#: Opcode -> STATS/metrics label (the op table's ``name`` column), shared
+#: by the op counters and the per-op latency histograms.
+OP_NAMES = {op: spec.name for op, spec in protocol.OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -462,85 +447,67 @@ class ColeServer:
         hist.observe(elapsed)
 
     async def _dispatch(self, op: int, args: tuple) -> bytes:
+        spec = protocol.OPS[op]
+        self.op_counts[spec.name] += 1
         if self.cluster is not None:
             # The cluster role may refer this request elsewhere (MOVED):
-            # this check and the batcher insert below share one
-            # synchronous dispatch, which is what makes the migration
-            # cutover lossless — once the role flips to moved, no write
-            # can slip in and ack here.
+            # this check and the batcher insert share one synchronous
+            # dispatch (awaiting the handler runs it inline up to its
+            # first suspension, which comes after the insert), which is
+            # what makes the migration cutover lossless — once the role
+            # flips to moved, no write can slip in and ack here.
             referral = self.cluster.referral_for(op, args)
             if referral is not None:
-                self.op_counts[OP_NAMES.get(op, "cluster")] += 1
                 return referral
-        if op in (Op.PUT, Op.MULTI_PUT, Op.FLUSH) and self.replica is not None:
-            self.op_counts[
-                {Op.PUT: "put", Op.MULTI_PUT: "multi_put", Op.FLUSH: "flush"}[op]
-            ] += 1
+        if self.replica is not None and spec.kind == protocol.WRITE:
             return protocol.encode_not_primary(self.replica.primary_addr)
-        if op == Op.PUT:
-            self.op_counts["put"] += 1
-            addr, value = args
-            height = self.batcher.put(addr, value)
-            if self.wal_syncer is not None:
-                # The write is buffered and WAL-appended; the ack waits
-                # for its record to be durable (group fsync).
-                await self.wal_syncer.durable(self.batcher.last_put_lsn)
-            return protocol.encode_height_response(height)
-        if op == Op.MULTI_PUT:
-            self.op_counts["multi_put"] += 1
-            height = self.batcher.put_batch(args[0])
-            if self.wal_syncer is not None:
-                # One durability wait for the whole batch: its records
-                # share the batch LSN the group fsync must cover.
-                await self.wal_syncer.durable(self.batcher.last_put_lsn)
-            return protocol.encode_height_response(height)
-        if op == Op.GET:
-            self.op_counts["get"] += 1
-            return protocol.encode_value_response(await self._get(args[0]))
-        if op == Op.MULTI_GET:
-            self.op_counts["multi_get"] += 1
-            return protocol.encode_multi_get_response(await self._multi_get(args[0]))
-        if op == Op.GET_AT:
-            self.op_counts["get_at"] += 1
-            addr, blk = args
-            return protocol.encode_value_response(await self._get_at(addr, blk))
-        if op == Op.PROV:
-            self.op_counts["prov"] += 1
-            return await self._prov(*args)
-        if op == Op.SCAN:
-            self.op_counts["scan"] += 1
-            return await self._scan(*args)
-        if op == Op.ROOT:
-            self.op_counts["root"] += 1
-            return protocol.encode_root_response(await self._root_info())
-        if op == Op.STATS:
-            self.op_counts["stats"] += 1
-            blob = json.dumps(await self._stats()).encode()
-            return protocol.encode_blob_response(blob)
-        if op == Op.METRICS:
-            self.op_counts["metrics"] += 1
-            text = await self._metrics_text()
-            return protocol.encode_blob_response(text.encode("utf-8"))
-        if op == Op.FLUSH:
-            self.op_counts["flush"] += 1
-            self.batcher.forced_flushes += 1
-            root, height = await self.batcher.flush()
-            return protocol.encode_root_response(
-                RootInfo(digest=root, version=self.version, height=height)
-            )
-        if op == Op.CLUSTER:
-            self.op_counts["cluster"] += 1
-            if self.cluster is None:
-                return protocol.encode_error(
-                    "this server is not a cluster member"
-                )
-            return protocol.encode_blob_response(self.cluster.manifest_json())
-        if op == Op.ADMIN:
-            self.op_counts["admin"] += 1
-            return protocol.encode_error(
-                "ADMIN is answered by the node control port, not a shard server"
-            )
-        return protocol.encode_error(f"unknown opcode {op}")
+        return await self._HANDLERS[op](self, *args)
+
+    # =========================================================================
+    # op handlers: ``_op_<name>`` answers one row of protocol.OPS with its
+    # response frame (writes and the small control ops here; reads and the
+    # ROOT / STATS / METRICS assembly in the sections below)
+    # =========================================================================
+
+    async def _op_put(self, addr: bytes, value: bytes) -> bytes:
+        height = self.batcher.put(addr, value)
+        if self.wal_syncer is not None:
+            # The write is buffered and WAL-appended; the ack waits
+            # for its record to be durable (group fsync).
+            await self.wal_syncer.durable(self.batcher.last_put_lsn)
+        return protocol.encode_height_response(height)
+
+    async def _op_multi_put(self, items: List[Tuple[bytes, bytes]]) -> bytes:
+        height = self.batcher.put_batch(items)
+        if self.wal_syncer is not None:
+            # One durability wait for the whole batch: its records
+            # share the batch LSN the group fsync must cover.
+            await self.wal_syncer.durable(self.batcher.last_put_lsn)
+        return protocol.encode_height_response(height)
+
+    async def _op_stats(self) -> bytes:
+        return protocol.encode_blob_response(json.dumps(await self._stats()).encode())
+
+    async def _op_metrics(self) -> bytes:
+        text = await self._metrics_text()
+        return protocol.encode_blob_response(text.encode("utf-8"))
+
+    async def _op_flush(self) -> bytes:
+        self.batcher.forced_flushes += 1
+        root, height = await self.batcher.flush()
+        return protocol.encode_root_response(
+            RootInfo(digest=root, version=self.version, height=height)
+        )
+
+    async def _op_cluster(self) -> bytes:
+        if self.cluster is None:
+            return protocol.encode_error("this server is not a cluster member")
+        return protocol.encode_blob_response(self.cluster.manifest_json())
+
+    async def _op_admin(self, _blob: bytes) -> bytes:
+        return protocol.encode_error(
+            "ADMIN is answered by the node control port, not a shard server"
+        )
 
     # =========================================================================
     # replication streaming (primary side)
@@ -619,31 +586,30 @@ class ColeServer:
     # reads
     # =========================================================================
 
-    async def _get(self, addr: bytes) -> Optional[bytes]:
+    async def _op_get(self, addr: bytes) -> bytes:
         buffered = self.batcher.lookup(addr) if self.batcher is not None else MISSING
         if buffered is not MISSING:
             self.overlay_hits += 1
-            return buffered
+            return protocol.encode_value_response(buffered)
         version = self.version
         # Misses live in the dedicated negative cache — a miss-heavy
         # workload must not evict the hot positive working set.
         if self.negative.contains(addr, version):
-            return None
+            return protocol.encode_value_response(None)
         hit, value = self.cache.get((0, addr), version)
-        if hit:
-            return value
-        value = await self._run(self.engine.get, addr)
-        if value is None:
-            self.negative.add(addr, version)
-        else:
-            self.cache.put((0, addr), version, value)
-        return value
+        if not hit:
+            value = await self._run(self.engine.get, addr)
+            if value is None:
+                self.negative.add(addr, version)
+            else:
+                self.cache.put((0, addr), version, value)
+        return protocol.encode_value_response(value)
 
-    async def _multi_get(self, addrs: List[bytes]) -> List[Optional[bytes]]:
+    async def _op_multi_get(self, addrs: List[bytes]) -> bytes:
         """Answer one MULTI_GET batch: caches on-loop, one engine trip.
 
         Every key first runs the same overlay -> negative-cache -> read-
-        cache ladder as :meth:`_get`; only the leftovers pay the thread-
+        cache ladder as :meth:`_op_get`; only the leftovers pay the thread-
         pool hop, as a single ``engine.get_many`` (one gate hold, one
         source walk) instead of an engine lookup per key.
         """
@@ -675,24 +641,23 @@ class ColeServer:
                     self.negative.add(addrs[index], version)
                 else:
                     self.cache.put((0, addrs[index]), version, value)
-        return results
+        return protocol.encode_multi_get_response(results)
 
-    async def _get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
+    async def _op_get_at(self, addr: bytes, blk: int) -> bytes:
         buffered = (
             self.batcher.lookup_at(addr, blk) if self.batcher is not None else MISSING
         )
         if buffered is not MISSING:
             self.overlay_hits += 1
-            return buffered
+            return protocol.encode_value_response(buffered)
         version = self.version
         hit, value = self.cache.get((1, addr, blk), version)
-        if hit:
-            return value
-        value = await self._run(self.engine.get_at, addr, blk)
-        self.cache.put((1, addr, blk), version, value)
-        return value
+        if not hit:
+            value = await self._run(self.engine.get_at, addr, blk)
+            self.cache.put((1, addr, blk), version, value)
+        return protocol.encode_value_response(value)
 
-    async def _prov(self, addr: bytes, blk_low: int, blk_high: int) -> bytes:
+    async def _op_prov(self, addr: bytes, blk_low: int, blk_high: int) -> bytes:
         # Anchor at a committed Hstate: buffered writes must be in the
         # engine before the proof is cut, or a range covering the open
         # block would silently miss them.  A replica buffers nothing —
@@ -705,7 +670,7 @@ class ColeServer:
         blob = pickle.dumps((result, root), protocol=pickle.HIGHEST_PROTOCOL)
         return protocol.encode_blob_response(blob)
 
-    async def _scan(
+    async def _op_scan(
         self, addr_low: bytes, addr_high: bytes, at_blk: int, limit: int
     ) -> bytes:
         # Snapshot at the current commit version: buffered writes commit
@@ -754,22 +719,18 @@ class ColeServer:
     # control plane
     # =========================================================================
 
-    async def _root_info(self) -> RootInfo:
+    async def _op_root(self) -> bytes:
         if self.replica is not None:
             root = self.replica.last_root
             if root is None:
                 root = await self._run(self.engine.root_digest)
-            return RootInfo(
-                digest=root,
-                version=self.version,
-                height=self.replica.applied_height,
-            )
-        if self.batcher.last_root is None:
-            self.batcher.last_root = await self._run(self.engine.root_digest)
-        return RootInfo(
-            digest=self.batcher.last_root,
-            version=self.version,
-            height=self.batcher.last_height,
+            height = self.replica.applied_height
+        else:
+            if self.batcher.last_root is None:
+                self.batcher.last_root = await self._run(self.engine.root_digest)
+            root, height = self.batcher.last_root, self.batcher.last_height
+        return protocol.encode_root_response(
+            RootInfo(digest=root, version=self.version, height=height)
         )
 
     async def _stats(self) -> dict:
@@ -1021,91 +982,36 @@ class ColeServer:
             self.cluster.record_metrics(registry)
         return registry.expose()
 
+    #: opcode -> handler, called as ``handler(self, *args)``.  The one
+    #: ``stream`` op (REPL_SUBSCRIBE) is absent: it takes over its
+    #: connection in :meth:`_handle_connection` instead of answering.
+    _HANDLERS = {
+        Op.PUT: _op_put,
+        Op.GET: _op_get,
+        Op.GET_AT: _op_get_at,
+        Op.PROV: _op_prov,
+        Op.ROOT: _op_root,
+        Op.STATS: _op_stats,
+        Op.FLUSH: _op_flush,
+        Op.SCAN: _op_scan,
+        Op.MULTI_GET: _op_multi_get,
+        Op.MULTI_PUT: _op_multi_put,
+        Op.METRICS: _op_metrics,
+        Op.CLUSTER: _op_cluster,
+        Op.ADMIN: _op_admin,
+    }
 
-class ServerThread:
+
+class ServerThread(LoopThread):
     """A :class:`ColeServer` on its own event-loop thread.
 
     The in-process deployment shape used by the benchmarks, the tests,
     and the demo: the caller's thread stays free to run clients (or an
     entire load generator) against real sockets while the server loop
-    runs here.  ``start`` blocks until the port is bound; ``stop`` is
-    idempotent and joins the thread.
+    runs here.  Takes :class:`ColeServer`'s arguments; ``start`` blocks
+    until the port is bound and returns the bound ``(host, port)``.
     """
 
-    def __init__(
-        self,
-        engine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[ServerConfig] = None,
-        wal=None,
-        replica_of: Optional[Tuple[str, int]] = None,
-        cluster=None,
-        replica_wal=None,
-    ) -> None:
-        self.server = ColeServer(
-            engine,
-            host,
-            port,
-            config,
-            wal=wal,
-            replica_of=replica_of,
-            cluster=cluster,
-            replica_wal=replica_wal,
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> Tuple[str, int]:
-        """Spawn the loop thread; returns the bound ``(host, port)``.
-
-        Idempotent: calling again while running just reports the address.
-        """
-        if self._thread is not None and self._thread.is_alive():
-            return self.server.host, self.server.port
-        self._thread = threading.Thread(
-            target=self._run, name="cole-server", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self.server.host, self.server.port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # surface bind errors to start()
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()  # until stop() calls loop.stop()
-            loop.run_until_complete(self.server.stop())
-        finally:
-            loop.close()
-
-    def stop(self) -> None:
-        """Stop serving and join the loop thread (idempotent)."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
-            return
-        if thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-        thread.join()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def __init__(self, *args, **kwargs) -> None:
+        self.server = ColeServer(*args, **kwargs)
+        super().__init__(self.server, "cole-server")

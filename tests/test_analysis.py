@@ -44,7 +44,6 @@ class TestBadCorpus:
             "async-blocking-call",
             "error-taxonomy",
             "gate-discipline",
-            "protocol-surface",
         ]
 
     def test_gate_discipline_findings(self, report):
@@ -73,16 +72,6 @@ class TestBadCorpus:
             "wal.sync",
         ):
             assert any(needle in m for m in msgs), needle
-
-    def test_protocol_surface_findings(self, report):
-        msgs = [
-            f.message for f in report.findings if f.rule == "protocol-surface"
-        ]
-        # Op.PING misses all three surfaces; Status.THROTTLED both.
-        assert sum("Op.PING" in m for m in msgs) == 3
-        assert sum("Status.THROTTLED" in m for m in msgs) == 2
-        assert not any("Op.PUT" in m for m in msgs)
-        assert not any("Status.OK" in m or "Status.ERROR" in m for m in msgs)
 
     def test_error_taxonomy_findings(self, report):
         msgs = [
@@ -139,13 +128,11 @@ def test_json_report_schema_is_pinned():
     assert data["rules"] == [
         "gate-discipline",
         "async-blocking-call",
-        "protocol-surface",
         "error-taxonomy",
     ]
     assert data["counts"] == {
         "gate-discipline": 4,
         "async-blocking-call": 5,
-        "protocol-surface": 5,
         "error-taxonomy": 3,
     }
     for finding in data["findings"]:

@@ -266,6 +266,11 @@ def test_malformed_multi_frames_get_clean_errors_over_the_wire(tmp_path):
                 bytes([Op.MULTI_GET])
                 + (3).to_bytes(2, "big")
                 + protocol.pack_bytes16(addr_of(1)),
+                # trailing bytes after a complete request, on any op
+                protocol.encode_put(addr_of(1), value_of(1))[4:] + b"JUNK",
+                protocol.encode_get(addr_of(1))[4:] + b"JUNK",
+                bytes([Op.ROOT]) + b"JUNK",
+                protocol.encode_scan(addr_of(0), addr_of(9), None, 0)[4:] + b"JUNK",
             ]
             for body in bad_bodies:
                 writer.write(len(body).to_bytes(4, "big") + body)
@@ -354,6 +359,30 @@ def test_client_send_failure_keeps_pipeline_synchronized(tmp_path):
     with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
         asyncio.run(scenario(*thread.start()))
     engine.close()
+
+
+def test_request_after_the_server_hung_up_fails_instead_of_hanging():
+    """Once the server closes a connection the client's read loop ends;
+    the socket may still take writes, so a later request must fail fast
+    (with a retryable ConnectionError) rather than wait forever for a
+    response nobody reads."""
+
+    async def scenario():
+        async def hang_up(reader, writer):
+            writer.close()
+
+        server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            async with ServerClient(host, port) as client:
+                await asyncio.wait_for(client._conns[0]._reader_task, 5)
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.get(addr_of(1)), 5)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
 
 
 # =============================================================================
