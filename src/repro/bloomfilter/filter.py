@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import Iterable
 
 from repro.common.codec import decode_u32, encode_u32
 from repro.common.errors import StorageError
@@ -40,9 +41,37 @@ class BloomFilter:
 
     def add(self, item: bytes) -> None:
         """Insert ``item`` into the filter."""
-        for position in self._positions(item):
-            self._bits[position >> 3] |= 1 << (position & 7)
-        self._count += 1
+        self.add_many((item,))
+
+    def add_many(self, items: Iterable[bytes]) -> None:
+        """Insert every item (the run builder's batch sink).
+
+        ``count`` advances once per item, but an item equal to the one
+        before it — the versions of one address are adjacent in a sorted
+        run — is not re-hashed.  Probe ``i`` is ``(h1 + i * h2) % m`` as
+        in :meth:`_positions`, reached by stepping ``h2 % m`` at a time.
+        """
+        bits = self._bits
+        num_bits = self.num_bits
+        probes = range(self.num_hashes)
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
+        count = 0
+        previous = None
+        for item in items:
+            count += 1
+            if item == previous:
+                continue
+            previous = item
+            digest = sha256(item).digest()
+            position = from_bytes(digest[:16], "big") % num_bits
+            step = (from_bytes(digest[16:], "big") | 1) % num_bits
+            for _ in probes:
+                bits[position >> 3] |= 1 << (position & 7)
+                position += step
+                if position >= num_bits:
+                    position -= num_bits
+        self._count += count
         self._cached_digest = None
 
     def __contains__(self, item: bytes) -> bool:
@@ -90,11 +119,12 @@ class BloomFilter:
         num_bits = decode_u32(data, 0)
         num_hashes = decode_u32(data, 4)
         count = decode_u32(data, 8)
-        bloom = cls(num_bits, num_hashes)
-        payload = data[12:]
-        if len(payload) != len(bloom._bits):
+        # Filter bytes arrive in proofs from an untrusted server: check
+        # the payload against the header before allocating from it.
+        if len(data) - 12 != (max(num_bits, 8) + 7) // 8:
             raise StorageError("bloom filter payload size mismatch")
-        bloom._bits = bytearray(payload)
+        bloom = cls(num_bits, num_hashes)
+        bloom._bits = bytearray(data[12:])
         bloom._count = count
         return bloom
 

@@ -15,8 +15,9 @@ the disclosed entries.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import DIGEST_SIZE, Digest, hash_bytes, hash_concat
@@ -51,6 +52,7 @@ class MerkleFileBuilder:
         self._key_width = key_width
         self._page_size = file.page_size
         self._hashes_per_page = self._page_size // DIGEST_SIZE
+        self._page_bytes = self._hashes_per_page * DIGEST_SIZE  # hashes never straddle pages
         self.num_leaves = num_leaves
         self._sizes = layer_sizes(num_leaves, fanout)
         self._layer_pages = _layer_page_table(self._sizes, self._hashes_per_page)
@@ -67,37 +69,47 @@ class MerkleFileBuilder:
 
     def add(self, key: int, value: bytes) -> None:
         """Feed the next key-value pair (in key order)."""
-        if self._added >= self.num_leaves:
+        self.add_leaves([key.to_bytes(self._key_width, "big") + value])
+
+    def add_leaves(self, pairs: Sequence[bytes]) -> None:
+        """Feed the next encoded pairs (``key.to_bytes(key_width) || value``
+        — the bytes :func:`leaf_hash` hashes), a batch at a time."""
+        self._added += len(pairs)
+        if self._added > self.num_leaves:
             raise StorageError("Merkle file received more pairs than declared")
-        self._added += 1
-        self._push(0, leaf_hash(key, value, self._key_width))
+        sha256 = hashlib.sha256
+        self._push(0, [sha256(pair).digest() for pair in pairs])
 
-    def _push(self, layer: int, digest: Digest) -> None:
-        group = self._group_buffers[layer]
-        group.append(digest)
-        self._stage(layer, digest)
-        if len(group) == self._fanout and layer + 1 < len(self._sizes):
-            parent = hash_concat(group)
-            group.clear()
-            self._push(layer + 1, parent)
-
-    def _stage(self, layer: int, digest: Digest) -> None:
-        """Append ``digest`` to the layer's page buffer, flushing full pages."""
+    def _push(self, layer: int, digests: List[Digest]) -> None:
+        """Append ``digests`` to ``layer``; every group of ``fanout`` they
+        complete becomes a parent pushed one layer up."""
         buffer = self._page_buffers[layer]
-        buffer += digest
-        if len(buffer) == self._page_size:
+        buffer += b"".join(digests)
+        while len(buffer) >= self._page_bytes:
             self._flush_layer_page(layer)
+        group = self._group_buffers[layer]
+        group += digests
+        fanout = self._fanout
+        full = len(group) - len(group) % fanout
+        if full and layer + 1 < len(self._sizes):
+            parents = [
+                hash_concat(group[start : start + fanout])
+                for start in range(0, full, fanout)
+            ]
+            del group[:full]
+            self._push(layer + 1, parents)
 
     def _flush_layer_page(self, layer: int) -> None:
+        """Write the first page's worth of the layer's buffered hashes."""
         buffer = self._page_buffers[layer]
         if not buffer:
             return
+        chunk = bytes(buffer[: self._page_bytes])
+        del buffer[: self._page_bytes]
         start_page, _num_pages = self._layer_pages[layer]
         page_id = start_page + self._next_slot[layer] // self._hashes_per_page
-        padded = bytes(buffer) + b"\x00" * (self._page_size - len(buffer))
-        self._file.write_page(page_id, padded)
-        self._next_slot[layer] += len(buffer) // DIGEST_SIZE
-        buffer.clear()
+        self._file.write_page(page_id, chunk.ljust(self._page_size, b"\x00"))
+        self._next_slot[layer] += len(chunk) // DIGEST_SIZE
 
     def finish(self) -> Digest:
         """Drain the remaining group buffers (Algorithm 4 lines 15-18)."""
@@ -110,25 +122,15 @@ class MerkleFileBuilder:
             if group:
                 parent = hash_concat(group)
                 group.clear()
-                self._push(layer + 1, parent)
-        top_group = self._group_buffers[-1]
-        if len(self._sizes) == 1:
-            # Single leaf: the bottom layer is the root layer.
-            self._root = top_group[0] if top_group else self._last_staged_root()
-        else:
-            if len(top_group) != 1:
-                raise StorageError("MHT top layer must hold exactly the root")
-            self._root = top_group[0]
+                self._push(layer + 1, [parent])
+        top_group = self._group_buffers[-1]  # a single leaf is its own root
+        if len(top_group) != 1:
+            raise StorageError("MHT top layer must hold exactly the root")
+        self._root = top_group[0]
         for layer in range(len(self._sizes)):
             self._flush_layer_page(layer)
         self._file.flush()
         return self._root
-
-    def _last_staged_root(self) -> Digest:
-        buffer = self._page_buffers[0]
-        if len(buffer) >= DIGEST_SIZE:
-            return bytes(buffer[-DIGEST_SIZE:])
-        raise StorageError("empty Merkle file")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, List, Optional, Tuple
 
 from repro.bloomfilter import BloomFilter
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
-from repro.core.compound import addr_of_int
 from repro.core.indexfile import IndexFile, IndexFileBuilder
 from repro.core.merklefile import MerkleFile, MerkleFileBuilder, MerkleRangeProof
 from repro.core.valuefile import ValueFile, ValueFileWriter
@@ -97,50 +97,74 @@ class Run:
         num_entries: int,
         params: ColeParams,
     ) -> "Run":
-        """Build a run by streaming ``entries`` (sorted, exact count) once."""
+        """Build a run by streaming ``entries`` (sorted, exact count) once.
+
+        Each entry is encoded once (``key.to_bytes(key_size) || value``):
+        the value file stores those bytes, the Merkle leaf hashes them and
+        the filter takes its address off their front.  The three sinks are
+        fed one value page of pairs at a time, so the batch in flight does
+        not grow with the run.  If the build fails — a short, long or
+        unsorted stream, a sink that raises — the partial artifacts are
+        removed before the error propagates, so ``name`` can be built again.
+        """
         system = params.system
-        # cache_pages must match Run.__init__'s open of the same file —
-        # the workspace's handle cache rejects mismatched re-opens.
-        value_writer = ValueFileWriter(
-            workspace.open_file(
-                f"{name}.val",
-                category="value",
-                cache_pages=params.value_cache_pages,
-            ),
-            system,
-        )
-        index_builder = IndexFileBuilder(
-            workspace.open_file(f"{name}.idx", category="index"), system
-        )
-        merkle_builder = MerkleFileBuilder(
-            workspace.open_file(f"{name}.mrk", category="merkle"),
-            num_entries,
-            params.mht_fanout,
-            system.key_size,
-        )
-        bloom = BloomFilter.for_capacity(
-            num_entries, params.bloom_bits_per_key, params.bloom_hashes
-        )
-
-        def tee() -> Iterable[Tuple[int, int]]:
-            """Feed value/Merkle/bloom, yielding (key, position) for the index."""
-            for key, value in entries:
-                position = value_writer.add(key, value)
-                merkle_builder.add(key, value)
-                bloom.add(addr_of_int(key, system.addr_size))
-                yield key, position
-
-        index_builder.add_bottom_models(tee())
-        count = value_writer.finish()
-        if count != num_entries:
-            raise StorageError(
-                f"run {name}: declared {num_entries} entries, streamed {count}"
+        key_size = system.key_size
+        addr_size = system.addr_size
+        pairs_per_page = system.pairs_per_page
+        try:
+            # cache_pages must match Run.__init__'s open of the same file —
+            # the workspace's handle cache rejects mismatched re-opens.
+            value_writer = ValueFileWriter(
+                workspace.open_file(
+                    f"{name}.val",
+                    category="value",
+                    cache_pages=params.value_cache_pages,
+                ),
+                system,
             )
-        index_builder.finish()
-        merkle_root = merkle_builder.finish()
-        _persist_bloom(workspace, name, bloom)
-        run = cls(workspace, name, level, num_entries, params, merkle_root, bloom)
-        return run
+            index_builder = IndexFileBuilder(
+                workspace.open_file(f"{name}.idx", category="index"), system
+            )
+            merkle_builder = MerkleFileBuilder(
+                workspace.open_file(f"{name}.mrk", category="merkle"),
+                num_entries,
+                params.mht_fanout,
+                key_size,
+            )
+            bloom = BloomFilter.for_capacity(
+                num_entries, params.bloom_bits_per_key, params.bloom_hashes
+            )
+
+            def tee() -> Iterable[Tuple[int, int]]:
+                """Feed value/Merkle/bloom, yielding (key, position) for the index."""
+                stream = iter(entries)
+                position = 0
+                while True:
+                    page = list(islice(stream, pairs_per_page))
+                    if not page:
+                        return
+                    pairs = [key.to_bytes(key_size, "big") + value for key, value in page]
+                    value_writer.add_page(pairs)
+                    merkle_builder.add_leaves(pairs)
+                    bloom.add_many([pair[:addr_size] for pair in pairs])
+                    for key, _value in page:
+                        yield key, position
+                        position += 1
+
+            index_builder.add_bottom_models(tee())
+            count = value_writer.finish()
+            if count != num_entries:
+                raise StorageError(
+                    f"run {name}: declared {num_entries} entries, streamed {count}"
+                )
+            index_builder.finish()
+            merkle_root = merkle_builder.finish()
+            _persist_bloom(workspace, name, bloom)
+            return cls(workspace, name, level, num_entries, params, merkle_root, bloom)
+        except BaseException:
+            for suffix in RUN_SUFFIXES:
+                workspace.remove_file(name + suffix)
+            raise
 
     @classmethod
     def load(

@@ -8,7 +8,7 @@ bound ε is derived from (2ε = one page of pairs).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.params import SystemParams
@@ -22,28 +22,46 @@ class ValueFileWriter:
 
     def __init__(self, file: PagedFile, params: SystemParams) -> None:
         self._file = file
-        self._params = params
-        self._pairs_per_page = params.pairs_per_page  # hoisted off the add loop
+        self._key_size = params.key_size
+        self._pair_size = params.pair_size
+        self._page_bytes = params.pairs_per_page * params.pair_size
         self._buffer = bytearray()
         self._count = 0
-        self._last_key: Optional[int] = None
+        self._last_key = b""  # encoded; sorts before every real key
 
     def add(self, key: int, value: bytes) -> int:
         """Append one pair; returns its position.  Keys must be increasing."""
-        if self._last_key is not None and key <= self._last_key:
-            raise StorageError("value file pairs must be strictly increasing")
-        if len(value) != self._params.value_size:
-            raise StorageError(
-                f"value must be {self._params.value_size} bytes, got {len(value)}"
-            )
-        self._last_key = key
-        self._buffer += _encode_pair(key, value, self._params)
-        position = self._count
-        self._count += 1
-        if self._count % self._pairs_per_page == 0:
-            self._file.append_page(bytes(self._buffer))
-            self._buffer.clear()
-        return position
+        self.add_page([key.to_bytes(self._key_size, "big") + value])
+        return self._count - 1
+
+    def add_page(self, pairs: Sequence[bytes]) -> None:
+        """Append encoded pairs (``key.to_bytes(key_size) || value``), one
+        page's worth from the run builder, any count from other callers.
+
+        Fixed-width big-endian keys order as bytes exactly as they do as
+        integers, so the increasing check runs on the encoded prefix.
+        """
+        key_size = self._key_size
+        pair_size = self._pair_size
+        last_key = self._last_key
+        for pair in pairs:
+            if len(pair) != pair_size:
+                raise StorageError(
+                    f"value must be {pair_size - key_size} bytes, "
+                    f"got {len(pair) - key_size}"
+                )
+            key = pair[:key_size]
+            if key <= last_key:
+                raise StorageError("value file pairs must be strictly increasing")
+            last_key = key
+        self._last_key = last_key
+        self._count += len(pairs)
+        buffer = self._buffer
+        buffer += b"".join(pairs)
+        page_bytes = self._page_bytes
+        while len(buffer) >= page_bytes:
+            self._file.append_page(bytes(buffer[:page_bytes]))
+            del buffer[:page_bytes]
 
     def finish(self) -> int:
         """Flush the trailing partial page; returns the total pair count."""
@@ -170,14 +188,18 @@ class ValueFile:
             page_id += 1
 
     def iter_entries(self) -> Iterator[Entry]:
-        """Yield all pairs in key order (sequential page reads)."""
-        for entry, _position in self.scan_from(0, sequential=True):
-            yield entry
-
-
-def _encode_pair(key: int, value: bytes, params: SystemParams) -> bytes:
-    addr_and_blk = key.to_bytes(params.key_size, "big")
-    return addr_and_blk + value
+        """Yield all pairs in key order (sequential page reads) — the input
+        side of every merge, so a page is decoded by one comprehension."""
+        from_bytes = int.from_bytes
+        key_size = self._key_size
+        pair_size = self._pair_size
+        for page_id in range(self.page_of(self.num_entries - 1) + 1):
+            data = self._file.read_page(page_id, sequential=True)
+            yield from [
+                (from_bytes(data[offset : offset + key_size], "big"),
+                 data[offset + key_size : offset + pair_size])
+                for offset in range(0, self._page_count(page_id) * pair_size, pair_size)
+            ]
 
 
 def write_value_file(

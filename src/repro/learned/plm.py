@@ -25,34 +25,6 @@ from repro.learned.model import Model
 Point = Tuple[int, int]
 
 
-def _sub(a: Point, b: Point) -> Point:
-    """Vector a - b (a slope as a (dx, dy) pair)."""
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _slope_lt(a: Point, b: Point) -> bool:
-    """True if slope ``a.dy/a.dx`` < slope ``b.dy/b.dx`` (exact)."""
-    lhs = a[1] * b[0]
-    rhs = b[1] * a[0]
-    if (a[0] > 0) == (b[0] > 0):
-        return lhs < rhs
-    return lhs > rhs
-
-
-def _slope_gt(a: Point, b: Point) -> bool:
-    """True if slope ``a.dy/a.dx`` > slope ``b.dy/b.dx`` (exact)."""
-    lhs = a[1] * b[0]
-    rhs = b[1] * a[0]
-    if (a[0] > 0) == (b[0] > 0):
-        return lhs > rhs
-    return lhs < rhs
-
-
-def _cross(origin: Point, a: Point, b: Point) -> int:
-    """Z component of ``(a - origin) x (b - origin)`` (exact)."""
-    return (a[0] - origin[0]) * (b[1] - origin[1]) - (a[1] - origin[1]) * (b[0] - origin[0])
-
-
 class OptimalPiecewiseLinear:
     """Incrementally fits one ε-bounded segment over strictly increasing keys.
 
@@ -86,89 +58,113 @@ class OptimalPiecewiseLinear:
         Returns ``True`` if the point fits within the ε band, ``False`` if
         it starts a new segment (in which case the fitter state is
         untouched and still describes the finished segment).
+
+        One routine, no helper calls: this runs once per entry of every
+        run build.  Slopes are ``(dx, dy)`` pairs compared by cross
+        multiplication, ``a < b  <=>  a.dy * b.dx < b.dy * a.dx``, which
+        needs ``a.dx`` and ``b.dx`` to have the same sign — keys strictly
+        increase, so every vector towards the new point has ``dx > 0``
+        and every vector from it back to a hull point has ``dx <= 0``.
         """
-        if self.points_in_hull > 0 and x <= self.last_x:  # type: ignore[operator]
+        count = self.points_in_hull
+        if count > 0 and x <= self.last_x:  # type: ignore[operator]
             raise ValueError("keys must be strictly increasing within a run")
-        p_up: Point = (x, y + self.epsilon)
-        p_down: Point = (x, y - self.epsilon)
+        up_y = y + self.epsilon
+        down_y = y - self.epsilon
 
-        if self.points_in_hull == 0:
-            self.first_x = x
+        if count < 2:
+            if count == 0:
+                self.first_x = x
+                self._rect[0] = (x, up_y)
+                self._rect[1] = (x, down_y)
+                self._upper = [(x, up_y)]
+                self._lower = [(x, down_y)]
+                self._upper_start = 0
+                self._lower_start = 0
+            else:
+                self._rect[2] = (x, down_y)
+                self._rect[3] = (x, up_y)
+                self._upper.append((x, up_y))
+                self._lower.append((x, down_y))
             self.last_x = x
-            self._rect[0] = p_up
-            self._rect[1] = p_down
-            self._upper = [p_up]
-            self._lower = [p_down]
-            self._upper_start = 0
-            self._lower_start = 0
-            self.points_in_hull = 1
+            self.points_in_hull = count + 1
             return True
 
-        if self.points_in_hull == 1:
-            self.last_x = x
-            self._rect[2] = p_down
-            self._rect[3] = p_up
-            self._upper.append(p_up)
-            self._lower.append(p_down)
-            self.points_in_hull = 2
-            return True
-
-        slope_min = _sub(self._rect[2], self._rect[0])  # type: ignore[arg-type]
-        slope_max = _sub(self._rect[3], self._rect[1])  # type: ignore[arg-type]
-        outside_min = _slope_lt(_sub(p_up, self._rect[2]), slope_min)  # type: ignore[arg-type]
-        outside_max = _slope_gt(_sub(p_down, self._rect[3]), slope_max)  # type: ignore[arg-type]
-        if outside_min or outside_max:
-            return False
+        (r0x, r0y), (r1x, r1y), (r2x, r2y), (r3x, r3y) = self._rect  # type: ignore[misc]
+        min_dx = r2x - r0x  # the min-slope diagonal r0 -> r2
+        min_dy = r2y - r0y
+        max_dx = r3x - r1x  # the max-slope diagonal r1 -> r3
+        max_dy = r3y - r1y
+        if (up_y - r2y) * min_dx < min_dy * (x - r2x) or (
+            (down_y - r3y) * max_dx > max_dy * (x - r3x)
+        ):
+            return False  # outside the parallelogram: height would exceed 2ε
 
         self.last_x = x
-        if _slope_lt(_sub(p_up, self._rect[1]), slope_max):  # type: ignore[arg-type]
+        if (up_y - r1y) * max_dx < max_dy * (x - r1x):
             # The upper constraint tightens the max slope: walk the lower
             # hull for the supporting point, then add p_up to the upper hull.
+            lower = self._lower
             min_i = self._lower_start
-            min_slope = _sub(self._lower[min_i], p_up)
-            i = min_i + 1
-            while i < len(self._lower):
-                candidate = _sub(self._lower[i], p_up)
-                if _slope_gt(candidate, min_slope):
+            px, py = lower[min_i]
+            best_dx = px - x
+            best_dy = py - up_y
+            for i in range(min_i + 1, len(lower)):
+                px, py = lower[i]
+                dx = px - x
+                dy = py - up_y
+                if dy * best_dx > best_dy * dx:
                     break
-                min_slope = candidate
+                best_dx = dx
+                best_dy = dy
                 min_i = i
-                i += 1
-            self._rect[1] = self._lower[min_i]
-            self._rect[3] = p_up
+            self._rect[1] = lower[min_i]
+            self._rect[3] = (x, up_y)
             self._lower_start = min_i
-            end = len(self._upper)
-            while end >= self._upper_start + 2 and _cross(
-                self._upper[end - 2], self._upper[end - 1], p_up
-            ) <= 0:
-                end -= 1
-            del self._upper[end:]
-            self._upper.append(p_up)
-
-        if _slope_gt(_sub(p_down, self._rect[0]), slope_min):  # type: ignore[arg-type]
-            # The lower constraint tightens the min slope, symmetrically.
-            max_i = self._upper_start
-            max_slope = _sub(self._upper[max_i], p_down)
-            i = max_i + 1
-            while i < len(self._upper):
-                candidate = _sub(self._upper[i], p_down)
-                if _slope_lt(candidate, max_slope):
+            upper = self._upper
+            end = len(upper)
+            floor = self._upper_start + 2
+            while end >= floor:
+                ox, oy = upper[end - 2]
+                ax, ay = upper[end - 1]
+                if (ax - ox) * (up_y - oy) - (ay - oy) * (x - ox) > 0:
                     break
-                max_slope = candidate
-                max_i = i
-                i += 1
-            self._rect[0] = self._upper[max_i]
-            self._rect[2] = p_down
-            self._upper_start = max_i
-            end = len(self._lower)
-            while end >= self._lower_start + 2 and _cross(
-                self._lower[end - 2], self._lower[end - 1], p_down
-            ) >= 0:
                 end -= 1
-            del self._lower[end:]
-            self._lower.append(p_down)
+            del upper[end:]
+            upper.append((x, up_y))
 
-        self.points_in_hull += 1
+        if (down_y - r0y) * min_dx > min_dy * (x - r0x):
+            # The lower constraint tightens the min slope, symmetrically.
+            upper = self._upper
+            max_i = self._upper_start
+            px, py = upper[max_i]
+            best_dx = px - x
+            best_dy = py - down_y
+            for i in range(max_i + 1, len(upper)):
+                px, py = upper[i]
+                dx = px - x
+                dy = py - down_y
+                if dy * best_dx < best_dy * dx:
+                    break
+                best_dx = dx
+                best_dy = dy
+                max_i = i
+            self._rect[0] = upper[max_i]
+            self._rect[2] = (x, down_y)
+            self._upper_start = max_i
+            lower = self._lower
+            end = len(lower)
+            floor = self._lower_start + 2
+            while end >= floor:
+                ox, oy = lower[end - 2]
+                ax, ay = lower[end - 1]
+                if (ax - ox) * (down_y - oy) - (ay - oy) * (x - ox) < 0:
+                    break
+                end -= 1
+            del lower[end:]
+            lower.append((x, down_y))
+
+        self.points_in_hull = count + 1
         return True
 
     # -- segment emission --------------------------------------------------------
@@ -219,14 +215,13 @@ def _intersect(
     a1: Point, a2: Point, b1: Point, b2: Point
 ) -> Optional[Tuple[Fraction, Fraction]]:
     """Intersection of lines ``a1-a2`` and ``b1-b2`` (None if parallel)."""
-    da = _sub(a2, a1)
-    db = _sub(b2, b1)
-    denominator = da[0] * db[1] - da[1] * db[0]
+    da_x, da_y = a2[0] - a1[0], a2[1] - a1[1]
+    db_x, db_y = b2[0] - b1[0], b2[1] - b1[1]
+    denominator = da_x * db_y - da_y * db_x
     if denominator == 0:
         return None
-    diff = _sub(b1, a1)
-    t = Fraction(diff[0] * db[1] - diff[1] * db[0], denominator)
-    return Fraction(a1[0]) + t * da[0], Fraction(a1[1]) + t * da[1]
+    t = Fraction((b1[0] - a1[0]) * db_y - (b1[1] - a1[1]) * db_x, denominator)
+    return Fraction(a1[0]) + t * da_x, Fraction(a1[1]) + t * da_y
 
 
 def build_models(

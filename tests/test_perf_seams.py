@@ -1,14 +1,15 @@
 """Seam guard for the performance ruler (``benchmarks/perf``).
 
 ``benchmarks/perf/spans.py`` records per-layer spans by wrapping
-functions of ``src/`` *by name* at run time.  Its own harness test only
-exercises the engine half (``install(tracer)``); renaming a serving-layer
-seam — ``ColeServer._dispatch``, a ``protocol.encode_*_response`` — would
-leave ``run.py --trace 1`` broken with every tier-1 test still green.
-This test loads the bench's ``spans`` module by path (it reads the
-bench, it does not modify it), installs the served spans, drives one
-request through the patched seams, and checks ``uninstall`` restores
-every attribute.
+functions of ``src/`` *by name* at run time.  Renaming a seam —
+``ColeServer._dispatch``, a ``protocol.encode_*_response``,
+``ValueFileWriter.add``, ``merge_entry_streams`` — would leave
+``run.py --trace 1`` broken (or a per-layer row silently empty) with
+every other tier-1 test still green.  These tests load the bench's
+``spans`` module by path (they read the bench, they do not modify it),
+install the spans, drive the patched seams — one request for the
+serving half, a small store through flush, merge and read for the
+engine half — and check ``uninstall`` restores every attribute.
 """
 
 import asyncio
@@ -16,6 +17,19 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from repro import Cole, ColeParams
+from repro.bloomfilter import BloomFilter
+from repro.common.gate import CommitGate
+from repro.common.params import SystemParams
+from repro.core import indexfile, manifest, merge, storage
+from repro.core.cursor import MergingCursor
+from repro.core.indexfile import IndexFile
+from repro.core.merklefile import MerkleFile, MerkleFileBuilder
+from repro.core.run import Run
+from repro.core.valuefile import ValueFile, ValueFileWriter
+from repro.diskio.pagefile import PagedFile
+from repro.learned import plm
+from repro.mbtree import MBTree
 from repro.server import ColeServer, protocol
 from repro.server.batcher import WriteBatcher
 from repro.server.cache import VersionedReadCache
@@ -43,6 +57,49 @@ SERVED_SEAMS = [
     (protocol, "encode_error"),
 ]
 
+#: (owner, attribute) of every engine seam ``install`` wraps.  The
+#: per-entry sinks stay on the list although ``Run.build`` feeds the
+#: batch methods: they are public API and the bench still patches them.
+ENGINE_SEAMS = [
+    (MBTree, "insert"),
+    (Run, "build"),
+    (Run, "floor_search"),
+    (Run, "prov_scan"),
+    (IndexFile, "search"),
+    (ValueFile, "floor_in_page"),
+    (ValueFileWriter, "add"),
+    (MerkleFileBuilder, "add"),
+    (MerkleFileBuilder, "finish"),
+    (MerkleFile, "prove_range"),
+    (BloomFilter, "add"),
+    (BloomFilter, "__contains__"),
+    (MergingCursor, "next"),
+    (PagedFile, "read_page"),
+    (PagedFile, "append_page"),
+    (PagedFile, "write_page"),
+    (PagedFile, "flush"),
+    (CommitGate, "acquire_shared"),
+    (CommitGate, "acquire_exclusive"),
+    (CommitGate, "release_exclusive"),
+    (Cole, "begin_block"),
+    (Cole, "put_many"),
+    (Cole, "commit_block"),
+    (Cole, "get"),
+    (Cole, "get_at"),
+    (Cole, "get_many"),
+    (Cole, "scan"),
+    (Cole, "prov_query"),
+    (Cole, "prov_query_anchored"),
+    (Cole, "root_digest"),
+    # Module-level functions, patched wherever ``repro`` bound them.
+    (merge, "merge_entry_streams"),
+    (storage, "merge_entry_streams"),
+    (plm, "build_models"),
+    (indexfile, "build_models"),
+    (manifest, "save_manifest"),
+    (storage, "save_manifest"),
+]
+
 
 def _load_spans():
     spec = importlib.util.spec_from_file_location("perf_spans_under_test", SPANS_PATH)
@@ -51,8 +108,40 @@ def _load_spans():
     return module
 
 
-def _current():
-    return [inspect.getattr_static(owner, attr) for owner, attr in SERVED_SEAMS]
+def _current(seams=SERVED_SEAMS):
+    return [inspect.getattr_static(owner, attr) for owner, attr in seams]
+
+
+def test_engine_install_patches_every_seam_and_uninstall_restores(tmp_path):
+    spans = _load_spans()
+    before = _current(ENGINE_SEAMS)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        for (owner, attr), old, new in zip(ENGINE_SEAMS, before, _current(ENGINE_SEAMS)):
+            assert new is not old, f"{owner.__name__}.{attr} was not wrapped"
+        # Enough blocks for L0 flushes and a level merge, then a read
+        # that has to leave the in-memory level.
+        params = ColeParams(
+            system=SystemParams(addr_size=8, value_size=8, page_size=256),
+            mem_capacity=8, size_ratio=2,
+        )
+        cole = Cole(str(tmp_path / "store"), params)
+        addrs = [index.to_bytes(8, "big") for index in range(1, 41)]
+        for height in range(1, 11):
+            cole.begin_block(height)
+            cole.put_many([(addr, bytes([height]) * 8) for addr in addrs[height % 4 :: 4]])
+            cole.commit_block()
+        assert cole.get(addrs[1]) == bytes([9]) * 8
+        cole.close()
+    finally:
+        tracer.uninstall()
+    assert _current(ENGINE_SEAMS) == before
+    rows = spans.Aggregates(tracer.aggregates())
+    for name in ("run.build", "learned.build_models", "merge.stream", "cole.get"):
+        assert rows.count(name) > 0 and rows.total_ns(name) > 0, name
+    assert rows.count("merge.stream.started") > 0
+    assert rows.units("run.build") > 0  # entries built: run.build_entries_per_s
 
 
 def test_served_install_patches_every_seam_and_uninstall_restores():

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plm_oracle import reference_fit
 from repro.learned import OptimalPiecewiseLinear, build_models
 from repro.learned.model import Model
 
@@ -145,3 +146,65 @@ def test_positions_with_gaps_property(gaps):
         position += 1 + (gap % 3)
         points.append((key, position))
     check_models(points, epsilon=4)
+
+
+# -- the inlined add_point against the helper-based oracle ------------------------
+
+
+def assert_matches_oracle(points, epsilon):
+    """Same accept/reject decision per point, same models, bit for bit."""
+    expected = reference_fit(points, epsilon)
+    assert reference_fit(points, epsilon, OptimalPiecewiseLinear) == expected
+    assert list(build_models(iter(points), epsilon)) == expected[1]
+
+
+def test_oracle_on_the_fixed_streams():
+    rng = random.Random(9)
+    huge = sorted({rng.getrandbits(256) for _ in range(1500)})
+    assert_matches_oracle([(key, index) for index, key in enumerate(huge)], 23)
+    rng = random.Random(10)
+    clustered = [
+        (addr * 2**64 + blk, 0)
+        for addr in sorted({rng.getrandbits(160) for _ in range(40)})
+        for blk in range(1, 30)
+    ]
+    assert_matches_oracle([(key, index) for index, (key, _) in enumerate(clustered)], 23)
+    assert_matches_oracle([(i, (i // 50) * 1000 + i % 50) for i in range(200)], 3)
+    assert_matches_oracle([(i, i // 4) for i in range(0, 200, 2)], 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**320),  # huge keys
+            st.integers(min_value=0, max_value=400),  # dense, collinear stretches
+        ),
+        min_size=1, max_size=300, unique=True,
+    ),
+    st.integers(min_value=0, max_value=64),
+    st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=8),
+)
+def test_inlined_add_point_matches_oracle(keys, epsilon, strides):
+    # Positions advance by a cycling stride: all-ones is a value file,
+    # zeros are repeated positions, large strides are the position gaps
+    # of an upper index layer over a sparse lower one.
+    points = []
+    position = 0
+    for index, key in enumerate(sorted(keys)):
+        points.append((key, position))
+        position += strides[index % len(strides)]
+    assert_matches_oracle(points, epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**160), min_size=1, max_size=40, unique=True),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=30),
+)
+def test_inlined_add_point_matches_oracle_on_compound_keys(addrs, versions, epsilon):
+    # Clustered compound keys: a few adjacent block heights per address,
+    # then a jump of ~2**64 to the next address.
+    keys = [addr * 2**64 + blk for addr in sorted(addrs) for blk in range(1, versions + 1)]
+    assert_matches_oracle([(key, index) for index, key in enumerate(keys)], epsilon)

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bloomfilter import BloomFilter
+from repro.common.hashing import hash_concat
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey
-from repro.core.merklefile import verify_range_proof
-from repro.core.run import Run
+from repro.core.compound import CompoundKey, addr_of_int
+from repro.core.indexfile import IndexFileBuilder
+from repro.core.merklefile import MerkleFileBuilder, verify_range_proof
+from repro.core.run import RUN_SUFFIXES, Run
+from repro.core.valuefile import ValueFileWriter
 from repro.diskio.workspace import Workspace
 
 
@@ -138,3 +143,129 @@ def test_large_run_search_io_is_bounded(tmp_path, params):
     delta = stats.delta(before)
     # One or two pages per index layer plus at most three value pages.
     assert delta.total_reads <= 3 * run.index_file.num_layers + 3
+
+
+# -- a failed build leaves nothing behind ----------------------------------------
+
+
+def _run_files(ws, name):
+    return [found for found in ws.list_files() if found.startswith(name + ".")]
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "unsorted", "bad-value", "sink-raises"])
+def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, fault):
+    from repro.common.errors import StorageError
+
+    entries, _addrs = make_entries(params, num_addrs=20)  # several value pages
+    ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
+    stream, declared, error = list(entries), len(entries), StorageError
+    if fault == "short":
+        declared += 5
+    elif fault == "long":
+        declared -= 5
+    elif fault == "unsorted":
+        stream[-1], stream[-2] = stream[-2], stream[-1]
+    elif fault == "bad-value":
+        stream[-1] = (stream[-1][0], b"tiny")
+    else:
+        error = OSError
+
+        def full_disk(self):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(MerkleFileBuilder, "finish", full_disk)
+    with pytest.raises(error):
+        Run.build(ws, "retry", 1, iter(stream), declared, params)
+    monkeypatch.undo()
+    assert _run_files(ws, "retry") == []
+    # ... and no stale handle either: the same name builds cleanly.
+    rebuilt = Run.build(ws, "retry", 1, iter(entries), len(entries), params)
+    assert sorted(_run_files(ws, "retry")) == sorted("retry" + s for s in RUN_SUFFIXES)
+    assert list(rebuilt.value_file.iter_entries()) == entries
+    other = Workspace(str(tmp_path / "other"), params.system.page_size)
+    clean = Run.build(other, "retry", 1, iter(entries), len(entries), params)
+    assert rebuilt.commitment() == clean.commitment()
+
+
+# -- same bytes, fewer calls ----------------------------------------------------
+
+
+def build_per_entry(ws, name, entries, params):
+    """The run builder as it was before it batched: one ``add`` per entry
+    on every sink.  Returns the run's commitment."""
+    system = params.system
+    value_writer = ValueFileWriter(ws.open_file(f"{name}.val", category="value"), system)
+    index_builder = IndexFileBuilder(ws.open_file(f"{name}.idx", category="index"), system)
+    merkle_builder = MerkleFileBuilder(
+        ws.open_file(f"{name}.mrk", category="merkle"),
+        len(entries), params.mht_fanout, system.key_size,
+    )
+    bloom = BloomFilter.for_capacity(
+        len(entries), params.bloom_bits_per_key, params.bloom_hashes
+    )
+
+    def tee():
+        for key, value in entries:
+            position = value_writer.add(key, value)
+            merkle_builder.add(key, value)
+            bloom.add(addr_of_int(key, system.addr_size))
+            yield key, position
+
+    index_builder.add_bottom_models(tee())
+    assert value_writer.finish() == len(entries)
+    index_builder.finish()
+    merkle_root = merkle_builder.finish()
+    with open(ws.path_of(f"{name}.blm"), "wb") as handle:
+        handle.write(bloom.to_bytes())
+    ws.flush_all()
+    return hash_concat([merkle_root, bloom.digest()])
+
+
+@st.composite
+def run_geometries(draw):
+    addr_size = draw(st.integers(min_value=1, max_value=12))
+    value_size = draw(st.integers(min_value=1, max_value=24))
+    pair_size = addr_size + 8 + value_size
+    pairs_per_page = draw(st.integers(min_value=2, max_value=9))
+    slack = draw(st.integers(min_value=0, max_value=pair_size - 1))
+    # The Merkle file packs whole 32-byte hashes; the page must hold some.
+    page_size = max(64, pairs_per_page * pair_size + slack)
+    system = SystemParams(addr_size=addr_size, value_size=value_size, page_size=page_size)
+    page = system.pairs_per_page
+    count = draw(
+        st.one_of(
+            st.sampled_from([1, page - 1, page, page + 1, 3 * page, 3 * page + 1]),
+            st.integers(min_value=1, max_value=12 * page),
+        )
+    )
+    fanout = draw(st.integers(min_value=2, max_value=6))
+    versions = draw(st.integers(min_value=1, max_value=4))  # adjacent duplicate addresses
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return ColeParams(system=system, mht_fanout=fanout), max(1, count), versions, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_geometries())
+def test_batched_build_is_byte_identical_to_per_entry_build(tmp_path_factory, geometry):
+    params, count, versions, seed = geometry
+    system = params.system
+    rng = random.Random(seed)
+    keys = set()
+    while len(keys) < count:
+        addr = rng.randbytes(system.addr_size)
+        first = rng.randint(0, 2**64 - versions)
+        for blk in range(first, first + versions):
+            keys.add(CompoundKey(addr=addr, blk=blk).to_int())
+    entries = [(key, rng.randbytes(system.value_size)) for key in sorted(keys)[:count]]
+
+    ws = Workspace(str(tmp_path_factory.mktemp("diff")), system.page_size)
+    run = Run.build(ws, "batched", 1, iter(entries), len(entries), params)
+    ws.flush_all()
+    assert build_per_entry(ws, "single", entries, params) == run.commitment()
+    for suffix in RUN_SUFFIXES:
+        with open(ws.path_of("batched" + suffix), "rb") as batched:
+            with open(ws.path_of("single" + suffix), "rb") as single:
+                assert batched.read() == single.read(), suffix
+    assert list(run.value_file.iter_entries()) == entries
+    assert run.merkle_file.root() == run.merkle_root
+    ws.close()

@@ -44,6 +44,19 @@ def test_iter_entries(tmp_path, system):
     assert list(vf.iter_entries()) == entries
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 11])
+def test_iter_entries_equals_scan_from_zero(tmp_path, system, count):
+    # 2 pairs per page: odd counts end on a partial page.
+    entries = make_entries(count, system)
+    file = open_file(tmp_path, system)
+    vf = ValueFile(file, write_value_file(file, entries, system), system)
+    before = file.stats.snapshot()
+    iterated = list(vf.iter_entries())
+    pages_read = file.stats.delta(before).total_reads
+    assert iterated == [entry for entry, _position in vf.scan_from(0)] == entries
+    assert pages_read == -(-count // system.pairs_per_page)  # one read per page
+
+
 def test_scan_from_midpoint(tmp_path, system):
     entries = make_entries(10, system)
     file = open_file(tmp_path, system)
