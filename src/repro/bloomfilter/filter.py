@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
+from typing import Iterable, Tuple, Union
 
 from repro.common.codec import decode_u32, encode_u32
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_bytes
+
+#: ``(h1, h2)``: the two halves of an item's SHA-256 that every filter's
+#: probe positions ``(h1 + i * h2) % num_bits`` derive from.
+HashedItem = Tuple[int, int]
+
+
+def hash_item(item: bytes) -> HashedItem:
+    """Hash ``item`` once for any number of filter probes."""
+    digest = hashlib.sha256(item).digest()  # h2 odd => full cycle
+    return int.from_bytes(digest[:16], "big"), int.from_bytes(digest[16:], "big") | 1
 
 
 class BloomFilter:
@@ -48,8 +58,8 @@ class BloomFilter:
 
         ``count`` advances once per item, but an item equal to the one
         before it — the versions of one address are adjacent in a sorted
-        run — is not re-hashed.  Probe ``i`` is ``(h1 + i * h2) % m`` as
-        in :meth:`_positions`, reached by stepping ``h2 % m`` at a time.
+        run — is not re-hashed.  Probe ``i`` is ``(h1 + i * h2) % m`` for
+        :func:`hash_item`'s pair, reached by stepping ``h2 % m`` at a time.
         """
         bits = self._bits
         num_bits = self.num_bits
@@ -74,21 +84,26 @@ class BloomFilter:
         self._count += count
         self._cached_digest = None
 
-    def __contains__(self, item: bytes) -> bool:
-        return all(
-            self._bits[position >> 3] & (1 << (position & 7))
-            for position in self._positions(item)
-        )
+    def __contains__(self, item: Union[bytes, HashedItem]) -> bool:
+        """Membership of a raw item or of its :func:`hash_item` pair (a
+        lookup hashes its address once for every run's filter): the
+        stepping loop of :meth:`add_many`, stopping at the first clear bit."""
+        h1, h2 = item if type(item) is tuple else hash_item(item)
+        bits = self._bits
+        num_bits = self.num_bits
+        position = h1 % num_bits
+        step = h2 % num_bits
+        for _ in range(self.num_hashes):
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+            position += step
+            if position >= num_bits:
+                position -= num_bits
+        return True
 
-    def may_contain(self, item: bytes) -> bool:
+    def may_contain(self, item: Union[bytes, HashedItem]) -> bool:
         """True if ``item`` may be present (false positives possible)."""
         return item in self
-
-    def _positions(self, item: bytes) -> list[int]:
-        digest = hashlib.sha256(item).digest()
-        h1 = int.from_bytes(digest[:16], "big")
-        h2 = int.from_bytes(digest[16:], "big") | 1  # odd => full cycle
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
 
     # -- statistics ----------------------------------------------------------
 
@@ -111,18 +126,28 @@ class BloomFilter:
         header = encode_u32(self.num_bits) + encode_u32(self.num_hashes) + encode_u32(self._count)
         return header + bytes(self._bits)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BloomFilter":
-        """Reconstruct a filter serialized by :meth:`to_bytes`."""
+    @staticmethod
+    def parse_header(data: bytes) -> Tuple[int, int, int]:
+        """``(num_bits, num_hashes, count)`` of a :meth:`to_bytes` string.
+
+        Filter bytes arrive in proofs from an untrusted server: the header
+        must describe exactly its payload, as :meth:`to_bytes` writes it,
+        before anything is allocated from it or hashed as the digest.
+        """
         if len(data) < 12:
             raise StorageError("truncated bloom filter")
         num_bits = decode_u32(data, 0)
         num_hashes = decode_u32(data, 4)
-        count = decode_u32(data, 8)
-        # Filter bytes arrive in proofs from an untrusted server: check
-        # the payload against the header before allocating from it.
-        if len(data) - 12 != (max(num_bits, 8) + 7) // 8:
+        if num_bits < 8 or num_hashes < 1:
+            raise StorageError("bloom filter header is not one to_bytes writes")
+        if len(data) - 12 != (num_bits + 7) // 8:
             raise StorageError("bloom filter payload size mismatch")
+        return num_bits, num_hashes, decode_u32(data, 8)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "BloomFilter":
+        """Reconstruct a filter serialized by :meth:`to_bytes`."""
+        num_bits, num_hashes, count = cls.parse_header(data)
         bloom = cls(num_bits, num_hashes)
         bloom._bits = bytearray(data[12:])
         bloom._count = count

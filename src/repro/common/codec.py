@@ -10,6 +10,7 @@ and makes the byte-level tests easy to write.
 from __future__ import annotations
 
 import struct
+from typing import Optional
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
@@ -56,3 +57,32 @@ def int_to_bytes(value: int, width: int) -> bytes:
 def int_from_bytes(data: bytes) -> int:
     """Decode a big-endian unsigned integer of any width."""
     return int.from_bytes(data, "big")
+
+
+def clamp_key(key: int, width: int) -> Optional[int]:
+    """``key`` as a ``width``-byte search key: ``None`` if negative (it
+    precedes every stored key), capped at the largest encodable key (past
+    the key space every floor is that key's floor)."""
+    if key < 0:
+        return None
+    return min(key, (1 << 8 * width) - 1)
+
+
+def floor_slot(data: bytes, count: int, stride: int, offset: int, key: bytes) -> int:
+    """Largest of a page's ``count`` slots whose key is ``<= key``, or ``-1``.
+
+    Records are ``stride`` bytes with a ``len(key)``-byte big-endian key
+    ``offset`` bytes in.  Equal-width big-endian keys order as bytes
+    exactly as they do as integers, so the search compares slices of the
+    page as it lies and decodes nothing.
+    """
+    width = len(key)
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        start = mid * stride + offset
+        if data[start : start + width] <= key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo - 1

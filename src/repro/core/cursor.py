@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.bloomfilter import HashedItem
 from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
@@ -206,8 +207,9 @@ class ReadSource:
     def run(cls, label: str, run) -> "ReadSource":
         return cls(label=label, kind="run", source=run)
 
-    def may_contain(self, addr: bytes) -> bool:
-        """Bloom pre-check (runs only; L0 has no filter)."""
+    def may_contain(self, addr: Union[bytes, HashedItem]) -> bool:
+        """Bloom pre-check (runs only; L0 has no filter).  A caller that
+        walks several sources passes ``hash_item(addr)``, hashed once."""
         if self.kind == "run":
             return self.source.may_contain(addr)
         return True

@@ -19,11 +19,17 @@ works for every layer it descends through.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.common.codec import decode_u32, decode_u64, encode_u32, encode_u64
+from repro.common.codec import (
+    clamp_key,
+    decode_u32,
+    decode_u64,
+    encode_u32,
+    encode_u64,
+    floor_slot,
+)
 from repro.common.errors import StorageError
 from repro.common.params import SystemParams
 from repro.diskio.pagefile import PagedFile
@@ -31,6 +37,7 @@ from repro.learned.model import Model
 from repro.learned.plm import build_models
 
 _MAGIC = b"CIDX"
+_KMIN_OFFSET = 16  # a model record is ``sl || ic || kmin || pmax``
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,6 @@ class LayerInfo:
 
     start_page: int
     num_models: int
-
-    def num_pages(self, models_per_page: int) -> int:
-        """Pages occupied by this layer."""
-        return max(1, -(-self.num_models // models_per_page))
 
 
 class IndexFileBuilder:
@@ -122,7 +125,7 @@ class IndexFile:
 
     def __init__(self, file: PagedFile, params: SystemParams) -> None:
         self._file = file
-        self._params = params
+        self._key_size = params.key_size
         self._record_size = Model.record_size(params.key_size)
         self._layers, self.models_per_page = self._read_metadata()
 
@@ -151,58 +154,29 @@ class IndexFile:
         """Models in the bottom layer (useful for ablation statistics)."""
         return self._layers[0].num_models
 
-    # -- model access -------------------------------------------------------------
-
-    def _models_on_page(self, layer: LayerInfo, page_offset: int) -> List[Model]:
-        data = self._file.read_page(layer.start_page + page_offset)
-        first = page_offset * self.models_per_page
-        count = min(self.models_per_page, layer.num_models - first)
-        return [
-            Model.from_bytes(data, self._params.key_size, slot * self._record_size)
-            for slot in range(count)
-        ]
-
-    def _floor_model_in_layer(
-        self, layer: LayerInfo, predicted_position: int, key: int
-    ) -> Optional[Tuple[Model, int]]:
-        """The model with the largest ``kmin <= key`` near ``predicted_position``.
-
-        Implements QueryModel's page-stepping (Algorithm 7 lines 13-19):
-        fetch the predicted page, step one page left/right if the key falls
-        outside it, then binary search within the page.
-        """
-        last_page = layer.num_pages(self.models_per_page) - 1
-        page = min(max(predicted_position, 0), layer.num_models - 1) // self.models_per_page
-        models = self._models_on_page(layer, page)
-        while key < models[0].kmin and page > 0:
-            page -= 1
-            models = self._models_on_page(layer, page)
-        if key < models[0].kmin:
-            return None  # key precedes every model in the run
-        if key > models[-1].kmin and page < last_page:
-            next_models = self._models_on_page(layer, page + 1)
-            if key >= next_models[0].kmin:
-                page += 1
-                models = next_models
-        kmins = [model.kmin for model in models]
-        slot = bisect.bisect_right(kmins, key) - 1
-        return models[slot], page * self.models_per_page + slot
-
     def search(self, key: int) -> Optional[int]:
         """Predicted value-file position for ``key`` (Algorithm 7 lines 4-8).
 
         Returns ``None`` when ``key`` precedes every key in the run; the
-        returned position is within ε of the true floor position.
+        returned position is within ε of the true floor position.  Each
+        layer is searched on its pages' own ``kmin`` bytes and only the
+        covering model is decoded.
         """
-        top = self._layers[-1]
-        found = self._floor_model_in_layer(top, 0, key)
-        if found is None:
+        key = clamp_key(key, self._key_size)
+        if key is None:
             return None
-        model, _position = found
-        for layer in reversed(self._layers[:-1]):
-            predicted = model.predict(key)
-            found = self._floor_model_in_layer(layer, predicted, key)
+        key_bytes = key.to_bytes(self._key_size, "big")
+        per_page, stride = self.models_per_page, self._record_size
+        predicted = 0
+        for layer in reversed(self._layers):
+            found = self._file.floor_page(
+                layer.start_page, layer.num_models, per_page, stride,
+                _KMIN_OFFSET, predicted, key_bytes,
+            )
             if found is None:
-                return None
-            model, _position = found
-        return model.predict(key)
+                return None  # key precedes every model in the run
+            page, data = found
+            on_page = min(per_page, layer.num_models - page * per_page)
+            slot = floor_slot(data, on_page, stride, _KMIN_OFFSET, key_bytes)
+            predicted = Model.from_bytes(data, self._key_size, slot * stride).predict(key)
+        return predicted

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import DIGEST_SIZE, Digest, hash_bytes, hash_concat
@@ -180,18 +180,33 @@ class MerkleFile:
         return self.hash_at(len(self._sizes) - 1, 0)
 
     def prove_range(self, lo: int, hi: int) -> MerkleRangeProof:
-        """Range proof for leaf positions ``[lo, hi]`` (inclusive)."""
+        """Range proof for leaf positions ``[lo, hi]`` (inclusive).
+
+        A layer's siblings are the two ends of one contiguous span of
+        hashes: each page they touch is read once, not once per hash.
+        """
         if not 0 <= lo <= hi < self.num_leaves:
             raise StorageError(f"bad proof range [{lo}, {hi}]")
         leaf_lo, leaf_hi = lo, hi
+        pages: Dict[int, bytes] = {}  # read by this call
+
+        def hashes(layer: int, start: int, stop: int) -> List[Digest]:
+            out: List[Digest] = []
+            for index in range(start, stop):
+                page, slot = divmod(index, self._hashes_per_page)
+                page += self._layer_pages[layer][0]
+                if page not in pages:
+                    pages[page] = self._file.read_page(page)
+                out.append(pages[page][slot * DIGEST_SIZE : (slot + 1) * DIGEST_SIZE])
+            return out
+
         sibling_layers: List[Tuple[List[Digest], List[Digest]]] = []
         for layer in range(len(self._sizes) - 1):
             group_lo = lo // self.fanout
             group_hi = hi // self.fanout
-            span_start = group_lo * self.fanout
-            span_end = min((group_hi + 1) * self.fanout, self._sizes[layer]) - 1
-            left = [self.hash_at(layer, i) for i in range(span_start, lo)]
-            right = [self.hash_at(layer, i) for i in range(hi + 1, span_end + 1)]
+            span_end = min((group_hi + 1) * self.fanout, self._sizes[layer])
+            left = hashes(layer, group_lo * self.fanout, lo)
+            right = hashes(layer, hi + 1, span_end)
             sibling_layers.append((left, right))
             lo, hi = group_lo, group_hi
         return MerkleRangeProof(
@@ -217,17 +232,16 @@ def build_merkle_file(
     return builder.finish()
 
 
-def verify_range_proof(
-    entries: List[Tuple[int, bytes]],
-    proof: MerkleRangeProof,
-    expected_root: Digest,
-    key_width: int,
-) -> None:
-    """Check that ``entries`` occupy positions ``proof.lo..proof.hi``.
+def fold_range_proof(
+    entries: List[Tuple[int, bytes]], proof: MerkleRangeProof, key_width: int
+) -> Digest:
+    """The root committed to by ``entries`` at positions ``proof.lo..proof.hi``.
 
-    Recomputes leaf hashes from the disclosed entries, splices in the
-    sibling hashes layer by layer, and compares the reconstructed root.
-    Raises :class:`VerificationError` on mismatch.
+    Recomputes leaf hashes from the disclosed entries and splices in the
+    sibling hashes layer by layer.  Every layer's siblings must complete
+    exactly the boundary groups of the span below them, so a proof of the
+    wrong shape raises :class:`VerificationError` instead of folding to
+    some other root.
     """
     if not entries:
         raise VerificationError("empty Merkle range proof")
@@ -249,12 +263,25 @@ def verify_range_proof(
         )
         if span_start + len(span) != expected_span_end:
             raise VerificationError("Merkle proof right siblings misaligned")
-        parents: List[Digest] = []
-        for start in range(0, len(span), proof.fanout):
-            parents.append(hash_concat(span[start : start + proof.fanout]))
-        digests = parents
+        digests = [
+            hash_concat(span[start : start + proof.fanout])
+            for start in range(0, len(span), proof.fanout)
+        ]
         position = span_start // proof.fanout
-    if len(digests) != 1 or digests[0] != expected_root:
+    if len(digests) != 1:
+        raise VerificationError("Merkle proof did not fold to a single root")
+    return digests[0]
+
+
+def verify_range_proof(
+    entries: List[Tuple[int, bytes]],
+    proof: MerkleRangeProof,
+    expected_root: Digest,
+    key_width: int,
+) -> None:
+    """Check that ``entries`` occupy positions ``proof.lo..proof.hi``
+    under ``expected_root``; raises :class:`VerificationError` if not."""
+    if fold_range_proof(entries, proof, key_width) != expected_root:
         raise VerificationError("Merkle range proof does not match the root")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.bloomfilter import BloomFilter
-from repro.common.hashing import Digest, hash_concat
+from repro.common.hashing import Digest, hash_bytes, hash_concat
 from repro.core.merklefile import MerkleRangeProof
 from repro.mbtree.proof import MBTreeProof
 
@@ -64,8 +64,11 @@ class RunNegativeItem:
     merkle_root: Digest
 
     def commitment(self) -> Digest:
-        bloom = BloomFilter.from_bytes(self.bloom_bytes)
-        return hash_concat([self.merkle_root, bloom.digest()])
+        """The run's ``root_hash_list`` entry.  A filter's digest is the
+        hash of its serialized form, so a well-formed ``bloom_bytes`` is
+        hashed as it stands."""
+        BloomFilter.parse_header(self.bloom_bytes)
+        return hash_concat([self.merkle_root, hash_bytes(self.bloom_bytes)])
 
     def size_bytes(self) -> int:
         return len(self.bloom_bytes) + 32

@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
-from repro.bloomfilter import BloomFilter
+from repro.bloomfilter import BloomFilter, HashedItem
+from repro.common.codec import clamp_key
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
@@ -83,6 +84,7 @@ class Run:
             num_entries,
             params.mht_fanout,
         )
+        self._key_size = system.key_size
         self._key_range: Optional[Tuple[int, int]] = None  # lazy, immutable
 
     # -- construction -----------------------------------------------------------
@@ -193,38 +195,27 @@ class Run:
 
     # -- queries -------------------------------------------------------------------
 
-    def may_contain(self, addr: bytes) -> bool:
-        """Bloom pre-check on the address (Algorithm 7 line 2)."""
+    def may_contain(self, addr: Union[bytes, HashedItem]) -> bool:
+        """Bloom pre-check on the address, raw or as its ``hash_item``
+        pair (Algorithm 7 line 2)."""
         return addr in self.bloom
 
     def floor_search(self, key: int) -> Optional[Tuple[Entry, int]]:
         """Largest pair with pair key <= ``key``: learned index + page step.
 
         Returns ``(entry, position)`` or ``None`` if ``key`` precedes the
-        whole run.  IO cost: one page per index layer (±1 on a miss) plus
-        one or two value-file pages — the ``Cmodel`` of Table 1.
+        whole run (any negative ``key`` does; one past the key space
+        searches as the largest key).  IO cost: one page per index layer
+        (±1 on a miss) plus one or two value-file pages, each read once —
+        the ``Cmodel`` of Table 1.
         """
+        key = clamp_key(key, self._key_size)
+        if key is None:
+            return None
         predicted = self.index_file.search(key)
         if predicted is None:
             return None
-        return self._floor_entry(key, predicted)
-
-    def _floor_entry(self, key: int, predicted: int) -> Optional[Tuple[Entry, int]]:
-        value_file = self.value_file
-        last_page = value_file.page_of(self.num_entries - 1)
-        page = min(max(predicted, 0), self.num_entries - 1) // value_file.pairs_per_page
-        first_key, last_key = value_file.page_bounds(page)
-        while key < first_key and page > 0:
-            page -= 1
-            first_key, last_key = value_file.page_bounds(page)
-        if key < first_key:
-            return None
-        if key > last_key and page < last_page:
-            next_first, _next_last = value_file.page_bounds(page + 1)
-            if key >= next_first:
-                page += 1
-        found = value_file.floor_in_page(page, key)
-        return found
+        return self.value_file.floor_near(predicted, key.to_bytes(self._key_size, "big"))
 
     def cursor(self):
         """Key-ordered streaming cursor over this run

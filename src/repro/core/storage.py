@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.bloomfilter import hash_item
 from repro.common.errors import StorageError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
@@ -405,12 +406,13 @@ class Cole:
         pending: Dict[bytes, List[int]] = {}
         for index, addr in enumerate(addrs):
             pending.setdefault(addr, []).append(index)
+        hashed = {addr: hash_item(addr) for addr in pending}  # once per batch
         with self.gate.shared():
             for source in self._read_sources():
                 if not pending:
                     break
                 candidates = sorted(
-                    addr for addr in pending if source.may_contain(addr)
+                    addr for addr in pending if source.may_contain(hashed[addr])
                 )
                 for addr in candidates:
                     found = source.floor_search(
@@ -425,8 +427,9 @@ class Cole:
         """Floor-search every source in freshness order (Algorithm 6):
         the newest entry for ``addr`` with compound key <= ``key``."""
         addr_size = self._addr_size()
+        hashed = hash_item(addr)  # once, for every run's filter
         for source in self._read_sources():
-            if not source.may_contain(addr):
+            if not source.may_contain(hashed):
                 continue
             found = source.floor_search(key)
             if found is not None and addr_of_int(found[0], addr_size) == addr:
@@ -528,6 +531,7 @@ class Cole:
         key_low = addr_int * 2**64 + blk_low - 1  # <addr, blk_low - 1>
         key_high = addr_int * 2**64 + min(blk_high + 1, MAX_BLK)
         addr_size = self._addr_size()
+        hashed = hash_item(addr)
 
         found: Dict[int, bytes] = {}  # blk -> value, for our address
         items_by_label: Dict[str, ProofItem] = {}
@@ -560,7 +564,7 @@ class Cole:
                     early_stop = True
                 continue
             run = source.source
-            if not run.may_contain(addr):
+            if not run.may_contain(hashed):
                 items_by_label[source.label] = RunNegativeItem(
                     bloom_bytes=run.bloom.to_bytes(), merkle_root=run.merkle_root
                 )

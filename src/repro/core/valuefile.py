@@ -8,8 +8,9 @@ bound ε is derived from (2ε = one page of pairs).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.common.codec import clamp_key, floor_slot
 from repro.common.errors import StorageError
 from repro.common.params import SystemParams
 from repro.diskio.pagefile import PagedFile
@@ -82,9 +83,9 @@ class ValueFile:
 
     Decoding is deliberately lazy: page reads return raw bytes, and
     pairs are materialized one slot at a time only when a caller
-    consumes them.  Floor searches binary-search the *raw* page (a
-    handful of key decodes) instead of materializing every pair on it —
-    page decode was the dominant cost of the whole read path.
+    consumes them.  Floor searches binary-search the *raw* page's key
+    bytes and decode only the hit — page decode was the dominant cost of
+    the whole read path.
     """
 
     def __init__(self, file: PagedFile, num_entries: int, params: SystemParams) -> None:
@@ -110,10 +111,6 @@ class ValueFile:
         """Number of pairs stored on ``page_id``."""
         return min(self._pairs_per_page, self.num_entries - page_id * self._pairs_per_page)
 
-    def _slot_key(self, data: bytes, slot: int) -> int:
-        offset = slot * self._pair_size
-        return int.from_bytes(data[offset : offset + self._key_size], "big")
-
     def _slot_entry(self, data: bytes, slot: int) -> Entry:
         offset = slot * self._pair_size
         return (
@@ -136,33 +133,35 @@ class ValueFile:
         data = self._file.read_page(self.page_of(position))
         return self._slot_entry(data, position % self._pairs_per_page)
 
-    def page_bounds(self, page_id: int) -> Tuple[int, int]:
-        """``(first_key, last_key)`` of ``page_id`` — one page read, two
-        key decodes (the page-stepping probe of Algorithm 7)."""
-        data = self._file.read_page(page_id)
-        count = self._page_count(page_id)
-        if count <= 0:
-            raise StorageError(f"page {page_id} has no entries")
-        return self._slot_key(data, 0), self._slot_key(data, count - 1)
+    def floor_near(self, predicted: int, key: bytes) -> Optional[Tuple[Entry, int]]:
+        """Largest pair with pair key <= the encoded ``key``, stepping from
+        the page of the ``predicted`` position; every page read once."""
+        found = self._file.floor_page(
+            0, self.num_entries, self._pairs_per_page, self._pair_size, 0, predicted, key
+        )
+        if found is None:
+            return None
+        return self.floor_in_page(found[0], key, found[1])
 
-    def floor_in_page(self, page_id: int, key: int) -> Optional[Tuple[Entry, int]]:
+    def floor_in_page(
+        self, page_id: int, key: Union[int, bytes], data: Optional[bytes] = None
+    ) -> Optional[Tuple[Entry, int]]:
         """Largest pair on ``page_id`` with pair key <= ``key``, if any.
 
-        Binary search over the raw page: ~log2(pairs_per_page) key
-        decodes plus one pair decode for the hit.
+        Binary search over the raw page's key bytes plus one pair decode
+        for the hit.  ``key`` may arrive already encoded, and ``data`` may
+        be the page when the caller holds it; otherwise it is read here.
         """
-        data = self._file.read_page(page_id)
-        count = self._page_count(page_id)
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._slot_key(data, mid) <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
+        if isinstance(key, int):
+            clamped = clamp_key(key, self._key_size)
+            if clamped is None:
+                return None
+            key = clamped.to_bytes(self._key_size, "big")
+        if data is None:
+            data = self._file.read_page(page_id)
+        slot = floor_slot(data, self._page_count(page_id), self._pair_size, 0, key)
+        if slot < 0:
             return None
-        slot = lo - 1
         return self._slot_entry(data, slot), page_id * self._pairs_per_page + slot
 
     def scan_from(

@@ -19,7 +19,7 @@ from repro.bloomfilter import BloomFilter
 from repro.common.errors import VerificationError
 from repro.common.hashing import Digest, hash_concat
 from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int
-from repro.core.merklefile import verify_range_proof as verify_merkle_range
+from repro.core.merklefile import fold_range_proof
 from repro.core.proofs import (
     MemProofItem,
     ProvenanceResult,
@@ -70,7 +70,7 @@ def verify_provenance(
         elif isinstance(item, RunProofItem):
             entries = _verify_run_item(item, key_low, key_high, key_width)
             merkle_root = _reconstruct_merkle_root(item, key_width)
-            digests.append(hash_concat([merkle_root, item.bloom_digest]))
+            digests.append(item.commitment(merkle_root))
         elif isinstance(item, RunNegativeItem):
             bloom = BloomFilter.from_bytes(item.bloom_bytes)
             if addr in bloom:
@@ -144,33 +144,14 @@ def _verify_run_item(
 
 
 def _reconstruct_merkle_root(item: RunProofItem, key_width: int) -> Digest:
-    """Recompute the run's Merkle root from the disclosed entries."""
+    """Recompute the run's Merkle root from the disclosed entries.
+
+    The fold checks the proof's shape; whether the root is the committed
+    one is decided by ``Hstate``, which it is hashed into.
+    """
     proof = item.merkle_proof
     if proof.lo != item.lo or proof.hi != item.hi:
         raise VerificationError("Merkle proof range mismatch")
     if proof.num_leaves != item.num_entries:
         raise VerificationError("Merkle proof leaf count mismatch")
-    # verify_merkle_range recomputes the root and raises on mismatch; to get
-    # the root back we recompute it the same way here.
-    root = _fold_merkle(item, key_width)
-    verify_merkle_range(item.entries, proof, root, key_width)
-    return root
-
-
-def _fold_merkle(item: RunProofItem, key_width: int) -> Digest:
-    from repro.core.merklefile import leaf_hash
-
-    proof = item.merkle_proof
-    digests = [leaf_hash(key, value, key_width) for key, value in item.entries]
-    position = proof.lo
-    for layer, (left, right) in enumerate(proof.sibling_layers):
-        span = list(left) + digests + list(right)
-        span_start = position - len(left)
-        parents: List[Digest] = []
-        for start in range(0, len(span), proof.fanout):
-            parents.append(hash_concat(span[start : start + proof.fanout]))
-        digests = parents
-        position = span_start // proof.fanout
-    if len(digests) != 1:
-        raise VerificationError("Merkle proof did not fold to a single root")
-    return digests[0]
+    return fold_range_proof(item.entries, proof, key_width)

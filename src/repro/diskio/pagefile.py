@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
@@ -154,6 +154,44 @@ class PagedFile:
                 if page_id not in self._probation and page_id not in self._protected:
                     self._cache_put(page_id, data)
         return data
+
+    def floor_page(
+        self,
+        first_page: int,
+        count: int,
+        per_page: int,
+        stride: int,
+        offset: int,
+        predicted: int,
+        key: bytes,
+    ) -> Optional[Tuple[int, bytes]]:
+        """The page holding the largest record with key ``<= key``, and its
+        bytes, as ``(page - first_page, data)``; ``None`` when ``key``
+        precedes every record.
+
+        QueryModel's page-stepping (Algorithm 7 lines 13-19) over ``count``
+        sorted records packed ``per_page`` to a page from ``first_page`` on:
+        read the page of the ``predicted`` position, then step left while
+        ``key`` precedes the page or, if it is past the page's last record,
+        look one page right — no page is read twice.  Records and keys are
+        laid out and compared as in :func:`repro.common.codec.floor_slot`.
+        """
+        end = offset + len(key)
+        page = min(max(predicted, 0), count - 1) // per_page
+        data = self.read_page(first_page + page)
+        if key < data[offset:end]:
+            while page > 0:
+                page -= 1
+                data = self.read_page(first_page + page)
+                if key >= data[offset:end]:
+                    return page, data  # and the page to its right starts past key
+            return None
+        last = (per_page - 1) * stride  # a page before the last one is full
+        if page < (count - 1) // per_page and key > data[last + offset : last + end]:
+            next_data = self.read_page(first_page + page + 1)
+            if key >= next_data[offset:end]:
+                return page + 1, next_data
+        return page, data
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Overwrite page ``page_id`` with ``data`` (must fill the page)."""

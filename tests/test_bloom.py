@@ -10,6 +10,8 @@ from repro.bloomfilter import BloomFilter
 from repro.common.codec import encode_u32
 from repro.common.errors import StorageError
 
+from read_oracle import bloom_positions
+
 
 def test_added_items_are_members():
     bloom = BloomFilter(1024, 5)
@@ -74,11 +76,11 @@ def test_no_false_negatives_property(items):
 
 
 def _filter_from_positions(num_bits, num_hashes, items):
-    """Bit-by-bit reference: the probe side's ``_positions`` (what
-    ``__contains__`` tests) decides which bits an item owns."""
+    """Bit-by-bit reference: the oracle's ``(h1 + i * h2) % m`` positions
+    decide which bits an item owns."""
     reference = BloomFilter(num_bits, num_hashes)
     for item in items:
-        for position in reference._positions(item):
+        for position in bloom_positions(reference, item):
             reference._bits[position >> 3] |= 1 << (position & 7)
         reference._count += 1
     return reference

@@ -113,11 +113,23 @@ def test_newest_version_wins_across_levels(workdir, params, rng):
 def test_read_io_bounded_by_levels(workdir, params, rng):
     cole = Cole(workdir, params)
     pool, model, _history = build_history(cole, rng, blocks=80, pool_size=48)
+    runs = [run for level in cole.levels for run in level.all_runs()]
+    assert len(runs) >= 3
     stats = cole.stats
-    before = stats.snapshot()
     for addr in pool[:10]:
+        # Table 1's Cmodel per run the filter lets through: at most two
+        # pages per index layer and two value pages, nothing read twice;
+        # a run the filter excludes costs no IO at all.
+        bound = sum(
+            2 * run.index_file.num_layers + 2 for run in runs if run.may_contain(addr)
+        )
+        before = stats.snapshot()
         cole.get(addr)
-    reads = stats.delta(before).total_reads
-    # Loose bound: T runs/level * (layers + value pages) * levels.
-    assert reads < 10 * 40
+        assert stats.delta(before).total_reads <= bound
+    absent = b"\x07" * 20
+    before = stats.snapshot()
+    assert cole.get(absent) is None
+    assert stats.delta(before).total_reads <= sum(
+        2 * run.index_file.num_layers + 2 for run in runs if run.may_contain(absent)
+    )
     cole.close()

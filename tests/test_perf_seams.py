@@ -13,10 +13,12 @@ engine half — and check ``uninstall`` restores every attribute.
 """
 
 import asyncio
+import hashlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import read_oracle
 from repro import Cole, ColeParams
 from repro.bloomfilter import BloomFilter
 from repro.common.gate import CommitGate
@@ -142,6 +144,85 @@ def test_engine_install_patches_every_seam_and_uninstall_restores(tmp_path):
         assert rows.count(name) > 0 and rows.total_ns(name) > 0, name
     assert rows.count("merge.stream.started") > 0
     assert rows.units("run.build") > 0  # entries built: run.build_entries_per_s
+
+
+def _lookup_plan(cole, addr):
+    """(runs probed, runs whose filter passes, runs holding a floor) of
+    ``cole.get(addr)``, walked with the integer oracle: freshest source
+    first, stop at the first hit."""
+    key = int.from_bytes(addr, "big") << 64 | (2**64 - 1)
+    probed = positive = floors = 0
+    for source in cole._read_sources():
+        if source.kind == "run":
+            probed += 1
+            if not read_oracle.bloom_contains(source.source.bloom, addr):
+                continue
+            positive += 1
+            found = read_oracle.run_floor_search(source.source, key)
+            found = found[0] if found is not None else None
+            floors += found is not None
+        else:
+            found = source.source.floor_search(key)
+        if found is not None and found[0] >> 64 == key >> 64:
+            break
+    return probed, positive, floors
+
+
+def test_one_get_enters_each_lookup_seam_once_per_run(tmp_path, monkeypatch):
+    """The ledger's per-run rows stay per-run: a get over an N-run store is
+    one SHA-256 of the address, one ``__contains__`` per run it probes and
+    one ``floor_search`` / ``search`` / ``floor_in_page`` per run whose
+    filter passes (``floor_in_page`` only where the run holds a key at or
+    below the address) — ``bloom.probe_us``, ``run.searches_per_get`` and
+    ``bloom.false_positive_frac`` are ratios of exactly these counts."""
+    params = ColeParams(
+        system=SystemParams(addr_size=8, value_size=8, page_size=256),
+        mem_capacity=8, size_ratio=3,
+    )
+    cole = Cole(str(tmp_path / "store"), params)
+    addrs = [(index * 0x9E3779B97F4A7C15 % 2**64).to_bytes(8, "big") for index in range(1, 65)]
+    for height in range(1, 27):  # 26 flushes = 2 + 2*3 + 2*9: six runs on three levels
+        cole.begin_block(height)
+        cole.put_many([(addr, bytes([height]) * 8) for addr in addrs[height % 8 :: 8]])
+        cole.commit_block()
+    num_runs = sum(len(level.all_runs()) for level in cole.levels)
+    assert num_runs == 6
+    # Two absent addresses whose filters answer "maybe" somewhere, so the
+    # negative path is searched too; one below every stored key.
+    absent = [
+        candidate
+        for candidate in (bytes([128]) * 7 + bytes([low]) for low in range(256))
+        if _lookup_plan(cole, candidate)[1] > 0
+    ][:2] + [b"\x00" * 8]
+    assert len(absent) == 3
+    plans = {addr: _lookup_plan(cole, addr) for addr in absent + addrs[1:4]}
+    assert all(plans[addr][0] == num_runs for addr in absent)
+    assert plans[absent[0]][2] > 0 and any(plans[addr][1] > 1 for addr in addrs[1:4])
+
+    sha256 = hashlib.sha256
+    hashed = []
+    monkeypatch.setattr(hashlib, "sha256", lambda data=b"": hashed.append(data) or sha256(data))
+    spans = _load_spans()
+    for addr, (probed, positive, floors) in plans.items():
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        try:
+            del hashed[:]
+            with tracer.span("request", "get"):
+                cole.get(addr)
+        finally:
+            tracer.uninstall()
+        assert hashed.count(addr) == 1
+        rows = spans.Aggregates(tracer.aggregates())
+        assert rows.count("cole.get") == 1
+        assert rows.count("bloom.probe") == probed
+        assert rows.truthy("bloom.probe") == positive
+        assert rows.count("run.floor_search") == rows.count("indexfile.search") == positive
+        assert rows.count("valuefile.floor") == floors
+        # A single-page index layer per run here, and one value page per
+        # floor: each through PagedFile.read_page, none twice.
+        assert rows.count("diskio.read_page") == positive + floors
+    cole.close()
 
 
 def test_served_install_patches_every_seam_and_uninstall_restores():

@@ -141,8 +141,11 @@ def test_large_run_search_io_is_bounded(tmp_path, params):
     sentinel = CompoundKey.latest_of(addrs[30]).to_int()
     assert run.floor_search(sentinel) is not None
     delta = stats.delta(before)
-    # One or two pages per index layer plus at most three value pages.
-    assert delta.total_reads <= 3 * run.index_file.num_layers + 3
+    # Table 1's Cmodel: one or two pages per index layer, then the
+    # predicted value page or that and a neighbour — each read once.
+    assert delta.page_reads["index"] <= 2 * run.index_file.num_layers
+    assert delta.page_reads["value"] <= 2
+    assert delta.total_reads == delta.page_reads["index"] + delta.page_reads["value"]
 
 
 # -- a failed build leaves nothing behind ----------------------------------------
