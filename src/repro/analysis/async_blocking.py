@@ -1,9 +1,14 @@
-"""async-blocking-call: no synchronous IO on the event loop.
+"""async-blocking-call: nothing on the event loop may wait for a commit.
 
-The serving design runs **all** blocking engine work on the thread-pool
-executor (``ColeServer._run``); the event loop only parses frames and
-awaits futures.  One stray ``fsync`` or gate acquisition inside an
-``async def`` stalls every connection on the server — and nothing
+The contract of an ``async def`` body: **no lock a commit can hold, no
+fsync, and otherwise only bounded page-cache ``pread`` / ``write``**.
+The loop already does one ``write(2)`` per PUT (the WAL append); a point
+read adds a few ``pread(2)`` of write-once run pages through the
+engine's *non-blocking* read, ``engine.get(addr, wait=False)`` /
+``engine.get_at(addr, blk, wait=False)`` — the one engine call
+sanctioned here.  Everything else that blocks runs on the executor
+(``ColeServer._run``).  One stray ``fsync`` or gate acquisition inside
+an ``async def`` stalls every connection on the server — and nothing
 crashes, it just gets slow, which is why this must be a lint rule and
 not a code review hope.
 
@@ -16,9 +21,9 @@ are skipped — they are the executor thunks themselves.  Flagged calls:
 * any CommitGate method on an attribute named ``gate``;
 * constructors that do recovery IO (``Cole``, ``ShardedCole``,
   ``WriteAheadLog``, ``PagedFile``);
-* gated engine methods called on a receiver named ``engine`` and WAL
-  methods (append/sync/close) on a receiver named ``wal`` — these block
-  on the gate or on file IO respectively.
+* engine methods called on a receiver named ``engine`` (the blocking
+  ``engine.get(addr)`` / ``get_many`` / ``scan`` included: they wait for
+  the mem lock or the gate) and WAL methods on a receiver named ``wal``.
 
 The sanctioned escape is an executor hop: passing the bound method to
 ``run_in_executor``/``to_thread`` (or ``self._run``) is not a call and
@@ -64,8 +69,8 @@ GATE_METHODS = {
     "release_exclusive",
 }
 
-#: Public engine entry points that take the CommitGate (or join merge
-#: threads, for ``close``/``wait_for_merges``).
+#: Public engine entry points that take the CommitGate or the mem lock
+#: (or join merge threads, for ``close``/``wait_for_merges``).
 ENGINE_METHODS = {
     "get",
     "get_at",
@@ -105,7 +110,14 @@ def _classify(call: ast.Call) -> Optional[str]:
         if receiver == "gate" and method in GATE_METHODS:
             return f"CommitGate.{method}() blocks the loop"
         if receiver == "engine" and method in ENGINE_METHODS:
-            return f"engine.{method}() takes the CommitGate"
+            if method in ("get", "get_at") and any(
+                keyword.arg == "wait"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is False
+                for keyword in call.keywords
+            ):
+                return None  # the non-blocking read: answers or WOULD_BLOCK
+            return f"engine.{method}() can wait for a commit"
         if receiver == "wal" and method in WAL_METHODS:
             return f"wal.{method}() does file IO"
     return None

@@ -13,18 +13,23 @@ The engine's concurrency contract (DESIGN.md, ``repro.common.gate``) is:
 PR 2's 1800x reader-starvation bug (provenance ran exclusive instead of
 shared) is the class of mistake this rule exists to make mechanical.
 
-Three sub-checks, per class that constructs a ``CommitGate`` in its
+Four sub-checks, per class that constructs a ``CommitGate`` in its
 ``__init__``:
 
 1. **unguarded mutator** — an assignment to a tracked structural
    attribute inside a *public* method must sit lexically inside a
    ``with self.gate.exclusive():`` block (dunder methods are exempt:
-   construction and teardown are single-threaded by contract);
+   construction and teardown are single-threaded by contract); the
+   published ``_view`` is one of them;
 2. **nested acquisition** — a ``with self.gate...`` inside another, or a
    call to a public gate-acquiring method of the same class while a gate
    block is open, self-deadlocks on the non-reentrant gate;
 3. **gate in async def** — any gate acquisition lexically inside an
-   ``async def`` (anywhere in the tree) without an executor hop.
+   ``async def`` (anywhere in the tree) without an executor hop;
+4. **structure read around the view** — readers hold the published
+   ``StoreView``, not the gate, so a *public* method may load ``levels``
+   / ``mem_writing`` / ``mem_merging`` only inside ``with
+   self.gate.exclusive():`` (the mutator); everyone else reads ``_view``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,11 @@ TRACKED_ATTRS = {
     "mem_merging",
     "mem_pending",
     "levels",
+    "_view",
 }
+
+#: What a published view names (sub-check 4).
+VIEW_ATTRS = {"levels", "mem_writing", "mem_merging"}
 
 GATE_ACQUIRE_METHODS = {
     "shared",
@@ -166,13 +175,13 @@ class GateDisciplineChecker(Checker):
         fn: ast.AST,
         findings: List[Finding],
     ) -> None:
-        def visit(node: ast.AST, gate_depth: int) -> None:
+        def visit(node: ast.AST, gate_depth: int, held_exclusive: bool = False) -> None:
             for child in ast.iter_child_nodes(node):
                 # Nested defs run later (usually on the executor or a
                 # merge thread); they are analyzed on their own terms.
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     continue
-                depth = gate_depth
+                depth, exclusive = gate_depth, held_exclusive
                 if isinstance(child, ast.With) and any(
                     _is_gate_with(i) for i in child.items
                 ):
@@ -187,6 +196,27 @@ class GateDisciplineChecker(Checker):
                             )
                         )
                     depth = gate_depth + 1
+                    exclusive = any(
+                        _gate_call_on_self(i.context_expr) == "exclusive"
+                        for i in child.items
+                    )
+                if (
+                    public
+                    and not exclusive
+                    and isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Load)
+                    and child.attr in VIEW_ATTRS
+                    and dotted_name(child) == f"self.{child.attr}"
+                ):
+                    findings.append(
+                        Finding(
+                            RULE,
+                            src.path,
+                            child.lineno,
+                            f"{cls.node.name}.{method}: reads self.{child.attr} outside "
+                            "`with self.gate.exclusive()` — go through self._view",
+                        )
+                    )
                 if public and depth == 0:
                     for line, attr in _tracked_assign_lines(child):
                         findings.append(
@@ -220,7 +250,7 @@ class GateDisciplineChecker(Checker):
                                     "gate (use the underscore helper)",
                                 )
                             )
-                visit(child, depth)
+                visit(child, depth, exclusive)
 
         visit(fn, 0)
 

@@ -1,18 +1,18 @@
 """A reader/writer gate for concurrent queries against one engine.
 
 The serving layer (``repro.server``) and the concurrent-reader tests run
-``get`` / ``get_at`` / provenance queries from many threads while blocks
-commit and background merges cascade.  Page-level IO is already atomic
-(``PagedFile`` holds a per-file lock), but the *structural* state of an
-engine is not: commit checkpoints swap L0 groups, switch level group
-roles, attach merge outputs, and delete merged-away run files.  A reader
-walking those structures mid-checkpoint could follow a freed run or a
-half-swapped group.
+scans / provenance / root queries from many threads while blocks commit
+and background merges cascade.  Page-level IO is already atomic, but the
+*structural* state of an engine is not: commit checkpoints swap L0
+groups, switch level group roles, attach merge outputs, and unlink
+merged-away run files, and puts mutate the L0 tree a cursor walks.
+(Point reads — ``get`` / ``get_at`` / ``get_many`` — take no gate: they
+hold the engine's published ``StoreView``; see ``repro.core.storage``.)
 
 :class:`CommitGate` closes that window with the classic shared/exclusive
 discipline:
 
-* queries hold the gate **shared** — any number run concurrently;
+* ranged queries hold the gate **shared** — any number run concurrently;
 * structural mutation (puts into L0, commit checkpoints, rewind) holds
   it **exclusive**.
 

@@ -19,7 +19,7 @@ the paper), so shadow suppression is the entire tombstone story.
 The classic LSM read-path architecture (RocksDB-style merging iterators
 over immutable sorted runs): point lookups, provenance scans, and the
 range-scan path (``Cole.scan``) all traverse the *same* source
-enumeration (:class:`ReadSource`, built by ``Cole._read_sources``) in
+enumeration (:class:`ReadSource`, held by the engine's ``StoreView``) in
 the same freshness order, so Algorithm 6's search order is defined in
 exactly one place.  Cursors are snapshot-scoped: they must be created,
 driven, and dropped under one :class:`~repro.common.gate.CommitGate`
@@ -190,9 +190,9 @@ class ReadSource:
     Wraps either an L0 :class:`~repro.core.memlevel.MemGroup` or an
     on-disk :class:`~repro.core.run.Run` behind one interface, labeled
     exactly as in ``root_hash_list`` so provenance proofs can address
-    it.  ``Cole._read_sources`` builds the list once per query; point
-    lookups (:meth:`floor_search`), provenance scans, and range-scan
-    cursors (:meth:`cursor`) all traverse it in the same order.
+    it.  A ``StoreView`` holds them in search order; point lookups
+    (:meth:`floor_search`), provenance scans, and range-scan cursors
+    (:meth:`cursor`) all traverse that tuple in the same order.
     """
 
     label: str
@@ -236,6 +236,10 @@ class ReadSource:
 
     def cursor(self) -> Cursor:
         return self.source.cursor()
+
+    def digest(self):
+        """This source's entry in ``root_hash_list``."""
+        return self.source.root() if self.kind == "mem" else self.source.commitment()
 
 
 # =============================================================================

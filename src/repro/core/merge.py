@@ -144,6 +144,7 @@ class MergeScheduler:
                     self._idle -= 1
                 return
             task()
+            task = None  # drop the closure, and the merged-away runs it names
             with self._lock:
                 self._idle += 1  # advertised only once actually available
 

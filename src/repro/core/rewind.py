@@ -29,13 +29,13 @@ def rewind_to(cole, target_blk: int) -> int:
     """
     if target_blk < 0:
         raise ValueError("cannot rewind to a negative block height")
-    cole._sources_cache = None  # runs are filtered and rebuilt below
-    cole.wait_for_merges()
+    for pending in cole._pending_merges():  # the caller holds the gate
+        pending.wait()
     _discard_pending(cole)
-    dropped = 0
-    dropped += _rewind_mem_group(cole.mem_writing, target_blk)
+    cole.mem_writing, dropped = _rewind_mem_group(cole, cole.mem_writing, target_blk)
     if cole.params.async_merge:
-        dropped += _rewind_mem_group(cole.mem_merging, target_blk)
+        cole.mem_merging, removed = _rewind_mem_group(cole, cole.mem_merging, target_blk)
+        dropped += removed
     obsolete: List[Run] = []
     for level in cole.levels:
         for group in (level.writing, level.merging):
@@ -74,8 +74,9 @@ def _discard_pending(cole) -> None:
             level.pending = None
 
 
-def _rewind_mem_group(group, target_blk: int) -> int:
-    """Filter one L0 MB-tree in place (rebuild from surviving entries)."""
+def _rewind_mem_group(cole, group, target_blk: int):
+    """``(group, versions removed)``: one L0 MB-tree filtered into a fresh
+    group — never in place, published views still name the old one."""
     survivors: List[Tuple[int, bytes]] = [
         (key, value)
         for key, value in group.tree.items()
@@ -83,11 +84,11 @@ def _rewind_mem_group(group, target_blk: int) -> int:
     ]
     removed = len(group.tree) - len(survivors)
     if removed == 0:
-        return 0
-    group.clear()
+        return group, 0
+    rebuilt = cole._new_mem_group()
     for key, value in survivors:
-        group.insert(key, value)
-    return removed
+        rebuilt.insert(key, value)
+    return rebuilt, removed
 
 
 def _filter_run(cole, run: Run, target_blk: int):

@@ -183,7 +183,8 @@ class Run:
         return cls(workspace, name, level, num_entries, params, merkle_root, bloom)
 
     def delete(self) -> None:
-        """Remove all files of this run (after a committed level merge)."""
+        """Unlink all files of this run (after a committed level merge);
+        views still naming it keep reading through the open handles."""
         for suffix in RUN_SUFFIXES:
             self.workspace.remove_file(self.name + suffix)
 

@@ -21,9 +21,11 @@ aborted merges restart.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.bloomfilter import hash_item
+from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
@@ -53,6 +55,28 @@ from repro.diskio.workspace import Workspace
 #: that must *not* delete it — so the two layers cannot drift apart.
 WORKSPACE_LOCK_NAME = "LOCK"
 
+#: Answer of a ``wait=False`` point read that found L0 mid-insert.
+WOULD_BLOCK = object()
+_NO_LOCK = nullcontext()  # guards the probe of a write-once run
+
+
+class StoreView(NamedTuple):
+    """What a reader holds instead of the gate: every sorted source the
+    engine had at one commit checkpoint (``Cole._publish_view``).
+
+    Nothing a view names is mutated in place, except that the writing L0
+    group takes inserts under the engine's mem lock until the next
+    checkpoint: runs are write-once and their descriptors close with the
+    last view naming them; checkpoints and rewind allocate fresh groups.
+    """
+
+    epoch: int
+    #: Algorithm 6's search order (newest first; ``sources[0]`` is
+    #: ``mem:w``): what point lookups, provenance and scan cursors walk.
+    sources: Tuple[ReadSource, ...]
+    #: The same sources in ``root_hash_list`` order (runs oldest first).
+    roots: Tuple[ReadSource, ...]
+
 
 class Cole:
     """The column-based learned storage engine."""
@@ -68,20 +92,18 @@ class Cole:
         system = self.params.system
         self.workspace = Workspace(directory, system.page_size, stats)
         self.stats = self.workspace.stats
-        key_width = system.key_size
-        self.mem_writing = MemGroup(key_width)
-        self.mem_merging = MemGroup(key_width)
+        self.mem_writing = self._new_mem_group()
+        self.mem_merging = self._new_mem_group()
         self.mem_pending: Optional[PendingMerge] = None
         self.scheduler = MergeScheduler()
-        # Queries hold this shared; puts, commit checkpoints, and rewind
-        # hold it exclusive, so concurrent readers never observe a
-        # half-switched group or a deleted run (see repro.common.gate).
+        # Scans, provenance and root queries hold this shared; puts,
+        # commit checkpoints, and rewind hold it exclusive.  Point reads
+        # hold a view instead, and the mem lock around an L0 probe — as
+        # put / put_many do around their inserts.
         self.gate = CommitGate("cole-gate")
+        self._mem_lock = maybe_debug_lock("cole-mem")
         self.levels: List[DiskLevel] = []  # levels[i] is on-disk level i+1
-        # Memoized read-path enumeration (see _read_sources): membership
-        # and labels only change under the exclusive gate, so mutators
-        # drop the cache and concurrent readers rebuild it idempotently.
-        self._sources_cache: Optional[List[ReadSource]] = None
+        self._view = StoreView(0, (), ())
         self.current_blk = 0
         self.puts_total = 0
         self._run_seq = 0
@@ -141,7 +163,7 @@ class Cole:
         Shared with the sharded engine, whose commit fan-out parallelizes
         exactly the commits this predicate marks as heavy.
         """
-        return len(self.mem_writing) >= self.params.mem_capacity
+        return len(self._view.sources[0].source) >= self.params.mem_capacity
 
     # =========================================================================
     # write path
@@ -153,7 +175,7 @@ class Cole:
         if len(addr) != system.addr_size:
             raise StorageError(f"address must be {system.addr_size} bytes")
         key = CompoundKey(addr=addr, blk=self.current_blk).to_int()
-        with self.gate.exclusive():
+        with self.gate.exclusive(), self._mem_lock:
             self.mem_writing.insert(key, value)
             self.puts_total += 1
 
@@ -167,7 +189,7 @@ class Cole:
         addr_size = self.params.system.addr_size
         blk = self.current_blk
         count = 0
-        with self.gate.exclusive():
+        with self.gate.exclusive(), self._mem_lock:
             insert = self.mem_writing.insert
             try:
                 for addr, value in items:
@@ -181,14 +203,16 @@ class Cole:
     # -- synchronous merge (Algorithm 1) ---------------------------------------
 
     def _sync_cascade(self) -> None:
-        self._sources_cache = None  # membership changes below
         entries = self.mem_writing.drain()
         if not entries:  # forced cascade on an empty L0 is a no-op
             return
         run = self._build_run(1, entries, len(entries))
         self._ensure_level(1).writing.add(run)
         self._note_flushed(run)
-        self.mem_writing.clear()
+        self.mem_writing = self._new_mem_group()  # views still name the old one
+        # Publish the flush now (it is consistent on its own): that drops
+        # the drained tree before the merges below, the memory peak.
+        self._publish_view()
         self._checkpoint_puts = self.puts_total
         self._checkpoint_blk = self.current_blk
         obsolete: List[Run] = []
@@ -209,6 +233,7 @@ class Cole:
             obsolete.extend(level.writing.take_all())
             index += 1
         self._save_manifest()
+        self._publish_view()
         # Only now are the merged-away runs unreferenced by the manifest;
         # deleting them earlier leaves a crash window where recovery loads
         # a manifest naming files that no longer exist (Section 4.3).
@@ -218,7 +243,6 @@ class Cole:
     # -- asynchronous merge (Algorithm 5) ----------------------------------------
 
     def _async_cascade(self) -> None:
-        self._sources_cache = None  # groups swap / runs attach below
         self._checkpoint_mem()
         obsolete: List[Run] = []
         index = 0
@@ -228,6 +252,7 @@ class Cole:
             obsolete.extend(self._checkpoint_level(index))
             index += 1
         self._save_manifest()
+        self._publish_view()
         # Deferred until the manifest stopped naming them (crash safety).
         for run in obsolete:
             run.delete()
@@ -243,9 +268,10 @@ class Cole:
             self._checkpoint_puts = pending.checkpoint_puts
             self._checkpoint_blk = pending.checkpoint_blk
             self.mem_pending = None
-        self.mem_merging.clear()
-        self.mem_writing, self.mem_merging = self.mem_merging, self.mem_writing
-        # The merging group now holds the full tree; flush it in background.
+        # The full tree becomes the merging group and a fresh one takes
+        # the writes (never clear()+swap: views still name the old pair).
+        self.mem_merging = self.mem_writing
+        self.mem_writing = self._new_mem_group()
         entries = self.mem_merging.drain()
         if not entries:  # forced cascade on an empty L0: nothing to flush
             return
@@ -311,6 +337,25 @@ class Cole:
         self._run_seq += 1
         return name
 
+    def _new_mem_group(self) -> MemGroup:
+        return MemGroup(self.params.system.key_size)
+
+    def _publish_view(self) -> None:
+        """Swap in the view of the current structure: the last step of
+        every structural mutation (gate held exclusive)."""
+        mems = [ReadSource.mem("mem:w", self.mem_writing)]
+        if self.params.async_merge:
+            mems.append(ReadSource.mem("mem:m", self.mem_merging))
+        sources, roots = list(mems), list(mems)
+        for level in self.levels:
+            for role, group in (("w", level.writing), ("m", level.merging)):
+                runs = [
+                    ReadSource.run(f"run:{run.name}:{role}", run) for run in group.runs
+                ]
+                roots += runs
+                sources += reversed(runs)  # search order is newest first
+        self._view = StoreView(self._view.epoch + 1, tuple(sources), tuple(roots))
+
     def _ensure_level(self, paper_level: int) -> DiskLevel:
         while len(self.levels) < paper_level:
             self.levels.append(DiskLevel(len(self.levels) + 1))
@@ -340,11 +385,14 @@ class Cole:
         The finished runs stay uncommitted until their natural checkpoint,
         preserving ``Hstate`` determinism.
         """
-        if self.mem_pending is not None:
-            self.mem_pending.wait()
-        for level in self.levels:
-            if level.pending is not None:
-                level.pending.wait()
+        with self.gate.shared():
+            pending = self._pending_merges()
+        for merge in pending:
+            merge.wait()
+
+    def _pending_merges(self) -> List[PendingMerge]:
+        merges = [self.mem_pending] + [level.pending for level in self.levels]
+        return [merge for merge in merges if merge is not None]
 
     # =========================================================================
     # root digest (Hstate)
@@ -356,15 +404,7 @@ class Cole:
             return self._root_hash_list()
 
     def _root_hash_list(self) -> List[Tuple[str, Digest]]:
-        entries: List[Tuple[str, Digest]] = [("mem:w", self.mem_writing.root())]
-        if self.params.async_merge:
-            entries.append(("mem:m", self.mem_merging.root()))
-        for level in self.levels:
-            for run in level.writing.runs:
-                entries.append((f"run:{run.name}:w", run.commitment()))
-            for run in level.merging.runs:
-                entries.append((f"run:{run.name}:m", run.commitment()))
-        return entries
+        return [(source.label, source.digest()) for source in self._view.roots]
 
     def root_digest(self) -> Digest:
         """``Hstate``: the digest over ``root_hash_list``."""
@@ -378,22 +418,27 @@ class Cole:
     # read path
     # =========================================================================
 
-    def get(self, addr: bytes) -> Optional[bytes]:
-        """Latest value of ``addr`` or ``None`` (Algorithm 6)."""
-        with self.gate.shared():
-            return self._lookup(CompoundKey.latest_of(addr).to_int(), addr)
+    def get(self, addr: bytes, wait: bool = True) -> Optional[bytes]:
+        """Latest value of ``addr`` or ``None`` (Algorithm 6): a walk of
+        the published view, no gate.  With ``wait=False`` the call never
+        blocks — it answers :data:`WOULD_BLOCK` when L0 is mid-insert
+        (same for ``get_at``)."""
+        key = CompoundKey.latest_of(addr).to_int()
+        return self._lookup(self._view, key, addr, wait)
 
-    def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
+    def get_at(self, addr: bytes, blk: int, wait: bool = True) -> Optional[bytes]:
         """Value of ``addr`` as of block ``blk`` (historical point lookup)."""
-        with self.gate.shared():
-            return self._lookup(CompoundKey(addr=addr, blk=blk).to_int(), addr)
+        key = CompoundKey(addr=addr, blk=blk).to_int()
+        return self._lookup(self._view, key, addr, wait)
 
     def get_many(self, addrs: List[bytes]) -> List[Optional[bytes]]:
         """Batched :meth:`get`: latest values, positionally matched.
 
-        One gate hold and one walk of the memoized source enumeration
-        serve the whole batch, instead of a hold + walk per key.  Within
-        each source the still-unresolved addresses are bloom-filtered
+        One view and one walk of its sources serve the whole batch; the
+        writing L0 group — the only source still taking inserts — is
+        probed for every address under one mem-lock hold, so the batch
+        describes one instant (``put_many`` inserts under the same lock).
+        Within each source the still-unresolved addresses are bloom-filtered
         and probed in ascending key order, so a run's index and value
         files are touched sequentially rather than in request order.
         An address resolved by a fresher source is never probed again
@@ -407,10 +452,10 @@ class Cole:
         for index, addr in enumerate(addrs):
             pending.setdefault(addr, []).append(index)
         hashed = {addr: hash_item(addr) for addr in pending}  # once per batch
-        with self.gate.shared():
-            for source in self._read_sources():
-                if not pending:
-                    break
+        for source in self._view.sources:
+            if not pending:
+                break
+            with self._mem_lock if source.kind == "mem" else _NO_LOCK:
                 candidates = sorted(
                     addr for addr in pending if source.may_contain(hashed[addr])
                 )
@@ -423,43 +468,34 @@ class Cole:
                             results[index] = found[1]
         return results
 
-    def _lookup(self, key: int, addr: bytes) -> Optional[bytes]:
-        """Floor-search every source in freshness order (Algorithm 6):
-        the newest entry for ``addr`` with compound key <= ``key``."""
+    def _lookup(self, view: StoreView, key: int, addr: bytes, wait: bool):
+        """Floor-search ``view``'s sources in freshness order (Algorithm
+        6): the newest entry for ``addr`` with compound key <= ``key``.
+        Runs are write-once and probed lock-free; an L0 group is probed
+        under the mem lock — with ``wait=False`` only if it is free:
+        :data:`WOULD_BLOCK` is the answer when an insert holds it."""
         addr_size = self._addr_size()
         hashed = hash_item(addr)  # once, for every run's filter
-        for source in self._read_sources():
-            if not source.may_contain(hashed):
+        lock = self._mem_lock
+        for source in view.sources:
+            if source.kind == "mem":
+                if not lock.acquire(wait):
+                    return WOULD_BLOCK
+                try:
+                    found = source.floor_search(key)
+                finally:
+                    lock.release()
+            elif source.may_contain(hashed):
+                found = source.floor_search(key)
+            else:
                 continue
-            found = source.floor_search(key)
             if found is not None and addr_of_int(found[0], addr_size) == addr:
                 return found[1]
         return None
 
-    def _read_sources(self) -> List[ReadSource]:
-        """Every sorted source in Algorithm 6's search order (newest
-        first), labeled as in ``root_hash_list``.
-
-        The one definition of the read path's traversal order: point
-        lookups, provenance queries, and range-scan cursors all walk
-        this list, so the three paths cannot drift apart.  Must be used
-        under the gate.  Memoized between commit checkpoints — group
-        membership, roles, and mem-group identities change only under
-        the exclusive gate, whose holders drop the cache; rebuilding is
-        idempotent, so racing shared-gate readers are fine.
-        """
-        sources = self._sources_cache
-        if sources is not None:
-            return sources
-        sources = [ReadSource.mem("mem:w", self.mem_writing)]
-        if self.params.async_merge:
-            sources.append(ReadSource.mem("mem:m", self.mem_merging))
-        for level in self.levels:
-            for role, group in (("w", level.writing), ("m", level.merging)):
-                for run in group.newest_first():
-                    sources.append(ReadSource.run(f"run:{run.name}:{role}", run))
-        self._sources_cache = sources
-        return sources
+    def _read_sources(self) -> Tuple[ReadSource, ...]:
+        """The current view's sources (Algorithm 6's search order)."""
+        return self._view.sources
 
     # -- range scans (cursor layer) -----------------------------------------------
 
@@ -606,8 +642,9 @@ class Cole:
             return self.workspace.storage_bytes()
 
     def num_disk_levels(self) -> int:
-        """Number of instantiated on-disk levels (``d_COLE`` of Table 1)."""
-        return len(self.levels)
+        """Deepest on-disk level holding a run (``d_COLE`` of Table 1)."""
+        runs = (s.source for s in self._view.sources if s.kind == "run")
+        return max((run.level for run in runs), default=0)
 
     def compaction_stats(self) -> dict:
         """Write-amplification accounting of the compaction policy.
@@ -648,8 +685,9 @@ class Cole:
         from repro.core.rewind import rewind_to
 
         with self.gate.exclusive():
-            self._sources_cache = None  # levels are rebuilt wholesale
-            return rewind_to(self, target_blk)
+            dropped = rewind_to(self, target_blk)
+            self._publish_view()
+            return dropped
 
     def close(self) -> None:
         """Join merges, stop the merge workers, and close all file handles.
@@ -743,6 +781,7 @@ class Cole:
             for index, level in enumerate(self.levels):
                 if level.merging.runs:
                     self._spawn_level_merge(index)
+        self._publish_view()
 
     @property
     def checkpoint_puts(self) -> int:

@@ -95,6 +95,11 @@ class PagedFile:
             self._file.close()
             self._closed = True
 
+    def __del__(self) -> None:
+        # The last holder is gone (a merged-away run's last view).
+        if not getattr(self, "_closed", True):
+            self.close()
+
     def __enter__(self) -> "PagedFile":
         return self
 

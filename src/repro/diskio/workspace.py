@@ -84,12 +84,12 @@ class Workspace:
         return os.path.exists(self.path_of(name))
 
     def remove_file(self, name: str) -> None:
-        """Close (if open) and delete the file ``name``."""
+        """Unlink ``name`` and forget its handle without closing it: a
+        reader may still hold it (a published ``StoreView`` names the run);
+        the descriptor closes when the last holder drops the handle."""
         with self._files_lock:
-            handle = self._open_files.pop(name, None)
+            self._open_files.pop(name, None)
             self._open_specs.pop(name, None)
-        if handle is not None:
-            handle.close()
         path = self.path_of(name)
         if os.path.exists(path):
             os.remove(path)

@@ -371,6 +371,7 @@ def collect_caches(stats: dict) -> List[dict]:
                 "hit_rate": round(snapshot["hit_rate"], 4),
                 "entries": snapshot["entries"],
                 "capacity": snapshot["capacity"],
+                "refreshed": snapshot.get("refreshed", ""),
             }
         )
     page = (stats.get("io") or {}).get("page_cache")
@@ -384,6 +385,7 @@ def collect_caches(stats: dict) -> List[dict]:
                 "hit_rate": round(page["hit_rate"], 4),
                 "entries": page.get("promotions", ""),
                 "capacity": "",
+                "refreshed": "",
             }
         )
     return rows
@@ -784,11 +786,27 @@ def caches(target: QueryTarget, fmt: str) -> None:
         rows = []
         note = "cache state is process state; inspect a live server"
     emit(
-        ["cache", "hits", "misses", "lookups", "hit_rate", "entries", "capacity"],
+        [
+            "cache", "hits", "misses", "lookups", "hit_rate", "entries",
+            "capacity", "refreshed",
+        ],
         rows,
         fmt,
         note=note,
     )
+
+
+@query_group.command()
+@format_option
+@click.pass_obj
+@error_handler
+def reads(target: QueryTarget, fmt: str) -> None:
+    """Engine point reads by path: inline (event loop) / pooled / would_block."""
+    if target.live:
+        section, note = target.stats().get("reads") or {}, ""
+    else:
+        section, note = {}, "read paths are process state; inspect a live server"
+    emit(["metric", "value"], flatten(section), fmt, note=note)
 
 
 @query_group.command()

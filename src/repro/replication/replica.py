@@ -19,8 +19,8 @@ Failure handling:
   block whose root disagrees with the primary's; no amount of retrying
   un-commits it.  The applier freezes *before* advancing any
   bookkeeping: the divergent block is never reported as applied (ROOT
-  and STATS keep naming the last verified commit, the cache epoch does
-  not bump), the error is recorded, and STATS flags ``diverged`` until
+  and STATS keep naming the last verified commit, the caches are not
+  reconciled), the error is recorded, and STATS flags ``diverged`` until
   an operator re-bootstraps.
 * **Duplicate heights** (catch-up/live overlap, primary re-marking after
   recovery) — skipped by height, with the recorded root cross-checked
@@ -50,8 +50,8 @@ class ReplicaApplier:
         wal=None,
     ) -> None:
         """``server`` is the replica-mode :class:`~repro.server.ColeServer`
-        that owns the engine, the thread pool, and the read-cache epoch
-        this applier advances on every applied commit.
+        that owns the engine, the thread pool, and the read caches this
+        applier reconciles on every applied commit.
 
         ``wal`` (optional, cluster migration only) is a *local*
         :class:`~repro.wal.WriteAheadLog` every applied batch is mirrored
@@ -202,8 +202,8 @@ class ReplicaApplier:
             ).observe(time.perf_counter() - apply_started)
         if bytes(record.root) != bytes(root):
             # Verify before any bookkeeping advances: a diverged block
-            # must not become the reported applied height/root or bump
-            # the cache epoch — ROOT and STATS keep naming the last
+            # must not become the reported applied height/root or touch
+            # the caches — ROOT and STATS keep naming the last
             # *verified* commit while the applier freezes.
             self._fail_diverged(record.height, record.root, root)
         if self.wal is not None:
@@ -211,7 +211,7 @@ class ReplicaApplier:
         self.applied_height = record.height
         self.last_root = bytes(root)
         self.batches_applied += 1
-        self.server._replica_committed(record.height, root)
+        self.server._committed(dict(items))
 
     def _apply(self, height: int, items) -> bytes:
         engine = self.server.engine

@@ -7,8 +7,8 @@ Turns the in-process engine into a service (see DESIGN.md):
   over one ``Cole`` or ``ShardedCole``;
 * :class:`WriteBatcher` — group commit: many clients' puts coalesce into
   one block through the engine's batched write path;
-* :class:`VersionedReadCache` — hot-key read cache, invalidated by
-  commit version so cached answers are always exact;
+* :class:`VersionedReadCache` — hot-key read cache, refreshed by each
+  commit for the addresses it wrote so cached answers are always exact;
 * :class:`ServerClient` — pooled, pipelined asyncio client;
 * :mod:`repro.server.loadgen` — open/closed-loop load generation
   (``repro loadgen`` on the CLI; Figure 17 in the benchmarks).

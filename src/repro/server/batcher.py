@@ -17,14 +17,15 @@ Read-your-writes across all clients is preserved by the **overlay**:
 buffered puts are visible to the server's read path (consulted before the
 read cache and the engine) from the moment their PUT is acknowledged.
 The overlay is torn down only *after* the group commit lands and the
-cache epoch is bumped, so there is no instant at which a buffered write
-is invisible.
+commit hook has refreshed the cache entries of exactly the addresses the
+batch wrote, so there is no instant at which a buffered write is
+invisible or a stale cached answer is reachable.
 
 The batcher is event-loop confined: ``put`` / ``lookup`` run only on the
-server's asyncio thread, while the engine commit itself runs on the
-server's thread pool so the loop keeps serving reads during a cascade
-(the engine's :class:`~repro.common.gate.CommitGate` makes those reads
-safe against the checkpoint).
+server's asyncio thread, while the engine commit itself (and its WAL
+COMMIT marker, in the same pooled call) runs on the server's thread pool
+so the loop keeps serving reads during a cascade — point reads walk the
+engine's published ``StoreView`` and never wait for the checkpoint.
 
 **Durability** (optional): with a :class:`~repro.wal.WriteAheadLog`
 attached, every buffered put is appended to the WAL *before* the server
@@ -67,15 +68,15 @@ class WriteBatcher:
         max_batch: int = 512,
         max_delay: float = 0.01,
         run_in_executor: Callable[..., Awaitable],
-        on_commit: Optional[Callable[[int, Digest, int], None]] = None,
+        on_commit: Optional[Callable[[Dict[bytes, bytes]], None]] = None,
         wal=None,
         hub=None,
         metrics=None,
     ) -> None:
         """``run_in_executor(fn, *args)`` awaits ``fn`` off-loop;
-        ``on_commit(height, root, batch_size)`` fires after each commit
-        (the server bumps its cache epoch there); ``wal`` is an optional
-        :class:`~repro.wal.WriteAheadLog` every put is appended to;
+        ``on_commit(written)`` fires after each commit with the batch's
+        ``addr -> value`` (the server reconciles its caches); ``wal``: an
+        optional :class:`~repro.wal.WriteAheadLog` every put is appended to;
         ``hub`` is an optional :class:`~repro.replication.ReplicationHub`
         each committed batch is published to once its WAL records are
         durable (requires ``wal``); ``metrics`` is an optional
@@ -276,14 +277,13 @@ class WriteBatcher:
             self.last_root = root
             self.last_height = height
             if self._on_commit is not None:
-                # The epoch bump happens here — before the overlay is
+                # The caches are reconciled here — before the overlay is
                 # dropped — so no read can combine a stale cache entry
                 # with a missing overlay.
-                self._on_commit(height, root, len(items))
+                self._on_commit(overlay)
             self._flushing_overlay = {}
             self._flushing_height = -1
             if self.wal is not None:
-                await self._run(self.wal.append_commit, height, root)
                 self._maybe_truncate_wal()
                 if self._hub is not None and self._hub.subscribers:
                     # Ship only sealed-and-fsynced batches: a replica must
@@ -327,9 +327,13 @@ class WriteBatcher:
         asyncio.get_running_loop().create_task(truncate())
 
     def _commit(self, height: int, items: List[Tuple[bytes, bytes]]) -> Digest:
+        """One pooled call per group commit: the block, then its marker."""
         self.engine.begin_block(height)
         self.engine.put_many(items)
-        return self.engine.commit_block()
+        root = self.engine.commit_block()
+        if self.wal is not None:
+            self.wal.append_commit(height, root)
+        return root
 
     async def close(self) -> None:
         """Flush what is buffered and refuse further puts."""

@@ -1,46 +1,48 @@
-"""Versioned read-path caches: hot-key answers and known-absent keys,
-both invalidated by commit version.
+"""Exact read-path caches: hot-key answers and known-absent keys, kept
+right by the commits themselves.
 
 Cached answers must be *exact* — a stale value served after a group
 commit would break the byte-identical guarantee the serving layer makes
-against a direct in-process engine run.  Instead of tracking which
-addresses each commit touched, every entry is stamped with the server's
-**commit version** (the group-commit counter, i.e. the ``Hstate``
-checkpoint epoch) at fill time, and a lookup only hits when the entry's
-stamp equals the current version.  A commit bumps the version, which
-atomically invalidates the whole cache without touching a single entry.
+against a direct in-process engine run.  A commit changes the committed
+value of the addresses it wrote and of nothing else, so the commit hook
+hands the cache exactly those items (``advance(version, written)``):
 
-Exactness argument: between two commits the engine's committed state is
-immutable (puts buffered by the write batcher are served from its
-overlay, which is consulted *before* this cache), so any entry stamped
-with the current version was computed against exactly the state a fresh
-engine lookup would see.  Entries filled from a read that raced a commit
-are stamped with the pre-commit version and can never be served after
-the bump.
+* an entry present for a written key is **refreshed in place** to the
+  committed value — update-if-present, never insert: uniformly spread
+  writes must not evict the zipf-hot set, and a refresh does not touch
+  an entry's LRU position either;
+* a negative entry for a written address is dropped;
+* every other entry stays a hit, for as long as the LRU keeps it.
 
-Eviction is LRU with a fixed capacity; stale entries are additionally
-dropped lazily when a lookup trips over them.
+Exactness argument: until the hook runs, a written address is answered
+by the batcher overlay, which is consulted *before* these caches, so a
+not-yet-refreshed entry is never served; the hook runs on the event loop
+in the same step that tears the overlay down.  A read answered on the
+loop cannot interleave with a hook, so its fill is exact.  A pooled read
+can: it carries the commit version it started under, ``advance`` raises
+a **floor** to the new version, and a fill stamped below it is dropped.
 
-:class:`NegativeLookupCache` is the same epoch scheme specialized to
+:class:`NegativeLookupCache` is the same scheme specialized to
 *absence*: an address proven missing by a full source walk is remembered
-until the next commit, so repeated misses (zipfian reads over a sparse
-keyspace) short-circuit before any bloom probe or index descent.  It
-lives beside the read cache rather than inside it so a miss-heavy
+until a commit writes it, so repeated misses (zipfian reads over a
+sparse keyspace) short-circuit before any bloom probe or index descent.
+It lives beside the read cache rather than inside it so a miss-heavy
 workload cannot evict the hot positive working set — the two caches
-compete for nothing but share one implementation (:class:`_EpochLRU`)
-and with it the ``advance()`` invalidation rule.
+compete for nothing but share one implementation (:class:`_ExactLRU`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Iterable, Optional, Tuple
+
+_MISS = object()
 
 
-class _EpochLRU:
-    """The core both caches share: an LRU of ``key -> (stamp, value)``
-    under one lock, with an epoch floor and lazy stale eviction.
+class _ExactLRU:
+    """The core both caches share: an LRU of ``key -> value`` under one
+    lock, with a fill floor and per-commit reconciliation.
 
     Thread-safe: the server fills it from executor threads while the
     event loop reads counters.
@@ -48,53 +50,50 @@ class _EpochLRU:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Tuple[int, Optional[bytes]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Hashable, Optional[bytes]]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Current epoch floor: fills stamped below it are dead on arrival
-        #: (advanced by the server on every group commit).
+        #: Fills stamped below it raced a commit and are dropped
+        #: (raised by the server on every commit).
         self._floor = 0
         self.hits = 0
         self.misses = 0
 
-    def _lookup(
-        self, key: Hashable, version: int
-    ) -> Optional[Tuple[int, Optional[bytes]]]:
-        """The entry for ``key`` if it is stamped ``version``, else
-        ``None``; an entry from another epoch is evicted on the way."""
+    def _lookup(self, key: Hashable):
+        """The value cached for ``key``, or ``_MISS``."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                if entry[0] == version:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return entry
-                del self._entries[key]  # stale epoch: lazily evict
-            self.misses += 1
-            return None
+            value = self._entries.get(key, _MISS)
+            if value is _MISS:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return value
 
     def _fill(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
-        """Store an answer computed while ``version`` was current.
-
-        A fill that raced a commit arrives stamped with the pre-commit
-        version: it could never hit (lookups compare against the current
-        epoch) but it *could* evict a live entry.  Such dead-on-arrival
-        fills are dropped against the epoch floor instead.
-        """
+        """Store an answer read while ``version`` was current; a fill
+        that raced a commit (stamped below the floor) is dropped."""
         with self._lock:
             if version < self._floor:
                 return
-            self._entries[key] = (version, value)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def advance(self, version: int) -> None:
-        """Raise the epoch floor (called at every group commit)."""
+    def advance(
+        self, version: int, written: Iterable[Tuple[Hashable, Optional[bytes]]] = ()
+    ) -> None:
+        """A commit landed: raise the fill floor to ``version`` and
+        reconcile the entries present for the ``(key, value)`` it wrote."""
         with self._lock:
             if version > self._floor:
                 self._floor = version
+            for key, value in written:
+                if key in self._entries:
+                    self._reconcile(key, value)
+
+    def _reconcile(self, key: Hashable, value: Optional[bytes]) -> None:
+        raise NotImplementedError
 
     def __len__(self) -> int:
         with self._lock:
@@ -128,15 +127,15 @@ class _EpochLRU:
         }
 
     def clear(self) -> None:
-        """Drop all entries and counters (the epoch floor stays)."""
+        """Drop all entries and counters (the fill floor stays)."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
 
 
-class VersionedReadCache(_EpochLRU):
-    """An LRU cache of ``key -> (version, value)`` with epoch invalidation.
+class VersionedReadCache(_ExactLRU):
+    """An LRU cache of ``key -> value`` that commits refresh in place.
 
     ``value`` may be ``None`` — negative answers ("no such address") are
     as cacheable as positive ones.
@@ -146,26 +145,35 @@ class VersionedReadCache(_EpochLRU):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         super().__init__(capacity)
+        self.refreshed = 0
 
-    def get(self, key: Hashable, version: int) -> Tuple[bool, Optional[bytes]]:
-        """Return ``(hit, value)``; only entries stamped ``version`` hit."""
-        entry = self._lookup(key, version)
-        return (False, None) if entry is None else (True, entry[1])
+    def get(self, key: Hashable) -> Tuple[bool, Optional[bytes]]:
+        """Return ``(hit, value)``."""
+        value = self._lookup(key)
+        return (False, None) if value is _MISS else (True, value)
 
     def put(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
-        """Store an answer computed while ``version`` was current (fills
-        that raced a commit are dropped — see :meth:`_EpochLRU._fill`)."""
+        """Store an answer read while ``version`` was current (fills
+        that raced a commit are dropped — see :meth:`_ExactLRU._fill`)."""
         self._fill(key, version, value)
 
+    def _reconcile(self, key: Hashable, value: Optional[bytes]) -> None:
+        self._entries[key] = value  # in place: the LRU order is the readers'
+        self.refreshed += 1
 
-class NegativeLookupCache(_EpochLRU):
+    def stats(self) -> dict:
+        """The shared snapshot plus ``refreshed``: entries commits updated."""
+        return dict(super().stats(), refreshed=self.refreshed)
+
+
+class NegativeLookupCache(_ExactLRU):
     """An LRU set of addresses recording proven absence.
 
-    ``contains(addr, version)`` answers "was ``addr`` proven absent at
-    exactly this commit version?" — the only version a hit is sound at,
-    by the same exactness argument as :class:`VersionedReadCache`: the
-    committed state is immutable between commits, and the batcher
-    overlay (consulted first) covers everything newer.
+    ``contains(addr)`` answers "is ``addr`` known absent from the
+    committed state?" — sound by the same argument as
+    :class:`VersionedReadCache`: the commit that writes an address drops
+    its entry, and the batcher overlay (consulted first) covers
+    everything newer.
     Capacity 0 disables the cache (every add is immediately evicted) —
     the cold-miss baseline of the negative-lookup benchmark.
     """
@@ -175,11 +183,14 @@ class NegativeLookupCache(_EpochLRU):
             raise ValueError("cache capacity cannot be negative")
         super().__init__(capacity)
 
-    def contains(self, addr: bytes, version: int) -> bool:
-        """True when ``addr`` is known absent at commit ``version``."""
-        return self._lookup(addr, version) is not None
+    def contains(self, addr: bytes) -> bool:
+        """True when ``addr`` is known absent."""
+        return self._lookup(addr) is not _MISS
 
     def add(self, addr: bytes, version: int) -> None:
         """Record that a full walk at ``version`` found nothing (fills
         that raced a commit are dropped, as in the read cache)."""
         self._fill(addr, version, None)
+
+    def _reconcile(self, key: Hashable, value: Optional[bytes]) -> None:
+        del self._entries[key]  # the address exists now

@@ -237,7 +237,7 @@ class RootInfo:
     """State anchor returned by ROOT and FLUSH."""
 
     digest: bytes
-    version: int  # commit-version counter (read-cache epoch)
+    version: int  # commit-version counter (bumped per group commit)
     height: int   # last committed block height
 
 

@@ -13,9 +13,11 @@ Request flow:
   clients' writes into one block.
 * **GET / GET_AT** consult, in order: the batcher overlay (buffered
   writes, read-your-writes for everyone), the
-  :class:`~repro.server.cache.VersionedReadCache` (exact: entries are
-  stamped with the commit version and die wholesale at every group
-  commit), and finally the engine itself on the thread pool.
+  :class:`~repro.server.cache.VersionedReadCache` (exact: each commit
+  refreshes the entries of the addresses it wrote), and finally the
+  engine itself — **on the event loop**, through its non-blocking read
+  (``get(addr, wait=False)``: a walk of the published ``StoreView``, no
+  gate), taking the thread pool only when L0 is mid-insert.
 * **PROV** first forces a group commit so the proof anchors to a
   committed ``Hstate``, then runs the engine's anchored provenance query.
 * **SCAN** snapshots at a committed height: an un-pinned (latest)
@@ -29,7 +31,7 @@ Request flow:
   can see.  Scans bypass the
   :class:`~repro.server.cache.VersionedReadCache` entirely: the cache is
   exact-key, and a range result is invalidated by *any* write in the
-  range, which the version stamp cannot express per-entry.
+  range, which a per-key refresh cannot express.
 * **ROOT / STATS / FLUSH** are control-plane ops.
 * **REPL_SUBSCRIBE** (WAL-enabled primaries only) turns the connection
   into a replication stream: catch-up from the on-disk WAL, then live
@@ -40,13 +42,13 @@ batcher and no WAL of its own — a :class:`~repro.replication.ReplicaApplier`
 task tails the primary's stream and applies each commit through the
 engine, while GET / GET_AT / PROV / ROOT / STATS serve as usual and
 PUT / FLUSH are rejected with ``NOT_PRIMARY`` carrying the primary's
-address.  Applied commits bump the same cache epoch a local group commit
-would, so the versioned read cache stays exact.
+address.  Applied commits reconcile the caches exactly as a local group
+commit would, so the read cache stays exact.
 
 Each connection's requests are answered strictly in order, so clients
-may pipeline.  Engine work runs on a small thread pool; the engine's
-:class:`~repro.common.gate.CommitGate` keeps those concurrent reads safe
-against commit checkpoints and background merge cascades.
+may pipeline.  Batched and ranged engine work (MULTI_GET leftovers, SCAN,
+PROV, commits) runs on a small thread pool; point reads hold a view, not
+the :class:`~repro.common.gate.CommitGate`, and never wait for a commit.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.common.errors import StorageError
+from repro.core.storage import WOULD_BLOCK
 from repro.obs import MetricsRegistry
 from repro.server import protocol
 from repro.server.batcher import MISSING, WriteBatcher
@@ -238,8 +241,11 @@ class ColeServer:
         self._replica_task: Optional[asyncio.Task] = None
         self.cache = VersionedReadCache(self.config.cache_capacity)
         self.negative = NegativeLookupCache(self.config.negative_cache_capacity)
-        #: Commit version: the read-cache epoch, bumped per group commit.
+        #: Commit version, bumped per group commit: the caches' fill floor.
         self.version = 0
+        #: Engine point reads: ``inline`` on the event loop; ``would_block``
+        #: found L0 mid-insert and re-ran pooled; ``pooled`` MULTI_GET batches.
+        self.reads = {"inline": 0, "pooled": 0, "would_block": 0}
         self.batcher: Optional[WriteBatcher] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -369,18 +375,26 @@ class ColeServer:
         """Run engine work on the thread pool; awaitable."""
         return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
-    def _committed(self, height: int, root, batch_size: int) -> None:
-        """Group-commit hook: a new epoch begins, the cache's old answers
-        expire wholesale (they are only stale for written addresses, but
-        those are covered by the overlay until this very instant)."""
+    def _committed(self, written: dict) -> None:
+        """Commit hook (a group commit; on a replica an applied batch):
+        only the ``addr -> value`` it wrote changed, so exactly those cache
+        entries are reconciled — the overlay covered them until now."""
         self.version += 1
-        self.cache.advance(self.version)
-        self.negative.advance(self.version)
+        self.cache.advance(
+            self.version, (((0, addr), value) for addr, value in written.items())
+        )
+        self.negative.advance(self.version, written.items())
 
-    def _replica_committed(self, height: int, root) -> None:
-        """Replica-apply hook: an applied primary commit is this server's
-        group commit — same epoch bump, same cache invalidation."""
-        self._committed(height, root, 0)
+    def _committed_height(self) -> int:
+        """Highest committed height: history at or below it is immutable."""
+        if self.batcher is not None:
+            return self.batcher.last_height
+        return self.replica.applied_height
+
+    def _inline(self, value):
+        """Count one non-blocking engine read's outcome; returns it."""
+        self.reads["would_block" if value is WOULD_BLOCK else "inline"] += 1
+        return value
 
     # =========================================================================
     # connection handling
@@ -594,11 +608,13 @@ class ColeServer:
         version = self.version
         # Misses live in the dedicated negative cache — a miss-heavy
         # workload must not evict the hot positive working set.
-        if self.negative.contains(addr, version):
+        if self.negative.contains(addr):
             return protocol.encode_value_response(None)
-        hit, value = self.cache.get((0, addr), version)
+        hit, value = self.cache.get((0, addr))
         if not hit:
-            value = await self._run(self.engine.get, addr)
+            value = self._inline(self.engine.get(addr, wait=False))
+            if value is WOULD_BLOCK:
+                value = await self._run(self.engine.get, addr)
             if value is None:
                 self.negative.add(addr, version)
             else:
@@ -624,14 +640,15 @@ class ColeServer:
                 self.overlay_hits += 1
                 results[index] = buffered
                 continue
-            if self.negative.contains(addr, version):
+            if self.negative.contains(addr):
                 continue
-            hit, value = self.cache.get((0, addr), version)
+            hit, value = self.cache.get((0, addr))
             if hit:
                 results[index] = value
                 continue
             pending.append(index)
         if pending:
+            self.reads["pooled"] += 1
             values = await self._run(
                 self.engine.get_many, [addrs[index] for index in pending]
             )
@@ -650,11 +667,16 @@ class ColeServer:
         if buffered is not MISSING:
             self.overlay_hits += 1
             return protocol.encode_value_response(buffered)
-        version = self.version
-        hit, value = self.cache.get((1, addr, blk), version)
+        hit, value = self.cache.get((1, addr, blk))
         if not hit:
-            value = await self._run(self.engine.get_at, addr, blk)
-            self.cache.put((1, addr, blk), version, value)
+            # Committed history is immutable (the paper's provenance
+            # property); at or above the open heights nothing is cached.
+            version, cacheable = self.version, blk <= self._committed_height()
+            value = self._inline(self.engine.get_at(addr, blk, wait=False))
+            if value is WOULD_BLOCK:
+                value = await self._run(self.engine.get_at, addr, blk)
+            if cacheable:
+                self.cache.put((1, addr, blk), version, value)
         return protocol.encode_value_response(value)
 
     async def _op_prov(self, addr: bytes, blk_low: int, blk_high: int) -> bytes:
@@ -695,11 +717,7 @@ class ColeServer:
         # landing while the engine scan runs must not leak into it, and
         # the client re-pins continuation pages to the first page's
         # height so a multi-page scan describes one committed state.
-        snapshot = (
-            self.replica.applied_height
-            if self.replica is not None
-            else self.batcher.last_height
-        )
+        snapshot = self._committed_height()
         resolved_at = snapshot if at_blk == protocol.LATEST_BLK else at_blk
         # Ask for one extra triple: its presence proves the range has
         # more, and its address *is* the continuation key — no address
@@ -739,11 +757,7 @@ class ColeServer:
         storage = await self._run(engine.storage_bytes)
         compaction = await self._run(engine.compaction_stats)
         num_shards = len(engine.shards) if hasattr(engine, "shards") else 1
-        committed = (
-            batcher.last_height
-            if batcher is not None
-            else self.replica.applied_height
-        )
+        committed = self._committed_height()
         stats = {
             "ops": dict(self.op_counts),
             "connections_total": self.connections_total,
@@ -752,6 +766,7 @@ class ColeServer:
             "open_height": batcher.next_height if batcher is not None else committed,
             "buffered_puts": batcher.buffered if batcher is not None else 0,
             "overlay_hits": self.overlay_hits,
+            "reads": dict(self.reads),
             # One locked snapshot: hits / misses / hit_rate are mutated by
             # executor threads, so reading them field-by-field here could
             # tear (a hit_rate computed from a hits/misses pair no single
@@ -863,13 +878,18 @@ class ColeServer:
         registry.counter(
             "repro_overlay_hits_total", help="Reads answered by the write overlay"
         ).set(self.overlay_hits)
-        registry.gauge("repro_commit_version", help="Read-cache epoch").set(
+        registry.gauge("repro_commit_version", help="Commit version").set(
             self.version
         )
+        for path, count in self.reads.items():
+            registry.counter(
+                "repro_engine_reads_total", help="Engine point reads by path", path=path
+            ).set(count)
+        registry.counter(
+            "repro_cache_refreshed_total", help="Cache entries updated by commits"
+        ).set(self.cache.refreshed)
         batcher = self.batcher
-        committed = (
-            batcher.last_height if batcher is not None else self.replica.applied_height
-        )
+        committed = self._committed_height()
         registry.gauge(
             "repro_committed_height", help="Last committed block height"
         ).set(committed)

@@ -78,7 +78,7 @@ class ShardedCole(StorageBackend):
         )
         self.current_blk = max(shard.current_blk for shard in self.shards)
         # Cross-shard atomicity: single-shard reads (get / get_at) ride
-        # each shard's own gate; ops that must observe every shard at one
+        # each shard's own view; ops that must observe every shard at one
         # instant (provenance anchored to the composite root, the
         # shard-root vector) hold this top-level gate shared, and every
         # mutator (puts, composite commits, rewind) holds it exclusive.
@@ -197,18 +197,19 @@ class ShardedCole(StorageBackend):
     # read path
     # =========================================================================
 
-    def get(self, addr: bytes) -> Optional[bytes]:
-        """Latest value of ``addr`` or ``None`` (single-shard lookup)."""
-        return self._shard_for(addr).get(addr)
+    def get(self, addr: bytes, wait: bool = True) -> Optional[bytes]:
+        """Latest value of ``addr`` or ``None`` (single-shard lookup;
+        ``wait=False`` is the shard's non-blocking read)."""
+        return self._shard_for(addr).get(addr, wait)
 
-    def get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
+    def get_at(self, addr: bytes, blk: int, wait: bool = True) -> Optional[bytes]:
         """Value of ``addr`` as of block ``blk``."""
-        return self._shard_for(addr).get_at(addr, blk)
+        return self._shard_for(addr).get_at(addr, blk, wait)
 
     def get_many(self, addrs: List[bytes]) -> List[Optional[bytes]]:
         """Batched get: one routing pass, one batched lookup per shard.
 
-        Like :meth:`get`, rides each touched shard's own gate (a batch
+        Like :meth:`get`, rides each touched shard's own view (a batch
         of latest-value reads needs no cross-shard instant); shards that
         own none of the batch are never touched, and multi-shard batches
         fan out on the commit pool so per-shard source walks overlap.

@@ -27,3 +27,11 @@ class Engine:
         with self.gate.shared():
             # BAD: root_digest() re-acquires the gate -> self-deadlock.
             return self.root_digest()
+
+    def num_disk_levels(self):
+        # BAD: a reader walks the live structure, not the published view.
+        return len(self.levels)
+
+    def publish(self):
+        # BAD: the view is swapped outside the exclusive gate.
+        self._view = ()

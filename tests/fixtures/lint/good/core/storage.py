@@ -8,6 +8,7 @@ class Engine:
         self.gate = CommitGate()
         self.current_blk = -1
         self.levels = []
+        self._view = ()
 
     def begin_block(self, height):
         with self.gate.exclusive():
@@ -16,7 +17,13 @@ class Engine:
     def commit_block(self):
         with self.gate.exclusive():
             self.levels = []
+            # The mutator reads the live structure and publishes the view.
+            self._view = tuple(self.levels)
             return self._root_digest()
+
+    def num_disk_levels(self):
+        # Readers hold the published view, never the live structure.
+        return len(self._view)
 
     def root_digest(self):
         with self.gate.shared():

@@ -21,7 +21,8 @@ class Handler:
 
         await loop.run_in_executor(None, commit)
         await asyncio.sleep(0)  # asyncio.sleep is loop-friendly
-        return value
+        # The non-blocking read: answers or WOULD_BLOCK, never waits.
+        return self.engine.get(b"k", wait=False) or value
 
     async def shutdown(self):
         self.wal.sync()  # repro-lint: disable=async-blocking-call; fixture: suppression honored

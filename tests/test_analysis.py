@@ -56,6 +56,8 @@ class TestBadCorpus:
             ("core/storage.py", 14),  # unguarded mutator
             ("core/storage.py", 19),  # nested acquisition
             ("core/storage.py", 29),  # public re-acquirer while held
+            ("core/storage.py", 33),  # structure read around the view
+            ("core/storage.py", 37),  # view swapped outside exclusive
             ("server/handlers.py", 16),  # gate inside async def
         }
 
@@ -131,7 +133,7 @@ def test_json_report_schema_is_pinned():
         "error-taxonomy",
     ]
     assert data["counts"] == {
-        "gate-discipline": 4,
+        "gate-discipline": 6,
         "async-blocking-call": 5,
         "error-taxonomy": 3,
     }
@@ -160,7 +162,7 @@ def test_cli_lint_exit_codes(capsys):
     assert main(["lint", "--root", str(FIXTURES / "bad"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
-    assert payload["counts"]["gate-discipline"] == 4
+    assert payload["counts"]["gate-discipline"] == 6
 
 
 # =============================================================================

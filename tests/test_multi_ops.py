@@ -155,13 +155,17 @@ def test_sharded_get_many_matches_get(tmp_path):
 # negative-lookup cache
 # =============================================================================
 
-def test_negative_cache_hits_only_at_exact_version():
+def test_negative_cache_entry_dies_with_the_commit_that_writes_it():
     cache = NegativeLookupCache(capacity=8)
     cache.add(b"k", 3)
-    assert cache.contains(b"k", 3)
-    # A commit bumps the version: the proof of absence is stale.
-    assert not cache.contains(b"k", 4)
-    assert len(cache) == 0  # lazily evicted
+    cache.add(b"other", 3)
+    assert cache.contains(b"k")
+    # A commit that wrote k makes its proof of absence stale; one for an
+    # address the commit did not write stands.
+    cache.advance(4, [(b"k", b"v")])
+    assert not cache.contains(b"k")
+    assert cache.contains(b"other")
+    assert len(cache) == 1
 
 
 def test_negative_cache_drops_fills_behind_the_epoch():
@@ -170,17 +174,17 @@ def test_negative_cache_drops_fills_behind_the_epoch():
     cache.add(b"stale", 4)  # raced a commit: dead on arrival
     assert len(cache) == 0
     cache.add(b"live", 5)  # stamped exactly at the floor: current
-    assert cache.contains(b"live", 5)
+    assert cache.contains(b"live")
 
 
 def test_negative_cache_lru_eviction_and_stats():
     cache = NegativeLookupCache(capacity=2)
     cache.add(b"a", 1)
     cache.add(b"b", 1)
-    assert cache.contains(b"a", 1)  # refresh a
+    assert cache.contains(b"a")  # refresh a
     cache.add(b"c", 1)  # evicts b
-    assert not cache.contains(b"b", 1)
-    assert cache.contains(b"a", 1)
+    assert not cache.contains(b"b")
+    assert cache.contains(b"a")
     snap = cache.stats()
     assert snap["lookups"] == snap["hits"] + snap["misses"]
     assert snap["hit_rate"] == snap["hits"] / snap["lookups"]
@@ -189,7 +193,7 @@ def test_negative_cache_lru_eviction_and_stats():
 def test_negative_cache_capacity_zero_disables():
     cache = NegativeLookupCache(capacity=0)
     cache.add(b"k", 1)
-    assert not cache.contains(b"k", 1)
+    assert not cache.contains(b"k")
     assert len(cache) == 0
 
 

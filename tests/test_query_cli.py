@@ -36,6 +36,7 @@ SUBCOMMANDS = (
     ["wal"],
     ["replication"],
     ["caches"],
+    ["reads"],
     ["compaction"],
     ["latency"],
     ["audit", "00", "ff", "--limit", "3"],
@@ -234,7 +235,16 @@ def test_live_caches_reports_hit_rates(live_server, capsys):
     rows = {row["cache"]: row for row in json.loads(out)}
     assert rows["read"]["hits"] > 0
     assert rows["read"]["lookups"] == rows["read"]["hits"] + rows["read"]["misses"]
+    assert isinstance(rows["read"]["refreshed"], int)
     assert "negative" in rows
+
+
+def test_live_reads_reports_the_inline_and_fallback_paths(live_server, capsys):
+    code, out = run_cli(["-s", live_server, "reads", "-f", "json"], capsys)
+    assert code == 0
+    rows = {row["metric"]: row["value"] for row in json.loads(out)}
+    assert set(rows) == {"inline", "pooled", "would_block"}
+    assert rows["inline"] > 0  # the load's engine GETs ran on the event loop
 
 
 def test_live_compaction_matches_stats(live_server, capsys):
@@ -289,6 +299,9 @@ def test_metrics_op_round_trips(live_server):
     assert inf == [latency_counts["put"]]
     assert series["repro_commits_total"][0][1] > 0
     assert series["repro_wal_records_appended_total"][0][1] > 0
+    reads = {labels["path"]: value for labels, value in series["repro_engine_reads_total"]}
+    assert set(reads) == {"inline", "pooled", "would_block"} and reads["inline"] > 0
+    assert series["repro_cache_refreshed_total"][0][1] >= 0
 
 
 # =============================================================================

@@ -105,23 +105,46 @@ def test_protocol_rejects_garbage():
 
 
 # =============================================================================
-# versioned read cache
+# exact read cache
 # =============================================================================
 
-def test_cache_hit_requires_matching_version():
+def test_cache_commit_refreshes_written_entries_and_keeps_the_rest():
     cache = VersionedReadCache(capacity=8)
     cache.put(b"k", 1, b"v1")
-    assert cache.get(b"k", 1) == (True, b"v1")
-    # A commit bumps the epoch: the entry no longer answers.
-    assert cache.get(b"k", 2) == (False, None)
-    # And the stale entry was lazily evicted.
-    assert len(cache) == 0
+    cache.put(b"other", 1, b"o1")
+    assert cache.get(b"k") == (True, b"v1")
+    # A commit that wrote k refreshes its entry in place; an entry the
+    # commit did not write keeps answering.
+    cache.advance(2, [(b"k", b"v2")])
+    assert cache.get(b"k") == (True, b"v2")
+    assert cache.get(b"other") == (True, b"o1")
+    assert cache.stats()["refreshed"] == 1
+
+
+def test_cache_commit_does_not_insert_cold_written_keys():
+    """Update-if-present: uniform writes must not evict the hot set."""
+    cache = VersionedReadCache(capacity=2)
+    cache.put(b"hot", 1, b"h")
+    cache.advance(2, [(b"cold-%d" % n, b"c") for n in range(8)])
+    assert len(cache) == 1
+    assert cache.get(b"hot") == (True, b"h")
+    assert cache.stats()["refreshed"] == 0
+
+
+def test_cache_refresh_keeps_lru_position():
+    cache = VersionedReadCache(capacity=2)
+    cache.put(b"a", 1, b"1")
+    cache.put(b"b", 1, b"2")
+    cache.advance(2, [(b"a", b"1'")])  # a write is not a read: a stays coldest
+    cache.put(b"c", 2, b"3")  # evicts a
+    assert cache.get(b"a") == (False, None)
+    assert cache.get(b"b") == (True, b"2")
 
 
 def test_cache_stores_negative_answers():
     cache = VersionedReadCache(capacity=8)
     cache.put(b"k", 3, None)
-    assert cache.get(b"k", 3) == (True, None)
+    assert cache.get(b"k") == (True, None)
     assert cache.hits == 1
 
 
@@ -129,19 +152,19 @@ def test_cache_lru_eviction():
     cache = VersionedReadCache(capacity=2)
     cache.put(b"a", 1, b"1")
     cache.put(b"b", 1, b"2")
-    cache.get(b"a", 1)  # refresh a
+    cache.get(b"a")  # refresh a
     cache.put(b"c", 1, b"3")  # evicts b
-    assert cache.get(b"b", 1) == (False, None)
-    assert cache.get(b"a", 1) == (True, b"1")
-    assert cache.get(b"c", 1) == (True, b"3")
+    assert cache.get(b"b") == (False, None)
+    assert cache.get(b"a") == (True, b"1")
+    assert cache.get(b"c") == (True, b"3")
 
 
 def test_cache_hit_rate():
     cache = VersionedReadCache(capacity=8)
     assert cache.hit_rate == 0.0
     cache.put(b"k", 1, b"v")
-    cache.get(b"k", 1)
-    cache.get(b"x", 1)
+    cache.get(b"k")
+    cache.get(b"x")
     assert cache.hit_rate == 0.5
 
 
@@ -152,17 +175,17 @@ def test_cache_drops_puts_stamped_behind_the_epoch():
     cache.advance(2)
     cache.put(b"stale", 1, b"dead")
     assert len(cache) == 0
-    assert cache.get(b"stale", 1) == (False, None)
+    assert cache.get(b"stale") == (False, None)
     # Live entries fill the cache; a stale put must not displace them.
     for key in (b"a", b"b", b"c", b"d"):
         cache.put(key, 2, b"live")
     cache.put(b"stale", 0, b"dead")
     assert len(cache) == 4
     for key in (b"a", b"b", b"c", b"d"):
-        assert cache.get(key, 2) == (True, b"live")
+        assert cache.get(key) == (True, b"live")
     # Entries stamped exactly at the floor are current and stay valid.
     cache.put(b"e", 2, b"live")
-    assert cache.get(b"e", 2) == (True, b"live")
+    assert cache.get(b"e") == (True, b"live")
 
 
 def test_cache_stats_snapshot_consistent_under_concurrent_mutation():
@@ -180,8 +203,8 @@ def test_cache_stats_snapshot_consistent_under_concurrent_mutation():
         while not stop.is_set():
             version = epoch[0]
             cache.put((tid, n % 97), version, b"v")
-            cache.get((tid, n % 97), version)  # mostly hits
-            cache.get((tid, (n + 13) % 89, "miss"), version)
+            cache.get((tid, n % 97))  # mostly hits
+            cache.get((tid, (n + 13) % 89, "miss"))
             n += 1
 
     def commit():
@@ -278,6 +301,39 @@ def test_timer_flush_commits_without_reaching_size(tmp_path):
 
     with serve(engine, batch_max_puts=1000, batch_max_delay=0.02) as thread:
         asyncio.run(scenario(*thread.start()))
+    engine.close()
+
+
+def test_one_group_commit_is_one_pooled_engine_call(tmp_path):
+    """The block and its WAL COMMIT marker share one executor hop."""
+    from repro.server.batcher import WriteBatcher
+    from repro.wal import WriteAheadLog
+    from repro.wal.record import RecordType
+
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
+    wal = WriteAheadLog(str(tmp_path / "wal"), sync_policy="none")
+    pooled = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+
+        def run(fn, *args):
+            pooled.append(fn.__name__)
+            return loop.run_in_executor(None, fn, *args)
+
+        batcher = WriteBatcher(engine, max_delay=60.0, run_in_executor=run, wal=wal)
+        batcher.put(addr_of(1), value_of(1))
+        batcher.put(addr_of(2), value_of(2))
+        return await batcher.flush()
+
+    root, height = asyncio.run(scenario())
+    assert pooled == ["_commit"]
+    commits = [
+        record for chain in wal.scan() for record in chain
+        if record.type == RecordType.COMMIT
+    ]
+    assert [(record.height, bytes(record.root)) for record in commits] == [(height, root)]
+    wal.close()
     engine.close()
 
 
@@ -732,7 +788,10 @@ def test_stats_op_shape(tmp_path):
             assert stats["committed_height"] == 1
             assert set(stats["cache"]) == {
                 "hits", "misses", "lookups", "hit_rate", "entries", "capacity",
+                "refreshed",
             }
+            # The one GET reached the engine and was answered on the loop.
+            assert stats["reads"] == {"inline": 1, "pooled": 0, "would_block": 0}
             assert "page_reads" in stats["io"]
 
     with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:

@@ -73,6 +73,12 @@ def assert_core_schema(stats: dict) -> None:
             assert isinstance(cache[field], int), (cache_key, field)
         assert isinstance(cache["hit_rate"], float)
         assert cache["lookups"] == cache["hits"] + cache["misses"]
+    assert isinstance(stats["cache"]["refreshed"], int)
+    # Engine point reads by path: the fallback rate an operator watches.
+    assert set(stats["reads"]) == {"inline", "pooled", "would_block"}
+    for path, count in stats["reads"].items():
+        assert isinstance(count, int), path
+    assert stats["reads"]["inline"] > 0
 
     engine = stats["engine"]
     assert isinstance(engine["puts_total"], int)
