@@ -41,7 +41,7 @@ from repro.common.errors import StorageError
 from repro.server import protocol
 from repro.server.eventloop import LoopThread
 from repro.server.protocol import Op, parse_address
-from repro.server.server import ColeServer, ServerConfig
+from repro.server.server import ColeServer, Connection, ServerConfig
 
 #: Migration phase -> gauge code (``repro_cluster_migration_phase``).
 PHASE_CODES = {
@@ -190,6 +190,8 @@ class ClusterNode:
         self.control_host: Optional[str] = None
         self.control_port: Optional[int] = None
         self._control_server: Optional[asyncio.AbstractServer] = None
+        self._control_conns: set = set()
+        self._control_tasks: set = set()  # ADMIN commands in flight
         self._started_monotonic = 0.0
 
     # -- lifecycle ------------------------------------------------------------
@@ -214,8 +216,12 @@ class ClusterNode:
             host, port = parse_address(self.manifest.nodes[self.name])
             if self.ephemeral:
                 port = 0
-            self._control_server = await asyncio.start_server(
-                self._handle_control, host, port
+            self._control_server = await asyncio.get_running_loop().create_server(
+                lambda: Connection(
+                    self._control, self._control_conns, self._control_tasks
+                ),
+                host,
+                port,
             )
             sock = self._control_server.sockets[0]
             self.control_host, self.control_port = sock.getsockname()[:2]
@@ -300,6 +306,8 @@ class ClusterNode:
             self._control_server.close()
             await self._control_server.wait_closed()
             self._control_server = None
+        for conn in list(self._control_conns):
+            conn.close()
         loop = asyncio.get_running_loop()
         for serving in list(self.shards.values()):
             await serving.server.stop()
@@ -322,47 +330,18 @@ class ClusterNode:
 
     # -- control protocol -----------------------------------------------------
 
-    async def _handle_control(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                body = await protocol.read_frame(reader)
-                if body is None:
-                    break
-                try:
-                    op, args = protocol.decode_request(body)
-                    if op == Op.CLUSTER:
-                        response = protocol.encode_blob_response(
-                            self.manifest.to_json().encode("utf-8")
-                        )
-                    elif op == Op.ADMIN:
-                        result = await self._admin(json.loads(args[0]))
-                        response = protocol.encode_blob_response(
-                            json.dumps(result).encode("utf-8")
-                        )
-                    else:
-                        response = protocol.encode_error(
-                            "the control port answers CLUSTER and ADMIN only"
-                        )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 — answer, don't die
-                    response = protocol.encode_error(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                writer.write(response)
-                await writer.drain()
-        except (StorageError, ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-                pass
+    async def _control(self, op: int, args: tuple) -> bytes:
+        """The control port's dispatch: one request, its response frame."""
+        if op == Op.CLUSTER:
+            return protocol.encode_blob_response(
+                self.manifest.to_json().encode("utf-8")
+            )
+        if op == Op.ADMIN:
+            result = await self._admin(json.loads(args[0]))
+            return protocol.encode_blob_response(json.dumps(result).encode("utf-8"))
+        return protocol.encode_error(
+            "the control port answers CLUSTER and ADMIN only"
+        )
 
     async def _admin(self, command: dict) -> dict:
         """Dispatch one ADMIN command (the migration RPC surface)."""

@@ -2,9 +2,11 @@
 
 A :class:`ServerClient` owns ``pool_size`` TCP connections and spreads
 requests across them round-robin.  Each connection **pipelines**: a
-request is written and its response future queued without waiting for
-earlier responses, and a per-connection reader task resolves futures in
-FIFO order — valid because the server answers every connection strictly
+request is one ``transport.write`` plus a future appended to a FIFO —
+no lock, no ``drain()``, no waiting for earlier responses — and the
+connection's ``data_received`` (it is an asyncio protocol; there is
+no reader task) splits each chunk into frames and resolves the futures
+in order — valid because the server answers every connection strictly
 in request order.  Pipelining removes the per-op network round trip from
 the critical path, which is where most of a small op's latency lives.
 
@@ -160,42 +162,45 @@ class KVClient:
         return await self._route(_OPS[Op.METRICS])
 
 
-class _Connection:
+class _Connection(protocol.FrameProtocol):
     """One TCP connection with FIFO response matching."""
 
     def __init__(self) -> None:
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        super().__init__()
+        self._transport: Optional[asyncio.Transport] = None
         self._pending: Deque[asyncio.Future] = deque()
-        self._reader_task: Optional[asyncio.Task] = None
-        self._send_lock = asyncio.Lock()
-        self._closed = False
+        self._closed = False  # close() was called on this end
+        self._lost: Optional[asyncio.Future] = None  # done once the socket is gone
+        self._new_future = None  # the loop's create_future
 
     async def open(self, host: str, port: int) -> None:
-        self.reader, self.writer = await asyncio.open_connection(host, port)
-        try:
-            self._reader_task = asyncio.get_running_loop().create_task(
-                self._read_loop()
-            )
-        except BaseException:
-            self.writer.close()  # never leak a connected socket
-            raise
+        loop = asyncio.get_running_loop()
+        self._new_future = loop.create_future
+        self._lost = loop.create_future()
+        await loop.create_connection(lambda: self, host, port)
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        pending = self._pending
         try:
-            while True:
-                body = await protocol.read_frame(self.reader)
-                if body is None:
-                    break
-                if not self._pending:
+            for body in self._frames.feed(data):
+                if not pending:
                     raise StorageError("unsolicited response frame")
-                future = self._pending.popleft()
-                if not future.done():
+                future = pending.popleft()
+                if not future.done():  # its caller may have been cancelled
                     future.set_result(body)
-        except Exception as exc:  # noqa: BLE001 — fail every waiter
+        except StorageError as exc:
+            # An oversized length prefix or an answer nobody asked for:
+            # positions no longer match requests — fail them all, hang up.
             self._fail_pending(exc)
-        else:
-            self._fail_pending(StorageError("connection closed by server"))
+            self._transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._transport = None
+        self._lost.set_result(None)
+        self._fail_pending(exc or StorageError("connection closed by server"))
 
     def _fail_pending(self, exc: BaseException) -> None:
         while self._pending:
@@ -203,57 +208,33 @@ class _Connection:
             if not future.done():
                 future.set_exception(exc)
 
-    async def request(self, frame: bytes) -> bytes:
-        """Send one frame, await its response body (pipelined)."""
-        if self._closed or self.writer is None:
+    def request(self, frame: bytes) -> "asyncio.Future[bytes]":
+        """Send one frame; the returned future resolves to its response
+        body (pipelined: nothing here waits for earlier responses)."""
+        if self._closed:
             raise StorageError("connection is closed")
-        if self._reader_task.done():
-            # The server hung up (the read loop saw EOF) but the socket
-            # may still accept writes: a request sent now would wait for
-            # a response nobody is left to read.  Raised as the transport
+        if self._transport is None:
+            # The server hung up: a request sent now would wait for a
+            # response nobody is left to send.  Raised as the transport
             # failure it is — what a send on a reset socket raises too —
             # so the cluster and replica clients reconnect and retry.
             raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
                 "connection closed by server"
             )
-        future = asyncio.get_running_loop().create_future()
-        # The (enqueue, write) pair must be atomic per request so the
-        # FIFO future queue matches the server's response order.
-        async with self._send_lock:
-            self._pending.append(future)
-            try:
-                self.writer.write(frame)
-                await self.writer.drain()
-            except BaseException:
-                # A send that never reached the server must not leave its
-                # future in the FIFO queue: the next response would resolve
-                # the orphan and desynchronize every later request on this
-                # connection.  (The read loop may have failed it already —
-                # hence the guarded remove.)
-                try:
-                    self._pending.remove(future)
-                except ValueError:
-                    pass
-                raise
-        return await future
+        future = self._new_future()
+        # Write, then enqueue, in one synchronous step: the FIFO future
+        # queue matches the order frames reached the transport, and a
+        # write that raises leaves no orphan future behind.
+        self._transport.write(frame)
+        self._pending.append(future)
+        return future
 
     async def close(self) -> None:
         self._closed = True
-        if self.writer is not None:
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            # Whatever terminal error the reader died with was already
-            # delivered to every pending future; close() must not
-            # re-raise it at the caller.
-            except (asyncio.CancelledError, Exception):  # repro-lint: disable=error-taxonomy
-                pass
+        if self._transport is not None:
+            self._transport.close()
+            self._fail_pending(StorageError("connection is closed"))
+            await self._lost
 
 
 class ServerClient(KVClient):
@@ -273,8 +254,8 @@ class ServerClient(KVClient):
 
         All-or-nothing: when one open fails mid-pool-fill, every
         connection opened so far is closed before the error propagates —
-        a half-built pool would otherwise leak its sockets (and their
-        reader tasks) with no handle left to close them.
+        a half-built pool would otherwise leak its sockets with no
+        handle left to close them.
         """
         conns: List[_Connection] = []
         try:

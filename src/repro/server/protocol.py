@@ -116,10 +116,20 @@ segment, exactly like the paper's single-operator deployment.
 The framing is deliberately request-id free: the server answers each
 connection's requests strictly in order, so a pipelining client matches
 responses to requests by position (see ``repro.server.client``).
+
+Frame IO: both ends are asyncio protocols (:class:`FrameProtocol`: the
+loop reads into one reusable buffer) and cut frames out of whatever
+chunks arrive with :class:`FrameBuffer`; :func:`read_frame` is the
+stream-reader form, kept for the one-frame-at-a-time consumers.  The
+four hot frames — GET / MULTI_GET requests, value / MULTI_GET answers —
+are packed from one precompiled header and sliced by offset; every other
+shape, and every malformed one, goes field by field through
+:class:`Cursor`, where the rejections are worded.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
 import struct
@@ -144,6 +154,14 @@ LATEST_BLK = 2**64 - 1
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+#: The whole fixed part of three hot frames: frame length, one byte
+#: (opcode / status) and one u16 — a GET's address length, a MULTI_GET's
+#: key count, a MULTI_GET answer's entry count.
+_COUNTED_HEAD = struct.Struct(">IBH")
+#: Frame length, OK status and value length of a GET / GET_AT answer.
+_VALUE_HEAD = struct.Struct(">IBI")
+#: ``present`` flag and value length of one MULTI_GET answer entry.
+_PRESENT_HEAD = struct.Struct(">BI")
 
 
 class Op:
@@ -310,7 +328,10 @@ def encode_put(addr: bytes, value: bytes) -> bytes:
 
 
 def encode_get(addr: bytes) -> bytes:
-    return encode_frame(bytes([Op.GET]) + pack_bytes16(addr))
+    size = len(addr)
+    if size > 0xFFFF:
+        raise StorageError("bytes16 field exceeds 64 KiB")
+    return _COUNTED_HEAD.pack(3 + size, Op.GET, size) + addr
 
 
 def encode_get_at(addr: bytes, blk: int) -> bytes:
@@ -349,10 +370,12 @@ def _check_batch_count(count: int) -> int:
 
 def encode_multi_get(addrs: List[bytes]) -> bytes:
     """One MULTI_GET request: ``count`` addresses, one frame."""
-    _check_batch_count(len(addrs))
-    parts = [bytes([Op.MULTI_GET]), _U16.pack(len(addrs))]
-    parts.extend(pack_bytes16(addr) for addr in addrs)
-    return encode_frame(b"".join(parts))
+    count, pack = _check_batch_count(len(addrs)), _U16.pack
+    try:
+        payload = b"".join([pack(len(addr)) + addr for addr in addrs])
+    except struct.error:
+        raise StorageError("bytes16 field exceeds 64 KiB") from None
+    return _COUNTED_HEAD.pack(3 + len(payload), Op.MULTI_GET, count) + payload
 
 
 def encode_multi_put(items: List[Tuple[bytes, bytes]]) -> bytes:
@@ -380,7 +403,29 @@ def encode_repl_subscribe(start_height: int) -> bytes:
 
 
 def decode_request(body: bytes) -> Tuple[int, tuple]:
-    """Decode a request body into ``(opcode, args)`` by the op table."""
+    """Decode a request body into ``(opcode, args)`` by the op table.
+
+    A well-formed GET or MULTI_GET is sliced by offset first; every other
+    op — and any GET / MULTI_GET the fast path does not accept whole —
+    takes the table path, which is where each rejection is worded.
+    """
+    op = body[0] if body else None
+    if op == Op.GET:
+        if len(body) >= 3 and 3 + _U16.unpack_from(body, 1)[0] == len(body):
+            return op, (body[3:],)
+    elif op == Op.MULTI_GET and len(body) >= 3:
+        count = _U16.unpack_from(body, 1)[0]
+        if 0 < count <= MAX_MULTI_BATCH:
+            addrs, pos, u16_at = [], 3, _U16.unpack_from
+            try:
+                for _ in range(count):
+                    end = pos + 2 + u16_at(body, pos)[0]
+                    addrs.append(body[pos + 2:end])
+                    pos = end
+            except struct.error:  # ran off the end: the table path says how
+                pos = -1
+            if pos == len(body):
+                return op, (addrs,)
     cursor = Cursor(body)
     op = cursor.u8()
     spec = OPS.get(op)
@@ -432,7 +477,7 @@ def encode_value_response(value: Optional[bytes]) -> bytes:
     """GET / GET_AT response."""
     if value is None:
         return encode_not_found()
-    return encode_ok(pack_bytes32(value))
+    return _VALUE_HEAD.pack(5 + len(value), Status.OK, len(value)) + value
 
 
 def encode_height_response(height: int) -> bytes:
@@ -476,6 +521,10 @@ def check_status(cursor: Cursor) -> int:
 
 
 def decode_value_response(body: bytes) -> Optional[bytes]:
+    if len(body) >= 5 and body[0] == Status.OK:
+        end = 5 + _U32.unpack_from(body, 1)[0]
+        if end <= len(body):
+            return body[5:end]
     cursor = Cursor(body)
     if check_status(cursor) == Status.NOT_FOUND:
         return None
@@ -520,22 +569,33 @@ def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
     A per-key miss is a ``present=0`` flag rather than a frame-level
     NOT_FOUND — one frame answers every key in the batch.
     """
-    parts = [_U16.pack(len(values))]
-    for value in values:
-        if value is None:
-            parts.append(bytes([0]))
-        else:
-            parts.append(bytes([1]) + pack_bytes32(value))
-    return encode_ok(b"".join(parts))
+    pack = _PRESENT_HEAD.pack
+    payload = b"".join(
+        [b"\x00" if value is None else pack(1, len(value)) + value for value in values]
+    )
+    return _COUNTED_HEAD.pack(3 + len(payload), Status.OK, len(values)) + payload
 
 
 def decode_multi_get_response(body: bytes) -> List[Optional[bytes]]:
+    if len(body) >= 3 and body[0] == Status.OK:
+        values: List[Optional[bytes]] = []
+        pos, u32_at = 3, _U32.unpack_from
+        try:
+            for _ in range(_U16.unpack_from(body, 1)[0]):
+                if body[pos]:
+                    end = pos + 5 + u32_at(body, pos + 1)[0]
+                    values.append(body[pos + 5:end])
+                    pos = end
+                else:
+                    values.append(None)
+                    pos += 1
+        except (struct.error, IndexError):  # ran off the end: say so below
+            pos = -1
+        if pos == len(body):
+            return values
     cursor = Cursor(body)
     check_status(cursor)
-    count = cursor.u16()
-    values: List[Optional[bytes]] = [
-        cursor.bytes32() if cursor.u8() else None for _ in range(count)
-    ]
+    values = [cursor.bytes32() if cursor.u8() else None for _ in range(cursor.u16())]
     if not cursor.done():
         raise StorageError("trailing bytes after MULTI_GET response")
     return values
@@ -672,16 +732,80 @@ OPS: Dict[int, OpSpec] = {
 
 
 # =============================================================================
-# frame IO (asyncio)
+# frame IO
 # =============================================================================
 
+class FrameBuffer:
+    """Split a byte stream into frame bodies, whatever the chunking.
+
+    Both ends of the wire hand each chunk they receive to :meth:`feed`
+    and get back the bodies it completed.  A chunk that holds whole frames (the common case) is
+    sliced in place; bytes of an unfinished frame are kept until the
+    chunk that finishes it, without re-parsing or re-copying in between.
+    """
+
+    __slots__ = ("_partial", "_need")
+
+    def __init__(self) -> None:
+        self._partial = bytearray()  # an unfinished frame, prefix included
+        self._need = 0  # its size, once known (4 while the prefix is cut)
+
+    def feed(self, data: bytes) -> List[bytes]:
+        """The bodies ``data`` completes, in order.  A length prefix
+        above :data:`MAX_FRAME` raises ``StorageError``: the stream
+        cannot be re-synchronized and its owner must drop it."""
+        partial = self._partial
+        if partial:
+            partial += data
+            if len(partial) < self._need:
+                return []
+            data = bytes(partial)
+            partial.clear()
+        bodies: List[bytes] = []
+        pos, size, need = 0, len(data), 4
+        while size - pos >= 4:
+            (length,) = _U32.unpack_from(data, pos)
+            if length > MAX_FRAME:
+                raise StorageError(f"frame of {length} bytes exceeds MAX_FRAME")
+            need = 4 + length
+            if size - pos < need:
+                break
+            bodies.append(data[pos + 4:pos + need])
+            pos += need
+            need = 4
+        if pos < size:
+            partial += data[pos:] if pos else data
+            self._need = need
+        return bodies
+
+
+class FrameProtocol(asyncio.BufferedProtocol):
+    """The receiving half of both ends of the wire.
+
+    A ``BufferedProtocol``, so the loop ``recv_into``s one reusable
+    buffer: under a plain ``Protocol`` it allocates (and shrinks) a fresh
+    256 KiB ``bytes`` for every read, which costs more than the read.
+    Each chunk goes to ``data_received`` — the subclass's — as ``bytes``;
+    ``self._frames`` is the :class:`FrameBuffer` to cut it with.
+    """
+
+    def __init__(self) -> None:
+        self._inbox = memoryview(bytearray(64 * 1024))
+        self._frames = FrameBuffer()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(bytes(self._inbox[:nbytes]))
+
+
 async def read_frame(reader) -> Optional[bytes]:
-    """Read one frame body from an ``asyncio.StreamReader``.
+    """Read one frame body from an ``asyncio.StreamReader`` — the cold,
+    one-frame-at-a-time consumers (the replica applier, ``request_once``).
 
     Returns ``None`` on clean EOF at a frame boundary.
     """
-    import asyncio
-
     try:
         header = await reader.readexactly(4)
     except (asyncio.IncompleteReadError, ConnectionResetError):

@@ -45,22 +45,32 @@ PUT / FLUSH are rejected with ``NOT_PRIMARY`` carrying the primary's
 address.  Applied commits reconcile the caches exactly as a local group
 commit would, so the read cache stays exact.
 
-Each connection's requests are answered strictly in order, so clients
-may pipeline.  Batched and ranged engine work (MULTI_GET leftovers, SCAN,
-PROV, commits) runs on a small thread pool; point reads hold a view, not
-the :class:`~repro.common.gate.CommitGate`, and never wait for a commit.
+Each connection is a :class:`Connection` — an asyncio protocol, not
+a stream and a task: ``data_received`` splits the chunk into frames and
+steps :meth:`ColeServer._dispatch` inline, so a request whose handler
+never suspends (a cache hit, an on-view GET / GET_AT, a PUT without a
+WAL) is answered before ``data_received`` returns.  A handler that does
+suspend (a PUT awaiting the group fsync, pooled MULTI_GET leftovers,
+SCAN, PROV, FLUSH, STATS) continues as a task while the connection's
+later frames queue behind it: answers leave strictly in request order,
+so clients may pipeline.  Batched and ranged engine work (MULTI_GET
+leftovers, SCAN, PROV, commits) runs on a small thread pool; point reads
+hold a view, not the :class:`~repro.common.gate.CommitGate`, and never
+wait for a commit.  DESIGN.md "Frames, not streams" has the rules.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import heapq
 import json
 import pickle
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from repro.common.errors import StorageError
 from repro.core.storage import WOULD_BLOCK
@@ -179,6 +189,216 @@ class _WalSyncer:
             self._task = None
 
 
+def _error_frame(exc: Exception) -> bytes:
+    return protocol.encode_error(f"{type(exc).__name__}: {exc}")
+
+
+class Connection(protocol.FrameProtocol):
+    """One accepted socket: frames in, answers out, strictly in order.
+
+    ``data_received`` splits its chunk into request frames and answers
+    them on the spot: each is decoded and ``dispatch(op, args)`` — a
+    coroutine function returning the response frame — is stepped once,
+    inline.  A handler that finishes without suspending is answered
+    before ``data_received`` returns, and the answers to one chunk leave
+    in one ``transport.write``.  One that suspends continues as a task
+    (kept in the owner's ``tasks`` so it can wait for them) while later
+    frames wait in ``_backlog``.  ``stream(conn, *args)`` serves a
+    ``stream`` op: it owns the connection until it ends, and the
+    connection ends with it.  Every step of every request runs in one
+    ``contextvars.Context``, as when a connection was one task.
+
+    Reading stops while the peer is not reading its answers
+    (``pause_writing``: no further frame is answered, so the write buffer
+    never exceeds the high-water mark plus one answer) and while frames
+    arrive behind a suspended request (the kernel holds what follows).
+    ``observe(op, seconds)`` records each request answered without error.
+    """
+
+    def __init__(
+        self,
+        dispatch: Callable,
+        conns: set,
+        tasks: set,
+        observe: Optional[Callable[[int, float], None]] = None,
+        stream: Optional[Callable] = None,
+    ) -> None:
+        super().__init__()
+        self._dispatch = dispatch
+        self._conns = conns  # the owner's live connections
+        self._tasks = tasks
+        self._observe = observe
+        self._stream = stream
+        self._backlog: Deque[bytes] = deque()
+        self._transport: Optional[asyncio.Transport] = None
+        self._ctx: Optional[contextvars.Context] = None
+        self._high_water = 0
+        self._busy = False  # a suspended request (or a stream) holds the queue
+        self._choked = False  # the peer is not reading its answers
+        self._eof = False  # the peer half-closed: close once answers are out
+        self._drained: Optional[asyncio.Future] = None  # a stream in drain()
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._ctx = contextvars.copy_context()
+        self._high_water = transport.get_write_buffer_limits()[1]
+        self._conns.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._transport = None
+        self._conns.discard(self)
+        self._backlog.clear()
+        self.resume_writing()  # a stream parked in drain() finds the peer gone
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self._backlog.extend(self._frames.feed(data))
+        except StorageError:
+            # Broken framing (an oversized length prefix): the stream
+            # cannot be re-synchronized — drop the connection.
+            self.close()
+        else:
+            if self._busy or self._choked:
+                self._transport.pause_reading()
+            else:
+                self._pump([])
+
+    def eof_received(self) -> bool:
+        # A peer that half-closes after its last request still gets its
+        # answers: True keeps the write side open until they are out.
+        self._eof = True
+        return self._busy or bool(self._backlog)
+
+    def pause_writing(self) -> None:
+        self._choked = True
+
+    def resume_writing(self) -> None:
+        self._choked = False
+        if self._drained is not None:
+            self._drained.set_result(None)
+            self._drained = None
+        if not self._busy:
+            self._pump([])
+
+    def _pump(self, out: List[bytes]) -> None:
+        """Answer queued frames — after ``out``, answers already owed —
+        until one suspends, the peer stops reading, or none is left."""
+        transport = self._transport
+        if transport is None:
+            return
+        backlog, observe, clock = self._backlog, self._observe, time.perf_counter
+        room = -1  # answers that fit under the high-water mark; -1: ask
+        while True:
+            if room < 0 or not backlog:
+                if out:
+                    transport.write(b"".join(out))  # may call pause_writing
+                    out = []
+                if self._choked or not backlog:
+                    break
+                room = self._high_water - transport.get_write_buffer_size()
+            started = clock()
+            try:
+                op, args = protocol.decode_request(backlog.popleft())
+                if op == Op.REPL_SUBSCRIBE and self._stream is not None:
+                    rest = self._streaming(*args)
+                else:
+                    coro = self._dispatch(op, args)
+                    rest = self._finish(
+                        op, started, coro, self._ctx.run(coro.send, None)
+                    )
+            except StopIteration as done:  # answered without suspending
+                out.append(done.value)
+                room -= len(done.value)
+                if observe is not None:
+                    observe(op, clock() - started)
+            except Exception as exc:
+                out.append(_error_frame(exc))
+            else:
+                self._busy = True
+                transport.write(b"".join(out))
+                task = asyncio.get_running_loop().create_task(rest)
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+                return
+        if self._choked:
+            transport.pause_reading()
+        elif self._eof and not backlog:
+            self.close()
+        else:
+            transport.resume_reading()
+
+    async def _finish(self, op: int, started: float, coro, waiting) -> None:
+        """Carry a request whose inline step left it awaiting ``waiting``
+        (a future; ``None`` after a bare yield) to its answer, then take
+        up the frames queued behind it.
+
+        What :class:`asyncio.Task` does for a coroutine it started, done
+        for one it did not: wait for the awaited future, step again —
+        every step inside the connection's context, so a ``ContextVar``
+        token made before a suspension resets after it.
+        """
+        try:
+            while True:
+                try:
+                    if waiting is None:
+                        await asyncio.sleep(0)
+                    else:
+                        # The inline step flagged the future as awaited (the
+                        # Future/Task handshake); clear it as a Task would.
+                        waiting._asyncio_future_blocking = False
+                        await waiting
+                # Whatever ends the wait — the future's error, this task's
+                # cancellation — is the handler's to see, where it waits.
+                except BaseException as exc:
+                    step, arg = coro.throw, exc
+                else:
+                    step, arg = coro.send, None
+                waiting = self._ctx.run(step, arg)
+        except StopIteration as done:
+            response = done.value
+            if self._observe is not None:
+                self._observe(op, time.perf_counter() - started)
+        except Exception as exc:
+            response = _error_frame(exc)
+        self._busy = False
+        self._pump([response])
+
+    async def _streaming(self, *args) -> None:
+        try:
+            await self._stream(self, *args)
+        except ConnectionError:
+            pass  # the subscriber went away
+        except Exception as exc:
+            self.write(_error_frame(exc))
+        finally:
+            self.close()  # ``_busy`` stays set: nothing else is answered
+
+    def write(self, data: bytes) -> None:
+        """Hand a stream's ``data`` to the transport (dropped once the
+        peer is gone: the :meth:`drain` that follows says so)."""
+        if self._transport is not None:
+            self._transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait until the peer has read enough for more to be written."""
+        if self._choked:
+            self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
+        if self._transport is None:
+            # What drain() on a reset StreamWriter raises: the transport
+            # failure a stream handler already ends on.
+            raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
+                "connection lost"
+            )
+
+    def close(self) -> None:
+        """Close the socket once its buffered answers are sent; whatever
+        a still-suspended request answers after this is dropped."""
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            transport.close()
+
+
 class ColeServer:
     """Serve one engine over TCP."""
 
@@ -249,8 +469,9 @@ class ColeServer:
         self.batcher: Optional[WriteBatcher] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._conns: Set[Connection] = set()
+        #: Tasks of requests that suspended (and of replication streams).
         self._conn_tasks: Set[asyncio.Task] = set()
-        self._conn_writers: Set[asyncio.StreamWriter] = set()
         # Op counters (STATS).
         self.op_counts = {name: 0 for name in OP_NAMES.values()}
         self.overlay_hits = 0
@@ -319,8 +540,8 @@ class ColeServer:
             scheduler = getattr(shard, "scheduler", None)
             if scheduler is not None:
                 scheduler.metrics = self.metrics
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -358,11 +579,11 @@ class ColeServer:
             # sentinel — their handlers park on queue.get(), which a
             # closed transport alone cannot interrupt.
             self.hub.close()
-        # Closing the transports ends each handler's read loop at its
-        # next frame boundary — no task cancellation, no half-written
-        # responses.
-        for writer in list(self._conn_writers):
-            writer.close()
+        # Closing the transports stops new frames; requests already
+        # suspended run to completion (no task cancellation, no half-
+        # written responses) before the batcher and the pool go.
+        for conn in list(self._conns):
+            conn.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self.batcher is not None:
@@ -400,52 +621,15 @@ class ColeServer:
     # connection handling
     # =========================================================================
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> Connection:
         self.connections_total += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._conn_writers.add(writer)
-        try:
-            while True:
-                body = await protocol.read_frame(reader)
-                if body is None:
-                    break
-                started = time.perf_counter()
-                try:
-                    op, args = protocol.decode_request(body)
-                    if op == Op.REPL_SUBSCRIBE:
-                        # The connection becomes a one-way stream; when
-                        # the stream ends, so does the connection.
-                        await self._stream_replication(writer, args[0])
-                        break
-                    response = await self._dispatch(op, args)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    response = protocol.encode_error(f"{type(exc).__name__}: {exc}")
-                else:
-                    # Successful requests only: an errored op's timing
-                    # measures the failure path, not the service.
-                    self._observe_op(op, time.perf_counter() - started)
-                writer.write(response)
-                await writer.drain()
-        except StorageError:
-            # Broken framing (oversized length prefix, mid-frame close):
-            # no way to answer reliably — drop the connection.
-            pass
-        except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-                pass
+        return Connection(
+            self._dispatch,
+            self._conns,
+            self._conn_tasks,
+            observe=self._observe_op,
+            stream=self._stream_replication,
+        )
 
     def _observe_op(self, op: int, elapsed: float) -> None:
         """Record one served request's wall time (histogram cached per
@@ -466,7 +650,7 @@ class ColeServer:
         if self.cluster is not None:
             # The cluster role may refer this request elsewhere (MOVED):
             # this check and the batcher insert share one synchronous
-            # dispatch (awaiting the handler runs it inline up to its
+            # step (the connection steps this coroutine inline up to its
             # first suspension, which comes after the insert), which is
             # what makes the migration cutover lossless — once the role
             # flips to moved, no write can slip in and ack here.
@@ -528,7 +712,7 @@ class ColeServer:
     # =========================================================================
 
     async def _stream_replication(
-        self, writer: asyncio.StreamWriter, start_height: int
+        self, conn: Connection, start_height: int
     ) -> None:
         """Serve one REPL_SUBSCRIBE connection until it drops.
 
@@ -541,21 +725,21 @@ class ColeServer:
         self.op_counts["repl"] += 1
         if self.hub is None:
             if self.replica is not None:
-                writer.write(protocol.encode_not_primary(self.replica.primary_addr))
+                conn.write(protocol.encode_not_primary(self.replica.primary_addr))
             else:
-                writer.write(
+                conn.write(
                     protocol.encode_error(
                         "replication requires a WAL-enabled primary "
                         "(serve with --wal)"
                     )
                 )
-            await writer.drain()
+            await conn.drain()
             return
         try:
             self.hub.check_start(start_height)
         except StorageError as exc:
-            writer.write(protocol.encode_error(str(exc)))
-            await writer.drain()
+            conn.write(protocol.encode_error(str(exc)))
+            await conn.drain()
             return
         queue = self.hub.register()
         # No await may separate the floor check, the registration, the
@@ -567,8 +751,8 @@ class ColeServer:
         self.hub.catchups_active += 1
         try:
             try:
-                writer.write(protocol.encode_repl_handshake(committed))
-                await writer.drain()
+                conn.write(protocol.encode_repl_handshake(committed))
+                await conn.drain()
                 batches = await self._run(self.hub.catchup, start_height, committed)
             finally:
                 self.hub.catchups_active -= 1
@@ -577,9 +761,9 @@ class ColeServer:
                 if height <= last:
                     continue
                 for record in records:
-                    writer.write(protocol.encode_repl_record(record))
+                    conn.write(protocol.encode_repl_record(record))
                     self.hub.records_shipped += 1
-                await writer.drain()
+                await conn.drain()
                 last = height
             while True:
                 batch = await queue.get()
@@ -589,9 +773,9 @@ class ColeServer:
                 if height <= last:
                     continue
                 for record in records:
-                    writer.write(protocol.encode_repl_record(record))
+                    conn.write(protocol.encode_repl_record(record))
                     self.hub.records_shipped += 1
-                await writer.drain()
+                await conn.drain()
                 last = height
         finally:
             self.hub.unregister(queue)
@@ -1004,7 +1188,7 @@ class ColeServer:
 
     #: opcode -> handler, called as ``handler(self, *args)``.  The one
     #: ``stream`` op (REPL_SUBSCRIBE) is absent: it takes over its
-    #: connection in :meth:`_handle_connection` instead of answering.
+    #: :class:`Connection` instead of answering.
     _HANDLERS = {
         Op.PUT: _op_put,
         Op.GET: _op_get,

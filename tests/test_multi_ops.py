@@ -327,49 +327,50 @@ def test_replica_rejects_multi_put_with_primary_referral(tmp_path):
     replica_engine.close()
 
 
-def test_client_send_failure_keeps_pipeline_synchronized(tmp_path):
-    """A send that dies mid-write must remove its response future from
-    the FIFO queue, or every later response on the connection would
-    resolve the wrong request."""
-    engine = Cole(str(tmp_path / "ws"), PARAMS)
+def test_a_connection_reset_mid_pipeline_fails_requests_without_crossing_answers():
+    """The server answers the first of three pipelined requests, then
+    resets the connection.  The first request gets its own answer; the
+    two behind it fail (they never resolve with somebody else's answer,
+    and never hang); a send on the dead socket fails fast too."""
 
-    async def scenario(host, port):
-        async with ServerClient(host, port) as client:
-            await client.put(addr_of(1), value_of(1))
-            conn = client._conns[0]
-            real_write = conn.writer.write
+    async def scenario():
+        async def reset_after_one(reader, writer):
+            await protocol.read_frame(reader)
+            writer.write(protocol.encode_value_response(value_of(1)))
+            await writer.drain()
+            await protocol.read_frame(reader)
+            writer.transport.abort()
 
-            def failing_write(frame):
-                raise ConnectionResetError("injected send failure")
+        server = await asyncio.start_server(reset_after_one, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            async with ServerClient(host, port) as client:
+                answers = await asyncio.wait_for(
+                    asyncio.gather(
+                        client.get(addr_of(1)),
+                        client.get(addr_of(2)),
+                        client.multi_get([addr_of(1), addr_of(2)]),
+                        return_exceptions=True,
+                    ),
+                    5,
+                )
+                assert answers[0] == value_of(1)
+                for failed in answers[1:]:
+                    assert isinstance(failed, (StorageError, ConnectionError))
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.get(addr_of(1)), 5)
+        finally:
+            server.close()
+            await server.wait_closed()
 
-            # Fail the send before any bytes reach the socket: the
-            # request never existed as far as the server is concerned,
-            # so its future must not wait in the FIFO queue either.
-            conn.writer.write = failing_write
-            with pytest.raises(ConnectionResetError):
-                await client.get(addr_of(1))
-            assert len(conn._pending) == 0  # the orphan future is gone
-            conn.writer.write = real_write
-            # Had the orphan stayed queued, the next response would
-            # resolve it and desynchronize every later request.  Fresh
-            # requests must each land on their own answer.
-            assert await client.get(addr_of(1)) == value_of(1)
-            assert await client.multi_get([addr_of(1), addr_of(2)]) == [
-                value_of(1),
-                None,
-            ]
-            assert await client.get(addr_of(2)) is None
-
-    with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
-        asyncio.run(scenario(*thread.start()))
-    engine.close()
+    asyncio.run(scenario())
 
 
 def test_request_after_the_server_hung_up_fails_instead_of_hanging():
-    """Once the server closes a connection the client's read loop ends;
-    the socket may still take writes, so a later request must fail fast
-    (with a retryable ConnectionError) rather than wait forever for a
-    response nobody reads."""
+    """Once the server closes a connection the socket may still take
+    writes, so a request must fail — in flight when the hang-up lands, or
+    sent after it (then with a retryable ConnectionError) — rather than
+    wait forever for a response nobody sends."""
 
     async def scenario():
         async def hang_up(reader, writer):
@@ -379,7 +380,10 @@ def test_request_after_the_server_hung_up_fails_instead_of_hanging():
         host, port = server.sockets[0].getsockname()[:2]
         try:
             async with ServerClient(host, port) as client:
-                await asyncio.wait_for(client._conns[0]._reader_task, 5)
+                with pytest.raises((StorageError, ConnectionError)):
+                    await asyncio.wait_for(client.get(addr_of(1)), 5)
+                # The first failure was the hang-up arriving: from here on
+                # the client knows, and says so without touching the wire.
                 with pytest.raises(ConnectionError):
                     await asyncio.wait_for(client.get(addr_of(1)), 5)
         finally:

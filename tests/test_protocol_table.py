@@ -249,6 +249,153 @@ def test_batch_bounds_hold_on_both_sides():
 
 
 # =============================================================================
+# (b') the by-offset fast paths equal the field-by-field composition
+# =============================================================================
+#
+# GET / MULTI_GET requests and the value / MULTI_GET responses are packed
+# from one ``struct`` header and sliced by offset.  The references below
+# are the compositions they replaced, from the primitives the other ops
+# still use (``pack_bytes16`` / ``Cursor``): same bytes out, same values
+# or the same ``StorageError`` in — for any input, well-formed or not.
+
+def _ref_encode_get(addr):
+    return protocol.encode_frame(bytes([Op.GET]) + protocol.pack_bytes16(addr))
+
+
+def _ref_encode_multi_get(addrs):
+    return protocol.encode_frame(
+        bytes([Op.MULTI_GET]) + len(addrs).to_bytes(2, "big")
+        + b"".join(protocol.pack_bytes16(addr) for addr in addrs)
+    )
+
+
+def _ref_encode_multi_get_response(values):
+    return protocol.encode_ok(
+        len(values).to_bytes(2, "big")
+        + b"".join(
+            b"\x00" if value is None else b"\x01" + protocol.pack_bytes32(value)
+            for value in values
+        )
+    )
+
+
+def _ref_decode_request(body):
+    cursor = protocol.Cursor(body)
+    op = cursor.u8()
+    if op not in OPS:
+        raise StorageError(f"unknown opcode {op}")
+    args = OPS[op].decode_args(cursor)
+    if not cursor.done():
+        raise StorageError("trailing bytes")
+    return op, args
+
+
+def _ref_decode_value_response(body):
+    cursor = protocol.Cursor(body)
+    if protocol.check_status(cursor) == Status.NOT_FOUND:
+        return None
+    return cursor.bytes32()
+
+
+def _ref_decode_multi_get_response(body):
+    cursor = protocol.Cursor(body)
+    protocol.check_status(cursor)
+    found = [cursor.bytes32() if cursor.u8() else None for _ in range(cursor.u16())]
+    if not cursor.done():
+        raise StorageError("trailing bytes")
+    return found
+
+
+def _outcome(decode, body):
+    """What ``decode(body)`` does: its value, or the error class — which
+    must come from the taxonomy, never ``struct.error`` / ``IndexError``."""
+    try:
+        return decode(body)
+    except StorageError as exc:
+        return type(exc)
+
+
+maybe_values = st.one_of(st.none(), values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(addr=addrs, batch=st.lists(addrs, min_size=1, max_size=8),
+       value=maybe_values, found=st.lists(maybe_values, max_size=8))
+def test_fast_path_encoders_emit_the_composed_bytes(addr, batch, value, found):
+    assert protocol.encode_get(addr) == _ref_encode_get(addr)
+    assert protocol.encode_multi_get(batch) == _ref_encode_multi_get(batch)
+    assert protocol.encode_value_response(value) == (
+        protocol.encode_not_found() if value is None
+        else protocol.encode_ok(protocol.pack_bytes32(value))
+    )
+    assert protocol.encode_multi_get_response(found) == (
+        _ref_encode_multi_get_response(found)
+    )
+    assert protocol.decode_value_response(
+        protocol.encode_value_response(value)[4:]
+    ) == value
+    assert protocol.decode_multi_get_response(
+        protocol.encode_multi_get_response(found)[4:]
+    ) == found
+
+
+def _mangled(frame_body, data):
+    """``frame_body`` cut short, extended, or with one byte changed."""
+    how = data.draw(st.sampled_from(["cut", "extend", "flip", "keep"]))
+    if how == "cut":
+        return frame_body[: data.draw(st.integers(0, len(frame_body)))]
+    if how == "extend":
+        return frame_body + data.draw(st.binary(min_size=1, max_size=4))
+    if how == "flip" and frame_body:
+        at = data.draw(st.integers(0, len(frame_body) - 1))
+        return frame_body[:at] + bytes([data.draw(st.integers(0, 255))]) + frame_body[at + 1:]
+    return frame_body
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_path_decoders_agree_with_the_cursor_on_any_bytes(data):
+    batch = data.draw(st.lists(addrs, min_size=1, max_size=6))
+    found = data.draw(st.lists(maybe_values, max_size=6))
+    for decode, reference, body in (
+        (protocol.decode_request, _ref_decode_request,
+         protocol.encode_get(batch[0])[4:]),
+        (protocol.decode_request, _ref_decode_request,
+         protocol.encode_multi_get(batch)[4:]),
+        (protocol.decode_value_response, _ref_decode_value_response,
+         protocol.encode_value_response(found[0] if found else None)[4:]),
+        (protocol.decode_multi_get_response, _ref_decode_multi_get_response,
+         protocol.encode_multi_get_response(found)[4:]),
+    ):
+        body = _mangled(body, data)
+        assert _outcome(decode, body) == _outcome(reference, body)
+
+
+def test_fast_path_encoders_reject_what_the_composition_rejected():
+    huge = bytes(0x10000)  # one byte past a u16 length
+    for encode, args in (
+        (protocol.encode_get, (huge,)),
+        (protocol.encode_multi_get, ([A, huge],)),
+    ):
+        with pytest.raises(StorageError, match="64 KiB"):
+            encode(*args)
+    assert protocol.decode_request(protocol.encode_get(huge[1:])[4:]) == (
+        Op.GET, (huge[1:],)
+    )
+    # A count that promises more (or fewer) entries than the payload holds.
+    body = protocol.encode_multi_get([A, A])[4:]
+    for bad in (body[:-1], body + b"\x00", body[:1] + b"\x00\x03" + body[3:]):
+        with pytest.raises(StorageError):
+            protocol.decode_request(bad)
+    answer = protocol.encode_multi_get_response([V, None])[4:]
+    for bad in (answer[:-2], answer + b"\x00", answer[:1] + b"\x00\x03" + answer[3:]):
+        with pytest.raises(StorageError):
+            protocol.decode_multi_get_response(bad)
+    with pytest.raises(StorageError, match="truncated"):
+        protocol.decode_request(b"")
+
+
+# =============================================================================
 # (c) wiring: row -> server handler -> client method
 # =============================================================================
 

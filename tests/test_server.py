@@ -801,29 +801,31 @@ def test_stats_op_shape(tmp_path):
 
 def test_client_pool_fill_failure_closes_partial_pool(tmp_path):
     """A connect() that dies mid-pool-fill must not leak the sockets it
-    already opened (regression: they had no owner to close them)."""
+    already opened (regression: they had no owner to close them).  The
+    failure is injected where the client gets its transports from — the
+    loop's ``create_connection`` — and the sockets are judged by the
+    transports the loop handed out."""
     from unittest import mock
 
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     opened = []
 
     async def scenario(host, port):
-        real_open = asyncio.open_connection
-        calls = {"count": 0}
+        loop = asyncio.get_running_loop()
+        real_create = loop.create_connection
 
-        async def flaky_open(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] > 2:
+        async def flaky_create(*args, **kwargs):
+            if len(opened) == 2:
                 raise ConnectionRefusedError("handshake died mid-pool-fill")
-            reader, writer = await real_open(*args, **kwargs)
-            opened.append(writer)
-            return reader, writer
+            transport, connection = await real_create(*args, **kwargs)
+            opened.append(transport)
+            return transport, connection
 
-        with mock.patch("asyncio.open_connection", flaky_open):
+        with mock.patch.object(loop, "create_connection", flaky_create):
             with pytest.raises(ConnectionRefusedError):
                 await ServerClient(host, port, pool_size=4).connect()
         assert len(opened) == 2  # two succeeded before the failure
-        assert all(writer.is_closing() for writer in opened)
+        assert all(transport.is_closing() for transport in opened)
         # And the server end stays healthy for the next client.
         async with ServerClient(host, port) as client:
             assert await client.get(addr_of(1)) is None
@@ -872,29 +874,32 @@ class _FaultyServerThread:
     async def _handle(self, reader, writer):
         import json as json_mod
 
-        while True:
-            body = await protocol.read_frame(reader)
-            if body is None:
-                break
-            op, _args = protocol.decode_request(body)
-            if op in (Op.PUT, Op.GET, Op.GET_AT):
-                self.data_ops += 1
-                if self.data_ops % self.every == 0:
-                    writer.write(protocol.encode_error("injected fault"))
-                elif op == Op.PUT:
-                    writer.write(protocol.encode_height_response(1))
+        try:
+            while True:
+                body = await protocol.read_frame(reader)
+                if body is None:
+                    break
+                op, _args = protocol.decode_request(body)
+                if op in (Op.PUT, Op.GET, Op.GET_AT):
+                    self.data_ops += 1
+                    if self.data_ops % self.every == 0:
+                        writer.write(protocol.encode_error("injected fault"))
+                    elif op == Op.PUT:
+                        writer.write(protocol.encode_height_response(1))
+                    else:
+                        writer.write(protocol.encode_value_response(None))
+                elif op in (Op.ROOT, Op.FLUSH):
+                    writer.write(
+                        protocol.encode_root_response(RootInfo(b"\x00" * 8, 0, 0))
+                    )
                 else:
-                    writer.write(protocol.encode_value_response(None))
-            elif op in (Op.ROOT, Op.FLUSH):
-                writer.write(
-                    protocol.encode_root_response(RootInfo(b"\x00" * 8, 0, 0))
-                )
-            else:
-                writer.write(
-                    protocol.encode_blob_response(json_mod.dumps({}).encode())
-                )
-            await writer.drain()
-        writer.close()
+                    writer.write(
+                        protocol.encode_blob_response(json_mod.dumps({}).encode())
+                    )
+                await writer.drain()
+        finally:
+            # stop() cancels this task: the socket still has to go.
+            writer.close()
 
     def start(self):
         import threading
