@@ -1,7 +1,7 @@
 """Pluggable compaction policy: when a cascade merges a level's group.
 
-The cascade machinery (``Cole._sync_cascade`` / ``_async_cascade``) is the
-same for every policy — drain L0 into a level-1 run, walk the levels, and
+The cascade machinery (``Cole._cascade``, one walk for COLE and COLE*) is
+the same for every policy — drain L0 into a level-1 run, walk the levels, and
 wherever the policy says a writing group overflowed, merge *all* of its
 runs into one run at the next level.  What a :class:`CompactionPolicy`
 owns is the three decisions the LSM literature varies:

@@ -1,7 +1,7 @@
 """Key-ordered cursors: the unified read-path substrate of the engine.
 
 Every sorted source of compound key-value pairs — the in-memory MB-tree
-groups (L0), the immutable on-disk runs, and whole disk levels — exposes
+groups (L0) and the immutable on-disk runs — exposes
 the same tiny cursor protocol (:class:`Cursor`): ``seek(key)`` positions
 at the first entry with key >= ``key`` and ``next()`` streams entries in
 ascending compound-key order.  A heap-based k-way :class:`MergingCursor`

@@ -1,11 +1,13 @@
 """On-disk levels: groups of sorted runs (Sections 4 and 5).
 
-In synchronous mode (Algorithm 1) a level is a single group of up to ``T``
-runs.  With asynchronous merge (Algorithm 5, Figure 7) a level holds two
-groups with mutually exclusive roles — *writing* (accepts newly committed
-runs from the level above) and *merging* (its runs are being merged into
-the next level by a background thread) — which are switched at every
-commit checkpoint.
+A level holds two groups with mutually exclusive roles (Algorithm 5,
+Figure 7) — *writing* (accepts newly committed runs from the level above)
+and *merging* (its runs are being merged into the next level) — which are
+switched at the level's commit checkpoint (``Cole._checkpoint_level``).
+Under COLE* the merging group lives until the level's next checkpoint
+lands its merge; under COLE (Algorithm 1) the merge lands inside the same
+checkpoint, so between commits the merging group is empty and a level is
+the single group of up to ``T`` runs the paper's Section 4 describes.
 """
 
 from __future__ import annotations
@@ -27,19 +29,9 @@ class DiskGroup:
     def __len__(self) -> int:
         return len(self.runs)
 
-    def newest_first(self) -> List[Run]:
-        """Runs in search order (Algorithm 6: freshness order)."""
-        return list(reversed(self.runs))
-
     def add(self, run: Run) -> None:
         """Append a newly committed run (it becomes the newest)."""
         self.runs.append(run)
-
-    def delete_all(self) -> None:
-        """Remove every run's files (after their merge is committed)."""
-        for run in self.runs:
-            run.delete()
-        self.runs.clear()
 
     def take_all(self) -> List[Run]:
         """Detach and return every run, keeping the files on disk.
@@ -65,19 +57,7 @@ class DiskLevel:
         """Swap the writing / merging roles (Algorithm 5 line 13)."""
         self.writing, self.merging = self.merging, self.writing
 
-    def search_order(self) -> List[Run]:
-        """Committed runs in Algorithm 6 order: writing then merging,
-        each newest first."""
-        return self.writing.newest_first() + self.merging.newest_first()
-
     def all_runs(self) -> List[Run]:
         """Every committed run in ``root_hash_list`` order (writing group
         oldest-first, then merging group oldest-first)."""
         return list(self.writing.runs) + list(self.merging.runs)
-
-    def cursor(self):
-        """Merged key-ordered cursor over every committed run of this
-        level, freshness-ordered (``repro.core.cursor``)."""
-        from repro.core.cursor import MergingCursor
-
-        return MergingCursor([run.cursor() for run in self.search_order()])

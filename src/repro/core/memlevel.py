@@ -54,8 +54,3 @@ class MemGroup:
     def drain(self) -> List[Entry]:
         """All entries in key order (flushing L0, Algorithm 1 line 5)."""
         return list(self.tree.items())
-
-    def clear(self) -> None:
-        """Empty the group after its data is committed on disk."""
-        self.tree.clear()
-        self.max_blk = -1

@@ -6,21 +6,20 @@ most once — re-updates within a block overwrite in L0), so the k-way merge
 is a plain heap merge; equal keys would indicate corruption and are
 resolved in favour of the newest run for defence in depth.
 
-:class:`MergeScheduler` owns the thread lifecycle of every background run
-builder — the L0 flush, the per-level checkpoint merges, and the recovery
-restart of aborted merges all spawn through it, so error capture and the
-"output invisible until the commit checkpoint" discipline (Figure 8) are
-implemented exactly once.
+:class:`MergeScheduler` starts every run build — the L0 flush, the
+per-level checkpoint merges, and the restart of aborted merges — on a
+``concurrent.futures`` executor: inline for COLE, a thread pool for COLE*.
+The build's :class:`PendingMerge` stays invisible to queries until a
+commit checkpoint lands it (Figure 8).
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
-import threading
 import time
-from concurrent.futures import Future
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, List, Tuple, TYPE_CHECKING
 
 from repro.common.errors import StorageError
 
@@ -28,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.run import Run
 
 Entry = Tuple[int, bytes]
+
+#: Cap of COLE*'s build pool.  A cascade has at most one build per level
+#: in flight (plus the L0 flush), far fewer than this, so a builder never
+#: queues behind an unrelated merge.
+MAX_MERGE_WORKERS = 64
 
 
 def _tag_stream(stream: Iterable[Entry], priority: int) -> Iterator[Tuple[int, int, bytes]]:
@@ -51,102 +55,76 @@ def merge_entry_streams(streams: List[Iterable[Entry]]) -> Iterator[Entry]:
         yield key, value
 
 
+@dataclass
 class PendingMerge:
-    """A background merge: the thread plus its (uncommitted) output run.
+    """A run build in flight: its future plus what the commit checkpoint
+    that lands it needs.
 
     The output run's files exist on disk but the run belongs to no group
-    and no ``root_hash_list`` entry until the commit checkpoint — queries
+    and no ``root_hash_list`` entry until that checkpoint — queries
     cannot see it, which is exactly the "uncommitted file" state of
     Figure 8.
     """
 
-    def __init__(self, *, name: str = "", level: int = 0, kind: str = "merge") -> None:
-        self.future: Optional[Future] = None
-        self.name = name
-        self.level = level
-        self.kind = kind
-        self.output: Optional["Run"] = None
-        self.checkpoint_puts: int = 0  # put counter covered by the output run
-        self.checkpoint_blk: int = -1  # block height covered by the output run
-        self.error: Optional[BaseException] = None
+    future: "Future[Run]"
+    name: str
+    level: int
+    kind: str
+    checkpoint_puts: int = 0  # put counter covered by the output run
+    checkpoint_blk: int = -1  # block height covered by the output run
 
-    def wait(self) -> None:
-        """Block until the merge task finishes (Algorithm 5 line 9).
+    def wait(self) -> "Run":
+        """Block until the build finishes and return its run (Algorithm 5
+        line 9).
 
-        A failure in the background task is re-raised here as a
+        A failed build is re-raised here, every time, as a
         :class:`StorageError` naming the run and level it was building,
         chained to the original exception.
         """
-        if self.future is not None:
-            self.future.result()  # the task traps its own errors; this joins
-        if self.error is not None:
-            label = self.name if self.name else "<unnamed>"
+        error = self.future.exception()  # joins the build
+        if error is not None:
             raise StorageError(
-                f"background {self.kind} building run {label} "
-                f"(level {self.level}) failed: {self.error!r}"
-            ) from self.error
+                f"background {self.kind} building run {self.name} "
+                f"(level {self.level}) failed: {error!r}"
+            ) from error
+        return self.future.result()
+
+
+class InlineExecutor(Executor):
+    """COLE's executor (Algorithm 1): ``submit`` runs the call before it
+    returns, so the build lands inside the commit that started it."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # an interrupt is the caller's own: let it out
+            future.set_exception(exc)
+        return future
 
 
 class MergeScheduler:
-    """Spawns and tracks the background run builders of one engine.
+    """Starts the run builders of one engine on the executor chosen at
+    open: :class:`InlineExecutor` for COLE, a thread pool for COLE*.
 
-    ``build`` closures produce the output :class:`Run`; the scheduler owns
-    worker lifecycle, output capture, and error capture, so every spawn
-    site (L0 flush, level merge, recovery restart) behaves identically.
-
-    Tasks run on persistent, reused worker threads rather than one fresh
-    thread per merge: under GIL pressure ``Thread.start`` stalls the
-    commit path for milliseconds waiting for the new thread to come
-    alive, which at one flush per block is a measurable share of write
-    latency.  The pool grows on demand (a worker is added only when no
-    idle worker is available), so a deep cascade — L0 flush plus one
-    merge per level in flight at once — never queues a builder behind an
-    unrelated merge: every spawned task starts immediately, exactly as
-    the thread-per-merge design did.
+    Every start site (L0 flush, level merge, recovery and rewind
+    restarts) goes through :meth:`spawn`, so build metrics and the
+    failure wording exist once.  The pool reuses its threads — under GIL
+    pressure ``Thread.start`` stalls the commit path for milliseconds —
+    and adds one only when none is idle.
     """
 
-    def __init__(self, name_prefix: str = "cole") -> None:
-        self.name_prefix = name_prefix
-        self._lock = threading.Lock()
-        self._queue: "queue.Queue[Optional[Callable[[], None]]]" = queue.Queue()
-        self._idle = 0  # parked workers not yet reserved by a dispatch
-        self._workers: List[threading.Thread] = []
+    def __init__(self, inline: bool = False) -> None:
+        self.inline = inline
+        self._executor: Executor = (
+            InlineExecutor()
+            if inline
+            else ThreadPoolExecutor(MAX_MERGE_WORKERS, "cole-merge")
+        )
         #: Optional :class:`~repro.obs.MetricsRegistry`: when a server
         #: attaches one, every build reports its duration and the bytes
         #: of the run it wrote (merge write amplification, observable).
         self.metrics = None
-
-    def _dispatch(self, task: Callable[[], None]) -> None:
-        with self._lock:
-            if self._idle > 0:
-                # Reserve a parked worker: it is guaranteed to take this
-                # task, so back-to-back dispatches in one cascade can
-                # never queue two tasks onto the same worker.
-                self._idle -= 1
-            else:
-                worker = threading.Thread(
-                    target=self._work,
-                    name=f"{self.name_prefix}-merge-{len(self._workers)}",
-                    # Daemon: an engine that is never close()d must not
-                    # pin the interpreter open on idle workers.  Clean
-                    # shutdown drains the queue via close() sentinels.
-                    daemon=True,
-                )
-                self._workers.append(worker)
-                worker.start()
-            self._queue.put(task)
-
-    def _work(self) -> None:
-        while True:
-            task = self._queue.get()
-            if task is None:  # shutdown sentinel: retract the idle advert
-                with self._lock:
-                    self._idle -= 1
-                return
-            task()
-            task = None  # drop the closure, and the merged-away runs it names
-            with self._lock:
-                self._idle += 1  # advertised only once actually available
 
     def spawn(
         self,
@@ -158,63 +136,47 @@ class MergeScheduler:
         checkpoint_puts: int = 0,
         checkpoint_blk: int = -1,
     ) -> PendingMerge:
-        """Start ``build`` on a background worker; returns its handle.
+        """Start ``build``; returns its handle.
 
         ``checkpoint_puts`` / ``checkpoint_blk`` record the durability
         point the output run will cover once committed (Section 4.3).
+        An inline build has already run: its failure raises here, before
+        the caller's checkpoint has moved anything.
         """
-        pending = PendingMerge(name=name, level=level, kind=kind)
-        pending.checkpoint_puts = checkpoint_puts
-        pending.checkpoint_blk = checkpoint_blk
-        done = Future()  # type: Future
 
-        def task() -> None:
+        def task() -> "Run":
             started = time.perf_counter()
-            try:
-                pending.output = build()
-            except BaseException as exc:  # surfaced at the next checkpoint
-                pending.error = exc
-            else:
-                metrics = self.metrics
-                if metrics is not None:
-                    metrics.histogram(
-                        "repro_merge_seconds",
-                        help="Run build duration by kind",
-                        kind=kind,
-                    ).observe(time.perf_counter() - started)
-                    if pending.output is not None:
-                        try:
-                            written = pending.output.storage_bytes()
-                        except OSError:
-                            written = 0
-                        metrics.counter(
-                            "repro_merge_bytes_rewritten_total",
-                            help="Bytes written by merge/flush builds",
-                        ).inc(written)
-                        metrics.counter(
-                            "repro_compaction_bytes_total",
-                            help="Run-build output bytes by kind and level",
-                            kind=kind,
-                            level=str(level),
-                        ).inc(written)
-            done.set_result(None)
+            run = build()
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.histogram(
+                    "repro_merge_seconds",
+                    help="Run build duration by kind",
+                    kind=kind,
+                ).observe(time.perf_counter() - started)
+                try:
+                    written = run.storage_bytes()
+                except OSError:
+                    written = 0
+                metrics.counter(
+                    "repro_merge_bytes_rewritten_total",
+                    help="Bytes written by merge/flush builds",
+                ).inc(written)
+                metrics.counter(
+                    "repro_compaction_bytes_total",
+                    help="Run-build output bytes by kind and level",
+                    kind=kind,
+                    level=str(level),
+                ).inc(written)
+            return run
 
-        pending.future = done
-        self._dispatch(task)
+        pending = PendingMerge(
+            self._executor.submit(task), name, level, kind, checkpoint_puts, checkpoint_blk
+        )
+        if self.inline:
+            pending.wait()
         return pending
 
     def close(self) -> None:
-        """Stop all workers (idempotent; engine close path).
-
-        Queued tasks drain first (FIFO), then each worker exits on its
-        sentinel; the idle count is reset so a scheduler reused after
-        close starts from a clean slate.
-        """
-        with self._lock:
-            workers, self._workers = self._workers, []
-        for _worker in workers:
-            self._queue.put(None)
-        for worker in workers:
-            worker.join()
-        with self._lock:
-            self._idle = 0
+        """Finish queued builds and stop the workers (engine close path)."""
+        self._executor.shutdown(wait=True)

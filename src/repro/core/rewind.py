@@ -22,20 +22,22 @@ from repro.core.run import Run
 def rewind_to(cole, target_blk: int) -> int:
     """Discard every state version newer than ``target_blk``.
 
-    Returns the number of versions discarded.  Pending asynchronous
-    merges are drained first (their outputs are rebuilt or discarded with
-    everything else); the engine afterwards behaves as if block
-    ``target_blk`` had just been committed.
+    Returns the number of versions discarded.  Pending builds are joined
+    and their outputs dropped, then restarted over the filtered groups;
+    the engine afterwards behaves as if block ``target_blk`` had just
+    been committed.
     """
     if target_blk < 0:
         raise ValueError("cannot rewind to a negative block height")
+    flush = cole.mem_pending
     for pending in cole._pending_merges():  # the caller holds the gate
-        pending.wait()
-    _discard_pending(cole)
+        pending.wait().delete()  # uncommitted: rebuilt below, filtered
+    cole.mem_pending = None
+    for level in cole.levels:
+        level.pending = None
     cole.mem_writing, dropped = _rewind_mem_group(cole, cole.mem_writing, target_blk)
-    if cole.params.async_merge:
-        cole.mem_merging, removed = _rewind_mem_group(cole, cole.mem_merging, target_blk)
-        dropped += removed
+    cole.mem_merging, removed = _rewind_mem_group(cole, cole.mem_merging, target_blk)
+    dropped += removed
     obsolete: List[Run] = []
     for level in cole.levels:
         for group in (level.writing, level.merging):
@@ -50,6 +52,15 @@ def rewind_to(cole, target_blk: int) -> int:
             group.runs = rebuilt
     cole.current_blk = min(cole.current_blk, target_blk)
     cole._checkpoint_blk = min(cole._checkpoint_blk, target_blk)
+    # What is left of each merging group gets its build back: a merging
+    # group is only ever retired by the landing of its own merge.
+    if len(cole.mem_merging):
+        cole.mem_pending = cole._start_flush(
+            cole.mem_merging.drain(),
+            flush.checkpoint_puts,
+            min(flush.checkpoint_blk, target_blk),
+        )
+    cole._restart_merges()
     cole._save_manifest()
     # Rebuilt-away runs are deleted only after the manifest stopped
     # naming them; earlier deletion leaves a crash window where recovery
@@ -57,21 +68,6 @@ def rewind_to(cole, target_blk: int) -> int:
     for run in obsolete:
         run.delete()
     return dropped
-
-
-def _discard_pending(cole) -> None:
-    """Drop finished-but-uncommitted merge outputs; they will be redone."""
-    if cole.mem_pending is not None:
-        output = cole.mem_pending.output
-        if output is not None:
-            output.delete()
-        cole.mem_pending = None
-    for level in cole.levels:
-        if level.pending is not None:
-            output = level.pending.output
-            if output is not None:
-                output.delete()
-            level.pending = None
 
 
 def _rewind_mem_group(cole, group, target_blk: int):

@@ -1,22 +1,27 @@
 """COLE, the storage engine (Algorithms 1, 5, 6 and 8).
 
-One :class:`Cole` instance owns a workspace directory.  The write path is
-chosen by ``params.async_merge``:
+One :class:`Cole` instance owns a workspace directory.  There is one
+write path — the commit checkpoint walk, :meth:`Cole._cascade`: each full
+level lands the run build started at its previous checkpoint, switches
+its writing/merging groups and starts the next build — and
+``params.async_merge`` decides only when a build lands:
 
-* synchronous (Algorithm 1): a full level is merged inline, so a single
-  ``put`` can trigger the recursive merge cascade — the write-stall /
-  long-tail-latency behaviour Figure 12 measures;
-* asynchronous (Algorithm 5, "COLE*"): every level keeps two groups with
-  writing/merging roles; merges run in background threads and become
-  visible only at deterministic commit checkpoints, so ``Hstate`` is
-  identical across nodes regardless of merge timing (the soundness
-  argument of Section 5) — and, on a single node, identical to the
-  synchronous engine fed the same puts.
+* COLE (Algorithm 1): the build runs inline and lands before the walk
+  moves on, so one commit can pay for the whole recursive merge — the
+  write-stall / long-tail-latency behaviour Figure 12 measures;
+* COLE* (Algorithm 5): the build runs on a thread pool and lands at the
+  level's next checkpoint.  Checkpoints are a function of the put stream,
+  never of merge timing, so ``Hstate`` is identical across COLE* nodes
+  (the soundness argument of Section 5).  It is *not* the ``Hstate`` of
+  a COLE node fed the same puts: COLE* commits every run one checkpoint
+  later and hashes a second L0 tree, so the two modes' roots differ at
+  every block although every read answers the same.
 
 Durability follows Section 4.3: committed runs are named by an atomically
 replaced manifest; on recovery, unnamed files are deleted, the in-memory
 level is rebuilt by replaying puts after the recorded checkpoint, and
-aborted merges restart.
+aborted merges restart — in either mode, so a store may be reopened
+under the other one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.common.params import ColeParams
 from repro.core.compaction import make_policy
 from repro.core.compound import CompoundKey, MAX_BLK, addr_of_int, blk_of_int
 from repro.core.cursor import ReadSource, ScanTriple, scan_sources
-from repro.core.disklevel import DiskLevel, PendingMerge
+from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import Manifest, RunRecord, load_manifest, save_manifest
 from repro.core.memlevel import MemGroup
 from repro.core.merge import MergeScheduler, merge_entry_streams
@@ -95,7 +100,7 @@ class Cole:
         self.mem_writing = self._new_mem_group()
         self.mem_merging = self._new_mem_group()
         self.mem_pending: Optional[PendingMerge] = None
-        self.scheduler = MergeScheduler()
+        self.scheduler = MergeScheduler(inline=not self.params.async_merge)
         # Scans, provenance and root queries hold this shared; puts,
         # commit checkpoints, and rewind hold it exclusive.  Point reads
         # hold a view instead, and the mem lock around an L0 probe — as
@@ -151,10 +156,7 @@ class Cole:
         cascade = self.needs_cascade() if force_cascade is None else force_cascade
         with self.gate.exclusive():
             if cascade:
-                if self.params.async_merge:
-                    self._async_cascade()
-                else:
-                    self._sync_cascade()
+                self._cascade()
             return self._root_digest()
 
     def needs_cascade(self) -> bool:
@@ -200,38 +202,31 @@ class Cole:
             finally:
                 self.puts_total += count
 
-    # -- synchronous merge (Algorithm 1) ---------------------------------------
+    # -- the commit checkpoint walk (Algorithms 1 and 5) -------------------------
 
-    def _sync_cascade(self) -> None:
-        entries = self.mem_writing.drain()
-        if not entries:  # forced cascade on an empty L0 is a no-op
-            return
-        run = self._build_run(1, entries, len(entries))
-        self._ensure_level(1).writing.add(run)
-        self._note_flushed(run)
-        self.mem_writing = self._new_mem_group()  # views still name the old one
-        # Publish the flush now (it is consistent on its own): that drops
-        # the drained tree before the merges below, the memory peak.
-        self._publish_view()
-        self._checkpoint_puts = self.puts_total
-        self._checkpoint_blk = self.current_blk
+    def _cascade(self) -> None:
+        """One walk down the levels: each full level lands the build
+        started at its previous checkpoint, switches groups and starts
+        the next build.  COLE (Algorithm 1) lands that build before the
+        walk moves on, COLE* (Algorithm 5) at the level's next checkpoint
+        — the one thing ``async_merge`` decides here."""
+        land_now = not self.params.async_merge
+        moved = self._checkpoint_mem()
+        if land_now and self._land_flush():
+            # Publish the flush now (it is consistent on its own): that drops
+            # the drained tree before the merges below, the memory peak.
+            self._publish_view()
         obsolete: List[Run] = []
         index = 0
         while index < len(self.levels) and self.compaction.should_merge(
             self.levels[index].writing, index + 1, self.params
         ):
-            level = self.levels[index]
-            target = self.compaction.merge_target(index + 1)
-            sources = self.compaction.merge_sources(level.writing)
-            total = sum(source.num_entries for source in sources)
-            merged = merge_entry_streams(
-                [source.value_file.iter_entries() for source in sources]
-            )
-            run = self._build_run(target, merged, total)
-            self._ensure_level(target).writing.add(run)
-            self._note_rewritten(run)
-            obsolete.extend(level.writing.take_all())
+            obsolete += self._checkpoint_level(index)
+            if land_now:
+                obsolete += self._land_merge(self.levels[index])
             index += 1
+        if not moved and index == 0:
+            return  # forced cascade, empty L0, nothing in flight: a no-op
         self._save_manifest()
         self._publish_view()
         # Only now are the merged-away runs unreferenced by the manifest;
@@ -240,80 +235,70 @@ class Cole:
         for run in obsolete:
             run.delete()
 
-    # -- asynchronous merge (Algorithm 5) ----------------------------------------
-
-    def _async_cascade(self) -> None:
-        self._checkpoint_mem()
-        obsolete: List[Run] = []
-        index = 0
-        while index < len(self.levels) and self.compaction.should_merge(
-            self.levels[index].writing, index + 1, self.params
-        ):
-            obsolete.extend(self._checkpoint_level(index))
-            index += 1
-        self._save_manifest()
-        self._publish_view()
-        # Deferred until the manifest stopped naming them (crash safety).
-        for run in obsolete:
-            run.delete()
-
-    def _checkpoint_mem(self) -> None:
-        """The L0 commit checkpoint (Algorithm 5, i = 0)."""
-        pending = self.mem_pending
-        if pending is not None:
-            pending.wait()
-            assert pending.output is not None
-            self._ensure_level(1).writing.add(pending.output)
-            self._note_flushed(pending.output)
-            self._checkpoint_puts = pending.checkpoint_puts
-            self._checkpoint_blk = pending.checkpoint_blk
-            self.mem_pending = None
+    def _checkpoint_mem(self) -> bool:
+        """The L0 commit checkpoint (Algorithm 5, i = 0); True when it
+        landed or started a flush."""
+        landed = self._land_flush()
+        entries = self.mem_writing.drain()
+        if not entries:  # forced cascade on an empty L0: nothing to flush
+            return landed
+        self.mem_pending = self._start_flush(entries, self.puts_total, self.current_blk)
         # The full tree becomes the merging group and a fresh one takes
         # the writes (never clear()+swap: views still name the old pair).
         self.mem_merging = self.mem_writing
         self.mem_writing = self._new_mem_group()
-        entries = self.mem_merging.drain()
-        if not entries:  # forced cascade on an empty L0: nothing to flush
-            return
+        return True
+
+    def _start_flush(self, entries, checkpoint_puts: int, checkpoint_blk: int) -> PendingMerge:
+        """Build the level-1 run of an L0 group's ``entries``; the two
+        checkpoint values are what the manifest records once it lands."""
         name = self._next_run_name(1)
-        self.mem_pending = self.scheduler.spawn(
+        return self.scheduler.spawn(
             "flush",
             name,
             lambda: Run.build(
                 self.workspace, name, 1, iter(entries), len(entries), self.params
             ),
             level=1,
-            checkpoint_puts=self.puts_total,
-            checkpoint_blk=self.current_blk,
+            checkpoint_puts=checkpoint_puts,
+            checkpoint_blk=checkpoint_blk,
         )
 
+    def _land_flush(self) -> bool:
+        """Commit the pending L0 flush, if there is one: its run joins
+        level 1 and replaces the merging tree it was built from."""
+        pending = self.mem_pending
+        if pending is None:
+            return False
+        run = pending.wait()
+        self._ensure_level(1).writing.add(run)
+        self.bytes_flushed += run.storage_bytes()
+        self._checkpoint_puts = pending.checkpoint_puts
+        self._checkpoint_blk = pending.checkpoint_blk
+        self.mem_pending = None
+        self.mem_merging = self._new_mem_group()
+        return True
+
     def _checkpoint_level(self, index: int) -> List[Run]:
-        """The commit checkpoint of on-disk level ``index + 1``.
+        """The commit checkpoint of on-disk level ``index + 1``
+        (Algorithm 5 lines 9-19).
 
         Returns the merged-away runs; the caller deletes their files
         after the manifest no longer names them.
         """
         level = self.levels[index]
-        pending = level.pending
-        if pending is not None:
-            pending.wait()
-            assert pending.output is not None
-            self._ensure_level(pending.output.level).writing.add(pending.output)
-            self._note_rewritten(pending.output)
-            level.pending = None
-        obsolete = level.merging.take_all()
+        obsolete = self._land_merge(level)
+        # Started before the switch: an inline build that fails raises
+        # here, with every group where the last manifest has it.
+        pending = self._start_merge(index, level.writing)
         level.switch_groups()
-        self._spawn_level_merge(index)
+        level.pending = pending
         return obsolete
 
-    def _spawn_level_merge(self, index: int) -> None:
-        """Merge level ``index + 1``'s merging group in the background —
-        both the checkpoint merge (Algorithm 5 line 19) and the recovery
-        restart of an aborted merge (Section 4.3)."""
-        level = self.levels[index]
-        sources = self.compaction.merge_sources(level.merging)
-        if not sources:
-            return
+    def _start_merge(self, index: int, group: DiskGroup) -> PendingMerge:
+        """Merge ``group`` — level ``index + 1``'s merging group, or the
+        writing group about to become it — into one run of the next level."""
+        sources = self.compaction.merge_sources(group)
         target = self.compaction.merge_target(index + 1)
         total = sum(source.num_entries for source in sources)
         name = self._next_run_name(target)
@@ -324,13 +309,37 @@ class Cole:
             )
             return Run.build(self.workspace, name, target, merged, total, self.params)
 
-        level.pending = self.scheduler.spawn("merge", name, build, level=target)
+        return self.scheduler.spawn("merge", name, build, level=target)
+
+    def _land_merge(self, level: DiskLevel) -> List[Run]:
+        """Commit ``level``'s pending merge, if there is one: the output
+        joins its target level and the merging group it replaces is
+        retired in the same step — a merging group leaves no other way,
+        or its runs would shadow newer data merged below them."""
+        pending = level.pending
+        if pending is None:
+            return []
+        run = pending.wait()
+        self._ensure_level(run.level).writing.add(run)
+        # Counted here, not when the build finishes, so the counters stay
+        # deterministic across merge timing and crash/restart: an aborted
+        # merge's bytes are never counted, its restart's exactly once.
+        written = run.storage_bytes()
+        self.bytes_rewritten += written
+        self.level_bytes_rewritten[run.level] = (
+            self.level_bytes_rewritten.get(run.level, 0) + written
+        )
+        level.pending = None
+        return level.merging.take_all()
+
+    def _restart_merges(self) -> None:
+        """Give every non-empty merging group its merge back: recovery of
+        an aborted merge (Section 4.3) and rewind, in either mode."""
+        for index, level in enumerate(self.levels):
+            if level.merging.runs:
+                level.pending = self._start_merge(index, level.merging)
 
     # -- shared write helpers -------------------------------------------------------
-
-    def _build_run(self, level: int, entries, total: int) -> Run:
-        name = self._next_run_name(level)
-        return Run.build(self.workspace, name, level, iter(entries), total, self.params)
 
     def _next_run_name(self, level: int) -> str:
         name = f"L{level}_{self._run_seq:08d}"
@@ -360,24 +369,6 @@ class Cole:
         while len(self.levels) < paper_level:
             self.levels.append(DiskLevel(len(self.levels) + 1))
         return self.levels[paper_level - 1]
-
-    def _note_flushed(self, run: Run) -> None:
-        """Account an L0 flush output at the instant it is committed."""
-        self.bytes_flushed += run.storage_bytes()
-
-    def _note_rewritten(self, run: Run) -> None:
-        """Account a level-merge output at the instant it is committed.
-
-        Counted at the commit checkpoint (not when the background build
-        finishes) so the counters stay deterministic across merge timing
-        and crash/restart: an aborted merge's bytes are never counted,
-        its restart's are counted exactly once.
-        """
-        written = run.storage_bytes()
-        self.bytes_rewritten += written
-        self.level_bytes_rewritten[run.level] = (
-            self.level_bytes_rewritten.get(run.level, 0) + written
-        )
 
     def wait_for_merges(self) -> None:
         """Join every background merge (benchmark teardown, clean close).
@@ -729,7 +720,6 @@ class Cole:
                         )
                     )
             manifest.levels[level.level] = groups
-        manifest.checkpoint_puts = self._checkpoint_puts
         save_manifest(self.workspace.root, manifest)
 
     def _recover(self) -> None:
@@ -776,11 +766,7 @@ class Cole:
         self._run_seq = manifest.next_run_seq
         self._checkpoint_blk = manifest.checkpoint_blk
         self._checkpoint_puts = manifest.checkpoint_puts
-        # Restart aborted level merges (async mode).
-        if self.params.async_merge:
-            for index, level in enumerate(self.levels):
-                if level.merging.runs:
-                    self._spawn_level_merge(index)
+        self._restart_merges()
         self._publish_view()
 
     @property

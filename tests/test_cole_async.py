@@ -1,6 +1,9 @@
 """Tests for the checkpoint-based asynchronous merge (Section 5)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -116,16 +119,108 @@ def test_async_storage_comparable_to_sync(tmp_path):
 
 
 def test_merge_thread_errors_surface(tmp_path):
+    from concurrent.futures import Future
+
     cole = Cole(str(tmp_path / "err"), make_params(True))
     run_workload(cole, blocks=40)
     pending = cole.mem_pending
     if pending is None:
         pytest.skip("no pending merge at this scale")
-    pending.wait()
-    pending.error = RuntimeError("injected merge failure")
+    built = pending.wait()
+    pending.future = Future()
+    pending.future.set_exception(RuntimeError("injected merge failure"))
     with pytest.raises(StorageError) as excinfo:
         pending.wait()
     assert pending.name in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, RuntimeError)
-    pending.error = None  # allow clean close
+    pending.future = Future()  # allow clean close
+    pending.future.set_result(built)
     cole.close()
+
+
+# =============================================================================
+# one walk, two landing times: the modes share a workspace format
+# =============================================================================
+
+@pytest.mark.parametrize("first", [True, False], ids=["async-then-sync", "sync-then-async"])
+def test_reopen_under_the_other_merge_mode_keeps_answering(tmp_path, first):
+    """A merging group left by COLE* is retired only by the landing of
+    its own (restarted) merge, also when COLE reopens the store — dropped
+    or left in place its runs would shadow newer data merged below."""
+    directory = str(tmp_path / "switch")
+    rng = random.Random(5)
+    pool = [rng.randbytes(20) for _ in range(300)]
+    model = {}
+
+    def sweep(cole, blk):
+        """Overwrite every address, 10 per block."""
+        for start in range(0, len(pool), 10):
+            blk += 1
+            cole.begin_block(blk)
+            for addr in pool[start:start + 10]:
+                model[addr] = rng.randbytes(32)
+                cole.put(addr, model[addr])
+            cole.commit_block()
+        return blk
+
+    cole = Cole(directory, make_params(first))
+    blk = sweep(cole, 0)
+    if first:
+        assert any(level.merging.runs for level in cole.levels)
+    cole.close()
+
+    cole = Cole(directory, make_params(not first))
+    for level in cole.levels:  # recovery restarts merges in either mode
+        assert bool(level.merging.runs) == (level.pending is not None)
+    for _ in range(4):
+        blk = sweep(cole, blk)
+    for addr in pool:
+        assert cole.get(addr) == model[addr]
+    for level in cole.levels:
+        assert bool(level.merging.runs) == (level.pending is not None)
+        if first:  # COLE lands inside the checkpoint: nothing stays merging
+            assert not level.merging.runs
+    cole.close()
+
+
+@pytest.mark.parametrize("async_merge", [False, True], ids=["sync", "async"])
+def test_forced_cascade_with_nothing_to_move_is_a_noop(tmp_path, async_merge):
+    directory = str(tmp_path / "noop")
+    cole = Cole(directory, make_params(async_merge))
+    _pool, _model, digests = run_workload(cole, blocks=4)  # one natural cascade
+    cole.begin_block(5)
+    cole.commit_block(force_cascade=True)  # lands the flush under COLE*
+    manifest = os.path.join(directory, "MANIFEST.json")
+    before = (os.stat(manifest).st_ino, os.stat(manifest).st_mtime_ns, cole._view)
+    cole.begin_block(6)
+    root = cole.commit_block(force_cascade=True)
+    assert (os.stat(manifest).st_ino, os.stat(manifest).st_mtime_ns, cole._view) == before
+    assert root == cole.root_digest() != digests[0]
+    cole.close()
+
+
+def test_unclosed_async_engine_lets_the_interpreter_exit(tmp_path):
+    """Pool threads must not pin the process open when ``close()`` is
+    never called (the hand-rolled pool guaranteed it with daemon threads)."""
+    script = (
+        "import random, sys\n"
+        "from repro.common.params import ColeParams, SystemParams\n"
+        "from repro.core import Cole\n"
+        "params = ColeParams(system=SystemParams(addr_size=20, value_size=32),\n"
+        "                    mem_capacity=16, size_ratio=3, async_merge=True)\n"
+        "cole = Cole(sys.argv[1], params)\n"
+        "rng = random.Random(1)\n"
+        "for blk in range(1, 61):\n"
+        "    cole.begin_block(blk)\n"
+        "    for _ in range(5):\n"
+        "        cole.put(rng.randbytes(20), rng.randbytes(32))\n"
+        "    cole.commit_block()\n"
+        "assert cole._pending_merges()\n"
+        "print('done')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "unclosed")],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "done"

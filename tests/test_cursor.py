@@ -96,20 +96,24 @@ def test_merging_cursor_orders_and_dedups_newest_wins():
     assert list(merged) == [(3, b"new3"), (5, b"old5")]
 
 
-def test_disk_level_cursor_merges_its_runs(tmp_path, rng):
+def test_merging_cursor_merges_a_levels_runs(tmp_path, rng):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     pool = [rng.randbytes(ADDR) for _ in range(64)]
     for blk in range(1, 10):
         engine.begin_block(blk)
         engine.put_many([(a, rng.randbytes(VALUE)) for a in pool])
         engine.commit_block()
-    level = engine.levels[0]
-    assert len(level.search_order()) >= 1
-    cursor = level.cursor()
+    # The view is the one definition of Algorithm 6's order.
+    runs = [
+        s.source for s in engine._view.sources
+        if s.kind == "run" and s.source.level == 1
+    ]
+    assert len(runs) >= 1
+    cursor = MergingCursor([run.cursor() for run in runs])
     cursor.seek(0)
     keys = [key for key, _v in cursor]
     assert keys == sorted(keys)
-    assert len(keys) == sum(run.num_entries for run in level.search_order())
+    assert len(keys) == sum(run.num_entries for run in runs)
     engine.close()
 
 

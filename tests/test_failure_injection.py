@@ -186,11 +186,101 @@ def test_background_merge_failure_names_run_and_chains_cause(tmp_path, monkeypat
 
     # The engine can quiesce once the fault clears.
     monkeypatch.setattr(Run, "build", original_build)
-    if cole.mem_pending is not None and cole.mem_pending.error is not None:
+    if cole.mem_pending is not None and cole.mem_pending.future.exception():
         cole.mem_pending = None
     for level in cole.levels:
-        if level.pending is not None and level.pending.error is not None:
+        if level.pending is not None and level.pending.future.exception():
             level.pending = None
+    cole.close()
+
+
+@pytest.mark.parametrize("failing_level", [1, 2], ids=["l0-flush", "level-2-merge"])
+def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, failing_level):
+    """COLE waits on a build before its checkpoint moves anything: a
+    failing build raises out of ``commit_block`` (same error as COLE*'s)
+    with that step unapplied, the manifest on disk untouched, every
+    address still answering, and the retry succeeding.  A flush that
+    landed before a failing level merge stands — it is published first on
+    purpose, to drop the drained tree before the merges."""
+    from repro.core.run import Run
+
+    directory = str(tmp_path / "inline")
+    cole = Cole(directory, make_params())
+    rng = random.Random(23)
+    pool = [rng.randbytes(20) for _ in range(20)]
+    model = {}
+
+    def fill_block(blk):
+        cole.begin_block(blk)
+        for _ in range(5):
+            addr = rng.choice(pool)
+            model[addr] = rng.randbytes(32)
+            cole.put(addr, model[addr])
+
+    def layout():
+        return [
+            ([run.name for run in level.writing.runs], [run.name for run in level.merging.runs])
+            for level in cole.levels
+        ]
+
+    def manifest_bytes():
+        with open(os.path.join(directory, "MANIFEST.json"), "rb") as handle:
+            return handle.read()
+
+    # Stop before the commit whose walk flushes L0 and merges level 1.
+    blk = 1
+    fill_block(blk)
+    while not (cole.needs_cascade() and len(cole.levels) >= 2
+               and len(cole.levels[0].writing) == cole.params.size_ratio - 1):
+        cole.commit_block()
+        blk += 1
+        fill_block(blk)
+    mem, groups, manifest = cole.mem_writing, layout(), manifest_bytes()
+    files, root = sorted(cole.workspace.list_files()), cole.root_digest()
+
+    original_build = Run.build.__func__
+
+    def failing(cls, workspace, name, level, *args):
+        if level == failing_level:
+            raise OSError("disk full")
+        return original_build(cls, workspace, name, level, *args)
+
+    monkeypatch.setattr(Run, "build", classmethod(failing))
+    with pytest.raises(StorageError) as excinfo:
+        cole.commit_block()
+    assert f"building run L{failing_level}_" in str(excinfo.value)
+    assert f"(level {failing_level}) failed" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, OSError)
+    monkeypatch.undo()
+
+    assert manifest_bytes() == manifest
+    assert cole._pending_merges() == []
+    if failing_level == 1:  # nothing moved at all
+        assert cole.mem_writing is mem
+        assert layout() == groups
+        assert sorted(cole.workspace.list_files()) == files
+        assert cole.root_digest() == root
+    else:  # the flush stands, level 1's switch and merge never happened
+        flushed = cole.levels[0].writing.runs[-1]
+        assert len(cole.mem_writing) == 0
+        groups[0][0].append(flushed.name)
+        assert layout() == groups
+        assert [name for name in cole.workspace.list_files() if name not in files] == sorted(
+            name for name in cole.workspace.list_files() if name.startswith(flushed.name)
+        )
+    for addr in pool:
+        assert cole.get(addr) == model.get(addr)
+
+    # The retry — this commit again, or the next walk — completes it.
+    cole.commit_block(force_cascade=True)
+    assert manifest_bytes() != manifest
+    assert len(cole.levels[0].writing) == 0 and len(cole.levels[1].writing) >= 1
+    for blk in range(blk + 1, blk + 30):
+        fill_block(blk)
+        cole.commit_block()
+    for addr in pool:
+        assert cole.get(addr) == model.get(addr)
+    assert all(not level.merging.runs for level in cole.levels)
     cole.close()
 
 

@@ -36,9 +36,7 @@ def test_mem_group_tracks_max_blk():
     group.insert(CompoundKey(addr=b"\x01" * 8, blk=5).to_int(), b"v")
     group.insert(CompoundKey(addr=b"\x02" * 8, blk=3).to_int(), b"v")
     assert group.max_blk == 5
-    group.clear()
-    assert group.max_blk == -1
-    assert len(group) == 0
+    assert len(group) == 2
 
 
 def test_mem_group_drain_is_sorted():
@@ -50,22 +48,14 @@ def test_mem_group_drain_is_sorted():
     assert [key for key, _v in drained] == sorted(keys)
 
 
-def test_disk_group_search_order_is_newest_first(tmp_path, params):
-    group = DiskGroup()
-    run_a = make_run(tmp_path, params, "a", 1)
-    run_b = make_run(tmp_path, params, "b", 2)
-    group.add(run_a)
-    group.add(run_b)
-    assert group.newest_first() == [run_b, run_a]
-    assert len(group) == 2
-
-
-def test_disk_group_delete_all_removes_files(tmp_path, params):
+def test_disk_group_take_all_detaches_runs_and_keeps_files(tmp_path, params):
     group = DiskGroup()
     run = make_run(tmp_path, params, "victim", 3)
     group.add(run)
-    group.delete_all()
+    assert group.take_all() == [run]
     assert len(group) == 0
+    assert run.storage_bytes() > 0
+    run.delete()
     assert run.storage_bytes() == 0
 
 
@@ -78,14 +68,23 @@ def test_disk_level_switch_groups(tmp_path, params):
     assert level.writing.runs == []
 
 
-def test_disk_level_search_order(tmp_path, params):
-    level = DiskLevel(1)
-    older = make_run(tmp_path, params, "old", 5)
-    newer = make_run(tmp_path, params, "new", 6)
-    level.merging.add(older)
-    level.writing.add(newer)
-    assert level.search_order() == [newer, older]
-    assert level.all_runs() == [newer, older]
+def test_view_search_order_is_writing_then_merging_newest_first(tmp_path, params):
+    """Algorithm 6's order has one definition: the published view."""
+    from repro.core import Cole
+
+    cole = Cole(str(tmp_path / "ws"), params)
+    level = cole._ensure_level(1)
+    runs = [make_run(tmp_path, params, name, byte) for byte, name in enumerate("abcd", 1)]
+    level.merging.add(runs[0])
+    level.merging.add(runs[1])
+    level.writing.add(runs[2])
+    level.writing.add(runs[3])
+    cole._publish_view()
+    searched = [s.source for s in cole._view.sources if s.kind == "run"]
+    assert searched == [runs[3], runs[2], runs[1], runs[0]]
+    hashed = [s.source for s in cole._view.roots if s.kind == "run"]
+    assert hashed == level.all_runs() == [runs[2], runs[3], runs[0], runs[1]]
+    cole.close()
 
 
 def test_pending_merge_propagates_error():
@@ -96,14 +95,20 @@ def test_pending_merge_propagates_error():
 
     scheduler = MergeScheduler()
     pending = scheduler.spawn("merge", "L2_00000007", boom, level=2)
-    with pytest.raises(StorageError) as excinfo:
-        pending.wait()
-    # The context names the run and chains the original failure.
-    assert "L2_00000007" in str(excinfo.value)
-    assert "level 2" in str(excinfo.value)
-    assert isinstance(excinfo.value.__cause__, RuntimeError)
-    pending.error = None
+    for _ in range(2):  # a failed build fails every wait
+        with pytest.raises(StorageError) as excinfo:
+            pending.wait()
+        # The context names the run and chains the original failure.
+        assert "L2_00000007" in str(excinfo.value)
+        assert "level 2" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
     scheduler.close()
+    # The inline executor has already run the build: it fails at spawn.
+    inline = MergeScheduler(inline=True)
+    with pytest.raises(StorageError, match="L2_00000007") as excinfo:
+        inline.spawn("merge", "L2_00000007", boom, level=2)
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    inline.close()
 
 
 def test_pending_merge_wait_joins_task():
@@ -133,8 +138,8 @@ def test_merge_scheduler_runs_concurrent_tasks_without_queueing():
     first = scheduler.spawn("merge", "L2_00000001", blocker, level=2)
     assert started.wait(timeout=5)
     second = scheduler.spawn("merge", "L3_00000002", lambda: "done", level=3)
-    second.wait()  # completes while the first task is still blocked
-    assert second.output == "done"
+    # completes while the first task is still blocked
+    assert second.wait() == "done"
     release.set()
     first.wait()
     scheduler.close()

@@ -90,21 +90,26 @@ def test_rewind_is_deterministic_across_nodes(tmp_path):
     assert run(str(tmp_path / "a")) == run(str(tmp_path / "b"))
 
 
-def test_rewind_then_fork_replay(tmp_path):
-    pool, log = make_log(blocks=40)
-    cole = Cole(str(tmp_path / "f"), make_params())
+@pytest.mark.parametrize("async_merge", [False, True], ids=["sync", "async"])
+def test_rewind_then_fork_replay(tmp_path, async_merge):
+    # Asynchronous: the rewind meets a flush and level merges in flight;
+    # their merging groups must get their builds back, not be dropped
+    # (the pool is wide enough that the fork leaves addresses untouched).
+    pool, log = make_log(blocks=60, pool_size=64)
+    cole = Cole(str(tmp_path / "f"), make_params(async_merge))
     apply_blocks(cole, log)
-    cole.rewind_to(25)
-    # A different branch from block 26 onward.
+    assert async_merge == bool(cole._pending_merges())
+    cole.rewind_to(45)
+    # A different branch from block 46 onward.
     rng = random.Random(99)
     fork = [
         (blk, [(rng.choice(pool), rng.randbytes(32)) for _ in range(5)])
-        for blk in range(26, 41)
+        for blk in range(46, 86)
     ]
     apply_blocks(cole, fork)
     model = {}
     for blk, ops in log:
-        if blk <= 25:
+        if blk <= 45:
             for addr, value in ops:
                 model[addr] = value
     for blk, ops in fork:
@@ -112,6 +117,8 @@ def test_rewind_then_fork_replay(tmp_path):
             model[addr] = value
     for addr in pool:
         assert cole.get(addr) == model.get(addr)
+    for level in cole.levels:
+        assert bool(level.merging.runs) == (level.pending is not None)
     cole.close()
 
 
