@@ -1,16 +1,19 @@
 """async-blocking-call: nothing on the event loop may wait for a commit.
 
 The contract of an ``async def`` body: **no lock a commit can hold, no
-fsync, and otherwise only bounded page-cache ``pread`` / ``write``**.
-The loop already does one ``write(2)`` per PUT (the WAL append); a point
-read adds a few ``pread(2)`` of write-once run pages through the
-engine's *non-blocking* read, ``engine.get(addr, wait=False)`` /
-``engine.get_at(addr, blk, wait=False)`` — the one engine call
-sanctioned here.  Everything else that blocks runs on the executor
-(``ColeServer._run``).  One stray ``fsync`` or gate acquisition inside
-an ``async def`` stalls every connection on the server — and nothing
-crashes, it just gets slow, which is why this must be a lint rule and
-not a code review hope.
+fsync except the WAL syncer's budgeted one, and otherwise only bounded
+page-cache ``pread`` / ``write``**.  The loop already does one
+``write(2)`` per PUT (the WAL append); a point read adds a few
+``pread(2)`` of write-once run pages through the engine's *non-blocking*
+read, ``engine.get(addr, wait=False)`` / ``engine.get_at(addr, blk,
+wait=False)`` — the one engine call sanctioned here.  The one fsync is
+``_WalSyncer``'s group sync, on the loop only while it measures cheaper
+than the hand-off it replaces: its call site carries the suppression
+and that reason.  Everything else that blocks runs on the
+executor (``ColeServer._run``).  One stray ``fsync`` or gate acquisition
+inside an ``async def`` stalls every connection on the server — and
+nothing crashes, it just gets slow, which is why this must be a lint
+rule and not a code review hope.
 
 Scope: ``async def`` bodies in ``server/``, ``cluster/`` and
 ``replication/``.  Nested *sync* defs and lambdas inside an async body
@@ -28,6 +31,12 @@ are skipped — they are the executor thunks themselves.  Flagged calls:
 The sanctioned escape is an executor hop: passing the bound method to
 ``run_in_executor``/``to_thread`` (or ``self._run``) is not a call and
 is never flagged.
+
+An fsync must not hide behind a plain ``def`` either: ``os.fsync`` /
+``os.fdatasync`` / ``wal.sync`` calls are also flagged in every plain
+``def`` of the file that the loop reaches — protocol callbacks, functions
+handed to ``call_soon`` / ``add_done_callback`` ..., and whatever those or
+an ``async def`` call by name (``self.f()`` / ``f()``).
 """
 
 from __future__ import annotations
@@ -95,6 +104,24 @@ ENGINE_METHODS = {
 #: sync = fsync, close = flush + fsync).
 WAL_METHODS = {"append_put", "append_puts", "append_commit", "sync", "close"}
 
+#: Plain ``def`` methods asyncio itself calls on the loop.
+PROTOCOL_CALLBACKS = {
+    "connection_made", "connection_lost", "data_received", "eof_received",
+    "pause_writing", "resume_writing",
+}
+
+#: Calls whose function arguments run on the loop later.
+LOOP_SCHEDULERS = {
+    "call_soon", "call_soon_threadsafe", "call_later", "call_at", "add_done_callback",
+}
+
+
+def _fsync(call: ast.Call) -> Optional[str]:
+    name = dotted_name(call.func) or ""
+    if name in ("os.fsync", "os.fdatasync") or name.endswith("wal.sync"):
+        return f"{name}() is an fsync"
+    return None
+
 
 def _classify(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func)
@@ -133,14 +160,48 @@ class AsyncBlockingChecker(Checker):
         return findings
 
     def _check_file(self, src: SourceFile, findings: List[Finding]) -> None:
+        plain = {}  # name -> plain defs of that name (methods and functions)
+        reached: List[ast.AST] = []  # loop-side bodies still to walk
+        scheduled = set(PROTOCOL_CALLBACKS)  # names of loop callbacks
         for node in ast.walk(src.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            self._check_async_def(src, node, findings)
+            if isinstance(node, ast.AsyncFunctionDef):
+                reached.append(node)
+            elif isinstance(node, ast.FunctionDef):
+                plain.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in LOOP_SCHEDULERS:
+                    reached.extend(a for a in node.args if isinstance(a, ast.Lambda))
+                    scheduled.update(
+                        (dotted_name(a) or "").split(".")[-1] for a in node.args
+                    )
+        reached.extend(fn for name in scheduled for fn in plain.pop(name, ()))
+        while reached:
+            node = reached.pop()
+            if isinstance(node, ast.AsyncFunctionDef):
+                kind, classify = "async def", _classify
+            else:
+                kind, classify = "loop callback", _fsync
+            for call in self._calls(node):
+                reason = classify(call)
+                if reason is not None:
+                    findings.append(
+                        Finding(
+                            RULE,
+                            src.path,
+                            call.lineno,
+                            f"{kind} {getattr(node, 'name', 'lambda')}: {reason}; "
+                            "hop to the executor (run_in_executor / to_thread)",
+                        )
+                    )
+                callee = (dotted_name(call.func) or "").split(".")
+                if len(callee) == 1 or (len(callee) == 2 and callee[0] == "self"):
+                    reached.extend(plain.pop(callee[-1], ()))
 
-    def _check_async_def(
-        self, src: SourceFile, fn: ast.AsyncFunctionDef, findings: List[Finding]
-    ) -> None:
+    @staticmethod
+    def _calls(fn: ast.AST) -> List[ast.Call]:
+        """Calls lexically in ``fn``; not those of nested defs (executor thunks)."""
+        calls: List[ast.Call] = []
+
         def visit(node: ast.AST) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(
@@ -148,17 +209,8 @@ class AsyncBlockingChecker(Checker):
                 ):
                     continue
                 if isinstance(child, ast.Call):
-                    reason = _classify(child)
-                    if reason is not None:
-                        findings.append(
-                            Finding(
-                                RULE,
-                                src.path,
-                                child.lineno,
-                                f"async def {fn.name}: {reason}; hop to the "
-                                "executor (run_in_executor / to_thread)",
-                            )
-                        )
+                    calls.append(child)
                 visit(child)
 
         visit(fn)
+        return calls

@@ -461,9 +461,9 @@ class ClusterNode:
         serving.role.moved_to = to_address
         serving.role.moved_epoch = epoch
         serving.role.phase = "moved"
-        root, height = await serving.server.batcher.flush()
-        if serving.wal.sync_policy != "none":
-            await serving.server._run(serving.wal.sync)
+        server = serving.server
+        root, height = await server.batcher.flush()
+        await server.wal_syncer.durable(server.batcher.last_commit_lsn)
         return {"height": height, "root": bytes(root).hex()}
 
     def _admin_reinstate(self, shard_id: int) -> dict:

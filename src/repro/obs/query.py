@@ -711,7 +711,13 @@ def bloom(target: QueryTarget, probes: int, fmt: str) -> None:
 @click.pass_obj
 @error_handler
 def wal(target: QueryTarget, fmt: str) -> None:
-    """WAL segments: sealed/active state, record counts, torn tails."""
+    """WAL segments: sealed/active state, record counts, torn tails; live,
+    a ``*`` row totals the log and where its group fsyncs ran."""
+    columns = [
+        "shard", "segment", "state", "bytes", "records", "puts",
+        "commits", "max_height", "torn",
+    ]
+    wal_stats = None
     if target.live:
         wal_stats = target.stats().get("wal")
         wal_dir = wal_stats.get("directory") if wal_stats else None
@@ -722,15 +728,17 @@ def wal(target: QueryTarget, fmt: str) -> None:
         wal_dir = os.path.join(target.resolve_workspace(), WAL_DIRNAME)
         note = "" if os.path.isdir(wal_dir) else f"no WAL directory at {wal_dir}"
     rows = collect_wal(wal_dir) if wal_dir else []
-    emit(
-        [
-            "shard", "segment", "state", "bytes", "records", "puts",
-            "commits", "max_height", "torn",
-        ],
-        rows,
-        fmt,
-        note=note,
-    )
+    if wal_stats:
+        paths = ["syncs_inline", "syncs_pooled"]
+        columns += paths
+        rows.append({
+            "shard": "*", "state": wal_stats["policy"],
+            "bytes": wal_stats["bytes_appended"],
+            "records": wal_stats["records_appended"],
+            "puts": wal_stats["puts_appended"],
+            **{path: wal_stats[path] for path in paths},
+        })
+    emit(columns, rows, fmt, note=note)
 
 
 @query_group.command()

@@ -70,6 +70,7 @@ class WriteBatcher:
         run_in_executor: Callable[..., Awaitable],
         on_commit: Optional[Callable[[Dict[bytes, bytes]], None]] = None,
         wal=None,
+        durable: Optional[Callable[[int], Awaitable]] = None,
         hub=None,
         metrics=None,
     ) -> None:
@@ -78,8 +79,9 @@ class WriteBatcher:
         ``addr -> value`` (the server reconciles its caches); ``wal``: an
         optional :class:`~repro.wal.WriteAheadLog` every put is appended to;
         ``hub`` is an optional :class:`~repro.replication.ReplicationHub`
-        each committed batch is published to once its WAL records are
-        durable (requires ``wal``); ``metrics`` is an optional
+        each committed batch is published to once ``durable(lsn)`` — the
+        server's WAL syncer — has made its COMMIT marker durable (requires
+        ``wal`` and ``durable``); ``metrics`` is an optional
         :class:`~repro.obs.MetricsRegistry` recording flush latency and
         the batch-size distribution."""
         self.engine = engine
@@ -88,9 +90,12 @@ class WriteBatcher:
         self._run = run_in_executor
         self._on_commit = on_commit
         self.wal = wal
+        self._durable = durable
         self._hub = hub
         #: LSN of the most recent put's WAL record (ack durability mark).
         self.last_put_lsn = 0
+        #: LSN of the most recent COMMIT marker (covers its batch's puts).
+        self.last_commit_lsn = 0
         self._wal_truncated_at = min(engine.shard_checkpoints()) if wal else -1
         # The open block: puts buffered here commit at _next_height.
         self._next_height = max(engine.current_blk, engine.checkpoint_blk) + 1
@@ -294,8 +299,7 @@ class WriteBatcher:
                     # the batch ships as-is.)  A subscriber registering
                     # after this check reads the batch from the WAL in its
                     # catch-up scan — the COMMIT marker is already on disk.
-                    if self.wal.sync_policy != "none":
-                        await self._run(self.wal.sync)
+                    await self._durable(self.last_commit_lsn)
                     self._hub.publish(height, items, root)
             return root, height
 
@@ -332,7 +336,7 @@ class WriteBatcher:
         self.engine.put_many(items)
         root = self.engine.commit_block()
         if self.wal is not None:
-            self.wal.append_commit(height, root)
+            self.last_commit_lsn = self.wal.append_commit(height, root)
         return root
 
     async def close(self) -> None:

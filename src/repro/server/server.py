@@ -50,20 +50,21 @@ a stream and a task: ``data_received`` splits the chunk into frames and
 steps :meth:`ColeServer._dispatch` inline, so a request whose handler
 never suspends (a cache hit, an on-view GET / GET_AT, a PUT without a
 WAL) is answered before ``data_received`` returns.  A handler that does
-suspend (a PUT awaiting the group fsync, pooled MULTI_GET leftovers,
-SCAN, PROV, FLUSH, STATS) continues as a task while the connection's
-later frames queue behind it: answers leave strictly in request order,
-so clients may pipeline.  Batched and ranged engine work (MULTI_GET
-leftovers, SCAN, PROV, commits) runs on a small thread pool; point reads
-hold a view, not the :class:`~repro.common.gate.CommitGate`, and never
-wait for a commit.  DESIGN.md "Frames, not streams" has the rules.
+suspend (a PUT awaiting its tick's group fsync, pooled MULTI_GET
+leftovers, SCAN, PROV, FLUSH, STATS) continues as a task while the
+connection's later frames queue behind it: answers leave strictly in
+request order, so clients may pipeline.  Batched and ranged engine work
+(MULTI_GET leftovers, SCAN, PROV, commits) runs on a small thread pool;
+point reads hold a view, not the :class:`~repro.common.gate.CommitGate`,
+and never wait for a commit; the group fsync runs on the loop too while
+that measures cheaper than handing it off (:class:`_WalSyncer`).
+DESIGN.md "Frames, not streams" has the rules.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import heapq
 import json
 import pickle
 import time
@@ -123,70 +124,90 @@ class ServerConfig:
             raise ValueError("negative_cache_capacity cannot be negative")
 
 
-class _WalSyncer:
-    """Group-commit fsync: one fsync acks every put appended before it.
+#: Samples per cost ring of the sync-path choice (under a second of load).
+_COST_RING = 16
 
-    PUT handlers park on :meth:`durable` with the LSN their record got;
-    at most one WAL sync runs at a time (on the thread pool), and each
-    completed sync resolves every waiter it covered — the more clients
-    pile on, the more acks each fsync amortizes.
+
+class _WalSyncer:
+    """Group fsync: one ``WriteAheadLog.sync`` pass per event-loop tick.
+
+    The first :meth:`durable` of a tick schedules one pass for the end of
+    the next, so every PUT / MULTI_PUT decoded in either loop iteration
+    shares it; acks parked while a pooled pass is in flight share the next.
+    Passes run one at a time, and every sync the serving layer issues is one.
+
+    Each pass runs where it is cheaper under the present load: **F** is
+    what a pass costs (``wal.sync_seconds``; the lower quartile of the
+    last ``_COST_RING``, as re-taking the GIL after ``os.fsync`` inflates
+    a few samples by up to a switch interval), **H** what a thread-pool
+    hand-off costs right now (the median of ``hops``, fed by
+    :meth:`ColeServer._run`).  Inline while F <= H — the loop never blocks
+    on a sync for longer than the hand-off it avoids would have cost that
+    ack — pooled otherwise, and until both have a sample.
     """
 
-    def __init__(self, wal, run_in_executor, metrics=None) -> None:
+    def __init__(self, wal, run_in_executor, hops, metrics) -> None:
         self.wal = wal
         self._run = run_in_executor
-        self._waiters: List[tuple] = []  # heap of (lsn, seq, future)
-        self._seq = 0
+        self._hops = hops
+        self._passes: Deque[float] = deque(maxlen=_COST_RING)
+        self._waiters: Deque[tuple] = deque()  # (lsn, future), arrival order
         self._task: Optional[asyncio.Task] = None
-        self._fsync_hist = None
-        if metrics is not None:
-            self._fsync_hist = metrics.histogram(
-                "repro_wal_fsync_seconds", help="WAL sync() latency"
-            )
+        self.syncs_inline = self.syncs_pooled = 0
+        self._fsync_hist = metrics.histogram(
+            "repro_wal_fsync_seconds", help="WAL sync() pass, on the thread that ran it"
+        )
 
-    async def _sync(self) -> int:
-        started = time.perf_counter()
-        synced = await self._run(self.wal.sync)
-        if self._fsync_hist is not None:
-            self._fsync_hist.observe(time.perf_counter() - started)
-        return synced
+    def _inline_pays(self) -> bool:
+        passes, hops = self._passes, self._hops
+        if not passes or not hops:
+            return False
+        return sorted(passes)[len(passes) // 4] <= sorted(hops)[len(hops) // 2]
 
     async def durable(self, lsn: int) -> None:
         """Return once the WAL record at ``lsn`` is durable (per policy)."""
         policy = self.wal.sync_policy
-        if policy == "none":
-            return  # ack on reaching the OS page cache
-        if policy == "always":
-            await self._sync()  # strict: an fsync per ack
-            return
-        if lsn <= self.wal.synced_lsn:
-            return
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        heapq.heappush(self._waiters, (lsn, self._seq, future))
-        self._seq += 1
+        if policy == "none" or (policy == "batch" and lsn <= self.wal.synced_lsn):
+            return  # "none" acks on reaching the OS page cache
+        future = asyncio.get_running_loop().create_future()
+        self._waiters.append((lsn, future))
         if self._task is None:
-            self._task = loop.create_task(self._drain())
+            self._task = asyncio.ensure_future(self._pass())
         await future
 
-    async def _drain(self) -> None:
+    async def _pass(self) -> None:
+        """One sync for the acks parked so far (``always``: the oldest)."""
+        # A PUT already in its socket when the first ack parked shares the pass.
+        await asyncio.sleep(0)
+        waiters = self._waiters
+        if self.wal.sync_policy == "always":
+            parked = [waiters.popleft()]  # strict: an fsync per ack
+        else:
+            parked = list(waiters)
+            waiters.clear()
+        error = "the log is closed"
         try:
-            while self._waiters:
-                try:
-                    synced = await self._sync()
-                except Exception as exc:  # fail every parked ack loudly
-                    error = StorageError(f"WAL sync failed: {exc}")
-                    while self._waiters:
-                        _, _, future = heapq.heappop(self._waiters)
-                        if not future.done():
-                            future.set_exception(error)
-                    return
-                while self._waiters and self._waiters[0][0] <= synced:
-                    _, _, future = heapq.heappop(self._waiters)
-                    if not future.done():
-                        future.set_result(None)
-        finally:
-            self._task = None
+            if self._inline_pays():
+                self.syncs_inline += 1
+                synced = self.wal.sync()  # repro-lint: disable=async-blocking-call; the budgeted fsync: F <= H
+            else:
+                self.syncs_pooled += 1
+                synced = await self._run(self.wal.sync)
+        except Exception as exc:  # fail every parked ack loudly
+            synced, error = -1, exc
+        else:
+            self._passes.append(self.wal.sync_seconds)
+            self._fsync_hist.observe(self.wal.sync_seconds)
+        # Each parked record was appended before the pass captured its LSN:
+        # a pass that did not reach one (a closed or poisoned log) never will.
+        for lsn, future in parked:
+            if future.done():
+                continue
+            if lsn <= synced:
+                future.set_result(None)
+            else:
+                future.set_exception(StorageError(f"WAL sync failed: {error}"))
+        self._task = asyncio.ensure_future(self._pass()) if waiters else None
 
 
 def _error_frame(exc: Exception) -> bytes:
@@ -481,6 +502,12 @@ class ColeServer:
         #: replica applier record into it, and ``Op.METRICS`` exposes it.
         self.metrics = MetricsRegistry()
         self._op_hists: dict = {}  # opcode -> cached latency histogram
+        #: Cost (seconds) of the latest thread-pool hand-offs, see :meth:`_run`.
+        self._hops: Deque[float] = deque(maxlen=_COST_RING)
+        self._hop_hist = self.metrics.histogram(
+            "repro_executor_hop_seconds",
+            help="Thread-pool hand-off: submit -> start plus finish -> resume",
+        )
 
     # =========================================================================
     # lifecycle
@@ -505,14 +532,16 @@ class ColeServer:
             # re-mark them so a replica's catch-up scan can ship those
             # heights (the roots are deterministic, so re-marking after
             # every recovery is idempotent in content).
-            def _remark(replayed: dict) -> None:
+            def _remark(replayed: dict) -> int:
+                lsn = 0
                 for height, root in sorted(replayed.items()):
-                    self.wal.append_commit(height, root)
+                    lsn = self.wal.append_commit(height, root)
+                return lsn
 
-            await self._run(_remark, self.replay_stats.replayed_roots)
-            if self.replay_stats.replayed_roots and self.wal.sync_policy != "none":
-                await self._run(self.wal.sync)
-            self.wal_syncer = _WalSyncer(self.wal, self._run, self.metrics)
+            remarked = await self._run(_remark, self.replay_stats.replayed_roots)
+            self.wal_syncer = _WalSyncer(self.wal, self._run, self._hops, self.metrics)
+            if remarked:
+                await self.wal_syncer.durable(remarked)
             self.hub = ReplicationHub(self.engine, self.wal)
         if self.replica_of is not None:
             from repro.replication import ReplicaApplier
@@ -531,6 +560,7 @@ class ColeServer:
                 run_in_executor=self._run,
                 on_commit=self._committed,
                 wal=self.wal,
+                durable=self.wal_syncer.durable if self.wal_syncer else None,
                 hub=self.hub,
                 metrics=self.metrics,
             )
@@ -593,8 +623,29 @@ class ColeServer:
             self._executor = None
 
     def _run(self, fn, *args):
-        """Run engine work on the thread pool; awaitable."""
-        return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
+        """Run engine work on the thread pool; awaitable.  The hand-off's
+        two queueing gaps (submit -> start on a pool thread, finish ->
+        resumed on the loop) are timed: the WAL syncer's H."""
+        clock = time.perf_counter
+        submitted = clock()
+        marks = [0.0, 0.0]  # how long fn waited to start; when it finished
+
+        def call():
+            marks[0] = clock() - submitted
+            try:
+                return fn(*args)
+            finally:
+                marks[1] = clock()
+
+        def resumed(future) -> None:
+            if not future.cancelled():
+                hop = marks[0] + clock() - marks[1]
+                self._hops.append(hop)
+                self._hop_hist.observe(hop)
+
+        future = asyncio.get_running_loop().run_in_executor(self._executor, call)
+        future.add_done_callback(resumed)
+        return future
 
     def _committed(self, written: dict) -> None:
         """Commit hook (a group commit; on a replica an applied batch):
@@ -994,6 +1045,8 @@ class ColeServer:
             }
         if self.wal is not None:
             stats["wal"] = self.wal.stats()
+            stats["wal"]["syncs_inline"] = self.wal_syncer.syncs_inline
+            stats["wal"]["syncs_pooled"] = self.wal_syncer.syncs_pooled
             if self.replay_stats is not None:
                 stats["wal"]["replayed_blocks"] = self.replay_stats.blocks_replayed
                 stats["wal"]["replayed_puts"] = self.replay_stats.puts_replayed

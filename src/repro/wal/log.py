@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -143,6 +143,8 @@ class WriteAheadLog:
         self._sync_lock = maybe_debug_lock("wal-sync")
         self._lsn = 0
         self.synced_lsn = 0
+        #: Duration of the last completed :meth:`sync` pass, on its thread.
+        self.sync_seconds = 0.0
         self._closed = False
         # Accounting (exposed via the server's STATS op).
         self.puts_appended = 0
@@ -242,8 +244,8 @@ class WriteAheadLog:
     def append_puts(self, items: List[Tuple[bytes, bytes]], height: int) -> int:
         """Append a whole batch, routed per shard; returns the batch LSN.
 
-        The bulk variant for embedders logging outside the serving layer
-        (the server itself appends per put, pre-ack).
+        The bulk variant: the server logs a MULTI_PUT with it, pre-ack, as
+        do embedders logging outside the serving layer.
         """
         buckets: Dict[int, List[Tuple[bytes, bytes]]] = {}
         for addr, value in items:
@@ -345,6 +347,7 @@ class WriteAheadLog:
         were flushed but whose directory entry was not.
         """
         with self._sync_lock:
+            started = time.perf_counter()
             with self._lock:
                 if self._closed:
                     return self.synced_lsn
@@ -392,11 +395,8 @@ class WriteAheadLog:
                 self.syncs += 1
                 if covered > self.synced_lsn:
                     self.synced_lsn = covered
+                self.sync_seconds = time.perf_counter() - started
                 return self.synced_lsn
-
-    def flush(self) -> None:
-        """No-op for the OS buffer (appends are unbuffered); kept for
-        symmetry with callers that must not fsync (snapshot copies)."""
 
     def _settle_sealed(self, close_handles: bool) -> None:
         """Move sealed-dirty segments to sealed-synced (lock held)."""

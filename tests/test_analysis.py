@@ -65,13 +65,17 @@ class TestBadCorpus:
         msgs = [
             f.message for f in report.findings if f.rule == "async-blocking-call"
         ]
-        assert len(msgs) == 5
+        assert len(msgs) == 8
         for needle in (
             "time.sleep",
             "os.fsync",
             "CommitGate.shared",
             "engine.get",
             "wal.sync",
+            # callbacks.py: an fsync behind a plain def the loop reaches.
+            "loop callback data_received: os.fsync() is an fsync",
+            "loop callback _tick: self.wal.sync() is an fsync",
+            "loop callback _flush: self.wal.sync() is an fsync",
         ):
             assert any(needle in m for m in msgs), needle
 
@@ -92,8 +96,9 @@ class TestBadCorpus:
 def test_good_corpus_is_clean():
     report = run_lint(root=FIXTURES / "good")
     assert report.findings == []
-    # handlers.py carries one justified async-blocking-call suppression.
-    assert report.suppressed == 1
+    # handlers.py and callbacks.py each carry one justified
+    # async-blocking-call suppression.
+    assert report.suppressed == 2
 
 
 def test_suppression_is_per_line_and_per_rule(tmp_path):
@@ -134,7 +139,7 @@ def test_json_report_schema_is_pinned():
     ]
     assert data["counts"] == {
         "gate-discipline": 6,
-        "async-blocking-call": 5,
+        "async-blocking-call": 8,
         "error-taxonomy": 3,
     }
     for finding in data["findings"]:

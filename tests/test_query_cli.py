@@ -227,6 +227,8 @@ def test_live_latency_reports_per_op_histograms(live_server, capsys):
     assert put["p50_s"] > 0
     assert put["p99_s"] >= put["p50_s"]
     assert ("repro_wal_fsync_seconds", "-") in by_labels
+    # Every pooled call (the group commits, here) timed its hand-off.
+    assert by_labels[("repro_executor_hop_seconds", "-")]["count"] > 0
 
 
 def test_live_caches_reports_hit_rates(live_server, capsys):
@@ -260,7 +262,11 @@ def test_live_compaction_matches_stats(live_server, capsys):
 def test_live_wal_and_replication(live_server, capsys):
     code, out = run_cli(["-s", live_server, "wal", "-f", "json"], capsys)
     assert code == 0
-    assert json.loads(out), "live server reports its WAL segments"
+    *segments, total = json.loads(out)
+    assert segments, "live server reports its WAL segments"
+    # The closing row says where the group fsyncs ran.
+    assert total["shard"] == "*"
+    assert total["syncs_inline"] + total["syncs_pooled"] > 0
     code, out = run_cli(
         ["-s", live_server, "replication", "-f", "json"], capsys
     )

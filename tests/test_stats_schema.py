@@ -155,9 +155,15 @@ def test_stats_schema_primary_with_wal(tmp_path):
     assert_primary_schema(stats)
     wal_stats = stats["wal"]
     assert isinstance(wal_stats["directory"], str) and wal_stats["directory"]
-    for field in ("records_appended", "bytes_appended", "syncs"):
+    for field in (
+        "records_appended", "bytes_appended", "syncs",
+        "syncs_inline", "syncs_pooled",
+    ):
         assert isinstance(wal_stats[field], int), field
     assert wal_stats["records_appended"] > 0
+    # Every sync the server issued went through the syncer, on one path
+    # or the other.
+    assert wal_stats["syncs_inline"] + wal_stats["syncs_pooled"] == wal_stats["syncs"]
     # Durable acks mean fsync latency was recorded.
     assert stats["latency"]["wal_fsync"]["count"] > 0
     # A WAL'd standalone primary still reports replication (hub side).
