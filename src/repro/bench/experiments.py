@@ -60,7 +60,6 @@ from repro.server import (
     connect,
     run_loadgen_sync,
 )
-from repro.server.eventloop import install_event_loop_policy
 from repro.server.loadgen import key_addr
 from repro.sharding import shard_of
 from repro.sharding.engine import scan_page_size
@@ -526,10 +525,6 @@ def run_service_throughput(
     read-cache hit rate, and the group-commit batch size — the knobs the
     batching and caching design trades against each other.
     """
-    # Record which loop flavor served the section — uvloop when the
-    # optional package is present, the stdlib loop otherwise — so rows
-    # from different machines stay comparable.
-    loop_name = install_event_loop_policy()
     rows: List[Row] = []
     for clients in client_counts:
         with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
@@ -547,7 +542,7 @@ def run_service_throughput(
                          "cache_hit_rate": report.cache_hit_rate,
                          "avg_batch": batcher.get("avg_batch", 0.0),
                          "commits": batcher.get("commits", 0),
-                         "event_loop": loop_name})
+                         "event_loop": "asyncio"})
     return rows
 
 

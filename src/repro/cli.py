@@ -16,20 +16,31 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli restore /path/to/snapshot /path/to/new-workspace
     python -m repro.cli export -w /path/to/workspace --at-blk 100 -o slice.repx
     python -m repro.cli import slice.repx -w /path/to/new-workspace
+    python -m repro.cli query -w /path/to/workspace levels
     python -m repro.cli cluster init manifest.json --nodes 2 --shards 4
     python -m repro.cli cluster serve /data/node0 --node node-0 -m manifest.json
     python -m repro.cli cluster status -m manifest.json
     python -m repro.cli cluster migrate 0 node-1 -m manifest.json --snapshot-dir /tmp/s0
+
+``repro`` is one click group; ``repro query`` (:mod:`repro.obs.query`)
+is one of its subgroups.  :func:`main` maps every outcome to an exit
+code: 0 on success; 1 for an operational failure (a
+:mod:`repro.common.errors` error, ``OSError`` or ``ValueError``, printed
+as one ``Error: <Class>: <message>`` line on stderr) or a verb's own
+failed check; 2 for a usage error.  Verb bodies import what they use, so
+``repro serve`` starts up paying for click and nothing else.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 
-from repro.bench.report import format_bytes, format_table
-from repro.core.manifest import MANIFEST_NAME, load_manifest
+import click
+
+from repro.common.errors import IntegrityError, ReproError, StorageError
+from repro.wal.log import SYNC_POLICIES
 
 _EXPERIMENTS = {
     "fig9": ("run_overall_performance", {"workload_name": "smallbank"}),
@@ -65,7 +76,12 @@ _SWEEP_FLAGS = {
 #: run files; engine recovery ignores subdirectories).
 WAL_DIRNAME = "wal"
 
-def _lock_workspace(workspace: str, purpose: str):
+
+# =============================================================================
+# the store every workspace verb opens
+# =============================================================================
+
+def _lock_workspace(workspace: str, purpose: str) -> Any:
     """Take the workspace's advisory lock; returns the held file handle.
 
     The flock lives on the inode, so it stays valid for the holder even
@@ -84,95 +100,155 @@ def _lock_workspace(workspace: str, purpose: str):
         fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except OSError:
         handle.close()
-        raise SystemExit(
+        raise StorageError(
             f"workspace {workspace} is locked by another process "
             f"(a running `repro serve`?); stop it before running {purpose}"
         )
     return handle
 
 
-def _detect_shards(workspace: str) -> int:
-    """Shard count of an existing workspace (1 when single-engine/new).
+class Store(NamedTuple):
+    """An open workspace: what :func:`open_store` yields."""
 
-    Counts ``shard-NN`` subdirectories: the sharded engine creates them
-    eagerly on open, so detection works even before the first cascade
-    writes a manifest.
+    engine: Any
+    wal: Any  # the replayed workspace WAL, or None
+    num_shards: int
+    replayed: Any  # its ReplayStats, or None
+
+
+@contextlib.contextmanager
+def open_store(
+    workspace: str,
+    purpose: str,
+    num_shards: int = 0,
+    mem_capacity: int = 512,
+    replay: bool = True,
+) -> Iterator[Store]:
+    """Lock ``workspace``, open (recovering) its engine and, with
+    ``replay``, replay its WAL so the engine holds every durable write;
+    everything closes in reverse order on exit.
+
+    ``num_shards`` 0 re-opens an existing workspace with the shard count
+    it was created with (1 for a new one): the sharded engine creates
+    its shard directories eagerly, so detection works before the first
+    cascade writes a manifest.
     """
     import os
 
-    if not os.path.isdir(workspace):
-        return 1
-    count = sum(
-        1
-        for name in os.listdir(workspace)
-        if name.startswith("shard-")
-        and os.path.isdir(os.path.join(workspace, name))
-    )
-    return count or 1
-
-
-def _open_engine(workspace: str, num_shards: int, mem_capacity: int = 512):
-    """Open (recovering) the engine serving/snapshotting a workspace."""
     from repro.common.params import ColeParams, ShardParams
     from repro.core import Cole
-    from repro.sharding import ShardedCole
+    from repro.sharding import ShardedCole, shard_dirs
 
-    cole_params = ColeParams(async_merge=True, mem_capacity=mem_capacity)
-    if num_shards > 1:
-        return ShardedCole(
-            workspace, ShardParams(cole=cole_params, num_shards=num_shards)
-        )
-    return Cole(workspace, cole_params)
+    num_shards = num_shards or len(shard_dirs(workspace)) or 1
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(_lock_workspace(workspace, purpose))
+        params = ColeParams(async_merge=True, mem_capacity=mem_capacity)
+        if num_shards > 1:
+            engine = ShardedCole(
+                workspace, ShardParams(cole=params, num_shards=num_shards)
+            )
+        else:
+            engine = Cole(workspace, params)
+        stack.callback(engine.close)
+        wal = replayed = None
+        wal_dir = os.path.join(workspace, WAL_DIRNAME)
+        if replay and os.path.isdir(wal_dir):
+            from repro.wal import WriteAheadLog, replay_wal
+
+            wal = stack.enter_context(WriteAheadLog(wal_dir, num_shards=num_shards))
+            replayed = replay_wal(engine, wal)
+        yield Store(engine, wal, num_shards, replayed)
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    """Print the manifest and file inventory of a COLE workspace."""
-    import os
+# =============================================================================
+# the group
+# =============================================================================
 
-    shard_dirs = sorted(
-        name
-        for name in (os.listdir(args.workspace) if os.path.isdir(args.workspace) else [])
-        if name.startswith("shard-")
-        and os.path.isfile(os.path.join(args.workspace, name, MANIFEST_NAME))
+class _Repro(click.Group):
+    """The ``repro`` group.  Its ``query`` subgroup is resolved on first
+    use, so no other verb loads :mod:`repro.obs.query` (a ``repro
+    serve`` process carries click and its own tree, nothing more)."""
+
+    def list_commands(self, ctx: click.Context) -> List[str]:
+        return sorted([*super().list_commands(ctx), "query"])
+
+    def get_command(self, ctx: click.Context, name: str) -> Optional[click.Command]:
+        if name == "query":
+            from repro.obs.query import query_group
+
+            return query_group
+        return super().get_command(ctx, name)
+
+
+@click.group(name="repro", cls=_Repro)
+def cli() -> None:
+    """COLE reproduction utilities."""
+
+
+def _serving_options(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """The engine and group-commit flags ``serve`` and ``cluster serve``
+    share."""
+    options = (
+        click.option("--mem-capacity", type=int, default=512,
+                     help="per-shard L0 capacity B"),
+        click.option("--batch-puts", type=int, default=512,
+                     help="group-commit size threshold"),
+        click.option("--batch-delay-ms", type=float, default=10.0,
+                     help="group-commit time threshold (milliseconds)"),
+        click.option("--wal-sync", type=click.Choice(SYNC_POLICIES),
+                     default="batch",
+                     help="WAL fsync policy: batch = group fsync per ack wave"),
     )
-    if shard_dirs and not os.path.isfile(os.path.join(args.workspace, MANIFEST_NAME)):
-        print(f"workspace:        {args.workspace} (sharded, {len(shard_dirs)} shards)")
-        print("inspect a shard:")
-        for name in shard_dirs:
-            print(f"  repro info {os.path.join(args.workspace, name)}")
-        return 0
-    from repro.core.run import RUN_SUFFIXES
+    for option in reversed(options):
+        fn = option(fn)
+    return fn
 
-    manifest = load_manifest(args.workspace)
-    print(f"workspace:        {args.workspace}")
+
+@cli.command()
+@click.argument("workspace")
+def info(workspace: str) -> int:
+    """Inspect a COLE workspace: manifest and committed runs."""
+    from repro.bench.report import format_bytes
+    from repro.core.manifest import load_manifest
+    from repro.obs.query import collect_levels, format_output, shard_roots
+
+    shards = shard_roots(workspace)
+    if shards != [("-", workspace)]:
+        print(f"workspace:        {workspace} (sharded, {len(shards)} shards)")
+        print("inspect a shard:")
+        for _name, directory in shards:
+            print(f"  repro info {directory}")
+        return 0
+    manifest = load_manifest(workspace)
+    print(f"workspace:        {workspace}")
     print(f"checkpoint block: {manifest.checkpoint_blk}")
     print(f"async merge:      {manifest.async_merge}")
-    rows = []
-    total = 0
-    for level, groups in sorted(manifest.levels.items()):
-        for role, records in groups.items():
-            for record in records:
-                size = 0
-                for suffix in RUN_SUFFIXES:
-                    path = os.path.join(args.workspace, record.name + suffix)
-                    if os.path.exists(path):
-                        size += os.path.getsize(path)
-                total += size
-                rows.append(
-                    [level, role, record.name, record.num_entries, format_bytes(size)]
-                )
-    print(format_table(["level", "group", "run", "entries", "size"], rows))
+    rows = collect_levels(workspace)
+    for row in rows:
+        row["size"] = format_bytes(row["bytes"])
+    print(format_output(["level", "group", "run", "entries", "size"], rows, "table"))
+    total = sum(row["bytes"] for row in rows)
     print(f"total committed run bytes: {format_bytes(total)}")
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run one paper experiment and print its series."""
+def _sweep_options(fn: Callable[..., Any]) -> Callable[..., Any]:
+    for flag, (parameter, _parse) in reversed(list(_SWEEP_FLAGS.items())):
+        help_text = f"comma-separated {parameter.replace('_', ' ')}"
+        fn = click.option(f"--{flag}", help=help_text)(fn)
+    return fn
+
+
+@cli.command()
+@click.argument("name")
+@_sweep_options
+def experiment(name: str, **sweeps: Optional[str]) -> int:
+    """Run one paper experiment (NAME, see README) and print its series."""
     import inspect
 
     from repro.bench import experiments
+    from repro.obs.query import format_output
 
-    name = args.name
     if name not in _EXPERIMENTS:
         print(f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
         return 2
@@ -181,7 +257,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     accepted = inspect.signature(driver).parameters
     call_kwargs = dict(kwargs)
     for flag, (parameter, parse) in _SWEEP_FLAGS.items():
-        value = getattr(args, flag)
+        value = sweeps[flag]
         if not value:
             continue
         if parameter not in accepted:
@@ -198,91 +274,113 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print(f"{key}: {value}")
         return 0
     if result:
-        headers = list(result[0].keys())
-        print(format_table(headers, [[row.get(h, "") for h in headers] for row in result]))
+        print(format_output(list(result[0].keys()), result, "table"))
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a COLE workspace over TCP until interrupted."""
+@cli.command()
+@click.argument("workspace")
+@click.option("--host", default="127.0.0.1")
+@click.option("--port", type=int, default=7407)
+@click.option("--shards", type=int, default=0,
+              help="shard count (>1 serves a ShardedCole; 0 = auto-detect "
+              "from the workspace, new workspaces default to 1)")
+@_serving_options
+@click.option("--negative-cache-capacity", type=int, default=4096,
+              help="known-absent address cache entries (0 disables)")
+@click.option("--wal", is_flag=True,
+              help="durable serving: write-ahead log + crash recovery")
+@click.option("--wal-dir", default=None,
+              help="WAL directory (default: <workspace>/wal)")
+@click.option("--replica-of", metavar="HOST:PORT", default=None,
+              help="replica mode: tail the primary's WAL stream and serve "
+              "reads; PUT/FLUSH answer NOT_PRIMARY")
+@click.option("--bootstrap-from", metavar="SNAPSHOT", default=None,
+              help="restore this snapshot into the workspace first (replica "
+              "mode, empty workspace only)")
+@click.pass_context
+def serve(
+    ctx: click.Context,
+    workspace: str,
+    host: str,
+    port: int,
+    shards: int,
+    mem_capacity: int,
+    batch_puts: int,
+    batch_delay_ms: float,
+    wal_sync: str,
+    negative_cache_capacity: int,
+    wal: bool,
+    wal_dir: Optional[str],
+    replica_of: Optional[str],
+    bootstrap_from: Optional[str],
+) -> int:
+    """Serve a workspace over TCP until interrupted."""
     import asyncio
+    import gc
     import os
 
-    from repro.common.errors import StorageError
     from repro.server import ColeServer, ServerConfig
     from repro.server.protocol import parse_address
 
     try:
-        replica_of = parse_address(args.replica_of) if args.replica_of else None
+        primary = parse_address(replica_of) if replica_of else None
     except StorageError as exc:
-        raise SystemExit(f"--replica-of: {exc}")
-    if replica_of is not None and args.wal:
-        raise SystemExit(
+        raise click.BadParameter(str(exc), param_hint="--replica-of")
+    if primary is not None and wal:
+        raise click.UsageError(
             "--replica-of and --wal are mutually exclusive: a replica's "
             "recovery source is the primary's stream, not a local WAL"
         )
-    if args.bootstrap_from:
-        if replica_of is None:
-            raise SystemExit("--bootstrap-from only makes sense with --replica-of")
-        if not os.path.isdir(args.workspace) or not os.listdir(args.workspace):
+    if bootstrap_from:
+        if primary is None:
+            raise click.UsageError("--bootstrap-from only makes sense with --replica-of")
+        if not os.path.isdir(workspace) or not os.listdir(workspace):
             from repro.wal import restore_store
 
-            meta = restore_store(args.bootstrap_from, args.workspace)
+            meta = restore_store(bootstrap_from, workspace)
             print(
-                f"bootstrapped {args.workspace} from snapshot "
-                f"{args.bootstrap_from} ({len(meta['files'])} files)",
+                f"bootstrapped {workspace} from snapshot "
+                f"{bootstrap_from} ({len(meta['files'])} files)",
                 flush=True,
             )
-    # --shards 0 (the default) re-opens an existing workspace with the
-    # shard count it was created with — restarting a 4-shard store
-    # without remembering the flag must not serve an empty single-engine
-    # view over its shard directories.
-    num_shards = args.shards or _detect_shards(args.workspace)
-    lock = _lock_workspace(args.workspace, "a second server")
-    engine = _open_engine(args.workspace, num_shards, args.mem_capacity)
-    wal = None
-    if args.wal:
+    # A primary's WAL is the server's to recover (it reports what it
+    # replayed); a replica replays the WAL tail a restored snapshot
+    # ships, so it subscribes at the snapshot's root, not behind it.
+    store = ctx.with_resource(open_store(
+        workspace, "a second server", shards, mem_capacity, replay=primary is not None
+    ))
+    if store.replayed is not None and store.replayed.replayed_anything:
+        print(
+            f"replayed {store.replayed.puts_replayed} snapshot-tail writes "
+            f"in {store.replayed.blocks_replayed} blocks",
+            flush=True,
+        )
+    log = None
+    if wal:
         from repro.wal import WriteAheadLog
 
-        wal = WriteAheadLog(
-            args.wal_dir or os.path.join(args.workspace, WAL_DIRNAME),
-            num_shards=num_shards,
-            sync_policy=args.wal_sync,
-            segment_max_bytes=args.wal_segment_kb * 1024,
+        log = WriteAheadLog(
+            wal_dir or os.path.join(workspace, WAL_DIRNAME),
+            num_shards=store.num_shards,
+            sync_policy=wal_sync,
         )
-    elif replica_of is not None:
-        # A restored snapshot ships the primary's WAL tail: replay it so
-        # the replica subscribes at the snapshot's root, not behind it.
-        wal_dir = os.path.join(args.workspace, WAL_DIRNAME)
-        if os.path.isdir(wal_dir):
-            from repro.wal import WriteAheadLog, replay_wal
-
-            boot_wal = WriteAheadLog(wal_dir, num_shards=num_shards)
-            stats = replay_wal(engine, boot_wal)
-            boot_wal.close()
-            if stats.replayed_anything:
-                print(
-                    f"replayed {stats.puts_replayed} snapshot-tail writes "
-                    f"in {stats.blocks_replayed} blocks",
-                    flush=True,
-                )
+        ctx.call_on_close(log.close)
     config = ServerConfig(
-        batch_max_puts=args.batch_puts,
-        batch_max_delay=args.batch_delay_ms / 1000.0,
-        cache_capacity=args.cache_capacity,
-        negative_cache_capacity=args.negative_cache_capacity,
+        batch_max_puts=batch_puts,
+        batch_max_delay=batch_delay_ms / 1000.0,
+        negative_cache_capacity=negative_cache_capacity,
     )
     server = ColeServer(
-        engine,
-        host=args.host,
-        port=args.port,
-        config=config,
-        wal=wal,
-        replica_of=replica_of,
+        store.engine, host=host, port=port, config=config, wal=log, replica_of=primary
     )
 
-    async def serve() -> None:
-        host, port = await server.start()
+    async def run() -> None:
+        bound_host, bound_port = await server.start()
+        # Start-up (imports, argument parsing, WAL recovery) leaves cyclic
+        # garbage that only a full collection frees, and a steady serving
+        # load rarely triggers one: free it once, before the first request.
+        gc.collect()
         stats = server.replay_stats
         if stats is not None and stats.replayed_anything:
             print(
@@ -291,14 +389,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"(heights {stats.first_height}..{stats.last_height})",
                 flush=True,
             )
-        shards = f", {num_shards} shards" if num_shards > 1 else ""
-        durability = f", wal={wal.sync_policy}" if wal is not None else ""
-        role = (
-            f", replica of {args.replica_of}" if replica_of is not None else ""
-        )
+        sharded = f", {store.num_shards} shards" if store.num_shards > 1 else ""
+        durability = f", wal={log.sync_policy}" if log is not None else ""
+        role = f", replica of {replica_of}" if primary is not None else ""
         print(
-            f"serving {args.workspace} on {host}:{port}{shards}{durability}"
-            f"{role} (loop={loop_name}; Ctrl-C stops)",
+            f"serving {workspace} on {bound_host}:{bound_port}{sharded}{durability}"
+            f"{role} (loop=asyncio; Ctrl-C stops)",
             flush=True,
         )
         try:
@@ -306,22 +402,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.stop()
 
-    from repro.server.eventloop import install_event_loop_policy
-
-    loop_name = install_event_loop_policy()
     try:
-        asyncio.run(serve())
+        asyncio.run(run())
     except KeyboardInterrupt:
         print("\nstopped")
-    finally:
-        if wal is not None:
-            wal.close()
-        engine.close()
-        lock.close()
     return 0
 
 
-def cmd_snapshot(args: argparse.Namespace) -> int:
+@cli.command()
+@click.argument("workspace", required=False)
+@click.argument("dest", required=False)
+@click.option("--shards", type=int, default=0, help="shard count (0 = auto-detect)")
+@click.option("--incremental-from", metavar="PREV",
+              help="copy only runs new since the snapshot at PREV (chainable)")
+@click.option("--verify-only", metavar="PATH",
+              help="verify the snapshot chain at PATH and exit (no copy)")
+@click.pass_context
+def snapshot(
+    ctx: click.Context,
+    workspace: Optional[str],
+    dest: Optional[str],
+    shards: int,
+    incremental_from: Optional[str],
+    verify_only: Optional[str],
+) -> int:
     """Take a consistent point-in-time snapshot of a workspace.
 
     Offline by design: the workspace lock aborts the copy when another
@@ -333,86 +437,61 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     hop).  ``--verify-only PATH`` checks an existing snapshot chain and
     takes no copy; the positional arguments are not used.
     """
-    import os
+    from repro.wal import snapshot_store, verify_snapshot
 
-    from repro.common.errors import IntegrityError, StorageError
-    from repro.wal import WriteAheadLog, replay_wal, snapshot_store, verify_snapshot
-
-    if args.verify_only:
-        if args.workspace or args.dest:
-            raise SystemExit(
+    if verify_only:
+        if workspace or dest:
+            raise click.UsageError(
                 "snapshot --verify-only takes the snapshot path only "
                 "(no workspace/dest arguments)"
             )
         try:
-            meta = verify_snapshot(args.verify_only)
+            meta = verify_snapshot(verify_only)
         except (IntegrityError, StorageError) as exc:
             print(f"snapshot verification FAILED: {exc}")
             return 1
         chain = "incremental" if meta.get("parent") else "full"
-        print(f"snapshot:    {args.verify_only} ({chain}) OK")
+        print(f"snapshot:    {verify_only} ({chain}) OK")
         print(f"root digest: {meta['root_digest']}")
         print(
             f"files:       {len(meta['files'])} copied, "
             f"{len(meta.get('reused', {}))} reused from the parent chain"
         )
         return 0
-    if not args.workspace or not args.dest:
-        raise SystemExit("snapshot requires workspace and dest arguments")
+    if not workspace or not dest:
+        raise click.UsageError("snapshot requires workspace and dest arguments")
+    from repro.bench.report import format_bytes
 
-    num_shards = args.shards or _detect_shards(args.workspace)
-    lock = _lock_workspace(args.workspace, "snapshot")
-    engine = _open_engine(args.workspace, num_shards)
-    wal = None
-    try:
-        wal_dir = os.path.join(args.workspace, WAL_DIRNAME)
-        if os.path.isdir(wal_dir):
-            # Bring the in-memory level back first so the recorded root
-            # digest covers every write the WAL still owes the engine.
-            wal = WriteAheadLog(wal_dir, num_shards=num_shards)
-            replay_wal(engine, wal)
-        meta = snapshot_store(
-            engine, args.dest, wal=wal, parent=args.incremental_from
-        )
-    finally:
-        if wal is not None:
-            wal.close()
-        engine.close()
-        lock.close()
-    print(f"snapshot:    {args.dest}")
+    # The replay brings the in-memory level back first, so the recorded
+    # root digest covers every write the WAL still owes the engine.
+    store = ctx.with_resource(open_store(workspace, "snapshot", shards))
+    meta = snapshot_store(store.engine, dest, wal=store.wal, parent=incremental_from)
+    print(f"snapshot:    {dest}")
     print(f"kind:        {meta['kind']} ({meta['num_shards']} shards)")
     print(f"root digest: {meta['root_digest']}")
-    if args.incremental_from:
+    if incremental_from:
         copied = sum(attrs["size"] for attrs in meta["files"].values())
         print(
             f"files:       {len(meta['files'])} copied ({format_bytes(copied)}), "
-            f"{len(meta['reused'])} reused from {args.incremental_from}"
+            f"{len(meta['reused'])} reused from {incremental_from}"
         )
     else:
         print(f"files:       {len(meta['files'])}")
     return 0
 
 
-def cmd_restore(args: argparse.Namespace) -> int:
+@cli.command()
+@click.argument("snapshot")
+@click.argument("dest")
+@click.pass_context
+def restore(ctx: click.Context, snapshot: str, dest: str) -> int:
     """Restore a snapshot into a fresh workspace and verify its root."""
-    import os
+    from repro.wal import restore_store
 
-    from repro.wal import WriteAheadLog, replay_wal, restore_store
-
-    meta = restore_store(args.snapshot, args.dest)
-    engine = _open_engine(args.dest, meta["num_shards"])
-    wal = None
-    try:
-        wal_dir = os.path.join(args.dest, WAL_DIRNAME)
-        if meta.get("has_wal") and os.path.isdir(wal_dir):
-            wal = WriteAheadLog(wal_dir, num_shards=meta["num_shards"])
-            replay_wal(engine, wal)
-        root = engine.root_digest().hex()
-    finally:
-        if wal is not None:
-            wal.close()
-        engine.close()
-    print(f"restored:    {args.dest} ({len(meta['files'])} files verified)")
+    meta = restore_store(snapshot, dest)
+    store = ctx.with_resource(open_store(dest, "restore", meta["num_shards"]))
+    root = store.engine.root_digest().hex()
+    print(f"restored:    {dest} ({len(meta['files'])} files verified)")
     print(f"root digest: {root}")
     if root != meta["root_digest"]:
         print(f"MISMATCH:    snapshot recorded {meta['root_digest']}")
@@ -421,78 +500,80 @@ def cmd_restore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_addr_bound(value: Optional[str], flag: str) -> Optional[bytes]:
-    if value is None:
-        return None
-    try:
-        return bytes.fromhex(value)
-    except ValueError:
-        raise SystemExit(f"{flag} expects a hex-encoded address, got {value!r}")
-
-
-def cmd_export(args: argparse.Namespace) -> int:
+@cli.command()
+@click.option("-w", "--workspace", required=True, help="source workspace directory")
+@click.option("-o", "--output", required=True, help="output stream file")
+@click.option("--at-blk", type=int, default=None,
+              help="block height of the slice (default: current height)")
+@click.option("--low", help="lowest address, hex; a prefix pads with 00 (default: zero)")
+@click.option("--high", help="highest address, hex; a prefix pads with ff (default: max)")
+@click.option("--shards", type=int, default=0, help="shard count (0 = auto-detect)")
+@click.pass_context
+def export(
+    ctx: click.Context,
+    workspace: str,
+    output: str,
+    at_blk: Optional[int],
+    low: Optional[str],
+    high: Optional[str],
+    shards: int,
+) -> int:
     """Stream a snapshot-consistent keyspace slice into a portable file.
 
     Rides the engine's paged range-scan cursors: memory stays bounded
     by the page size however large the slice.  The WAL is replayed
     first (like ``repro snapshot``) so the slice sees every durable
-    write.
+    write.  The stream lands at ``--output`` only once it is complete,
+    so a failed export leaves a previous file there untouched.
     """
     import os
 
+    from repro.bench.report import format_bytes
+    from repro.common.params import SystemParams
     from repro.core.export import export_slice
-    from repro.wal import WriteAheadLog, replay_wal
+    from repro.obs.query import parse_addr_bound
 
-    num_shards = args.shards or _detect_shards(args.workspace)
-    lock = _lock_workspace(args.workspace, "export")
-    engine = _open_engine(args.workspace, num_shards)
-    wal = None
+    width = SystemParams().addr_size  # the geometry open_store opens with
+    addr_low = parse_addr_bound(low, width, b"\x00") if low is not None else None
+    addr_high = parse_addr_bound(high, width, b"\xff") if high is not None else None
+    store = ctx.with_resource(open_store(workspace, "export", shards))
+    temp = f"{output}.tmp"
     try:
-        wal_dir = os.path.join(args.workspace, WAL_DIRNAME)
-        if os.path.isdir(wal_dir):
-            wal = WriteAheadLog(wal_dir, num_shards=num_shards)
-            replay_wal(engine, wal)
-        with open(args.output, "wb") as out:
+        with open(temp, "wb") as out:
             stats = export_slice(
-                engine,
-                out,
-                at_blk=args.at_blk,
-                addr_low=_parse_addr_bound(args.low, "--low"),
-                addr_high=_parse_addr_bound(args.high, "--high"),
+                store.engine, out, at_blk=at_blk, addr_low=addr_low, addr_high=addr_high
             )
+        os.replace(temp, output)
     finally:
-        if wal is not None:
-            wal.close()
-        engine.close()
-        lock.close()
-    size = os.path.getsize(args.output)
-    print(f"exported:    {args.output} ({format_bytes(size)})")
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+    print(f"exported:    {output} ({format_bytes(os.path.getsize(output))})")
     print(f"triples:     {stats['triples']} (as of block {stats['at_blk']})")
     print(f"source root: {stats['root']}")
     return 0
 
 
-def cmd_import(args: argparse.Namespace) -> int:
+@cli.command(name="import")
+@click.argument("file")
+@click.option("-w", "--workspace", required=True, help="destination workspace (empty)")
+@click.option("--shards", type=int, default=1, help="shard count of the new workspace")
+@click.pass_context
+def import_(ctx: click.Context, file: str, workspace: str, shards: int) -> int:
     """Replay an export stream into a fresh workspace."""
     import os
 
     from repro.core.export import import_slice
 
-    if os.path.isdir(args.workspace) and os.listdir(args.workspace):
-        raise SystemExit(
-            f"import destination {args.workspace} is not empty; "
+    if os.path.isdir(workspace) and os.listdir(workspace):
+        raise StorageError(
+            f"import destination {workspace} is not empty; "
             "imports replay into a fresh workspace"
         )
-    lock = _lock_workspace(args.workspace, "import")
-    engine = _open_engine(args.workspace, max(1, args.shards))
-    try:
-        with open(args.file, "rb") as inp:
-            stats = import_slice(engine, inp)
-        engine.wait_for_merges()
-        root = engine.root_digest().hex()
-    finally:
-        engine.close()
-        lock.close()
+    store = ctx.with_resource(open_store(workspace, "import", max(1, shards)))
+    with open(file, "rb") as inp:
+        stats = import_slice(store.engine, inp)
+    store.engine.wait_for_merges()
+    root = store.engine.root_digest().hex()
     print(f"imported:    {stats['triples']} triples over {stats['blocks']} blocks")
     print(f"root digest: {root}")
     print(f"source root: {stats['source_root']}")
@@ -506,7 +587,47 @@ def cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
+@cli.command()
+@click.option("--host", default="127.0.0.1")
+@click.option("--port", type=int, default=7407)
+@click.option("--clients", type=int, default=32)
+@click.option("--ops", type=int, default=200, help="ops per client")
+@click.option("--read-fraction", type=float, default=0.5)
+@click.option("--scan-frac", type=float, default=0.0,
+              help="fraction of ops that are key-ordered range scans")
+@click.option("--scan-len", type=int, default=16,
+              help="max results per scan (lengths draw uniformly from [1, N])")
+@click.option("--workload", type=click.Choice(tuple("ABCEabce")), default=None,
+              help="YCSB workload letter preset (E = scan heavy); overrides "
+              "--read-fraction/--scan-frac")
+@click.option("--num-keys", type=int, default=1024)
+@click.option("--seed", type=int, default=7)
+@click.option("--multi-get-size", type=int, default=1,
+              help="issue reads as MULTI_GET batches of this many keys "
+              "(1 = plain GETs)")
+@click.option("--json", "as_json", is_flag=True, help="print the report as JSON")
+@click.option("--manifest", default=None,
+              help="cluster manifest file: route ops across the cluster "
+              "instead of --host/--port")
+@click.option("--seeds", default=None,
+              help="comma-separated cluster seed addresses (HOST:PORT,...) "
+              "to fetch the manifest from")
+def loadgen(
+    host: str,
+    port: int,
+    clients: int,
+    ops: int,
+    read_fraction: float,
+    scan_frac: float,
+    scan_len: int,
+    workload: Optional[str],
+    num_keys: int,
+    seed: int,
+    multi_get_size: int,
+    as_json: bool,
+    manifest: Optional[str],
+    seeds: Optional[str],
+) -> int:
     """Drive a running server with concurrent YCSB-style clients.
 
     Exits non-zero when any op errored — a loadgen run against a broken
@@ -515,38 +636,33 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.server import LoadgenParams, format_report, run_loadgen_sync
 
     kwargs = dict(
-        clients=args.clients,
-        ops_per_client=args.ops,
-        num_keys=args.num_keys,
-        scan_length=args.scan_len,
-        mode=args.mode,
-        rate=args.rate,
-        seed=args.seed,
-        multi_get_size=args.multi_get_size,
+        clients=clients,
+        ops_per_client=ops,
+        num_keys=num_keys,
+        scan_length=scan_len,
+        seed=seed,
+        multi_get_size=multi_get_size,
     )
-    if args.workload:
+    if workload:
         # A YCSB workload letter presets the op mix (E = scan heavy);
         # explicit fractions would contradict it.
-        params = LoadgenParams.for_workload(args.workload, **kwargs)
+        params = LoadgenParams.for_workload(workload, **kwargs)
     else:
         params = LoadgenParams(
-            read_fraction=args.read_fraction,
-            scan_fraction=args.scan_frac,
-            **kwargs,
+            read_fraction=read_fraction, scan_fraction=scan_frac, **kwargs
         )
     client_factory = None
-    if args.manifest or args.seeds:
+    if manifest or seeds:
         # Cluster target: every worker routes by the manifest through
         # the same connect() factory the single-server path uses.
         from repro.server import connect
 
-        manifest_file = args.manifest
-        seeds = tuple(s for s in (args.seeds or "").split(",") if s)
+        seed_list = tuple(s for s in (seeds or "").split(",") if s)
         client_factory = lambda: connect(  # noqa: E731
-            manifest_file=manifest_file, seeds=seeds
+            manifest_file=manifest, seeds=seed_list
         )
-    report = run_loadgen_sync(args.host, args.port, params, client_factory)
-    if args.json:
+    report = run_loadgen_sync(host, port, params, client_factory)
+    if as_json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2))
@@ -555,508 +671,186 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 1 if report.errors else 0
 
 
-def cmd_cluster_init(args: argparse.Namespace) -> int:
+@cli.group()
+def cluster() -> None:
+    """Multi-process cluster: init / serve / status / migrate."""
+
+
+@cluster.command(name="init")
+@click.argument("manifest")
+@click.option("--nodes", type=int, default=2)
+@click.option("--shards", type=int, default=4)
+@click.option("--host", default="127.0.0.1")
+@click.option("--base-port", type=int, default=7450,
+              help="node i gets control port base+16i, its shards the ports after")
+def cluster_init(manifest: str, nodes: int, shards: int, host: str, base_port: int) -> int:
     """Write an epoch-0 cluster manifest with round-robin placement."""
     from repro.cluster import plan_manifest
 
-    manifest = plan_manifest(
-        args.nodes, args.shards, host=args.host, base_port=args.base_port
-    )
-    manifest.save(args.manifest)
-    print(f"wrote {args.manifest} (epoch 0, {args.shards} shards)")
-    for name, control in sorted(manifest.nodes.items()):
-        owned = manifest.shards_of_node(name)
+    plan = plan_manifest(nodes, shards, host=host, base_port=base_port)
+    plan.save(manifest)
+    print(f"wrote {manifest} (epoch 0, {shards} shards)")
+    for name, control in sorted(plan.nodes.items()):
+        owned = plan.shards_of_node(name)
         print(f"  {name}: control {control}, shards {list(owned)}")
         print(f"    repro cluster serve <workspace>/{name} --node {name} "
-              f"-m {args.manifest}")
+              f"-m {manifest}")
     return 0
 
 
-def cmd_cluster_serve(args: argparse.Namespace) -> int:
+@cluster.command(name="serve")
+@click.argument("workspace")
+@click.option("--node", required=True, help="node name from the manifest (e.g. node-0)")
+@click.option("-m", "--manifest", required=True, help="cluster manifest file")
+@_serving_options
+@click.pass_context
+def cluster_serve(
+    ctx: click.Context,
+    workspace: str,
+    node: str,
+    manifest: str,
+    mem_capacity: int,
+    batch_puts: int,
+    batch_delay_ms: float,
+    wal_sync: str,
+) -> int:
     """Serve one cluster node (its shard group + control port)."""
     import asyncio
 
     from repro.cluster import ClusterManifest, ClusterNode
     from repro.server import ServerConfig
 
-    manifest = ClusterManifest.load(args.manifest)
-    lock = _lock_workspace(args.workspace, "a second cluster node")
+    plan = ClusterManifest.load(manifest)
+    ctx.with_resource(_lock_workspace(workspace, "a second cluster node"))
     config = ServerConfig(
-        batch_max_puts=args.batch_puts,
-        batch_max_delay=args.batch_delay_ms / 1000.0,
+        batch_max_puts=batch_puts, batch_max_delay=batch_delay_ms / 1000.0
     )
-    node = ClusterNode(
-        args.workspace,
-        args.node,
-        manifest,
-        config=config,
-        mem_capacity=args.mem_capacity,
-        wal_sync=args.wal_sync,
+    member = ClusterNode(
+        workspace, node, plan, config=config, mem_capacity=mem_capacity,
+        wal_sync=wal_sync,
     )
 
-    async def serve() -> None:
-        host, port = await node.start()
-        for shard_id, address in sorted(node.data_addresses().items()):
+    async def run() -> None:
+        host, port = await member.start()
+        for shard_id, address in sorted(member.data_addresses().items()):
             print(f"  shard {shard_id}: {address}", flush=True)
         # Same readiness line shape as `repro serve`, so process
         # supervisors and the bench harness share one regex.
         print(
-            f"serving {args.workspace} on {host}:{port} "
-            f"(cluster node {args.node}, {len(node.shards)} shards, "
-            f"control, loop={loop_name}; Ctrl-C stops)",
+            f"serving {workspace} on {host}:{port} "
+            f"(cluster node {node}, {len(member.shards)} shards, "
+            f"control, loop=asyncio; Ctrl-C stops)",
             flush=True,
         )
         try:
             await asyncio.Event().wait()
         finally:
-            await node.stop()
+            await member.stop()
 
-    from repro.server.eventloop import install_event_loop_policy
-
-    loop_name = install_event_loop_policy()
     try:
-        asyncio.run(serve())
+        asyncio.run(run())
     except KeyboardInterrupt:
         print("\nstopped")
-    finally:
-        lock.close()
     return 0
 
 
-def cmd_cluster_status(args: argparse.Namespace) -> int:
+@cluster.command(name="status")
+@click.option("-m", "--manifest", default=None, help="cluster manifest file")
+@click.option("--seed", default=None,
+              help="fetch the manifest from this member address instead")
+def cluster_status(manifest: Optional[str], seed: Optional[str]) -> int:
     """Ask every node's control port for its shard states."""
     import asyncio
 
     from repro.cluster import ClusterManifest, admin_call, fetch_manifest
+    from repro.obs.query import format_output
 
-    if args.manifest:
-        manifest = ClusterManifest.load(args.manifest)
-    elif args.seed:
-        manifest = asyncio.run(fetch_manifest(args.seed))
+    if manifest:
+        plan = ClusterManifest.load(manifest)
+    elif seed:
+        plan = asyncio.run(fetch_manifest(seed))
     else:
-        raise SystemExit("cluster status needs --manifest or --seed")
-    print(f"manifest epoch {manifest.epoch}, {manifest.num_shards} shards")
+        raise click.UsageError("cluster status needs --manifest or --seed")
+    print(f"manifest epoch {plan.epoch}, {plan.num_shards} shards")
     rows = []
-    for name, control in sorted(manifest.nodes.items()):
+    for name, control in sorted(plan.nodes.items()):
+        node = {"node": name, "control": control}
         try:
             status = asyncio.run(admin_call(control, {"cmd": "status"}))
         except Exception as exc:  # noqa: BLE001 — report, don't die
-            rows.append([name, control, "-", f"unreachable: {exc}", "-", "-"])
+            rows.append({**node, "shard": "-", "phase": f"unreachable: {exc}",
+                         "height": "-", "address": "-"})
             continue
         for shard_id, shard in sorted(status["shards"].items()):
-            rows.append(
-                [
-                    name,
-                    control,
-                    shard_id,
-                    shard["phase"]
-                    + (f" -> {shard['moved_to']}" if shard["moved_to"] else ""),
-                    shard["height"],
-                    shard["address"],
-                ]
-            )
-    print(format_table(
-        ["node", "control", "shard", "phase", "height", "address"], rows
-    ))
+            moved = f" -> {shard['moved_to']}" if shard["moved_to"] else ""
+            rows.append({**node, "shard": shard_id, "phase": shard["phase"] + moved,
+                         "height": shard["height"], "address": shard["address"]})
+    columns = ["node", "control", "shard", "phase", "height", "address"]
+    print(format_output(columns, rows, "table"))
     return 0
 
 
-def cmd_cluster_migrate(args: argparse.Namespace) -> int:
+@cluster.command(name="migrate")
+@click.argument("shard", type=int)
+@click.argument("to_node")
+@click.option("-m", "--manifest", required=True, help="manifest file (rewritten)")
+@click.option("--snapshot-dir", default=None,
+              help="bootstrap snapshot directory (default: a temp dir)")
+def cluster_migrate(
+    shard: int, to_node: str, manifest: str, snapshot_dir: Optional[str]
+) -> int:
     """Live-migrate one shard to another node, rewriting the manifest."""
     import tempfile
 
     from repro.cluster import ClusterManifest, migrate_shard_sync
 
-    manifest = ClusterManifest.load(args.manifest)
-    old = manifest.shards[args.shard]
-    snapshot_dir = args.snapshot_dir or tempfile.mkdtemp(
-        prefix=f"repro-migrate-shard{args.shard}-"
+    plan = ClusterManifest.load(manifest)
+    old = plan.shards[shard]
+    snapshot_dir = snapshot_dir or tempfile.mkdtemp(
+        prefix=f"repro-migrate-shard{shard}-"
     )
+    print(f"migrating shard {shard}: {old.node} ({old.address}) -> {to_node} ...")
+    new_plan = migrate_shard_sync(plan, shard, to_node, snapshot_dir=snapshot_dir)
+    new_plan.save(manifest)
+    moved = new_plan.shards[shard]
     print(
-        f"migrating shard {args.shard}: {old.node} ({old.address}) "
-        f"-> {args.to_node} ..."
-    )
-    new_manifest = migrate_shard_sync(
-        manifest,
-        args.shard,
-        args.to_node,
-        snapshot_dir=snapshot_dir,
-        timeout=args.timeout,
-    )
-    new_manifest.save(args.manifest)
-    moved = new_manifest.shards[args.shard]
-    print(
-        f"shard {args.shard} now on {moved.node} ({moved.address}); "
-        f"manifest epoch {manifest.epoch} -> {new_manifest.epoch}, "
-        f"rewrote {args.manifest}"
+        f"shard {shard} now on {moved.node} ({moved.address}); "
+        f"manifest epoch {plan.epoch} -> {new_plan.epoch}, rewrote {manifest}"
     )
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the invariant lint suite (``repro.analysis``) over the tree."""
+@cli.command()
+@click.option("--root", default=None,
+              help="tree to analyze (default: the installed repro package)")
+@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
+              help="report format (json is the machine-readable CI artifact)")
+def lint(root: Optional[str], fmt: str) -> int:
+    """Run the invariant lint suite (gate discipline, async blocking
+    calls, error taxonomy) over the tree."""
     from pathlib import Path
 
     from repro.analysis import run_lint
 
-    root = Path(args.root) if args.root else None
-    report = run_lint(root=root)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
+    report = run_lint(root=Path(root) if root else None)
+    print(report.to_json() if fmt == "json" else report.render_text())
     return 1 if report.findings else 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    """The ``repro query`` inspection group (click-based).
-
-    click is imported lazily so every other command works in
-    environments without it (e.g. minimal CI runners).
-    """
-    try:
-        from repro.obs.query import run_query
-    except ImportError:
-        print(
-            "repro query needs the 'click' package, which is not installed",
-            file=sys.stderr,
-        )
-        return 2
-    return run_query(args.rest)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro", description="COLE reproduction utilities"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    info = sub.add_parser("info", help="inspect a COLE workspace")
-    info.add_argument("workspace", help="workspace directory")
-    info.set_defaults(func=cmd_info)
-
-    experiment = sub.add_parser("experiment", help="run a paper experiment")
-    experiment.add_argument("name", help=f"one of {sorted(_EXPERIMENTS)}")
-    experiment.add_argument("--heights", help="comma-separated block heights")
-    experiment.add_argument("--engines", help="comma-separated engine names")
-    experiment.add_argument(
-        "--shards", help="comma-separated shard counts (fig16 sharding sweep)"
-    )
-    experiment.add_argument(
-        "--replicas",
-        help="comma-separated replica counts (fig19 read-scaling sweep)",
-    )
-    experiment.set_defaults(func=cmd_experiment)
-
-    serve = sub.add_parser("serve", help="serve a workspace over TCP")
-    serve.add_argument("workspace", help="engine workspace directory")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7407)
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count (>1 serves a ShardedCole; 0 = auto-detect from "
-        "the workspace, new workspaces default to 1)",
-    )
-    serve.add_argument(
-        "--mem-capacity", type=int, default=512, help="per-shard L0 capacity B"
-    )
-    serve.add_argument(
-        "--batch-puts", type=int, default=512, help="group-commit size threshold"
-    )
-    serve.add_argument(
-        "--batch-delay-ms",
-        type=float,
-        default=10.0,
-        help="group-commit time threshold (milliseconds)",
-    )
-    serve.add_argument("--cache-capacity", type=int, default=8192)
-    serve.add_argument(
-        "--negative-cache-capacity",
-        type=int,
-        default=4096,
-        help="known-absent address cache entries (0 disables)",
-    )
-    serve.add_argument(
-        "--wal",
-        action="store_true",
-        help="durable serving: write-ahead log + crash recovery",
-    )
-    serve.add_argument(
-        "--wal-dir",
-        default=None,
-        help="WAL directory (default: <workspace>/wal)",
-    )
-    serve.add_argument(
-        "--wal-sync",
-        choices=("none", "batch", "always"),
-        default="batch",
-        help="fsync policy: batch = group fsync per ack wave (default)",
-    )
-    serve.add_argument(
-        "--wal-segment-kb", type=int, default=4096, help="segment roll size"
-    )
-    serve.add_argument(
-        "--replica-of",
-        metavar="HOST:PORT",
-        default=None,
-        help="replica mode: tail the primary's WAL stream and serve "
-        "reads; PUT/FLUSH answer NOT_PRIMARY",
-    )
-    serve.add_argument(
-        "--bootstrap-from",
-        metavar="SNAPSHOT",
-        default=None,
-        help="restore this snapshot into the workspace first (replica "
-        "mode, empty workspace only)",
-    )
-    serve.set_defaults(func=cmd_serve)
-
-    snapshot = sub.add_parser(
-        "snapshot", help="consistent point-in-time copy of a workspace"
-    )
-    snapshot.add_argument(
-        "workspace", nargs="?", help="source workspace directory"
-    )
-    snapshot.add_argument(
-        "dest", nargs="?", help="snapshot directory (must be empty)"
-    )
-    snapshot.add_argument(
-        "--shards", type=int, default=0, help="shard count (0 = auto-detect)"
-    )
-    snapshot.add_argument(
-        "--incremental-from",
-        metavar="PREV",
-        help="copy only runs new since the snapshot at PREV (chainable)",
-    )
-    snapshot.add_argument(
-        "--verify-only",
-        metavar="PATH",
-        help="verify the snapshot chain at PATH and exit (no copy)",
-    )
-    snapshot.set_defaults(func=cmd_snapshot)
-
-    restore = sub.add_parser(
-        "restore", help="restore a snapshot into a fresh workspace"
-    )
-    restore.add_argument("snapshot", help="snapshot directory")
-    restore.add_argument("dest", help="new workspace directory (must be empty)")
-    restore.set_defaults(func=cmd_restore)
-
-    export = sub.add_parser(
-        "export", help="stream a keyspace slice into a portable file"
-    )
-    export.add_argument(
-        "-w", "--workspace", required=True, help="source workspace directory"
-    )
-    export.add_argument(
-        "-o", "--output", required=True, help="output stream file"
-    )
-    export.add_argument(
-        "--at-blk",
-        type=int,
-        default=None,
-        help="block height of the slice (default: current height)",
-    )
-    export.add_argument("--low", help="lowest address, hex (default: zero)")
-    export.add_argument("--high", help="highest address, hex (default: max)")
-    export.add_argument(
-        "--shards", type=int, default=0, help="shard count (0 = auto-detect)"
-    )
-    export.set_defaults(func=cmd_export)
-
-    importer = sub.add_parser(
-        "import", help="replay an export stream into a fresh workspace"
-    )
-    importer.add_argument("file", help="export stream file")
-    importer.add_argument(
-        "-w", "--workspace", required=True, help="destination workspace (empty)"
-    )
-    importer.add_argument(
-        "--shards", type=int, default=1, help="shard count of the new workspace"
-    )
-    importer.set_defaults(func=cmd_import)
-
-    loadgen = sub.add_parser("loadgen", help="drive a running server with load")
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=7407)
-    loadgen.add_argument("--clients", type=int, default=32)
-    loadgen.add_argument("--ops", type=int, default=200, help="ops per client")
-    loadgen.add_argument("--read-fraction", type=float, default=0.5)
-    loadgen.add_argument(
-        "--scan-frac",
-        type=float,
-        default=0.0,
-        help="fraction of ops that are key-ordered range scans",
-    )
-    loadgen.add_argument(
-        "--scan-len",
-        type=int,
-        default=16,
-        help="max results per scan (lengths draw uniformly from [1, N])",
-    )
-    loadgen.add_argument(
-        "--workload",
-        choices=tuple("ABCE") + tuple("abce"),
-        default=None,
-        help="YCSB workload letter preset (E = scan heavy); overrides "
-        "--read-fraction/--scan-frac",
-    )
-    loadgen.add_argument("--num-keys", type=int, default=1024)
-    loadgen.add_argument(
-        "--mode", choices=("closed", "open"), default="closed", help="loop discipline"
-    )
-    loadgen.add_argument(
-        "--rate", type=float, default=2000.0, help="total ops/s (open loop)"
-    )
-    loadgen.add_argument("--seed", type=int, default=7)
-    loadgen.add_argument(
-        "--multi-get-size",
-        type=int,
-        default=1,
-        help="issue reads as MULTI_GET batches of this many keys "
-        "(1 = plain GETs)",
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    loadgen.add_argument(
-        "--manifest",
-        default=None,
-        help="cluster manifest file: route ops across the cluster instead "
-        "of --host/--port",
-    )
-    loadgen.add_argument(
-        "--seeds",
-        default=None,
-        help="comma-separated cluster seed addresses (HOST:PORT,...) to "
-        "fetch the manifest from",
-    )
-    loadgen.set_defaults(func=cmd_loadgen)
-
-    cluster = sub.add_parser(
-        "cluster", help="multi-process cluster: init / serve / status / migrate"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cluster_init = cluster_sub.add_parser(
-        "init", help="write an epoch-0 cluster manifest"
-    )
-    cluster_init.add_argument("manifest", help="manifest file to write")
-    cluster_init.add_argument("--nodes", type=int, default=2)
-    cluster_init.add_argument("--shards", type=int, default=4)
-    cluster_init.add_argument("--host", default="127.0.0.1")
-    cluster_init.add_argument(
-        "--base-port",
-        type=int,
-        default=7450,
-        help="node i gets control port base+16i, its shards the ports after",
-    )
-    cluster_init.set_defaults(func=cmd_cluster_init)
-
-    cluster_serve = cluster_sub.add_parser(
-        "serve", help="serve one node's shard group + control port"
-    )
-    cluster_serve.add_argument("workspace", help="this node's workspace directory")
-    cluster_serve.add_argument(
-        "--node", required=True, help="node name from the manifest (e.g. node-0)"
-    )
-    cluster_serve.add_argument(
-        "-m", "--manifest", required=True, help="cluster manifest file"
-    )
-    cluster_serve.add_argument("--mem-capacity", type=int, default=512)
-    cluster_serve.add_argument(
-        "--batch-puts", type=int, default=512, help="group-commit size threshold"
-    )
-    cluster_serve.add_argument(
-        "--batch-delay-ms",
-        type=float,
-        default=10.0,
-        help="group-commit time threshold (milliseconds)",
-    )
-    cluster_serve.add_argument(
-        "--wal-sync",
-        choices=("none", "batch", "always"),
-        default="batch",
-        help="per-shard WAL fsync policy",
-    )
-    cluster_serve.set_defaults(func=cmd_cluster_serve)
-
-    cluster_status = cluster_sub.add_parser(
-        "status", help="shard states from every node's control port"
-    )
-    cluster_status.add_argument(
-        "-m", "--manifest", default=None, help="cluster manifest file"
-    )
-    cluster_status.add_argument(
-        "--seed",
-        default=None,
-        help="fetch the manifest from this member address instead",
-    )
-    cluster_status.set_defaults(func=cmd_cluster_status)
-
-    cluster_migrate = cluster_sub.add_parser(
-        "migrate", help="live-migrate one shard to another node"
-    )
-    cluster_migrate.add_argument("shard", type=int, help="shard id to move")
-    cluster_migrate.add_argument("to_node", help="destination node name")
-    cluster_migrate.add_argument(
-        "-m", "--manifest", required=True, help="manifest file (rewritten)"
-    )
-    cluster_migrate.add_argument(
-        "--snapshot-dir",
-        default=None,
-        help="bootstrap snapshot directory (default: a temp dir)",
-    )
-    cluster_migrate.add_argument("--timeout", type=float, default=60.0)
-    cluster_migrate.set_defaults(func=cmd_cluster_migrate)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the invariant lint suite (gate discipline, async "
-        "blocking calls, error taxonomy)",
-    )
-    lint.add_argument(
-        "--root",
-        default=None,
-        help="tree to analyze (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (json is the machine-readable CI artifact)",
-    )
-    lint.set_defaults(func=cmd_lint)
-
-    # The query group is click-based and parses its own arguments:
-    # everything after "query" passes through untouched (add_help=False
-    # so "repro query --help" reaches click's help, not argparse's).
-    query = sub.add_parser(
-        "query",
-        help="inspect a workspace or live server (levels/segments/bloom/"
-        "wal/replication/caches/latency/audit)",
-        add_help=False,
-    )
-    query.add_argument("rest", nargs=argparse.REMAINDER)
-    query.set_defaults(func=cmd_query)
-    return parser
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # "query" owns its own argument parsing (click); hand everything
-    # after it over untouched.  argparse's REMAINDER would reject a
-    # leading option token ("query -w ..."), so dispatch before it.
-    if argv and argv[0] == "query":
-        return cmd_query(argparse.Namespace(rest=list(argv[1:])))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one ``repro`` verb; returns its exit code (module docstring)."""
+    try:
+        result = cli.main(args=argv, prog_name="repro", standalone_mode=False)
+    except click.ClickException as exc:
+        exc.show()
+        return exc.exit_code
+    except click.exceptions.Abort:
+        click.echo("aborted", err=True)
+        return 130
+    except (ReproError, OSError, ValueError) as exc:
+        click.echo(f"Error: {type(exc).__name__}: {exc}", err=True)
+        return 1
+    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

@@ -22,13 +22,8 @@ from repro.cluster.manifest import (
     plan_manifest,
 )
 from repro.cluster.migrate import migrate_shard, migrate_shard_sync
-from repro.cluster.node import (
-    PHASE_CODES,
-    ClusterNode,
-    NodeThread,
-    ShardRole,
-    shard_dirname,
-)
+from repro.cluster.node import PHASE_CODES, ClusterNode, NodeThread, ShardRole
+from repro.sharding import shard_dirname
 
 __all__ = [
     "PHASE_CODES",

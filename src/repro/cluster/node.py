@@ -42,6 +42,7 @@ from repro.server import protocol
 from repro.server.eventloop import LoopThread
 from repro.server.protocol import Op, parse_address
 from repro.server.server import ColeServer, Connection, ServerConfig
+from repro.sharding import shard_dirname
 
 #: Migration phase -> gauge code (``repro_cluster_migration_phase``).
 PHASE_CODES = {
@@ -154,10 +155,6 @@ class _ShardServing:
     @property
     def address(self) -> str:
         return f"{self.server.host}:{self.server.port}"
-
-
-def shard_dirname(shard_id: int) -> str:
-    return f"shard-{shard_id:02d}"
 
 
 class ClusterNode:

@@ -8,8 +8,8 @@ and the CLI all meter through the same registry types.
   histograms, Prometheus-style text exposition, and an exposition
   parser (used by ``repro query latency`` and the round-trip tests).
 * :mod:`repro.obs.query` — the ``repro query`` click subcommand group
-  (imported lazily by ``repro.cli`` so click stays an optional,
-  CLI-only dependency).
+  and the table/csv/json rendering every ``repro`` verb shares (click
+  is the CLI's one dependency; nothing else in ``repro.obs`` needs it).
 """
 
 from repro.obs.registry import (

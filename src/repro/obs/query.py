@@ -19,28 +19,24 @@ workspace path from the server's STATS.  Control-plane subcommands
 against a cold workspace they degrade to an empty answer with a note
 (process state does not outlive the process).
 
-``click`` is imported at module load, but :mod:`repro.cli` only imports
-*this module* inside the ``query`` command — environments without click
-keep every other CLI command working.
+:mod:`repro.cli` mounts this group as ``repro query`` (loaded on first
+use) and renders its other verbs' tables through :func:`format_output`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import csv
-import functools
 import io
 import json
 import os
 import random
-import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 import click
 
-from repro.bench.report import format_table
 from repro.common.errors import StorageError
 from repro.obs.registry import parse_exposition, quantile_from_buckets
+from repro.sharding import shard_dirs
 
 #: Random absent-address probes for the measured bloom FPR.
 DEFAULT_BLOOM_PROBES = 512
@@ -71,6 +67,7 @@ class QueryTarget:
 
     def call(self, fn: Callable[[Any], Any]) -> Any:
         """Run ``fn(client)`` (async) against the live server."""
+        import asyncio
 
         async def go() -> Any:
             from repro.server.client import connect
@@ -103,22 +100,22 @@ class QueryTarget:
 
 
 # =============================================================================
-# shared decorators and rendering
+# shared options, parsing and rendering
 # =============================================================================
 
-def error_handler(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Convert storage/IO failures into clean CLI errors (no tracebacks)."""
+def parse_addr_bound(text: str, width: int, fill: bytes) -> bytes:
+    """A hex address bound: a prefix is padded with ``fill`` bytes to
+    ``width`` (``00`` for a low bound, ``ff`` for a high one).
 
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except (StorageError, OSError, ValueError) as exc:
-            raise click.ClickException(f"{type(exc).__name__}: {exc}")
-
-    return wrapper
+    Non-hex text raises ``ValueError``; more than ``width`` bytes is a
+    usage error.
+    """
+    raw = bytes.fromhex(text)
+    if len(raw) > width:
+        raise click.BadParameter(
+            f"addresses are at most {width} bytes, got {len(raw)} ({text!r})"
+        )
+    return raw + fill * (width - len(raw))
 
 
 def format_option(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -135,6 +132,8 @@ def format_option(fn: Callable[..., Any]) -> Callable[..., Any]:
 
 def format_output(columns: List[str], rows: List[dict], fmt: str) -> str:
     """Render ``rows`` (list of dicts) in the requested format."""
+    from repro.bench.report import format_table
+
     if fmt == "json":
         return json.dumps(rows, indent=2)
     if fmt == "csv":
@@ -167,17 +166,9 @@ def shard_roots(workspace: str) -> List[Tuple[str, str]]:
     """
     from repro.core.manifest import MANIFEST_NAME
 
-    if os.path.isdir(workspace):
-        shard_dirs = sorted(
-            name
-            for name in os.listdir(workspace)
-            if name.startswith("shard-")
-            and os.path.isdir(os.path.join(workspace, name))
-        )
-        if shard_dirs and not os.path.isfile(
-            os.path.join(workspace, MANIFEST_NAME)
-        ):
-            return [(name, os.path.join(workspace, name)) for name in shard_dirs]
+    names = shard_dirs(workspace)
+    if names and not os.path.isfile(os.path.join(workspace, MANIFEST_NAME)):
+        return [(name, os.path.join(workspace, name)) for name in names]
     return [("-", workspace)]
 
 
@@ -311,14 +302,7 @@ def collect_wal(wal_dir: str) -> List[dict]:
     from repro.wal.record import RecordType, scan_records
 
     rows = []
-    if not os.path.isdir(wal_dir):
-        return rows
-    shard_dirs = sorted(
-        name
-        for name in os.listdir(wal_dir)
-        if name.startswith("shard-") and os.path.isdir(os.path.join(wal_dir, name))
-    )
-    for shard in shard_dirs:
+    for shard in shard_dirs(wal_dir):
         directory = os.path.join(wal_dir, shard)
         segments = sorted(
             name
@@ -583,12 +567,11 @@ def collect_audit(
 
         histories = target.call(run)
         return [_audit_row(addr, result) for addr, result in histories]
-    from repro.cli import _detect_shards, _lock_workspace, _open_engine
+    from repro.cli import open_store
 
     workspace = target.resolve_workspace()
-    lock = _lock_workspace(workspace, "repro query audit")
-    engine = _open_engine(workspace, _detect_shards(workspace))
-    try:
+    with open_store(workspace, "repro query audit", replay=False) as store:
+        engine = store.engine
         height = max(engine.current_blk, engine.checkpoint_blk, 0)
         triples = engine.scan(addr_low, addr_high, limit=limit)
         rows = []
@@ -596,9 +579,6 @@ def collect_audit(
             result, _root = engine.prov_query_anchored(addr, 0, height)
             rows.append(_audit_row(addr, result))
         return rows
-    finally:
-        engine.close()
-        lock.close()
 
 
 def _audit_row(addr: bytes, result: Any) -> dict:
@@ -658,7 +638,6 @@ def query_group(ctx: click.Context, workspace: Optional[str], server_addr: Optio
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def levels(target: QueryTarget, fmt: str) -> None:
     """Runs and sizes per level per shard."""
     rows = collect_levels(target.resolve_workspace())
@@ -668,7 +647,6 @@ def levels(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def segments(target: QueryTarget, fmt: str) -> None:
     """Learned-index segment counts, epsilon, predicted seek cost."""
     rows = collect_segments(target.resolve_workspace())
@@ -692,7 +670,6 @@ def segments(target: QueryTarget, fmt: str) -> None:
 )
 @format_option
 @click.pass_obj
-@error_handler
 def bloom(target: QueryTarget, probes: int, fmt: str) -> None:
     """Bloom bits, hash counts, theoretical and measured FPR."""
     rows = collect_bloom(target.resolve_workspace(), probes=probes)
@@ -709,7 +686,6 @@ def bloom(target: QueryTarget, probes: int, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def wal(target: QueryTarget, fmt: str) -> None:
     """WAL segments: sealed/active state, record counts, torn tails; live,
     a ``*`` row totals the log and where its group fsyncs ran."""
@@ -744,7 +720,6 @@ def wal(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def replication(target: QueryTarget, fmt: str) -> None:
     """Replication role, lag, and subscriber state."""
     if target.live:
@@ -759,7 +734,6 @@ def replication(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def compaction(target: QueryTarget, fmt: str) -> None:
     """Compaction policy, per-level layout, cumulative write-amp.
 
@@ -784,7 +758,6 @@ def compaction(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def caches(target: QueryTarget, fmt: str) -> None:
     """Read / negative / page cache hit rates and occupancy."""
     if target.live:
@@ -807,7 +780,6 @@ def caches(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def reads(target: QueryTarget, fmt: str) -> None:
     """Engine point reads by path: inline (event loop) / pooled / would_block."""
     if target.live:
@@ -820,7 +792,6 @@ def reads(target: QueryTarget, fmt: str) -> None:
 @query_group.command()
 @format_option
 @click.pass_obj
-@error_handler
 def latency(target: QueryTarget, fmt: str) -> None:
     """Per-op latency histograms (parsed from METRICS exposition)."""
     if target.live:
@@ -856,7 +827,6 @@ def latency(target: QueryTarget, fmt: str) -> None:
 )
 @format_option
 @click.pass_obj
-@error_handler
 def audit(
     target: QueryTarget,
     addr_low: str,
@@ -864,7 +834,6 @@ def audit(
     limit: int,
     addr_size: int,
     fmt: str,
-
 ) -> None:
     """Provenance walk over ADDR_LOW..ADDR_HIGH (hex; prefixes allowed).
 
@@ -872,37 +841,11 @@ def audit(
     count and first/last change heights, proven against the committed
     state root.
     """
-    low = bytes.fromhex(addr_low)
-    high = bytes.fromhex(addr_high)
-    if len(low) > addr_size or len(high) > addr_size:
-        raise click.BadParameter(f"addresses are at most {addr_size} bytes")
-    low = low + b"\x00" * (addr_size - len(low))
-    high = high + b"\xff" * (addr_size - len(high))
+    low = parse_addr_bound(addr_low, addr_size, b"\x00")
+    high = parse_addr_bound(addr_high, addr_size, b"\xff")
     rows = collect_audit(target, low, high, limit)
     emit(
         ["addr", "versions", "first_blk", "last_blk", "latest_bytes", "boundary"],
         rows,
         fmt,
     )
-
-
-def run_query(argv: List[str]) -> int:
-    """Entry point used by ``repro.cli``: run the group, return an exit
-    code instead of raising ``SystemExit`` (testable, embeddable)."""
-    try:
-        result = query_group.main(
-            args=list(argv), prog_name="repro query", standalone_mode=False
-        )
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 130
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    return int(result) if isinstance(result, int) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(run_query(sys.argv[1:]))

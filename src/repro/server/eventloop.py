@@ -1,12 +1,8 @@
-"""Event-loop plumbing: the optional uvloop policy and the
-loop-on-a-thread helper behind ``ServerThread`` / ``NodeThread``.
+"""Event-loop plumbing: the loop-on-a-thread helper behind
+``ServerThread`` / ``NodeThread``.
 
-uvloop is not a dependency — when the package is importable its policy
-is installed (new event loops become uvloop loops); otherwise the
-stdlib selector loop serves.  Callers get back the name of the loop
-that will run so it can be logged and recorded in the smoke-bench
-service section, keeping benchmark rows comparable across machines
-with and without uvloop installed.
+Every loop in the tree is the stdlib asyncio loop; the servers' readiness
+lines and fig 17's ``event_loop`` column say ``asyncio``.
 """
 
 from __future__ import annotations
@@ -14,26 +10,6 @@ from __future__ import annotations
 import asyncio
 import threading
 from typing import Optional, Tuple
-
-
-def install_event_loop_policy() -> str:
-    """Install uvloop's policy when available; return the loop name."""
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return "asyncio"
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return "uvloop"
-
-
-def event_loop_name() -> str:
-    """The loop flavor new event loops will use, without installing."""
-    try:
-        import uvloop  # noqa: F401  # type: ignore[import-not-found]
-    except ImportError:
-        return "asyncio"
-    policy = asyncio.get_event_loop_policy()
-    return "uvloop" if type(policy).__module__.startswith("uvloop") else "asyncio"
 
 
 class LoopThread:

@@ -39,7 +39,7 @@ from repro.core.cursor import ScanTriple, addr_successor
 from repro.core.storage import Cole
 from repro.diskio.iostats import IOStats
 from repro.sharding.proofs import ShardedProvenanceResult
-from repro.sharding.router import shard_of
+from repro.sharding.router import shard_dirname, shard_of
 
 
 def scan_page_size(limit: int, num_shards: int) -> int:
@@ -93,7 +93,7 @@ class ShardedCole(StorageBackend):
 
     def shard_directory(self, index: int) -> str:
         """Workspace subdirectory of shard ``index``."""
-        return os.path.join(self.directory, f"shard-{index:02d}")
+        return os.path.join(self.directory, shard_dirname(index))
 
     def _route(self, addr: bytes) -> int:
         cache = self._route_cache

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
-from repro.sharding.router import shard_of
+from repro.sharding import shard_dirname, shard_of
 from repro.wal.record import (
     ScanResult,
     WalRecord,
@@ -184,7 +184,7 @@ class WriteAheadLog:
         _fsync_dir(self.directory)
 
     def shard_dir(self, index: int) -> str:
-        return os.path.join(self.directory, f"shard-{index:02d}")
+        return os.path.join(self.directory, shard_dirname(index))
 
     def _open_chain(self, index: int) -> _ShardChain:
         directory = self.shard_dir(index)

@@ -47,6 +47,7 @@ from repro.common.errors import IntegrityError, StorageError
 from repro.common.hashing import hash_concat
 from repro.core.manifest import MANIFEST_NAME, load_manifest
 from repro.core.run import RUN_SUFFIXES
+from repro.sharding import shard_dirname
 from repro.wal.log import WriteAheadLog
 
 SNAPSHOT_META_NAME = "SNAPSHOT.json"
@@ -190,7 +191,7 @@ def snapshot_store(
     with engine.gate.exclusive():
         for index, shard in enumerate(shards):
             shard.workspace.flush_all()
-            prefix = f"shard-{index:02d}" if len(shards) > 1 else ""
+            prefix = shard_dirname(index) if len(shards) > 1 else ""
             manifest = load_manifest(shard.workspace.root)
             manifest_src = os.path.join(shard.workspace.root, MANIFEST_NAME)
             if os.path.exists(manifest_src):
@@ -228,9 +229,7 @@ def snapshot_store(
                 copy_one(
                     path,
                     os.path.join(
-                        WAL_DIR_NAME,
-                        f"shard-{shard_index:02d}",
-                        os.path.basename(path),
+                        WAL_DIR_NAME, shard_dirname(shard_index), os.path.basename(path)
                     ),
                     limit=copy_bytes,
                 )

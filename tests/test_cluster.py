@@ -184,21 +184,19 @@ def test_connect_factory_picks_the_client():
 
 
 def test_cluster_cli_parser():
-    from repro.cli import build_parser
+    from repro.cli import cli
 
-    parser = build_parser()
-    args = parser.parse_args(
-        ["cluster", "init", "m.json", "--nodes", "2", "--shards", "4"]
-    )
-    assert args.cluster_command == "init" and args.shards == 4
-    args = parser.parse_args(
-        ["cluster", "serve", "ws", "--node", "node-0", "-m", "m.json"]
-    )
-    assert args.cluster_command == "serve" and args.node == "node-0"
-    args = parser.parse_args(["cluster", "migrate", "2", "node-1", "-m", "m.json"])
-    assert args.shard == 2 and args.to_node == "node-1"
-    args = parser.parse_args(["loadgen", "--manifest", "m.json"])
-    assert args.manifest == "m.json"
+    def parse(command, *argv):
+        return command.make_context(command.name, list(argv)).params
+
+    cluster = cli.commands["cluster"]
+    params = parse(cluster.commands["init"], "m.json", "--nodes", "2", "--shards", "4")
+    assert params["shards"] == 4
+    params = parse(cluster.commands["serve"], "ws", "--node", "node-0", "-m", "m.json")
+    assert params["node"] == "node-0"
+    params = parse(cluster.commands["migrate"], "2", "node-1", "-m", "m.json")
+    assert params["shard"] == 2 and params["to_node"] == "node-1"
+    assert parse(cli.commands["loadgen"], "--manifest", "m.json")["manifest"] == "m.json"
 
 
 # =============================================================================

@@ -308,19 +308,19 @@ def test_cli_export_import_round_trip(tmp_path, capsys):
     assert "root digest matches the export header" in out
 
 
-def test_cli_import_refuses_nonempty_destination(tmp_path):
+def test_cli_import_refuses_nonempty_destination(tmp_path, capsys):
     workspace = str(tmp_path / "ws")
     build_durable_workspace(workspace)
     out_file = str(tmp_path / "slice.repx")
     assert main(["export", "-w", workspace, "-o", out_file]) == 0
-    with pytest.raises(SystemExit, match="not empty"):
-        main(["import", out_file, "-w", workspace])
+    assert main(["import", out_file, "-w", workspace]) == 1
+    assert "not empty" in capsys.readouterr().err
 
 
-def test_cli_export_bad_bound_rejected(tmp_path):
+def test_cli_export_bad_bound_rejected(tmp_path, capsys):
     workspace = str(tmp_path / "ws")
     build_durable_workspace(workspace)
-    with pytest.raises(SystemExit, match="hex"):
+    assert (
         main(
             [
                 "export",
@@ -332,3 +332,36 @@ def test_cli_export_bad_bound_rejected(tmp_path):
                 "zz",
             ]
         )
+        == 1
+    )
+    assert "hex" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.repx")
+
+
+def test_failed_export_leaves_the_previous_export_intact(tmp_path, capsys, monkeypatch):
+    import repro.core.export
+
+    workspace = str(tmp_path / "ws")
+    build_durable_workspace(workspace)
+    out = tmp_path / "out" / "slice.repx"
+    out.parent.mkdir()
+    export = ["export", "-w", workspace, "-o", str(out)]
+    assert main(export) == 0
+    before = out.read_bytes()
+
+    def fails_midway(engine, stream, **kwargs):
+        stream.write(b"REPX half a stream")
+        raise StorageError("device full")
+
+    monkeypatch.setattr(repro.core.export, "export_slice", fails_midway)
+    assert main(export) == 1
+    assert "Error: StorageError: device full" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert out.read_bytes() == before
+    assert os.listdir(out.parent) == ["slice.repx"]  # no temp file left
+
+    # The success path still overwrites and round-trips to the same root.
+    assert main(export) == 0
+    assert out.read_bytes() == before
+    assert main(["import", str(out), "-w", str(tmp_path / "imported")]) == 0
+    assert "root digest matches the export header" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from repro.obs.registry import parse_exposition
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.wal import WriteAheadLog
 
-# The query CLI itself is click-based (imported lazily by repro.cli).
+# The CLI is click-based.
 pytest.importorskip("click")
 
 # Default system geometry (32-byte addresses): what `repro serve` uses,
