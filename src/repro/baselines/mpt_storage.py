@@ -151,9 +151,5 @@ class MPTStorage(StorageBackend):
             return 0.0
         return 1.0 - (self.value_bytes_written / total)
 
-    def depth(self, addr: bytes) -> int:
-        """Current search-path length for ``addr`` (``d_MPT``)."""
-        return self.trie.depth(self._root, addr)
-
     def close(self) -> None:
         self.store.close()

@@ -44,7 +44,7 @@ from repro.server.protocol import Op, parse_address
 from repro.server.server import ColeServer, Connection, ServerConfig
 from repro.sharding import shard_dirname
 
-#: Migration phase -> gauge code (``repro_cluster_migration_phase``).
+#: Migration phase -> STATS ``cluster.phase_code`` (``repro_cluster_migration_phase``).
 PHASE_CODES = {
     "serving": 0,
     "snapshot": 1,
@@ -58,7 +58,7 @@ class ShardRole:
     """One shard server's view of its place in the cluster.
 
     :class:`~repro.server.ColeServer` calls :meth:`referral_for` before
-    dispatching; everything else (phase, counters) feeds STATS/METRICS.
+    dispatching; everything else (phase, counters) feeds its STATS section.
     """
 
     def __init__(self, node: "ClusterNode", shard_id: int) -> None:
@@ -119,27 +119,10 @@ class ShardRole:
             "shard_id": self.shard_id,
             "manifest_epoch": self.manifest.epoch,
             "phase": self.phase,
+            "phase_code": PHASE_CODES[self.phase],
             "moved_to": self.moved_to,
             "moved_referrals": self.moved_referrals,
         }
-
-    def record_metrics(self, registry) -> None:
-        """Mirror ownership / migration state into a metrics registry."""
-        registry.gauge(
-            "repro_cluster_shard_id", help="Shard this server owns"
-        ).set(self.shard_id)
-        registry.gauge(
-            "repro_cluster_manifest_epoch", help="Adopted manifest epoch"
-        ).set(self.manifest.epoch)
-        registry.gauge(
-            "repro_cluster_migration_phase",
-            help="Migration phase (0=serving 1=snapshot 2=catchup "
-            "3=promoting 4=moved)",
-        ).set(PHASE_CODES.get(self.phase, -1))
-        registry.counter(
-            "repro_cluster_moved_referrals_total",
-            help="MOVED referrals answered",
-        ).set(self.moved_referrals)
 
 
 @dataclass
@@ -522,15 +505,7 @@ class ClusterNode:
                 "connected": False,
                 "diverged": False,
             }
-        return {
-            "phase": serving.role.phase,
-            "applied_height": replica.applied_height,
-            "primary_height": replica.primary_height,
-            "lag_blocks": replica.lag_blocks,
-            "connected": replica.connected,
-            "diverged": replica.diverged,
-            "last_error": replica.last_error,
-        }
+        return {**replica.stats(), "phase": serving.role.phase}
 
     async def _admin_promote(
         self,

@@ -70,8 +70,6 @@ class ColeParams:
             The paper derives B from a 64 MB budget; at reproduction scale
             we default to 512 pairs so multi-level behaviour appears quickly.
         async_merge: ``True`` runs Algorithm 5 (COLE*), ``False`` Algorithm 1.
-        bloom_bits_per_key: bloom-filter budget per distinct address.
-        bloom_hashes: number of bloom hash functions.
         value_cache_pages: per-run value-file page-cache capacity (the
             segmented LRU of ``repro.diskio.pagefile``).  0 — the default —
             disables caching so the IO-cost accounting of Table 1 counts
@@ -92,8 +90,6 @@ class ColeParams:
     mht_fanout: int = 4
     mem_capacity: int = 512
     async_merge: bool = False
-    bloom_bits_per_key: int = 10
-    bloom_hashes: int = 7
     value_cache_pages: int = 0
     compaction: str = "leveling"
 
@@ -110,8 +106,6 @@ class ColeParams:
             raise ValueError("mht_fanout must be >= 2")
         if self.mem_capacity < 1:
             raise ValueError("mem_capacity must be >= 1")
-        if self.bloom_bits_per_key < 1 or self.bloom_hashes < 1:
-            raise ValueError("bloom parameters must be >= 1")
 
     def level_capacity(self, level: int) -> int:
         """Maximum number of pairs a single group of on-disk level holds.
@@ -150,19 +144,14 @@ class ShardParams:
             here: background merges are what the parallel commit fan-out
             overlaps across shards.
         num_shards: number of independent COLE shards (>= 1).
-        commit_workers: size of the commit thread pool; 0 (the default)
-            means one worker per shard.
     """
 
     cole: ColeParams = ColeParams(async_merge=True)
     num_shards: int = 4
-    commit_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.commit_workers < 0:
-            raise ValueError("commit_workers cannot be negative")
 
     def with_shards(self, num_shards: int) -> "ShardParams":
         """Return a copy with a different shard count."""

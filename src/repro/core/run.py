@@ -30,6 +30,12 @@ Entry = Tuple[int, bytes]
 #: size accounting, `repro info`, snapshots).
 RUN_SUFFIXES = (".val", ".idx", ".mrk", ".blm")
 
+#: Bloom filter geometry of every new run: bits per distinct address and
+#: hash functions.  Each ``.blm`` header records its own, so runs read back
+#: whatever geometry they were written with.
+BLOOM_BITS_PER_KEY = 10
+BLOOM_HASHES = 7
+
 
 @dataclass(frozen=True)
 class RunScan:
@@ -133,9 +139,7 @@ class Run:
                 params.mht_fanout,
                 key_size,
             )
-            bloom = BloomFilter.for_capacity(
-                num_entries, params.bloom_bits_per_key, params.bloom_hashes
-            )
+            bloom = BloomFilter.for_capacity(num_entries, BLOOM_BITS_PER_KEY, BLOOM_HASHES)
 
             def tee() -> Iterable[Tuple[int, int]]:
                 """Feed value/Merkle/bloom, yielding (key, position) for the index."""

@@ -770,11 +770,6 @@ class Cole:
         self._publish_view()
 
     @property
-    def checkpoint_puts(self) -> int:
-        """Number of puts durably contained in committed runs (replay point)."""
-        return self._checkpoint_puts
-
-    @property
     def checkpoint_blk(self) -> int:
         """Highest block height durably contained in committed runs."""
         return self._checkpoint_blk

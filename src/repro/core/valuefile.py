@@ -72,11 +72,6 @@ class ValueFileWriter:
         self._file.flush()
         return self._count
 
-    @property
-    def count(self) -> int:
-        """Pairs written so far."""
-        return self._count
-
 
 class ValueFile:
     """Read access to a finished value file of ``num_entries`` pairs.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator
 
 IOCategory = str
 
@@ -72,6 +72,7 @@ class IOStats:
         return {
             "hits": hits,
             "misses": misses,
+            "lookups": total,
             "promotions": promotions,
             "hit_rate": hits / total if total else 0.0,
         }
@@ -141,15 +142,15 @@ class IOStats:
             seen = set(self.page_reads) | set(self.page_writes)
         return iter(sorted(seen))
 
-    def per_category(self) -> List[Tuple[IOCategory, int, int]]:
-        """``(category, reads, writes)`` rows from one locked snapshot.
-
-        The metrics-exposition export: one consistent pass instead of a
-        read-lock per category, sorted so scrapes are stable.
-        """
+    def per_category(self) -> Dict[IOCategory, Dict[str, int]]:
+        """``{category: {"reads": n, "writes": n}}`` from one locked
+        snapshot (STATS ``io.categories``), sorted so scrapes are stable."""
         with self._lock:
             seen = set(self.page_reads) | set(self.page_writes)
-            return [
-                (cat, self.page_reads.get(cat, 0), self.page_writes.get(cat, 0))
+            return {
+                cat: {
+                    "reads": self.page_reads.get(cat, 0),
+                    "writes": self.page_writes.get(cat, 0),
+                }
                 for cat in sorted(seen)
-            ]
+            }

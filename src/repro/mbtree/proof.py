@@ -12,7 +12,7 @@ query path covers every child whose separator interval intersects it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.common.errors import VerificationError
 from repro.common.hashing import Digest
@@ -103,12 +103,3 @@ def verify_range_proof(
     if any(disclosed[i][0] >= disclosed[i + 1][0] for i in range(len(disclosed) - 1)):
         raise VerificationError("MB-tree proof discloses out-of-order entries")
     return [(key, value) for key, value in disclosed if key <= proof.high]
-
-
-def floor_of(entries: List[Tuple[int, bytes]], key: int) -> Optional[Tuple[int, bytes]]:
-    """Largest disclosed entry with ``entry key <= key`` (helper for callers)."""
-    best: Optional[Tuple[int, bytes]] = None
-    for entry_key, value in entries:
-        if entry_key <= key and (best is None or entry_key > best[0]):
-            best = (entry_key, value)
-    return best

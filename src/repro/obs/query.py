@@ -339,40 +339,31 @@ def collect_wal(wal_dir: str) -> List[dict]:
     return rows
 
 
+#: Columns of ``repro query caches``.  The three caches' STATS sections
+#: share one shape; a column a section lacks (the page cache has no
+#: ``entries`` or ``capacity`` of its own) stays blank.
+CACHE_COLUMNS = [
+    "cache", "hits", "misses", "lookups", "hit_rate", "entries", "capacity",
+    "refreshed",
+]
+
+
 def collect_caches(stats: dict) -> List[dict]:
     """One row per cache (read / negative / page) from a STATS snapshot."""
-    rows = []
-    for label in ("cache", "negative_cache"):
-        snapshot = stats.get(label)
-        if not snapshot:
-            continue
-        rows.append(
-            {
-                "cache": "read" if label == "cache" else "negative",
-                "hits": snapshot["hits"],
-                "misses": snapshot["misses"],
-                "lookups": snapshot["lookups"],
-                "hit_rate": round(snapshot["hit_rate"], 4),
-                "entries": snapshot["entries"],
-                "capacity": snapshot["capacity"],
-                "refreshed": snapshot.get("refreshed", ""),
-            }
+    sections = {
+        "read": stats.get("cache"),
+        "negative": stats.get("negative_cache"),
+        "page": (stats.get("io") or {}).get("page_cache"),
+    }
+    return [
+        dict(
+            {column: section.get(column, "") for column in CACHE_COLUMNS},
+            cache=label,
+            hit_rate=round(section["hit_rate"], 4),
         )
-    page = (stats.get("io") or {}).get("page_cache")
-    if page:
-        rows.append(
-            {
-                "cache": "page",
-                "hits": page["hits"],
-                "misses": page["misses"],
-                "lookups": page["hits"] + page["misses"],
-                "hit_rate": round(page["hit_rate"], 4),
-                "entries": page.get("promotions", ""),
-                "capacity": "",
-                "refreshed": "",
-            }
-        )
-    return rows
+        for label, section in sections.items()
+        if section
+    ]
 
 
 def _compaction_rows(
@@ -766,15 +757,7 @@ def caches(target: QueryTarget, fmt: str) -> None:
     else:
         rows = []
         note = "cache state is process state; inspect a live server"
-    emit(
-        [
-            "cache", "hits", "misses", "lookups", "hit_rate", "entries",
-            "capacity", "refreshed",
-        ],
-        rows,
-        fmt,
-        note=note,
-    )
+    emit(CACHE_COLUMNS, rows, fmt, note=note)
 
 
 @query_group.command()

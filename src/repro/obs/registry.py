@@ -183,11 +183,6 @@ class LatencyHistogram:
         return [self._lo * self._growth ** i for i in range(len(self._counts))]
 
     @property
-    def counts(self) -> List[int]:
-        with self._lock:
-            return list(self._counts)
-
-    @property
     def count(self) -> int:
         return self._count
 

@@ -70,6 +70,10 @@ class ReplicaApplier:
         self.applied_height = max(engine.current_blk, engine.checkpoint_blk)
         #: Root of the last applied block (None until the first apply).
         self.last_root: Optional[bytes] = None
+        #: Root of the state the applier started from (set as it starts):
+        #: the last verified commit until a block applies — ROOT names it
+        #: even when the first block diverges.
+        self.start_root: Optional[bytes] = None
         #: Highest primary height this replica has heard of (handshake +
         #: stream); ``- applied_height`` is the lag in blocks.
         self.primary_height = self.applied_height
@@ -108,6 +112,7 @@ class ReplicaApplier:
 
     async def run(self) -> None:
         """Stream until cancelled (or diverged); reconnect on any failure."""
+        self.start_root = bytes(await self.server._run(self.server.engine.root_digest))
         while not self.diverged:
             try:
                 await self._stream_once()

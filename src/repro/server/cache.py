@@ -126,13 +126,6 @@ class _ExactLRU:
             "capacity": self.capacity,
         }
 
-    def clear(self) -> None:
-        """Drop all entries and counters (the fill floor stays)."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
 
 class VersionedReadCache(_ExactLRU):
     """An LRU cache of ``key -> value`` that commits refresh in place.

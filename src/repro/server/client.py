@@ -436,10 +436,6 @@ class ReplicatedClient(KVClient):
 
     # -- replica health -------------------------------------------------------
 
-    async def replica_roots(self) -> List[RootInfo]:
-        """Every replica's current ROOT (for lag / equality checks)."""
-        return [await replica.root() for replica in self._replicas]
-
     async def refresh_lag(self) -> List[int]:
         """Re-measure replica lag; sideline replicas beyond ``max_lag``.
 

@@ -1,19 +1,11 @@
-"""Open/closed-loop load generation against a running :class:`ColeServer`.
+"""Closed-loop load generation against a running :class:`ColeServer`.
 
 The generator speaks the real wire protocol through real sockets — it is
 the serving layer's counterpart of the YCSB running phase (Section
 8.1.3): every logical client issues a deterministic mixed read/write
-stream with zipfian key popularity.
-
-Two driving disciplines:
-
-* **closed loop** — each client issues its next op when the previous one
-  completes; latency is pure service time.  Throughput scales with the
-  client count until the server saturates.
-* **open loop** — ops arrive on a fixed schedule (``rate`` ops/s split
-  across clients) regardless of completions; latency is measured from
-  the *scheduled* arrival, so queueing delay under overload is visible
-  (the coordinated-omission-free discipline).
+stream with zipfian key popularity.  Each client issues its next op when
+the previous one completes, so latency is pure service time and
+throughput scales with the client count until the server saturates.
 
 Determinism: the op stream of client ``i`` depends only on the
 parameters and ``i``.  Writes are partitioned — client ``i`` only writes
@@ -43,6 +35,9 @@ from repro.workloads.ycsb import YCSBGenerator, ZipfGenerator
 #: one MULTI_GET batch issued as a single request.
 ClientOp = Tuple[str, object, Optional[object]]
 
+#: Zipfian skew of every key draw (YCSB's default).
+ZIPF_THETA = 0.99
+
 
 @dataclass(frozen=True)
 class LoadgenParams:
@@ -56,10 +51,7 @@ class LoadgenParams:
     num_keys: int = 1024
     addr_size: int = 32
     value_size: int = 40
-    theta: float = 0.99
     seed: int = 7
-    mode: str = "closed"  # "closed" or "open"
-    rate: float = 2000.0  # total target ops/s (open loop only)
     #: reads per MULTI_GET batch; 1 keeps plain GETs (and a stream
     #: bit-identical to the pre-batching generator).
     multi_get_size: int = 1
@@ -75,10 +67,6 @@ class LoadgenParams:
             raise ValueError("read_fraction + scan_fraction exceed 1")
         if self.scan_length < 1:
             raise ValueError("scan_length must be >= 1")
-        if self.mode not in ("closed", "open"):
-            raise ValueError("mode must be 'closed' or 'open'")
-        if self.mode == "open" and self.rate <= 0:
-            raise ValueError("open loop needs a positive rate")
         if self.multi_get_size < 1:
             raise ValueError("multi_get_size must be >= 1")
 
@@ -135,14 +123,14 @@ def client_ops(params: LoadgenParams, client_id: int) -> List[ClientOp]:
 
     rng = random.Random(params.seed * 10_007 + client_id)
     zipf_reads = ZipfGenerator(
-        params.num_keys, theta=params.theta, seed=params.seed + client_id
+        params.num_keys, theta=ZIPF_THETA, seed=params.seed + client_id
     )
     owned = list(range(client_id, params.num_keys, params.clients))
     zipf_writes = ZipfGenerator(
-        max(1, len(owned)), theta=params.theta, seed=params.seed + 100_000 + client_id
+        max(1, len(owned)), theta=ZIPF_THETA, seed=params.seed + 100_000 + client_id
     )
     zipf_scans = ZipfGenerator(
-        params.num_keys, theta=params.theta, seed=params.seed + 200_000 + client_id
+        params.num_keys, theta=ZIPF_THETA, seed=params.seed + 200_000 + client_id
     )
     ops: List[ClientOp] = []
     writes = 0
@@ -218,7 +206,6 @@ MAX_ERROR_SAMPLES = 5
 class LoadReport:
     """What one load-generation run measured."""
 
-    mode: str
     clients: int
     ops: int = 0
     reads: int = 0
@@ -285,7 +272,6 @@ class LoadReport:
     def to_dict(self) -> dict:
         """JSON-serializable summary (``repro loadgen --json``)."""
         return {
-            "mode": self.mode,
             "clients": self.clients,
             "ops": self.ops,
             "reads": self.reads,
@@ -341,36 +327,6 @@ async def _closed_worker(
             report.record_ok(op, time.perf_counter() - started, result)
 
 
-async def _open_worker(
-    client_factory,
-    ops: List[ClientOp],
-    interval: float,
-    report: LoadReport,
-) -> None:
-    async with client_factory() as client:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        inflight: List[asyncio.Task] = []
-
-        async def timed(op: ClientOp, scheduled: float) -> None:
-            try:
-                result = await _issue(client, op)
-            except Exception as exc:  # count it, keep the evidence
-                report.record_error(exc)
-                return
-            # Latency from the scheduled arrival: queueing counts.
-            report.record_ok(op, loop.time() - scheduled, result)
-
-        for index, op in enumerate(ops):
-            scheduled = started + index * interval
-            delay = scheduled - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            inflight.append(loop.create_task(timed(op, scheduled)))
-        if inflight:
-            await asyncio.gather(*inflight)
-
-
 async def run_loadgen(
     host: Optional[str],
     port: Optional[int],
@@ -393,20 +349,12 @@ async def run_loadgen(
         if host is None or port is None:
             raise ValueError("run_loadgen needs (host, port) or a client_factory")
         client_factory = lambda: connect((host, port))  # noqa: E731
-    report = LoadReport(mode=params.mode, clients=params.clients)
+    report = LoadReport(clients=params.clients)
     streams = [client_ops(params, cid) for cid in range(params.clients)]
     started = time.perf_counter()
-    if params.mode == "closed":
-        workers = [
-            _closed_worker(client_factory, stream, report) for stream in streams
-        ]
-    else:
-        interval = params.clients / params.rate  # per-client inter-arrival
-        workers = [
-            _open_worker(client_factory, stream, interval, report)
-            for stream in streams
-        ]
-    await asyncio.gather(*workers)
+    await asyncio.gather(
+        *(_closed_worker(client_factory, stream, report) for stream in streams)
+    )
     report.elapsed_s = time.perf_counter() - started
     async with client_factory() as control:
         try:
@@ -442,7 +390,7 @@ def format_report(report: LoadReport) -> str:
         ops_line += f"{report.scans} scans, "
     ops_line += f"{report.writes} writes, {report.errors} errors)"
     lines = [
-        f"mode:            {report.mode} ({report.clients} clients)",
+        f"clients:         {report.clients} (closed loop)",
         ops_line,
         f"elapsed:         {format_seconds(report.elapsed_s)}",
         f"throughput:      {format_rate(report.ops, report.elapsed_s)}",

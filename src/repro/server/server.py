@@ -71,7 +71,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from repro.common.errors import StorageError
 from repro.core.storage import WOULD_BLOCK
@@ -85,6 +85,91 @@ from repro.server.protocol import Op, RootInfo
 #: Opcode -> STATS/metrics label (the op table's ``name`` column), shared
 #: by the op counters and the per-op latency histograms.
 OP_NAMES = {op: spec.name for op, spec in protocol.OPS.items()}
+
+#: The counters and gauges of ``Op.METRICS``, each read off one STATS
+#: snapshot: ``(metric, kind, help, STATS path, labels)``.  A ``*`` path
+#: segment fans out over that dict's keys, each key filling the label
+#: whose value is ``*``; a path a role's STATS lacks exports nothing.
+#: (Histograms are live in the registry instead.)
+METRICS_TABLE = (
+    ("repro_ops_total", "counter", "Requests served by opcode", "ops.*", {"op": "*"}),
+    ("repro_connections_total", "counter", "Connections accepted", "connections_total", {}),
+    ("repro_overlay_hits_total", "counter", "Reads answered by the write overlay",
+     "overlay_hits", {}),
+    ("repro_commit_version", "gauge", "Commit version", "version", {}),
+    ("repro_engine_reads_total", "counter", "Engine point reads by path", "reads.*", {"path": "*"}),
+    ("repro_cache_refreshed_total", "counter", "Cache entries updated by commits",
+     "cache.refreshed", {}),
+    ("repro_committed_height", "gauge", "Last committed block height", "committed_height", {}),
+    ("repro_open_height", "gauge", "Height of the open batch", "open_height", {}),
+    ("repro_buffered_puts", "gauge", "Puts buffered in the open batch", "buffered_puts", {}),
+    ("repro_commits_total", "counter", "Group commits", "batcher.commits", {}),
+    ("repro_batched_puts_total", "counter", "Puts committed through the batcher",
+     "batcher.batched_puts", {}),
+    ("repro_cache_lookups_total", "counter", "Cache lookups", "cache.lookups", {"cache": "read"}),
+    ("repro_cache_hits_total", "counter", "Cache hits", "cache.hits", {"cache": "read"}),
+    ("repro_cache_hit_rate", "gauge", "Cache hit rate", "cache.hit_rate", {"cache": "read"}),
+    ("repro_cache_entries", "gauge", "Cache occupancy", "cache.entries", {"cache": "read"}),
+    ("repro_cache_lookups_total", "counter", "Cache lookups",
+     "negative_cache.lookups", {"cache": "negative"}),
+    ("repro_cache_hits_total", "counter", "Cache hits",
+     "negative_cache.hits", {"cache": "negative"}),
+    ("repro_cache_hit_rate", "gauge", "Cache hit rate",
+     "negative_cache.hit_rate", {"cache": "negative"}),
+    ("repro_cache_entries", "gauge", "Cache occupancy",
+     "negative_cache.entries", {"cache": "negative"}),
+    ("repro_cache_lookups_total", "counter", "Cache lookups",
+     "io.page_cache.lookups", {"cache": "page"}),
+    ("repro_cache_hits_total", "counter", "Cache hits", "io.page_cache.hits", {"cache": "page"}),
+    ("repro_cache_hit_rate", "gauge", "Cache hit rate",
+     "io.page_cache.hit_rate", {"cache": "page"}),
+    ("repro_engine_puts_total", "counter", "Puts applied by the engine", "engine.puts_total", {}),
+    ("repro_engine_storage_bytes", "gauge", "Engine on-disk footprint", "engine.storage_bytes", {}),
+    ("repro_engine_disk_levels", "gauge", "Populated disk levels", "engine.disk_levels", {}),
+    ("repro_engine_shards", "gauge", "Engine shards", "engine.shards", {}),
+    ("repro_page_reads_total", "counter", "Pages read by file category",
+     "io.categories.*.reads", {"category": "*"}),
+    ("repro_page_writes_total", "counter", "Pages written by file category",
+     "io.categories.*.writes", {"category": "*"}),
+    ("repro_wal_syncs_total", "counter", "WAL sync() calls", "wal.syncs", {}),
+    ("repro_wal_records_appended_total", "counter", "WAL records appended",
+     "wal.records_appended", {}),
+    ("repro_wal_bytes_appended_total", "counter", "WAL bytes appended", "wal.bytes_appended", {}),
+    ("repro_wal_segments", "gauge", "Live WAL segments", "wal.segments", {}),
+    ("repro_wal_synced_lsn", "gauge", "Last durable LSN", "wal.synced_lsn", {}),
+    ("repro_wal_appended_lsn", "gauge", "Last appended LSN", "wal.appended_lsn", {}),
+    ("repro_replication_lag_blocks", "gauge", "Blocks behind the primary",
+     "replication.lag_blocks", {}),
+    ("repro_replication_batches_applied_total", "counter", "Primary batches applied",
+     "replication.batches_applied", {}),
+    ("repro_replication_subscribers", "gauge", "Live replica streams",
+     "replication.subscribers", {}),
+    ("repro_replication_batches_published_total", "counter", "Batches published to replicas",
+     "replication.batches_published", {}),
+    ("repro_replication_records_shipped_total", "counter", "WAL records shipped to replicas",
+     "replication.records_shipped", {}),
+    ("repro_cluster_shard_id", "gauge", "Shard this server owns", "cluster.shard_id", {}),
+    ("repro_cluster_manifest_epoch", "gauge", "Adopted manifest epoch",
+     "cluster.manifest_epoch", {}),
+    ("repro_cluster_migration_phase", "gauge",
+     "Migration phase (0=serving 1=snapshot 2=catchup 3=promoting 4=moved)",
+     "cluster.phase_code", {}),
+    ("repro_cluster_moved_referrals_total", "counter", "MOVED referrals answered",
+     "cluster.moved_referrals", {}),
+)
+
+
+def stats_leaves(stats: dict, path: str) -> List[Tuple[Optional[str], Any]]:
+    """``(key, value)`` of every leaf ``path`` names in a STATS snapshot:
+    ``key`` is what the path's ``*`` segment matched (``None`` without
+    one); an absent section or key yields nothing."""
+    nodes: List[Tuple[Optional[str], Any]] = [(None, stats)]
+    for part in path.split("."):
+        if part == "*":
+            nodes = [(key, value) for _, node in nodes for key, value in node.items()]
+        else:
+            nodes = [(key, node[part]) for key, node in nodes if part in node]
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -108,8 +193,6 @@ class ServerConfig:
     #: Hard cap on triples per SCAN result page (bounds frame sizes and
     #: per-request engine work; longer scans ride the continuation key).
     scan_page_max: int = 1024
-    #: Page size used when a SCAN request asks for 0 (no explicit limit).
-    scan_page_default: int = 256
 
     def __post_init__(self) -> None:
         if self.batch_max_puts < 1:
@@ -118,14 +201,16 @@ class ServerConfig:
             raise ValueError("batch_max_delay must be positive")
         if self.executor_workers < 1:
             raise ValueError("executor_workers must be >= 1")
-        if self.scan_page_max < 1 or self.scan_page_default < 1:
-            raise ValueError("scan page sizes must be >= 1")
+        if self.scan_page_max < 1:
+            raise ValueError("scan_page_max must be >= 1")
         if self.negative_cache_capacity < 0:
             raise ValueError("negative_cache_capacity cannot be negative")
 
 
 #: Samples per cost ring of the sync-path choice (under a second of load).
 _COST_RING = 16
+#: Page size used when a SCAN request asks for 0 (no explicit limit).
+SCAN_PAGE_DEFAULT = 256
 
 
 class _WalSyncer:
@@ -715,7 +800,7 @@ class ColeServer:
     # =========================================================================
     # op handlers: ``_op_<name>`` answers one row of protocol.OPS with its
     # response frame (writes and the small control ops here; reads and the
-    # ROOT / STATS / METRICS assembly in the sections below)
+    # ROOT / STATS snapshot in the sections below)
     # =========================================================================
 
     async def _op_put(self, addr: bytes, value: bytes) -> bytes:
@@ -738,8 +823,14 @@ class ColeServer:
         return protocol.encode_blob_response(json.dumps(await self._stats()).encode())
 
     async def _op_metrics(self) -> bytes:
-        text = await self._metrics_text()
-        return protocol.encode_blob_response(text.encode("utf-8"))
+        """Prometheus text exposition: the live histograms plus every
+        :data:`METRICS_TABLE` row read off one STATS snapshot."""
+        stats, registry = await self._stats(), self.metrics
+        for name, kind, help, path, labels in METRICS_TABLE:
+            for key, value in stats_leaves(stats, path):
+                filled = {label: key if v == "*" else v for label, v in labels.items()}
+                getattr(registry, kind)(name, help, **filled).set(value)
+        return protocol.encode_blob_response(registry.expose().encode("utf-8"))
 
     async def _op_flush(self) -> bytes:
         self.batcher.forced_flushes += 1
@@ -946,8 +1037,7 @@ class ColeServer:
         # scans — see DESIGN.md "Cursors & Scans".
         if self.batcher is not None and at_blk == protocol.LATEST_BLK:
             await self.batcher.flush()
-        page = limit if limit else self.config.scan_page_default
-        page = min(page, self.config.scan_page_max)
+        page = min(limit or SCAN_PAGE_DEFAULT, self.config.scan_page_max)
         # Pin the page to the committed height at serve time: a commit
         # landing while the engine scan runs must not leak into it, and
         # the client re-pins continuation pages to the first page's
@@ -974,8 +1064,8 @@ class ColeServer:
 
     async def _op_root(self) -> bytes:
         if self.replica is not None:
-            root = self.replica.last_root
-            if root is None:
+            root = self.replica.last_root or self.replica.start_root
+            if root is None:  # the applier has not started yet
                 root = await self._run(self.engine.root_digest)
             height = self.replica.applied_height
         else:
@@ -1042,6 +1132,7 @@ class ColeServer:
                 "page_reads": engine_stats.total_reads,
                 "page_writes": engine_stats.total_writes,
                 "page_cache": engine_stats.cache_summary(),
+                "categories": engine_stats.per_category(),
             }
         if self.wal is not None:
             stats["wal"] = self.wal.stats()
@@ -1095,149 +1186,6 @@ class ColeServer:
             if series:
                 section[key] = series[0][1].summary()
         return section
-
-    async def _metrics_text(self) -> str:
-        """The ``Op.METRICS`` payload: Prometheus text exposition.
-
-        Histograms are already live in the registry; counters and gauges
-        whose source of truth is elsewhere (op counts, cache stats, IO
-        stats, heights, replication lag) are mirrored in at scrape time
-        — the hot paths never pay for them.
-        """
-        registry = self.metrics
-        for name, count in self.op_counts.items():
-            registry.counter(
-                "repro_ops_total", help="Requests served by opcode", op=name
-            ).set(count)
-        registry.counter(
-            "repro_connections_total", help="Connections accepted"
-        ).set(self.connections_total)
-        registry.counter(
-            "repro_overlay_hits_total", help="Reads answered by the write overlay"
-        ).set(self.overlay_hits)
-        registry.gauge("repro_commit_version", help="Commit version").set(
-            self.version
-        )
-        for path, count in self.reads.items():
-            registry.counter(
-                "repro_engine_reads_total", help="Engine point reads by path", path=path
-            ).set(count)
-        registry.counter(
-            "repro_cache_refreshed_total", help="Cache entries updated by commits"
-        ).set(self.cache.refreshed)
-        batcher = self.batcher
-        committed = self._committed_height()
-        registry.gauge(
-            "repro_committed_height", help="Last committed block height"
-        ).set(committed)
-        registry.gauge("repro_open_height", help="Height of the open batch").set(
-            batcher.next_height if batcher is not None else committed
-        )
-        registry.gauge(
-            "repro_buffered_puts", help="Puts buffered in the open batch"
-        ).set(batcher.buffered if batcher is not None else 0)
-        if batcher is not None:
-            registry.counter(
-                "repro_commits_total", help="Group commits"
-            ).set(batcher.commits)
-            registry.counter(
-                "repro_batched_puts_total", help="Puts committed through the batcher"
-            ).set(batcher.batched_puts)
-        for label, cache in (("read", self.cache), ("negative", self.negative)):
-            snapshot = cache.stats()
-            registry.counter(
-                "repro_cache_lookups_total", help="Cache lookups", cache=label
-            ).set(snapshot["lookups"])
-            registry.counter(
-                "repro_cache_hits_total", help="Cache hits", cache=label
-            ).set(snapshot["hits"])
-            registry.gauge(
-                "repro_cache_hit_rate", help="Cache hit rate", cache=label
-            ).set(snapshot["hit_rate"])
-            registry.gauge(
-                "repro_cache_entries", help="Cache occupancy", cache=label
-            ).set(snapshot["entries"])
-        engine = self.engine
-        registry.counter(
-            "repro_engine_puts_total", help="Puts applied by the engine"
-        ).set(engine.puts_total)
-        registry.gauge(
-            "repro_engine_storage_bytes", help="Engine on-disk footprint"
-        ).set(await self._run(engine.storage_bytes))
-        registry.gauge(
-            "repro_engine_disk_levels", help="Populated disk levels"
-        ).set(engine.num_disk_levels())
-        registry.gauge("repro_engine_shards", help="Engine shards").set(
-            len(engine.shards) if hasattr(engine, "shards") else 1
-        )
-        iostats = getattr(engine, "stats", None)
-        if iostats is not None:
-            for category, reads, writes in iostats.per_category():
-                registry.counter(
-                    "repro_page_reads_total",
-                    help="Pages read by file category",
-                    category=category,
-                ).set(reads)
-                registry.counter(
-                    "repro_page_writes_total",
-                    help="Pages written by file category",
-                    category=category,
-                ).set(writes)
-            page_cache = iostats.cache_summary()
-            registry.counter(
-                "repro_cache_lookups_total", cache="page"
-            ).set(page_cache["hits"] + page_cache["misses"])
-            registry.counter(
-                "repro_cache_hits_total", cache="page"
-            ).set(page_cache["hits"])
-            registry.gauge(
-                "repro_cache_hit_rate", cache="page"
-            ).set(page_cache["hit_rate"])
-        if self.wal is not None:
-            wal_stats = self.wal.stats()
-            registry.counter(
-                "repro_wal_syncs_total", help="WAL sync() calls"
-            ).set(wal_stats["syncs"])
-            registry.counter(
-                "repro_wal_records_appended_total", help="WAL records appended"
-            ).set(wal_stats["records_appended"])
-            registry.counter(
-                "repro_wal_bytes_appended_total", help="WAL bytes appended"
-            ).set(wal_stats["bytes_appended"])
-            registry.gauge(
-                "repro_wal_segments", help="Live WAL segments"
-            ).set(wal_stats["segments"])
-            registry.gauge(
-                "repro_wal_synced_lsn", help="Last durable LSN"
-            ).set(wal_stats["synced_lsn"])
-            registry.gauge(
-                "repro_wal_appended_lsn", help="Last appended LSN"
-            ).set(wal_stats["appended_lsn"])
-        if self.replica is not None:
-            replica_stats = self.replica.stats()
-            registry.gauge(
-                "repro_replication_lag_blocks",
-                help="Blocks behind the primary",
-            ).set(replica_stats["lag_blocks"])
-            registry.counter(
-                "repro_replication_batches_applied_total",
-                help="Primary batches applied",
-            ).set(replica_stats["batches_applied"])
-        elif self.hub is not None:
-            registry.gauge(
-                "repro_replication_subscribers", help="Live replica streams"
-            ).set(self.hub.subscribers)
-            registry.counter(
-                "repro_replication_batches_published_total",
-                help="Batches published to replicas",
-            ).set(self.hub.batches_published)
-            registry.counter(
-                "repro_replication_records_shipped_total",
-                help="WAL records shipped to replicas",
-            ).set(self.hub.records_shipped)
-        if self.cluster is not None:
-            self.cluster.record_metrics(registry)
-        return registry.expose()
 
     #: opcode -> handler, called as ``handler(self, *args)``.  The one
     #: ``stream`` op (REPL_SUBSCRIBE) is absent: it takes over its

@@ -72,9 +72,9 @@ class ShardedCole(StorageBackend):
             Cole(self.shard_directory(index), self.params.cole, stats=self.stats)
             for index in range(self.params.num_shards)
         ]
-        workers = self.params.commit_workers or self.params.num_shards
+        # One commit worker per shard: a block's shard commits fan out at once.
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cole-shard"
+            max_workers=self.params.num_shards, thread_name_prefix="cole-shard"
         )
         self.current_blk = max(shard.current_blk for shard in self.shards)
         # Cross-shard atomicity: single-shard reads (get / get_at) ride

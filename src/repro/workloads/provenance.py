@@ -8,7 +8,7 @@ the last ``q`` blocks — ``q`` is the x-axis of Figure 14.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.chain.transaction import Transaction
 
@@ -23,10 +23,6 @@ class ProvenanceWorkload:
 
     def _key(self, index: int) -> str:
         return f"prov{index}"
-
-    def base_keys(self) -> List[str]:
-        """The base key population queries draw from."""
-        return [self._key(index) for index in range(self.num_base_keys)]
 
     def _payload(self, rng: random.Random) -> str:
         return "".join(rng.choice("0123456789abcdef") for _ in range(self.payload_size))

@@ -219,8 +219,8 @@ SURFACE = Path(__file__).parent / "fixtures" / "cli_surface.json"
 REMOVED_FLAGS = {
     ("serve", "--cache-capacity"): "ServerConfig.cache_capacity's default, 8192",
     ("serve", "--wal-segment-kb"): "WriteAheadLog's default 4 MiB segments",
-    ("loadgen", "--mode"): "closed loop, LoadgenParams.mode's default",
-    ("loadgen", "--rate"): "read only by the open loop --mode never selected",
+    ("loadgen", "--mode"): "closed loop, the only one the generator runs",
+    ("loadgen", "--rate"): "read only by an open loop --mode never selected",
     ("cluster migrate", "--timeout"): "migrate_shard_sync's default, 60 s",
 }
 

@@ -241,6 +241,34 @@ def test_live_caches_reports_hit_rates(live_server, capsys):
     assert "negative" in rows
 
 
+def test_live_caches_rows_share_one_shape(tmp_path, capsys):
+    """The page cache has no occupancy of its own: its row leaves
+    ``entries`` / ``capacity`` blank instead of showing its promotions."""
+    engine = Cole(str(tmp_path / "ws"), ColeParams(mem_capacity=64, value_cache_pages=4))
+
+    async def load(host, port):
+        async with ServerClient(host, port) as client:
+            await client.multi_put([(addr_of(n), value_of(n)) for n in range(200)])
+            await client.flush()
+            for n in range(200):  # distinct keys: every GET reaches the engine
+                await client.get(addr_of(n))
+            return (await client.stats())["io"]["page_cache"]
+
+    with ServerThread(engine) as thread:
+        host, port = thread.start()
+        page_cache = asyncio.run(load(host, port))
+        code, out = run_cli(["-s", f"{host}:{port}", "caches", "-f", "json"], capsys)
+    engine.close()
+    assert code == 0
+    rows = {row["cache"]: row for row in json.loads(out)}
+    assert set(rows) == {"read", "negative", "page"}
+    assert page_cache["promotions"] > 0
+    assert rows["page"]["entries"] != page_cache["promotions"]
+    assert rows["page"]["entries"] == rows["page"]["capacity"] == ""
+    for row in rows.values():
+        assert row["lookups"] == row["hits"] + row["misses"]
+
+
 def test_live_reads_reports_the_inline_and_fallback_paths(live_server, capsys):
     code, out = run_cli(["-s", live_server, "reads", "-f", "json"], capsys)
     assert code == 0

@@ -232,6 +232,92 @@ def test_replicated_client_fans_reads_and_falls_back(tmp_path):
     replica_engine.close()
 
 
+def test_replicated_client_paged_scan_stays_on_one_node(tmp_path):
+    """Every page of one paged scan comes from the node its first page
+    chose (pages are pinned to that node's committed height)."""
+    engine, wal, primary = primary_stack(tmp_path)
+    replica_engines = [Cole(str(tmp_path / f"replica{i}"), PARAMS) for i in (0, 1)]
+    with primary:
+        phost, pport = primary.start()
+        with ServerThread(replica_engines[0], replica_of=(phost, pport)) as r0, \
+                ServerThread(replica_engines[1], replica_of=(phost, pport)) as r1:
+            replicas = [r0.start(), r1.start()]
+
+            async def scenario():
+                async with ServerClient(phost, pport) as pc:
+                    for n in range(40):
+                        await pc.put(addr_of(n), value_of(n))
+                    info = await pc.flush()
+                    expected = await pc.scan(addr_of(0), addr_of(39))
+                assert len(expected) == 40
+                for address in replicas:
+                    async with ServerClient(*address) as rc:
+                        await wait_for_height(rc, info.height)
+                async with ReplicatedClient(
+                    (phost, pport), replicas, read_primary=False
+                ) as client:
+                    pages = []
+                    for _ in replicas:
+                        assert await client.scan(
+                            addr_of(0), addr_of(39), page_size=4
+                        ) == expected
+                        pages.append([
+                            (await replica.stats())["ops"]["scan"]
+                            for replica in client.replicas
+                        ])
+                # Ten pages each: all of the first scan on one replica,
+                # all of the second on the other.
+                assert pages == [[10, 0], [10, 10]]
+
+            asyncio.run(scenario())
+    wal.close()
+    engine.close()
+    for replica_engine in replica_engines:
+        replica_engine.close()
+
+
+def test_replica_divergence_is_a_crash_stop(tmp_path):
+    """A COLE* replica of a COLE primary diverges on the first block (the
+    two modes' roots differ at every block): the applier freezes for
+    good, ROOT and STATS keep naming the last verified commit, and reads
+    are still answered."""
+    engine, wal, primary = primary_stack(tmp_path, params=PARAMS.with_async(False))
+    replica_engine = Cole(str(tmp_path / "replica"), PARAMS)
+    verified = replica_engine.root_digest()
+    with primary:
+        phost, pport = primary.start()
+        with ServerThread(replica_engine, replica_of=(phost, pport)) as rt:
+            rhost, rport = rt.start()
+
+            async def scenario():
+                async with ServerClient(phost, pport) as pc:
+                    for n in range(8):
+                        await pc.put(addr_of(n), value_of(n))
+                    info = await pc.flush()
+                assert info.height == 1
+                async with ServerClient(rhost, rport) as rc:
+                    for _ in range(500):
+                        repl = (await rc.stats())["replication"]
+                        if repl["diverged"]:
+                            break
+                        await asyncio.sleep(0.02)
+                    assert repl["diverged"]
+                    assert "divergence at height 1" in repl["last_error"]
+                    assert repl["applied_height"] == 0
+                    root = await rc.root()
+                    assert (root.height, root.digest) == (0, verified)
+                    assert await rc.get(addr_of(10_000)) is None
+                    assert await rc.get(addr_of(10_000)) is None  # cached
+                return repl["subscribes"]
+
+            assert asyncio.run(scenario()) == 1
+            # The applier task ended: it does not reconnect and retry.
+            assert rt.server._replica_task.done()
+    wal.close()
+    engine.close()
+    replica_engine.close()
+
+
 # =============================================================================
 # snapshot bootstrap + catch-up
 # =============================================================================

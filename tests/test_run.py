@@ -11,7 +11,7 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey, addr_of_int
 from repro.core.indexfile import IndexFileBuilder
 from repro.core.merklefile import MerkleFileBuilder, verify_range_proof
-from repro.core.run import RUN_SUFFIXES, Run
+from repro.core.run import BLOOM_BITS_PER_KEY, BLOOM_HASHES, RUN_SUFFIXES, Run
 from repro.core.valuefile import ValueFileWriter
 from repro.diskio.workspace import Workspace
 
@@ -203,9 +203,7 @@ def build_per_entry(ws, name, entries, params):
         ws.open_file(f"{name}.mrk", category="merkle"),
         len(entries), params.mht_fanout, system.key_size,
     )
-    bloom = BloomFilter.for_capacity(
-        len(entries), params.bloom_bits_per_key, params.bloom_hashes
-    )
+    bloom = BloomFilter.for_capacity(len(entries), BLOOM_BITS_PER_KEY, BLOOM_HASHES)
 
     def tee():
         for key, value in entries:

@@ -748,31 +748,6 @@ def test_more_clients_than_keys_keeps_single_writer():
     assert len({cid for cid in writers.values()}) <= params.num_keys
 
 
-def test_open_loop_loadgen_runs(tmp_path):
-    engine = Cole(str(tmp_path / "ws"), PARAMS)
-    params = LoadgenParams(
-        clients=4,
-        ops_per_client=25,
-        num_keys=64,
-        addr_size=ADDR,
-        value_size=VALUE,
-        mode="open",
-        rate=2000.0,
-        seed=3,
-    )
-
-    async def scenario(host, port):
-        report = await run_loadgen(host, port, params)
-        assert report.errors == 0
-        assert report.ops == 100
-        assert report.mode == "open"
-        assert len(report.latencies) == 100
-
-    with serve(engine, batch_max_puts=64, batch_max_delay=0.005) as thread:
-        asyncio.run(scenario(*thread.start()))
-    engine.close()
-
-
 def test_stats_op_shape(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
 
@@ -842,10 +817,6 @@ def test_server_config_validation():
         ServerConfig(batch_max_delay=0)
     with pytest.raises(ValueError):
         ServerConfig(executor_workers=0)
-    with pytest.raises(ValueError):
-        LoadgenParams(mode="sideways")
-    with pytest.raises(ValueError):
-        LoadgenParams(mode="open", rate=0)
     with pytest.raises(ValueError):
         VersionedReadCache(capacity=0)
 
