@@ -63,9 +63,7 @@ def main() -> None:
     try:
         params = ShardParams(cole=COLE, num_shards=SHARDS)
         engine = ShardedCole(workspace, params)
-        wal = WriteAheadLog(
-            os.path.join(workspace, "wal"), num_shards=SHARDS, sync_policy="batch"
-        )
+        wal = WriteAheadLog(os.path.join(workspace, "wal"), sync_policy="batch")
         config = ServerConfig(batch_max_puts=64, batch_max_delay=0.005)
         with ServerThread(engine, config=config, wal=wal) as thread:
             stats = asyncio.run(drive(*thread.start()))
@@ -91,7 +89,7 @@ def main() -> None:
 
         # -- recover: replay the WAL tail into a fresh engine -------------
         recovered = ShardedCole(workspace, params)
-        wal2 = WriteAheadLog(os.path.join(workspace, "wal"), num_shards=SHARDS)
+        wal2 = WriteAheadLog(os.path.join(workspace, "wal"))
         replay = replay_wal(recovered, wal2)
         recovered_root = recovered.root_digest()
         print(
@@ -111,7 +109,7 @@ def main() -> None:
         restored_dir = os.path.join(base, "restored")
         restore_store(snap, restored_dir)
         restored = ShardedCole(restored_dir, params)
-        wal3 = WriteAheadLog(os.path.join(restored_dir, "wal"), num_shards=SHARDS)
+        wal3 = WriteAheadLog(os.path.join(restored_dir, "wal"))
         replay_wal(restored, wal3)
         assert restored.root_digest().hex() == meta["root_digest"]
         print("restore verified: root digest matches the snapshot record")

@@ -263,9 +263,7 @@ def served(backend, config: Optional[ServerConfig] = None,
     wal = None
     if wal_policy is not None:
         wal = WriteAheadLog(
-            os.path.join(backend.directory, "wal"),
-            num_shards=len(backend.shards),
-            sync_policy=wal_policy,
+            os.path.join(backend.directory, "wal"), sync_policy=wal_policy
         )
     try:
         with ServerThread(backend, config=config or ServerConfig(), wal=wal) as thread:

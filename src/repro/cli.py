@@ -155,7 +155,7 @@ def open_store(
         if replay and os.path.isdir(wal_dir):
             from repro.wal import WriteAheadLog, replay_wal
 
-            wal = stack.enter_context(WriteAheadLog(wal_dir, num_shards=num_shards))
+            wal = stack.enter_context(WriteAheadLog(wal_dir))
             replayed = replay_wal(engine, wal)
         yield Store(engine, wal, num_shards, replayed)
 
@@ -361,9 +361,7 @@ def serve(
         from repro.wal import WriteAheadLog
 
         log = WriteAheadLog(
-            wal_dir or os.path.join(workspace, WAL_DIRNAME),
-            num_shards=store.num_shards,
-            sync_policy=wal_sync,
+            wal_dir or os.path.join(workspace, WAL_DIRNAME), sync_policy=wal_sync
         )
         ctx.call_on_close(log.close)
     config = ServerConfig(

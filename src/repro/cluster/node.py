@@ -229,9 +229,7 @@ class ClusterNode:
                 ColeParams(async_merge=True, mem_capacity=self.mem_capacity),
             )
             wal = WriteAheadLog(
-                os.path.join(directory, "wal"),
-                num_shards=1,
-                sync_policy=self.wal_sync,
+                os.path.join(directory, "wal"), sync_policy=self.wal_sync
             )
             return engine, wal
 

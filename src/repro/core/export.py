@@ -93,11 +93,9 @@ def export_slice(
     if len(low) != addr_size or len(high) != addr_size:
         raise StorageError(f"export bounds must be {addr_size}-byte addresses")
     if at_blk is None:
-        # Latest height the engine knows: the driving height on a live
-        # engine, the durable checkpoint on a freshly recovered one
-        # (recovery leaves current_blk at 0 until the next begin_block).
-        resolved_at = max(engine.current_blk, max(engine.shard_checkpoints()))
-        resolved_at = max(resolved_at, 0)
+        # Latest height the engine knows (a freshly recovered engine's
+        # current_blk stays 0 until the next begin_block).
+        resolved_at = max(engine.last_blk, 0)
     else:
         resolved_at = at_blk
     header = {

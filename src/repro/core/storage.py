@@ -774,14 +774,11 @@ class Cole:
         """Highest block height durably contained in committed runs."""
         return self._checkpoint_blk
 
-    def shard_checkpoints(self) -> List[int]:
-        """Per-shard durable checkpoints (one entry: the engine itself).
-
-        The WAL layer truncates and replays per shard chain; a
-        single-node engine is the one-shard special case, so both engine
-        shapes answer the same question (`ShardedCole` overrides).
-        """
-        return [self._checkpoint_blk]
+    @property
+    def last_blk(self) -> int:
+        """Highest block this engine has seen: writers resume above it
+        (a reopened engine's ``current_blk`` is 0 until its next block)."""
+        return max(self.current_blk, self._checkpoint_blk)
 
     def _addr_size(self) -> int:
         return self.params.system.addr_size

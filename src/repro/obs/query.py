@@ -296,46 +296,36 @@ def collect_wal(wal_dir: str) -> List[dict]:
 
     Safe against a live writer: the record scanner stops at the first
     torn record, which for the active tail just means "scanned up to
-    the bytes durable at read time".  The highest-numbered segment of
-    each shard chain is the active one.
+    the bytes durable at read time".  The highest-numbered segment is
+    the active one.
     """
     from repro.wal.record import RecordType, scan_records
 
+    segments = sorted(
+        name
+        for name in os.listdir(wal_dir)
+        if name.startswith("seg-") and name.endswith(".wal")
+    )
     rows = []
-    for shard in shard_dirs(wal_dir):
-        directory = os.path.join(wal_dir, shard)
-        segments = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith("seg-") and name.endswith(".wal")
+    for position, segment in enumerate(segments):
+        with open(os.path.join(wal_dir, segment), "rb") as handle:
+            data = handle.read()
+        result = scan_records(data)
+        types = [record.type for record in result.records]
+        rows.append(
+            {
+                "segment": segment,
+                "state": "active" if position == len(segments) - 1 else "sealed",
+                "bytes": len(data),
+                "records": len(result.records),
+                "puts": types.count(RecordType.PUTS),
+                "commits": types.count(RecordType.COMMIT),
+                "max_height": max(
+                    (record.height for record in result.records), default=0
+                ),
+                "torn": bool(result.torn),
+            }
         )
-        for position, segment in enumerate(segments):
-            path = os.path.join(directory, segment)
-            with open(path, "rb") as handle:
-                data = handle.read()
-            result = scan_records(data)
-            puts = sum(
-                1 for record in result.records if record.type == RecordType.PUTS
-            )
-            commits = sum(
-                1 for record in result.records if record.type == RecordType.COMMIT
-            )
-            max_height = max(
-                (record.height for record in result.records), default=0
-            )
-            rows.append(
-                {
-                    "shard": shard,
-                    "segment": segment,
-                    "state": "active" if position == len(segments) - 1 else "sealed",
-                    "bytes": len(data),
-                    "records": len(result.records),
-                    "puts": puts,
-                    "commits": commits,
-                    "max_height": max_height,
-                    "torn": bool(result.torn),
-                }
-            )
     return rows
 
 
@@ -563,7 +553,7 @@ def collect_audit(
     workspace = target.resolve_workspace()
     with open_store(workspace, "repro query audit", replay=False) as store:
         engine = store.engine
-        height = max(engine.current_blk, engine.checkpoint_blk, 0)
+        height = max(engine.last_blk, 0)
         triples = engine.scan(addr_low, addr_high, limit=limit)
         rows = []
         for addr in dict.fromkeys(addr for addr, _blk, _value in triples):
@@ -681,8 +671,8 @@ def wal(target: QueryTarget, fmt: str) -> None:
     """WAL segments: sealed/active state, record counts, torn tails; live,
     a ``*`` row totals the log and where its group fsyncs ran."""
     columns = [
-        "shard", "segment", "state", "bytes", "records", "puts",
-        "commits", "max_height", "torn",
+        "segment", "state", "bytes", "records", "puts", "commits",
+        "max_height", "torn",
     ]
     wal_stats = None
     if target.live:
@@ -699,7 +689,7 @@ def wal(target: QueryTarget, fmt: str) -> None:
         paths = ["syncs_inline", "syncs_pooled"]
         columns += paths
         rows.append({
-            "shard": "*", "state": wal_stats["policy"],
+            "segment": "*", "state": wal_stats["policy"],
             "bytes": wal_stats["bytes_appended"],
             "records": wal_stats["records_appended"],
             "puts": wal_stats["puts_appended"],

@@ -18,13 +18,12 @@ has two sources of truth and one consumer-facing shape:
   ever carry one batch.
 
 **Availability floor**: WAL truncation deletes segments covered by the
-per-shard engine checkpoints, so heights at or below
-``max(shard_checkpoints)`` are only guaranteed to exist in committed
-runs, not in the WAL.  A subscriber whose start height is below that
-floor is refused with :class:`SnapshotRequiredError` — it must bootstrap
-from a newer snapshot instead (heights *above* the floor are always
-fully present: a segment holding any record above a shard's checkpoint
-is never truncated).
+engine checkpoint (``checkpoint_blk``), so heights at or below it are
+only guaranteed to exist in committed runs, not in the WAL.  A
+subscriber whose start height is below that floor is refused with
+:class:`SnapshotRequiredError` — it must bootstrap from a newer snapshot
+instead (heights *above* the floor are always fully present: a segment
+holding any record above the checkpoint is never truncated).
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ class ReplicationHub:
 
     def availability_floor(self) -> int:
         """Lowest start height the WAL can still serve completely."""
-        return max(self.engine.shard_checkpoints())
+        return self.engine.checkpoint_blk
 
     def check_start(self, start_height: int) -> None:
         """Refuse subscribers the WAL may no longer cover."""
@@ -162,29 +161,22 @@ class ReplicationHub:
         on-disk WAL.
 
         ``upto_height`` must be the primary's committed height captured
-        in the same event-loop step as the queue registration.  The cap
-        is load-bearing on multi-shard primaries: the scan reads one
-        shard chain at a time without the append lock, so a commit
-        landing mid-scan can leave its COMMIT marker visible (markers go
-        to *every* chain) while its PUTS records in an already-read
-        chain are missed — shipping a partial batch the dedupe-by-height
-        would then prefer over the complete live-feed copy.  Heights at
-        or below the cap were fully on disk before the scan started
-        (``flush`` appends the marker in the same loop step that
-        advances ``last_height``); heights above it commit after
-        registration and arrive complete via the queue.  Runs file IO;
-        call it on a worker thread.
+        in the same event-loop step as the queue registration: heights at
+        or below it were fully on disk before the scan started (``flush``
+        appends the marker in the same loop step that advances
+        ``last_height``), and heights above it commit after registration
+        and arrive via the queue.  Runs file IO; call it on a worker
+        thread.
         """
         puts_by_height: Dict[int, List[Tuple[bytes, bytes]]] = {}
         roots: Dict[int, bytes] = {}
-        for records in self.wal.scan():
-            for record in records:
-                if not start_height < record.height <= upto_height:
-                    continue
-                if record.type == RecordType.PUTS:
-                    puts_by_height.setdefault(record.height, []).extend(record.items)
-                elif record.type == RecordType.COMMIT:
-                    roots[record.height] = record.root
+        for record in self.wal.scan():
+            if not start_height < record.height <= upto_height:
+                continue
+            if record.type == RecordType.PUTS:
+                puts_by_height.setdefault(record.height, []).extend(record.items)
+            elif record.type == RecordType.COMMIT:
+                roots[record.height] = record.root
         return [
             (height, encode_batch(height, puts_by_height.get(height, []), root))
             for height, root in sorted(roots.items())

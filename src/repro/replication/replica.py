@@ -67,7 +67,7 @@ class ReplicaApplier:
         self.wal = wal
         engine = server.engine
         #: Height of the last block applied to the local engine.
-        self.applied_height = max(engine.current_blk, engine.checkpoint_blk)
+        self.applied_height = engine.last_blk
         #: Root of the last applied block (None until the first apply).
         self.last_root: Optional[bytes] = None
         #: Root of the state the applier started from (set as it starts):

@@ -96,9 +96,9 @@ class WriteBatcher:
         self.last_put_lsn = 0
         #: LSN of the most recent COMMIT marker (covers its batch's puts).
         self.last_commit_lsn = 0
-        self._wal_truncated_at = min(engine.shard_checkpoints()) if wal else -1
+        self._wal_truncated_at = engine.checkpoint_blk if wal else -1
         # The open block: puts buffered here commit at _next_height.
-        self._next_height = max(engine.current_blk, engine.checkpoint_blk) + 1
+        self._next_height = engine.last_blk + 1
         self._active_items: List[Tuple[bytes, bytes]] = []
         self._active_overlay: Dict[bytes, bytes] = {}
         # The in-flight flush (at most one; _flush_lock serializes).
@@ -115,7 +115,7 @@ class WriteBatcher:
         self.timer_flushes = 0
         self.forced_flushes = 0
         self.last_root: Optional[Digest] = None
-        self.last_height = max(engine.current_blk, engine.checkpoint_blk)
+        self.last_height = engine.last_blk
         # Latency/size distributions (metric objects cached here so the
         # flush path never touches the registry dict).
         self._flush_hist = None
@@ -174,9 +174,9 @@ class WriteBatcher:
         The whole batch joins the active block atomically — every key
         commits at the same height, which is what the MULTI_PUT response
         promises — and with a WAL attached the batch is one
-        ``append_puts`` call (one record per touched shard chain)
-        instead of a record per key.  Same WAL-first ordering as
-        :meth:`put`: a failed append leaves nothing buffered.
+        ``append_puts`` call (one record) instead of a record per key.
+        Same WAL-first ordering as :meth:`put`: a failed append leaves
+        nothing buffered.
         """
         if self._closed:
             raise StorageError("server is shutting down")
@@ -306,23 +306,22 @@ class WriteBatcher:
     def _maybe_truncate_wal(self) -> None:
         """Drop WAL segments the engine checkpoint now covers.
 
-        Runs only when the *earliest* shard checkpoint advanced (a
-        cascade landed); the deletes happen off-loop.  Deferred while a
+        Runs only when the engine checkpoint advanced (a cascade
+        landed); the deletes happen off-loop.  Deferred while a
         replication catch-up scan is reading segments — a delete landing
         mid-scan could remove heights that scan was promised (retried at
         the next commit; segments only cost disk meanwhile).
         """
         if self._hub is not None and self._hub.catchups_active:
             return
-        checkpoints = self.engine.shard_checkpoints()
-        floor = min(checkpoints)
+        floor = self.engine.checkpoint_blk
         if floor <= self._wal_truncated_at:
             return
         previous, self._wal_truncated_at = self._wal_truncated_at, floor
 
         async def truncate() -> None:
             try:
-                await self._run(self.wal.truncate, list(checkpoints))
+                await self._run(self.wal.truncate, floor)
             except Exception:
                 # Best-effort: surviving segments only cost disk; rearm
                 # so the next checkpoint advance retries the delete.

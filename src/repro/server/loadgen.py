@@ -172,7 +172,7 @@ def replay_writes(engine, params: LoadgenParams, puts_per_block: int = 256) -> N
     run converges to.
     """
     pending: List[Tuple[bytes, bytes]] = []
-    height = max(engine.current_blk, engine.checkpoint_blk)
+    height = engine.last_blk
 
     def commit_pending() -> None:
         nonlocal height, pending

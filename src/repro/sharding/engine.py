@@ -17,8 +17,9 @@ overlap in wall-clock time.
 
 Durability composes per shard (Section 4.3): each shard records its own
 checkpoint, recovery replays the transaction log from the *earliest*
-shard checkpoint, and :meth:`ShardedCole.replay_put` drops writes that a
-shard already holds durably.
+shard checkpoint (:attr:`ShardedCole.checkpoint_blk`), and
+:meth:`ShardedCole.put_many` drops writes that a shard already holds
+durably.
 """
 
 from __future__ import annotations
@@ -159,39 +160,35 @@ class ShardedCole(StorageBackend):
     # =========================================================================
 
     def put(self, addr: bytes, value: bytes) -> None:
-        """Insert a state update on the owning shard."""
+        """Insert a state update on the owning shard (dropped like
+        :meth:`put_many`'s when that shard holds the block durably)."""
         with self.gate.exclusive():
-            self._shard_for(addr).put(addr, value)
+            shard = self._shard_for(addr)
+            if self.current_blk > shard.checkpoint_blk:
+                shard.put(addr, value)
 
     def put_many(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
-        """Batched put: one routing pass, then one batch per touched shard."""
+        """Batched put: one routing pass, then one batch per touched shard.
+
+        A shard that already holds the current block durably takes none
+        of its puts.  Writers resume above :attr:`last_blk`, so this only
+        bites in crash recovery: shards checkpoint independently and the
+        log replays from the earliest checkpoint (Section 4.3).
+        """
         num_shards = len(self.shards)
         with self.gate.exclusive():
+            blk = self.current_blk
             if num_shards == 1:
-                self.shards[0].put_many(items)
+                if blk > self.shards[0].checkpoint_blk:
+                    self.shards[0].put_many(items)
                 return
             route = self._route
             buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_shards)]
             for item in items:
                 buckets[route(item[0])].append(item)
             for shard, bucket in zip(self.shards, buckets):
-                if bucket:
+                if bucket and blk > shard.checkpoint_blk:
                     shard.put_many(bucket)
-
-    def replay_put(self, addr: bytes, value: bytes) -> bool:
-        """A crash-recovery replay write (Section 4.3, per shard).
-
-        Shards checkpoint independently, so the log is replayed from the
-        earliest shard checkpoint (:attr:`checkpoint_blk`); writes whose
-        block a shard already holds durably are dropped here.  Returns
-        True when the put was applied.
-        """
-        with self.gate.exclusive():
-            shard = self._shard_for(addr)
-            if self.current_blk <= shard.checkpoint_blk:
-                return False
-            shard.put(addr, value)
-            return True
 
     # =========================================================================
     # read path
@@ -376,15 +373,10 @@ class ShardedCole(StorageBackend):
         """Earliest shard checkpoint: replay the log from after this height."""
         return min(shard.checkpoint_blk for shard in self.shards)
 
-    def shard_checkpoints(self) -> List[int]:
-        """Every shard's durable checkpoint, in shard order.
-
-        The WAL layer filters and truncates each shard's chain against
-        its *own* checkpoint — the earliest-checkpoint summary above
-        would make eager shards re-apply (harmless) but lazy shards
-        under-truncate, so the per-shard vector is the real contract.
-        """
-        return [shard.checkpoint_blk for shard in self.shards]
+    @property
+    def last_blk(self) -> int:
+        """Highest block any shard has seen: writers resume above it."""
+        return max(self.current_blk, *(shard.checkpoint_blk for shard in self.shards))
 
     def storage_bytes(self) -> int:
         """Total on-disk footprint across all shards."""

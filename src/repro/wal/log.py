@@ -1,17 +1,16 @@
 """The segmented write-ahead log: fsync-batched durability for acked puts.
 
-One :class:`WriteAheadLog` owns a directory of per-shard segment chains::
+One :class:`WriteAheadLog` owns a directory holding one segment chain::
 
-    <directory>/WAL.json                  # num_shards, format version
-    <directory>/shard-00/seg-00000001.wal
-    <directory>/shard-00/seg-00000002.wal
-    <directory>/shard-01/seg-00000001.wal
+    <directory>/WAL.json              # {"format": 2}
+    <directory>/seg-00000001.wal
+    <directory>/seg-00000002.wal
     ...
 
-Records (see :mod:`repro.wal.record`) are routed to a shard chain with
-the same crc32 partition the sharded engine uses, so each shard's WAL
-replays into exactly the shard that lost the writes.  A single-engine
-store is the one-shard special case.
+Records (see :mod:`repro.wal.record`) carry their block height, so one
+chain serves any engine shape: recovery replays every record above the
+engine's durable checkpoint through the engine's ordinary write path,
+which routes a sharded store's puts exactly as it routes live ones.
 
 Appends are cheap and thread-safe: segment files are opened unbuffered,
 so one append is one ``write`` syscall into the OS page cache under the
@@ -30,9 +29,9 @@ Segments **seal** when they outgrow ``segment_max_bytes`` (checked at
 append time; records never straddle segments).  A sealed segment's file
 handle stays open until a sync covers it, then closes.  Truncation —
 :meth:`truncate` — deletes sealed, synced segments whose newest record
-height is at or below the owning shard's engine checkpoint: those puts
-are durable in committed runs and named by the manifest, so the WAL no
-longer owes them to recovery.
+height is at or below the engine checkpoint: those puts are durable in
+committed runs and named by the manifest, so the WAL no longer owes
+them to recovery.
 
 On open, every segment's torn tail (a crash mid-append) is trimmed to
 the last clean record boundary, so new appends never land after garbage.
@@ -43,12 +42,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
-from repro.sharding import shard_dirname, shard_of
 from repro.wal.record import (
     ScanResult,
     WalRecord,
@@ -58,6 +56,7 @@ from repro.wal.record import (
 )
 
 WAL_META_NAME = "WAL.json"
+WAL_FORMAT = 2
 SEGMENT_PREFIX = "seg-"
 SEGMENT_SUFFIX = ".wal"
 
@@ -95,36 +94,16 @@ class _Sealed:
     handle: Optional[object] = None  # open file while fsync is still owed
 
 
-@dataclass
-class _ShardChain:
-    """One shard's segment chain state (guarded by the log's lock)."""
-
-    directory: str
-    seq: int = 0
-    handle: Optional[object] = None
-    path: str = ""
-    size: int = 0
-    max_height: int = -1
-    dirty: bool = False
-    #: A segment file was created since the last directory fsync.
-    dir_dirty: bool = True
-    sealed_dirty: List[_Sealed] = field(default_factory=list)
-    sealed_synced: List[_Sealed] = field(default_factory=list)
-
-
 class WriteAheadLog:
     """Segmented, checksummed, fsync-batched write-ahead log."""
 
     def __init__(
         self,
         directory: str,
-        num_shards: int = 1,
         sync_policy: str = "batch",
         segment_max_bytes: int = 4 * 1024 * 1024,
     ) -> None:
         """Open (creating or trimming) the WAL rooted at ``directory``."""
-        if num_shards < 1:
-            raise StorageError("WAL needs at least one shard chain")
         if sync_policy not in SYNC_POLICIES:
             raise StorageError(
                 f"unknown sync policy {sync_policy!r}; choose from {SYNC_POLICIES}"
@@ -132,12 +111,11 @@ class WriteAheadLog:
         if segment_max_bytes < 1:
             raise StorageError("segment_max_bytes must be positive")
         self.directory = directory
-        self.num_shards = num_shards
         self.sync_policy = sync_policy
         self.segment_max_bytes = segment_max_bytes
         self._lock = maybe_debug_lock("wal-append")
         # Serializes whole sync() passes.  Without it, a second concurrent
-        # sync would observe `dirty == False` (cleared by the first pass),
+        # sync would observe `_dirty == False` (cleared by the first pass),
         # skip the fsync, and advance `synced_lsn` past records whose
         # fsync is still in flight — acking a write before it is durable.
         self._sync_lock = maybe_debug_lock("wal-sync")
@@ -153,11 +131,21 @@ class WriteAheadLog:
         self.syncs = 0
         self.truncated_segments = 0
         self.trimmed_tails = 0
+        # The chain (guarded by the lock): the active segment, then the
+        # sealed ones still owing an fsync and those past it.
+        self._seq = 0
+        self._handle = None
+        self._path = ""
+        self._size = 0
+        self._max_height = -1
+        self._dirty = False
+        #: A segment file was created since the last directory fsync.
+        self._dir_dirty = True
+        self._sealed_dirty: List[_Sealed] = []
+        self._sealed_synced: List[_Sealed] = []
         os.makedirs(directory, exist_ok=True)
         self._check_meta()
-        self._chains: List[_ShardChain] = [
-            self._open_chain(index) for index in range(num_shards)
-        ]
+        self._open_chain()
 
     # =========================================================================
     # open / recovery hygiene
@@ -167,57 +155,51 @@ class WriteAheadLog:
         path = os.path.join(self.directory, WAL_META_NAME)
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-            if meta.get("num_shards") != self.num_shards:
+                found = json.load(handle).get("format")
+            if found != WAL_FORMAT:
+                # Opening it as an empty log would silently drop acked writes.
                 raise StorageError(
-                    f"WAL at {self.directory} was written for "
-                    f"{meta.get('num_shards')} shards, not {self.num_shards}; "
-                    "replay it with the original shard count first"
+                    f"WAL at {self.directory} is format {found}; this build "
+                    f"reads format {WAL_FORMAT} — replay it with the build "
+                    "that wrote it first"
                 )
             return
         temp = path + ".tmp"
         with open(temp, "w", encoding="utf-8") as handle:
-            json.dump({"format": 1, "num_shards": self.num_shards}, handle)
+            json.dump({"format": WAL_FORMAT}, handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)
         _fsync_dir(self.directory)
 
-    def shard_dir(self, index: int) -> str:
-        return os.path.join(self.directory, shard_dirname(index))
-
-    def _open_chain(self, index: int) -> _ShardChain:
-        directory = self.shard_dir(index)
-        os.makedirs(directory, exist_ok=True)
-        chain = _ShardChain(directory=directory)
+    def _open_chain(self) -> None:
         sequences = sorted(
             seq
-            for name in os.listdir(directory)
+            for name in os.listdir(self.directory)
             if (seq := _segment_seq(name)) is not None
         )
         for seq in sequences:
-            path = os.path.join(directory, segment_name(seq))
+            path = os.path.join(self.directory, segment_name(seq))
             result = self._trim_tail(path)
             max_height = max(
                 (record.height for record in result.records), default=-1
             )
-            chain.sealed_synced.append(_Sealed(path=path, max_height=max_height))
+            self._sealed_synced.append(_Sealed(path=path, max_height=max_height))
         # The newest existing segment (if any) becomes the append target
         # again only when it has room; otherwise start a fresh one.  Either
         # way appends land after the trimmed clean prefix.
-        chain.seq = (sequences[-1] if sequences else 0) + 1
+        self._seq = (sequences[-1] if sequences else 0) + 1
         if sequences and os.path.getsize(
-            os.path.join(directory, segment_name(sequences[-1]))
+            self._sealed_synced[-1].path
         ) < self.segment_max_bytes:
-            reopened = chain.sealed_synced.pop()
-            chain.seq = sequences[-1]
-            chain.path = reopened.path
-            chain.max_height = reopened.max_height
+            reopened = self._sealed_synced.pop()
+            self._seq = sequences[-1]
+            self._path = reopened.path
+            self._max_height = reopened.max_height
         else:
-            chain.path = os.path.join(directory, segment_name(chain.seq))
-        chain.handle = open(chain.path, "ab", buffering=0)
-        chain.size = os.path.getsize(chain.path)
-        return chain
+            self._path = os.path.join(self.directory, segment_name(self._seq))
+        self._handle = open(self._path, "ab", buffering=0)
+        self._size = os.path.getsize(self._path)
 
     def _trim_tail(self, path: str) -> ScanResult:
         """Cut a segment back to its last clean record boundary."""
@@ -236,55 +218,43 @@ class WriteAheadLog:
     def append_put(self, addr: bytes, value: bytes, height: int) -> int:
         """Append one put record; returns the LSN a sync must cover."""
         record = encode_puts(height, [(addr, value)])
-        shard = shard_of(addr, self.num_shards)
         with self._lock:
             self.puts_appended += 1
-            return self._append(shard, record, height)
+            return self._append(record, height)
 
     def append_puts(self, items: List[Tuple[bytes, bytes]], height: int) -> int:
-        """Append a whole batch, routed per shard; returns the batch LSN.
+        """Append a whole batch as one record; returns its LSN.
 
         The bulk variant: the server logs a MULTI_PUT with it, pre-ack, as
         do embedders logging outside the serving layer.
         """
-        buckets: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for addr, value in items:
-            buckets.setdefault(shard_of(addr, self.num_shards), []).append(
-                (addr, value)
-            )
+        record = encode_puts(height, items)
         with self._lock:
-            lsn = self._lsn
-            for shard, bucket in sorted(buckets.items()):
-                self.puts_appended += len(bucket)
-                lsn = self._append(shard, encode_puts(height, bucket), height)
-        return lsn
+            self.puts_appended += len(items)
+            return self._append(record, height)
 
     def append_commit(self, height: int, root: bytes) -> int:
-        """Mark block ``height`` committed (appended to every chain)."""
+        """Mark block ``height`` committed with state root ``root``."""
         record = encode_commit(height, root)
         with self._lock:
-            lsn = self._lsn
-            for shard in range(self.num_shards):
-                lsn = self._append(shard, record, height)
-        return lsn
+            return self._append(record, height)
 
-    def _append(self, shard: int, record: bytes, height: int) -> int:
+    def _append(self, record: bytes, height: int) -> int:
         """Write one encoded record (caller holds the lock)."""
         if self._closed:
             raise StorageError("write-ahead log is closed")
-        chain = self._chains[shard]
-        self._write_all(chain, record)
-        chain.size += len(record)
-        chain.max_height = max(chain.max_height, height)
-        chain.dirty = True
+        self._write_all(record)
+        self._size += len(record)
+        self._max_height = max(self._max_height, height)
+        self._dirty = True
         self.records_appended += 1
         self.bytes_appended += len(record)
         self._lsn += 1
-        if chain.size >= self.segment_max_bytes:
-            self._seal(chain)
+        if self._size >= self.segment_max_bytes:
+            self._seal()
         return self._lsn
 
-    def _write_all(self, chain: _ShardChain, record: bytes) -> None:
+    def _write_all(self, record: bytes) -> None:
         """Write every byte of ``record``, or leave no trace of it.
 
         Raw (unbuffered) ``write`` may report a short count without
@@ -299,34 +269,34 @@ class WriteAheadLog:
         written = 0
         try:
             while written < len(view):
-                count = chain.handle.write(view[written:])
+                count = self._handle.write(view[written:])
                 if not count:
                     raise StorageError("WAL segment write returned no progress")
                 written += count
         except BaseException:
             if written:
                 try:
-                    chain.handle.truncate(chain.size)
+                    self._handle.truncate(self._size)
                 except OSError:
                     self._closed = True  # cannot restore the boundary: poison
             raise
 
-    def _seal(self, chain: _ShardChain) -> None:
+    def _seal(self) -> None:
         """Rotate to a fresh segment (caller holds the lock).
 
         The outgoing handle stays open until a sync covers it — closing
         early would let truncation treat never-fsynced bytes as durable.
         """
-        chain.sealed_dirty.append(
-            _Sealed(path=chain.path, max_height=chain.max_height, handle=chain.handle)
+        self._sealed_dirty.append(
+            _Sealed(path=self._path, max_height=self._max_height, handle=self._handle)
         )
-        chain.seq += 1
-        chain.path = os.path.join(chain.directory, segment_name(chain.seq))
-        chain.handle = open(chain.path, "ab", buffering=0)
-        chain.size = 0
-        chain.max_height = -1
-        chain.dirty = True
-        chain.dir_dirty = True  # the next sync persists the new entry
+        self._seq += 1
+        self._path = os.path.join(self.directory, segment_name(self._seq))
+        self._handle = open(self._path, "ab", buffering=0)
+        self._size = 0
+        self._max_height = -1
+        self._dirty = True
+        self._dir_dirty = True  # the next sync persists the new entry
 
     # =========================================================================
     # durability
@@ -341,10 +311,10 @@ class WriteAheadLog:
         started.  Concurrent syncs serialize on their own lock (the
         ``always`` policy issues one per ack from a thread pool) — each
         pass re-captures, so a caller never returns until an fsync *it
-        observed complete* covered its records.  Directories that gained
-        a segment file since the last sync are fsynced too, or a machine
-        crash could drop a freshly rotated segment whose data blocks
-        were flushed but whose directory entry was not.
+        observed complete* covered its records.  The directory is
+        fsynced too when it gained a segment file since the last sync,
+        or a machine crash could drop a freshly rotated segment whose
+        data blocks were flushed but whose directory entry was not.
         """
         with self._sync_lock:
             started = time.perf_counter()
@@ -352,21 +322,16 @@ class WriteAheadLog:
                 if self._closed:
                     return self.synced_lsn
                 covered = self._lsn
-                to_sync = []
-                dirs_to_sync = []
-                for chain in self._chains:
-                    if chain.dirty:
-                        to_sync.append(chain.handle)
-                        chain.dirty = False
-                    to_sync.extend(sealed.handle for sealed in chain.sealed_dirty)
-                    if chain.dir_dirty:
-                        dirs_to_sync.append(chain.directory)
-                        chain.dir_dirty = False
+                to_sync = [sealed.handle for sealed in self._sealed_dirty]
+                if self._dirty:
+                    to_sync.append(self._handle)
+                    self._dirty = False
+                sync_dir, self._dir_dirty = self._dir_dirty, False
                 captured = set(to_sync)
             for handle in to_sync:
                 os.fsync(handle.fileno())
-            for path in dirs_to_sync:
-                _fsync_dir(path)
+            if sync_dir:
+                _fsync_dir(self.directory)
             # Settle only segments whose handle this pass captured: a
             # segment sealed *during* the fsyncs (its handle was the
             # active one we captured) may have gained pre-seal bytes
@@ -377,67 +342,57 @@ class WriteAheadLog:
             # that a later `covered` would then falsely claim.
             with self._lock:
                 to_settle = [
-                    (chain, sealed)
-                    for chain in self._chains
-                    for sealed in chain.sealed_dirty
-                    if sealed.handle in captured
+                    sealed for sealed in self._sealed_dirty if sealed.handle in captured
                 ]
-            for _chain, sealed in to_settle:
+            for sealed in to_settle:
                 os.fsync(sealed.handle.fileno())
             with self._lock:
-                for chain, sealed in to_settle:
-                    if sealed not in chain.sealed_dirty:
+                for sealed in to_settle:
+                    if sealed not in self._sealed_dirty:
                         continue  # a concurrent truncate settled it
-                    chain.sealed_dirty.remove(sealed)
+                    self._sealed_dirty.remove(sealed)
                     sealed.handle.close()
                     sealed.handle = None
-                    chain.sealed_synced.append(sealed)
+                    self._sealed_synced.append(sealed)
                 self.syncs += 1
                 if covered > self.synced_lsn:
                     self.synced_lsn = covered
                 self.sync_seconds = time.perf_counter() - started
                 return self.synced_lsn
 
-    def _settle_sealed(self, close_handles: bool) -> None:
-        """Move sealed-dirty segments to sealed-synced (lock held)."""
-        for chain in self._chains:
-            for sealed in chain.sealed_dirty:
-                if close_handles and sealed.handle is not None:
-                    sealed.handle.close()
-                    sealed.handle = None
-                chain.sealed_synced.append(sealed)
-            chain.sealed_dirty = []
+    def _settle_sealed(self) -> None:
+        """Close sealed-dirty segments into sealed-synced (lock held)."""
+        for sealed in self._sealed_dirty:
+            if sealed.handle is not None:
+                sealed.handle.close()
+                sealed.handle = None
+            self._sealed_synced.append(sealed)
+        self._sealed_dirty = []
 
     # =========================================================================
     # truncation
     # =========================================================================
 
-    def truncate(self, checkpoints: List[int]) -> int:
-        """Delete sealed segments fully covered by the engine checkpoints.
+    def truncate(self, checkpoint: int) -> int:
+        """Delete sealed segments fully covered by the engine checkpoint.
 
-        ``checkpoints[i]`` is shard *i*'s durable checkpoint height
-        (``Cole.checkpoint_blk``): a segment whose newest record height is
-        at or below it holds only writes already named by the manifest.
+        ``checkpoint`` is the engine's durable checkpoint height
+        (``checkpoint_blk``): a segment whose newest record height is at
+        or below it holds only writes already named by the manifest.
         Returns the number of segments deleted.
         """
-        if len(checkpoints) != self.num_shards:
-            raise StorageError(
-                f"got {len(checkpoints)} checkpoints for {self.num_shards} shards"
-            )
-        deleted = 0
         with self._lock:
             if self.sync_policy == "none":
                 # Never fsynced by design; close so the files are deletable.
-                self._settle_sealed(close_handles=True)
-            for shard, chain in enumerate(self._chains):
-                keep: List[_Sealed] = []
-                for sealed in chain.sealed_synced:
-                    if sealed.max_height <= checkpoints[shard]:
-                        os.remove(sealed.path)
-                        deleted += 1
-                    else:
-                        keep.append(sealed)
-                chain.sealed_synced = keep
+                self._settle_sealed()
+            keep: List[_Sealed] = []
+            for sealed in self._sealed_synced:
+                if sealed.max_height <= checkpoint:
+                    os.remove(sealed.path)
+                else:
+                    keep.append(sealed)
+            deleted = len(self._sealed_synced) - len(keep)
+            self._sealed_synced = keep
             self.truncated_segments += deleted
         return deleted
 
@@ -445,32 +400,26 @@ class WriteAheadLog:
     # scanning (recovery / inspection)
     # =========================================================================
 
-    def scan(self) -> List[List[WalRecord]]:
-        """Per-shard valid record prefixes, oldest segment first.
+    def scan(self) -> List[WalRecord]:
+        """The valid record prefix of every live segment, oldest first.
 
         Reads from disk, so it sees exactly what recovery after a crash
         would see; segments are scanned independently and each one's torn
         tail (if any) is skipped without failing the scan.
         """
         with self._lock:
-            chains = [
-                [sealed.path for sealed in chain.sealed_dirty + chain.sealed_synced]
-                + [chain.path]
-                for chain in self._chains
-            ]
-        per_shard: List[List[WalRecord]] = []
-        for paths in chains:
-            records: List[WalRecord] = []
-            for path in sorted(set(paths)):
-                if not os.path.exists(path):
-                    continue
-                with open(path, "rb") as handle:
-                    records.extend(scan_records(handle.read()).records)
-            per_shard.append(records)
-        return per_shard
+            paths = [sealed.path for sealed in self._sealed_dirty + self._sealed_synced]
+            paths.append(self._path)
+        records: List[WalRecord] = []
+        for path in sorted(set(paths)):
+            if not os.path.exists(path):
+                continue
+            with open(path, "rb") as handle:
+                records.extend(scan_records(handle.read()).records)
+        return records
 
-    def live_files(self) -> List[Tuple[int, str, int]]:
-        """``(shard, path, copy_bytes)`` per live segment, oldest first.
+    def live_files(self) -> List[Tuple[str, int]]:
+        """``(path, copy_bytes)`` per live segment, oldest first.
 
         Captured under the append lock, so every byte count lands on a
         record boundary even while appends continue — the snapshot path
@@ -478,26 +427,22 @@ class WriteAheadLog:
         append.
         """
         with self._lock:
-            out: List[Tuple[int, str, int]] = []
-            for index, chain in enumerate(self._chains):
-                for sealed in chain.sealed_dirty + chain.sealed_synced:
-                    out.append((index, sealed.path, os.path.getsize(sealed.path)))
-                out.append((index, chain.path, chain.size))
-            return out
+            out = [
+                (sealed.path, os.path.getsize(sealed.path))
+                for sealed in self._sealed_dirty + self._sealed_synced
+            ]
+            out.append((self._path, self._size))
+            return sorted(out)
 
     def live_segments(self) -> int:
         """Number of segment files currently on disk."""
         with self._lock:
-            return sum(
-                1 + len(chain.sealed_dirty) + len(chain.sealed_synced)
-                for chain in self._chains
-            )
+            return 1 + len(self._sealed_dirty) + len(self._sealed_synced)
 
     def stats(self) -> dict:
         """Counters for the server's STATS op."""
         return {
             "policy": self.sync_policy,
-            "shards": self.num_shards,
             "directory": self.directory,
             "puts_appended": self.puts_appended,
             "records_appended": self.records_appended,
@@ -522,16 +467,10 @@ class WriteAheadLog:
             if self._closed:
                 return
             self._closed = True
-            for chain in self._chains:
-                for sealed in chain.sealed_dirty:
-                    if sealed.handle is not None:
-                        sealed.handle.close()
-                        sealed.handle = None
-                    chain.sealed_synced.append(sealed)
-                chain.sealed_dirty = []
-                if chain.handle is not None:
-                    chain.handle.close()
-                    chain.handle = None
+            self._settle_sealed()
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -4,13 +4,14 @@ After a crash, the engine's own recovery (Section 4.3) restores every
 committed run from the manifest — but the in-memory level is gone, and
 with it every acked write newer than the durable checkpoint.  Those
 writes are exactly what the WAL still holds: :func:`replay_wal` reads
-each shard chain, drops records the owning shard already holds durably
-(``height <= checkpoint_blk``, per shard — shards checkpoint
-independently), groups the survivors by block height, and re-commits
+the chain, drops records the engine already holds durably (``height <=
+checkpoint_blk``), groups the survivors by block height, and re-commits
 them in ascending height order through the engine's ordinary block
 lifecycle.  Replay preserves each write's original block assignment, so
 the recovered compound keys — and therefore ``Hstate`` — are identical
-to the pre-crash state.
+to the pre-crash state.  A sharded engine's ``checkpoint_blk`` is its
+lowest shard checkpoint; its ``put_many`` drops the puts a shard already
+holds durably, so replay routes through it like any live block.
 
 Replay is idempotent: running it twice re-inserts the same
 ``<addr, blk>`` keys with the same values, which overwrite in L0 to the
@@ -39,10 +40,13 @@ class ReplayStats:
     first_height: int = -1
     last_height: int = -1
     commits_seen: Dict[int, bytes] = field(default_factory=dict)
-    #: height -> root of every block this replay re-committed.  Replayed
-    #: blocks have no COMMIT marker of their own in the WAL (recovery
-    #: does not write), so a primary that ships its WAL to replicas
-    #: re-marks them from this map before serving (see repro.replication).
+    #: height -> root of every block this replay re-committed whose
+    #: COMMIT marker did not survive the crash.  Recovery does not write,
+    #: so a primary that ships its WAL to replicas re-marks them from this
+    #: map before serving (see repro.replication).  A surviving marker is
+    #: kept instead: a replayed block re-commits onto recovered structure
+    #: that can be ahead of its own (a shard's later checkpoint, a COLE*
+    #: manifest one cascade on), so its new root need not be the block's.
     replayed_roots: Dict[int, bytes] = field(default_factory=dict)
 
     @property
@@ -53,36 +57,25 @@ class ReplayStats:
 def replay_wal(engine, wal: WriteAheadLog) -> ReplayStats:
     """Replay ``wal``'s unacked tail into ``engine``; returns statistics.
 
-    ``engine`` is a freshly opened ``Cole`` or ``ShardedCole`` whose
-    shard count matches the WAL's (the WAL meta enforces its own side).
-    The engine is left with every surviving write committed at its
-    original height; the WAL itself is not modified — truncation happens
-    later, once the engine checkpoints the replayed blocks into runs.
+    ``engine`` is a freshly opened ``Cole`` or ``ShardedCole``.  It is
+    left with every surviving write committed at its original height;
+    the WAL itself is not modified — truncation happens later, once the
+    engine checkpoints the replayed blocks into runs.
     """
-    checkpoints = engine.shard_checkpoints()
-    if len(checkpoints) != wal.num_shards:
-        raise StorageError(
-            f"engine has {len(checkpoints)} shards but the WAL was written "
-            f"for {wal.num_shards}"
-        )
+    checkpoint = engine.checkpoint_blk
     stats = ReplayStats()
     by_height: Dict[int, List[Tuple[bytes, bytes]]] = {}
-    for shard, records in enumerate(wal.scan()):
-        for record in records:
-            stats.records_scanned += 1
-            if record.type == RecordType.COMMIT:
-                stats.commits_seen[record.height] = record.root
-                continue
-            if record.height <= checkpoints[shard]:
-                stats.puts_skipped_durable += len(record.items)
-                continue
-            by_height.setdefault(record.height, []).extend(record.items)
-    # Shards checkpoint independently, so a lagging shard's survivors can
-    # sit at heights another shard already holds durably — those blocks
-    # are re-entered (legal: a fresh engine opens at current_blk 0, and
-    # heights replay in ascending order) and the already-durable shards
-    # simply receive no writes for them.  Only heights below what *this
-    # process* already executed are skipped (an in-process re-replay).
+    for record in wal.scan():
+        stats.records_scanned += 1
+        if record.type == RecordType.COMMIT:
+            stats.commits_seen[record.height] = record.root
+            continue
+        if record.height <= checkpoint:
+            stats.puts_skipped_durable += len(record.items)
+            continue
+        by_height.setdefault(record.height, []).extend(record.items)
+    # Heights below what *this process* already executed are skipped (an
+    # in-process re-replay); a freshly opened engine starts at 0.
     floor = engine.current_blk
     for height in sorted(by_height):
         if height < floor:
@@ -93,7 +86,8 @@ def replay_wal(engine, wal: WriteAheadLog) -> ReplayStats:
         root = engine.commit_block()
         if applied:
             stats.blocks_replayed += 1
-            stats.replayed_roots[height] = bytes(root)
+            if height not in stats.commits_seen:
+                stats.replayed_roots[height] = bytes(root)
             if stats.first_height < 0:
                 stats.first_height = height
             stats.last_height = height

@@ -3,10 +3,10 @@
 A snapshot is a directory holding
 
 * every shard's ``MANIFEST.json`` and the run files it names,
-* the WAL segment chains (the tail of writes newer than the manifest
+* the WAL segment chain (the tail of writes newer than the manifest
   checkpoints — the in-memory level's durable twin), and
 * ``SNAPSHOT.json``: the store kind, the live root digest at the copy
-  instant, per-shard checkpoints, and a crc32 per copied file.
+  instant, the engine checkpoint, and a crc32 per copied file.
 
 Consistency: the copy happens under the engine's :class:`CommitGate`
 held **exclusive**, so no commit checkpoint can replace the manifest,
@@ -225,12 +225,10 @@ def snapshot_store(
             # Segment prefixes captured at record boundaries: appends
             # racing the copy can neither tear a record nor leak records
             # past the capture instant into the snapshot.
-            for shard_index, path, copy_bytes in wal.live_files():
+            for path, copy_bytes in wal.live_files():
                 copy_one(
                     path,
-                    os.path.join(
-                        WAL_DIR_NAME, shard_dirname(shard_index), os.path.basename(path)
-                    ),
+                    os.path.join(WAL_DIR_NAME, os.path.basename(path)),
                     limit=copy_bytes,
                 )
             meta_path = os.path.join(wal.directory, "WAL.json")
@@ -241,7 +239,7 @@ def snapshot_store(
             "kind": "sharded" if len(shards) > 1 else "cole",
             "num_shards": len(shards),
             "root_digest": _live_root(engine).hex(),
-            "checkpoints": engine.shard_checkpoints(),
+            "checkpoint_blk": engine.checkpoint_blk,
             "current_blk": engine.current_blk,
             "has_wal": wal is not None,
             "files": files,

@@ -319,8 +319,12 @@ def recover_wal_store(directory):
 
 
 def wal_segment_paths(directory):
-    seg_dir = os.path.join(directory, "wal", "shard-00")
-    return [os.path.join(seg_dir, name) for name in sorted(os.listdir(seg_dir))]
+    seg_dir = os.path.join(directory, "wal")
+    return [
+        os.path.join(seg_dir, name)
+        for name in sorted(os.listdir(seg_dir))
+        if name.endswith(".wal")
+    ]
 
 
 def test_wal_truncated_record_recovers_clean_prefix(tmp_path):
@@ -376,8 +380,7 @@ def test_wal_empty_segment_recovers_clean(tmp_path):
     cole.workspace.close()
     wal.close()
     # A crash right after rotation leaves a zero-byte segment behind.
-    seg_dir = os.path.join(directory, "wal", "shard-00")
-    open(os.path.join(seg_dir, "seg-00000099.wal"), "wb").close()
+    open(os.path.join(directory, "wal", "seg-00000099.wal"), "wb").close()
     reopened, wal2, stats = recover_wal_store(directory)
     for addr, blk, value in written:
         assert reopened.get_at(addr, blk) == value

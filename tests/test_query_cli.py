@@ -293,7 +293,7 @@ def test_live_wal_and_replication(live_server, capsys):
     *segments, total = json.loads(out)
     assert segments, "live server reports its WAL segments"
     # The closing row says where the group fsyncs ran.
-    assert total["shard"] == "*"
+    assert total["segment"] == "*"
     assert total["syncs_inline"] + total["syncs_pooled"] > 0
     code, out = run_cli(
         ["-s", live_server, "replication", "-f", "json"], capsys

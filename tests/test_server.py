@@ -329,10 +329,36 @@ def test_one_group_commit_is_one_pooled_engine_call(tmp_path):
     root, height = asyncio.run(scenario())
     assert pooled == ["_commit"]
     commits = [
-        record for chain in wal.scan() for record in chain
-        if record.type == RecordType.COMMIT
+        record for record in wal.scan() if record.type == RecordType.COMMIT
     ]
     assert [(record.height, bytes(record.root)) for record in commits] == [(height, root)]
+    wal.close()
+    engine.close()
+
+
+def test_sharded_group_commit_writes_one_commit_record(tmp_path):
+    """The WAL is one chain whatever the shard count: a 2-shard group
+    commit appends one COMMIT marker, not one per shard."""
+    from repro.wal import WriteAheadLog
+    from repro.wal.record import RecordType
+
+    engine = ShardedCole(str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=2))
+    wal = WriteAheadLog(str(tmp_path / "wal"))
+
+    async def scenario(host, port):
+        async with ServerClient(host, port) as client:
+            for n in range(24):
+                await client.put(addr_of(n), value_of(n))
+                if n % 6 == 5:
+                    await client.flush()
+            return await client.stats()
+
+    config = ServerConfig(batch_max_puts=1000, batch_max_delay=60.0)
+    with ServerThread(engine, config=config, wal=wal) as thread:
+        stats = asyncio.run(scenario(*thread.start()))
+    commits = [record.height for record in wal.scan() if record.type == RecordType.COMMIT]
+    assert len(commits) == stats["batcher"]["commits"] == 4
+    assert commits == sorted(set(commits))
     wal.close()
     engine.close()
 

@@ -41,16 +41,12 @@ def put_stream(seed=41, blocks=100, pool_size=64, puts_per_block=8):
     ], pool
 
 
-def apply_stream(engine, log, from_blk=0, replay=False):
+def apply_stream(engine, log, from_blk=0):
     for blk, batch in log:
         if blk <= from_blk:
             continue
         engine.begin_block(blk)
-        if replay:
-            for addr, value in batch:
-                engine.replay_put(addr, value)
-        else:
-            engine.put_many(batch)
+        engine.put_many(batch)
         engine.commit_block()
 
 
@@ -276,7 +272,7 @@ def test_recovery_replays_to_identical_root(tmp_path):
 
     recovered = make_sharded(tmp_path / "crash")
     assert recovered.checkpoint_blk == checkpoint
-    apply_stream(recovered, log, from_blk=checkpoint, replay=True)
+    apply_stream(recovered, log, from_blk=checkpoint)
     assert recovered.root_digest() == expected
     reference.close()
     recovered.close()
@@ -308,29 +304,36 @@ def test_recovery_restarts_aborted_shard_merges(tmp_path):
     recovered.close()
 
 
-def test_replay_put_skips_durable_blocks(tmp_path):
-    log, _pool = put_stream(blocks=120, pool_size=48)
-    engine = make_sharded(tmp_path / "skip")
+def test_put_many_skips_durable_blocks(tmp_path):
+    """Shard 0 stops receiving writes after block 2, so coordinated
+    cascades leave it with the lower checkpoint.  A block height shard 1
+    holds durably and shard 0 does not must write only to shard 0 — the
+    shape of a log replayed from the earliest checkpoint."""
+    addrs = {0: [], 1: []}
+    n = 0
+    while min(map(len, addrs.values())) < 8:
+        addr = n.to_bytes(4, "big") * 8
+        addrs[shard_of(addr, 2)].append(addr)
+        n += 1
+    log = [
+        (blk, [(addrs[index][(blk + i) % 8], bytes([blk]) * 40)
+               for index in ((0, 1) if blk <= 2 else (1,)) for i in range(3)])
+        for blk in range(1, 41)
+    ]
+    params = ColeParams(system=SYSTEM, mem_capacity=16, size_ratio=3, async_merge=True)
+    engine = make_sharded(tmp_path / "skip", num_shards=2, params=params)
     apply_stream(engine, log)
     crash(engine)
 
-    recovered = make_sharded(tmp_path / "skip")
-    checkpoints = [shard.checkpoint_blk for shard in recovered.shards]
-    if len(set(checkpoints)) > 1:
-        # A block height some shard holds durably and another does not:
-        # replaying it must write only to the lagging shards.
-        height = max(checkpoints)
-        recovered.begin_block(height)
-        applied = {index: 0 for index in range(4)}
-        for blk, batch in log:
-            if blk != height:
-                continue
-            for addr, value in batch:
-                if recovered.replay_put(addr, value):
-                    applied[shard_of(addr, 4)] += 1
-        for index, shard in enumerate(recovered.shards):
-            if shard.checkpoint_blk >= height:
-                assert applied[index] == 0
+    recovered = make_sharded(tmp_path / "skip", num_shards=2, params=params)
+    low, high = (shard.checkpoint_blk for shard in recovered.shards)
+    assert 0 < low < high
+    assert recovered.checkpoint_blk == low and recovered.last_blk == high
+    recovered.begin_block(high)
+    before = [shard.puts_total for shard in recovered.shards]
+    recovered.put_many([(addrs[0][0], b"a" * 40), (addrs[1][0], b"b" * 40)])
+    recovered.put(addrs[1][1], b"c" * 40)
+    assert [shard.puts_total for shard in recovered.shards] == [before[0] + 1, before[1]]
     recovered.close()
 
 

@@ -1,11 +1,11 @@
 """Unit tests for the write-ahead log: records, segments, truncation."""
 
+import json
 import os
 
 import pytest
 
 from repro.common.errors import StorageError
-from repro.sharding.router import shard_of
 from repro.wal import (
     RecordType,
     WriteAheadLog,
@@ -102,24 +102,9 @@ def test_scan_returns_appended_records(tmp_path):
     wal.append_put(addr_of(1), value_of(1), height=3)
     wal.append_puts([(addr_of(2), value_of(2)), (addr_of(3), value_of(3))], height=4)
     wal.append_commit(4, b"\x01" * 32)
-    [records] = wal.scan()
+    records = wal.scan()
     assert [record.height for record in records] == [3, 4, 4]
     assert records[2].type == RecordType.COMMIT
-    wal.close()
-
-
-def test_records_route_to_owning_shard(tmp_path):
-    wal = WriteAheadLog(str(tmp_path / "wal"), num_shards=3)
-    addrs = [addr_of(n) for n in range(30)]
-    for n, addr in enumerate(addrs):
-        wal.append_put(addr, value_of(n), height=1)
-    per_shard = wal.scan()
-    for shard, records in enumerate(per_shard):
-        for record in records:
-            for addr, _value in record.items:
-                assert shard_of(addr, 3) == shard
-    total = sum(len(record.items) for records in per_shard for record in records)
-    assert total == len(addrs)
     wal.close()
 
 
@@ -131,22 +116,15 @@ def test_segment_rotation_and_truncation(tmp_path):
     assert wal.live_segments() > 1
     before = wal.live_segments()
     # Nothing is covered by checkpoint 0...
-    assert wal.truncate([0]) == 0
+    assert wal.truncate(0) == 0
     # ...but a checkpoint at height 5 covers the early segments.
-    deleted = wal.truncate([5])
+    deleted = wal.truncate(5)
     assert deleted > 0
     assert wal.live_segments() == before - deleted
     # Surviving records are exactly the ones above... or straddling.
-    [records] = wal.scan()
+    records = wal.scan()
     assert records  # the tail is still there
     assert max(record.height for record in records) == 10
-    wal.close()
-
-
-def test_truncate_requires_per_shard_checkpoints(tmp_path):
-    wal = WriteAheadLog(str(tmp_path / "wal"), num_shards=2)
-    with pytest.raises(StorageError, match="checkpoints"):
-        wal.truncate([1])
     wal.close()
 
 
@@ -157,33 +135,37 @@ def test_reopen_trims_torn_tail_and_appends_after_it(tmp_path):
     wal.append_put(addr_of(2), value_of(2), height=2)
     wal.close()
     # Tear the tail mid-record.
-    seg_dir = os.path.join(directory, "shard-00")
-    [seg] = sorted(os.listdir(seg_dir))
-    path = os.path.join(seg_dir, seg)
+    [seg] = [name for name in os.listdir(directory) if name.endswith(".wal")]
+    path = os.path.join(directory, seg)
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) - 3)
     reopened = WriteAheadLog(directory)
     assert reopened.trimmed_tails == 1
     reopened.append_put(addr_of(3), value_of(3), height=3)
     reopened.sync()
-    [records] = reopened.scan()
+    records = reopened.scan()
     # The torn record is gone; the new append is readable after the trim.
     assert [record.height for record in records] == [1, 3]
     reopened.close()
 
 
-def test_shard_count_mismatch_rejected(tmp_path):
-    directory = str(tmp_path / "wal")
-    WriteAheadLog(directory, num_shards=2).close()
-    with pytest.raises(StorageError, match="2 shards"):
-        WriteAheadLog(directory, num_shards=4)
+def test_format_1_directory_is_refused(tmp_path):
+    """A per-shard (format 1) WAL must not open as an empty log: that
+    would silently drop every acked write it holds."""
+    directory = tmp_path / "wal"
+    (directory / "shard-00").mkdir(parents=True)
+    (directory / "WAL.json").write_text(json.dumps({"format": 1, "num_shards": 1}))
+    (directory / "shard-00" / "seg-00000001.wal").write_bytes(
+        encode_puts(1, [(addr_of(1), value_of(1))])
+    )
+    with pytest.raises(StorageError, match="format 1"):
+        WriteAheadLog(str(directory))
+    assert not any(name.endswith(".wal") for name in os.listdir(directory))
 
 
 def test_bad_parameters_rejected(tmp_path):
     with pytest.raises(StorageError):
         WriteAheadLog(str(tmp_path / "a"), sync_policy="sometimes")
-    with pytest.raises(StorageError):
-        WriteAheadLog(str(tmp_path / "b"), num_shards=0)
     with pytest.raises(StorageError):
         WriteAheadLog(str(tmp_path / "c"), segment_max_bytes=0)
 
@@ -203,12 +185,12 @@ def test_close_is_durable_and_reopen_resumes_sequence(tmp_path):
     segments = wal.live_segments()
     wal.close()
     reopened = WriteAheadLog(directory, segment_max_bytes=128)
-    [records] = reopened.scan()
+    records = reopened.scan()
     assert [record.height for record in records] == [1, 2, 3, 4, 5]
     reopened.append_put(addr_of(9), value_of(9), height=9)
     reopened.sync()
     assert reopened.live_segments() >= segments
-    [records] = reopened.scan()
+    records = reopened.scan()
     assert records[-1].height == 9
     reopened.close()
 
@@ -239,7 +221,7 @@ def test_concurrent_appends_and_syncs_never_overclaim(tmp_path):
         thread.join()
     assert not errors
     assert wal.synced_lsn == 6 * 25
-    [records] = wal.scan()
+    records = wal.scan()
     assert sum(len(record.items) for record in records) == 6 * 25
     wal.close()
 
@@ -252,6 +234,6 @@ def test_policy_none_needs_no_sync_for_scan_and_truncate(tmp_path):
         wal.append_put(addr_of(height), value_of(height), height=height)
     assert wal.syncs == 0
     assert wal.live_segments() > 1
-    assert wal.truncate([8]) > 0  # sealed chains settle without an fsync
+    assert wal.truncate(8) > 0  # sealed segments settle without an fsync
     wal.close()
     assert wal.syncs == 0
