@@ -3,15 +3,19 @@
 Not a paper figure — the scale-out experiment of this reproduction's
 sharding layer (``repro.sharding``).  One identical put stream is fed to
 ``cole-shard`` at N = 1, 2, 4, 8 shards, each shard an independent COLE*
-instance sized like the single-node engine.  Expected shape: throughput
-rises from N=1 to N=4 (commit cascades — flush builds, manifest fsyncs —
-overlap across shards) and storage grows mildly with N (per-shard level
+instance sized like the single-node engine.  What was measured: on 2
+vCPUs, N = 1..8 are within noise of each other — the commit pool only
+overlaps the file writes and fsyncs that release the GIL — so throughput
+is machine-dependent and the CPU count is printed with the series rather
+than asserted on.  Storage grows mildly with N (per-shard level
 structure).  The composite ``Hstate`` column is deterministic: repeated
 runs print identical values per N.
 
 Sweeps are interleaved and the fastest of three runs per N is reported,
 so background noise does not masquerade as (or hide) scaling.
 """
+
+import os
 
 from conftest import run_once
 
@@ -31,6 +35,7 @@ def test_fig16_sharding_scalability(benchmark, series):
         repeats=3,
     )
     series("\nFigure 16 — sharding: put throughput and storage vs shard count")
+    series(f"cpu_count: {os.cpu_count()}")
     series(
         format_table(
             ["shards", "puts", "elapsed", "puts/s", "storage", "Hstate[:16]"],
@@ -47,8 +52,5 @@ def test_fig16_sharding_scalability(benchmark, series):
             ],
         )
     )
-    by_shards = {row["shards"]: row for row in rows}
-    # The headline claim: the sharded engine out-writes the single shard.
-    assert by_shards[4]["puts_per_s"] > by_shards[1]["puts_per_s"]
     # Every configuration ingested the identical stream.
     assert len({row["puts"] for row in rows}) == 1

@@ -8,14 +8,17 @@ The driver first verifies every engine's scan results byte-identical to
 a brute-force in-memory model (latest and historical ``at_blk``), so
 the timed loops measure *correct* scans.
 
-``scans/s`` is the scale-out deployment rate, measured with fig19's
-isolation discipline: each shard (an independent engine a deployment
-places per machine) serves its adaptive page of every scan and is timed
-alone; the deployment is charged the slowest shard plus the full
-coordinator k-way merge.  ``merged/s`` is the single-interpreter
-``ShardedCole.scan`` rate, reported for transparency — in one process
-the N shards' seek sets run serially under the GIL, so it trails the
-single engine by design, not by accident.
+``scans/s`` is the rate of a modelled scale-out deployment, measured
+with fig19's isolation discipline: a scatter-gather coordinator asks
+each shard (an independent engine a deployment places per machine) for
+an adaptive page of every scan, refilled by continuation, and each shard
+is timed alone; the deployment is charged the slowest shard plus the
+full coordinator k-way merge.  No code path in the tree issues that
+request pattern — ``ShardedCole.scan`` is one merged cursor, and
+``ClusterClient.scan`` asks every shard for the full ``limit``.
+``merged/s`` is the single-interpreter ``ShardedCole.scan`` rate: one
+merged cursor over every shard's sources on the caller's thread, so the
+N shards' seek sets run serially, reported for transparency.
 
 Expected shape: scans/s falls with scan length (more pages streamed per
 scan), entries/s rises (per-scan seek cost amortizes), and the N=4

@@ -9,13 +9,19 @@ properties the sharding layer guarantees:
 2. the composite ``Hstate`` is deterministic — two sharded nodes fed the
    same blocks agree byte-for-byte;
 3. provenance proofs verify against the composite root alone
-   (:func:`~repro.sharding.verify_sharded_provenance`).
+   (:func:`~repro.sharding.verify_sharded_provenance`) and disclose the
+   single engine's versions;
+4. a full-range scan — one merged cursor over every shard — returns the
+   single engine's scan.
+
+Exits 1 when any check disagrees, so CI gates on it.
 
 Run:  python examples/sharded_demo.py
 """
 
 import random
 import shutil
+import sys
 import tempfile
 import time
 
@@ -53,7 +59,7 @@ def run(engine):
     return root, time.perf_counter() - started
 
 
-def main() -> None:
+def main() -> int:
     single_dir = tempfile.mkdtemp(prefix="cole-single-")
     shard_dir_a = tempfile.mkdtemp(prefix="cole-shards-a-")
     shard_dir_b = tempfile.mkdtemp(prefix="cole-shards-b-")
@@ -68,29 +74,42 @@ def main() -> None:
     print(f"single COLE*:   {t_single:6.2f}s")
     print(f"4-shard node A: {t_a:6.2f}s  (composite Hstate {root_a.hex()[:16]}...)")
 
+    checks = {}
     # 1. reads agree with the single-node engine
     addrs = {addr for _blk, batch in stream() for addr, _v in batch}
-    agree = all(node_a.get(addr) == single.get(addr) for addr in addrs)
-    print("reads agree with single-node engine:", agree)
+    checks["reads agree with single-node engine"] = all(
+        node_a.get(addr) == single.get(addr) for addr in addrs
+    )
 
     # 2. two sharded nodes agree on the composite root
-    print("two sharded nodes agree on Hstate:  ", root_a == root_b)
+    checks["two sharded nodes agree on Hstate"] = root_a == root_b
 
-    # 3. provenance proofs verify against the composite root
+    # 3. provenance proofs verify against the composite root (raises on
+    #    a bad proof) and disclose what the single engine holds
     addr = sorted(addrs)[0]
     result = node_a.prov_query(addr, BLOCKS // 2, BLOCKS)
     versions = verify_sharded_provenance(result, root_a, addr_size=ADDR_SIZE)
-    print(
-        f"provenance proof verifies:           True "
-        f"({len(versions)} versions of one address disclosed)"
+    checks[f"provenance proof verifies ({len(versions)} versions)"] = (
+        versions == single.prov_query(addr, BLOCKS // 2, BLOCKS).versions
     )
+
+    # 4. a full-range scan merges every shard into the single engine's order
+    low, high = b"\x00" * ADDR_SIZE, b"\xff" * ADDR_SIZE
+    scanned = node_a.scan(low, high)
+    checks[f"full-range scan agrees ({len(scanned)} addresses)"] = (
+        scanned == single.scan(low, high)
+    )
+
+    for label, agree in checks.items():
+        print(f"{label + ':':<42} {agree}")
 
     for engine, directory in (
         (single, single_dir), (node_a, shard_dir_a), (node_b, shard_dir_b)
     ):
         engine.close()
         shutil.rmtree(directory)
+    return 0 if all(checks.values()) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -62,7 +62,6 @@ from repro.server import (
 )
 from repro.server.loadgen import key_addr
 from repro.sharding import shard_of
-from repro.sharding.engine import scan_page_size
 from repro.wal import WriteAheadLog
 from repro.workloads import (
     Mix,
@@ -480,9 +479,11 @@ def run_sharding_scalability(
     Feeds the identical put stream to a ``cole-shard`` engine at each N —
     each shard an independent COLE* instance sized like the single-node
     engine, as horizontal scale-out would provision it — and measures the
-    blocking path: batched puts plus parallel block commits.  The
-    composite ``Hstate`` per N is recorded so determinism across repeated
-    runs is checkable from the printed series.
+    blocking path: batched puts plus parallel block commits.  Measured on
+    2 vCPUs, N = 1..8 land within noise of each other: the commit pool
+    overlaps only the GIL-releasing file writes and fsyncs, so N shards
+    do not out-write one.  The composite ``Hstate`` per N is recorded so
+    determinism across repeated runs is checkable from the printed series.
 
     With ``repeats > 1`` each shard count is run that many times on fresh
     workspaces — sweeps interleaved so background noise hits every N
@@ -920,15 +921,27 @@ def run_cluster_scaling(
 # Figure 20 (extension): key-ordered range-scan throughput (YCSB-E)
 # =============================================================================
 
+def scan_page_size(limit: int, num_shards: int) -> int:
+    """The modelled coordinator's adaptive per-shard page for a scan of
+    ``limit`` results: each shard's expected share plus slack, refilled
+    by continuation when the merge drains a shard early."""
+    return max(8, -(-limit // num_shards) + 4)
+
+
 def _deployment_scan_seconds(backend, starts: Sequence[Tuple[bytes, int]]) -> float:
     """Seconds a one-shard-per-machine deployment spends on ``starts``.
 
-    First TRACE, untimed, the exact request sequence a scatter-gather
-    coordinator issues per shard — the adaptive first page AND every
-    continuation refill the lazy merge triggers — then replay each
-    shard's trace in isolation (fig19's argument) and charge the slowest
-    shard plus the full coordinator merge.  Timing first pages only would
-    undercharge shards whose share of a scan overflows the page.
+    The deployment is a *model*: a scatter-gather coordinator asking each
+    shard for an adaptive page (:func:`scan_page_size`) and refilling by
+    continuation.  No code path in the tree issues that pattern —
+    ``ShardedCole.scan`` is one merged cursor, and
+    ``ClusterClient.scan`` asks every shard for the full ``limit``.
+    First TRACE, untimed, the exact request sequence the coordinator
+    would issue per shard — the first page AND every continuation refill
+    the lazy merge triggers — then replay each shard's trace in isolation
+    (fig19's argument) and charge the slowest shard plus the full
+    coordinator merge.  Timing first pages only would undercharge shards
+    whose share of a scan overflows the page.
     """
     shards = backend.shards
     requests: List[List[tuple]] = [[] for _ in shards]
@@ -958,8 +971,8 @@ def _deployment_scan_seconds(backend, starts: Sequence[Tuple[bytes, int]]) -> fl
             tag(traced(shard, requests[index], start, page), index)
             for index, shard in enumerate(shards)
         ]
-        # Drain like ShardedCole.scan; keep each shard's pulled stream
-        # for the merge replay.
+        # Drain through the coordinator's lazy merge; keep each shard's
+        # pulled stream for the merge replay.
         for triple, index in itertools.islice(
             heapq.merge(*tagged, key=lambda t: t[0][0]), scan_len
         ):
@@ -996,21 +1009,24 @@ def run_scan_throughput(
     issued from zipfian-popular start addresses (the YCSB workload E
     shape, via :class:`~repro.workloads.YCSBGenerator`).
 
-    **Measurement model.**  ``scans_per_s`` for N > 1 is the *scale-out
-    deployment* rate, measured the way fig19 measures replicas: shards
-    are independent engines a deployment places one per machine, so
-    each shard serves its share of every scan — the adaptive per-shard
-    page ``ShardedCole.scan`` issues (``ceil(L/N)`` plus slack) — and
-    is timed **in isolation**; a logical scan completes when its
-    slowest shard finishes, so the deployment rate is the slowest
-    shard's rate, plus the coordinator's k-way merge (timed separately
-    and charged in full).  Driving all shards inside this one
-    interpreter instead would measure the GIL, not the design — hash
+    **Measurement model.**  ``scans_per_s`` for N > 1 is the rate of a
+    *modelled* scale-out deployment, measured the way fig19 measures
+    replicas: shards are independent engines a deployment places one per
+    machine, so each shard serves its share of every scan — the adaptive
+    page a scatter-gather coordinator would ask for (:func:`scan_page_size`,
+    ``ceil(L/N)`` plus slack, refilled by continuation) — and is timed
+    **in isolation**; a logical scan completes when its slowest shard
+    finishes, so the deployment rate is the slowest shard's rate, plus
+    the coordinator's k-way merge (timed separately and charged in
+    full).  No code path in the tree issues that request pattern:
+    ``ShardedCole.scan`` is one merged cursor and ``ClusterClient.scan``
+    asks every shard for the full ``limit``.  Driving all shards inside
+    this one interpreter would measure the GIL, not the design — hash
     partitioning multiplies per-scan *seek count* by N, and the win is
-    that the N seek sets run on N machines.  The single-process merged
-    path (``ShardedCole.scan``) is still reported as
-    ``merged_scans_per_s`` for transparency: on one interpreter it
-    pays N shards' seeks serially and lands below the single engine.
+    that the N seek sets run on N machines.  ``merged_scans_per_s`` is
+    the in-process ``ShardedCole.scan`` rate — one merged cursor over
+    every shard's sources on the caller's thread — reported for
+    transparency: it pays N shards' seeks serially.
 
     Every engine's scan results are first verified byte-identical to a
     brute-force in-memory model (latest *and* a historical ``at_blk``

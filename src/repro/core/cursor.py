@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bloomfilter import HashedItem
-from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int
+from repro.common.errors import StorageError
+from repro.core.compound import CompoundKey, MAX_BLK, addr_of_int, blk_of_int
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
 ScanTriple = Tuple[bytes, int, bytes]  # (addr, blk, value)
@@ -283,19 +284,32 @@ def resolve_versions(
 
 def scan_sources(
     sources: Sequence[ReadSource],
-    key_low: int,
-    key_high: int,
+    addr_low: bytes,
+    addr_high: bytes,
     *,
-    at_blk: int = MAX_BLK,
+    at_blk: Optional[int],
+    limit: Optional[int],
     addr_size: int,
-    limit: Optional[int] = None,
 ) -> List[ScanTriple]:
-    """Merge ``sources`` and return up to ``limit`` live triples in
-    ``[key_low, key_high]`` — the engine-level scan kernel.
+    """Merge ``sources`` and return up to ``limit`` live triples for
+    the addresses in ``[addr_low, addr_high]`` as of ``at_blk`` (``None``
+    = latest) — the scan kernel of both engines, and the one place a
+    scan request is validated.
 
     Must run under the engine's gate held shared for its whole
     duration (the caller's job): the cursors walk live structures.
     """
+    if len(addr_low) != addr_size or len(addr_high) != addr_size:
+        raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
+    if addr_low > addr_high:
+        raise StorageError("empty address range")
+    resolved_at = MAX_BLK if at_blk is None else at_blk
+    if not 0 <= resolved_at <= MAX_BLK:
+        raise StorageError(f"block height out of range: {at_blk}")
+    if limit is not None and limit <= 0:
+        return []
+    key_low = CompoundKey(addr=addr_low, blk=0).to_int()
+    key_high = CompoundKey(addr=addr_high, blk=MAX_BLK).to_int()
     merged = MergingCursor(
         [
             source.cursor()
@@ -306,7 +320,7 @@ def scan_sources(
     merged.seek(key_low)
     out: List[ScanTriple] = []
     for triple in resolve_versions(
-        iter(merged), at_blk=at_blk, addr_size=addr_size, key_high=key_high
+        iter(merged), at_blk=resolved_at, addr_size=addr_size, key_high=key_high
     ):
         out.append(triple)
         if limit is not None and len(out) >= limit:

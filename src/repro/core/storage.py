@@ -510,26 +510,14 @@ class Cole:
         continuation protocol builds on.  Runs under the gate shared
         for the whole scan, like every other query.
         """
-        addr_size = self._addr_size()
-        if len(addr_low) != addr_size or len(addr_high) != addr_size:
-            raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
-        if addr_low > addr_high:
-            raise StorageError("empty address range")
-        resolved_at = MAX_BLK if at_blk is None else at_blk
-        if not 0 <= resolved_at <= MAX_BLK:
-            raise StorageError(f"block height out of range: {at_blk}")
-        if limit is not None and limit <= 0:
-            return []
-        key_low = CompoundKey(addr=addr_low, blk=0).to_int()
-        key_high = CompoundKey(addr=addr_high, blk=MAX_BLK).to_int()
         with self.gate.shared():
             return scan_sources(
                 self._read_sources(),
-                key_low,
-                key_high,
-                at_blk=resolved_at,
-                addr_size=addr_size,
+                addr_low,
+                addr_high,
+                at_blk=at_blk,
                 limit=limit,
+                addr_size=self._addr_size(),
             )
 
     # -- provenance queries (Algorithm 8) ----------------------------------------

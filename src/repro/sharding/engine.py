@@ -5,15 +5,17 @@ independent :class:`~repro.core.storage.Cole` instances — each with its
 own workspace subdirectory, manifest, crash recovery, and background
 merges — and the address space hash-partitioned across them
 (``repro.sharding.router``).  Because every ``<addr, blk>`` compound key
-of one address lives in exactly one shard, reads, provenance scans, and
-proofs are single-shard operations; only the block lifecycle fans out.
+of one address lives in exactly one shard, point reads, provenance scans,
+and proofs are single-shard operations, and a range scan is one merged
+cursor over every shard's sources (Algorithm 6's walk, shard after shard).
 
 The composite state root extends Algorithm 5's determinism argument: each
 shard's ``Hstate`` is deterministic at its commit checkpoints, so the
 ordered hash over per-shard roots is too, regardless of merge timing *and*
-of commit scheduling across shards.  Commits fan out through a thread
-pool so the per-shard merge cascades — the blocking part of a commit —
-overlap in wall-clock time.
+of commit scheduling across shards.  Commits and rewinds fan out through
+a thread pool so the per-shard file writes and manifest fsyncs — which
+release the GIL — overlap in wall-clock time; reads never leave the
+caller's thread.
 
 Durability composes per shard (Section 4.3): each shard records its own
 checkpoint, recovery replays the transaction log from the *earliest*
@@ -24,35 +26,20 @@ durably.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.chain.backend import StorageBackend
 from repro.common.errors import StorageError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ShardParams
-from repro.core.cursor import ScanTriple, addr_successor
+from repro.core.cursor import ScanTriple, scan_sources
 from repro.core.storage import Cole
 from repro.diskio.iostats import IOStats
 from repro.sharding.proofs import ShardedProvenanceResult
 from repro.sharding.router import shard_dirname, shard_of
-
-
-def scan_page_size(limit: int, num_shards: int) -> int:
-    """Adaptive per-shard page for a cross-shard scan of ``limit``
-    results: each shard's expected share plus slack, refilled by
-    continuation when the merge drains a shard early.
-
-    Module-level because it defines the *deployment request pattern*:
-    the fig20 benchmark replays exactly the per-shard requests this
-    sizing produces, so the engine and the measurement cannot drift.
-    """
-    return max(8, -(-limit // num_shards) + 4)
 
 
 class ShardedCole(StorageBackend):
@@ -73,41 +60,25 @@ class ShardedCole(StorageBackend):
             Cole(self.shard_directory(index), self.params.cole, stats=self.stats)
             for index in range(self.params.num_shards)
         ]
-        # One commit worker per shard: a block's shard commits fan out at once.
+        # One worker per shard, for block-lifecycle I/O only (commit,
+        # rewind): reads never hop threads.
         self._pool = ThreadPoolExecutor(
             max_workers=self.params.num_shards, thread_name_prefix="cole-shard"
         )
         self.current_blk = max(shard.current_blk for shard in self.shards)
-        # Cross-shard atomicity: single-shard reads (get / get_at) ride
-        # each shard's own view; ops that must observe every shard at one
-        # instant (provenance anchored to the composite root, the
-        # shard-root vector) hold this top-level gate shared, and every
-        # mutator (puts, composite commits, rewind) holds it exclusive.
-        # Ordering is always top gate before shard gate, so the two
-        # levels cannot deadlock.
+        # Point reads ride each shard's own view; ops that must observe
+        # every shard at one instant (scans, anchored provenance, the
+        # shard-root vector) hold this top gate shared, and every mutator
+        # (puts, commits, rewind, close) holds it exclusive, so a scan
+        # needs no shard gate.  Top gate always before shard gate.
         self.gate = CommitGate("shardedcole-gate")
-        # Hot addresses route repeatedly; memoizing addr -> shard index
-        # beats recomputing crc32 per put.  Bounded so an unbounded
-        # address space cannot grow it without limit.
-        self._route_cache: dict = {}
-        self._route_cache_limit = 1 << 20
 
     def shard_directory(self, index: int) -> str:
         """Workspace subdirectory of shard ``index``."""
         return os.path.join(self.directory, shard_dirname(index))
 
-    def _route(self, addr: bytes) -> int:
-        cache = self._route_cache
-        index = cache.get(addr)
-        if index is None:
-            index = shard_of(addr, len(self.shards))
-            if len(cache) >= self._route_cache_limit:
-                cache.clear()
-            cache[addr] = index
-        return index
-
     def _shard_for(self, addr: bytes) -> Cole:
-        return self.shards[self._route(addr)]
+        return self.shards[shard_of(addr, len(self.shards))]
 
     # =========================================================================
     # block lifecycle
@@ -178,14 +149,9 @@ class ShardedCole(StorageBackend):
         num_shards = len(self.shards)
         with self.gate.exclusive():
             blk = self.current_blk
-            if num_shards == 1:
-                if blk > self.shards[0].checkpoint_blk:
-                    self.shards[0].put_many(items)
-                return
-            route = self._route
             buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_shards)]
             for item in items:
-                buckets[route(item[0])].append(item)
+                buckets[shard_of(item[0], num_shards)].append(item)
             for shard, bucket in zip(self.shards, buckets):
                 if bucket and blk > shard.checkpoint_blk:
                     shard.put_many(bucket)
@@ -204,38 +170,19 @@ class ShardedCole(StorageBackend):
         return self._shard_for(addr).get_at(addr, blk, wait)
 
     def get_many(self, addrs: List[bytes]) -> List[Optional[bytes]]:
-        """Batched get: one routing pass, one batched lookup per shard.
-
-        Like :meth:`get`, rides each touched shard's own view (a batch
-        of latest-value reads needs no cross-shard instant); shards that
-        own none of the batch are never touched, and multi-shard batches
-        fan out on the commit pool so per-shard source walks overlap.
-        """
+        """Batched get: one routing pass, then one batched lookup on each
+        touched shard's own view (latest values need no cross-shard
+        instant)."""
         num_shards = len(self.shards)
-        if num_shards == 1:
-            return self.shards[0].get_many(list(addrs))
-        route = self._route
         buckets: List[List[int]] = [[] for _ in range(num_shards)]
         for index, addr in enumerate(addrs):
-            buckets[route(addr)].append(index)
-        touched = [
-            (shard, positions)
-            for shard, positions in zip(self.shards, buckets)
-            if positions
-        ]
+            buckets[shard_of(addr, num_shards)].append(index)
         results: List[Optional[bytes]] = [None] * len(addrs)
-
-        def lookup(job: Tuple[Cole, List[int]]) -> Tuple[List[int], List[Optional[bytes]]]:
-            shard, positions = job
-            return positions, shard.get_many([addrs[i] for i in positions])
-
-        if len(touched) == 1:
-            answers = [lookup(touched[0])]
-        else:
-            answers = self._pool.map(lookup, touched)
-        for positions, values in answers:
-            for position, value in zip(positions, values):
-                results[position] = value
+        for shard, positions in zip(self.shards, buckets):
+            if positions:
+                values = shard.get_many([addrs[i] for i in positions])
+                for position, value in zip(positions, values):
+                    results[position] = value
         return results
 
     def scan(
@@ -248,74 +195,17 @@ class ShardedCole(StorageBackend):
     ) -> List[ScanTriple]:
         """Key-ordered range scan across every shard (globally sorted).
 
-        The address space is hash-partitioned, so each shard holds an
-        arbitrary subset of any address range and the per-shard streams
-        must be re-merged globally.  Shards return MVCC-resolved
-        ``(addr, blk, value)`` triples already sorted and mutually
-        disjoint (one address lives in exactly one shard), so the
-        second-level merge is a plain k-way merge by address.
-
-        With a ``limit``, each shard is first asked for only its
-        expected share (``limit / N`` plus slack) **in parallel** on
-        the commit pool, and a shard that exhausts its page while the
-        merge still needs entries refills via a continuation scan from
-        its last returned address — total work stays ~``limit`` triples
-        instead of ``N x limit``.  The whole scan holds the top-level
-        gate shared: like anchored provenance, a cross-shard scan must
-        describe one instant, which any concurrent commit (exclusive
-        here) would break.
+        Shards never share an address, so this is the single-engine
+        kernel run once over every shard's sources: one merged cursor.
+        Holds the top gate shared, which excludes every shard mutator;
+        like anchored provenance, the scan describes one instant.
         """
         with self.gate.shared():
-            if len(self.shards) == 1:
-                return self.shards[0].scan(
-                    addr_low, addr_high, at_blk=at_blk, limit=limit
-                )
-            if limit is None:
-                parts = list(
-                    self._pool.map(
-                        lambda shard: shard.scan(addr_low, addr_high, at_blk=at_blk),
-                        self.shards,
-                    )
-                )
-                return list(heapq.merge(*parts, key=itemgetter(0)))
-            if limit <= 0:
-                return []
-            page = scan_page_size(limit, len(self.shards))
-            first_pages = list(
-                self._pool.map(
-                    lambda shard: shard.scan(
-                        addr_low, addr_high, at_blk=at_blk, limit=page
-                    ),
-                    self.shards,
-                )
+            return scan_sources(
+                [source for shard in self.shards for source in shard._read_sources()],
+                addr_low, addr_high, at_blk=at_blk, limit=limit,
+                addr_size=self.params.cole.system.addr_size,
             )
-            streams = [
-                self._shard_scan_pages(shard, batch, addr_high, at_blk, page)
-                for shard, batch in zip(self.shards, first_pages)
-            ]
-            return list(
-                itertools.islice(heapq.merge(*streams, key=itemgetter(0)), limit)
-            )
-
-    @staticmethod
-    def _shard_scan_pages(
-        shard: Cole,
-        first: List[ScanTriple],
-        addr_high: bytes,
-        at_blk: Optional[int],
-        page: int,
-    ) -> Iterator[ScanTriple]:
-        """One shard's scan stream: the prefetched page, then
-        continuation refills while the cross-shard merge keeps pulling."""
-        batch = first
-        while True:
-            yield from batch
-            if len(batch) < page:
-                return  # the shard ran out of matching addresses
-            next_low = addr_successor(batch[-1][0])
-            if next_low is None or next_low > addr_high:
-                return
-            batch = shard.scan(next_low, addr_high, at_blk=at_blk, limit=page)
 
     def prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ShardedProvenanceResult:
         """Historical values of ``addr`` with a composite-root-anchored proof."""
@@ -336,11 +226,10 @@ class ShardedCole(StorageBackend):
         with self.gate.shared():
             index = shard_of(addr, len(self.shards))
             inner = self.shards[index].prov_query(addr, blk_low, blk_high)
-            roots = self._shard_roots()
             result = ShardedProvenanceResult(
-                shard_index=index, shard_roots=roots, result=inner
+                shard_index=index, shard_roots=self._shard_roots(), result=inner
             )
-            return result, hash_concat(roots)
+            return result, self._root_digest()
 
     # =========================================================================
     # composite root (Hstate)
@@ -357,7 +246,10 @@ class ShardedCole(StorageBackend):
     def root_digest(self) -> Digest:
         """Composite ``Hstate``: the hash over the ordered shard roots."""
         with self.gate.shared():
-            return hash_concat(self._shard_roots())
+            return self._root_digest()
+
+    def _root_digest(self) -> Digest:
+        return hash_concat(self._shard_roots())
 
     # =========================================================================
     # accounting / lifecycle
@@ -425,19 +317,17 @@ class ShardedCole(StorageBackend):
     def rewind_to(self, target_blk: int) -> int:
         """Discard every version newer than ``target_blk`` on every shard."""
         with self.gate.exclusive():
-            if len(self.shards) == 1:
-                dropped = self.shards[0].rewind_to(target_blk)
-            else:
-                dropped = sum(
-                    self._pool.map(
-                        lambda shard: shard.rewind_to(target_blk), self.shards
-                    )
-                )
+            dropped = sum(
+                self._pool.map(lambda shard: shard.rewind_to(target_blk), self.shards)
+            )
             self.current_blk = min(self.current_blk, target_blk)
             return dropped
 
     def close(self) -> None:
-        """Join merges, stop the commit pool, and close every shard."""
+        """Join merges, stop the commit pool, and close every shard —
+        under the top gate exclusive, so an in-flight scan (which holds
+        only that gate) finishes before its file handles close."""
         self._pool.shutdown(wait=True)
-        for shard in self.shards:
-            shard.close()
+        with self.gate.exclusive():
+            for shard in self.shards:
+                shard.close()

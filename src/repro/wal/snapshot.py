@@ -44,7 +44,6 @@ import zlib
 from typing import Dict, List, Optional
 
 from repro.common.errors import IntegrityError, StorageError
-from repro.common.hashing import hash_concat
 from repro.core.manifest import MANIFEST_NAME, load_manifest
 from repro.core.run import RUN_SUFFIXES
 from repro.sharding import shard_dirname
@@ -70,19 +69,6 @@ def _file_crc(path: str) -> int:
 
 def _shards_of(engine) -> List[object]:
     return list(engine.shards) if hasattr(engine, "shards") else [engine]
-
-
-def _live_root(engine) -> bytes:
-    """Root digest with the engine's top-level gate already held.
-
-    The public ``root_digest`` re-acquires the gate (not reentrant), so
-    the snapshot path reads the same digests through the gate-free
-    internals: per-shard ``root_digest`` only takes the *shard* gate,
-    which the top-level exclusive hold does not own.
-    """
-    if hasattr(engine, "shards"):
-        return hash_concat([shard.root_digest() for shard in engine.shards])
-    return engine._root_digest()
 
 
 def _chain_hops(src: str) -> List[tuple]:
@@ -238,7 +224,8 @@ def snapshot_store(
             "format": 2,
             "kind": "sharded" if len(shards) > 1 else "cole",
             "num_shards": len(shards),
-            "root_digest": _live_root(engine).hex(),
+            # Gate-free: the public root_digest would re-acquire the gate.
+            "root_digest": engine._root_digest().hex(),
             "checkpoint_blk": engine.checkpoint_blk,
             "current_blk": engine.current_blk,
             "has_wal": wal is not None,

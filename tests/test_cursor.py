@@ -225,9 +225,8 @@ def test_sharded_scan_matches_model_globally_sorted(tmp_path, num_shards):
     addrs, top = _load(engine, history, rng)
     try:
         _assert_scan_parity(engine, history, addrs, top, rng)
-        # Limits force the adaptive per-shard paging + refill path: a
-        # tight limit with many matching addresses makes every shard's
-        # first page overshoot, a huge one forces refills.
+        # Limits cut the one merged cursor anywhere: before every shard
+        # has contributed, at the exact end, and past it.
         full = history.scan(addrs[0], addrs[-1])
         for limit in (1, 3, len(full) - 1, len(full), len(full) + 5):
             assert engine.scan(addrs[0], addrs[-1], limit=limit) == full[:limit]
@@ -259,15 +258,21 @@ def test_scan_continuation_paging_equals_one_shot(tmp_path):
         engine.close()
 
 
-def test_scan_validates_arguments(tmp_path):
-    engine = Cole(str(tmp_path / "ws"), PARAMS)
+@pytest.mark.parametrize("num_shards", [None, 1, 3], ids=["cole", "sharded1", "sharded3"])
+def test_scan_validates_arguments(tmp_path, num_shards):
+    directory = str(tmp_path / "ws")
+    if num_shards is None:
+        engine = Cole(directory, PARAMS)
+    else:
+        engine = ShardedCole(directory, ShardParams(cole=PARAMS, num_shards=num_shards))
     try:
-        with pytest.raises(StorageError):
-            engine.scan(b"\x01" * (ADDR - 1), b"\xff" * ADDR)
-        with pytest.raises(StorageError):
-            engine.scan(b"\x02" * ADDR, b"\x01" * ADDR)  # inverted range
-        with pytest.raises(StorageError):
-            engine.scan(b"\x00" * ADDR, b"\xff" * ADDR, at_blk=-1)
+        for limit in (None, 0):  # limit=0 answers [] only for a valid request
+            with pytest.raises(StorageError):
+                engine.scan(b"\x01" * (ADDR - 1), b"\xff" * ADDR, limit=limit)
+            with pytest.raises(StorageError):
+                engine.scan(b"\x02" * ADDR, b"\x01" * ADDR, limit=limit)  # inverted
+            with pytest.raises(StorageError):
+                engine.scan(b"\x00" * ADDR, b"\xff" * ADDR, at_blk=-1, limit=limit)
         assert engine.scan(b"\x00" * ADDR, b"\xff" * ADDR, limit=0) == []
         assert engine.scan(b"\x00" * ADDR, b"\xff" * ADDR) == []  # empty store
     finally:

@@ -2,6 +2,7 @@
 with the unsharded engine, proof verification, and per-shard recovery."""
 
 import random
+import threading
 
 import pytest
 
@@ -375,6 +376,33 @@ def test_begin_block_rejects_decreasing_heights(tmp_path):
             engine.begin_block(4)
     finally:
         engine.close()
+
+
+def test_close_waits_for_a_reader_holding_the_top_gate(tmp_path):
+    """A scan holds only the top gate, so close must drain it before the
+    shards' file handles go."""
+    engine = make_sharded(tmp_path / "close", num_shards=2)
+    apply_stream(engine, put_stream(blocks=10)[0])
+    held, release = threading.Event(), threading.Event()
+
+    def reader():
+        with engine.gate.shared():
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=reader)
+    holder.start()
+    assert held.wait(10)
+    closer = threading.Thread(target=engine.close)
+    closer.start()
+    closer.join(0.3)
+    try:
+        assert closer.is_alive(), "close returned while a reader held the gate"
+    finally:
+        release.set()
+        holder.join(10)
+        closer.join(10)
+    assert not closer.is_alive()
 
 
 def test_storage_and_levels_aggregate(tmp_path):
