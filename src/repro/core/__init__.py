@@ -19,7 +19,7 @@ Public surface:
 
 from repro.core.compaction import COMPACTION_POLICIES, make_policy
 from repro.core.compound import CompoundKey, MAX_BLK
-from repro.core.cursor import Cursor, MergingCursor, addr_successor
+from repro.core.cursor import MergingCursor, addr_successor
 from repro.core.export import export_slice, import_slice, iter_triples, read_header
 from repro.core.storage import Cole
 from repro.core.proofs import ProvenanceProof, ProvenanceResult
@@ -36,7 +36,6 @@ __all__ = [
     "read_header",
     "rewind_to",
     "CompoundKey",
-    "Cursor",
     "MergingCursor",
     "addr_successor",
     "MAX_BLK",

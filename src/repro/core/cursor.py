@@ -1,13 +1,12 @@
-"""Key-ordered cursors: the unified read-path substrate of the engine.
+"""Key-ordered scans: the unified read-path substrate of the engine.
 
 Every sorted source of compound key-value pairs — the in-memory MB-tree
-groups (L0) and the immutable on-disk runs — exposes
-the same tiny cursor protocol (:class:`Cursor`): ``seek(key)`` positions
-at the first entry with key >= ``key`` and ``next()`` streams entries in
-ascending compound-key order.  A heap-based k-way :class:`MergingCursor`
-composes any number of them into one globally ordered stream, resolving
-would-be duplicate keys newest-source-wins (the same defence-in-depth
-rule as :func:`repro.core.merge.merge_entry_streams`).
+groups (L0) and the immutable on-disk runs — answers ``iter_from(key)``
+with a plain iterator over its entries with key >= ``key`` in ascending
+compound-key order.  A scan merges those iterators with the engine's one
+k-way merge, :func:`repro.core.merge.merge_newest_first` (the run
+builds' merge too), wrapped in :class:`MergingCursor`, which resolves
+would-be duplicate keys newest-source-wins.
 
 On top of the raw merged stream, :func:`resolve_versions` applies MVCC
 newest-wins version resolution: for every address it emits the single
@@ -21,163 +20,44 @@ over immutable sorted runs): point lookups, provenance scans, and the
 range-scan path (``Cole.scan``) all traverse the *same* source
 enumeration (:class:`ReadSource`, held by the engine's ``StoreView``) in
 the same freshness order, so Algorithm 6's search order is defined in
-exactly one place.  Cursors are snapshot-scoped: they must be created,
-driven, and dropped under one :class:`~repro.common.gate.CommitGate`
-shared hold — commit checkpoints (exclusive) are what mutate the
-structures a cursor walks.
+exactly one place.  Source iterators are snapshot-scoped: they must be
+created, driven, and dropped under one
+:class:`~repro.common.gate.CommitGate` shared hold — commit checkpoints
+(exclusive) are what mutate the structures an iterator walks.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bloomfilter import HashedItem
 from repro.common.errors import StorageError
 from repro.core.compound import CompoundKey, MAX_BLK, addr_of_int, blk_of_int
+from repro.core.merge import merge_newest_first
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
 ScanTriple = Tuple[bytes, int, bytes]  # (addr, blk, value)
 
 
-class Cursor:
-    """The cursor protocol every sorted source implements.
+class MergingCursor:
+    """One scan's merged stream over sorted source iterators.
 
-    ``seek(key)`` positions at the first entry with compound key >=
-    ``key``; ``next()`` returns that entry and advances, or ``None``
-    once exhausted.  A cursor starts unpositioned — ``seek`` first.
+    ``streams`` are ordered **newest first** (Algorithm 6's freshness
+    order) and merged by :func:`~repro.core.merge.merge_newest_first`;
+    ``next()`` returns the next entry, or ``None`` once exhausted, and
+    iteration goes through it — so a scan's merge is one named step per
+    entry, which ``benchmarks/perf/spans.py`` times as ``cursor.merge``.
     """
 
-    def seek(self, key: int) -> None:
-        raise NotImplementedError
+    def __init__(self, streams: Sequence[Iterator[Entry]]) -> None:
+        self._merged = merge_newest_first(streams)
 
     def next(self) -> Optional[Entry]:
-        raise NotImplementedError
+        return next(self._merged, None)
 
     def __iter__(self) -> Iterator[Entry]:
-        while True:
-            entry = self.next()
-            if entry is None:
-                return
-            yield entry
-
-
-class MemCursor(Cursor):
-    """Cursor over one L0 group's MB-tree (leaf-chain iteration)."""
-
-    def __init__(self, group) -> None:
-        self._tree = group.tree
-        self._iter: Optional[Iterator[Entry]] = None
-
-    def seek(self, key: int) -> None:
-        self._iter = self._tree.iter_from(key)
-
-    def next(self) -> Optional[Entry]:
-        if self._iter is None:
-            return None
-        return next(self._iter, None)
-
-
-class RunCursor(Cursor):
-    """Cursor over one immutable run's value file.
-
-    ``seek`` pays one learned-index descent to locate the start
-    position; iteration then rides ``ValueFile.scan_from`` — streaming
-    page-sequential reads, one page read per ``pairs_per_page`` entries,
-    instead of a point lookup per key.
-    """
-
-    def __init__(self, run) -> None:
-        self._run = run
-        self._iter: Optional[Iterator[Tuple[Entry, int]]] = None
-
-    def seek(self, key: int) -> None:
-        run = self._run
-        floor = run.floor_search(key)
-        if floor is None:
-            position = 0  # key precedes the whole run
-        else:
-            entry, position = floor
-            if entry[0] < key:
-                position += 1
-        # Streaming read: tagged sequential so one big scan cannot evict
-        # the page cache's protected (hot point-read) segment.
-        self._iter = run.value_file.scan_from(position, sequential=True)
-
-    def next(self) -> Optional[Entry]:
-        if self._iter is None:
-            return None
-        found = next(self._iter, None)
-        return found[0] if found is not None else None
-
-
-class ListCursor(Cursor):
-    """Cursor over an already-materialized sorted entry list (tests,
-    small merges)."""
-
-    def __init__(self, entries: Sequence[Entry]) -> None:
-        self._entries = entries
-        self._pos = len(entries)
-
-    def seek(self, key: int) -> None:
-        lo, hi = 0, len(self._entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pos = lo
-
-    def next(self) -> Optional[Entry]:
-        if self._pos >= len(self._entries):
-            return None
-        entry = self._entries[self._pos]
-        self._pos += 1
-        return entry
-
-
-class MergingCursor(Cursor):
-    """Heap-based k-way merge of cursors into one ordered stream.
-
-    ``cursors`` are ordered **newest first** (Algorithm 6's freshness
-    order).  Compound keys are globally unique within one engine, so
-    duplicate keys across sources indicate either corruption or a
-    caller merging overlapping snapshots; they resolve newest-wins —
-    the heap orders ties by source index, so the freshest source's
-    entry is emitted and the shadowed ones are skipped.
-    """
-
-    def __init__(self, cursors: Sequence[Cursor]) -> None:
-        self._cursors = list(cursors)
-        self._heap: List[Tuple[int, int, bytes]] = []
-        self._last_key: Optional[int] = None
-
-    def seek(self, key: int) -> None:
-        self._heap = []
-        self._last_key = None
-        for index, cursor in enumerate(self._cursors):
-            cursor.seek(key)
-            entry = cursor.next()
-            if entry is not None:
-                self._heap.append((entry[0], index, entry[1]))
-        heapq.heapify(self._heap)
-
-    def next(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            key, index, value = heap[0]
-            follower = self._cursors[index].next()
-            if follower is not None:
-                heapq.heapreplace(heap, (follower[0], index, follower[1]))
-            else:
-                heapq.heappop(heap)
-            if key == self._last_key:
-                continue  # shadowed duplicate from an older source
-            self._last_key = key
-            return key, value
-        return None
+        return iter(self.next, None)
 
 
 # =============================================================================
@@ -192,8 +72,8 @@ class ReadSource:
     on-disk :class:`~repro.core.run.Run` behind one interface, labeled
     exactly as in ``root_hash_list`` so provenance proofs can address
     it.  A ``StoreView`` holds them in search order; point lookups
-    (:meth:`floor_search`), provenance scans, and range-scan cursors
-    (:meth:`cursor`) all traverse that tuple in the same order.
+    (:meth:`floor_search`), provenance scans, and range scans
+    (:meth:`iter_from`) all traverse that tuple in the same order.
     """
 
     label: str
@@ -220,7 +100,7 @@ class ReadSource:
 
         Runs answer from their (memoized) first/last key — the standard
         LSM pruning that spares a scan the index descent and page reads
-        of runs wholly outside the range.  Mem groups are cheap to seek
+        of runs wholly outside the range.  Mem groups are cheap to start
         and always checked.
         """
         if self.kind != "run":
@@ -235,8 +115,9 @@ class ReadSource:
             return found[0] if found is not None else None
         return self.source.floor_search(key)
 
-    def cursor(self) -> Cursor:
-        return self.source.cursor()
+    def iter_from(self, key: int) -> Iterator[Entry]:
+        """Entries with compound key >= ``key``, ascending."""
+        return self.source.iter_from(key)
 
     def digest(self):
         """This source's entry in ``root_hash_list``."""
@@ -297,7 +178,8 @@ def scan_sources(
     scan request is validated.
 
     Must run under the engine's gate held shared for its whole
-    duration (the caller's job): the cursors walk live structures.
+    duration (the caller's job): the source iterators walk live
+    structures.
     """
     if len(addr_low) != addr_size or len(addr_high) != addr_size:
         raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
@@ -312,12 +194,11 @@ def scan_sources(
     key_high = CompoundKey(addr=addr_high, blk=MAX_BLK).to_int()
     merged = MergingCursor(
         [
-            source.cursor()
+            source.iter_from(key_low)
             for source in sources
             if source.overlaps(key_low, key_high)
         ]
     )
-    merged.seek(key_low)
     out: List[ScanTriple] = []
     for triple in resolve_versions(
         iter(merged), at_blk=resolved_at, addr_size=addr_size, key_high=key_high

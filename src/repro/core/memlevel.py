@@ -7,7 +7,7 @@ their root hashes to ``root_hash_list``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.common.hashing import Digest
 from repro.core.compound import blk_of_int
@@ -41,11 +41,9 @@ class MemGroup:
         """Largest entry with key <= ``key`` (Algorithm 6 line 4)."""
         return self.tree.floor_search(key)
 
-    def cursor(self):
-        """Key-ordered cursor over this group (``repro.core.cursor``)."""
-        from repro.core.cursor import MemCursor
-
-        return MemCursor(self)
+    def iter_from(self, key: int) -> Iterator[Entry]:
+        """Entries with key >= ``key``, ascending (the MB-tree leaf walk)."""
+        return self.tree.iter_from(key)
 
     def range_proof(self, low: int, high: int) -> Tuple[List[Entry], MBTreeProof]:
         """Authenticated range scan for provenance queries (Algorithm 8)."""

@@ -1,10 +1,13 @@
-"""Sort-merge of runs and the background-merge scheduler (Algorithm 1
-line 9 / Algorithm 5 lines 9-21).
+"""The engine's one k-way merge and the background-merge scheduler
+(Algorithm 1 line 9 / Algorithm 5 lines 9-21).
 
-Compound keys are globally unique (one ``<addr, blk>`` pair is written at
-most once — re-updates within a block overwrite in L0), so the k-way merge
-is a plain heap merge; equal keys would indicate corruption and are
-resolved in favour of the newest run for defence in depth.
+:func:`merge_newest_first` is the newest-wins merge of sorted streams
+that both run builds (flush and level merges) and range scans ride; the
+baseline LSM merges its tables with it too.  Compound keys are globally
+unique (one ``<addr, blk>`` pair is written at most once — re-updates
+within a block overwrite in L0), so it is a plain heap merge; equal keys
+would indicate corruption (or overlapping snapshots) and resolve in
+favour of the newest stream for defence in depth.
 
 :class:`MergeScheduler` starts every run build — the L0 flush, the
 per-level checkpoint merges, and the restart of aborted merges — on a
@@ -19,7 +22,8 @@ import heapq
 import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Tuple, TYPE_CHECKING
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar, TYPE_CHECKING
 
 from repro.common.errors import StorageError
 
@@ -27,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.run import Run
 
 Entry = Tuple[int, bytes]
+E = TypeVar("E", bound=tuple)
 
 #: Cap of COLE*'s build pool.  A cascade has at most one build per level
 #: in flight (plus the L0 flush), far fewer than this, so a builder never
@@ -34,25 +39,26 @@ Entry = Tuple[int, bytes]
 MAX_MERGE_WORKERS = 64
 
 
-def _tag_stream(stream: Iterable[Entry], priority: int) -> Iterator[Tuple[int, int, bytes]]:
-    """Bind the stream's merge priority eagerly (avoids late-binding bugs)."""
-    for key, value in stream:
-        yield key, priority, value
+def merge_newest_first(streams: Sequence[Iterable[E]]) -> Iterator[E]:
+    """Merge sorted ``(key, value)`` streams, ordered **newest first**.
 
-
-def merge_entry_streams(streams: List[Iterable[Entry]]) -> Iterator[Entry]:
-    """Merge sorted entry streams; ``streams`` are ordered oldest first.
-
-    On duplicate keys the entry from the newest stream wins (higher list
-    index = newer run).
+    ``heapq.merge`` is stable, so on an equal key the newest stream's
+    entry comes out first and the older duplicates are skipped.  Only
+    keys are compared — a value may be anything, a ``None`` tombstone
+    included.
     """
-    tagged = [_tag_stream(stream, -index) for index, stream in enumerate(streams)]
-    last_key: int | None = None
-    for key, _priority, value in heapq.merge(*tagged):
+    last_key = None
+    for entry in heapq.merge(*streams, key=itemgetter(0)):
+        key = entry[0]
         if key == last_key:
             continue  # older duplicate, already emitted the newest
         last_key = key
-        yield key, value
+        yield entry
+
+
+def merge_entry_streams(streams: List[Iterable[Entry]]) -> Iterator[Entry]:
+    """The run build's merge: ``streams`` are ordered oldest first."""
+    return merge_newest_first(streams[::-1])
 
 
 @dataclass

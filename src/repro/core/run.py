@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.bloomfilter import BloomFilter, HashedItem
 from repro.common.codec import clamp_key
@@ -222,13 +223,21 @@ class Run:
             return None
         return self.value_file.floor_near(predicted, key.to_bytes(self._key_size, "big"))
 
-    def cursor(self):
-        """Key-ordered streaming cursor over this run
-        (``repro.core.cursor``): one index descent to seek, then
-        page-sequential value-file reads."""
-        from repro.core.cursor import RunCursor
-
-        return RunCursor(self)
+    def iter_from(self, key: int) -> Iterator[Entry]:
+        """Pairs with pair key >= ``key``, ascending: one learned-index
+        descent now, then page-sequential value-file reads — one page
+        read per ``pairs_per_page`` entries, not a point lookup per key.
+        """
+        floor = self.floor_search(key)
+        if floor is None:
+            position = 0  # key precedes the whole run
+        else:
+            entry, position = floor
+            if entry[0] < key:
+                position += 1
+        # Streaming read: tagged sequential so one big scan cannot evict
+        # the page cache's protected (hot point-read) segment.
+        return map(itemgetter(0), self.value_file.scan_from(position, sequential=True))
 
     def key_range(self) -> Tuple[int, int]:
         """Smallest and largest compound key stored in this run.

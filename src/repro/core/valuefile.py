@@ -165,7 +165,7 @@ class ValueFile:
         """Yield ``(pair, position)`` sequentially starting at ``position``.
 
         The streaming read of provenance queries (Algorithm 8 lines
-        14-17) and of every run cursor: one page read per
+        14-17) and of range scans (``Run.iter_from``): one page read per
         ``pairs_per_page`` pairs, each pair decoded only when the
         consumer actually pulls it (a limit-bounded scan stops paying
         mid-page).  Pages are read with the ``sequential`` hint (default

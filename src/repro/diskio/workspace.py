@@ -117,18 +117,6 @@ class Workspace:
             )
         )
 
-    def flush_all(self) -> None:
-        """Flush every open handle's buffered pages to the OS.
-
-        After this, a filesystem-level copy of the workspace sees every
-        page the engine has written (the snapshot path relies on it).
-        """
-        with self._files_lock:
-            handles = list(self._open_files.values())
-        for handle in handles:
-            if not handle._closed:
-                handle.flush()
-
     # -- raw (non-paged) artifacts -------------------------------------------
 
     def register_raw(self, name: str, num_bytes: int) -> None:
@@ -150,7 +138,6 @@ class Workspace:
 
     def storage_bytes(self) -> int:
         """Total on-disk footprint (files plus registered raw artifacts)."""
-        self.flush_all()  # so getsize sees appended pages
         total = 0
         for name in os.listdir(self.root):
             path = os.path.join(self.root, name)

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from repro.bloomfilter import BloomFilter
 from repro.common.codec import decode_u32, decode_u64, encode_u32, encode_u64
 from repro.common.errors import StorageError
+from repro.core.merge import merge_newest_first
 from repro.diskio.pagefile import PagedFile
 
 TOMBSTONE = 0xFFFFFFFF
@@ -154,20 +155,6 @@ def _decode_page(page: bytes) -> List[Record]:
     return records
 
 
-def _tag_stream(stream: Iterable[Record], priority: int) -> Iterator[Tuple[bytes, int, Optional[bytes]]]:
-    """Bind the stream's merge priority eagerly (avoids late-binding bugs)."""
-    for key, value in stream:
-        yield key, priority, value
-
-
 def merge_tables(tables: List[Iterable[Record]]) -> Iterator[Record]:
     """Merge sorted record streams, newest stream last; newest key wins."""
-    import heapq
-
-    tagged = [_tag_stream(stream, -index) for index, stream in enumerate(tables)]
-    last_key: Optional[bytes] = None
-    for key, _priority, value in heapq.merge(*tagged):
-        if key == last_key:
-            continue
-        last_key = key
-        yield key, value
+    return merge_newest_first(tables[::-1])

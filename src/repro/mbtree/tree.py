@@ -160,10 +160,10 @@ class MBTree:
     def iter_from(self, key: int) -> Iterator[Tuple[int, bytes]]:
         """Yield entries with key >= ``key`` in ascending order.
 
-        Seeks the starting leaf directly (one root-to-leaf descent) and
-        then rides the leaf chain — the cursor primitive of
-        :mod:`repro.core.cursor`.  The tree must not be mutated while
-        the iterator is live.
+        Finds the starting leaf directly (one root-to-leaf descent) and
+        then rides the leaf chain — an L0 group's source iterator in a
+        range scan (:mod:`repro.core.cursor`).  The tree must not be
+        mutated while the iterator is live.
         """
         if self._size == 0:
             return

@@ -176,7 +176,6 @@ def snapshot_store(
 
     with engine.gate.exclusive():
         for index, shard in enumerate(shards):
-            shard.workspace.flush_all()
             prefix = shard_dirname(index) if len(shards) > 1 else ""
             manifest = load_manifest(shard.workspace.root)
             manifest_src = os.path.join(shard.workspace.root, MANIFEST_NAME)

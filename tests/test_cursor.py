@@ -1,11 +1,12 @@
-"""The cursor subsystem: sorted-source cursors, the k-way merge, and
-key-ordered range scans end-to-end on both engine shapes.
+"""The scan subsystem: sorted-source iterators, the merged scan stream,
+and key-ordered range scans end-to-end on both engine shapes.
 
 Scans are verified against a brute-force in-memory model of the full
 write history (``addr -> {blk: value}``): for any address range, block
 height, and limit, the model computes the exact live-version result the
 engine must return, byte for byte — latest scans, historical ``at_blk``
-scans, paging by limit + continuation, and the cross-shard merge.
+scans, paging by limit + continuation, both compaction layouts, scans
+after a rewind, and the cross-shard merge.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
-from repro.core.cursor import ListCursor, MergingCursor, resolve_versions
+from repro.core.cursor import MergingCursor, resolve_versions
 from repro.core.run import Run
 from repro.mbtree import MBTree
 from repro.sharding import ShardedCole
@@ -34,21 +35,8 @@ def key_of(addr: bytes, blk: int) -> int:
 
 
 # =============================================================================
-# cursor primitives
+# source iterators and the merged stream
 # =============================================================================
-
-def test_list_cursor_seek_and_exhaustion():
-    entries = [(k, bytes([k])) for k in (2, 5, 9)]
-    cursor = ListCursor(entries)
-    cursor.seek(5)
-    assert cursor.next() == (5, b"\x05")
-    assert cursor.next() == (9, b"\x09")
-    assert cursor.next() is None
-    cursor.seek(0)
-    assert list(cursor) == entries
-    cursor.seek(10)
-    assert cursor.next() is None
-
 
 def test_mbtree_iter_from_matches_items():
     tree = MBTree(order=4, key_width=8)
@@ -73,27 +61,21 @@ def test_run_cursor_streams_from_seek(tmp_path, rng):
         for _ in range(60)
     )
     run = Run.build(ws, "L1_0", 1, iter(entries), len(entries), PARAMS)
-    cursor = run.cursor()
-    # Seek before, at, between, and after real keys.
+    # Start before, at, between, and after real keys.
     probes = [0, entries[0][0], entries[10][0], entries[10][0] + 1,
               entries[-1][0], entries[-1][0] + 1]
     for probe in probes:
-        cursor.seek(probe)
-        assert list(cursor) == [e for e in entries if e[0] >= probe]
+        assert list(run.iter_from(probe)) == [e for e in entries if e[0] >= probe]
     ws.close()
 
 
 def test_merging_cursor_orders_and_dedups_newest_wins():
-    older = ListCursor([(1, b"old1"), (3, b"old3"), (5, b"old5")])
-    newer = ListCursor([(2, b"new2"), (3, b"new3")])
-    merged = MergingCursor([newer, older])  # newest first
-    merged.seek(0)
-    assert list(merged) == [
-        (1, b"old1"), (2, b"new2"), (3, b"new3"), (5, b"old5")
-    ]
-    # Re-seek resets the heap and the dedup watermark.
-    merged.seek(3)
-    assert list(merged) == [(3, b"new3"), (5, b"old5")]
+    older = [(1, b"old1"), (3, b"old3"), (5, b"old5")]
+    newer = [(2, b"new2"), (3, b"new3")]
+    merged = MergingCursor([iter(newer), iter(older)])  # newest first
+    assert merged.next() == (1, b"old1")
+    assert list(merged) == [(2, b"new2"), (3, b"new3"), (5, b"old5")]
+    assert merged.next() is None
 
 
 def test_merging_cursor_merges_a_levels_runs(tmp_path, rng):
@@ -109,8 +91,7 @@ def test_merging_cursor_merges_a_levels_runs(tmp_path, rng):
         if s.kind == "run" and s.source.level == 1
     ]
     assert len(runs) >= 1
-    cursor = MergingCursor([run.cursor() for run in runs])
-    cursor.seek(0)
+    cursor = MergingCursor([run.iter_from(0) for run in runs])
     keys = [key for key, _v in cursor]
     assert keys == sorted(keys)
     assert len(keys) == sum(run.num_entries for run in runs)
@@ -154,6 +135,11 @@ class History:
     def put(self, addr, blk, value):
         self.versions.setdefault(addr, {})[blk] = value
 
+    def rewind(self, target_blk):
+        for versions in self.versions.values():
+            for blk in [blk for blk in versions if blk > target_blk]:
+                del versions[blk]
+
     def scan(self, addr_low, addr_high, at_blk=MAX_BLK, limit=None):
         out = []
         for addr in sorted(self.versions):
@@ -169,9 +155,9 @@ class History:
         return out
 
 
-def _load(engine, history, rng, blocks=40, puts_per_block=48, pool_size=120):
+def _load(engine, history, rng, blocks=40, puts_per_block=48, pool_size=120, first=1):
     pool = [rng.randbytes(ADDR) for _ in range(pool_size)]
-    for blk in range(1, blocks + 1):
+    for blk in range(first, first + blocks):
         batch = [(rng.choice(pool), rng.randbytes(VALUE)) for _ in range(puts_per_block)]
         engine.begin_block(blk)
         engine.put_many(batch)
@@ -196,10 +182,18 @@ def _assert_scan_parity(engine, history, addrs, top_blk, rng, trials=120):
         )
 
 
-@pytest.mark.parametrize("async_merge", [False, True])
-def test_cole_scan_matches_model(tmp_path, async_merge):
+# Leveling is the default policy, so its ids stay the bare async flag.
+# Fed only full L0 flushes, tiering lays runs out as leveling does; its
+# under-full, many-run levels show up after a rewind (below).
+@pytest.mark.parametrize(
+    "compaction, async_merge",
+    [("leveling", False), ("leveling", True), ("tiering", False), ("tiering", True)],
+    ids=["False", "True", "tiering-False", "tiering-True"],
+)
+def test_cole_scan_matches_model(tmp_path, compaction, async_merge):
     rng = random.Random(11 + async_merge)
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(async_merge))
+    params = PARAMS.with_async(async_merge).with_compaction(compaction)
+    engine = Cole(str(tmp_path / "ws"), params)
     history = History()
     addrs, top = _load(engine, history, rng)
     try:
@@ -230,6 +224,33 @@ def test_sharded_scan_matches_model_globally_sorted(tmp_path, num_shards):
         full = history.scan(addrs[0], addrs[-1])
         for limit in (1, 3, len(full) - 1, len(full), len(full) + 5):
             assert engine.scan(addrs[0], addrs[-1], limit=limit) == full[:limit]
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("compaction", ["leveling", "tiering"])
+@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
+def test_scan_after_rewind_matches_truncated_model(tmp_path, num_shards, compaction):
+    """Rewinding filters runs into under-full ones; on three shards,
+    tiering then stacks several runs in one level."""
+    rng = random.Random(41)
+    directory = str(tmp_path / "ws")
+    params = PARAMS.with_compaction(compaction)
+    if num_shards is None:
+        engine = Cole(directory, params)
+    else:
+        engine = ShardedCole(directory, ShardParams(cole=params, num_shards=num_shards))
+    history = History()
+    addrs, top = _load(engine, history, rng, blocks=30)
+    try:
+        target = top // 2
+        engine.rewind_to(target)
+        history.rewind(target)
+        _assert_scan_parity(engine, history, addrs, target, rng, trials=60)
+        # Writing resumes above the rewound height over the same layout.
+        more, top = _load(engine, history, rng, blocks=10, first=target + 1)
+        addrs = sorted(set(addrs) | set(more))
+        _assert_scan_parity(engine, history, addrs, top, rng, trials=60)
     finally:
         engine.close()
 

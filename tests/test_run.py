@@ -218,7 +218,6 @@ def build_per_entry(ws, name, entries, params):
     merkle_root = merkle_builder.finish()
     with open(ws.path_of(f"{name}.blm"), "wb") as handle:
         handle.write(bloom.to_bytes())
-    ws.flush_all()
     return hash_concat([merkle_root, bloom.digest()])
 
 
@@ -261,7 +260,6 @@ def test_batched_build_is_byte_identical_to_per_entry_build(tmp_path_factory, ge
 
     ws = Workspace(str(tmp_path_factory.mktemp("diff")), system.page_size)
     run = Run.build(ws, "batched", 1, iter(entries), len(entries), params)
-    ws.flush_all()
     assert build_per_entry(ws, "single", entries, params) == run.commitment()
     for suffix in RUN_SUFFIXES:
         with open(ws.path_of("batched" + suffix), "rb") as batched:
