@@ -13,7 +13,7 @@ from conftest import run_once
 from repro.bench.report import format_table
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey
-from repro.core.run import Run
+from repro.core.run import Run, encode_pairs
 from repro.diskio.workspace import Workspace
 
 
@@ -30,7 +30,8 @@ def build_run(tmp_dir, num_addrs=2000, versions=4):
             )
     entries.sort()
     workspace = Workspace(tmp_dir, system.page_size)
-    run = Run.build(workspace, "abl", 1, iter(entries), len(entries), params)
+    pairs = encode_pairs(entries, system.key_size)
+    run = Run.build(workspace, "abl", 1, iter(pairs), len(entries), params)
     return run, addrs, workspace
 
 

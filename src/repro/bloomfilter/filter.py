@@ -20,6 +20,13 @@ from repro.common.hashing import Digest, hash_bytes
 #: probe positions ``(h1 + i * h2) % num_bits`` derive from.
 HashedItem = Tuple[int, int]
 
+#: Turns flag bytes 0/1 into the ASCII digits ``int(_, 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+#: Filter bits one step of :meth:`BloomFilter._pack` converts (a multiple
+#: of 8): its two copies of the step's flags stay under one 4 KB page
+#: whatever the filter's size.
+_PACK_BITS = 1024
+
 
 def hash_item(item: bytes) -> HashedItem:
     """Hash ``item`` once for any number of filter probes."""
@@ -39,6 +46,8 @@ class BloomFilter:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
+        # One byte per bit, set by adds and not yet packed into _bits.
+        self._flags: bytearray | None = None
         self._count = 0
         self._cached_digest: Digest | None = None
 
@@ -49,19 +58,21 @@ class BloomFilter:
 
     # -- membership ----------------------------------------------------------
 
-    def add(self, item: bytes) -> None:
-        """Insert ``item`` into the filter."""
-        self.add_many((item,))
-
-    def add_many(self, items: Iterable[bytes]) -> None:
-        """Insert every item (the run builder's batch sink).
+    def add(self, items: Iterable[bytes]) -> None:
+        """Insert every item (the run builder adds a page of addresses a
+        call).
 
         ``count`` advances once per item, but an item equal to the one
         before it — the versions of one address are adjacent in a sorted
         run — is not re-hashed.  Probe ``i`` is ``(h1 + i * h2) % m`` for
         :func:`hash_item`'s pair, reached by stepping ``h2 % m`` at a time.
+        A probe sets one flag byte per filter bit; the flags are packed
+        into the bit array once, by the first membership check or
+        serialization after the adds, not once per call.
         """
-        bits = self._bits
+        flags = self._flags
+        if flags is None:
+            flags = self._flags = bytearray(self.num_bits)
         num_bits = self.num_bits
         probes = range(self.num_hashes)
         sha256 = hashlib.sha256
@@ -77,17 +88,33 @@ class BloomFilter:
             position = from_bytes(digest[:16], "big") % num_bits
             step = (from_bytes(digest[16:], "big") | 1) % num_bits
             for _ in probes:
-                bits[position >> 3] |= 1 << (position & 7)
+                flags[position] = 1
                 position += step
                 if position >= num_bits:
                     position -= num_bits
         self._count += count
         self._cached_digest = None
 
+    def _pack(self) -> None:
+        """OR the pending flags into the bit array: bit ``p`` is bit
+        ``p & 7`` of byte ``p >> 3``, so ``_PACK_BITS`` flags reversed and
+        read as a binary numeral are their bytes, little-endian."""
+        flags, bits = self._flags, self._bits
+        self._flags = None
+        for start in range(0, self.num_bits, _PACK_BITS):
+            chunk = flags[start : start + _PACK_BITS]
+            lo, hi = start >> 3, (start + len(chunk) + 7) >> 3
+            chunk.reverse()
+            packed = int(chunk.translate(_DIGITS), 2)
+            packed |= int.from_bytes(bits[lo:hi], "little")
+            bits[lo:hi] = packed.to_bytes(hi - lo, "little")
+
     def __contains__(self, item: Union[bytes, HashedItem]) -> bool:
         """Membership of a raw item or of its :func:`hash_item` pair (a
         lookup hashes its address once for every run's filter): the
-        stepping loop of :meth:`add_many`, stopping at the first clear bit."""
+        stepping loop of :meth:`add`, stopping at the first clear bit."""
+        if self._flags is not None:
+            self._pack()
         h1, h2 = item if type(item) is tuple else hash_item(item)
         bits = self._bits
         num_bits = self.num_bits
@@ -109,7 +136,7 @@ class BloomFilter:
 
     @property
     def count(self) -> int:
-        """Number of ``add`` calls so far."""
+        """Number of items added so far."""
         return self._count
 
     def false_positive_rate(self) -> float:
@@ -123,6 +150,8 @@ class BloomFilter:
 
     def to_bytes(self) -> bytes:
         """Serialize to a stable byte string (used in proofs and digests)."""
+        if self._flags is not None:
+            self._pack()
         header = encode_u32(self.num_bits) + encode_u32(self.num_hashes) + encode_u32(self._count)
         return header + bytes(self._bits)
 

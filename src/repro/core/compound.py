@@ -19,6 +19,22 @@ from repro.common.codec import int_from_bytes, int_to_bytes
 MAX_BLK = 2**64 - 1
 
 
+def compound_key(addr: bytes, blk: int) -> int:
+    """The big-integer key of ``<addr, blk>``: ``binary(addr) * 2**64 + blk``.
+
+    The one place the formula lives — every put, lookup and scan bound
+    goes through it.  ``blk`` must already be in ``[0, MAX_BLK]``
+    (:func:`check_blk`); callers validate once per batch, not per key.
+    """
+    return int.from_bytes(addr, "big") << 64 | blk
+
+
+def check_blk(blk: int) -> None:
+    """Raise ``ValueError`` unless ``blk`` is a 64-bit block height."""
+    if not 0 <= blk <= MAX_BLK:
+        raise ValueError(f"block height out of range: {blk}")
+
+
 @dataclass(frozen=True, order=True)
 class CompoundKey:
     """An address paired with the block height of one of its versions."""
@@ -27,12 +43,11 @@ class CompoundKey:
     blk: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.blk <= MAX_BLK:
-            raise ValueError(f"block height out of range: {self.blk}")
+        check_blk(self.blk)
 
     def to_int(self) -> int:
         """Big-integer form used by the learned models."""
-        return int_from_bytes(self.addr) * 2**64 + self.blk
+        return compound_key(self.addr, self.blk)
 
     def to_bytes(self) -> bytes:
         """Fixed-width binary form ``addr || blk`` used on disk."""

@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bloomfilter import HashedItem
 from repro.common.errors import StorageError
-from repro.core.compound import CompoundKey, MAX_BLK, addr_of_int, blk_of_int
+from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int, compound_key
 from repro.core.merge import merge_newest_first
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
@@ -190,8 +190,8 @@ def scan_sources(
         raise StorageError(f"block height out of range: {at_blk}")
     if limit is not None and limit <= 0:
         return []
-    key_low = CompoundKey(addr=addr_low, blk=0).to_int()
-    key_high = CompoundKey(addr=addr_high, blk=MAX_BLK).to_int()
+    key_low = compound_key(addr_low, 0)
+    key_high = compound_key(addr_high, MAX_BLK)
     merged = MergingCursor(
         [
             source.iter_from(key_low)

@@ -10,25 +10,20 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.hashing import Digest
-from repro.core.compound import blk_of_int
 from repro.mbtree import MBTree, MBTreeProof
 
 Entry = Tuple[int, bytes]
 
 
 class MemGroup:
-    """One L0 group: an MB-tree plus bookkeeping for checkpoints."""
+    """One L0 group: the MB-tree of a writing or merging group."""
 
     def __init__(self, key_width: int, order: int = 16) -> None:
         self.tree = MBTree(order=order, key_width=key_width)
-        self.max_blk = -1  # highest block height inserted (recovery, §4.3)
 
     def insert(self, key: int, value: bytes) -> None:
         """Insert a compound key-value pair (overwrites within a block)."""
         self.tree.insert(key, value)
-        blk = blk_of_int(key)
-        if blk > self.max_blk:
-            self.max_blk = blk
 
     def __len__(self) -> int:
         return len(self.tree)

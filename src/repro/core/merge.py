@@ -23,15 +23,14 @@ import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, List, Sequence, TypeVar, TYPE_CHECKING
 
 from repro.common.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.run import Run
 
-Entry = Tuple[int, bytes]
-E = TypeVar("E", bound=tuple)
+E = TypeVar("E")
 
 #: Cap of COLE*'s build pool.  A cascade has at most one build per level
 #: in flight (plus the L0 flush), far fewer than this, so a builder never
@@ -39,8 +38,11 @@ E = TypeVar("E", bound=tuple)
 MAX_MERGE_WORKERS = 64
 
 
-def merge_newest_first(streams: Sequence[Iterable[E]]) -> Iterator[E]:
-    """Merge sorted ``(key, value)`` streams, ordered **newest first**.
+def merge_newest_first(
+    streams: Sequence[Iterable[E]], key: Callable[[E], object] = itemgetter(0)
+) -> Iterator[E]:
+    """Merge sorted streams, ordered **newest first**, on ``key`` of each
+    entry (by default ``entry[0]`` of a ``(key, value)`` tuple).
 
     ``heapq.merge`` is stable, so on an equal key the newest stream's
     entry comes out first and the older duplicates are skipped.  Only
@@ -48,17 +50,23 @@ def merge_newest_first(streams: Sequence[Iterable[E]]) -> Iterator[E]:
     included.
     """
     last_key = None
-    for entry in heapq.merge(*streams, key=itemgetter(0)):
-        key = entry[0]
-        if key == last_key:
+    for entry in heapq.merge(*streams, key=key):
+        entry_key = key(entry)
+        if entry_key == last_key:
             continue  # older duplicate, already emitted the newest
-        last_key = key
+        last_key = entry_key
         yield entry
 
 
-def merge_entry_streams(streams: List[Iterable[Entry]]) -> Iterator[Entry]:
-    """The run build's merge: ``streams`` are ordered oldest first."""
-    return merge_newest_first(streams[::-1])
+def merge_entry_streams(streams: List[Iterable[bytes]], key_size: int) -> Iterator[bytes]:
+    """The run build's merge of encoded pairs (``key || value``, the
+    value-file bytes): ``streams`` are ordered oldest first.
+
+    Fixed-width big-endian keys order as bytes exactly as they do as
+    integers, so the pairs merge on their ``key_size``-byte prefix and
+    nothing is decoded.
+    """
+    return merge_newest_first(streams[::-1], key=itemgetter(slice(0, key_size)))
 
 
 @dataclass

@@ -42,14 +42,11 @@ def leaf_hash(key: int, value: bytes, key_width: int) -> Digest:
 class MerkleFileBuilder:
     """Algorithm 4: concurrent streaming construction of all layers."""
 
-    def __init__(
-        self, file: PagedFile, num_leaves: int, fanout: int, key_width: int
-    ) -> None:
+    def __init__(self, file: PagedFile, num_leaves: int, fanout: int) -> None:
         if fanout < 2:
             raise StorageError("MHT fanout must be >= 2")
         self._file = file
         self._fanout = fanout
-        self._key_width = key_width
         self._page_size = file.page_size
         self._hashes_per_page = self._page_size // DIGEST_SIZE
         self._page_bytes = self._hashes_per_page * DIGEST_SIZE  # hashes never straddle pages
@@ -67,13 +64,10 @@ class MerkleFileBuilder:
 
     # -- streaming interface ------------------------------------------------------
 
-    def add(self, key: int, value: bytes) -> None:
-        """Feed the next key-value pair (in key order)."""
-        self.add_leaves([key.to_bytes(self._key_width, "big") + value])
-
-    def add_leaves(self, pairs: Sequence[bytes]) -> None:
+    def add(self, pairs: Sequence[bytes]) -> None:
         """Feed the next encoded pairs (``key.to_bytes(key_width) || value``
-        — the bytes :func:`leaf_hash` hashes), a batch at a time."""
+        — the bytes :func:`leaf_hash` hashes), in key order, a batch at a
+        time."""
         self._added += len(pairs)
         if self._added > self.num_leaves:
             raise StorageError("Merkle file received more pairs than declared")
@@ -82,7 +76,8 @@ class MerkleFileBuilder:
 
     def _push(self, layer: int, digests: List[Digest]) -> None:
         """Append ``digests`` to ``layer``; every group of ``fanout`` they
-        complete becomes a parent pushed one layer up."""
+        complete becomes a parent pushed one layer up — the hash of the
+        group joined, the bytes :func:`hash_concat` would feed it."""
         buffer = self._page_buffers[layer]
         buffer += b"".join(digests)
         while len(buffer) >= self._page_bytes:
@@ -92,8 +87,9 @@ class MerkleFileBuilder:
         fanout = self._fanout
         full = len(group) - len(group) % fanout
         if full and layer + 1 < len(self._sizes):
+            sha256, join = hashlib.sha256, b"".join
             parents = [
-                hash_concat(group[start : start + fanout])
+                sha256(join(group[start : start + fanout])).digest()
                 for start in range(0, full, fanout)
             ]
             del group[:full]
@@ -225,10 +221,9 @@ def build_merkle_file(
     fanout: int,
     key_width: int,
 ) -> Digest:
-    """Convenience wrapper: stream ``pairs`` through a builder."""
-    builder = MerkleFileBuilder(file, num_leaves, fanout, key_width)
-    for key, value in pairs:
-        builder.add(key, value)
+    """Convenience wrapper: feed ``pairs`` to a builder in one batch."""
+    builder = MerkleFileBuilder(file, num_leaves, fanout)
+    builder.add([key.to_bytes(key_width, "big") + value for key, value in pairs])
     return builder.finish()
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.compound import blk_of_int
+from repro.core.compound import MAX_BLK, blk_of_int
 from repro.core.run import Run
 
 
@@ -94,13 +94,13 @@ def _filter_run(cole, run: Run, target_blk: int):
     when a rebuild happens the original run is handed back for deferred
     deletion (after the manifest is saved), not deleted here.
     """
-    survivors: List[Tuple[int, bytes]] = []
-    removed = 0
-    for key, value in run.value_file.iter_entries():
-        if blk_of_int(key) <= target_blk:
-            survivors.append((key, value))
-        else:
-            removed += 1
+    system = cole.params.system
+    heights = slice(system.addr_size, system.key_size)
+    # A pair's key ends in its big-endian 8-byte height: compared as
+    # bytes it orders as the height does (no height exceeds MAX_BLK).
+    limit = min(target_blk, MAX_BLK).to_bytes(8, "big")
+    survivors = [pair for pair in run.value_file.iter_pairs() if pair[heights] <= limit]
+    removed = run.num_entries - len(survivors)
     if removed == 0:
         return run, 0, None
     if not survivors:

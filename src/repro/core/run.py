@@ -1,9 +1,9 @@
 """On-disk runs: value file + index file + Merkle file + bloom filter.
 
 A run is immutable once built (Section 4: files stay valid until the next
-level merge).  Building consumes a sorted stream of compound key-value
-pairs exactly once, feeding all three files and the bloom filter
-concurrently — the streaming construction of Algorithms 3 and 4.
+level merge).  Building consumes a sorted stream of encoded compound
+key-value pairs exactly once, feeding all three files and the bloom
+filter concurrently — the streaming construction of Algorithms 3 and 4.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ RUN_SUFFIXES = (".val", ".idx", ".mrk", ".blm")
 #: whatever geometry they were written with.
 BLOOM_BITS_PER_KEY = 10
 BLOOM_HASHES = 7
+
+
+def encode_pairs(entries: Iterable[Entry], key_size: int) -> List[bytes]:
+    """``key.to_bytes(key_size) || value`` per entry: the encoded pairs a
+    value file stores and :meth:`Run.build` takes."""
+    return [key.to_bytes(key_size, "big") + value for key, value in entries]
 
 
 @dataclass(frozen=True)
@@ -102,19 +108,20 @@ class Run:
         workspace: Workspace,
         name: str,
         level: int,
-        entries: Iterable[Entry],
+        pairs: Iterable[bytes],
         num_entries: int,
         params: ColeParams,
     ) -> "Run":
-        """Build a run by streaming ``entries`` (sorted, exact count) once.
+        """Build a run by streaming encoded ``pairs`` (sorted, exact
+        count) once.
 
-        Each entry is encoded once (``key.to_bytes(key_size) || value``):
-        the value file stores those bytes, the Merkle leaf hashes them and
-        the filter takes its address off their front.  The three sinks are
-        fed one value page of pairs at a time, so the batch in flight does
-        not grow with the run.  If the build fails — a short, long or
-        unsorted stream, a sink that raises — the partial artifacts are
-        removed before the error propagates, so ``name`` can be built again.
+        A pair is ``key.to_bytes(key_size) || value`` (:func:`encode_pairs`):
+        the value file stores those bytes, the Merkle leaf hashes them, the
+        filter takes its address off their front and only the index
+        decodes the key.  The three sinks are fed one value page of pairs
+        at a time.  If the build fails — a short, long or unsorted stream,
+        a sink that raises — the partial artifacts are removed before the
+        error propagates, so ``name`` can be built again.
         """
         system = params.system
         key_size = system.key_size
@@ -138,25 +145,24 @@ class Run:
                 workspace.open_file(f"{name}.mrk", category="merkle"),
                 num_entries,
                 params.mht_fanout,
-                key_size,
             )
             bloom = BloomFilter.for_capacity(num_entries, BLOOM_BITS_PER_KEY, BLOOM_HASHES)
 
             def tee() -> Iterable[Tuple[int, int]]:
                 """Feed value/Merkle/bloom, yielding (key, position) for the index."""
-                stream = iter(entries)
+                stream = iter(pairs)
+                from_bytes = int.from_bytes
                 position = 0
                 while True:
                     page = list(islice(stream, pairs_per_page))
                     if not page:
                         return
-                    pairs = [key.to_bytes(key_size, "big") + value for key, value in page]
-                    value_writer.add_page(pairs)
-                    merkle_builder.add_leaves(pairs)
-                    bloom.add_many([pair[:addr_size] for pair in pairs])
-                    for key, _value in page:
-                        yield key, position
-                        position += 1
+                    value_writer.add(page)
+                    merkle_builder.add(page)
+                    bloom.add([pair[:addr_size] for pair in page])
+                    keys = [from_bytes(pair[:key_size], "big") for pair in page]
+                    yield from zip(keys, range(position, position + len(page)))
+                    position += len(page)
 
             index_builder.add_bottom_models(tee())
             count = value_writer.finish()

@@ -36,7 +36,7 @@ from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
 from repro.core.compaction import make_policy
-from repro.core.compound import CompoundKey, MAX_BLK, addr_of_int, blk_of_int
+from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int, check_blk, compound_key
 from repro.core.cursor import ReadSource, ScanTriple, scan_sources
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import Manifest, RunRecord, load_manifest, save_manifest
@@ -51,7 +51,7 @@ from repro.core.proofs import (
     RunProofItem,
     StubItem,
 )
-from repro.core.run import RUN_SUFFIXES, Run
+from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
 from repro.diskio.iostats import IOStats
 from repro.diskio.workspace import Workspace
 
@@ -173,23 +173,17 @@ class Cole:
 
     def put(self, addr: bytes, value: bytes) -> None:
         """Insert a state update for the current block (Put of Section 2)."""
-        system = self.params.system
-        if len(addr) != system.addr_size:
-            raise StorageError(f"address must be {system.addr_size} bytes")
-        key = CompoundKey(addr=addr, blk=self.current_blk).to_int()
-        with self.gate.exclusive(), self._mem_lock:
-            self.mem_writing.insert(key, value)
-            self.puts_total += 1
+        self.put_many(((addr, value),))
 
     def put_many(self, items: Iterable[Tuple[bytes, bytes]]) -> None:
-        """Batched :meth:`put`: insert a whole write set in one dispatch.
+        """Insert a write set for the current block in one dispatch.
 
-        Equivalent to calling ``put`` per pair — same compound keys, same
-        overwrite-within-a-block semantics — with the per-call validation
-        and attribute traffic amortized across the batch.
+        Same compound keys and overwrite-within-a-block semantics as one
+        ``put`` per pair; the block height is validated once per batch.
         """
         addr_size = self.params.system.addr_size
         blk = self.current_blk
+        check_blk(blk)
         count = 0
         with self.gate.exclusive(), self._mem_lock:
             insert = self.mem_writing.insert
@@ -197,7 +191,7 @@ class Cole:
                 for addr, value in items:
                     if len(addr) != addr_size:
                         raise StorageError(f"address must be {addr_size} bytes")
-                    insert(CompoundKey(addr=addr, blk=blk).to_int(), value)
+                    insert(compound_key(addr, blk), value)
                     count += 1
             finally:
                 self.puts_total += count
@@ -250,14 +244,16 @@ class Cole:
         return True
 
     def _start_flush(self, entries, checkpoint_puts: int, checkpoint_blk: int) -> PendingMerge:
-        """Build the level-1 run of an L0 group's ``entries``; the two
-        checkpoint values are what the manifest records once it lands."""
+        """Build the level-1 run of an L0 group's drained ``entries``; the
+        two checkpoint values are what the manifest records once it lands."""
         name = self._next_run_name(1)
+        key_size = self.params.system.key_size
         return self.scheduler.spawn(
             "flush",
             name,
             lambda: Run.build(
-                self.workspace, name, 1, iter(entries), len(entries), self.params
+                self.workspace, name, 1, encode_pairs(entries, key_size), len(entries),
+                self.params,
             ),
             level=1,
             checkpoint_puts=checkpoint_puts,
@@ -305,7 +301,8 @@ class Cole:
 
         def build() -> Run:
             merged = merge_entry_streams(
-                [source.value_file.iter_entries() for source in sources]
+                [source.value_file.iter_pairs() for source in sources],
+                self.params.system.key_size,
             )
             return Run.build(self.workspace, name, target, merged, total, self.params)
 
@@ -414,13 +411,12 @@ class Cole:
         the published view, no gate.  With ``wait=False`` the call never
         blocks — it answers :data:`WOULD_BLOCK` when L0 is mid-insert
         (same for ``get_at``)."""
-        key = CompoundKey.latest_of(addr).to_int()
-        return self._lookup(self._view, key, addr, wait)
+        return self._lookup(self._view, compound_key(addr, MAX_BLK), addr, wait)
 
     def get_at(self, addr: bytes, blk: int, wait: bool = True) -> Optional[bytes]:
         """Value of ``addr`` as of block ``blk`` (historical point lookup)."""
-        key = CompoundKey(addr=addr, blk=blk).to_int()
-        return self._lookup(self._view, key, addr, wait)
+        check_blk(blk)
+        return self._lookup(self._view, compound_key(addr, blk), addr, wait)
 
     def get_many(self, addrs: List[bytes]) -> List[Optional[bytes]]:
         """Batched :meth:`get`: latest values, positionally matched.
@@ -451,9 +447,7 @@ class Cole:
                     addr for addr in pending if source.may_contain(hashed[addr])
                 )
                 for addr in candidates:
-                    found = source.floor_search(
-                        CompoundKey.latest_of(addr).to_int()
-                    )
+                    found = source.floor_search(compound_key(addr, MAX_BLK))
                     if found is not None and addr_of_int(found[0], addr_size) == addr:
                         for index in pending.pop(addr):
                             results[index] = found[1]

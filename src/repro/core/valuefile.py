@@ -30,12 +30,7 @@ class ValueFileWriter:
         self._count = 0
         self._last_key = b""  # encoded; sorts before every real key
 
-    def add(self, key: int, value: bytes) -> int:
-        """Append one pair; returns its position.  Keys must be increasing."""
-        self.add_page([key.to_bytes(self._key_size, "big") + value])
-        return self._count - 1
-
-    def add_page(self, pairs: Sequence[bytes]) -> None:
+    def add(self, pairs: Sequence[bytes]) -> None:
         """Append encoded pairs (``key.to_bytes(key_size) || value``), one
         page's worth from the run builder, any count from other callers.
 
@@ -181,17 +176,15 @@ class ValueFile:
                 position += 1
             page_id += 1
 
-    def iter_entries(self) -> Iterator[Entry]:
-        """Yield all pairs in key order (sequential page reads) — the input
-        side of every merge, so a page is decoded by one comprehension."""
-        from_bytes = int.from_bytes
-        key_size = self._key_size
+    def iter_pairs(self) -> Iterator[bytes]:
+        """Yield every encoded pair in key order (sequential page reads),
+        undecoded — the input side of every merge and rewind rebuild, so
+        a page is sliced by one comprehension."""
         pair_size = self._pair_size
         for page_id in range(self.page_of(self.num_entries - 1) + 1):
             data = self._file.read_page(page_id, sequential=True)
             yield from [
-                (from_bytes(data[offset : offset + key_size], "big"),
-                 data[offset + key_size : offset + pair_size])
+                data[offset : offset + pair_size]
                 for offset in range(0, self._page_count(page_id) * pair_size, pair_size)
             ]
 
@@ -201,6 +194,5 @@ def write_value_file(
 ) -> int:
     """Write ``entries`` (sorted) to ``file``; returns the pair count."""
     writer = ValueFileWriter(file, params)
-    for key, value in entries:
-        writer.add(key, value)
+    writer.add([key.to_bytes(params.key_size, "big") + value for key, value in entries])
     return writer.finish()

@@ -68,8 +68,7 @@ class SSTableWriter:
         bloom = BloomFilter.for_capacity(
             max(1, self._count), self._bloom_bits, num_hashes=7
         )
-        for key in self._keys_for_bloom:
-            bloom.add(key)
+        bloom.add(self._keys_for_bloom)
         return SSTable(self._file, self._count, data_pages, self._first_keys, bloom)
 
 
@@ -102,8 +101,7 @@ class SSTable:
             records = _decode_page(file.read_page(page_id))
             if records:
                 first_keys.append(records[0][0])
-            for key, _value in records:
-                bloom.add(key)
+            bloom.add([key for key, _value in records])
         return cls(file, count, data_pages, first_keys, bloom)
 
     def get(self, key: bytes) -> Tuple[bool, Optional[bytes]]:

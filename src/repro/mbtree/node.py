@@ -9,33 +9,31 @@ re-interpreted as an internal node in a forged proof.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from hashlib import sha256
 from typing import List, Optional
 
-from repro.common.codec import int_to_bytes
-from repro.common.hashing import Digest, hash_concat
-
-
-def encode_key(key: int, key_width: int) -> bytes:
-    """Fixed-width big-endian encoding of a tree key for hashing."""
-    return int_to_bytes(key, key_width)
+from repro.common.hashing import Digest
 
 
 def leaf_digest(keys: List[int], values: List[bytes], key_width: int) -> Digest:
-    """Digest committing to a leaf's entries, in order."""
-    parts: List[bytes] = [b"L"]
+    """Digest committing to a leaf's entries, in order:
+    ``h(b"L" || key_1 || value_1 || ...)``, keys ``key_width``-byte big-endian."""
+    parts = [b"L"]
+    append = parts.append
     for key, value in zip(keys, values):
-        parts.append(encode_key(key, key_width))
-        parts.append(value)
-    return hash_concat(parts)
+        append(key.to_bytes(key_width, "big"))
+        append(value)
+    return sha256(b"".join(parts)).digest()
 
 
 def internal_digest(keys: List[int], child_digests: List[Digest], key_width: int) -> Digest:
-    """Digest committing to an internal node's separators and children."""
-    parts: List[bytes] = [b"I"]
-    for key in keys:
-        parts.append(encode_key(key, key_width))
-    parts.extend(child_digests)
-    return hash_concat(parts)
+    """Digest committing to an internal node's separators and children:
+    ``h(b"I" || key_1 || ... || digest_1 || ...)``."""
+    parts = [b"I"]
+    parts += [key.to_bytes(key_width, "big") for key in keys]
+    parts += child_digests
+    return sha256(b"".join(parts)).digest()
 
 
 class Node:
@@ -96,6 +94,4 @@ class Internal(Node):
 
     def child_index_for(self, key: int) -> int:
         """Index of the child subtree that would contain ``key``."""
-        import bisect
-
-        return bisect.bisect_right(self.keys, key)
+        return bisect_right(self.keys, key)

@@ -13,7 +13,7 @@ Only the operations COLE and CMI need are implemented:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.hashing import Digest
@@ -61,24 +61,26 @@ class MBTree:
     def insert(self, key: int, value: bytes) -> None:
         """Insert ``key -> value``, overwriting an existing entry."""
         leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        keys = leaf.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             leaf.values[index] = value
             leaf.mark_dirty()
             return
-        leaf.keys.insert(index, key)
+        keys.insert(index, key)
         leaf.values.insert(index, value)
         leaf.mark_dirty()
         self._size += 1
-        if len(leaf.keys) >= self.order:
+        if len(keys) >= self.order:
             self._split_leaf(leaf)
 
     def _find_leaf(self, key: int) -> Leaf:
+        # The per-put descent: an exact type test and the C bisect, no
+        # helper call per level (Internal is the only non-leaf node).
         node = self._root
-        while isinstance(node, Internal):
-            node = node.children[node.child_index_for(key)]
-        assert isinstance(node, Leaf)
-        return node
+        while type(node) is Internal:
+            node = node.children[bisect_right(node.keys, key)]
+        return node  # type: ignore[return-value]
 
     def _split_leaf(self, leaf: Leaf) -> None:
         mid = len(leaf.keys) // 2
@@ -128,7 +130,7 @@ class MBTree:
     def get(self, key: int) -> Optional[bytes]:
         """Exact-match lookup."""
         leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             return leaf.values[index]
         return None
@@ -138,7 +140,7 @@ class MBTree:
         if self._size == 0:
             return None
         leaf = self._find_leaf(key)
-        index = bisect.bisect_right(leaf.keys, key) - 1
+        index = bisect_right(leaf.keys, key) - 1
         if index >= 0:
             return leaf.keys[index], leaf.values[index]
         # All keys in this leaf exceed `key`; the floor (if any) is the last
@@ -168,7 +170,7 @@ class MBTree:
         if self._size == 0:
             return
         leaf: Optional[Leaf] = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         while leaf is not None:
             for position in range(index, len(leaf.keys)):
                 yield leaf.keys[position], leaf.values[position]

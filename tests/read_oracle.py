@@ -37,8 +37,9 @@ def bloom_positions(bloom: BloomFilter, item: bytes) -> List[int]:
 
 
 def bloom_contains(bloom: BloomFilter, item: bytes) -> bool:
+    bits = bloom.to_bytes()[12:]  # the serialized bit array, after any pending adds
     return all(
-        bloom._bits[position >> 3] & (1 << (position & 7))
+        bits[position >> 3] & (1 << (position & 7))
         for position in bloom_positions(bloom, item)
     )
 

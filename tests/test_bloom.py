@@ -10,21 +10,20 @@ from repro.bloomfilter import BloomFilter
 from repro.common.codec import encode_u32
 from repro.common.errors import StorageError
 
-from read_oracle import bloom_positions
+from read_oracle import bloom_contains, bloom_positions
 
 
 def test_added_items_are_members():
     bloom = BloomFilter(1024, 5)
     items = [f"item{i}".encode() for i in range(50)]
-    for item in items:
-        bloom.add(item)
+    bloom.add(items)
     assert all(item in bloom for item in items)
 
 
 def test_count_tracks_adds():
     bloom = BloomFilter(256, 3)
-    bloom.add(b"a")
-    bloom.add(b"b")
+    bloom.add([b"a"])
+    bloom.add([b"b"])
     assert bloom.count == 2
 
 
@@ -32,8 +31,7 @@ def test_false_positive_rate_is_reasonable():
     rng = random.Random(7)
     bloom = BloomFilter.for_capacity(1000, bits_per_key=10, num_hashes=7)
     members = [rng.randbytes(16) for _ in range(1000)]
-    for item in members:
-        bloom.add(item)
+    bloom.add(members)
     negatives = [rng.randbytes(16) for _ in range(2000)]
     false_positives = sum(1 for item in negatives if item in bloom)
     assert false_positives / len(negatives) < 0.05  # theory: ~0.8%
@@ -41,8 +39,7 @@ def test_false_positive_rate_is_reasonable():
 
 def test_serialization_round_trip():
     bloom = BloomFilter(512, 4)
-    for i in range(20):
-        bloom.add(f"k{i}".encode())
+    bloom.add([f"k{i}".encode() for i in range(20)])
     restored = BloomFilter.from_bytes(bloom.to_bytes())
     assert restored.num_bits == bloom.num_bits
     assert restored.num_hashes == bloom.num_hashes
@@ -54,7 +51,7 @@ def test_serialization_round_trip():
 def test_digest_changes_with_content():
     a = BloomFilter(256, 3)
     b = BloomFilter(256, 3)
-    a.add(b"x")
+    a.add([b"x"])
     assert a.digest() != b.digest()
 
 
@@ -70,8 +67,7 @@ def test_size_bytes_matches_serialization():
 @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=100, unique=True))
 def test_no_false_negatives_property(items):
     bloom = BloomFilter.for_capacity(len(items), 10, 7)
-    for item in items:
-        bloom.add(item)
+    bloom.add(items)
     assert all(item in bloom for item in items)
 
 
@@ -98,12 +94,12 @@ def test_add_many_equals_repeated_add(items, repeat, num_bits, num_hashes):
     stream = [item for item in sorted(items) for _ in range(repeat)]
     one_by_one = BloomFilter(num_bits, num_hashes)
     for item in stream:
-        one_by_one.add(item)
+        one_by_one.add([item])
     batched = BloomFilter(num_bits, num_hashes)
-    batched.add_many(stream)
+    batched.add(stream)
     paged = BloomFilter(num_bits, num_hashes)
     for start in range(0, len(stream), 7):  # a duplicate run split across batches
-        paged.add_many(stream[start : start + 7])
+        paged.add(stream[start : start + 7])
     expected = _filter_from_positions(num_bits, num_hashes, stream).to_bytes()
     assert one_by_one.to_bytes() == batched.to_bytes() == paged.to_bytes() == expected
     assert batched.count == len(stream)
@@ -113,7 +109,7 @@ def test_add_many_equals_repeated_add(items, repeat, num_bits, num_hashes):
 def test_add_many_invalidates_cached_digest():
     bloom = BloomFilter(256, 3)
     before = bloom.digest()
-    bloom.add_many([b"x", b"x", b"y"])
+    bloom.add([b"x", b"x", b"y"])
     assert bloom.digest() != before
 
 
@@ -132,3 +128,46 @@ def test_from_bytes_checks_length_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(StorageError):
         BloomFilter.from_bytes(BloomFilter(64, 3).to_bytes() + b"\x00")
+
+
+@given(
+    st.lists(st.binary(min_size=1, max_size=8), max_size=40),
+    st.lists(st.binary(min_size=1, max_size=8), max_size=40),
+    st.integers(min_value=8, max_value=3000),
+    st.integers(min_value=1, max_value=9),
+)
+def test_flag_adds_match_the_positions_oracle_bit_for_bit(first, second, num_bits, num_hashes):
+    # A filter loaded with from_bytes and then added to ORs its new flags
+    # into the loaded bits; num_bits spans pack steps and odd tails.
+    loaded = BloomFilter(num_bits, num_hashes)
+    loaded.add(first)
+    restored = BloomFilter.from_bytes(loaded.to_bytes())
+    restored.add(second)
+    expected = _filter_from_positions(num_bits, num_hashes, first + second)
+    assert restored.to_bytes() == expected.to_bytes()
+    assert restored.digest() == expected.digest()
+    for item in first + second + [b"absent"]:
+        assert (item in restored) == bloom_contains(expected, item)
+
+
+def test_build_adds_hold_one_flag_byte_per_bit_plus_a_page():
+    # A run build adds one value page of addresses at a time (51 at the
+    # default geometry); the flags it holds meanwhile are the only
+    # filter memory that grows with the run, and the pack that folds
+    # them into the bit array works on one page-sized step at a time.
+    page, per_page = 4096, 51
+    rng = random.Random(11)
+    addrs = sorted(rng.randbytes(20) for _ in range(3000))
+    pages = [addrs[start : start + per_page] for start in range(0, len(addrs), per_page)]
+    bloom = BloomFilter.for_capacity(len(addrs), 10, 7)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        for batch in pages:
+            bloom.add(batch)
+        assert addrs[0] in bloom  # packs the flags
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= bloom.num_bits + page
+    assert all(addr in bloom for addr in addrs)

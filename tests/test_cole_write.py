@@ -86,6 +86,24 @@ def test_wrong_addr_size_rejected(workdir, params):
     cole.close()
 
 
+def test_block_height_above_max_blk_rejected(workdir, params):
+    from repro.core import MAX_BLK
+
+    cole = Cole(workdir, params)
+    cole.begin_block(MAX_BLK + 1)
+    addr = b"\x01" * 20
+    with pytest.raises(ValueError):
+        cole.put(addr, b"\x00" * 32)
+    with pytest.raises(ValueError):
+        cole.put_many([(addr, b"\x00" * 32)])
+    assert len(cole.mem_writing) == 0 and cole.puts_total == 0
+    with pytest.raises(ValueError):
+        cole.get_at(addr, MAX_BLK + 1)
+    with pytest.raises(ValueError):
+        cole.get_at(addr, -1)
+    cole.close()
+
+
 def test_decreasing_block_height_rejected(workdir, params):
     cole = Cole(workdir, params)
     cole.begin_block(5)

@@ -17,7 +17,7 @@ from repro.common.errors import StorageError
 from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
 from repro.core.cursor import MergingCursor, resolve_versions
-from repro.core.run import Run
+from repro.core.run import Run, encode_pairs
 from repro.mbtree import MBTree
 from repro.sharding import ShardedCole
 
@@ -60,7 +60,8 @@ def test_run_cursor_streams_from_seek(tmp_path, rng):
         for blk in range(4)
         for _ in range(60)
     )
-    run = Run.build(ws, "L1_0", 1, iter(entries), len(entries), PARAMS)
+    pairs = encode_pairs(entries, PARAMS.system.key_size)
+    run = Run.build(ws, "L1_0", 1, iter(pairs), len(entries), PARAMS)
     # Start before, at, between, and after real keys.
     probes = [0, entries[0][0], entries[10][0], entries[10][0] + 1,
               entries[-1][0], entries[-1][0] + 1]

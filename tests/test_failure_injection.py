@@ -144,7 +144,7 @@ def test_bloom_tamper_changes_commitment(tmp_path):
     cole, _pool = build_chain(directory)
     run = cole.levels[-1].all_runs()[0]
     before = run.commitment()
-    run.bloom.add(b"\x99" * 20)
+    run.bloom.add([b"\x99" * 20])
     assert run.commitment() != before  # blooms are bound into Hstate (§4)
     cole.close()
 

@@ -9,7 +9,7 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey
 from repro.core.disklevel import DiskGroup, DiskLevel
 from repro.core.memlevel import MemGroup
-from repro.core.run import Run
+from repro.core.run import Run, encode_pairs
 from repro.diskio.workspace import Workspace
 
 
@@ -28,15 +28,8 @@ def make_run(tmp_path, params, name, first_byte):
         (CompoundKey(addr=bytes([first_byte]) * 8, blk=blk).to_int(), b"\x01" * 8)
         for blk in range(1, 5)
     ]
-    return Run.build(ws, name, 1, iter(entries), len(entries), params)
-
-
-def test_mem_group_tracks_max_blk():
-    group = MemGroup(key_width=16)
-    group.insert(CompoundKey(addr=b"\x01" * 8, blk=5).to_int(), b"v")
-    group.insert(CompoundKey(addr=b"\x02" * 8, blk=3).to_int(), b"v")
-    assert group.max_blk == 5
-    assert len(group) == 2
+    pairs = encode_pairs(entries, params.system.key_size)
+    return Run.build(ws, name, 1, iter(pairs), len(entries), params)
 
 
 def test_mem_group_drain_is_sorted():
@@ -44,6 +37,7 @@ def test_mem_group_drain_is_sorted():
     keys = [CompoundKey(addr=bytes([b]) * 8, blk=1).to_int() for b in (9, 3, 7)]
     for key in keys:
         group.insert(key, b"v")
+    assert len(group) == 3
     drained = group.drain()
     assert [key for key, _v in drained] == sorted(keys)
 

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import write_oracle
 from repro.mbtree import MBTree
+from repro.mbtree.node import Internal
 
 
 def build(entries, order=4):
@@ -124,3 +126,32 @@ def test_floor_search_matches_model(mapping, probe):
     else:
         best = max(expected_keys)
         assert found == (best, mapping[best])
+
+
+def oracle_digest(node, key_width):
+    """A node's digest by the parts-list routines of ``write_oracle``."""
+    if type(node) is Internal:
+        children = [oracle_digest(child, key_width) for child in node.children]
+        return write_oracle.internal_digest(node.keys, children, key_width)
+    return write_oracle.leaf_digest(node.keys, node.values, key_width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**64 - 1), st.binary(max_size=12)),
+        min_size=1,
+        max_size=150,
+    ),
+    st.integers(min_value=3, max_value=6),
+    st.sampled_from([8, 9, 40]),
+    st.integers(min_value=1, max_value=40),
+)
+def test_node_digests_match_the_parts_list_oracle(inserts, order, key_width, every):
+    # Roots read between batches of inserts also check that a re-hash
+    # after mark_dirty reaches the same bytes as hashing from scratch.
+    tree = MBTree(order=order, key_width=key_width)
+    for index, (key, value) in enumerate(inserts, 1):
+        tree.insert(key % 7 if index % 5 == 0 else key, value)  # some overwrites
+        if index % every == 0 or index == len(inserts):
+            assert tree.root_hash() == oracle_digest(tree._root, key_width)

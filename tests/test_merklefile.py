@@ -59,18 +59,18 @@ def test_streaming_root_matches_eager_tree(tmp_path, count, fanout):
 
 def test_wrong_count_rejected(tmp_path):
     file = PagedFile(str(tmp_path / "w.mrk"), PAGE)
-    builder = MerkleFileBuilder(file, 3, 2, KEY_WIDTH)
-    builder.add(1, b"a")
+    builder = MerkleFileBuilder(file, 3, 2)
+    builder.add([b"a"])
     with pytest.raises(StorageError):
         builder.finish()
 
 
 def test_too_many_adds_rejected(tmp_path):
     file = PagedFile(str(tmp_path / "t.mrk"), PAGE)
-    builder = MerkleFileBuilder(file, 1, 2, KEY_WIDTH)
-    builder.add(1, b"a")
+    builder = MerkleFileBuilder(file, 1, 2)
+    builder.add([b"a"])
     with pytest.raises(StorageError):
-        builder.add(2, b"b")
+        builder.add([b"b"])
 
 
 def test_range_proof_verifies(tmp_path):

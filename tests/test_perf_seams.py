@@ -59,9 +59,8 @@ SERVED_SEAMS = [
     (protocol, "encode_error"),
 ]
 
-#: (owner, attribute) of every engine seam ``install`` wraps.  The
-#: per-entry sinks stay on the list although ``Run.build`` feeds the
-#: batch methods: they are public API and the bench still patches them.
+#: (owner, attribute) of every engine seam ``install`` wraps.  The three
+#: build sinks' ``add`` is what ``Run.build`` calls, one value page a call.
 ENGINE_SEAMS = [
     (MBTree, "insert"),
     (Run, "build"),
@@ -140,8 +139,15 @@ def test_engine_install_patches_every_seam_and_uninstall_restores(tmp_path):
         tracer.uninstall()
     assert _current(ENGINE_SEAMS) == before
     rows = spans.Aggregates(tracer.aggregates())
-    for name in ("run.build", "learned.build_models", "merge.stream", "cole.get"):
+    for name in (
+        "run.build", "learned.build_models", "merge.stream", "cole.get",
+        # The build sinks: without them the ledger's valuefile.write,
+        # merklefile.build and bloom.add rows read 0 on ingest.
+        "valuefile.write", "merklefile.build", "bloom.add",
+    ):
         assert rows.count(name) > 0 and rows.total_ns(name) > 0, name
+    # merklefile.build_us_per_entry divides by a unit per add: one a page.
+    assert rows.units("merklefile.build") == rows.count("valuefile.write") > 0
     assert rows.count("merge.stream.started") > 0
     assert rows.units("run.build") > 0  # entries built: run.build_entries_per_s
 

@@ -32,7 +32,7 @@ from repro.core.merklefile import (
     verify_range_proof,
 )
 from repro.core.proofs import RunNegativeItem, RunProofItem
-from repro.core.run import Run
+from repro.core.run import Run, encode_pairs
 from repro.diskio.pagefile import PagedFile
 from repro.diskio.workspace import Workspace
 
@@ -92,7 +92,7 @@ def test_floor_search_agrees_with_integer_oracle(tmp_path_factory, geometry, see
     keys = _keys(rng, system, count)
     entries = [(key, rng.randbytes(value_size)) for key in keys]
     ws = Workspace(str(tmp_path_factory.mktemp("ws")), page_size)
-    run = Run.build(ws, "r", 1, iter(entries), len(entries), params)
+    run = Run.build(ws, "r", 1, iter(encode_pairs(entries, system.key_size)), len(entries), params)
     try:
         assert run.index_file.num_layers >= 3
         in_range, outside = _probes(keys, system, system.pairs_per_page)
@@ -149,7 +149,8 @@ def test_floor_search_reads_no_page_twice(tmp_path, monkeypatch):
     rng = random.Random(3)
     keys = _keys(rng, system, 1500)
     ws = Workspace(str(tmp_path / "ws"), system.page_size)
-    run = Run.build(ws, "r", 1, iter((key, b"v" * 40) for key in keys), len(keys), params)
+    pairs = encode_pairs(((key, b"v" * 40) for key in keys), system.key_size)
+    run = Run.build(ws, "r", 1, iter(pairs), len(keys), params)
     layers = run.index_file.num_layers
     assert layers >= 3
     reads = log_reads(monkeypatch)
@@ -169,9 +170,8 @@ def test_prove_range_reads_each_touched_page_once(tmp_path, monkeypatch):
     # group — and a 1 000-leaf tree has 5 sibling layers.
     file = PagedFile(str(tmp_path / "m.mrk"), 128)
     pairs = [(index * 2**64 + 1, bytes([index % 251]) * 4) for index in range(1000)]
-    builder = MerkleFileBuilder(file, len(pairs), 4, 16)
-    for key, value in pairs:
-        builder.add(key, value)
+    builder = MerkleFileBuilder(file, len(pairs), 4)
+    builder.add([key.to_bytes(16, "big") + value for key, value in pairs])
     root = builder.finish()
     merkle = MerkleFile(file, len(pairs), 4)
     reads = log_reads(monkeypatch)
@@ -204,7 +204,7 @@ def test_prove_range_reads_each_touched_page_once(tmp_path, monkeypatch):
 )
 def test_bloom_membership_agrees_with_positions_oracle(members, probes, num_bits, num_hashes):
     bloom = BloomFilter(num_bits, num_hashes)
-    bloom.add_many(sorted(members))
+    bloom.add(sorted(members))
     for item in members + probes:
         expected = read_oracle.bloom_contains(bloom, item)
         assert (item in bloom) == expected
@@ -225,7 +225,7 @@ def test_bloom_probe_with_a_zero_step():
     bloom = BloomFilter(num_bits, 5)
     assert len(set(read_oracle.bloom_positions(bloom, item))) == 1
     assert item not in bloom and not read_oracle.bloom_contains(bloom, item)
-    bloom.add(item)
+    bloom.add([item])
     assert item in bloom and hash_item(item) in bloom
     assert sum(bin(byte).count("1") for byte in bloom._bits) == 1
 

@@ -1,18 +1,18 @@
 """Unit tests for on-disk runs (Algorithm 7 search + provenance scans)."""
 
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bloomfilter import BloomFilter
-from repro.common.hashing import hash_concat
+import write_oracle
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey, addr_of_int
-from repro.core.indexfile import IndexFileBuilder
+from repro.core.compound import CompoundKey
+from repro.core.merge import merge_entry_streams
 from repro.core.merklefile import MerkleFileBuilder, verify_range_proof
-from repro.core.run import BLOOM_BITS_PER_KEY, BLOOM_HASHES, RUN_SUFFIXES, Run
-from repro.core.valuefile import ValueFileWriter
+from repro.core.rewind import _filter_run
+from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
 from repro.diskio.workspace import Workspace
 
 
@@ -22,9 +22,24 @@ def params():
     return ColeParams(system=system, mem_capacity=16, size_ratio=3, mht_fanout=4)
 
 
+def build(ws, name, entries, params, level=1, declared=None):
+    """``Run.build`` over the encoded pairs of decoded ``entries``."""
+    pairs = encode_pairs(entries, params.system.key_size)
+    count = len(entries) if declared is None else declared
+    return Run.build(ws, name, level, iter(pairs), count, params)
+
+
+def decoded(run):
+    key_size = run.params.system.key_size
+    return [
+        (int.from_bytes(pair[:key_size], "big"), pair[key_size:])
+        for pair in run.value_file.iter_pairs()
+    ]
+
+
 def make_run(tmp_path, params, entries, name="r0"):
     ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
-    return Run.build(ws, name, 1, iter(entries), len(entries), params)
+    return build(ws, name, entries, params)
 
 
 def make_entries(params, num_addrs=10, versions=5, seed=2):
@@ -78,7 +93,7 @@ def test_commitment_binds_bloom(tmp_path, params):
     entries, _addrs = make_entries(params)
     run = make_run(tmp_path, params, entries)
     base = run.commitment()
-    run.bloom.add(b"\xee" * params.system.addr_size)
+    run.bloom.add([b"\xee" * params.system.addr_size])
     assert run.commitment() != base
 
 
@@ -110,13 +125,13 @@ def test_run_count_mismatch_rejected(tmp_path, params):
     entries, _addrs = make_entries(params)
     ws = Workspace(str(tmp_path / "ws2"), params.system.page_size)
     with pytest.raises(StorageError):
-        Run.build(ws, "bad", 1, iter(entries), len(entries) + 5, params)
+        build(ws, "bad", entries, params, declared=len(entries) + 5)
 
 
 def test_run_load_round_trip(tmp_path, params):
     entries, addrs = make_entries(params)
     ws = Workspace(str(tmp_path / "ws3"), params.system.page_size)
-    built = Run.build(ws, "persist", 1, iter(entries), len(entries), params)
+    built = build(ws, "persist", entries, params)
     loaded = Run.load(ws, "persist", 1, len(entries), params, built.merkle_root)
     assert loaded.commitment() == built.commitment()
     sentinel = CompoundKey.latest_of(addrs[0]).to_int()
@@ -126,7 +141,7 @@ def test_run_load_round_trip(tmp_path, params):
 def test_run_delete_removes_files(tmp_path, params):
     entries, _addrs = make_entries(params)
     ws = Workspace(str(tmp_path / "ws4"), params.system.page_size)
-    run = Run.build(ws, "victim", 1, iter(entries), len(entries), params)
+    run = build(ws, "victim", entries, params)
     assert run.storage_bytes() > 0
     run.delete()
     assert run.storage_bytes() == 0
@@ -135,7 +150,7 @@ def test_run_delete_removes_files(tmp_path, params):
 def test_large_run_search_io_is_bounded(tmp_path, params):
     entries, addrs = make_entries(params, num_addrs=60, versions=20, seed=5)
     ws = Workspace(str(tmp_path / "ws5"), params.system.page_size)
-    run = Run.build(ws, "big", 2, iter(entries), len(entries), params)
+    run = build(ws, "big", entries, params, level=2)
     stats = ws.stats
     before = stats.snapshot()
     sentinel = CompoundKey.latest_of(addrs[30]).to_int()
@@ -178,47 +193,42 @@ def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, f
 
         monkeypatch.setattr(MerkleFileBuilder, "finish", full_disk)
     with pytest.raises(error):
-        Run.build(ws, "retry", 1, iter(stream), declared, params)
+        build(ws, "retry", stream, params, declared=declared)
     monkeypatch.undo()
     assert _run_files(ws, "retry") == []
     # ... and no stale handle either: the same name builds cleanly.
-    rebuilt = Run.build(ws, "retry", 1, iter(entries), len(entries), params)
+    rebuilt = build(ws, "retry", entries, params)
     assert sorted(_run_files(ws, "retry")) == sorted("retry" + s for s in RUN_SUFFIXES)
-    assert list(rebuilt.value_file.iter_entries()) == entries
+    assert decoded(rebuilt) == entries
     other = Workspace(str(tmp_path / "other"), params.system.page_size)
-    clean = Run.build(other, "retry", 1, iter(entries), len(entries), params)
+    clean = build(other, "retry", entries, params)
     assert rebuilt.commitment() == clean.commitment()
 
 
-# -- same bytes, fewer calls ----------------------------------------------------
+# -- the encoded build against the decoded reference -----------------------------
 
 
-def build_per_entry(ws, name, entries, params):
-    """The run builder as it was before it batched: one ``add`` per entry
-    on every sink.  Returns the run's commitment."""
-    system = params.system
-    value_writer = ValueFileWriter(ws.open_file(f"{name}.val", category="value"), system)
-    index_builder = IndexFileBuilder(ws.open_file(f"{name}.idx", category="index"), system)
-    merkle_builder = MerkleFileBuilder(
-        ws.open_file(f"{name}.mrk", category="merkle"),
-        len(entries), params.mht_fanout, system.key_size,
-    )
-    bloom = BloomFilter.for_capacity(len(entries), BLOOM_BITS_PER_KEY, BLOOM_HASHES)
+def assert_matches_reference(ws, run, entries, params):
+    """``run``'s four files and commitment are those the decoded reference
+    builder (``tests/write_oracle.py``) writes for ``entries``."""
+    files, commitment = write_oracle.reference_run(ws.root, entries, params)
+    for suffix in RUN_SUFFIXES:
+        with open(ws.path_of(run.name + suffix), "rb") as handle:
+            assert handle.read() == files[suffix], suffix
+    assert run.commitment() == commitment
+    assert run.merkle_file.root() == run.merkle_root
+    assert decoded(run) == entries
 
-    def tee():
-        for key, value in entries:
-            position = value_writer.add(key, value)
-            merkle_builder.add(key, value)
-            bloom.add(addr_of_int(key, system.addr_size))
-            yield key, position
 
-    index_builder.add_bottom_models(tee())
-    assert value_writer.finish() == len(entries)
-    index_builder.finish()
-    merkle_root = merkle_builder.finish()
-    with open(ws.path_of(f"{name}.blm"), "wb") as handle:
-        handle.write(bloom.to_bytes())
-    return hash_concat([merkle_root, bloom.digest()])
+def random_entries(system, count, versions, rng):
+    """``count`` sorted entries, ``versions`` adjacent heights per address."""
+    keys = set()
+    while len(keys) < count:
+        addr = rng.randbytes(system.addr_size)
+        first = rng.randint(0, 2**64 - versions)
+        for blk in range(first, first + versions):
+            keys.add(CompoundKey(addr=addr, blk=blk).to_int())
+    return [(key, rng.randbytes(system.value_size)) for key in sorted(keys)[:count]]
 
 
 @st.composite
@@ -248,23 +258,61 @@ def run_geometries(draw):
 @given(run_geometries())
 def test_batched_build_is_byte_identical_to_per_entry_build(tmp_path_factory, geometry):
     params, count, versions, seed = geometry
+    entries = random_entries(params.system, count, versions, random.Random(seed))
+    ws = Workspace(str(tmp_path_factory.mktemp("diff")), params.system.page_size)
+    assert_matches_reference(ws, build(ws, "batched", entries, params), entries, params)
+    ws.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(run_geometries(), st.integers(min_value=1, max_value=8))
+def test_merged_build_keeps_the_newest_version_of_a_shared_key(
+    tmp_path_factory, geometry, shared
+):
+    params, count, versions, seed = geometry
     system = params.system
     rng = random.Random(seed)
-    keys = set()
-    while len(keys) < count:
-        addr = rng.randbytes(system.addr_size)
-        first = rng.randint(0, 2**64 - versions)
-        for blk in range(first, first + versions):
-            keys.add(CompoundKey(addr=addr, blk=blk).to_int())
-    entries = [(key, rng.randbytes(system.value_size)) for key in sorted(keys)[:count]]
+    older = random_entries(system, count, versions, rng)
+    # The newer run repeats some of the older run's compound keys with
+    # other values, so the merge has to pick the newest of each.
+    repeated = rng.sample(older, min(shared, len(older)))
+    newer = dict(random_entries(system, count, versions, rng))
+    newer.update((key, bytes(byte ^ 0xFF for byte in value)) for key, value in repeated)
+    live = dict(older)
+    live.update(newer)
+    expect = sorted(live.items())
 
-    ws = Workspace(str(tmp_path_factory.mktemp("diff")), system.page_size)
-    run = Run.build(ws, "batched", 1, iter(entries), len(entries), params)
-    assert build_per_entry(ws, "single", entries, params) == run.commitment()
-    for suffix in RUN_SUFFIXES:
-        with open(ws.path_of("batched" + suffix), "rb") as batched:
-            with open(ws.path_of("single" + suffix), "rb") as single:
-                assert batched.read() == single.read(), suffix
-    assert list(run.value_file.iter_entries()) == entries
-    assert run.merkle_file.root() == run.merkle_root
+    ws = Workspace(str(tmp_path_factory.mktemp("merge")), system.page_size)
+    sources = [build(ws, "old", older, params), build(ws, "new", sorted(newer.items()), params)]
+    merged = merge_entry_streams(
+        [source.value_file.iter_pairs() for source in sources], system.key_size
+    )  # oldest first
+    run = Run.build(ws, "merged", 2, merged, len(expect), params)
+    assert_matches_reference(ws, run, expect, params)
+    ws.close()
+
+
+@settings(max_examples=25, deadline=None)
+@given(run_geometries(), st.data())
+def test_rewind_rebuild_matches_the_reference(tmp_path_factory, geometry, data):
+    params, count, versions, seed = geometry
+    entries = random_entries(params.system, count, versions, random.Random(seed))
+    heights = [key & (2**64 - 1) for key, _value in entries]
+    target = data.draw(st.one_of(st.sampled_from(heights), st.just(2**64)), label="target")
+    expect = [(key, value) for key, value in entries if key & (2**64 - 1) <= target]
+
+    ws = Workspace(str(tmp_path_factory.mktemp("rewind")), params.system.page_size)
+    run = build(ws, "before", entries, params)
+    cole = types.SimpleNamespace(
+        workspace=ws, params=params, _next_run_name=lambda level: "rewound"
+    )
+    kept, removed, replaced = _filter_run(cole, run, target)
+    assert removed == len(entries) - len(expect)
+    if not removed:
+        assert (kept, replaced) == (run, None)
+    elif not expect:
+        assert (kept, replaced) == (None, run)
+    else:
+        assert replaced is run
+        assert_matches_reference(ws, kept, expect, params)
     ws.close()

@@ -18,6 +18,12 @@ def make_entries(count, system):
     return [(i * 2**64 + 1, i.to_bytes(system.value_size, "big")) for i in range(1, count + 1)]
 
 
+def iter_entries(vf, system):
+    """Every pair of ``vf`` in file order, decoded."""
+    key_size = system.key_size
+    return [(int.from_bytes(pair[:key_size], "big"), pair[key_size:]) for pair in vf.iter_pairs()]
+
+
 def open_file(tmp_path, system, name="v.val"):
     return PagedFile(str(tmp_path / name), system.page_size)
 
@@ -41,7 +47,7 @@ def test_iter_entries(tmp_path, system):
     entries = make_entries(9, system)
     file = open_file(tmp_path, system)
     vf = ValueFile(file, write_value_file(file, entries, system), system)
-    assert list(vf.iter_entries()) == entries
+    assert iter_entries(vf, system) == entries
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 11])
@@ -51,7 +57,7 @@ def test_iter_entries_equals_scan_from_zero(tmp_path, system, count):
     file = open_file(tmp_path, system)
     vf = ValueFile(file, write_value_file(file, entries, system), system)
     before = file.stats.snapshot()
-    iterated = list(vf.iter_entries())
+    iterated = iter_entries(vf, system)
     pages_read = file.stats.delta(before).total_reads
     assert iterated == [entry for entry, _position in vf.scan_from(0)] == entries
     assert pages_read == -(-count // system.pairs_per_page)  # one read per page
@@ -78,15 +84,16 @@ def test_floor_in_page(tmp_path, system):
 
 def test_non_increasing_keys_rejected(tmp_path, system):
     writer = ValueFileWriter(open_file(tmp_path, system), system)
-    writer.add(100 * 2**64, b"\x01" * 8)
+    key = (100 * 2**64).to_bytes(system.key_size, "big")
+    writer.add([key + b"\x01" * 8])
     with pytest.raises(StorageError):
-        writer.add(100 * 2**64, b"\x02" * 8)
+        writer.add([key + b"\x02" * 8])
 
 
 def test_wrong_value_size_rejected(tmp_path, system):
     writer = ValueFileWriter(open_file(tmp_path, system), system)
     with pytest.raises(StorageError):
-        writer.add(1, b"tiny")
+        writer.add([(1).to_bytes(system.key_size, "big") + b"tiny"])
 
 
 def test_out_of_range_position(tmp_path, system):
