@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 from repro.server import protocol
-from repro.wal.record import scan_records
+from repro.wal.record import RecordType, scan_records
 
 
 class ReplicaApplier:
@@ -168,8 +168,6 @@ class ReplicaApplier:
         return result.records[0]
 
     async def _consume(self, record, pending) -> None:
-        from repro.wal.record import RecordType
-
         if record.type == RecordType.PUTS:
             if record.height > self.applied_height:
                 pending.setdefault(record.height, []).extend(record.items)

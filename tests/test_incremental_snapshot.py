@@ -148,6 +148,40 @@ def test_reused_records_carry_ancestor_crcs(tmp_path):
         assert not os.path.exists(os.path.join(str(tmp_path / "inc"), rel))
 
 
+def test_incremental_copies_a_pinned_fraction_of_the_full_snapshot(tmp_path):
+    """Copied bytes of a full snapshot and a 2-block delta, exactly.
+
+    The stream and the bytes are seed-determined (default system
+    params, no WAL), so a delta that recopies a settled run moves them.
+    """
+    params = ColeParams(mem_capacity=64, async_merge=False)
+    addr_size, value_size = params.system.addr_size, params.system.value_size
+    engine = Cole(str(tmp_path / "ws"), params)
+    blk = 0
+
+    def load(blocks: int) -> None:
+        nonlocal blk
+        for _ in range(blocks):
+            blk += 1
+            writes = {
+                hashlib.sha256(f"snap-{(blk * 7 + n) % 96}".encode()).digest()[:addr_size]:
+                    f"v{blk}.{n}".encode().ljust(value_size, b".")[:value_size]
+                for n in range(13)
+            }
+            engine.begin_block(blk)
+            engine.put_many(sorted(writes.items()))
+            engine.commit_block()
+
+    try:
+        load(34)
+        full = snapshot_store(engine, str(tmp_path / "full"))
+        load(2)
+        inc = snapshot_store(engine, str(tmp_path / "inc"), parent=str(tmp_path / "full"))
+    finally:
+        engine.close()
+    assert (copied_bytes(full), copied_bytes(inc)) == (140647, 37989)  # 3.70x
+
+
 def test_parent_with_other_shape_rejected(tmp_path):
     from repro.common.params import ShardParams
     from repro.sharding import ShardedCole

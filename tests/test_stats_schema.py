@@ -1,8 +1,7 @@
 """STATS payload schema across server roles.
 
 The STATS blob is the operator- and tooling-facing contract: the
-``repro query`` CLI, the CI regression gate, and dashboards all parse
-it.  These tests pin the schema per role — primary with and without a
+``repro query`` CLI, METRICS and dashboards all parse it.  These tests pin the schema per role — primary with and without a
 WAL, replica, sharded vs single-engine — so a section silently
 disappearing or changing type fails loudly here rather than in a
 consumer.
@@ -132,10 +131,15 @@ def assert_primary_schema(stats: dict) -> None:
 def test_stats_schema_primary_without_wal(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     with ServerThread(engine, config=ServerConfig(batch_max_puts=8)) as thread:
-        stats = asyncio.run(loaded_stats(*thread.start()))
+        # Enough writes to put runs on disk, so the reads touch pages.
+        stats = asyncio.run(loaded_stats(*thread.start(), writes=128))
     engine.close()
     assert_core_schema(stats)
     assert_primary_schema(stats)
+    # Liveness: a counter unplugged from its source reads 0 here.
+    assert stats["batcher"]["commits"] > 0
+    assert stats["io"]["page_reads"] > 0
+    assert stats["cache"]["lookups"] > 0
     assert "wal" not in stats
     assert "replication" not in stats
     assert stats["engine"]["shards"] == 1
