@@ -6,6 +6,6 @@ result verification (a negative-run proof carries the bloom), they expose a
 stable serialization and a digest that is folded into the state root.
 """
 
-from repro.bloomfilter.filter import BloomFilter, HashedItem, hash_item
+from repro.bloomfilter.filter import BloomFilter, HashedItem, bits_contain, hash_item
 
-__all__ = ["BloomFilter", "HashedItem", "hash_item"]
+__all__ = ["BloomFilter", "HashedItem", "bits_contain", "hash_item"]

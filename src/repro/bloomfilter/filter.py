@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from typing import Iterable, Tuple, Union
 
-from repro.common.codec import decode_u32, encode_u32
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_bytes
 
@@ -20,6 +20,9 @@ from repro.common.hashing import Digest, hash_bytes
 #: probe positions ``(h1 + i * h2) % num_bits`` derive from.
 HashedItem = Tuple[int, int]
 
+#: The 12-byte header of :meth:`BloomFilter.to_bytes`: bit count, hash
+#: count and item count, big-endian ``u32`` each.
+_HEADER = struct.Struct(">III")
 #: Turns flag bytes 0/1 into the ASCII digits ``int(_, 2)`` reads.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 #: Filter bits one step of :meth:`BloomFilter._pack` converts (a multiple
@@ -32,6 +35,23 @@ def hash_item(item: bytes) -> HashedItem:
     """Hash ``item`` once for any number of filter probes."""
     digest = hashlib.sha256(item).digest()  # h2 odd => full cycle
     return int.from_bytes(digest[:16], "big"), int.from_bytes(digest[16:], "big") | 1
+
+
+def bits_contain(bits, num_bits: int, num_hashes: int, item: HashedItem) -> bool:
+    """The probe of :meth:`BloomFilter.__contains__` over any indexable
+    bit array — a filter's own, or a serialized filter's payload probed
+    in place: the stepping loop of :meth:`BloomFilter.add`, stopping at
+    the first clear bit."""
+    h1, h2 = item
+    position = h1 % num_bits
+    step = h2 % num_bits
+    for _ in range(num_hashes):
+        if not bits[position >> 3] & (1 << (position & 7)):
+            return False
+        position += step
+        if position >= num_bits:
+            position -= num_bits
+    return True
 
 
 class BloomFilter:
@@ -49,6 +69,7 @@ class BloomFilter:
         # One byte per bit, set by adds and not yet packed into _bits.
         self._flags: bytearray | None = None
         self._count = 0
+        self._cached_bytes: bytes | None = None
         self._cached_digest: Digest | None = None
 
     @classmethod
@@ -93,7 +114,7 @@ class BloomFilter:
                 if position >= num_bits:
                     position -= num_bits
         self._count += count
-        self._cached_digest = None
+        self._cached_bytes = self._cached_digest = None
 
     def _pack(self) -> None:
         """OR the pending flags into the bit array: bit ``p`` is bit
@@ -111,22 +132,15 @@ class BloomFilter:
 
     def __contains__(self, item: Union[bytes, HashedItem]) -> bool:
         """Membership of a raw item or of its :func:`hash_item` pair (a
-        lookup hashes its address once for every run's filter): the
-        stepping loop of :meth:`add`, stopping at the first clear bit."""
+        lookup hashes its address once for every run's filter)."""
         if self._flags is not None:
             self._pack()
-        h1, h2 = item if type(item) is tuple else hash_item(item)
-        bits = self._bits
-        num_bits = self.num_bits
-        position = h1 % num_bits
-        step = h2 % num_bits
-        for _ in range(self.num_hashes):
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-            position += step
-            if position >= num_bits:
-                position -= num_bits
-        return True
+        return bits_contain(
+            self._bits,
+            self.num_bits,
+            self.num_hashes,
+            item if type(item) is tuple else hash_item(item),
+        )
 
     def may_contain(self, item: Union[bytes, HashedItem]) -> bool:
         """True if ``item`` may be present (false positives possible)."""
@@ -149,11 +163,17 @@ class BloomFilter:
     # -- serialization (part of provenance proofs) ----------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize to a stable byte string (used in proofs and digests)."""
-        if self._flags is not None:
-            self._pack()
-        header = encode_u32(self.num_bits) + encode_u32(self.num_hashes) + encode_u32(self._count)
-        return header + bytes(self._bits)
+        """Serialize to a stable byte string (used in proofs and digests).
+
+        Cached between mutations, like :meth:`digest`: a finished run's
+        filter is disclosed whole by every provenance query that skips it.
+        """
+        if self._cached_bytes is None:
+            if self._flags is not None:
+                self._pack()
+            header = _HEADER.pack(self.num_bits, self.num_hashes, self._count)
+            self._cached_bytes = header + bytes(self._bits)
+        return self._cached_bytes
 
     @staticmethod
     def parse_header(data: bytes) -> Tuple[int, int, int]:
@@ -165,13 +185,12 @@ class BloomFilter:
         """
         if len(data) < 12:
             raise StorageError("truncated bloom filter")
-        num_bits = decode_u32(data, 0)
-        num_hashes = decode_u32(data, 4)
+        num_bits, num_hashes, count = _HEADER.unpack_from(data)
         if num_bits < 8 or num_hashes < 1:
             raise StorageError("bloom filter header is not one to_bytes writes")
         if len(data) - 12 != (num_bits + 7) // 8:
             raise StorageError("bloom filter payload size mismatch")
-        return num_bits, num_hashes, decode_u32(data, 8)
+        return num_bits, num_hashes, count
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":

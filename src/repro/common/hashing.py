@@ -36,8 +36,6 @@ def hash_concat(parts: Iterable[bytes]) -> Digest:
 
     Used for m-ary Merkle nodes (``h(h1 || h2 || ... || hm)``) and for the
     ``root_hash_list`` digest that becomes ``Hstate`` in the block header.
+    The parts are joined and hashed in one call, not fed one at a time.
     """
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part)
-    return hasher.digest()
+    return hashlib.sha256(b"".join(parts)).digest()

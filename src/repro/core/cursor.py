@@ -8,12 +8,13 @@ k-way merge, :func:`repro.core.merge.merge_newest_first` (the run
 builds' merge too), wrapped in :class:`MergingCursor`, which resolves
 would-be duplicate keys newest-source-wins.
 
-On top of the raw merged stream, :func:`resolve_versions` applies MVCC
-newest-wins version resolution: for every address it emits the single
-version live at ``at_blk`` (``MAX_BLK`` = the latest) and suppresses all
-shadowed entries — older versions of the address and versions written
-after ``at_blk``.  The engine has no deletes (state updates only, as in
-the paper), so shadow suppression is the entire tombstone story.
+On top of the raw merged stream, :func:`scan_sources` applies MVCC
+newest-wins version resolution as it reads: for every address it keeps
+the single version live at ``at_blk`` (``MAX_BLK`` = the latest) and
+suppresses all shadowed entries — older versions of the address and
+versions written after ``at_blk``.  The engine has no deletes (state
+updates only, as in the paper), so shadow suppression is the entire
+tombstone story.
 
 The classic LSM read-path architecture (RocksDB-style merging iterators
 over immutable sorted runs): point lookups, provenance scans, and the
@@ -29,11 +30,11 @@ created, driven, and dropped under one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloomfilter import HashedItem
 from repro.common.errors import StorageError
-from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int, compound_key
+from repro.core.compound import MAX_BLK, compound_key
 from repro.core.merge import merge_newest_first
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
@@ -72,7 +73,7 @@ class ReadSource:
     on-disk :class:`~repro.core.run.Run` behind one interface, labeled
     exactly as in ``root_hash_list`` so provenance proofs can address
     it.  A ``StoreView`` holds them in search order; point lookups
-    (:meth:`floor_search`), provenance scans, and range scans
+    (:meth:`probe`), provenance scans, and range scans
     (:meth:`iter_from`) all traverse that tuple in the same order.
     """
 
@@ -88,12 +89,29 @@ class ReadSource:
     def run(cls, label: str, run) -> "ReadSource":
         return cls(label=label, kind="run", source=run)
 
-    def may_contain(self, addr: Union[bytes, HashedItem]) -> bool:
-        """Bloom pre-check (runs only; L0 has no filter).  A caller that
-        walks several sources passes ``hash_item(addr)``, hashed once."""
-        if self.kind == "run":
-            return self.source.may_contain(addr)
-        return True
+    def probe(self, key: int, hashed: HashedItem) -> Optional[bytes]:
+        """Algorithm 6's step on this source: the value of the newest
+        version of ``key``'s address at or below ``key``, or ``None`` if
+        this source holds none.
+
+        A run is searched only if its filter admits the address, probed
+        with ``hashed`` — its ``hash_item`` pair, hashed once by a caller
+        that walks several sources; L0 has no filter (the caller holds
+        the mem lock around its probe).  The floor's address is compared
+        as the integer ``key >> 64``.
+        """
+        source = self.source
+        if self.kind == "mem":
+            found = source.floor_search(key)
+        elif hashed in source.bloom:
+            found = source.floor_search(key)
+            if found is not None:
+                found = found[0]  # a run answers (entry, position)
+        else:
+            return None
+        if found is None or found[0] >> 64 != key >> 64:
+            return None
+        return found[1]
 
     def overlaps(self, key_low: int, key_high: int) -> bool:
         """Range pre-check: can this source hold a key in the range?
@@ -108,13 +126,6 @@ class ReadSource:
         first, last = self.source.key_range()
         return first <= key_high and last >= key_low
 
-    def floor_search(self, key: int) -> Optional[Entry]:
-        """Largest entry with compound key <= ``key``, if any."""
-        if self.kind == "run":
-            found = self.source.floor_search(key)
-            return found[0] if found is not None else None
-        return self.source.floor_search(key)
-
     def iter_from(self, key: int) -> Iterator[Entry]:
         """Entries with compound key >= ``key``, ascending."""
         return self.source.iter_from(key)
@@ -125,43 +136,8 @@ class ReadSource:
 
 
 # =============================================================================
-# MVCC version resolution over a merged stream
+# the scan kernel: merge + MVCC version resolution
 # =============================================================================
-
-def resolve_versions(
-    entries: Iterator[Entry],
-    *,
-    at_blk: int,
-    addr_size: int,
-    key_high: int,
-) -> Iterator[ScanTriple]:
-    """Reduce an ordered compound-key stream to live ``(addr, blk,
-    value)`` triples.
-
-    For each address the stream yields its versions in ascending block
-    order; the live version at ``at_blk`` is the *last* one with
-    ``blk <= at_blk``.  Versions written after ``at_blk`` and shadowed
-    older versions are suppressed; an address whose every version
-    postdates ``at_blk`` did not exist then and is skipped entirely.
-    The stream is consumed only up to ``key_high`` (inclusive).
-    """
-    current_addr: Optional[bytes] = None
-    candidate: Optional[ScanTriple] = None
-    for key, value in entries:
-        if key > key_high:
-            break
-        addr = addr_of_int(key, addr_size)
-        if addr != current_addr:
-            if candidate is not None:
-                yield candidate
-            current_addr = addr
-            candidate = None
-        blk = blk_of_int(key)
-        if blk <= at_blk:
-            candidate = (addr, blk, value)  # ascending: later wins
-    if candidate is not None:
-        yield candidate
-
 
 def scan_sources(
     sources: Sequence[ReadSource],
@@ -176,6 +152,14 @@ def scan_sources(
     the addresses in ``[addr_low, addr_high]`` as of ``at_blk`` (``None``
     = latest) — the scan kernel of both engines, and the one place a
     scan request is validated.
+
+    Versions resolve inline on the merged stream: an address's versions
+    arrive in ascending block order, so its live version at ``at_blk``
+    is the *last* one with ``blk <= at_blk``.  Versions written after
+    ``at_blk`` and shadowed older versions are suppressed, and an
+    address whose every version postdates ``at_blk`` did not exist then.
+    Addresses are compared as the integer ``key >> 64``; address bytes
+    are built only for the triples returned.
 
     Must run under the engine's gate held shared for its whole
     duration (the caller's job): the source iterators walk live
@@ -199,14 +183,30 @@ def scan_sources(
             if source.overlaps(key_low, key_high)
         ]
     )
-    out: List[ScanTriple] = []
-    for triple in resolve_versions(
-        iter(merged), at_blk=resolved_at, addr_size=addr_size, key_high=key_high
-    ):
-        out.append(triple)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    high = key_high >> 64
+    live: List[Entry] = []  # per address, its live version's (key, value)
+    current = -1  # the address (``key >> 64``) being resolved
+    candidate: Optional[Entry] = None
+    for entry in merged:
+        key = entry[0]
+        addr = key >> 64
+        if addr != current:
+            if addr > high:
+                break
+            if candidate is not None:
+                live.append(candidate)
+                candidate = None
+                if len(live) == limit:
+                    break
+            current = addr
+        if key & MAX_BLK <= resolved_at:
+            candidate = entry  # ascending: later wins
+    if candidate is not None:
+        live.append(candidate)
+    return [
+        ((key >> 64).to_bytes(addr_size, "big"), key & MAX_BLK, value)
+        for key, value in live
+    ]
 
 
 def addr_successor(addr: bytes) -> Optional[bytes]:

@@ -33,7 +33,7 @@ from repro.common.codec import (
 from repro.common.errors import StorageError
 from repro.common.params import SystemParams
 from repro.diskio.pagefile import PagedFile
-from repro.learned.model import Model
+from repro.learned.model import Model, predict_position
 from repro.learned.plm import build_models
 
 _MAGIC = b"CIDX"
@@ -127,6 +127,7 @@ class IndexFile:
         self._file = file
         self._key_size = params.key_size
         self._record_size = Model.record_size(params.key_size)
+        self._unpack_record = Model.record_struct(params.key_size).unpack_from
         self._layers, self.models_per_page = self._read_metadata()
 
     def _read_metadata(self) -> Tuple[List[LayerInfo], int]:
@@ -154,19 +155,24 @@ class IndexFile:
         """Models in the bottom layer (useful for ablation statistics)."""
         return self._layers[0].num_models
 
-    def search(self, key: int) -> Optional[int]:
+    def search(self, key: int, key_bytes: Optional[bytes] = None) -> Optional[int]:
         """Predicted value-file position for ``key`` (Algorithm 7 lines 4-8).
 
         Returns ``None`` when ``key`` precedes every key in the run; the
         returned position is within ε of the true floor position.  Each
         layer is searched on its pages' own ``kmin`` bytes and only the
-        covering model is decoded.
+        covering model's record is read, by one ``struct`` call.  A caller
+        that has already clamped ``key`` to the key space and encoded it
+        (a run's floor search, which needs both for the value file too)
+        passes the encoding as ``key_bytes``.
         """
-        key = clamp_key(key, self._key_size)
-        if key is None:
-            return None
-        key_bytes = key.to_bytes(self._key_size, "big")
+        if key_bytes is None:
+            key = clamp_key(key, self._key_size)
+            if key is None:
+                return None
+            key_bytes = key.to_bytes(self._key_size, "big")
         per_page, stride = self.models_per_page, self._record_size
+        unpack = self._unpack_record
         predicted = 0
         for layer in reversed(self._layers):
             found = self._file.floor_page(
@@ -178,5 +184,6 @@ class IndexFile:
             page, data = found
             on_page = min(per_page, layer.num_models - page * per_page)
             slot = floor_slot(data, on_page, stride, _KMIN_OFFSET, key_bytes)
-            predicted = Model.from_bytes(data, self._key_size, slot * stride).predict(key)
+            sl, ic, kmin, pmax = unpack(data, slot * stride)
+            predicted = predict_position(sl, ic, int.from_bytes(kmin, "big"), pmax, key)
         return predicted

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import DIGEST_SIZE, Digest, hash_bytes, hash_concat
@@ -179,32 +179,29 @@ class MerkleFile:
         """Range proof for leaf positions ``[lo, hi]`` (inclusive).
 
         A layer's siblings are the two ends of one contiguous span of
-        hashes: each page they touch is read once, not once per hash.
+        hashes, walked left to right: each page they touch is read once,
+        not once per hash — the two ends usually share one.
         """
         if not 0 <= lo <= hi < self.num_leaves:
             raise StorageError(f"bad proof range [{lo}, {hi}]")
         leaf_lo, leaf_hi = lo, hi
-        pages: Dict[int, bytes] = {}  # read by this call
-
-        def hashes(layer: int, start: int, stop: int) -> List[Digest]:
-            out: List[Digest] = []
-            for index in range(start, stop):
-                page, slot = divmod(index, self._hashes_per_page)
-                page += self._layer_pages[layer][0]
-                if page not in pages:
-                    pages[page] = self._file.read_page(page)
-                out.append(pages[page][slot * DIGEST_SIZE : (slot + 1) * DIGEST_SIZE])
-            return out
-
+        fanout, per_page, read_page = self.fanout, self._hashes_per_page, self._file.read_page
         sibling_layers: List[Tuple[List[Digest], List[Digest]]] = []
-        for layer in range(len(self._sizes) - 1):
-            group_lo = lo // self.fanout
-            group_hi = hi // self.fanout
-            span_end = min((group_hi + 1) * self.fanout, self._sizes[layer])
-            left = hashes(layer, group_lo * self.fanout, lo)
-            right = hashes(layer, hi + 1, span_end)
-            sibling_layers.append((left, right))
-            lo, hi = group_lo, group_hi
+        for (first_page, _num_pages), size in zip(self._layer_pages, self._sizes[:-1]):
+            page = -1  # this layer's page in ``data``, by index within the layer
+            ends: List[List[Digest]] = [[], []]
+            for hashes, start, stop in (
+                (ends[0], lo - lo % fanout, lo),
+                (ends[1], hi + 1, min(hi - hi % fanout + fanout, size)),
+            ):
+                for index in range(start, stop):
+                    if index // per_page != page:
+                        page = index // per_page
+                        data = read_page(first_page + page)
+                    offset = (index - page * per_page) * DIGEST_SIZE
+                    hashes.append(data[offset : offset + DIGEST_SIZE])
+            sibling_layers.append((ends[0], ends[1]))
+            lo, hi = lo // fanout, hi // fanout
         return MerkleRangeProof(
             lo=leaf_lo,
             hi=leaf_hi,

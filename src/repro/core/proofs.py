@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.bloomfilter import BloomFilter
+from repro.bloomfilter import BloomFilter, HashedItem, bits_contain
+from repro.common.errors import VerificationError
 from repro.common.hashing import Digest, hash_bytes, hash_concat
 from repro.core.merklefile import MerkleRangeProof
 from repro.mbtree.proof import MBTreeProof
@@ -63,11 +64,22 @@ class RunNegativeItem:
     bloom_bytes: bytes
     merkle_root: Digest
 
-    def commitment(self) -> Digest:
+    def commitment(self, absent: Optional[HashedItem] = None) -> Digest:
         """The run's ``root_hash_list`` entry.  A filter's digest is the
         hash of its serialized form, so a well-formed ``bloom_bytes`` is
-        hashed as it stands."""
-        BloomFilter.parse_header(self.bloom_bytes)
+        hashed as it stands.
+
+        With ``absent`` (an address's ``hash_item`` pair) the filter must
+        also exclude that address — the reason the run was skipped —
+        probed on the payload in place, under the same header parse.
+        """
+        num_bits, num_hashes, _count = BloomFilter.parse_header(self.bloom_bytes)
+        if absent is not None and bits_contain(
+            memoryview(self.bloom_bytes)[12:], num_bits, num_hashes, absent
+        ):
+            raise VerificationError(
+                "run was skipped but its bloom filter contains the address"
+            )
         return hash_concat([self.merkle_root, hash_bytes(self.bloom_bytes)])
 
     def size_bytes(self) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.bloomfilter import BloomFilter, HashedItem
+from repro.bloomfilter import BloomFilter
 from repro.common.codec import clamp_key
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_concat
@@ -99,6 +98,7 @@ class Run:
         )
         self._key_size = system.key_size
         self._key_range: Optional[Tuple[int, int]] = None  # lazy, immutable
+        self._commitment: Optional[Tuple[Digest, Digest]] = None  # (filter digest, memo)
 
     # -- construction -----------------------------------------------------------
 
@@ -202,48 +202,62 @@ class Run:
     # -- authentication -----------------------------------------------------------
 
     def commitment(self) -> Digest:
-        """The run's entry in ``root_hash_list``: Merkle root + bloom (§4)."""
-        return hash_concat([self.merkle_root, self.bloom.digest()])
+        """The run's entry in ``root_hash_list``: Merkle root + bloom (§4).
+
+        Hashed once per filter digest: a finished filter hands back the
+        same digest object until an add changes its bits, so the memo is
+        keyed on that object's identity and can never outlive a change.
+        """
+        bloom_digest = self.bloom.digest()
+        memo = self._commitment
+        if memo is None or memo[0] is not bloom_digest:
+            memo = self._commitment = (
+                bloom_digest, hash_concat([self.merkle_root, bloom_digest])
+            )
+        return memo[1]
 
     # -- queries -------------------------------------------------------------------
 
-    def may_contain(self, addr: Union[bytes, HashedItem]) -> bool:
-        """Bloom pre-check on the address, raw or as its ``hash_item``
-        pair (Algorithm 7 line 2)."""
-        return addr in self.bloom
-
-    def floor_search(self, key: int) -> Optional[Tuple[Entry, int]]:
+    def floor_search(self, key: int, *, with_page: bool = False) -> Optional[tuple]:
         """Largest pair with pair key <= ``key``: learned index + page step.
 
         Returns ``(entry, position)`` or ``None`` if ``key`` precedes the
         whole run (any negative ``key`` does; one past the key space
-        searches as the largest key).  IO cost: one page per index layer
-        (±1 on a miss) plus one or two value-file pages, each read once —
-        the ``Cmodel`` of Table 1.
+        searches as the largest key); ``with_page`` appends the bytes of
+        the value page the pair is on, for a scan to start from.  IO
+        cost: one page per index layer (±1 on a miss) plus one or two
+        value-file pages, each read once — the ``Cmodel`` of Table 1.
         """
         key = clamp_key(key, self._key_size)
         if key is None:
             return None
-        predicted = self.index_file.search(key)
+        encoded = key.to_bytes(self._key_size, "big")
+        predicted = self.index_file.search(key, encoded)
         if predicted is None:
             return None
-        return self.value_file.floor_near(predicted, key.to_bytes(self._key_size, "big"))
+        found = self.value_file.floor_page(predicted, encoded)
+        if found is None:
+            return None
+        page_id, data = found
+        hit = self.value_file.floor_in_page(page_id, encoded, data)
+        return (*hit, data) if with_page else hit
 
     def iter_from(self, key: int) -> Iterator[Entry]:
         """Pairs with pair key >= ``key``, ascending: one learned-index
         descent now, then page-sequential value-file reads — one page
         read per ``pairs_per_page`` entries, not a point lookup per key.
+        The value page the descent settled on is where the scan starts
+        when its first pair is there, so the seek reads it only once.
         """
-        floor = self.floor_search(key)
+        floor = self.floor_search(key, with_page=True)
         if floor is None:
-            position = 0  # key precedes the whole run
-        else:
-            entry, position = floor
-            if entry[0] < key:
-                position += 1
-        # Streaming read: tagged sequential so one big scan cannot evict
-        # the page cache's protected (hot point-read) segment.
-        return map(itemgetter(0), self.value_file.scan_from(position, sequential=True))
+            return self.value_file.scan_from(0)  # key precedes the whole run
+        (floor_key, _value), position, page = floor
+        if floor_key < key:  # the scan starts one past the floor ...
+            position += 1
+            if position % self.value_file.pairs_per_page == 0:
+                page = None  # ... on the next page
+        return self.value_file.scan_from(position, page)
 
     def key_range(self) -> Tuple[int, int]:
         """Smallest and largest compound key stored in this run.
@@ -271,12 +285,11 @@ class Run:
         floor = self.floor_search(key_low)
         lo = floor[1] if floor is not None else 0
         entries: List[Entry] = []
-        hi = lo
-        for entry, position in self.value_file.scan_from(lo):
+        for entry in self.value_file.scan_from(lo):
             entries.append(entry)
-            hi = position
             if entry[0] > key_high:
                 break
+        hi = lo + len(entries) - 1
         proof = self.merkle_file.prove_range(lo, hi)
         return RunScan(entries=entries, lo=lo, hi=hi, proof=proof)
 

@@ -36,7 +36,7 @@ from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
 from repro.core.compaction import make_policy
-from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int, check_blk, compound_key
+from repro.core.compound import MAX_BLK, check_blk, compound_key
 from repro.core.cursor import ReadSource, ScanTriple, scan_sources
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import Manifest, RunRecord, load_manifest, save_manifest
@@ -425,13 +425,13 @@ class Cole:
         writing L0 group — the only source still taking inserts — is
         probed for every address under one mem-lock hold, so the batch
         describes one instant (``put_many`` inserts under the same lock).
-        Within each source the still-unresolved addresses are bloom-filtered
-        and probed in ascending key order, so a run's index and value
-        files are touched sequentially rather than in request order.
-        An address resolved by a fresher source is never probed again
-        in older ones (Algorithm 6's first-hit-wins, batch-wide).
+        Within each source the still-unresolved addresses are probed
+        (:meth:`ReadSource.probe`, as by ``get``) in ascending key order,
+        so a run's index and value files are touched sequentially rather
+        than in request order.  An address resolved by a fresher source
+        is never probed again in older ones (Algorithm 6's first-hit-wins,
+        batch-wide).
         """
-        addr_size = self._addr_size()
         results: List[Optional[bytes]] = [None] * len(addrs)
         # Duplicates in one batch resolve to the same snapshot answer;
         # probe each distinct address once and fan the value back out.
@@ -443,23 +443,19 @@ class Cole:
             if not pending:
                 break
             with self._mem_lock if source.kind == "mem" else _NO_LOCK:
-                candidates = sorted(
-                    addr for addr in pending if source.may_contain(hashed[addr])
-                )
-                for addr in candidates:
-                    found = source.floor_search(compound_key(addr, MAX_BLK))
-                    if found is not None and addr_of_int(found[0], addr_size) == addr:
+                for addr in sorted(pending):
+                    value = source.probe(compound_key(addr, MAX_BLK), hashed[addr])
+                    if value is not None:
                         for index in pending.pop(addr):
-                            results[index] = found[1]
+                            results[index] = value
         return results
 
     def _lookup(self, view: StoreView, key: int, addr: bytes, wait: bool):
-        """Floor-search ``view``'s sources in freshness order (Algorithm
-        6): the newest entry for ``addr`` with compound key <= ``key``.
-        Runs are write-once and probed lock-free; an L0 group is probed
-        under the mem lock — with ``wait=False`` only if it is free:
+        """Probe ``view``'s sources in freshness order (Algorithm 6): the
+        newest entry for ``addr`` with compound key <= ``key``.  Runs are
+        write-once and probed lock-free; an L0 group is probed under the
+        mem lock — with ``wait=False`` only if it is free:
         :data:`WOULD_BLOCK` is the answer when an insert holds it."""
-        addr_size = self._addr_size()
         hashed = hash_item(addr)  # once, for every run's filter
         lock = self._mem_lock
         for source in view.sources:
@@ -467,15 +463,13 @@ class Cole:
                 if not lock.acquire(wait):
                     return WOULD_BLOCK
                 try:
-                    found = source.floor_search(key)
+                    value = source.probe(key, hashed)
                 finally:
                     lock.release()
-            elif source.may_contain(hashed):
-                found = source.floor_search(key)
             else:
-                continue
-            if found is not None and addr_of_int(found[0], addr_size) == addr:
-                return found[1]
+                value = source.probe(key, hashed)
+            if value is not None:
+                return value
         return None
 
     def _read_sources(self) -> Tuple[ReadSource, ...]:
@@ -539,7 +533,6 @@ class Cole:
         addr_int = int.from_bytes(addr, "big")
         key_low = addr_int * 2**64 + blk_low - 1  # <addr, blk_low - 1>
         key_high = addr_int * 2**64 + min(blk_high + 1, MAX_BLK)
-        addr_size = self._addr_size()
         hashed = hash_item(addr)
 
         found: Dict[int, bytes] = {}  # blk -> value, for our address
@@ -550,9 +543,9 @@ class Cole:
             """Record disclosed versions of addr; True if one predates blk_low."""
             saw_older = False
             for entry_key, value in entries:
-                if addr_of_int(entry_key, addr_size) != addr:
+                if entry_key >> 64 != addr_int:
                     continue
-                blk = blk_of_int(entry_key)
+                blk = entry_key & MAX_BLK
                 if blk > blk_high:
                     continue
                 found.setdefault(blk, value)
@@ -573,7 +566,7 @@ class Cole:
                     early_stop = True
                 continue
             run = source.source
-            if not run.may_contain(hashed):
+            if hashed not in run.bloom:
                 items_by_label[source.label] = RunNegativeItem(
                     bloom_bytes=run.bloom.to_bytes(), merkle_root=run.merkle_root
                 )
@@ -590,10 +583,12 @@ class Cole:
             if note_entries(scan.entries):
                 early_stop = True
 
+        # In root_hash_list order; only an unsearched source's digest is
+        # needed, as its stub.
         items: List[ProofItem] = []
-        for label, digest in self._root_hash_list():
-            item = items_by_label.get(label)
-            items.append(item if item is not None else StubItem(digest=digest))
+        for source in self._view.roots:
+            item = items_by_label.get(source.label)
+            items.append(item if item is not None else StubItem(digest=source.digest()))
 
         proof = ProvenanceProof(
             addr=addr, blk_low=blk_low, blk_high=blk_high, items=items

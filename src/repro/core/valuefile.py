@@ -123,15 +123,14 @@ class ValueFile:
         data = self._file.read_page(self.page_of(position))
         return self._slot_entry(data, position % self._pairs_per_page)
 
-    def floor_near(self, predicted: int, key: bytes) -> Optional[Tuple[Entry, int]]:
-        """Largest pair with pair key <= the encoded ``key``, stepping from
-        the page of the ``predicted`` position; every page read once."""
-        found = self._file.floor_page(
+    def floor_page(self, predicted: int, key: bytes) -> Optional[Tuple[int, bytes]]:
+        """``(page_id, data)`` of the page holding the largest pair with
+        pair key <= the encoded ``key``, stepping from the page of the
+        ``predicted`` position (:meth:`PagedFile.floor_page`); every page
+        read once."""
+        return self._file.floor_page(
             0, self.num_entries, self._pairs_per_page, self._pair_size, 0, predicted, key
         )
-        if found is None:
-            return None
-        return self.floor_in_page(found[0], key, found[1])
 
     def floor_in_page(
         self, page_id: int, key: Union[int, bytes], data: Optional[bytes] = None
@@ -154,27 +153,33 @@ class ValueFile:
             return None
         return self._slot_entry(data, slot), page_id * self._pairs_per_page + slot
 
-    def scan_from(
-        self, position: int, sequential: bool = True
-    ) -> Iterator[Tuple[Entry, int]]:
-        """Yield ``(pair, position)`` sequentially starting at ``position``.
+    def scan_from(self, position: int, data: Optional[bytes] = None) -> Iterator[Entry]:
+        """Yield the pairs from ``position`` on, in order, decoded straight
+        off each page.
 
         The streaming read of provenance queries (Algorithm 8 lines
         14-17) and of range scans (``Run.iter_from``): one page read per
         ``pairs_per_page`` pairs, each pair decoded only when the
         consumer actually pulls it (a limit-bounded scan stops paying
-        mid-page).  Pages are read with the ``sequential`` hint (default
-        on — every scan_from caller is streaming), so one large scan
-        cannot evict the page cache's protected hot set.
+        mid-page).  ``data``, when given, is the page holding
+        ``position`` as the caller already read it (a range scan's seek
+        page), and is not read again.  Pages are read with the
+        sequential hint, so one large scan cannot evict the page cache's
+        protected hot set.
         """
-        page_id = self.page_of(position)
-        while position < self.num_entries:
-            data = self._file.read_page(page_id, sequential=sequential)
-            first = page_id * self._pairs_per_page
-            for slot in range(position - first, self._page_count(page_id)):
-                yield self._slot_entry(data, slot), position
-                position += 1
-            page_id += 1
+        if position >= self.num_entries:
+            return
+        per_page, pair_size, key_size = self._pairs_per_page, self._pair_size, self._key_size
+        from_bytes = int.from_bytes
+        first_page, slot = divmod(position, per_page)
+        start = slot * pair_size
+        for page_id in range(first_page, self.page_of(self.num_entries - 1) + 1):
+            if data is None:
+                data = self._file.read_page(page_id, sequential=True)
+            for offset in range(start, self._page_count(page_id) * pair_size, pair_size):
+                split = offset + key_size
+                yield from_bytes(data[offset:split], "big"), data[split : offset + pair_size]
+            data, start = None, 0
 
     def iter_pairs(self) -> Iterator[bytes]:
         """Yield every encoded pair in key order (sequential page reads),

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.bloomfilter import BloomFilter
+from repro.bloomfilter import hash_item
 from repro.common.errors import VerificationError
 from repro.common.hashing import Digest, hash_concat
-from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int
+from repro.core.compound import MAX_BLK
 from repro.core.merklefile import fold_range_proof
 from repro.core.proofs import (
     MemProofItem,
@@ -44,10 +44,10 @@ def verify_provenance(
     """
     proof = result.proof
     key_width = key_width if key_width is not None else addr_size + 8
-    addr = proof.addr
-    addr_int = int.from_bytes(addr, "big")
+    addr_int = int.from_bytes(proof.addr, "big")
     key_low = addr_int * 2**64 + proof.blk_low - 1
     key_high = addr_int * 2**64 + min(proof.blk_high + 1, MAX_BLK)
+    hashed = hash_item(proof.addr)  # once, for every disclosed filter
 
     digests: List[Digest] = []
     disclosed: Dict[int, bytes] = {}
@@ -72,19 +72,14 @@ def verify_provenance(
             merkle_root = _reconstruct_merkle_root(item, key_width)
             digests.append(item.commitment(merkle_root))
         elif isinstance(item, RunNegativeItem):
-            bloom = BloomFilter.from_bytes(item.bloom_bytes)
-            if addr in bloom:
-                raise VerificationError(
-                    "run was skipped but its bloom filter contains the address"
-                )
-            digests.append(item.commitment())
+            digests.append(item.commitment(absent=hashed))
             continue
         else:  # pragma: no cover - exhaustive match
             raise VerificationError(f"unknown proof item {type(item).__name__}")
         for entry_key, value in entries:
-            if addr_of_int(entry_key, addr_size) != addr:
+            if entry_key >> 64 != addr_int:
                 continue
-            blk = blk_of_int(entry_key)
+            blk = entry_key & MAX_BLK
             if blk > proof.blk_high:
                 continue
             disclosed.setdefault(blk, value)

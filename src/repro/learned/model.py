@@ -14,16 +14,10 @@ are rounded to doubles).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
-from repro.common.codec import (
-    decode_u64,
-    encode_u64,
-    int_from_bytes,
-    int_to_bytes,
-    pack_float,
-    unpack_float,
-)
+from repro.common.codec import encode_u64, int_to_bytes, pack_float
 
 #: Number of IEEE-754 doubles in the serialized record (slope, intercept).
 MODEL_FLOAT_FIELDS = 2
@@ -47,11 +41,7 @@ class Model:
 
     def predict(self, key: int) -> int:
         """Predicted position of ``key``, clamped to ``[0, pmax]``."""
-        raw = self.sl * float(key - self.kmin) + self.ic
-        if raw < 0.0:
-            return 0
-        predicted = int(raw)
-        return self.pmax if predicted > self.pmax else predicted
+        return predict_position(self.sl, self.ic, self.kmin, self.pmax, key)
 
     def covers(self, key: int) -> bool:
         """True if the model may be used for ``key`` (Algorithm 7 line 11)."""
@@ -63,6 +53,11 @@ class Model:
     def record_size(key_width: int) -> int:
         """Serialized size in bytes for a given key width."""
         return 8 * MODEL_FLOAT_FIELDS + key_width + 8
+
+    @staticmethod
+    def record_struct(key_width: int) -> struct.Struct:
+        """The record as one ``struct``: ``(sl, ic, kmin bytes, pmax)``."""
+        return struct.Struct(f">dd{key_width}sQ")
 
     def to_bytes(self, key_width: int) -> bytes:
         """Serialize as ``sl || ic || kmin || pmax``."""
@@ -76,8 +71,15 @@ class Model:
     @classmethod
     def from_bytes(cls, data: bytes, key_width: int, offset: int = 0) -> "Model":
         """Deserialize a record written by :meth:`to_bytes`."""
-        sl = unpack_float(data, offset)
-        ic = unpack_float(data, offset + 8)
-        kmin = int_from_bytes(data[offset + 16 : offset + 16 + key_width])
-        pmax = decode_u64(data, offset + 16 + key_width)
-        return cls(sl=sl, ic=ic, kmin=kmin, pmax=pmax)
+        sl, ic, kmin, pmax = cls.record_struct(key_width).unpack_from(data, offset)
+        return cls(sl=sl, ic=ic, kmin=int.from_bytes(kmin, "big"), pmax=pmax)
+
+
+def predict_position(sl: float, ic: float, kmin: int, pmax: int, key: int) -> int:
+    """Definition 1's prediction ``sl * (key - kmin) + ic``, clamped to
+    ``[0, pmax]`` — for a :class:`Model` or a record read off a page."""
+    raw = sl * float(key - kmin) + ic
+    if raw < 0.0:
+        return 0
+    predicted = int(raw)
+    return pmax if predicted > pmax else predicted

@@ -121,7 +121,7 @@ def test_read_io_bounded_by_levels(workdir, params, rng):
         # pages per index layer and two value pages, nothing read twice;
         # a run the filter excludes costs no IO at all.
         bound = sum(
-            2 * run.index_file.num_layers + 2 for run in runs if run.may_contain(addr)
+            2 * run.index_file.num_layers + 2 for run in runs if addr in run.bloom
         )
         before = stats.snapshot()
         cole.get(addr)
@@ -130,6 +130,6 @@ def test_read_io_bounded_by_levels(workdir, params, rng):
     before = stats.snapshot()
     assert cole.get(absent) is None
     assert stats.delta(before).total_reads <= sum(
-        2 * run.index_file.num_layers + 2 for run in runs if run.may_contain(absent)
+        2 * run.index_file.num_layers + 2 for run in runs if absent in run.bloom
     )
     cole.close()

@@ -16,7 +16,8 @@ import pytest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
-from repro.core.cursor import MergingCursor, resolve_versions
+from repro.core.cursor import MergingCursor, ReadSource, scan_sources
+from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
 from repro.mbtree import MBTree
 from repro.sharding import ShardedCole
@@ -100,21 +101,28 @@ def test_merging_cursor_merges_a_levels_runs(tmp_path, rng):
 
 
 def test_resolve_versions_picks_live_version_and_skips_unborn():
+    # scan_sources resolves versions inline on the merged stream.
     a1, a2, a3 = (bytes([n]) * ADDR for n in (1, 2, 3))
-    stream = [
-        (key_of(a1, 2), b"a1@2"), (key_of(a1, 5), b"a1@5"),
-        (key_of(a2, 7), b"a2@7"),
-        (key_of(a3, 1), b"a3@1"), (key_of(a3, 9), b"a3@9"),
-    ]
-    high = key_of(a3, MAX_BLK)
-    resolved = list(resolve_versions(
-        iter(stream), at_blk=5, addr_size=ADDR, key_high=high))
+    older, newer = MemGroup(PARAMS.system.key_size), MemGroup(PARAMS.system.key_size)
+    for group, addr, blk, value in [
+        (older, a1, 2, b"a1@2"), (newer, a1, 5, b"a1@5"),
+        (newer, a2, 7, b"a2@7"),
+        (older, a3, 1, b"a3@1"), (newer, a3, 9, b"a3@9"),
+    ]:
+        group.insert(key_of(addr, blk), value)
+    sources = [ReadSource.mem("mem:w", newer), ReadSource.mem("mem:m", older)]
+
+    def scan(high, at_blk, limit=None):
+        return scan_sources(
+            sources, a1, high, at_blk=at_blk, limit=limit, addr_size=ADDR
+        )
+
     # a1: version 5 live; a2: unborn at 5; a3: version 1 live.
-    assert resolved == [(a1, 5, b"a1@5"), (a3, 1, b"a3@1")]
-    # key_high truncates mid-stream.
-    resolved = list(resolve_versions(
-        iter(stream), at_blk=MAX_BLK, addr_size=ADDR, key_high=key_of(a2, MAX_BLK)))
-    assert resolved == [(a1, 5, b"a1@5"), (a2, 7, b"a2@7")]
+    assert scan(a3, 5) == [(a1, 5, b"a1@5"), (a3, 1, b"a3@1")]
+    # The high bound truncates mid-stream; a limit cuts after whole addresses.
+    assert scan(a2, None) == [(a1, 5, b"a1@5"), (a2, 7, b"a2@7")]
+    assert scan(a3, None, limit=2) == [(a1, 5, b"a1@5"), (a2, 7, b"a2@7")]
+    assert scan(a3, 0) == []
 
 
 def test_addr_successor():

@@ -7,7 +7,10 @@ three and more layers (the benchmark store only ever has one), on keys
 equal to, between, below and above every stored key, on page-boundary
 keys, and on integers outside the key space.  The rest pins what the new
 path reads: no page twice per search, one SHA-256 per lookup, one read
-per Merkle page a proof touches.
+per Merkle page a proof touches, one header parse per disclosed filter,
+and the exact page reads of a batch of gets, get_ats, scans and
+provenance queries on the sync, async and 3-shard engines, whose answers
+and proofs must equal the oracle's.
 """
 
 import dataclasses
@@ -22,7 +25,7 @@ from repro import Cole, verify_provenance
 from repro.bloomfilter import BloomFilter, hash_item
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import hash_concat
-from repro.common.params import ColeParams, SystemParams
+from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core.compound import CompoundKey, MAX_BLK
 from repro.core.indexfile import IndexFile, IndexFileBuilder
 from repro.core.merklefile import (
@@ -35,6 +38,7 @@ from repro.core.proofs import RunNegativeItem, RunProofItem
 from repro.core.run import Run, encode_pairs
 from repro.diskio.pagefile import PagedFile
 from repro.diskio.workspace import Workspace
+from repro.sharding import ShardedCole
 
 
 def log_reads(monkeypatch):
@@ -420,6 +424,136 @@ def test_tampered_merkle_proofs_are_rejected(proven):
             verify_provenance(_replace_item(result, index, moved), root, addr_size=ADDR_SIZE)
 
 
+# =============================================================================
+# page counts of the read path, pinned per engine shape; answers vs the oracle
+# =============================================================================
+
+SHAPE_PARAMS = ColeParams(
+    system=SystemParams(addr_size=ADDR_SIZE, value_size=8, page_size=256),
+    mem_capacity=16,
+    size_ratio=3,
+)
+
+#: Page reads of one ``_read_batch`` per shape.  Gets, get_ats and provs
+#: read what they read before a scan's seek page was handed to it.  Scans
+#: are pinned as ``(reads when every seek page was read twice, seeks
+#: whose first entry is on the seek page)``: one page fewer per such seek
+#: (the second count is recomputed by the oracle).
+PINNED_PAGE_READS = {
+    "sync": {"get": 52, "get_at": 104, "prov": 282, "scan": (385, 80)},
+    "async": {"get": 41, "get_at": 104, "prov": 315, "scan": (527, 134)},
+    "sharded3": {"get": 40, "get_at": 69, "prov": 200, "scan": (533, 119)},
+}
+
+
+def _shape_store(directory, shape):
+    """A fixed 80-block store: runs on three levels, a non-empty L0."""
+    if shape == "sharded3":
+        engine = ShardedCole(directory, ShardParams(cole=SHAPE_PARAMS, num_shards=3))
+    else:
+        engine = Cole(directory, SHAPE_PARAMS.with_async(shape == "async"))
+    rng = random.Random(0x5EED)
+    pool = [rng.randbytes(ADDR_SIZE) for _ in range(72)]
+    for blk in range(1, 81):
+        engine.begin_block(blk)
+        engine.put_many([(addr, rng.randbytes(8)) for addr in rng.sample(pool, 7)])
+        engine.commit_block()
+    engine.wait_for_merges()  # no build reads pages behind the batch
+    return engine, pool
+
+
+def _read_batch(pool):
+    rng = random.Random(0xBA7C)
+    absent = [rng.randbytes(ADDR_SIZE) for _ in range(10)]
+    return (
+        [("get", (addr,)) for addr in rng.sample(pool, 30) + absent]
+        + [("get_at", (rng.choice(pool), rng.randint(0, 85))) for _ in range(20)]
+        + [("scan", (rng.randbytes(ADDR_SIZE), rng.choice([None, 40]), rng.choice([1, 5, 12])))
+           for _ in range(16)]
+        + [("prov", (rng.choice(pool), low, low + rng.randint(0, 30)))
+           for low in (rng.randint(0, 70) for _ in range(12))]
+    )
+
+
+def _execute(engine, kind, args):
+    if kind == "get":
+        return engine.get(*args)
+    if kind == "get_at":
+        return engine.get_at(*args)
+    if kind == "scan":
+        low, at_blk, limit = args
+        return engine.scan(low, b"\xff" * ADDR_SIZE, at_blk=at_blk, limit=limit)
+    return engine.prov_query(*args)
+
+
+def _pages_by_kind(engine, batch):
+    """Page reads per op kind; a first pass memoizes every run's key range."""
+    for kind, args in batch:
+        _execute(engine, kind, args)
+    pages = dict.fromkeys(["get", "get_at", "scan", "prov"], 0)
+    for kind, args in batch:
+        before = engine.stats.snapshot()
+        _execute(engine, kind, args)
+        pages[kind] += engine.stats.delta(before).total_reads
+    return pages
+
+
+def _shards(engine):
+    return engine.shards if isinstance(engine, ShardedCole) else [engine]
+
+
+def _seeks_on_seek_page(engine, low):
+    """Run seeks of a scan from ``low`` whose first entry is on the value
+    page the seek settled on: the pages a scan no longer reads twice."""
+    key_low = CompoundKey(low, 0).to_int()
+    key_high = CompoundKey(b"\xff" * ADDR_SIZE, MAX_BLK).to_int()
+    saved = 0
+    for shard in _shards(engine):
+        for source in shard._read_sources():
+            if source.kind != "run" or not source.overlaps(key_low, key_high):
+                continue
+            floor = read_oracle.run_floor_search(source.source, key_low)
+            if floor is None:
+                continue
+            (floor_key, _value), position = floor
+            first = position + (floor_key < key_low)
+            per_page = source.source.value_file.pairs_per_page
+            saved += first < source.source.num_entries and first // per_page == position // per_page
+    return saved
+
+
+@pytest.mark.parametrize("shape", ["sync", "async", "sharded3"])
+def test_read_path_page_reads_are_pinned_and_answers_match_the_oracle(tmp_path, shape):
+    engine, pool = _shape_store(str(tmp_path / "ws"), shape)
+    try:
+        batch = _read_batch(pool)
+        pages = _pages_by_kind(engine, batch)
+        saved = sum(_seeks_on_seek_page(engine, args[0]) for kind, args in batch if kind == "scan")
+        pinned = dict(PINNED_PAGE_READS[shape])
+        read_twice, on_seek_page = pinned.pop("scan")
+        assert saved == on_seek_page
+        assert pages == dict(pinned, scan=read_twice - on_seek_page)
+        for kind, args in batch:
+            answer = _execute(engine, kind, args)
+            if kind == "scan":
+                low, at_blk, limit = args
+                sources = [source for shard in _shards(engine) for source in shard._read_sources()]
+                at = MAX_BLK if at_blk is None else at_blk
+                expected = read_oracle.scan(sources, low, b"\xff" * ADDR_SIZE, at, limit, ADDR_SIZE)
+            elif kind == "prov":
+                owner = engine._shard_for(args[0]) if shape == "sharded3" else engine
+                answer = answer.result if shape == "sharded3" else answer
+                expected = read_oracle.prov_query(owner, *args)
+                assert answer.proof.size_bytes() == expected.proof.size_bytes()
+            else:
+                owner = engine._shard_for(args[0]) if shape == "sharded3" else engine
+                blk = args[1] if kind == "get_at" else MAX_BLK
+                expected = read_oracle.lookup(owner._read_sources(), args[0], blk)
+            assert answer == expected, (kind, args)
+    finally:
+        engine.close()
+
+
 def test_negative_item_header_must_match_its_payload(store):
     cole, _pool, _history = store
     result = cole.prov_query(b"\x01" * ADDR_SIZE, 20, 70)  # absent: runs answer by filter
@@ -453,3 +587,41 @@ def test_negative_item_header_must_match_its_payload(store):
     assert forged.commitment() != item.commitment()
     with pytest.raises(VerificationError):
         verify_provenance(_replace_item(result, index, forged), root, addr_size=ADDR_SIZE)
+
+
+def test_verifier_parses_each_disclosed_filter_once(store, monkeypatch):
+    cole, _pool, _history = store
+    result = cole.prov_query(b"\x01" * ADDR_SIZE, 20, 70)
+    root = cole.root_digest()
+    negatives = [
+        index for index, item in enumerate(result.proof.items)
+        if isinstance(item, RunNegativeItem)
+    ]
+    assert len(negatives) >= 2
+    parsed = []
+    parse_header = BloomFilter.parse_header
+    monkeypatch.setattr(
+        BloomFilter, "parse_header", staticmethod(lambda data: parsed.append(data) or parse_header(data))
+    )
+    monkeypatch.setattr(BloomFilter, "from_bytes", None)  # nothing rebuilds a filter object
+    assert verify_provenance(result, root, addr_size=ADDR_SIZE) == []
+    assert len(parsed) == len(negatives)
+    # Probed in place: a well-formed filter with every bit set holds the
+    # address, so the run could not have been skipped for it.
+    item = result.proof.items[negatives[0]]
+    full = item.bloom_bytes[:12] + b"\xff" * (len(item.bloom_bytes) - 12)
+    forged = _replace_item(result, negatives[0], dataclasses.replace(item, bloom_bytes=full))
+    with pytest.raises(VerificationError, match="contains the address"):
+        verify_provenance(forged, root, addr_size=ADDR_SIZE)
+
+
+def test_finished_filter_serializes_once_until_an_add():
+    bloom = BloomFilter(64, 3)
+    bloom.add([b"a"])
+    serialized, digest = bloom.to_bytes(), bloom.digest()
+    assert bloom.to_bytes() is serialized and bloom.digest() is digest
+    assert digest == hashlib.sha256(serialized).digest()
+    bloom.add([b"b"])
+    assert bloom.to_bytes() != serialized and bloom.digest() != digest
+    assert bloom.digest() == hashlib.sha256(bloom.to_bytes()).digest()
+    assert BloomFilter.from_bytes(bloom.to_bytes()).to_bytes() == bloom.to_bytes()

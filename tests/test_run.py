@@ -81,10 +81,10 @@ def test_floor_before_run_returns_none(tmp_path, params):
 def test_bloom_filters_unknown_addresses(tmp_path, params):
     entries, addrs = make_entries(params)
     run = make_run(tmp_path, params, entries)
-    assert all(run.may_contain(addr) for addr in addrs)
+    assert all(addr in run.bloom for addr in addrs)
     rng = random.Random(99)
     misses = sum(
-        1 for _ in range(100) if run.may_contain(rng.randbytes(params.system.addr_size))
+        1 for _ in range(100) if rng.randbytes(params.system.addr_size) in run.bloom
     )
     assert misses < 20
 

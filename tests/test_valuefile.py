@@ -59,7 +59,7 @@ def test_iter_entries_equals_scan_from_zero(tmp_path, system, count):
     before = file.stats.snapshot()
     iterated = iter_entries(vf, system)
     pages_read = file.stats.delta(before).total_reads
-    assert iterated == [entry for entry, _position in vf.scan_from(0)] == entries
+    assert iterated == list(vf.scan_from(0)) == entries
     assert pages_read == -(-count // system.pairs_per_page)  # one read per page
 
 
@@ -67,9 +67,16 @@ def test_scan_from_midpoint(tmp_path, system):
     entries = make_entries(10, system)
     file = open_file(tmp_path, system)
     vf = ValueFile(file, write_value_file(file, entries, system), system)
-    scanned = list(vf.scan_from(4))
-    assert [pos for _e, pos in scanned] == list(range(4, 10))
-    assert [e for e, _pos in scanned] == entries[4:]
+    for position in range(11):
+        assert list(vf.scan_from(position)) == entries[position:]
+    # A page the caller holds is the scan's first page, not read again.
+    before = file.stats.snapshot()
+    page = file.read_page(2)
+    assert list(vf.scan_from(5, page)) == entries[5:]
+    assert file.stats.delta(before).total_reads == 1 + 2  # pages 3 and 4 only
+    before = file.stats.snapshot()
+    assert list(vf.scan_from(10)) == []
+    assert file.stats.delta(before).total_reads == 0
 
 
 def test_floor_in_page(tmp_path, system):
