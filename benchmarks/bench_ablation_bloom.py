@@ -43,7 +43,7 @@ def test_bloom_filters_save_read_io(benchmark, series, tmp_path):
     with_bloom = stats.delta(before).total_reads
 
     # Disable the blooms by searching every run unconditionally.
-    runs = [src.source for src in engine._read_sources() if src.kind == "run"]
+    runs = [src.source for src in engine._view.sources if src.kind == "run"]
     before = stats.snapshot()
     for addr in ghosts:
         key = CompoundKey.latest_of(addr).to_int()

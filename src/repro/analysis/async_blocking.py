@@ -26,7 +26,8 @@ are skipped — they are the executor thunks themselves.  Flagged calls:
   ``WriteAheadLog``, ``PagedFile``);
 * engine methods called on a receiver named ``engine`` (the blocking
   ``engine.get(addr)`` / ``get_many`` / ``scan`` included: they wait for
-  the mem lock or the gate) and WAL methods on a receiver named ``wal``.
+  the mem lock, a sharded scan for the top gate) and WAL methods on a
+  receiver named ``wal``.
 
 The sanctioned escape is an executor hop: passing the bound method to
 ``run_in_executor``/``to_thread`` (or ``self._run``) is not a call and
@@ -69,14 +70,7 @@ BLOCKING_CALLS = {
 
 BLOCKING_CONSTRUCTORS = {"Cole", "ShardedCole", "WriteAheadLog", "PagedFile"}
 
-GATE_METHODS = {
-    "shared",
-    "exclusive",
-    "acquire_shared",
-    "acquire_exclusive",
-    "release_shared",
-    "release_exclusive",
-}
+GATE_METHODS = {"exclusive", "acquire_exclusive", "release_exclusive"}
 
 #: Public engine entry points that take the CommitGate or the mem lock
 #: (or join merge threads, for ``close``/``wait_for_merges``).

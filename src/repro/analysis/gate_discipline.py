@@ -10,10 +10,9 @@ The engine's concurrency contract (DESIGN.md, ``repro.common.gate``) is:
   blocks every connection, so ``async def`` bodies must hop to the
   executor first.
 
-PR 2's 1800x reader-starvation bug (provenance ran exclusive instead of
-shared) is the class of mistake this rule exists to make mechanical.
-
-Four sub-checks, per class that constructs a ``CommitGate`` in its
+The gate is a writer mutex with one way in, ``exclusive`` (or its
+``acquire_exclusive``), so every gate block is a mutator's.  Four
+sub-checks, per class that constructs a ``CommitGate`` in its
 ``__init__``:
 
 1. **unguarded mutator** — an assignment to a tracked structural
@@ -26,10 +25,10 @@ Four sub-checks, per class that constructs a ``CommitGate`` in its
    block is open, self-deadlocks on the non-reentrant gate;
 3. **gate in async def** — any gate acquisition lexically inside an
    ``async def`` (anywhere in the tree) without an executor hop;
-4. **structure read around the view** — readers hold the published
-   ``StoreView``, not the gate, so a *public* method may load ``levels``
-   / ``mem_writing`` / ``mem_merging`` only inside ``with
-   self.gate.exclusive():`` (the mutator); everyone else reads ``_view``.
+4. **structure read around the view** — readers pin the published
+   ``StoreView`` and take no gate, so a *public* method may load
+   ``levels`` / ``mem_writing`` / ``mem_merging`` only inside a gate
+   block (a mutator); everyone else reads ``_view``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.analysis.base import Checker, Finding, SourceFile, SourceTree, dotted
 RULE = "gate-discipline"
 
 #: Structural attributes a reader could observe half-updated; all
-#: writes outside ``__init__``/teardown must hold the gate exclusively.
+#: writes outside ``__init__``/teardown must hold the gate.
 TRACKED_ATTRS = {
     "current_blk",
     "mem_writing",
@@ -55,29 +54,19 @@ TRACKED_ATTRS = {
 #: What a published view names (sub-check 4).
 VIEW_ATTRS = {"levels", "mem_writing", "mem_merging"}
 
-GATE_ACQUIRE_METHODS = {
-    "shared",
-    "exclusive",
-    "acquire_shared",
-    "acquire_exclusive",
-}
+GATE_ACQUIRE_METHODS = {"exclusive", "acquire_exclusive"}
 
 
-def _gate_call_on_self(node: ast.AST) -> Optional[str]:
-    """Return the method name for ``self.gate.<m>(...)`` calls, else None."""
+def _gate_call_on_self(node: ast.AST) -> bool:
+    """True for a ``self.gate.<acquire>(...)`` call."""
     if not isinstance(node, ast.Call):
-        return None
-    name = dotted_name(node.func)
-    if name is None:
-        return None
-    parts = name.split(".")
-    if len(parts) >= 3 and parts[-2] == "gate" and parts[-1] in GATE_ACQUIRE_METHODS:
-        return parts[-1]
-    return None
+        return False
+    parts = (dotted_name(node.func) or "").split(".")
+    return len(parts) >= 3 and parts[-2] == "gate" and parts[-1] in GATE_ACQUIRE_METHODS
 
 
 def _is_gate_with(item: ast.withitem) -> bool:
-    return _gate_call_on_self(item.context_expr) is not None
+    return _gate_call_on_self(item.context_expr)
 
 
 class _GatedClass:
@@ -93,7 +82,7 @@ class _GatedClass:
         self.gate_acquirers: Set[str] = set()
         for name, fn in self.methods.items():
             for sub in ast.walk(fn):
-                if isinstance(sub, ast.Call) and _gate_call_on_self(sub):
+                if _gate_call_on_self(sub):
                     self.gate_acquirers.add(name)
                     break
 
@@ -175,13 +164,13 @@ class GateDisciplineChecker(Checker):
         fn: ast.AST,
         findings: List[Finding],
     ) -> None:
-        def visit(node: ast.AST, gate_depth: int, held_exclusive: bool = False) -> None:
+        def visit(node: ast.AST, gate_depth: int) -> None:
             for child in ast.iter_child_nodes(node):
                 # Nested defs run later (usually on the executor or a
                 # merge thread); they are analyzed on their own terms.
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     continue
-                depth, exclusive = gate_depth, held_exclusive
+                depth = gate_depth
                 if isinstance(child, ast.With) and any(
                     _is_gate_with(i) for i in child.items
                 ):
@@ -196,13 +185,9 @@ class GateDisciplineChecker(Checker):
                             )
                         )
                     depth = gate_depth + 1
-                    exclusive = any(
-                        _gate_call_on_self(i.context_expr) == "exclusive"
-                        for i in child.items
-                    )
                 if (
                     public
-                    and not exclusive
+                    and depth == 0
                     and isinstance(child, ast.Attribute)
                     and isinstance(child.ctx, ast.Load)
                     and child.attr in VIEW_ATTRS
@@ -250,7 +235,7 @@ class GateDisciplineChecker(Checker):
                                     "gate (use the underscore helper)",
                                 )
                             )
-                visit(child, depth, exclusive)
+                visit(child, depth)
 
         visit(fn, 0)
 

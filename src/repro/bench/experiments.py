@@ -1122,7 +1122,7 @@ def run_multi_get(
     server each time, so the versioned read cache starts cold at every
     point) and driven with a read-only closed-loop workload.  Batch size
     1 issues plain GETs; larger sizes issue the same zipfian key stream
-    as MULTI_GET frames — one round trip, one gate acquisition, and one
+    as MULTI_GET frames — one round trip, one view, and one
     source walk per batch instead of per key.  ``speedup`` is each
     point's keys/s over the batch-1 point; ``tests/test_experiments.py``
     holds the batch-16 speedup at 2x or more.

@@ -19,8 +19,8 @@ order probe:
 Enable it by setting ``REPRO_DEBUG_LOCKS=1`` before process start; the
 CI integration job runs one tier-1 concurrency hammer this way.  When
 the variable is unset, :func:`maybe_debug_lock` hands back a plain
-``threading.Lock`` and :class:`~repro.common.gate.CommitGate` skips
-tracking entirely, so the production path pays one attribute check.
+``threading.Lock`` — :class:`~repro.common.gate.CommitGate` is one of
+these locks — so the production path pays nothing.
 
 Known granularity limit: edges are keyed by name, so two *instances* of
 the same class (two shard gates) never form an edge — a cross-instance
@@ -138,16 +138,8 @@ class LockOrderGraph:
         self._stack().clear()
 
 
-#: The process-global graph every DebugLock / tracked CommitGate feeds.
+#: The process-global graph every DebugLock (a tracked CommitGate's too) feeds.
 GRAPH = LockOrderGraph()
-
-
-def track_acquire(name: str) -> None:
-    GRAPH.note_acquired(name)
-
-
-def track_release(name: str) -> None:
-    GRAPH.note_released(name)
 
 
 def reset_lock_order() -> None:

@@ -21,16 +21,18 @@ over immutable sorted runs): point lookups, provenance scans, and the
 range-scan path (``Cole.scan``) all traverse the *same* source
 enumeration (:class:`ReadSource`, held by the engine's ``StoreView``) in
 the same freshness order, so Algorithm 6's search order is defined in
-exactly one place.  Source iterators are snapshot-scoped: they must be
-created, driven, and dropped under one
-:class:`~repro.common.gate.CommitGate` shared hold — commit checkpoints
-(exclusive) are what mutate the structures an iterator walks.
+exactly one place.  A scan takes no gate: runs are write-once, so their
+iterators need no lock, and the one source still taking inserts — an L0
+group — is walked as a copy of its in-range entries taken under the
+engine's mem lock (:meth:`ReadSource.pinned`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bloomfilter import HashedItem
 from repro.common.errors import StorageError
@@ -61,6 +63,42 @@ class MergingCursor:
         return iter(self.next, None)
 
 
+class ScanBounds(NamedTuple):
+    """A validated scan request (:func:`scan_bounds`)."""
+
+    key_low: int
+    key_high: int
+    at_blk: int  # resolved: ``MAX_BLK`` = latest
+    limit: Optional[int]
+    addr_size: int
+
+
+def scan_bounds(
+    addr_low: bytes, addr_high: bytes, *, at_blk: Optional[int], limit: Optional[int],
+    addr_size: int,
+) -> ScanBounds:
+    """Check a scan request and resolve it to compound keys — the one
+    place a request's bounds and ``at_blk`` are validated."""
+    if len(addr_low) != addr_size or len(addr_high) != addr_size:
+        raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
+    if addr_low > addr_high:
+        raise StorageError("empty address range")
+    resolved_at = MAX_BLK if at_blk is None else at_blk
+    if not 0 <= resolved_at <= MAX_BLK:
+        raise StorageError(f"block height out of range: {at_blk}")
+    return ScanBounds(
+        compound_key(addr_low, 0), compound_key(addr_high, MAX_BLK), resolved_at,
+        limit, addr_size,
+    )
+
+
+class _Entries(tuple):
+    """A sorted tuple of entries standing in for an L0 group in one scan."""
+
+    def iter_from(self, key: int) -> Iterator[Entry]:
+        return islice(self, bisect_left(self, (key,)), None)
+
+
 # =============================================================================
 # the unified source enumeration (Algorithm 6's traversal order)
 # =============================================================================
@@ -78,7 +116,7 @@ class ReadSource:
     """
 
     label: str
-    kind: str  # "mem" | "run"
+    kind: str  # "mem" | "run" | "copy" (an L0 group pinned for one scan)
     source: object
 
     @classmethod
@@ -130,6 +168,30 @@ class ReadSource:
         """Entries with compound key >= ``key``, ascending."""
         return self.source.iter_from(key)
 
+    def pinned(self, bounds: ScanBounds) -> "ReadSource":
+        """This source as one scan walks it: a run as it is (write-once),
+        an L0 group as a copy of its in-range entries written at or below
+        ``bounds.at_blk``, cut after ``bounds.limit`` addresses — a scan of
+        that limit can return no more from it.  The caller holds the mem
+        lock."""
+        if self.kind == "run":
+            return self
+        entries: List[Entry] = []
+        limit, count, current = bounds.limit, 0, -1
+        for entry in self.source.iter_from(bounds.key_low):
+            key = entry[0]
+            if key > bounds.key_high:
+                break
+            if key & MAX_BLK > bounds.at_blk:
+                continue  # the scan would suppress it anyway
+            if key >> 64 != current:
+                if count == limit:
+                    break
+                count += 1
+                current = key >> 64
+            entries.append(entry)
+        return ReadSource(self.label, "copy", _Entries(entries))
+
     def digest(self):
         """This source's entry in ``root_hash_list``."""
         return self.source.root() if self.kind == "mem" else self.source.commitment()
@@ -139,19 +201,10 @@ class ReadSource:
 # the scan kernel: merge + MVCC version resolution
 # =============================================================================
 
-def scan_sources(
-    sources: Sequence[ReadSource],
-    addr_low: bytes,
-    addr_high: bytes,
-    *,
-    at_blk: Optional[int],
-    limit: Optional[int],
-    addr_size: int,
-) -> List[ScanTriple]:
-    """Merge ``sources`` and return up to ``limit`` live triples for
-    the addresses in ``[addr_low, addr_high]`` as of ``at_blk`` (``None``
-    = latest) — the scan kernel of both engines, and the one place a
-    scan request is validated.
+def scan_sources(sources: Sequence[ReadSource], bounds: ScanBounds) -> List[ScanTriple]:
+    """Merge ``sources`` and return up to ``bounds.limit`` live triples
+    for the addresses in the bounds as of ``bounds.at_blk`` — the scan
+    kernel of both engines.
 
     Versions resolve inline on the merged stream: an address's versions
     arrive in ascending block order, so its live version at ``at_blk``
@@ -161,21 +214,12 @@ def scan_sources(
     Addresses are compared as the integer ``key >> 64``; address bytes
     are built only for the triples returned.
 
-    Must run under the engine's gate held shared for its whole
-    duration (the caller's job): the source iterators walk live
-    structures.
+    Takes no lock: an L0 group must come :meth:`~ReadSource.pinned`
+    (the caller's job), runs are write-once.
     """
-    if len(addr_low) != addr_size or len(addr_high) != addr_size:
-        raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
-    if addr_low > addr_high:
-        raise StorageError("empty address range")
-    resolved_at = MAX_BLK if at_blk is None else at_blk
-    if not 0 <= resolved_at <= MAX_BLK:
-        raise StorageError(f"block height out of range: {at_blk}")
+    key_low, key_high, resolved_at, limit, addr_size = bounds
     if limit is not None and limit <= 0:
         return []
-    key_low = compound_key(addr_low, 0)
-    key_high = compound_key(addr_high, MAX_BLK)
     merged = MergingCursor(
         [
             source.iter_from(key_low)

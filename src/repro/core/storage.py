@@ -37,7 +37,7 @@ from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
 from repro.core.compaction import make_policy
 from repro.core.compound import MAX_BLK, check_blk, compound_key
-from repro.core.cursor import ReadSource, ScanTriple, scan_sources
+from repro.core.cursor import ReadSource, ScanBounds, ScanTriple, scan_bounds, scan_sources
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import Manifest, RunRecord, load_manifest, save_manifest
 from repro.core.memlevel import MemGroup
@@ -82,6 +82,86 @@ class StoreView(NamedTuple):
     #: The same sources in ``root_hash_list`` order (runs oldest first).
     roots: Tuple[ReadSource, ...]
 
+    def root(self) -> Digest:
+        """This view's ``Hstate``.  The caller holds the mem lock: the
+        writing L0 tree takes inserts, and MB-tree digests are computed
+        lazily."""
+        return hash_concat([source.digest() for source in self.roots])
+
+
+class _ProvenanceWalk:
+    """One provenance query (Algorithm 8) over one view, riding Algorithm
+    6's search order.  Construction proves the L0 groups — which lead that
+    order — under one hold of ``mem_lock``, hashing the view's root in the
+    same hold when ``anchored``; :meth:`finish` then walks the write-once
+    runs with no lock and assembles the proof."""
+
+    def __init__(self, view: StoreView, mem_lock, addr: bytes, blk_low: int, blk_high: int,
+                 anchored: bool) -> None:
+        if blk_low > blk_high:
+            raise StorageError("empty block range")
+        self.view = view
+        self.addr, self.blk_low, self.blk_high = addr, blk_low, blk_high
+        self.addr_int = int.from_bytes(addr, "big")
+        self.key_low = self.addr_int * 2**64 + blk_low - 1  # <addr, blk_low - 1>
+        self.key_high = self.addr_int * 2**64 + min(blk_high + 1, MAX_BLK)
+        self.found: Dict[int, bytes] = {}  # blk -> value, for our address
+        self.items: Dict[str, ProofItem] = {}  # by source label
+        self.done = False  # a disclosed version predates blk_low: stop early
+        with mem_lock:
+            for source in view.sources:
+                if source.kind != "mem":
+                    break
+                if self.done:
+                    self.items[source.label] = StubItem(digest=source.digest())
+                    continue
+                entries, proof = source.source.range_proof(self.key_low, self.key_high)
+                self.items[source.label] = MemProofItem(proof=proof)
+                self._note(entries)
+            self.root = view.root() if anchored else None
+
+    def _note(self, entries: List[Tuple[int, bytes]]) -> None:
+        """Record disclosed versions of the address."""
+        for key, value in entries:
+            blk = key & MAX_BLK
+            if key >> 64 == self.addr_int and blk <= self.blk_high:
+                self.found.setdefault(blk, value)
+                self.done |= blk < self.blk_low
+
+    def finish(self) -> ProvenanceResult:
+        """Walk the runs and assemble the result."""
+        hashed = hash_item(self.addr)
+        for source in self.view.sources:
+            if self.done:
+                break
+            if source.kind != "run":
+                continue
+            run = source.source
+            if hashed not in run.bloom:
+                self.items[source.label] = RunNegativeItem(
+                    bloom_bytes=run.bloom.to_bytes(), merkle_root=run.merkle_root
+                )
+                continue
+            scan = run.prov_scan(self.key_low, self.key_high)
+            self.items[source.label] = RunProofItem(
+                entries=scan.entries, lo=scan.lo, hi=scan.hi, num_entries=run.num_entries,
+                merkle_proof=scan.proof, bloom_digest=run.bloom.digest(),
+            )
+            self._note(scan.entries)
+        # In root_hash_list order; only an unsearched run's digest (its
+        # write-once commitment) is needed, as its stub.
+        items: List[ProofItem] = []
+        for source in self.view.roots:
+            item = self.items.get(source.label)
+            items.append(item if item is not None else StubItem(digest=source.digest()))
+        proof = ProvenanceProof(
+            addr=self.addr, blk_low=self.blk_low, blk_high=self.blk_high, items=items
+        )
+        found, low = self.found, self.blk_low
+        versions = sorted((blk, value) for blk, value in found.items() if blk >= low)
+        boundary = max(((blk, value) for blk, value in found.items() if blk < low), default=None)
+        return ProvenanceResult(versions=versions, boundary_version=boundary, proof=proof)
+
 
 class Cole:
     """The column-based learned storage engine."""
@@ -101,10 +181,10 @@ class Cole:
         self.mem_merging = self._new_mem_group()
         self.mem_pending: Optional[PendingMerge] = None
         self.scheduler = MergeScheduler(inline=not self.params.async_merge)
-        # Scans, provenance and root queries hold this shared; puts,
-        # commit checkpoints, and rewind hold it exclusive.  Point reads
-        # hold a view instead, and the mem lock around an L0 probe — as
-        # put / put_many do around their inserts.
+        # The writer mutex: puts, commit checkpoints, rewind and close.
+        # Readers pin a view instead, and hold the mem lock around what
+        # they read of an L0 group — as put / put_many do around their
+        # inserts.  Lock order: gate, then mem lock.
         self.gate = CommitGate("cole-gate")
         self._mem_lock = maybe_debug_lock("cole-mem")
         self.levels: List[DiskLevel] = []  # levels[i] is on-disk level i+1
@@ -373,7 +453,7 @@ class Cole:
         The finished runs stay uncommitted until their natural checkpoint,
         preserving ``Hstate`` determinism.
         """
-        with self.gate.shared():
+        with self.gate.exclusive():
             pending = self._pending_merges()
         for merge in pending:
             merge.wait()
@@ -387,20 +467,21 @@ class Cole:
     # =========================================================================
 
     def root_hash_list(self) -> List[Tuple[str, Digest]]:
-        """The ordered (label, digest) list that ``Hstate`` hashes (§3.2)."""
-        with self.gate.shared():
-            return self._root_hash_list()
-
-    def _root_hash_list(self) -> List[Tuple[str, Digest]]:
-        return [(source.label, source.digest()) for source in self._view.roots]
+        """The ordered (label, digest) list that ``Hstate`` hashes (§3.2),
+        of the current view, under the mem lock."""
+        view = self._view
+        with self._mem_lock:
+            return [(source.label, source.digest()) for source in view.roots]
 
     def root_digest(self) -> Digest:
-        """``Hstate``: the digest over ``root_hash_list``."""
-        with self.gate.shared():
-            return self._root_digest()
+        """``Hstate``: the digest over ``root_hash_list``.  Takes no gate,
+        so it is also ``_root_digest``, the name a caller holding the
+        gate uses on either engine shape (``repro.wal.snapshot``)."""
+        view = self._view
+        with self._mem_lock:
+            return view.root()
 
-    def _root_digest(self) -> Digest:
-        return hash_concat([digest for _label, digest in self._root_hash_list()])
+    _root_digest = root_digest
 
     # =========================================================================
     # read path
@@ -472,10 +553,6 @@ class Cole:
                 return value
         return None
 
-    def _read_sources(self) -> Tuple[ReadSource, ...]:
-        """The current view's sources (Algorithm 6's search order)."""
-        return self._view.sources
-
     # -- range scans (cursor layer) -----------------------------------------------
 
     def scan(
@@ -495,110 +572,44 @@ class Cole:
         caps the number of addresses returned, which with
         :func:`repro.core.cursor.addr_successor` over the last returned
         address is the paging primitive the serving layer's
-        continuation protocol builds on.  Runs under the gate shared
-        for the whole scan, like every other query.
+        continuation protocol builds on.  Takes no gate: it walks
+        :meth:`_pinned_sources` of the current view.
         """
-        with self.gate.shared():
-            return scan_sources(
-                self._read_sources(),
-                addr_low,
-                addr_high,
-                at_blk=at_blk,
-                limit=limit,
-                addr_size=self._addr_size(),
-            )
+        bounds = scan_bounds(
+            addr_low, addr_high, at_blk=at_blk, limit=limit, addr_size=self._addr_size()
+        )
+        return scan_sources(self._pinned_sources(bounds), bounds)
+
+    def _pinned_sources(self, bounds: ScanBounds) -> List[ReadSource]:
+        """The view's sources as one scan walks them: its L0 groups
+        copied under one mem-lock hold (:meth:`ReadSource.pinned`), so the
+        scan describes one instant and walks the rest with no lock."""
+        view = self._view
+        with self._mem_lock:
+            return [source.pinned(bounds) for source in view.sources]
 
     # -- provenance queries (Algorithm 8) ----------------------------------------
 
     def prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ProvenanceResult:
         """Historical values of ``addr`` in ``[blk_low, blk_high]`` + proof."""
-        if blk_low > blk_high:
-            raise StorageError("empty block range")
-        with self.gate.shared():
-            return self._prov_query(addr, blk_low, blk_high)
+        return self._pin_provenance(addr, blk_low, blk_high).finish()
 
     def prov_query_anchored(
         self, addr: bytes, blk_low: int, blk_high: int
     ) -> Tuple[ProvenanceResult, Digest]:
         """:meth:`prov_query` plus the ``Hstate`` the proof verifies
-        against, both read under one gate hold so no commit checkpoint
-        can slide between proof and anchor (the serving layer's PROV op
-        hands both to remote verifiers)."""
-        if blk_low > blk_high:
-            raise StorageError("empty block range")
-        with self.gate.shared():
-            return self._prov_query(addr, blk_low, blk_high), self._root_digest()
+        against: the view's root, hashed in the mem-lock hold that proves
+        its L0 groups, so no insert or checkpoint slides between proof
+        and anchor (the serving layer's PROV op hands both to remote
+        verifiers)."""
+        walk = self._pin_provenance(addr, blk_low, blk_high, anchored=True)
+        return walk.finish(), walk.root
 
-    def _prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ProvenanceResult:
-        addr_int = int.from_bytes(addr, "big")
-        key_low = addr_int * 2**64 + blk_low - 1  # <addr, blk_low - 1>
-        key_high = addr_int * 2**64 + min(blk_high + 1, MAX_BLK)
-        hashed = hash_item(addr)
-
-        found: Dict[int, bytes] = {}  # blk -> value, for our address
-        items_by_label: Dict[str, ProofItem] = {}
-        early_stop = False
-
-        def note_entries(entries: List[Tuple[int, bytes]]) -> bool:
-            """Record disclosed versions of addr; True if one predates blk_low."""
-            saw_older = False
-            for entry_key, value in entries:
-                if entry_key >> 64 != addr_int:
-                    continue
-                blk = entry_key & MAX_BLK
-                if blk > blk_high:
-                    continue
-                found.setdefault(blk, value)
-                if blk < blk_low:
-                    saw_older = True
-            return saw_older
-
-        # One pass over the unified read-path enumeration — the same
-        # freshness order gets and scans traverse (Algorithm 8 rides
-        # Algorithm 6's search order).
-        for source in self._read_sources():
-            if early_stop:
-                break
-            if source.kind == "mem":
-                entries, proof = source.source.range_proof(key_low, key_high)
-                items_by_label[source.label] = MemProofItem(proof=proof)
-                if note_entries(entries):
-                    early_stop = True
-                continue
-            run = source.source
-            if hashed not in run.bloom:
-                items_by_label[source.label] = RunNegativeItem(
-                    bloom_bytes=run.bloom.to_bytes(), merkle_root=run.merkle_root
-                )
-                continue
-            scan = run.prov_scan(key_low, key_high)
-            items_by_label[source.label] = RunProofItem(
-                entries=scan.entries,
-                lo=scan.lo,
-                hi=scan.hi,
-                num_entries=run.num_entries,
-                merkle_proof=scan.proof,
-                bloom_digest=run.bloom.digest(),
-            )
-            if note_entries(scan.entries):
-                early_stop = True
-
-        # In root_hash_list order; only an unsearched source's digest is
-        # needed, as its stub.
-        items: List[ProofItem] = []
-        for source in self._view.roots:
-            item = items_by_label.get(source.label)
-            items.append(item if item is not None else StubItem(digest=source.digest()))
-
-        proof = ProvenanceProof(
-            addr=addr, blk_low=blk_low, blk_high=blk_high, items=items
-        )
-        versions = sorted(
-            (blk, value) for blk, value in found.items() if blk >= blk_low
-        )
-        older = [(blk, value) for blk, value in found.items() if blk < blk_low]
-        boundary = max(older) if older else None
-        return ProvenanceResult(versions=versions, boundary_version=boundary, proof=proof)
+    def _pin_provenance(
+        self, addr: bytes, blk_low: int, blk_high: int, anchored: bool = False
+    ) -> _ProvenanceWalk:
+        """A provenance walk of the current view, its L0 step done."""
+        return _ProvenanceWalk(self._view, self._mem_lock, addr, blk_low, blk_high, anchored)
 
     # =========================================================================
     # accounting / lifecycle
@@ -606,7 +617,7 @@ class Cole:
 
     def storage_bytes(self) -> int:
         """Total on-disk footprint (the storage series of Figures 9-10)."""
-        with self.gate.shared():
+        with self.gate.exclusive():
             return self.workspace.storage_bytes()
 
     def num_disk_levels(self) -> int:
@@ -624,21 +635,18 @@ class Cole:
         level, so `repro query compaction` can show where rewriting
         concentrates.
         """
-        with self.gate.shared():
-            return self._compaction_stats()
-
-    def _compaction_stats(self) -> dict:
         per_level: Dict[int, dict] = {}
-        for level in self.levels:
-            runs = level.all_runs()
-            per_level[level.level] = {
-                "runs": len(runs),
-                "entries": sum(run.num_entries for run in runs),
-                "bytes": sum(run.storage_bytes() for run in runs),
-                "bytes_rewritten": self.level_bytes_rewritten.get(level.level, 0),
-            }
-        flushed = self.bytes_flushed
-        rewritten = self.bytes_rewritten
+        with self.gate.exclusive():
+            for level in self.levels:
+                runs = level.all_runs()
+                per_level[level.level] = {
+                    "runs": len(runs),
+                    "entries": sum(run.num_entries for run in runs),
+                    "bytes": sum(run.storage_bytes() for run in runs),
+                    "bytes_rewritten": self.level_bytes_rewritten.get(level.level, 0),
+                }
+            flushed = self.bytes_flushed
+            rewritten = self.bytes_rewritten
         return {
             "policy": self.params.compaction,
             "bytes_flushed": flushed,
@@ -658,15 +666,21 @@ class Cole:
             return dropped
 
     def close(self) -> None:
-        """Join merges, stop the merge workers, and close all file handles.
+        """Join merges, stop the merge workers, and drop the view, the
+        levels and the file-handle table.
 
-        Holds the gate exclusive so in-flight queries finish before their
-        file handles disappear from under them.
+        Returns without waiting for readers: one that pinned a view
+        earlier — a scan mid-walk — finishes on its runs, and each
+        descriptor closes with its last holder, as a merged-away run's
+        does.
         """
         self.wait_for_merges()
         self.scheduler.close()
         with self.gate.exclusive():
-            self.workspace.close()
+            self._view = StoreView(self._view.epoch + 1, (), ())
+            self.levels = []
+            self.mem_pending = None
+            self.workspace.release()
 
     # =========================================================================
     # durability (Section 4.3)

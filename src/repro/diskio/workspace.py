@@ -156,6 +156,14 @@ class Workspace:
         for handle in handles:
             handle.close()
 
+    def release(self) -> None:
+        """Forget every handle without closing it, as :meth:`remove_file`
+        does for one: a reader may still hold them, and each descriptor
+        closes when its last holder drops it."""
+        with self._files_lock:
+            self._open_files.clear()
+            self._open_specs.clear()
+
     def destroy(self) -> None:
         """Close everything and delete the workspace directory."""
         self.close()

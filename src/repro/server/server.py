@@ -55,9 +55,10 @@ leftovers, SCAN, PROV, FLUSH, STATS) continues as a task while the
 connection's later frames queue behind it: answers leave strictly in
 request order, so clients may pipeline.  Batched and ranged engine work
 (MULTI_GET leftovers, SCAN, PROV, commits) runs on a small thread pool;
-point reads hold a view, not the :class:`~repro.common.gate.CommitGate`,
-and never wait for a commit; the group fsync runs on the loop too while
-that measures cheaper than handing it off (:class:`_WalSyncer`).
+engine reads hold a view, not the :class:`~repro.common.gate.CommitGate`
+(the writer mutex), and never wait for a commit; the group fsync runs on
+the loop too while that measures cheaper than handing it off
+(:class:`_WalSyncer`).
 DESIGN.md "Frames, not streams" has the rules.
 """
 
@@ -952,7 +953,7 @@ class ColeServer:
 
         Every key first runs the same overlay -> negative-cache -> read-
         cache ladder as :meth:`_op_get`; only the leftovers pay the thread-
-        pool hop, as a single ``engine.get_many`` (one gate hold, one
+        pool hop, as a single ``engine.get_many`` (one view, one
         source walk) instead of an engine lookup per key.
         """
         version = self.version

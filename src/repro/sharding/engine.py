@@ -35,7 +35,7 @@ from repro.common.errors import StorageError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ShardParams
-from repro.core.cursor import ScanTriple, scan_sources
+from repro.core.cursor import ScanTriple, scan_bounds, scan_sources
 from repro.core.storage import Cole
 from repro.diskio.iostats import IOStats
 from repro.sharding.proofs import ShardedProvenanceResult
@@ -66,11 +66,12 @@ class ShardedCole(StorageBackend):
             max_workers=self.params.num_shards, thread_name_prefix="cole-shard"
         )
         self.current_blk = max(shard.current_blk for shard in self.shards)
-        # Point reads ride each shard's own view; ops that must observe
-        # every shard at one instant (scans, anchored provenance, the
-        # shard-root vector) hold this top gate shared, and every mutator
-        # (puts, commits, rewind, close) holds it exclusive, so a scan
-        # needs no shard gate.  Top gate always before shard gate.
+        # The top writer mutex: every mutator (puts, commits, rewind,
+        # close) holds it.  Point reads ride each shard's own view; ops
+        # that must observe every shard at one instant (scans, anchored
+        # provenance, the shard-root vector) take it only to pin what
+        # they read — never across run IO — and need no shard gate.
+        # Lock order: top gate, shard gate, shard mem lock.
         self.gate = CommitGate("shardedcole-gate")
 
     def shard_directory(self, index: int) -> str:
@@ -89,7 +90,7 @@ class ShardedCole(StorageBackend):
 
         Holds the top gate while the per-shard ``begin_block`` calls
         take each shard's own gate — the documented top-before-shard
-        order, so this cannot deadlock against readers.
+        order.
         """
         with self.gate.exclusive():
             if height < self.current_blk:
@@ -197,15 +198,18 @@ class ShardedCole(StorageBackend):
 
         Shards never share an address, so this is the single-engine
         kernel run once over every shard's sources: one merged cursor.
-        Holds the top gate shared, which excludes every shard mutator;
-        like anchored provenance, the scan describes one instant.
+        Every shard's sources and L0 copies are pinned under the top
+        gate, which excludes every shard mutator, so like anchored
+        provenance the scan describes one instant; the merge runs after
+        the gate is released.
         """
-        with self.gate.shared():
-            return scan_sources(
-                [source for shard in self.shards for source in shard._read_sources()],
-                addr_low, addr_high, at_blk=at_blk, limit=limit,
-                addr_size=self.params.cole.system.addr_size,
-            )
+        bounds = scan_bounds(
+            addr_low, addr_high, at_blk=at_blk, limit=limit,
+            addr_size=self.params.cole.system.addr_size,
+        )
+        with self.gate.exclusive():
+            sources = [s for shard in self.shards for s in shard._pinned_sources(bounds)]
+        return scan_sources(sources, bounds)
 
     def prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ShardedProvenanceResult:
         """Historical values of ``addr`` with a composite-root-anchored proof."""
@@ -218,18 +222,19 @@ class ShardedCole(StorageBackend):
         """:meth:`prov_query` plus the composite ``Hstate`` it verifies
         against.
 
-        Holds the top-level gate shared: the inner proof and the
-        shard-root vector it anchors to must describe the same instant,
-        which any concurrent *mutation* (exclusive on this gate) would
-        break — while concurrent queries remain free to overlap.
+        The inner proof and the shard-root vector it anchors to must
+        describe the same instant: the owner shard's L0 proof and every
+        shard's root are taken under the top gate, which excludes every
+        mutation; the owner's runs are walked after it is released.
         """
-        with self.gate.shared():
-            index = shard_of(addr, len(self.shards))
-            inner = self.shards[index].prov_query(addr, blk_low, blk_high)
-            result = ShardedProvenanceResult(
-                shard_index=index, shard_roots=self._shard_roots(), result=inner
-            )
-            return result, self._root_digest()
+        index = shard_of(addr, len(self.shards))
+        with self.gate.exclusive():
+            walk = self.shards[index]._pin_provenance(addr, blk_low, blk_high)
+            roots = self._shard_roots()
+        result = ShardedProvenanceResult(
+            shard_index=index, shard_roots=roots, result=walk.finish()
+        )
+        return result, hash_concat(roots)
 
     # =========================================================================
     # composite root (Hstate)
@@ -237,7 +242,7 @@ class ShardedCole(StorageBackend):
 
     def shard_roots(self) -> List[Digest]:
         """Ordered per-shard ``Hstate`` digests (the composite preimage)."""
-        with self.gate.shared():
+        with self.gate.exclusive():
             return self._shard_roots()
 
     def _shard_roots(self) -> List[Digest]:
@@ -245,7 +250,7 @@ class ShardedCole(StorageBackend):
 
     def root_digest(self) -> Digest:
         """Composite ``Hstate``: the hash over the ordered shard roots."""
-        with self.gate.shared():
+        with self.gate.exclusive():
             return self._root_digest()
 
     def _root_digest(self) -> Digest:
@@ -291,7 +296,7 @@ class ShardedCole(StorageBackend):
             "bytes_rewritten": 0,
             "levels": {},
         }
-        with self.gate.shared():
+        with self.gate.exclusive():
             for shard in self.shards:
                 stats = shard.compaction_stats()
                 merged["bytes_flushed"] += stats["bytes_flushed"]
@@ -324,9 +329,10 @@ class ShardedCole(StorageBackend):
             return dropped
 
     def close(self) -> None:
-        """Join merges, stop the commit pool, and close every shard —
-        under the top gate exclusive, so an in-flight scan (which holds
-        only that gate) finishes before its file handles close."""
+        """Join merges, stop the commit pool, and close every shard under
+        the top gate.  An in-flight scan holds no gate: it finishes on the
+        runs it pinned, whose descriptors close with it
+        (:meth:`Cole.close`)."""
         self._pool.shutdown(wait=True)
         with self.gate.exclusive():
             for shard in self.shards:

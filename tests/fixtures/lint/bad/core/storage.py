@@ -19,19 +19,19 @@ class Engine:
             with self.gate.exclusive():
                 self.levels = []
 
-    def root_digest(self):
-        with self.gate.shared():
-            return b""
+    def wait_for_merges(self):
+        with self.gate.exclusive():
+            return []
 
-    def prov_query(self):
-        with self.gate.shared():
-            # BAD: root_digest() re-acquires the gate -> self-deadlock.
-            return self.root_digest()
+    def close(self):
+        with self.gate.exclusive():
+            # BAD: wait_for_merges() re-acquires the gate -> self-deadlock.
+            return self.wait_for_merges()
 
     def num_disk_levels(self):
         # BAD: a reader walks the live structure, not the published view.
         return len(self.levels)
 
     def publish(self):
-        # BAD: the view is swapped outside the exclusive gate.
+        # BAD: the view is swapped outside the gate.
         self._view = ()

@@ -13,7 +13,7 @@ class Handler:
     async def handle(self):
         time.sleep(0.01)  # BAD: sleeps the whole loop
         os.fsync(3)  # BAD: sync IO
-        with self.gate.shared():  # BAD: gate on the loop
+        with self.gate.exclusive():  # BAD: gate on the loop
             pass
         self.engine.get(b"k")  # BAD: takes the CommitGate
         self.wal.sync()  # BAD: fsync

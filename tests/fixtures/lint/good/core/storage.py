@@ -22,17 +22,17 @@ class Engine:
             return self._root_digest()
 
     def num_disk_levels(self):
-        # Readers hold the published view, never the live structure.
+        # Readers pin the published view, never the live structure.
         return len(self._view)
 
     def root_digest(self):
-        with self.gate.shared():
-            return self._root_digest()
+        # Readers take no gate.
+        return self._root_digest()
 
     def _root_digest(self):
-        # Underscore helper: the gate is already held by the caller.
         return b""
 
-    def prov_query(self):
-        with self.gate.shared():
-            return self._root_digest()
+    def wait_for_merges(self):
+        # A cold control-plane read of the live structure takes the gate.
+        with self.gate.exclusive():
+            return list(self.levels)

@@ -255,7 +255,7 @@ def prov_query(cole, addr: bytes, blk_low: int, blk_high: int) -> ProvenanceResu
     key_high = (addr_int << 64) + min(blk_high + 1, MAX_BLK)
     found: Dict[int, bytes] = {}
     items = {}
-    for source in cole._read_sources():
+    for source in cole._view.sources:
         if source.kind == "mem":
             entries, proof = source.source.range_proof(key_low, key_high)
             items[source.label] = MemProofItem(proof=proof)

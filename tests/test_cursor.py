@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
-from repro.core.cursor import MergingCursor, ReadSource, scan_sources
+from repro.core.cursor import MergingCursor, ReadSource, scan_bounds, scan_sources
 from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
 from repro.mbtree import MBTree
@@ -114,7 +114,7 @@ def test_resolve_versions_picks_live_version_and_skips_unborn():
 
     def scan(high, at_blk, limit=None):
         return scan_sources(
-            sources, a1, high, at_blk=at_blk, limit=limit, addr_size=ADDR
+            sources, scan_bounds(a1, high, at_blk=at_blk, limit=limit, addr_size=ADDR)
         )
 
     # a1: version 5 live; a2: unborn at 5; a3: version 1 live.
@@ -123,6 +123,23 @@ def test_resolve_versions_picks_live_version_and_skips_unborn():
     assert scan(a2, None) == [(a1, 5, b"a1@5"), (a2, 7, b"a2@7")]
     assert scan(a3, None, limit=2) == [(a1, 5, b"a1@5"), (a2, 7, b"a2@7")]
     assert scan(a3, 0) == []
+    # L0 copies pinned for a scan (what the engines walk) answer the same:
+    # entries past at_blk are left out, and a copy stops after `limit`
+    # addresses that have a version at or below at_blk — at height 6, a2
+    # (written only at 7) must not use up a limit of 2 before a3@6.
+    newer.insert(key_of(a3, 6), b"a3@6")
+    assert scan(a3, 6, limit=2) == [(a1, 5, b"a1@5"), (a3, 6, b"a3@6")]
+    for high, at_blk, limit in [
+        (a3, 5, None), (a2, None, None), (a3, None, 2), (a3, 0, None), (a3, 5, 1),
+        (a3, 6, 2), (a3, 8, 2),
+    ]:
+        bounds = scan_bounds(a1, high, at_blk=at_blk, limit=limit, addr_size=ADDR)
+        pinned = [source.pinned(bounds) for source in sources]
+        assert scan_sources(pinned, bounds) == scan(high, at_blk, limit)
+    bounds = scan_bounds(a1, a3, at_blk=8, limit=2, addr_size=ADDR)
+    assert list(sources[0].pinned(bounds).iter_from(0)) == [
+        (key_of(a1, 5), b"a1@5"), (key_of(a2, 7), b"a2@7"),
+    ]
 
 
 def test_addr_successor():
@@ -331,7 +348,7 @@ def test_scan_sees_only_committed_heights_midstream(tmp_path):
 
 def test_get_and_get_at_ride_the_same_sources(tmp_path):
     """The refactored point lookups answer exactly as the scan layer
-    (both traverse ``_read_sources``)."""
+    (both traverse the view's ``sources``)."""
     rng = random.Random(47)
     engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(True))
     history = History()

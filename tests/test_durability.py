@@ -307,9 +307,15 @@ def test_wal_truncates_once_checkpoints_cover_it(tmp_path):
 # snapshot / restore
 # =============================================================================
 
-def build_served_store(tmp_path, count=60):
+def open_engine(directory, num_shards=None):
+    if num_shards is None:
+        return Cole(directory, PARAMS)
+    return ShardedCole(directory, ShardParams(cole=PARAMS, num_shards=num_shards))
+
+
+def build_served_store(tmp_path, count=60, num_shards=None):
     directory = str(tmp_path / "ws")
-    engine = Cole(directory, PARAMS)
+    engine = open_engine(directory, num_shards)
     wal = WriteAheadLog(os.path.join(directory, "wal"))
     config = ServerConfig(batch_max_puts=16, batch_max_delay=60.0)
     with ServerThread(engine, config=config, wal=wal) as thread:
@@ -317,12 +323,14 @@ def build_served_store(tmp_path, count=60):
     return directory, engine, wal
 
 
-def test_snapshot_restore_round_trip(tmp_path):
-    directory, engine, wal = build_served_store(tmp_path)
+@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
+def test_snapshot_restore_round_trip(tmp_path, num_shards):
+    directory, engine, wal = build_served_store(tmp_path, num_shards=num_shards)
     live_root = engine.root_digest()
     dest = str(tmp_path / "snap")
     meta = snapshot_store(engine, dest, wal=wal)
     assert meta["root_digest"] == live_root.hex()
+    assert meta["num_shards"] == (num_shards or 1)
     # The source store keeps serving after the snapshot.
     assert engine.get(addr_of(1)) == value_of(1)
     wal.close()
@@ -330,7 +338,7 @@ def test_snapshot_restore_round_trip(tmp_path):
 
     restored_dir = str(tmp_path / "restored")
     restore_store(dest, restored_dir)
-    restored = Cole(restored_dir, PARAMS)
+    restored = open_engine(restored_dir, num_shards)
     wal2 = WriteAheadLog(os.path.join(restored_dir, "wal"))
     replay_wal(restored, wal2)
     assert restored.root_digest() == live_root

@@ -158,7 +158,7 @@ def _lookup_plan(cole, addr):
     first, stop at the first hit."""
     key = int.from_bytes(addr, "big") << 64 | (2**64 - 1)
     probed = positive = floors = 0
-    for source in cole._read_sources():
+    for source in cole._view.sources:
         if source.kind == "run":
             probed += 1
             if not read_oracle.bloom_contains(source.source.bloom, addr):

@@ -509,7 +509,7 @@ def _seeks_on_seek_page(engine, low):
     key_high = CompoundKey(b"\xff" * ADDR_SIZE, MAX_BLK).to_int()
     saved = 0
     for shard in _shards(engine):
-        for source in shard._read_sources():
+        for source in shard._view.sources:
             if source.kind != "run" or not source.overlaps(key_low, key_high):
                 continue
             floor = read_oracle.run_floor_search(source.source, key_low)
@@ -537,7 +537,7 @@ def test_read_path_page_reads_are_pinned_and_answers_match_the_oracle(tmp_path, 
             answer = _execute(engine, kind, args)
             if kind == "scan":
                 low, at_blk, limit = args
-                sources = [source for shard in _shards(engine) for source in shard._read_sources()]
+                sources = [source for shard in _shards(engine) for source in shard._view.sources]
                 at = MAX_BLK if at_blk is None else at_blk
                 expected = read_oracle.scan(sources, low, b"\xff" * ADDR_SIZE, at, limit, ADDR_SIZE)
             elif kind == "prov":
@@ -548,7 +548,7 @@ def test_read_path_page_reads_are_pinned_and_answers_match_the_oracle(tmp_path, 
             else:
                 owner = engine._shard_for(args[0]) if shape == "sharded3" else engine
                 blk = args[1] if kind == "get_at" else MAX_BLK
-                expected = read_oracle.lookup(owner._read_sources(), args[0], blk)
+                expected = read_oracle.lookup(owner._view.sources, args[0], blk)
             assert answer == expected, (kind, args)
     finally:
         engine.close()

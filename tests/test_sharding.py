@@ -3,6 +3,7 @@ with the unsharded engine, proof verification, and per-shard recovery."""
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -378,31 +379,37 @@ def test_begin_block_rejects_decreasing_heights(tmp_path):
         engine.close()
 
 
-def test_close_waits_for_a_reader_holding_the_top_gate(tmp_path):
-    """A scan holds only the top gate, so close must drain it before the
-    shards' file handles go."""
-    engine = make_sharded(tmp_path / "close", num_shards=2)
-    apply_stream(engine, put_stream(blocks=10)[0])
-    held, release = threading.Event(), threading.Event()
-
-    def reader():
-        with engine.gate.shared():
-            held.set()
-            release.wait(10)
-
-    holder = threading.Thread(target=reader)
-    holder.start()
-    assert held.wait(10)
-    closer = threading.Thread(target=engine.close)
-    closer.start()
-    closer.join(0.3)
+def test_cross_shard_reads_pin_under_the_top_gate(tmp_path):
+    """A scan, anchored provenance and the composite root each describe
+    one instant across shards: they pin under the top gate, so a mutator
+    holding it holds them off.  (``test_store_view``'s close test shows a
+    scan does not keep the gate across run IO.)"""
+    engine = make_sharded(tmp_path / "pin", num_shards=2)
+    log, pool = put_stream(blocks=10)
+    low, high = b"\x00" * ADDR_SIZE, b"\xff" * ADDR_SIZE
+    reads = {
+        "scan": lambda: engine.scan(low, high),
+        "prov": lambda: engine.prov_query_anchored(pool[0], 1, 10)[1],
+        "root": engine.root_digest,
+    }
     try:
-        assert closer.is_alive(), "close returned while a reader held the gate"
+        apply_stream(engine, log)
+        expected = {name: read() for name, read in reads.items()}
+        answers = {}
+        readers = [
+            threading.Thread(target=lambda n=name, r=read: answers.update({n: r()}))
+            for name, read in reads.items()
+        ]
+        with engine.gate.exclusive():
+            for reader in readers:
+                reader.start()
+            time.sleep(0.2)
+            assert answers == {}, "a cross-shard read ran under a mutator"
+        for reader in readers:
+            reader.join(30)
+        assert answers == expected
     finally:
-        release.set()
-        holder.join(10)
-        closer.join(10)
-    assert not closer.is_alive()
+        engine.close()
 
 
 def test_storage_and_levels_aggregate(tmp_path):

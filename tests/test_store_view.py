@@ -1,15 +1,19 @@
-"""Point reads hold a ``StoreView``, not the gate.
+"""Readers hold a ``StoreView``, not the gate.
 
-``get`` / ``get_at`` / ``get_many`` walk the engine's published view and
-take only the mem lock around an L0 probe, so they never wait for a
-commit checkpoint.  These tests hammer that contract from reader threads
-while one writer commits with forced cascades, on the sync, async and
-sharded engines, and compare every answer to a dict-of-versions model
-(the shape of ``benchmarks/perf/workgen.py::VersionModel``): an answer
-must equal the model's state at *some* height between the read's start
-and its end.  The pinned-view tests hold a view across the merges that
-delete its runs: the names leave the directory, the view keeps answering
-as of its epoch, and dropping it closes the descriptors.
+``get`` / ``get_at`` / ``get_many`` / ``scan`` / ``prov_query_anchored``
+walk the engine's published view and take only the mem lock around
+what they read of an L0 group (the sharded engine's cross-shard reads
+take its top gate only to pin), so they never wait for a commit
+checkpoint.  These tests hammer that contract from reader threads while
+one writer commits with forced cascades, on the sync, async and 3-shard
+engines, and compare every answer to a dict-of-versions model (the
+shape of ``benchmarks/perf/workgen.py::VersionModel``): an answer at a
+committed height must be exact, and one at the latest height must equal
+the model's state at *some* height between the read's start and its
+end.  The pinned-view tests hold a view across the merges that delete
+its runs, or across ``close``: the names leave the directory (or the
+engine), the view keeps answering as of its epoch, and dropping it
+closes the descriptors.
 
 CI runs this file ten times under ``REPRO_DEBUG_LOCKS=1`` — the races
 are timing-dependent, one green run proves little.
@@ -25,10 +29,11 @@ import time
 import pytest
 
 from repro.common.params import ColeParams, ShardParams, SystemParams
-from repro.core import Cole
+from repro.core import Cole, verify_provenance
 from repro.core.compound import CompoundKey
 from repro.core.storage import WOULD_BLOCK
-from repro.sharding import ShardedCole
+from repro.diskio.pagefile import PagedFile
+from repro.sharding import ShardedCole, verify_sharded_provenance
 from version_model import VersionModel
 
 ADDR = 20
@@ -54,6 +59,22 @@ def addr_of(n: int) -> bytes:
 
 def value_at(n: int, blk: int) -> bytes:
     return n.to_bytes(4, "big") + blk.to_bytes(4, "big") + b"\x00" * (VALUE - 8)
+
+
+def model_scan(model, a: int, b: int, blk: int, limit=None):
+    """``scan(addr_of(a), addr_of(b), at_blk=blk, limit=limit)`` by the
+    model (a value carries the height it was written at)."""
+    rows = []
+    for n in range(a, b + 1):
+        value = model.at(addr_of(n), blk)
+        if value is not None:
+            rows.append((addr_of(n), int.from_bytes(value[4:8], "big"), value))
+    return rows[:limit]
+
+
+def model_window(model, addr: bytes, lo: int, hi: int):
+    """The versions of ``addr`` written in ``[lo, hi]``."""
+    return [(blk, value) for blk, value in model.versions.get(addr, []) if lo <= blk <= hi]
 
 
 def make_blocks(seed: int):
@@ -99,9 +120,10 @@ class _Writer(threading.Thread):
 
 def _reader(engine, writer, model, reader_id, errors, one_snapshot):
     rng = random.Random(reader_id)
+    sharded = isinstance(engine, ShardedCole)
     try:
         while writer.is_alive():
-            mode = rng.randrange(3)
+            mode = rng.randrange(5)
             addr = addr_of(rng.randrange(NUM_ADDRS))
             lo = writer.published
             if mode == 0:
@@ -111,6 +133,31 @@ def _reader(engine, writer, model, reader_id, errors, one_snapshot):
             elif mode == 1 and lo >= 1:
                 blk = rng.randint(1, lo)  # committed history: one right answer
                 assert engine.get_at(addr, blk) == model.at(addr, blk), (addr, blk)
+            elif mode == 3:
+                # Scans, over a range that ends in a never-written address.
+                a = rng.randrange(NUM_ADDRS + 1)
+                b = rng.randrange(a, NUM_ADDRS + 1)
+                limit = rng.choice([None, 1, 3])
+                if lo >= 1:
+                    blk = rng.randint(1, lo)
+                    rows = engine.scan(addr_of(a), addr_of(b), at_blk=blk, limit=limit)
+                    assert rows == model_scan(model, a, b, blk, limit), (a, b, blk)
+                # Latest: L0 copied under one mem-lock hold (every shard's
+                # under the top gate), so the scan is one instant.
+                rows = engine.scan(addr_of(a), addr_of(b), limit=limit)
+                heights = range(lo, writer.started + 1)
+                assert any(rows == model_scan(model, a, b, h, limit) for h in heights), (
+                    a, b, lo,
+                )
+            elif mode == 4 and lo >= 1:
+                # Provenance over committed history, anchored and verified.
+                hi = rng.randint(1, lo)
+                blk_low = rng.randint(max(1, hi - 8), hi)
+                target = addr_of(rng.randrange(NUM_ADDRS + 1))
+                result, root = engine.prov_query_anchored(target, blk_low, hi)
+                verify = verify_sharded_provenance if sharded else verify_provenance
+                versions = verify(result, root, addr_size=ADDR)
+                assert versions == model_window(model, target, blk_low, hi), (target, hi)
             else:
                 addrs = [addr_of(n) for n in rng.sample(range(NUM_ADDRS), 5)]
                 addrs.append(addr_of(NUM_ADDRS + 7))  # never written
@@ -172,7 +219,7 @@ def test_point_reads_match_the_model_under_forced_cascades(tmp_path, async_merge
 
 def test_point_reads_match_the_model_on_the_sharded_engine(tmp_path):
     engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=params(True), num_shards=2)
+        str(tmp_path / "ws"), ShardParams(cole=params(True), num_shards=3)
     )
     try:
         _hammer(engine, force=False, one_snapshot=False)
@@ -242,6 +289,57 @@ def test_pinned_view_answers_after_its_runs_are_merged_away(tmp_path, async_merg
         ]
     finally:
         cole.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
+def test_close_returns_while_a_scan_is_in_flight(tmp_path, monkeypatch, num_shards):
+    """``close`` waits for no reader: a scan parked mid-walk across it
+    finishes exact on the runs it pinned, and their descriptors close
+    when it ends."""
+    blocks, model = make_blocks(seed=5)
+    gc.collect()
+    baseline = _open_fds()
+    if num_shards is None:
+        engine = Cole(str(tmp_path / "ws"), params(True))
+    else:
+        engine = ShardedCole(
+            str(tmp_path / "ws"), ShardParams(cole=params(True), num_shards=num_shards)
+        )
+    for blk, items in enumerate(blocks, start=1):
+        engine.begin_block(blk)
+        engine.put_many(items)
+        engine.commit_block()
+    assert engine.num_disk_levels() >= 2
+    parked, release = threading.Event(), threading.Event()
+    read_page = PagedFile.read_page
+
+    def parking_read_page(self, page_id, sequential=False):
+        if threading.current_thread().name == "parked-scan" and not parked.is_set():
+            parked.set()  # the scan's first run page: its sources are pinned
+            release.wait(60)
+        return read_page(self, page_id, sequential)
+
+    monkeypatch.setattr(PagedFile, "read_page", parking_read_page)
+    answer = []
+    scan = threading.Thread(
+        target=lambda: answer.append(engine.scan(addr_of(0), addr_of(NUM_ADDRS))),
+        name="parked-scan",
+    )
+    scan.start()
+    try:
+        assert parked.wait(60), "the scan read no run page"
+        closer = threading.Thread(target=engine.close, name="closer")
+        closer.start()
+        closer.join(30)
+        assert not closer.is_alive(), "close waited for the in-flight scan"
+    finally:
+        release.set()
+        scan.join(60)
+    assert not scan.is_alive()
+    assert answer == [model_scan(model, 0, NUM_ADDRS, BLOCKS)]
+    gc.collect()
+    assert _open_fds() == baseline
 
 
 # =============================================================================
