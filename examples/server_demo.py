@@ -61,7 +61,7 @@ async def main() -> None:
         # -- byte-identical with the in-process engine --------------------
         direct = ShardedCole(direct_dir, ShardParams(cole=COLE, num_shards=2))
         replay_writes(direct, PARAMS)
-        async with connect((host, port), pool_size=4) as client:
+        async with connect((host, port)) as client:
             mismatches = 0
             for rank in range(PARAMS.num_keys):
                 addr = key_addr(rank, PARAMS.addr_size)

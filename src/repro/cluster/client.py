@@ -5,8 +5,9 @@ A :class:`ClusterClient` holds a :class:`~repro.cluster.manifest.ClusterManifest
 via the ``Op.CLUSTER`` frame) and routes every key to the shard server
 the manifest names, by the same crc32 partitioning the servers
 themselves enforce.  Per-server connections are opened lazily and
-pooled, so a client touching two shards pays for two connections, not
-``num_shards``.
+kept, so a client touching two shards pays for two connections, not
+``num_shards``.  ``fetch_manifest`` and ``admin_call`` are one-shot
+:class:`ServerClient` sessions.
 
 Referral handling is the cluster's consistency mechanism, not an error
 path: a server answering ``MOVED`` (stale manifest, mid-migration
@@ -51,38 +52,16 @@ from repro.server.protocol import (
 )
 
 
-async def request_once(address: str, frame: bytes) -> bytes:
-    """One request on a throwaway connection: connect to ``address``,
-    send ``frame``, read one response body, close."""
-    host, port = parse_address(address)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(frame)
-        await writer.drain()
-        body = await protocol.read_frame(reader)
-        if body is None:
-            raise StorageError(f"{address} closed the connection")
-        return body
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
 async def fetch_manifest(address: str) -> ClusterManifest:
     """One-shot manifest fetch (``Op.CLUSTER``) from any cluster member."""
-    spec = protocol.OPS[Op.CLUSTER]
-    return ClusterManifest.from_dict(
-        spec.decode(await request_once(address, spec.encode()))
-    )
+    async with ServerClient(*parse_address(address)) as client:
+        return ClusterManifest.from_dict(await client._route(protocol.OPS[Op.CLUSTER]))
 
 
 async def admin_call(address: str, command: dict) -> dict:
     """One ``Op.ADMIN`` command against a node's control server."""
-    spec = protocol.OPS[Op.ADMIN]
-    return spec.decode(await request_once(address, spec.encode(command)))
+    async with ServerClient(*parse_address(address)) as client:
+        return await client._route(protocol.OPS[Op.ADMIN], command)
 
 
 class ClusterClient(KVClient):
@@ -93,7 +72,6 @@ class ClusterClient(KVClient):
         manifest: Optional[ClusterManifest] = None,
         manifest_file: Optional[str] = None,
         seeds: Sequence[str] = (),
-        pool_size: int = 1,
         max_retries: int = 6,
         retry_delay: float = 0.05,
     ) -> None:
@@ -105,7 +83,6 @@ class ClusterClient(KVClient):
         self._manifest = manifest
         self._manifest_file = manifest_file
         self._seeds = list(seeds)
-        self.pool_size = pool_size
         self.max_retries = max_retries
         self.retry_delay = retry_delay
         self._clients: Dict[str, ServerClient] = {}
@@ -138,8 +115,7 @@ class ClusterClient(KVClient):
     async def _client_for(self, address: str) -> ServerClient:
         client = self._clients.get(address)
         if client is None:
-            client = ServerClient(*parse_address(address), pool_size=self.pool_size)
-            await client.connect()
+            client = await ServerClient(*parse_address(address)).connect()
             self._clients[address] = client
         return client
 
@@ -308,7 +284,12 @@ class ClusterClient(KVClient):
         manifest can span keys that now live on *different* servers, and
         only re-grouping under the refreshed manifest can ever route it
         correctly.
+
+        The whole batch obeys the one-server bounds first: an empty one,
+        or one past ``MAX_MULTI_BATCH`` whose every share fits, is
+        refused here as :class:`ServerClient` refuses it.
         """
+        protocol._check_batch_count(len(batch))
         answers: List[Tuple[List[int], object]] = []
         pending: List[Tuple[int, bytes]] = list(enumerate(spec.addresses((batch,))))
         last_exc: Optional[Exception] = None

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 from repro.server import protocol
+from repro.server.client import ServerClient
 from repro.wal.record import RecordType, scan_records
 
 
@@ -127,36 +128,21 @@ class ReplicaApplier:
             await asyncio.sleep(self.retry_delay)
 
     async def _stream_once(self) -> None:
-        reader, writer = await asyncio.open_connection(
-            self.primary_host, self.primary_port
-        )
-        try:
+        """One subscription: the handshake, then records until the
+        connection ends (always by an error: the stream has no end)."""
+        async with ServerClient(self.primary_host, self.primary_port) as primary:
             self.subscribes += 1
-            writer.write(protocol.encode_repl_subscribe(self.applied_height))
-            await writer.drain()
-            body = await protocol.read_frame(reader)
-            if body is None:
-                raise StorageError("primary closed during the subscribe handshake")
+            bodies = primary.stream(protocol.encode_repl_subscribe(self.applied_height))
             # Raises on ERROR (e.g. snapshot-required) and NOT_PRIMARY.
-            self.primary_height = max(
-                self.primary_height, protocol.decode_repl_handshake(body)
-            )
+            handshake = protocol.decode_repl_handshake(await bodies.__anext__())
+            self.primary_height = max(self.primary_height, handshake)
             self.connected = True
             self.last_error = None
             pending: Dict[int, List[Tuple[bytes, bytes]]] = {}
-            while True:
-                body = await protocol.read_frame(reader)
-                if body is None:
-                    raise StorageError("replication stream closed by the primary")
+            async for body in bodies:
                 record = self._decode(protocol.decode_repl_record(body))
                 self.records_received += 1
                 await self._consume(record, pending)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
 
     @staticmethod
     def _decode(record_bytes: bytes):

@@ -9,7 +9,8 @@ Turns the in-process engine into a service (see DESIGN.md):
   one block through the engine's batched write path;
 * :class:`VersionedReadCache` — hot-key read cache, refreshed by each
   commit for the addresses it wrote so cached answers are always exact;
-* :class:`ServerClient` — pooled, pipelined asyncio client;
+* :class:`ServerClient` — one pipelined asyncio connection, the only
+  client transport (replica streams and cluster control calls too);
 * :mod:`repro.server.loadgen` — open/closed-loop load generation
   (``repro loadgen`` on the CLI; Figure 17 in the benchmarks).
 

@@ -1,7 +1,6 @@
-"""The asyncio client of the serving layer: pooled, pipelined connections.
+"""The asyncio client of the serving layer: one pipelined connection.
 
-A :class:`ServerClient` owns ``pool_size`` TCP connections and spreads
-requests across them round-robin.  Each connection **pipelines**: a
+A :class:`ServerClient` owns one TCP connection, and it **pipelines**: a
 request is one ``transport.write`` plus a future appended to a FIFO —
 no lock, no ``drain()``, no waiting for earlier responses — and the
 connection's ``data_received`` (it is an asyncio protocol; there is
@@ -9,6 +8,9 @@ no reader task) splits each chunk into frames and resolves the futures
 in order — valid because the server answers every connection strictly
 in request order.  Pipelining removes the per-op network round trip from
 the critical path, which is where most of a small op's latency lives.
+The same connection also carries the one ``stream`` op
+(:meth:`ServerClient.stream`), so it is the only client transport: the
+replica applier and the cluster control calls ride it too.
 
 :class:`ReplicatedClient` is the replica-aware mode: writes go to the
 primary (following ``NOT_PRIMARY`` redirects), reads fan out round-robin
@@ -27,13 +29,18 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import AsyncIterator, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import StorageError
 from repro.server import protocol
 from repro.server.protocol import Op, OpSpec, Referral, RootInfo, parse_address
 
 _OPS = protocol.OPS
+
+#: Unread bodies a streaming connection holds before it stops reading
+#: its socket (one receive may overshoot it by what that read carried);
+#: it reads again once the consumer has taken them all.
+STREAM_WINDOW = 64
 
 
 class KVClient:
@@ -163,7 +170,8 @@ class KVClient:
 
 
 class _Connection(protocol.FrameProtocol):
-    """One TCP connection with FIFO response matching."""
+    """One TCP connection with FIFO response matching — or, after
+    :meth:`stream`, one server-pushed stream of bodies."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -172,6 +180,8 @@ class _Connection(protocol.FrameProtocol):
         self._closed = False  # close() was called on this end
         self._lost: Optional[asyncio.Future] = None  # done once the socket is gone
         self._new_future = None  # the loop's create_future
+        #: Stream mode: the unread bodies, then the error that ended them.
+        self._stream: Optional[asyncio.Queue] = None
 
     async def open(self, host: str, port: int) -> None:
         loop = asyncio.get_running_loop()
@@ -183,6 +193,9 @@ class _Connection(protocol.FrameProtocol):
         self._transport = transport
 
     def data_received(self, data: bytes) -> None:
+        if self._stream is not None:
+            self._stream_received(data)
+            return
         pending = self._pending
         try:
             for body in self._frames.feed(data):
@@ -197,10 +210,25 @@ class _Connection(protocol.FrameProtocol):
             self._fail_pending(exc)
             self._transport.close()
 
+    def _stream_received(self, data: bytes) -> None:
+        stream = self._stream
+        try:
+            for body in self._frames.feed(data):
+                stream.put_nowait(body)
+        except StorageError as exc:  # an oversized length prefix
+            stream.put_nowait(exc)
+            self._transport.close()
+            return
+        if stream.qsize() >= STREAM_WINDOW:
+            self._transport.pause_reading()
+
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._transport = None
         self._lost.set_result(None)
-        self._fail_pending(exc or StorageError("connection closed by server"))
+        error = exc or StorageError("connection closed by server")
+        self._fail_pending(error)
+        if self._stream is not None:
+            self._stream.put_nowait(error)
 
     def _fail_pending(self, exc: BaseException) -> None:
         while self._pending:
@@ -208,9 +236,7 @@ class _Connection(protocol.FrameProtocol):
             if not future.done():
                 future.set_exception(exc)
 
-    def request(self, frame: bytes) -> "asyncio.Future[bytes]":
-        """Send one frame; the returned future resolves to its response
-        body (pipelined: nothing here waits for earlier responses)."""
+    def _send(self, frame: bytes) -> None:
         if self._closed:
             raise StorageError("connection is closed")
         if self._transport is None:
@@ -221,13 +247,38 @@ class _Connection(protocol.FrameProtocol):
             raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
                 "connection closed by server"
             )
-        future = self._new_future()
+        self._transport.write(frame)
+
+    def request(self, frame: bytes) -> "asyncio.Future[bytes]":
+        """Send one frame; the returned future resolves to its response
+        body (pipelined: nothing here waits for earlier responses)."""
         # Write, then enqueue, in one synchronous step: the FIFO future
         # queue matches the order frames reached the transport, and a
         # write that raises leaves no orphan future behind.
-        self._transport.write(frame)
+        self._send(frame)
+        future = self._new_future()
         self._pending.append(future)
         return future
+
+    def stream(self, frame: bytes) -> AsyncIterator[bytes]:
+        """Send one ``stream``-class frame on a connection with nothing
+        in flight; the returned iterator yields every body the server
+        answers with, in order, and the error that ends the connection
+        ends it.  A stalled consumer holds one :data:`STREAM_WINDOW`; the
+        rest waits in the kernel, then in the sender's queue (which a
+        primary's hub bounds by evicting the subscriber)."""
+        self._stream = asyncio.Queue()
+        self._send(frame)
+        return self._unread_bodies(self._stream)
+
+    async def _unread_bodies(self, stream: asyncio.Queue) -> AsyncIterator[bytes]:
+        while True:
+            body = await stream.get()
+            if isinstance(body, BaseException):
+                raise body
+            if stream.empty() and self._transport is not None:
+                self._transport.resume_reading()
+            yield body
 
     async def close(self) -> None:
         self._closed = True
@@ -238,57 +289,40 @@ class _Connection(protocol.FrameProtocol):
 
 
 class ServerClient(KVClient):
-    """Typed ops over a pool of pipelined connections."""
+    """Typed ops over one pipelined connection."""
 
-    def __init__(self, host: str, port: int, pool_size: int = 1) -> None:
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.pool_size = pool_size
-        self._conns: List[_Connection] = []
-        self._next = 0
+        self._conn: Optional[_Connection] = None
 
     async def connect(self) -> "ServerClient":
-        """Open every pooled connection.
-
-        All-or-nothing: when one open fails mid-pool-fill, every
-        connection opened so far is closed before the error propagates —
-        a half-built pool would otherwise leak its sockets with no
-        handle left to close them.
-        """
-        conns: List[_Connection] = []
-        try:
-            for _ in range(self.pool_size):
-                conn = _Connection()
-                await conn.open(self.host, self.port)
-                conns.append(conn)
-        except BaseException:
-            for conn in conns:
-                await conn.close()
-            raise
-        self._conns = conns
+        conn = _Connection()
+        await conn.open(self.host, self.port)
+        self._conn = conn
         return self
 
     async def close(self) -> None:
-        """Close every pooled connection."""
-        conns, self._conns = self._conns, []
-        for conn in conns:
+        conn, self._conn = self._conn, None
+        if conn is not None:
             await conn.close()
 
-    def _conn(self) -> _Connection:
-        if not self._conns:
+    def _connected(self) -> _Connection:
+        if self._conn is None:
             raise StorageError("client is not connected")
-        conn = self._conns[self._next % len(self._conns)]
-        self._next += 1
-        return conn
+        return self._conn
 
     async def _route(self, spec: OpSpec, *args):
-        """Encode, send down the next pooled connection, decode.  The
-        frame is built — and a batch's size validated — before any
-        connection is touched."""
+        """Encode, send, decode.  The frame is built — and a batch's
+        size validated — before the connection is touched."""
         frame = spec.encode(*args)
-        return spec.decode(await self._conn().request(frame))
+        return spec.decode(await self._connected().request(frame))
+
+    def stream(self, frame: bytes) -> AsyncIterator[bytes]:
+        """Send one ``stream``-class request and iterate over every body
+        it is answered with (:meth:`_Connection.stream`); the connection
+        serves nothing else afterwards."""
+        return self._connected().stream(frame)
 
 
 class ReplicatedClient(KVClient):
@@ -307,13 +341,11 @@ class ReplicatedClient(KVClient):
         self,
         primary: Tuple[str, int],
         replicas: Sequence[Tuple[str, int]] = (),
-        pool_size: int = 1,
         max_lag: Optional[int] = None,
         read_primary: bool = True,
     ) -> None:
         self._primary_addr = primary
         self._replica_addrs = list(replicas)
-        self.pool_size = pool_size
         self.max_lag = max_lag
         self.read_primary = read_primary
         self._primary: Optional[ServerClient] = None
@@ -335,12 +367,12 @@ class ReplicatedClient(KVClient):
 
     async def connect(self) -> "ReplicatedClient":
         """Open the primary and every replica (all-or-nothing)."""
-        primary = ServerClient(*self._primary_addr, pool_size=self.pool_size)
+        primary = ServerClient(*self._primary_addr)
         opened: List[ServerClient] = []
         try:
             await primary.connect()
             for host, port in self._replica_addrs:
-                replica = ServerClient(host, port, pool_size=self.pool_size)
+                replica = ServerClient(host, port)
                 await replica.connect()
                 opened.append(replica)
         except BaseException:
@@ -410,10 +442,7 @@ class ReplicatedClient(KVClient):
             # shard has moved (MOVED): either way the rejection names
             # the server that will accept the write — follow it.
             self.redirects += 1
-            redirected = ServerClient(
-                *parse_address(exc.address), pool_size=self.pool_size
-            )
-            await redirected.connect()
+            redirected = await ServerClient(*parse_address(exc.address)).connect()
             stale, self._primary = self._primary, redirected
             if stale is not None:
                 await stale.close()
@@ -476,7 +505,6 @@ def connect(
     manifest: object = None,
     manifest_file: Optional[str] = None,
     seeds: Sequence[Target] = (),
-    pool_size: int = 1,
     max_lag: Optional[int] = None,
     read_primary: bool = True,
 ) -> KVClient:
@@ -509,10 +537,7 @@ def connect(
             for seed in seeds
         )
         return ClusterClient(
-            manifest=manifest,
-            manifest_file=manifest_file,
-            seeds=seed_addrs,
-            pool_size=pool_size,
+            manifest=manifest, manifest_file=manifest_file, seeds=seed_addrs
         )
     if target is None:
         raise StorageError("connect() needs a target or cluster arguments")
@@ -520,9 +545,7 @@ def connect(
         return ReplicatedClient(
             _to_addr(target),
             [_to_addr(replica) for replica in replicas],
-            pool_size=pool_size,
             max_lag=max_lag,
             read_primary=read_primary,
         )
-    host, port = _to_addr(target)
-    return ServerClient(host, port, pool_size=pool_size)
+    return ServerClient(*_to_addr(target))

@@ -119,8 +119,8 @@ responses to requests by position (see ``repro.server.client``).
 
 Frame IO: both ends are asyncio protocols (:class:`FrameProtocol`: the
 loop reads into one reusable buffer) and cut frames out of whatever
-chunks arrive with :class:`FrameBuffer`; :func:`read_frame` is the
-stream-reader form, kept for the one-frame-at-a-time consumers.  The
+chunks arrive with :class:`FrameBuffer`; every client peer — the
+replica's stream included — reads through one such connection.  The
 four hot frames — GET / MULTI_GET requests, value / MULTI_GET answers —
 are packed from one precompiled header and sliced by offset; every other
 shape, and every malformed one, goes field by field through
@@ -798,22 +798,3 @@ class FrameProtocol(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         self.data_received(bytes(self._inbox[:nbytes]))
-
-
-async def read_frame(reader) -> Optional[bytes]:
-    """Read one frame body from an ``asyncio.StreamReader`` — the cold,
-    one-frame-at-a-time consumers (the replica applier, ``request_once``).
-
-    Returns ``None`` on clean EOF at a frame boundary.
-    """
-    try:
-        header = await reader.readexactly(4)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    (length,) = _U32.unpack(header)
-    if length > MAX_FRAME:
-        raise StorageError(f"frame of {length} bytes exceeds MAX_FRAME")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise StorageError("connection closed mid-frame") from exc

@@ -900,28 +900,26 @@ class ColeServer:
             finally:
                 self.hub.catchups_active -= 1
             last = start_height
-            for height, records in batches:
-                if height <= last:
-                    continue
-                for record in records:
-                    conn.write(protocol.encode_repl_record(record))
-                    self.hub.records_shipped += 1
-                await conn.drain()
-                last = height
+            for batch in batches:
+                last = await self._ship(conn, batch, last)
             while True:
                 batch = await queue.get()
                 if batch is None:  # server stopping
                     return
-                height, records = batch
-                if height <= last:
-                    continue
-                for record in records:
-                    conn.write(protocol.encode_repl_record(record))
-                    self.hub.records_shipped += 1
-                await conn.drain()
-                last = height
+                last = await self._ship(conn, batch, last)
         finally:
             self.hub.unregister(queue)
+
+    async def _ship(self, conn: Connection, batch, last: int) -> int:
+        """Stream one ``(height, records)`` batch unless the ``last``
+        height shipped already covers it; returns the new watermark."""
+        height, records = batch
+        if height <= last:
+            return last
+        conn.write(b"".join(map(protocol.encode_repl_record, records)))
+        self.hub.records_shipped += len(records)
+        await conn.drain()
+        return height
 
     # =========================================================================
     # reads

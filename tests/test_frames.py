@@ -11,29 +11,41 @@ What the transport promises, tested at its seams:
   pipelined PUTs refuses the second without losing the first;
 * a peer that pipelines and never reads is held at the transport's
   high-water mark plus one answer, alone;
+* the client's stream mode (the replica's subscription) yields every
+  body in order for any chunking, stops reading its socket once one
+  window is unread, and ends with a taxonomy error when the connection
+  does; the primary's hub evicts the subscriber that stalls;
 * every step of one request runs in one ``contextvars.Context``;
-* the old stream reader (``protocol.read_frame``) still talks to the new
-  server, and the client turns a hostile length prefix, a hang-up and a
-  ``close()`` with a request in flight into taxonomy errors.
+* a raw-stream peer (``raw_frames.read_frame``) still talks to the
+  server, the client turns a hostile length prefix, a hang-up and a
+  ``close()`` with a request in flight into taxonomy errors, and nothing
+  in ``repro`` opens an asyncio stream.
 """
 
+import ast
 import asyncio
 import contextvars
 import gc
+import pathlib
 import socket
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
+from repro.replication.hub import ReplicationHub
 from repro.server import ColeServer, ServerClient, ServerConfig, ServerThread, protocol
 from repro.server.batcher import MISSING
+from repro.server.client import STREAM_WINDOW, _Connection
 from repro.server.protocol import MAX_FRAME, MovedError, Op
 from repro.server.server import Connection, _WalSyncer
 from repro.wal import WriteAheadLog
+
+from raw_frames import read_frame
 
 ADDR = 20
 VALUE = 24
@@ -209,7 +221,7 @@ def test_the_client_resolves_the_same_answers_for_any_chunking(answers, data):
     async def scenario():
         async def dribble(reader, writer):
             for _ in answers:
-                await protocol.read_frame(reader)
+                await read_frame(reader)
             for piece in pieces:
                 writer.write(piece)
                 await writer.drain()
@@ -272,7 +284,7 @@ def test_one_pipeline_of_suspending_and_inline_requests_is_answered_in_order(tmp
                 + protocol.encode_multi_get([addr_of(2), addr_of(3), addr_of(99)])
                 + protocol.encode_get(addr_of(20))
             )
-            bodies = [await protocol.read_frame(reader) for _ in range(4)]
+            bodies = [await read_frame(reader) for _ in range(4)]
         finally:
             writer.close()
             await writer.wait_closed()
@@ -330,8 +342,8 @@ def test_a_referral_flip_between_two_pipelined_puts_loses_no_write(tmp_path, wal
                 protocol.encode_put(addr_of(1), value_of(1))
                 + protocol.encode_put(addr_of(2), value_of(2))
             )
-            first = await protocol.read_frame(reader)
-            second = await protocol.read_frame(reader)
+            first = await read_frame(reader)
+            second = await read_frame(reader)
         finally:
             writer.close()
             await writer.wait_closed()
@@ -352,8 +364,8 @@ def test_a_peer_that_half_closes_still_gets_its_suspended_answer(tmp_path):
         try:
             writer.write(protocol.encode_put(addr_of(1), value_of(1)))
             writer.write_eof()
-            assert protocol.decode_height_response(await protocol.read_frame(reader)) == 1
-            assert await protocol.read_frame(reader) is None  # then the server closes
+            assert protocol.decode_height_response(await read_frame(reader)) == 1
+            assert await read_frame(reader) is None  # then the server closes
         finally:
             writer.close()
             await writer.wait_closed()
@@ -434,6 +446,121 @@ def test_a_peer_that_never_reads_is_held_at_the_high_water_mark_alone(tmp_path):
 
 
 # =============================================================================
+# the client's stream mode (a replica's subscription)
+# =============================================================================
+
+class _ReadingTransport(_FakeTransport):
+    """A fake transport that records whether its protocol reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+def _subscribed():
+    """A client connection on a fake transport, just subscribed:
+    ``(connection, transport, the stream's bodies)``."""
+    conn, transport = _Connection(), _ReadingTransport()
+    conn._lost = asyncio.get_running_loop().create_future()
+    conn.connection_made(transport)
+    bodies = conn.stream(protocol.encode_repl_subscribe(0))
+    assert bytes(transport.written) == protocol.encode_repl_subscribe(0)
+    return conn, transport, bodies
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(st.binary(max_size=48), max_size=12), data=st.data())
+def test_a_stream_yields_the_handshake_then_every_record_for_any_chunking(records, data):
+    wire = protocol.encode_repl_handshake(7) + b"".join(
+        map(protocol.encode_repl_record, records)
+    )
+    pieces = _chunks(wire, data.draw(st.lists(st.integers(0, len(wire)), max_size=24)))
+
+    async def scenario():
+        conn, _transport, bodies = _subscribed()
+        for piece in pieces:
+            conn.data_received(piece)
+        got = [await bodies.__anext__() for _ in range(len(records) + 1)]
+        assert protocol.decode_repl_handshake(got[0]) == 7
+        assert [protocol.decode_repl_record(body) for body in got[1:]] == records
+
+    asyncio.run(scenario())
+
+
+def test_a_stalled_stream_holds_one_window_and_reads_again_once_drained():
+    record = protocol.encode_repl_record(b"record")
+
+    async def scenario():
+        conn, transport, bodies = _subscribed()
+        for _ in range(STREAM_WINDOW - 1):
+            conn.data_received(record)
+        assert transport.reading
+        conn.data_received(record)  # the window is full: stop reading
+        assert not transport.reading
+        for _ in range(STREAM_WINDOW - 1):
+            await bodies.__anext__()
+        assert not transport.reading  # paused until every body is taken
+        await bodies.__anext__()
+        assert transport.reading
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("ending", ["hang-up", "hostile-prefix"])
+def test_a_stream_whose_connection_ends_raises_instead_of_hanging(ending):
+    async def scenario():
+        conn, transport, bodies = _subscribed()
+        conn.data_received(protocol.encode_repl_handshake(3))
+        assert protocol.decode_repl_handshake(await bodies.__anext__()) == 3
+        waiting = asyncio.ensure_future(bodies.__anext__())
+        await asyncio.sleep(0)
+        assert not waiting.done()
+        if ending == "hang-up":  # half a record, then the socket is gone
+            conn.data_received(protocol.encode_repl_record(b"record")[:6])
+            conn.connection_lost(None)
+        else:
+            conn.data_received((MAX_FRAME + 1).to_bytes(4, "big"))
+            assert transport.closed
+        with pytest.raises(StorageError, match="closed by server|MAX_FRAME"):
+            await asyncio.wait_for(waiting, 5)
+
+    asyncio.run(scenario())
+
+
+def test_the_hub_evicts_a_stalled_subscriber_and_keeps_a_draining_one():
+    """What the window relies on: the primary's queue for a subscriber
+    that stopped reading is bounded — past ``max_queue_batches`` the
+    stream ends (the sentinel) and the queue is dropped."""
+
+    def take_all(queue):
+        taken = []
+        while not queue.empty():
+            batch = queue.get_nowait()
+            taken.append(None if batch is None else batch[0])
+        return taken
+
+    async def scenario():
+        hub = ReplicationHub(engine=None, wal=None, max_queue_batches=3)
+        stalled, draining = hub.register(), hub.register()
+        drained = []
+        for height in range(1, 7):
+            hub.publish(height, [(b"k", b"v")], bytes(16))
+            drained.extend(take_all(draining))
+        assert take_all(stalled) == [1, 2, 3, None]
+        assert hub.subscribers_evicted == 1
+        assert hub.subscribers == 1 and draining in hub._queues
+        assert drained == [1, 2, 3, 4, 5, 6]
+
+    asyncio.run(scenario())
+
+
+# =============================================================================
 # the Context rule
 # =============================================================================
 
@@ -503,7 +630,7 @@ def test_the_client_rejects_a_response_prefix_above_max_frame_and_hangs_up():
         hung_up = asyncio.Event()
 
         async def hostile(reader, writer):
-            await protocol.read_frame(reader)
+            await read_frame(reader)
             writer.write((MAX_FRAME + 1).to_bytes(4, "big"))
             await writer.drain()
             if await reader.read() == b"":
@@ -555,3 +682,33 @@ def test_close_with_a_request_in_flight_fails_it_once_and_logs_nothing():
         assert complaints == []
 
     asyncio.run(scenario())
+
+
+# =============================================================================
+# one client transport
+# =============================================================================
+
+STREAM_APIS = {"open_connection", "start_server", "StreamReader"}
+
+
+def test_nothing_in_the_package_opens_an_asyncio_stream():
+    """Every peer reads frames through a ``FrameProtocol`` connection:
+    no module under ``repro`` calls ``asyncio.open_connection`` or
+    ``asyncio.start_server``, or builds an ``asyncio.StreamReader``."""
+    found = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in STREAM_APIS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "asyncio"
+            ):
+                found.append(f"{path.name}:{node.lineno} asyncio.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "asyncio":
+                found.extend(
+                    f"{path.name}:{node.lineno} from asyncio import {alias.name}"
+                    for alias in node.names
+                    if alias.name in STREAM_APIS
+                )
+    assert found == []

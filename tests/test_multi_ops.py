@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.cluster import ClusterClient, plan_manifest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole
@@ -27,6 +28,8 @@ from repro.server import protocol
 from repro.server.cache import NegativeLookupCache
 from repro.server.protocol import MAX_MULTI_BATCH, NotPrimaryError, Op
 from repro.sharding import ShardedCole
+
+from raw_frames import read_frame
 
 ADDR = 20
 VALUE = 24
@@ -86,6 +89,30 @@ def test_multi_encode_rejects_bad_batch_sizes():
     oversize = [addr_of(n) for n in range(MAX_MULTI_BATCH + 1)]
     with pytest.raises(StorageError, match="cap"):
         protocol.encode_multi_get(oversize)
+
+
+@pytest.mark.parametrize("shape", ["server", "cluster"])
+def test_every_client_shape_refuses_empty_and_oversize_batches(shape):
+    """The batch is checked before any connection opens, so no server
+    runs here.  A cluster checks the whole batch before splitting it: an
+    oversize batch whose every shard's share fits is refused too."""
+    if shape == "server":
+        client = ServerClient("127.0.0.1", 1)
+    else:
+        client = ClusterClient(manifest=plan_manifest(2, 4))
+    oversize = [addr_of(n) for n in range(MAX_MULTI_BATCH + 1)]
+
+    async def scenario():
+        for call, batch, match in (
+            (client.multi_get, [], "empty"),
+            (client.multi_put, [], "empty"),
+            (client.multi_get, oversize, "cap"),
+            (client.multi_put, [(addr, value_of(0)) for addr in oversize], "cap"),
+        ):
+            with pytest.raises(StorageError, match=match):
+                await call(batch)
+
+    asyncio.run(scenario())
 
 
 def test_multi_decode_rejects_malformed_frames():
@@ -279,13 +306,13 @@ def test_malformed_multi_frames_get_clean_errors_over_the_wire(tmp_path):
             for body in bad_bodies:
                 writer.write(len(body).to_bytes(4, "big") + body)
                 await writer.drain()
-                response = await protocol.read_frame(reader)
+                response = await read_frame(reader)
                 with pytest.raises(StorageError):
                     protocol.decode_multi_get_response(response)
             # The connection survived every rejection.
             writer.write(protocol.encode_get(addr_of(1)))
             await writer.drain()
-            response = await protocol.read_frame(reader)
+            response = await read_frame(reader)
             assert protocol.decode_value_response(response) is None
         finally:
             writer.close()
@@ -335,10 +362,10 @@ def test_a_connection_reset_mid_pipeline_fails_requests_without_crossing_answers
 
     async def scenario():
         async def reset_after_one(reader, writer):
-            await protocol.read_frame(reader)
+            await read_frame(reader)
             writer.write(protocol.encode_value_response(value_of(1)))
             await writer.drain()
-            await protocol.read_frame(reader)
+            await read_frame(reader)
             writer.transport.abort()
 
         server = await asyncio.start_server(reset_after_one, "127.0.0.1", 0)

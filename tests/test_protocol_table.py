@@ -138,9 +138,9 @@ STATS_OPS_ORDER = [
 ]
 #: Ops no ``KVClient`` method speaks, and who speaks them instead.
 NOT_ON_KVCLIENT = {
-    Op.REPL_SUBSCRIBE: "the replica applier (repro.replication.replica)",
-    Op.CLUSTER: "repro.cluster.fetch_manifest, over request_once",
-    Op.ADMIN: "repro.cluster.admin_call, over request_once",
+    Op.REPL_SUBSCRIBE: "the replica applier, over ServerClient.stream",
+    Op.CLUSTER: "repro.cluster.fetch_manifest, a one-shot ServerClient",
+    Op.ADMIN: "repro.cluster.admin_call, a one-shot ServerClient",
 }
 
 

@@ -33,6 +33,8 @@ from repro.server import (
 from repro.sharding import ShardedCole
 from repro.wal import WriteAheadLog, replay_wal, restore_store, snapshot_store
 
+from raw_frames import read_frame
+
 ADDR = 20
 VALUE = 24
 PARAMS = ColeParams(
@@ -398,7 +400,7 @@ def test_lagging_subscriber_below_floor_is_told_to_resnapshot(tmp_path):
             try:
                 writer.write(protocol.encode_repl_subscribe(0))
                 await writer.drain()
-                body = await protocol.read_frame(reader)
+                body = await read_frame(reader)
                 with pytest.raises(StorageError, match="snapshot"):
                     protocol.decode_repl_handshake(body)
             finally:
@@ -420,7 +422,7 @@ def test_subscribe_to_wal_less_server_is_an_error(tmp_path):
             try:
                 writer.write(protocol.encode_repl_subscribe(0))
                 await writer.drain()
-                body = await protocol.read_frame(reader)
+                body = await read_frame(reader)
                 with pytest.raises(StorageError, match="WAL"):
                     protocol.decode_repl_handshake(body)
             finally:

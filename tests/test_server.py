@@ -14,6 +14,7 @@ from repro.common.params import ColeParams, ShardParams, SystemParams
 from repro.core import Cole, verify_provenance
 from repro.server import (
     LoadgenParams,
+    ReplicatedClient,
     ServerClient,
     ServerConfig,
     ServerThread,
@@ -26,6 +27,8 @@ from repro.server import protocol
 from repro.server.loadgen import key_addr
 from repro.server.protocol import Op, RootInfo
 from repro.sharding import ShardedCole, verify_sharded_provenance
+
+from raw_frames import read_frame
 
 ADDR = 20
 VALUE = 24
@@ -522,7 +525,7 @@ def test_paged_scan_is_snapshot_consistent_across_interleaved_commits(tmp_path):
 
             # Issue the scan page by page by hand, committing an
             # overwrite of an early address between pages.
-            conn = client._conn()
+            conn = client._conn
             body = await conn.request(
                 protocol.encode_scan(addr_of(0), addr_of(29), None, 10)
             )
@@ -559,7 +562,7 @@ def test_scan_page_cap_bounds_single_response(tmp_path):
                 await client.put(addr_of(n), value_of(n))
             # One raw request above the server's page cap: the response
             # carries at most scan_page_max rows plus a continuation.
-            body = await client._conn().request(
+            body = await client._conn.request(
                 protocol.encode_scan(addr_of(0), addr_of(19), None, 1000)
             )
             rows, continuation, height = protocol.decode_scan_response(body)
@@ -598,7 +601,7 @@ def test_pipelining_many_inflight_on_one_connection(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
 
     async def scenario(host, port):
-        async with ServerClient(host, port, pool_size=1) as client:
+        async with ServerClient(host, port) as client:
             writes = [client.put(addr_of(n), value_of(n)) for n in range(64)]
             await asyncio.gather(*writes)
             await client.flush()
@@ -670,7 +673,7 @@ def test_service_matches_direct_engine_32_clients(tmp_path):
         )
         try:
             replay_writes(direct, params)
-            async with ServerClient(host, port, pool_size=4) as client:
+            async with ServerClient(host, port) as client:
                 for rank in range(params.num_keys):
                     addr = key_addr(rank, params.addr_size)
                     assert await client.get(addr) == direct.get(addr), rank
@@ -800,12 +803,12 @@ def test_stats_op_shape(tmp_path):
     engine.close()
 
 
-def test_client_pool_fill_failure_closes_partial_pool(tmp_path):
-    """A connect() that dies mid-pool-fill must not leak the sockets it
-    already opened (regression: they had no owner to close them).  The
-    failure is injected where the client gets its transports from — the
-    loop's ``create_connection`` — and the sockets are judged by the
-    transports the loop handed out."""
+def test_replicated_connect_failure_closes_the_nodes_already_open(tmp_path):
+    """A ReplicatedClient.connect() that dies on its second node must not
+    leak the connection the first one opened (it would have no owner to
+    close it).  The failure is injected where the client gets its
+    transports from — the loop's ``create_connection`` — and the sockets
+    are judged by the transports the loop handed out."""
     from unittest import mock
 
     engine = Cole(str(tmp_path / "ws"), PARAMS)
@@ -816,17 +819,20 @@ def test_client_pool_fill_failure_closes_partial_pool(tmp_path):
         real_create = loop.create_connection
 
         async def flaky_create(*args, **kwargs):
-            if len(opened) == 2:
-                raise ConnectionRefusedError("handshake died mid-pool-fill")
+            if len(opened) == 1:
+                raise ConnectionRefusedError("the second node refused")
             transport, connection = await real_create(*args, **kwargs)
             opened.append(transport)
             return transport, connection
 
+        client = ReplicatedClient((host, port), [(host, port)])
         with mock.patch.object(loop, "create_connection", flaky_create):
             with pytest.raises(ConnectionRefusedError):
-                await ServerClient(host, port, pool_size=4).connect()
-        assert len(opened) == 2  # two succeeded before the failure
-        assert all(transport.is_closing() for transport in opened)
+                await client.connect()
+        assert len(opened) == 1  # the primary connected before the failure
+        assert opened[0].is_closing()
+        with pytest.raises(StorageError, match="not connected"):
+            await client.root()
         # And the server end stays healthy for the next client.
         async with ServerClient(host, port) as client:
             assert await client.get(addr_of(1)) is None
@@ -873,7 +879,7 @@ class _FaultyServerThread:
 
         try:
             while True:
-                body = await protocol.read_frame(reader)
+                body = await read_frame(reader)
                 if body is None:
                     break
                 op, _args = protocol.decode_request(body)

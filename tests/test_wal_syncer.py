@@ -34,6 +34,8 @@ from repro.server import ColeServer, ServerClient, ServerConfig, protocol
 from repro.server.server import _COST_RING
 from repro.wal import WriteAheadLog
 
+from raw_frames import read_frame
+
 PARAMS = ColeParams(
     system=SystemParams(addr_size=20, value_size=24),
     mem_capacity=64,
@@ -134,7 +136,7 @@ async def _same_tick_puts(host, port, first: int, count: int) -> list:
     try:
         for n, (_reader, writer) in enumerate(streams, first):
             writer.write(protocol.encode_put(addr_of(n), value_of(n)))
-        return [await protocol.read_frame(reader) for reader, _writer in streams]
+        return [await read_frame(reader) for reader, _writer in streams]
     finally:
         for _reader, writer in streams:
             writer.close()
