@@ -1,21 +1,25 @@
-"""Experiment drivers — one per table/figure of the paper's Section 8.
+"""Experiment drivers for the tables and figures of the paper's Section 8.
 
 Section 8 is two experiment shapes — *engine x workload x height ->
 (storage, TPS, latency)* and *engine x range / fanout -> (CPU, proof
 size)* — plus the serving/sharding extensions.  Each ``run_*`` driver is
 a sweep over a few shared **cells** (build an engine, load it, measure,
-clean up), defined first; a driver only says which points it sweeps and
-which columns it keeps.
+clean up), defined first; every point of a sweep measures every column.
 
-Every driver returns a list of result rows (dictionaries) and can be run
-at any scale.  Its defaults are the one **figure scale**, sized for
-minutes, not hours, on a laptop (the paper's 10^2..10^5 block sweep
-becomes 10^1..10^3 at 10 tx/block).  :data:`EXPERIMENTS` names every
-experiment; ``repro experiment NAME`` and ``benchmarks/bench_figures.py``
-both run :func:`run_experiment` ``(NAME)``, so the command runs exactly
-the experiment whose claims (:mod:`repro.bench.claims`) the benchmark
-asserts.  README.md's "Benchmarks and experiments" table maps every
-name to its figure, driver and sweep parameters.
+An experiment is a **selection and a projection** over one driver's
+rows: :data:`EXPERIMENTS` names every experiment, the driver arguments
+that select its points and the columns it keeps.  Figs 9-13, Table 1 and
+the index share are one chain sweep, figs 14-15 one provenance sweep,
+figs 17-18 one served sweep.  Every driver returns a list of result rows
+(dictionaries) and can be run at any scale; an experiment's registered
+arguments over its driver's defaults are its one **figure scale**, sized
+for minutes, not hours, on a laptop (the paper's 10^2..10^5 block sweep
+becomes 10^1..10^3 at 10 tx/block).  ``repro experiment NAME`` and
+``benchmarks/bench_figures.py`` both run :func:`run_experiment`
+``(NAME)``, so the command runs exactly the experiment whose claims
+(:mod:`repro.bench.claims`) the benchmark asserts.  README.md's
+"Benchmarks and experiments" table maps every name to its figure,
+driver and sweep parameters.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
+    BENCH_COLE_PARAMS,
     BENCH_CONTEXT,
     BENCH_SYSTEM,
     ENGINES,
@@ -49,7 +54,6 @@ from repro.bench.harness import (
 )
 from repro.bench.report import percentile
 from repro.chain.contracts import KVStoreContract, SmallBankContract
-from repro.chain.executor import ExecutionMetrics
 from repro.cluster import plan_manifest
 from repro.common.hashing import hash_bytes, hash_concat
 from repro.common.params import ColeParams
@@ -83,6 +87,13 @@ Batch = List[Tuple[bytes, bytes]]
 SEED = 7
 PROV_SEED = 11
 TXS_PER_BLOCK = 10  # figs 9-15, table1, index-share
+#: Point reads of the workload's own keys a chain cell issues last
+#: (Table 1's get IO).
+CHAIN_GETS = 50
+#: What a chain cell measures; all ``None`` on a "did not finish" row.
+CHAIN_MEASURES = ("storage_bytes", "tps", "median_s", "p99_s", "tail_s",
+                  "write_io_per_tx", "get_io_per_query",
+                  "value_bytes", "node_bytes", "data_share")
 ADDR_SIZE = BENCH_SYSTEM.addr_size
 VALUE_SIZE = BENCH_SYSTEM.value_size
 TOP_ADDR = b"\xff" * ADDR_SIZE
@@ -97,8 +108,6 @@ SERVED_CLI_FLAGS = (
     "--batch-puts", str(SERVED_CONFIG.batch_max_puts),
     "--batch-delay-ms", str(SERVED_CONFIG.batch_max_delay * 1000),
 )
-FIG17_READ_FRACTION = 0.5
-FIG18_READ_FRACTION = 0.1  # write-heavy: durability is a cost of writes
 #: Preload geometry of the hot-path extensions.
 MULTI_GET_PUTS_PER_BLOCK = 192
 NEGATIVE_LOOKUP_BLOCKS, NEGATIVE_LOOKUP_PUTS_PER_BLOCK = 16, 128
@@ -133,85 +142,6 @@ def _settle(backend) -> None:
 def _ratio(numerator: float, denominator: float) -> float:
     """``numerator / denominator``; 0.0 for a run too short to divide by."""
     return numerator / denominator if denominator else 0.0
-
-
-def _workload(name: str, num_accounts: int):
-    """The fig9/fig10 pair: SmallBank, or KVStore over twice the keys."""
-    if name == "smallbank":
-        return SmallBankWorkload(num_accounts=num_accounts, seed=SEED)
-    return YCSBWorkload(num_keys=num_accounts * 2, seed=SEED)
-
-
-class ChainCell(NamedTuple):
-    """What one engine x workload x height cell measured."""
-
-    backend: object
-    metrics: ExecutionMetrics
-    stats: IOStats
-    write_io: int  # page IOs of the running phase, merges settled
-
-
-@contextmanager
-def chain_cell(engine: str, workload, blocks: int, mix: Mix = Mix.READ_WRITE,
-               **overrides) -> Iterator[ChainCell]:
-    """Load ``workload`` then run ``blocks`` blocks of it on one executor.
-
-    ``workload`` is a :class:`SmallBankWorkload` (account set-up, then
-    transactions) or a :class:`YCSBWorkload` (key load, then ``mix``).
-    """
-    stats = IOStats()
-    count = blocks * TXS_PER_BLOCK
-    with engine_cell(engine, stats=stats, **overrides) as backend:
-        if isinstance(workload, SmallBankWorkload):
-            load, stream = workload.setup_transactions(), workload.transactions(count)
-        else:
-            load, stream = workload.load_transactions(), workload.run_transactions(count, mix)
-        executor, _ = run_chain(backend, load, TXS_PER_BLOCK)
-        loaded = stats.snapshot()
-        _, metrics = run_chain(backend, stream, TXS_PER_BLOCK, executor=executor)
-        _settle(backend)
-        yield ChainCell(backend, metrics, stats, stats.delta(loaded).total)
-
-
-def prov_cell(engine: str, blocks: int, query_ranges: Sequence[int],
-              queries_per_point: int, **overrides) -> List[Tuple[int, float, float]]:
-    """``(range, mean CPU s, mean proof bytes)`` per range over one chain.
-
-    Builds one provenance chain, then per range issues the queries and —
-    for COLE, whose proofs the client checks — verifies each against the
-    state root inside the timed region.
-    """
-    contract = KVStoreContract(BENCH_CONTEXT)
-    workload = ProvenanceWorkload(num_base_keys=100, seed=PROV_SEED)
-    points = []
-    with engine_cell(engine, mem_capacity=PROV_MEM_CAPACITY, **overrides) as backend:
-        executor, _ = run_chain(backend, workload.load_transactions(), TXS_PER_BLOCK)
-        run_chain(
-            backend, workload.update_transactions(blocks * TXS_PER_BLOCK),
-            TXS_PER_BLOCK, record_latencies=False, executor=executor,
-        )
-        _settle(backend)
-        state_root = backend.commit_block()
-        for query_range in query_ranges:
-            total_cpu = 0.0
-            total_proof = 0
-            for key, blk_low, blk_high in workload.queries(
-                queries_per_point, executor.height, query_range
-            ):
-                addr = contract.key_addr(key)
-                tick = time.perf_counter()
-                result = backend.prov_query(addr, blk_low, blk_high)
-                if isinstance(backend, Cole):
-                    verify_provenance(result, state_root, addr_size=ADDR_SIZE)
-                    proof_size = result.proof.size_bytes()
-                else:
-                    proof_size = result.proof_size_bytes()
-                total_cpu += time.perf_counter() - tick
-                total_proof += proof_size
-            points.append(
-                (query_range, total_cpu / queries_per_point, total_proof / queries_per_point)
-            )
-    return points
 
 
 def pool_stream(num_addresses: int, blocks: int, puts_per_block: int,
@@ -257,23 +187,18 @@ def load_stream(backend, stream: Sequence[Batch]) -> bytes:
 
 @contextmanager
 def served(backend, config: Optional[ServerConfig] = None,
-           wal_policy: Optional[str] = None) -> Iterator[ServerThread]:
+           policy: str = "off") -> Iterator[ServerThread]:
     """``backend`` behind a :class:`ColeServer` on its own loop thread.
 
-    With ``wal_policy`` a write-ahead log inside the (sharded) engine's
-    workspace backs the acks; it is closed after the server.
+    Unless ``policy`` is ``off``, a write-ahead log with that fsync
+    policy inside the (sharded) engine's workspace backs the acks; it is
+    closed after the server.
     """
-    wal = None
-    if wal_policy is not None:
-        wal = WriteAheadLog(
-            os.path.join(backend.directory, "wal"), sync_policy=wal_policy
+    with ExitStack() as stack:
+        wal = None if policy == "off" else stack.enter_context(
+            WriteAheadLog(os.path.join(backend.directory, "wal"), sync_policy=policy)
         )
-    try:
-        with ServerThread(backend, config=config or ServerConfig(), wal=wal) as thread:
-            yield thread
-    finally:
-        if wal is not None:
-            wal.close()
+        yield stack.enter_context(ServerThread(backend, config=config or ServerConfig(), wal=wal))
 
 
 def drive(thread: ServerThread, **loadgen_fields):
@@ -322,150 +247,127 @@ def best_of(repeats: int, points: Sequence, run_point: Callable[[object], Row],
 
 
 # =============================================================================
-# Figures 9-13, Table 1: engine x workload x height
+# Figures 9-13, Table 1, index share: engine x height x mix x size ratio
 # =============================================================================
 
-def run_overall_performance(
+def run_chain_sweep(
     workload_name: str = "smallbank",
     heights: Sequence[int] = (30, 100, 300),
     engines: Sequence[str] = ("mpt", "cole", "cole*", "lipp", "cmi"),
+    mixes: Sequence[str] = (Mix.READ_WRITE.value,),
+    size_ratios: Sequence[int] = (BENCH_COLE_PARAMS.size_ratio,),
     num_accounts: int = 200,
 ) -> List[Row]:
-    """Figure 9 (SmallBank) / Figure 10 (KVStore): storage + TPS series."""
-    workload = _workload(workload_name, num_accounts)
-    rows: List[Row] = []
-    for engine, height in itertools.product(engines, heights):
-        row: Row = {"engine": engine, "blocks": height, "storage_bytes": None,
-                    "tps": None, "note": "did not finish (as in the paper)"}
-        limit = ENGINES[engine].max_blocks
-        if limit is None or height <= limit:
-            with chain_cell(engine, workload, height) as cell:
-                row.update(storage_bytes=cell.backend.storage_bytes(),
-                           tps=cell.metrics.throughput_tps, note="")
-        rows.append(row)
-    return rows
+    """Figures 9-13, Table 1 and Section 1's index share: one chain per
+    engine x height x mix x size ratio T.
 
-
-def run_workload_mix(
-    heights: Sequence[int] = (100, 300),
-    engines: Sequence[str] = ("mpt", "cole", "cole*"),
-    num_keys: int = 300,
-) -> List[Row]:
-    """Figure 11: KVStore throughput under RO / RW / WO mixes."""
-    workload = YCSBWorkload(num_keys=num_keys, seed=SEED)
+    A cell loads the workload — SmallBank over ``num_accounts`` accounts,
+    or KVStore over twice as many keys in ``mix`` (``RO`` / ``RW`` /
+    ``WO``) — then runs ``height`` blocks of it on the same executor,
+    joins the background merges, and reads :data:`CHAIN_GETS` of the
+    workload's own keys.  It measures every column of
+    :data:`CHAIN_MEASURES`: storage, TPS, the latency percentiles, the
+    running phase's page IOs per transaction and the reads' per query,
+    and MPT's value / node bytes (``None`` on the other engines).  An
+    engine past its paper cut-off (LIPP, CMI) gets a "did not finish"
+    row instead.
+    """
+    if workload_name == "smallbank":
+        workload = SmallBankWorkload(num_accounts=num_accounts, seed=SEED)
+        load = workload.setup_transactions
+        run = lambda count, _mix: workload.transactions(count)  # noqa: E731
+        checking = SmallBankContract(BENCH_CONTEXT).checking_addr
+        reads = [checking(f"acct{index % num_accounts}") for index in range(CHAIN_GETS)]
+    else:
+        workload = YCSBWorkload(num_keys=num_accounts * 2, seed=SEED)
+        load, run = workload.load_transactions, workload.run_transactions
+        reads = [key_addr(index % workload.num_keys, ADDR_SIZE) for index in range(CHAIN_GETS)]
     rows: List[Row] = []
-    for engine, height, mix in itertools.product(
-        engines, heights, (Mix.READ_ONLY, Mix.READ_WRITE, Mix.WRITE_ONLY)
+    for engine, height, mix, size_ratio in itertools.product(
+        engines, heights, mixes, size_ratios
     ):
-        with chain_cell(engine, workload, height, mix) as cell:
-            rows.append({"engine": engine, "blocks": height, "mix": mix.value,
-                         "tps": cell.metrics.throughput_tps})
+        row: Row = {"engine": engine, "blocks": height, "mix": mix, "size_ratio": size_ratio,
+                    **dict.fromkeys(CHAIN_MEASURES), "note": "did not finish (as in the paper)"}
+        rows.append(row)
+        limit = ENGINES[engine].max_blocks
+        if limit is not None and height > limit:
+            continue
+        stats = IOStats()
+        with engine_cell(engine, stats=stats, size_ratio=size_ratio) as backend:
+            executor, _ = run_chain(backend, load(), TXS_PER_BLOCK)
+            loaded = stats.snapshot()
+            _, metrics = run_chain(backend, run(height * TXS_PER_BLOCK, Mix(mix)),
+                                   TXS_PER_BLOCK, executor=executor)
+            _settle(backend)
+            write_io = stats.delta(loaded).total
+            read_start = stats.snapshot()
+            for addr in reads:
+                backend.get(addr)
+            get_io = stats.delta(read_start).total
+            row.update(storage_bytes=backend.storage_bytes(), tps=metrics.throughput_tps,
+                       median_s=metrics.median_latency,
+                       p99_s=metrics.latency_percentile(0.99),
+                       tail_s=metrics.tail_latency,
+                       write_io_per_tx=write_io / metrics.transactions,
+                       get_io_per_query=get_io / CHAIN_GETS, note="")
+            if engine == "mpt":
+                values, nodes = backend.value_bytes_written, backend.trie.node_bytes_written
+                row.update(value_bytes=values, node_bytes=nodes, data_share=values / nodes)
     return rows
-
-
-def run_latency(
-    workload_name: str = "smallbank",
-    heights: Sequence[int] = (300, 1000),
-    engines: Sequence[str] = ("mpt", "cole", "cole*"),
-    num_accounts: int = 200,
-) -> List[Row]:
-    """Figure 12: per-transaction latency distribution per engine."""
-    workload = _workload(workload_name, num_accounts)
-    rows: List[Row] = []
-    for engine, height in itertools.product(engines, heights):
-        with chain_cell(engine, workload, height) as cell:
-            rows.append({"engine": engine, "blocks": height,
-                         "median_s": cell.metrics.median_latency,
-                         "p99_s": cell.metrics.latency_percentile(0.99),
-                         "tail_s": cell.metrics.tail_latency})
-    return rows
-
-
-def run_size_ratio(
-    size_ratios: Sequence[int] = (2, 4, 6, 8, 10, 12),
-    blocks: int = 300,
-    num_accounts: int = 200,
-) -> List[Row]:
-    """Figure 13: COLE / COLE* throughput and latency across T."""
-    workload = _workload("smallbank", num_accounts)
-    rows: List[Row] = []
-    for engine, size_ratio in itertools.product(("cole", "cole*"), size_ratios):
-        with chain_cell(engine, workload, blocks, size_ratio=size_ratio) as cell:
-            rows.append({"engine": engine, "size_ratio": size_ratio,
-                         "tps": cell.metrics.throughput_tps,
-                         "median_s": cell.metrics.median_latency,
-                         "tail_s": cell.metrics.tail_latency})
-    return rows
-
-
-def run_complexity_table(
-    heights: Sequence[int] = (100, 300, 1000), num_accounts: int = 200
-) -> List[Row]:
-    """Table 1, measured: storage, write IO/tx, get IO, tail latency."""
-    contract = SmallBankContract(BENCH_CONTEXT)
-    workload = _workload("smallbank", num_accounts)
-    get_count = 50
-    rows: List[Row] = []
-    for engine, height in itertools.product(("mpt", "cole", "cole*"), heights):
-        with chain_cell(engine, workload, height) as cell:
-            read_start = cell.stats.snapshot()
-            for index in range(get_count):
-                cell.backend.get(contract.checking_addr(f"acct{index % num_accounts}"))
-            get_io = cell.stats.delta(read_start).total
-            rows.append({"engine": engine, "blocks": height,
-                         "storage_bytes": cell.backend.storage_bytes(),
-                         "write_io_per_tx": cell.write_io / cell.metrics.transactions,
-                         "get_io_per_query": get_io / get_count,
-                         "tail_s": cell.metrics.tail_latency,
-                         "median_s": cell.metrics.median_latency})
-    return rows
-
-
-def run_index_share(blocks: int = 300, num_accounts: int = 200) -> List[Row]:
-    """Section 1's preliminary claim: the index dominates MPT storage."""
-    with chain_cell("mpt", _workload("smallbank", num_accounts), blocks) as cell:
-        values, nodes = cell.backend.value_bytes_written, cell.backend.trie.node_bytes_written
-        return [{"value_bytes": values, "node_bytes": nodes, "data_share": values / nodes}]
 
 
 # =============================================================================
 # Figures 14 & 15: provenance query performance
 # =============================================================================
 
-def run_provenance_range(
+def run_provenance_sweep(
+    engines: Sequence[str] = ("mpt", "cole", "cole*"),
+    fanouts: Sequence[int] = (BENCH_COLE_PARAMS.mht_fanout,),
     query_ranges: Sequence[int] = (2, 4, 8, 16, 32, 64, 128),
     blocks: int = 300,
-    engines: Sequence[str] = ("mpt", "cole", "cole*"),
     queries_per_point: int = 10,
 ) -> List[Row]:
-    """Figure 14: provenance CPU time and proof size vs block range q.
+    """Figures 14 and 15: provenance CPU time and proof size per engine x
+    MHT fanout m x block range q.
 
-    COLE's in-memory level is shrunk (B = 64) so recent versions reach
-    the on-disk runs, as they do at the paper's 10^5-block scale.
+    Per engine and fanout one provenance chain of ``blocks`` blocks is
+    built, with COLE's in-memory level shrunk (B = 64) so recent versions
+    reach the on-disk runs, as they do at the paper's 10^5-block scale.
+    Then per range ``queries_per_point`` queries are issued and — for
+    COLE, whose proofs the client checks — each is verified against the
+    state root inside the timed region; ``cpu_s`` and ``proof_bytes``
+    are the means.
     """
-    return [
-        {"engine": engine, "range": query_range, "cpu_s": cpu, "proof_bytes": proof}
-        for engine in engines
-        for query_range, cpu, proof in prov_cell(
-            engine, blocks, query_ranges, queries_per_point
-        )
-    ]
-
-
-def run_mht_fanout(
-    fanouts: Sequence[int] = (2, 4, 8, 16, 32, 64),
-    blocks: int = 300,
-    query_range: int = 16,
-    queries_per_point: int = 10,
-) -> List[Row]:
-    """Figure 15: provenance cost vs COLE's MHT fanout m (q = 16)."""
-    return [
-        {"engine": engine, "fanout": fanout, "cpu_s": cpu, "proof_bytes": proof}
-        for engine, fanout in itertools.product(("cole", "cole*"), fanouts)
-        for _, cpu, proof in prov_cell(
-            engine, blocks, (query_range,), queries_per_point, mht_fanout=fanout
-        )
-    ]
+    contract = KVStoreContract(BENCH_CONTEXT)
+    workload = ProvenanceWorkload(num_base_keys=100, seed=PROV_SEED)
+    rows: List[Row] = []
+    for engine, fanout in itertools.product(engines, fanouts):
+        with engine_cell(engine, mem_capacity=PROV_MEM_CAPACITY, mht_fanout=fanout) as backend:
+            executor, _ = run_chain(backend, workload.load_transactions(), TXS_PER_BLOCK)
+            run_chain(
+                backend, workload.update_transactions(blocks * TXS_PER_BLOCK),
+                TXS_PER_BLOCK, record_latencies=False, executor=executor,
+            )
+            _settle(backend)
+            state_root = backend.commit_block()
+            for query_range in query_ranges:
+                total_cpu, total_proof = 0.0, 0
+                for key, blk_low, blk_high in workload.queries(
+                    queries_per_point, executor.height, query_range
+                ):
+                    addr = contract.key_addr(key)
+                    tick = time.perf_counter()
+                    result = backend.prov_query(addr, blk_low, blk_high)
+                    if isinstance(backend, Cole):
+                        verify_provenance(result, state_root, addr_size=ADDR_SIZE)
+                        total_proof += result.proof.size_bytes()
+                    else:
+                        total_proof += result.proof_size_bytes()
+                    total_cpu += time.perf_counter() - tick
+                rows.append({"engine": engine, "fanout": fanout, "range": query_range,
+                             "cpu_s": total_cpu / queries_per_point,
+                             "proof_bytes": total_proof / queries_per_point})
+    return rows
 
 
 # =============================================================================
@@ -513,85 +415,56 @@ def run_sharding_scalability(
 # Figures 17 & 18 (extensions): the served engine under load
 # =============================================================================
 
-def run_service_throughput(
+def run_served_sweep(
     client_counts: Sequence[int] = (1, 8, 32),
+    policies: Sequence[str] = ("off",),
+    read_fraction: float = 0.5,
     ops_per_client: int = 300,
     num_keys: int = 2048,
+    repeats: int = 1,
 ) -> List[Row]:
-    """Figure 17 (new): the serving layer under concurrent load.
+    """Figures 17 and 18 (new): the served engine per client count x WAL
+    fsync policy.
 
-    For each client count a fresh sharded engine is stood up behind a
+    Each point stands up a fresh sharded engine behind a
     :class:`~repro.server.ColeServer` (on its own event-loop thread) and
-    driven closed-loop with mixed YCSB read/write traffic over real TCP
-    sockets.  Reported per point: completed ops/s, p50/p99 latency, the
-    read-cache hit rate, and the group-commit batch size — the knobs the
-    batching and caching design trades against each other.
-    """
-    rows: List[Row] = []
-    for clients in client_counts:
-        with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
-            with served(backend, SERVED_CONFIG) as thread:
-                report = drive(
-                    thread, clients=clients, ops_per_client=ops_per_client,
-                    read_fraction=FIG17_READ_FRACTION, num_keys=num_keys,
-                )
-            backend.wait_for_merges()
-            batcher = report.server_stats.get("batcher", {})
-            rows.append({"clients": clients, "ops": report.ops,
-                         "errors": report.errors, "ops_per_s": report.throughput,
-                         "p50_s": percentile(report.latencies, 0.5),
-                         "p99_s": percentile(report.latencies, 0.99),
-                         "cache_hit_rate": report.cache_hit_rate,
-                         "avg_batch": batcher.get("avg_batch", 0.0),
-                         "commits": batcher.get("commits", 0),
-                         "event_loop": "asyncio"})
-    return rows
-
-
-def run_durability(
-    policies: Sequence[str] = ("off", "none", "batch", "always"),
-    clients: int = 32,
-    ops_per_client: int = 200,
-    num_keys: int = 1024,
-    repeats: int = 2,
-) -> List[Row]:
-    """Figure 18 (new): what durable acks cost, per fsync policy.
-
-    The same write-heavy closed-loop workload drives a served sharded
-    engine once per policy: ``off`` (no WAL — PR 2's volatile serving),
-    ``none`` (records reach the OS page cache before the ack), ``batch``
-    (acks wait for a group fsync; many acks amortize one fsync — the
-    production default), and ``always`` (an fsync per ack — the strict
-    floor).  Reported per point: throughput, p50/p99 latency, and the
-    fsyncs-per-acked-put ratio that explains the ordering.  The headline
-    claim is ``batch`` staying within ~2x of ``off`` while ``always``
-    pays the full per-op fsync.
-
-    ``repeats`` runs each policy that many times (interleaved, like the
-    fig16 sweep) and keeps the best-throughput row per policy — scheduler
-    and fsync-latency noise hits a single run hard.
+    drives it closed-loop with YCSB read/write traffic over real TCP
+    sockets.  The policy is ``off`` (no WAL), ``none`` (records reach the
+    OS page cache before the ack), ``batch`` (acks wait for a group
+    fsync; many acks amortize one fsync — the production default) or
+    ``always`` (an fsync per ack — the strict floor).  Every point
+    measures ops/s, p50/p99 latency, the read-cache hit rate, the
+    group-commit batch size and the fsyncs per acked put — the knobs the
+    batching, caching and durability design trades against each other.
+    Each point runs ``repeats`` times, interleaved, keeping its best
+    throughput (:func:`best_of`): scheduler and fsync noise hits a single
+    run hard.
     """
 
-    def run_policy(policy: str) -> Row:
+    def run_point(point: Tuple[int, str]) -> Row:
+        clients, policy = point
         with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
-            wal_policy = None if policy == "off" else policy
-            with served(backend, SERVED_CONFIG, wal_policy) as thread:
+            with served(backend, SERVED_CONFIG, policy) as thread:
                 report = drive(
                     thread, clients=clients, ops_per_client=ops_per_client,
-                    read_fraction=FIG18_READ_FRACTION, num_keys=num_keys,
+                    read_fraction=read_fraction, num_keys=num_keys,
                 )
             backend.wait_for_merges()
-            wal_stats = report.server_stats.get("wal", {})
-            syncs = wal_stats.get("syncs", 0)
-            return {"policy": policy, "ops": report.ops, "errors": report.errors,
-                    "ops_per_s": report.throughput,
-                    "p50_s": percentile(report.latencies, 0.5),
-                    "p99_s": percentile(report.latencies, 0.99),
-                    "wal_syncs": syncs,
-                    "wal_mb": wal_stats.get("bytes_appended", 0) / 1e6,
-                    "syncs_per_put": _ratio(syncs, wal_stats.get("puts_appended", 0))}
+        batcher = report.server_stats.get("batcher", {})
+        wal_stats = report.server_stats.get("wal", {})
+        syncs = wal_stats.get("syncs", 0)
+        latencies = report.latencies
+        return {"clients": clients, "policy": policy, "ops": report.ops,
+                "errors": report.errors, "ops_per_s": report.throughput,
+                "p50_s": percentile(latencies, 0.5), "p99_s": percentile(latencies, 0.99),
+                "cache_hit_rate": report.cache_hit_rate,
+                "avg_batch": batcher.get("avg_batch", 0.0),
+                "commits": batcher.get("commits", 0),
+                "wal_syncs": syncs, "wal_mb": wal_stats.get("bytes_appended", 0) / 1e6,
+                "syncs_per_put": _ratio(syncs, wal_stats.get("puts_appended", 0))}
 
-    return best_of(repeats, policies, run_policy, "ops_per_s")
+    points = list(itertools.product(client_counts, policies))
+    return best_of(repeats, points, run_point, "ops_per_s")
 
 
 # =============================================================================
@@ -1078,9 +951,10 @@ def run_scan_throughput(
             for start in (pool[0], pool[len(pool) // 2]):
                 for at_blk in (None, blocks // 2):
                     got = backend.scan(start, TOP_ADDR, at_blk=at_blk, limit=64)
-                    assert got == brute_force(start, at_blk or blocks, 64), (
-                        f"scan mismatch at N={num_shards}, at_blk={at_blk}"
-                    )
+                    if got != brute_force(start, at_blk or blocks, 64):
+                        raise RuntimeError(
+                            f"scan mismatch at N={num_shards}, at_blk={at_blk}"
+                        )
             engines[num_shards] = backend
 
         def run_point(point: Tuple[int, int]) -> Row:
@@ -1126,9 +1000,8 @@ def run_multi_get(
     point) and driven with a read-only closed-loop workload.  Batch size
     1 issues plain GETs; larger sizes issue the same zipfian key stream
     as MULTI_GET frames — one round trip, one view, and one
-    source walk per batch instead of per key.  ``speedup`` is each
-    point's keys/s over the batch-1 point; ``tests/test_experiments.py``
-    holds the batch-16 speedup at 2x or more.
+    source walk per batch instead of per key.  The claim divides the
+    largest batch's keys/s by the batch-1 point's.
     """
     rows: List[Row] = []
     with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
@@ -1145,14 +1018,11 @@ def run_multi_get(
                     f"multi-get bench errored at batch {batch_size}: "
                     f"{report.error_samples}"
                 )
-            keys_per_s = report.reads / report.elapsed_s
-            base_keys_per_s = rows[0]["keys_per_s"] if rows else keys_per_s
-            samples = report.mget_latencies or report.latencies
+            samples = report.latency["mget" if batch_size > 1 else "get"]
             rows.append({"batch": batch_size, "keys": report.reads,
-                         "keys_per_s": keys_per_s,
+                         "keys_per_s": report.reads / report.elapsed_s,
                          "p50_s": percentile(samples, 0.5),
-                         "p99_s": percentile(samples, 0.99),
-                         "speedup": keys_per_s / base_keys_per_s})
+                         "p99_s": percentile(samples, 0.99)})
     return rows
 
 
@@ -1178,7 +1048,8 @@ def run_negative_lookup(
     async def hammer(host: str, port: int) -> Row:
         async with ServerClient(host, port) as client:
             for addr in absent:  # warm-up pass (uncounted)
-                assert await client.get(addr) is None
+                if await client.get(addr) is not None:
+                    raise RuntimeError(f"absent address {addr.hex()} has a value")
             started = time.perf_counter()
             for _ in range(passes):
                 for addr in absent:
@@ -1326,32 +1197,68 @@ def run_compaction_policies(
 # The registry: one name per experiment, run at its figure scale
 # =============================================================================
 
-#: name -> (driver, the arguments that pick this experiment out of a
-#: shared driver).  Everything else is the driver's defaults.
-EXPERIMENTS: Dict[str, Tuple[Callable[..., List[Row]], Dict[str, object]]] = {
-    "fig9": (run_overall_performance, {"workload_name": "smallbank"}),
-    "fig10": (run_overall_performance, {"workload_name": "kvstore"}),
-    "fig11": (run_workload_mix, {}),
-    "fig12": (run_latency, {}),
-    "fig13": (run_size_ratio, {}),
-    "fig14": (run_provenance_range, {}),
-    "fig15": (run_mht_fanout, {}),
-    "fig16": (run_sharding_scalability, {}),
-    "fig17": (run_service_throughput, {}),
-    "fig18": (run_durability, {}),
-    "fig19": (run_read_scaling, {}),
-    "fig20": (run_scan_throughput, {}),
-    "fig21": (run_cluster_scaling, {}),
-    "fig22": (run_compaction_policies, {}),
-    "table1": (run_complexity_table, {}),
-    "index-share": (run_index_share, {}),
-    "multi-get": (run_multi_get, {}),
-    "negative-lookup": (run_negative_lookup, {}),
-    "scan-hotset": (run_scan_vs_hotset, {}),
+class Experiment(NamedTuple):
+    """One registered experiment: a selection and a projection of one
+    driver's rows."""
+
+    driver: Callable[..., List[Row]]
+    #: the driver arguments that select its points at its figure scale
+    bound: Dict[str, object] = {}
+    #: the row columns it keeps, in order; ``None`` keeps every column
+    columns: Optional[Tuple[str, ...]] = None
+
+
+#: The engine set and column groups several experiments share.
+PAPER_ENGINES = ("mpt", "cole", "cole*")
+STORAGE_TPS = ("engine", "blocks", "storage_bytes", "tps", "note")
+SERVED_LOAD = ("ops", "errors", "ops_per_s", "p50_s", "p99_s")
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig9": Experiment(run_chain_sweep, {}, STORAGE_TPS),
+    "fig10": Experiment(run_chain_sweep, {"workload_name": "kvstore"}, STORAGE_TPS),
+    "fig11": Experiment(run_chain_sweep, dict(  # KVStore over 300 keys
+        workload_name="kvstore", num_accounts=150, heights=(100, 300),
+        engines=PAPER_ENGINES, mixes=("RO", "RW", "WO"),
+    ), ("engine", "blocks", "mix", "tps")),
+    "fig12": Experiment(run_chain_sweep, dict(heights=(300, 1000), engines=PAPER_ENGINES),
+                        ("engine", "blocks", "median_s", "p99_s", "tail_s")),
+    "fig13": Experiment(run_chain_sweep, dict(
+        heights=(300,), engines=("cole", "cole*"), size_ratios=(2, 4, 6, 8, 10, 12),
+    ), ("engine", "size_ratio", "tps", "median_s", "tail_s")),
+    "fig14": Experiment(run_provenance_sweep, {},
+                        ("engine", "range", "cpu_s", "proof_bytes")),
+    "fig15": Experiment(run_provenance_sweep, dict(
+        engines=("cole", "cole*"), fanouts=(2, 4, 8, 16, 32, 64), query_ranges=(16,),
+    ), ("engine", "fanout", "cpu_s", "proof_bytes")),
+    "fig16": Experiment(run_sharding_scalability),
+    "fig17": Experiment(run_served_sweep, {}, (
+        "clients", *SERVED_LOAD, "cache_hit_rate", "avg_batch", "commits")),
+    # Write-heavy: durability is a cost of writes.
+    "fig18": Experiment(run_served_sweep, dict(
+        client_counts=(32,), policies=("off", "none", "batch", "always"),
+        read_fraction=0.1, ops_per_client=200, num_keys=1024, repeats=2,
+    ), ("policy", *SERVED_LOAD, "wal_syncs", "wal_mb", "syncs_per_put")),
+    "fig19": Experiment(run_read_scaling),
+    "fig20": Experiment(run_scan_throughput),
+    "fig21": Experiment(run_cluster_scaling),
+    "fig22": Experiment(run_compaction_policies),
+    "table1": Experiment(run_chain_sweep, dict(
+        heights=(100, 300, 1000), engines=PAPER_ENGINES,
+    ), ("engine", "blocks", "storage_bytes", "write_io_per_tx", "get_io_per_query",
+        "tail_s", "median_s")),
+    "index-share": Experiment(run_chain_sweep, dict(heights=(300,), engines=("mpt",)),
+                              ("value_bytes", "node_bytes", "data_share")),
+    "multi-get": Experiment(run_multi_get),
+    "negative-lookup": Experiment(run_negative_lookup),
+    "scan-hotset": Experiment(run_scan_vs_hotset),
 }
 
 
 def run_experiment(name: str, **overrides) -> List[Row]:
-    """Experiment ``name``'s rows: its figure scale, ``overrides`` on top."""
-    driver, bound = EXPERIMENTS[name]
-    return driver(**{**bound, **overrides})
+    """Experiment ``name``'s rows: its figure scale, ``overrides`` on top,
+    each row projected onto the experiment's columns."""
+    driver, bound, columns = EXPERIMENTS[name]
+    rows = driver(**{**bound, **overrides})
+    if columns is None:
+        return rows
+    return [{column: row[column] for column in columns} for row in rows]

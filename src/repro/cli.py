@@ -232,7 +232,7 @@ def experiment(name: str, **sweeps: Optional[str]) -> int:
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
         return 2
-    accepted = inspect.signature(EXPERIMENTS[name][0]).parameters
+    accepted = inspect.signature(EXPERIMENTS[name].driver).parameters
     overrides = {}
     for flag, (parameter, parse) in _SWEEP_FLAGS.items():
         value = sweeps[flag]

@@ -402,7 +402,8 @@ def _parse_labels(text: str) -> dict:
     while index < len(text):
         eq = text.index("=", index)
         key = text[index:eq].strip().lstrip(",").strip()
-        assert text[eq + 1] == '"'
+        if text[eq + 1] != '"':
+            raise ValueError(f"unquoted value for label {key!r}")
         value = []
         j = eq + 2
         while text[j] != '"':
@@ -432,7 +433,7 @@ def parse_exposition(text: str) -> Dict[str, List[Tuple[dict, float]]]:
             label_text, value_text = rest.rsplit("}", 1)
             try:
                 labels = _parse_labels(label_text)
-            except (AssertionError, IndexError) as exc:
+            except (ValueError, IndexError) as exc:
                 raise ValueError(f"bad labels in exposition line: {raw!r}") from exc
         else:
             parts = line.split()

@@ -11,7 +11,7 @@ Turns the in-process engine into a service (see DESIGN.md):
   commit for the addresses it wrote so cached answers are always exact;
 * :class:`ServerClient` — one pipelined asyncio connection, the only
   client transport (replica streams and cluster control calls too);
-* :mod:`repro.server.loadgen` — open/closed-loop load generation
+* :mod:`repro.server.loadgen` — closed-loop load generation
   (``repro loadgen`` on the CLI; Figure 17 in the benchmarks).
 
 Attach a :class:`~repro.wal.WriteAheadLog` (``repro serve --wal``) and

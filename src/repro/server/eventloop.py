@@ -2,7 +2,7 @@
 ``ServerThread`` / ``NodeThread``.
 
 Every loop in the tree is the stdlib asyncio loop; the servers' readiness
-lines and fig 17's ``event_loop`` column say ``asyncio``.
+lines say ``asyncio``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
@@ -34,6 +34,8 @@ from repro.workloads.ycsb import YCSBGenerator, ZipfGenerator
 #: ("scan", start_addr, max_results), or ("mget", (addr, ...), None) —
 #: one MULTI_GET batch issued as a single request.
 ClientOp = Tuple[str, object, Optional[object]]
+#: The op kinds, in the order a report lists them.
+OP_KINDS = ("get", "put", "scan", "mget")
 
 #: Zipfian skew of every key draw (YCSB's default).
 ZIPF_THETA = 0.99
@@ -207,12 +209,14 @@ class LoadReport:
     """What one load-generation run measured."""
 
     clients: int
-    ops: int = 0
-    reads: int = 0
-    writes: int = 0
-    scans: int = 0
-    #: MULTI_GET batches issued (each counts 1 op; its keys count as reads).
-    mgets: int = 0
+    #: One latency histogram per op kind — the histogram type and buckets
+    #: the server's own metrics use; a histogram's count is its kind's
+    #: completed ops.
+    latency: Dict[str, LatencyHistogram] = field(
+        default_factory=lambda: {kind: LatencyHistogram() for kind in OP_KINDS}
+    )
+    #: keys the MULTI_GET batches read (each key counts as a read).
+    mget_keys: int = 0
     #: key-value triples returned across all scans (scan "depth" served).
     scanned_entries: int = 0
     errors: int = 0
@@ -221,33 +225,16 @@ class LoadReport:
     #: first few distinct error messages, verbatim.
     error_samples: List[str] = field(default_factory=list)
     elapsed_s: float = 0.0
-    # Latency distributions: the shared histogram type instead of raw
-    # sample lists — O(1) per record, no per-report re-sorting, and the
-    # same buckets the server's own metrics use.  ``len()`` / truthiness
-    # still behave like the lists they replaced.
-    latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
-    scan_latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
-    mget_latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
     server_stats: dict = field(default_factory=dict)
 
     def record_ok(self, op: ClientOp, latency: float, result=None) -> None:
         """Count one completed op with its latency, by kind."""
-        self.latencies.observe(latency)
-        self.ops += 1
-        kind = op[0]
-        if kind == "get":
-            self.reads += 1
-        elif kind == "mget":
-            self.mgets += 1
-            self.reads += len(op[1])  # every key in the batch is a read
-            self.mget_latencies.observe(latency)
+        kind, target, _ = op
+        self.latency[kind].observe(latency)
+        if kind == "mget":
+            self.mget_keys += len(target)
         elif kind == "scan":
-            self.scans += 1
-            self.scan_latencies.observe(latency)
-            if result is not None:
-                self.scanned_entries += len(result)
-        else:
-            self.writes += 1
+            self.scanned_entries += len(result)
 
     def record_error(self, exc: BaseException) -> None:
         """Count one failed op, keeping its kind and a message sample."""
@@ -260,6 +247,24 @@ class LoadReport:
                 self.error_samples.append(message)
 
     @property
+    def latencies(self) -> LatencyHistogram:
+        """Every completed op's latency, whatever its kind."""
+        merged = LatencyHistogram()
+        for hist in self.latency.values():
+            merged.merge(hist)
+        return merged
+
+    @property
+    def ops(self) -> int:
+        """Completed ops, whatever their kind."""
+        return sum(len(hist) for hist in self.latency.values())
+
+    @property
+    def reads(self) -> int:
+        """Keys read: one per GET, a batch's worth per MULTI_GET."""
+        return len(self.latency["get"]) + self.mget_keys
+
+    @property
     def throughput(self) -> float:
         """Completed ops per second of wall clock."""
         return self.ops / self.elapsed_s if self.elapsed_s else 0.0
@@ -270,34 +275,32 @@ class LoadReport:
         return self.server_stats.get("cache", {}).get("hit_rate", 0.0)
 
     def to_dict(self) -> dict:
-        """JSON-serializable summary (``repro loadgen --json``)."""
-        return {
+        """JSON-serializable summary (``repro loadgen --json``): the counts,
+        then p50 / p99 and the full bucketed distribution (which
+        downstream tooling can merge or re-quantile) of every op
+        together (unprefixed) and of each kind (``get_``, ``put_``, ...)."""
+        summary = {
             "clients": self.clients,
             "ops": self.ops,
             "reads": self.reads,
-            "writes": self.writes,
-            "scans": self.scans,
-            "mgets": self.mgets,
+            "writes": len(self.latency["put"]),
+            "scans": len(self.latency["scan"]),
+            "mgets": len(self.latency["mget"]),
             "scanned_entries": self.scanned_entries,
             "errors": self.errors,
             "errors_by_type": dict(self.errors_by_type),
             "error_samples": list(self.error_samples),
             "elapsed_s": self.elapsed_s,
             "ops_per_s": self.throughput,
-            "p50_s": self.latencies.percentile(0.5),
-            "p99_s": self.latencies.percentile(0.99),
-            "scan_p50_s": self.scan_latencies.percentile(0.5),
-            "scan_p99_s": self.scan_latencies.percentile(0.99),
-            "mget_p50_s": self.mget_latencies.percentile(0.5),
-            "mget_p99_s": self.mget_latencies.percentile(0.99),
-            # Full bucketed distributions, not just two percentiles:
-            # downstream tooling can merge or re-quantile them.
-            "latency_buckets": self.latencies.to_dict(),
-            "scan_latency_buckets": self.scan_latencies.to_dict(),
-            "mget_latency_buckets": self.mget_latencies.to_dict(),
             "cache_hit_rate": self.cache_hit_rate,
             "server_stats": self.server_stats,
         }
+        prefixed = {f"{kind}_": hist for kind, hist in self.latency.items()}
+        for prefix, hist in {"": self.latencies, **prefixed}.items():
+            summary[f"{prefix}p50_s"] = hist.percentile(0.5)
+            summary[f"{prefix}p99_s"] = hist.percentile(0.99)
+            summary[f"{prefix}latency_buckets"] = hist.to_dict()
+        return summary
 
 
 async def _issue(client: KVClient, op: ClientOp):
@@ -376,18 +379,15 @@ def run_loadgen_sync(
 
 
 def format_report(report: LoadReport) -> str:
-    """Multi-line human-readable summary of one run."""
+    """Multi-line human-readable summary of one run: the totals, then one
+    latency row per op kind the run issued."""
     from repro.bench.report import format_rate, format_seconds
+    from repro.obs.query import format_output
 
-    ops_line = f"ops:             {report.ops} ({report.reads} reads, "
-    if report.mgets:
-        ops_line += f"{report.mgets} mget batches, "
-    if report.scans:
-        ops_line += f"{report.scans} scans, "
-    ops_line += f"{report.writes} writes, {report.errors} errors)"
     lines = [
         f"clients:         {report.clients} (closed loop)",
-        ops_line,
+        f"ops:             {report.ops} ({report.reads} keys read, "
+        f"{report.scanned_entries} scanned, {report.errors} errors)",
         f"elapsed:         {format_seconds(report.elapsed_s)}",
         f"throughput:      {format_rate(report.ops, report.elapsed_s)}",
     ]
@@ -397,37 +397,21 @@ def format_report(report: LoadReport) -> str:
             for kind, count in sorted(report.errors_by_type.items())
         )
         lines.append(f"errors:          {report.errors} ({kinds})")
-        for sample in report.error_samples:
-            lines.append(f"  e.g. {sample}")
-
-    def latency_line(label: str, hist: LatencyHistogram) -> str:
-        p50, p99 = (format_seconds(hist.percentile(q)) for q in (0.5, 0.99))
-        return f"{label}p50 {p50}  p99 {p99}  max {format_seconds(hist.max)}"
-
-    if report.latencies:
-        lines.append(latency_line("latency:         ", report.latencies))
-    if report.mget_latencies:
-        lines.append(latency_line("mget latency:    ", report.mget_latencies))
-    if report.scan_latencies:
-        lines.append(latency_line("scan latency:    ", report.scan_latencies))
-        lines.append(
-            f"scanned entries: {report.scanned_entries} "
-            f"({report.scanned_entries / report.scans:.1f} per scan)"
-        )
-    cache = report.server_stats.get("cache")
-    if cache:
-        lines.append(
-            f"read cache:      {cache['hits']} hits / "
-            f"{cache['hits'] + cache['misses']} lookups "
-            f"({cache['hit_rate']:.1%})"
-        )
-    negative = report.server_stats.get("negative_cache")
-    if negative and (negative["hits"] or negative["misses"]):
-        lines.append(
-            f"negative cache:  {negative['hits']} hits / "
-            f"{negative['hits'] + negative['misses']} lookups "
-            f"({negative['hit_rate']:.1%})"
-        )
+        lines += [f"  e.g. {sample}" for sample in report.error_samples]
+    quantiles = {"p50": 0.5, "p99": 0.99, "max": 1.0}
+    rows = [
+        {"op": kind, "count": len(hist),
+         **{name: format_seconds(hist.percentile(q)) for name, q in quantiles.items()}}
+        for kind, hist in report.latency.items() if hist
+    ]
+    if rows:
+        lines.append(format_output(["op", "count", *quantiles], rows, "table"))
+    for label, name in (("read cache:      ", "cache"), ("negative cache:  ", "negative_cache")):
+        cache = report.server_stats.get(name)
+        if cache and (cache["hits"] or cache["misses"]):
+            lookups = cache["hits"] + cache["misses"]
+            lines.append(f"{label}{cache['hits']} hits / {lookups} lookups "
+                         f"({cache['hit_rate']:.1%})")
     batcher = report.server_stats.get("batcher")
     if batcher:
         lines.append(

@@ -70,20 +70,18 @@ def test_run_chain_phases_share_height():
 
 
 def test_tiny_overall_experiment():
-    from repro.bench.experiments import run_overall_performance
+    from repro.bench.experiments import run_experiment
 
-    rows = run_overall_performance(
-        "smallbank", heights=(5,), engines=("cole",), num_accounts=10
-    )
+    rows = run_experiment("fig9", heights=(5,), engines=("cole",), num_accounts=10)
     assert len(rows) == 1
     assert rows[0]["storage_bytes"] >= 0  # tiny runs may stay in L0
     assert rows[0]["tps"] > 0
 
 
 def test_tiny_latency_experiment():
-    from repro.bench.experiments import run_latency
+    from repro.bench.experiments import run_experiment
 
-    rows = run_latency("smallbank", heights=(5,), engines=("cole",), num_accounts=10)
+    rows = run_experiment("fig12", heights=(5,), engines=("cole",), num_accounts=10)
     assert rows[0]["tail_s"] >= rows[0]["median_s"]
 
 

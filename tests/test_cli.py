@@ -112,8 +112,8 @@ def test_experiment_rejects_flag_the_driver_has_no_parameter_for(capsys):
     # signature, not ``co_varnames``.
     assert main(["experiment", "fig20", "--engines", "cole"]) == 2
     assert "'fig20' has no --engines; it accepts --shards" in capsys.readouterr().out
-    assert main(["experiment", "fig13", "--heights", "5"]) == 2
-    assert "'fig13' has no --heights" in capsys.readouterr().out
+    assert main(["experiment", "fig13", "--replicas", "1"]) == 2
+    assert "'fig13' has no --replicas" in capsys.readouterr().out
 
 
 def test_unknown_experiment(capsys):

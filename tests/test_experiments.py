@@ -31,22 +31,22 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.cli import _SWEEP_FLAGS
 
 ROOT = Path(__file__).resolve().parent.parent
-DRIVERS = {driver.__name__: driver for driver, _ in EXPERIMENTS.values()}
+DRIVERS = {experiment.driver.__name__: experiment.driver for experiment in EXPERIMENTS.values()}
 
 SMALL_CHAIN = dict(heights=(150,), engines=("mpt", "cole"), num_accounts=20)
 #: The one smoke scale: per experiment, the overrides of its figure scale.
 SMOKE = {
     "fig9": SMALL_CHAIN,
     "fig10": SMALL_CHAIN,
-    "fig11": dict(heights=(5,), engines=("cole",), num_keys=20),
+    "fig11": dict(heights=(5,), engines=("cole",), num_accounts=10),
     "fig12": dict(heights=(5,), engines=("cole",), num_accounts=10),
-    "fig13": dict(size_ratios=(2,), blocks=5, num_accounts=10),
+    "fig13": dict(size_ratios=(2,), heights=(5,), num_accounts=10),
     "fig14": dict(query_ranges=(2, 8), blocks=20, engines=("mpt", "cole"),
                   queries_per_point=3),
-    "fig15": dict(fanouts=(2, 8), blocks=20, query_range=4, queries_per_point=3),
+    "fig15": dict(fanouts=(2, 8), blocks=20, query_ranges=(4,), queries_per_point=3),
     "fig16": dict(shard_counts=(1, 2), blocks=40, repeats=1),
     "fig17": dict(client_counts=(1, 8), ops_per_client=100, num_keys=512),
-    "fig18": dict(policies=("off", "batch"), clients=8, ops_per_client=100,
+    "fig18": dict(policies=("off", "batch"), client_counts=(8,), ops_per_client=100,
                   num_keys=512, repeats=1),
     "fig19": dict(replica_counts=(1,), readers_per_node=2, reads_per_reader=20,
                   num_keys=32, load_waves=2),
@@ -58,7 +58,7 @@ SMOKE = {
                   num_keys=64, load_waves=2),
     "fig22": dict(size_ratios=(4,), blocks=60, puts_per_block=16, reads=40),
     "table1": dict(heights=(150,), num_accounts=20),
-    "index-share": dict(blocks=10, num_accounts=10),
+    "index-share": dict(heights=(10,), num_accounts=10),
     "multi-get": dict(batch_sizes=(1, 16), clients=4, ops_per_client=60,
                       num_keys=1024, blocks=16),
     "negative-lookup": dict(absent_keys=48, passes=20, num_keys=512),
@@ -116,7 +116,7 @@ IN_PROCESS = {
     ),
     "fig17": (
         ("clients", "ops", "errors", "ops_per_s", "p50_s", "p99_s",
-         "cache_hit_rate", "avg_batch", "commits", "event_loop"),
+         "cache_hit_rate", "avg_batch", "commits"),
         ("clients", "ops", "errors"),
         [(1, 100, 0), (8, 800, 0)],
     ),
@@ -159,7 +159,7 @@ IN_PROCESS = {
         [(6480, 77694)],
     ),
     "multi-get": (
-        ("batch", "keys", "keys_per_s", "p50_s", "p99_s", "speedup"),
+        ("batch", "keys", "keys_per_s", "p50_s", "p99_s"),
         ("batch", "keys"),
         [(1, 240), (16, 3840)],
     ),
@@ -227,7 +227,16 @@ def test_in_process_experiment_schema_and_golden_columns(name):
     if name == "multi-get":
         # The ratio the driver exists to show: batch-16 MULTI_GET
         # amortizes the round trip at least 2x (4.5-5.7x measured).
-        assert rows[-1]["speedup"] >= 2.0, rows
+        assert rows[-1]["keys_per_s"] >= 2.0 * rows[0]["keys_per_s"], rows
+
+
+def test_multi_get_speedup_needs_a_single_get_baseline():
+    rows = [{"batch": 4, "keys": 400, "keys_per_s": 100.0, "p50_s": 1.0, "p99_s": 1.0},
+            {"batch": 16, "keys": 1600, "keys_per_s": 500.0, "p50_s": 1.0, "p99_s": 1.0}]
+    assert [v["verdict"] for v in verdicts("multi-get", rows)] == ["not measured"]
+    rows.insert(0, {**rows[0], "batch": 1, "keys_per_s": 50.0})
+    [checked] = verdicts("multi-get", rows)
+    assert (checked["measured"], checked["verdict"]) == ("10", "holds")
 
 
 @pytest.mark.parametrize("name", SUBPROCESS)
@@ -267,7 +276,7 @@ def _passed_parameters() -> dict:
                 driver = node.func.id
             elif (node.func.id == "run_experiment" and positional
                   and isinstance(positional[0], ast.Constant)):
-                driver = EXPERIMENTS[positional.pop(0).value][0].__name__
+                driver = EXPERIMENTS[positional.pop(0).value].driver.__name__
                 assert not positional, f"{where}: positional driver arguments"
             else:
                 continue
@@ -278,7 +287,7 @@ def _passed_parameters() -> dict:
             for keyword in node.keywords:
                 assert keyword.arg is not None, f"{where}: opaque **kwargs to {driver}"
                 record(driver, keyword.arg, where)
-    for name, (driver, bound) in EXPERIMENTS.items():
+    for name, (driver, bound, _) in EXPERIMENTS.items():
         accepted = inspect.signature(driver).parameters
         for parameter in bound:
             record(driver.__name__, parameter, "EXPERIMENTS")
@@ -304,8 +313,9 @@ def test_driver_parameter_surface_cannot_regrow():
         assert not unset, (
             f"{name}: no caller sets {sorted(unset)}; make them module constants"
         )
-    # 121 before the drivers became sweeps over shared cells.
-    assert total <= 68
+    # 121 before the drivers became sweeps over shared cells, 68 before
+    # figs 9-15, 17, 18, Table 1 and the index share shared three sweeps.
+    assert total <= 51
 
 
 # -- documentation -----------------------------------------------------------
@@ -315,5 +325,5 @@ def test_readme_experiment_table_matches_registry():
     section = readme.split("## Benchmarks and experiments", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \|[^|]*\| `(run_\w+)` \|", section, re.MULTILINE)
     assert {name: driver for name, driver in rows} == {
-        name: driver.__name__ for name, (driver, _) in EXPERIMENTS.items()
+        name: experiment.driver.__name__ for name, experiment in EXPERIMENTS.items()
     }

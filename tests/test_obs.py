@@ -7,7 +7,11 @@ latency number the server reports flows through it.
 """
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,27 @@ def test_quantile_from_buckets():
 def test_parse_exposition_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_exposition("not a metric line at all !!!\n")
+
+
+def test_parse_exposition_rejects_unquoted_label_values_under_python_O():
+    # The check is a raise, not an assert that ``python -O`` strips:
+    # unchecked, ``op=ab"`` parses as ``{"op": "b"}``.
+    line = 'm{op=ab"} 1\n'
+    with pytest.raises(ValueError):
+        parse_exposition(line)
+    script = (
+        "from repro.obs import parse_exposition\n"
+        "try:\n"
+        f"    print(parse_exposition({line!r}))\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert run.stdout.strip() == "rejected", run.stdout + run.stderr
 
 
 def test_parse_exposition_handles_escaped_label_values():

@@ -749,16 +749,16 @@ def test_loadgen_run_with_scans_reports_scan_latencies(tmp_path):
         report = await run_loadgen(host, port, params)
         assert report.errors == 0, report.error_samples
         assert report.ops == 160
-        assert report.scans > 0
-        assert len(report.scan_latencies) == report.scans
-        assert report.reads + report.writes + report.scans == report.ops
         summary = report.to_dict()
-        assert summary["scans"] == report.scans
+        assert summary["scans"] > 0
+        assert summary["reads"] + summary["writes"] + summary["scans"] == report.ops
         assert summary["scan_p99_s"] >= summary["scan_p50_s"] >= 0.0
+        assert summary["scanned_entries"] == report.scanned_entries > 0
         from repro.server import format_report
 
         text = format_report(report)
-        assert "scan latency:" in text and "scanned entries:" in text
+        scan_row = next(line for line in text.splitlines() if line.startswith("scan "))
+        assert scan_row.split()[1] == str(summary["scans"])
 
     with serve(engine, batch_max_puts=64, batch_max_delay=0.005) as thread:
         asyncio.run(scenario(*thread.start()))

@@ -26,7 +26,7 @@ import time
 import pytest
 
 import repro.wal.log as wal_log
-from repro.bench.experiments import run_durability
+from repro.bench.experiments import run_experiment
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
@@ -337,9 +337,9 @@ def test_a_log_poisoned_between_append_and_sync_fails_the_ack_instead_of_spinnin
 def test_fig18_smoke_batch_groups_and_always_does_not():
     rows = {
         row["policy"]: row
-        for row in run_durability(
-            policies=("batch", "always"), clients=32, ops_per_client=25, num_keys=512,
-            repeats=1,
+        for row in run_experiment(
+            "fig18", policies=("batch", "always"), client_counts=(32,),
+            ops_per_client=25, num_keys=512, repeats=1,
         )
     }
     assert rows["batch"]["errors"] == rows["always"]["errors"] == 0
