@@ -3,7 +3,7 @@
 
 Walks the full durability story end to end:
 
-1. serve a sharded COLE* engine with a WAL attached — every PUT is
+1. serve a COLE* engine with a WAL attached — every PUT is
    acknowledged only after its record is fsynced (group commit: one
    fsync covers a whole wave of concurrent acks);
 2. crash — the engine is abandoned without a clean shutdown, losing its
@@ -21,9 +21,9 @@ import os
 import shutil
 import tempfile
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
+from repro.core import Cole
 from repro.server import ServerConfig, ServerThread, connect
-from repro.sharding import ShardedCole
 from repro.wal import WriteAheadLog, replay_wal, restore_store, snapshot_store
 
 COLE = ColeParams(
@@ -32,7 +32,6 @@ COLE = ColeParams(
     size_ratio=4,
     async_merge=True,
 )
-SHARDS = 2
 CLIENTS = 8
 PUTS_PER_CLIENT = 40
 
@@ -61,8 +60,7 @@ def main() -> None:
     base = tempfile.mkdtemp(prefix="repro-durable-demo-")
     workspace = os.path.join(base, "ws")
     try:
-        params = ShardParams(cole=COLE, num_shards=SHARDS)
-        engine = ShardedCole(workspace, params)
+        engine = Cole(workspace, COLE)
         wal = WriteAheadLog(os.path.join(workspace, "wal"), sync_policy="batch")
         config = ServerConfig(batch_max_puts=64, batch_max_delay=0.005)
         with ServerThread(engine, config=config, wal=wal) as thread:
@@ -80,15 +78,14 @@ def main() -> None:
         print(f"live root:   {live_root.hex()}")
 
         # -- crash: abandon the engine; the in-memory level is gone -------
-        for shard in engine.shards:
-            shard.wait_for_merges()
-            shard.scheduler.close()
-            shard.workspace.close()
+        engine.wait_for_merges()
+        engine.scheduler.close()
+        engine.workspace.close()
         wal.close()
         print("\ncrashed (engine abandoned, memory lost)")
 
         # -- recover: replay the WAL tail into a fresh engine -------------
-        recovered = ShardedCole(workspace, params)
+        recovered = Cole(workspace, COLE)
         wal2 = WriteAheadLog(os.path.join(workspace, "wal"))
         replay = replay_wal(recovered, wal2)
         recovered_root = recovered.root_digest()
@@ -108,7 +105,7 @@ def main() -> None:
         print(f"\nsnapshot:    {len(meta['files'])} files -> {snap}")
         restored_dir = os.path.join(base, "restored")
         restore_store(snap, restored_dir)
-        restored = ShardedCole(restored_dir, params)
+        restored = Cole(restored_dir, COLE)
         wal3 = WriteAheadLog(os.path.join(restored_dir, "wal"))
         replay_wal(restored, wal3)
         assert restored.root_digest().hex() == meta["root_digest"]

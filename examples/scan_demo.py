@@ -2,11 +2,11 @@
 """Key-ordered range scans end-to-end: engine cursors, the wire
 protocol's continuation paging, and the YCSB-E workload.
 
-Stands up a sharded COLE* engine behind a :class:`ColeServer` and
-demonstrates the cursor subsystem:
+Stands up a COLE* engine behind a :class:`ColeServer` and demonstrates
+the cursor subsystem:
 
-1. range scans — the live version of every address in a range, globally
-   sorted across hash-partitioned shards, byte-checked against a local
+1. range scans — the live version of every address in a range, in key
+   order across every level of the engine, byte-checked against a local
    model of the writes;
 2. continuation paging — one logical scan streamed in small result
    pages, each resuming at the server's continuation key;
@@ -22,7 +22,8 @@ import asyncio
 import shutil
 import tempfile
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
+from repro.core import Cole
 from repro.server import (
     LoadgenParams,
     ServerConfig,
@@ -31,7 +32,6 @@ from repro.server import (
     format_report,
     run_loadgen,
 )
-from repro.sharding import ShardedCole
 
 ADDR = 32
 VALUE = 40
@@ -53,13 +53,13 @@ def value_of(n: int, version: int) -> bytes:
 
 async def main() -> None:
     directory = tempfile.mkdtemp(prefix="repro-scan-demo-")
-    engine = ShardedCole(directory, ShardParams(cole=COLE, num_shards=2))
+    engine = Cole(directory, COLE)
     thread = ServerThread(
         engine, config=ServerConfig(batch_max_puts=128, batch_max_delay=0.004)
     )
     try:
         host, port = thread.start()
-        print(f"serving 2 shards on {host}:{port}\n")
+        print(f"serving on {host}:{port}\n")
 
         async with connect((host, port)) as client:
             # -- load two versions of 300 ordered keys --------------------
@@ -75,8 +75,8 @@ async def main() -> None:
             assert [r[0] for r in rows] == [addr_of(n) for n in range(50, 100)]
             assert all(r[2] == value_of(50 + i, 2) for i, r in enumerate(rows))
             print(
-                f"scan [50..99]: {len(rows)} keys, globally sorted across "
-                f"shards, paged 16 at a time — all latest versions correct"
+                f"scan [50..99]: {len(rows)} keys in key order, paged 16 at "
+                f"a time — all latest versions correct"
             )
 
             # -- time travel: the same range as of the first commit -------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The serving layer: COLE behind a concurrent TCP front end.
 
-Stands up a sharded COLE* engine behind a :class:`ColeServer`, drives it
+Stands up a COLE* engine behind a :class:`ColeServer`, drives it
 with 16 concurrent YCSB-style clients over real sockets, and then
 demonstrates the three properties the serving layer guarantees:
 
@@ -11,7 +11,7 @@ demonstrates the three properties the serving layer guarantees:
    ever serving a stale value (every served value is re-checked against
    a direct in-process engine fed the same writes);
 3. remote verifiability — a provenance proof fetched over the wire
-   verifies against the composite state root the server anchors it to.
+   verifies against the state root the server anchors it to.
 
 Run:  python examples/server_demo.py
 """
@@ -20,7 +20,8 @@ import asyncio
 import shutil
 import tempfile
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
+from repro.core import Cole, verify_provenance
 from repro.server import (
     LoadgenParams,
     ServerConfig,
@@ -31,7 +32,6 @@ from repro.server import (
     run_loadgen,
 )
 from repro.server.loadgen import key_addr
-from repro.sharding import ShardedCole, verify_sharded_provenance
 
 COLE = ColeParams(
     system=SystemParams(addr_size=32, value_size=40),
@@ -47,19 +47,19 @@ PARAMS = LoadgenParams(
 async def main() -> None:
     served_dir = tempfile.mkdtemp(prefix="repro-server-demo-")
     direct_dir = tempfile.mkdtemp(prefix="repro-server-direct-")
-    engine = ShardedCole(served_dir, ShardParams(cole=COLE, num_shards=2))
+    engine = Cole(served_dir, COLE)
     config = ServerConfig(batch_max_puts=128, batch_max_delay=0.004)
     thread = ServerThread(engine, config=config)
     try:
         host, port = thread.start()
-        print(f"serving 2 shards on {host}:{port}\n")
+        print(f"serving on {host}:{port}\n")
 
         # -- 16 concurrent clients, mixed read/write zipfian traffic ------
         report = await run_loadgen(host, port, PARAMS)
         print(format_report(report))
 
         # -- byte-identical with the in-process engine --------------------
-        direct = ShardedCole(direct_dir, ShardParams(cole=COLE, num_shards=2))
+        direct = Cole(direct_dir, COLE)
         replay_writes(direct, PARAMS)
         async with connect((host, port)) as client:
             mismatches = 0
@@ -76,11 +76,9 @@ async def main() -> None:
             addr = key_addr(0, PARAMS.addr_size)
             result, root = await client.prov(addr, 0, info.height)
             assert root == info.digest
-            verify_sharded_provenance(
-                result, root, addr_size=PARAMS.addr_size
-            )
+            versions = verify_provenance(result, root, addr_size=PARAMS.addr_size)
             print(f"provenance proof for the hottest key: "
-                  f"{len(result.result.versions)} versions, verified against "
+                  f"{len(versions)} versions, verified against "
                   f"Hstate {root.hex()[:16]}…")
         direct.close()
     finally:

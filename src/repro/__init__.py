@@ -10,9 +10,8 @@ the reproduction of every table and figure) and DESIGN.md for the system
 inventory.
 """
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, CompoundKey, verify_provenance
-from repro.sharding import ShardedCole, verify_sharded_provenance
 from repro.wal import WriteAheadLog, replay_wal, restore_store, snapshot_store
 
 __version__ = "1.2.0"
@@ -20,12 +19,9 @@ __version__ = "1.2.0"
 __all__ = [
     "Cole",
     "ColeParams",
-    "ShardedCole",
-    "ShardParams",
     "SystemParams",
     "CompoundKey",
     "verify_provenance",
-    "verify_sharded_provenance",
     "WriteAheadLog",
     "replay_wal",
     "snapshot_store",

@@ -22,12 +22,11 @@ are skipped — they are the executor thunks themselves.  Flagged calls:
 * known blocking module calls (``os.pread``/``pwrite``/``fsync``/...,
   ``time.sleep``, ``open``, blocking ``socket`` constructors);
 * any CommitGate method on an attribute named ``gate``;
-* constructors that do recovery IO (``Cole``, ``ShardedCole``,
-  ``WriteAheadLog``, ``PagedFile``);
+* constructors that do recovery IO (``Cole``, ``WriteAheadLog``,
+  ``PagedFile``);
 * engine methods called on a receiver named ``engine`` (the blocking
   ``engine.get(addr)`` / ``get_many`` / ``scan`` included: they wait for
-  the mem lock, a sharded scan for the top gate) and WAL methods on a
-  receiver named ``wal``.
+  the mem lock) and WAL methods on a receiver named ``wal``.
 
 The sanctioned escape is an executor hop: passing the bound method to
 ``run_in_executor``/``to_thread`` (or ``self._run``) is not a call and
@@ -68,7 +67,7 @@ BLOCKING_CALLS = {
     "socket.create_connection",
 }
 
-BLOCKING_CONSTRUCTORS = {"Cole", "ShardedCole", "WriteAheadLog", "PagedFile"}
+BLOCKING_CONSTRUCTORS = {"Cole", "WriteAheadLog", "PagedFile"}
 
 GATE_METHODS = {"exclusive", "acquire_exclusive", "release_exclusive"}
 
@@ -89,7 +88,6 @@ ENGINE_METHODS = {
     "root_digest",
     "storage_bytes",
     "root_hash_list",
-    "shard_roots",
     "close",
     "wait_for_merges",
 }

@@ -2,9 +2,10 @@
 
 Section 8 is two experiment shapes — *engine x workload x height ->
 (storage, TPS, latency)* and *engine x range / fanout -> (CPU, proof
-size)* — plus the serving/sharding extensions.  Each ``run_*`` driver is
-a sweep over a few shared **cells** (build an engine, load it, measure,
-clean up), defined first; every point of a sweep measures every column.
+size)* — plus the serving, durability, scan and cluster extensions.
+Each ``run_*`` driver is a sweep over a few shared **cells** (build an
+engine, load it, measure, clean up), defined first; every point of a
+sweep measures every column.
 
 An experiment is a **selection and a projection** over one driver's
 rows: :data:`EXPERIMENTS` names every experiment, the driver arguments
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import heapq
 import itertools
 import json
 import os
@@ -39,7 +39,6 @@ import sys
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
@@ -58,7 +57,6 @@ from repro.cluster import plan_manifest
 from repro.common.hashing import hash_bytes, hash_concat
 from repro.common.params import ColeParams
 from repro.core import Cole, verify_provenance
-from repro.core.cursor import addr_successor
 from repro.diskio.iostats import IOStats
 from repro.server import (
     LoadgenParams,
@@ -69,7 +67,6 @@ from repro.server import (
     run_loadgen_sync,
 )
 from repro.server.loadgen import key_addr
-from repro.sharding import shard_of
 from repro.wal import WriteAheadLog
 from repro.workloads import (
     Mix,
@@ -100,9 +97,7 @@ TOP_ADDR = b"\xff" * ADDR_SIZE
 #: Figs 14/15 shrink COLE's in-memory level so recent versions reach the
 #: on-disk runs, as they do at the paper's 10^5-block scale.
 PROV_MEM_CAPACITY = 64
-FIG16_ADDRESSES, FIG16_PUTS_PER_BLOCK = 4096, 512
-#: The served engine of fig17, fig18 and multi-get, and its group commit.
-SERVED_SHARDS = 2
+#: The group commit of the served engine of fig17, fig18 and multi-get.
 SERVED_CONFIG = ServerConfig(batch_max_puts=256, batch_max_delay=0.004)
 SERVED_CLI_FLAGS = (
     "--batch-puts", str(SERVED_CONFIG.batch_max_puts),
@@ -113,9 +108,8 @@ MULTI_GET_PUTS_PER_BLOCK = 192
 NEGATIVE_LOOKUP_BLOCKS, NEGATIVE_LOOKUP_PUTS_PER_BLOCK = 16, 128
 HOTSET_CACHE_PAGES, HOTSET_KEYS, HOTSET_WARM_PASSES = 256, 64, 3
 HOTSET_PUTS_PER_BLOCK = 128
-#: Fig 22's skewed stream: 3/4 of the writes route to shard 0 of 4.
-FIG22_SHARDS, FIG22_MEM_CAPACITY = 4, 64
-FIG22_HOT_FRACTION, FIG22_KEYS = 0.75, 1024
+#: Fig 22's engine: a small L0 over a uniform stream of 1024 keys.
+FIG22_MEM_CAPACITY, FIG22_KEYS = 64, 1024
 
 
 # =============================================================================
@@ -134,7 +128,7 @@ def engine_cell(name: str, stats: Optional[IOStats] = None, **overrides):
 
 
 def _settle(backend) -> None:
-    """Join background merges (COLE* and the sharded engine have them)."""
+    """Join background merges (COLE* has them)."""
     if hasattr(backend, "wait_for_merges"):
         backend.wait_for_merges()
 
@@ -191,12 +185,12 @@ def served(backend, config: Optional[ServerConfig] = None,
     """``backend`` behind a :class:`ColeServer` on its own loop thread.
 
     Unless ``policy`` is ``off``, a write-ahead log with that fsync
-    policy inside the (sharded) engine's workspace backs the acks; it is
+    policy inside the engine's workspace backs the acks; it is
     closed after the server.
     """
     with ExitStack() as stack:
         wal = None if policy == "off" else stack.enter_context(
-            WriteAheadLog(os.path.join(backend.directory, "wal"), sync_policy=policy)
+            WriteAheadLog(os.path.join(backend.workspace.root, "wal"), sync_policy=policy)
         )
         yield stack.enter_context(ServerThread(backend, config=config or ServerConfig(), wal=wal))
 
@@ -371,47 +365,6 @@ def run_provenance_sweep(
 
 
 # =============================================================================
-# Figure 16 (extension): put throughput vs shard count
-# =============================================================================
-
-def run_sharding_scalability(
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    blocks: int = 400,
-    repeats: int = 3,
-) -> List[Row]:
-    """Figure 16 (new): write throughput and storage vs shard count N.
-
-    Feeds the identical put stream to a ``cole-shard`` engine at each N —
-    each shard an independent COLE* instance sized like the single-node
-    engine, as horizontal scale-out would provision it — and measures the
-    blocking path: batched puts plus parallel block commits.  Measured on
-    2 vCPUs, N = 1..8 land within noise of each other: the commit pool
-    overlaps only the GIL-releasing file writes and fsyncs, so N shards
-    do not out-write one.  The composite ``Hstate`` per N is recorded so
-    determinism across repeated runs is checkable from the printed series.
-
-    With ``repeats > 1`` each shard count is run that many times on fresh
-    workspaces — sweeps interleaved so background noise hits every N
-    alike — and the *fastest* run per N is reported (the standard
-    noise-robust estimator for wall-clock benchmarks).
-    """
-    _, stream = pool_stream(FIG16_ADDRESSES, blocks, FIG16_PUTS_PER_BLOCK)
-    total_puts = blocks * FIG16_PUTS_PER_BLOCK
-
-    def run_point(num_shards: int) -> Row:
-        with engine_cell("cole-shard", num_shards=num_shards) as backend:
-            roots: List[bytes] = []
-            elapsed = timed(lambda: roots.append(load_stream(backend, stream)))
-            backend.wait_for_merges()
-            return {"shards": num_shards, "puts": total_puts, "elapsed_s": elapsed,
-                    "puts_per_s": _ratio(total_puts, elapsed),
-                    "storage_bytes": backend.storage_bytes(),
-                    "hstate": roots[0].hex()[:16]}
-
-    return best_of(repeats, shard_counts, run_point, "puts_per_s")
-
-
-# =============================================================================
 # Figures 17 & 18 (extensions): the served engine under load
 # =============================================================================
 
@@ -426,7 +379,7 @@ def run_served_sweep(
     """Figures 17 and 18 (new): the served engine per client count x WAL
     fsync policy.
 
-    Each point stands up a fresh sharded engine behind a
+    Each point stands up a fresh COLE* engine behind a
     :class:`~repro.server.ColeServer` (on its own event-loop thread) and
     drives it closed-loop with YCSB read/write traffic over real TCP
     sockets.  The policy is ``off`` (no WAL), ``none`` (records reach the
@@ -443,7 +396,7 @@ def run_served_sweep(
 
     def run_point(point: Tuple[int, str]) -> Row:
         clients, policy = point
-        with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
+        with engine_cell("cole*") as backend:
             with served(backend, SERVED_CONFIG, policy) as thread:
                 report = drive(
                     thread, clients=clients, ops_per_client=ops_per_client,
@@ -797,78 +750,7 @@ def run_cluster_scaling(
 # Figure 20 (extension): key-ordered range-scan throughput (YCSB-E)
 # =============================================================================
 
-def scan_page_size(limit: int, num_shards: int) -> int:
-    """The modelled coordinator's adaptive per-shard page for a scan of
-    ``limit`` results: each shard's expected share plus slack, refilled
-    by continuation when the merge drains a shard early."""
-    return max(8, -(-limit // num_shards) + 4)
-
-
-def _deployment_scan_seconds(backend, starts: Sequence[Tuple[bytes, int]]) -> float:
-    """Seconds a one-shard-per-machine deployment spends on ``starts``.
-
-    The deployment is a *model*: a scatter-gather coordinator asking each
-    shard for an adaptive page (:func:`scan_page_size`) and refilling by
-    continuation.  No code path in the tree issues that pattern —
-    ``ShardedCole.scan`` is one merged cursor, and
-    ``ClusterClient.scan`` asks every shard for the full ``limit``.
-    First TRACE, untimed, the exact request sequence the coordinator
-    would issue per shard — the first page AND every continuation refill
-    the lazy merge triggers — then replay each shard's trace in isolation
-    (fig19's argument) and charge the slowest shard plus the full
-    coordinator merge.  Timing first pages only would undercharge shards
-    whose share of a scan overflows the page.
-    """
-    shards = backend.shards
-    requests: List[List[tuple]] = [[] for _ in shards]
-    scan_parts: List[List[list]] = []
-
-    def traced(shard, sink, start, page):
-        batch = shard.scan(start, TOP_ADDR, limit=page)
-        sink.append((start, page))
-        while True:
-            yield from batch
-            if len(batch) < page:
-                return
-            next_low = addr_successor(batch[-1][0])
-            if next_low is None:
-                return
-            batch = shard.scan(next_low, TOP_ADDR, limit=page)
-            sink.append((next_low, page))
-
-    def tag(gen, index):
-        for triple in gen:
-            yield triple, index
-
-    for start, scan_len in starts:
-        page = scan_page_size(scan_len, len(shards))
-        parts: List[list] = [[] for _ in shards]
-        tagged = [
-            tag(traced(shard, requests[index], start, page), index)
-            for index, shard in enumerate(shards)
-        ]
-        # Drain through the coordinator's lazy merge; keep each shard's
-        # pulled stream for the merge replay.
-        for triple, index in itertools.islice(
-            heapq.merge(*tagged, key=lambda t: t[0][0]), scan_len
-        ):
-            parts[index].append(triple)
-        scan_parts.append(parts)
-
-    def shard_loop(index: int) -> None:
-        for start, page in requests[index]:
-            shards[index].scan(start, TOP_ADDR, limit=page)
-
-    def merge_loop() -> None:
-        for (_, scan_len), parts in zip(starts, scan_parts):
-            list(itertools.islice(heapq.merge(*parts, key=itemgetter(0)), scan_len))
-
-    slowest = max(timed(lambda: shard_loop(index)) for index in range(len(shards)))
-    return slowest + timed(merge_loop)
-
-
 def run_scan_throughput(
-    shard_counts: Sequence[int] = (1, 4),
     scan_lengths: Sequence[int] = (8, 32, 128),
     num_addresses: int = 2048,
     blocks: int = 96,
@@ -876,42 +758,22 @@ def run_scan_throughput(
     scans_per_point: int = 200,
     repeats: int = 3,
 ) -> List[Row]:
-    """Figure 20 (new): scan throughput vs scan length, sharded vs single.
+    """Figure 20 (new): scan throughput vs scan length on one COLE* engine.
 
     One deterministic multi-version data set (every address updated
-    repeatedly across ``blocks`` committed blocks) is loaded into a
-    ``cole-shard`` engine at each shard count; then, per scan length
-    ``L``, ``scans_per_point`` key-ordered scans of ``limit=L`` are
-    issued from zipfian-popular start addresses (the YCSB workload E
-    shape, via :class:`~repro.workloads.YCSBGenerator`).
+    repeatedly across ``blocks`` committed blocks) is loaded; then, per
+    scan length ``L``, ``scans_per_point`` key-ordered scans of
+    ``limit=L`` are issued from zipfian-popular start addresses (the YCSB
+    workload E shape, via :class:`~repro.workloads.YCSBGenerator`).
 
-    **Measurement model.**  ``scans_per_s`` for N > 1 is the rate of a
-    *modelled* scale-out deployment, measured the way fig19 measures
-    replicas: shards are independent engines a deployment places one per
-    machine, so each shard serves its share of every scan — the adaptive
-    page a scatter-gather coordinator would ask for (:func:`scan_page_size`,
-    ``ceil(L/N)`` plus slack, refilled by continuation) — and is timed
-    **in isolation**; a logical scan completes when its slowest shard
-    finishes, so the deployment rate is the slowest shard's rate, plus
-    the coordinator's k-way merge (timed separately and charged in
-    full).  No code path in the tree issues that request pattern:
-    ``ShardedCole.scan`` is one merged cursor and ``ClusterClient.scan``
-    asks every shard for the full ``limit``.  Driving all shards inside
-    this one interpreter would measure the GIL, not the design — hash
-    partitioning multiplies per-scan *seek count* by N, and the win is
-    that the N seek sets run on N machines.  ``merged_scans_per_s`` is
-    the in-process ``ShardedCole.scan`` rate — one merged cursor over
-    every shard's sources on the caller's thread — reported for
-    transparency: it pays N shards' seeks serially.
-
-    Every engine's scan results are first verified byte-identical to a
+    The engine's scan results are first verified byte-identical to a
     brute-force in-memory model (latest *and* a historical ``at_blk``
     snapshot), so the timed loops are known to measure correct scans.
-    Sweeps are interleaved across engines and the best of ``repeats``
-    runs per point is kept, like the fig16/fig18 sweeps.
+    Each point runs ``repeats`` times, interleaved, keeping its best
+    throughput (:func:`best_of`).
     """
-    # One deterministic write stream for every engine: multi-version
-    # history (model[addr] -> {blk: value}) for at_blk verification.
+    # One deterministic write stream with its multi-version history
+    # (model[addr] -> {blk: value}) for at_blk verification.
     pool, stream = pool_stream(num_addresses, blocks, puts_per_block, arrange=sorted)
     model: Dict[bytes, Dict[int, bytes]] = {}
     for blk, batch in enumerate(stream, 1):
@@ -940,46 +802,29 @@ def run_scan_throughput(
             if kind == "scan"
         ][:scans_per_point]
 
-    with ExitStack() as stack:
-        engines = {}
-        for num_shards in shard_counts:
-            backend = stack.enter_context(engine_cell("cole-shard", num_shards=num_shards))
-            load_stream(backend, stream)
-            backend.wait_for_merges()
-            # Correctness gate before timing: latest and historical
-            # scans must match the brute-force model exactly.
-            for start in (pool[0], pool[len(pool) // 2]):
-                for at_blk in (None, blocks // 2):
-                    got = backend.scan(start, TOP_ADDR, at_blk=at_blk, limit=64)
-                    if got != brute_force(start, at_blk or blocks, 64):
-                        raise RuntimeError(
-                            f"scan mismatch at N={num_shards}, at_blk={at_blk}"
-                        )
-            engines[num_shards] = backend
+    with engine_cell("cole*") as backend:
+        load_stream(backend, stream)
+        backend.wait_for_merges()
+        # Correctness gate before timing: latest and historical scans
+        # must match the brute-force model exactly.
+        for start in (pool[0], pool[len(pool) // 2]):
+            for at_blk in (None, blocks // 2):
+                got = backend.scan(start, TOP_ADDR, at_blk=at_blk, limit=64)
+                if got != brute_force(start, at_blk or blocks, 64):
+                    raise RuntimeError(f"scan mismatch at at_blk={at_blk}")
 
-        def run_point(point: Tuple[int, int]) -> Row:
-            num_shards, length = point
-            backend = engines[num_shards]
+        def run_point(length: int) -> Row:
             starts = scan_starts(length)
-            # The single-interpreter rate: the full scan for N=1, the
-            # in-process cross-shard merge for N>1.
-            merged: List[list] = []
-            merged_elapsed = timed(lambda: merged.extend(
+            results: List[list] = []
+            elapsed = timed(lambda: results.extend(
                 backend.scan(start, TOP_ADDR, limit=scan_len) for start, scan_len in starts
             ))
-            entries = sum(len(result) for result in merged)
-            deploy_elapsed = (
-                merged_elapsed if num_shards == 1
-                else _deployment_scan_seconds(backend, starts)
-            )
-            return {"shards": num_shards, "scan_len": length,
-                    "scans": scans_per_point, "entries": entries,
-                    "scans_per_s": _ratio(scans_per_point, deploy_elapsed),
-                    "entries_per_s": _ratio(entries, deploy_elapsed),
-                    "merged_scans_per_s": _ratio(scans_per_point, merged_elapsed)}
+            entries = sum(len(result) for result in results)
+            return {"scan_len": length, "scans": scans_per_point, "entries": entries,
+                    "scans_per_s": _ratio(scans_per_point, elapsed),
+                    "entries_per_s": _ratio(entries, elapsed)}
 
-        points = list(itertools.product(shard_counts, scan_lengths))
-        return best_of(repeats, points, run_point, "scans_per_s")
+        return best_of(repeats, scan_lengths, run_point, "scans_per_s")
 
 
 # =============================================================================
@@ -995,7 +840,7 @@ def run_multi_get(
 ) -> List[Row]:
     """MULTI_GET amortization: keys served per second vs batch size.
 
-    One preloaded sharded engine is served once per batch size (a fresh
+    One preloaded COLE* engine is served once per batch size (a fresh
     server each time, so the versioned read cache starts cold at every
     point) and driven with a read-only closed-loop workload.  Batch size
     1 issues plain GETs; larger sizes issue the same zipfian key stream
@@ -1004,7 +849,7 @@ def run_multi_get(
     largest batch's keys/s by the batch-1 point's.
     """
     rows: List[Row] = []
-    with engine_cell("cole-shard", num_shards=SERVED_SHARDS) as backend:
+    with engine_cell("cole*") as backend:
         load_stream(backend, rank_stream(num_keys, blocks, MULTI_GET_PUTS_PER_BLOCK))
         backend.wait_for_merges()
         for batch_size in batch_sizes:
@@ -1127,16 +972,15 @@ def run_compaction_policies(
 ) -> List[Row]:
     """Figure 22 (new): write amplification under leveling vs tiering.
 
-    The sharded engine's coordinated cascades are where the two policies
-    diverge: a shard-skewed put stream (``FIG22_HOT_FRACTION`` of writes
-    route to shard 0) makes the hot shard's L0 fill first, and every
-    cascade it triggers force-flushes the cold shards' *under-full* L0s
-    too.  Leveling then merges those slim runs into L1 on every arrival
-    once the group holds T runs; tiering lets them pile up until the
-    level's entry capacity (B·T^l) genuinely overflows, trading read
-    fanout for far fewer rewritten bytes.  Per cell: the engine's own
-    ``compaction_stats`` byte counters, write amplification, point-read
-    latency over the hot/cold mix, and a full content check of sampled
+    One COLE* engine per size ratio and policy takes the same uniform put
+    stream (``FIG22_KEYS`` addresses, a small L0).  The engine flushes
+    L0 only once it is full, so both policies merge the same full runs
+    at the same run counts: the rows show equal bytes, and the claim is
+    the "never worse" invariant of :mod:`repro.core.compaction`.
+    Tiering saves rewrites only over under-full runs — rewound or
+    force-cascaded ones (``tests/test_compaction.py``).  Per cell: the
+    engine's own ``compaction_stats`` byte counters, write
+    amplification, point-read latency, and a content check of sampled
     addresses against an in-memory model (both policies must serve
     byte-identical state — only the file layout may differ).
     """
@@ -1145,19 +989,16 @@ def run_compaction_policies(
         digest = hash_bytes(addr + blk.to_bytes(8, "big"))
         return digest[:VALUE_SIZE].ljust(VALUE_SIZE, b"\x00")
 
-    # One deterministic, shard-skewed put stream shared by every cell so
-    # the policies see byte-identical writes.
+    # One deterministic put stream shared by every cell so the policies
+    # see byte-identical writes.
     rng = random.Random(SEED)
     pool = [key_addr(index, ADDR_SIZE) for index in range(FIG22_KEYS)]
-    hot = [addr for addr in pool if shard_of(addr, FIG22_SHARDS) == 0]
-    cold = [addr for addr in pool if shard_of(addr, FIG22_SHARDS) != 0]
     stream: List[Batch] = []
     model: Dict[bytes, bytes] = {}
     for blk in range(1, blocks + 1):
         writes: Dict[bytes, bytes] = {}
         for _ in range(puts_per_block):
-            source = hot if rng.random() < FIG22_HOT_FRACTION else cold
-            addr = source[rng.randrange(len(source))]
+            addr = rng.choice(pool)
             writes[addr] = value_for(addr, blk)
         stream.append(sorted(writes.items()))  # canonical per-block order
         model.update(writes)
@@ -1166,8 +1007,8 @@ def run_compaction_policies(
     rows: List[Row] = []
     for size_ratio, policy in itertools.product(size_ratios, ("leveling", "tiering")):
         with engine_cell(
-            "cole-shard", num_shards=FIG22_SHARDS, mem_capacity=FIG22_MEM_CAPACITY,
-            size_ratio=size_ratio, compaction=policy,
+            "cole*", mem_capacity=FIG22_MEM_CAPACITY, size_ratio=size_ratio,
+            compaction=policy,
         ) as backend:
             started = time.perf_counter()
             load_stream(backend, stream)
@@ -1230,7 +1071,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig15": Experiment(run_provenance_sweep, dict(
         engines=("cole", "cole*"), fanouts=(2, 4, 8, 16, 32, 64), query_ranges=(16,),
     ), ("engine", "fanout", "cpu_s", "proof_bytes")),
-    "fig16": Experiment(run_sharding_scalability),
     "fig17": Experiment(run_served_sweep, {}, (
         "clients", *SERVED_LOAD, "cache_hit_rate", "avg_batch", "commits")),
     # Write-heavy: durability is a cost of writes.

@@ -1,10 +1,8 @@
 """Engine construction and workload execution for the experiments.
 
 Engine names follow the paper: ``mpt``, ``cole``, ``cole*`` (asynchronous
-merge), ``lipp``, ``cmi`` — plus ``cole-shard``, the hash-partitioned
-scale-out engine (4 COLE* shards by default).  All engines share one
-address/value geometry so the contracts issue byte-identical state
-accesses.
+merge), ``lipp``, ``cmi``.  All engines share one address/value geometry
+so the contracts issue byte-identical state accesses.
 """
 
 from __future__ import annotations
@@ -18,10 +16,9 @@ from repro.baselines import CMIStorage, LIPPStorage, MPTStorage
 from repro.chain.contracts import ExecutionContext
 from repro.chain.executor import BlockExecutor, ExecutionMetrics
 from repro.chain.transaction import Transaction
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.diskio.iostats import IOStats
-from repro.sharding import ShardedCole
 
 #: Geometry shared by every engine in the benchmarks (32-byte addresses +
 #: 40-byte values: an 80-byte pair, within rounding of the paper's 88).
@@ -41,9 +38,7 @@ class EngineSpec:
     max_blocks: Optional[int] = None  # paper's "cannot scale" cut-offs
 
 
-#: Table 2 geometry every COLE-family benchmark engine starts from; the
-#: sharded engine derives per-shard parameters from the same object so
-#: the two cannot drift apart.
+#: Table 2 geometry every COLE-family benchmark engine starts from.
 BENCH_COLE_PARAMS = ColeParams(
     system=BENCH_SYSTEM, mem_capacity=512, size_ratio=4, mht_fanout=4
 )
@@ -54,26 +49,6 @@ def _make_cole(directory: str, stats: Optional[IOStats], **overrides) -> Cole:
     if overrides:
         params = replace(params, **overrides)
     return Cole(directory, params, stats=stats)
-
-
-def _make_sharded(
-    directory: str,
-    stats: Optional[IOStats],
-    num_shards: Optional[int] = None,
-    **overrides,
-) -> ShardedCole:
-    """A sharded COLE* engine: each shard sized like the single-node one.
-
-    ``num_shards`` defaults to :class:`ShardParams`'s own default so the
-    bench registry cannot drift from the engine's.
-    """
-    cole = BENCH_COLE_PARAMS.with_async(True)
-    if overrides:
-        cole = replace(cole, **overrides)
-    params = ShardParams(cole=cole)
-    if num_shards is not None:
-        params = params.with_shards(num_shards)
-    return ShardedCole(directory, params, stats=stats)
 
 
 #: The paper gives RocksDB and COLE's in-memory level the same 64 MB
@@ -87,7 +62,6 @@ ENGINES: Dict[str, EngineSpec] = {
     ),
     "cole": EngineSpec("cole", lambda d, s: _make_cole(d, s, async_merge=False)),
     "cole*": EngineSpec("cole*", lambda d, s: _make_cole(d, s, async_merge=True)),
-    "cole-shard": EngineSpec("cole-shard", lambda d, s: _make_sharded(d, s)),
     # The paper could not finish LIPP past ~10^2-10^3 blocks and CMI past
     # 10^4; the same cliffs exist here, scaled down.
     "lipp": EngineSpec(
@@ -109,19 +83,12 @@ def make_engine(
     stats: Optional[IOStats] = None,
     cole_overrides: Optional[dict] = None,
 ):
-    """Instantiate the named engine in ``directory``.
-
-    For ``cole-shard``, ``cole_overrides`` may carry a ``num_shards`` key
-    alongside the per-shard :class:`ColeParams` overrides.
-    """
+    """Instantiate the named engine in ``directory``; ``cole_overrides``
+    are :class:`ColeParams` fields of a ``cole`` / ``cole*`` engine."""
     if name in ("cole", "cole*") and cole_overrides:
         overrides = dict(cole_overrides)
         overrides["async_merge"] = name == "cole*"
         return _make_cole(directory, stats, **overrides)
-    if name == "cole-shard" and cole_overrides:
-        overrides = dict(cole_overrides)
-        num_shards = overrides.pop("num_shards", None)
-        return _make_sharded(directory, stats, num_shards=num_shards, **overrides)
     return ENGINES[name].factory(directory, stats)
 
 

@@ -29,8 +29,7 @@ class StorageBackend(abc.ABC):
 
         Semantically identical to calling :meth:`put` per pair (the
         default does exactly that); engines override it to amortize
-        per-put dispatch — COLE batches the L0 inserts, the sharded
-        engine routes the whole batch in one pass.
+        per-put dispatch — COLE batches the L0 inserts.
         """
         for addr, value in items:
             self.put(addr, value)

@@ -5,7 +5,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli info /path/to/cole-workspace
     python -m repro.cli experiment fig9 [--heights 30,100] [--engines mpt,cole]
     python -m repro.cli experiment table1
-    python -m repro.cli serve /path/to/workspace --port 7407 [--shards 4] [--wal]
+    python -m repro.cli serve /path/to/workspace --port 7407 [--wal]
     python -m repro.cli serve /path/to/replica --replica-of 127.0.0.1:7407
     python -m repro.cli loadgen --port 7407 --clients 32 --ops 200 [--json]
     python -m repro.cli loadgen --port 7407 --workload E [--scan-len 50]
@@ -46,12 +46,11 @@ from repro.wal.log import SYNC_POLICIES
 _SWEEP_FLAGS = {
     "heights": ("heights", int),
     "engines": ("engines", str),
-    "shards": ("shard_counts", int),
     "replicas": ("replica_counts", int),
 }
 
-#: Default WAL directory inside a workspace (a sibling of the shard /
-#: run files; engine recovery ignores subdirectories).
+#: Default WAL directory inside a workspace (a sibling of the run files;
+#: engine recovery ignores subdirectories).
 WAL_DIRNAME = "wal"
 
 
@@ -90,7 +89,6 @@ class Store(NamedTuple):
 
     engine: Any
     wal: Any  # the replayed workspace WAL, or None
-    num_shards: int
     replayed: Any  # its ReplayStats, or None
 
 
@@ -98,7 +96,6 @@ class Store(NamedTuple):
 def open_store(
     workspace: str,
     purpose: str,
-    num_shards: int = 0,
     mem_capacity: int = 512,
     replay: bool = True,
 ) -> Iterator[Store]:
@@ -106,27 +103,28 @@ def open_store(
     ``replay``, replay its WAL so the engine holds every durable write;
     everything closes in reverse order on exit.
 
-    ``num_shards`` 0 re-opens an existing workspace with the shard count
-    it was created with (1 for a new one): the sharded engine creates
-    its shard directories eagerly, so detection works before the first
-    cascade writes a manifest.
+    A directory of ``shard-NN/`` workspaces with no manifest of its own
+    is refused: it is a cluster node's layout (or one left by the
+    removed in-process sharded engine), and each ``shard-NN/`` is a
+    single-engine workspace ``repro cluster`` serves.
     """
     import os
 
-    from repro.common.params import ColeParams, ShardParams
+    from repro.common.params import ColeParams
     from repro.core import Cole
-    from repro.sharding import ShardedCole, shard_dirs
+    from repro.core.manifest import MANIFEST_NAME
+    from repro.sharding import shard_dirs
 
-    num_shards = num_shards or len(shard_dirs(workspace)) or 1
+    shards = shard_dirs(workspace)
+    if shards and not os.path.isfile(os.path.join(workspace, MANIFEST_NAME)):
+        raise StorageError(
+            f"{workspace} holds {len(shards)} shard-NN/ workspaces and no "
+            "manifest: one engine serves one workspace, so open a shard "
+            "directory itself, or serve the shards with `repro cluster`"
+        )
     with contextlib.ExitStack() as stack:
         stack.enter_context(_lock_workspace(workspace, purpose))
-        params = ColeParams(async_merge=True, mem_capacity=mem_capacity)
-        if num_shards > 1:
-            engine = ShardedCole(
-                workspace, ShardParams(cole=params, num_shards=num_shards)
-            )
-        else:
-            engine = Cole(workspace, params)
+        engine = Cole(workspace, ColeParams(async_merge=True, mem_capacity=mem_capacity))
         stack.callback(engine.close)
         wal = replayed = None
         wal_dir = os.path.join(workspace, WAL_DIRNAME)
@@ -135,7 +133,7 @@ def open_store(
 
             wal = stack.enter_context(WriteAheadLog(wal_dir))
             replayed = replay_wal(engine, wal)
-        yield Store(engine, wal, num_shards, replayed)
+        yield Store(engine, wal, replayed)
 
 
 # =============================================================================
@@ -168,7 +166,7 @@ def _serving_options(fn: Callable[..., Any]) -> Callable[..., Any]:
     share."""
     options = (
         click.option("--mem-capacity", type=int, default=512,
-                     help="per-shard L0 capacity B"),
+                     help="L0 capacity B (of each shard, under cluster serve)"),
         click.option("--batch-puts", type=int, default=512,
                      help="group-commit size threshold"),
         click.option("--batch-delay-ms", type=float, default=10.0,
@@ -192,7 +190,7 @@ def info(workspace: str) -> int:
 
     shards = shard_roots(workspace)
     if shards != [("-", workspace)]:
-        print(f"workspace:        {workspace} (sharded, {len(shards)} shards)")
+        print(f"workspace:        {workspace} ({len(shards)} shard workspaces)")
         print("inspect a shard:")
         for _name, directory in shards:
             print(f"  repro info {directory}")
@@ -254,13 +252,20 @@ def experiment(name: str, **sweeps: Optional[str]) -> int:
     return 1 if any(row["verdict"] == "fails" for row in checked) else 0
 
 
+def _one_engine(ctx: click.Context, param: click.Parameter, value: int) -> int:
+    if value != 1:
+        raise click.BadParameter(
+            "a server serves one engine; serve shards with `repro cluster`"
+        )
+    return value
+
+
 @cli.command()
 @click.argument("workspace")
 @click.option("--host", default="127.0.0.1")
 @click.option("--port", type=int, default=7407)
-@click.option("--shards", type=int, default=0,
-              help="shard count (>1 serves a ShardedCole; 0 = auto-detect "
-              "from the workspace, new workspaces default to 1)")
+@click.option("--shards", type=int, default=1, expose_value=False,
+              callback=_one_engine, help="always 1 (scale out with `repro cluster`)")
 @_serving_options
 @click.option("--negative-cache-capacity", type=int, default=4096,
               help="known-absent address cache entries (0 disables)")
@@ -280,7 +285,6 @@ def serve(
     workspace: str,
     host: str,
     port: int,
-    shards: int,
     mem_capacity: int,
     batch_puts: int,
     batch_delay_ms: float,
@@ -324,7 +328,7 @@ def serve(
     # replayed); a replica replays the WAL tail a restored snapshot
     # ships, so it subscribes at the snapshot's root, not behind it.
     store = ctx.with_resource(open_store(
-        workspace, "a second server", shards, mem_capacity, replay=primary is not None
+        workspace, "a second server", mem_capacity, replay=primary is not None
     ))
     if store.replayed is not None and store.replayed.replayed_anything:
         print(
@@ -363,11 +367,10 @@ def serve(
                 f"(heights {stats.first_height}..{stats.last_height})",
                 flush=True,
             )
-        sharded = f", {store.num_shards} shards" if store.num_shards > 1 else ""
         durability = f", wal={log.sync_policy}" if log is not None else ""
         role = f", replica of {replica_of}" if primary is not None else ""
         print(
-            f"serving {workspace} on {bound_host}:{bound_port}{sharded}{durability}"
+            f"serving {workspace} on {bound_host}:{bound_port}{durability}"
             f"{role} (loop=asyncio; Ctrl-C stops)",
             flush=True,
         )
@@ -386,7 +389,6 @@ def serve(
 @cli.command()
 @click.argument("workspace", required=False)
 @click.argument("dest", required=False)
-@click.option("--shards", type=int, default=0, help="shard count (0 = auto-detect)")
 @click.option("--incremental-from", metavar="PREV",
               help="copy only runs new since the snapshot at PREV (chainable)")
 @click.option("--verify-only", metavar="PATH",
@@ -396,7 +398,6 @@ def snapshot(
     ctx: click.Context,
     workspace: Optional[str],
     dest: Optional[str],
-    shards: int,
     incremental_from: Optional[str],
     verify_only: Optional[str],
 ) -> int:
@@ -438,10 +439,9 @@ def snapshot(
 
     # The replay brings the in-memory level back first, so the recorded
     # root digest covers every write the WAL still owes the engine.
-    store = ctx.with_resource(open_store(workspace, "snapshot", shards))
+    store = ctx.with_resource(open_store(workspace, "snapshot"))
     meta = snapshot_store(store.engine, dest, wal=store.wal, parent=incremental_from)
     print(f"snapshot:    {dest}")
-    print(f"kind:        {meta['kind']} ({meta['num_shards']} shards)")
     print(f"root digest: {meta['root_digest']}")
     if incremental_from:
         copied = sum(attrs["size"] for attrs in meta["files"].values())
@@ -463,7 +463,7 @@ def restore(ctx: click.Context, snapshot: str, dest: str) -> int:
     from repro.wal import restore_store
 
     meta = restore_store(snapshot, dest)
-    store = ctx.with_resource(open_store(dest, "restore", meta["num_shards"]))
+    store = ctx.with_resource(open_store(dest, "restore"))
     root = store.engine.root_digest().hex()
     print(f"restored:    {dest} ({len(meta['files'])} files verified)")
     print(f"root digest: {root}")
@@ -481,7 +481,6 @@ def restore(ctx: click.Context, snapshot: str, dest: str) -> int:
               help="block height of the slice (default: current height)")
 @click.option("--low", help="lowest address, hex; a prefix pads with 00 (default: zero)")
 @click.option("--high", help="highest address, hex; a prefix pads with ff (default: max)")
-@click.option("--shards", type=int, default=0, help="shard count (0 = auto-detect)")
 @click.pass_context
 def export(
     ctx: click.Context,
@@ -490,7 +489,6 @@ def export(
     at_blk: Optional[int],
     low: Optional[str],
     high: Optional[str],
-    shards: int,
 ) -> int:
     """Stream a snapshot-consistent keyspace slice into a portable file.
 
@@ -510,7 +508,7 @@ def export(
     width = SystemParams().addr_size  # the geometry open_store opens with
     addr_low = parse_addr_bound(low, width, b"\x00") if low is not None else None
     addr_high = parse_addr_bound(high, width, b"\xff") if high is not None else None
-    store = ctx.with_resource(open_store(workspace, "export", shards))
+    store = ctx.with_resource(open_store(workspace, "export"))
     temp = f"{output}.tmp"
     try:
         with open(temp, "wb") as out:
@@ -530,9 +528,8 @@ def export(
 @cli.command(name="import")
 @click.argument("file")
 @click.option("-w", "--workspace", required=True, help="destination workspace (empty)")
-@click.option("--shards", type=int, default=1, help="shard count of the new workspace")
 @click.pass_context
-def import_(ctx: click.Context, file: str, workspace: str, shards: int) -> int:
+def import_(ctx: click.Context, file: str, workspace: str) -> int:
     """Replay an export stream into a fresh workspace."""
     import os
 
@@ -543,7 +540,7 @@ def import_(ctx: click.Context, file: str, workspace: str, shards: int) -> int:
             f"import destination {workspace} is not empty; "
             "imports replay into a fresh workspace"
         )
-    store = ctx.with_resource(open_store(workspace, "import", max(1, shards)))
+    store = ctx.with_resource(open_store(workspace, "import"))
     with open(file, "rb") as inp:
         stats = import_slice(store.engine, inp)
     store.engine.wait_for_merges()

@@ -25,9 +25,9 @@ the sub-batches concurrently, and reassemble positionally; a referral
 on any sub-batch re-splits only the affected keys.  ``scan`` fans the
 range over every shard and k-way merges the per-shard pages into one
 key-ordered stream.  ``root`` returns the composite ``Hstate`` — the
-hash over the ordered per-shard roots, exactly
-:meth:`repro.sharding.engine.ShardedCole.root_digest` — so a cluster's
-state can be compared byte-for-byte against a single-process oracle.
+hash over the ordered per-shard roots — so a cluster's state can be
+compared byte-for-byte against an oracle of one local ``Cole`` per
+shard.
 """
 
 from __future__ import annotations
@@ -356,9 +356,8 @@ class ClusterClient(KVClient):
 
     async def root(self) -> RootInfo:
         """The composite state anchor: ``hash(root_0 || ... || root_n)``
-        over the ordered shard roots — byte-identical to a
-        ``ShardedCole`` holding the same per-shard states, so cluster
-        state is comparable against a single-process oracle."""
+        over the ordered shard roots, so cluster state is comparable
+        against an oracle of one local ``Cole`` per shard."""
         return _composite(await self.shard_roots())
 
     async def flush(self) -> RootInfo:

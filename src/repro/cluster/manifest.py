@@ -2,8 +2,7 @@
 
 A :class:`ClusterManifest` maps every shard id to the ``host:port`` of
 the :class:`~repro.server.ColeServer` currently serving it, plus the
-control address of each node process.  Routing is the same crc32
-partitioning the in-process sharded engine uses
+control address of each node process.  Routing is crc32 partitioning
 (:func:`repro.sharding.router.shard_of`), so a key's shard id is
 deterministic across every client and server without coordination.
 
@@ -71,7 +70,7 @@ class ClusterManifest:
     # -- routing --------------------------------------------------------------
 
     def shard_for(self, addr: bytes) -> int:
-        """The shard id owning ``addr`` (same crc32 as ShardedCole)."""
+        """The shard id owning ``addr`` (:func:`~repro.sharding.shard_of`)."""
         return shard_of(addr, self.num_shards)
 
     def address_of(self, shard_id: int) -> str:

@@ -23,11 +23,11 @@ the variable is unset, :func:`maybe_debug_lock` hands back a plain
 these locks — so the production path pays nothing.
 
 Known granularity limit: edges are keyed by name, so two *instances* of
-the same class (two shard gates) never form an edge — a cross-instance
-inversion within one class is invisible here.  The codebase avoids
-holding two same-class locks at once by construction (shards are
-committed by independent pool threads), and the gate-discipline static
-rule covers the lexical side.
+the same class (two engines' gates) never form an edge — a
+cross-instance inversion within one class is invisible here.  The
+codebase never holds two same-class locks at once (each engine's gate
+guards only that engine), and the gate-discipline static rule covers
+the lexical side.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class LockOrderGraph:
         with self._mutex:
             for held in stack:
                 # Same-name pairs carry no direction at name granularity
-                # (two shard gates); skip rather than self-cycle.
+                # (two engines' gates); skip rather than self-cycle.
                 if held != name:
                     self._add_edge_locked(held, name)
         stack.append(name)

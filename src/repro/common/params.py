@@ -81,8 +81,10 @@ class ColeParams:
             lets under-full sibling runs accumulate until the group
             actually overflows ``level_capacity``, trading bounded read
             fanout for less merge write amplification (the Dostoevsky
-            trade-off).  Persisted in the manifest and validated on
-            reopen.
+            trade-off).  An engine's own commits flush L0 only once it
+            is full, so the policies part ways over under-full runs:
+            the ones ``rewind_to`` rebuilds and the cascades a caller
+            forces.  Persisted in the manifest and validated on reopen.
     """
 
     system: SystemParams = SystemParams()
@@ -129,30 +131,3 @@ class ColeParams:
         """Return a copy with a different compaction policy."""
         return replace(self, compaction=compaction)
 
-
-@dataclass(frozen=True)
-class ShardParams:
-    """Configuration of the sharded engine (``repro.sharding``).
-
-    A sharded deployment runs ``num_shards`` fully independent COLE
-    instances, each sized like a single node (scale-out adds resources the
-    way adding machines would), with the address space hash-partitioned
-    across them.
-
-    Attributes:
-        cole: per-shard COLE parameters.  ``async_merge`` defaults to True
-            here: background merges are what the parallel commit fan-out
-            overlaps across shards.
-        num_shards: number of independent COLE shards (>= 1).
-    """
-
-    cole: ColeParams = ColeParams(async_merge=True)
-    num_shards: int = 4
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-
-    def with_shards(self, num_shards: int) -> "ShardParams":
-        """Return a copy with a different shard count."""
-        return replace(self, num_shards=num_shards)

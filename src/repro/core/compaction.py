@@ -12,10 +12,13 @@ owns is the three decisions the LSM literature varies:
 
 ``leveling`` is the paper's behaviour, byte-for-byte: a group merges the
 instant it holds ``size_ratio`` runs, however small they are.  That is
-optimal when every run is full (one rewrite per level per generation),
-but the sharded engine's coordinated commits flush *under-full* runs
-(every shard flushes when any is full), and leveling then merges long
-before the level holds a level's worth of data — pure write
+optimal when every run is full (one rewrite per level per generation).
+An engine's own commits flush L0 only once it holds ``B`` pairs, so its
+runs are full; *under-full* runs come only from
+:func:`~repro.core.rewind.rewind_to`, which rebuilds runs without their
+post-target versions, and from cascades a caller forces
+(``commit_block(force_cascade=True)``).  Over those, leveling merges
+long before the level holds a level's worth of data — pure write
 amplification.
 
 ``tiering`` merges only when the group genuinely overflows: the group's

@@ -53,11 +53,6 @@ SCAN_PAGE = 1024
 Triple = Tuple[bytes, int, bytes]
 
 
-def _engine_addr_size(engine) -> int:
-    cole = engine.params.cole if hasattr(engine, "shards") else engine.params
-    return cole.system.addr_size
-
-
 def _write_frame(out: BinaryIO, payload: bytes) -> None:
     out.write(struct.pack(">I", len(payload)))
     out.write(payload)
@@ -87,7 +82,7 @@ def export_slice(
     """Stream the live version of every address in
     ``[addr_low, addr_high]`` as of ``at_blk`` (default: the engine's
     current height) into ``out``.  Returns summary stats."""
-    addr_size = _engine_addr_size(engine)
+    addr_size = engine.params.system.addr_size
     low = addr_low if addr_low is not None else b"\x00" * addr_size
     high = addr_high if addr_high is not None else b"\xff" * addr_size
     if len(low) != addr_size or len(high) != addr_size:
@@ -208,7 +203,7 @@ def import_slice(engine, inp: BinaryIO, *, batch: int = 4096) -> dict:
     ``put_many`` dispatch.
     """
     header = read_header(inp)
-    addr_size = _engine_addr_size(engine)
+    addr_size = engine.params.system.addr_size
     if header["addr_size"] != addr_size:
         raise StorageError(
             f"export was taken with addr_size={header['addr_size']}, "

@@ -228,10 +228,12 @@ class Cole:
         makes crash-recovery replay block-aligned.  L0 may transiently
         exceed ``B`` by one block's worth of updates; see DESIGN.md.
 
-        ``force_cascade`` overrides the capacity check (both ways); the
-        sharded engine uses it to coordinate cascades across shards so
-        their commit IO overlaps.  Passing a value derived from the put
-        stream keeps ``Hstate`` deterministic.
+        ``force_cascade`` overrides the capacity check (both ways).  A
+        forced cascade flushes an under-full L0 — with ``rewind_to``'s
+        rebuilt runs the only source of under-full runs, which is where
+        the compaction policies differ (``repro.core.compaction``).
+        Passing a value derived from the put stream keeps ``Hstate``
+        deterministic.
         """
         cascade = self.needs_cascade() if force_cascade is None else force_cascade
         with self.gate.exclusive():
@@ -240,11 +242,9 @@ class Cole:
             return self._root_digest()
 
     def needs_cascade(self) -> bool:
-        """True when the next commit will flush L0 (capacity reached).
-
-        Shared with the sharded engine, whose commit fan-out parallelizes
-        exactly the commits this predicate marks as heavy.
-        """
+        """True when the next commit will flush L0 (capacity reached):
+        without ``force_cascade`` every flushed L0 holds at least ``B``
+        pairs."""
         return len(self._view.sources[0].source) >= self.params.mem_capacity
 
     # =========================================================================

@@ -106,8 +106,8 @@ class Workspace:
     def list_files(self) -> Iterator[str]:
         """Iterate over the names of all regular files present on disk.
 
-        Subdirectories (a co-located WAL, shard workspaces) are not the
-        workspace's to manage — recovery must not try to delete them.
+        Subdirectories (a co-located WAL) are not the workspace's to
+        manage — recovery must not try to delete them.
         """
         return iter(
             sorted(

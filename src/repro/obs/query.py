@@ -161,8 +161,9 @@ def emit(columns: List[str], rows: List[dict], fmt: str, note: str = "") -> None
 def shard_roots(workspace: str) -> List[Tuple[str, str]]:
     """``(shard_label, directory)`` pairs covering the workspace.
 
-    A sharded workspace is a directory of ``shard-NN`` subdirectories
-    (no root manifest); a single-engine workspace is its own root.
+    A cluster node's workspace is a directory of ``shard-NN``
+    subdirectories (no root manifest); a single-engine workspace is its
+    own root.
     """
     from repro.core.manifest import MANIFEST_NAME
 
@@ -442,8 +443,7 @@ def collect_compaction(workspace: str) -> List[dict]:
 
 
 def collect_compaction_live(stats: dict) -> List[dict]:
-    """Compaction accounting from a live server's STATS snapshot
-    (aggregated across shards by the engine)."""
+    """Compaction accounting from a live server's STATS snapshot."""
     snapshot = (stats.get("engine") or {}).get("compaction")
     if not snapshot:
         return []

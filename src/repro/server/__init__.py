@@ -4,7 +4,7 @@ Turns the in-process engine into a service (see DESIGN.md):
 
 * :class:`ColeServer` — asyncio TCP server speaking a length-prefixed
   binary protocol (PUT / GET / GET_AT / PROV / ROOT / STATS / FLUSH)
-  over one ``Cole`` or ``ShardedCole``;
+  over one ``Cole``;
 * :class:`WriteBatcher` — group commit: many clients' puts coalesce into
   one block through the engine's batched write path;
 * :class:`VersionedReadCache` — hot-key read cache, refreshed by each

@@ -1,10 +1,8 @@
 """The asyncio TCP server fronting a COLE engine.
 
-One :class:`ColeServer` owns one engine — a single
-:class:`~repro.core.storage.Cole` or a sharded
-:class:`~repro.sharding.engine.ShardedCole` — and serves the
-length-prefixed binary protocol of :mod:`repro.server.protocol` to any
-number of concurrent connections.
+One :class:`ColeServer` owns one :class:`~repro.core.storage.Cole`
+engine and serves the length-prefixed binary protocol of
+:mod:`repro.server.protocol` to any number of concurrent connections.
 
 Request flow:
 
@@ -127,7 +125,6 @@ METRICS_TABLE = (
     ("repro_engine_puts_total", "counter", "Puts applied by the engine", "engine.puts_total", {}),
     ("repro_engine_storage_bytes", "gauge", "Engine on-disk footprint", "engine.storage_bytes", {}),
     ("repro_engine_disk_levels", "gauge", "Populated disk levels", "engine.disk_levels", {}),
-    ("repro_engine_shards", "gauge", "Engine shards", "engine.shards", {}),
     ("repro_page_reads_total", "counter", "Pages read by file category",
      "io.categories.*.reads", {"category": "*"}),
     ("repro_page_writes_total", "counter", "Pages written by file category",
@@ -520,7 +517,7 @@ class ColeServer:
         cluster=None,
         replica_wal=None,
     ) -> None:
-        """Wrap ``engine`` (a ``Cole`` or ``ShardedCole``); ``port=0``
+        """Wrap ``engine`` (a ``Cole``); ``port=0``
         binds an ephemeral port (reported by :meth:`start`).
 
         ``wal`` (a :class:`~repro.wal.WriteAheadLog`, caller-owned like
@@ -650,12 +647,11 @@ class ColeServer:
                 hub=self.hub,
                 metrics=self.metrics,
             )
-        # Merge durations / bytes rewritten: every shard's scheduler
+        # Merge durations / bytes rewritten: the engine's scheduler
         # reports into this server's registry.
-        for shard in getattr(self.engine, "shards", None) or [self.engine]:
-            scheduler = getattr(shard, "scheduler", None)
-            if scheduler is not None:
-                scheduler.metrics = self.metrics
+        scheduler = getattr(self.engine, "scheduler", None)
+        if scheduler is not None:
+            scheduler.metrics = self.metrics
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self.host, self.port
         )
@@ -1080,7 +1076,6 @@ class ColeServer:
         engine = self.engine
         storage = await self._run(engine.storage_bytes)
         compaction = await self._run(engine.compaction_stats)
-        num_shards = len(engine.shards) if hasattr(engine, "shards") else 1
         committed = self._committed_height()
         stats = {
             "ops": dict(self.op_counts),
@@ -1101,15 +1096,13 @@ class ColeServer:
                 "puts_total": engine.puts_total,
                 "storage_bytes": storage,
                 "disk_levels": engine.num_disk_levels(),
-                "shards": num_shards,
                 # Compaction-policy accounting (repro.core.compaction):
                 # cumulative flush/merge bytes and the per-level run
                 # layout behind `repro query compaction`.
                 "compaction": compaction,
                 # Where the engine lives on disk: repro query resolves a
                 # live server back to its workspace through this.
-                "workspace": getattr(engine, "directory", None)
-                or getattr(getattr(engine, "workspace", None), "root", None),
+                "workspace": getattr(getattr(engine, "workspace", None), "root", None),
             },
             "latency": self._latency_summaries(),
         }

@@ -7,10 +7,9 @@ One :class:`WriteAheadLog` owns a directory holding one segment chain::
     <directory>/seg-00000002.wal
     ...
 
-Records (see :mod:`repro.wal.record`) carry their block height, so one
-chain serves any engine shape: recovery replays every record above the
-engine's durable checkpoint through the engine's ordinary write path,
-which routes a sharded store's puts exactly as it routes live ones.
+Records (see :mod:`repro.wal.record`) carry their block height:
+recovery replays every record above the engine's durable checkpoint
+through the engine's ordinary write path.
 
 Appends are cheap and thread-safe: segment files are opened unbuffered,
 so one append is one ``write`` syscall into the OS page cache under the

@@ -7,8 +7,8 @@ Every record in a segment file is::
 
 Two record types:
 
-* ``PUTS`` — one group-commit batch's writes for one shard, all assigned
-  to block ``height``::
+* ``PUTS`` — one group-commit batch's writes, all assigned to block
+  ``height``::
 
       payload := u32 count | count x (u16 addr_len | addr | u32 value_len | value)
 
@@ -68,7 +68,7 @@ class WalRecord:
 
 
 def encode_puts(height: int, items: List[Tuple[bytes, bytes]]) -> bytes:
-    """Encode one shard's batch of puts assigned to block ``height``."""
+    """Encode one batch of puts assigned to block ``height``."""
     parts = [bytes([RecordType.PUTS]), _U64.pack(height), _U32.pack(len(items))]
     for addr, value in items:
         parts.append(_U16.pack(len(addr)))

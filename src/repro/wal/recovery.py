@@ -9,9 +9,7 @@ checkpoint_blk``), groups the survivors by block height, and re-commits
 them in ascending height order through the engine's ordinary block
 lifecycle.  Replay preserves each write's original block assignment, so
 the recovered compound keys — and therefore ``Hstate`` — are identical
-to the pre-crash state.  A sharded engine's ``checkpoint_blk`` is its
-lowest shard checkpoint; its ``put_many`` drops the puts a shard already
-holds durably, so replay routes through it like any live block.
+to the pre-crash state.
 
 Replay is idempotent: running it twice re-inserts the same
 ``<addr, blk>`` keys with the same values, which overwrite in L0 to the
@@ -45,8 +43,8 @@ class ReplayStats:
     #: so a primary that ships its WAL to replicas re-marks them from this
     #: map before serving (see repro.replication).  A surviving marker is
     #: kept instead: a replayed block re-commits onto recovered structure
-    #: that can be ahead of its own (a shard's later checkpoint, a COLE*
-    #: manifest one cascade on), so its new root need not be the block's.
+    #: that can be ahead of its own (a COLE* manifest one cascade on), so
+    #: its new root need not be the block's.
     replayed_roots: Dict[int, bytes] = field(default_factory=dict)
 
     @property
@@ -57,7 +55,7 @@ class ReplayStats:
 def replay_wal(engine, wal: WriteAheadLog) -> ReplayStats:
     """Replay ``wal``'s unacked tail into ``engine``; returns statistics.
 
-    ``engine`` is a freshly opened ``Cole`` or ``ShardedCole``.  It is
+    ``engine`` is a freshly opened ``Cole``.  It is
     left with every surviving write committed at its original height;
     the WAL itself is not modified — truncation happens later, once the
     engine checkpoints the replayed blocks into runs.

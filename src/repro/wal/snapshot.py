@@ -2,7 +2,7 @@
 
 A snapshot is a directory holding
 
-* every shard's ``MANIFEST.json`` and the run files it names,
+* the engine's ``MANIFEST.json`` and the run files it names,
 * the WAL segment chain (the tail of writes newer than the manifest
   checkpoints — the in-memory level's durable twin), and
 * ``SNAPSHOT.json``: the store kind, the live root digest at the copy
@@ -46,7 +46,6 @@ from typing import Dict, List, Optional
 from repro.common.errors import IntegrityError, StorageError
 from repro.core.manifest import MANIFEST_NAME, load_manifest
 from repro.core.run import RUN_SUFFIXES
-from repro.sharding import shard_dirname
 from repro.wal.log import WriteAheadLog
 
 SNAPSHOT_META_NAME = "SNAPSHOT.json"
@@ -67,8 +66,15 @@ def _file_crc(path: str) -> int:
             crc = zlib.crc32(chunk, crc)
 
 
-def _shards_of(engine) -> List[object]:
-    return list(engine.shards) if hasattr(engine, "shards") else [engine]
+def _single_engine(meta: dict, src: str) -> dict:
+    """``meta``, unless it records a store of the removed in-process
+    sharded engine (``kind: "sharded"``), which nothing here opens."""
+    if meta.get("kind") == "sharded":
+        raise StorageError(
+            f"{src} is a snapshot of a {meta['num_shards']}-shard in-process "
+            "store, which no engine here opens; scale out with `repro cluster`"
+        )
+    return meta
 
 
 def _chain_hops(src: str) -> List[tuple]:
@@ -136,17 +142,11 @@ def snapshot_store(
     """
     if os.path.exists(dest) and os.listdir(dest):
         raise StorageError(f"snapshot destination {dest} is not empty")
-    shards = _shards_of(engine)
     inherited: Dict[str, dict] = {}
     parent_meta: Optional[dict] = None
     if parent is not None:
         hops = _chain_hops(parent)
-        parent_meta = hops[0][1]
-        if parent_meta["num_shards"] != len(shards):
-            raise StorageError(
-                "incremental parent has a different shard count "
-                f"({parent_meta['num_shards']} vs {len(shards)})"
-            )
+        parent_meta = _single_engine(hops[0][1], parent)
         inherited = _chain_inventory(hops)
     os.makedirs(dest, exist_ok=True)
     files: Dict[str, dict] = {}
@@ -175,37 +175,28 @@ def snapshot_store(
         files[rel] = {"size": copied, "crc32": crc}
 
     with engine.gate.exclusive():
-        for index, shard in enumerate(shards):
-            prefix = shard_dirname(index) if len(shards) > 1 else ""
-            manifest = load_manifest(shard.workspace.root)
-            manifest_src = os.path.join(shard.workspace.root, MANIFEST_NAME)
-            if os.path.exists(manifest_src):
-                rel = os.path.join(prefix, MANIFEST_NAME) if prefix else MANIFEST_NAME
-                copy_one(manifest_src, rel)
-            for groups in manifest.levels.values():
-                for records in groups.values():
-                    for record in records:
-                        for suffix in RUN_SUFFIXES:
-                            name = record.name + suffix
-                            src_path = shard.workspace.path_of(name)
-                            if not os.path.exists(src_path):
-                                continue
-                            rel = os.path.join(prefix, name) if prefix else name
-                            known = inherited.get(rel)
-                            if (
-                                known is not None
-                                and known["size"] == os.path.getsize(src_path)
-                            ):
-                                # Same name + size up the chain: runs are
-                                # immutable and names never recycle, so
-                                # the bytes (and the ancestor's crc) are
-                                # already in the chain.
-                                reused[rel] = {
-                                    "size": known["size"],
-                                    "crc32": known["crc32"],
-                                }
-                                continue
-                            copy_one(src_path, rel)
+        workspace = engine.workspace
+        manifest = load_manifest(workspace.root)
+        manifest_src = os.path.join(workspace.root, MANIFEST_NAME)
+        if os.path.exists(manifest_src):
+            copy_one(manifest_src, MANIFEST_NAME)
+        for groups in manifest.levels.values():
+            for records in groups.values():
+                for record in records:
+                    for suffix in RUN_SUFFIXES:
+                        name = record.name + suffix
+                        src_path = workspace.path_of(name)
+                        if not os.path.exists(src_path):
+                            continue
+                        known = inherited.get(name)
+                        if known is not None and known["size"] == os.path.getsize(src_path):
+                            # Same name + size up the chain: runs are
+                            # immutable and names never recycle, so the
+                            # bytes (and the ancestor's crc) are already
+                            # in the chain.
+                            reused[name] = {"size": known["size"], "crc32": known["crc32"]}
+                            continue
+                        copy_one(src_path, name)
         if wal is not None:
             # Segment prefixes captured at record boundaries: appends
             # racing the copy can neither tear a record nor leak records
@@ -221,8 +212,8 @@ def snapshot_store(
                 copy_one(meta_path, os.path.join(WAL_DIR_NAME, "WAL.json"))
         meta = {
             "format": 2,
-            "kind": "sharded" if len(shards) > 1 else "cole",
-            "num_shards": len(shards),
+            "kind": "cole",
+            "num_shards": 1,
             # Gate-free: the public root_digest would re-acquire the gate.
             "root_digest": engine._root_digest().hex(),
             "checkpoint_blk": engine.checkpoint_blk,
@@ -317,11 +308,12 @@ def restore_store(src: str, dest: str) -> dict:
     newest hop's inventory — copied files from ``src``, reused files
     from the nearest ancestor holding them; ancestor files the newest
     manifest no longer names are left behind.  The caller opens the
-    engine on ``dest`` (same shard count) and replays ``dest/wal`` to
-    finish — ``repro restore`` does exactly that and compares the
-    recovered root against ``meta["root_digest"]``.
+    engine on ``dest`` and replays ``dest/wal`` to finish — ``repro
+    restore`` does exactly that and compares the recovered root against
+    ``meta["root_digest"]``.  A snapshot of the removed in-process
+    sharded engine is refused before anything is laid out.
     """
-    meta = verify_snapshot(src)
+    meta = _single_engine(verify_snapshot(src), src)
     hops = _chain_hops(src)
     if os.path.exists(dest) and os.listdir(dest):
         raise StorageError(f"restore destination {dest} is not empty")

@@ -290,33 +290,3 @@ class TestCommitGateTracking:
             pass
         assert "untracked" not in GRAPH.edges()
 
-    def test_sharded_engine_orders_cleanly_under_detector(
-        self, monkeypatch, tmp_path
-    ):
-        """A real engine hammer with tracking on: the documented
-        top-gate-before-shard-gate order must build an acyclic graph."""
-        monkeypatch.setenv("REPRO_DEBUG_LOCKS", "1")
-        from repro.common.params import ColeParams, ShardParams
-        from repro.sharding import ShardedCole
-
-        engine = ShardedCole(
-            str(tmp_path),
-            ShardParams(cole=ColeParams(mem_capacity=64), num_shards=2),
-        )
-        try:
-            for blk in range(1, 6):
-                engine.begin_block(blk)
-                engine.put_many(
-                    [
-                        (bytes([i, blk]) * 16, bytes([blk]) * 8)
-                        for i in range(8)
-                    ]
-                )
-                engine.commit_block()
-            for i in range(8):
-                engine.get(bytes([i, 1]) * 16)
-        finally:
-            engine.close()
-        edges = GRAPH.edges()
-        assert "cole-gate" in edges.get("shardedcole-gate", set())
-        assert "shardedcole-gate" not in edges.get("cole-gate", set())

@@ -10,10 +10,10 @@ from repro.workloads import SmallBankWorkload
 
 
 def test_engine_registry_complete():
-    assert set(ENGINES) == {"mpt", "cole", "cole*", "cole-shard", "lipp", "cmi"}
+    assert set(ENGINES) == {"mpt", "cole", "cole*", "lipp", "cmi"}
 
 
-@pytest.mark.parametrize("name", ["mpt", "cole", "cole*", "cole-shard", "lipp", "cmi"])
+@pytest.mark.parametrize("name", ["mpt", "cole", "cole*", "lipp", "cmi"])
 def test_make_engine(name):
     directory = fresh_dir()
     engine = make_engine(name, directory)
@@ -33,22 +33,6 @@ def test_cole_overrides_apply():
         assert isinstance(engine, Cole)
         assert engine.params.size_ratio == 7
         assert engine.params.async_merge
-    finally:
-        cleanup(engine, directory)
-
-
-def test_sharded_overrides_apply():
-    from repro.sharding import ShardedCole
-
-    directory = fresh_dir()
-    engine = make_engine(
-        "cole-shard", directory, cole_overrides={"num_shards": 2, "size_ratio": 7}
-    )
-    try:
-        assert isinstance(engine, ShardedCole)
-        assert len(engine.shards) == 2
-        assert engine.params.cole.size_ratio == 7
-        assert engine.params.cole.async_merge
     finally:
         cleanup(engine, directory)
 

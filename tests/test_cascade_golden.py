@@ -90,8 +90,7 @@ def record(mode: str, policy: str, directory: str) -> dict:
     for step in range(1, STEPS + 1):
         height += 1
         # A block with no puts and a forced cascade: right after a natural
-        # cascade it meets an empty L0, otherwise an under-full one — what
-        # the sharded engine's coordinated commits do to cold shards.
+        # cascade it meets an empty L0, otherwise an under-full one.
         if step <= REWIND_AT:
             forced, count = step == FORCED_AT, 5
         else:

@@ -93,25 +93,22 @@ def test_fig20_experiment_registered_and_runs_tiny():
 
     assert EXPERIMENTS["fig20"][0] is run_scan_throughput
     rows = run_scan_throughput(
-        shard_counts=(1, 2),
-        scan_lengths=(4,),
+        scan_lengths=(4, 16),
         num_addresses=64,
         blocks=6,
         puts_per_block=32,
         scans_per_point=10,
         repeats=1,
     )
-    assert {row["shards"] for row in rows} == {1, 2}
+    assert [row["scan_len"] for row in rows] == [4, 16]
     assert all(row["scans_per_s"] > 0 for row in rows)
-    # Both shard counts scanned the identical (verified) data set.
-    assert len({row["entries"] for row in rows}) == 1
+    # Longer scans return more entries from the (verified) data set.
+    assert rows[0]["entries"] < rows[1]["entries"]
 
 
 def test_experiment_rejects_flag_the_driver_has_no_parameter_for(capsys):
-    # fig20 has a *local* named ``engines``: the check must read the
-    # signature, not ``co_varnames``.
     assert main(["experiment", "fig20", "--engines", "cole"]) == 2
-    assert "'fig20' has no --engines; it accepts --shards" in capsys.readouterr().out
+    assert "'fig20' has no --engines; it accepts no sweep flags" in capsys.readouterr().out
     assert main(["experiment", "fig13", "--replicas", "1"]) == 2
     assert "'fig13' has no --replicas" in capsys.readouterr().out
 
@@ -204,6 +201,20 @@ def test_snapshot_refuses_locked_workspace(tmp_path, capsys):
     assert main(["snapshot", workspace, str(tmp_path / "snap")]) == 0
 
 
+def test_workspace_of_shard_directories_is_refused(tmp_path, capsys):
+    """``shard-NN/`` subdirectories and no manifest of its own: a cluster
+    node's layout, never opened as one engine."""
+    workspace = tmp_path / "ws"
+    for index in range(2):
+        build_durable_workspace(str(workspace / f"shard-{index:02d}"))
+    snap = tmp_path / "snap"
+    assert main(["snapshot", str(workspace), str(snap)]) == 1
+    assert "repro cluster" in capsys.readouterr().err
+    assert not snap.exists()
+    # Each shard directory is a single-engine workspace of its own.
+    assert main(["snapshot", str(workspace / "shard-00"), str(snap)]) == 0
+
+
 def corrupt_one_file(snap):
     with open(os.path.join(snap, "SNAPSHOT.json")) as handle:
         victim = sorted(json.load(handle)["files"])[0]
@@ -246,6 +257,17 @@ REMOVED_FLAGS = {
     ("cluster migrate", "--timeout"): "migrate_shard_sync's default, 60 s",
 }
 
+#: Flags of the removed in-process sharded engine: a workspace holds one
+#: engine, so there is no shard count to give (``cluster init --shards``
+#: is the cluster's own).  ``serve --shards`` stays for scripts that pass
+#: it and accepts only 1, its default now.
+SHARD_FLAGS = {
+    ("experiment", "--shards"): "fig16's shard-count sweep",
+    ("snapshot", "--shards"): "the shard count of the workspace to open",
+    ("export", "--shards"): "the shard count of the workspace to open",
+    ("import", "--shards"): "the shard count of the new workspace",
+}
+
 CLICK_TYPES = {"integer": "int", "float": "float"}
 
 
@@ -280,8 +302,9 @@ def test_click_tree_keeps_the_recorded_surface():
     from repro.cli import cli
 
     expected = json.loads(SURFACE.read_text())["verbs"]
-    for verb, flag in REMOVED_FLAGS:
+    for verb, flag in [*REMOVED_FLAGS, *SHARD_FLAGS]:
         del expected[verb][flag]
+    expected["serve"]["--shards"]["default"] = 1
     assert surface_of(cli.to_info_dict(click.Context(cli))) == expected
     flags = sum(
         "opts" in entry
@@ -289,7 +312,8 @@ def test_click_tree_keeps_the_recorded_surface():
         if not path.startswith("query")
         for entry in verb.values()
     )
-    assert flags == 62 - len(REMOVED_FLAGS)  # the argparse tree had 62
+    # the argparse tree had 62
+    assert flags == 62 - len(REMOVED_FLAGS) - len(SHARD_FLAGS)
 
 
 def locked_snapshot(tmp_path):
@@ -332,11 +356,12 @@ def plain(*argv):
         (plain("nope"), 2, "No such command"),
         (plain("query", "levels"), 2, "exactly one of"),
         (plain("experiment", "fig20", "--engines", "cole"), 2, ""),
+        (plain("serve", "TMP/ws", "--shards", "2"), 2, "repro cluster"),
     ],
     ids=[
         "info", "restore-missing", "restore-corrupt", "snapshot-locked",
         "export-non-hex", "export-too-long", "unknown-verb", "query-no-target",
-        "experiment-flag",
+        "experiment-flag", "serve-shards",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, setup, code, message):

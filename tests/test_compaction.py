@@ -1,8 +1,8 @@
 """The pluggable compaction policy (leveling vs tiering).
 
 The leveling policy must be *byte-identical* to the engine's historical
-behavior — three pinned root digests (sync, async, sharded) regression-pin
-it.  Tiering may lay files out differently but must serve identical
+behavior — two pinned root digests (sync, async) regression-pin it.
+Tiering may lay files out differently but must serve identical
 content, merge strictly less under under-full flushes, keep read fanout
 bounded, and refuse to reopen a workspace committed under the other
 policy.
@@ -14,11 +14,10 @@ import os
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import COMPACTION_POLICIES, Cole, make_policy
 from repro.core.compaction import TIERING_FANOUT_FACTOR
 from repro.core.manifest import MANIFEST_NAME, load_manifest
-from repro.sharding import ShardedCole
 
 SYSTEM = SystemParams(addr_size=20, value_size=24)
 PARAMS = ColeParams(system=SYSTEM, mem_capacity=64, size_ratio=4)
@@ -38,13 +37,12 @@ def value(i: int, b: int) -> bytes:
 
 # Root digests captured from the engine *before* the policy extraction:
 # 60 blocks x 40 puts over 300 addresses, then an under-full block 61
-# force-cascaded (the sharded/coordinated path).  The leveling policy
+# force-cascaded.  The leveling policy
 # must reproduce them bit for bit — these pins are the proof that the
 # refactor moved the trigger without changing it.
 PINNED_ROOTS = {
     "sync": "7bf7bcebeb7edff0e5fe9b10fbf99d61f643713d85ac86530b51fd19bc6a108c",
     "async": "3d4eabf80480fa4edf111447f52a6520f07a0044eef10d7de884d0f3d40b43e3",
-    "sharded": "a6948235ffe6641fa795003204342f59367963d4b5ad3668b0018727e171454c",
 }
 
 
@@ -59,10 +57,7 @@ def drive_pinned(engine) -> str:
     engine.begin_block(61)
     for i in range(7):
         engine.put(addr(1000 + i), value(1000 + i, 61))
-    if hasattr(engine, "shards"):
-        engine.commit_block()  # coordinated commits always force-cascade
-    else:
-        engine.commit_block(force_cascade=True)
+    engine.commit_block(force_cascade=True)
     engine.wait_for_merges()
     final = engine.root_digest()
     engine.close()
@@ -78,13 +73,6 @@ def test_leveling_pinned_root_async(tmp_path):
         drive_pinned(Cole(str(tmp_path), PARAMS.with_async()))
         == PINNED_ROOTS["async"]
     )
-
-
-def test_leveling_pinned_root_sharded(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path), ShardParams(cole=PARAMS.with_async(), num_shards=2)
-    )
-    assert drive_pinned(engine) == PINNED_ROOTS["sharded"]
 
 
 # =============================================================================
@@ -246,28 +234,3 @@ def test_counters_persist_across_reopen(tmp_path):
     assert manifest.bytes_flushed == before["bytes_flushed"]
     assert manifest.bytes_rewritten == before["bytes_rewritten"]
 
-
-def test_sharded_compaction_stats_aggregate(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path),
-        ShardParams(
-            cole=PARAMS.with_async().with_compaction("tiering"), num_shards=2
-        ),
-    )
-    n = 0
-    for blk in range(1, 25):
-        batch = {}
-        for _ in range(40):
-            batch[addr(n)] = value(n, blk)
-            n += 1
-        engine.begin_block(blk)
-        engine.put_many(sorted(batch.items()))
-        engine.commit_block()
-    engine.wait_for_merges()
-    stats = engine.compaction_stats()
-    engine.close()
-    assert stats["policy"] == "tiering"
-    assert stats["bytes_flushed"] == sum(
-        shard.compaction_stats()["bytes_flushed"] for shard in engine.shards
-    )
-    assert stats["levels"], "a workload this size must reach the disk levels"

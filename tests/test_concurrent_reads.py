@@ -20,9 +20,8 @@ import time
 
 import pytest
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
-from repro.sharding import ShardedCole, verify_sharded_provenance
 
 ADDR = 20
 VALUE = 24
@@ -118,7 +117,7 @@ def _check_scans(engine, snapshot, rng):
         assert rows == _expected_scan(a, b, h), (a, b, h)
 
 
-def _reader(engine, writer, reader_id, errors, sharded):
+def _reader(engine, writer, reader_id, errors):
     """Hammers get / get_at / prov / scan until the writer finishes."""
     import random
 
@@ -150,12 +149,7 @@ def _reader(engine, writer, reader_id, errors, sharded):
                 hi = rng.randint(2, snapshot)
                 lo = max(1, hi - 4)
                 result, root = engine.prov_query_anchored(addr_of(n), lo, hi)
-                if sharded:
-                    versions = verify_sharded_provenance(
-                        result, root, addr_size=ADDR
-                    )
-                else:
-                    versions = verify_provenance(result, root, addr_size=ADDR)
+                versions = verify_provenance(result, root, addr_size=ADDR)
                 assert [blk for blk, _v in versions] == list(range(lo, hi + 1))
                 for blk, value in versions:
                     assert value == value_at(n, blk), (n, blk)
@@ -163,13 +157,13 @@ def _reader(engine, writer, reader_id, errors, sharded):
         errors.append((reader_id, exc))
 
 
-def _hammer(engine, sharded):
+def _hammer(engine):
     writer = _Writer(engine)
     errors = []
     readers = [
         threading.Thread(
             target=_reader,
-            args=(engine, writer, rid, errors, sharded),
+            args=(engine, writer, rid, errors),
             name=f"hammer-reader-{rid}",
         )
         for rid in range(READERS)
@@ -190,21 +184,8 @@ def _hammer(engine, sharded):
 def test_concurrent_readers_exact_under_merge_cascades(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     try:
-        _hammer(engine, sharded=False)
+        _hammer(engine)
         # Quiesced final state is exact too.
-        engine.wait_for_merges()
-        for n in range(NUM_ADDRS):
-            assert engine.get(addr_of(n)) == value_at(n, BLOCKS)
-    finally:
-        engine.close()
-
-
-def test_concurrent_readers_exact_on_sharded_engine(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=2)
-    )
-    try:
-        _hammer(engine, sharded=True)
         engine.wait_for_merges()
         for n in range(NUM_ADDRS):
             assert engine.get(addr_of(n)) == value_at(n, BLOCKS)
@@ -303,7 +284,7 @@ def test_commit_gate_basic_exclusion(num_threads):
 # batched reads: get_many under concurrent commits
 # =============================================================================
 
-def _mget_reader(engine, writer, reader_id, errors, require_single_snapshot):
+def _mget_reader(engine, writer, reader_id, errors):
     """Hammers get_many; every batch must come from one committed state."""
     import random
 
@@ -325,21 +306,20 @@ def _mget_reader(engine, writer, reader_id, errors, require_single_snapshot):
                 assert snapshot <= blk <= BLOCKS, (n, snapshot, blk)
                 assert value == value_at(n, blk), (n, blk)
                 heights.add(blk)
-            if require_single_snapshot:
-                # One view and one mem-lock hold over the writing group,
-                # so a commit can never land between two keys of a batch.
-                assert len(heights) == 1, heights
+            # One view and one mem-lock hold over the writing group, so
+            # a commit can never land between two keys of a batch.
+            assert len(heights) == 1, heights
     except BaseException as exc:  # noqa: BLE001
         errors.append((reader_id, exc))
 
 
-def _hammer_mget(engine, require_single_snapshot):
+def _hammer_mget(engine):
     writer = _Writer(engine)
     errors = []
     readers = [
         threading.Thread(
             target=_mget_reader,
-            args=(engine, writer, rid, errors, require_single_snapshot),
+            args=(engine, writer, rid, errors),
             name=f"mget-reader-{rid}",
         )
         for rid in range(4)
@@ -361,19 +341,7 @@ def _hammer_mget(engine, require_single_snapshot):
 def test_get_many_single_snapshot_under_commit_hammer(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     try:
-        _hammer_mget(engine, require_single_snapshot=True)
+        _hammer_mget(engine)
     finally:
         engine.close()
 
-
-def test_get_many_exact_on_sharded_engine_under_commit_hammer(tmp_path):
-    """Sharded batches ride per-shard views: every value is exact, but
-    atomicity is per shard, so cross-shard heights may differ mid-commit
-    (same contract as issuing the gets individually)."""
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=2)
-    )
-    try:
-        _hammer_mget(engine, require_single_snapshot=False)
-    finally:
-        engine.close()

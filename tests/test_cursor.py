@@ -1,12 +1,12 @@
 """The scan subsystem: sorted-source iterators, the merged scan stream,
-and key-ordered range scans end-to-end on both engine shapes.
+and key-ordered range scans end-to-end on COLE and COLE*.
 
 Scans are verified against a brute-force in-memory model of the full
 write history (``addr -> {blk: value}``): for any address range, block
 height, and limit, the model computes the exact live-version result the
 engine must return, byte for byte — latest scans, historical ``at_blk``
-scans, paging by limit + continuation, both compaction layouts, scans
-after a rewind, and the cross-shard merge.
+scans, paging by limit + continuation, both compaction layouts, and scans
+after a rewind.
 """
 
 import random
@@ -14,13 +14,12 @@ import random
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
 from repro.core.cursor import MergingCursor, ReadSource, scan_bounds, scan_sources
 from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
 from repro.mbtree import MBTree
-from repro.sharding import ShardedCole
 
 ADDR = 8
 VALUE = 16
@@ -235,37 +234,12 @@ def test_cole_scan_matches_model(tmp_path, compaction, async_merge):
         engine.close()
 
 
-@pytest.mark.parametrize("num_shards", [2, 4])
-def test_sharded_scan_matches_model_globally_sorted(tmp_path, num_shards):
-    rng = random.Random(23 + num_shards)
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=num_shards)
-    )
-    history = History()
-    addrs, top = _load(engine, history, rng)
-    try:
-        _assert_scan_parity(engine, history, addrs, top, rng)
-        # Limits cut the one merged cursor anywhere: before every shard
-        # has contributed, at the exact end, and past it.
-        full = history.scan(addrs[0], addrs[-1])
-        for limit in (1, 3, len(full) - 1, len(full), len(full) + 5):
-            assert engine.scan(addrs[0], addrs[-1], limit=limit) == full[:limit]
-    finally:
-        engine.close()
-
-
 @pytest.mark.parametrize("compaction", ["leveling", "tiering"])
-@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
-def test_scan_after_rewind_matches_truncated_model(tmp_path, num_shards, compaction):
-    """Rewinding filters runs into under-full ones; on three shards,
-    tiering then stacks several runs in one level."""
+def test_scan_after_rewind_matches_truncated_model(tmp_path, compaction):
+    """Rewinding filters runs into under-full ones, which tiering then
+    stacks in one level."""
     rng = random.Random(41)
-    directory = str(tmp_path / "ws")
-    params = PARAMS.with_compaction(compaction)
-    if num_shards is None:
-        engine = Cole(directory, params)
-    else:
-        engine = ShardedCole(directory, ShardParams(cole=params, num_shards=num_shards))
+    engine = Cole(str(tmp_path / "ws"), PARAMS.with_compaction(compaction))
     history = History()
     addrs, top = _load(engine, history, rng, blocks=30)
     try:
@@ -305,13 +279,8 @@ def test_scan_continuation_paging_equals_one_shot(tmp_path):
         engine.close()
 
 
-@pytest.mark.parametrize("num_shards", [None, 1, 3], ids=["cole", "sharded1", "sharded3"])
-def test_scan_validates_arguments(tmp_path, num_shards):
-    directory = str(tmp_path / "ws")
-    if num_shards is None:
-        engine = Cole(directory, PARAMS)
-    else:
-        engine = ShardedCole(directory, ShardParams(cole=PARAMS, num_shards=num_shards))
+def test_scan_validates_arguments(tmp_path):
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
     try:
         for limit in (None, 0):  # limit=0 answers [] only for a valid request
             with pytest.raises(StorageError):

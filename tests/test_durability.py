@@ -19,10 +19,9 @@ import threading
 import pytest
 
 from repro.common.errors import IntegrityError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import ServerClient, ServerConfig, ServerThread
-from repro.sharding import ShardedCole, shard_of
 from repro.wal import (
     WriteAheadLog,
     replay_wal,
@@ -55,11 +54,9 @@ def abandon(engine, wal) -> None:
     The in-memory level is lost — exactly what a process death costs —
     while the on-disk files stay whatever the last fsyncs made them.
     """
-    shards = engine.shards if hasattr(engine, "shards") else [engine]
-    for shard in shards:
-        shard.wait_for_merges()
-        shard.scheduler.close()
-        shard.workspace.close()
+    engine.wait_for_merges()
+    engine.scheduler.close()
+    engine.workspace.close()
     wal.close()
 
 
@@ -94,111 +91,6 @@ def test_acked_writes_survive_engine_loss(tmp_path):
         assert recovered.get(addr_of(n)) == value_of(n)
         assert recovered.get_at(addr_of(n), height) == value_of(n)
     wal2.close()
-    recovered.close()
-
-
-def test_sharded_acked_writes_survive_engine_loss(tmp_path):
-    directory = str(tmp_path / "ws")
-    params = ShardParams(cole=PARAMS, num_shards=3)
-    engine = ShardedCole(directory, params)
-    wal = WriteAheadLog(os.path.join(directory, "wal"))
-    config = ServerConfig(batch_max_puts=16, batch_max_delay=60.0)
-    with ServerThread(engine, config=config, wal=wal) as thread:
-        asyncio.run(drive_puts(*thread.start(), count=80))
-    live_root = engine.root_digest()
-    abandon(engine, wal)
-
-    recovered = ShardedCole(directory, params)
-    wal2 = WriteAheadLog(os.path.join(directory, "wal"))
-    replay_wal(recovered, wal2)
-    assert recovered.root_digest() == live_root
-    for n in range(80):
-        assert recovered.get(addr_of(n)) == value_of(n)
-    wal2.close()
-    recovered.close()
-
-
-def skewed_sharded_store(directory, wal=None, blocks=40):
-    """Two shards at ``mem_capacity`` 16; shard 0 takes writes only in
-    blocks 1-2, so coordinated cascades leave it with the lower durable
-    checkpoint.  With ``wal``, every block is logged as the batcher logs
-    it (PUTS, then COMMIT).  Returns ``(engine, params, log)``."""
-    params = ShardParams(
-        cole=ColeParams(
-            system=SystemParams(addr_size=ADDR, value_size=VALUE),
-            mem_capacity=16, size_ratio=2, async_merge=True,
-        ),
-        num_shards=2,
-    )
-    addrs = {0: [], 1: []}
-    for n in range(64):
-        addrs[shard_of(addr_of(n), 2)].append(addr_of(n))
-    log = [
-        (blk, [(addrs[index][(blk + i) % 8], value_of(blk * 10 + i))
-               for index in ((0, 1) if blk <= 2 else (1,)) for i in range(3)])
-        for blk in range(1, blocks + 1)
-    ]
-    engine = ShardedCole(directory, params)
-    for blk, items in log:
-        engine.begin_block(blk)
-        engine.put_many(items)
-        if wal is not None:
-            wal.append_puts(items, blk)
-        root = engine.commit_block()
-        if wal is not None:
-            wal.append_commit(blk, root)
-    return engine, params, log
-
-
-def test_sharded_replay_from_unequal_checkpoints_matches_clean_run(tmp_path):
-    """The one WAL chain replays from the lowest shard checkpoint; the
-    shard already past a replayed height takes none of its puts."""
-    directory = str(tmp_path / "ws")
-    wal = WriteAheadLog(os.path.join(directory, "wal"))
-    engine, params, log = skewed_sharded_store(directory, wal)
-    abandon(engine, wal)
-
-    recovered = ShardedCole(directory, params)
-    low, high = (shard.checkpoint_blk for shard in recovered.shards)
-    assert 0 < low < high
-    wal2 = WriteAheadLog(os.path.join(directory, "wal"))
-    stats = replay_wal(recovered, wal2)
-    assert stats.first_height == low + 1
-    clean = ShardedCole(str(tmp_path / "clean"), params)
-    for blk, items in log:
-        clean.begin_block(blk)
-        clean.put_many(items)
-        clean.commit_block()
-    assert recovered.root_digest() == clean.root_digest()
-    clean.close()
-    wal2.close()
-    recovered.close()
-
-
-def test_reopened_sharded_store_resumes_above_every_checkpoint(tmp_path):
-    """With no WAL tail to replay, the server's first block must still
-    land above the *highest* shard checkpoint: resuming above the lowest
-    would write below a block the other shard already holds."""
-    directory = str(tmp_path / "ws")
-    engine, params, log = skewed_sharded_store(directory)
-    for shard in engine.shards:
-        shard.wait_for_merges()
-        shard.workspace.close()
-    recovered = ShardedCole(directory, params)
-    high = max(shard.checkpoint_blk for shard in recovered.shards)
-    assert recovered.checkpoint_blk < high
-    addr, old = log[high - 1][1][0]  # written at block `high`
-
-    async def scenario(host, port):
-        async with ServerClient(host, port) as client:
-            height = await client.put(addr, value_of(999))
-            await client.flush()
-            assert height > high
-            assert await client.get_at(addr, high) == old
-            assert await client.get(addr) == value_of(999)
-
-    with ServerThread(recovered, config=ServerConfig(batch_max_puts=4)) as thread:
-        asyncio.run(scenario(*thread.start()))
     recovered.close()
 
 
@@ -307,15 +199,9 @@ def test_wal_truncates_once_checkpoints_cover_it(tmp_path):
 # snapshot / restore
 # =============================================================================
 
-def open_engine(directory, num_shards=None):
-    if num_shards is None:
-        return Cole(directory, PARAMS)
-    return ShardedCole(directory, ShardParams(cole=PARAMS, num_shards=num_shards))
-
-
-def build_served_store(tmp_path, count=60, num_shards=None):
+def build_served_store(tmp_path, count=60):
     directory = str(tmp_path / "ws")
-    engine = open_engine(directory, num_shards)
+    engine = Cole(directory, PARAMS)
     wal = WriteAheadLog(os.path.join(directory, "wal"))
     config = ServerConfig(batch_max_puts=16, batch_max_delay=60.0)
     with ServerThread(engine, config=config, wal=wal) as thread:
@@ -323,14 +209,13 @@ def build_served_store(tmp_path, count=60, num_shards=None):
     return directory, engine, wal
 
 
-@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
-def test_snapshot_restore_round_trip(tmp_path, num_shards):
-    directory, engine, wal = build_served_store(tmp_path, num_shards=num_shards)
+def test_snapshot_restore_round_trip(tmp_path):
+    directory, engine, wal = build_served_store(tmp_path)
     live_root = engine.root_digest()
     dest = str(tmp_path / "snap")
     meta = snapshot_store(engine, dest, wal=wal)
     assert meta["root_digest"] == live_root.hex()
-    assert meta["num_shards"] == (num_shards or 1)
+    assert (meta["kind"], meta["num_shards"]) == ("cole", 1)
     # The source store keeps serving after the snapshot.
     assert engine.get(addr_of(1)) == value_of(1)
     wal.close()
@@ -338,7 +223,7 @@ def test_snapshot_restore_round_trip(tmp_path, num_shards):
 
     restored_dir = str(tmp_path / "restored")
     restore_store(dest, restored_dir)
-    restored = open_engine(restored_dir, num_shards)
+    restored = Cole(restored_dir, PARAMS)
     wal2 = WriteAheadLog(os.path.join(restored_dir, "wal"))
     replay_wal(restored, wal2)
     assert restored.root_digest() == live_root
@@ -392,7 +277,7 @@ def test_snapshot_and_restore_refuse_nonempty_destinations(tmp_path):
 KILL_AFTER_ACKS = 120
 
 
-def _spawn_server(workspace, shards):
+def _spawn_server(workspace):
     """Start ``repro serve --wal`` in a subprocess; returns (proc, port)."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
@@ -400,7 +285,7 @@ def _spawn_server(workspace, shards):
     proc = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "repro.cli", "serve", workspace,
-            "--port", "0", "--wal", "--mem-capacity", "128", "--shards", str(shards),
+            "--port", "0", "--wal", "--mem-capacity", "128",
             "--batch-puts", "32", "--batch-delay-ms", "20",
         ],
         stdout=subprocess.PIPE,
@@ -428,28 +313,17 @@ def _spawn_server(workspace, shards):
     return proc, port_holder["port"]
 
 
-def _open_as_served(workspace, shards):
+def _open_as_served(workspace):
     """The engine ``_spawn_server``'s ``repro serve`` opens."""
-    params = ColeParams(async_merge=True, mem_capacity=128)
-    if shards == 1:
-        return Cole(workspace, params)
-    return ShardedCole(workspace, ShardParams(cole=params, num_shards=shards))
+    return Cole(workspace, ColeParams(async_merge=True, mem_capacity=128))
 
 
 def test_kill9_mid_load_loses_no_acked_write(tmp_path):
-    kill9_mid_load(tmp_path, shards=1)
-
-
-def test_kill9_mid_load_loses_no_acked_write_sharded(tmp_path):
-    kill9_mid_load(tmp_path, shards=3)
-
-
-def kill9_mid_load(tmp_path, shards):
     """SIGKILL during load; recovery replays the WAL and every acked
     write is present — with the same root hash as a clean in-process run
     of the same writes."""
     workspace = str(tmp_path / "ws")
-    proc, port = _spawn_server(workspace, shards)
+    proc, port = _spawn_server(workspace)
     acked = []  # (addr, height, value), in ack order
     inflight = {}
 
@@ -491,7 +365,7 @@ def kill9_mid_load(tmp_path, shards):
     shutil.copytree(workspace, copy)
 
     # Recover with the same parameters `repro serve` used.
-    recovered = _open_as_served(workspace, shards)
+    recovered = _open_as_served(workspace)
     wal = WriteAheadLog(os.path.join(workspace, "wal"))
     stats = replay_wal(recovered, wal)
     assert stats.records_scanned > 0
@@ -508,7 +382,7 @@ def kill9_mid_load(tmp_path, shards):
     # recovered root must match one of the three possible clean runs.
     def clean_root(extra=None):
         clean_dir = os.path.join(str(tmp_path), f"clean-{len(os.listdir(str(tmp_path)))}")
-        clean = _open_as_served(clean_dir, shards)
+        clean = _open_as_served(clean_dir)
         by_height = {}
         for addr, height, value in acked:
             by_height.setdefault(height, []).append((addr, value))
@@ -536,7 +410,7 @@ def kill9_mid_load(tmp_path, shards):
     # crashed bytes lands on the identical root.
     wal.close()
     recovered.close()
-    twin = _open_as_served(copy, shards)
+    twin = _open_as_served(copy)
     twin_wal = WriteAheadLog(os.path.join(copy, "wal"))
     replay_wal(twin, twin_wal)
     assert twin.root_digest() == recovered_root

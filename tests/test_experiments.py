@@ -44,7 +44,6 @@ SMOKE = {
     "fig14": dict(query_ranges=(2, 8), blocks=20, engines=("mpt", "cole"),
                   queries_per_point=3),
     "fig15": dict(fanouts=(2, 8), blocks=20, query_ranges=(4,), queries_per_point=3),
-    "fig16": dict(shard_counts=(1, 2), blocks=40, repeats=1),
     "fig17": dict(client_counts=(1, 8), ops_per_client=100, num_keys=512),
     "fig18": dict(policies=("off", "batch"), client_counts=(8,), ops_per_client=100,
                   num_keys=512, repeats=1),
@@ -52,7 +51,7 @@ SMOKE = {
                   num_keys=32, load_waves=2),
     # The driver verifies every configuration against a brute-force
     # model (latest and at_blk) before timing anything.
-    "fig20": dict(shard_counts=(1,), scan_lengths=(8, 64), num_addresses=1024,
+    "fig20": dict(scan_lengths=(8, 64), num_addresses=1024,
                   blocks=48, puts_per_block=128, scans_per_point=120, repeats=1),
     "fig21": dict(node_counts=(2,), writers_per_node=2, writes_per_writer=20,
                   num_keys=64, load_waves=2),
@@ -109,11 +108,6 @@ IN_PROCESS = {
         ("fanout", "proof_bytes"),
         [(2, 1400.0), (8, 1688.0)],
     ),
-    "fig16": (
-        ("shards", "puts", "elapsed_s", "puts_per_s", "storage_bytes", "hstate"),
-        ("shards", "puts", "storage_bytes", "hstate"),
-        [(1, 20480, 3193239, "d5ec3c9045143117"), (2, 20480, 3659613, "4855751232659f20")],
-    ),
     "fig17": (
         ("clients", "ops", "errors", "ops_per_s", "p50_s", "p99_s",
          "cache_hit_rate", "avg_batch", "commits"),
@@ -127,10 +121,9 @@ IN_PROCESS = {
         [("off", 800, 0), ("batch", 800, 0)],
     ),
     "fig20": (
-        ("shards", "scan_len", "scans", "entries", "scans_per_s",
-         "entries_per_s", "merged_scans_per_s"),
-        ("shards", "scan_len", "scans", "entries"),
-        [(1, 8, 120, 566), (1, 64, 120, 4082)],
+        ("scan_len", "scans", "entries", "scans_per_s", "entries_per_s"),
+        ("scan_len", "scans", "entries"),
+        [(8, 120, 566), (64, 120, 4082)],
     ),
     "fig22": (
         ("policy", "size_ratio", "bytes_flushed", "bytes_rewritten", "write_amp",
@@ -138,9 +131,11 @@ IN_PROCESS = {
          "content_mismatches", "root"),
         ("policy", "bytes_flushed", "bytes_rewritten", "disk_runs",
          "content_mismatches", "root"),
+        # One engine flushes only full L0s: both policies lay out the
+        # same runs, byte for byte.
         [
-            ("leveling", 877899, 152090, 20, 0, "170cefc080d26a82"),
-            ("tiering", 877899, 65905, 29, 0, "80c19c0991338c1c"),
+            ("leveling", 423121, 131809, 6, 0, "f7f4ec4f5c769c54"),
+            ("tiering", 423121, 131809, 6, 0, "f7f4ec4f5c769c54"),
         ],
     ),
     "table1": (
@@ -314,8 +309,10 @@ def test_driver_parameter_surface_cannot_regrow():
             f"{name}: no caller sets {sorted(unset)}; make them module constants"
         )
     # 121 before the drivers became sweeps over shared cells, 68 before
-    # figs 9-15, 17, 18, Table 1 and the index share shared three sweeps.
-    assert total <= 51
+    # figs 9-15, 17, 18, Table 1 and the index share shared three sweeps,
+    # 51 before fig16 and fig20's shard counts left with the in-process
+    # sharded engine.
+    assert total <= 47
 
 
 # -- documentation -----------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The headline contract: a write-once workload, exported over the full
 address range at the source's current height and replayed into a fresh
-engine, reproduces the source's root digest exactly — on the sync,
-async, and sharded engines.  Everything else defends the stream format:
+engine, reproduces the source's root digest exactly — on the sync and
+async engines.  Everything else defends the stream format:
 every frame and the trailer are checksummed, so truncation, bit flips,
 and lost frames all fail loudly instead of importing silently-wrong
 state.
@@ -18,9 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main
 from repro.common.errors import IntegrityError, StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, export_slice, import_slice, iter_triples, read_header
-from repro.sharding import ShardedCole
 
 SYSTEM = SystemParams(addr_size=20, value_size=24)
 PARAMS = ColeParams(system=SYSTEM, mem_capacity=64, size_ratio=4)
@@ -53,20 +52,14 @@ def load_write_once(engine, blocks: int = 20, per_block: int = 15) -> dict:
 
 
 def make_engine(directory: str, shape: str):
-    if shape == "sync":
-        return Cole(directory, PARAMS)
-    if shape == "async":
-        return Cole(directory, PARAMS.with_async())
-    return ShardedCole(
-        directory, ShardParams(cole=PARAMS.with_async(), num_shards=2)
-    )
+    return Cole(directory, PARAMS.with_async(shape == "async"))
 
 
 # =============================================================================
 # round-trip root equality — the export/import oracle
 # =============================================================================
 
-@pytest.mark.parametrize("shape", ["sync", "async", "sharded"])
+@pytest.mark.parametrize("shape", ["sync", "async"])
 def test_round_trip_reproduces_source_root(tmp_path, shape):
     source = make_engine(str(tmp_path / "src"), shape)
     model = load_write_once(source)

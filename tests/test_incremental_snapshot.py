@@ -182,32 +182,45 @@ def test_incremental_copies_a_pinned_fraction_of_the_full_snapshot(tmp_path):
     assert (copied_bytes(full), copied_bytes(inc)) == (140647, 37989)  # 3.70x
 
 
-def test_parent_with_other_shape_rejected(tmp_path):
-    from repro.common.params import ShardParams
-    from repro.sharding import ShardedCole
+def mark_sharded(snapshot: str, num_shards: int = 2) -> None:
+    """Rewrite ``snapshot``'s record as one of the removed in-process
+    sharded engine would have written it."""
+    path = os.path.join(snapshot, "SNAPSHOT.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        meta = json.load(handle)
+    meta.update(kind="sharded", num_shards=num_shards)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
 
+
+def test_parent_with_other_shape_rejected(tmp_path):
     store = Store(str(tmp_path / "ws"))
     try:
         store.load(6)
         store.snapshot(str(tmp_path / "full"))
+        mark_sharded(str(tmp_path / "full"))
+        store.load(2)
+        with pytest.raises(StorageError, match="repro cluster"):
+            store.snapshot(str(tmp_path / "inc"), parent=str(tmp_path / "full"))
     finally:
         store.close()
-    sharded = ShardedCole(
-        str(tmp_path / "sharded"),
-        ShardParams(cole=PARAMS.with_async(), num_shards=2),
-    )
+    # The refused snapshot never created a half-written destination.
+    assert not os.path.exists(str(tmp_path / "inc"))
+
+
+def test_restore_refuses_a_sharded_snapshot(tmp_path, capsys):
+    store = Store(str(tmp_path / "ws"))
     try:
-        sharded.begin_block(1)
-        sharded.put(addr_of(1), value_of(1, 1))
-        sharded.commit_block()
-        with pytest.raises(StorageError, match="shard count"):
-            snapshot_store(
-                sharded, str(tmp_path / "inc"), parent=str(tmp_path / "full")
-            )
-        # The refused snapshot never created a half-written destination.
-        assert not os.path.exists(str(tmp_path / "inc"))
+        store.load(6)
+        store.snapshot(str(tmp_path / "snap"))
     finally:
-        sharded.close()
+        store.close()
+    mark_sharded(str(tmp_path / "snap"))
+    dest = str(tmp_path / "restored")
+    assert main(["restore", str(tmp_path / "snap"), dest]) == 1
+    assert "repro cluster" in capsys.readouterr().err
+    # Refused before a single file was laid out.
+    assert not os.path.exists(dest)
 
 
 # =============================================================================

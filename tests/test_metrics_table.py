@@ -4,7 +4,7 @@ Every counter and gauge a server exports is a row of
 ``repro.server.server.METRICS_TABLE`` read off one STATS snapshot, so
 the two reports cannot disagree about which facts exist.  For each
 serving role — primary without a WAL, primary with a WAL, replica,
-2-shard primary, cluster shard — under one fixed load:
+cluster shard — under one fixed load:
 
 * every counter / gauge series in METRICS is exactly the set the table
   resolves against a STATS snapshot taken right after it, with the same
@@ -13,7 +13,9 @@ serving role — primary without a WAL, primary with a WAL, replica,
 * the ``# HELP`` / ``# TYPE`` lines and the sorted ``(name, labels)``
   set of counter and gauge series match ``tests/fixtures/metrics_series.json``,
   which this file's ``__main__`` recorded against commit ``aa4aa94``
-  (the last tree whose exposition was written out by hand):
+  (the last tree whose exposition was written out by hand), less the
+  in-process sharded engine's role and its ``repro_engine_shards``
+  gauge, both since removed:
 
       PYTHONPATH=<aa4aa94 checkout>/src python tests/test_metrics_table.py
 """
@@ -28,15 +30,14 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterNode, NodeThread, plan_manifest
-from repro.common.params import ColeParams, ShardParams
+from repro.common.params import ColeParams
 from repro.core import Cole
 from repro.obs.registry import parse_exposition
 from repro.server import ServerClient, ServerConfig, ServerThread
-from repro.sharding import ShardedCole
 from repro.wal import WriteAheadLog
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metrics_series.json"
-ROLES = ("primary", "primary_wal", "replica", "sharded", "cluster_shard")
+ROLES = ("primary", "primary_wal", "replica", "cluster_shard")
 
 MEM = 32
 WRITES = 120
@@ -99,10 +100,7 @@ def loaded(role: str, tmp_path):
             node.shards[0].engine.wait_for_merges()
             yield target
             return
-        if role == "sharded":
-            engine = ShardedCole(directory, ShardParams(cole=PARAMS, num_shards=2))
-        else:
-            engine = Cole(directory, PARAMS)
+        engine = Cole(directory, PARAMS)
         stack.callback(engine.close)
         wal = None
         if role in ("primary_wal", "replica"):

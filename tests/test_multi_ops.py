@@ -2,7 +2,7 @@
 
 Covers the MULTI_GET / MULTI_PUT wire framing (round trips and every
 malformed-frame rejection), the batched engine read path
-(``Cole.get_many`` / ``ShardedCole.get_many``), the negative-lookup
+(``Cole.get_many``), the negative-lookup
 cache, and the loadgen ``--multi-get-size`` mode — ending end-to-end
 over real sockets, like ``tests/test_server.py``.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import ClusterClient, plan_manifest
 from repro.common.errors import StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
     LoadgenParams,
@@ -27,7 +27,6 @@ from repro.server import (
 from repro.server import protocol
 from repro.server.cache import NegativeLookupCache
 from repro.server.protocol import MAX_MULTI_BATCH, NotPrimaryError, Op
-from repro.sharding import ShardedCole
 
 from raw_frames import read_frame
 
@@ -161,19 +160,6 @@ def test_cole_get_many_matches_get(tmp_path):
         addrs += [addr_of(5), addr_of(5), addr_of(10_000)]
         assert engine.get_many(addrs) == [engine.get(addr) for addr in addrs]
         assert engine.get_many([]) == []
-    finally:
-        engine.close()
-
-
-def test_sharded_get_many_matches_get(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=3)
-    )
-    try:
-        _load_versions(engine)
-        addrs = [addr_of(n) for n in range(60, -1, -1)]
-        addrs += [addr_of(7), addr_of(7), addr_of(10_000)]
-        assert engine.get_many(addrs) == [engine.get(addr) for addr in addrs]
     finally:
         engine.close()
 

@@ -25,7 +25,7 @@ from repro import Cole, verify_provenance
 from repro.bloomfilter import BloomFilter, hash_item
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import hash_concat
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey, MAX_BLK
 from repro.core.indexfile import IndexFile, IndexFileBuilder
 from repro.core.merklefile import (
@@ -38,7 +38,6 @@ from repro.core.proofs import RunNegativeItem, RunProofItem
 from repro.core.run import Run, encode_pairs
 from repro.diskio.pagefile import PagedFile
 from repro.diskio.workspace import Workspace
-from repro.sharding import ShardedCole
 
 
 def log_reads(monkeypatch):
@@ -442,16 +441,12 @@ SHAPE_PARAMS = ColeParams(
 PINNED_PAGE_READS = {
     "sync": {"get": 52, "get_at": 104, "prov": 282, "scan": (385, 80)},
     "async": {"get": 41, "get_at": 104, "prov": 315, "scan": (527, 134)},
-    "sharded3": {"get": 40, "get_at": 69, "prov": 200, "scan": (533, 119)},
 }
 
 
 def _shape_store(directory, shape):
     """A fixed 80-block store: runs on three levels, a non-empty L0."""
-    if shape == "sharded3":
-        engine = ShardedCole(directory, ShardParams(cole=SHAPE_PARAMS, num_shards=3))
-    else:
-        engine = Cole(directory, SHAPE_PARAMS.with_async(shape == "async"))
+    engine = Cole(directory, SHAPE_PARAMS.with_async(shape == "async"))
     rng = random.Random(0x5EED)
     pool = [rng.randbytes(ADDR_SIZE) for _ in range(72)]
     for blk in range(1, 81):
@@ -498,31 +493,26 @@ def _pages_by_kind(engine, batch):
     return pages
 
 
-def _shards(engine):
-    return engine.shards if isinstance(engine, ShardedCole) else [engine]
-
-
 def _seeks_on_seek_page(engine, low):
     """Run seeks of a scan from ``low`` whose first entry is on the value
     page the seek settled on: the pages a scan no longer reads twice."""
     key_low = CompoundKey(low, 0).to_int()
     key_high = CompoundKey(b"\xff" * ADDR_SIZE, MAX_BLK).to_int()
     saved = 0
-    for shard in _shards(engine):
-        for source in shard._view.sources:
-            if source.kind != "run" or not source.overlaps(key_low, key_high):
-                continue
-            floor = read_oracle.run_floor_search(source.source, key_low)
-            if floor is None:
-                continue
-            (floor_key, _value), position = floor
-            first = position + (floor_key < key_low)
-            per_page = source.source.value_file.pairs_per_page
-            saved += first < source.source.num_entries and first // per_page == position // per_page
+    for source in engine._view.sources:
+        if source.kind != "run" or not source.overlaps(key_low, key_high):
+            continue
+        floor = read_oracle.run_floor_search(source.source, key_low)
+        if floor is None:
+            continue
+        (floor_key, _value), position = floor
+        first = position + (floor_key < key_low)
+        per_page = source.source.value_file.pairs_per_page
+        saved += first < source.source.num_entries and first // per_page == position // per_page
     return saved
 
 
-@pytest.mark.parametrize("shape", ["sync", "async", "sharded3"])
+@pytest.mark.parametrize("shape", ["sync", "async"])
 def test_read_path_page_reads_are_pinned_and_answers_match_the_oracle(tmp_path, shape):
     engine, pool = _shape_store(str(tmp_path / "ws"), shape)
     try:
@@ -537,18 +527,16 @@ def test_read_path_page_reads_are_pinned_and_answers_match_the_oracle(tmp_path, 
             answer = _execute(engine, kind, args)
             if kind == "scan":
                 low, at_blk, limit = args
-                sources = [source for shard in _shards(engine) for source in shard._view.sources]
                 at = MAX_BLK if at_blk is None else at_blk
-                expected = read_oracle.scan(sources, low, b"\xff" * ADDR_SIZE, at, limit, ADDR_SIZE)
+                expected = read_oracle.scan(
+                    engine._view.sources, low, b"\xff" * ADDR_SIZE, at, limit, ADDR_SIZE
+                )
             elif kind == "prov":
-                owner = engine._shard_for(args[0]) if shape == "sharded3" else engine
-                answer = answer.result if shape == "sharded3" else answer
-                expected = read_oracle.prov_query(owner, *args)
+                expected = read_oracle.prov_query(engine, *args)
                 assert answer.proof.size_bytes() == expected.proof.size_bytes()
             else:
-                owner = engine._shard_for(args[0]) if shape == "sharded3" else engine
                 blk = args[1] if kind == "get_at" else MAX_BLK
-                expected = read_oracle.lookup(owner._view.sources, args[0], blk)
+                expected = read_oracle.lookup(engine._view.sources, args[0], blk)
             assert answer == expected, (kind, args)
     finally:
         engine.close()

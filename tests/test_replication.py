@@ -20,7 +20,7 @@ import threading
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
     NotPrimaryError,
@@ -30,7 +30,6 @@ from repro.server import (
     ServerThread,
     protocol,
 )
-from repro.sharding import ShardedCole
 from repro.wal import WriteAheadLog, replay_wal, restore_store, snapshot_store
 
 from raw_frames import read_frame
@@ -129,35 +128,6 @@ def test_replica_matches_primary_root_at_every_commit_height(tmp_path):
                     assert pstats["replication"]["role"] == "primary"
                     assert pstats["replication"]["subscribers"] == 1
                     assert pstats["replication"]["batches_published"] > 0
-
-            asyncio.run(scenario())
-    wal.close()
-    engine.close()
-    replica_engine.close()
-
-
-def test_sharded_replica_matches_primary_root(tmp_path):
-    params = ShardParams(cole=PARAMS, num_shards=3)
-    directory = str(tmp_path / "primary")
-    engine = ShardedCole(directory, params)
-    wal = WriteAheadLog(os.path.join(directory, "wal"))
-    replica_engine = ShardedCole(str(tmp_path / "replica"), params)
-    config = ServerConfig(batch_max_puts=16, batch_max_delay=0.01)
-    with ServerThread(engine, config=config, wal=wal) as primary:
-        phost, pport = primary.start()
-        with ServerThread(replica_engine, replica_of=(phost, pport)) as rt:
-            rhost, rport = rt.start()
-
-            async def scenario():
-                async with ServerClient(phost, pport) as pc, \
-                        ServerClient(rhost, rport) as rc:
-                    for n in range(90):
-                        await pc.put(addr_of(n), value_of(n))
-                    info = await pc.flush()
-                    rinfo = await wait_for_height(rc, info.height)
-                    assert rinfo.digest == info.digest
-                    for n in range(0, 90, 17):
-                        assert await rc.get(addr_of(n)) == value_of(n)
 
             asyncio.run(scenario())
     wal.close()

@@ -10,7 +10,7 @@ import asyncio
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
 from repro.server import (
     LoadgenParams,
@@ -26,7 +26,6 @@ from repro.server import (
 from repro.server import protocol
 from repro.server.loadgen import key_addr
 from repro.server.protocol import Op, RootInfo
-from repro.sharding import ShardedCole, verify_sharded_provenance
 
 from raw_frames import read_frame
 
@@ -339,33 +338,6 @@ def test_one_group_commit_is_one_pooled_engine_call(tmp_path):
     engine.close()
 
 
-def test_sharded_group_commit_writes_one_commit_record(tmp_path):
-    """The WAL is one chain whatever the shard count: a 2-shard group
-    commit appends one COMMIT marker, not one per shard."""
-    from repro.wal import WriteAheadLog
-    from repro.wal.record import RecordType
-
-    engine = ShardedCole(str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=2))
-    wal = WriteAheadLog(str(tmp_path / "wal"))
-
-    async def scenario(host, port):
-        async with ServerClient(host, port) as client:
-            for n in range(24):
-                await client.put(addr_of(n), value_of(n))
-                if n % 6 == 5:
-                    await client.flush()
-            return await client.stats()
-
-    config = ServerConfig(batch_max_puts=1000, batch_max_delay=60.0)
-    with ServerThread(engine, config=config, wal=wal) as thread:
-        stats = asyncio.run(scenario(*thread.start()))
-    commits = [record.height for record in wal.scan() if record.type == RecordType.COMMIT]
-    assert len(commits) == stats["batcher"]["commits"] == 4
-    assert commits == sorted(set(commits))
-    wal.close()
-    engine.close()
-
-
 def test_cache_serves_hot_reads_and_invalidates_on_commit(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
 
@@ -440,29 +412,6 @@ def test_prov_over_the_wire_verifies(tmp_path):
     engine.close()
 
 
-def test_sharded_prov_over_the_wire_verifies(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=3)
-    )
-
-    async def scenario(host, port):
-        async with ServerClient(host, port) as client:
-            for round_no in range(3):
-                for n in range(6):
-                    await client.put(addr_of(n), value_of(round_no * 10 + n))
-                await client.flush()
-            info = await client.root()
-            for n in range(6):
-                result, root = await client.prov(addr_of(n), 1, info.height)
-                assert root == info.digest
-                versions = verify_sharded_provenance(result, root, addr_size=ADDR)
-                assert versions[-1][1] == value_of(20 + n)
-
-    with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
-        asyncio.run(scenario(*thread.start()))
-    engine.close()
-
-
 def test_scan_over_the_wire_pages_and_sees_buffered_writes(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
 
@@ -487,24 +436,6 @@ def test_scan_over_the_wire_pages_and_sees_buffered_writes(tmp_path):
             await client.put(addr_of(3), value_of(99))
             rows = await client.scan(addr_of(3), addr_of(3))
             assert rows[0][2] == value_of(99) and rows[0][1] == 2
-
-    with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
-        asyncio.run(scenario(*thread.start()))
-    engine.close()
-
-
-def test_sharded_scan_over_the_wire_globally_sorted(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=3)
-    )
-
-    async def scenario(host, port):
-        async with ServerClient(host, port) as client:
-            for n in range(40):
-                await client.put(addr_of(n), value_of(n))
-            rows = await client.scan(addr_of(0), addr_of(39), page_size=9)
-            # Hash-partitioned shards, globally re-sorted by address.
-            assert rows == [(addr_of(n), 1, value_of(n)) for n in range(40)]
 
     with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
         asyncio.run(scenario(*thread.start()))
@@ -653,9 +584,7 @@ def test_service_matches_direct_engine_32_clients(tmp_path):
         size_ratio=3,
         async_merge=True,
     )
-    served = ShardedCole(
-        str(tmp_path / "served"), ShardParams(cole=cole, num_shards=2)
-    )
+    served = Cole(str(tmp_path / "served"), cole)
     params = LoadgenParams(
         clients=32, ops_per_client=40, num_keys=400, read_fraction=0.5, seed=13
     )
@@ -668,9 +597,7 @@ def test_service_matches_direct_engine_32_clients(tmp_path):
         assert report.server_stats["cache"]["hits"] > 0
         assert report.server_stats["batcher"]["avg_batch"] > 1.0
         # Compare every key byte-for-byte against the direct run.
-        direct = ShardedCole(
-            str(tmp_path / "direct"), ShardParams(cole=cole, num_shards=2)
-        )
+        direct = Cole(str(tmp_path / "direct"), cole)
         try:
             replay_writes(direct, params)
             async with ServerClient(host, port) as client:
@@ -788,7 +715,6 @@ def test_stats_op_shape(tmp_path):
             stats = await client.stats()
             assert stats["ops"]["put"] == 1
             assert stats["ops"]["get"] == 1
-            assert stats["engine"]["shards"] == 1
             assert stats["committed_height"] == 1
             assert set(stats["cache"]) == {
                 "hits", "misses", "lookups", "hit_rate", "entries", "capacity",

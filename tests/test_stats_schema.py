@@ -1,19 +1,18 @@
 """STATS payload schema across server roles.
 
 The STATS blob is the operator- and tooling-facing contract: the
-``repro query`` CLI, METRICS and dashboards all parse it.  These tests pin the schema per role — primary with and without a
-WAL, replica, sharded vs single-engine — so a section silently
-disappearing or changing type fails loudly here rather than in a
-consumer.
+``repro query`` CLI, METRICS and dashboards all parse it.  These tests
+pin the schema per role — primary with and without a WAL, replica — so
+a section silently disappearing or changing type fails loudly here
+rather than in a consumer.
 """
 
 import asyncio
 import os
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import ServerClient, ServerConfig, ServerThread
-from repro.sharding import ShardedCole
 from repro.wal import WriteAheadLog
 
 ADDR = 20
@@ -80,10 +79,12 @@ def assert_core_schema(stats: dict) -> None:
     assert stats["reads"]["inline"] > 0
 
     engine = stats["engine"]
+    assert set(engine) == {
+        "puts_total", "storage_bytes", "disk_levels", "compaction", "workspace",
+    }
     assert isinstance(engine["puts_total"], int)
     assert isinstance(engine["storage_bytes"], int)
     assert isinstance(engine["disk_levels"], int)
-    assert isinstance(engine["shards"], int)
     assert isinstance(engine["workspace"], str) and engine["workspace"]
 
     compaction = engine["compaction"]
@@ -142,7 +143,6 @@ def test_stats_schema_primary_without_wal(tmp_path):
     assert stats["cache"]["lookups"] > 0
     assert "wal" not in stats
     assert "replication" not in stats
-    assert stats["engine"]["shards"] == 1
     assert "wal_fsync" not in stats["latency"]
 
 
@@ -172,18 +172,6 @@ def test_stats_schema_primary_with_wal(tmp_path):
     assert stats["latency"]["wal_fsync"]["count"] > 0
     # A WAL'd standalone primary still reports replication (hub side).
     assert stats["replication"]["role"] == "primary"
-
-
-def test_stats_schema_sharded(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=PARAMS, num_shards=2)
-    )
-    with ServerThread(engine, config=ServerConfig(batch_max_puts=8)) as thread:
-        stats = asyncio.run(loaded_stats(*thread.start()))
-    engine.close()
-    assert_core_schema(stats)
-    assert_primary_schema(stats)
-    assert stats["engine"]["shards"] == 2
 
 
 def test_stats_schema_replica(tmp_path):

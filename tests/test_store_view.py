@@ -2,11 +2,10 @@
 
 ``get`` / ``get_at`` / ``get_many`` / ``scan`` / ``prov_query_anchored``
 walk the engine's published view and take only the mem lock around
-what they read of an L0 group (the sharded engine's cross-shard reads
-take its top gate only to pin), so they never wait for a commit
+what they read of an L0 group, so they never wait for a commit
 checkpoint.  These tests hammer that contract from reader threads while
-one writer commits with forced cascades, on the sync, async and 3-shard
-engines, and compare every answer to a dict-of-versions model (the
+one writer commits with forced cascades, on the sync and async engines,
+and compare every answer to a dict-of-versions model (the
 shape of ``benchmarks/perf/workgen.py::VersionModel``): an answer at a
 committed height must be exact, and one at the latest height must equal
 the model's state at *some* height between the read's start and its
@@ -28,12 +27,11 @@ import time
 
 import pytest
 
-from repro.common.params import ColeParams, ShardParams, SystemParams
+from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
 from repro.core.compound import CompoundKey
 from repro.core.storage import WOULD_BLOCK
 from repro.diskio.pagefile import PagedFile
-from repro.sharding import ShardedCole, verify_sharded_provenance
 from version_model import VersionModel
 
 ADDR = 20
@@ -96,9 +94,9 @@ class _Writer(threading.Thread):
     """Commits the stream; ``started`` / ``published`` bracket what a
     concurrent read may have seen."""
 
-    def __init__(self, engine, blocks, force) -> None:
+    def __init__(self, engine, blocks) -> None:
         super().__init__(name="view-writer")
-        self.engine, self.blocks, self.force = engine, blocks, force
+        self.engine, self.blocks = engine, blocks
         self.started = 0  # highest height whose puts may have begun
         self.published = 0  # highest height whose commit returned
         self.error = None
@@ -109,7 +107,7 @@ class _Writer(threading.Thread):
                 self.started = blk
                 self.engine.begin_block(blk)
                 self.engine.put_many(items)
-                if self.force and blk % 3 == 0:
+                if blk % 3 == 0:
                     self.engine.commit_block(force_cascade=True)
                 else:
                     self.engine.commit_block()
@@ -118,9 +116,8 @@ class _Writer(threading.Thread):
             self.error = exc
 
 
-def _reader(engine, writer, model, reader_id, errors, one_snapshot):
+def _reader(engine, writer, model, reader_id, errors):
     rng = random.Random(reader_id)
-    sharded = isinstance(engine, ShardedCole)
     try:
         while writer.is_alive():
             mode = rng.randrange(5)
@@ -142,8 +139,8 @@ def _reader(engine, writer, model, reader_id, errors, one_snapshot):
                     blk = rng.randint(1, lo)
                     rows = engine.scan(addr_of(a), addr_of(b), at_blk=blk, limit=limit)
                     assert rows == model_scan(model, a, b, blk, limit), (a, b, blk)
-                # Latest: L0 copied under one mem-lock hold (every shard's
-                # under the top gate), so the scan is one instant.
+                # Latest: L0 copied under one mem-lock hold, so the scan
+                # is one instant.
                 rows = engine.scan(addr_of(a), addr_of(b), limit=limit)
                 heights = range(lo, writer.started + 1)
                 assert any(rows == model_scan(model, a, b, h, limit) for h in heights), (
@@ -155,35 +152,30 @@ def _reader(engine, writer, model, reader_id, errors, one_snapshot):
                 blk_low = rng.randint(max(1, hi - 8), hi)
                 target = addr_of(rng.randrange(NUM_ADDRS + 1))
                 result, root = engine.prov_query_anchored(target, blk_low, hi)
-                verify = verify_sharded_provenance if sharded else verify_provenance
-                versions = verify(result, root, addr_size=ADDR)
+                versions = verify_provenance(result, root, addr_size=ADDR)
                 assert versions == model_window(model, target, blk_low, hi), (target, hi)
             else:
                 addrs = [addr_of(n) for n in rng.sample(range(NUM_ADDRS), 5)]
                 addrs.append(addr_of(NUM_ADDRS + 7))  # never written
                 values = engine.get_many(addrs)
                 heights = range(lo, writer.started + 1)
-                if one_snapshot:
-                    # One view, one mem-lock hold over the writing group:
-                    # the whole batch describes a single height.
-                    assert any(
-                        values == [model.at(a, h) for a in addrs] for h in heights
-                    ), (values, lo)
-                else:  # sharded: atomic per shard, exact per key
-                    for a, value in zip(addrs, values):
-                        assert value in {model.at(a, h) for h in heights}, (a, lo)
+                # One view, one mem-lock hold over the writing group: the
+                # whole batch describes a single height.
+                assert any(
+                    values == [model.at(a, h) for a in addrs] for h in heights
+                ), (values, lo)
     except BaseException as exc:  # noqa: BLE001
         errors.append((reader_id, exc))
 
 
-def _hammer(engine, force, one_snapshot):
+def _hammer(engine):
     blocks, model = make_blocks(seed=7)
-    writer = _Writer(engine, blocks, force)
+    writer = _Writer(engine, blocks)
     errors = []
     readers = [
         threading.Thread(
             target=_reader,
-            args=(engine, writer, model, rid, errors, one_snapshot),
+            args=(engine, writer, model, rid, errors),
             name=f"view-reader-{rid}",
         )
         for rid in range(READERS)
@@ -212,17 +204,7 @@ def _hammer(engine, force, one_snapshot):
 def test_point_reads_match_the_model_under_forced_cascades(tmp_path, async_merge):
     engine = Cole(str(tmp_path / "ws"), params(async_merge))
     try:
-        _hammer(engine, force=True, one_snapshot=True)
-    finally:
-        engine.close()
-
-
-def test_point_reads_match_the_model_on_the_sharded_engine(tmp_path):
-    engine = ShardedCole(
-        str(tmp_path / "ws"), ShardParams(cole=params(True), num_shards=3)
-    )
-    try:
-        _hammer(engine, force=False, one_snapshot=False)
+        _hammer(engine)
     finally:
         engine.close()
 
@@ -292,20 +274,14 @@ def test_pinned_view_answers_after_its_runs_are_merged_away(tmp_path, async_merg
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-@pytest.mark.parametrize("num_shards", [None, 3], ids=["cole", "sharded3"])
-def test_close_returns_while_a_scan_is_in_flight(tmp_path, monkeypatch, num_shards):
+def test_close_returns_while_a_scan_is_in_flight(tmp_path, monkeypatch):
     """``close`` waits for no reader: a scan parked mid-walk across it
     finishes exact on the runs it pinned, and their descriptors close
     when it ends."""
     blocks, model = make_blocks(seed=5)
     gc.collect()
     baseline = _open_fds()
-    if num_shards is None:
-        engine = Cole(str(tmp_path / "ws"), params(True))
-    else:
-        engine = ShardedCole(
-            str(tmp_path / "ws"), ShardParams(cole=params(True), num_shards=num_shards)
-        )
+    engine = Cole(str(tmp_path / "ws"), params(True))
     for blk, items in enumerate(blocks, start=1):
         engine.begin_block(blk)
         engine.put_many(items)
@@ -347,42 +323,31 @@ def test_close_returns_while_a_scan_is_in_flight(tmp_path, monkeypatch, num_shar
 # =============================================================================
 
 def test_wait_false_answers_the_sentinel_while_the_mem_lock_is_held(tmp_path):
-    single = Cole(str(tmp_path / "one"), params(True))
-    sharded = ShardedCole(
-        str(tmp_path / "many"), ShardParams(cole=params(True), num_shards=2)
-    )
+    engine = Cole(str(tmp_path / "one"), params(True))
     try:
-        for engine in (single, sharded):
-            engine.begin_block(1)
-            engine.put_many([(addr_of(1), value_at(1, 1))])
-            engine.commit_block()
-        locks = [single._mem_lock] + [shard._mem_lock for shard in sharded.shards]
+        engine.begin_block(1)
+        engine.put_many([(addr_of(1), value_at(1, 1))])
+        engine.commit_block()
         held, release = threading.Event(), threading.Event()
 
         def hold():
-            for lock in locks:
-                lock.acquire()
-            held.set()
-            release.wait(timeout=60)
-            for lock in locks:
-                lock.release()
+            with engine._mem_lock:
+                held.set()
+                release.wait(timeout=60)
 
         holder = threading.Thread(target=hold, name="mem-lock-holder")
         holder.start()
         assert held.wait(timeout=60)
         try:
             started = time.perf_counter()
-            for engine in (single, sharded):
-                assert engine.get(addr_of(1), wait=False) is WOULD_BLOCK
-                assert engine.get_at(addr_of(1), 1, wait=False) is WOULD_BLOCK
+            assert engine.get(addr_of(1), wait=False) is WOULD_BLOCK
+            assert engine.get_at(addr_of(1), 1, wait=False) is WOULD_BLOCK
             assert time.perf_counter() - started < 1.0  # it never blocked
         finally:
             release.set()
             holder.join(timeout=60)
-        for engine in (single, sharded):
-            assert engine.get(addr_of(1), wait=False) == value_at(1, 1)
-            assert engine.get_at(addr_of(1), 1, wait=False) == value_at(1, 1)
-            assert engine.get(addr_of(2), wait=False) is None
+        assert engine.get(addr_of(1), wait=False) == value_at(1, 1)
+        assert engine.get_at(addr_of(1), 1, wait=False) == value_at(1, 1)
+        assert engine.get(addr_of(2), wait=False) is None
     finally:
-        single.close()
-        sharded.close()
+        engine.close()
