@@ -1,14 +1,15 @@
 """Pluggable compaction policy: when a cascade merges a level's group.
 
-The cascade machinery (``Cole._cascade``, one walk for COLE and COLE*) is
-the same for every policy — drain L0 into a level-1 run, walk the levels, and
-wherever the policy says a writing group overflowed, merge *all* of its
-runs into one run at the next level.  What a :class:`CompactionPolicy`
-owns is the three decisions the LSM literature varies:
-
-* **when** a group must merge (:meth:`CompactionPolicy.should_merge`),
-* **what** it merges (:meth:`CompactionPolicy.merge_sources`), and
-* **where** the output goes (:meth:`CompactionPolicy.merge_target`).
+The cascade machinery (``Cole._cascade``) is the same for every policy:
+walk the levels from L0 down, and wherever the policy says a level's
+writing group overflowed, merge *all* of its runs into one run of the
+next level.  COLE* starts that merge per level; COLE carries the runs
+down with L0's entries and builds one run where the walk stops.  What a
+:class:`CompactionPolicy` owns is the decision the LSM literature
+varies: **when** a group must merge (:meth:`CompactionPolicy.should_merge`).
+Both policies merge the whole group into the next level — partial
+selection would leave runs whose deletion the manifest commit could not
+account for in one atomic step.
 
 ``leveling`` is the paper's behaviour, byte-for-byte: a group merges the
 instant it holds ``size_ratio`` runs, however small they are.  That is
@@ -38,14 +39,12 @@ change ``Hstate`` across restarts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 from repro.common.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.common.params import ColeParams
-    from repro.core.disklevel import DiskGroup
-    from repro.core.run import Run
 
 #: Valid values of ``ColeParams.compaction``.
 COMPACTION_POLICIES = ("leveling", "tiering")
@@ -56,29 +55,17 @@ TIERING_FANOUT_FACTOR = 4
 
 
 class CompactionPolicy:
-    """The cascade's merge decisions; stateless and engine-shared."""
+    """The cascade's merge trigger; stateless and engine-shared."""
 
     name: str = ""
 
     def should_merge(
-        self, group: "DiskGroup", paper_level: int, params: "ColeParams"
+        self, runs: int, entries: int, paper_level: int, params: "ColeParams"
     ) -> bool:
-        """True when ``group`` (the writing group of on-disk level
-        ``paper_level``) must be merged into the next level."""
+        """True when a writing group of on-disk level ``paper_level``
+        holding ``runs`` runs of ``entries`` entries in total must be
+        merged into the next level."""
         raise NotImplementedError
-
-    def merge_sources(self, group: "DiskGroup") -> List["Run"]:
-        """The runs a triggered merge consumes (oldest first).
-
-        Both shipped policies merge the whole group — partial selection
-        would leave runs whose deletion the manifest commit could not
-        account for in one atomic step.
-        """
-        return list(group.runs)
-
-    def merge_target(self, paper_level: int) -> int:
-        """Paper-level number the merged output run lands on."""
-        return paper_level + 1
 
 
 class LevelingPolicy(CompactionPolicy):
@@ -87,9 +74,9 @@ class LevelingPolicy(CompactionPolicy):
     name = "leveling"
 
     def should_merge(
-        self, group: "DiskGroup", paper_level: int, params: "ColeParams"
+        self, runs: int, entries: int, paper_level: int, params: "ColeParams"
     ) -> bool:
-        return len(group) >= params.size_ratio
+        return runs >= params.size_ratio
 
 
 class TieringPolicy(CompactionPolicy):
@@ -98,11 +85,10 @@ class TieringPolicy(CompactionPolicy):
     name = "tiering"
 
     def should_merge(
-        self, group: "DiskGroup", paper_level: int, params: "ColeParams"
+        self, runs: int, entries: int, paper_level: int, params: "ColeParams"
     ) -> bool:
-        if len(group) >= TIERING_FANOUT_FACTOR * params.size_ratio:
+        if runs >= TIERING_FANOUT_FACTOR * params.size_ratio:
             return True
-        entries = sum(run.num_entries for run in group.runs)
         return entries >= params.level_capacity(paper_level)
 
 

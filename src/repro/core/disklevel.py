@@ -5,9 +5,10 @@ Figure 7) — *writing* (accepts newly committed runs from the level above)
 and *merging* (its runs are being merged into the next level) — which are
 switched at the level's commit checkpoint (``Cole._checkpoint_level``).
 Under COLE* the merging group lives until the level's next checkpoint
-lands its merge; under COLE (Algorithm 1) the merge lands inside the same
-checkpoint, so between commits the merging group is empty and a level is
-the single group of up to ``T`` runs the paper's Section 4 describes.
+lands its merge; under COLE (Algorithm 1) a full level's runs are merged
+down inside the same checkpoint (``Cole._merge_down``), so a level is the
+single group of up to ``T`` runs the paper's Section 4 describes and its
+merging group holds only a merge restarted from a COLE* store.
 """
 
 from __future__ import annotations

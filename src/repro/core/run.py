@@ -282,10 +282,10 @@ class Run:
         last in-range pair (or the end of the run), so the verifier sees
         the boundary pair above the range.
         """
-        floor = self.floor_search(key_low)
-        lo = floor[1] if floor is not None else 0
+        floor = self.floor_search(key_low, with_page=True)
+        lo, page = (floor[1], floor[2]) if floor is not None else (0, None)
         entries: List[Entry] = []
-        for entry in self.value_file.scan_from(lo):
+        for entry in self.value_file.scan_from(lo, page):
             entries.append(entry)
             if entry[0] > key_high:
                 break

@@ -1,16 +1,21 @@
 """COLE, the storage engine (Algorithms 1, 5, 6 and 8).
 
 One :class:`Cole` instance owns a workspace directory.  There is one
-write path — the commit checkpoint walk, :meth:`Cole._cascade`: each full
-level lands the run build started at its previous checkpoint, switches
-its writing/merging groups and starts the next build — and
-``params.async_merge`` decides only when a build lands:
+write path — the commit checkpoint walk, :meth:`Cole._cascade`, from L0
+down to the first level whose writing group the compaction policy does
+not find full — and ``params.async_merge`` decides when a full level's
+merge lands:
 
-* COLE (Algorithm 1): the build runs inline and lands before the walk
-  moves on, so one commit can pay for the whole recursive merge — the
-  write-stall / long-tail-latency behaviour Figure 12 measures;
-* COLE* (Algorithm 5): the build runs on a thread pool and lands at the
-  level's next checkpoint.  Checkpoints are a function of the put stream,
+* COLE (Algorithm 1): inside the commit that started it, so a run a
+  deeper level of the same walk merges away is never written.  The walk
+  carries L0's entries and each full level's runs down and builds them
+  inline as one run where it stops; one commit can still pay for the
+  whole recursive merge — the write-stall / long-tail-latency behaviour
+  Figure 12 measures;
+* COLE* (Algorithm 5): each full level lands the build started at its
+  previous checkpoint, switches its writing/merging groups and starts
+  the next build on a thread pool, to land at the level's next
+  checkpoint.  Checkpoints are a function of the put stream,
   never of merge timing, so ``Hstate`` is identical across COLE* nodes
   (the soundness argument of Section 5).  It is *not* the ``Hstate`` of
   a COLE node fed the same puts: COLE* commits every run one checkpoint
@@ -279,28 +284,81 @@ class Cole:
     # -- the commit checkpoint walk (Algorithms 1 and 5) -------------------------
 
     def _cascade(self) -> None:
-        """One walk down the levels: each full level lands the build
-        started at its previous checkpoint, switches groups and starts
-        the next build.  COLE (Algorithm 1) lands that build before the
-        walk moves on, COLE* (Algorithm 5) at the level's next checkpoint
-        — the one thing ``async_merge`` decides here."""
-        land_now = not self.params.async_merge
+        """One walk down the levels.  COLE* (Algorithm 5): each full level
+        lands the build started at its previous checkpoint, switches groups
+        and starts the next build (:meth:`_checkpoint_level`).  COLE
+        (Algorithm 1) lands every build inside this commit, so it builds
+        only the run the walk stops at (:meth:`_merge_down`)."""
+        if not self.params.async_merge:
+            return self._merge_down()
         moved = self._checkpoint_mem()
-        if land_now and self._land_flush():
-            # Publish the flush now (it is consistent on its own): that drops
-            # the drained tree before the merges below, the memory peak.
-            self._publish_view()
         obsolete: List[Run] = []
         index = 0
-        while index < len(self.levels) and self.compaction.should_merge(
-            self.levels[index].writing, index + 1, self.params
-        ):
+        while index < len(self.levels) and self._overflows(index, self.levels[index].writing.runs):
             obsolete += self._checkpoint_level(index)
-            if land_now:
-                obsolete += self._land_merge(self.levels[index])
             index += 1
-        if not moved and index == 0:
-            return  # forced cascade, empty L0, nothing in flight: a no-op
+        if moved or index:  # else a forced cascade, empty L0, nothing in flight
+            self._commit_walk(obsolete)
+
+    def _merge_down(self) -> None:
+        """COLE's walk carries the *incoming* sources — L0's entries, then
+        each full level's writing runs placed before them (oldest first) —
+        and builds them into exactly one run, of the level where it stops:
+        the flush and the merges a deeper level would merge away in this
+        same commit are never written.  A full level lands its restarted
+        merge (recovery, rewind) first, as its checkpoint would.  Nothing
+        is applied until the build succeeded, so a failure leaves L0, the
+        groups, the manifest and the files as they were."""
+        entries = self.mem_writing.drain()
+        sources: List[Run] = []
+        landing: List[Run] = []  # the restarted merge a full level lands below it
+        incoming = len(entries)
+        index = 0
+        while index < len(self.levels):
+            level = self.levels[index]
+            runs = level.writing.runs + landing
+            if not self._overflows(index, runs, incoming):
+                break
+            landing = [level.pending.wait()] if level.pending is not None else []
+            sources = runs + sources
+            incoming += sum(run.num_entries for run in runs)
+            index += 1
+        if not incoming:
+            return  # forced cascade, empty L0, nothing full: a no-op
+        target, key_size = index + 1, self.params.system.key_size
+        # The run takes the last of the names its elided steps would have.
+        steps = bool(entries) + index
+        name = f"L{target}_{self._run_seq + steps - 1:08d}"
+
+        def build() -> Run:
+            pairs = encode_pairs(entries, key_size)
+            if target > 1:
+                streams = [source.value_file.iter_pairs() for source in sources]
+                pairs = merge_entry_streams(streams + [pairs], key_size)
+            return Run.build(self.workspace, name, target, pairs, incoming, self.params)
+
+        kind = "merge" if target > 1 else "flush"
+        run = self.scheduler.spawn(kind, name, build, level=target).wait()
+        self._run_seq += steps
+        obsolete: List[Run] = []
+        for level in self.levels[:index]:
+            obsolete += self._land_merge(level) + level.writing.take_all()
+        self._ensure_level(target).writing.add(run)
+        self._count_written(run)
+        if entries:
+            self._checkpoint_puts, self._checkpoint_blk = self.puts_total, self.current_blk
+            self.mem_writing = self._new_mem_group()
+        self._commit_walk(obsolete)
+
+    def _overflows(self, index: int, runs: List[Run], incoming: int = 0) -> bool:
+        """The policy's verdict on level ``index + 1``'s writing ``runs``
+        plus, when ``incoming`` entries arrive, the one run they make."""
+        entries = sum(run.num_entries for run in runs) + incoming
+        return self.compaction.should_merge(
+            len(runs) + (incoming > 0), entries, index + 1, self.params
+        )
+
+    def _commit_walk(self, obsolete: List[Run]) -> None:
         self._save_manifest()
         self._publish_view()
         # Only now are the merged-away runs unreferenced by the manifest;
@@ -348,7 +406,7 @@ class Cole:
             return False
         run = pending.wait()
         self._ensure_level(1).writing.add(run)
-        self.bytes_flushed += run.storage_bytes()
+        self._count_written(run)
         self._checkpoint_puts = pending.checkpoint_puts
         self._checkpoint_blk = pending.checkpoint_blk
         self.mem_pending = None
@@ -364,8 +422,6 @@ class Cole:
         """
         level = self.levels[index]
         obsolete = self._land_merge(level)
-        # Started before the switch: an inline build that fails raises
-        # here, with every group where the last manifest has it.
         pending = self._start_merge(index, level.writing)
         level.switch_groups()
         level.pending = pending
@@ -374,8 +430,7 @@ class Cole:
     def _start_merge(self, index: int, group: DiskGroup) -> PendingMerge:
         """Merge ``group`` — level ``index + 1``'s merging group, or the
         writing group about to become it — into one run of the next level."""
-        sources = self.compaction.merge_sources(group)
-        target = self.compaction.merge_target(index + 1)
+        sources, target = list(group.runs), index + 2
         total = sum(source.num_entries for source in sources)
         name = self._next_run_name(target)
 
@@ -398,16 +453,24 @@ class Cole:
             return []
         run = pending.wait()
         self._ensure_level(run.level).writing.add(run)
-        # Counted here, not when the build finishes, so the counters stay
-        # deterministic across merge timing and crash/restart: an aborted
-        # merge's bytes are never counted, its restart's exactly once.
-        written = run.storage_bytes()
-        self.bytes_rewritten += written
-        self.level_bytes_rewritten[run.level] = (
-            self.level_bytes_rewritten.get(run.level, 0) + written
-        )
+        self._count_written(run)
         level.pending = None
         return level.merging.take_all()
+
+    def _count_written(self, run: Run) -> None:
+        """Add a landed run to the counters: ``bytes_flushed`` on level 1,
+        ``bytes_rewritten`` and its level's row deeper.  Counted when it
+        lands, not when the build finishes, so the counters stay
+        deterministic across merge timing and crash/restart: an aborted
+        merge's bytes are never counted, its restart's exactly once."""
+        written = run.storage_bytes()
+        if run.level == 1:
+            self.bytes_flushed += written
+        else:
+            self.bytes_rewritten += written
+            self.level_bytes_rewritten[run.level] = (
+                self.level_bytes_rewritten.get(run.level, 0) + written
+            )
 
     def _restart_merges(self) -> None:
         """Give every non-empty merging group its merge back: recovery of
@@ -628,12 +691,14 @@ class Cole:
     def compaction_stats(self) -> dict:
         """Write-amplification accounting of the compaction policy.
 
-        ``write_amp`` is cumulative merge output over cumulative flush
-        output — the figure the leveling/tiering trade-off moves.  The
-        per-level rows report the live run layout (count, entries,
-        on-disk bytes) plus the merge bytes ever written *onto* that
-        level, so `repro query compaction` can show where rewriting
-        concentrates.
+        Each build counts once, when it lands: ``bytes_flushed`` if on
+        level 1, else ``bytes_rewritten`` and its level's row, so their
+        sum is every byte the builds wrote.  A COLE cascade that reaches
+        level 2 or deeper is one build there: its L0 entries count as
+        rewritten.  ``write_amp`` is ``bytes_rewritten / bytes_flushed``.
+        The per-level rows report the live run layout (count, entries,
+        on-disk bytes) plus the bytes ever written *onto* that level, so
+        `repro query compaction` can show where rewriting concentrates.
         """
         per_level: Dict[int, dict] = {}
         with self.gate.exclusive():

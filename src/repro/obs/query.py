@@ -718,8 +718,9 @@ def replication(target: QueryTarget, fmt: str) -> None:
 def compaction(target: QueryTarget, fmt: str) -> None:
     """Compaction policy, per-level layout, cumulative write-amp.
 
-    The ``*`` row totals a shard: ``bytes`` is cumulative flush output,
-    ``bytes_rewritten`` cumulative merge output, ``write_amp`` their
+    The ``*`` row totals a shard: ``bytes`` is the cumulative output of
+    builds that landed on level 1, ``bytes_rewritten`` of those that
+    landed deeper (together every byte written), ``write_amp`` their
     ratio — the number the leveling/tiering trade-off moves.
     """
     if target.live:

@@ -11,6 +11,11 @@ For {sync, async} x {leveling, tiering} it holds, per step of one seeded
 150-step stream, ``root_digest``, the ``root_hash_list`` labels, the
 manifest's level layout plus a digest of the whole manifest file, the
 sorted workspace file names and whether the step replaced the manifest.
+The synchronous rows' ``manifest_sha`` values were re-recorded once, when
+COLE started building one run per cascade instead of one per step: the
+manifests then differ from ``a9d06b1``'s in their ``bytes_flushed`` /
+``bytes_rewritten`` / ``level_bytes_rewritten`` counters alone, and every
+root, label, level layout and file list stayed byte-identical.
 The stream covers natural cascades, forced cascades on an empty and on an
 under-full L0, one ``rewind_to`` and one close + reopen with the lost L0
 replayed from the recorded checkpoint.  The engine must keep reproducing

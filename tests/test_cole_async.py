@@ -139,7 +139,7 @@ def test_merge_thread_errors_surface(tmp_path):
 
 
 # =============================================================================
-# one walk, two landing times: the modes share a workspace format
+# the two merge modes share a workspace format
 # =============================================================================
 
 @pytest.mark.parametrize("first", [True, False], ids=["async-then-sync", "sync-then-async"])

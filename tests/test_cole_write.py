@@ -151,3 +151,64 @@ def test_deterministic_root_digest_across_instances(tmp_path, params):
         return digest
 
     assert run(str(tmp_path / "a")) == run(str(tmp_path / "b"))
+
+
+@pytest.mark.parametrize("policy", ["leveling", "tiering"])
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_cascade_builds_one_run_and_counts_every_build_once(tmp_path, monkeypatch, mode, policy):
+    """COLE builds exactly one run per cascade with anything to build —
+    its flush and the merges the same commit would merge away are never
+    written.  On both engines no run file is created and unlinked within
+    one commit, and ``bytes_flushed + bytes_rewritten`` is every byte of
+    every run that landed (COLE* leaves its last builds in flight)."""
+    from repro.core.run import Run
+    from repro.diskio.workspace import Workspace
+
+    built, removed = {}, set()  # run name -> storage bytes; unlinked files
+    original_build = Run.build.__func__
+    original_remove = Workspace.remove_file
+
+    def spy_build(cls, workspace, name, *args):
+        run = original_build(cls, workspace, name, *args)
+        built[name] = run.storage_bytes()
+        return run
+
+    def spy_remove(workspace, name):
+        removed.add(name.rsplit(".", 1)[0])
+        original_remove(workspace, name)
+
+    monkeypatch.setattr(Run, "build", classmethod(spy_build))
+    monkeypatch.setattr(Workspace, "remove_file", spy_remove)
+    params = ColeParams(
+        system=SystemParams(addr_size=20, value_size=32), mem_capacity=16, size_ratio=3,
+        async_merge=mode == "async", compaction=policy,
+    )
+    cole = Cole(str(tmp_path), params)
+    rng = random.Random(7)
+    pool = [rng.randbytes(20) for _ in range(40)]
+    model, cascades = {}, 0
+    for blk in range(1, 161):
+        forced = rng.random() < 0.08
+        cole.begin_block(blk)
+        for _ in range(0 if rng.random() < 0.3 and forced else rng.randint(3, 7)):
+            addr = rng.choice(pool)
+            model[addr] = rng.randbytes(32)
+            cole.put(addr, model[addr])
+        work = (forced or cole.needs_cascade()) and len(cole.mem_writing) > 0
+        cascades += work
+        before = set(built)
+        removed.clear()
+        cole.commit_block(force_cascade=True if forced else None)
+        new = set(built) - before
+        assert not new & removed, blk
+        if mode == "sync":
+            assert len(new) == work, blk
+    if mode == "sync":
+        assert len(built) == cascades
+    assert cole.num_disk_levels() >= 3
+    for addr, value in model.items():
+        assert cole.get(addr) == value
+    in_flight = sum(pending.wait().storage_bytes() for pending in cole._pending_merges())
+    stats = cole.compaction_stats()
+    assert stats["bytes_flushed"] + stats["bytes_rewritten"] == sum(built.values()) - in_flight
+    cole.close()

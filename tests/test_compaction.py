@@ -129,9 +129,15 @@ def test_tiering_same_content_fewer_merge_bytes(tmp_path):
         outcomes[policy] = engine.compaction_stats()
         engine.close()
     leveling, tiering = outcomes["leveling"], outcomes["tiering"]
-    # Same put stream -> same flush volume; the policies only differ in
-    # what they *re*-write.
-    assert tiering["bytes_flushed"] == leveling["bytes_flushed"]
+    # COLE builds one run per cascade: a flush that a full level 1 merges
+    # away in the same commit is never written on its own, so how the
+    # bytes split into flushed and rewritten follows the policy.  The
+    # policies are compared on every byte they wrote.
+    written = {
+        policy: stats["bytes_flushed"] + stats["bytes_rewritten"]
+        for policy, stats in outcomes.items()
+    }
+    assert written["tiering"] < written["leveling"]
     assert tiering["bytes_rewritten"] < leveling["bytes_rewritten"]
     assert tiering["write_amp"] < leveling["write_amp"]
     assert tiering["policy"] == "tiering"

@@ -15,6 +15,7 @@ from repro.common.errors import IntegrityError, StorageError, VerificationError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
 from repro.core.proofs import RunNegativeItem, RunProofItem, StubItem
+from repro.core.run import RUN_SUFFIXES
 
 
 def make_params(async_merge=False):
@@ -196,16 +197,19 @@ def test_background_merge_failure_names_run_and_chains_cause(tmp_path, monkeypat
 
 @pytest.mark.parametrize("failing_level", [1, 2], ids=["l0-flush", "level-2-merge"])
 def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, failing_level):
-    """COLE waits on a build before its checkpoint moves anything: a
-    failing build raises out of ``commit_block`` (same error as COLE*'s)
-    with that step unapplied, the manifest on disk untouched, every
-    address still answering, and the retry succeeding.  A flush that
-    landed before a failing level merge stands — it is published first on
-    purpose, to drop the drained tree before the merges."""
+    """COLE builds a cascade's one run before its checkpoint moves
+    anything: a failing build raises out of ``commit_block`` (same error
+    as COLE*'s) with the whole cascade unapplied — L0, every group, the
+    manifest on disk, the files and the root as they were, every address
+    still answering — and the retry completing it under the names an
+    unfailed commit would have used.  ``l0-flush`` fails a cascade that
+    stops at level 1; ``level-2-merge`` one whose flush and level 1's
+    merge are a single build of a level-2 run."""
     from repro.core.run import Run
 
     directory = str(tmp_path / "inline")
     cole = Cole(directory, make_params())
+    ratio = cole.params.size_ratio
     rng = random.Random(23)
     pool = [rng.randbytes(20) for _ in range(20)]
     model = {}
@@ -227,16 +231,19 @@ def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, f
         with open(os.path.join(directory, "MANIFEST.json"), "rb") as handle:
             return handle.read()
 
-    # Stop before the commit whose walk flushes L0 and merges level 1.
+    # Stop before the commit whose walk stops at ``failing_level``.
+    level_one = 0 if failing_level == 1 else ratio - 1
     blk = 1
     fill_block(blk)
     while not (cole.needs_cascade() and len(cole.levels) >= 2
-               and len(cole.levels[0].writing) == cole.params.size_ratio - 1):
+               and len(cole.levels[0].writing) == level_one
+               and len(cole.levels[1].writing) < ratio - 1):
         cole.commit_block()
         blk += 1
         fill_block(blk)
     mem, groups, manifest = cole.mem_writing, layout(), manifest_bytes()
-    files, root = sorted(cole.workspace.list_files()), cole.root_digest()
+    files, root, seq = sorted(cole.workspace.list_files()), cole.root_digest(), cole._run_seq
+    entries = len(mem)
 
     original_build = Run.build.__func__
 
@@ -255,26 +262,26 @@ def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, f
 
     assert manifest_bytes() == manifest
     assert cole._pending_merges() == []
-    if failing_level == 1:  # nothing moved at all
-        assert cole.mem_writing is mem
-        assert layout() == groups
-        assert sorted(cole.workspace.list_files()) == files
-        assert cole.root_digest() == root
-    else:  # the flush stands, level 1's switch and merge never happened
-        flushed = cole.levels[0].writing.runs[-1]
-        assert len(cole.mem_writing) == 0
-        groups[0][0].append(flushed.name)
-        assert layout() == groups
-        assert [name for name in cole.workspace.list_files() if name not in files] == sorted(
-            name for name in cole.workspace.list_files() if name.startswith(flushed.name)
-        )
+    assert cole.mem_writing is mem and len(mem) == entries
+    assert layout() == groups
+    assert sorted(cole.workspace.list_files()) == files
+    assert cole.root_digest() == root
+    assert cole._run_seq == seq
     for addr in pool:
         assert cole.get(addr) == model.get(addr)
 
-    # The retry — this commit again, or the next walk — completes it.
+    # The retry — this commit again, or the next walk — completes it: the
+    # run takes the last of the names the flush and each merge would take.
     cole.commit_block(force_cascade=True)
     assert manifest_bytes() != manifest
-    assert len(cole.levels[0].writing) == 0 and len(cole.levels[1].writing) >= 1
+    assert len(cole.mem_writing) == 0
+    built = cole.levels[failing_level - 1].writing.runs[-1]
+    assert built.name == f"L{failing_level}_{seq + failing_level - 1:08d}"
+    assert cole._run_seq == seq + failing_level
+    assert len(cole.levels[0].writing) == (1 if failing_level == 1 else 0)
+    assert [name for name in cole.workspace.list_files() if name not in files] == sorted(
+        built.name + suffix for suffix in RUN_SUFFIXES
+    )
     for blk in range(blk + 1, blk + 30):
         fill_block(blk)
         cole.commit_block()
