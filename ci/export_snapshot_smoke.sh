@@ -9,7 +9,10 @@
 #   3. full `repro snapshot` -> more blocks -> `--incremental-from`
 #      delta -> `--verify-only` over the chain -> `repro restore`,
 #      which itself exits non-zero unless the restored root matches
-#      the snapshot record.
+#      the snapshot record;
+#   4. a copy of the restored workspace with `format` deleted from its
+#      MANIFEST.json (run files of a build before format 2) must make
+#      `repro query levels` exit non-zero naming `repro export`.
 set -euo pipefail
 
 ROOT=$(mktemp -d /tmp/repro-export-smoke.XXXXXX)
@@ -72,5 +75,23 @@ python -m repro.cli snapshot --verify-only "$ROOT/snap-inc"
 python -m repro.cli restore "$ROOT/snap-inc" "$ROOT/restored" \
   | tee "$ROOT/restore.out"
 grep -q "root digest matches the snapshot record" "$ROOT/restore.out"
+
+echo "== a manifest without format is refused =="
+cp -r "$ROOT/restored" "$ROOT/old-format"
+python - "$ROOT/old-format/MANIFEST.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as handle:
+    manifest = json.load(handle)
+del manifest["format"]  # as a build before format 2 wrote it
+with open(sys.argv[1], "w") as handle:
+    json.dump(manifest, handle)
+EOF
+if python -m repro.cli query -w "$ROOT/old-format" levels 2> "$ROOT/old-format.err"; then
+  echo "repro query levels opened a manifest without format" >&2
+  exit 1
+fi
+grep -q "repro export" "$ROOT/old-format.err"
 
 echo "export/snapshot smoke OK"

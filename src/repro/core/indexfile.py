@@ -8,8 +8,10 @@ Layout (all in fixed-size pages):
 * layers 1..top: models over (kmin, model position in the layer below),
   each built by scanning the layer below (Algorithm 3 lines 5-8), until a
   layer fits in a single page;
-* a final metadata page recording the layer table, so a reader can start
-  from the top layer ("FI's last page", Algorithm 7 line 4).
+* a trailer at the end of the file's last page recording the layer table,
+  so a reader can start from the top layer ("FI's last page", Algorithm 7
+  line 4).  It shares the top layer's page when it fits there, and takes
+  a page of its own otherwise.
 
 Each layer starts on a fresh page.  The bottom layer uses the value file's
 ε (2ε = pairs per page); upper layers use the index file's own page
@@ -72,27 +74,28 @@ class IndexFileBuilder:
             self._bottom_count += 1
 
     def _write_model(self, model: Model) -> None:
-        self._page_buffer += model.to_bytes(self._params.key_size)
         if len(self._page_buffer) + self._record_size > self._params.page_size:
-            self._file.append_page(bytes(self._page_buffer))
-            self._page_buffer.clear()
+            self._flush_page()
+        self._page_buffer += model.to_bytes(self._params.key_size)
 
     def _flush_page(self) -> None:
         if self._page_buffer:
             self._file.append_page(bytes(self._page_buffer))
             self._page_buffer.clear()
 
-    # -- upper layers + metadata ------------------------------------------------
+    # -- upper layers + layer table ----------------------------------------------
 
     def finish(self) -> List[LayerInfo]:
-        """Build the upper layers and the metadata page; returns the table."""
+        """Build the upper layers and end the file with the layer table;
+        returns the table.  A layer's last page stays in the buffer until
+        the next layer starts, so the table can join the top layer's."""
         if self._bottom_count == 0:
             raise StorageError("index file needs at least one model")
-        self._flush_page()
         self._layers.append(LayerInfo(start_page=0, num_models=self._bottom_count))
         kmins = self._bottom_kmins
         index_epsilon = self.models_per_page // 2
         while self._layers[-1].num_models > self.models_per_page:
+            self._flush_page()
             next_page = self._file.num_pages
             stream = ((kmin, position) for position, kmin in enumerate(kmins))
             upper_kmins: List[int] = []
@@ -101,23 +104,29 @@ class IndexFileBuilder:
                 self._write_model(model)
                 upper_kmins.append(model.kmin)
                 count += 1
-            self._flush_page()
             self._layers.append(LayerInfo(start_page=next_page, num_models=count))
             kmins = upper_kmins
-        self._write_metadata()
+        self._write_trailer()
         self._file.flush()
         return list(self._layers)
 
-    def _write_metadata(self) -> None:
-        payload = bytearray(_MAGIC)
-        payload += encode_u32(len(self._layers))
-        payload += encode_u32(self.models_per_page)
+    def _write_trailer(self) -> None:
+        """End the last page with the layer table, laid out to be read
+        from the page end: ``start_page || num_models`` per layer, then
+        the layer count, ``models_per_page`` and the magic."""
+        trailer = bytearray()
         for layer in self._layers:
-            payload += encode_u64(layer.start_page)
-            payload += encode_u64(layer.num_models)
-        if len(payload) > self._params.page_size:
+            trailer += encode_u64(layer.start_page) + encode_u64(layer.num_models)
+        trailer += encode_u32(len(self._layers)) + encode_u32(self.models_per_page) + _MAGIC
+        page_size = self._params.page_size
+        if len(trailer) > page_size:
             raise StorageError("index layer table does not fit in one page")
-        self._file.append_page(bytes(payload))
+        if len(self._page_buffer) + len(trailer) > page_size:
+            self._flush_page()
+        self._file.append_page(
+            bytes(self._page_buffer.ljust(page_size - len(trailer), b"\x00") + trailer)
+        )
+        self._page_buffer.clear()
 
 
 class IndexFile:
@@ -128,21 +137,27 @@ class IndexFile:
         self._key_size = params.key_size
         self._record_size = Model.record_size(params.key_size)
         self._unpack_record = Model.record_struct(params.key_size).unpack_from
-        self._layers, self.models_per_page = self._read_metadata()
+        self._layers, self.models_per_page = self._read_trailer()
 
-    def _read_metadata(self) -> Tuple[List[LayerInfo], int]:
+    def _read_trailer(self) -> Tuple[List[LayerInfo], int]:
+        """The layer table and ``models_per_page``, parsed from the end of
+        the file's last page."""
         data = self._file.read_page(self._file.num_pages - 1)
-        if data[:4] != _MAGIC:
-            raise StorageError("index file metadata page is corrupt")
-        num_layers = decode_u32(data, 4)
-        models_per_page = decode_u32(data, 8)
-        layers: List[LayerInfo] = []
-        offset = 12
-        for _ in range(num_layers):
-            start_page = decode_u64(data, offset)
-            num_models = decode_u64(data, offset + 8)
-            layers.append(LayerInfo(start_page=start_page, num_models=num_models))
-            offset += 16
+        end = len(data) - len(_MAGIC)
+        if data[end:] != _MAGIC:
+            raise StorageError("index file layer table is corrupt")
+        num_layers = decode_u32(data, end - 8)
+        models_per_page = decode_u32(data, end - 4)
+        offset = end - 8 - 16 * num_layers
+        if offset < 0:
+            raise StorageError("index file layer table is corrupt")
+        layers = [
+            LayerInfo(
+                start_page=decode_u64(data, offset + 16 * layer),
+                num_models=decode_u64(data, offset + 16 * layer + 8),
+            )
+            for layer in range(num_layers)
+        ]
         return layers, models_per_page
 
     @property
@@ -167,10 +182,10 @@ class IndexFile:
         passes the encoding as ``key_bytes``.
         """
         if key_bytes is None:
-            key = clamp_key(key, self._key_size)
-            if key is None:
+            clamped = clamp_key(key, self._key_size)
+            if clamped is None:
                 return None
-            key_bytes = key.to_bytes(self._key_size, "big")
+            key, key_bytes = clamped, clamped.to_bytes(self._key_size, "big")
         per_page, stride = self.models_per_page, self._record_size
         unpack = self._unpack_record
         predicted = 0

@@ -5,6 +5,12 @@ visible when the manifest naming the new run is atomically replaced
 (write-to-temp + rename).  On recovery, any file not named by the manifest
 belongs to an unfinished merge and is deleted; the in-memory level is
 rebuilt by replaying transactions after ``checkpoint_blk``.
+
+The manifest records the ``format`` of the run files it names.  Format 2
+packs a Merkle file's layers back to back and ends an index file with its
+layer table; the page-aligned files of a manifest without the key are
+not read by this build, so such a manifest is refused while it names a
+run.
 """
 
 from __future__ import annotations
@@ -12,9 +18,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Union
+
+from repro.common.errors import StorageError
 
 MANIFEST_NAME = "MANIFEST.json"
+#: Layout of the run files a manifest names (see the module docstring).
+MANIFEST_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,7 @@ class Manifest:
 
     def to_json(self) -> str:
         payload = {
+            "format": MANIFEST_FORMAT,
             "checkpoint_blk": self.checkpoint_blk,
             "checkpoint_puts": self.checkpoint_puts,
             "next_run_seq": self.next_run_seq,
@@ -71,8 +82,39 @@ class Manifest:
         return json.dumps(payload, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "Manifest":
-        payload = json.loads(text)
+    def from_json(cls, text: Union[str, bytes], source: str = MANIFEST_NAME) -> "Manifest":
+        """Parse a manifest; any text that is not one of this build's
+        manifests raises :class:`StorageError` naming ``source``."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise StorageError(f"{source} is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise StorageError(f"{source} is not a JSON object")
+        found = payload.get("format")
+        if found is not None and found != MANIFEST_FORMAT:
+            raise StorageError(
+                f"{source} is manifest format {found!r}; this build reads "
+                f"format {MANIFEST_FORMAT}"
+            )
+        try:
+            manifest = cls._from_payload(payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"{source} is malformed: {exc!r}") from None
+        if found is None and any(
+            records for groups in manifest.levels.values() for records in groups.values()
+        ):
+            raise StorageError(
+                f"{source} has no format: its runs were written with "
+                "page-aligned Merkle layers and index metadata pages, which "
+                f"this build (format {MANIFEST_FORMAT}) does not read — export "
+                "the store with the build that wrote it (`repro export`) and "
+                "`repro import` the slice here"
+            )
+        return manifest
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "Manifest":
         levels: Dict[int, Dict[str, List[RunRecord]]] = {}
         for level_str, groups in payload["levels"].items():
             levels[int(level_str)] = {
@@ -111,5 +153,5 @@ def load_manifest(root: str) -> Manifest:
     path = os.path.join(root, MANIFEST_NAME)
     if not os.path.exists(path):
         return Manifest()
-    with open(path, "r", encoding="utf-8") as handle:
-        return Manifest.from_json(handle.read())
+    with open(path, "rb") as handle:
+        return Manifest.from_json(handle.read(), path)

@@ -3,9 +3,12 @@
 Algorithm 4 builds every MHT layer concurrently from the key-value stream,
 using one group buffer per layer; the file is preallocated (the stream
 size ``n`` is fixed by the run's level) and pages are filled at computed
-offsets.  Every layer starts on a page boundary so a layer's hash ``i``
-lives at page ``layer_page + i // hashes_per_page`` — the reproduction's
-version of the parent-position formula of Section 6.2.
+offsets.  The layers are packed back to back, bottom-up, in one slot
+space: hash ``i`` of layer ``L`` is slot ``layer_offsets(...)[L] + i``,
+on page ``slot // hashes_per_page`` — the complete m-ary tree addressed
+by position of Section 6.2.  A page may hold the tail of one layer and
+the head of the next; the builder keeps such a page until both layers
+have filled their slots on it, so each page is written exactly once.
 
 The file also supports *range proofs* (Section 6.2): for value-file
 positions ``[lo, hi]`` the proof carries, per layer, the sibling hashes of
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import DIGEST_SIZE, Digest, hash_bytes, hash_concat
@@ -34,6 +38,12 @@ def layer_sizes(num_leaves: int, fanout: int) -> List[int]:
     return sizes
 
 
+def layer_offsets(sizes: Sequence[int]) -> List[int]:
+    """First slot of each layer in the packed file, bottom-up: the running
+    sum of ``sizes``.  Hash ``i`` of layer ``L`` is slot ``offsets[L] + i``."""
+    return list(accumulate(sizes[:-1], initial=0))
+
+
 def leaf_hash(key: int, value: bytes, key_width: int) -> Digest:
     """Definition 2: ``h(K || value)`` with a fixed-width key encoding."""
     return hash_bytes(key.to_bytes(key_width, "big") + value)
@@ -48,17 +58,23 @@ class MerkleFileBuilder:
         self._file = file
         self._fanout = fanout
         self._page_size = file.page_size
-        self._hashes_per_page = self._page_size // DIGEST_SIZE
-        self._page_bytes = self._hashes_per_page * DIGEST_SIZE  # hashes never straddle pages
+        per_page = self._hashes_per_page = self._page_size // DIGEST_SIZE
+        self._page_bytes = per_page * DIGEST_SIZE  # hashes never straddle pages
         self.num_leaves = num_leaves
         self._sizes = layer_sizes(num_leaves, fanout)
-        self._layer_pages = _layer_page_table(self._sizes, self._hashes_per_page)
-        total_pages = self._layer_pages[-1][0] + self._layer_pages[-1][1]
-        file.preallocate(total_pages)
-        depth = len(self._sizes)
-        self._group_buffers: List[List[Digest]] = [[] for _ in range(depth)]
-        self._page_buffers: List[bytearray] = [bytearray() for _ in range(depth)]
-        self._next_slot = [0] * depth
+        offsets = layer_offsets(self._sizes)
+        self._num_slots = offsets[-1] + self._sizes[-1]
+        file.preallocate(-(-self._num_slots // per_page))
+        self._group_buffers: List[List[Digest]] = [[] for _ in self._sizes]
+        #: Per layer: its hashes not yet written, buffered from the start of
+        #: the page the first of them is on (zero-filled before the layer's
+        #: first slot), that page's id, and the layer's first slot on it.
+        self._page_buffers = [bytearray(offset % per_page * DIGEST_SIZE) for offset in offsets]
+        self._buffer_pages = [offset // per_page for offset in offsets]
+        self._buffer_starts = [offset % per_page for offset in offsets]
+        #: page id -> [its bytes so far, its slots still empty], for a page
+        #: that layers share until every one of them has filled its slots
+        self._shared_pages: Dict[int, List[Any]] = {}
         self._added = 0
         self._root: Digest = b""
 
@@ -96,16 +112,29 @@ class MerkleFileBuilder:
             self._push(layer + 1, parents)
 
     def _flush_layer_page(self, layer: int) -> None:
-        """Write the first page's worth of the layer's buffered hashes."""
+        """Write the first page of the layer's buffered hashes; a page the
+        layer shares with a neighbouring layer collects each layer's slots
+        and is written once all of them are filled."""
         buffer = self._page_buffers[layer]
-        if not buffer:
-            return
         chunk = bytes(buffer[: self._page_bytes])
         del buffer[: self._page_bytes]
-        start_page, _num_pages = self._layer_pages[layer]
-        page_id = start_page + self._next_slot[layer] // self._hashes_per_page
+        page_id, first = self._buffer_pages[layer], self._buffer_starts[layer]
+        self._buffer_pages[layer] += 1
+        self._buffer_starts[layer] = 0
+        per_page = self._hashes_per_page
+        slots = min(per_page, self._num_slots - page_id * per_page)
+        filled = len(chunk) // DIGEST_SIZE - first
+        if filled != slots:
+            shared = self._shared_pages.setdefault(
+                page_id, [bytearray(self._page_size), slots]
+            )
+            shared[0][first * DIGEST_SIZE : len(chunk)] = chunk[first * DIGEST_SIZE :]
+            shared[1] -= filled
+            if shared[1]:
+                return
+            del self._shared_pages[page_id]
+            chunk = bytes(shared[0])
         self._file.write_page(page_id, chunk.ljust(self._page_size, b"\x00"))
-        self._next_slot[layer] += len(chunk) // DIGEST_SIZE
 
     def finish(self) -> Digest:
         """Drain the remaining group buffers (Algorithm 4 lines 15-18)."""
@@ -123,8 +152,9 @@ class MerkleFileBuilder:
         if len(top_group) != 1:
             raise StorageError("MHT top layer must hold exactly the root")
         self._root = top_group[0]
-        for layer in range(len(self._sizes)):
-            self._flush_layer_page(layer)
+        for layer, buffer in enumerate(self._page_buffers):
+            if len(buffer) > self._buffer_starts[layer] * DIGEST_SIZE:
+                self._flush_layer_page(layer)
         self._file.flush()
         return self._root
 
@@ -159,16 +189,15 @@ class MerkleFile:
         self.fanout = fanout
         self._hashes_per_page = file.page_size // DIGEST_SIZE
         self._sizes = layer_sizes(num_leaves, fanout)
-        self._layer_pages = _layer_page_table(self._sizes, self._hashes_per_page)
+        self._offsets = layer_offsets(self._sizes)
 
     def hash_at(self, layer: int, index: int) -> Digest:
         """The ``index``-th hash of ``layer`` (one page read)."""
         if not 0 <= index < self._sizes[layer]:
             raise StorageError(f"hash index {index} out of range in layer {layer}")
-        start_page, _num_pages = self._layer_pages[layer]
-        page_id = start_page + index // self._hashes_per_page
+        page_id, on_page = divmod(self._offsets[layer] + index, self._hashes_per_page)
         data = self._file.read_page(page_id)
-        offset = (index % self._hashes_per_page) * DIGEST_SIZE
+        offset = on_page * DIGEST_SIZE
         return data[offset : offset + DIGEST_SIZE]
 
     def root(self) -> Digest:
@@ -179,26 +208,28 @@ class MerkleFile:
         """Range proof for leaf positions ``[lo, hi]`` (inclusive).
 
         A layer's siblings are the two ends of one contiguous span of
-        hashes, walked left to right: each page they touch is read once,
-        not once per hash — the two ends usually share one.
+        hashes.  The walk visits slots in increasing order — a layer's left
+        siblings, its right siblings, then the layer above, whose slots
+        follow — so each page is read at most once per proof, also a page
+        two layers share.
         """
         if not 0 <= lo <= hi < self.num_leaves:
             raise StorageError(f"bad proof range [{lo}, {hi}]")
         leaf_lo, leaf_hi = lo, hi
         fanout, per_page, read_page = self.fanout, self._hashes_per_page, self._file.read_page
         sibling_layers: List[Tuple[List[Digest], List[Digest]]] = []
-        for (first_page, _num_pages), size in zip(self._layer_pages, self._sizes[:-1]):
-            page = -1  # this layer's page in ``data``, by index within the layer
+        page, data = -1, b""  # the page last read and its bytes
+        for first_slot, size in zip(self._offsets, self._sizes[:-1]):
             ends: List[List[Digest]] = [[], []]
             for hashes, start, stop in (
                 (ends[0], lo - lo % fanout, lo),
                 (ends[1], hi + 1, min(hi - hi % fanout + fanout, size)),
             ):
-                for index in range(start, stop):
-                    if index // per_page != page:
-                        page = index // per_page
-                        data = read_page(first_page + page)
-                    offset = (index - page * per_page) * DIGEST_SIZE
+                for slot in range(first_slot + start, first_slot + stop):
+                    if slot // per_page != page:
+                        page = slot // per_page
+                        data = read_page(page)
+                    offset = (slot - page * per_page) * DIGEST_SIZE
                     hashes.append(data[offset : offset + DIGEST_SIZE])
             sibling_layers.append((ends[0], ends[1]))
             lo, hi = lo // fanout, hi // fanout
@@ -276,13 +307,3 @@ def verify_range_proof(
     if fold_range_proof(entries, proof, key_width) != expected_root:
         raise VerificationError("Merkle range proof does not match the root")
 
-
-def _layer_page_table(sizes: List[int], hashes_per_page: int) -> List[Tuple[int, int]]:
-    """(start_page, num_pages) per layer; each layer is page-aligned."""
-    table: List[Tuple[int, int]] = []
-    next_page = 0
-    for size in sizes:
-        num_pages = -(-size // hashes_per_page)
-        table.append((next_page, num_pages))
-        next_page += num_pages
-    return table

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bloomfilter import BloomFilter
 from repro.common.codec import clamp_key
@@ -35,6 +35,16 @@ RUN_SUFFIXES = (".val", ".idx", ".mrk", ".blm")
 #: whatever geometry they were written with.
 BLOOM_BITS_PER_KEY = 10
 BLOOM_HASHES = 7
+
+
+def run_file_sizes(directory: str, name: str) -> Dict[str, int]:
+    """On-disk bytes of run ``name``'s files under ``directory``, by
+    suffix in :data:`RUN_SUFFIXES` order (0 for a file that is absent)."""
+    sizes: Dict[str, int] = {}
+    for suffix in RUN_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        sizes[suffix] = os.path.getsize(path) if os.path.exists(path) else 0
+    return sizes
 
 
 def encode_pairs(entries: Iterable[Entry], key_size: int) -> List[bytes]:
@@ -295,12 +305,7 @@ class Run:
 
     def storage_bytes(self) -> int:
         """On-disk footprint of this run's four artifacts."""
-        total = 0
-        for suffix in RUN_SUFFIXES:
-            path = self.workspace.path_of(self.name + suffix)
-            if os.path.exists(path):
-                total += os.path.getsize(path)
-        return total
+        return sum(run_file_sizes(self.workspace.root, self.name).values())
 
 
 def _persist_bloom(workspace: Workspace, name: str, bloom: BloomFilter) -> None:

@@ -30,13 +30,16 @@ import io
 import json
 import os
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 import click
 
 from repro.common.errors import StorageError
 from repro.obs.registry import parse_exposition, quantile_from_buckets
 from repro.sharding import shard_dirs
+
+if TYPE_CHECKING:
+    from repro.core.manifest import RunRecord
 
 #: Random absent-address probes for the measured bloom FPR.
 DEFAULT_BLOOM_PROBES = 512
@@ -173,7 +176,7 @@ def shard_roots(workspace: str) -> List[Tuple[str, str]]:
     return [("-", workspace)]
 
 
-def committed_runs(workspace: str) -> List[Tuple[str, str, int, str, object]]:
+def committed_runs(workspace: str) -> List[Tuple[str, str, int, str, RunRecord]]:
     """Every manifest-committed run: ``(shard, dir, level, group, record)``."""
     from repro.core.manifest import load_manifest
 
@@ -188,36 +191,34 @@ def committed_runs(workspace: str) -> List[Tuple[str, str, int, str, object]]:
 
 
 def collect_levels(workspace: str) -> List[dict]:
-    """Runs, entry counts, and byte sizes per level per shard."""
-    from repro.core.run import RUN_SUFFIXES
+    """Runs, entry counts, and byte sizes per level per shard: ``bytes``
+    is the run's total, ``val_bytes`` … ``blm_bytes`` its files'."""
+    from repro.core.run import run_file_sizes
 
     rows = []
     for shard, directory, level, role, record in committed_runs(workspace):
-        size = 0
-        for suffix in RUN_SUFFIXES:
-            path = os.path.join(directory, record.name + suffix)
-            if os.path.exists(path):
-                size += os.path.getsize(path)
-        rows.append(
-            {
-                "shard": shard,
-                "level": level,
-                "group": role,
-                "run": record.name,
-                "entries": record.num_entries,
-                "bytes": size,
-            }
-        )
+        sizes = run_file_sizes(directory, record.name)
+        row = {
+            "shard": shard,
+            "level": level,
+            "group": role,
+            "run": record.name,
+            "entries": record.num_entries,
+            "bytes": sum(sizes.values()),
+        }
+        row.update((f"{suffix[1:]}_bytes", size) for suffix, size in sizes.items())
+        rows.append(row)
     return rows
 
 
 def collect_segments(workspace: str, page_size: int = 4096) -> List[dict]:
     """Learned-index (PLM) statistics per committed run.
 
-    The index file is self-describing (its metadata page records the
-    layer table and ``models_per_page``), so a cold read needs only the
-    page size.  ``seek_pages`` is the predicted point-lookup IO: one
-    page per model layer plus one value page — the ``Cmodel`` bound.
+    The index file is self-describing (the trailer ending its last page
+    records the layer table and ``models_per_page``), so a cold read
+    needs only the page size.  ``seek_pages`` is the predicted
+    point-lookup IO: one page per model layer plus one value page — the
+    ``Cmodel`` bound.
     """
     from repro.core.indexfile import IndexFile
     from repro.common.params import SystemParams
@@ -400,7 +401,7 @@ def collect_compaction(workspace: str) -> List[dict]:
     the merge bytes ever written onto that level.
     """
     from repro.core.manifest import load_manifest
-    from repro.core.run import RUN_SUFFIXES
+    from repro.core.run import run_file_sizes
 
     rows = []
     for shard, directory in shard_roots(workspace):
@@ -415,12 +416,9 @@ def collect_compaction(workspace: str) -> List[dict]:
                 for role in sorted(groups)
                 for record in groups[role]
             ]
-            size = 0
-            for record in records:
-                for suffix in RUN_SUFFIXES:
-                    path = os.path.join(directory, record.name + suffix)
-                    if os.path.exists(path):
-                        size += os.path.getsize(path)
+            size = sum(
+                sum(run_file_sizes(directory, record.name).values()) for record in records
+            )
             levels.append(
                 (
                     level,
@@ -620,9 +618,16 @@ def query_group(ctx: click.Context, workspace: Optional[str], server_addr: Optio
 @format_option
 @click.pass_obj
 def levels(target: QueryTarget, fmt: str) -> None:
-    """Runs and sizes per level per shard."""
+    """Runs and sizes per level per shard, with the bytes of each run file."""
     rows = collect_levels(target.resolve_workspace())
-    emit(["shard", "level", "group", "run", "entries", "bytes"], rows, fmt)
+    emit(
+        [
+            "shard", "level", "group", "run", "entries", "bytes",
+            "val_bytes", "idx_bytes", "mrk_bytes", "blm_bytes",
+        ],
+        rows,
+        fmt,
+    )
 
 
 @query_group.command()

@@ -311,9 +311,11 @@ def restore_store(src: str, dest: str) -> dict:
     engine on ``dest`` and replays ``dest/wal`` to finish — ``repro
     restore`` does exactly that and compares the recovered root against
     ``meta["root_digest"]``.  A snapshot of the removed in-process
-    sharded engine is refused before anything is laid out.
+    sharded engine, or one whose manifest this build does not open
+    (:func:`load_manifest`), is refused before anything is laid out.
     """
     meta = _single_engine(verify_snapshot(src), src)
+    load_manifest(src)
     hops = _chain_hops(src)
     if os.path.exists(dest) and os.listdir(dest):
         raise StorageError(f"restore destination {dest} is not empty")

@@ -16,6 +16,12 @@ COLE started building one run per cascade instead of one per step: the
 manifests then differ from ``a9d06b1``'s in their ``bytes_flushed`` /
 ``bytes_rewritten`` / ``level_bytes_rewritten`` counters alone, and every
 root, label, level layout and file list stayed byte-identical.
+Every row's ``manifest_sha`` was re-recorded a second time, when run
+files stopped writing padding and the manifest gained ``"format": 2``:
+a per-step dump of all four streams' manifests showed that only
+``format``, ``bytes_flushed``, ``bytes_rewritten`` and
+``level_bytes_rewritten`` differ, and every other recorded field was
+unchanged.
 The stream covers natural cascades, forced cascades on an empty and on an
 under-full L0, one ``rewind_to`` and one close + reopen with the lost L0
 replayed from the recorded checkpoint.  The engine must keep reproducing

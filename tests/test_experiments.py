@@ -71,12 +71,12 @@ IN_PROCESS = {
     "fig9": (
         ("engine", "blocks", "storage_bytes", "tps", "note"),
         ("engine", "storage_bytes"),
-        [("mpt", 1462849), ("cole", 297672)],
+        [("mpt", 1462849), ("cole", 223958)],
     ),
     "fig10": (
         ("engine", "blocks", "storage_bytes", "tps", "note"),
         ("engine", "storage_bytes"),
-        [("mpt", 685879), ("cole", 91205)],
+        [("mpt", 685879), ("cole", 74835)],
     ),
     "fig11": (
         ("engine", "blocks", "mix", "tps"),
@@ -134,19 +134,19 @@ IN_PROCESS = {
         # One engine flushes only full L0s: both policies lay out the
         # same runs, byte for byte.
         [
-            ("leveling", 423121, 131809, 6, 0, "f7f4ec4f5c769c54"),
-            ("tiering", 423121, 131809, 6, 0, "f7f4ec4f5c769c54"),
+            ("leveling", 197841, 86753, 6, 0, "f7f4ec4f5c769c54"),
+            ("tiering", 197841, 86753, 6, 0, "f7f4ec4f5c769c54"),
         ],
     ),
     "table1": (
         ("engine", "blocks", "storage_bytes", "write_io_per_tx",
          "get_io_per_query", "tail_s", "median_s"),
         ("engine", "storage_bytes", "write_io_per_tx", "get_io_per_query"),
-        # cole: 402 IOs / 1500 txs.  It was 552 (0.368) while each of the 148
+        # cole: 384 IOs / 1500 txs.  It was 552 (0.368) while each of the 148
         # floor searches read its final value page twice and 2 of them
         # re-read the page they had just stepped left from.
         [("mpt", 1462849, 1.4066666666666667, 1.82),
-         ("cole", 297672, 402 / 1500, 0.0)],
+         ("cole", 223958, 384 / 1500, 0.0)],
     ),
     "index-share": (
         ("value_bytes", "node_bytes", "data_share"),

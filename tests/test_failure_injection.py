@@ -5,7 +5,6 @@ authenticated structure must *detect* tampering, and recovery must
 survive garbage in the workspace.
 """
 
-import json
 import os
 import random
 
@@ -80,7 +79,7 @@ def test_torn_manifest_falls_back_to_empty(tmp_path):
     path = os.path.join(directory, "MANIFEST.json")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write('{"checkpoint_blk": 5, "next_run_')  # torn write
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(StorageError, match="MANIFEST.json is not JSON"):
         Cole(directory, make_params())
 
 

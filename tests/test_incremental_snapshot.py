@@ -179,7 +179,7 @@ def test_incremental_copies_a_pinned_fraction_of_the_full_snapshot(tmp_path):
         inc = snapshot_store(engine, str(tmp_path / "inc"), parent=str(tmp_path / "full"))
     finally:
         engine.close()
-    assert (copied_bytes(full), copied_bytes(inc)) == (140647, 37989)  # 3.70x
+    assert (copied_bytes(full), copied_bytes(inc)) == (75124, 17522)  # 4.29x
 
 
 def mark_sharded(snapshot: str, num_shards: int = 2) -> None:

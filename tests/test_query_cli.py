@@ -104,7 +104,8 @@ def test_cold_levels_reports_committed_runs(cold_workspace, capsys):
     assert rows, "a loaded workspace has committed runs"
     for row in rows:
         assert row["entries"] > 0
-        assert row["bytes"] > 0
+        files = [row[f"{kind}_bytes"] for kind in ("val", "idx", "mrk", "blm")]
+        assert row["bytes"] == sum(files) and min(files) > 0
         assert row["run"]
 
 

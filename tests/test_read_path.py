@@ -167,31 +167,59 @@ def test_floor_search_reads_no_page_twice(tmp_path, monkeypatch):
     ws.close()
 
 
-def test_prove_range_reads_each_touched_page_once(tmp_path, monkeypatch):
-    # 32-byte pages x 4 = 128-byte pages: 4 hashes a page, fanout 4, so a
-    # layer's left and right siblings share a page whenever they share a
-    # group — and a 1 000-leaf tree has 5 sibling layers.
+def _sibling_pages(sizes, fanout, per_page, lo, hi):
+    """The pages holding a ``[lo, hi]`` proof's siblings, in slot order,
+    with the layers packed back to back: layer ``L`` starts at slot
+    ``sum(sizes[:L])``."""
+    pages = []
+    for layer, size in enumerate(sizes[:-1]):
+        end = min((hi // fanout + 1) * fanout, size)
+        for index in [*range(lo - lo % fanout, lo), *range(hi + 1, end)]:
+            page = (sum(sizes[:layer]) + index) // per_page
+            if page not in pages:
+                pages.append(page)
+        lo, hi = lo // fanout, hi // fanout
+    return pages
+
+
+def _proofs_read_their_sibling_pages_once(tmp_path, monkeypatch, count, fanout, ranges):
+    """Build a ``count``-leaf file of 128-byte pages (4 hashes) and check
+    each range's proof against the oracle, reading exactly the pages its
+    siblings are on, each once; returns the file and its read log."""
     file = PagedFile(str(tmp_path / "m.mrk"), 128)
-    pairs = [(index * 2**64 + 1, bytes([index % 251]) * 4) for index in range(1000)]
-    builder = MerkleFileBuilder(file, len(pairs), 4)
+    pairs = [(index * 2**64 + 1, bytes([index % 251]) * 4) for index in range(count)]
+    builder = MerkleFileBuilder(file, len(pairs), fanout)
     builder.add([key.to_bytes(16, "big") + value for key, value in pairs])
     root = builder.finish()
-    merkle = MerkleFile(file, len(pairs), 4)
+    merkle = MerkleFile(file, len(pairs), fanout)
     reads = log_reads(monkeypatch)
-    for lo, hi in [(0, 0), (5, 6), (1, 2), (333, 334), (2, 997), (999, 999), (0, 999)]:
+    for lo, hi in ranges:
         del reads[:]
         proof = merkle.prove_range(lo, hi)
-        touched = list(reads)
-        hashes = sum(len(left) + len(right) for left, right in proof.sibling_layers)
-        assert len(touched) == len(set(touched))  # a page is read once per proof
-        assert len(touched) <= min(hashes, 2 * len(proof.sibling_layers))  # left end, right end
+        assert [page for _path, page in reads] == _sibling_pages(merkle._sizes, fanout, 4, lo, hi)
         assert proof.sibling_layers == read_oracle.prove_range_siblings(merkle, lo, hi)
         verify_range_proof(pairs[lo : hi + 1], proof, root, 16)
-    del reads[:]
-    proof = merkle.prove_range(1, 2)  # both siblings of every layer on one page
-    assert len(reads) == len(proof.sibling_layers) < sum(
-        len(left) + len(right) for left, right in proof.sibling_layers
+    return merkle, reads
+
+
+def test_prove_range_reads_each_touched_page_once(tmp_path, monkeypatch):
+    # Fanout 4, 5 sibling layers; layers 2-4 start mid-page, so some
+    # sibling groups straddle a page end.
+    _proofs_read_their_sibling_pages_once(
+        tmp_path, monkeypatch, 1000, 4,
+        [(0, 0), (5, 6), (1, 2), (333, 334), (2, 997), (999, 999), (0, 999)],
     )
+
+
+def test_a_page_two_layers_share_is_read_once_per_proof(tmp_path, monkeypatch):
+    # Layers of 7, 4, 2 and 1 hashes at slots 0, 7, 11 and 13: leaf 4's
+    # siblings in layers 1 and 2 (slots 10 and 11) are both on page 2.
+    merkle, reads = _proofs_read_their_sibling_pages_once(
+        tmp_path, monkeypatch, 7, 2, [(0, 0), (4, 4), (2, 5), (6, 6)]
+    )
+    del reads[:]
+    proof = merkle.prove_range(4, 4)
+    assert len(reads) == 2 < len(proof.sibling_layers) == 3
 
 
 # =============================================================================
@@ -436,13 +464,15 @@ SHAPE_PARAMS = ColeParams(
 #: Page reads of one ``_read_batch`` per shape.  Gets and get_ats read
 #: what they read before a scan's seek page was handed to it.  A prov
 #: scan starts on its floor's page, so it reads that page once, not
-#: twice (sync 282 -> 240, async 315 -> 266).  Scans are pinned as
+#: twice.  The Merkle layers are packed back to back: at 8 hashes a page
+#: and fanout 4, runs of 21, 63 and 189 entries start upper layers
+#: mid-page, so some sibling groups straddle a page end.  Scans are pinned as
 #: ``(reads when every seek page was read twice, seeks whose first entry
 #: is on the seek page)``: one page fewer per such seek (the second count
 #: is recomputed by the oracle).
 PINNED_PAGE_READS = {
-    "sync": {"get": 52, "get_at": 104, "prov": 240, "scan": (385, 80)},
-    "async": {"get": 41, "get_at": 104, "prov": 266, "scan": (527, 134)},
+    "sync": {"get": 52, "get_at": 104, "prov": 265, "scan": (385, 80)},
+    "async": {"get": 41, "get_at": 104, "prov": 287, "scan": (527, 134)},
 }
 
 

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import write_oracle
+from repro.common.hashing import DIGEST_SIZE, hash_bytes
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey
 from repro.core.merge import merge_entry_streams
-from repro.core.merklefile import MerkleFileBuilder, verify_range_proof
+from repro.core.merklefile import (
+    MerkleFileBuilder,
+    layer_offsets,
+    layer_sizes,
+    verify_range_proof,
+)
 from repro.core.rewind import _filter_run
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
 from repro.diskio.workspace import Workspace
@@ -211,7 +217,7 @@ def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, f
 def assert_matches_reference(ws, run, entries, params):
     """``run``'s four files and commitment are those the decoded reference
     builder (``tests/write_oracle.py``) writes for ``entries``."""
-    files, commitment = write_oracle.reference_run(ws.root, entries, params)
+    files, commitment = write_oracle.reference_run(entries, params)
     for suffix in RUN_SUFFIXES:
         with open(ws.path_of(run.name + suffix), "rb") as handle:
             assert handle.read() == files[suffix], suffix
@@ -261,6 +267,64 @@ def test_batched_build_is_byte_identical_to_per_entry_build(tmp_path_factory, ge
     entries = random_entries(params.system, count, versions, random.Random(seed))
     ws = Workspace(str(tmp_path_factory.mktemp("diff")), params.system.page_size)
     assert_matches_reference(ws, build(ws, "batched", entries, params), entries, params)
+    ws.close()
+
+
+def _ends_a_layer_on_a_page(count, fanout, per_page, layer):
+    sizes = layer_sizes(count, fanout)
+    layer = min(layer, len(sizes) - 1)
+    return (layer_offsets(sizes)[layer] + sizes[layer]) % per_page == 0
+
+
+@st.composite
+def packed_geometries(draw):
+    """Pages of 64-256 bytes (2-8 hashes), fanout 2-8, and a run of one
+    entry, of any size, or whose MHT layer 0, 1 or 2 ends on a page end."""
+    page_size = draw(st.integers(min_value=64, max_value=256))
+    fanout = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["one", "page-end", "any"]))
+    count = 1 if kind == "one" else draw(st.integers(min_value=1, max_value=120))
+    if kind == "page-end":
+        layer = draw(st.integers(min_value=0, max_value=2))
+        while not _ends_a_layer_on_a_page(count, fanout, page_size // DIGEST_SIZE, layer):
+            count += 1
+    system = SystemParams(
+        addr_size=2, value_size=draw(st.integers(min_value=1, max_value=8)), page_size=page_size
+    )
+    return ColeParams(system=system, mht_fanout=fanout), count, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(packed_geometries())
+def test_packed_layout_matches_the_oracle_and_proofs_read_a_page_once(
+    tmp_path_factory, geometry
+):
+    params, count, seed = geometry
+    rng = random.Random(seed)
+    entries = random_entries(params.system, count, 1, rng)
+    ws = Workspace(str(tmp_path_factory.mktemp("packed")), params.system.page_size)
+    run = build(ws, "packed", entries, params)
+    files, _commitment = write_oracle.reference_run(entries, params)
+    for suffix in (".mrk", ".idx"):
+        with open(ws.path_of("packed" + suffix), "rb") as handle:
+            assert handle.read() == files[suffix], suffix
+    leaves = [hash_bytes(pair) for pair in encode_pairs(entries, params.system.key_size)]
+    layers = write_oracle.mht_layers(leaves, params.mht_fanout)
+    assert [
+        [run.merkle_file.hash_at(layer, index) for index in range(len(hashes))]
+        for layer, hashes in enumerate(layers)
+    ] == layers
+    mrk = ws.open_file("packed.mrk", category="merkle")
+    read = mrk.read_page
+    pages = []
+    mrk.read_page = lambda page_id: pages.append(page_id) or read(page_id)
+    ranges = [(lo, lo) for lo in range(count)] + [(0, count - 1)]
+    ranges += [tuple(sorted(rng.sample(range(count), 2))) for _ in range(8) if count > 1]
+    for lo, hi in ranges:
+        pages.clear()
+        proof = run.merkle_file.prove_range(lo, hi)
+        assert len(pages) == len(set(pages)), (lo, hi, pages)
+        verify_range_proof(entries[lo : hi + 1], proof, run.merkle_root, params.system.key_size)
     ws.close()
 
 
