@@ -12,7 +12,9 @@
 #      the snapshot record;
 #   4. a copy of the restored workspace with `format` deleted from its
 #      MANIFEST.json (run files of a build before format 2) must make
-#      `repro query levels` exit non-zero naming `repro export`.
+#      `repro query levels` exit non-zero naming `repro export`;
+#   5. so must a copy whose MANIFEST.json records `"compaction":
+#      "tiering"` (runs laid out by the removed tiering policy).
 set -euo pipefail
 
 ROOT=$(mktemp -d /tmp/repro-export-smoke.XXXXXX)
@@ -93,5 +95,23 @@ if python -m repro.cli query -w "$ROOT/old-format" levels 2> "$ROOT/old-format.e
   exit 1
 fi
 grep -q "repro export" "$ROOT/old-format.err"
+
+echo "== a manifest recording tiering is refused =="
+cp -r "$ROOT/restored" "$ROOT/tiering"
+python - "$ROOT/tiering/MANIFEST.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as handle:
+    manifest = json.load(handle)
+manifest["compaction"] = "tiering"  # as a build with the tiering policy wrote it
+with open(sys.argv[1], "w") as handle:
+    json.dump(manifest, handle)
+EOF
+if python -m repro.cli query -w "$ROOT/tiering" levels 2> "$ROOT/tiering.err"; then
+  echo "repro query levels opened a manifest recording tiering" >&2
+  exit 1
+fi
+grep -q "repro export" "$ROOT/tiering.err"
 
 echo "export/snapshot smoke OK"

@@ -209,18 +209,6 @@ CLAIMS = (
           lambda r: sum(not row["oracle_match"] for row in r), "==", 0, True),
     Claim("fig21", "aggregate writes/s, most / fewest nodes",
           lambda r: growth(r, "agg_writes_per_s", "nodes"), ">", 1.0, False),
-    Claim("fig22", "reads that disagree with the model",
-          lambda r: sum(row["content_mismatches"] for row in r), "==", 0, True),
-    Claim("fig22", "size ratios where the policies flushed different bytes",
-          lambda r: sum(versus(r, "bytes_flushed", "policy", "tiering", "leveling",
-                               size_ratio=ratio) != 1
-                        for ratio in {row["size_ratio"] for row in r}),
-          "==", 0, True),
-    Claim("fig22", "tiering / leveling bytes rewritten, worst size ratio",
-          lambda r: max(versus(r, "bytes_rewritten", "policy", "tiering", "leveling",
-                               size_ratio=ratio)
-                        for ratio in {row["size_ratio"] for row in r}),
-          "<=", 1.0, True),
     # -- hot-path extensions ---------------------------------------------------
     Claim("multi-get", "keys/s of the largest batch over single GETs",
           lambda r: versus(r, "keys_per_s", "batch", top(r, "batch"), 1), ">=", 2.0, False),

@@ -108,8 +108,6 @@ MULTI_GET_PUTS_PER_BLOCK = 192
 NEGATIVE_LOOKUP_BLOCKS, NEGATIVE_LOOKUP_PUTS_PER_BLOCK = 16, 128
 HOTSET_CACHE_PAGES, HOTSET_KEYS, HOTSET_WARM_PASSES = 256, 64, 3
 HOTSET_PUTS_PER_BLOCK = 128
-#: Fig 22's engine: a small L0 over a uniform stream of 1024 keys.
-FIG22_MEM_CAPACITY, FIG22_KEYS = 64, 1024
 
 
 # =============================================================================
@@ -961,80 +959,6 @@ def run_scan_vs_hotset(num_keys: int = 1024, blocks: int = 32) -> List[Row]:
 
 
 # =============================================================================
-# Figure 22 (extension): compaction policy — leveling vs tiering
-# =============================================================================
-
-def run_compaction_policies(
-    size_ratios: Sequence[int] = (2, 4, 8),
-    blocks: int = 160,
-    puts_per_block: int = 24,
-    reads: int = 200,
-) -> List[Row]:
-    """Figure 22 (new): write amplification under leveling vs tiering.
-
-    One COLE* engine per size ratio and policy takes the same uniform put
-    stream (``FIG22_KEYS`` addresses, a small L0).  The engine flushes
-    L0 only once it is full, so both policies merge the same full runs
-    at the same run counts: the rows show equal bytes, and the claim is
-    the "never worse" invariant of :mod:`repro.core.compaction`.
-    Tiering saves rewrites only over under-full runs — rewound or
-    force-cascaded ones (``tests/test_compaction.py``).  Per cell: the
-    engine's own ``compaction_stats`` byte counters, write
-    amplification, point-read latency, and a content check of sampled
-    addresses against an in-memory model (both policies must serve
-    byte-identical state — only the file layout may differ).
-    """
-
-    def value_for(addr: bytes, blk: int) -> bytes:
-        digest = hash_bytes(addr + blk.to_bytes(8, "big"))
-        return digest[:VALUE_SIZE].ljust(VALUE_SIZE, b"\x00")
-
-    # One deterministic put stream shared by every cell so the policies
-    # see byte-identical writes.
-    rng = random.Random(SEED)
-    pool = [key_addr(index, ADDR_SIZE) for index in range(FIG22_KEYS)]
-    stream: List[Batch] = []
-    model: Dict[bytes, bytes] = {}
-    for blk in range(1, blocks + 1):
-        writes: Dict[bytes, bytes] = {}
-        for _ in range(puts_per_block):
-            addr = rng.choice(pool)
-            writes[addr] = value_for(addr, blk)
-        stream.append(sorted(writes.items()))  # canonical per-block order
-        model.update(writes)
-    sample = rng.sample(sorted(model), min(reads, len(model)))
-
-    rows: List[Row] = []
-    for size_ratio, policy in itertools.product(size_ratios, ("leveling", "tiering")):
-        with engine_cell(
-            "cole*", mem_capacity=FIG22_MEM_CAPACITY, size_ratio=size_ratio,
-            compaction=policy,
-        ) as backend:
-            started = time.perf_counter()
-            load_stream(backend, stream)
-            backend.wait_for_merges()
-            load_s = time.perf_counter() - started
-            mismatches = sum(1 for addr in sample if backend.get(addr) != model[addr])
-            latencies: List[float] = []
-            for addr in sample:
-                t0 = time.perf_counter()
-                backend.get(addr)
-                latencies.append(time.perf_counter() - t0)
-            stats = backend.compaction_stats()
-            rows.append({"policy": policy, "size_ratio": size_ratio,
-                         "bytes_flushed": stats["bytes_flushed"],
-                         "bytes_rewritten": stats["bytes_rewritten"],
-                         "write_amp": stats["write_amp"],
-                         "disk_runs": sum(lvl["runs"] for lvl in stats["levels"].values()),
-                         "puts_per_s": (blocks * puts_per_block) / load_s,
-                         "get_p50_us": percentile(latencies, 0.5) * 1e6,
-                         "get_p99_us": percentile(latencies, 0.99) * 1e6,
-                         "content_mismatches": mismatches,
-                         "root": backend.root_digest().hex()[:16]})
-    return rows
-
-
-# =============================================================================
 # The registry: one name per experiment, run at its figure scale
 # =============================================================================
 
@@ -1081,7 +1005,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig19": Experiment(run_read_scaling),
     "fig20": Experiment(run_scan_throughput),
     "fig21": Experiment(run_cluster_scaling),
-    "fig22": Experiment(run_compaction_policies),
     "table1": Experiment(run_chain_sweep, dict(
         heights=(100, 300, 1000), engines=PAPER_ENGINES,
     ), ("engine", "blocks", "storage_bytes", "write_io_per_tx", "get_io_per_query",

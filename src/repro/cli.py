@@ -113,7 +113,7 @@ def open_store(
     from repro.common.params import ColeParams
     from repro.core import Cole
     from repro.core.manifest import MANIFEST_NAME
-    from repro.sharding import shard_dirs
+    from repro.cluster.manifest import shard_dirs
 
     shards = shard_dirs(workspace)
     if shards and not os.path.isfile(os.path.join(workspace, MANIFEST_NAME)):

@@ -3,8 +3,10 @@
 A :class:`ClusterManifest` maps every shard id to the ``host:port`` of
 the :class:`~repro.server.ColeServer` currently serving it, plus the
 control address of each node process.  Routing is crc32 partitioning
-(:func:`repro.sharding.router.shard_of`), so a key's shard id is
-deterministic across every client and server without coordination.
+(:func:`shard_of`), so a key's shard id is deterministic across every
+client and server without coordination.  Shard ``i`` of a node's
+workspace, WAL and snapshot is the subdirectory :func:`shard_dirname`
+names.
 
 The manifest is **epoch-versioned**: any ownership change (a live shard
 migration's cutover) produces a *new* manifest with ``epoch + 1`` via
@@ -26,11 +28,43 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.common.errors import StorageError
-from repro.sharding.router import shard_of
+
+
+def shard_of(addr: bytes, num_shards: int) -> int:
+    """The index of the shard owning ``addr`` (0-based, stable).
+
+    The route must be deterministic across processes, nodes and
+    restarts, so it avoids Python's salted ``hash``: CRC32 over the
+    address bytes is cheap on the per-put path and spreads hash-derived
+    and uniform random addresses alike.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    if num_shards == 1:
+        return 0
+    return zlib.crc32(addr) % num_shards
+
+
+def shard_dirname(index: int) -> str:
+    """The subdirectory name of shard ``index``."""
+    return f"shard-{index:02d}"
+
+
+def shard_dirs(root: str) -> List[str]:
+    """Sorted names of the shard subdirectories of ``root`` (none when
+    ``root`` does not exist)."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(
+        name
+        for name in os.listdir(root)
+        if name.startswith("shard-") and os.path.isdir(os.path.join(root, name))
+    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +104,7 @@ class ClusterManifest:
     # -- routing --------------------------------------------------------------
 
     def shard_for(self, addr: bytes) -> int:
-        """The shard id owning ``addr`` (:func:`~repro.sharding.shard_of`)."""
+        """The shard id owning ``addr`` (:func:`shard_of`)."""
         return shard_of(addr, self.num_shards)
 
     def address_of(self, shard_id: int) -> str:

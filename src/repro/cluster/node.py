@@ -36,13 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.cluster.manifest import ClusterManifest
+from repro.cluster.manifest import ClusterManifest, shard_dirname
 from repro.common.errors import StorageError
 from repro.server import protocol
 from repro.server.eventloop import LoopThread
 from repro.server.protocol import Op, parse_address
 from repro.server.server import ColeServer, Connection, ServerConfig
-from repro.sharding import shard_dirname
 
 #: Migration phase -> STATS ``cluster.phase_code`` (``repro_cluster_migration_phase``).
 PHASE_CODES = {

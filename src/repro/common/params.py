@@ -75,16 +75,8 @@ class ColeParams:
             disables caching so the IO-cost accounting of Table 1 counts
             every raw page access; the serving layer and the cache
             benchmarks opt in.
-        compaction: cascade trigger policy (``repro.core.compaction``).
-            ``"leveling"`` (the default, the paper's behaviour) merges a
-            level as soon as it holds ``size_ratio`` runs; ``"tiering"``
-            lets under-full sibling runs accumulate until the group
-            actually overflows ``level_capacity``, trading bounded read
-            fanout for less merge write amplification (the Dostoevsky
-            trade-off).  An engine's own commits flush L0 only once it
-            is full, so the policies part ways over under-full runs:
-            the ones ``rewind_to`` rebuilds and the cascades a caller
-            forces.  Persisted in the manifest and validated on reopen.
+        compaction: only ``"leveling"``, the paper's trigger; kept because
+            callers pass it.
     """
 
     system: SystemParams = SystemParams()
@@ -98,10 +90,8 @@ class ColeParams:
     def __post_init__(self) -> None:
         if self.value_cache_pages < 0:
             raise ValueError("value_cache_pages cannot be negative")
-        if self.compaction not in ("leveling", "tiering"):
-            raise ValueError(
-                f"compaction must be 'leveling' or 'tiering', got {self.compaction!r}"
-            )
+        if self.compaction != "leveling":
+            raise ValueError(f"compaction must be 'leveling', got {self.compaction!r}")
         if self.size_ratio < 2:
             raise ValueError("size_ratio must be >= 2")
         if self.mht_fanout < 2:
@@ -109,25 +99,6 @@ class ColeParams:
         if self.mem_capacity < 1:
             raise ValueError("mem_capacity must be >= 1")
 
-    def level_capacity(self, level: int) -> int:
-        """Maximum number of pairs a single group of on-disk level holds.
-
-        Level ``i >= 1`` holds up to ``B * T**i`` pairs per group
-        (Section 4; with async merge each level has two such groups).
-        """
-        if level < 1:
-            raise ValueError("on-disk levels start at 1")
-        return self.mem_capacity * self.size_ratio**level
-
-    def run_size(self, level: int) -> int:
-        """Number of pairs in one full run at on-disk level ``level``."""
-        return self.mem_capacity * self.size_ratio ** (level - 1)
-
     def with_async(self, async_merge: bool = True) -> "ColeParams":
         """Return a copy with the asynchronous-merge flag set."""
         return replace(self, async_merge=async_merge)
-
-    def with_compaction(self, compaction: str) -> "ColeParams":
-        """Return a copy with a different compaction policy."""
-        return replace(self, compaction=compaction)
-

@@ -12,12 +12,9 @@ Public surface:
   future work, implemented as filter-and-rebuild;
 * :func:`export_slice` / :func:`import_slice` — streaming portable
   export of a snapshot-consistent keyspace slice, and its replay
-  (``repro export`` / ``repro import``);
-* :func:`make_policy` — the pluggable compaction policy
-  (``repro.core.compaction``) driving the cascade triggers.
+  (``repro export`` / ``repro import``).
 """
 
-from repro.core.compaction import COMPACTION_POLICIES, make_policy
 from repro.core.compound import CompoundKey, MAX_BLK
 from repro.core.cursor import MergingCursor, addr_successor
 from repro.core.export import export_slice, import_slice, iter_triples, read_header
@@ -28,8 +25,6 @@ from repro.core.rewind import rewind_to
 
 __all__ = [
     "Cole",
-    "COMPACTION_POLICIES",
-    "make_policy",
     "export_slice",
     "import_slice",
     "iter_triples",

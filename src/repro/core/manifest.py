@@ -10,7 +10,10 @@ The manifest records the ``format`` of the run files it names.  Format 2
 packs a Merkle file's layers back to back and ends an index file with its
 layer table; the page-aligned files of a manifest without the key are
 not read by this build, so such a manifest is refused while it names a
-run.
+run.  So is one that records a ``compaction`` other than ``leveling``:
+its runs were laid out by a policy this build does not have.  Either is
+carried over by ``repro export`` with the build that wrote it and
+``repro import`` here, which lays the runs out again.
 """
 
 from __future__ import annotations
@@ -45,11 +48,8 @@ class Manifest:
     checkpoint_puts: int = 0
     next_run_seq: int = 0
     async_merge: bool = False
-    # Compaction policy the store was committed under ("" on manifests
-    # predating the policy layer, which were all leveling), plus the
-    # cumulative write-amplification counters it accrued — persisted so
-    # a cold `repro query compaction` answers without replaying history.
-    compaction: str = ""
+    # Cumulative write-amplification counters, persisted so a cold
+    # `repro query compaction` answers without replaying history.
     bytes_flushed: int = 0
     bytes_rewritten: int = 0
     # output paper-level -> cumulative merge bytes written onto it
@@ -64,7 +64,7 @@ class Manifest:
             "checkpoint_puts": self.checkpoint_puts,
             "next_run_seq": self.next_run_seq,
             "async_merge": self.async_merge,
-            "compaction": self.compaction,
+            "compaction": "leveling",
             "bytes_flushed": self.bytes_flushed,
             "bytes_rewritten": self.bytes_rewritten,
             "level_bytes_rewritten": {
@@ -101,15 +101,26 @@ class Manifest:
             manifest = cls._from_payload(payload)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"{source} is malformed: {exc!r}") from None
-        if found is None and any(
+        if not any(
             records for groups in manifest.levels.values() for records in groups.values()
         ):
+            return manifest
+        migrate = (
+            "export the store with the build that wrote it (`repro export`) "
+            "and `repro import` the slice here"
+        )
+        if found is None:
             raise StorageError(
                 f"{source} has no format: its runs were written with "
                 "page-aligned Merkle layers and index metadata pages, which "
-                f"this build (format {MANIFEST_FORMAT}) does not read — export "
-                "the store with the build that wrote it (`repro export`) and "
-                "`repro import` the slice here"
+                f"this build (format {MANIFEST_FORMAT}) does not read — {migrate}"
+            )
+        policy = payload.get("compaction") or "leveling"
+        if policy != "leveling":
+            raise StorageError(
+                f"{source} records compaction {policy!r}: its runs were laid "
+                "out by a policy this build does not have (it merges a level "
+                f"at size_ratio runs; `tiering` was removed) — {migrate}"
             )
         return manifest
 
@@ -126,7 +137,6 @@ class Manifest:
             checkpoint_puts=payload.get("checkpoint_puts", 0),
             next_run_seq=payload["next_run_seq"],
             async_merge=payload["async_merge"],
-            compaction=payload.get("compaction", ""),
             bytes_flushed=payload.get("bytes_flushed", 0),
             bytes_rewritten=payload.get("bytes_rewritten", 0),
             level_bytes_rewritten={

@@ -2,8 +2,8 @@
 
 One :class:`Cole` instance owns a workspace directory.  There is one
 write path — the commit checkpoint walk, :meth:`Cole._cascade`, from L0
-down to the first level whose writing group the compaction policy does
-not find full — and ``params.async_merge`` decides when a full level's
+down to the first level whose writing group does not hold ``size_ratio``
+runs — and ``params.async_merge`` decides when a full level's
 merge lands:
 
 * COLE (Algorithm 1): inside the commit that started it, so a run a
@@ -40,7 +40,6 @@ from repro.common.errors import StorageError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
-from repro.core.compaction import make_policy
 from repro.core.compound import MAX_BLK, check_blk, compound_key
 from repro.core.cursor import ReadSource, ScanBounds, ScanTriple, scan_bounds, scan_sources
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
@@ -199,12 +198,9 @@ class Cole:
         self._run_seq = 0
         self._checkpoint_puts = 0
         self._checkpoint_blk = -1
-        # Cascade trigger policy (repro.core.compaction) and the
-        # cumulative write-amplification counters it is judged by:
-        # bytes_flushed counts L0 flush output (user bytes entering
-        # disk), bytes_rewritten counts level-merge output (the bytes
-        # the policy chose to rewrite).  Both persist in the manifest.
-        self.compaction = make_policy(self.params.compaction)
+        # Cumulative write-amplification counters: bytes_flushed counts
+        # L0 flush output (user bytes entering disk), bytes_rewritten
+        # counts level-merge output.  Both persist in the manifest.
         self.bytes_flushed = 0
         self.bytes_rewritten = 0
         self.level_bytes_rewritten: Dict[int, int] = {}
@@ -234,11 +230,13 @@ class Cole:
         exceed ``B`` by one block's worth of updates; see DESIGN.md.
 
         ``force_cascade`` overrides the capacity check (both ways).  A
-        forced cascade flushes an under-full L0 — with ``rewind_to``'s
-        rebuilt runs the only source of under-full runs, which is where
-        the compaction policies differ (``repro.core.compaction``).
-        Passing a value derived from the put stream keeps ``Hstate``
-        deterministic.
+        forced cascade flushes an under-full L0.  The engine's own commits
+        flush L0 only once it holds ``B`` pairs, so its runs are full;
+        under-full runs come only from forced cascades and from
+        ``rewind_to``, which rebuilds runs without their post-target
+        versions.  A level merges at ``size_ratio`` runs however small
+        they are (Algorithms 1 and 5).  Passing a value derived from the
+        put stream keeps ``Hstate`` deterministic.
         """
         cascade = self.needs_cascade() if force_cascade is None else force_cascade
         with self.gate.exclusive():
@@ -294,7 +292,7 @@ class Cole:
         moved = self._checkpoint_mem()
         obsolete: List[Run] = []
         index = 0
-        while index < len(self.levels) and self._overflows(index, self.levels[index].writing.runs):
+        while index < len(self.levels) and self._overflows(self.levels[index].writing.runs):
             obsolete += self._checkpoint_level(index)
             index += 1
         if moved or index:  # else a forced cascade, empty L0, nothing in flight
@@ -317,7 +315,7 @@ class Cole:
         while index < len(self.levels):
             level = self.levels[index]
             runs = level.writing.runs + landing
-            if not self._overflows(index, runs, incoming):
+            if not self._overflows(runs, incoming):
                 break
             landing = [level.pending.wait()] if level.pending is not None else []
             sources = runs + sources
@@ -350,13 +348,10 @@ class Cole:
             self.mem_writing = self._new_mem_group()
         self._commit_walk(obsolete)
 
-    def _overflows(self, index: int, runs: List[Run], incoming: int = 0) -> bool:
-        """The policy's verdict on level ``index + 1``'s writing ``runs``
-        plus, when ``incoming`` entries arrive, the one run they make."""
-        entries = sum(run.num_entries for run in runs) + incoming
-        return self.compaction.should_merge(
-            len(runs) + (incoming > 0), entries, index + 1, self.params
-        )
+    def _overflows(self, runs: List[Run], incoming: int = 0) -> bool:
+        """True when a level's writing ``runs`` plus, when ``incoming``
+        entries arrive, the one run they make reach ``size_ratio`` runs."""
+        return len(runs) + (incoming > 0) >= self.params.size_ratio
 
     def _commit_walk(self, obsolete: List[Run]) -> None:
         self._save_manifest()
@@ -689,7 +684,7 @@ class Cole:
         return max((run.level for run in runs), default=0)
 
     def compaction_stats(self) -> dict:
-        """Write-amplification accounting of the compaction policy.
+        """Write-amplification accounting of the cascade's builds.
 
         Each build counts once, when it lands: ``bytes_flushed`` if on
         level 1, else ``bytes_rewritten`` and its level's row, so their
@@ -713,7 +708,6 @@ class Cole:
             flushed = self.bytes_flushed
             rewritten = self.bytes_rewritten
         return {
-            "policy": self.params.compaction,
             "bytes_flushed": flushed,
             "bytes_rewritten": rewritten,
             "write_amp": round(rewritten / flushed, 4) if flushed else 0.0,
@@ -757,7 +751,6 @@ class Cole:
             checkpoint_puts=self._checkpoint_puts,
             next_run_seq=self._run_seq,
             async_merge=self.params.async_merge,
-            compaction=self.params.compaction,
             bytes_flushed=self.bytes_flushed,
             bytes_rewritten=self.bytes_rewritten,
             level_bytes_rewritten=dict(self.level_bytes_rewritten),
@@ -780,18 +773,6 @@ class Cole:
 
     def _recover(self) -> None:
         manifest = load_manifest(self.workspace.root)
-        # A committed store's run layout is policy-specific; reopening
-        # under a different policy would silently change where the next
-        # cascade merges and diverge Hstate across restarts.  Manifests
-        # predating the policy field were all written by leveling.
-        recorded = manifest.compaction
-        if not recorded and manifest.next_run_seq > 0:
-            recorded = "leveling"
-        if recorded and recorded != self.params.compaction:
-            raise StorageError(
-                f"workspace was committed with compaction={recorded!r}; "
-                f"reopen with the same policy (got {self.params.compaction!r})"
-            )
         self.bytes_flushed = manifest.bytes_flushed
         self.bytes_rewritten = manifest.bytes_rewritten
         self.level_bytes_rewritten = dict(manifest.level_bytes_rewritten)

@@ -36,7 +36,6 @@ import click
 
 from repro.common.errors import StorageError
 from repro.obs.registry import parse_exposition, quantile_from_buckets
-from repro.sharding import shard_dirs
 
 if TYPE_CHECKING:
     from repro.core.manifest import RunRecord
@@ -168,6 +167,7 @@ def shard_roots(workspace: str) -> List[Tuple[str, str]]:
     subdirectories (no root manifest); a single-engine workspace is its
     own root.
     """
+    from repro.cluster.manifest import shard_dirs
     from repro.core.manifest import MANIFEST_NAME
 
     names = shard_dirs(workspace)
@@ -359,7 +359,7 @@ def collect_caches(stats: dict) -> List[dict]:
 
 
 def _compaction_rows(
-    shard: str, policy: str, flushed: int, rewritten: int, levels: List[tuple]
+    shard: str, flushed: int, rewritten: int, levels: List[tuple]
 ) -> List[dict]:
     """Shared row shaping of the cold and live compaction collectors:
     one row per level plus a ``*`` summary row carrying the cumulative
@@ -370,7 +370,6 @@ def _compaction_rows(
             {
                 "shard": shard,
                 "level": level,
-                "policy": policy,
                 "runs": runs,
                 "entries": entries,
                 "bytes": size,
@@ -382,7 +381,6 @@ def _compaction_rows(
         {
             "shard": shard,
             "level": "*",
-            "policy": policy,
             "runs": sum(row[1] for row in levels),
             "entries": sum(row[2] for row in levels),
             "bytes": flushed,
@@ -394,7 +392,7 @@ def _compaction_rows(
 
 
 def collect_compaction(workspace: str) -> List[dict]:
-    """Compaction policy and write-amp accounting from cold manifests.
+    """Write-amp accounting from cold manifests.
 
     The summary row's ``bytes`` column is cumulative flush output (the
     write-amp denominator); per-level rows show the live run layout and
@@ -406,9 +404,6 @@ def collect_compaction(workspace: str) -> List[dict]:
     rows = []
     for shard, directory in shard_roots(workspace):
         manifest = load_manifest(directory)
-        policy = manifest.compaction
-        if not policy:
-            policy = "leveling" if manifest.next_run_seq > 0 else "-"
         levels = []
         for level, groups in sorted(manifest.levels.items()):
             records = [
@@ -431,7 +426,6 @@ def collect_compaction(workspace: str) -> List[dict]:
         rows.extend(
             _compaction_rows(
                 shard,
-                policy,
                 manifest.bytes_flushed,
                 manifest.bytes_rewritten,
                 levels,
@@ -454,7 +448,6 @@ def collect_compaction_live(stats: dict) -> List[dict]:
         )
     return _compaction_rows(
         "-",
-        snapshot["policy"],
         snapshot["bytes_flushed"],
         snapshot["bytes_rewritten"],
         levels,
@@ -721,12 +714,12 @@ def replication(target: QueryTarget, fmt: str) -> None:
 @format_option
 @click.pass_obj
 def compaction(target: QueryTarget, fmt: str) -> None:
-    """Compaction policy, per-level layout, cumulative write-amp.
+    """Per-level layout and cumulative write-amp.
 
     The ``*`` row totals a shard: ``bytes`` is the cumulative output of
     builds that landed on level 1, ``bytes_rewritten`` of those that
     landed deeper (together every byte written), ``write_amp`` their
-    ratio — the number the leveling/tiering trade-off moves.
+    ratio.
     """
     if target.live:
         rows = collect_compaction_live(target.stats())
@@ -734,7 +727,7 @@ def compaction(target: QueryTarget, fmt: str) -> None:
         rows = collect_compaction(target.resolve_workspace())
     emit(
         [
-            "shard", "level", "policy", "runs", "entries", "bytes",
+            "shard", "level", "runs", "entries", "bytes",
             "bytes_rewritten", "write_amp",
         ],
         rows,

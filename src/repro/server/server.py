@@ -1096,9 +1096,9 @@ class ColeServer:
                 "puts_total": engine.puts_total,
                 "storage_bytes": storage,
                 "disk_levels": engine.num_disk_levels(),
-                # Compaction-policy accounting (repro.core.compaction):
-                # cumulative flush/merge bytes and the per-level run
-                # layout behind `repro query compaction`.
+                # Write accounting (Cole.compaction_stats): cumulative
+                # flush/merge bytes and the per-level run layout behind
+                # `repro query compaction`.
                 "compaction": compaction,
                 # Where the engine lives on disk: repro query resolves a
                 # live server back to its workspace through this.

@@ -39,6 +39,7 @@ from repro.cluster import (
     plan_manifest,
     shard_dirname,
 )
+from repro.cluster.manifest import shard_of
 from repro.common.errors import StorageError
 from repro.common.hashing import hash_concat
 from repro.server import (
@@ -52,7 +53,6 @@ from repro.server import (
     protocol,
 )
 from repro.server.protocol import Cursor, Op, Status
-from repro.sharding.router import shard_of
 
 ADDR = 32
 

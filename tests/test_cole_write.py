@@ -153,9 +153,8 @@ def test_deterministic_root_digest_across_instances(tmp_path, params):
     assert run(str(tmp_path / "a")) == run(str(tmp_path / "b"))
 
 
-@pytest.mark.parametrize("policy", ["leveling", "tiering"])
 @pytest.mark.parametrize("mode", ["sync", "async"])
-def test_a_cascade_builds_one_run_and_counts_every_build_once(tmp_path, monkeypatch, mode, policy):
+def test_a_cascade_builds_one_run_and_counts_every_build_once(tmp_path, monkeypatch, mode):
     """COLE builds exactly one run per cascade with anything to build —
     its flush and the merges the same commit would merge away are never
     written.  On both engines no run file is created and unlinked within
@@ -181,7 +180,7 @@ def test_a_cascade_builds_one_run_and_counts_every_build_once(tmp_path, monkeypa
     monkeypatch.setattr(Workspace, "remove_file", spy_remove)
     params = ColeParams(
         system=SystemParams(addr_size=20, value_size=32), mem_capacity=16, size_ratio=3,
-        async_merge=mode == "async", compaction=policy,
+        async_merge=mode == "async",
     )
     cole = Cole(str(tmp_path), params)
     rng = random.Random(7)

@@ -1,22 +1,20 @@
-"""The pluggable compaction policy (leveling vs tiering).
+"""The cascade's one trigger: a level merges at ``size_ratio`` runs.
 
-The leveling policy must be *byte-identical* to the engine's historical
-behavior — two pinned root digests (sync, async) regression-pin it.
-Tiering may lay files out differently but must serve identical
-content, merge strictly less under under-full flushes, keep read fanout
-bounded, and refuse to reopen a workspace committed under the other
-policy.
+Leveling must stay *byte-identical* to the engine's historical
+behavior — two pinned root digests (sync, async) regression-pin it.  A
+workspace whose manifest records another policy is refused, and the
+write-accounting counters persist across a reopen.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
 
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
-from repro.core import COMPACTION_POLICIES, Cole, make_policy
-from repro.core.compaction import TIERING_FANOUT_FACTOR
+from repro.core import Cole
 from repro.core.manifest import MANIFEST_NAME, load_manifest
 
 SYSTEM = SystemParams(addr_size=20, value_size=24)
@@ -76,31 +74,80 @@ def test_leveling_pinned_root_async(tmp_path):
 
 
 # =============================================================================
-# the policy objects themselves
+# leveling is the one policy
 # =============================================================================
-
-def test_policy_registry():
-    assert set(COMPACTION_POLICIES) == {"leveling", "tiering"}
-    for name in COMPACTION_POLICIES:
-        assert make_policy(name).name == name
-    with pytest.raises(StorageError):
-        make_policy("lazy")
-
 
 def test_params_validate_compaction():
-    assert ColeParams(compaction="tiering").compaction == "tiering"
-    assert PARAMS.with_compaction("tiering").compaction == "tiering"
-    with pytest.raises(ValueError):
-        ColeParams(compaction="bogus")
+    assert ColeParams(compaction="leveling").compaction == "leveling"
+    for other in ("tiering", "bogus"):
+        with pytest.raises(ValueError, match="'leveling'"):
+            ColeParams(compaction=other)
 
 
 # =============================================================================
-# tiering: identical content, fewer rewritten bytes, bounded fanout
+# a workspace laid out by another policy is refused
+# =============================================================================
+
+def seed_workspace(directory: str) -> str:
+    engine = Cole(directory, PARAMS)
+    n = 0
+    for blk in range(1, 9):
+        engine.begin_block(blk)
+        for _ in range(40):
+            engine.put(addr(n), value(n, blk))
+            n += 1
+        engine.commit_block()
+    engine.wait_for_merges()
+    root = engine.root_digest().hex()
+    engine.close()
+    return root
+
+
+def edit_manifest(directory: str, **changes) -> None:
+    """Set (or, given ``None``, drop) keys of the workspace's manifest."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    for key, change in changes.items():
+        if change is None:
+            payload.pop(key, None)
+        else:
+            payload[key] = change
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+def test_reopen_with_other_policy_fails(tmp_path):
+    directory = str(tmp_path)
+    seed_workspace(directory)
+    edit_manifest(directory, compaction="tiering")
+    before = sorted(os.listdir(directory))
+    with pytest.raises(StorageError, match="repro export"):
+        Cole(directory, PARAMS)
+    assert sorted(os.listdir(directory)) == before  # no run file was discarded
+
+
+def test_legacy_manifest_defaults_to_leveling(tmp_path):
+    directory = str(tmp_path)
+    root = seed_workspace(directory)
+    # Strip the policy field, as a manifest written before the field
+    # existed would look: committed runs + no recorded policy == leveling.
+    edit_manifest(directory, compaction=None, bytes_flushed=None, bytes_rewritten=None)
+    engine = Cole(directory, PARAMS)
+    assert engine.root_digest().hex() == root
+    engine.begin_block(9)
+    engine.put(addr(0), value(0, 9))
+    engine.commit_block(force_cascade=True)
+    engine.close()
+    assert load_manifest(directory).checkpoint_blk == 9
+
+
+# =============================================================================
+# the write-accounting counters are durable
 # =============================================================================
 
 def drive_underfull(engine, blocks: int = 60, per_block: int = 13) -> dict:
-    """Force a cascade every block so under-full runs reach the levels —
-    the regime where leveling and tiering genuinely diverge."""
+    """Force a cascade every block so under-full runs reach the levels."""
     model = {}
     n = 0
     for blk in range(1, blocks + 1):
@@ -115,109 +162,6 @@ def drive_underfull(engine, blocks: int = 60, per_block: int = 13) -> dict:
         model.update(writes)
     engine.wait_for_merges()
     return model
-
-
-def test_tiering_same_content_fewer_merge_bytes(tmp_path):
-    outcomes = {}
-    for policy in ("leveling", "tiering"):
-        engine = Cole(
-            str(tmp_path / policy), PARAMS.with_compaction(policy)
-        )
-        model = drive_underfull(engine)
-        for a, expected in model.items():
-            assert engine.get(a) == expected, (policy, a.hex())
-        outcomes[policy] = engine.compaction_stats()
-        engine.close()
-    leveling, tiering = outcomes["leveling"], outcomes["tiering"]
-    # COLE builds one run per cascade: a flush that a full level 1 merges
-    # away in the same commit is never written on its own, so how the
-    # bytes split into flushed and rewritten follows the policy.  The
-    # policies are compared on every byte they wrote.
-    written = {
-        policy: stats["bytes_flushed"] + stats["bytes_rewritten"]
-        for policy, stats in outcomes.items()
-    }
-    assert written["tiering"] < written["leveling"]
-    assert tiering["bytes_rewritten"] < leveling["bytes_rewritten"]
-    assert tiering["write_amp"] < leveling["write_amp"]
-    assert tiering["policy"] == "tiering"
-    assert leveling["policy"] == "leveling"
-
-
-def test_tiering_fanout_stays_bounded(tmp_path):
-    # Tiny forced flushes pile runs into L1 far below its entry
-    # capacity; the fanout cap must trigger a merge before a group
-    # grows past TIERING_FANOUT_FACTOR * T runs.
-    params = ColeParams(
-        system=SYSTEM, mem_capacity=64, size_ratio=2, compaction="tiering"
-    )
-    engine = Cole(str(tmp_path), params)
-    cap = TIERING_FANOUT_FACTOR * params.size_ratio
-    max_runs = 0
-    n = 0
-    for blk in range(1, 81):
-        engine.begin_block(blk)
-        for _ in range(4):
-            engine.put(addr(n), value(n, blk))
-            n += 1
-        engine.commit_block(force_cascade=True)
-        if engine.levels:
-            max_runs = max(max_runs, len(engine.levels[0].writing))
-    engine.close()
-    assert max_runs <= cap
-    # The cap must actually have been the trigger: the workload keeps
-    # entries below L1's capacity, so without the cap runs would pile up
-    # unboundedly.
-    assert max_runs >= cap - 1
-
-
-# =============================================================================
-# the policy is a durable property of the workspace
-# =============================================================================
-
-def seed_workspace(directory: str, compaction: str = "leveling") -> str:
-    engine = Cole(directory, PARAMS.with_compaction(compaction))
-    n = 0
-    for blk in range(1, 9):
-        engine.begin_block(blk)
-        for _ in range(40):
-            engine.put(addr(n), value(n, blk))
-            n += 1
-        engine.commit_block()
-    engine.wait_for_merges()
-    root = engine.root_digest().hex()
-    engine.close()
-    return root
-
-
-def test_reopen_with_other_policy_fails(tmp_path):
-    directory = str(tmp_path)
-    seed_workspace(directory, "leveling")
-    with pytest.raises(StorageError, match="compaction='leveling'"):
-        Cole(directory, PARAMS.with_compaction("tiering"))
-    # The recorded policy still opens fine.
-    Cole(directory, PARAMS).close()
-
-
-def test_legacy_manifest_defaults_to_leveling(tmp_path):
-    import json
-
-    directory = str(tmp_path)
-    seed_workspace(directory, "leveling")
-    # Strip the policy field, as a manifest written before this release
-    # would look: committed runs + no recorded policy == leveling.
-    path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    for key in ("compaction", "bytes_flushed", "bytes_rewritten"):
-        payload.pop(key, None)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    with pytest.raises(StorageError):
-        Cole(directory, PARAMS.with_compaction("tiering"))
-    engine = Cole(directory, PARAMS)
-    assert engine.compaction_stats()["policy"] == "leveling"
-    engine.close()
 
 
 def test_counters_persist_across_reopen(tmp_path):
@@ -236,7 +180,6 @@ def test_counters_persist_across_reopen(tmp_path):
     assert after["bytes_rewritten"] == before["bytes_rewritten"]
 
     manifest = load_manifest(directory)
-    assert manifest.compaction == "leveling"
     assert manifest.bytes_flushed == before["bytes_flushed"]
     assert manifest.bytes_rewritten == before["bytes_rewritten"]
 

@@ -6,8 +6,7 @@ each step of a cascade as its own run):
 
     PYTHONPATH=<52a083f checkout>/src python tests/test_cross_mode_golden.py
 
-For both compaction policies one seeded stream runs three phases on one
-workspace: COLE* (``async_merge=True``), closed with merges in flight;
+One seeded stream runs three phases on one workspace: COLE* (``async_merge=True``), closed with merges in flight;
 reopened as COLE, which restarts those merges inline and lands each at
 its level's next overflow; closed again and reopened as COLE*.  Each
 reopen replays the lost L0 from ``checkpoint_blk``, as the WAL layer
@@ -15,7 +14,8 @@ does.  Per commit the fixture holds ``root_digest``, the
 ``root_hash_list`` labels, the manifest's level layout and the sorted
 workspace file names (the last three only when they changed).  The
 manifest bytes are not pinned: its write-amplification counters count
-builds, not layout.
+builds, not layout.  The fixture's one key, ``leveling``, names the
+policy: it was recorded when a second one, ``tiering``, existed.
 """
 
 import json
@@ -31,21 +31,20 @@ from repro.core import Cole
 from test_cascade_golden import _manifest_state
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "cross_mode_golden.json")
-POLICIES = ("leveling", "tiering")
+FIXTURE_KEY = "leveling"
 PHASES = (("async", 70), ("sync", 70), ("async", 40))  # (mode, blocks)
 
 
-def make_params(mode: str, policy: str) -> ColeParams:
+def make_params(mode: str) -> ColeParams:
     return ColeParams(
         system=SystemParams(addr_size=20, value_size=32),
         mem_capacity=16,
         size_ratio=3,
         async_merge=mode == "async",
-        compaction=policy,
     )
 
 
-def record(policy: str, directory: str) -> dict:
+def record(directory: str) -> dict:
     """Drive the seeded stream; returns ``{"events": [...], "steps": [...]}``."""
     rng = random.Random(49)
     pool = [rng.randbytes(20) for _ in range(64)]
@@ -74,7 +73,7 @@ def record(policy: str, directory: str) -> dict:
         steps.append(entry)
 
     for phase, (mode, blocks) in enumerate(PHASES):
-        params = make_params(mode, policy)
+        params = make_params(mode)
         if cole is not None:
             if mode == "sync":
                 assert any(level.merging.runs for level in cole.levels), (
@@ -112,11 +111,8 @@ def record(policy: str, directory: str) -> dict:
 
 
 def record_all() -> dict:
-    golden = {}
-    for policy in POLICIES:
-        with tempfile.TemporaryDirectory() as directory:
-            golden[policy] = record(policy, directory)
-    return golden
+    with tempfile.TemporaryDirectory() as directory:
+        return {FIXTURE_KEY: record(directory)}
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +121,9 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_cross_mode_stream_reproduces_golden(tmp_path, golden, policy):
-    expected = golden[policy]
-    got = json.loads(json.dumps(record(policy, str(tmp_path))))
+def test_cross_mode_stream_reproduces_golden(tmp_path, golden):
+    expected = golden[FIXTURE_KEY]
+    got = json.loads(json.dumps(record(str(tmp_path))))
     assert got["events"] == expected["events"]
     for step, (mine, theirs) in enumerate(zip(got["steps"], expected["steps"]), 1):
         assert mine == theirs, f"step {step} ({expected['events'][step - 1]})"

@@ -5,8 +5,7 @@ Scans are verified against a brute-force in-memory model of the full
 write history (``addr -> {blk: value}``): for any address range, block
 height, and limit, the model computes the exact live-version result the
 engine must return, byte for byte — latest scans, historical ``at_blk``
-scans, paging by limit + continuation, both compaction layouts, and scans
-after a rewind.
+scans, paging by limit + continuation, and scans after a rewind.
 """
 
 import random
@@ -207,18 +206,10 @@ def _assert_scan_parity(engine, history, addrs, top_blk, rng, trials=120):
         )
 
 
-# Leveling is the default policy, so its ids stay the bare async flag.
-# Fed only full L0 flushes, tiering lays runs out as leveling does; its
-# under-full, many-run levels show up after a rewind (below).
-@pytest.mark.parametrize(
-    "compaction, async_merge",
-    [("leveling", False), ("leveling", True), ("tiering", False), ("tiering", True)],
-    ids=["False", "True", "tiering-False", "tiering-True"],
-)
-def test_cole_scan_matches_model(tmp_path, compaction, async_merge):
+@pytest.mark.parametrize("async_merge", [False, True])
+def test_cole_scan_matches_model(tmp_path, async_merge):
     rng = random.Random(11 + async_merge)
-    params = PARAMS.with_async(async_merge).with_compaction(compaction)
-    engine = Cole(str(tmp_path / "ws"), params)
+    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(async_merge))
     history = History()
     addrs, top = _load(engine, history, rng)
     try:
@@ -234,12 +225,10 @@ def test_cole_scan_matches_model(tmp_path, compaction, async_merge):
         engine.close()
 
 
-@pytest.mark.parametrize("compaction", ["leveling", "tiering"])
-def test_scan_after_rewind_matches_truncated_model(tmp_path, compaction):
-    """Rewinding filters runs into under-full ones, which tiering then
-    stacks in one level."""
+def test_scan_after_rewind_matches_truncated_model(tmp_path):
+    """Rewinding filters runs into under-full ones."""
     rng = random.Random(41)
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_compaction(compaction))
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
     history = History()
     addrs, top = _load(engine, history, rng, blocks=30)
     try:

@@ -55,7 +55,6 @@ SMOKE = {
                   blocks=48, puts_per_block=128, scans_per_point=120, repeats=1),
     "fig21": dict(node_counts=(2,), writers_per_node=2, writes_per_writer=20,
                   num_keys=64, load_waves=2),
-    "fig22": dict(size_ratios=(4,), blocks=60, puts_per_block=16, reads=40),
     "table1": dict(heights=(150,), num_accounts=20),
     "index-share": dict(heights=(10,), num_accounts=10),
     "multi-get": dict(batch_sizes=(1, 16), clients=4, ops_per_client=60,
@@ -124,19 +123,6 @@ IN_PROCESS = {
         ("scan_len", "scans", "entries", "scans_per_s", "entries_per_s"),
         ("scan_len", "scans", "entries"),
         [(8, 120, 566), (64, 120, 4082)],
-    ),
-    "fig22": (
-        ("policy", "size_ratio", "bytes_flushed", "bytes_rewritten", "write_amp",
-         "disk_runs", "puts_per_s", "get_p50_us", "get_p99_us",
-         "content_mismatches", "root"),
-        ("policy", "bytes_flushed", "bytes_rewritten", "disk_runs",
-         "content_mismatches", "root"),
-        # One engine flushes only full L0s: both policies lay out the
-        # same runs, byte for byte.
-        [
-            ("leveling", 197841, 86753, 6, 0, "f7f4ec4f5c769c54"),
-            ("tiering", 197841, 86753, 6, 0, "f7f4ec4f5c769c54"),
-        ],
     ),
     "table1": (
         ("engine", "blocks", "storage_bytes", "write_io_per_tx",

@@ -1,12 +1,14 @@
-"""The manifest's ``format`` guard and its error taxonomy.
+"""The manifest's ``format`` and ``compaction`` guards and its error taxonomy.
 
 Format 2 run files pack a Merkle file's layers back to back and end an
 index file with its layer table.  A manifest without ``format`` that
 names runs describes page-aligned files this build does not read, and
-every door that opens a manifest refuses it, naming ``repro export`` /
-``repro import``: the engine, a ``repro`` workspace verb and
-``restore_store``, the last before it lays out any file.  Any other
-text that is not a manifest raises ``StorageError`` naming the file.
+one recording ``"compaction": "tiering"`` runs laid out by a policy this
+build does not have.  Every door that opens a manifest refuses either,
+naming ``repro export`` / ``repro import``: the engine, a ``repro``
+workspace verb and ``restore_store``, the last before it lays out any
+file.  Any other text that is not a manifest raises ``StorageError``
+naming the file.
 """
 
 import json
@@ -37,25 +39,44 @@ def load_blocks(engine, blocks=12):
         engine.commit_block()
 
 
-def drop_format(path):
-    """Rewrite the manifest at ``path`` as a build before format 2 wrote it."""
+def drop_format(payload):
+    """The manifest as a build before format 2 wrote it."""
+    del payload["format"]
+
+
+def record_tiering(payload):
+    """The manifest as a build with the ``tiering`` policy wrote it."""
+    payload["compaction"] = "tiering"
+
+
+def rewrite_manifest(path, edit):
     with open(path) as handle:
         payload = json.load(handle)
-    del payload["format"]
+    edit(payload)
     with open(path, "w") as handle:
         json.dump(payload, handle)
+
+
+def closed_store(directory, edit):
+    """A closed workspace with committed runs and an ``edit``ed manifest."""
+    engine = Cole(directory, PARAMS)
+    load_blocks(engine)
+    assert engine.levels
+    engine.close()
+    rewrite_manifest(os.path.join(directory, MANIFEST_NAME), edit)
+    return directory
 
 
 @pytest.fixture
 def old_store(tmp_path):
     """A closed workspace with committed runs and no manifest ``format``."""
-    directory = str(tmp_path / "ws")
-    engine = Cole(directory, PARAMS)
-    load_blocks(engine)
-    assert engine.levels
-    engine.close()
-    drop_format(os.path.join(directory, MANIFEST_NAME))
-    return directory
+    return closed_store(str(tmp_path / "ws"), drop_format)
+
+
+@pytest.fixture
+def tiering_store(tmp_path):
+    """A closed workspace with committed runs laid out by ``tiering``."""
+    return closed_store(str(tmp_path / "ws"), record_tiering)
 
 
 VALID = json.loads(Manifest(levels={1: {"writing": [], "merging": []}}).to_json())
@@ -116,16 +137,32 @@ def test_a_workspace_verb_exits_1_naming_export(old_store, capsys, verb):
     assert "StorageError" in err and "repro export" in err and "repro import" in err
 
 
-def test_restore_refuses_a_formatless_snapshot_before_laying_out_files(tmp_path):
+def test_a_tiering_manifest_without_runs_opens(tmp_path):
+    payload = dict(VALID, levels={}, compaction="tiering")
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
+    engine = Cole(str(tmp_path), PARAMS)
+    load_blocks(engine, blocks=4)  # one flush: the manifest is rewritten
+    assert engine.levels
+    engine.close()
+    assert json.loads((tmp_path / MANIFEST_NAME).read_text())["compaction"] == "leveling"
+
+
+def test_query_levels_exits_1_on_a_tiering_manifest(tiering_store, capsys):
+    assert main(["query", "-w", tiering_store, "levels"]) == 1
+    err = capsys.readouterr().err
+    assert "StorageError" in err and "repro export" in err and "repro import" in err
+
+
+def edited_snapshot(tmp_path, edit):
+    """A snapshot whose manifest is ``edit``ed, with the manifest's size
+    and crc32 in SNAPSHOT.json updated to match."""
     engine = Cole(str(tmp_path / "ws"), PARAMS)
     load_blocks(engine)
     snapshot = str(tmp_path / "snap")
     snapshot_store(engine, snapshot)
     engine.close()
-    # The snapshot of a store written before format 2: its manifest and
-    # the manifest's size and crc32 in SNAPSHOT.json.
     manifest_path = os.path.join(snapshot, MANIFEST_NAME)
-    drop_format(manifest_path)
+    rewrite_manifest(manifest_path, edit)
     meta_path = os.path.join(snapshot, SNAPSHOT_META_NAME)
     with open(meta_path) as handle:
         meta = json.load(handle)
@@ -134,7 +171,20 @@ def test_restore_refuses_a_formatless_snapshot_before_laying_out_files(tmp_path)
     meta["files"][MANIFEST_NAME].update(size=len(raw), crc32=zlib.crc32(raw))
     with open(meta_path, "w") as handle:
         json.dump(meta, handle)
+    return snapshot
+
+
+def assert_restore_refuses(tmp_path, edit):
+    snapshot = edited_snapshot(tmp_path, edit)
     dest = str(tmp_path / "restored")
     with pytest.raises(StorageError, match="repro export"):
         restore_store(snapshot, dest)
     assert not os.path.exists(dest)
+
+
+def test_restore_refuses_a_formatless_snapshot_before_laying_out_files(tmp_path):
+    assert_restore_refuses(tmp_path, drop_format)
+
+
+def test_restore_refuses_a_tiering_snapshot_before_laying_out_files(tmp_path):
+    assert_restore_refuses(tmp_path, record_tiering)

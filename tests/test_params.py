@@ -32,24 +32,6 @@ def test_invalid_addr_size_rejected():
         SystemParams(addr_size=0)
 
 
-def test_level_capacity_grows_exponentially():
-    params = ColeParams(mem_capacity=100, size_ratio=4)
-    assert params.level_capacity(1) == 400
-    assert params.level_capacity(2) == 1600
-    assert params.level_capacity(3) == 6400
-
-
-def test_run_size_is_level_capacity_of_previous():
-    params = ColeParams(mem_capacity=100, size_ratio=4)
-    assert params.run_size(1) == 100
-    assert params.run_size(2) == 400
-
-
-def test_level_capacity_rejects_level_zero():
-    with pytest.raises(ValueError):
-        ColeParams().level_capacity(0)
-
-
 def test_with_async_flag():
     params = ColeParams()
     assert not params.async_merge

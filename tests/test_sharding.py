@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.sharding import shard_dirname, shard_dirs, shard_of
+from repro.cluster.manifest import shard_dirname, shard_dirs, shard_of
 
 ADDR_SIZE = 32
 
