@@ -111,19 +111,8 @@ def _errors(rows: Rows) -> float:
     return sum(row["errors"] for row in rows)
 
 
-def _roots_per_replica(rows: Rows) -> float:
-    replicated = [row for row in rows if row["replicas"]]
-    if not replicated:
-        raise NotMeasured("replicas")
-    return min(row["roots_checked"] / row["replicas"] for row in replicated)
-
-
-def _replica_steps(rows: Rows) -> float:
-    """Smallest step in aggregate reads/s from one replica count to the next."""
-    spread(rows, "replicas")
-    ordered = sorted(rows, key=lambda row: row["replicas"])
-    return min(later["agg_reads_per_s"] / earlier["agg_reads_per_s"]
-               for earlier, later in zip(ordered, ordered[1:]))
+def _roots_per_node(rows: Rows) -> float:
+    return min(row["roots_checked"] / row["nodes"] for row in rows)
 
 
 CLAIMS = (
@@ -199,16 +188,10 @@ CLAIMS = (
           lambda r: at(r, policy="always")["syncs_per_put"]
           - at(r, policy="batch")["syncs_per_put"],
           ">", 0.0, False),
-    Claim("fig19", "root checks per replica, fewest",
-          _roots_per_replica, ">=", 1.0, True),
-    Claim("fig19", "aggregate reads/s, smallest step to more replicas",
-          _replica_steps, ">", 1.0, False),
+    Claim("fig19", "root checks per node, fewest", _roots_per_node, ">=", 1.0, True),
     Claim("fig20", "single-engine entries/s, longest / shortest scans",
           lambda r: growth(r, "entries_per_s", "scan_len"), ">", 1.0, False),
-    Claim("fig21", "composite roots unequal to the per-shard oracle",
-          lambda r: sum(not row["oracle_match"] for row in r), "==", 0, True),
-    Claim("fig21", "aggregate writes/s, most / fewest nodes",
-          lambda r: growth(r, "agg_writes_per_s", "nodes"), ">", 1.0, False),
+    Claim("fig21", "root checks per node, fewest", _roots_per_node, ">=", 1.0, True),
     # -- hot-path extensions ---------------------------------------------------
     Claim("multi-get", "keys/s of the largest batch over single GETs",
           lambda r: versus(r, "keys_per_s", "batch", top(r, "batch"), 1), ">=", 2.0, False),

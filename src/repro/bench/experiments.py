@@ -11,16 +11,16 @@ An experiment is a **selection and a projection** over one driver's
 rows: :data:`EXPERIMENTS` names every experiment, the driver arguments
 that select its points and the columns it keeps.  Figs 9-13, Table 1 and
 the index share are one chain sweep, figs 14-15 one provenance sweep,
-figs 17-18 one served sweep.  Every driver returns a list of result rows
-(dictionaries) and can be run at any scale; an experiment's registered
-arguments over its driver's defaults are its one **figure scale**, sized
-for minutes, not hours, on a laptop (the paper's 10^2..10^5 block sweep
-becomes 10^1..10^3 at 10 tx/block).  ``repro experiment NAME`` and
-``benchmarks/bench_figures.py`` both run :func:`run_experiment`
-``(NAME)``, so the command runs exactly the experiment whose claims
-(:mod:`repro.bench.claims`) the benchmark asserts.  README.md's
-"Benchmarks and experiments" table maps every name to its figure,
-driver and sweep parameters.
+figs 17-18 one served sweep and figs 19 and 21 one process sweep.  Every
+driver returns a list of result rows (dictionaries) and can be run at
+any scale; an experiment's registered arguments over its driver's
+defaults are its one **figure scale**, sized for minutes, not hours, on
+a laptop (the paper's 10^2..10^5 block sweep becomes 10^1..10^3 at 10
+tx/block).  ``repro experiment NAME`` and ``benchmarks/bench_figures.py``
+both run :func:`run_experiment` ``(NAME)``, so the command runs exactly
+the experiment whose claims (:mod:`repro.bench.claims`) the benchmark
+asserts.  README.md's "Benchmarks and experiments" table maps every name
+to its figure, driver and sweep parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import gc
 import itertools
-import json
 import os
 import random
 import re
@@ -39,6 +38,7 @@ import sys
 import threading
 import time
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
@@ -54,19 +54,21 @@ from repro.bench.harness import (
 from repro.bench.report import percentile
 from repro.chain.contracts import KVStoreContract, SmallBankContract
 from repro.cluster import plan_manifest
-from repro.common.hashing import hash_bytes, hash_concat
+from repro.common.hashing import hash_bytes
 from repro.common.params import ColeParams
 from repro.core import Cole, verify_provenance
 from repro.diskio.iostats import IOStats
 from repro.server import (
+    KVClient,
     LoadgenParams,
     ServerClient,
     ServerConfig,
     ServerThread,
+    client_ops,
     connect,
-    run_loadgen_sync,
+    run_loadgen,
 )
-from repro.server.loadgen import key_addr
+from repro.server.loadgen import ClientOp, key_addr, run_streams, write_value
 from repro.wal import WriteAheadLog
 from repro.workloads import (
     Mix,
@@ -198,7 +200,7 @@ def drive(thread: ServerThread, **loadgen_fields):
     params = LoadgenParams(
         addr_size=ADDR_SIZE, value_size=VALUE_SIZE, seed=SEED, **loadgen_fields
     )
-    return run_loadgen_sync(thread.server.host, thread.server.port, params)
+    return asyncio.run(run_loadgen(thread.server.host, thread.server.port, params))
 
 
 def timed(loop: Callable[[], object]) -> float:
@@ -419,51 +421,41 @@ def run_served_sweep(
 
 
 # =============================================================================
-# Figures 19 & 21 (extensions): subprocess clusters
+# Figures 19 & 21 (extensions): one sweep over replica sets and clusters
 # =============================================================================
 
-def _cli_env() -> Dict[str, str]:
-    """The environment under which ``python -m repro.cli`` finds this tree."""
-    src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _spawn_cli_process(argv: Sequence[str], timeout_s: float = 60.0):
-    """Start ``repro.cli`` in a subprocess and wait for its readiness line.
+def _spawn_cli_process(procs: List[subprocess.Popen], *argv: str, timeout_s: float = 60.0) -> str:
+    """Start ``repro.cli`` in a subprocess registered in ``procs`` and
+    return the ``host:port`` of its readiness line.
 
     Subprocesses (not threads) on purpose: scaling across servers is a
     claim about independent engines on independent cores, which the GIL
     would flatten inside one interpreter.  Both ``repro serve`` and
     ``repro cluster serve`` print the same ``serving ... on HOST:PORT``
-    line once every port is bound; returns ``(proc, host, port)``.
+    line once every port is bound.
     """
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=_cli_env(),
-    )
+    src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "repro.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    procs.append(proc)
     lines: List[str] = []
-    found: Dict[str, object] = {}
+    found: List[str] = []
     ready = threading.Event()
 
     def pump() -> None:
         for line in proc.stdout:
             lines.append(line)
-            match = re.search(r"serving .* on ([\d.]+):(\d+)", line)
-            if match and "port" not in found:
-                found["host"], found["port"] = match.group(1), int(match.group(2))
+            match = re.search(r"serving .* on ([\d.]+:\d+)", line)
+            if match and not found:
+                found.append(match.group(1))
                 ready.set()
         ready.set()  # EOF: unblock the waiter either way
 
     threading.Thread(target=pump, daemon=True).start()
-    if not ready.wait(timeout=timeout_s) or "port" not in found:
-        proc.kill()
+    if not ready.wait(timeout=timeout_s) or not found:
         raise RuntimeError(f"server never came up:\n{''.join(lines)}")
-    return proc, found["host"], found["port"]
+    return found[0]
 
 
 @contextmanager
@@ -485,134 +477,10 @@ def process_cell() -> Iterator[Tuple[str, List[subprocess.Popen]]]:
         shutil.rmtree(base, ignore_errors=True)
 
 
-def _payload(tag: int, index: int) -> bytes:
-    """Deterministic value for the ``index``-th write of stream ``tag``."""
-    head = hash_bytes(f"v:{tag}:{index}".encode())
-    return (head + hash_bytes(head))[:VALUE_SIZE]
-
-
-def _load_waves(num_keys: int, load_waves: int) -> List[Batch]:
-    """The key space ``key_addr(0..num_keys)`` split into equal waves."""
-    per_wave = (num_keys + load_waves - 1) // load_waves
-    return [
-        [
-            (key_addr(rank, ADDR_SIZE), _payload(SEED, rank))
-            for rank in range(wave * per_wave, min((wave + 1) * per_wave, num_keys))
-        ]
-        for wave in range(load_waves)
-    ]
-
-
-def run_read_scaling(
-    replica_counts: Sequence[int] = (0, 1, 3),
-    readers_per_node: int = 8,
-    reads_per_reader: int = 300,
-    num_keys: int = 1024,
-    load_waves: int = 3,
-) -> List[Row]:
-    """Figure 19 (new): aggregate read throughput vs live replica count.
-
-    For each replica count: one primary process (``repro serve --wal``)
-    plus that many replica processes subscribe to its WAL stream; the
-    key space is loaded in waves, and after each wave's group commit
-    every replica is polled until it reaches the committed height and
-    its ``ROOT`` digest is asserted **byte-identical** to the primary's
-    — COLE's deterministic checkpoints make root equality the
-    replication correctness oracle.  Then a read-only closed-loop load
-    generator process saturates each serving node (primary included)
-    **one node at a time**, and the aggregate reads/s is the sum of the
-    per-node rates: each node is its own process with its own engine, so
-    per-node capacity measured in isolation is what a deployment with
-    one node per machine aggregates — while driving all nodes at once on
-    a small shared CI host would only measure that host's core budget.
-
-    Reported per point: nodes, aggregate reads/s, the slowest node's
-    rate, the number of height/root equality checks that passed, and the
-    maximum replica lag observed while loading.
-    """
-    waves = _load_waves(num_keys, load_waves)
-
-    def serve(workspace: str, *flags: str) -> Tuple[subprocess.Popen, Tuple[str, int]]:
-        proc, host, port = _spawn_cli_process(["serve", workspace, "--port", "0", *flags])
-        return proc, (host, port)
-
-    async def load_and_verify(endpoints) -> Tuple[int, int]:
-        roots_checked = max_lag = 0
-        async with ServerClient(*endpoints[0]) as writer:
-            for batch in waves:
-                for addr, value in batch:
-                    await writer.put(addr, value)
-                info = await writer.flush()
-                for rhost, rport in endpoints[1:]:
-                    async with ServerClient(rhost, rport) as reader:
-                        for _ in range(600):
-                            lag = info.height - (await reader.root()).height
-                            max_lag = max(max_lag, lag)
-                            if lag <= 0:
-                                break
-                            await asyncio.sleep(0.02)
-                        rinfo = await reader.root()
-                    if rinfo.height != info.height:
-                        raise RuntimeError(
-                            f"replica {rhost}:{rport} stuck at "
-                            f"height {rinfo.height} < {info.height}"
-                        )
-                    if rinfo.digest != info.digest:
-                        raise RuntimeError(f"root mismatch at height {info.height}")
-                    roots_checked += 1
-        return roots_checked, max_lag
-
-    def saturate(index: int, host: str, port: int) -> dict:
-        """One read-only ``repro loadgen --json`` process against one node."""
-        run = subprocess.run(
-            [
-                sys.executable, "-u", "-m", "repro.cli", "loadgen",
-                "--host", host, "--port", str(port),
-                "--clients", str(readers_per_node), "--ops", str(reads_per_reader),
-                "--read-fraction", "1.0", "--num-keys", str(num_keys),
-                "--seed", str(SEED + index), "--json",
-            ],
-            capture_output=True, text=True, env=_cli_env(), timeout=300,
-        )
-        if run.returncode != 0:
-            raise RuntimeError(
-                f"loadgen failed (rc={run.returncode}):\n{run.stdout}\n{run.stderr}"
-            )
-        return json.loads(run.stdout)
-
-    rows: List[Row] = []
-    for replicas in replica_counts:
-        with process_cell() as (base, procs):
-            proc, primary = serve(f"{base}/primary", "--wal", *SERVED_CLI_FLAGS)
-            procs.append(proc)
-            endpoints = [primary]
-            for index in range(replicas):
-                proc, endpoint = serve(
-                    f"{base}/replica-{index}", "--replica-of", "%s:%d" % primary
-                )
-                procs.append(proc)
-                endpoints.append(endpoint)
-            roots_checked, max_lag = asyncio.run(load_and_verify(endpoints))
-            # Saturate one node at a time (see docstring); the aggregate
-            # is the sum of isolated per-node rates.
-            reports = [saturate(index, *endpoint) for index, endpoint in enumerate(endpoints)]
-            per_node = [report["ops_per_s"] for report in reports]
-            rows.append({"replicas": replicas, "nodes": len(endpoints),
-                         "reads": sum(report["ops"] for report in reports),
-                         "agg_reads_per_s": sum(per_node),
-                         "reads_per_s_per_node": min(per_node),
-                         "roots_checked": roots_checked,
-                         "max_lag_blocks": max_lag})
-    return rows
-
-
 def _free_ports(count: int) -> List[int]:
-    """``count`` currently-free TCP ports, all distinct.
-
-    Held open simultaneously while probing so the OS cannot hand the
-    same port out twice; a server binding one immediately after is the
-    usual (benign) probe race every ephemeral-port harness accepts.
-    """
+    """``count`` distinct free TCP ports, held open together while probing
+    so the OS cannot hand one out twice (a server binding one right after
+    is the benign probe race every ephemeral-port harness accepts)."""
     sockets = []
     try:
         for _ in range(count):
@@ -625,122 +493,171 @@ def _free_ports(count: int) -> List[int]:
             sock.close()
 
 
-def run_cluster_scaling(
-    node_counts: Sequence[int] = (1, 4),
-    writers_per_node: int = 8,
-    writes_per_writer: int = 300,
-    num_keys: int = 2048,
-    load_waves: int = 4,
-) -> List[Row]:
-    """Figure 21 (new): aggregate write throughput vs cluster node count.
+#: What a spawn step returns: the client the waves are written through,
+#: every serving node as ``(address, shard it serves)``, and the routing
+#: of a key to its shard.
+Spawned = Tuple[Callable[[], KVClient], List[Tuple[str, int]], Callable[[bytes], int]]
 
-    For each N: an N-node cluster (one shard per node, one ``repro
-    cluster serve`` *process* per node) is initialised from a manifest
-    and loaded through the manifest-routed :func:`repro.server.connect`
-    client in deterministic waves — one ``multi_put`` + ``flush`` per
-    wave, so every shard commits exactly one block per wave.  The
-    cluster's composite ``ROOT`` is then asserted **byte-identical** to
-    an in-process oracle: one local :class:`~repro.core.Cole` per shard
-    fed exactly that shard's share of each wave (the same crc32 routing)
-    and committed on the same block boundaries.  COLE's commit
-    checkpoints are deterministic functions of the per-shard put stream,
-    so the served cluster must agree with the oracle digest-for-digest
-    or it lost or misrouted a write.
 
-    **Measurement model** (the fig19 idiom): a closed-loop writer cohort
-    then saturates each shard server **one node at a time**, using only
-    keys that shard owns, and the aggregate writes/s is the sum of the
-    isolated per-node rates — each node is its own process with its own
-    engine and WAL, so per-node capacity measured in isolation is what a
-    one-node-per-machine deployment aggregates, while driving all nodes
-    at once on a small shared CI host would only measure that host's
-    core budget.
-    """
-    waves = _load_waves(num_keys, load_waves)
-    writes_per_node = writers_per_node * writes_per_writer
+def _spawn_replica_set(base: str, procs: List[subprocess.Popen], nodes: int) -> Spawned:
+    """``repro serve --wal`` and ``nodes - 1`` replicas of it: one shard,
+    which every node serves."""
+    primary = _spawn_cli_process(procs, "serve", f"{base}/primary", "--port", "0", "--wal",
+                                 *SERVED_CLI_FLAGS)
+    replicas = [_spawn_cli_process(procs, "serve", f"{base}/replica-{index}", "--port", "0",
+                                   "--replica-of", primary) for index in range(nodes - 1)]
+    return (lambda: connect(primary), [(address, 0) for address in (primary, *replicas)],
+            lambda addr: 0)
 
-    async def load_cluster(manifest_path: str):
-        async with connect(manifest_file=manifest_path) as client:
-            for batch in waves:
-                await client.multi_put(batch)
-                # Explicit group commit: the wave is one block on
-                # every shard, matching the oracle's boundaries.
-                await client.flush()
-            return await client.root()
 
-    def oracle_digest(base: str, manifest, shard_id: int) -> bytes:
-        oracle = Cole(
-            f"{base}/oracle-{shard_id}", ColeParams(async_merge=True, mem_capacity=512)
-        )
+def _spawn_cluster(base: str, procs: List[subprocess.Popen], nodes: int) -> Spawned:
+    """A manifest of ``nodes`` one-shard nodes and one ``repro cluster
+    serve`` process per node; the waves go through the manifest-routed
+    client."""
+    ports = _free_ports(2 * nodes)
+    manifest = plan_manifest(nodes, nodes).with_addresses(
+        {shard: f"127.0.0.1:{ports[2 * shard]}" for shard in range(nodes)}
+    )
+    for index in range(nodes):
+        manifest = manifest.with_control(f"node-{index}", f"127.0.0.1:{ports[2 * index + 1]}")
+    manifest_path = f"{base}/manifest.json"
+    manifest.save(manifest_path)
+    for index in range(nodes):
+        _spawn_cli_process(procs, "cluster", "serve", f"{base}/node-{index}", "--node",
+                           f"node-{index}", "-m", manifest_path, *SERVED_CLI_FLAGS)
+    return (lambda: connect(manifest_file=manifest_path),
+            [(manifest.address_of(shard), shard) for shard in range(nodes)], manifest.shard_for)
+
+
+def _read_streams(params: LoadgenParams, owned: List[bytes]) -> List[List[ClientOp]]:
+    """A replica set's node serves the load generator's GETs over the
+    whole key space."""
+    reads = replace(params, read_fraction=1.0)
+    return [client_ops(reads, client) for client in range(params.clients)]
+
+
+def _owned_put_streams(params: LoadgenParams, owned: List[bytes]) -> List[List[ClientOp]]:
+    """A shard node takes PUTs of the keys its shard owns; client ``c``
+    walks them from the ``c * ops``-th on."""
+    ops = params.ops_per_client
+    return [[("put", owned[(client * ops + index) % len(owned)], write_value(SEED + 1, index, VALUE_SIZE))
+             for index in range(ops)] for client in range(params.clients)]
+
+
+#: topology -> (spawn step, per-node op streams): the only two steps of
+#: :func:`run_process_sweep` that differ between a replica set and a cluster.
+TOPOLOGIES = {
+    "replicas": (_spawn_replica_set, _read_streams),
+    "cluster": (_spawn_cluster, _owned_put_streams),
+}
+
+
+def _oracle_roots(base: str, waves: Sequence[Batch], shard_of: Callable[[bytes], int],
+                  shards: int) -> List[List[Tuple[int, bytes]]]:
+    """Per shard, the ``(height, root)`` a node serving it must report
+    after each wave: one in-process engine per shard, configured as
+    ``repro serve`` opens one, fed the shard's share of each wave as one
+    block."""
+    expected = []
+    for shard in range(shards):
+        oracle = Cole(f"{base}/oracle-{shard}", ColeParams(async_merge=True, mem_capacity=512))
         try:
-            # A shard commits no block for a wave that routed it nothing.
-            load_stream(oracle, [
-                bucket for batch in waves
-                if (bucket := [put for put in batch
-                               if manifest.shard_for(put[0]) == shard_id])
-            ])
-            return oracle.root_digest()
+            roots = []
+            for batch in waves:
+                share = [put for put in batch if shard_of(put[0]) == shard]
+                if share:  # a shard commits no block for a wave that routed it nothing
+                    oracle.begin_block(oracle.last_blk + 1)
+                    oracle.put_many(share)
+                    oracle.commit_block()
+                roots.append((oracle.last_blk, bytes(oracle.root_digest())))
+            expected.append(roots)
         finally:
             oracle.close()
+    return expected
 
-    async def saturate(address: str, keys: List[bytes]) -> float:
-        async with connect(address) as client:
-            async def writer(writer_id: int) -> None:
-                for index in range(writes_per_writer):
-                    rank = (writer_id * writes_per_writer + index) % len(keys)
-                    await client.put(keys[rank], _payload(SEED + 1, index))
 
-            start = time.perf_counter()
-            await asyncio.gather(*(writer(w) for w in range(writers_per_node)))
-            return writes_per_node / (time.perf_counter() - start)
+async def _load_and_check(writer_client: Callable[[], KVClient], nodes: List[Tuple[str, int]],
+                          waves: Sequence[Batch],
+                          expected: List[List[Tuple[int, bytes]]]) -> Tuple[int, int]:
+    """Write each wave as one ``multi_put`` plus one ``flush``, then poll
+    every node up to its shard's oracle height and require the oracle's
+    root there; returns ``(roots checked, most blocks a node lagged)``."""
+    roots_checked = max_lag = 0
+    async with writer_client() as writer:
+        for wave, batch in enumerate(waves, 1):
+            await writer.multi_put(batch)
+            await writer.flush()
+            for address, shard in nodes:
+                height, digest = expected[shard][wave - 1]
+                async with connect(address) as node:
+                    for _ in range(600):
+                        info = await node.root()
+                        max_lag = max(max_lag, height - info.height)
+                        if info.height >= height:
+                            break
+                        await asyncio.sleep(0.02)
+                if (info.height, bytes(info.digest)) != (height, digest):
+                    raise RuntimeError(f"node {address} (shard {shard}) after wave {wave}: "
+                                       f"height {info.height}, root {info.digest.hex()[:16]}; "
+                                       f"oracle {height}, {digest.hex()[:16]}")
+                roots_checked += 1
+    return roots_checked, max_lag
 
+
+def run_process_sweep(
+    topology: str,
+    node_counts: Sequence[int] = (1, 2, 4),
+    clients_per_node: int = 8,
+    ops_per_client: int = 300,
+    num_keys: int = 1024,
+    load_waves: int = 3,
+) -> List[Row]:
+    """Figures 19 and 21 (new): per-node throughput of a replica set or a
+    cluster of server processes, every node's root checked against an
+    in-process oracle.
+
+    Per node count the ``topology``'s nodes are spawned and the keys
+    ``key_addr(0..num_keys)`` are written in ``load_waves`` waves, each
+    one ``multi_put`` (which joins one block whole) plus one ``flush``.
+    After every wave every node must reach its shard's oracle height and
+    report the oracle's ``ROOT`` there (:func:`_load_and_check`), or the
+    sweep raises naming the node and the wave: COLE's checkpoints are
+    deterministic in a shard's put stream, so a node that lost,
+    misrouted or misapplied a write cannot match.
+
+    Then each node is measured **alone** through the load generator's
+    closed loop, ``clients_per_node`` clients of ``ops_per_client`` ops
+    (:data:`TOPOLOGIES` picks GETs or owned-key PUTs).  Each node is its
+    own process with its own engine, so its isolated rate is its
+    capacity on a machine of its own; driving every node at once on one
+    small host would measure that host's cores.  ``ops_per_s_per_node``
+    is the slowest node's rate.
+    """
+    spawn, node_streams = TOPOLOGIES[topology]
+    keys = [key_addr(rank, ADDR_SIZE) for rank in range(num_keys)]
+    puts = [(addr, write_value(SEED, rank, VALUE_SIZE)) for rank, addr in enumerate(keys)]
+    per_wave = -(-num_keys // load_waves)
+    waves = [puts[start:start + per_wave] for start in range(0, num_keys, per_wave)]
     rows: List[Row] = []
-    for nodes in node_counts:
+    for count in node_counts:
         with process_cell() as (base, procs):
-            ports = _free_ports(2 * nodes)
-            manifest = plan_manifest(nodes, nodes).with_addresses(
-                {shard: f"127.0.0.1:{ports[2 * shard]}" for shard in range(nodes)}
-            )
-            for index in range(nodes):
-                manifest = manifest.with_control(
-                    f"node-{index}", f"127.0.0.1:{ports[2 * index + 1]}"
-                )
-            manifest_path = f"{base}/manifest.json"
-            manifest.save(manifest_path)
-            for index in range(nodes):
-                proc, _, _ = _spawn_cli_process([
-                    "cluster", "serve", f"{base}/node-{index}",
-                    "--node", f"node-{index}", "-m", manifest_path, *SERVED_CLI_FLAGS,
-                ])
-                procs.append(proc)
-
-            # Deterministic wave load + composite-root oracle.
-            cluster_root = bytes(asyncio.run(load_cluster(manifest_path)).digest)
-            oracle_root = bytes(hash_concat(
-                [oracle_digest(base, manifest, shard) for shard in range(nodes)]
-            ))
-            if cluster_root != oracle_root:
-                raise RuntimeError(
-                    f"cluster root {cluster_root.hex()} != "
-                    f"oracle root {oracle_root.hex()} at {nodes} nodes"
-                )
-
-            # Saturate one shard server at a time with keys it owns (see
-            # docstring); the aggregate is the sum of isolated rates.
-            owned: Dict[int, List[bytes]] = {shard: [] for shard in range(nodes)}
-            for rank in range(num_keys):
-                addr = key_addr(rank, ADDR_SIZE)
-                owned[manifest.shard_for(addr)].append(addr)
-            per_node = [
-                asyncio.run(saturate(manifest.address_of(shard), owned[shard]))
-                for shard in range(nodes)
-            ]
-            rows.append({"nodes": nodes, "shards": nodes,
-                         "writes": nodes * writes_per_node,
-                         "agg_writes_per_s": sum(per_node),
-                         "writes_per_s_per_node": min(per_node),
-                         "root": cluster_root.hex()[:16],
-                         "oracle_match": True})
+            writer_client, nodes, shard_of = spawn(base, procs, count)
+            expected = _oracle_roots(base, waves, shard_of, len({shard for _, shard in nodes}))
+            roots_checked, max_lag = asyncio.run(
+                _load_and_check(writer_client, nodes, waves, expected))
+            reports = []
+            for index, (address, shard) in enumerate(nodes):
+                params = LoadgenParams(clients=clients_per_node, ops_per_client=ops_per_client,
+                                       num_keys=num_keys, addr_size=ADDR_SIZE,
+                                       value_size=VALUE_SIZE, seed=SEED + index)
+                streams = node_streams(params, [addr for addr in keys if shard_of(addr) == shard])
+                reports.append(asyncio.run(run_streams(lambda: connect(address), streams)))
+                if reports[-1].errors:
+                    raise RuntimeError(f"node {address}: {reports[-1].error_samples}")
+            rows.append({"topology": topology, "nodes": count,
+                         "ops": sum(report.ops for report in reports),
+                         "ops_per_s_per_node": min(report.throughput for report in reports),
+                         "roots_checked": roots_checked, "max_lag_blocks": max_lag})
     return rows
 
 
@@ -1002,9 +919,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
         client_counts=(32,), policies=("off", "none", "batch", "always"),
         read_fraction=0.1, ops_per_client=200, num_keys=1024, repeats=2,
     ), ("policy", *SERVED_LOAD, "wal_syncs", "wal_mb", "syncs_per_put")),
-    "fig19": Experiment(run_read_scaling),
+    "fig19": Experiment(run_process_sweep, dict(
+        topology="replicas", node_counts=(1, 2, 4), num_keys=1024, load_waves=3)),
     "fig20": Experiment(run_scan_throughput),
-    "fig21": Experiment(run_cluster_scaling),
+    "fig21": Experiment(run_process_sweep, dict(
+        topology="cluster", node_counts=(1, 4), num_keys=2048, load_waves=4)),
     "table1": Experiment(run_chain_sweep, dict(
         heights=(100, 300, 1000), engines=PAPER_ENGINES,
     ), ("engine", "blocks", "storage_bytes", "write_io_per_tx", "get_io_per_query",

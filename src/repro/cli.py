@@ -46,7 +46,7 @@ from repro.wal.log import SYNC_POLICIES
 _SWEEP_FLAGS = {
     "heights": ("heights", int),
     "engines": ("engines", str),
-    "replicas": ("replica_counts", int),
+    "nodes": ("node_counts", int),
 }
 
 #: Default WAL directory inside a workspace (a sibling of the run files;
@@ -604,7 +604,9 @@ def loadgen(
     Exits non-zero when any op errored — a loadgen run against a broken
     server must not report a clean throughput number and exit 0.
     """
-    from repro.server import LoadgenParams, format_report, run_loadgen_sync
+    import asyncio
+
+    from repro.server import LoadgenParams, format_report, run_loadgen
 
     kwargs = dict(
         clients=clients,
@@ -632,7 +634,7 @@ def loadgen(
         client_factory = lambda: connect(  # noqa: E731
             manifest_file=manifest, seeds=seed_list
         )
-    report = run_loadgen_sync(host, port, params, client_factory)
+    report = asyncio.run(run_loadgen(host, port, params, client_factory))
     if as_json:
         import json
 

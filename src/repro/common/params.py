@@ -50,7 +50,7 @@ class SystemParams:
     @property
     def pairs_per_page(self) -> int:
         """Key-value pairs that fit in one value-file page (``2 * epsilon``)."""
-        return max(2, self.page_size // self.pair_size)
+        return self.page_size // self.pair_size
 
     @property
     def epsilon(self) -> int:

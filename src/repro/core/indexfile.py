@@ -57,7 +57,12 @@ class IndexFileBuilder:
         self._file = file
         self._params = params
         self._record_size = Model.record_size(params.key_size)
-        self.models_per_page = max(2, params.page_size // self._record_size)
+        self.models_per_page = params.page_size // self._record_size
+        if self.models_per_page < 2:  # an upper layer's epsilon would be 0
+            raise StorageError(
+                f"a {params.page_size}-byte index page holds fewer than two "
+                f"{self._record_size}-byte model records"
+            )
         self._layers: List[LayerInfo] = []
         self._page_buffer = bytearray()
         self._bottom_count = 0

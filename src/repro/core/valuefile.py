@@ -25,6 +25,11 @@ class ValueFileWriter:
         self._file = file
         self._key_size = params.key_size
         self._pair_size = params.pair_size
+        if params.pairs_per_page < 2:  # the learned models' epsilon would be 0
+            raise StorageError(
+                f"a {params.page_size}-byte value page holds fewer than two "
+                f"{params.pair_size}-byte pairs"
+            )
         self._page_bytes = params.pairs_per_page * params.pair_size
         self._buffer = bytearray()
         self._count = 0

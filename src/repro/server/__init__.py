@@ -42,7 +42,6 @@ from repro.server.loadgen import (
     format_report,
     replay_writes,
     run_loadgen,
-    run_loadgen_sync,
 )
 from repro.server.protocol import (
     MovedError,
@@ -76,5 +75,4 @@ __all__ = [
     "format_report",
     "replay_writes",
     "run_loadgen",
-    "run_loadgen_sync",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
@@ -91,7 +91,7 @@ def key_addr(rank: int, addr_size: int) -> bytes:
     return hash_bytes(f"kv:user{rank}".encode())[:addr_size]
 
 
-def _value(client_id: int, index: int, value_size: int) -> bytes:
+def write_value(client_id: int, index: int, value_size: int) -> bytes:
     """Deterministic fixed-width payload for client ``client_id``'s
     ``index``-th write."""
     payload = hash_bytes(f"v:{client_id}:{index}".encode())
@@ -158,7 +158,7 @@ def client_ops(params: LoadgenParams, client_id: int) -> List[ClientOp]:
                 (
                     "put",
                     key_addr(rank, params.addr_size),
-                    _value(client_id, writes, params.value_size),
+                    write_value(client_id, writes, params.value_size),
                 )
             )
             writes += 1
@@ -330,6 +330,18 @@ async def _closed_worker(
             report.record_ok(op, time.perf_counter() - started, result)
 
 
+async def run_streams(client_factory, streams: Sequence[List[ClientOp]]) -> LoadReport:
+    """Run every op stream at once, each closed loop on its own client
+    from ``client_factory``; the report times the whole gather."""
+    report = LoadReport(clients=len(streams))
+    started = time.perf_counter()
+    await asyncio.gather(
+        *(_closed_worker(client_factory, stream, report) for stream in streams)
+    )
+    report.elapsed_s = time.perf_counter() - started
+    return report
+
+
 async def run_loadgen(
     host: Optional[str],
     port: Optional[int],
@@ -352,13 +364,9 @@ async def run_loadgen(
         if host is None or port is None:
             raise ValueError("run_loadgen needs (host, port) or a client_factory")
         client_factory = lambda: connect((host, port))  # noqa: E731
-    report = LoadReport(clients=params.clients)
-    streams = [client_ops(params, cid) for cid in range(params.clients)]
-    started = time.perf_counter()
-    await asyncio.gather(
-        *(_closed_worker(client_factory, stream, report) for stream in streams)
+    report = await run_streams(
+        client_factory, [client_ops(params, cid) for cid in range(params.clients)]
     )
-    report.elapsed_s = time.perf_counter() - started
     async with client_factory() as control:
         try:
             await control.flush()
@@ -366,16 +374,6 @@ async def run_loadgen(
             pass  # a replica target: its commits arrive via the stream
         report.server_stats = await control.stats()
     return report
-
-
-def run_loadgen_sync(
-    host: Optional[str],
-    port: Optional[int],
-    params: LoadgenParams,
-    client_factory=None,
-) -> LoadReport:
-    """Blocking wrapper around :func:`run_loadgen` (CLI entry point)."""
-    return asyncio.run(run_loadgen(host, port, params, client_factory))
 
 
 def format_report(report: LoadReport) -> str:

@@ -109,8 +109,8 @@ def test_fig20_experiment_registered_and_runs_tiny():
 def test_experiment_rejects_flag_the_driver_has_no_parameter_for(capsys):
     assert main(["experiment", "fig20", "--engines", "cole"]) == 2
     assert "'fig20' has no --engines; it accepts no sweep flags" in capsys.readouterr().out
-    assert main(["experiment", "fig13", "--replicas", "1"]) == 2
-    assert "'fig13' has no --replicas" in capsys.readouterr().out
+    assert main(["experiment", "fig13", "--nodes", "1"]) == 2
+    assert "'fig13' has no --nodes; it accepts --heights, --engines" in capsys.readouterr().out
 
 
 def test_unknown_experiment(capsys):
@@ -268,6 +268,11 @@ SHARD_FLAGS = {
     ("import", "--shards"): "the shard count of the new workspace",
 }
 
+#: Flags renamed since the recording: ``experiment --replicas`` swept
+#: fig19's replica counts; ``--nodes`` sweeps the node counts of the
+#: process sweep behind figs 19 and 21.
+RENAMED_FLAGS = {("experiment", "--replicas"): "--nodes"}
+
 CLICK_TYPES = {"integer": "int", "float": "float"}
 
 
@@ -304,6 +309,8 @@ def test_click_tree_keeps_the_recorded_surface():
     expected = json.loads(SURFACE.read_text())["verbs"]
     for verb, flag in [*REMOVED_FLAGS, *SHARD_FLAGS]:
         del expected[verb][flag]
+    for (verb, flag), renamed in RENAMED_FLAGS.items():
+        expected[verb][renamed] = {**expected[verb].pop(flag), "opts": [renamed]}
     expected["serve"]["--shards"]["default"] = 1
     assert surface_of(cli.to_info_dict(click.Context(cli))) == expected
     flags = sum(

@@ -29,6 +29,7 @@ from repro.bench import experiments
 from repro.bench.claims import CLAIMS, verdicts
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.cli import _SWEEP_FLAGS
+from repro.core import Cole
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIVERS = {experiment.driver.__name__: experiment.driver for experiment in EXPERIMENTS.values()}
@@ -47,13 +48,13 @@ SMOKE = {
     "fig17": dict(client_counts=(1, 8), ops_per_client=100, num_keys=512),
     "fig18": dict(policies=("off", "batch"), client_counts=(8,), ops_per_client=100,
                   num_keys=512, repeats=1),
-    "fig19": dict(replica_counts=(1,), readers_per_node=2, reads_per_reader=20,
+    "fig19": dict(node_counts=(2,), clients_per_node=2, ops_per_client=20,
                   num_keys=32, load_waves=2),
     # The driver verifies every configuration against a brute-force
     # model (latest and at_blk) before timing anything.
     "fig20": dict(scan_lengths=(8, 64), num_addresses=1024,
                   blocks=48, puts_per_block=128, scans_per_point=120, repeats=1),
-    "fig21": dict(node_counts=(2,), writers_per_node=2, writes_per_writer=20,
+    "fig21": dict(node_counts=(2,), clients_per_node=2, ops_per_client=20,
                   num_keys=64, load_waves=2),
     "table1": dict(heights=(150,), num_accounts=20),
     "index-share": dict(heights=(10,), num_accounts=10),
@@ -161,14 +162,12 @@ IN_PROCESS = {
     ),
 }
 
-#: The subprocess clusters: their row schema.  The correctness column
-#: each exists to establish is an exact claim (root checks, oracle match).
-SUBPROCESS = {
-    "fig19": ("replicas", "nodes", "reads", "agg_reads_per_s", "reads_per_s_per_node",
-              "roots_checked", "max_lag_blocks"),
-    "fig21": ("nodes", "shards", "writes", "agg_writes_per_s", "writes_per_s_per_node",
-              "root", "oracle_match"),
-}
+#: The process sweep's experiments: their row schema.  Every node's root
+#: is checked against its shard's oracle after every wave, and the count
+#: of those checks is an exact claim.
+PROCESS_SWEEP = ("topology", "nodes", "ops", "ops_per_s_per_node", "roots_checked",
+                 "max_lag_blocks")
+SUBPROCESS = {"fig19": PROCESS_SWEEP, "fig21": PROCESS_SWEEP}
 
 
 def smoke_rows(name: str, keys: tuple) -> list:
@@ -223,6 +222,22 @@ def test_multi_get_speedup_needs_a_single_get_baseline():
 @pytest.mark.parametrize("name", SUBPROCESS)
 def test_subprocess_experiment_schema_and_oracle(name):
     smoke_rows(name, SUBPROCESS[name])
+
+
+class LossyOracle(Cole):
+    """An oracle that drops the last put of its second block."""
+
+    def put_many(self, items):
+        super().put_many(items[:-1] if self.last_blk == 2 else items)
+
+
+@pytest.mark.parametrize("topology", experiments.TOPOLOGIES)
+def test_a_node_that_diverges_from_its_oracle_fails_the_sweep(monkeypatch, topology):
+    # One node, so the replica set's check is the primary's own.
+    monkeypatch.setattr(experiments, "Cole", LossyOracle)
+    with pytest.raises(RuntimeError, match=r"^node 127\.0\.0\.1:\d+ \(shard 0\) after wave 2:"):
+        experiments.run_process_sweep(topology, node_counts=(1,), clients_per_node=1,
+                                      ops_per_client=1, num_keys=8, load_waves=2)
 
 
 # -- the parameter surface ---------------------------------------------------
@@ -297,8 +312,8 @@ def test_driver_parameter_surface_cannot_regrow():
     # 121 before the drivers became sweeps over shared cells, 68 before
     # figs 9-15, 17, 18, Table 1 and the index share shared three sweeps,
     # 51 before fig16 and fig20's shard counts left with the in-process
-    # sharded engine.
-    assert total <= 47
+    # sharded engine, 47 before figs 19 and 21 shared the process sweep.
+    assert total <= 43
 
 
 # -- documentation -----------------------------------------------------------

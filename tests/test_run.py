@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import write_oracle
+from repro.common.errors import StorageError
 from repro.common.hashing import DIGEST_SIZE, hash_bytes
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey
@@ -20,6 +21,7 @@ from repro.core.merklefile import (
 from repro.core.rewind import _filter_run
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
 from repro.diskio.workspace import Workspace
+from repro.learned.model import Model
 
 
 @pytest.fixture
@@ -211,6 +213,49 @@ def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, f
     assert rebuilt.commitment() == clean.commitment()
 
 
+# -- page geometry ----------------------------------------------------------------
+
+
+def smallest_page(key_size, pair_size):
+    """The smallest page a run accepts: two pairs, two index model records
+    and two Merkle hashes."""
+    return max(2 * pair_size, 2 * Model.record_size(key_size), 2 * DIGEST_SIZE)
+
+
+@pytest.mark.parametrize(
+    "addr_size, value_size, page_size, refused",
+    [
+        (2, 1, 64, "a 64-byte index page holds fewer than two 34-byte model records"),
+        (20, 40, 96, "a 96-byte value page holds fewer than two 68-byte pairs"),
+    ],
+)
+def test_a_page_too_small_for_two_records_is_refused_before_a_page_is_written(
+    tmp_path, addr_size, value_size, page_size, refused
+):
+    system = SystemParams(addr_size=addr_size, value_size=value_size, page_size=page_size)
+    params = ColeParams(system=system)
+    entries = random_entries(system, 300, 1, random.Random(3))
+    ws = Workspace(str(tmp_path / "ws"), page_size)
+    with pytest.raises(StorageError, match=refused):
+        build(ws, "tiny", entries, params)
+    assert _run_files(ws, "tiny") == []
+    assert smallest_page(system.key_size, system.pair_size) > page_size
+
+
+def test_floor_search_at_the_smallest_page_finds_every_key(tmp_path):
+    system = SystemParams(addr_size=2, value_size=1, page_size=68)
+    assert smallest_page(system.key_size, system.pair_size) == 68
+    rng = random.Random(0)
+    keys = [0]
+    while len(keys) < 600:  # gaps of every magnitude: many models per layer
+        keys.append(keys[-1] + (1 << rng.randrange(8 * system.key_size - 13)) + rng.randrange(3))
+    entries = [(key, rng.randbytes(system.value_size)) for key in keys]
+    run = make_run(tmp_path, ColeParams(system=system), entries)
+    assert (run.index_file.models_per_page, run.index_file.num_layers) == (2, 3)
+    for position, entry in enumerate(entries):
+        assert run.floor_search(entry[0]) == (entry, position)
+
+
 # -- the encoded build against the decoded reference -----------------------------
 
 
@@ -244,8 +289,7 @@ def run_geometries(draw):
     pair_size = addr_size + 8 + value_size
     pairs_per_page = draw(st.integers(min_value=2, max_value=9))
     slack = draw(st.integers(min_value=0, max_value=pair_size - 1))
-    # The Merkle file packs whole 32-byte hashes; the page must hold some.
-    page_size = max(64, pairs_per_page * pair_size + slack)
+    page_size = max(smallest_page(addr_size + 8, pair_size), pairs_per_page * pair_size + slack)
     system = SystemParams(addr_size=addr_size, value_size=value_size, page_size=page_size)
     page = system.pairs_per_page
     count = draw(
@@ -278,9 +322,13 @@ def _ends_a_layer_on_a_page(count, fanout, per_page, layer):
 
 @st.composite
 def packed_geometries(draw):
-    """Pages of 64-256 bytes (2-8 hashes), fanout 2-8, and a run of one
-    entry, of any size, or whose MHT layer 0, 1 or 2 ends on a page end."""
-    page_size = draw(st.integers(min_value=64, max_value=256))
+    """Pages of 68-256 bytes (2-8 hashes; 68 is the smallest holding two
+    index model records), fanout 2-8, and a run of one entry, of any
+    size, or whose MHT layer 0, 1 or 2 ends on a page end."""
+    value_size = draw(st.integers(min_value=1, max_value=8))
+    key_size = 2 + 8  # addr_size=2
+    page_size = max(smallest_page(key_size, key_size + value_size),
+                    draw(st.integers(min_value=64, max_value=256)))
     fanout = draw(st.integers(min_value=2, max_value=8))
     kind = draw(st.sampled_from(["one", "page-end", "any"]))
     count = 1 if kind == "one" else draw(st.integers(min_value=1, max_value=120))
@@ -288,9 +336,7 @@ def packed_geometries(draw):
         layer = draw(st.integers(min_value=0, max_value=2))
         while not _ends_a_layer_on_a_page(count, fanout, page_size // DIGEST_SIZE, layer):
             count += 1
-    system = SystemParams(
-        addr_size=2, value_size=draw(st.integers(min_value=1, max_value=8)), page_size=page_size
-    )
+    system = SystemParams(addr_size=2, value_size=value_size, page_size=page_size)
     return ColeParams(system=system, mht_fanout=fanout), count, draw(st.integers(0, 2**16))
 
 
