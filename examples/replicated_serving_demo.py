@@ -10,9 +10,9 @@ Walks the replication story end to end:
 3. verify the replication oracle — every replica's ``ROOT`` digest is
    byte-identical to the primary's at the same height (COLE's commit
    checkpoints are deterministic, so equal roots mean equal state);
-4. fan reads out across the replicas with the ``connect()`` client
-   and show a write to a replica being re-routed to the primary via the
-   ``NOT_PRIMARY`` referral.
+4. read every key from each replica through its own ``connect()``
+   client, and show a write sent to a replica refused with a
+   ``NOT_PRIMARY`` referral that names the primary.
 
 Run:  python examples/replicated_serving_demo.py
 """
@@ -26,7 +26,7 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
     KVClient,
-    ReplicatedClient,
+    NotPrimaryError,
     ServerConfig,
     ServerThread,
     connect,
@@ -102,35 +102,33 @@ def main() -> None:
                             for n in range(KEYS // 2, KEYS):
                                 await client.put(addr_of(n), value_of(n))
                             info = await client.flush()
-                        for name, (host, port) in (
-                            ("replica-1", r1), ("replica-2", r2)
-                        ):
-                            async with connect((host, port)) as reader:
+                        expected = [value_of(n) for n in range(KEYS)]
+                        for name, replica in (("replica-1", r1), ("replica-2", r2)):
+                            async with connect(replica) as reader:
                                 rinfo = await wait_for_height(reader, info.height)
                                 assert rinfo.digest == info.digest, name
                                 print(
                                     f"{name}: height {rinfo.height}, root "
                                     f"{rinfo.digest.hex()[:16]}… byte-identical"
                                 )
-                        async with connect(
-                            (phost, pport), replicas=[r1, r2]
-                        ) as fan:
-                            values = [
-                                await fan.get(addr_of(n)) for n in range(KEYS)
-                            ]
-                            assert values == [value_of(n) for n in range(KEYS)]
-                            print(
-                                f"{KEYS} reads fanned across 2 replicas "
-                                "+ primary: all exact"
-                            )
-                        # A client pointed at a replica follows the referral.
-                        async with ReplicatedClient(r1) as misdirected:
-                            await misdirected.put(addr_of(KEYS), value_of(KEYS))
-                            assert misdirected.redirects == 1
-                            print(
-                                "write to replica-1 redirected to the primary "
-                                "(NOT_PRIMARY referral)"
-                            )
+                                values = [
+                                    await reader.get(addr_of(n)) for n in range(KEYS)
+                                ]
+                                assert values == expected, name
+                                print(f"{name}: {KEYS} reads, all exact")
+                        # A write sent to a replica is refused, naming the
+                        # primary that accepts it.
+                        async with connect(r1) as misdirected:
+                            try:
+                                await misdirected.put(addr_of(KEYS), value_of(KEYS))
+                            except NotPrimaryError as exc:
+                                assert exc.address == f"{phost}:{pport}"
+                                print(
+                                    "write to replica-1 refused: NOT_PRIMARY, "
+                                    f"primary is {exc.address}"
+                                )
+                            else:
+                                raise AssertionError("a replica accepted a write")
 
                     asyncio.run(finish_and_verify())
                 replica2.close()

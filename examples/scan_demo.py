@@ -85,8 +85,9 @@ async def main() -> None:
             print(f"scan at_blk={v1}: same 50 keys, all version-1 values\n")
 
         # -- YCSB workload E: scan-heavy mix through the load generator ---
-        params = LoadgenParams.for_workload(
-            "E",
+        params = LoadgenParams(
+            read_fraction=0.0,
+            scan_fraction=0.95,
             clients=8,
             ops_per_client=60,
             num_keys=512,
@@ -95,7 +96,7 @@ async def main() -> None:
             value_size=VALUE,
             seed=11,
         )
-        report = await run_loadgen(host, port, params)
+        report = await run_loadgen(lambda: connect((host, port)), params)
         print("YCSB workload E (95% scans):")
         print(format_report(report))
         assert report.errors == 0

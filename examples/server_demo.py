@@ -55,7 +55,7 @@ async def main() -> None:
         print(f"serving on {host}:{port}\n")
 
         # -- 16 concurrent clients, mixed read/write zipfian traffic ------
-        report = await run_loadgen(host, port, PARAMS)
+        report = await run_loadgen(lambda: connect((host, port)), PARAMS)
         print(format_report(report))
 
         # -- byte-identical with the in-process engine --------------------

@@ -200,7 +200,8 @@ def drive(thread: ServerThread, **loadgen_fields):
     params = LoadgenParams(
         addr_size=ADDR_SIZE, value_size=VALUE_SIZE, seed=SEED, **loadgen_fields
     )
-    return asyncio.run(run_loadgen(thread.server.host, thread.server.port, params))
+    address = (thread.server.host, thread.server.port)
+    return asyncio.run(run_loadgen(lambda: connect(address), params))
 
 
 def timed(loop: Callable[[], object]) -> float:

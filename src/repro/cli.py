@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli serve /path/to/workspace --port 7407 [--wal]
     python -m repro.cli serve /path/to/replica --replica-of 127.0.0.1:7407
     python -m repro.cli loadgen --port 7407 --clients 32 --ops 200 [--json]
-    python -m repro.cli loadgen --port 7407 --workload E [--scan-len 50]
+    python -m repro.cli loadgen --port 7407 --read-fraction 0 --scan-frac 0.95 [--scan-len 50]
     python -m repro.cli loadgen --port 7407 --multi-get-size 16
     python -m repro.cli snapshot /path/to/workspace /path/to/snapshot
     python -m repro.cli snapshot /path/to/ws /path/to/inc --incremental-from /path/to/snapshot
@@ -568,9 +568,6 @@ def import_(ctx: click.Context, file: str, workspace: str) -> int:
               help="fraction of ops that are key-ordered range scans")
 @click.option("--scan-len", type=int, default=16,
               help="max results per scan (lengths draw uniformly from [1, N])")
-@click.option("--workload", type=click.Choice(tuple("ABCEabce")), default=None,
-              help="YCSB workload letter preset (E = scan heavy); overrides "
-              "--read-fraction/--scan-frac")
 @click.option("--num-keys", type=int, default=1024)
 @click.option("--seed", type=int, default=7)
 @click.option("--multi-get-size", type=int, default=1,
@@ -591,7 +588,6 @@ def loadgen(
     read_fraction: float,
     scan_frac: float,
     scan_len: int,
-    workload: Optional[str],
     num_keys: int,
     seed: int,
     multi_get_size: int,
@@ -605,36 +601,28 @@ def loadgen(
     server must not report a clean throughput number and exit 0.
     """
     import asyncio
+    from functools import partial
 
-    from repro.server import LoadgenParams, format_report, run_loadgen
+    from repro.server import LoadgenParams, connect, format_report, run_loadgen
 
-    kwargs = dict(
+    params = LoadgenParams(
         clients=clients,
         ops_per_client=ops,
+        read_fraction=read_fraction,
+        scan_fraction=scan_frac,
         num_keys=num_keys,
         scan_length=scan_len,
         seed=seed,
         multi_get_size=multi_get_size,
     )
-    if workload:
-        # A YCSB workload letter presets the op mix (E = scan heavy);
-        # explicit fractions would contradict it.
-        params = LoadgenParams.for_workload(workload, **kwargs)
-    else:
-        params = LoadgenParams(
-            read_fraction=read_fraction, scan_fraction=scan_frac, **kwargs
-        )
-    client_factory = None
     if manifest or seeds:
         # Cluster target: every worker routes by the manifest through
         # the same connect() factory the single-server path uses.
-        from repro.server import connect
-
         seed_list = tuple(s for s in (seeds or "").split(",") if s)
-        client_factory = lambda: connect(  # noqa: E731
-            manifest_file=manifest, seeds=seed_list
-        )
-    report = asyncio.run(run_loadgen(host, port, params, client_factory))
+        client_factory = partial(connect, manifest_file=manifest, seeds=seed_list)
+    else:
+        client_factory = partial(connect, (host, port))
+    report = asyncio.run(run_loadgen(client_factory, params))
     if as_json:
         import json
 

@@ -85,7 +85,9 @@ class ClusterClient(KVClient):
         self._seeds = list(seeds)
         self.max_retries = max_retries
         self.retry_delay = retry_delay
-        self._clients: Dict[str, ServerClient] = {}
+        #: One connect per address, shared by every request that needs
+        #: it while it is still in flight.
+        self._clients: Dict[str, "asyncio.Future[ServerClient]"] = {}
         #: MOVED referrals followed (the transparently-retried kind).
         self.moved_retries = 0
         #: Manifest refreshes performed (referrals + connection failures).
@@ -108,21 +110,29 @@ class ClusterClient(KVClient):
         return self
 
     async def close(self) -> None:
-        clients, self._clients = self._clients, {}
-        for client in clients.values():
-            await client.close()
+        connects, self._clients = self._clients, {}
+        for connecting in connects.values():
+            await _close_connected(connecting)
 
     async def _client_for(self, address: str) -> ServerClient:
-        client = self._clients.get(address)
-        if client is None:
-            client = await ServerClient(*parse_address(address)).connect()
-            self._clients[address] = client
-        return client
+        """The connection to ``address``: concurrent first requests all
+        await the one connect the first of them started.  A connect that
+        fails raises to every one of them, and their retry drops it
+        (:meth:`_recover`)."""
+        connecting = self._clients.get(address)
+        if connecting is None:
+            connecting = asyncio.ensure_future(
+                ServerClient(*parse_address(address)).connect()
+            )
+            self._clients[address] = connecting
+        # Shielded: one cancelled request must not cancel the connect
+        # the others are waiting on.
+        return await asyncio.shield(connecting)
 
     async def _drop_client(self, address: str) -> None:
-        client = self._clients.pop(address, None)
-        if client is not None:
-            await client.close()
+        connecting = self._clients.pop(address, None)
+        if connecting is not None:
+            await _close_connected(connecting)
 
     # -- manifest refresh -----------------------------------------------------
 
@@ -405,6 +415,14 @@ class ClusterClient(KVClient):
                 f"# cluster server {address} (shards {shard_ids})\n{text}"
             )
         return "\n".join(parts)
+
+
+async def _close_connected(connecting: "asyncio.Future[ServerClient]") -> None:
+    """Close what a shared connect produced, once it has; a connect
+    that failed left nothing open."""
+    await asyncio.wait([connecting])  # raises nothing the connect raised
+    if not connecting.cancelled() and connecting.exception() is None:
+        await connecting.result().close()
 
 
 def _composite(roots: List[RootInfo]) -> RootInfo:

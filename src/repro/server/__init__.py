@@ -19,22 +19,23 @@ the server becomes durable: PUTs ack only after a group fsync, and the
 WAL tail replays on startup (Figure 18; ``tests/test_durability.py``).
 A WAL-enabled server is also a replication primary — live replicas
 (``repro serve --replica-of``) tail its record stream and serve reads,
-with :class:`ReplicatedClient` fanning reads across them (Figure 19;
+each one read through its own ``connect(replica)`` (Figure 19;
 ``tests/test_replication.py``; see :mod:`repro.replication`).
 
 Client code holds one interface regardless of topology: :func:`connect`
-returns a :class:`KVClient` — a :class:`ServerClient` for one server, a
-:class:`ReplicatedClient` for a replica set, or the manifest-routed
+returns a :class:`KVClient` — a :class:`ServerClient` for one server
+(primary, replica or shard server), or the manifest-routed
 ``ClusterClient`` (see :mod:`repro.cluster`) when given cluster
 arguments.  Servers that must not answer a request refer the client with
-a :class:`Referral` (``NOT_PRIMARY`` to the primary, ``MOVED`` to a
-migrated shard's new owner), and every client follows them
-transparently.
+a :class:`Referral`: a replica answers a write with ``NOT_PRIMARY``
+naming its primary, which a :class:`ServerClient` raises as
+:class:`NotPrimaryError`, and a cluster server answers ``MOVED`` naming
+a migrated shard's new owner; the cluster client follows both.
 """
 
 from repro.server.batcher import WriteBatcher
 from repro.server.cache import VersionedReadCache
-from repro.server.client import KVClient, ReplicatedClient, ServerClient, connect
+from repro.server.client import KVClient, ServerClient, connect
 from repro.server.loadgen import (
     LoadgenParams,
     LoadReport,
@@ -58,7 +59,6 @@ __all__ = [
     "ServerConfig",
     "ServerThread",
     "ServerClient",
-    "ReplicatedClient",
     "KVClient",
     "connect",
     "WriteBatcher",

@@ -12,17 +12,13 @@ The same connection also carries the one ``stream`` op
 (:meth:`ServerClient.stream`), so it is the only client transport: the
 replica applier and the cluster control calls ride it too.
 
-:class:`ReplicatedClient` is the replica-aware mode: writes go to the
-primary (following ``NOT_PRIMARY`` redirects), reads fan out round-robin
-across the replica set with the primary as fallback, and
-:meth:`ReplicatedClient.refresh_lag` sidelines replicas lagging more
-than ``max_lag`` blocks behind the primary.
-
-Every client shape — single server, replica set, cluster — implements
-the one :class:`KVClient` interface, and :func:`connect` is the factory
-that picks the shape from its arguments.  Callers (loadgen, benchmarks,
-``repro query -s``, examples) hold a ``KVClient`` and never special-case
-the class behind it.
+Two client shapes implement the one :class:`KVClient` interface: a
+:class:`ServerClient` talks to one server — a primary, a read replica
+or a shard server — and the manifest-routed ``ClusterClient`` (see
+:mod:`repro.cluster.client`) to a whole cluster.  :func:`connect` is the
+factory that picks the shape from its arguments.  Callers (loadgen,
+benchmarks, ``repro query -s``, examples) hold a ``KVClient`` and never
+special-case the class behind it.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from typing import AsyncIterator, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import StorageError
 from repro.server import protocol
-from repro.server.protocol import Op, OpSpec, Referral, RootInfo, parse_address
+from repro.server.protocol import Op, OpSpec, RootInfo, parse_address
 
 _OPS = protocol.OPS
 
@@ -243,7 +239,7 @@ class _Connection(protocol.FrameProtocol):
             # The server hung up: a request sent now would wait for a
             # response nobody is left to send.  Raised as the transport
             # failure it is — what a send on a reset socket raises too —
-            # so the cluster and replica clients reconnect and retry.
+            # so the cluster client reconnects and retries.
             raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
                 "connection closed by server"
             )
@@ -325,168 +321,6 @@ class ServerClient(KVClient):
         return self._connected().stream(frame)
 
 
-class ReplicatedClient(KVClient):
-    """Reads fanned across replicas, writes routed to the primary.
-
-    ``replicas`` lists read-serving replica addresses; reads round-robin
-    over the healthy ones (plus the primary when ``read_primary`` is
-    true, or whenever no replica is usable) and retry once against the
-    primary when the chosen replica fails mid-request — replica reads
-    are idempotent, so the retry is safe.  A write answered with
-    ``NOT_PRIMARY`` (the configured "primary" was actually a replica)
-    reconnects to the address the rejection carried and retries once.
-    """
-
-    def __init__(
-        self,
-        primary: Tuple[str, int],
-        replicas: Sequence[Tuple[str, int]] = (),
-        max_lag: Optional[int] = None,
-        read_primary: bool = True,
-    ) -> None:
-        self._primary_addr = primary
-        self._replica_addrs = list(replicas)
-        self.max_lag = max_lag
-        self.read_primary = read_primary
-        self._primary: Optional[ServerClient] = None
-        self._replicas: List[ServerClient] = []
-        self._lagging: set = set()  # indexes sidelined by refresh_lag
-        self._next = 0
-        self.redirects = 0
-        self.read_fallbacks = 0
-
-    @property
-    def primary(self) -> ServerClient:
-        if self._primary is None:
-            raise StorageError("client is not connected")
-        return self._primary
-
-    @property
-    def replicas(self) -> List[ServerClient]:
-        return list(self._replicas)
-
-    async def connect(self) -> "ReplicatedClient":
-        """Open the primary and every replica (all-or-nothing)."""
-        primary = ServerClient(*self._primary_addr)
-        opened: List[ServerClient] = []
-        try:
-            await primary.connect()
-            for host, port in self._replica_addrs:
-                replica = ServerClient(host, port)
-                await replica.connect()
-                opened.append(replica)
-        except BaseException:
-            for client in opened:
-                await client.close()
-            await primary.close()
-            raise
-        self._primary = primary
-        self._replicas = opened
-        return self
-
-    async def close(self) -> None:
-        clients, self._replicas = self._replicas, []
-        for client in clients:
-            await client.close()
-        if self._primary is not None:
-            primary, self._primary = self._primary, None
-            await primary.close()
-
-    # -- routing --------------------------------------------------------------
-
-    async def _route(self, spec: OpSpec, *args):
-        """``read`` ops fan across the replicas; everything else (writes
-        and the control plane) is the primary's to answer."""
-        if spec.kind == protocol.READ:
-            return await self._on_replica(ServerClient._route, spec, *args)
-        return await self._on_primary(ServerClient._route, spec, *args)
-
-    def _read_targets(self) -> List[ServerClient]:
-        """Round-robin order for one read: chosen node first, primary last."""
-        pool: List[ServerClient] = [
-            replica
-            for index, replica in enumerate(self._replicas)
-            if index not in self._lagging
-        ]
-        if self.read_primary or not pool:
-            pool.append(self.primary)
-        start = self._next % len(pool)
-        self._next += 1
-        ordered = pool[start:] + pool[:start]
-        if self._primary is not None and self._primary not in ordered:
-            ordered.append(self._primary)  # last-resort fallback
-        return ordered
-
-    async def _on_replica(self, call, *args, **kwargs):
-        """``call(node, ...)`` on the next replica, falling back node by
-        node to the primary — replica reads are idempotent, so the
-        retry is safe."""
-        targets = self._read_targets()
-        for index, target in enumerate(targets):
-            try:
-                return await call(target, *args, **kwargs)
-            except (StorageError, ConnectionError, OSError):
-                # NotPrimaryError cannot happen on reads; anything else
-                # (replica down, mid-stream disconnect) falls through to
-                # the next target, ending at the primary.
-                if index == len(targets) - 1:
-                    raise
-                self.read_fallbacks += 1
-
-    async def _on_primary(self, call, *args):
-        """``call(primary, ...)``, following one referral."""
-        try:
-            return await call(self.primary, *args)
-        except Referral as exc:
-            # The configured primary is a replica (NOT_PRIMARY) or the
-            # shard has moved (MOVED): either way the rejection names
-            # the server that will accept the write — follow it.
-            self.redirects += 1
-            redirected = await ServerClient(*parse_address(exc.address)).connect()
-            stale, self._primary = self._primary, redirected
-            if stale is not None:
-                await stale.close()
-            return await call(self.primary, *args)
-
-    async def scan(
-        self, addr_low: bytes, addr_high: bytes, **options
-    ) -> List[Tuple[bytes, int, bytes]]:
-        """Range scan from any replica (primary fallback); ``options``
-        as in :meth:`KVClient.scan`.
-
-        The whole paged scan runs against one chosen node: pages are
-        snapshot-pinned to the first page's height, and a different
-        replica might not have applied that height yet — it would
-        silently serve an incomplete view of the pinned snapshot.
-        """
-        return await self._on_replica(
-            ServerClient.scan, addr_low, addr_high, **options
-        )
-
-    # -- replica health -------------------------------------------------------
-
-    async def refresh_lag(self) -> List[int]:
-        """Re-measure replica lag; sideline replicas beyond ``max_lag``.
-
-        Returns the lag (in blocks) per replica.  With ``max_lag`` unset
-        this is measurement only — no replica is sidelined.
-        """
-        primary_height = (await self.root()).height
-        lags: List[int] = []
-        lagging: set = set()
-        for index, replica in enumerate(self._replicas):
-            try:
-                height = (await replica.root()).height
-                lag = max(0, primary_height - height)
-            except (StorageError, ConnectionError, OSError):
-                lag = -1  # unreachable counts as infinitely behind
-            lags.append(lag)
-            if self.max_lag is not None and (lag < 0 or lag > self.max_lag):
-                lagging.add(index)
-        self._lagging = lagging
-        return lags
-
-
 Target = Union[str, Tuple[str, int]]
 
 
@@ -501,12 +335,9 @@ def _to_addr(target: Target) -> Tuple[str, int]:
 def connect(
     target: Optional[Target] = None,
     *,
-    replicas: Sequence[Target] = (),
     manifest: object = None,
     manifest_file: Optional[str] = None,
     seeds: Sequence[Target] = (),
-    max_lag: Optional[int] = None,
-    read_primary: bool = True,
 ) -> KVClient:
     """Build the right :class:`KVClient` for the serving topology.
 
@@ -514,20 +345,20 @@ def connect(
 
     * cluster arguments (``manifest``, ``manifest_file``, or ``seeds``)
       select the manifest-routed ``ClusterClient``;
-    * ``replicas`` (with ``target`` as the primary) selects
-      :class:`ReplicatedClient`;
-    * a bare ``target`` selects the single-server :class:`ServerClient`.
+    * a bare ``target`` selects the single-server :class:`ServerClient`
+      — a primary, a replica (reads; a write raises
+      :class:`~repro.server.protocol.NotPrimaryError` naming the
+      primary) or one cluster shard server.
 
     Targets are ``"host:port"`` strings or ``(host, port)`` tuples.  The
     returned client is *not yet connected*: use ``async with
     connect(...) as client`` or ``await connect(...).connect()``.
     """
-    cluster_args = manifest is not None or manifest_file or seeds
-    if cluster_args:
-        if target is not None or replicas:
+    if manifest is not None or manifest_file or seeds:
+        if target is not None:
             raise StorageError(
                 "connect(): cluster arguments (manifest/manifest_file/seeds) "
-                "are exclusive with target/replicas"
+                "are exclusive with a target"
             )
         # Imported lazily: repro.cluster depends on this module.
         from repro.cluster.client import ClusterClient
@@ -541,11 +372,4 @@ def connect(
         )
     if target is None:
         raise StorageError("connect() needs a target or cluster arguments")
-    if replicas:
-        return ReplicatedClient(
-            _to_addr(target),
-            [_to_addr(replica) for replica in replicas],
-            max_lag=max_lag,
-            read_primary=read_primary,
-        )
     return ServerClient(*_to_addr(target))

@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
-from repro.server.client import KVClient, connect
+from repro.server.client import KVClient
 from repro.server.protocol import Referral
-from repro.workloads.ycsb import YCSBGenerator, ZipfGenerator
+from repro.workloads.ycsb import WorkloadMix, ZipfGenerator
 
 #: One op: ("get", addr, None), ("put", addr, value),
 #: ("scan", start_addr, max_results), or ("mget", (addr, ...), None) —
@@ -61,28 +61,11 @@ class LoadgenParams:
     def __post_init__(self) -> None:
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        if not 0.0 <= self.scan_fraction <= 1.0:
-            raise ValueError("scan_fraction must be in [0, 1]")
-        if self.read_fraction + self.scan_fraction > 1.0:
-            raise ValueError("read_fraction + scan_fraction exceed 1")
+        WorkloadMix(self.read_fraction, self.scan_fraction)  # checks the mix
         if self.scan_length < 1:
             raise ValueError("scan_length must be >= 1")
         if self.multi_get_size < 1:
             raise ValueError("multi_get_size must be >= 1")
-
-    @classmethod
-    def for_workload(cls, workload: str, **overrides) -> "LoadgenParams":
-        """Params preset for a standard YCSB workload letter.
-
-        ``for_workload("E")`` is the scan-heavy mix (95% range scans,
-        5% writes) of :class:`repro.workloads.YCSBGenerator`.
-        """
-        mix = YCSBGenerator.MIXES[workload.upper()]
-        overrides.setdefault("read_fraction", mix.read_fraction)
-        overrides.setdefault("scan_fraction", mix.scan_fraction)
-        return cls(**overrides)
 
 
 def key_addr(rank: int, addr_size: int) -> bytes:
@@ -342,28 +325,19 @@ async def run_streams(client_factory, streams: Sequence[List[ClientOp]]) -> Load
     return report
 
 
-async def run_loadgen(
-    host: Optional[str],
-    port: Optional[int],
-    params: LoadgenParams,
-    client_factory=None,
-) -> LoadReport:
+async def run_loadgen(client_factory, params: LoadgenParams) -> LoadReport:
     """Drive the target with ``params.clients`` concurrent clients.
 
-    ``client_factory`` (a zero-arg callable returning an *unconnected*
-    :class:`~repro.server.client.KVClient`) decides the topology: the
-    default connects to ``(host, port)``, and passing a factory built
-    over :func:`~repro.server.client.connect` drives a replica set or a
-    whole cluster through the exact same op streams — the generator
-    never special-cases the client class.
+    ``client_factory`` is a zero-arg callable returning an *unconnected*
+    :class:`~repro.server.client.KVClient`, so it names the target:
+    ``lambda: connect((host, port))`` drives one server and a factory
+    over ``connect(manifest_file=...)`` a whole cluster, through the
+    exact same op streams — the generator never special-cases the
+    client class.
 
     Finishes with a forced group commit (so the run's writes are
     committed) and a STATS snapshot attached to the report.
     """
-    if client_factory is None:
-        if host is None or port is None:
-            raise ValueError("run_loadgen needs (host, port) or a client_factory")
-        client_factory = lambda: connect((host, port))  # noqa: E731
     report = await run_streams(
         client_factory, [client_ops(params, cid) for cid in range(params.clients)]
     )

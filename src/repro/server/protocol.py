@@ -227,15 +227,10 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 class NotPrimaryError(Referral):
-    """A write (or subscribe) hit a replica; redirect to ``primary``."""
+    """A write (or subscribe) hit a replica; ``address`` is its primary."""
 
     def __init__(self, primary: str) -> None:
         super().__init__("not the primary; writes go to the primary", primary)
-
-    @property
-    def primary(self) -> str:
-        """``host:port`` of the primary the replica follows (legacy name)."""
-        return self.address
 
 
 class MovedError(Referral):

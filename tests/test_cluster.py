@@ -6,11 +6,10 @@ The contracts under test:
   any ownership change bumps the epoch, and staleness is one integer
   comparison;
 * the **connect() factory** is the one client API: a target returns a
-  ``ServerClient``, a replica set a ``ReplicatedClient``, cluster
-  arguments a ``ClusterClient`` — all ``KVClient``s, with the old names
-  kept as working aliases;
+  ``ServerClient``, cluster arguments a ``ClusterClient`` — the only two
+  ``KVClient``s;
 * a server that must not answer refers the client (``MOVED`` carrying
-  the new owner + epoch), and every client follows referrals
+  the new owner + epoch), and the cluster client follows referrals
   transparently;
 * **live migration loses nothing**: every write acked during a mid-load
   shard move is present at its acked height afterwards, with no
@@ -20,6 +19,7 @@ The contracts under test:
 """
 
 import asyncio
+import inspect
 import os
 import re
 import signal
@@ -39,16 +39,19 @@ from repro.cluster import (
     plan_manifest,
     shard_dirname,
 )
+from repro.cluster.client import ClusterClient
 from repro.cluster.manifest import shard_of
 from repro.common.errors import StorageError
 from repro.common.hashing import hash_concat
+from repro.common.params import ColeParams
+from repro.core import Cole
 from repro.server import (
     KVClient,
     MovedError,
     NotPrimaryError,
     Referral,
-    ReplicatedClient,
     ServerClient,
+    ServerThread,
     connect,
     protocol,
 )
@@ -148,32 +151,26 @@ def test_moved_frame_round_trip():
 
 
 def test_alias_pin_referral_hierarchy_and_client_names():
-    """The API redesign keeps the old names as working aliases."""
-    # NOT_PRIMARY is now a special case of Referral; `.primary` survives.
+    """NOT_PRIMARY is a special case of Referral; the legacy aliases —
+    ``NotPrimaryError.primary`` and the replica-set client — stay gone."""
     exc = NotPrimaryError("127.0.0.1:7407")
     assert isinstance(exc, Referral)
     assert isinstance(exc, StorageError)
-    assert exc.primary == "127.0.0.1:7407"
     assert exc.address == "127.0.0.1:7407"
+    assert not hasattr(exc, "primary")
     assert exc.manifest_epoch == 0 and exc.shard_id is None
     assert isinstance(MovedError("h:1", 1, 0), Referral)
-    # The old client classes are still importable and are KVClients.
     assert issubclass(ServerClient, KVClient)
-    assert issubclass(ReplicatedClient, KVClient)
-    from repro.server.client import ReplicatedClient as from_module
+    import repro.server
+    import repro.server.client
 
-    assert from_module is ReplicatedClient
+    assert not hasattr(repro.server, "ReplicatedClient")
+    assert not hasattr(repro.server.client, "ReplicatedClient")
 
 
 def test_connect_factory_picks_the_client():
     assert isinstance(connect(("127.0.0.1", 7407)), ServerClient)
     assert isinstance(connect("127.0.0.1:7407"), ServerClient)
-    replicated = connect(
-        ("127.0.0.1", 7407), replicas=[("127.0.0.1", 7408)], read_primary=False
-    )
-    assert isinstance(replicated, ReplicatedClient)
-    from repro.cluster.client import ClusterClient
-
     cluster = connect(manifest=plan_manifest(1, 1))
     assert isinstance(cluster, ClusterClient)
     assert isinstance(connect(seeds=["127.0.0.1:7450"]), ClusterClient)
@@ -181,6 +178,43 @@ def test_connect_factory_picks_the_client():
         connect()
     with pytest.raises(StorageError):
         connect(("127.0.0.1", 7407), manifest=plan_manifest(1, 1))
+
+
+def test_client_surface_cannot_regrow():
+    """Two topologies, two clients: one server (a primary, a replica or
+    a shard server) and a manifest-routed cluster."""
+    assert list(inspect.signature(connect).parameters) == [
+        "target", "manifest", "manifest_file", "seeds",
+    ]
+    shipped = {
+        cls for cls in KVClient.__subclasses__() if cls.__module__.startswith("repro.")
+    }  # test doubles subclass it too
+    assert shipped == {ServerClient, ClusterClient}
+
+
+def test_concurrent_first_requests_to_a_shard_share_one_connection(tmp_path):
+    """Eight concurrent first GETs through a fresh cluster client open
+    one connection to the shard server, and close() leaves none open."""
+    engine = Cole(str(tmp_path / "ws"), ColeParams())
+    with ServerThread(engine) as thread:
+        host, port = thread.start()
+        server = thread.server
+        manifest = plan_manifest(1, 1).with_addresses({0: f"{host}:{port}"})
+
+        async def scenario():
+            client = await connect(manifest=manifest).connect()
+            values = await asyncio.gather(*(client.get(addr_of(n)) for n in range(8)))
+            assert values == [None] * 8
+            await client.close()
+            for _ in range(500):
+                if not server._conns:
+                    break
+                await asyncio.sleep(0.01)
+            assert not server._conns, "close() left a connection open"
+
+        asyncio.run(scenario())
+        assert server.connections_total == 1
+    engine.close()
 
 
 def test_cluster_cli_parser():

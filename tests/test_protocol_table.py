@@ -178,7 +178,7 @@ def test_golden_rejection_frames(label):
             "10.0.0.2:7408", 7, 3
         )
     if error is NotPrimaryError:
-        assert caught.value.primary == "10.0.0.1:7407"
+        assert caught.value.address == "10.0.0.1:7407"
 
 
 @pytest.mark.parametrize(

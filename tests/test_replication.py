@@ -24,7 +24,6 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
     NotPrimaryError,
-    ReplicatedClient,
     ServerClient,
     ServerConfig,
     ServerThread,
@@ -151,101 +150,14 @@ def test_replica_rejects_writes_with_primary_referral(tmp_path):
                 async with ServerClient(rhost, rport) as rc:
                     with pytest.raises(NotPrimaryError) as put_exc:
                         await rc.put(addr_of(1), value_of(1))
-                    assert put_exc.value.primary == f"{phost}:{pport}"
+                    assert put_exc.value.address == f"{phost}:{pport}"
                     with pytest.raises(NotPrimaryError):
                         await rc.flush()
-                # A ReplicatedClient pointed at the replica as "primary"
-                # follows the referral and lands the write.
-                async with ReplicatedClient((rhost, rport)) as client:
-                    height = await client.put(addr_of(2), value_of(2))
-                    assert height >= 1
-                    assert client.redirects == 1
 
             asyncio.run(scenario())
     wal.close()
     engine.close()
     replica_engine.close()
-
-
-def test_replicated_client_fans_reads_and_falls_back(tmp_path):
-    engine, wal, primary = primary_stack(tmp_path)
-    replica_engine = Cole(str(tmp_path / "replica"), PARAMS)
-    with primary:
-        phost, pport = primary.start()
-        with ServerThread(replica_engine, replica_of=(phost, pport)) as rt:
-            rhost, rport = rt.start()
-
-            async def scenario():
-                async with ServerClient(phost, pport) as pc:
-                    for n in range(40):
-                        await pc.put(addr_of(n), value_of(n))
-                    info = await pc.flush()
-                async with ServerClient(rhost, rport) as rc:
-                    await wait_for_height(rc, info.height)
-                async with ReplicatedClient(
-                    (phost, pport), [(rhost, rport)], max_lag=1
-                ) as client:
-                    lags = await client.refresh_lag()
-                    assert lags == [0]
-                    for n in range(40):
-                        assert await client.get(addr_of(n)) == value_of(n)
-                    # Replica reads really happened (round-robin hit both).
-                    rstats = await client.replicas[0].stats()
-                    assert rstats["ops"]["get"] > 0
-                    # Kill the replica: reads must fall back to the primary.
-                    await client.replicas[0].close()
-                    for n in range(10):
-                        assert await client.get(addr_of(n)) == value_of(n)
-                    assert client.read_fallbacks > 0
-
-            asyncio.run(scenario())
-    wal.close()
-    engine.close()
-    replica_engine.close()
-
-
-def test_replicated_client_paged_scan_stays_on_one_node(tmp_path):
-    """Every page of one paged scan comes from the node its first page
-    chose (pages are pinned to that node's committed height)."""
-    engine, wal, primary = primary_stack(tmp_path)
-    replica_engines = [Cole(str(tmp_path / f"replica{i}"), PARAMS) for i in (0, 1)]
-    with primary:
-        phost, pport = primary.start()
-        with ServerThread(replica_engines[0], replica_of=(phost, pport)) as r0, \
-                ServerThread(replica_engines[1], replica_of=(phost, pport)) as r1:
-            replicas = [r0.start(), r1.start()]
-
-            async def scenario():
-                async with ServerClient(phost, pport) as pc:
-                    for n in range(40):
-                        await pc.put(addr_of(n), value_of(n))
-                    info = await pc.flush()
-                    expected = await pc.scan(addr_of(0), addr_of(39))
-                assert len(expected) == 40
-                for address in replicas:
-                    async with ServerClient(*address) as rc:
-                        await wait_for_height(rc, info.height)
-                async with ReplicatedClient(
-                    (phost, pport), replicas, read_primary=False
-                ) as client:
-                    pages = []
-                    for _ in replicas:
-                        assert await client.scan(
-                            addr_of(0), addr_of(39), page_size=4
-                        ) == expected
-                        pages.append([
-                            (await replica.stats())["ops"]["scan"]
-                            for replica in client.replicas
-                        ])
-                # Ten pages each: all of the first scan on one replica,
-                # all of the second on the other.
-                assert pages == [[10, 0], [10, 10]]
-
-            asyncio.run(scenario())
-    wal.close()
-    engine.close()
-    for replica_engine in replica_engines:
-        replica_engine.close()
 
 
 def test_replica_divergence_is_a_crash_stop(tmp_path):

@@ -14,18 +14,19 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
 from repro.server import (
     LoadgenParams,
-    ReplicatedClient,
     ServerClient,
     ServerConfig,
     ServerThread,
     VersionedReadCache,
     client_ops,
+    connect,
     replay_writes,
     run_loadgen,
 )
 from repro.server import protocol
 from repro.server.loadgen import key_addr
 from repro.server.protocol import Op, RootInfo
+from repro.workloads import YCSBGenerator
 
 from raw_frames import read_frame
 
@@ -590,7 +591,7 @@ def test_service_matches_direct_engine_32_clients(tmp_path):
     )
 
     async def scenario(host, port):
-        report = await run_loadgen(host, port, params)
+        report = await run_loadgen(lambda: connect((host, port)), params)
         assert report.errors == 0
         assert report.ops == params.clients * params.ops_per_client
         # The cache saw real traffic and served some of it.
@@ -636,11 +637,12 @@ def test_loadgen_scan_mix_and_workload_e_preset():
     assert [client_ops(base, c) for c in range(2)] == [
         client_ops(with_flag, c) for c in range(2)
     ]
-    # Workload E: scan-heavy mix, deterministic, bounded scan lengths.
-    params = LoadgenParams.for_workload(
-        "E", clients=2, ops_per_client=200, num_keys=64, scan_length=9, seed=5
+    # Workload E's mix: scan-heavy, deterministic, bounded scan lengths.
+    mix = YCSBGenerator.MIXES["E"]
+    params = LoadgenParams(
+        clients=2, ops_per_client=200, num_keys=64, scan_length=9, seed=5,
+        read_fraction=mix.read_fraction, scan_fraction=mix.scan_fraction,
     )
-    assert params.scan_fraction == 0.95 and params.read_fraction == 0.0
     stream = client_ops(params, 0)
     assert stream == client_ops(params, 0)
     kinds = [op[0] for op in stream]
@@ -673,7 +675,7 @@ def test_loadgen_run_with_scans_reports_scan_latencies(tmp_path):
     )
 
     async def scenario(host, port):
-        report = await run_loadgen(host, port, params)
+        report = await run_loadgen(lambda: connect((host, port)), params)
         assert report.errors == 0, report.error_samples
         assert report.ops == 160
         summary = report.to_dict()
@@ -723,45 +725,6 @@ def test_stats_op_shape(tmp_path):
             # The one GET reached the engine and was answered on the loop.
             assert stats["reads"] == {"inline": 1, "pooled": 0, "would_block": 0}
             assert "page_reads" in stats["io"]
-
-    with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
-        asyncio.run(scenario(*thread.start()))
-    engine.close()
-
-
-def test_replicated_connect_failure_closes_the_nodes_already_open(tmp_path):
-    """A ReplicatedClient.connect() that dies on its second node must not
-    leak the connection the first one opened (it would have no owner to
-    close it).  The failure is injected where the client gets its
-    transports from — the loop's ``create_connection`` — and the sockets
-    are judged by the transports the loop handed out."""
-    from unittest import mock
-
-    engine = Cole(str(tmp_path / "ws"), PARAMS)
-    opened = []
-
-    async def scenario(host, port):
-        loop = asyncio.get_running_loop()
-        real_create = loop.create_connection
-
-        async def flaky_create(*args, **kwargs):
-            if len(opened) == 1:
-                raise ConnectionRefusedError("the second node refused")
-            transport, connection = await real_create(*args, **kwargs)
-            opened.append(transport)
-            return transport, connection
-
-        client = ReplicatedClient((host, port), [(host, port)])
-        with mock.patch.object(loop, "create_connection", flaky_create):
-            with pytest.raises(ConnectionRefusedError):
-                await client.connect()
-        assert len(opened) == 1  # the primary connected before the failure
-        assert opened[0].is_closing()
-        with pytest.raises(StorageError, match="not connected"):
-            await client.root()
-        # And the server end stays healthy for the next client.
-        async with ServerClient(host, port) as client:
-            assert await client.get(addr_of(1)) is None
 
     with serve(engine, batch_max_puts=1000, batch_max_delay=60.0) as thread:
         asyncio.run(scenario(*thread.start()))
@@ -873,7 +836,7 @@ def test_loadgen_counts_and_samples_op_errors():
     host, port = faulty.start()
     try:
         params = LoadgenParams(clients=3, ops_per_client=30, seed=5)
-        report = asyncio.run(run_loadgen(host, port, params))
+        report = asyncio.run(run_loadgen(lambda: connect((host, port)), params))
     finally:
         faulty.stop()
     total = 3 * 30
