@@ -24,12 +24,12 @@ import tempfile
 
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
+from repro.obs.query import format_output
 from repro.server import (
     LoadgenParams,
     ServerConfig,
     ServerThread,
     connect,
-    format_report,
     run_loadgen,
 )
 
@@ -98,7 +98,8 @@ async def main() -> None:
         )
         report = await run_loadgen(lambda: connect((host, port)), params)
         print("YCSB workload E (95% scans):")
-        print(format_report(report))
+        rows = report.rows()
+        print(format_output(list(rows[-1]), rows, "table"))
         assert report.errors == 0
         assert len(report.latency["scan"]) > len(report.latency["put"])
     finally:

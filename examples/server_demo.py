@@ -22,12 +22,12 @@ import tempfile
 
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
+from repro.obs.query import format_output
 from repro.server import (
     LoadgenParams,
     ServerConfig,
     ServerThread,
     connect,
-    format_report,
     replay_writes,
     run_loadgen,
 )
@@ -56,7 +56,11 @@ async def main() -> None:
 
         # -- 16 concurrent clients, mixed read/write zipfian traffic ------
         report = await run_loadgen(lambda: connect((host, port)), PARAMS)
-        print(format_report(report))
+        rows = report.rows()
+        print(format_output(list(rows[-1]), rows, "table"))
+        batcher = report.server_stats["batcher"]
+        print(f"group commit: {batcher['commits']} commits, "
+              f"avg batch {batcher['avg_batch']:.1f} puts")
 
         # -- byte-identical with the in-process engine --------------------
         direct = Cole(direct_dir, COLE)

@@ -61,7 +61,6 @@ from repro.diskio.iostats import IOStats
 from repro.server import (
     KVClient,
     LoadgenParams,
-    ServerClient,
     ServerConfig,
     ServerThread,
     client_ops,
@@ -70,13 +69,8 @@ from repro.server import (
 )
 from repro.server.loadgen import ClientOp, key_addr, run_streams, write_value
 from repro.wal import WriteAheadLog
-from repro.workloads import (
-    Mix,
-    ProvenanceWorkload,
-    SmallBankWorkload,
-    YCSBGenerator,
-    YCSBWorkload,
-)
+from repro.workloads import Mix, ProvenanceWorkload, SmallBankWorkload, YCSBWorkload
+from repro.workloads.ycsb import ZipfGenerator
 
 Row = Dict[str, object]
 Batch = List[Tuple[bytes, bytes]]
@@ -411,7 +405,7 @@ def run_served_sweep(
         return {"clients": clients, "policy": policy, "ops": report.ops,
                 "errors": report.errors, "ops_per_s": report.throughput,
                 "p50_s": percentile(latencies, 0.5), "p99_s": percentile(latencies, 0.99),
-                "cache_hit_rate": report.cache_hit_rate,
+                "cache_hit_rate": report.server_stats["cache"]["hit_rate"],
                 "avg_batch": batcher.get("avg_batch", 0.0),
                 "commits": batcher.get("commits", 0),
                 "wal_syncs": syncs, "wal_mb": wal_stats.get("bytes_appended", 0) / 1e6,
@@ -680,7 +674,7 @@ def run_scan_throughput(
     repeatedly across ``blocks`` committed blocks) is loaded; then, per
     scan length ``L``, ``scans_per_point`` key-ordered scans of
     ``limit=L`` are issued from zipfian-popular start addresses (the YCSB
-    workload E shape, via :class:`~repro.workloads.YCSBGenerator`).
+    workload E shape).
 
     The engine's scan results are first verified byte-identical to a
     brute-force in-memory model (latest *and* a historical ``at_blk``
@@ -709,14 +703,16 @@ def run_scan_throughput(
         return out
 
     def scan_starts(length: int) -> List[Tuple[bytes, int]]:
-        generator = YCSBGenerator(
-            "E", num_keys=num_addresses, seed=SEED, max_scan_length=length
-        )
-        return [
-            (pool[rank], scan_len)
-            for kind, rank, scan_len in generator.ops(scans_per_point * 3)
-            if kind == "scan"
-        ][:scans_per_point]
+        # YCSB workload E: 95% of ops scan [1, length] entries from a
+        # zipfian-popular start; the 5% updates are drawn, not issued.
+        rng = random.Random(SEED)
+        zipf = ZipfGenerator(num_addresses, seed=SEED + 1)
+        starts: List[Tuple[bytes, int]] = []
+        while len(starts) < scans_per_point:
+            roll, rank = rng.random(), zipf.next_rank()
+            if roll < 0.95:
+                starts.append((pool[rank], rng.randint(1, length)))
+        return starts
 
     with engine_cell("cole*") as backend:
         load_stream(backend, stream)
@@ -804,20 +800,18 @@ def run_negative_lookup(
     absent = [
         hash_bytes(f"absent:{index}".encode())[:ADDR_SIZE] for index in range(absent_keys)
     ]
-    ops = passes * len(absent)
+    timed_gets: List[ClientOp] = [("get", addr, None) for addr in absent] * passes
 
-    async def hammer(host: str, port: int) -> Row:
-        async with ServerClient(host, port) as client:
-            for addr in absent:  # warm-up pass (uncounted)
-                if await client.get(addr) is not None:
-                    raise RuntimeError(f"absent address {addr.hex()} has a value")
-            started = time.perf_counter()
-            for _ in range(passes):
-                for addr in absent:
-                    await client.get(addr)
-            elapsed = time.perf_counter() - started
+    async def hammer(address) -> Row:
+        async with connect(address) as client:
+            # Warm-up (uncounted): one batch, every address a true miss.
+            if any(value is not None for value in await client.multi_get(absent)):
+                raise RuntimeError("an absent address has a value")
+            report = await run_streams(lambda: connect(address), [timed_gets])
+            if report.errors:
+                raise RuntimeError(f"negative-lookup GETs errored: {report.error_samples}")
             stats = await client.stats()
-        return {"ops": ops, "ops_per_s": ops / elapsed,
+        return {"ops": report.ops, "ops_per_s": report.throughput,
                 "hit_rate": stats["negative_cache"]["hit_rate"]}
 
     with engine_cell("cole") as backend:
@@ -828,7 +822,7 @@ def run_negative_lookup(
         measured = []
         for capacity in (0, 4096):
             with served(backend, ServerConfig(negative_cache_capacity=capacity)) as thread:
-                measured.append(asyncio.run(hammer(thread.server.host, thread.server.port)))
+                measured.append(asyncio.run(hammer((thread.server.host, thread.server.port))))
     baseline, cached = measured
     return [
         {"config": "no-cache", "speedup": 1.0, **baseline},

@@ -515,6 +515,8 @@ def export(
             stats = export_slice(
                 store.engine, out, at_blk=at_blk, addr_low=addr_low, addr_high=addr_high
             )
+            out.flush()
+            os.fsync(out.fileno())
         os.replace(temp, output)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -573,7 +575,8 @@ def import_(ctx: click.Context, file: str, workspace: str) -> int:
 @click.option("--multi-get-size", type=int, default=1,
               help="issue reads as MULTI_GET batches of this many keys "
               "(1 = plain GETs)")
-@click.option("--json", "as_json", is_flag=True, help="print the report as JSON")
+@click.option("--format", "-f", "fmt", type=click.Choice(["table", "csv", "json"]),
+              default="table", show_default=True, help="output format")
 @click.option("--manifest", default=None,
               help="cluster manifest file: route ops across the cluster "
               "instead of --host/--port")
@@ -591,19 +594,22 @@ def loadgen(
     num_keys: int,
     seed: int,
     multi_get_size: int,
-    as_json: bool,
+    fmt: str,
     manifest: Optional[str],
     seeds: Optional[str],
 ) -> int:
     """Drive a running server with concurrent YCSB-style clients.
 
-    Exits non-zero when any op errored — a loadgen run against a broken
-    server must not report a clean throughput number and exit 0.
+    Prints one latency row per op kind and an ``all`` row of run totals;
+    error types and samples go to stderr.  Exits non-zero when any op
+    errored — a loadgen run against a broken server must not report a
+    clean throughput number and exit 0.
     """
     import asyncio
     from functools import partial
 
-    from repro.server import LoadgenParams, connect, format_report, run_loadgen
+    from repro.obs.query import emit
+    from repro.server import LoadgenParams, connect, run_loadgen
 
     params = LoadgenParams(
         clients=clients,
@@ -623,12 +629,13 @@ def loadgen(
     else:
         client_factory = partial(connect, (host, port))
     report = asyncio.run(run_loadgen(client_factory, params))
-    if as_json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(format_report(report))
+    note = ""
+    if report.errors:
+        kinds = ", ".join(f"{kind} x{n}" for kind, n in sorted(report.errors_by_type.items()))
+        note = "\n".join([f"errors: {report.errors} ({kinds})",
+                          *(f"  e.g. {sample}" for sample in report.error_samples)])
+    rows = report.rows()
+    emit(list(rows[-1]), rows, fmt, note)
     return 1 if report.errors else 0
 
 

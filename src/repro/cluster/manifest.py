@@ -230,13 +230,16 @@ class ClusterManifest:
         return cls.from_dict(data)
 
     def save(self, path: str) -> None:
-        """Write atomically: a reader never sees a half-written manifest."""
+        """Write atomically: a reader never sees a half-written manifest,
+        and the rename only ever names fsynced bytes."""
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(self.to_json())
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -522,7 +522,9 @@ def collect_audit(
     """Provenance walk over the live addresses in ``[addr_low, addr_high]``.
 
     Scans the range for up to ``limit`` live addresses, then asks the
-    full version history of each (block 0 .. the committed height).
+    full version history of each (block 0 .. the committed height) and
+    verifies its proof against the state root the answer is anchored to:
+    a proof that fails raises :class:`VerificationError`.
     Live mode drives SCAN + PROV over the wire; cold mode opens the
     engine read-style under the workspace flock (committed state only —
     an unreplayed WAL tail is the server's to recover, not ours).
@@ -533,12 +535,11 @@ def collect_audit(
             triples = await client.scan(addr_low, addr_high, limit=limit)
             out = []
             for addr in dict.fromkeys(addr for addr, _blk, _value in triples):
-                result, _root = await client.prov(addr, 0, max(info.height, 0))
-                out.append((addr, result))
+                out.append((addr, *await client.prov(addr, 0, max(info.height, 0))))
             return out
 
         histories = target.call(run)
-        return [_audit_row(addr, result) for addr, result in histories]
+        return [_audit_row(addr, result, root) for addr, result, root in histories]
     from repro.cli import open_store
 
     workspace = target.resolve_workspace()
@@ -546,15 +547,16 @@ def collect_audit(
         engine = store.engine
         height = max(engine.last_blk, 0)
         triples = engine.scan(addr_low, addr_high, limit=limit)
-        rows = []
-        for addr in dict.fromkeys(addr for addr, _blk, _value in triples):
-            result, _root = engine.prov_query_anchored(addr, 0, height)
-            rows.append(_audit_row(addr, result))
-        return rows
+        return [
+            _audit_row(addr, *engine.prov_query_anchored(addr, 0, height))
+            for addr in dict.fromkeys(addr for addr, _blk, _value in triples)
+        ]
 
 
-def _audit_row(addr: bytes, result: Any) -> dict:
-    versions = list(result.versions)
+def _audit_row(addr: bytes, result: Any, root: bytes) -> dict:
+    from repro.core.verify import verify_provenance
+
+    versions = verify_provenance(result, root, addr_size=len(addr))
     return {
         "addr": addr.hex(),
         "versions": len(versions),
@@ -811,7 +813,7 @@ def audit(
 
     For each live address in the range (up to --limit): its version
     count and first/last change heights, proven against the committed
-    state root.
+    state root.  A proof that fails verification exits 1.
     """
     low = parse_addr_bound(addr_low, addr_size, b"\x00")
     high = parse_addr_bound(addr_high, addr_size, b"\xff")

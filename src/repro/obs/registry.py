@@ -241,24 +241,6 @@ class LatencyHistogram:
             "p99": self.percentile(0.99),
         }
 
-    def to_dict(self) -> dict:
-        """JSON form with the non-empty buckets (loadgen ``--json``)."""
-        with self._lock:
-            pairs = [
-                (self._lo * self._growth ** i, n)
-                for i, n in enumerate(self._counts)
-                if n
-            ]
-            return {
-                "lo": self._lo,
-                "growth": self._growth,
-                "count": self._count,
-                "sum": self._sum,
-                "min": self.min,
-                "max": self._max,
-                "buckets": [[bound, n] for bound, n in pairs],
-            }
-
 
 def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))

@@ -40,7 +40,6 @@ from repro.server.loadgen import (
     LoadgenParams,
     LoadReport,
     client_ops,
-    format_report,
     replay_writes,
     run_loadgen,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "LoadgenParams",
     "LoadReport",
     "client_ops",
-    "format_report",
     "replay_writes",
     "run_loadgen",
 ]

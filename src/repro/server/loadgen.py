@@ -28,7 +28,7 @@ from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
 from repro.server.client import KVClient
 from repro.server.protocol import Referral
-from repro.workloads.ycsb import WorkloadMix, ZipfGenerator
+from repro.workloads.ycsb import ZipfGenerator
 
 #: One op: ("get", addr, None), ("put", addr, value),
 #: ("scan", start_addr, max_results), or ("mget", (addr, ...), None) —
@@ -61,7 +61,10 @@ class LoadgenParams:
     def __post_init__(self) -> None:
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
-        WorkloadMix(self.read_fraction, self.scan_fraction)  # checks the mix
+        if not (0.0 <= self.read_fraction <= 1.0 and 0.0 <= self.scan_fraction <= 1.0):
+            raise ValueError("read_fraction and scan_fraction must be in [0, 1]")
+        if self.read_fraction + self.scan_fraction > 1.0:
+            raise ValueError("read + scan fractions exceed 1")
         if self.scan_length < 1:
             raise ValueError("scan_length must be >= 1")
         if self.multi_get_size < 1:
@@ -198,10 +201,9 @@ class LoadReport:
     latency: Dict[str, LatencyHistogram] = field(
         default_factory=lambda: {kind: LatencyHistogram() for kind in OP_KINDS}
     )
-    #: keys the MULTI_GET batches read (each key counts as a read).
-    mget_keys: int = 0
-    #: key-value triples returned across all scans (scan "depth" served).
-    scanned_entries: int = 0
+    #: keys each op kind touched: one per GET / PUT, a batch's worth per
+    #: MULTI_GET, the returned entries per scan.
+    keys: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(OP_KINDS, 0))
     errors: int = 0
     #: error count per exception type name — a run that failed must say how.
     errors_by_type: dict = field(default_factory=dict)
@@ -215,9 +217,11 @@ class LoadReport:
         kind, target, _ = op
         self.latency[kind].observe(latency)
         if kind == "mget":
-            self.mget_keys += len(target)
+            self.keys[kind] += len(target)
         elif kind == "scan":
-            self.scanned_entries += len(result)
+            self.keys[kind] += len(result)
+        else:
+            self.keys[kind] += 1
 
     def record_error(self, exc: BaseException) -> None:
         """Count one failed op, keeping its kind and a message sample."""
@@ -245,45 +249,29 @@ class LoadReport:
     @property
     def reads(self) -> int:
         """Keys read: one per GET, a batch's worth per MULTI_GET."""
-        return len(self.latency["get"]) + self.mget_keys
+        return self.keys["get"] + self.keys["mget"]
 
     @property
     def throughput(self) -> float:
         """Completed ops per second of wall clock."""
         return self.ops / self.elapsed_s if self.elapsed_s else 0.0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Read-cache hit rate reported by the server after the run."""
-        return self.server_stats.get("cache", {}).get("hit_rate", 0.0)
+    def rows(self) -> List[dict]:
+        """The report as table rows: one per op kind that ran, then
+        ``all`` with the run's totals.  Only ``all`` carries ``errors``,
+        ``elapsed_s`` and ``clients``, so its keys are the columns."""
 
-    def to_dict(self) -> dict:
-        """JSON-serializable summary (``repro loadgen --json``): the counts,
-        then p50 / p99 and the full bucketed distribution (which
-        downstream tooling can merge or re-quantile) of every op
-        together (unprefixed) and of each kind (``get_``, ``put_``, ...)."""
-        summary = {
-            "clients": self.clients,
-            "ops": self.ops,
-            "reads": self.reads,
-            "writes": len(self.latency["put"]),
-            "scans": len(self.latency["scan"]),
-            "mgets": len(self.latency["mget"]),
-            "scanned_entries": self.scanned_entries,
-            "errors": self.errors,
-            "errors_by_type": dict(self.errors_by_type),
-            "error_samples": list(self.error_samples),
-            "elapsed_s": self.elapsed_s,
-            "ops_per_s": self.throughput,
-            "cache_hit_rate": self.cache_hit_rate,
-            "server_stats": self.server_stats,
-        }
-        prefixed = {f"{kind}_": hist for kind, hist in self.latency.items()}
-        for prefix, hist in {"": self.latencies, **prefixed}.items():
-            summary[f"{prefix}p50_s"] = hist.percentile(0.5)
-            summary[f"{prefix}p99_s"] = hist.percentile(0.99)
-            summary[f"{prefix}latency_buckets"] = hist.to_dict()
-        return summary
+        def row(op: str, hist: LatencyHistogram, keys: int) -> dict:
+            return {"op": op, "count": len(hist), "keys": keys,
+                    "p50_s": round(hist.percentile(0.5), 6),
+                    "p99_s": round(hist.percentile(0.99), 6),
+                    "max_s": round(hist.max, 6),
+                    "ops_per_s": round(len(hist) / self.elapsed_s, 1) if self.elapsed_s else 0.0}
+
+        rows = [row(kind, hist, self.keys[kind]) for kind, hist in self.latency.items() if hist]
+        return rows + [{**row("all", self.latencies, sum(self.keys.values())),
+                        "errors": self.errors, "elapsed_s": round(self.elapsed_s, 6),
+                        "clients": self.clients}]
 
 
 async def _issue(client: KVClient, op: ClientOp):
@@ -348,46 +336,3 @@ async def run_loadgen(client_factory, params: LoadgenParams) -> LoadReport:
             pass  # a replica target: its commits arrive via the stream
         report.server_stats = await control.stats()
     return report
-
-
-def format_report(report: LoadReport) -> str:
-    """Multi-line human-readable summary of one run: the totals, then one
-    latency row per op kind the run issued."""
-    from repro.bench.report import format_rate, format_seconds
-    from repro.obs.query import format_output
-
-    lines = [
-        f"clients:         {report.clients} (closed loop)",
-        f"ops:             {report.ops} ({report.reads} keys read, "
-        f"{report.scanned_entries} scanned, {report.errors} errors)",
-        f"elapsed:         {format_seconds(report.elapsed_s)}",
-        f"throughput:      {format_rate(report.ops, report.elapsed_s)}",
-    ]
-    if report.errors:
-        kinds = ", ".join(
-            f"{kind} x{count}"
-            for kind, count in sorted(report.errors_by_type.items())
-        )
-        lines.append(f"errors:          {report.errors} ({kinds})")
-        lines += [f"  e.g. {sample}" for sample in report.error_samples]
-    quantiles = {"p50": 0.5, "p99": 0.99, "max": 1.0}
-    rows = [
-        {"op": kind, "count": len(hist),
-         **{name: format_seconds(hist.percentile(q)) for name, q in quantiles.items()}}
-        for kind, hist in report.latency.items() if hist
-    ]
-    if rows:
-        lines.append(format_output(["op", "count", *quantiles], rows, "table"))
-    for label, name in (("read cache:      ", "cache"), ("negative cache:  ", "negative_cache")):
-        cache = report.server_stats.get(name)
-        if cache and (cache["hits"] or cache["misses"]):
-            lookups = cache["hits"] + cache["misses"]
-            lines.append(f"{label}{cache['hits']} hits / {lookups} lookups "
-                         f"({cache['hit_rate']:.1%})")
-    batcher = report.server_stats.get("batcher")
-    if batcher:
-        lines.append(
-            f"group commit:    {batcher['commits']} commits, "
-            f"avg batch {batcher['avg_batch']:.1f} puts"
-        )
-    return "\n".join(lines)

@@ -379,21 +379,23 @@ class WriteAheadLog:
         (``checkpoint_blk``): a segment whose newest record height is at
         or below it holds only writes already named by the manifest.
         Returns the number of segments deleted.
+
+        The segments leave the live list under the append lock but are
+        unlinked after it is released: freeing an fsynced file's blocks
+        can take tens of milliseconds, and appends must not wait on it.
         """
         with self._lock:
             if self.sync_policy == "none":
                 # Never fsynced by design; close so the files are deletable.
                 self._settle_sealed()
-            keep: List[_Sealed] = []
-            for sealed in self._sealed_synced:
-                if sealed.max_height <= checkpoint:
-                    os.remove(sealed.path)
-                else:
-                    keep.append(sealed)
-            deleted = len(self._sealed_synced) - len(keep)
-            self._sealed_synced = keep
-            self.truncated_segments += deleted
-        return deleted
+            covered = [s for s in self._sealed_synced if s.max_height <= checkpoint]
+            self._sealed_synced = [
+                s for s in self._sealed_synced if s.max_height > checkpoint
+            ]
+            self.truncated_segments += len(covered)
+        for sealed in covered:
+            os.remove(sealed.path)
+        return len(covered)
 
     # =========================================================================
     # scanning (recovery / inspection)

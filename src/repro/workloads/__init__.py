@@ -8,14 +8,12 @@
 """
 
 from repro.workloads.smallbank import SmallBankWorkload
-from repro.workloads.ycsb import Mix, WorkloadMix, YCSBGenerator, YCSBWorkload
+from repro.workloads.ycsb import Mix, YCSBWorkload
 from repro.workloads.provenance import ProvenanceWorkload
 
 __all__ = [
     "SmallBankWorkload",
     "YCSBWorkload",
-    "YCSBGenerator",
-    "WorkloadMix",
     "Mix",
     "ProvenanceWorkload",
 ]

@@ -5,19 +5,16 @@ updates over the base keys with zipfian popularity, in one of three
 mixes: Read-Only, Read-Write (50/50) and Write-Only — the axes of
 Figure 11.
 
-:class:`YCSBGenerator` is the op-level counterpart for the standard
-YCSB workload letters, including the scan-heavy **workload E** that the
-cursor-based range-scan path serves: it yields abstract
-``(kind, rank, scan_length)`` ops that the serving layer's load
-generator and the fig20 scan benchmark translate into real requests.
+The served figures draw their op streams from
+:func:`repro.server.loadgen.client_ops` instead, over the same
+:class:`ZipfGenerator`.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.chain.transaction import Transaction
 
@@ -51,97 +48,6 @@ class ZipfGenerator:
         import bisect
 
         return bisect.bisect_left(self._cumulative, self.rng.random())
-
-
-@dataclass(frozen=True)
-class WorkloadMix:
-    """Op-kind proportions of one YCSB workload letter.
-
-    Whatever ``read_fraction`` and ``scan_fraction`` leave over is the
-    update (write) share.
-    """
-
-    read_fraction: float
-    scan_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        if not 0.0 <= self.scan_fraction <= 1.0:
-            raise ValueError("scan_fraction must be in [0, 1]")
-        if self.read_fraction + self.scan_fraction > 1.0:
-            raise ValueError("read + scan fractions exceed 1")
-
-    @property
-    def update_fraction(self) -> float:
-        return 1.0 - self.read_fraction - self.scan_fraction
-
-
-#: One generated op: (kind, key rank, scan length).  ``kind`` is
-#: "read" / "update" / "scan"; the length is 0 except for scans.
-YCSBOp = Tuple[str, int, int]
-
-
-class YCSBGenerator:
-    """Op-level generator for the standard YCSB workload letters.
-
-    The core YCSB running-phase mixes, including the ones the
-    transaction-level :class:`YCSBWorkload` cannot express:
-
-    * **A** — update heavy (50/50 read/update);
-    * **B** — read mostly (95/5);
-    * **C** — read only;
-    * **E** — **scan heavy** (95% short range scans, 5% updates), the
-      workload class the cursor subsystem's key-ordered range scans
-      unlock.
-
-    Scans start at a zipfian-popular rank and take a uniformly drawn
-    length in ``[1, max_scan_length]`` (the YCSB default distribution).
-    The stream is deterministic in the constructor arguments.
-    """
-
-    MIXES = {
-        "A": WorkloadMix(read_fraction=0.5),
-        "B": WorkloadMix(read_fraction=0.95),
-        "C": WorkloadMix(read_fraction=1.0),
-        "E": WorkloadMix(read_fraction=0.0, scan_fraction=0.95),
-    }
-
-    def __init__(
-        self,
-        workload: str = "E",
-        num_keys: int = 1000,
-        theta: float = 0.99,
-        seed: int = 1,
-        max_scan_length: int = 100,
-    ) -> None:
-        letter = workload.upper()
-        if letter not in self.MIXES:
-            raise ValueError(
-                f"unknown YCSB workload {workload!r}; choose from "
-                f"{sorted(self.MIXES)}"
-            )
-        if max_scan_length < 1:
-            raise ValueError("max_scan_length must be >= 1")
-        self.workload = letter
-        self.mix = self.MIXES[letter]
-        self.num_keys = num_keys
-        self.max_scan_length = max_scan_length
-        self._rng = random.Random(seed)
-        self._zipf = ZipfGenerator(num_keys, theta=theta, seed=seed + 1)
-
-    def ops(self, count: int) -> Iterator[YCSBOp]:
-        """Yield ``count`` deterministic ops in the workload's mix."""
-        mix = self._rng
-        for _ in range(count):
-            roll = mix.random()
-            rank = self._zipf.next_rank()
-            if roll < self.mix.scan_fraction:
-                yield "scan", rank, mix.randint(1, self.max_scan_length)
-            elif roll < self.mix.scan_fraction + self.mix.read_fraction:
-                yield "read", rank, 0
-            else:
-                yield "update", rank, 0
 
 
 class YCSBWorkload:

@@ -65,10 +65,11 @@ def parse(*argv):
 
 
 def test_loadgen_parser_scan_flags():
-    params = parse("loadgen", "--scan-frac", "0.4", "--scan-len", "9", "--json")
+    params = parse("loadgen", "--scan-frac", "0.4", "--scan-len", "9", "-f", "json")
     assert params["scan_frac"] == 0.4
     assert params["scan_len"] == 9
-    assert params["as_json"] is True
+    assert params["fmt"] == "json"
+    assert parse("loadgen")["fmt"] == "table"
     assert parse("loadgen", "--read-fraction", "0")["read_fraction"] == 0.0
 
 
@@ -275,6 +276,11 @@ PRESET_FLAGS = {
     ("loadgen", "--workload"): "a preset of `--read-fraction` / `--scan-frac`",
 }
 
+#: Flags replaced by another verb's option of a different shape:
+#: ``loadgen --json`` became the ``-f/--format table|csv|json`` option
+#: every ``query`` verb takes.
+REPLACED_FLAGS = {("loadgen", "--json"): ("query levels", "--format")}
+
 #: Flags renamed since the recording: ``experiment --replicas`` swept
 #: fig19's replica counts; ``--nodes`` sweeps the node counts of the
 #: process sweep behind figs 19 and 21.
@@ -318,6 +324,9 @@ def test_click_tree_keeps_the_recorded_surface():
         del expected[verb][flag]
     for (verb, flag), renamed in RENAMED_FLAGS.items():
         expected[verb][renamed] = {**expected[verb].pop(flag), "opts": [renamed]}
+    for (verb, flag), (source, option) in REPLACED_FLAGS.items():
+        del expected[verb][flag]
+        expected[verb][option] = expected[source][option]
     expected["serve"]["--shards"]["default"] = 1
     assert surface_of(cli.to_info_dict(click.Context(cli))) == expected
     flags = sum(
@@ -371,11 +380,12 @@ def plain(*argv):
         (plain("query", "levels"), 2, "exactly one of"),
         (plain("experiment", "fig20", "--engines", "cole"), 2, ""),
         (plain("serve", "TMP/ws", "--shards", "2"), 2, "repro cluster"),
+        (plain("loadgen", "--json"), 2, "No such option '--json'"),
     ],
     ids=[
         "info", "restore-missing", "restore-corrupt", "snapshot-locked",
         "export-non-hex", "export-too-long", "unknown-verb", "query-no-target",
-        "experiment-flag", "serve-shards",
+        "experiment-flag", "serve-shards", "loadgen-json",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, setup, code, message):

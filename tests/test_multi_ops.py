@@ -446,12 +446,14 @@ def test_loadgen_drives_multi_get_end_to_end(tmp_path):
         )
         report = await run_loadgen(lambda: connect((host, port)), params)
         assert report.errors == 0, report.error_samples
-        summary = report.to_dict()
-        assert summary["mgets"] > 0
-        assert report.reads == 8 * summary["mgets"]
-        assert report.ops == summary["mgets"] + summary["writes"]
-        assert summary["mget_p99_s"] >= summary["mget_p50_s"] > 0.0
-        assert report.server_stats["ops"]["multi_get"] == summary["mgets"]
+        rows = {row["op"]: row for row in report.rows()}
+        assert list(rows) == ["put", "mget", "all"]
+        mgets = rows["mget"]["count"]
+        assert mgets > 0
+        assert report.reads == rows["mget"]["keys"] == 8 * mgets
+        assert report.ops == rows["all"]["count"] == mgets + rows["put"]["count"]
+        assert rows["mget"]["p99_s"] >= rows["mget"]["p50_s"] > 0.0
+        assert report.server_stats["ops"]["multi_get"] == mgets
 
     with serve(engine) as thread:
         asyncio.run(scenario(*thread.start()))

@@ -132,19 +132,6 @@ def test_histogram_merge_rejects_mismatched_geometry():
         left.merge(right)
 
 
-def test_histogram_to_dict_sparse():
-    hist = LatencyHistogram()
-    hist.observe(0.001)
-    hist.observe(0.001)
-    payload = hist.to_dict()
-    assert payload["count"] == 2
-    # Sparse: only the touched bucket appears.
-    assert len(payload["buckets"]) == 1
-    bound, count = payload["buckets"][0]
-    assert count == 2
-    assert bound >= 0.001
-
-
 def test_histogram_works_with_shared_percentile_helper():
     """bench.report.percentile must answer from the histogram's own
     buckets — the loadgen report path."""

@@ -180,6 +180,29 @@ def test_cold_audit_walks_provenance(cold_workspace, capsys):
         assert row["first_blk"] <= row["last_blk"]
 
 
+@pytest.mark.parametrize("target", ["cold", "live"])
+def test_audit_rejects_a_tampered_proof(request, monkeypatch, capsys, target):
+    """Every history the audit reports is verified: a forged version
+    value fails against the anchored root and the verb exits 1."""
+    from repro.core.proofs import ProvenanceResult
+
+    args = (["-w", request.getfixturevalue("cold_workspace")] if target == "cold"
+            else ["-s", request.getfixturevalue("live_server")])
+    real = Cole.prov_query_anchored
+
+    def forged(self, addr, blk_low, blk_high):
+        result, root = real(self, addr, blk_low, blk_high)
+        (blk, value), *rest = result.versions
+        flipped = bytes(byte ^ 0xFF for byte in value)
+        return ProvenanceResult([(blk, flipped), *rest], result.boundary_version,
+                                result.proof), root
+
+    monkeypatch.setattr(Cole, "prov_query_anchored", forged)
+    code = main(["query", *args, "audit", "00", "ff", "--limit", "2"])
+    assert code == 1
+    assert "Error: VerificationError: " in capsys.readouterr().err
+
+
 def test_cold_csv_format_parses(cold_workspace, capsys):
     code, out = run_cli(["-w", cold_workspace, "levels", "-f", "csv"], capsys)
     assert code == 0

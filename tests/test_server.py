@@ -26,7 +26,6 @@ from repro.server import (
 from repro.server import protocol
 from repro.server.loadgen import key_addr
 from repro.server.protocol import Op, RootInfo
-from repro.workloads import YCSBGenerator
 
 from raw_frames import read_frame
 
@@ -637,11 +636,11 @@ def test_loadgen_scan_mix_and_workload_e_preset():
     assert [client_ops(base, c) for c in range(2)] == [
         client_ops(with_flag, c) for c in range(2)
     ]
-    # Workload E's mix: scan-heavy, deterministic, bounded scan lengths.
-    mix = YCSBGenerator.MIXES["E"]
+    # Workload E's mix (95% scans, 5% updates): scan-heavy,
+    # deterministic, bounded scan lengths.
     params = LoadgenParams(
         clients=2, ops_per_client=200, num_keys=64, scan_length=9, seed=5,
-        read_fraction=mix.read_fraction, scan_fraction=mix.scan_fraction,
+        read_fraction=0.0, scan_fraction=0.95,
     )
     stream = client_ops(params, 0)
     assert stream == client_ops(params, 0)
@@ -678,16 +677,16 @@ def test_loadgen_run_with_scans_reports_scan_latencies(tmp_path):
         report = await run_loadgen(lambda: connect((host, port)), params)
         assert report.errors == 0, report.error_samples
         assert report.ops == 160
-        summary = report.to_dict()
-        assert summary["scans"] > 0
-        assert summary["reads"] + summary["writes"] + summary["scans"] == report.ops
-        assert summary["scan_p99_s"] >= summary["scan_p50_s"] >= 0.0
-        assert summary["scanned_entries"] == report.scanned_entries > 0
-        from repro.server import format_report
-
-        text = format_report(report)
-        scan_row = next(line for line in text.splitlines() if line.startswith("scan "))
-        assert scan_row.split()[1] == str(summary["scans"])
+        rows = {row["op"]: row for row in report.rows()}
+        assert list(rows) == ["get", "put", "scan", "all"]
+        assert rows["scan"]["count"] > 0
+        assert sum(rows[kind]["count"] for kind in ("get", "put", "scan")) == report.ops
+        assert rows["all"]["count"] == report.ops
+        assert rows["scan"]["p99_s"] >= rows["scan"]["p50_s"] >= 0.0
+        # A scan row's keys are the entries the scans returned.
+        assert rows["scan"]["keys"] == report.keys["scan"] > 0
+        assert rows["all"]["keys"] == sum(rows[kind]["keys"] for kind in ("get", "put", "scan"))
+        assert rows["all"]["errors"] == 0
 
     with serve(engine, batch_max_puts=64, batch_max_delay=0.005) as thread:
         asyncio.run(scenario(*thread.start()))
@@ -830,8 +829,6 @@ class _FaultyServerThread:
 def test_loadgen_counts_and_samples_op_errors():
     """Every 3rd data op fails: the report must carry the count, the
     exception kind, and a verbatim sample — not a clean throughput."""
-    from repro.server import format_report
-
     faulty = _FaultyServerThread(every=3)
     host, port = faulty.start()
     try:
@@ -844,12 +841,10 @@ def test_loadgen_counts_and_samples_op_errors():
     assert report.ops + report.errors == total
     assert report.errors_by_type.get("StorageError") == report.errors
     assert any("injected fault" in sample for sample in report.error_samples)
-    text = format_report(report)
-    assert "errors:" in text
-    assert "injected fault" in text
-    payload = report.to_dict()
-    assert payload["errors"] == report.errors
-    assert payload["errors_by_type"] == report.errors_by_type
+    total_row = report.rows()[-1]
+    assert total_row["op"] == "all"
+    assert total_row["errors"] == report.errors
+    assert total_row["count"] == report.ops
 
 
 def test_repro_loadgen_exits_nonzero_when_ops_error(capsys):
@@ -863,15 +858,18 @@ def test_repro_loadgen_exits_nonzero_when_ops_error(capsys):
     try:
         rc = cli_main([
             "loadgen", "--host", host, "--port", str(port),
-            "--clients", "2", "--ops", "12", "--json",
+            "--clients", "2", "--ops", "12", "-f", "json",
         ])
     finally:
         faulty.stop()
     assert rc == 1
-    payload = json_mod.loads(capsys.readouterr().out)
-    assert payload["errors"] > 0
-    assert payload["errors_by_type"]
-    assert payload["error_samples"]
+    captured = capsys.readouterr()
+    total_row = json_mod.loads(captured.out)[-1]
+    assert total_row["op"] == "all"
+    assert total_row["errors"] > 0
+    # The error count by type and a verbatim sample go to stderr.
+    assert f"errors: {total_row['errors']} (StorageError x{total_row['errors']})" in captured.err
+    assert "e.g. StorageError: server error: injected fault" in captured.err
 
 
 def test_repro_loadgen_exits_zero_on_clean_run(tmp_path, capsys):
@@ -889,4 +887,13 @@ def test_repro_loadgen_exits_zero_on_clean_run(tmp_path, capsys):
         ])
     engine.close()
     assert rc == 0
-    assert "0 errors" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    header, _rule, *rows = captured.out.splitlines()
+    columns = header.split()
+    assert columns == ["op", "count", "keys", "p50_s", "p99_s", "max_s",
+                       "ops_per_s", "errors", "elapsed_s", "clients"]
+    total_row = rows[-1].split()
+    assert total_row[0] == "all"
+    assert total_row[columns.index("count")] == "30"
+    assert total_row[columns.index("errors")] == "0"
+    assert captured.err == ""

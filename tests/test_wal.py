@@ -128,6 +128,39 @@ def test_segment_rotation_and_truncation(tmp_path):
     wal.close()
 
 
+def test_truncate_unlinks_outside_the_append_lock(tmp_path, monkeypatch):
+    """Unlinking an fsynced segment can take tens of milliseconds on a
+    discard-mounted disk: an append from another thread must not wait
+    behind it."""
+    import threading
+    import time
+
+    wal = WriteAheadLog(str(tmp_path / "wal"), segment_max_bytes=256)
+    for height in range(1, 11):
+        wal.append_put(addr_of(height), value_of(height), height=height)
+    wal.sync()
+    real_remove = os.remove
+    removing = threading.Event()
+
+    def slow_remove(path):
+        removing.set()
+        time.sleep(0.5)
+        real_remove(path)
+
+    monkeypatch.setattr(os, "remove", slow_remove)
+    truncation = threading.Thread(target=wal.truncate, args=(5,))
+    truncation.start()
+    assert removing.wait(timeout=10.0)
+    started = time.perf_counter()
+    wal.append_put(addr_of(11), value_of(11), height=11)
+    elapsed = time.perf_counter() - started
+    truncation.join(timeout=10.0)
+    monkeypatch.undo()
+    assert elapsed < 0.05
+    assert max(record.height for record in wal.scan()) == 11
+    wal.close()
+
+
 def test_reopen_trims_torn_tail_and_appends_after_it(tmp_path):
     directory = str(tmp_path / "wal")
     wal = WriteAheadLog(directory)

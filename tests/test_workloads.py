@@ -63,52 +63,6 @@ def test_ycsb_mixes():
     assert 100 < reads < 300  # roughly half
 
 
-def test_ycsb_generator_workload_e_is_scan_heavy_and_deterministic():
-    from repro.workloads import YCSBGenerator
-
-    ops = list(YCSBGenerator("E", num_keys=100, seed=4, max_scan_length=20).ops(1000))
-    again = list(YCSBGenerator("E", num_keys=100, seed=4, max_scan_length=20).ops(1000))
-    assert ops == again
-    kinds = [kind for kind, _rank, _len in ops]
-    assert 900 < kinds.count("scan") <= 1000  # ~95% scans
-    assert kinds.count("read") == 0
-    assert kinds.count("update") > 0  # the 5% insert/update share
-    for kind, rank, length in ops:
-        assert 0 <= rank < 100
-        if kind == "scan":
-            assert 1 <= length <= 20
-        else:
-            assert length == 0
-
-
-def test_ycsb_generator_letter_mixes():
-    from repro.workloads import YCSBGenerator
-
-    cases = {"A": (0.5, 0.0), "B": (0.95, 0.0), "C": (1.0, 0.0), "E": (0.0, 0.95)}
-    for letter, (read, scan) in cases.items():
-        mix = YCSBGenerator.MIXES[letter]
-        assert (mix.read_fraction, mix.scan_fraction) == (read, scan)
-        assert abs(mix.update_fraction - (1.0 - read - scan)) < 1e-9
-    kinds = {
-        kind
-        for kind, _r, _l in YCSBGenerator("C", num_keys=10, seed=1).ops(200)
-    }
-    assert kinds == {"read"}
-
-
-def test_ycsb_generator_rejects_bad_arguments():
-    import pytest
-
-    from repro.workloads import WorkloadMix, YCSBGenerator
-
-    with pytest.raises(ValueError):
-        YCSBGenerator("Z")
-    with pytest.raises(ValueError):
-        YCSBGenerator("E", max_scan_length=0)
-    with pytest.raises(ValueError):
-        WorkloadMix(read_fraction=0.8, scan_fraction=0.4)
-
-
 def test_zipf_skews_to_popular_keys():
     zipf = ZipfGenerator(100, theta=0.99, seed=4)
     samples = [zipf.next_rank() for _ in range(2000)]
