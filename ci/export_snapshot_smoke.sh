@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Streaming export/import and the incremental snapshot chain, driven
-# through the CLI exactly as an operator would:
+# Streaming export/import and hard-link checkpoints, driven through the
+# CLI exactly as an operator would:
 #
 #   1. build a WAL-backed workspace (write-once keys, canonical sorted
 #      per-block write sets — the export round-trip equality contract);
 #   2. `repro export` -> `repro import` into a fresh workspace, and
 #      require the CLI's own root-equality verdict;
-#   3. full `repro snapshot` -> more blocks -> `--incremental-from`
-#      delta -> `--verify-only` over the chain -> `repro restore`,
-#      which itself exits non-zero unless the restored root matches
-#      the snapshot record;
+#   3. `repro snapshot` -> more blocks -> a second `repro snapshot`,
+#      whose run files are hard links (a `.val` file with two or more
+#      links) -> `--verify-only` on both -> `repro restore` of both,
+#      each of which exits non-zero unless the restored root matches
+#      its snapshot record;
 #   4. a copy of the restored workspace with `format` deleted from its
 #      MANIFEST.json (run files of a build before format 2) must make
 #      `repro query levels` exit non-zero naming `repro export`;
@@ -67,14 +68,24 @@ python -m repro.cli import "$ROOT/slice.repx" -w "$ROOT/imported" \
   | tee "$ROOT/import.out"
 grep -q "root digest matches the export header" "$ROOT/import.out"
 
-echo "== incremental snapshot chain =="
-python -m repro.cli snapshot "$WS" "$ROOT/snap-full"
+echo "== two checkpoints: linked runs, verify, restore =="
+python -m repro.cli snapshot "$WS" "$ROOT/snap-1"
 load_blocks "$WS" 31 4
-python -m repro.cli snapshot "$WS" "$ROOT/snap-inc" \
-  --incremental-from "$ROOT/snap-full" | tee "$ROOT/snap.out"
-grep -q "reused from" "$ROOT/snap.out"
-python -m repro.cli snapshot --verify-only "$ROOT/snap-inc"
-python -m repro.cli restore "$ROOT/snap-inc" "$ROOT/restored" \
+python -m repro.cli snapshot "$WS" "$ROOT/snap-2"
+linked=no
+for val in "$ROOT"/snap-2/*.val; do
+  if [ "$(stat -c %h "$val")" -ge 2 ]; then linked=yes; fi
+done
+if [ "$linked" != yes ]; then
+  echo "no run file of the second checkpoint is a hard link" >&2
+  exit 1
+fi
+python -m repro.cli snapshot --verify-only "$ROOT/snap-1"
+python -m repro.cli snapshot --verify-only "$ROOT/snap-2"
+python -m repro.cli restore "$ROOT/snap-1" "$ROOT/restored-1" \
+  | tee "$ROOT/restore-1.out"
+grep -q "root digest matches the snapshot record" "$ROOT/restore-1.out"
+python -m repro.cli restore "$ROOT/snap-2" "$ROOT/restored" \
   | tee "$ROOT/restore.out"
 grep -q "root digest matches the snapshot record" "$ROOT/restore.out"
 

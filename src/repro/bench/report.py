@@ -43,20 +43,6 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds:.2f}s"
 
 
-def format_rate(count: float, seconds: float) -> str:
-    """Human-readable event rate, e.g. ``"12.3k/s"``.
-
-    ``seconds == 0`` (a run too fast to time) formats as ``"inf/s"``.
-    """
-    if seconds <= 0:
-        return "inf/s"
-    rate = count / seconds
-    for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if rate >= scale:
-            return f"{rate / scale:.1f}{suffix}/s"
-    return f"{rate:.0f}/s"
-
-
 def percentile(values, fraction: float) -> float:
     """Value at ``fraction`` (0..1) of the sample; 0.0 when empty.
 

@@ -11,7 +11,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli loadgen --port 7407 --read-fraction 0 --scan-frac 0.95 [--scan-len 50]
     python -m repro.cli loadgen --port 7407 --multi-get-size 16
     python -m repro.cli snapshot /path/to/workspace /path/to/snapshot
-    python -m repro.cli snapshot /path/to/ws /path/to/inc --incremental-from /path/to/snapshot
     python -m repro.cli snapshot --verify-only /path/to/snapshot
     python -m repro.cli restore /path/to/snapshot /path/to/new-workspace
     python -m repro.cli export -w /path/to/workspace --at-blk 100 -o slice.repx
@@ -389,28 +388,25 @@ def serve(
 @cli.command()
 @click.argument("workspace", required=False)
 @click.argument("dest", required=False)
-@click.option("--incremental-from", metavar="PREV",
-              help="copy only runs new since the snapshot at PREV (chainable)")
 @click.option("--verify-only", metavar="PATH",
-              help="verify the snapshot chain at PATH and exit (no copy)")
+              help="verify the snapshot at PATH and exit (no checkpoint)")
 @click.pass_context
 def snapshot(
     ctx: click.Context,
     workspace: Optional[str],
     dest: Optional[str],
-    incremental_from: Optional[str],
     verify_only: Optional[str],
 ) -> int:
-    """Take a consistent point-in-time snapshot of a workspace.
+    """Take a consistent point-in-time checkpoint of a workspace.
 
-    Offline by design: the workspace lock aborts the copy when another
-    process (a live ``repro serve``) holds the store — the commit gate
-    only coordinates threads *within* one process.
+    Run files are hard-linked into DEST (copied across filesystems), the
+    manifest and WAL tail copied.  Offline by design: the workspace lock
+    aborts the checkpoint when another process (a live ``repro serve``)
+    holds the store — the commit gate only coordinates threads *within*
+    one process.
 
-    ``--incremental-from PREV`` copies only runs new since ``PREV``
-    (which may itself be incremental — chains verify and restore hop by
-    hop).  ``--verify-only PATH`` checks an existing snapshot chain and
-    takes no copy; the positional arguments are not used.
+    ``--verify-only PATH`` checks an existing snapshot and takes no
+    checkpoint; the positional arguments are not used.
     """
     from repro.wal import snapshot_store, verify_snapshot
 
@@ -425,32 +421,19 @@ def snapshot(
         except (IntegrityError, StorageError) as exc:
             print(f"snapshot verification FAILED: {exc}")
             return 1
-        chain = "incremental" if meta.get("parent") else "full"
-        print(f"snapshot:    {verify_only} ({chain}) OK")
+        print(f"snapshot:    {verify_only} OK")
         print(f"root digest: {meta['root_digest']}")
-        print(
-            f"files:       {len(meta['files'])} copied, "
-            f"{len(meta.get('reused', {}))} reused from the parent chain"
-        )
+        print(f"files:       {len(meta['files'])}")
         return 0
     if not workspace or not dest:
         raise click.UsageError("snapshot requires workspace and dest arguments")
-    from repro.bench.report import format_bytes
-
     # The replay brings the in-memory level back first, so the recorded
     # root digest covers every write the WAL still owes the engine.
     store = ctx.with_resource(open_store(workspace, "snapshot"))
-    meta = snapshot_store(store.engine, dest, wal=store.wal, parent=incremental_from)
+    meta = snapshot_store(store.engine, dest, wal=store.wal)
     print(f"snapshot:    {dest}")
     print(f"root digest: {meta['root_digest']}")
-    if incremental_from:
-        copied = sum(attrs["size"] for attrs in meta["files"].values())
-        print(
-            f"files:       {len(meta['files'])} copied ({format_bytes(copied)}), "
-            f"{len(meta['reused'])} reused from {incremental_from}"
-        )
-    else:
-        print(f"files:       {len(meta['files'])}")
+    print(f"files:       {len(meta['files'])}")
     return 0
 
 

@@ -6,8 +6,8 @@ Readers take no gate: ``get`` / ``scan`` / ``prov_query*`` /
 the one thing a view names that still takes inserts.  What the gate
 serializes is the mutators — puts, block begin / commit, rewind and
 close — plus the cold control-plane reads that walk the live level lists
-(``storage_bytes``, ``compaction_stats``, ``wait_for_merges``) and the
-snapshot copy.  It is a plain lock and not reentrant: internal engine
+(``storage_bytes``, ``compaction_stats``, ``wait_for_merges``) and a
+snapshot's capture.  It is a plain lock and not reentrant: internal engine
 helpers stay ungated and only the public entry points acquire it
 (exactly once per call).
 """

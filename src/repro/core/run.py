@@ -89,20 +89,23 @@ class Run:
         self.merkle_root = merkle_root
         self.bloom = bloom
         system = params.system
+        # Read-only: a just-built run reuses its builder's cached
+        # handles, and every other open cannot write a run's bytes.
         self.value_file = ValueFile(
             workspace.open_file(
                 f"{name}.val",
                 category="value",
                 cache_pages=params.value_cache_pages,
+                create=False,
             ),
             num_entries,
             system,
         )
         self.index_file = IndexFile(
-            workspace.open_file(f"{name}.idx", category="index"), system
+            workspace.open_file(f"{name}.idx", category="index", create=False), system
         )
         self.merkle_file = MerkleFile(
-            workspace.open_file(f"{name}.mrk", category="merkle"),
+            workspace.open_file(f"{name}.mrk", category="merkle", create=False),
             num_entries,
             params.mht_fanout,
         )
@@ -131,30 +134,32 @@ class Run:
         decodes the key.  The three sinks are fed one value page of pairs
         at a time.  If the build fails — a short, long or unsorted stream,
         a sink that raises — the partial artifacts are removed before the
-        error propagates, so ``name`` can be built again.
+        error propagates, so ``name`` can be built again.  Every file is
+        created exclusively: a name that already exists raises
+        :class:`StorageError` and its file is left as it was.
         """
         system = params.system
         key_size = system.key_size
         addr_size = system.addr_size
         pairs_per_page = system.pairs_per_page
+        created: List[str] = []
+
+        def create(suffix: str, category: str, cache_pages: int = 0):
+            handle = workspace.open_file(
+                name + suffix, category=category, cache_pages=cache_pages
+            )
+            created.append(name + suffix)
+            return handle
+
         try:
             # cache_pages must match Run.__init__'s open of the same file —
             # the workspace's handle cache rejects mismatched re-opens.
             value_writer = ValueFileWriter(
-                workspace.open_file(
-                    f"{name}.val",
-                    category="value",
-                    cache_pages=params.value_cache_pages,
-                ),
-                system,
+                create(".val", "value", params.value_cache_pages), system
             )
-            index_builder = IndexFileBuilder(
-                workspace.open_file(f"{name}.idx", category="index"), system
-            )
+            index_builder = IndexFileBuilder(create(".idx", "index"), system)
             merkle_builder = MerkleFileBuilder(
-                workspace.open_file(f"{name}.mrk", category="merkle"),
-                num_entries,
-                params.mht_fanout,
+                create(".mrk", "merkle"), num_entries, params.mht_fanout
             )
             bloom = BloomFilter.for_capacity(num_entries, BLOOM_BITS_PER_KEY, BLOOM_HASHES)
 
@@ -182,11 +187,13 @@ class Run:
                 )
             index_builder.finish()
             merkle_root = merkle_builder.finish()
-            _persist_bloom(workspace, name, bloom)
+            with open(workspace.path_of(f"{name}.blm"), "xb") as handle:
+                created.append(f"{name}.blm")
+                handle.write(bloom.to_bytes())
             return cls(workspace, name, level, num_entries, params, merkle_root, bloom)
         except BaseException:
-            for suffix in RUN_SUFFIXES:
-                workspace.remove_file(name + suffix)
+            for file_name in created:
+                workspace.remove_file(file_name)
             raise
 
     @classmethod
@@ -306,12 +313,6 @@ class Run:
     def storage_bytes(self) -> int:
         """On-disk footprint of this run's four artifacts."""
         return sum(run_file_sizes(self.workspace.root, self.name).values())
-
-
-def _persist_bloom(workspace: Workspace, name: str, bloom: BloomFilter) -> None:
-    path = workspace.path_of(f"{name}.blm")
-    with open(path, "wb") as handle:
-        handle.write(bloom.to_bytes())
 
 
 def _load_bloom(workspace: Workspace, name: str) -> BloomFilter:

@@ -46,7 +46,7 @@ class PagedFile:
         cache_pages: int = 0,
         create: bool = True,
     ) -> None:
-        """Open (or create) the paged file at ``path``.
+        """Create, or open read-only, the paged file at ``path``.
 
         Args:
             path: filesystem path of the backing file.
@@ -54,7 +54,9 @@ class PagedFile:
             stats: counter sink; a private one is created if omitted.
             category: IOStats category these accesses are billed to.
             cache_pages: capacity of the LRU read cache (0 disables it).
-            create: create the file if missing; otherwise it must exist.
+            create: create a new file, which must not exist yet;
+                otherwise open an existing file read-only, so nothing
+                rewrites a file once its writer has closed it.
         """
         if page_size <= 0:
             raise ValueError("page_size must be positive")
@@ -62,14 +64,16 @@ class PagedFile:
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStats()
         self.category = category
-        mode = "r+b" if os.path.exists(path) else ("w+b" if create else None)
-        if mode is None:
-            raise StorageError(f"paged file does not exist: {path}")
         # Unbuffered: writes reach the OS immediately (they are already
         # page-granular, so buffering saved no syscalls), which is what
         # lets reads use positional ``os.pread`` on the descriptor with
         # no user-space buffer to go stale behind it.
-        self._file = open(path, mode, buffering=0)
+        try:
+            self._file = open(path, "x+b" if create else "rb", buffering=0)
+        except FileExistsError:
+            raise StorageError(f"paged file already exists: {path}") from None
+        except FileNotFoundError:
+            raise StorageError(f"paged file does not exist: {path}") from None
         self._fd = self._file.fileno()
         self._num_pages = os.path.getsize(path) // page_size
         # Segmented LRU: fills land in probation, a (non-sequential)

@@ -46,17 +46,22 @@ class Workspace:
     def open_file(
         self, name: str, category: str = "file", cache_pages: int = 0, create: bool = True
     ) -> PagedFile:
-        """Open (or create) the paged file ``name``; handles are cached.
+        """Create (``create=True``) or open read-only the paged file
+        ``name``; handles are cached.
 
-        A cached handle keeps the *first* opener's ``category`` and
-        ``cache_pages``; a later open asking for different values would
-        silently get the first configuration (mis-billed IO stats, a
-        cache the caller did not size), so the mismatch raises instead.
+        Creating a name that exists, on disk or as a cached handle,
+        raises.  An open returns the cached handle, which keeps the
+        *first* opener's ``category`` and ``cache_pages``; a later open
+        asking for different values would silently get the first
+        configuration (mis-billed IO stats, a cache the caller did not
+        size), so the mismatch raises instead.
         """
         spec = (category, cache_pages)
         with self._files_lock:
             existing = self._open_files.get(name)
             if existing is not None:
+                if create:
+                    raise StorageError(f"paged file already exists: {existing.path}")
                 opened_as = self._open_specs[name]
                 if opened_as != spec:
                     raise StorageError(

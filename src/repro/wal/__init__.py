@@ -2,8 +2,9 @@
 
 The serving layer acks a PUT only after its WAL record is durable (one
 group fsync covers many acks); crash recovery replays the WAL tail into
-a recovered engine at the original block heights; snapshots copy the
-manifest + runs + WAL tail under the commit gate.  See DESIGN.md
+a recovered engine at the original block heights; a snapshot captures,
+under the commit gate, hard links to the runs and copies of the manifest
+and WAL tail.  See DESIGN.md
 ("Durability") for the record format and the truncation protocol.
 """
 

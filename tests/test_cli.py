@@ -238,6 +238,35 @@ def test_restore_rejects_corrupted_snapshot(tmp_path, capsys):
     assert "Error: IntegrityError: " in capsys.readouterr().err
 
 
+def test_snapshot_verify_only_fails_on_corruption(tmp_path, capsys):
+    workspace = str(tmp_path / "ws")
+    live_root = build_durable_workspace(workspace)
+    snap = str(tmp_path / "snap")
+    assert main(["snapshot", workspace, snap]) == 0
+    capsys.readouterr()
+    assert main(["snapshot", "--verify-only", snap]) == 0
+    out = capsys.readouterr().out
+    assert f"{snap} OK" in out and live_root.hex() in out
+    # The victim is a run file, an inode the workspace shares: the
+    # workspace is not used again.
+    corrupt_one_file(snap)
+    assert main(["snapshot", "--verify-only", snap]) == 1
+    assert "snapshot verification FAILED" in capsys.readouterr().out
+
+
+def test_snapshot_verify_only_rejects_extra_arguments(tmp_path, capsys):
+    assert (
+        main(
+            [
+                "snapshot", str(tmp_path / "ws"), str(tmp_path / "snap"),
+                "--verify-only", str(tmp_path / "other"),
+            ]
+        )
+        == 2
+    )
+    assert "verify-only" in capsys.readouterr().err
+
+
 # =============================================================================
 # the surface and the exit-code contract
 # =============================================================================
@@ -274,6 +303,13 @@ SHARD_FLAGS = {
 #: passes the fractions it stood for.
 PRESET_FLAGS = {
     ("loadgen", "--workload"): "a preset of `--read-fraction` / `--scan-frac`",
+}
+
+#: Flags of a removed feature that had callers (tests, CI, docs):
+#: incremental snapshot chains existed only to avoid re-copying runs, and
+#: a checkpoint now hard-links them instead.
+FEATURE_FLAGS = {
+    ("snapshot", "--incremental-from"): "copy only runs new since a parent snapshot",
 }
 
 #: Flags replaced by another verb's option of a different shape:
@@ -320,7 +356,7 @@ def test_click_tree_keeps_the_recorded_surface():
     from repro.cli import cli
 
     expected = json.loads(SURFACE.read_text())["verbs"]
-    for verb, flag in [*REMOVED_FLAGS, *SHARD_FLAGS, *PRESET_FLAGS]:
+    for verb, flag in [*REMOVED_FLAGS, *SHARD_FLAGS, *PRESET_FLAGS, *FEATURE_FLAGS]:
         del expected[verb][flag]
     for (verb, flag), renamed in RENAMED_FLAGS.items():
         expected[verb][renamed] = {**expected[verb].pop(flag), "opts": [renamed]}
@@ -336,7 +372,9 @@ def test_click_tree_keeps_the_recorded_surface():
         for entry in verb.values()
     )
     # the argparse tree had 62
-    assert flags == 62 - len(REMOVED_FLAGS) - len(SHARD_FLAGS) - len(PRESET_FLAGS)
+    assert flags == (
+        62 - len(REMOVED_FLAGS) - len(SHARD_FLAGS) - len(PRESET_FLAGS) - len(FEATURE_FLAGS)
+    )
 
 
 def locked_snapshot(tmp_path):
@@ -381,11 +419,16 @@ def plain(*argv):
         (plain("experiment", "fig20", "--engines", "cole"), 2, ""),
         (plain("serve", "TMP/ws", "--shards", "2"), 2, "repro cluster"),
         (plain("loadgen", "--json"), 2, "No such option '--json'"),
+        (
+            plain("snapshot", "TMP/ws", "TMP/snap", "--incremental-from", "TMP/prev"),
+            2,
+            "No such option '--incremental-from'",
+        ),
     ],
     ids=[
         "info", "restore-missing", "restore-corrupt", "snapshot-locked",
         "export-non-hex", "export-too-long", "unknown-verb", "query-no-target",
-        "experiment-flag", "serve-shards", "loadgen-json",
+        "experiment-flag", "serve-shards", "loadgen-json", "snapshot-incremental",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, setup, code, message):

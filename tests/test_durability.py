@@ -8,6 +8,8 @@ subprocess mid-load and recovers its workspace.
 """
 
 import asyncio
+import errno
+import json
 import os
 import re
 import shutil
@@ -15,12 +17,17 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+import zlib
 
 import pytest
 
-from repro.common.errors import IntegrityError
+import repro.wal.snapshot as snapshot_module
+from repro.cli import main
+from repro.common.errors import IntegrityError, StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
+from repro.core.run import RUN_SUFFIXES
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.wal import (
     WriteAheadLog,
@@ -215,7 +222,7 @@ def test_snapshot_restore_round_trip(tmp_path):
     dest = str(tmp_path / "snap")
     meta = snapshot_store(engine, dest, wal=wal)
     assert meta["root_digest"] == live_root.hex()
-    assert (meta["kind"], meta["num_shards"]) == ("cole", 1)
+    assert meta["format"] == 3
     # The source store keeps serving after the snapshot.
     assert engine.get(addr_of(1)) == value_of(1)
     wal.close()
@@ -258,8 +265,6 @@ def test_snapshot_and_restore_refuse_nonempty_destinations(tmp_path):
     os.makedirs(occupied)
     with open(os.path.join(occupied, "file"), "w") as handle:
         handle.write("x")
-    from repro.common.errors import StorageError
-
     with pytest.raises(StorageError, match="not empty"):
         snapshot_store(engine, occupied, wal=wal)
     dest = str(tmp_path / "snap")
@@ -268,6 +273,357 @@ def test_snapshot_and_restore_refuse_nonempty_destinations(tmp_path):
         restore_store(dest, occupied)
     wal.close()
     engine.close()
+
+
+def open_wal_store(directory):
+    engine = Cole(directory, PARAMS)
+    return engine, WriteAheadLog(os.path.join(directory, "wal"))
+
+
+def load_blocks(engine, wal, blocks, per_block=13):
+    """``blocks`` more blocks of ``per_block`` puts over 96 recurring
+    addresses, logged to ``wal`` first when one is given."""
+    for _ in range(blocks):
+        blk = engine.last_blk + 1
+        batch = sorted(
+            {addr_of((blk * 7 + n) % 96): value_of(blk * 100 + n) for n in range(per_block)}.items()
+        )
+        engine.begin_block(blk)
+        if wal is not None:
+            wal.append_puts(batch, blk)
+        engine.put_many(batch)
+        root = engine.commit_block()
+        if wal is not None:
+            wal.append_commit(blk, bytes(root))
+    engine.wait_for_merges()
+
+
+def run_files(meta):
+    return sorted(rel for rel in meta["files"] if rel.endswith(RUN_SUFFIXES))
+
+
+def inode(path):
+    return os.stat(path).st_ino
+
+
+def restore_and_root(snapshot, dest):
+    meta = restore_store(snapshot, dest)
+    engine = Cole(dest, PARAMS)
+    if meta["has_wal"]:
+        wal = WriteAheadLog(os.path.join(dest, "wal"))
+        replay_wal(engine, wal)
+        wal.close()
+    root = engine.root_digest()
+    engine.close()
+    return root
+
+
+def test_a_checkpoint_links_runs_and_copies_only_the_manifest_and_wal(tmp_path):
+    directory = str(tmp_path / "ws")
+    engine, wal = open_wal_store(directory)
+    load_blocks(engine, wal, 20)
+    first = snapshot_store(engine, str(tmp_path / "first"), wal=wal)
+    second = snapshot_store(engine, str(tmp_path / "second"), wal=wal)
+    wal.close()
+    engine.close()
+    runs = run_files(first)
+    assert runs and run_files(second) == runs
+    assert second["root_digest"] == first["root_digest"]
+    for snap in ("first", "second"):
+        for rel in runs:
+            assert inode(tmp_path / snap / rel) == inode(os.path.join(directory, rel))
+    # The second checkpoint of the unchanged store wrote new bytes only
+    # for the manifest and the WAL segments.
+    copied = {
+        rel for rel in second["files"]
+        if inode(tmp_path / "second" / rel) != inode(os.path.join(directory, rel))
+    }
+    assert copied == set(second["files"]) - set(runs)
+    assert all(rel == "MANIFEST.json" or rel.startswith("wal/") for rel in copied)
+    assert sum(second["files"][rel]["size"] for rel in copied) < sum(
+        second["files"][rel]["size"] for rel in runs
+    )
+
+
+def test_snapshot_and_restore_copy_when_a_link_crosses_filesystems(tmp_path, monkeypatch):
+    directory = str(tmp_path / "ws")
+    engine, wal = open_wal_store(directory)
+    load_blocks(engine, wal, 20)
+    live_root = engine.root_digest()
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link", src)
+
+    monkeypatch.setattr(os, "link", cross_device)
+    snap = str(tmp_path / "snap")
+    meta = snapshot_store(engine, snap, wal=wal)
+    wal.close()
+    engine.close()
+    assert meta["root_digest"] == live_root.hex()
+    dest = str(tmp_path / "restored")
+    assert restore_and_root(snap, dest) == live_root
+    for rel in run_files(meta):
+        assert inode(os.path.join(snap, rel)) != inode(os.path.join(directory, rel))
+        assert inode(os.path.join(dest, rel)) != inode(os.path.join(snap, rel))
+
+
+def test_a_checkpoint_outlives_the_merges_that_delete_its_runs(tmp_path):
+    directory = str(tmp_path / "ws")
+    engine, wal = open_wal_store(directory)
+    load_blocks(engine, wal, 20)
+    snap = str(tmp_path / "snap")
+    meta = snapshot_store(engine, snap, wal=wal)
+    runs = run_files(meta)
+    assert runs
+    for _ in range(100):
+        if not any(os.path.exists(os.path.join(directory, rel)) for rel in runs):
+            break
+        load_blocks(engine, wal, 4)
+    else:
+        raise AssertionError("the workspace never merged the checkpointed runs away")
+    wal.close()
+    engine.close()
+    verify_snapshot(snap)
+    assert restore_and_root(snap, str(tmp_path / "restored")).hex() == meta["root_digest"]
+
+
+def test_a_workspace_restored_by_link_merges_its_runs_away_safely(tmp_path):
+    engine, wal = open_wal_store(str(tmp_path / "ws"))
+    load_blocks(engine, wal, 20)
+    snap = str(tmp_path / "snap")
+    meta = snapshot_store(engine, snap, wal=wal)
+    wal.close()
+    engine.close()
+    dest = str(tmp_path / "restored")
+    restore_store(snap, dest)
+    runs = run_files(meta)
+    for rel in runs:
+        assert inode(os.path.join(dest, rel)) == inode(os.path.join(snap, rel))
+    restored, restored_wal = open_wal_store(dest)
+    replay_wal(restored, restored_wal)
+    assert restored.root_digest().hex() == meta["root_digest"]
+    for _ in range(100):
+        if not any(os.path.exists(os.path.join(dest, rel)) for rel in runs):
+            break
+        load_blocks(restored, restored_wal, 4)
+    else:
+        raise AssertionError("the restored workspace never merged its runs away")
+    restored_wal.close()
+    restored.close()
+    verify_snapshot(snap)
+
+
+def test_snapshot_holds_the_gate_only_to_capture(tmp_path, monkeypatch):
+    """Every crc32 is computed after the gate is released: a writer's
+    blocks never wait on the checksums, however slow they are."""
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
+    load_blocks(engine, None, 10)
+    real_crc32 = zlib.crc32
+
+    class SlowZlib:
+        @staticmethod
+        def crc32(data, value=0):
+            time.sleep(0.5)
+            return real_crc32(data, value)
+
+    monkeypatch.setattr(snapshot_module, "zlib", SlowZlib)
+    durations = []
+    stop = threading.Event()
+
+    def writer():
+        while not stop.is_set():
+            started = time.perf_counter()
+            blk = engine.last_blk + 1
+            engine.begin_block(blk)
+            engine.put_many([(addr_of(blk % 96), value_of(blk))])
+            engine.commit_block()
+            durations.append(time.perf_counter() - started)
+            time.sleep(0.01)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        meta = snapshot_store(engine, str(tmp_path / "snap"))
+    finally:
+        stop.set()
+        thread.join()
+    engine.wait_for_merges()
+    engine.close()
+    assert len(meta["files"]) == 5  # a run and the manifest: 2.5 s of checksums
+    assert max(durations) < 0.25, max(durations)
+    assert len(durations) >= 20  # the writer ran all along
+
+
+def test_snapshot_is_durable_when_it_returns(tmp_path, monkeypatch):
+    """Every listed file, linked or copied, is fsynced, then the record,
+    then the two directories holding the new names."""
+    engine, wal = open_wal_store(str(tmp_path / "ws"))
+    load_blocks(engine, wal, 20)
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    snap = tmp_path / "snap"
+    meta = snapshot_store(engine, str(snap), wal=wal)
+    monkeypatch.undo()
+    wal.close()
+    engine.close()
+    files = {inode(snap / rel) for rel in meta["files"]}
+    record = inode(snap / "SNAPSHOT.json")
+    directories = {inode(snap), inode(snap / "wal")}
+    assert run_files(meta) and any(rel.startswith("wal/") for rel in meta["files"])
+    assert len(synced) == len(files) + 3
+    assert set(synced[: len(files)]) == files
+    assert synced[len(files)] == record
+    assert set(synced[len(files) + 1 :]) == directories
+
+
+def format_2_chained(snap, meta):
+    """Rewrite ``meta`` as a chained format-2 snapshot would have
+    recorded it: one run file reused from a parent that is gone."""
+    reused = run_files(meta)[0]
+    os.remove(os.path.join(snap, reused))
+    return dict(
+        meta, format=2, kind="cole", num_shards=1, parent="../full",
+        parent_root=meta["root_digest"], reused={reused: meta["files"].pop(reused)},
+    )
+
+
+def format_2_sharded(snap, meta):
+    return dict(meta, format=2, kind="sharded", num_shards=2)
+
+
+@pytest.mark.parametrize("legacy", [format_2_chained, format_2_sharded], ids=["chained", "sharded"])
+def test_restore_refuses_a_format_2_snapshot_before_laying_out_a_file(tmp_path, capsys, legacy):
+    engine, wal = open_wal_store(str(tmp_path / "ws"))
+    load_blocks(engine, wal, 20)
+    snap = str(tmp_path / "snap")
+    meta = snapshot_store(engine, snap, wal=wal)
+    wal.close()
+    engine.close()
+    with open(os.path.join(snap, "SNAPSHOT.json"), "w", encoding="utf-8") as handle:
+        json.dump(legacy(snap, meta), handle)
+    with pytest.raises(StorageError, match="repro export"):
+        verify_snapshot(snap)
+    dest = str(tmp_path / "restored")
+    with pytest.raises(StorageError, match="repro export"):
+        restore_store(snap, dest)
+    assert main(["restore", snap, dest]) == 1
+    assert "repro export" in capsys.readouterr().err
+    assert not os.path.exists(dest)
+
+
+KILLER_SCRIPT = """
+import sys, time
+
+# Slow every checksummed chunk down so the parent process lands a
+# SIGKILL after the capture and before SNAPSHOT.json, deterministically.
+import zlib
+import repro.wal.snapshot as snap
+
+real_crc32 = zlib.crc32
+
+class SlowZlib:
+    @staticmethod
+    def crc32(data, value=0):
+        time.sleep(0.2)
+        return real_crc32(data, value)
+
+snap.zlib = SlowZlib()
+
+import os
+from repro.common.params import ColeParams, SystemParams
+from repro.core import Cole
+from repro.wal import WriteAheadLog, replay_wal, snapshot_store
+
+workspace, dest = sys.argv[1], sys.argv[2]
+params = ColeParams(
+    system=SystemParams(addr_size=20, value_size=24),
+    mem_capacity=64,
+    size_ratio=2,
+    async_merge=True,
+)
+engine = Cole(workspace, params)
+wal = WriteAheadLog(os.path.join(workspace, "wal"))
+replay_wal(engine, wal)
+engine.wait_for_merges()
+print("READY", flush=True)
+snapshot_store(engine, dest, wal=wal)
+print("DONE", flush=True)
+"""
+
+
+def workspace_state(directory):
+    """Every file under ``directory`` with its bytes."""
+    state = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                state[os.path.relpath(path, directory)] = handle.read()
+    return state
+
+
+def test_kill9_mid_snapshot_never_verifies(tmp_path):
+    """SIGKILL after the capture, while the checkpoint is checksummed:
+    the wreck must fail verification (the record is written last,
+    atomically), the workspace must be untouched, and a clean retry
+    must restore the live root."""
+    directory = str(tmp_path / "ws")
+    engine, wal = open_wal_store(directory)
+    load_blocks(engine, wal, 20)
+    live_root = engine.root_digest()
+    wal.close()
+    engine.close()
+
+    script = tmp_path / "killer.py"
+    script.write_text(KILLER_SCRIPT)
+    dest = str(tmp_path / "snap")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(script), directory, dest],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().strip() == "READY"
+        before = workspace_state(directory)
+        # The manifest copy is written once the gate is released and
+        # before the first checksum: kill -9 then.
+        deadline = time.monotonic() + 30.0
+        while not os.path.exists(os.path.join(dest, "MANIFEST.json")):
+            if time.monotonic() > deadline:
+                raise AssertionError("snapshot never captured the store")
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=15)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == -signal.SIGKILL
+
+    # The half-written snapshot has no record and must never verify.
+    assert not os.path.exists(os.path.join(dest, "SNAPSHOT.json"))
+    with pytest.raises(StorageError):
+        verify_snapshot(dest)
+    assert workspace_state(directory) == before
+
+    # Operator flow: clear the wreck, retry, restore.
+    shutil.rmtree(dest)
+    engine, wal = open_wal_store(directory)
+    replay_wal(engine, wal)
+    snapshot_store(engine, dest, wal=wal)
+    wal.close()
+    engine.close()
+    verify_snapshot(dest)
+    assert restore_and_root(dest, str(tmp_path / "restored")) == live_root
 
 
 # =============================================================================

@@ -80,7 +80,7 @@ def test_metadata_survives_reopen(tmp_path):
     builder.add_bottom_models((key, pos) for pos, key in enumerate(keys))
     builder.finish()
     file.close()
-    reopened = IndexFile(PagedFile(path, system.page_size), system)
+    reopened = IndexFile(PagedFile(path, system.page_size, create=False), system)
     assert reopened.num_layers >= 1
     assert reopened.search(keys[50]) is not None
 

@@ -109,7 +109,8 @@ def loaded(role: str, tmp_path):
         primary = stack.enter_context(ServerThread(engine, config=CONFIG, wal=wal))
         target = writer = primary.start()
         if role == "replica":
-            replica_engine = Cole(str(tmp_path / "replica"), PARAMS)
+            # Its own directory: the primary's is ``tmp_path / "replica"``.
+            replica_engine = Cole(str(tmp_path / "replica-follower"), PARAMS)
             stack.callback(replica_engine.close)
             replica = stack.enter_context(
                 ServerThread(replica_engine, replica_of=writer)

@@ -96,9 +96,34 @@ def test_reopen_existing_file(tmp_path):
     first = PagedFile(path, 128)
     first.append_page(b"persist")
     first.close()
-    second = PagedFile(path, 128)
+    second = PagedFile(path, 128, create=False)
     assert second.num_pages == 1
     assert second.read_page(0)[:7] == b"persist"
+
+
+def test_create_refuses_an_existing_file(tmp_path):
+    path = str(tmp_path / "x.pg")
+    PagedFile(path, 128).close()
+    with pytest.raises(StorageError, match=f"already exists: {path}"):
+        PagedFile(path, 128)
+
+
+def test_open_without_create_is_read_only(tmp_path):
+    path = str(tmp_path / "ro.pg")
+    with PagedFile(path, 128) as writer:
+        writer.append_page(b"kept")
+    reader = PagedFile(path, 128, create=False)
+    for write in (
+        lambda: reader.append_page(b"x"),
+        lambda: reader.write_page(0, b"y" * 128),
+        lambda: reader.preallocate(4),
+    ):
+        with pytest.raises(OSError):
+            write()
+    assert reader.num_pages == 1
+    assert reader.read_page(0)[:4] == b"kept"
+    reader.close()
+    assert os.path.getsize(path) == 128
 
 
 def test_missing_file_without_create_raises(tmp_path):

@@ -213,6 +213,29 @@ def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, f
     assert rebuilt.commitment() == clean.commitment()
 
 
+def test_build_onto_an_existing_run_name_raises_and_leaves_its_files(tmp_path, params):
+    entries, _addrs = make_entries(params)
+    ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
+    build(ws, "taken", entries, params)
+
+    def contents():
+        out = {}
+        for name in _run_files(ws, "taken"):
+            with open(ws.path_of(name), "rb") as handle:
+                out[name] = handle.read()
+        return out
+
+    before = contents()
+    assert sorted(before) == sorted("taken" + s for s in RUN_SUFFIXES)
+    others, _addrs = make_entries(params, seed=3)
+    # The builder's workspace holds the name as a cached handle, a second
+    # workspace on the same directory finds the file on disk: both refuse.
+    for target in (ws, Workspace(ws.root, params.system.page_size)):
+        with pytest.raises(StorageError, match="already exists"):
+            build(target, "taken", others, params)
+        assert contents() == before
+
+
 # -- page geometry ----------------------------------------------------------------
 
 
@@ -360,7 +383,7 @@ def test_packed_layout_matches_the_oracle_and_proofs_read_a_page_once(
         [run.merkle_file.hash_at(layer, index) for index in range(len(hashes))]
         for layer, hashes in enumerate(layers)
     ] == layers
-    mrk = ws.open_file("packed.mrk", category="merkle")
+    mrk = ws.open_file("packed.mrk", category="merkle", create=False)
     read = mrk.read_page
     pages = []
     mrk.read_page = lambda page_id: pages.append(page_id) or read(page_id)

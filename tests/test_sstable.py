@@ -66,7 +66,7 @@ def test_reopen_rebuilds_index_and_bloom(tmp_path):
         writer.add(key, value)
     original = writer.finish()
     file.close()
-    reopened = SSTable.open(PagedFile(path, 256))
+    reopened = SSTable.open(PagedFile(path, 256, create=False))
     assert reopened.count == original.count
     for key, value in records:
         assert reopened.get(key) == (True, value)

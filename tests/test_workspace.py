@@ -8,7 +8,7 @@ from repro.diskio.workspace import Workspace
 def test_open_file_is_cached(tmp_path):
     ws = Workspace(str(tmp_path / "ws"), page_size=128)
     a = ws.open_file("f1")
-    b = ws.open_file("f1")
+    b = ws.open_file("f1", create=False)
     assert a is b
 
 
@@ -23,15 +23,15 @@ def test_open_file_rejects_mismatched_reopen(tmp_path):
     ws = Workspace(str(tmp_path / "ws"), page_size=128)
     ws.open_file("f1", category="value", cache_pages=4)
     # Matching arguments still share the handle.
-    assert ws.open_file("f1", category="value", cache_pages=4) is not None
+    assert ws.open_file("f1", category="value", cache_pages=4, create=False) is not None
     with pytest.raises(StorageError, match="already open"):
-        ws.open_file("f1", category="index", cache_pages=4)
+        ws.open_file("f1", category="index", cache_pages=4, create=False)
     with pytest.raises(StorageError, match="already open"):
-        ws.open_file("f1", category="value", cache_pages=8)
+        ws.open_file("f1", category="value", cache_pages=8, create=False)
     # Closing the handle clears the recorded spec: a fresh open may
     # choose new arguments.
     ws.close_file("f1")
-    handle = ws.open_file("f1", category="index", cache_pages=8)
+    handle = ws.open_file("f1", category="index", cache_pages=8, create=False)
     assert handle.category == "index"
     # remove_file clears it too.
     ws.remove_file("f1")
@@ -83,7 +83,7 @@ def test_close_file_keeps_data(tmp_path):
     ws.open_file("f").append_page(b"data")
     ws.close_file("f")
     assert ws.exists("f")
-    reopened = ws.open_file("f")
+    reopened = ws.open_file("f", create=False)
     assert reopened.read_page(0)[:4] == b"data"
 
 
