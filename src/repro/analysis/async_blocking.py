@@ -20,7 +20,7 @@ Scope: ``async def`` bodies in ``server/``, ``cluster/`` and
 are skipped — they are the executor thunks themselves.  Flagged calls:
 
 * known blocking module calls (``os.pread``/``pwrite``/``fsync``/...,
-  ``time.sleep``, ``open``, blocking ``socket`` constructors);
+  ``time.sleep``, ``open``, blocking ``socket`` constructors, ``durable.*``);
 * any CommitGate method on an attribute named ``gate``;
 * constructors that do recovery IO (``Cole``, ``WriteAheadLog``,
   ``PagedFile``);
@@ -33,10 +33,10 @@ The sanctioned escape is an executor hop: passing the bound method to
 is never flagged.
 
 An fsync must not hide behind a plain ``def`` either: ``os.fsync`` /
-``os.fdatasync`` / ``wal.sync`` calls are also flagged in every plain
-``def`` of the file that the loop reaches — protocol callbacks, functions
-handed to ``call_soon`` / ``add_done_callback`` ..., and whatever those or
-an ``async def`` call by name (``self.f()`` / ``f()``).
+``fdatasync`` / ``durable.fsync_dir`` / ``wal.sync`` calls are also flagged
+in every plain ``def`` of the file that the loop reaches — protocol
+callbacks, functions handed to ``call_soon`` / ``add_done_callback`` ...,
+and whatever those or an ``async def`` call by name (``self.f()`` / ``f()``).
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ BLOCKING_CALLS = {
     "os.replace",
     "socket.socket",
     "socket.create_connection",
+    "durable.replacing", "durable.fsync_dir", "durable.link_or_copy",
 }
 
 BLOCKING_CONSTRUCTORS = {"Cole", "WriteAheadLog", "PagedFile"}
@@ -110,7 +111,7 @@ LOOP_SCHEDULERS = {
 
 def _fsync(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func) or ""
-    if name in ("os.fsync", "os.fdatasync") or name.endswith("wal.sync"):
+    if name in ("os.fsync", "os.fdatasync", "durable.fsync_dir") or name.endswith("wal.sync"):
         return f"{name}() is an fsync"
     return None
 

@@ -68,7 +68,7 @@ from repro.server import (
     run_loadgen,
 )
 from repro.server.loadgen import ClientOp, key_addr, run_streams, write_value
-from repro.wal import WriteAheadLog
+from repro.wal.log import WAL_DIR_NAME, WriteAheadLog
 from repro.workloads import Mix, ProvenanceWorkload, SmallBankWorkload, YCSBWorkload
 from repro.workloads.ycsb import ZipfGenerator
 
@@ -184,7 +184,7 @@ def served(backend, config: Optional[ServerConfig] = None,
     """
     with ExitStack() as stack:
         wal = None if policy == "off" else stack.enter_context(
-            WriteAheadLog(os.path.join(backend.workspace.root, "wal"), sync_policy=policy)
+            WriteAheadLog(os.path.join(backend.workspace.root, WAL_DIR_NAME), sync_policy=policy)
         )
         yield stack.enter_context(ServerThread(backend, config=config or ServerConfig(), wal=wal))
 

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 import click
 
 from repro.common.errors import IntegrityError, ReproError, StorageError
-from repro.wal.log import SYNC_POLICIES
+from repro.wal.log import SYNC_POLICIES, WAL_DIR_NAME
 
 #: ``repro experiment`` sweep flag -> (driver parameter, element parser).
 _SWEEP_FLAGS = {
@@ -47,11 +47,6 @@ _SWEEP_FLAGS = {
     "engines": ("engines", str),
     "nodes": ("node_counts", int),
 }
-
-#: Default WAL directory inside a workspace (a sibling of the run files;
-#: engine recovery ignores subdirectories).
-WAL_DIRNAME = "wal"
-
 
 # =============================================================================
 # the store every workspace verb opens
@@ -111,11 +106,9 @@ def open_store(
 
     from repro.common.params import ColeParams
     from repro.core import Cole
-    from repro.core.manifest import MANIFEST_NAME
-    from repro.cluster.manifest import shard_dirs
+    from repro.cluster.manifest import node_shard_dirs
 
-    shards = shard_dirs(workspace)
-    if shards and not os.path.isfile(os.path.join(workspace, MANIFEST_NAME)):
+    if shards := node_shard_dirs(workspace):
         raise StorageError(
             f"{workspace} holds {len(shards)} shard-NN/ workspaces and no "
             "manifest: one engine serves one workspace, so open a shard "
@@ -126,7 +119,7 @@ def open_store(
         engine = Cole(workspace, ColeParams(async_merge=True, mem_capacity=mem_capacity))
         stack.callback(engine.close)
         wal = replayed = None
-        wal_dir = os.path.join(workspace, WAL_DIRNAME)
+        wal_dir = os.path.join(workspace, WAL_DIR_NAME)
         if replay and os.path.isdir(wal_dir):
             from repro.wal import WriteAheadLog, replay_wal
 
@@ -340,7 +333,7 @@ def serve(
         from repro.wal import WriteAheadLog
 
         log = WriteAheadLog(
-            wal_dir or os.path.join(workspace, WAL_DIRNAME), sync_policy=wal_sync
+            wal_dir or os.path.join(workspace, WAL_DIR_NAME), sync_policy=wal_sync
         )
         ctx.call_on_close(log.close)
     config = ServerConfig(
@@ -486,24 +479,17 @@ def export(
     from repro.bench.report import format_bytes
     from repro.common.params import SystemParams
     from repro.core.export import export_slice
+    from repro.diskio import durable
     from repro.obs.query import parse_addr_bound
 
     width = SystemParams().addr_size  # the geometry open_store opens with
     addr_low = parse_addr_bound(low, width, b"\x00") if low is not None else None
     addr_high = parse_addr_bound(high, width, b"\xff") if high is not None else None
     store = ctx.with_resource(open_store(workspace, "export"))
-    temp = f"{output}.tmp"
-    try:
-        with open(temp, "wb") as out:
-            stats = export_slice(
-                store.engine, out, at_blk=at_blk, addr_low=addr_low, addr_high=addr_high
-            )
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(temp, output)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temp)
+    with durable.replacing(output) as out:
+        stats = export_slice(
+            store.engine, out, at_blk=at_blk, addr_low=addr_low, addr_high=addr_high
+        )
     print(f"exported:    {output} ({format_bytes(os.path.getsize(output))})")
     print(f"triples:     {stats['triples']} (as of block {stats['at_blk']})")
     print(f"source root: {stats['root']}")

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from repro.common.errors import StorageError
+from repro.core.manifest import MANIFEST_NAME
+from repro.diskio import durable
 
 
 def shard_of(addr: bytes, num_shards: int) -> int:
@@ -65,6 +66,12 @@ def shard_dirs(root: str) -> List[str]:
         for name in os.listdir(root)
         if name.startswith("shard-") and os.path.isdir(os.path.join(root, name))
     )
+
+
+def node_shard_dirs(root: str) -> List[str]:
+    """:func:`shard_dirs` of a cluster node's layout: none when ``root``
+    is a single-engine workspace (it has a manifest of its own)."""
+    return [] if os.path.isfile(os.path.join(root, MANIFEST_NAME)) else shard_dirs(root)
 
 
 @dataclass(frozen=True)
@@ -230,21 +237,11 @@ class ClusterManifest:
         return cls.from_dict(data)
 
     def save(self, path: str) -> None:
-        """Write atomically: a reader never sees a half-written manifest,
-        and the rename only ever names fsynced bytes."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_json())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write atomically and durably (``durable.replacing``): a reader
+        never sees a half-written manifest."""
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with durable.replacing(path) as handle:
+            handle.write(self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "ClusterManifest":

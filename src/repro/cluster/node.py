@@ -217,7 +217,7 @@ class ClusterNode:
         """
         from repro.common.params import ColeParams
         from repro.core import Cole
-        from repro.wal import WriteAheadLog
+        from repro.wal.log import WAL_DIR_NAME, WriteAheadLog
 
         directory = os.path.join(self.workspace, shard_dirname(shard_id))
 
@@ -228,7 +228,7 @@ class ClusterNode:
                 ColeParams(async_merge=True, mem_capacity=self.mem_capacity),
             )
             wal = WriteAheadLog(
-                os.path.join(directory, "wal"), sync_policy=self.wal_sync
+                os.path.join(directory, WAL_DIR_NAME), sync_policy=self.wal_sync
             )
             return engine, wal
 

@@ -2,9 +2,10 @@
 
 ``root_hash_list`` must survive crashes: a level merge only becomes
 visible when the manifest naming the new run is atomically replaced
-(write-to-temp + rename).  On recovery, any file not named by the manifest
-belongs to an unfinished merge and is deleted; the in-memory level is
-rebuilt by replaying transactions after ``checkpoint_blk``.
+(write-to-temp, fsync, rename, directory fsync).  On recovery, any file
+not named by the manifest belongs to an unfinished merge and is deleted;
+the in-memory level is rebuilt by replaying transactions after
+``checkpoint_blk``.
 
 The manifest records the ``format`` of the run files it names.  Format 2
 packs a Merkle file's layers back to back and ends an index file with its
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
 from repro.common.errors import StorageError
+from repro.diskio import durable
 
 MANIFEST_NAME = "MANIFEST.json"
 #: Layout of the run files a manifest names (see the module docstring).
@@ -148,14 +150,9 @@ class Manifest:
 
 
 def save_manifest(root: str, manifest: Manifest) -> None:
-    """Atomically replace the manifest (temp file + rename)."""
-    path = os.path.join(root, MANIFEST_NAME)
-    temp_path = path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        handle.write(manifest.to_json())
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    """Replace the manifest atomically and durably (``durable.replacing``)."""
+    with durable.replacing(os.path.join(root, MANIFEST_NAME)) as handle:
+        handle.write(manifest.to_json().encode("utf-8"))
 
 
 def load_manifest(root: str) -> Manifest:

@@ -43,7 +43,7 @@ from repro.common.params import ColeParams
 from repro.core.compound import MAX_BLK, check_blk, compound_key
 from repro.core.cursor import ReadSource, ScanBounds, ScanTriple, scan_bounds, scan_sources
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
-from repro.core.manifest import Manifest, RunRecord, load_manifest, save_manifest
+from repro.core.manifest import MANIFEST_NAME, Manifest, RunRecord, load_manifest, save_manifest
 from repro.core.memlevel import MemGroup
 from repro.core.merge import MergeScheduler, merge_entry_streams
 from repro.core.proofs import (
@@ -779,7 +779,7 @@ class Cole:
         # The lock is the CLI's advisory workspace guard: not engine
         # state, but deleting it mid-hold would let a second process
         # relock a fresh inode and defeat it.
-        known = {"MANIFEST.json", WORKSPACE_LOCK_NAME}
+        known = {MANIFEST_NAME, WORKSPACE_LOCK_NAME}
         for paper_level, groups in sorted(manifest.levels.items()):
             level = self._ensure_level(paper_level)
             for role, target in (("writing", level.writing), ("merging", level.merging)):

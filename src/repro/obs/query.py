@@ -167,13 +167,10 @@ def shard_roots(workspace: str) -> List[Tuple[str, str]]:
     subdirectories (no root manifest); a single-engine workspace is its
     own root.
     """
-    from repro.cluster.manifest import shard_dirs
-    from repro.core.manifest import MANIFEST_NAME
+    from repro.cluster.manifest import node_shard_dirs
 
-    names = shard_dirs(workspace)
-    if names and not os.path.isfile(os.path.join(workspace, MANIFEST_NAME)):
-        return [(name, os.path.join(workspace, name)) for name in names]
-    return [("-", workspace)]
+    names = node_shard_dirs(workspace)
+    return [(name, os.path.join(workspace, name)) for name in names] or [("-", workspace)]
 
 
 def committed_runs(workspace: str) -> List[Tuple[str, str, int, str, RunRecord]]:
@@ -301,13 +298,10 @@ def collect_wal(wal_dir: str) -> List[dict]:
     the bytes durable at read time".  The highest-numbered segment is
     the active one.
     """
+    from repro.wal.log import segment_seq
     from repro.wal.record import RecordType, scan_records
 
-    segments = sorted(
-        name
-        for name in os.listdir(wal_dir)
-        if name.startswith("seg-") and name.endswith(".wal")
-    )
+    segments = sorted(name for name in os.listdir(wal_dir) if segment_seq(name) is not None)
     rows = []
     for position, segment in enumerate(segments):
         with open(os.path.join(wal_dir, segment), "rb") as handle:
@@ -680,9 +674,9 @@ def wal(target: QueryTarget, fmt: str) -> None:
         wal_dir = wal_stats.get("directory") if wal_stats else None
         note = "" if wal_dir else "server runs without a WAL"
     else:
-        from repro.cli import WAL_DIRNAME
+        from repro.wal.log import WAL_DIR_NAME
 
-        wal_dir = os.path.join(target.resolve_workspace(), WAL_DIRNAME)
+        wal_dir = os.path.join(target.resolve_workspace(), WAL_DIR_NAME)
         note = "" if os.path.isdir(wal_dir) else f"no WAL directory at {wal_dir}"
     rows = collect_wal(wal_dir) if wal_dir else []
     if wal_stats:

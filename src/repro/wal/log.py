@@ -46,6 +46,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
+from repro.diskio import durable
 from repro.wal.record import (
     ScanResult,
     WalRecord,
@@ -54,6 +55,8 @@ from repro.wal.record import (
     scan_records,
 )
 
+#: A workspace's (and a snapshot's) WAL directory, beside the run files.
+WAL_DIR_NAME = "wal"
 WAL_META_NAME = "WAL.json"
 WAL_FORMAT = 2
 SEGMENT_PREFIX = "seg-"
@@ -66,16 +69,7 @@ def segment_name(seq: int) -> str:
     return f"{SEGMENT_PREFIX}{seq:08d}{SEGMENT_SUFFIX}"
 
 
-def _fsync_dir(path: str) -> None:
-    """fsync a directory so freshly created entries survive a crash."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _segment_seq(name: str) -> Optional[int]:
+def segment_seq(name: str) -> Optional[int]:
     if not (name.startswith(SEGMENT_PREFIX) and name.endswith(SEGMENT_SUFFIX)):
         return None
     try:
@@ -163,19 +157,14 @@ class WriteAheadLog:
                     "that wrote it first"
                 )
             return
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump({"format": WAL_FORMAT}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-        _fsync_dir(self.directory)
+        with durable.replacing(path) as handle:
+            handle.write(json.dumps({"format": WAL_FORMAT}).encode("utf-8"))
 
     def _open_chain(self) -> None:
         sequences = sorted(
             seq
             for name in os.listdir(self.directory)
-            if (seq := _segment_seq(name)) is not None
+            if (seq := segment_seq(name)) is not None
         )
         for seq in sequences:
             path = os.path.join(self.directory, segment_name(seq))
@@ -330,7 +319,7 @@ class WriteAheadLog:
             for handle in to_sync:
                 os.fsync(handle.fileno())
             if sync_dir:
-                _fsync_dir(self.directory)
+                durable.fsync_dir(self.directory)
             # Settle only segments whose handle this pass captured: a
             # segment sealed *during* the fsyncs (its handle was the
             # active one we captured) may have gained pre-seal bytes

@@ -37,7 +37,6 @@ does both and checks the recovered root digest against the recorded one.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import shutil
@@ -47,45 +46,26 @@ from typing import List, Optional
 from repro.common.errors import IntegrityError, StorageError
 from repro.core.manifest import MANIFEST_NAME, Manifest, load_manifest
 from repro.core.run import RUN_SUFFIXES
-from repro.wal.log import WriteAheadLog, _fsync_dir
+from repro.diskio import durable
+from repro.wal.log import WAL_DIR_NAME, WAL_META_NAME, WriteAheadLog
 
 SNAPSHOT_META_NAME = "SNAPSHOT.json"
 #: Layout of a snapshot directory: 3 is a checkpoint whose run files may
 #: be hard links.  Formats 1 and 2 could be chained or sharded.
 SNAPSHOT_FORMAT = 3
-WAL_DIR_NAME = "wal"
-
-
-def _link_or_copy(src: str, dest: str) -> None:
-    """Hard-link ``src`` at ``dest``, or copy it where no link can be
-    made: across filesystems (``EXDEV``) or without link support
-    (``EPERM``)."""
-    try:
-        os.link(src, dest)
-    except OSError as exc:
-        if exc.errno not in (errno.EXDEV, errno.EPERM):
-            raise
-        shutil.copyfile(src, dest)
 
 
 def _copy_prefix(src: str, dest: str, limit: int) -> None:
+    """Copy ``src``'s first ``limit`` bytes (at most one WAL segment)."""
     with open(src, "rb") as source, open(dest, "wb") as out:
-        while limit > 0:
-            chunk = source.read(min(1 << 20, limit))
-            if not chunk:
-                return
-            out.write(chunk)
-            limit -= len(chunk)
+        out.write(source.read(limit))
 
 
 def _file_crc(path: str, sync: bool = False) -> int:
     """crc32 of ``path``'s bytes; ``sync`` fsyncs it after the read."""
     crc = 0
     with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(1 << 20)
-            if not chunk:
-                break
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
             crc = zlib.crc32(chunk, crc)
         if sync:
             os.fsync(handle.fileno())
@@ -98,7 +78,8 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
 
     Returns the written metadata.  ``dest`` must be absent or empty.
     The engine stays open and serving-capable afterwards.  Every file,
-    ``SNAPSHOT.json`` and both directories are fsynced before it returns.
+    then ``wal/``, then ``SNAPSHOT.json`` and ``dest`` are fsynced before
+    it returns.
 
     The recorded ``root_digest`` equals the root a restore-plus-replay
     reproduces when every copied WAL record is already reflected in the
@@ -131,18 +112,16 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
                 rel = os.path.join(WAL_DIR_NAME, os.path.basename(path))
                 _copy_prefix(path, os.path.join(dest, rel), copy_bytes)
                 names.append(rel)
-            wal_meta = os.path.join(wal.directory, "WAL.json")
-            if os.path.exists(wal_meta):
-                rel = os.path.join(WAL_DIR_NAME, "WAL.json")
-                shutil.copyfile(wal_meta, os.path.join(dest, rel))
-                names.append(rel)
+            rel = os.path.join(WAL_DIR_NAME, WAL_META_NAME)
+            shutil.copyfile(os.path.join(wal.directory, WAL_META_NAME), os.path.join(dest, rel))
+            names.append(rel)
         for groups in manifest.levels.values():
             for records in groups.values():
                 for record in records:
                     for suffix in RUN_SUFFIXES:
                         rel = record.name + suffix
                         if os.path.exists(workspace.path_of(rel)):
-                            _link_or_copy(workspace.path_of(rel), os.path.join(dest, rel))
+                            durable.link_or_copy(workspace.path_of(rel), os.path.join(dest, rel))
                             names.append(rel)
         meta = {
             "format": SNAPSHOT_FORMAT,
@@ -163,16 +142,11 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
         }
         for name in sorted(names)
     }
-    meta_path = os.path.join(dest, SNAPSHOT_META_NAME)
-    temp_path = meta_path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=1)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, meta_path)
+    # Names in dest/wal are durable before the record that lists them.
     if wal is not None:
-        _fsync_dir(wal_dest)
-    _fsync_dir(dest)
+        durable.fsync_dir(wal_dest)
+    with durable.replacing(os.path.join(dest, SNAPSHOT_META_NAME)) as handle:
+        handle.write(json.dumps(meta, indent=1).encode("utf-8"))
     return meta
 
 
@@ -230,7 +204,7 @@ def restore_store(src: str, dest: str) -> dict:
         source, target = os.path.join(src, rel), os.path.join(dest, rel)
         os.makedirs(os.path.dirname(target), exist_ok=True)
         if rel.endswith(RUN_SUFFIXES):
-            _link_or_copy(source, target)
+            durable.link_or_copy(source, target)
         else:
             shutil.copyfile(source, target)
     return meta

@@ -3,6 +3,8 @@
 import os
 import time
 
+from repro.diskio import durable
+
 
 class Handler:
     def __init__(self, engine, wal, gate):
@@ -17,3 +19,4 @@ class Handler:
             pass
         self.engine.get(b"k")  # BAD: takes the CommitGate
         self.wal.sync()  # BAD: fsync
+        durable.fsync_dir("/")  # BAD: a directory fsync

@@ -58,17 +58,18 @@ class TestBadCorpus:
             ("core/storage.py", 29),  # public re-acquirer while held
             ("core/storage.py", 33),  # structure read around the view
             ("core/storage.py", 37),  # view swapped outside exclusive
-            ("server/handlers.py", 16),  # gate inside async def
+            ("server/handlers.py", 18),  # gate inside async def
         }
 
     def test_async_blocking_findings(self, report):
         msgs = [
             f.message for f in report.findings if f.rule == "async-blocking-call"
         ]
-        assert len(msgs) == 8
+        assert len(msgs) == 9
         for needle in (
             "time.sleep",
             "os.fsync",
+            "durable.fsync_dir",
             "CommitGate.exclusive",
             "engine.get",
             "wal.sync",
@@ -139,7 +140,7 @@ def test_json_report_schema_is_pinned():
     ]
     assert data["counts"] == {
         "gate-discipline": 6,
-        "async-blocking-call": 8,
+        "async-blocking-call": 9,
         "error-taxonomy": 3,
     }
     for finding in data["findings"]:

@@ -116,25 +116,6 @@ def test_manifest_json_round_trip_and_atomic_save(tmp_path):
     assert os.listdir(os.path.dirname(path)) == ["manifest.json"]
 
 
-def test_manifest_save_fsyncs_the_bytes_it_renames(tmp_path, monkeypatch):
-    events = []
-    real_fsync, real_replace = os.fsync, os.replace
-
-    def fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def replace(src, dst):
-        events.append(("replace", os.stat(src).st_ino))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    plan_manifest(2, 4).save(str(tmp_path / "manifest.json"))
-    inode = os.stat(tmp_path / "manifest.json").st_ino
-    assert events == [("fsync", inode), ("replace", inode)]
-
-
 def test_manifest_rejects_malformed_documents():
     with pytest.raises(StorageError):
         ClusterManifest.from_json("{not json")

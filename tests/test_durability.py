@@ -455,8 +455,9 @@ def test_snapshot_holds_the_gate_only_to_capture(tmp_path, monkeypatch):
 
 
 def test_snapshot_is_durable_when_it_returns(tmp_path, monkeypatch):
-    """Every listed file, linked or copied, is fsynced, then the record,
-    then the two directories holding the new names."""
+    """Every listed file, linked or copied, is fsynced, then ``wal/``,
+    then the record, then the snapshot directory: a durable record
+    implies every name it lists is durable."""
     engine, wal = open_wal_store(str(tmp_path / "ws"))
     load_blocks(engine, wal, 20)
     synced = []
@@ -473,13 +474,13 @@ def test_snapshot_is_durable_when_it_returns(tmp_path, monkeypatch):
     wal.close()
     engine.close()
     files = {inode(snap / rel) for rel in meta["files"]}
-    record = inode(snap / "SNAPSHOT.json")
-    directories = {inode(snap), inode(snap / "wal")}
     assert run_files(meta) and any(rel.startswith("wal/") for rel in meta["files"])
-    assert len(synced) == len(files) + 3
     assert set(synced[: len(files)]) == files
-    assert synced[len(files)] == record
-    assert set(synced[len(files) + 1 :]) == directories
+    assert synced[len(files) :] == [
+        inode(snap / "wal"),
+        inode(snap / "SNAPSHOT.json"),
+        inode(snap),
+    ]
 
 
 def format_2_chained(snap, meta):

@@ -301,30 +301,6 @@ def test_cli_export_import_round_trip(tmp_path, capsys):
     assert "root digest matches the export header" in out
 
 
-def test_cli_export_fsyncs_the_stream_before_renaming_it(tmp_path, monkeypatch):
-    workspace = str(tmp_path / "ws")
-    build_durable_workspace(workspace)
-    out_file = str(tmp_path / "slice.repx")
-    events = []
-    real_fsync, real_replace = os.fsync, os.replace
-
-    def fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def replace(src, dst):
-        events.append(("replace", os.stat(src).st_ino))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
-    assert main(["export", "-w", workspace, "-o", out_file]) == 0
-    inode = os.stat(out_file).st_ino
-    # The rename that publishes the stream comes after its fsync.
-    renamed = events.index(("replace", inode))
-    assert ("fsync", inode) in events[:renamed]
-
-
 def test_cli_import_refuses_nonempty_destination(tmp_path, capsys):
     workspace = str(tmp_path / "ws")
     build_durable_workspace(workspace)
