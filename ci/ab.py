@@ -16,7 +16,10 @@ end-to-end metric, from each side's spread), and this script prints the
 paired view the ruler does not: per metric, each side's median and
 quartiles, the change/parent ratio of every pair, their median and
 min–max, and in how many pairs the change was better (ties count for
-neither side).  The worktrees are removed at the end; the record files
+neither side).  Under the table, one line per metric says whether the
+gain rule holds: the change is better in at least nine tenths of the
+pairs, and its median beats the parent's by more than the parent's own
+q3 − q1.  The worktrees are removed at the end; the record files
 stay in ``.ab/``.  Exit status is ``run.py --compare``'s, or 1 when a
 run fails.
 """
@@ -106,6 +109,34 @@ def format_table(rows: Sequence[Dict[str, object]]) -> List[str]:
     return lines
 
 
+def median_gap(row: Dict[str, object]) -> float:
+    """The change's median minus the parent's, signed so that a gain is
+    positive whichever direction the metric's ``better`` is."""
+    a2, b2 = row["a"][1], row["b"][1]
+    return b2 - a2 if row["better"] == "higher" else a2 - b2
+
+
+def gain_holds(row: Dict[str, object]) -> bool:
+    """The gain rule for one :func:`paired_table` row: better in at least
+    9 of 10 pairs (ties count for neither side) and a :func:`median_gap`
+    larger than the parent's q3 - q1."""
+    a1, _a2, a3 = row["a"]
+    return 10 * row["wins"] >= 9 * row["pairs"] and median_gap(row) > a3 - a1
+
+
+def gain_lines(rows: Sequence[Dict[str, object]]) -> List[str]:
+    """One line per row: whether the gain rule holds, and its two terms."""
+    lines = []
+    for row in rows:
+        a1, _a2, a3 = row["a"]
+        lines.append(
+            f"gain rule {'holds' if gain_holds(row) else 'fails'} for {row['metric']}: "
+            f"better in {row['wins']} of {row['pairs']} pairs (needs 9/10), "
+            f"median gap {median_gap(row):+.4g} vs parent q3-q1 {a3 - a1:.4g}"
+        )
+    return lines
+
+
 def _git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True
@@ -178,7 +209,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"B={sum(r['workloads'][args.workload]['failed'] for r in runs_b)}")
     with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
         metrics = json.load(handle)["end_to_end"] + compare.EXTRA
-    for line in format_table(paired_table(metrics, args.workload, runs_a, runs_b)):
+    rows = paired_table(metrics, args.workload, runs_a, runs_b)
+    for line in format_table(rows) + [""] + gain_lines(rows):
         print(line)
     return verdicts.returncode
 

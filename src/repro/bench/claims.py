@@ -197,8 +197,6 @@ CLAIMS = (
           lambda r: versus(r, "keys_per_s", "batch", top(r, "batch"), 1), ">=", 2.0, False),
     Claim("negative-lookup", "negative-cache hit rate on repeated misses",
           lambda r: at(r, config="negative-cache")["hit_rate"], ">", 0.9, True),
-    Claim("scan-hotset", "hot-set hit rate after / before a full-range scan",
-          lambda r: at(r)["hit_ratio"], ">=", 1.0, True),
 )
 
 

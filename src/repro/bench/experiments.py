@@ -102,8 +102,6 @@ SERVED_CLI_FLAGS = (
 #: Preload geometry of the hot-path extensions.
 MULTI_GET_PUTS_PER_BLOCK = 192
 NEGATIVE_LOOKUP_BLOCKS, NEGATIVE_LOOKUP_PUTS_PER_BLOCK = 16, 128
-HOTSET_CACHE_PAGES, HOTSET_KEYS, HOTSET_WARM_PASSES = 256, 64, 3
-HOTSET_PUTS_PER_BLOCK = 128
 
 
 # =============================================================================
@@ -831,45 +829,6 @@ def run_negative_lookup(
     ]
 
 
-def run_scan_vs_hotset(num_keys: int = 1024, blocks: int = 32) -> List[Row]:
-    """Scan resistance of the segmented page cache.
-
-    With the per-run value-file cache enabled, a hot set of point-read
-    addresses is warmed until its pages sit in the protected segment;
-    the hot-set GET hit rate is measured, then a full-range scan floods
-    the cache with sequential-tagged pages, and the hot-set hit rate is
-    measured again.  ``hit_ratio`` (after / before) stays near 1 when
-    the scan cannot evict the protected segment —
-    ``tests/test_experiments.py`` pins both rates and the ratio at 1.0.
-    """
-    stats = IOStats()
-    hot = [key_addr(rank, ADDR_SIZE) for rank in range(HOTSET_KEYS)]
-    with engine_cell("cole", stats=stats, value_cache_pages=HOTSET_CACHE_PAGES) as backend:
-        load_stream(backend, rank_stream(num_keys, blocks, HOTSET_PUTS_PER_BLOCK))
-        backend.wait_for_merges()
-
-        def hot_pass() -> None:
-            for addr in hot:
-                backend.get(addr)
-
-        def measured_hit_rate() -> float:
-            before = stats.snapshot()
-            hot_pass()
-            delta = stats.delta(before)
-            hits = sum(delta.cache_hits.values())
-            return _ratio(hits, hits + sum(delta.cache_misses.values()))
-
-        for _ in range(HOTSET_WARM_PASSES):
-            hot_pass()  # promote the hot pages into the protected segment
-        rate_before = measured_hit_rate()
-        scanned = backend.scan(b"\x00" * ADDR_SIZE, TOP_ADDR, limit=num_keys)
-        rate_after = measured_hit_rate()
-    return [{"cache_pages": HOTSET_CACHE_PAGES, "hot_keys": HOTSET_KEYS,
-             "scanned": len(scanned), "hit_rate_before": rate_before,
-             "hit_rate_after": rate_after,
-             "hit_ratio": _ratio(rate_after, rate_before)}]
-
-
 # =============================================================================
 # The registry: one name per experiment, run at its figure scale
 # =============================================================================
@@ -927,7 +886,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
                               ("value_bytes", "node_bytes", "data_share")),
     "multi-get": Experiment(run_multi_get),
     "negative-lookup": Experiment(run_negative_lookup),
-    "scan-hotset": Experiment(run_scan_vs_hotset),
 }
 
 

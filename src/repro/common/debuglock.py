@@ -2,7 +2,7 @@
 
 The static ``repro lint`` checkers (see :mod:`repro.analysis`) catch
 lexically visible gate misuse, but lock-order inversions are a *runtime*
-property: thread A takes the WAL append lock then the page-cache lock,
+property: thread A takes the WAL append lock then a paged file's lock,
 thread B the reverse, and the deadlock only fires under the right
 interleaving.  This module turns every named lock in the process into an
 order probe:

@@ -70,11 +70,8 @@ class ColeParams:
             The paper derives B from a 64 MB budget; at reproduction scale
             we default to 512 pairs so multi-level behaviour appears quickly.
         async_merge: ``True`` runs Algorithm 5 (COLE*), ``False`` Algorithm 1.
-        value_cache_pages: per-run value-file page-cache capacity (the
-            segmented LRU of ``repro.diskio.pagefile``).  0 — the default —
-            disables caching so the IO-cost accounting of Table 1 counts
-            every raw page access; the serving layer and the cache
-            benchmarks opt in.
+        value_cache_pages: only 0; the engine has no page cache of its
+            own.  Kept because callers pass it.
         compaction: only ``"leveling"``, the paper's trigger; kept because
             callers pass it.
     """
@@ -88,8 +85,11 @@ class ColeParams:
     compaction: str = "leveling"
 
     def __post_init__(self) -> None:
-        if self.value_cache_pages < 0:
-            raise ValueError("value_cache_pages cannot be negative")
+        if self.value_cache_pages != 0:
+            raise ValueError(
+                "value_cache_pages must be 0: the engine has no page cache, "
+                f"got {self.value_cache_pages!r}"
+            )
         if self.compaction != "leveling":
             raise ValueError(f"compaction must be 'leveling', got {self.compaction!r}")
         if self.size_ratio < 2:

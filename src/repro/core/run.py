@@ -92,12 +92,7 @@ class Run:
         # Read-only: a just-built run reuses its builder's cached
         # handles, and every other open cannot write a run's bytes.
         self.value_file = ValueFile(
-            workspace.open_file(
-                f"{name}.val",
-                category="value",
-                cache_pages=params.value_cache_pages,
-                create=False,
-            ),
+            workspace.open_file(f"{name}.val", category="value", create=False),
             num_entries,
             system,
         )
@@ -144,19 +139,13 @@ class Run:
         pairs_per_page = system.pairs_per_page
         created: List[str] = []
 
-        def create(suffix: str, category: str, cache_pages: int = 0):
-            handle = workspace.open_file(
-                name + suffix, category=category, cache_pages=cache_pages
-            )
+        def create(suffix: str, category: str):
+            handle = workspace.open_file(name + suffix, category=category)
             created.append(name + suffix)
             return handle
 
         try:
-            # cache_pages must match Run.__init__'s open of the same file —
-            # the workspace's handle cache rejects mismatched re-opens.
-            value_writer = ValueFileWriter(
-                create(".val", "value", params.value_cache_pages), system
-            )
+            value_writer = ValueFileWriter(create(".val", "value"), system)
             index_builder = IndexFileBuilder(create(".idx", "index"), system)
             merkle_builder = MerkleFileBuilder(
                 create(".mrk", "merkle"), num_entries, params.mht_fanout

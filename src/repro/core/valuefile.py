@@ -168,9 +168,7 @@ class ValueFile:
         consumer actually pulls it (a limit-bounded scan stops paying
         mid-page).  ``data``, when given, is the page holding
         ``position`` as the caller already read it (a range scan's seek
-        page), and is not read again.  Pages are read with the
-        sequential hint, so one large scan cannot evict the page cache's
-        protected hot set.
+        page), and is not read again.
         """
         if position >= self.num_entries:
             return
@@ -180,7 +178,7 @@ class ValueFile:
         start = slot * pair_size
         for page_id in range(first_page, self.page_of(self.num_entries - 1) + 1):
             if data is None:
-                data = self._file.read_page(page_id, sequential=True)
+                data = self._file.read_page(page_id)
             for offset in range(start, self._page_count(page_id) * pair_size, pair_size):
                 split = offset + key_size
                 yield from_bytes(data[offset:split], "big"), data[split : offset + pair_size]
@@ -192,7 +190,7 @@ class ValueFile:
         a page is sliced by one comprehension."""
         pair_size = self._pair_size
         for page_id in range(self.page_of(self.num_entries - 1) + 1):
-            data = self._file.read_page(page_id, sequential=True)
+            data = self._file.read_page(page_id)
             yield from [
                 data[offset : offset + pair_size]
                 for offset in range(0, self._page_count(page_id) * pair_size, pair_size)

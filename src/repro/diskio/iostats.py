@@ -26,15 +26,6 @@ class IOStats:
 
     page_reads: Dict[IOCategory, int] = field(default_factory=lambda: defaultdict(int))
     page_writes: Dict[IOCategory, int] = field(default_factory=lambda: defaultdict(int))
-    # Page-cache behaviour (segmented LRU in PagedFile): hits avoid a
-    # page read entirely, promotions move a re-referenced page into the
-    # protected segment.  All zero while caches are disabled (the
-    # default — Table 1 IO accounting counts raw page reads only).
-    cache_hits: Dict[IOCategory, int] = field(default_factory=lambda: defaultdict(int))
-    cache_misses: Dict[IOCategory, int] = field(default_factory=lambda: defaultdict(int))
-    cache_promotions: Dict[IOCategory, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_read(self, category: IOCategory, pages: int = 1) -> None:
@@ -47,35 +38,11 @@ class IOStats:
         with self._lock:
             self.page_writes[category] += pages
 
-    def record_cache_hit(self, category: IOCategory) -> None:
-        """Count one page-cache hit (a page read that never happened)."""
-        with self._lock:
-            self.cache_hits[category] += 1
-
-    def record_cache_miss(self, category: IOCategory) -> None:
-        """Count one page-cache miss (the read was billed separately)."""
-        with self._lock:
-            self.cache_misses[category] += 1
-
-    def record_cache_promotion(self, category: IOCategory) -> None:
-        """Count one probationary -> protected segment promotion."""
-        with self._lock:
-            self.cache_promotions[category] += 1
-
     def cache_summary(self) -> Dict[str, float]:
-        """Totals across categories, from one locked snapshot."""
-        with self._lock:
-            hits = sum(self.cache_hits.values())
-            misses = sum(self.cache_misses.values())
-            promotions = sum(self.cache_promotions.values())
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "lookups": total,
-            "promotions": promotions,
-            "hit_rate": hits / total if total else 0.0,
-        }
+        """Page-cache counters, all zero: the engine has no page cache
+        (every read is a billed page read).  The keys stay because the
+        perf ledger and STATS ``io.page_cache`` read them."""
+        return {"hits": 0, "misses": 0, "lookups": 0, "promotions": 0, "hit_rate": 0.0}
 
     @property
     def total_reads(self) -> int:
@@ -106,9 +73,6 @@ class IOStats:
             copy = IOStats()
             copy.page_reads = defaultdict(int, self.page_reads)
             copy.page_writes = defaultdict(int, self.page_writes)
-            copy.cache_hits = defaultdict(int, self.cache_hits)
-            copy.cache_misses = defaultdict(int, self.cache_misses)
-            copy.cache_promotions = defaultdict(int, self.cache_promotions)
             return copy
 
     def delta(self, earlier: "IOStats") -> "IOStats":
@@ -119,12 +83,6 @@ class IOStats:
                 diff.page_reads[cat] = count - earlier.page_reads.get(cat, 0)
             for cat, count in self.page_writes.items():
                 diff.page_writes[cat] = count - earlier.page_writes.get(cat, 0)
-            for cat, count in self.cache_hits.items():
-                diff.cache_hits[cat] = count - earlier.cache_hits.get(cat, 0)
-            for cat, count in self.cache_misses.items():
-                diff.cache_misses[cat] = count - earlier.cache_misses.get(cat, 0)
-            for cat, count in self.cache_promotions.items():
-                diff.cache_promotions[cat] = count - earlier.cache_promotions.get(cat, 0)
             return diff
 
     def reset(self) -> None:
@@ -132,9 +90,6 @@ class IOStats:
         with self._lock:
             self.page_reads.clear()
             self.page_writes.clear()
-            self.cache_hits.clear()
-            self.cache_misses.clear()
-            self.cache_promotions.clear()
 
     def categories(self) -> Iterator[IOCategory]:
         """Iterate over all categories seen so far."""

@@ -6,27 +6,14 @@ benchmark harness can validate the IO-cost columns of Table 1.
 
 Sequential producers (value files, index files, Merkle files are all
 written streamingly — Algorithms 3 and 4) use :meth:`append_page`; readers
-use :meth:`read_page`.  A tiny optional read cache models the page cache a
-real deployment would enjoy without hiding the first (cold) access.
-
-The cache is a **segmented LRU** (probationary + protected, SLRU): a
-page enters the probationary segment on fill and is promoted to the
-protected segment only on a re-reference — so the hot working set, which
-gets re-referenced, accumulates in the protected segment, while a large
-one-pass scan streams through probation and evicts only other one-pass
-pages.  Readers that *know* they are streaming (run cursors, merge
-iterators) pass ``sequential=True`` to :meth:`read_page`, which
-additionally suppresses promotion on re-reference: a scan revisiting a
-page (two cursor seeks landing nearby) is still not evidence of
-point-read hotness.  Hit/miss/promotion counts are recorded in the
-:class:`IOStats` per category.
+use :meth:`read_page`.  There is no page cache of the engine's own: every
+read is billed as one page read, as Table 1 counts them, and caching is
+the kernel's.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
@@ -43,7 +30,6 @@ class PagedFile:
         page_size: int,
         stats: Optional[IOStats] = None,
         category: str = "file",
-        cache_pages: int = 0,
         create: bool = True,
     ) -> None:
         """Create, or open read-only, the paged file at ``path``.
@@ -53,7 +39,6 @@ class PagedFile:
             page_size: bytes per page; all IO happens in this unit.
             stats: counter sink; a private one is created if omitted.
             category: IOStats category these accesses are billed to.
-            cache_pages: capacity of the LRU read cache (0 disables it).
             create: create a new file, which must not exist yet;
                 otherwise open an existing file read-only, so nothing
                 rewrites a file once its writer has closed it.
@@ -76,19 +61,12 @@ class PagedFile:
             raise StorageError(f"paged file does not exist: {path}") from None
         self._fd = self._file.fileno()
         self._num_pages = os.path.getsize(path) // page_size
-        # Segmented LRU: fills land in probation, a (non-sequential)
-        # re-reference promotes to protected.  Protected holds ~80% of
-        # the budget; at tiny capacities it degrades to a plain LRU.
-        self._probation: "OrderedDict[int, bytes]" = OrderedDict()
-        self._protected: "OrderedDict[int, bytes]" = OrderedDict()
-        self._cache_capacity = cache_pages
-        self._protected_capacity = (cache_pages * 4) // 5
         self._closed = False
-        # Guards cache bookkeeping and the write-side file position
-        # only.  Reads are positional (pread) and lock-free past the
-        # cache probe, so concurrent queries and background merges
-        # sharing one handle no longer serialize on every page miss.
-        self._lock = maybe_debug_lock("pagedfile-cache")
+        # Serializes appends (which advance the page count) and page
+        # overwrites.  Reads are positional (pread) and take no lock, so
+        # concurrent queries and background merges sharing one handle
+        # never serialize.
+        self._lock = maybe_debug_lock("pagedfile-write")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -123,45 +101,24 @@ class PagedFile:
 
     # -- IO ----------------------------------------------------------------
 
-    def read_page(self, page_id: int, sequential: bool = False) -> bytes:
-        """Return the ``page_size`` bytes of page ``page_id``.
+    def read_page(self, page_id: int) -> bytes:
+        """Return the ``page_size`` bytes of page ``page_id``, billed as
+        one page read.
 
-        Cache hits are free; misses cost one page read.  The read is a
-        positional ``os.pread`` on the descriptor — no seek, no shared
-        file position, no lock held across the syscall — so any number
-        of threads read the same handle concurrently (and the syscall
-        releases the GIL).  Two threads missing the same page may both
-        read it (each billed); the lock only serializing them bought
-        nothing but contention.
-
-        ``sequential=True`` marks a streaming access (cursor scans,
-        merge reads): the page still fills/hits the cache, but a
-        probationary hit does not promote — one scan pass must not look
-        like point-read hotness to the segmented LRU.
+        The read is a positional ``os.pread`` on the descriptor — no
+        seek, no shared file position, no lock held across the syscall —
+        so any number of threads read the same handle concurrently (and
+        the syscall releases the GIL).
         """
         self._check_open()
         if not 0 <= page_id < self._num_pages:
             raise StorageError(
                 f"page {page_id} out of range [0, {self._num_pages}) in {self.path}"
             )
-        if self._cache_capacity:
-            with self._lock:
-                cached = self._cache_get(page_id, sequential)
-            if cached is not None:
-                self.stats.record_cache_hit(self.category)
-                return cached
-            self.stats.record_cache_miss(self.category)
         data = os.pread(self._fd, self.page_size, page_id * self.page_size)
         if len(data) != self.page_size:
             raise StorageError(f"short read of page {page_id} in {self.path}")
         self.stats.record_read(self.category)
-        if self._cache_capacity:
-            with self._lock:
-                # A writer (or another reader) may have filled this slot
-                # while our pread ran lock-free; never clobber it — a
-                # concurrent write_page's fill is fresher than our read.
-                if page_id not in self._probation and page_id not in self._protected:
-                    self._cache_put(page_id, data)
         return data
 
     def floor_page(
@@ -216,7 +173,6 @@ class PagedFile:
         with self._lock:
             self._write_at(page_id * self.page_size, data)
             self.stats.record_write(self.category)
-            self._cache_put(page_id, bytes(data))
 
     def append_page(self, data: bytes) -> int:
         """Append a page (padded with zeros if short) and return its id."""
@@ -232,7 +188,6 @@ class PagedFile:
             self._write_at(page_id * self.page_size, data)
             self._num_pages += 1
             self.stats.record_write(self.category)
-            self._cache_put(page_id, bytes(data))
             return page_id
 
     def preallocate(self, num_pages: int) -> None:
@@ -266,48 +221,3 @@ class PagedFile:
     def _check_open(self) -> None:
         if self._closed:
             raise StorageError(f"paged file is closed: {self.path}")
-
-    def _cache_get(self, page_id: int, sequential: bool = False) -> Optional[bytes]:
-        """Segmented-LRU probe (caller holds the lock, capacity > 0)."""
-        data = self._protected.get(page_id)
-        if data is not None:
-            self._protected.move_to_end(page_id)
-            return data
-        data = self._probation.get(page_id)
-        if data is None:
-            return None
-        if sequential or self._protected_capacity == 0:
-            # Streaming re-reference (or a cache too small to segment):
-            # refresh recency in probation, no promotion.
-            self._probation.move_to_end(page_id)
-            return data
-        # Second (point) hit: promote.  Protected overflow demotes its
-        # coldest page back to probation MRU rather than dropping it —
-        # it was hot once, give it one more chance over a never-hit fill.
-        del self._probation[page_id]
-        self._protected[page_id] = data
-        self.stats.record_cache_promotion(self.category)
-        while len(self._protected) > self._protected_capacity:
-            demoted_id, demoted = self._protected.popitem(last=False)
-            self._probation[demoted_id] = demoted
-            self._probation.move_to_end(demoted_id)
-        self._trim()
-        return data
-
-    def _cache_put(self, page_id: int, data: bytes) -> None:
-        if self._cache_capacity == 0:
-            return
-        # Fills are always probationary: a first touch — point read,
-        # scan, or write — is not yet evidence of hotness.
-        self._probation[page_id] = data
-        self._probation.move_to_end(page_id)
-        self._trim()
-
-    def _trim(self) -> None:
-        """Enforce the total budget: evict probation first, cold-protected
-        last (only reachable when protected alone exceeds the budget)."""
-        while len(self._probation) + len(self._protected) > self._cache_capacity:
-            if self._probation:
-                self._probation.popitem(last=False)
-            else:
-                self._protected.popitem(last=False)

@@ -29,9 +29,6 @@ class Workspace:
         self.stats = stats if stats is not None else IOStats()
         os.makedirs(root, exist_ok=True)
         self._open_files: Dict[str, PagedFile] = {}
-        #: name -> (category, cache_pages) the cached handle was opened
-        #: with, so a later open with different arguments is detected.
-        self._open_specs: Dict[str, tuple] = {}
         self._raw_bytes: Dict[str, int] = {}
         # Background merges open run files while queries run; the handle
         # table must not be mutated mid-iteration.
@@ -44,32 +41,28 @@ class Workspace:
         return os.path.join(self.root, name)
 
     def open_file(
-        self, name: str, category: str = "file", cache_pages: int = 0, create: bool = True
+        self, name: str, category: str = "file", create: bool = True
     ) -> PagedFile:
         """Create (``create=True``) or open read-only the paged file
         ``name``; handles are cached.
 
         Creating a name that exists, on disk or as a cached handle,
         raises.  An open returns the cached handle, which keeps the
-        *first* opener's ``category`` and ``cache_pages``; a later open
-        asking for different values would silently get the first
-        configuration (mis-billed IO stats, a cache the caller did not
-        size), so the mismatch raises instead.
+        *first* opener's ``category``; a later open asking for another
+        would silently get the first one (mis-billed IO stats), so the
+        mismatch raises instead.
         """
-        spec = (category, cache_pages)
         with self._files_lock:
             existing = self._open_files.get(name)
             if existing is not None:
                 if create:
                     raise StorageError(f"paged file already exists: {existing.path}")
-                opened_as = self._open_specs[name]
-                if opened_as != spec:
+                if existing.category != category:
                     raise StorageError(
                         f"file {name!r} is already open with "
-                        f"category={opened_as[0]!r}, cache_pages={opened_as[1]} "
-                        f"(asked for category={category!r}, "
-                        f"cache_pages={cache_pages}); close it first or "
-                        f"match the original arguments"
+                        f"category={existing.category!r} "
+                        f"(asked for category={category!r}); close it first "
+                        f"or match the original category"
                     )
                 return existing
             handle = PagedFile(
@@ -77,11 +70,9 @@ class Workspace:
                 self.page_size,
                 stats=self.stats,
                 category=category,
-                cache_pages=cache_pages,
                 create=create,
             )
             self._open_files[name] = handle
-            self._open_specs[name] = spec
             return handle
 
     def exists(self, name: str) -> bool:
@@ -94,7 +85,6 @@ class Workspace:
         the descriptor closes when the last holder drops the handle."""
         with self._files_lock:
             self._open_files.pop(name, None)
-            self._open_specs.pop(name, None)
         path = self.path_of(name)
         if os.path.exists(path):
             os.remove(path)
@@ -104,7 +94,6 @@ class Workspace:
         """Close the open handle for ``name`` without deleting it."""
         with self._files_lock:
             handle = self._open_files.pop(name, None)
-            self._open_specs.pop(name, None)
         if handle is not None:
             handle.close()
 
@@ -157,7 +146,6 @@ class Workspace:
         with self._files_lock:
             handles = list(self._open_files.values())
             self._open_files.clear()
-            self._open_specs.clear()
         for handle in handles:
             handle.close()
 
@@ -167,7 +155,6 @@ class Workspace:
         closes when its last holder drops it."""
         with self._files_lock:
             self._open_files.clear()
-            self._open_specs.clear()
 
     def destroy(self) -> None:
         """Close everything and delete the workspace directory."""

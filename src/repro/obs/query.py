@@ -325,9 +325,8 @@ def collect_wal(wal_dir: str) -> List[dict]:
     return rows
 
 
-#: Columns of ``repro query caches``.  The three caches' STATS sections
-#: share one shape; a column a section lacks (the page cache has no
-#: ``entries`` or ``capacity`` of its own) stays blank.
+#: Columns of ``repro query caches``.  The two caches' STATS sections
+#: share one shape; a column a section lacks stays blank.
 CACHE_COLUMNS = [
     "cache", "hits", "misses", "lookups", "hit_rate", "entries", "capacity",
     "refreshed",
@@ -335,12 +334,8 @@ CACHE_COLUMNS = [
 
 
 def collect_caches(stats: dict) -> List[dict]:
-    """One row per cache (read / negative / page) from a STATS snapshot."""
-    sections = {
-        "read": stats.get("cache"),
-        "negative": stats.get("negative_cache"),
-        "page": (stats.get("io") or {}).get("page_cache"),
-    }
+    """One row per cache (read / negative) from a STATS snapshot."""
+    sections = {"read": stats.get("cache"), "negative": stats.get("negative_cache")}
     return [
         dict(
             {column: section.get(column, "") for column in CACHE_COLUMNS},
@@ -735,7 +730,7 @@ def compaction(target: QueryTarget, fmt: str) -> None:
 @format_option
 @click.pass_obj
 def caches(target: QueryTarget, fmt: str) -> None:
-    """Read / negative / page cache hit rates and occupancy."""
+    """Read / negative cache hit rates and occupancy."""
     if target.live:
         rows = collect_caches(target.stats())
         note = ""

@@ -117,11 +117,6 @@ METRICS_TABLE = (
      "negative_cache.hit_rate", {"cache": "negative"}),
     ("repro_cache_entries", "gauge", "Cache occupancy",
      "negative_cache.entries", {"cache": "negative"}),
-    ("repro_cache_lookups_total", "counter", "Cache lookups",
-     "io.page_cache.lookups", {"cache": "page"}),
-    ("repro_cache_hits_total", "counter", "Cache hits", "io.page_cache.hits", {"cache": "page"}),
-    ("repro_cache_hit_rate", "gauge", "Cache hit rate",
-     "io.page_cache.hit_rate", {"cache": "page"}),
     ("repro_engine_puts_total", "counter", "Puts applied by the engine", "engine.puts_total", {}),
     ("repro_engine_storage_bytes", "gauge", "Engine on-disk footprint", "engine.storage_bytes", {}),
     ("repro_engine_disk_levels", "gauge", "Populated disk levels", "engine.disk_levels", {}),

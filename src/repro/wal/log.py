@@ -372,6 +372,9 @@ class WriteAheadLog:
         The segments leave the live list under the append lock but are
         unlinked after it is released: freeing an fsynced file's blocks
         can take tens of milliseconds, and appends must not wait on it.
+        If an unlink fails, that segment and every one not yet tried go
+        back on the live list, so a later call finds them again, and the
+        error propagates.
         """
         with self._lock:
             if self.sync_policy == "none":
@@ -381,10 +384,16 @@ class WriteAheadLog:
             self._sealed_synced = [
                 s for s in self._sealed_synced if s.max_height > checkpoint
             ]
-            self.truncated_segments += len(covered)
-        for sealed in covered:
-            os.remove(sealed.path)
-        return len(covered)
+        removed = 0
+        try:
+            for sealed in covered:
+                os.remove(sealed.path)
+                removed += 1
+        finally:
+            with self._lock:
+                self._sealed_synced[:0] = covered[removed:]
+                self.truncated_segments += removed
+        return removed
 
     # =========================================================================
     # scanning (recovery / inspection)

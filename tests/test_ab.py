@@ -76,3 +76,28 @@ def test_pairs_follow_record_order():
     )
     assert rows[0]["ratios"] == [2.0, 0.5]
     assert rows[0]["ratio_median"] == pytest.approx(1.25)
+
+
+def test_gain_rule_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parent_spread():
+    ab = _load_ab()
+    parent_p50 = [0.40 + 0.01 * (n % 3) for n in range(10)]
+    parent = [record(100 + n % 3, parent_p50[n]) for n in range(10)]
+    # ops_per_s: better in all ten pairs, median 120 against 101 with a
+    # parent q3 - q1 of 2 -> holds.  req_p50_ms: a median far better, but
+    # better in only 8 pairs (two ties) -> fails.
+    change = [record(120, 0.20 if n < 8 else parent_p50[n]) for n in range(10)]
+    rows = {row["metric"]: row for row in ab.paired_table(METRICS, "ingest", parent, change)}
+    assert ab.gain_holds(rows["ops_per_s"])
+    assert (rows["req_p50_ms"]["wins"], rows["req_p50_ms"]["losses"]) == (8, 0)
+    assert not ab.gain_holds(rows["req_p50_ms"])
+    # All ten pairs better by a hair, inside the parent's spread -> fails.
+    close = [record(101 + n % 3, 0.40) for n in range(10)]
+    ops = ab.paired_table(METRICS[:1], "ingest", parent, close)[0]
+    assert ops["wins"] == 10 and not ab.gain_holds(ops)
+
+    lines = ab.gain_lines([rows["ops_per_s"], rows["req_p50_ms"]])
+    assert lines[0].startswith("gain rule holds for ops_per_s: better in 10 of 10")
+    assert lines[1].startswith("gain rule fails for req_p50_ms: better in 8 of 10")
+    # Gaps are signed so that a gain is positive in either direction.
+    assert "median gap +19 " in lines[0]
+    assert ab.median_gap(rows["req_p50_ms"]) > 0

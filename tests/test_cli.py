@@ -86,7 +86,6 @@ def test_hot_path_experiments_registered():
     registry = experiments.EXPERIMENTS
     assert registry["multi-get"][0] is experiments.run_multi_get
     assert registry["negative-lookup"][0] is experiments.run_negative_lookup
-    assert registry["scan-hotset"][0] is experiments.run_scan_vs_hotset
 
 
 def test_fig20_experiment_registered_and_runs_tiny():

@@ -61,7 +61,6 @@ SMOKE = {
     "multi-get": dict(batch_sizes=(1, 16), clients=4, ops_per_client=60,
                       num_keys=1024, blocks=16),
     "negative-lookup": dict(absent_keys=48, passes=20, num_keys=512),
-    "scan-hotset": dict(num_keys=512, blocks=24),
 }
 
 #: name -> (row keys in order, pinned columns, golden tuples of the
@@ -151,14 +150,6 @@ IN_PROCESS = {
         # Cached: the warm-up pass misses each of the 48 addresses once,
         # then all 20 x 48 timed GETs hit.
         [("no-cache", 960, 0.0), ("negative-cache", 960, 20 / 21)],
-    ),
-    "scan-hotset": (
-        ("cache_pages", "hot_keys", "scanned", "hit_rate_before",
-         "hit_rate_after", "hit_ratio"),
-        # The full-range scan evicts none of the protected hot pages.
-        ("cache_pages", "hot_keys", "scanned", "hit_rate_before",
-         "hit_rate_after", "hit_ratio"),
-        [(256, 64, 510, 1.0, 1.0, 1.0)],
     ),
 }
 

@@ -15,7 +15,8 @@ cluster shard — under one fixed load:
   which this file's ``__main__`` recorded against commit ``aa4aa94``
   (the last tree whose exposition was written out by hand), less the
   in-process sharded engine's role and its ``repro_engine_shards``
-  gauge, both since removed:
+  gauge, and the ``cache="page"`` series of the engine page cache, all
+  since removed:
 
       PYTHONPATH=<aa4aa94 checkout>/src python tests/test_metrics_table.py
 """
@@ -201,7 +202,7 @@ def test_metrics_render_one_stats_snapshot(role, tmp_path):
     assert exposed == expected
     # A check the table cannot pass by construction: each cache's rate
     # is its hits over its lookups.
-    for cache in ("read", "negative", "page"):
+    for cache in ("read", "negative"):
         labels = (("cache", cache),)
         hits = exposed[("repro_cache_hits_total", labels)][1]
         lookups = exposed[("repro_cache_lookups_total", labels)][1]

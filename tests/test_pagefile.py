@@ -64,24 +64,6 @@ def test_io_is_counted(tmp_path):
     assert stats.page_reads["cat"] == 1
 
 
-def test_cache_hits_are_free(tmp_path):
-    stats = IOStats()
-    file = PagedFile(str(tmp_path / "c.pg"), 128, stats=stats, cache_pages=4)
-    file.append_page(b"1")
-    file.read_page(0)
-    file.read_page(0)
-    assert stats.total_reads == 0  # append populated the cache
-
-
-def test_cache_eviction(tmp_path):
-    stats = IOStats()
-    file = PagedFile(str(tmp_path / "c.pg"), 128, stats=stats, cache_pages=1)
-    file.append_page(b"1")
-    file.append_page(b"2")
-    file.read_page(0)  # page 0 evicted by the append of page 1
-    assert stats.total_reads == 1
-
-
 def test_preallocate_extends_without_io(tmp_path):
     stats = IOStats()
     file = PagedFile(str(tmp_path / "p.pg"), 128, stats=stats)
@@ -153,7 +135,7 @@ def test_concurrent_reads_are_exact_without_serializing(tmp_path):
     read byte-exact (positional reads share no file offset)."""
     import threading
 
-    file = PagedFile(str(tmp_path / "c.pg"), page_size=256, cache_pages=4)
+    file = PagedFile(str(tmp_path / "c.pg"), page_size=256)
     pages = [bytes([n]) * 256 for n in range(64)]
     for page in pages:
         file.append_page(page)
@@ -186,93 +168,17 @@ def test_size_bytes(pagefile):
     assert os.path.getsize(pagefile.path) == 256
 
 
-# =============================================================================
-# segmented LRU (scan-aware cache)
-# =============================================================================
-
-def test_slru_second_point_hit_promotes_and_survives_scan_flood(tmp_path):
-    stats = IOStats()
-    file = PagedFile(
-        str(tmp_path / "s.pg"), 128, stats=stats, category="v", cache_pages=5
-    )
-    pages = [bytes([n]) * 128 for n in range(32)]
-    for page in pages:
-        file.append_page(page)
-    # The appends cached only the last 5 pages; touch page 0 twice: the
-    # miss fills probation, the re-reference promotes to protected.
-    file.read_page(0)
-    file.read_page(0)
-    assert stats.cache_promotions["v"] == 1
-    # A full sequential pass floods probation but cannot touch the
-    # protected segment (and, being sequential, promotes nothing).
-    for n in range(len(pages)):
-        assert file.read_page(n, sequential=True) == pages[n]
-    assert stats.cache_promotions["v"] == 1
-    reads_before = stats.page_reads["v"]
-    assert file.read_page(0) == pages[0]  # still cached: no pread
-    assert stats.page_reads["v"] == reads_before
-    file.close()
-
-
-def test_slru_sequential_hits_never_promote(tmp_path):
-    stats = IOStats()
-    file = PagedFile(
-        str(tmp_path / "s.pg"), 128, stats=stats, category="v", cache_pages=5
-    )
-    file.append_page(b"a")
-    for _ in range(4):
-        file.read_page(0, sequential=True)  # probation hits, no promotion
-    assert sum(stats.cache_promotions.values()) == 0
-    assert stats.cache_hits["v"] == 4
-    file.read_page(0)  # a *point* re-reference is what promotes
-    assert stats.cache_promotions["v"] == 1
-    file.close()
-
-
-def test_slru_protected_overflow_demotes_instead_of_dropping(tmp_path):
-    stats = IOStats()
-    file = PagedFile(
-        str(tmp_path / "s.pg"), 128, stats=stats, category="v", cache_pages=5
-    )
-    for n in range(5):
-        file.append_page(bytes([n]) * 128)
-    # Promote all five; protected holds 4, so the coldest one is demoted
-    # back to probation rather than evicted — everything stays cached.
-    for n in range(5):
-        file.read_page(n)
-    assert stats.cache_promotions["v"] == 5
-    assert stats.page_reads.get("v", 0) == 0
-    for n in range(5):
-        file.read_page(n)
-    assert stats.page_reads.get("v", 0) == 0
-    file.close()
-
-
-def test_slru_tiny_capacity_degrades_to_plain_lru(tmp_path):
-    stats = IOStats()
-    # capacity 1 -> protected capacity 0: hits must not try to promote.
-    file = PagedFile(
-        str(tmp_path / "s.pg"), 128, stats=stats, category="v", cache_pages=1
-    )
-    file.append_page(b"a")
-    file.read_page(0)
-    file.read_page(0)
-    assert sum(stats.cache_promotions.values()) == 0
-    assert stats.cache_hits["v"] == 2
-    file.close()
-
-
 def test_cache_counters_untouched_when_cache_disabled(tmp_path):
-    """The default (no cache) must leave the Table-1 IO accounting
-    exactly as before: raw page reads only, zero cache counters."""
+    """With no engine page cache the Table-1 IO accounting counts every
+    read, a repeated one too, and the cache summary the perf ledger and
+    STATS ``io.page_cache`` read stays all zero."""
     stats = IOStats()
     file = PagedFile(str(tmp_path / "s.pg"), 128, stats=stats, category="v")
     file.append_page(b"a")
     file.read_page(0)
     file.read_page(0)
     assert stats.page_reads["v"] == 2
-    assert sum(stats.cache_hits.values()) == 0
-    assert sum(stats.cache_misses.values()) == 0
-    summary = stats.cache_summary()
-    assert summary["hits"] == 0 and summary["hit_rate"] == 0.0
+    assert stats.cache_summary() == {
+        "hits": 0, "misses": 0, "lookups": 0, "promotions": 0, "hit_rate": 0.0,
+    }
     file.close()

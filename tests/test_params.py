@@ -52,3 +52,10 @@ def test_fanout_must_be_at_least_two():
 def test_mem_capacity_positive():
     with pytest.raises(ValueError):
         ColeParams(mem_capacity=0)
+
+
+def test_value_cache_pages_refuses_a_page_cache():
+    assert ColeParams(value_cache_pages=0).value_cache_pages == 0
+    for pages in (1, 256, -1):
+        with pytest.raises(ValueError, match="no page cache"):
+            ColeParams(value_cache_pages=pages)

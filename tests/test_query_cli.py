@@ -266,9 +266,13 @@ def test_live_caches_reports_hit_rates(live_server, capsys):
 
 
 def test_live_caches_rows_share_one_shape(tmp_path, capsys):
-    """The page cache has no occupancy of its own: its row leaves
-    ``entries`` / ``capacity`` blank instead of showing its promotions."""
-    engine = Cole(str(tmp_path / "ws"), ColeParams(mem_capacity=64, value_cache_pages=4))
+    """One row per serving cache, each with every column; a column its
+    STATS section lacks (the negative cache counts no ``refreshed``)
+    stays blank.  The engine has no page cache, so no row names one,
+    while STATS ``io.page_cache`` keeps its keys at zero."""
+    from repro.obs.query import CACHE_COLUMNS
+
+    engine = Cole(str(tmp_path / "ws"), ColeParams(mem_capacity=64))
 
     async def load(host, port):
         async with ServerClient(host, port) as client:
@@ -285,11 +289,11 @@ def test_live_caches_rows_share_one_shape(tmp_path, capsys):
     engine.close()
     assert code == 0
     rows = {row["cache"]: row for row in json.loads(out)}
-    assert set(rows) == {"read", "negative", "page"}
-    assert page_cache["promotions"] > 0
-    assert rows["page"]["entries"] != page_cache["promotions"]
-    assert rows["page"]["entries"] == rows["page"]["capacity"] == ""
+    assert set(rows) == {"read", "negative"}
+    assert page_cache["lookups"] == page_cache["hits"] == 0
+    assert rows["negative"]["refreshed"] == ""
     for row in rows.values():
+        assert set(row) == set(CACHE_COLUMNS)
         assert row["lookups"] == row["hits"] + row["misses"]
 
 

@@ -45,9 +45,9 @@ def log_reads(monkeypatch):
     reads = []
     original = PagedFile.read_page
 
-    def read_page(self, page_id, sequential=False):
+    def read_page(self, page_id):
         reads.append((self.path, page_id))
-        return original(self, page_id, sequential)
+        return original(self, page_id)
 
     monkeypatch.setattr(PagedFile, "read_page", read_page)
     return reads

@@ -290,11 +290,11 @@ def test_close_returns_while_a_scan_is_in_flight(tmp_path, monkeypatch):
     parked, release = threading.Event(), threading.Event()
     read_page = PagedFile.read_page
 
-    def parking_read_page(self, page_id, sequential=False):
+    def parking_read_page(self, page_id):
         if threading.current_thread().name == "parked-scan" and not parked.is_set():
             parked.set()  # the scan's first run page: its sources are pinned
             release.wait(60)
-        return read_page(self, page_id, sequential)
+        return read_page(self, page_id)
 
     monkeypatch.setattr(PagedFile, "read_page", parking_read_page)
     answer = []

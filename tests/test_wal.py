@@ -161,6 +161,36 @@ def test_truncate_unlinks_outside_the_append_lock(tmp_path, monkeypatch):
     wal.close()
 
 
+def test_failed_unlink_keeps_the_segment_live_for_the_next_truncate(tmp_path, monkeypatch):
+    wal = WriteAheadLog(str(tmp_path / "wal"), segment_max_bytes=256)
+    for height in range(1, 11):
+        wal.append_put(addr_of(height), value_of(height), height=height)
+    wal.sync()
+    before = wal.live_segments()
+    files = sorted(os.listdir(wal.directory))
+    real_remove = os.remove
+    failures = [OSError("injected unlink failure")]
+
+    def failing_remove(path):
+        if failures:
+            raise failures.pop()
+        real_remove(path)
+
+    monkeypatch.setattr("repro.wal.log.os.remove", failing_remove)
+    with pytest.raises(OSError, match="injected"):
+        wal.truncate(5)
+    assert sorted(os.listdir(wal.directory)) == files
+    assert wal.live_segments() == before
+    assert wal.truncated_segments == 0
+    deleted = wal.truncate(5)
+    assert deleted > 0
+    assert wal.truncated_segments == deleted
+    assert wal.live_segments() == before - deleted
+    assert len(os.listdir(wal.directory)) == len(files) - deleted
+    assert wal.truncate(5) == 0
+    wal.close()
+
+
 def test_reopen_trims_torn_tail_and_appends_after_it(tmp_path):
     directory = str(tmp_path / "wal")
     wal = WriteAheadLog(directory)

@@ -13,25 +13,23 @@ def test_open_file_is_cached(tmp_path):
 
 
 def test_open_file_rejects_mismatched_reopen(tmp_path):
-    """A cached handle keeps the first opener's category/cache_pages; a
-    later open with different arguments must fail loudly instead of
-    silently handing back the first configuration."""
+    """A cached handle keeps the first opener's category; a later open
+    asking for another must fail loudly instead of silently handing back
+    the first one."""
     import pytest
 
     from repro.common.errors import StorageError
 
     ws = Workspace(str(tmp_path / "ws"), page_size=128)
-    ws.open_file("f1", category="value", cache_pages=4)
-    # Matching arguments still share the handle.
-    assert ws.open_file("f1", category="value", cache_pages=4, create=False) is not None
+    ws.open_file("f1", category="value")
+    # A matching category still shares the handle.
+    assert ws.open_file("f1", category="value", create=False) is not None
     with pytest.raises(StorageError, match="already open"):
-        ws.open_file("f1", category="index", cache_pages=4, create=False)
-    with pytest.raises(StorageError, match="already open"):
-        ws.open_file("f1", category="value", cache_pages=8, create=False)
-    # Closing the handle clears the recorded spec: a fresh open may
-    # choose new arguments.
+        ws.open_file("f1", category="index", create=False)
+    # Closing the handle forgets it: a fresh open may choose another
+    # category.
     ws.close_file("f1")
-    handle = ws.open_file("f1", category="index", cache_pages=8, create=False)
+    handle = ws.open_file("f1", category="index", create=False)
     assert handle.category == "index"
     # remove_file clears it too.
     ws.remove_file("f1")
