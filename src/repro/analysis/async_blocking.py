@@ -33,7 +33,7 @@ The sanctioned escape is an executor hop: passing the bound method to
 is never flagged.
 
 An fsync must not hide behind a plain ``def`` either: ``os.fsync`` /
-``fdatasync`` / ``durable.fsync_dir`` / ``wal.sync`` calls are also flagged
+``fdatasync`` / ``durable.fsync`` / ``wal.sync`` calls are also flagged
 in every plain ``def`` of the file that the loop reaches — protocol
 callbacks, functions handed to ``call_soon`` / ``add_done_callback`` ...,
 and whatever those or an ``async def`` call by name (``self.f()`` / ``f()``).
@@ -65,7 +65,7 @@ BLOCKING_CALLS = {
     "os.replace",
     "socket.socket",
     "socket.create_connection",
-    "durable.replacing", "durable.fsync_dir", "durable.link_or_copy",
+    "durable.replacing", "durable.fsync", "durable.link_or_copy",
 }
 
 BLOCKING_CONSTRUCTORS = {"Cole", "WriteAheadLog", "PagedFile"}
@@ -91,6 +91,7 @@ ENGINE_METHODS = {
     "root_hash_list",
     "close",
     "wait_for_merges",
+    "sync_checkpoint",
 }
 
 #: WAL methods that hit the filesystem (append = write syscall,
@@ -111,7 +112,7 @@ LOOP_SCHEDULERS = {
 
 def _fsync(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func) or ""
-    if name in ("os.fsync", "os.fdatasync", "durable.fsync_dir") or name.endswith("wal.sync"):
+    if name in ("os.fsync", "os.fdatasync", "durable.fsync") or name.endswith("wal.sync"):
         return f"{name}() is an fsync"
     return None
 

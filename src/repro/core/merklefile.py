@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import DIGEST_SIZE, Digest, hash_bytes, hash_concat
@@ -240,19 +240,6 @@ class MerkleFile:
             fanout=self.fanout,
             sibling_layers=sibling_layers,
         )
-
-
-def build_merkle_file(
-    file: PagedFile,
-    pairs: Iterable[Tuple[int, bytes]],
-    num_leaves: int,
-    fanout: int,
-    key_width: int,
-) -> Digest:
-    """Convenience wrapper: feed ``pairs`` to a builder in one batch."""
-    builder = MerkleFileBuilder(file, num_leaves, fanout)
-    builder.add([key.to_bytes(key_width, "big") + value for key, value in pairs])
-    return builder.finish()
 
 
 def fold_range_proof(

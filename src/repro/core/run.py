@@ -88,6 +88,7 @@ class Run:
         self.params = params
         self.merkle_root = merkle_root
         self.bloom = bloom
+        self.fsynced = False  # set once by Cole.sync_checkpoint
         system = params.system
         # Read-only: a just-built run reuses its builder's cached
         # handles, and every other open cannot write a run's bytes.

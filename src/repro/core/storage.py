@@ -56,6 +56,7 @@ from repro.core.proofs import (
     StubItem,
 )
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
+from repro.diskio import durable
 from repro.diskio.iostats import IOStats
 from repro.diskio.workspace import Workspace
 
@@ -806,9 +807,36 @@ class Cole:
         self._restart_merges()
         self._publish_view()
 
+    def sync_checkpoint(self) -> int:
+        """Fsync the runs the manifest names; returns its checkpoint, every
+        write at or below which is then durable without the WAL.
+
+        The checkpoint and the runs are captured under the gate and
+        fsynced outside it, each run's files once (a run never changes
+        after its build; one loaded at open counts as not yet fsynced).
+        A file a later merge deleted meanwhile means a newer manifest:
+        capture again.  The manifest's directory fsync made the names
+        durable.
+        """
+        while True:
+            with self.gate.exclusive():
+                checkpoint = self._checkpoint_blk
+                runs = [run for level in self.levels for run in level.all_runs()]
+            try:
+                for run in runs:
+                    if not run.fsynced:
+                        for suffix in RUN_SUFFIXES:
+                            durable.fsync(self.workspace.path_of(run.name + suffix))
+                        run.fsynced = True
+            except FileNotFoundError:
+                continue
+            return checkpoint
+
     @property
     def checkpoint_blk(self) -> int:
-        """Highest block height durably contained in committed runs."""
+        """Highest block height whose writes are all in the runs the
+        manifest names; they are durable past a machine crash once
+        :meth:`sync_checkpoint` returned it."""
         return self._checkpoint_blk
 
     @property

@@ -8,7 +8,7 @@ bound ε is derived from (2ε = one page of pairs).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.codec import clamp_key, floor_slot
 from repro.common.errors import StorageError
@@ -195,12 +195,3 @@ class ValueFile:
                 data[offset : offset + pair_size]
                 for offset in range(0, self._page_count(page_id) * pair_size, pair_size)
             ]
-
-
-def write_value_file(
-    file: PagedFile, entries: Iterable[Entry], params: SystemParams
-) -> int:
-    """Write ``entries`` (sorted) to ``file``; returns the pair count."""
-    writer = ValueFileWriter(file, params)
-    writer.add([key.to_bytes(params.key_size, "big") + value for key, value in entries])
-    return writer.finish()

@@ -1,11 +1,12 @@
-"""Durable disk effects: the one way to publish a file.
+"""Durable disk effects: the one way to publish or fsync a file.
 
 Every file the store replaces whole — the engine manifest, the WAL's
 format record, ``SNAPSHOT.json``, the cluster manifest and a ``repro
 export`` stream — is published by :func:`replacing`.  Its directory fsync
 is what makes the rename survive power loss (Pillai et al., OSDI '14).
 A crash-left ``<target>.<random>.tmp`` in an engine workspace is deleted
-by the orphan sweep on open.
+by the orphan sweep on open.  A file written in place — a run, a
+snapshot's copy, a directory — is made durable by :func:`fsync`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import shutil
 from typing import BinaryIO, Iterator
 
 
-def fsync_dir(path: str) -> None:
-    """fsync directory ``path``: names made or renamed in it survive a crash."""
+def fsync(path: str) -> None:
+    """fsync ``path``: a file's bytes, or the names made or renamed in a
+    directory, survive a crash."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -45,7 +47,7 @@ def replacing(path: str) -> Iterator[BinaryIO]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
         raise
-    fsync_dir(os.path.dirname(os.path.abspath(path)))
+    fsync(os.path.dirname(os.path.abspath(path)))
 
 
 def link_or_copy(src: str, dest: str) -> None:

@@ -32,8 +32,9 @@ attached, every buffered put is appended to the WAL *before* the server
 acknowledges it — the ack additionally waits for the put's record to be
 durable under the WAL's sync policy (the server's group-fsync path), so
 a crash between ack and group commit loses nothing.  After each commit
-the batcher appends a COMMIT marker and, whenever the engine's durable
-checkpoint advanced, truncates WAL segments the manifest now covers.
+the batcher appends a COMMIT marker and, whenever the engine's
+checkpoint advanced, fsyncs the runs the manifest names and then
+truncates the WAL segments they cover.
 
 One deliberate read-uncommitted window: the overlay publishes a
 buffered write the instant it is logged, while its writer's ack may
@@ -307,10 +308,14 @@ class WriteBatcher:
         """Drop WAL segments the engine checkpoint now covers.
 
         Runs only when the engine checkpoint advanced (a cascade
-        landed); the deletes happen off-loop.  Deferred while a
+        landed); off-loop, the manifest's runs are fsynced before any
+        segment covering them is deleted.  Deferred while a
         replication catch-up scan is reading segments — a delete landing
         mid-scan could remove heights that scan was promised (retried at
-        the next commit; segments only cost disk meanwhile).
+        the next commit; segments only cost disk meanwhile).  The delete
+        stops at ``floor``, the checkpoint read here, even when the
+        fsynced manifest is newer: a subscriber registering while the
+        task is in flight was promised every height above ``floor``.
         """
         if self._hub is not None and self._hub.catchups_active:
             return
@@ -321,7 +326,9 @@ class WriteBatcher:
 
         async def truncate() -> None:
             try:
-                await self._run(self.wal.truncate, floor)
+                await self._run(
+                    lambda: self.wal.truncate(min(floor, self.engine.sync_checkpoint()))
+                )
             except Exception:
                 # Best-effort: surviving segments only cost disk; rearm
                 # so the next checkpoint advance retries the delete.

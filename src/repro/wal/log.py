@@ -24,13 +24,15 @@ Sync policies (``sync_policy``):
 * ``"none"``   — acks return once the record reached the OS page cache;
   data survives a process kill but not a machine crash.
 
-Segments **seal** when they outgrow ``segment_max_bytes`` (checked at
+A segment lives from one engine checkpoint to the next: :meth:`truncate`
+**seals** the active segment once it holds a record the checkpoint
+covers, and deletes sealed, synced segments whose newest record height
+is at or below it.  The caller passes a checkpoint whose runs it has
+fsynced (``Cole.sync_checkpoint``), so those puts are durable in runs
+the manifest names and the WAL no longer owes them to recovery.  A
+segment also seals when it outgrows ``segment_max_bytes`` (checked at
 append time; records never straddle segments).  A sealed segment's file
-handle stays open until a sync covers it, then closes.  Truncation —
-:meth:`truncate` — deletes sealed, synced segments whose newest record
-height is at or below the engine checkpoint: those puts are durable in
-committed runs and named by the manifest, so the WAL no longer owes
-them to recovery.
+handle stays open until a sync covers it, then closes.
 
 On open, every segment's torn tail (a crash mid-append) is trimmed to
 the last clean record boundary, so new appends never land after garbage.
@@ -39,6 +41,7 @@ the last clean record boundary, so new appends never land after garbage.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -130,6 +133,7 @@ class WriteAheadLog:
         self._handle = None
         self._path = ""
         self._size = 0
+        self._min_height = math.inf  # the active segment's lowest height
         self._max_height = -1
         self._dirty = False
         #: A segment file was created since the last directory fsync.
@@ -168,11 +172,8 @@ class WriteAheadLog:
         )
         for seq in sequences:
             path = os.path.join(self.directory, segment_name(seq))
-            result = self._trim_tail(path)
-            max_height = max(
-                (record.height for record in result.records), default=-1
-            )
-            self._sealed_synced.append(_Sealed(path=path, max_height=max_height))
+            heights = [record.height for record in self._trim_tail(path).records]
+            self._sealed_synced.append(_Sealed(path=path, max_height=max(heights, default=-1)))
         # The newest existing segment (if any) becomes the append target
         # again only when it has room; otherwise start a fresh one.  Either
         # way appends land after the trimmed clean prefix.
@@ -183,6 +184,7 @@ class WriteAheadLog:
             reopened = self._sealed_synced.pop()
             self._seq = sequences[-1]
             self._path = reopened.path
+            self._min_height = min(heights, default=math.inf)
             self._max_height = reopened.max_height
         else:
             self._path = os.path.join(self.directory, segment_name(self._seq))
@@ -233,6 +235,7 @@ class WriteAheadLog:
             raise StorageError("write-ahead log is closed")
         self._write_all(record)
         self._size += len(record)
+        self._min_height = min(self._min_height, height)
         self._max_height = max(self._max_height, height)
         self._dirty = True
         self.records_appended += 1
@@ -282,6 +285,7 @@ class WriteAheadLog:
         self._path = os.path.join(self.directory, segment_name(self._seq))
         self._handle = open(self._path, "ab", buffering=0)
         self._size = 0
+        self._min_height = math.inf
         self._max_height = -1
         self._dirty = True
         self._dir_dirty = True  # the next sync persists the new entry
@@ -319,7 +323,7 @@ class WriteAheadLog:
             for handle in to_sync:
                 os.fsync(handle.fileno())
             if sync_dir:
-                durable.fsync_dir(self.directory)
+                durable.fsync(self.directory)
             # Settle only segments whose handle this pass captured: a
             # segment sealed *during* the fsyncs (its handle was the
             # active one we captured) may have gained pre-seal bytes
@@ -364,10 +368,13 @@ class WriteAheadLog:
     def truncate(self, checkpoint: int) -> int:
         """Delete sealed segments fully covered by the engine checkpoint.
 
-        ``checkpoint`` is the engine's durable checkpoint height
-        (``checkpoint_blk``): a segment whose newest record height is at
-        or below it holds only writes already named by the manifest.
-        Returns the number of segments deleted.
+        ``checkpoint`` is a height whose writes are all in fsynced runs
+        the engine's manifest names (``Cole.sync_checkpoint``): a segment
+        whose newest record height is at or below it holds only writes
+        already durable there.  Returns the number of segments deleted.
+        The active segment seals first when it holds a record at or below
+        ``checkpoint``, so the next call can delete it once a sync has
+        covered it; a call that covers nothing changes nothing.
 
         The segments leave the live list under the append lock but are
         unlinked after it is released: freeing an fsynced file's blocks
@@ -377,6 +384,8 @@ class WriteAheadLog:
         error propagates.
         """
         with self._lock:
+            if self._min_height <= checkpoint and not self._closed:
+                self._seal()
             if self.sync_policy == "none":
                 # Never fsynced by design; close so the files are deletable.
                 self._settle_sealed()

@@ -20,8 +20,8 @@ Consistency: the capture happens under the engine's :class:`CommitGate`
 held **exclusive**, so no commit checkpoint can replace the manifest,
 attach a merge output, or delete a merged-away run mid-capture.  Under
 the gate the snapshot reads the manifest's bytes, copies the WAL
-prefixes :meth:`~repro.wal.log.WriteAheadLog.live_files` names (a sealed
-segment may be unlinked by truncation as soon as the gate is released)
+prefixes :meth:`~repro.wal.log.WriteAheadLog.live_files` names (skipping
+one truncation deleted meanwhile: it held only checkpointed heights)
 and links the run files.  Writing the manifest copy, the crc32s, the
 fsyncs and ``SNAPSHOT.json`` happen after the gate is released.
 
@@ -67,8 +67,8 @@ def _file_crc(path: str, sync: bool = False) -> int:
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             crc = zlib.crc32(chunk, crc)
-        if sync:
-            os.fsync(handle.fileno())
+    if sync:
+        durable.fsync(path)
     return crc
 
 
@@ -107,10 +107,17 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
         if wal is not None:
             # Segment prefixes captured at record boundaries: appends
             # racing the copy can neither tear a record nor leak records
-            # past the capture instant into the snapshot.
+            # past the capture instant into the snapshot.  A segment the
+            # batcher's truncation (which does not take the gate) deleted
+            # since held only heights at or below a checkpoint read before
+            # the manifest above, so at or below the manifest's own:
+            # replay would skip them all.
             for path, copy_bytes in wal.live_files():
                 rel = os.path.join(WAL_DIR_NAME, os.path.basename(path))
-                _copy_prefix(path, os.path.join(dest, rel), copy_bytes)
+                try:
+                    _copy_prefix(path, os.path.join(dest, rel), copy_bytes)
+                except FileNotFoundError:
+                    continue
                 names.append(rel)
             rel = os.path.join(WAL_DIR_NAME, WAL_META_NAME)
             shutil.copyfile(os.path.join(wal.directory, WAL_META_NAME), os.path.join(dest, rel))
@@ -144,7 +151,7 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
     }
     # Names in dest/wal are durable before the record that lists them.
     if wal is not None:
-        durable.fsync_dir(wal_dest)
+        durable.fsync(wal_dest)
     with durable.replacing(os.path.join(dest, SNAPSHOT_META_NAME)) as handle:
         handle.write(json.dumps(meta, indent=1).encode("utf-8"))
     return meta

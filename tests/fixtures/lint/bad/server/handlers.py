@@ -19,4 +19,4 @@ class Handler:
             pass
         self.engine.get(b"k")  # BAD: takes the CommitGate
         self.wal.sync()  # BAD: fsync
-        durable.fsync_dir("/")  # BAD: a directory fsync
+        durable.fsync("/")  # BAD: a directory fsync

@@ -69,7 +69,7 @@ class TestBadCorpus:
         for needle in (
             "time.sleep",
             "os.fsync",
-            "durable.fsync_dir",
+            "durable.fsync(",
             "CommitGate.exclusive",
             "engine.get",
             "wal.sync",

@@ -183,3 +183,42 @@ def test_only_durable_renames_links_or_opens_descriptors():
             if RAW_CALLS.intersection(names):
                 found.append(f"{path.relative_to(package)}:{node.lineno}")
     assert found == []
+
+
+class _FsyncCalls(ast.NodeVisitor):
+    """Every ``os.fsync`` / ``os.fdatasync`` reference, by enclosing scope."""
+
+    def __init__(self, prefix):
+        self.scope = [prefix]
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and (node.value.id, node.attr) in {
+            ("os", "fsync"),
+            ("os", "fdatasync"),
+        }:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_durable_and_the_wal_segment_syncs_call_os_fsync():
+    """A run, a snapshot copy or a directory is fsynced through
+    ``durable.fsync``.  The WAL's two segment fsyncs
+    stay in ``WriteAheadLog.sync``: the traced served benchmark replaces
+    ``repro.wal.log.os`` to record exactly those."""
+    package = Path(repro.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "diskio" / "durable.py":
+            continue
+        visitor = _FsyncCalls(str(path.relative_to(package)))
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found == ["wal/log.py.WriteAheadLog.sync"] * 2

@@ -7,7 +7,6 @@ from repro.common.errors import StorageError, VerificationError
 from repro.core.merklefile import (
     MerkleFile,
     MerkleFileBuilder,
-    build_merkle_file,
     layer_sizes,
     verify_range_proof,
 )
@@ -24,7 +23,9 @@ def make_pairs(count):
 
 def build(tmp_path, pairs, fanout, name="m.mrk"):
     file = PagedFile(str(tmp_path / name), PAGE)
-    root = build_merkle_file(file, iter(pairs), len(pairs), fanout, KEY_WIDTH)
+    builder = MerkleFileBuilder(file, len(pairs), fanout)
+    builder.add([key.to_bytes(KEY_WIDTH, "big") + value for key, value in pairs])
+    root = builder.finish()
     return MerkleFile(file, len(pairs), fanout), root
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.common.params import SystemParams
-from repro.core.valuefile import ValueFile, ValueFileWriter, write_value_file
+from repro.core.valuefile import ValueFile, ValueFileWriter
 from repro.diskio.pagefile import PagedFile
 
 
@@ -12,6 +12,13 @@ from repro.diskio.pagefile import PagedFile
 def system():
     # Tiny pages so multi-page behaviour appears with few entries.
     return SystemParams(addr_size=8, value_size=8, page_size=64)
+
+
+def write_value_file(file, entries, system):
+    """Write sorted ``entries`` to ``file`` in one batch; returns the pair count."""
+    writer = ValueFileWriter(file, system)
+    writer.add([key.to_bytes(system.key_size, "big") + value for key, value in entries])
+    return writer.finish()
 
 
 def make_entries(count, system):
