@@ -34,18 +34,26 @@ the *slice*, not the source.
 from __future__ import annotations
 
 import json
-import struct
 import zlib
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
+from repro.common.codec import U64, Cursor, decode_u32, encode_u32, pack_bytes32
 from repro.common.errors import IntegrityError, StorageError
 from repro.core.cursor import addr_successor
+
+if TYPE_CHECKING:
+    from repro.core.storage import Cole
 
 MAGIC = b"REPX"
 FORMAT_VERSION = 1
 
 #: Triples per frame — a few tens of KB per frame at default sizes.
 FRAME_TRIPLES = 512
+
+#: Every key a header carries; a stream whose header lacks one is refused.
+_HEADER_KEYS = {
+    "version", "addr_size", "at_blk", "addr_low", "addr_high", "source_root", "source_blk"
+}
 
 #: Addresses fetched per scan page (one gate hold each).
 SCAN_PAGE = 1024
@@ -54,31 +62,27 @@ Triple = Tuple[bytes, int, bytes]
 
 
 def _write_frame(out: BinaryIO, payload: bytes) -> None:
-    out.write(struct.pack(">I", len(payload)))
-    out.write(payload)
-    out.write(struct.pack(">I", zlib.crc32(payload)))
+    out.write(pack_bytes32(payload) + encode_u32(zlib.crc32(payload)))
 
 
 def _pack_triples(triples: List[Triple], addr_size: int) -> bytes:
-    parts = [struct.pack(">I", len(triples))]
+    parts = [encode_u32(len(triples))]
     for addr, blk, value in triples:
         if len(addr) != addr_size:
             raise StorageError(f"address must be {addr_size} bytes")
-        parts.append(addr)
-        parts.append(struct.pack(">QI", blk, len(value)))
-        parts.append(value)
+        parts.append(addr + U64.pack(blk) + pack_bytes32(value))
     return b"".join(parts)
 
 
 def export_slice(
-    engine,
+    engine: Cole,
     out: BinaryIO,
     *,
     at_blk: Optional[int] = None,
     addr_low: Optional[bytes] = None,
     addr_high: Optional[bytes] = None,
     page: int = SCAN_PAGE,
-) -> dict:
+) -> Dict[str, Any]:
     """Stream the live version of every address in
     ``[addr_low, addr_high]`` as of ``at_blk`` (default: the engine's
     current height) into ``out``.  Returns summary stats."""
@@ -125,8 +129,7 @@ def export_slice(
         cursor = successor
     # Trailer: zero-length marker + totals, so a truncated stream or a
     # dropped frame fails loudly at import.
-    out.write(struct.pack(">I", 0))
-    out.write(struct.pack(">QI", total, stream_crc))
+    out.write(encode_u32(0) + U64.pack(total) + encode_u32(stream_crc))
     return {"triples": total, "at_blk": resolved_at, "root": header["source_root"]}
 
 
@@ -137,55 +140,51 @@ def _read_exact(inp: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def read_header(inp: BinaryIO) -> dict:
+def read_header(inp: BinaryIO) -> Dict[str, Any]:
     """Read and validate the stream header, leaving ``inp`` at frame 0."""
     if _read_exact(inp, len(MAGIC), "magic") != MAGIC:
         raise IntegrityError("not a repro export stream (bad magic)")
-    (length,) = struct.unpack(">I", _read_exact(inp, 4, "header length"))
-    payload = _read_exact(inp, length, "header")
-    (crc,) = struct.unpack(">I", _read_exact(inp, 4, "header crc"))
-    if zlib.crc32(payload) != crc:
+    payload = _read_exact(inp, decode_u32(_read_exact(inp, 4, "header length")), "header")
+    if zlib.crc32(payload) != decode_u32(_read_exact(inp, 4, "header crc")):
         raise IntegrityError("export header corrupted (crc mismatch)")
-    header = json.loads(payload.decode("utf-8"))
-    if header.get("version") != FORMAT_VERSION:
+    try:
+        header = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise IntegrityError(f"export header is not JSON: {exc}") from None
+    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+        raise IntegrityError(f"export header lacks one of {sorted(_HEADER_KEYS)}")
+    if header["version"] != FORMAT_VERSION:
         raise IntegrityError(
-            f"unsupported export format version: {header.get('version')!r}"
+            f"unsupported export format version: {header['version']!r}"
         )
     return header
 
 
-def iter_triples(inp: BinaryIO, header: dict) -> Iterator[Triple]:
+def iter_triples(inp: BinaryIO, header: Dict[str, Any]) -> Iterator[Triple]:
     """Yield the stream's triples, verifying every frame and the trailer."""
     addr_size = header["addr_size"]
     total = 0
     stream_crc = 0
     while True:
-        (length,) = struct.unpack(">I", _read_exact(inp, 4, "frame length"))
+        length = decode_u32(_read_exact(inp, 4, "frame length"))
         if length == 0:
             break
         payload = _read_exact(inp, length, "frame")
-        (crc,) = struct.unpack(">I", _read_exact(inp, 4, "frame crc"))
-        if zlib.crc32(payload) != crc:
+        if zlib.crc32(payload) != decode_u32(_read_exact(inp, 4, "frame crc")):
             raise IntegrityError("export frame corrupted (crc mismatch)")
         stream_crc = zlib.crc32(payload, stream_crc)
-        (count,) = struct.unpack(">I", payload[:4])
-        offset = 4
-        for _ in range(count):
-            addr = payload[offset : offset + addr_size]
-            offset += addr_size
-            blk, vlen = struct.unpack(">QI", payload[offset : offset + 12])
-            offset += 12
-            value = payload[offset : offset + vlen]
-            offset += vlen
-            if len(addr) != addr_size or len(value) != vlen:
-                raise IntegrityError("export frame truncated mid-triple")
-            total += 1
-            yield addr, blk, value
-        if offset != len(payload):
-            raise IntegrityError("export frame has trailing garbage")
-    expect_total, expect_crc = struct.unpack(
-        ">QI", _read_exact(inp, 12, "trailer")
-    )
+        cursor = Cursor(payload)
+        try:
+            triples = [(cursor.take(addr_size), cursor.u64(), cursor.bytes32())
+                       for _ in range(cursor.u32())]
+            if not cursor.done():
+                raise StorageError("trailing bytes after the frame's triples")
+        except StorageError as exc:
+            raise IntegrityError(f"export frame malformed: {exc}") from None
+        total += len(triples)
+        yield from triples
+    trailer = Cursor(_read_exact(inp, 12, "trailer"))
+    expect_total, expect_crc = trailer.u64(), trailer.u32()
     if expect_total != total:
         raise IntegrityError(
             f"export stream lost frames ({total} triples, trailer says {expect_total})"
@@ -194,7 +193,7 @@ def iter_triples(inp: BinaryIO, header: dict) -> Iterator[Triple]:
         raise IntegrityError("export stream corrupted (trailer crc mismatch)")
 
 
-def import_slice(engine, inp: BinaryIO, *, batch: int = 4096) -> dict:
+def import_slice(engine: Cole, inp: BinaryIO, *, batch: int = 4096) -> Dict[str, Any]:
     """Replay an export stream into ``engine``; returns summary stats.
 
     The engine must be fresh enough to accept the slice's heights
@@ -214,7 +213,7 @@ def import_slice(engine, inp: BinaryIO, *, batch: int = 4096) -> dict:
     for addr, blk, value in iter_triples(inp, header):
         by_blk.setdefault(blk, []).append((addr, value))
         count += 1
-    root = None
+    root: Optional[bytes] = None
     for blk in sorted(by_blk):
         engine.begin_block(blk)
         pairs = by_blk[blk]
@@ -227,6 +226,6 @@ def import_slice(engine, inp: BinaryIO, *, batch: int = 4096) -> dict:
         "triples": count,
         "blocks": len(by_blk),
         "at_blk": header["at_blk"],
-        "root": root.hex() if hasattr(root, "hex") else root,
+        "root": root.hex(),
         "source_root": header["source_root"],
     }

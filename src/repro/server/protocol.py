@@ -22,8 +22,8 @@ op              class    routes by   request payload           OK response paylo
 PUT             write    addr        addr16, value32           u64 block height assigned
 GET             read     addr        addr16                    value32 (or NOT_FOUND)
 GET_AT          read     addr        addr16, u64 blk           value32 (or NOT_FOUND)
-PROV            read     addr        addr16, u64 blk_low,      blob32 (pickled result)
-                                     u64 blk_high
+PROV            read     addr        addr16, u64 blk_low,      blob32 (pickled result,
+                                     u64 blk_high              root; proof classes only)
 ROOT            control  —           —                         digest16, u64 ver, u64 blk
 STATS           control  —           —                         blob32 (JSON, utf-8)
 FLUSH           write    —           —                         digest16, u64 ver, u64 blk
@@ -108,10 +108,12 @@ admin surface inside one opcode means migrations evolve without
 touching the wire format again.
 
 ``PROV`` responses carry the engine's full provenance result (values,
-boundary version, and the authentication proof) as a pickle blob so the
-client can run the verifier locally.  Pickle is only safe between
-mutually trusting endpoints; the serving layer targets a trusted network
-segment, exactly like the paper's single-operator deployment.
+boundary version, and the authentication proof) and the root it is
+anchored at, as a pickle blob, so the client can run the verifier
+locally.  The client trusts only digests, so it reads the blob as
+hostile: :func:`decode_prov_response` admits only the opcodes and the
+classes a proof is made of; anything else raises ``StorageError``, and
+no other global is resolved, let alone called.
 
 The framing is deliberately request-id free: the server answers each
 connection's requests strictly in order, so a pipelining client matches
@@ -124,19 +126,21 @@ replica's stream included — reads through one such connection.  The
 four hot frames — GET / MULTI_GET requests, value / MULTI_GET answers —
 are packed from one precompiled header and sliced by offset; every other
 shape, and every malformed one, goes field by field through
-:class:`Cursor`, where the rejections are worded.
+:class:`repro.common.codec.Cursor`, where the rejections are worded.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import pickle
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.codec import U16, U32, U64, Cursor, pack_bytes16, pack_bytes32, pack_items
 from repro.common.errors import StorageError
 
 MAX_FRAME = 64 * 1024 * 1024  # hard cap against corrupt / hostile lengths
@@ -151,9 +155,6 @@ MAX_MULTI_BATCH = 4096
 #: search, so encoding latest scans needs no special casing anywhere).
 LATEST_BLK = 2**64 - 1
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 #: The whole fixed part of three hot frames: frame length, one byte
 #: (opcode / status) and one u16 — a GET's address length, a MULTI_GET's
 #: key count, a MULTI_GET answer's entry count.
@@ -258,60 +259,8 @@ class RootInfo:
 # primitive encoders
 # =============================================================================
 
-def encode_frame(body: bytes) -> bytes:
-    """Prefix ``body`` with its u32 length."""
-    return _U32.pack(len(body)) + body
-
-
-def pack_bytes16(data: bytes) -> bytes:
-    """u16-length-prefixed bytes (addresses, digests)."""
-    if len(data) > 0xFFFF:
-        raise StorageError("bytes16 field exceeds 64 KiB")
-    return _U16.pack(len(data)) + data
-
-
-def pack_bytes32(data: bytes) -> bytes:
-    """u32-length-prefixed bytes (values, blobs)."""
-    return _U32.pack(len(data)) + data
-
-
-class Cursor:
-    """Sequential decoder over one frame body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise StorageError("truncated frame")
-        piece = self.data[self.pos:end]
-        self.pos = end
-        return piece
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def bytes16(self) -> bytes:
-        return self._take(self.u16())
-
-    def bytes32(self) -> bytes:
-        return self._take(self.u32())
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+#: A frame is its body, u32-length-prefixed.
+encode_frame = pack_bytes32
 
 
 # =============================================================================
@@ -330,12 +279,12 @@ def encode_get(addr: bytes) -> bytes:
 
 
 def encode_get_at(addr: bytes, blk: int) -> bytes:
-    return encode_frame(bytes([Op.GET_AT]) + pack_bytes16(addr) + _U64.pack(blk))
+    return encode_frame(bytes([Op.GET_AT]) + pack_bytes16(addr) + U64.pack(blk))
 
 
 def encode_prov(addr: bytes, blk_low: int, blk_high: int) -> bytes:
     return encode_frame(
-        bytes([Op.PROV]) + pack_bytes16(addr) + _U64.pack(blk_low) + _U64.pack(blk_high)
+        bytes([Op.PROV]) + pack_bytes16(addr) + U64.pack(blk_low) + U64.pack(blk_high)
     )
 
 
@@ -347,8 +296,8 @@ def encode_scan(
         bytes([Op.SCAN])
         + pack_bytes16(addr_low)
         + pack_bytes16(addr_high)
-        + _U64.pack(LATEST_BLK if at_blk is None else at_blk)
-        + _U32.pack(limit)
+        + U64.pack(LATEST_BLK if at_blk is None else at_blk)
+        + U32.pack(limit)
     )
 
 
@@ -365,7 +314,7 @@ def _check_batch_count(count: int) -> int:
 
 def encode_multi_get(addrs: List[bytes]) -> bytes:
     """One MULTI_GET request: ``count`` addresses, one frame."""
-    count, pack = _check_batch_count(len(addrs)), _U16.pack
+    count, pack = _check_batch_count(len(addrs)), U16.pack
     try:
         payload = b"".join([pack(len(addr)) + addr for addr in addrs])
     except struct.error:
@@ -375,10 +324,8 @@ def encode_multi_get(addrs: List[bytes]) -> bytes:
 
 def encode_multi_put(items: List[Tuple[bytes, bytes]]) -> bytes:
     """One MULTI_PUT request: ``count`` (addr, value) pairs, one frame."""
-    _check_batch_count(len(items))
-    parts = [bytes([Op.MULTI_PUT]), _U16.pack(len(items))]
-    parts.extend(pack_bytes16(addr) + pack_bytes32(value) for addr, value in items)
-    return encode_frame(b"".join(parts))
+    count = _check_batch_count(len(items))
+    return encode_frame(bytes([Op.MULTI_PUT]) + U16.pack(count) + pack_items(items))
 
 
 def encode_simple(op: int) -> bytes:
@@ -394,7 +341,7 @@ def encode_admin(payload: dict) -> bytes:
 
 def encode_repl_subscribe(start_height: int) -> bytes:
     """Subscribe to the primary's stream for heights > ``start_height``."""
-    return encode_frame(bytes([Op.REPL_SUBSCRIBE]) + _U64.pack(start_height))
+    return encode_frame(bytes([Op.REPL_SUBSCRIBE]) + U64.pack(start_height))
 
 
 def decode_request(body: bytes) -> Tuple[int, tuple]:
@@ -406,12 +353,12 @@ def decode_request(body: bytes) -> Tuple[int, tuple]:
     """
     op = body[0] if body else None
     if op == Op.GET:
-        if len(body) >= 3 and 3 + _U16.unpack_from(body, 1)[0] == len(body):
+        if len(body) >= 3 and 3 + U16.unpack_from(body, 1)[0] == len(body):
             return op, (body[3:],)
     elif op == Op.MULTI_GET and len(body) >= 3:
-        count = _U16.unpack_from(body, 1)[0]
+        count = U16.unpack_from(body, 1)[0]
         if 0 < count <= MAX_MULTI_BATCH:
-            addrs, pos, u16_at = [], 3, _U16.unpack_from
+            addrs, pos, u16_at = [], 3, U16.unpack_from
             try:
                 for _ in range(count):
                     end = pos + 2 + u16_at(body, pos)[0]
@@ -462,8 +409,8 @@ def encode_moved(address: str, manifest_epoch: int, shard_id: int) -> bytes:
     """
     return encode_frame(
         bytes([Status.MOVED])
-        + _U64.pack(manifest_epoch)
-        + _U16.pack(shard_id)
+        + U64.pack(manifest_epoch)
+        + U16.pack(shard_id)
         + address.encode("utf-8")
     )
 
@@ -477,13 +424,13 @@ def encode_value_response(value: Optional[bytes]) -> bytes:
 
 def encode_height_response(height: int) -> bytes:
     """PUT response: the block the write is assigned to."""
-    return encode_ok(_U64.pack(height))
+    return encode_ok(U64.pack(height))
 
 
 def encode_root_response(info: RootInfo) -> bytes:
     """ROOT / FLUSH response."""
     return encode_ok(
-        pack_bytes16(info.digest) + _U64.pack(info.version) + _U64.pack(info.height)
+        pack_bytes16(info.digest) + U64.pack(info.version) + U64.pack(info.height)
     )
 
 
@@ -501,23 +448,19 @@ def check_status(cursor: Cursor) -> int:
     """
     status = cursor.u8()
     if status == Status.ERROR:
-        raise StorageError(
-            f"server error: {cursor.data[cursor.pos:].decode('utf-8', 'replace')}"
-        )
+        raise StorageError(f"server error: {cursor.rest().decode('utf-8', 'replace')}")
     if status == Status.NOT_PRIMARY:
-        raise NotPrimaryError(cursor.data[cursor.pos:].decode("utf-8", "replace"))
+        raise NotPrimaryError(cursor.rest().decode("utf-8", "replace"))
     if status == Status.MOVED:
         epoch = cursor.u64()
         shard_id = cursor.u16()
-        raise MovedError(
-            cursor.data[cursor.pos:].decode("utf-8", "replace"), epoch, shard_id
-        )
+        raise MovedError(cursor.rest().decode("utf-8", "replace"), epoch, shard_id)
     return status
 
 
 def decode_value_response(body: bytes) -> Optional[bytes]:
     if len(body) >= 5 and body[0] == Status.OK:
-        end = 5 + _U32.unpack_from(body, 1)[0]
+        end = 5 + U32.unpack_from(body, 1)[0]
         if end <= len(body):
             return body[5:end]
     cursor = Cursor(body)
@@ -544,18 +487,64 @@ def decode_blob_response(body: bytes) -> bytes:
     return cursor.bytes32()
 
 
+#: The globals a PROV blob may name: the proof's own classes.
+_PROOF_CLASSES = {
+    "repro.core.proofs": {"ProvenanceResult", "ProvenanceProof", "MemProofItem",
+                          "RunProofItem", "RunNegativeItem", "StubItem"},
+    "repro.core.merklefile": {"MerkleRangeProof"},
+    "repro.mbtree.proof": {"MBTreeProof", "ProofHash", "ProofLeaf", "ProofInternal"},
+}
+
+#: The opcodes a protocol-5 pickle of a proof is made of.  Memo writes by
+#: index (``PUT``, ``LONG_BINPUT``) are left out: one can size the memo to
+#: gigabytes.
+_PROOF_OPCODES = set(
+    "PROTO FRAME STOP MARK MEMOIZE BINGET LONG_BINGET STACK_GLOBAL NEWOBJ BUILD NONE NEWTRUE"
+    " NEWFALSE BININT BININT1 BININT2 LONG1 SHORT_BINUNICODE BINUNICODE SHORT_BINBYTES BINBYTES"
+    " EMPTY_TUPLE TUPLE1 TUPLE2 TUPLE3 TUPLE EMPTY_LIST APPEND APPENDS EMPTY_DICT SETITEM SETITEMS"
+    .split()
+)
+
+
+class _ProofUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if name not in _PROOF_CLASSES.get(module, ()):
+            raise StorageError(f"{module}.{name} is not a proof class")
+        return super().find_class(module, name)
+
+
 def decode_prov_response(body: bytes) -> object:
-    return pickle.loads(decode_blob_response(body))
+    """``(ProvenanceResult, root)`` from a PROV answer.  The pickle comes
+    from the server, so it is read as hostile: its opcodes are walked
+    first (each length checked against the bytes there, each opcode
+    against :data:`_PROOF_OPCODES`), then it loads with its globals
+    limited to :data:`_PROOF_CLASSES`."""
+    import pickletools  # a client's import: no server process loads its tables
+
+    blob = decode_blob_response(body)
+    try:
+        for opcode, _arg, _pos in pickletools.genops(blob):
+            if opcode.name not in _PROOF_OPCODES:
+                raise StorageError(f"opcode {opcode.name} is not a proof's")
+        return _ProofUnpickler(io.BytesIO(blob)).load()
+    except Exception as exc:  # a hostile pickle can raise almost any built-in error
+        raise StorageError(f"PROV blob refused: {exc}") from None
 
 
 def decode_text_response(body: bytes) -> str:
     """METRICS response: a utf-8 text blob."""
-    return decode_blob_response(body).decode("utf-8")
+    try:
+        return decode_blob_response(body).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"response blob is not utf-8: {exc}") from None
 
 
 def decode_json_response(body: bytes) -> dict:
     """STATS / CLUSTER / ADMIN responses: a JSON blob."""
-    return json.loads(decode_text_response(body))
+    try:
+        return json.loads(decode_text_response(body))
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"response blob is not JSON: {exc}") from None
 
 
 def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
@@ -574,9 +563,9 @@ def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
 def decode_multi_get_response(body: bytes) -> List[Optional[bytes]]:
     if len(body) >= 3 and body[0] == Status.OK:
         values: List[Optional[bytes]] = []
-        pos, u32_at = 3, _U32.unpack_from
+        pos, u32_at = 3, U32.unpack_from
         try:
-            for _ in range(_U16.unpack_from(body, 1)[0]):
+            for _ in range(U16.unpack_from(body, 1)[0]):
                 if body[pos]:
                     end = pos + 5 + u32_at(body, pos + 1)[0]
                     values.append(body[pos + 5:end])
@@ -610,10 +599,10 @@ def encode_scan_response(
         parts = [bytes([1]), pack_bytes16(continuation)]
     else:
         parts = [bytes([0])]
-    parts.append(_U64.pack(height))
-    parts.append(_U32.pack(len(rows)))
+    parts.append(U64.pack(height))
+    parts.append(U32.pack(len(rows)))
     for addr, blk, value in rows:
-        parts.append(pack_bytes16(addr) + _U64.pack(blk) + pack_bytes32(value))
+        parts.append(pack_bytes16(addr) + U64.pack(blk) + pack_bytes32(value))
     return encode_ok(b"".join(parts))
 
 
@@ -646,7 +635,7 @@ def decode_repl_record(body: bytes) -> bytes:
     """Unwrap one stream frame back to the raw WAL record bytes."""
     cursor = Cursor(body)
     check_status(cursor)
-    return cursor.data[cursor.pos:]
+    return cursor.rest()
 
 
 # =============================================================================
@@ -715,8 +704,7 @@ OPS: Dict[int, OpSpec] = {
                decode_multi_get_response),
         OpSpec(Op.MULTI_PUT, "multi_put", WRITE,
                lambda args: [addr for addr, _ in args[0]], encode_multi_put,
-               lambda c: ([(c.bytes16(), c.bytes32())
-                           for _ in range(_check_batch_count(c.u16()))],),
+               lambda c: (c.items(_check_batch_count(c.u16())),),
                decode_height_response),
         _bare(Op.METRICS, "metrics", CONTROL, decode_text_response),
         _bare(Op.CLUSTER, "cluster", CONTROL, decode_json_response),
@@ -759,7 +747,7 @@ class FrameBuffer:
         bodies: List[bytes] = []
         pos, size, need = 0, len(data), 4
         while size - pos >= 4:
-            (length,) = _U32.unpack_from(data, pos)
+            (length,) = U32.unpack_from(data, pos)
             if length > MAX_FRAME:
                 raise StorageError(f"frame of {length} bytes exceeds MAX_FRAME")
             need = 4 + length

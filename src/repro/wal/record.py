@@ -36,12 +36,11 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.common.codec import U64, Cursor, decode_u32, pack_bytes16, pack_items
 from repro.common.errors import StorageError
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _HEADER = struct.Struct(">II")  # crc32, body_len
+_PUTS_HEAD = struct.Struct(">BQI")  # type, height, count
 
 #: Hard cap on one record's body: a batch cannot legitimately exceed it,
 #: so a larger length prefix means corruption, not data.
@@ -69,24 +68,12 @@ class WalRecord:
 
 def encode_puts(height: int, items: List[Tuple[bytes, bytes]]) -> bytes:
     """Encode one batch of puts assigned to block ``height``."""
-    parts = [bytes([RecordType.PUTS]), _U64.pack(height), _U32.pack(len(items))]
-    for addr, value in items:
-        parts.append(_U16.pack(len(addr)))
-        parts.append(addr)
-        parts.append(_U32.pack(len(value)))
-        parts.append(value)
-    return _seal(b"".join(parts))
+    return _seal(_PUTS_HEAD.pack(RecordType.PUTS, height, len(items)) + pack_items(items))
 
 
 def encode_commit(height: int, root: bytes) -> bytes:
     """Encode an engine-commit marker for block ``height``."""
-    body = (
-        bytes([RecordType.COMMIT])
-        + _U64.pack(height)
-        + _U16.pack(len(root))
-        + root
-    )
-    return _seal(body)
+    return _seal(bytes([RecordType.COMMIT]) + U64.pack(height) + pack_bytes16(root))
 
 
 def _seal(body: bytes) -> bytes:
@@ -97,46 +84,17 @@ def _seal(body: bytes) -> bytes:
 
 def _decode_body(body: bytes) -> WalRecord:
     """Decode a checksum-verified body; raises StorageError on bad shape."""
-    if len(body) < 9:
-        raise StorageError("WAL body shorter than its fixed header")
-    rtype = body[0]
-    (height,) = _U64.unpack_from(body, 1)
-    pos = 9
+    cursor = Cursor(body)
+    rtype, height = cursor.u8(), cursor.u64()
     if rtype == RecordType.PUTS:
-        if len(body) < pos + 4:
-            raise StorageError("truncated PUTS count")
-        (count,) = _U32.unpack_from(body, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            if len(body) < pos + 2:
-                raise StorageError("truncated PUTS address length")
-            (alen,) = _U16.unpack_from(body, pos)
-            pos += 2
-            addr = body[pos:pos + alen]
-            pos += alen
-            if len(addr) != alen or len(body) < pos + 4:
-                raise StorageError("truncated PUTS address or value length")
-            (vlen,) = _U32.unpack_from(body, pos)
-            pos += 4
-            value = body[pos:pos + vlen]
-            pos += vlen
-            if len(value) != vlen:
-                raise StorageError("truncated PUTS value")
-            items.append((addr, value))
-        if pos != len(body):
-            raise StorageError("trailing bytes after PUTS payload")
-        return WalRecord(type=rtype, height=height, items=tuple(items))
-    if rtype == RecordType.COMMIT:
-        if len(body) < pos + 2:
-            raise StorageError("truncated COMMIT digest length")
-        (dlen,) = _U16.unpack_from(body, pos)
-        pos += 2
-        root = body[pos:pos + dlen]
-        if len(root) != dlen or pos + dlen != len(body):
-            raise StorageError("truncated COMMIT digest")
-        return WalRecord(type=rtype, height=height, root=root)
-    raise StorageError(f"unknown WAL record type {rtype}")
+        record = WalRecord(rtype, height, items=tuple(cursor.items(cursor.u32())))
+    elif rtype == RecordType.COMMIT:
+        record = WalRecord(rtype, height, root=cursor.bytes16())
+    else:
+        raise StorageError(f"unknown WAL record type {rtype}")
+    if not cursor.done():
+        raise StorageError("trailing bytes after the WAL record's payload")
+    return record
 
 
 @dataclass
@@ -163,7 +121,7 @@ def scan_records(data: bytes) -> ScanResult:
     while pos < size:
         if size - pos < _HEADER.size:
             return ScanResult(records, "torn header", pos)
-        crc, body_len = _HEADER.unpack_from(data, pos)
+        crc, body_len = decode_u32(data, pos), decode_u32(data, pos + 4)
         if body_len == 0 or body_len > MAX_RECORD:
             return ScanResult(records, "impossible length", pos)
         body_start = pos + _HEADER.size

@@ -11,7 +11,9 @@ state.
 
 import hashlib
 import io
+import json
 import os
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -185,6 +187,44 @@ def test_bad_magic_rejected(tmp_path):
     data = exported_stream(tmp_path)
     with pytest.raises(IntegrityError, match="magic"):
         consume(b"NOPE" + data[4:])
+
+
+def checksummed_stream(header: bytes, payloads) -> bytes:
+    """A REPX stream whose every crc holds around the bytes given."""
+    def frame(payload):
+        return len(payload).to_bytes(4, "big") + payload + zlib.crc32(payload).to_bytes(4, "big")
+
+    stream_crc = 0
+    for payload in payloads:
+        stream_crc = zlib.crc32(payload, stream_crc)
+    trailer = bytes(4) + bytes(8) + stream_crc.to_bytes(4, "big")
+    return b"REPX" + frame(header) + b"".join(map(frame, payloads)) + trailer
+
+
+#: A well-formed header at the CLI's address width (32 bytes).
+GOOD_HEADER = json.dumps({
+    "version": 1, "addr_size": 32, "at_blk": 1, "addr_low": "00", "addr_high": "ff",
+    "source_root": "00", "source_blk": 1,
+}).encode()
+
+
+@pytest.mark.parametrize("header, payloads", [
+    pytest.param(GOOD_HEADER, [b"\x00\x01"], id="payload-shorter-than-its-count"),
+    pytest.param(GOOD_HEADER, [(1).to_bytes(4, "big") + bytes(32 + 5)],
+                 id="triple-cut-in-blk-vlen"),
+    pytest.param(b"[1, 2]", [], id="header-is-a-list"),
+    pytest.param(b"\xff\xfe", [], id="header-not-utf8"),
+])
+def test_checksummed_but_malformed_stream_raises_integrity_error(
+    tmp_path, capsys, header, payloads
+):
+    data = checksummed_stream(header, payloads)
+    with pytest.raises(IntegrityError):
+        consume(data)
+    path = tmp_path / "bad.repx"
+    path.write_bytes(data)
+    assert main(["import", str(path), "-w", str(tmp_path / "ws")]) == 1
+    assert "IntegrityError" in capsys.readouterr().err
 
 
 def test_import_rejects_addr_size_mismatch(tmp_path):

@@ -1,0 +1,227 @@
+"""Hostile input: every byte a peer or a disk hands us decodes to a value
+or fails with a taxonomy error.
+
+Each format that decodes through :class:`repro.common.codec.Cursor` — a
+request body per op, a response body per op, a WAL ``PUTS`` and
+``COMMIT`` record, a small REPX stream — is fed every truncation and
+every single-bit flip of one valid encoding.  The decoders must return or
+raise a ``ReproError``; ``scan_records`` must report an anomaly instead
+of raising.  Checksums stop most flips before a decoder sees them, so
+each checksummed format is also swept with its checksums recomputed
+around the flipped bytes.
+
+The PROV blob is a pickle from the server: the client admits only the
+opcodes and classes a proof is made of.  The hex goldens at the bottom
+pin the WAL record format.
+"""
+
+import asyncio
+import io
+import os
+import pickle
+import struct
+import zlib
+
+import pytest
+
+from repro.common.errors import ReproError, StorageError
+from repro.common.params import ColeParams, SystemParams
+from repro.core import Cole, export_slice, iter_triples, read_header, verify_provenance
+from repro.core.proofs import MemProofItem, RunNegativeItem, RunProofItem, StubItem
+from repro.server import ServerClient, ServerConfig, ServerThread, protocol
+from repro.server.protocol import OPS, Op, RootInfo
+from repro.wal.record import encode_commit, encode_puts, scan_records
+
+A, B, V = bytes(range(20)), bytes(20), b"value"
+SMALL = ColeParams(system=SystemParams(addr_size=4, value_size=4))
+
+
+def mutations(data: bytes):
+    """Every proper prefix of ``data``, then ``data`` with each one bit flipped."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        yield bytes(flipped)
+
+
+def decodes_or_raises_taxonomy(decode, data: bytes) -> None:
+    try:
+        decode(data)
+    except ReproError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def tiny_store(tmp_path_factory):
+    """One put in one block: its PROV blob and its REPX stream."""
+    engine = Cole(str(tmp_path_factory.mktemp("tiny")), SMALL)
+    engine.begin_block(1)
+    engine.put(b"\x00\x00\x00\x01", b"vvvv")
+    engine.commit_block()
+    result, root = engine.prov_query_anchored(b"\x00\x00\x00\x01", 1, 1)
+    stream = io.BytesIO()
+    export_slice(engine, stream)
+    engine.close()
+    return pickle.dumps((result, root), protocol=pickle.HIGHEST_PROTOCOL), stream.getvalue()
+
+
+# =============================================================================
+# wire frames
+# =============================================================================
+
+REQUEST_ARGS = {
+    Op.PUT: (A, V),
+    Op.GET: (A,),
+    Op.GET_AT: (A, 7),
+    Op.PROV: (A, 1, 9),
+    Op.REPL_SUBSCRIBE: (5,),
+    Op.SCAN: (A, B, 7, 10),
+    Op.MULTI_GET: ([A, B],),
+    Op.MULTI_PUT: ([(A, V), (B, b"")],),
+    Op.ADMIN: ({"cmd": "status"},),
+}
+
+
+def test_every_request_decodes_or_raises_a_taxonomy_error():
+    for op, spec in OPS.items():
+        body = spec.encode(*REQUEST_ARGS.get(op, ()))[4:]
+        assert protocol.decode_request(body)[0] == op
+        for mutated in mutations(body):
+            decodes_or_raises_taxonomy(protocol.decode_request, mutated)
+
+
+def response_bodies(prov_blob: bytes) -> dict:
+    root = protocol.encode_root_response(RootInfo(bytes(range(32)), 3, 9))
+    json_blob = protocol.encode_blob_response(b'{"a": [1, 2]}')
+    return {
+        Op.PUT: protocol.encode_height_response(9),
+        Op.GET: protocol.encode_value_response(V),
+        Op.GET_AT: protocol.encode_value_response(V),
+        Op.PROV: protocol.encode_blob_response(prov_blob),
+        Op.ROOT: root,
+        Op.STATS: json_blob,
+        Op.FLUSH: root,
+        Op.REPL_SUBSCRIBE: protocol.encode_repl_handshake(4),
+        Op.SCAN: protocol.encode_scan_response([(A, 3, V), (B, 4, b"")], B, 9),
+        Op.MULTI_GET: protocol.encode_multi_get_response([V, None]),
+        Op.MULTI_PUT: protocol.encode_height_response(9),
+        Op.METRICS: protocol.encode_blob_response(b"# TYPE x counter\nx 1\n"),
+        Op.CLUSTER: json_blob,
+        Op.ADMIN: json_blob,
+    }
+
+
+def test_every_response_decodes_or_raises_a_taxonomy_error(tiny_store):
+    bodies = response_bodies(tiny_store[0])
+    assert bodies.keys() == OPS.keys()
+    for op, frame in bodies.items():
+        decode = OPS[op].decode
+        decode(frame[4:])
+        for mutated in mutations(frame[4:]):
+            decodes_or_raises_taxonomy(decode, mutated)
+
+
+# =============================================================================
+# WAL records
+# =============================================================================
+
+PUTS_RECORD = encode_puts(7, [(b"\x0a" * 4, b"value"), (b"\xbb\xcc", b"")])
+COMMIT_RECORD = encode_commit(7, bytes(range(32)))
+
+
+@pytest.mark.parametrize("record", [PUTS_RECORD, COMMIT_RECORD], ids=["puts", "commit"])
+def test_every_damaged_wal_record_is_an_anomaly(record):
+    assert len(scan_records(record).records) == 1
+    for mutated in list(mutations(record))[1:]:  # the empty prefix is a clean segment
+        result = scan_records(mutated)
+        assert result.records == [] and result.anomaly is not None
+    # With its crc recomputed, a damaged body reaches the Cursor walk.
+    for body in mutations(record[8:]):
+        result = scan_records(struct.pack(">II", zlib.crc32(body), len(body)) + body)
+        assert (len(result.records), result.anomaly) == (1, None) or (
+            result.records == [] and result.anomaly is not None
+        )
+
+
+def test_wal_record_bytes_are_pinned():
+    assert PUTS_RECORD.hex() == (
+        "3d8e280c00000024" "01" "0000000000000007" "00000002"
+        "0004" "0a0a0a0a" "00000005" "76616c7565" "0002" "bbcc" "00000000"
+    )
+    assert COMMIT_RECORD.hex() == (
+        "952c017e0000002b" "02" "0000000000000007" "0020" + bytes(range(32)).hex()
+    )
+
+
+# =============================================================================
+# REPX streams
+# =============================================================================
+
+def consume(data: bytes) -> list:
+    stream = io.BytesIO(data)
+    return list(iter_triples(stream, read_header(stream)))
+
+
+def test_every_damaged_export_stream_decodes_or_raises(tiny_store):
+    stream = tiny_store[1]
+    assert len(consume(stream)) == 1
+    for mutated in mutations(stream):
+        decodes_or_raises_taxonomy(consume, mutated)
+    # One frame after the header; rebuild it with every crc holding.
+    head_end = 12 + int.from_bytes(stream[4:8], "big")
+    payload = stream[head_end + 4:head_end + 4 + int.from_bytes(stream[head_end:head_end + 4], "big")]
+
+    def framed(data):
+        return struct.pack(">I", len(data)) + data + struct.pack(">I", zlib.crc32(data))
+
+    for body in mutations(payload):
+        rebuilt = stream[:head_end] + framed(body) + struct.pack(">IQI", 0, 1, zlib.crc32(body))
+        decodes_or_raises_taxonomy(consume, rebuilt)
+
+
+# =============================================================================
+# PROV: the client unpickles only a proof
+# =============================================================================
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(b"cos\nsystem\n(S'true'\ntR.", id="protocol-0-global-reduce"),
+    pytest.param(b"\x80\x05\x8c\x02os\x94\x8c\x06system\x94\x93\x94"
+                 b"\x8c\x04true\x94\x85\x94R\x94.", id="stack-global-reduce"),
+    pytest.param(b"\x80\x05\x8c\x02os\x94\x8c\x06system\x94\x93\x94.", id="stack-global-only"),
+])
+def test_prov_blob_naming_os_system_is_refused_and_never_called(monkeypatch, blob):
+    calls = []
+    monkeypatch.setattr(os, "system", calls.append)
+    with pytest.raises(StorageError):
+        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+    assert calls == []
+
+
+def test_served_prov_still_verifies_against_its_root(tmp_path):
+    params = ColeParams(system=SystemParams(addr_size=20, value_size=24), mem_capacity=16,
+                        size_ratio=2)
+    engine = Cole(str(tmp_path / "ws"), params)
+    addrs = [n.to_bytes(4, "big") * 5 for n in range(40)]
+
+    async def scenario(host, port):
+        kinds = set()
+        async with ServerClient(host, port) as client:
+            for blk in range(12):
+                await client.multi_put([(addr, bytes([blk]) * 24) for addr in addrs[blk::3]])
+                await client.flush()
+            info = await client.root()
+            # Full history, an absent address, and the newest block only
+            # (an early stop: older structures ship as stubs).
+            for addr, low in ((addrs[0], 1), (b"\xee" * 20, 1), (addrs[11], info.height)):
+                result, root = await client.prov(addr, low, info.height)
+                assert root == info.digest
+                verify_provenance(result, root, addr_size=20)
+                kinds |= {type(item) for item in result.proof.items}
+        return kinds
+
+    with ServerThread(engine, config=ServerConfig()) as thread:
+        kinds = asyncio.run(scenario(*thread.start()))
+    engine.close()
+    assert kinds == {MemProofItem, RunProofItem, RunNegativeItem, StubItem}
