@@ -366,11 +366,7 @@ class ClusterNode:
                     "phase": serving.role.phase,
                     "moved_to": serving.role.moved_to,
                     "moved_referrals": serving.role.moved_referrals,
-                    "height": (
-                        serving.server.batcher.last_height
-                        if serving.server.batcher is not None
-                        else serving.server.replica.applied_height
-                    ),
+                    "height": serving.server.committer.last_height,
                 }
                 for shard_id, serving in sorted(self.shards.items())
             },
@@ -401,13 +397,13 @@ class ClusterNode:
         make the restored store recover past it.
         """
         serving = self._serving(shard_id)
-        if serving.server.batcher is None:
+        if serving.server.committer.write_refusal is not None:
             raise StorageError(f"shard {shard_id} is not a primary here")
         serving.role.phase = "snapshot"
         try:
             from repro.wal import snapshot_store
 
-            await serving.server.batcher.flush()
+            await serving.server.committer.flush()
             meta = await serving.server._run(
                 snapshot_store, serving.engine, dest, serving.wal
             )
@@ -433,14 +429,14 @@ class ClusterNode:
         state the target must reach before promotion.
         """
         serving = self._serving(shard_id)
-        if serving.server.batcher is None:
+        if serving.server.committer.write_refusal is not None:
             raise StorageError(f"shard {shard_id} is not a primary here")
         serving.role.moved_to = to_address
         serving.role.moved_epoch = epoch
         serving.role.phase = "moved"
         server = serving.server
-        root, height = await server.batcher.flush()
-        await server.wal_syncer.durable(server.batcher.last_commit_lsn)
+        root, height = await server.committer.flush()
+        await server.wal_syncer.durable(server.committer.last_commit_lsn)
         return {"height": height, "root": bytes(root).hex()}
 
     def _admin_reinstate(self, shard_id: int) -> dict:
@@ -488,21 +484,21 @@ class ClusterNode:
         )
         return {
             "address": serving.address,
-            "height": serving.server.replica.applied_height,
+            "height": serving.server.committer.last_height,
         }
 
     def _migration_status(self, shard_id: int) -> dict:
         serving = self._serving(shard_id)
-        replica = serving.server.replica
-        if replica is None:
+        committer = serving.server.committer
+        if committer.write_refusal is None:  # a primary: nothing to catch up
             return {
                 "phase": serving.role.phase,
-                "applied_height": serving.server.batcher.last_height,
+                "applied_height": committer.last_height,
                 "lag_blocks": 0,
                 "connected": False,
                 "diverged": False,
             }
-        return {**replica.stats(), "phase": serving.role.phase}
+        return {**committer.stats()["replication"], "phase": serving.role.phase}
 
     async def _admin_promote(
         self,
@@ -522,12 +518,12 @@ class ClusterNode:
         crash at any point after this returns.
         """
         serving = self._serving(shard_id)
-        replica = serving.server.replica
-        if replica is None:
+        replica = serving.server.committer
+        if replica.write_refusal is None:
             raise StorageError(f"shard {shard_id} is not in catch-up here")
         serving.role.phase = "promoting"
         deadline = time.monotonic() + timeout
-        while replica.applied_height < height:
+        while replica.last_height < height:
             if replica.diverged:
                 raise StorageError(
                     f"cannot promote diverged shard {shard_id}: "
@@ -536,11 +532,11 @@ class ClusterNode:
             if time.monotonic() > deadline:
                 raise StorageError(
                     f"shard {shard_id} catch-up stalled at height "
-                    f"{replica.applied_height} < cutover {height}"
+                    f"{replica.last_height} < cutover {height}"
                 )
             await asyncio.sleep(0.01)
         if (
-            replica.applied_height == height
+            replica.last_height == height
             and replica.last_root is not None
             and replica.last_root.hex() != root_hex
         ):
@@ -563,7 +559,7 @@ class ClusterNode:
         )
         return {
             "address": promoted.address,
-            "height": promoted.server.batcher.last_height,
+            "height": promoted.server.committer.last_height,
         }
 
 

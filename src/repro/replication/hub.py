@@ -29,9 +29,10 @@ holding any record above the checkpoint is never truncated).
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Set, Tuple
+from typing import Awaitable, Callable, Dict, List, Set, Tuple
 
 from repro.common.errors import StorageError
+from repro.server import protocol
 from repro.wal.record import RecordType, encode_commit, encode_puts
 
 #: One catch-up unit: ``(height, [raw WAL record bytes, ...])``.
@@ -81,7 +82,6 @@ class ReplicationHub:
         self.wal = wal
         self.max_queue_batches = max_queue_batches
         self._queues: Set[asyncio.Queue] = set()
-        self._closed = False
         #: Catch-up scans currently reading segment files.  While any is
         #: active the batcher defers WAL truncation: a delete landing
         #: mid-scan could silently remove heights the subscriber was
@@ -102,21 +102,10 @@ class ReplicationHub:
 
     def register(self) -> asyncio.Queue:
         """Add a subscriber; live batches start queueing immediately."""
-        if self._closed:
-            raise StorageError("replication hub is closed")
         queue: asyncio.Queue = asyncio.Queue()
         self._queues.add(queue)
         self.subscribers_total += 1
         return queue
-
-    def unregister(self, queue: asyncio.Queue) -> None:
-        self._queues.discard(queue)
-
-    def close(self) -> None:
-        """Wake every stream with the end-of-stream sentinel (``None``)."""
-        self._closed = True
-        for queue in self._queues:
-            queue.put_nowait(None)
 
     # -- the live feed --------------------------------------------------------
 
@@ -144,15 +133,68 @@ class ReplicationHub:
             self.subscribers_evicted += 1
         self.batches_published += 1
 
+    # -- one subscriber's stream ----------------------------------------------
+
+    async def serve(
+        self, conn, start_height: int, committed: int, run: Callable[..., Awaitable]
+    ) -> None:
+        """Stream every committed batch above ``start_height`` to ``conn``
+        until it closes or eviction ends the stream.  ``committed`` is the
+        primary's committed height, read in this call's event-loop step;
+        ``run(fn, *args)`` awaits ``fn`` on the server's thread pool."""
+        try:
+            self.check_start(start_height)
+        except StorageError as exc:
+            conn.write(protocol.encode_error(str(exc)))
+            await conn.drain()
+            return
+        # No await may separate the caller's read of ``committed``, the
+        # floor check, the registration and this flag: together they pin
+        # every height above start_height — heights <= committed are
+        # fully on disk and truncation defers while the flag is up;
+        # later commits land in the queue.
+        queue = self.register()
+        self.catchups_active += 1
+        try:
+            try:
+                conn.write(protocol.encode_repl_handshake(committed))
+                await conn.drain()
+                caught_up = iter(await run(self.catchup, start_height, committed))
+            finally:
+                self.catchups_active -= 1
+            last = start_height
+            while True:
+                batch = next(caught_up, None) or await queue.get()
+                if batch is None:  # evicted
+                    return
+                height, records = batch
+                if height > last:  # a height both the scan and the queue hold ships once
+                    conn.write(b"".join(map(protocol.encode_repl_record, records)))
+                    self.records_shipped += len(records)
+                    await conn.drain()
+                    last = height
+        finally:
+            self._queues.discard(queue)
+
+    def stats(self, applied_height: int) -> dict:
+        """The ``replication`` STATS section of the primary at ``applied_height``."""
+        return {
+            "role": "primary",
+            "subscribers": self.subscribers,
+            "subscribers_total": self.subscribers_total,
+            "subscribers_evicted": self.subscribers_evicted,
+            "batches_published": self.batches_published,
+            "records_shipped": self.records_shipped,
+            "applied_height": applied_height,
+            "availability_floor": self.engine.checkpoint_blk,
+        }
+
     # -- catch-up -------------------------------------------------------------
 
-    def availability_floor(self) -> int:
-        """Lowest start height the WAL can still serve completely."""
-        return self.engine.checkpoint_blk
-
     def check_start(self, start_height: int) -> None:
-        """Refuse subscribers the WAL may no longer cover."""
-        floor = self.availability_floor()
+        """Refuse subscribers the WAL may no longer cover: the lowest
+        start it can still serve completely is ``checkpoint_blk``."""
+        floor = self.engine.checkpoint_blk
         if start_height < floor:
             raise SnapshotRequiredError(start_height, floor)
 

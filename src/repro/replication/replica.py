@@ -25,6 +25,9 @@ Failure handling:
 * **Duplicate heights** (catch-up/live overlap, primary re-marking after
   recovery) — skipped by height, with the recorded root cross-checked
   against the replica's own when the heights coincide.
+
+The applier is a replica server's ``committer`` (:mod:`repro.server.server`):
+it buffers nothing and refuses writes and subscribers with ``NOT_PRIMARY``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 from repro.server import protocol
+from repro.server.batcher import MISSING
 from repro.server.client import ServerClient
 from repro.wal.record import RecordType, scan_records
 
@@ -64,11 +68,11 @@ class ReplicaApplier:
         self.server = server
         self.primary_host = primary_host
         self.primary_port = primary_port
+        self.primary_addr = f"{primary_host}:{primary_port}"
         self.retry_delay = retry_delay
         self.wal = wal
-        engine = server.engine
         #: Height of the last block applied to the local engine.
-        self.applied_height = engine.last_blk
+        self.last_height = server.engine.last_blk
         #: Root of the last applied block (None until the first apply).
         self.last_root: Optional[bytes] = None
         #: Root of the state the applier started from (set as it starts):
@@ -76,8 +80,8 @@ class ReplicaApplier:
         #: even when the first block diverges.
         self.start_root: Optional[bytes] = None
         #: Highest primary height this replica has heard of (handshake +
-        #: stream); ``- applied_height`` is the lag in blocks.
-        self.primary_height = self.applied_height
+        #: stream); ``- last_height`` is the lag in blocks.
+        self.primary_height = self.last_height
         self.connected = False
         self.diverged = False
         self.last_error: Optional[str] = None
@@ -85,29 +89,58 @@ class ReplicaApplier:
         self.records_received = 0
         self.batches_applied = 0
         self.subscribes = 0
+        #: Every write op is answered with this frame.
+        self.write_refusal = protocol.encode_not_primary(self.primary_addr)
+        self._task = asyncio.get_running_loop().create_task(self.run())
 
-    @property
-    def primary_addr(self) -> str:
-        return f"{self.primary_host}:{self.primary_port}"
+    # -- the committer's serving surface --------------------------------------
 
-    @property
-    def lag_blocks(self) -> int:
-        return max(0, self.primary_height - self.applied_height)
+    def lookup(self, addr: bytes, blk: int = 0):
+        """Nothing is buffered here: always ``MISSING``."""
+        return MISSING
+
+    lookup_at = lookup
+
+    async def root(self) -> Tuple[bytes, int]:
+        """The last verified ``(root, height)``."""
+        root = self.last_root or self.start_root
+        if root is None:  # the applier has not started yet
+            root = await self.server._run(self.server.engine.root_digest)
+        return root, self.last_height
+
+    #: Nothing is buffered: the engine state *is* the committed state.
+    flush = root
+
+    async def subscribe(self, conn, start_height: int) -> None:
+        """A replica ships no stream: refuse, naming the primary."""
+        conn.write(self.write_refusal)
+        await conn.drain()
 
     def stats(self) -> dict:
+        """This replica's STATS sections."""
         return {
-            "role": "replica",
-            "primary": self.primary_addr,
-            "connected": self.connected,
-            "diverged": self.diverged,
-            "applied_height": self.applied_height,
-            "primary_height": self.primary_height,
-            "lag_blocks": self.lag_blocks,
-            "stream_offset": self.records_received,
-            "batches_applied": self.batches_applied,
-            "subscribes": self.subscribes,
-            "last_error": self.last_error,
+            "open_height": self.last_height,
+            "buffered_puts": 0,
+            "replication": {
+                "role": "replica",
+                "primary": self.primary_addr,
+                "connected": self.connected,
+                "diverged": self.diverged,
+                "applied_height": self.last_height,
+                "primary_height": self.primary_height,
+                "lag_blocks": max(0, self.primary_height - self.last_height),
+                "stream_offset": self.records_received,
+                "batches_applied": self.batches_applied,
+                "subscribes": self.subscribes,
+                "last_error": self.last_error,
+            },
         }
+
+    async def close(self) -> None:
+        """Stop tailing the primary (the task records its own terminal
+        error: ``last_error`` / ``diverged``)."""
+        self._task.cancel()
+        await asyncio.gather(self._task, return_exceptions=True)
 
     # -- the tailing loop -----------------------------------------------------
 
@@ -132,7 +165,7 @@ class ReplicaApplier:
         connection ends (always by an error: the stream has no end)."""
         async with ServerClient(self.primary_host, self.primary_port) as primary:
             self.subscribes += 1
-            bodies = primary.stream(protocol.encode_repl_subscribe(self.applied_height))
+            bodies = primary.stream(protocol.encode_repl_subscribe(self.last_height))
             # Raises on ERROR (e.g. snapshot-required) and NOT_PRIMARY.
             handshake = protocol.decode_repl_handshake(await bodies.__anext__())
             self.primary_height = max(self.primary_height, handshake)
@@ -155,19 +188,19 @@ class ReplicaApplier:
 
     async def _consume(self, record, pending) -> None:
         if record.type == RecordType.PUTS:
-            if record.height > self.applied_height:
+            if record.height > self.last_height:
                 pending.setdefault(record.height, []).extend(record.items)
             return
         if record.type != RecordType.COMMIT:
             raise StorageError(f"unexpected record type {record.type} in stream")
         self.primary_height = max(self.primary_height, record.height)
-        if record.height <= self.applied_height:
+        if record.height <= self.last_height:
             pending.pop(record.height, None)
             # A duplicate of the block we just applied doubles as a
             # cross-check — a primary that recovered to *different*
             # contents at this height must not go unnoticed.
             if (
-                record.height == self.applied_height
+                record.height == self.last_height
                 and self.last_root is not None
                 and bytes(record.root) != self.last_root
             ):
@@ -197,7 +230,7 @@ class ReplicaApplier:
             self._fail_diverged(record.height, record.root, root)
         if self.wal is not None:
             await self.server._run(self.wal.append_commit, record.height, bytes(root))
-        self.applied_height = record.height
+        self.last_height = record.height
         self.last_root = bytes(root)
         self.batches_applied += 1
         self.server._committed(dict(items))

@@ -36,6 +36,8 @@ the batcher appends a COMMIT marker and, whenever the engine's
 checkpoint advanced, fsyncs the runs the manifest names and then
 truncates the WAL segments they cover.
 
+The batcher is a primary server's ``committer`` (:mod:`repro.server.server`).
+
 One deliberate read-uncommitted window: the overlay publishes a
 buffered write the instant it is logged, while its writer's ack may
 still be waiting on the group fsync.  A *concurrent* reader can thus
@@ -54,6 +56,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest
+from repro.server import protocol
 
 #: Sentinel distinguishing "address not buffered" from a buffered value.
 MISSING = object()
@@ -61,6 +64,9 @@ MISSING = object()
 
 class WriteBatcher:
     """Buffers puts and commits them as one block per flush."""
+
+    #: A primary takes writes: no refusal frame.
+    write_refusal: Optional[bytes] = None
 
     def __init__(
         self,
@@ -234,29 +240,29 @@ class WriteBatcher:
                 return value
         return MISSING
 
-    @property
-    def buffered(self) -> int:
-        """Puts currently buffered (active batch only)."""
-        return len(self._active_items)
-
     # -- flushing -------------------------------------------------------------
+
+    async def root(self) -> Tuple[Digest, int]:
+        """The last committed ``(root, height)``, committing nothing (the
+        root is computed once from the engine if nothing was committed
+        through this batcher yet)."""
+        if self.last_root is None:
+            self.last_root = await self._run(self.engine.root_digest)
+        return self.last_root, self.last_height
 
     async def flush(self) -> Tuple[Digest, int]:
         """Group-commit the active batch; returns ``(root, height)``.
 
-        With nothing buffered this is a read: the last committed root is
-        returned (computed once from the engine if nothing was committed
-        through this batcher yet).  Safe to call concurrently — flushes
-        serialize and each batch commits exactly once.
+        With nothing buffered this is :meth:`root`.  Safe to call
+        concurrently — flushes serialize and each batch commits exactly
+        once.
         """
         async with self._flush_lock:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
             if not self._active_items:
-                if self.last_root is None:
-                    self.last_root = await self._run(self.engine.root_digest)
-                return self.last_root, self.last_height
+                return await self.root()
             items = self._active_items
             overlay = self._active_overlay
             self._active_items = []
@@ -344,6 +350,35 @@ class WriteBatcher:
         if self.wal is not None:
             self.last_commit_lsn = self.wal.append_commit(height, root)
         return root
+
+    # -- the committer's serving surface --------------------------------------
+
+    async def subscribe(self, conn, start_height: int) -> None:
+        """Serve one replica's stream through the hub until ``conn`` closes."""
+        if self._hub is not None:
+            return await self._hub.serve(conn, start_height, self.last_height, self._run)
+        refusal = "replication requires a WAL-enabled primary (serve with --wal)"
+        conn.write(protocol.encode_error(refusal))
+        await conn.drain()
+
+    def stats(self) -> dict:
+        """This primary's STATS sections: the open batch, the group-commit
+        counters and, with a hub, the ``replication`` section."""
+        commits = self.commits
+        return {
+            "open_height": self._next_height,
+            "buffered_puts": len(self._active_items),
+            "batcher": {
+                "commits": commits,
+                "batched_puts": self.batched_puts,
+                "avg_batch": self.batched_puts / commits if commits else 0.0,
+                "size_flushes": self.size_flushes,
+                "timer_flushes": self.timer_flushes,
+                "forced_flushes": self.forced_flushes,
+                "multi_put_batches": self.multi_put_batches,
+            },
+            "replication": None if self._hub is None else self._hub.stats(self.last_height),
+        }
 
     async def close(self) -> None:
         """Flush what is buffered and refuse further puts."""

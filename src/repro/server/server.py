@@ -31,17 +31,18 @@ Request flow:
   exact-key, and a range result is invalidated by *any* write in the
   range, which a per-key refresh cannot express.
 * **ROOT / STATS / FLUSH** are control-plane ops.
-* **REPL_SUBSCRIBE** (WAL-enabled primaries only) turns the connection
-  into a replication stream: catch-up from the on-disk WAL, then live
-  batches from the :class:`~repro.replication.ReplicationHub`.
+* **REPL_SUBSCRIBE** (WAL-enabled primaries only) hands the connection
+  to the :class:`~repro.replication.ReplicationHub`: catch-up from the
+  on-disk WAL, then live batches, until the connection closes.
 
-**Replica mode** (``replica_of=(host, port)``): the server runs no write
-batcher and no WAL of its own — a :class:`~repro.replication.ReplicaApplier`
-task tails the primary's stream and applies each commit through the
-engine, while GET / GET_AT / PROV / ROOT / STATS serve as usual and
-PUT / FLUSH are rejected with ``NOT_PRIMARY`` carrying the primary's
-address.  Applied commits reconcile the caches exactly as a local group
-commit would, so the read cache stays exact.
+**One committer.** ``ColeServer.committer`` advances the committed
+state, and handlers ask it, never which role the server plays: a
+primary's :class:`~repro.server.batcher.WriteBatcher`, or in replica
+mode (``replica_of=(host, port)``: no batcher, no WAL of its own) a
+:class:`~repro.replication.ReplicaApplier` tailing the primary's stream.
+A replica buffers nothing and answers writes and subscribers with its
+``write_refusal``, ``NOT_PRIMARY`` naming the primary; its applied
+commits reconcile the caches exactly as a group commit would.
 
 Each connection is a :class:`Connection` — an asyncio protocol, not
 a stream and a task: ``data_received`` splits the chunk into frames and
@@ -303,9 +304,9 @@ class Connection(protocol.FrameProtocol):
     in one ``transport.write``.  One that suspends continues as a task
     (kept in the owner's ``tasks`` so it can wait for them) while later
     frames wait in ``_backlog``.  ``stream(conn, *args)`` serves a
-    ``stream`` op: it owns the connection until it ends, and the
-    connection ends with it.  Every step of every request runs in one
-    ``contextvars.Context``, as when a connection was one task.
+    ``stream`` op: it owns the connection until it ends, the connection
+    ends with it, and closing the connection (either side) cancels it.
+    Every step of every request runs in one ``contextvars.Context``.
 
     Reading stops while the peer is not reading its answers
     (``pause_writing``: no further frame is answered, so the write buffer
@@ -336,6 +337,7 @@ class Connection(protocol.FrameProtocol):
         self._choked = False  # the peer is not reading its answers
         self._eof = False  # the peer half-closed: close once answers are out
         self._drained: Optional[asyncio.Future] = None  # a stream in drain()
+        self._stream_task: Optional[asyncio.Task] = None
 
     def connection_made(self, transport) -> None:
         self._transport = transport
@@ -347,7 +349,7 @@ class Connection(protocol.FrameProtocol):
         self._transport = None
         self._conns.discard(self)
         self._backlog.clear()
-        self.resume_writing()  # a stream parked in drain() finds the peer gone
+        self.close()  # a stream ends wherever it is parked
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -373,9 +375,9 @@ class Connection(protocol.FrameProtocol):
 
     def resume_writing(self) -> None:
         self._choked = False
-        if self._drained is not None:
-            self._drained.set_result(None)
-            self._drained = None
+        drained, self._drained = self._drained, None
+        if drained is not None and not drained.done():  # not cancelled
+            drained.set_result(None)
         if not self._busy:
             self._pump([])
 
@@ -463,6 +465,7 @@ class Connection(protocol.FrameProtocol):
         self._pump([response])
 
     async def _streaming(self, *args) -> None:
+        self._stream_task = asyncio.current_task()
         try:
             await self._stream(self, *args)
         except ConnectionError:
@@ -470,6 +473,7 @@ class Connection(protocol.FrameProtocol):
         except Exception as exc:
             self.write(_error_frame(exc))
         finally:
+            self._stream_task = None
             self.close()  # ``_busy`` stays set: nothing else is answered
 
     def write(self, data: bytes) -> None:
@@ -491,11 +495,13 @@ class Connection(protocol.FrameProtocol):
             )
 
     def close(self) -> None:
-        """Close the socket once its buffered answers are sent; whatever
-        a still-suspended request answers after this is dropped."""
+        """Close the socket once its buffered answers are sent and end its
+        stream; whatever a still-suspended request answers is dropped."""
         transport, self._transport = self._transport, None
         if transport is not None:
             transport.close()
+        if self._stream_task is not None:
+            self._stream_task.cancel()
 
 
 class ColeServer:
@@ -555,9 +561,8 @@ class ColeServer:
         self.replica_of = replica_of
         self.replica_wal = replica_wal
         self.cluster = cluster
-        self.replica = None  # ReplicaApplier in replica mode
-        self.hub = None  # ReplicationHub on a WAL-enabled primary
-        self._replica_task: Optional[asyncio.Task] = None
+        #: A primary's ``WriteBatcher`` or a replica's ``ReplicaApplier``.
+        self.committer: Any = None  # set by start()
         self.cache = VersionedReadCache(self.config.cache_capacity)
         self.negative = NegativeLookupCache(self.config.negative_cache_capacity)
         #: Commit version, bumped per group commit: the caches' fill floor.
@@ -565,7 +570,6 @@ class ColeServer:
         #: Engine point reads: ``inline`` on the event loop; ``would_block``
         #: found L0 mid-insert and re-ran pooled; ``pooled`` MULTI_GET batches.
         self.reads = {"inline": 0, "pooled": 0, "would_block": 0}
-        self.batcher: Optional[WriteBatcher] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._conns: Set[Connection] = set()
@@ -601,6 +605,7 @@ class ColeServer:
             max_workers=self.config.executor_workers,
             thread_name_prefix="cole-serve",
         )
+        hub = None
         if self.wal is not None:
             from repro.replication import ReplicationHub
             from repro.wal import replay_wal
@@ -620,18 +625,15 @@ class ColeServer:
             self.wal_syncer = _WalSyncer(self.wal, self._run, self._hops, self.metrics)
             if remarked:
                 await self.wal_syncer.durable(remarked)
-            self.hub = ReplicationHub(self.engine, self.wal)
+            hub = ReplicationHub(self.engine, self.wal)
         if self.replica_of is not None:
             from repro.replication import ReplicaApplier
 
-            self.replica = ReplicaApplier(
+            self.committer = ReplicaApplier(
                 self, *self.replica_of, wal=self.replica_wal
             )
-            self._replica_task = asyncio.get_running_loop().create_task(
-                self.replica.run()
-            )
         else:
-            self.batcher = WriteBatcher(
+            self.committer = WriteBatcher(
                 self.engine,
                 max_batch=self.config.batch_max_puts,
                 max_delay=self.config.batch_max_delay,
@@ -639,7 +641,7 @@ class ColeServer:
                 on_commit=self._committed,
                 wal=self.wal,
                 durable=self.wal_syncer.durable if self.wal_syncer else None,
-                hub=self.hub,
+                hub=hub,
                 metrics=self.metrics,
             )
         # Merge durations / bytes rewritten: the engine's scheduler
@@ -664,7 +666,7 @@ class ColeServer:
             pass
 
     async def stop(self) -> None:
-        """Stop accepting, drain the batcher, release the thread pool.
+        """Stop accepting, close the committer, release the thread pool.
 
         The engine is *not* closed — the caller owns it.
         """
@@ -672,29 +674,14 @@ class ColeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._replica_task is not None:
-            self._replica_task.cancel()
-            try:
-                await self._replica_task
-            # The applier records its own terminal error (last_error /
-            # diverged); stop() only needs the task to be finished.
-            except (asyncio.CancelledError, Exception):  # repro-lint: disable=error-taxonomy
-                pass
-            self._replica_task = None
-        if self.hub is not None:
-            # Wake every replication stream with the end-of-stream
-            # sentinel — their handlers park on queue.get(), which a
-            # closed transport alone cannot interrupt.
-            self.hub.close()
-        # Closing the transports stops new frames; requests already
-        # suspended run to completion (no task cancellation, no half-
-        # written responses) before the batcher and the pool go.
+        # Closing the transports stops new frames and ends every stream;
+        # suspended requests run to completion (no task cancellation, no
+        # half-written responses) before the committer and the pool go.
         for conn in list(self._conns):
             conn.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        if self.batcher is not None:
-            await self.batcher.close()
+        await self.committer.close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -733,12 +720,6 @@ class ColeServer:
             self.version, (((0, addr), value) for addr, value in written.items())
         )
         self.negative.advance(self.version, written.items())
-
-    def _committed_height(self) -> int:
-        """Highest committed height: history at or below it is immutable."""
-        if self.batcher is not None:
-            return self.batcher.last_height
-        return self.replica.applied_height
 
     def _inline(self, value):
         """Count one non-blocking engine read's outcome; returns it."""
@@ -785,8 +766,8 @@ class ColeServer:
             referral = self.cluster.referral_for(op, args)
             if referral is not None:
                 return referral
-        if self.replica is not None and spec.kind == protocol.WRITE:
-            return protocol.encode_not_primary(self.replica.primary_addr)
+        if spec.kind == protocol.WRITE and self.committer.write_refusal is not None:
+            return self.committer.write_refusal  # a replica's NOT_PRIMARY
         return await self._HANDLERS[op](self, *args)
 
     # =========================================================================
@@ -796,19 +777,19 @@ class ColeServer:
     # =========================================================================
 
     async def _op_put(self, addr: bytes, value: bytes) -> bytes:
-        height = self.batcher.put(addr, value)
+        height = self.committer.put(addr, value)
         if self.wal_syncer is not None:
             # The write is buffered and WAL-appended; the ack waits
             # for its record to be durable (group fsync).
-            await self.wal_syncer.durable(self.batcher.last_put_lsn)
+            await self.wal_syncer.durable(self.committer.last_put_lsn)
         return protocol.encode_height_response(height)
 
     async def _op_multi_put(self, items: List[Tuple[bytes, bytes]]) -> bytes:
-        height = self.batcher.put_batch(items)
+        height = self.committer.put_batch(items)
         if self.wal_syncer is not None:
             # One durability wait for the whole batch: its records
             # share the batch LSN the group fsync must cover.
-            await self.wal_syncer.durable(self.batcher.last_put_lsn)
+            await self.wal_syncer.durable(self.committer.last_put_lsn)
         return protocol.encode_height_response(height)
 
     async def _op_stats(self) -> bytes:
@@ -825,8 +806,9 @@ class ColeServer:
         return protocol.encode_blob_response(registry.expose().encode("utf-8"))
 
     async def _op_flush(self) -> bytes:
-        self.batcher.forced_flushes += 1
-        root, height = await self.batcher.flush()
+        # FLUSH is a write op: only a primary's batcher gets here.
+        self.committer.forced_flushes += 1
+        root, height = await self.committer.flush()
         return protocol.encode_root_response(
             RootInfo(digest=root, version=self.version, height=height)
         )
@@ -841,83 +823,17 @@ class ColeServer:
             "ADMIN is answered by the node control port, not a shard server"
         )
 
-    # =========================================================================
-    # replication streaming (primary side)
-    # =========================================================================
-
-    async def _stream_replication(
-        self, conn: Connection, start_height: int
-    ) -> None:
-        """Serve one REPL_SUBSCRIBE connection until it drops.
-
-        Order of operations is load-bearing: the queue registers
-        *before* the catch-up scan, so a commit landing in between is
-        seen by the scan (its marker is already on disk) or the queue or
-        both — and duplicates are collapsed by the ``last`` watermark,
-        which is sound because a height carries exactly one batch.
-        """
+    async def _stream_replication(self, conn: Connection, start_height: int) -> None:
+        """Serve one REPL_SUBSCRIBE connection until it closes."""
         self.op_counts["repl"] += 1
-        if self.hub is None:
-            if self.replica is not None:
-                conn.write(protocol.encode_not_primary(self.replica.primary_addr))
-            else:
-                conn.write(
-                    protocol.encode_error(
-                        "replication requires a WAL-enabled primary "
-                        "(serve with --wal)"
-                    )
-                )
-            await conn.drain()
-            return
-        try:
-            self.hub.check_start(start_height)
-        except StorageError as exc:
-            conn.write(protocol.encode_error(str(exc)))
-            await conn.drain()
-            return
-        queue = self.hub.register()
-        # No await may separate the floor check, the registration, the
-        # committed-height capture, and this flag: together they pin
-        # every height above start_height — heights <= committed are
-        # fully on disk and truncation defers while the flag is up;
-        # later commits land in the queue.
-        committed = self.batcher.last_height
-        self.hub.catchups_active += 1
-        try:
-            try:
-                conn.write(protocol.encode_repl_handshake(committed))
-                await conn.drain()
-                batches = await self._run(self.hub.catchup, start_height, committed)
-            finally:
-                self.hub.catchups_active -= 1
-            last = start_height
-            for batch in batches:
-                last = await self._ship(conn, batch, last)
-            while True:
-                batch = await queue.get()
-                if batch is None:  # server stopping
-                    return
-                last = await self._ship(conn, batch, last)
-        finally:
-            self.hub.unregister(queue)
-
-    async def _ship(self, conn: Connection, batch, last: int) -> int:
-        """Stream one ``(height, records)`` batch unless the ``last``
-        height shipped already covers it; returns the new watermark."""
-        height, records = batch
-        if height <= last:
-            return last
-        conn.write(b"".join(map(protocol.encode_repl_record, records)))
-        self.hub.records_shipped += len(records)
-        await conn.drain()
-        return height
+        await self.committer.subscribe(conn, start_height)
 
     # =========================================================================
     # reads
     # =========================================================================
 
     async def _op_get(self, addr: bytes) -> bytes:
-        buffered = self.batcher.lookup(addr) if self.batcher is not None else MISSING
+        buffered = self.committer.lookup(addr)
         if buffered is not MISSING:
             self.overlay_hits += 1
             return protocol.encode_value_response(buffered)
@@ -945,13 +861,11 @@ class ColeServer:
         pool hop, as a single ``engine.get_many`` (one view, one
         source walk) instead of an engine lookup per key.
         """
-        version = self.version
+        version, lookup = self.version, self.committer.lookup
         results: List[Optional[bytes]] = [None] * len(addrs)
         pending: List[int] = []
         for index, addr in enumerate(addrs):
-            buffered = (
-                self.batcher.lookup(addr) if self.batcher is not None else MISSING
-            )
+            buffered = lookup(addr)
             if buffered is not MISSING:
                 self.overlay_hits += 1
                 results[index] = buffered
@@ -977,9 +891,7 @@ class ColeServer:
         return protocol.encode_multi_get_response(results)
 
     async def _op_get_at(self, addr: bytes, blk: int) -> bytes:
-        buffered = (
-            self.batcher.lookup_at(addr, blk) if self.batcher is not None else MISSING
-        )
+        buffered = self.committer.lookup_at(addr, blk)
         if buffered is not MISSING:
             self.overlay_hits += 1
             return protocol.encode_value_response(buffered)
@@ -987,7 +899,7 @@ class ColeServer:
         if not hit:
             # Committed history is immutable (the paper's provenance
             # property); at or above the open heights nothing is cached.
-            version, cacheable = self.version, blk <= self._committed_height()
+            version, cacheable = self.version, blk <= self.committer.last_height
             value = self._inline(self.engine.get_at(addr, blk, wait=False))
             if value is WOULD_BLOCK:
                 value = await self._run(self.engine.get_at, addr, blk)
@@ -998,10 +910,9 @@ class ColeServer:
     async def _op_prov(self, addr: bytes, blk_low: int, blk_high: int) -> bytes:
         # Anchor at a committed Hstate: buffered writes must be in the
         # engine before the proof is cut, or a range covering the open
-        # block would silently miss them.  A replica buffers nothing —
-        # its engine state *is* its committed state.
-        if self.batcher is not None:
-            await self.batcher.flush()
+        # block would silently miss them.  (A replica buffers nothing:
+        # its flush commits nothing.)
+        await self.committer.flush()
         result, root = await self._run(
             self.engine.prov_query_anchored, addr, blk_low, blk_high
         )
@@ -1014,25 +925,23 @@ class ColeServer:
         # Snapshot at the current commit version: buffered writes commit
         # first (cheap no-op when the batch is empty), so the scan sees
         # every acked write without merging the overlay into the ordered
-        # stream.  A replica buffers nothing — its engine state *is* its
-        # committed state.
-        # Only an un-pinned (latest) request forces the group commit —
-        # that is what makes acked-but-buffered writes visible to the
-        # scan (read-your-writes at scan initiation).  Pinned requests
+        # stream.  Only an un-pinned (latest) request forces the group
+        # commit — that is what makes acked-but-buffered writes visible to
+        # the scan (read-your-writes at scan initiation).  Pinned requests
         # (explicit at_blk, every continuation page) read a height the
         # open batch cannot commit at, so flushing would buy nothing:
         # a paged scan pays the batching tax once, not per page.  Under
         # a scan-heavy write mix (YCSB-E) first pages still shrink
         # group-commit batches; that is the accepted trade for exact
         # scans — see DESIGN.md "Cursors & Scans".
-        if self.batcher is not None and at_blk == protocol.LATEST_BLK:
-            await self.batcher.flush()
+        if at_blk == protocol.LATEST_BLK:
+            await self.committer.flush()
         page = min(limit or SCAN_PAGE_DEFAULT, self.config.scan_page_max)
         # Pin the page to the committed height at serve time: a commit
         # landing while the engine scan runs must not leak into it, and
         # the client re-pins continuation pages to the first page's
         # height so a multi-page scan describes one committed state.
-        snapshot = self._committed_height()
+        snapshot = self.committer.last_height
         resolved_at = snapshot if at_blk == protocol.LATEST_BLK else at_blk
         # Ask for one extra triple: its presence proves the range has
         # more, and its address *is* the continuation key — no address
@@ -1053,32 +962,32 @@ class ColeServer:
     # =========================================================================
 
     async def _op_root(self) -> bytes:
-        if self.replica is not None:
-            root = self.replica.last_root or self.replica.start_root
-            if root is None:  # the applier has not started yet
-                root = await self._run(self.engine.root_digest)
-            height = self.replica.applied_height
-        else:
-            if self.batcher.last_root is None:
-                self.batcher.last_root = await self._run(self.engine.root_digest)
-            root, height = self.batcher.last_root, self.batcher.last_height
+        root, height = await self.committer.root()
         return protocol.encode_root_response(
             RootInfo(digest=root, version=self.version, height=height)
         )
 
     async def _stats(self) -> dict:
-        batcher = self.batcher
         engine = self.engine
         storage = await self._run(engine.storage_bytes)
         compaction = await self._run(engine.compaction_stats)
-        committed = self._committed_height()
+        role = self.committer.stats()
+        engine_stats = getattr(engine, "stats", None)
+        wal = None
+        if self.wal is not None:
+            wal = self.wal.stats()
+            wal["syncs_inline"] = self.wal_syncer.syncs_inline
+            wal["syncs_pooled"] = self.wal_syncer.syncs_pooled
+            if self.replay_stats is not None:
+                wal["replayed_blocks"] = self.replay_stats.blocks_replayed
+                wal["replayed_puts"] = self.replay_stats.puts_replayed
         stats = {
             "ops": dict(self.op_counts),
             "connections_total": self.connections_total,
             "version": self.version,
-            "committed_height": committed,
-            "open_height": batcher.next_height if batcher is not None else committed,
-            "buffered_puts": batcher.buffered if batcher is not None else 0,
+            "committed_height": self.committer.last_height,
+            "open_height": role["open_height"],
+            "buffered_puts": role["buffered_puts"],
             "overlay_hits": self.overlay_hits,
             "reads": dict(self.reads),
             # One locked snapshot: hits / misses / hit_rate are mutated by
@@ -1100,50 +1009,19 @@ class ColeServer:
                 "workspace": getattr(getattr(engine, "workspace", None), "root", None),
             },
             "latency": self._latency_summaries(),
-        }
-        if batcher is not None:
-            stats["batcher"] = {
-                "commits": batcher.commits,
-                "batched_puts": batcher.batched_puts,
-                "avg_batch": (
-                    batcher.batched_puts / batcher.commits if batcher.commits else 0.0
-                ),
-                "size_flushes": batcher.size_flushes,
-                "timer_flushes": batcher.timer_flushes,
-                "forced_flushes": batcher.forced_flushes,
-                "multi_put_batches": batcher.multi_put_batches,
-            }
-        engine_stats = getattr(engine, "stats", None)
-        if engine_stats is not None:
-            stats["io"] = {
+            "batcher": role.get("batcher"),
+            "io": None if engine_stats is None else {
                 "page_reads": engine_stats.total_reads,
                 "page_writes": engine_stats.total_writes,
                 "page_cache": engine_stats.cache_summary(),
                 "categories": engine_stats.per_category(),
-            }
-        if self.wal is not None:
-            stats["wal"] = self.wal.stats()
-            stats["wal"]["syncs_inline"] = self.wal_syncer.syncs_inline
-            stats["wal"]["syncs_pooled"] = self.wal_syncer.syncs_pooled
-            if self.replay_stats is not None:
-                stats["wal"]["replayed_blocks"] = self.replay_stats.blocks_replayed
-                stats["wal"]["replayed_puts"] = self.replay_stats.puts_replayed
-        if self.cluster is not None:
-            stats["cluster"] = self.cluster.stats()
-        if self.replica is not None:
-            stats["replication"] = self.replica.stats()
-        elif self.hub is not None:
-            stats["replication"] = {
-                "role": "primary",
-                "subscribers": self.hub.subscribers,
-                "subscribers_total": self.hub.subscribers_total,
-                "subscribers_evicted": self.hub.subscribers_evicted,
-                "batches_published": self.hub.batches_published,
-                "records_shipped": self.hub.records_shipped,
-                "applied_height": committed,
-                "availability_floor": self.hub.availability_floor(),
-            }
-        return stats
+            },
+            "wal": wal,
+            "cluster": None if self.cluster is None else self.cluster.stats(),
+            "replication": role.get("replication"),
+        }
+        # A section this server's role or set-up lacks is absent, not null.
+        return {key: value for key, value in stats.items() if value is not None}
 
     def _latency_summaries(self) -> dict:
         """The ``latency`` STATS section: histogram digests by family.

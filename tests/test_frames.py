@@ -350,8 +350,8 @@ def test_a_referral_flip_between_two_pipelined_puts_loses_no_write(tmp_path, wal
         assert protocol.decode_height_response(first) == 1
         with pytest.raises(MovedError):
             protocol.decode_height_response(second)
-        assert server.batcher.lookup(addr_of(2)) is MISSING
-        await server.batcher.flush()  # what the cutover does after the flip
+        assert server.committer.lookup(addr_of(2)) is MISSING
+        await server.committer.flush()  # what the cutover does after the flip
         assert server.engine.get(addr_of(1)) == value_of(1)
         assert server.engine.get(addr_of(2)) is None
 

@@ -11,8 +11,9 @@ each checksummed format is also swept with its checksums recomputed
 around the flipped bytes.
 
 The PROV blob is a pickle from the server: the client admits only the
-opcodes and classes a proof is made of.  The hex goldens at the bottom
-pin the WAL record format.
+opcodes and classes a proof is made of.  The hex goldens pin the WAL
+record format.  The baselines' own formats (an LSM sstable page, an MPT
+node) are swept with every truncation.
 """
 
 import asyncio
@@ -28,6 +29,9 @@ from repro.common.errors import ReproError, StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, export_slice, iter_triples, read_header, verify_provenance
 from repro.core.proofs import MemProofItem, RunNegativeItem, RunProofItem, StubItem
+from repro.kvstore.sstable import _decode_page, _encode_record
+from repro.mpt.nibbles import pack_nibbles
+from repro.mpt.node import BranchNode, ExtensionNode, LeafNode, decode_node, encode_node
 from repro.server import ServerClient, ServerConfig, ServerThread, protocol
 from repro.server.protocol import OPS, Op, RootInfo
 from repro.wal.record import encode_commit, encode_puts, scan_records
@@ -225,3 +229,62 @@ def test_served_prov_still_verifies_against_its_root(tmp_path):
         kinds = asyncio.run(scenario(*thread.start()))
     engine.close()
     assert kinds == {MemProofItem, RunProofItem, RunNegativeItem, StubItem}
+
+
+# =============================================================================
+# baseline formats: an sstable page, an MPT node
+# =============================================================================
+
+PAGE_RECORDS = [(b"key", b"value-bytes"), (b"gone", None), (b"k" * 20, b"v" * 33)]
+
+
+def test_every_cut_inside_an_sstable_record_raises():
+    """A page carries no record count, so a cut on a record boundary is a
+    valid shorter page; so is a cut that leaves only zero bytes of the
+    next record's key length, which reads as the zero padding every page
+    ends with.  Every other cut raises."""
+    page = b"".join(_encode_record(key, value) for key, value in PAGE_RECORDS)
+    assert _decode_page(page) == _decode_page(page + bytes(3)) == PAGE_RECORDS
+    starts = [0]
+    for key, value in PAGE_RECORDS:
+        starts.append(starts[-1] + len(_encode_record(key, value)))
+    for cut in range(len(page)):
+        whole = max(index for index, start in enumerate(starts) if start <= cut)
+        if any(page[starts[whole] : cut]):
+            with pytest.raises(StorageError):
+                _decode_page(page[:cut])
+        else:
+            assert _decode_page(page[:cut]) == PAGE_RECORDS[:whole]
+
+
+DIGEST = bytes(range(32))
+MPT_NODES = {
+    "branch": BranchNode(
+        children=tuple(DIGEST if index in (1, 7, 15) else None for index in range(16)),
+        value=b"branch-value",
+    ),
+    "bare-branch": BranchNode(children=(None,) * 15 + (DIGEST,), value=None),
+    "extension": ExtensionNode(path=(1, 2, 3), child=DIGEST),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MPT_NODES))
+def test_every_truncation_of_an_mpt_branch_or_extension_raises(kind):
+    data = encode_node(MPT_NODES[kind])
+    assert decode_node(data) == MPT_NODES[kind]
+    for cut in range(len(data)):
+        with pytest.raises(StorageError):
+            decode_node(data[:cut])
+
+
+def test_every_cut_inside_an_mpt_leaf_path_raises():
+    """A leaf's value runs to the end of the node by format: a cut there
+    is a leaf with a shorter value."""
+    leaf = LeafNode(path=(4, 5, 6, 7, 8), value=b"leaf-value")
+    data = encode_node(leaf)
+    path_end = 1 + len(pack_nibbles(leaf.path))
+    for cut in range(path_end):
+        with pytest.raises(StorageError):
+            decode_node(data[:cut])
+    for cut in range(path_end, len(data) + 1):
+        assert decode_node(data[:cut]) == LeafNode(leaf.path, leaf.value[: cut - path_end])

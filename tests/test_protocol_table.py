@@ -13,19 +13,24 @@ tests pin what "derived" must keep meaning:
   ``Status`` that is not an answer raises in ``check_status``;
 * the ``write`` / data / keyed op sets, written out as literals, equal
   what the table derives — on the table and through ``_dispatch`` and
-  ``ShardRole.referral_for``.
+  ``ShardRole.referral_for``;
+* one committer — ``ColeServer`` and the cluster node ask the server's
+  committer, never which role object it holds (an ``ast`` check).
 
 No sockets: this file runs in the CI ``unit`` job.
 """
 
+import ast
 import asyncio
 import inspect
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cluster import ShardRole, plan_manifest
 from repro.common.errors import StorageError
 from repro.server import ColeServer, KVClient, protocol
@@ -509,8 +514,8 @@ def _dispatch_all(server):
 
 def test_a_replica_rejects_exactly_the_write_ops():
     server = _stub_server()
-    server.replica = SimpleNamespace(primary_addr="10.0.0.1:7407")
     rejection = protocol.encode_not_primary("10.0.0.1:7407")
+    server.committer = SimpleNamespace(write_refusal=rejection)
     answers = _dispatch_all(server)
     assert {op for op, answer in answers.items() if answer == rejection} == WRITE_OPS
     assert {op for op, answer in answers.items() if answer == b"handled"} == (
@@ -567,3 +572,78 @@ def test_the_key_check_covers_one_or_every_address_never_scan_or_flush():
         if op == Op.SCAN:
             args = (theirs, theirs) + args[2:]  # a range over foreign keys
         assert role.referral_for(op, args) is None
+
+
+# =============================================================================
+# (e) one committer: no handler asks which role the server plays
+# =============================================================================
+
+#: The role objects ColeServer held before it held one ``committer``.
+OLD_ROLE_ATTRS = {"batcher", "replica", "hub", "_replica_task"}
+
+
+def _self_attr(node):
+    """``name`` of a ``self.name`` expression, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _role_findings(server_py: str, node_py: str) -> list:
+    found = []
+    tree = ast.parse(server_py)
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ColeServer"]
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                f"server.py:{node.lineno} assigns self.{_self_attr(target)}"
+                for target in targets
+                if _self_attr(target) in OLD_ROLE_ATTRS
+            ]
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            role = {_self_attr(o) for o in operands} & (OLD_ROLE_ATTRS | {"committer"})
+            if role and any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                found.append(f"server.py:{node.lineno} tests self.{role.pop()} against None")
+    for node in ast.walk(ast.parse(node_py)):
+        if isinstance(node, ast.Attribute) and node.attr in ("batcher", "replica"):
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "server") or (
+                isinstance(owner, ast.Name) and owner.id == "server"
+            ):
+                found.append(f"cluster/node.py:{node.lineno} names server.{node.attr}")
+    return found
+
+
+def test_the_server_and_the_node_never_ask_which_role_the_server_plays():
+    package = Path(repro.__file__).parent
+    assert _role_findings(
+        (package / "server" / "server.py").read_text(encoding="utf-8"),
+        (package / "cluster" / "node.py").read_text(encoding="utf-8"),
+    ) == []
+
+
+def test_the_role_check_sees_each_kind_of_finding():
+    server_py = (
+        "class ColeServer:\n"
+        "    def start(self):\n"
+        "        self.batcher = None\n"
+        "    def get(self):\n"
+        "        if self.replica is not None and None is self.committer:\n"
+        "            pass\n"
+    )
+    node_py = "h = serving.server.batcher.last_height\nserver.replica.stats()\n"
+    assert _role_findings(server_py, node_py) == [
+        "server.py:3 assigns self.batcher",
+        "server.py:5 tests self.replica against None",
+        "server.py:5 tests self.committer against None",
+        "cluster/node.py:1 names server.batcher",
+        "cluster/node.py:2 names server.replica",
+    ]

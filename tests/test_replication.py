@@ -23,6 +23,7 @@ from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
+    ColeServer,
     NotPrimaryError,
     ServerClient,
     ServerConfig,
@@ -196,7 +197,7 @@ def test_replica_divergence_is_a_crash_stop(tmp_path):
 
             assert asyncio.run(scenario()) == 1
             # The applier task ended: it does not reconnect and retry.
-            assert rt.server._replica_task.done()
+            assert rt.server.committer._task.done()
     wal.close()
     engine.close()
     replica_engine.close()
@@ -312,6 +313,43 @@ def test_subscribe_to_wal_less_server_is_an_error(tmp_path):
                 await writer.wait_closed()
 
         asyncio.run(scenario())
+    engine.close()
+
+
+def test_stopping_a_primary_ends_a_stream_parked_on_its_queue(tmp_path):
+    """A caught-up subscriber waits on the hub's queue, where no socket
+    event reaches it: stopping the primary must still end its stream
+    (closing the connection cancels the stream's task)."""
+    directory = str(tmp_path / "primary")
+    engine = Cole(directory, PARAMS)
+    wal = WriteAheadLog(os.path.join(directory, "wal"))
+
+    async def scenario():
+        server = ColeServer(engine, config=ServerConfig(batch_max_puts=16), wal=wal)
+        host, port = await server.start()
+        stopped = False
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            async with ServerClient(host, port) as client:
+                await client.put(addr_of(1), value_of(1))
+                await client.flush()
+                writer.write(protocol.encode_repl_subscribe(0))
+                assert protocol.decode_repl_handshake(await read_frame(reader)) == 1
+                # Height 1's PUTS and COMMIT: the catch-up is shipped, and
+                # the server stepped on to the queue in the step that wrote it.
+                for _ in range(2):
+                    protocol.decode_repl_record(await read_frame(reader))
+                assert (await client.stats())["replication"]["subscribers"] == 1
+            await asyncio.wait_for(server.stop(), 5)
+            stopped = True
+            assert await asyncio.wait_for(read_frame(reader), 5) is None
+        finally:
+            writer.close()
+            if not stopped:
+                await server.stop()
+
+    asyncio.run(scenario())
+    wal.close()
     engine.close()
 
 

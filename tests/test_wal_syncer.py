@@ -304,7 +304,7 @@ def test_a_log_poisoned_between_append_and_sync_fails_the_ack_instead_of_spinnin
         async with ServerClient(host, port) as client:
             await client.put(addr_of(0), value_of(0))
             _steer(server, path)
-            put = server.batcher.put
+            put = server.committer.put
 
             def put_then_poison(addr, value):
                 height = put(addr, value)
@@ -313,11 +313,11 @@ def test_a_log_poisoned_between_append_and_sync_fails_the_ack_instead_of_spinnin
                 server.wal._closed = True
                 return height
 
-            monkeypatch.setattr(server.batcher, "put", put_then_poison)
+            monkeypatch.setattr(server.committer, "put", put_then_poison)
             try:
                 with pytest.raises(StorageError, match="WAL sync failed.*closed"):
                     await asyncio.wait_for(client.put(addr_of(1), value_of(1)), 10)
-                monkeypatch.setattr(server.batcher, "put", put)
+                monkeypatch.setattr(server.committer, "put", put)
                 # The connection still serves, and later PUTs are refused
                 # at the append.
                 assert await client.get(addr_of(0)) == value_of(0)
