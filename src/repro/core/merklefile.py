@@ -255,6 +255,8 @@ def fold_range_proof(
     """
     if not entries:
         raise VerificationError("empty Merkle range proof")
+    if proof.fanout < 2:
+        raise VerificationError("Merkle proof fanout below 2")
     if len(entries) != proof.hi - proof.lo + 1:
         raise VerificationError("Merkle proof entry count does not match range")
     sizes = layer_sizes(proof.num_leaves, proof.fanout)

@@ -30,6 +30,12 @@ from repro.core.proofs import (
 from repro.mbtree.proof import verify_range_proof as verify_mbtree_range
 
 
+#: What the walk raises on a result not built as a proof is — a field
+#: missing or of another type, an ``int`` no key encoding holds, a node
+#: in its own subtree — as a decoded server answer can be.
+_WRONG_SHAPE = (AttributeError, TypeError, ValueError, OverflowError, RecursionError)
+
+
 def verify_provenance(
     result: ProvenanceResult,
     expected_state_root: Digest,
@@ -40,10 +46,23 @@ def verify_provenance(
 
     Returns the verified version list ``[(blk, value), ...]`` (ascending,
     within the query range).  Raises :class:`VerificationError` if any
-    check fails.  ``key_width`` defaults to ``addr_size + 8``.
+    check fails, and also when ``result`` is not built as a proof is
+    (see :data:`_WRONG_SHAPE`).  ``key_width`` defaults to
+    ``addr_size + 8``.
     """
-    proof = result.proof
     key_width = key_width if key_width is not None else addr_size + 8
+    try:
+        return _verify(result, expected_state_root, key_width)
+    except _WRONG_SHAPE as exc:
+        raise VerificationError(
+            f"proof of the wrong shape: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _verify(
+    result: ProvenanceResult, expected_state_root: Digest, key_width: int
+) -> List[Tuple[int, bytes]]:
+    proof = result.proof
     addr_int = int.from_bytes(proof.addr, "big")
     key_low = addr_int * 2**64 + proof.blk_low - 1
     key_high = addr_int * 2**64 + min(proof.blk_high + 1, MAX_BLK)

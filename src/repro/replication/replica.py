@@ -101,6 +101,10 @@ class ReplicaApplier:
 
     lookup_at = lookup
 
+    def lookup_many(self, addrs: List[bytes]) -> list:
+        """Nothing is buffered here: ``MISSING`` for every address."""
+        return [MISSING] * len(addrs)
+
     async def root(self) -> Tuple[bytes, int]:
         """The last verified ``(root, height)``."""
         root = self.last_root or self.start_root

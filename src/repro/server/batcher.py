@@ -57,9 +57,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest
 from repro.server import protocol
-
-#: Sentinel distinguishing "address not buffered" from a buffered value.
-MISSING = object()
+from repro.server.cache import MISSING
 
 
 class WriteBatcher:
@@ -223,6 +221,14 @@ class WriteBatcher:
         if value is not MISSING:
             return value
         return self._flushing_overlay.get(addr, MISSING)
+
+    def lookup_many(self, addrs: List[bytes]) -> list:
+        """:meth:`lookup` of each address, in order; with nothing
+        buffered, every answer is :data:`MISSING` without a probe."""
+        if not (self._active_overlay or self._flushing_overlay):
+            return [MISSING] * len(addrs)
+        lookup = self.lookup
+        return [lookup(addr) for addr in addrs]
 
     def lookup_at(self, addr: bytes, blk: int):
         """Buffered answer for ``get_at(addr, blk)``, or :data:`MISSING`.

@@ -35,9 +35,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable, Optional, Tuple
+from itertools import repeat
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
-_MISS = object()
+#: What a read tier answers for a key it holds nothing for: these caches'
+#: lookups, and a committer's overlay lookups (``repro.server.batcher``).
+MISSING = object()
 
 
 class _ExactLRU:
@@ -59,15 +62,40 @@ class _ExactLRU:
         self.misses = 0
 
     def _lookup(self, key: Hashable):
-        """The value cached for ``key``, or ``_MISS``."""
+        """The value cached for ``key``, or ``MISSING``."""
         with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
+            value = self._entries.get(key, MISSING)
+            if value is MISSING:
                 self.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
             return value
+
+    def lookup_many(self, keys: Sequence[Hashable]) -> List[object]:
+        """:meth:`_lookup` of each key in turn under one lock hold: the
+        cached values in order, :data:`MISSING` for a key not held.  The
+        LRU moves and the hit / miss counts are those of one call per key
+        (a lookup moves nothing, so the gets may all come first).  An
+        empty cache, and a batch held whole, skip the per-key tests."""
+        with self._lock:
+            entries = self._entries
+            if not entries:
+                self.misses += len(keys)
+                return [MISSING] * len(keys)
+            found = list(map(entries.get, keys, repeat(MISSING)))
+            touch = entries.move_to_end
+            misses = found.count(MISSING)
+            if not misses:
+                for key in keys:
+                    touch(key)
+            elif misses < len(found):
+                for key, value in zip(keys, found):
+                    if value is not MISSING:
+                        touch(key)
+            self.hits += len(found) - misses
+            self.misses += misses
+        return found
 
     def _fill(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
         """Store an answer read while ``version`` was current; a fill
@@ -79,6 +107,23 @@ class _ExactLRU:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
+
+    def _fill_many(
+        self, keys: Iterable[Hashable], values: Iterable[Optional[bytes]], version: int
+    ) -> None:
+        """:meth:`_fill` of each key with its value in turn, under one
+        lock hold (trimming once at the end leaves the same entries in
+        the same order as trimming after each)."""
+        with self._lock:
+            if version < self._floor:
+                return
+            entries = self._entries
+            touch = entries.move_to_end
+            for key, value in zip(keys, values):
+                entries[key] = value
+                touch(key)
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
 
     def advance(
         self, version: int, written: Iterable[Tuple[Hashable, Optional[bytes]]] = ()
@@ -143,12 +188,18 @@ class VersionedReadCache(_ExactLRU):
     def get(self, key: Hashable) -> Tuple[bool, Optional[bytes]]:
         """Return ``(hit, value)``."""
         value = self._lookup(key)
-        return (False, None) if value is _MISS else (True, value)
+        return (False, None) if value is MISSING else (True, value)
 
     def put(self, key: Hashable, version: int, value: Optional[bytes]) -> None:
         """Store an answer read while ``version`` was current (fills
         that raced a commit are dropped — see :meth:`_ExactLRU._fill`)."""
         self._fill(key, version, value)
+
+    def put_many(
+        self, keys: Sequence[Hashable], values: Sequence[Optional[bytes]], version: int
+    ) -> None:
+        """:meth:`put` of each key with its value, under one lock hold."""
+        self._fill_many(keys, values, version)
 
     def _reconcile(self, key: Hashable, value: Optional[bytes]) -> None:
         self._entries[key] = value  # in place: the LRU order is the readers'
@@ -178,12 +229,16 @@ class NegativeLookupCache(_ExactLRU):
 
     def contains(self, addr: bytes) -> bool:
         """True when ``addr`` is known absent."""
-        return self._lookup(addr) is not _MISS
+        return self._lookup(addr) is not MISSING
 
     def add(self, addr: bytes, version: int) -> None:
         """Record that a full walk at ``version`` found nothing (fills
         that raced a commit are dropped, as in the read cache)."""
         self._fill(addr, version, None)
+
+    def add_many(self, addrs: Iterable[bytes], version: int) -> None:
+        """:meth:`add` of each address, under one lock hold."""
+        self._fill_many(addrs, repeat(None), version)
 
     def _reconcile(self, key: Hashable, value: Optional[bytes]) -> None:
         del self._entries[key]  # the address exists now

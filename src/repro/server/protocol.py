@@ -137,7 +137,7 @@ import json
 import pickle
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.codec import U16, U32, U64, Cursor, pack_bytes16, pack_bytes32, pack_items
@@ -312,13 +312,25 @@ def _check_batch_count(count: int) -> int:
     return count
 
 
+@lru_cache(maxsize=16)
+def _uniform_layout(head: str, count: int, size: int) -> struct.Struct:
+    """``count`` times ``head`` then ``size`` bytes: a MULTI_GET request
+    (``H``: u16 length) or answer (``BI``: present flag, u32 length) whose
+    keys or values all have one length.  The decoders check every head
+    they unpack before trusting the layout."""
+    return struct.Struct(">" + f"{head}{size}s" * count)
+
+
 def encode_multi_get(addrs: List[bytes]) -> bytes:
     """One MULTI_GET request: ``count`` addresses, one frame."""
-    count, pack = _check_batch_count(len(addrs)), U16.pack
+    count = _check_batch_count(len(addrs))
+    parts: List[bytes] = [b""] * (2 * count)
     try:
-        payload = b"".join([pack(len(addr)) + addr for addr in addrs])
+        parts[0::2] = map(U16.pack, map(len, addrs))
     except struct.error:
         raise StorageError("bytes16 field exceeds 64 KiB") from None
+    parts[1::2] = addrs
+    payload = b"".join(parts)
     return _COUNTED_HEAD.pack(3 + len(payload), Op.MULTI_GET, count) + payload
 
 
@@ -347,9 +359,10 @@ def encode_repl_subscribe(start_height: int) -> bytes:
 def decode_request(body: bytes) -> Tuple[int, tuple]:
     """Decode a request body into ``(opcode, args)`` by the op table.
 
-    A well-formed GET or MULTI_GET is sliced by offset first; every other
-    op — and any GET / MULTI_GET the fast path does not accept whole —
-    takes the table path, which is where each rejection is worded.
+    A well-formed GET or MULTI_GET is sliced by offset first (a MULTI_GET
+    whose addresses share one length unpacked by one ``struct``); every
+    other op — and any GET / MULTI_GET the fast path does not accept
+    whole — takes the table path, which is where each rejection is worded.
     """
     op = body[0] if body else None
     if op == Op.GET:
@@ -358,6 +371,11 @@ def decode_request(body: bytes) -> Tuple[int, tuple]:
     elif op == Op.MULTI_GET and len(body) >= 3:
         count = U16.unpack_from(body, 1)[0]
         if 0 < count <= MAX_MULTI_BATCH:
+            size = U16.unpack_from(body, 3)[0] if len(body) >= 5 else 0
+            if len(body) == 3 + count * (2 + size):
+                fields = _uniform_layout("H", count, size).unpack_from(body, 3)
+                if fields[0::2].count(size) == count:  # else a lookalike: walk it
+                    return op, (list(fields[1::2]),)
             addrs, pos, u16_at = [], 3, U16.unpack_from
             try:
                 for _ in range(count):
@@ -513,22 +531,35 @@ class _ProofUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def decode_prov_response(body: bytes) -> object:
+def decode_prov_response(body: bytes) -> Tuple[Any, bytes]:
     """``(ProvenanceResult, root)`` from a PROV answer.  The pickle comes
     from the server, so it is read as hostile: its opcodes are walked
     first (each length checked against the bytes there, each opcode
     against :data:`_PROOF_OPCODES`), then it loads with its globals
-    limited to :data:`_PROOF_CLASSES`."""
+    limited to :data:`_PROOF_CLASSES`, and it must be that pair (the
+    proof inside is :func:`~repro.core.verify.verify_provenance`'s to
+    check)."""
     import pickletools  # a client's import: no server process loads its tables
+
+    from repro.core.proofs import ProvenanceResult
 
     blob = decode_blob_response(body)
     try:
         for opcode, _arg, _pos in pickletools.genops(blob):
             if opcode.name not in _PROOF_OPCODES:
                 raise StorageError(f"opcode {opcode.name} is not a proof's")
-        return _ProofUnpickler(io.BytesIO(blob)).load()
+        answer = _ProofUnpickler(io.BytesIO(blob)).load()
     except Exception as exc:  # a hostile pickle can raise almost any built-in error
         raise StorageError(f"PROV blob refused: {exc}") from None
+    if not (
+        type(answer) is tuple
+        and len(answer) == 2
+        and type(answer[0]) is ProvenanceResult
+        and type(answer[1]) is bytes
+        and len(answer[1]) == 32
+    ):
+        raise StorageError("PROV blob is not a (ProvenanceResult, 32-byte root) pair")
+    return answer
 
 
 def decode_text_response(body: bytes) -> str:
@@ -553,6 +584,13 @@ def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
     A per-key miss is a ``present=0`` flag rather than a frame-level
     NOT_FOUND — one frame answers every key in the batch.
     """
+    if values and None not in values:
+        size = len(values[0])
+        if list(map(len, values)).count(size) == len(values):
+            # Every entry present, one length: one head between them all.
+            head = _PRESENT_HEAD.pack(1, size)
+            payload = head + head.join(values)
+            return _COUNTED_HEAD.pack(3 + len(payload), Status.OK, len(values)) + payload
     pack = _PRESENT_HEAD.pack
     payload = b"".join(
         [b"\x00" if value is None else pack(1, len(value)) + value for value in values]
@@ -561,6 +599,14 @@ def encode_multi_get_response(values: List[Optional[bytes]]) -> bytes:
 
 
 def decode_multi_get_response(body: bytes) -> List[Optional[bytes]]:
+    if len(body) >= 8 and body[0] == Status.OK and body[3] == 1:
+        count, size = U16.unpack_from(body, 1)[0], U32.unpack_from(body, 4)[0]
+        if count <= MAX_MULTI_BATCH and len(body) == 3 + count * (5 + size):
+            fields = _uniform_layout("BI", count, size).unpack_from(body, 3)
+            # A lookalike of the same length (a zero flag, uneven sizes)
+            # takes the walk below.
+            if fields[0::3].count(1) == count and fields[1::3].count(size) == count:
+                return list(fields[2::3])
     if len(body) >= 3 and body[0] == Status.OK:
         values: List[Optional[bytes]] = []
         pos, u32_at = 3, U32.unpack_from

@@ -71,7 +71,8 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Set, Tuple
+from itertools import compress, repeat
+from typing import Any, Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import StorageError
 from repro.core.storage import WOULD_BLOCK
@@ -504,6 +505,24 @@ class Connection(protocol.FrameProtocol):
             self._stream_task.cancel()
 
 
+def _settle(results: list, todo: Sequence[int], answers: list) -> Sequence[int]:
+    """Write one read tier's ``answers`` for the batch positions ``todo``
+    into ``results``; returns the positions it left open (``MISSING``)."""
+    misses = answers.count(MISSING)
+    if misses == len(answers):
+        return todo
+    if not misses and len(answers) == len(results):
+        results[:] = answers
+        return ()
+    left = []
+    for index, value in zip(todo, answers):
+        if value is MISSING:
+            left.append(index)
+        else:
+            results[index] = value
+    return left
+
+
 class ColeServer:
     """Serve one engine over TCP."""
 
@@ -854,40 +873,38 @@ class ColeServer:
         return protocol.encode_value_response(value)
 
     async def _op_multi_get(self, addrs: List[bytes]) -> bytes:
-        """Answer one MULTI_GET batch: caches on-loop, one engine trip.
+        """Answer one MULTI_GET batch a tier at a time: caches on-loop,
+        one engine trip.
 
-        Every key first runs the same overlay -> negative-cache -> read-
-        cache ladder as :meth:`_op_get`; only the leftovers pay the thread-
-        pool hop, as a single ``engine.get_many`` (one view, one
-        source walk) instead of an engine lookup per key.
+        The tiers are :meth:`_op_get`'s — overlay, negative cache, read
+        cache — but each answers every key still open in one call (one
+        lock hold per cache, the same LRU moves and counts as key by
+        key).  Only the leftovers pay the thread-pool hop, as a single
+        ``engine.get_many`` (one view, one source walk), and their fills
+        go in under one lock hold per cache.
         """
-        version, lookup = self.version, self.committer.lookup
-        results: List[Optional[bytes]] = [None] * len(addrs)
-        pending: List[int] = []
-        for index, addr in enumerate(addrs):
-            buffered = lookup(addr)
-            if buffered is not MISSING:
-                self.overlay_hits += 1
-                results[index] = buffered
-                continue
-            if self.negative.contains(addr):
-                continue
-            hit, value = self.cache.get((0, addr))
-            if hit:
-                results[index] = value
-                continue
-            pending.append(index)
-        if pending:
+        version, count = self.version, len(addrs)
+        key_of = addrs.__getitem__
+        results: List[Any] = [MISSING] * count
+        todo = _settle(results, range(count), self.committer.lookup_many(addrs))
+        self.overlay_hits += count - len(todo)
+        todo = _settle(results, todo, self.negative.lookup_many(list(map(key_of, todo))))
+        todo = _settle(
+            results, todo, self.cache.lookup_many(list(zip(repeat(0), map(key_of, todo))))
+        )
+        if todo:
             self.reads["pooled"] += 1
-            values = await self._run(
-                self.engine.get_many, [addrs[index] for index in pending]
-            )
-            for index, value in zip(pending, values):
+            pending = list(map(key_of, todo))
+            values = await self._run(self.engine.get_many, pending)
+            for index, value in zip(todo, values):
                 results[index] = value
-                if value is None:
-                    self.negative.add(addrs[index], version)
-                else:
-                    self.cache.put((0, addrs[index]), version, value)
+            absent = [value is None for value in values]
+            self.negative.add_many(list(compress(pending, absent)), version)
+            self.cache.put_many(
+                [(0, addr) for addr, gone in zip(pending, absent) if not gone],
+                [value for value in values if value is not None],
+                version,
+            )
         return protocol.encode_multi_get_response(results)
 
     async def _op_get_at(self, addr: bytes, blk: int) -> bytes:

@@ -1,11 +1,15 @@
 """Tests for provenance queries (Algorithm 8) and VerifyProv (Section 6.2)."""
 
+import copy
+import random
+
 import pytest
 
 from repro.common.errors import StorageError, VerificationError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
-from repro.core.proofs import RunProofItem, StubItem
+from repro.core.proofs import MemProofItem, RunProofItem, StubItem
+from repro.mbtree.proof import ProofInternal
 
 ADDR_SIZE = 20
 
@@ -152,3 +156,66 @@ def test_proof_size_sublinear_in_range(cole, rng):
     large = cole.prov_query(addr, 5, 100).proof.size_bytes()
     # 16x the range should cost far less than 16x the proof.
     assert large < small * 16
+
+
+# =============================================================================
+# a proof of the wrong shape: VerificationError, never a built-in error
+# =============================================================================
+
+@pytest.fixture(scope="module")
+def stubbed_proof(tmp_path_factory):
+    """``(result, root)`` of a range whose proof holds a searched L0 tree,
+    searched runs and stubs."""
+    params = ColeParams(
+        system=SystemParams(addr_size=ADDR_SIZE, value_size=32), mem_capacity=16,
+        size_ratio=3, mht_fanout=4,
+    )
+    engine = Cole(str(tmp_path_factory.mktemp("shape")), params)
+    _pool, history = build_history(engine, random.Random(0xC01E), blocks=100, pool_size=8)
+    addr = max(history, key=lambda a: len(history[a]))
+    result = engine.prov_query(addr, 50, 100)
+    root = engine.root_digest()
+    engine.close()
+    kinds = {type(item) for item in result.proof.items}
+    assert {MemProofItem, RunProofItem, StubItem} <= kinds
+    return result, root
+
+
+def _first(result, kind):
+    return next(item for item in result.proof.items if type(item) is kind)
+
+
+def _cycle(result):
+    node = ProofInternal(keys=[], children=[])
+    node.children.append(node)
+    vars(_first(result, MemProofItem).proof)["root"] = node
+
+
+DAMAGE = {
+    "field-missing": lambda r: vars(r).pop("versions"),
+    "field-renamed": lambda r: vars(r.proof).update(itmes=vars(r.proof).pop("items")),
+    "versions-a-dict": lambda r: vars(r).update(versions={}),
+    "boundary-a-list": lambda r: vars(r).update(boundary_version=[1, b"v"]),
+    "blk-a-bool": lambda r: vars(r.proof).update(blk_low=True),
+    "item-of-another-class": lambda r: r.proof.items.append(r.proof),
+    "item-twice": lambda r: r.proof.items.append(r.proof.items[-1]),
+    "short-stub-digest": lambda r: vars(_first(r, StubItem)).update(digest=bytes(31)),
+    "negative-key": lambda r: _first(r, RunProofItem).entries.__setitem__(0, (-1, b"v")),
+    "key-wider-than-key-width": lambda r: _first(r, RunProofItem).entries.__setitem__(
+        0, (1 << 8 * (ADDR_SIZE + 8), b"v")),
+    "entry-a-list": lambda r: _first(r, RunProofItem).entries.__setitem__(0, [1, b"v"]),
+    "fanout-0": lambda r: vars(_first(r, RunProofItem).merkle_proof).update(fanout=0),
+    "fanout-1": lambda r: vars(_first(r, RunProofItem).merkle_proof).update(fanout=1),
+    "sibling-layer-a-list": lambda r: _first(r, RunProofItem).merkle_proof.sibling_layers
+    .__setitem__(0, [[], []]),
+    "node-in-its-own-subtree": _cycle,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_wrong_shaped_proof_raises_verification_error(stubbed_proof, damage):
+    result, root = copy.deepcopy(stubbed_proof)
+    verify_provenance(result, root, addr_size=ADDR_SIZE)
+    damage(result)
+    with pytest.raises(VerificationError):
+        verify_provenance(result, root, addr_size=ADDR_SIZE)

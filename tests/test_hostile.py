@@ -11,7 +11,8 @@ each checksummed format is also swept with its checksums recomputed
 around the flipped bytes.
 
 The PROV blob is a pickle from the server: the client admits only the
-opcodes and classes a proof is made of.  The hex goldens pin the WAL
+opcodes and classes a proof is made of, and every bit flip of a real
+blob, decoded and then verified, gives the original versions or raises.  The hex goldens pin the WAL
 record format.  The baselines' own formats (an LSM sstable page, an MPT
 node) are swept with every truncation.
 """
@@ -201,6 +202,44 @@ def test_prov_blob_naming_os_system_is_refused_and_never_called(monkeypatch, blo
     with pytest.raises(StorageError):
         protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
     assert calls == []
+
+
+def test_every_flipped_prov_blob_verifies_the_same_or_raises(tiny_store):
+    """Decode, then verify: a flip either leaves the verified versions as
+    they were or raises a taxonomy error — never a built-in error from a
+    proof of the wrong shape (a field gone, renamed or retyped)."""
+    blob = tiny_store[0]
+    result, root = protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+    versions = verify_provenance(result, root, addr_size=4)
+    assert versions == [(1, b"vvvv")]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        body = protocol.encode_blob_response(bytes(flipped))[4:]
+        try:
+            result, root = protocol.decode_prov_response(body)
+            assert verify_provenance(result, root, addr_size=4) == versions, bit
+        except ReproError:
+            pass
+
+
+@pytest.mark.parametrize("answer", [
+    pytest.param(7, id="int"),
+    pytest.param(b"\x00" * 32, id="bytes"),
+    pytest.param((None, bytes(32)), id="no-result"),
+    pytest.param((), id="empty-tuple"),
+])
+def test_prov_blob_of_the_wrong_shape_is_refused(answer):
+    blob = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(StorageError, match="not a .ProvenanceResult"):
+        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+
+
+def test_prov_blob_with_a_short_root_is_refused(tiny_store):
+    result, _root = pickle.loads(tiny_store[0])
+    blob = pickle.dumps((result, bytes(31)), protocol=pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(StorageError, match="32-byte root"):
+        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
 
 
 def test_served_prov_still_verifies_against_its_root(tmp_path):

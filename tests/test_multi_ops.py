@@ -8,8 +8,10 @@ over real sockets, like ``tests/test_server.py``.
 """
 
 import asyncio
+import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import ClusterClient, plan_manifest
 from repro.common.errors import StorageError
@@ -25,8 +27,9 @@ from repro.server import (
     run_loadgen,
 )
 from repro.server import protocol
-from repro.server.cache import NegativeLookupCache
-from repro.server.protocol import MAX_MULTI_BATCH, NotPrimaryError, Op
+from repro.server.cache import MISSING, NegativeLookupCache, VersionedReadCache
+from repro.server.protocol import MAX_MULTI_BATCH, NotPrimaryError, Op, Status
+from repro.wal import WriteAheadLog
 
 from raw_frames import read_frame
 
@@ -458,3 +461,280 @@ def test_loadgen_drives_multi_get_end_to_end(tmp_path):
     with serve(engine) as thread:
         asyncio.run(scenario(*thread.start()))
     engine.close()
+
+
+# =============================================================================
+# the batched ladder answers as the per-key one does
+# =============================================================================
+
+def _frame(head: bytes, count: int, payload: bytes) -> bytes:
+    return (3 + len(payload)).to_bytes(4, "big") + head + count.to_bytes(2, "big") + payload
+
+
+def per_key_multi_get(addrs):
+    """A MULTI_GET request as the per-key encoder built it."""
+    payload = b"".join(len(addr).to_bytes(2, "big") + addr for addr in addrs)
+    return _frame(bytes([Op.MULTI_GET]), len(addrs), payload)
+
+
+def per_key_multi_get_response(values):
+    """A MULTI_GET answer as the per-key encoder built it."""
+    payload = b"".join(
+        b"\x00" if value is None else b"\x01" + len(value).to_bytes(4, "big") + value
+        for value in values
+    )
+    return _frame(bytes([Status.OK]), len(values), payload)
+
+
+def walk_multi_get_response(body):
+    """The per-entry walk: the answer, or ``StorageError``."""
+    values, pos = [], 3
+    if len(body) < 3 or body[0] != Status.OK:
+        raise StorageError("not an OK answer")
+    for _ in range(int.from_bytes(body[1:3], "big")):
+        if pos >= len(body):
+            raise StorageError("truncated")
+        if body[pos]:
+            end = pos + 5 + int.from_bytes(body[pos + 1:pos + 5], "big")
+            if pos + 5 > len(body) or end > len(body):
+                raise StorageError("truncated")
+            values.append(body[pos + 5:end])
+            pos = end
+        else:
+            values.append(None)
+            pos += 1
+    if pos != len(body):
+        raise StorageError("trailing bytes")
+    return values
+
+
+def answer_or_error(decode, body):
+    try:
+        return decode(body)
+    except StorageError:
+        return StorageError
+
+
+#: One answer per key: present values of one length (the uniform layout)
+#: or a mix of absent keys and lengths.
+ANSWERS = st.one_of(
+    st.integers(0, 48).flatmap(
+        lambda size: st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=40)
+    ),
+    st.lists(st.one_of(st.none(), st.binary(max_size=48)), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(addrs=st.one_of(
+    st.integers(0, 40).flatmap(
+        lambda size: st.lists(st.binary(min_size=size, max_size=size), min_size=1, max_size=64)
+    ),
+    st.lists(st.binary(max_size=40), min_size=1, max_size=64),
+))
+# The uniform layout's length (3 x (2 + 2) bytes) from uneven addresses.
+@example(addrs=[b"ab", b"", b"wxyz"])
+def test_multi_get_request_bytes_are_the_per_key_encoders(addrs):
+    frame = protocol.encode_multi_get(addrs)
+    assert frame == per_key_multi_get(addrs)
+    assert protocol.decode_request(frame[4:]) == (Op.MULTI_GET, (addrs,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=ANSWERS)
+# Uniform length, but the second entry is absent and the third longer.
+@example(values=[b"a" * 8, None, b"c" * 20])
+@example(values=[b"", b""])
+@example(values=[None, None])
+def test_multi_get_response_bytes_and_answers_are_the_per_key_ones(values):
+    frame = protocol.encode_multi_get_response(values)
+    assert frame == per_key_multi_get_response(values)
+    body = frame[4:]
+    assert protocol.decode_multi_get_response(body) == values
+    # Bits flipped past the status and count decode as the walk decodes
+    # them, or both refuse.
+    for bit in range(24, 8 * len(body), 7):
+        flipped = bytearray(body)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        flipped = bytes(flipped)
+        assert answer_or_error(protocol.decode_multi_get_response, flipped) == \
+            answer_or_error(walk_multi_get_response, flipped)
+
+
+def test_uniform_lookalike_with_a_zero_flag_is_refused():
+    """The uniform layout's length, a present first entry, then a zero
+    flag and a tail the walk cannot place: refused, not unpacked."""
+    body = protocol.encode_multi_get_response([b"v" * 8, b"w" * 8])[4:]
+    lookalike = body[:16] + b"\x00" + body[17:]
+    with pytest.raises(StorageError):
+        protocol.decode_multi_get_response(lookalike)
+
+
+KEYS = st.lists(st.integers(0, 12), max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm=KEYS, batch=KEYS, fills=KEYS, capacity=st.integers(1, 8), floor=st.integers(0, 2))
+def test_batched_cache_calls_are_their_per_key_calls(warm, batch, fills, capacity, floor):
+    """``lookup_many`` / ``put_many`` / ``add_many`` against the per-key
+    calls on a twin: answers, counters and LRU order all agree."""
+    pair = [VersionedReadCache(capacity), VersionedReadCache(capacity)]
+    negatives = [NegativeLookupCache(capacity), NegativeLookupCache(capacity)]
+    for key in warm:
+        for cache in pair:
+            cache.put((0, key), 1, bytes([key]))
+        for negative in negatives:
+            negative.add((0, key), 1)
+    for cache in pair + negatives:
+        cache.advance(floor)
+    keys = [(0, key) for key in batch]
+    assert pair[0].lookup_many(keys) == [
+        bytes([key]) if hit else MISSING
+        for key, (hit, _value) in zip(batch, (pair[1].get(k) for k in keys))
+    ]
+    assert negatives[0].lookup_many(keys) == [
+        None if negatives[1].contains(k) else MISSING for k in keys
+    ]
+    pair[0].put_many([(0, key) for key in fills], [bytes([key, 1]) for key in fills], 1)
+    for key in fills:
+        pair[1].put((0, key), 1, bytes([key, 1]))
+    negatives[0].add_many([(0, key) for key in fills], 1)
+    for key in fills:
+        negatives[1].add((0, key), 1)
+    for one, other in (pair, negatives):
+        assert one.stats() == other.stats()
+        assert list(one._entries.items()) == list(other._entries.items())
+
+
+class ParkedCommit:
+    """An engine whose next group commit, once armed, parks before it
+    touches the engine: meanwhile its batch is the flushing overlay."""
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self.armed = False
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def begin_block(self, height):
+        if self.armed:
+            self.armed = False
+            self.parked.set()
+            assert self.release.wait(timeout=60)
+        return self._engine.begin_block(height)
+
+
+#: Batch tiers: the read cache (0-3), the negative cache (100, 101), the
+#: flushing overlay (4, 200), the active overlay (5, 300), duplicates of
+#: each, then the engine (6 present, 102 absent) last — a GET fills the
+#: caches as it goes, a MULTI_GET after its lookups, so engine keys end
+#: the batch for the LRU orders to be comparable.
+LADDER = [0, 100, 4, 200, 5, 300, 0, 100, 4, 5, 1, 3, 101, 6, 102]
+OVERLAID = {4: 44, 200: 200, 5: 55, 300: 300}
+
+
+def _cache_view(server):
+    return (list(server.cache._entries), list(server.negative._entries))
+
+
+async def _ask(client, batched: bool, keys):
+    if batched:
+        return await client.multi_get(keys)
+    return [await client.get(key) for key in keys]
+
+
+def _primary_side(tmp_path, name: str, batched: bool):
+    """One twin: the LADDER batch's answers, STATS and LRU orders."""
+    engine = ParkedCommit(Cole(str(tmp_path / name), PARAMS))
+
+    async def scenario(server, host, port):
+        loop = asyncio.get_running_loop()
+        async with ServerClient(host, port) as writer, ServerClient(host, port) as reader, \
+                ServerClient(host, port) as late_writer:
+            await writer.multi_put([(addr_of(n), value_of(n)) for n in range(8)])
+            await writer.flush()
+            for n in (0, 1, 2, 3, 100, 101):
+                await reader.get(addr_of(n))
+            await writer.multi_put([(addr_of(4), value_of(44)), (addr_of(200), value_of(200))])
+            engine.armed = True
+            flushing = asyncio.ensure_future(writer.flush())
+            await loop.run_in_executor(None, engine.parked.wait, 60)
+            await late_writer.multi_put(
+                [(addr_of(5), value_of(55)), (addr_of(300), value_of(300))]
+            )
+            answers = await _ask(reader, batched, [addr_of(n) for n in LADDER])
+            stats = await reader.stats()
+            view = _cache_view(server)
+            engine.release.set()
+            await flushing
+        return answers, stats, view
+
+    with serve(engine, batch_max_puts=10_000, batch_max_delay=60.0) as thread:
+        result = asyncio.run(scenario(thread.server, *thread.start()))
+    engine.close()
+    return result
+
+
+def _same_ladder(single, batched):
+    answers, stats, view = batched
+    assert answers == single[0]
+    for section in ("cache", "negative_cache", "overlay_hits"):
+        assert stats[section] == single[1][section], section
+    assert view == single[2]
+    return stats
+
+
+def test_a_multi_get_walks_the_ladder_as_its_gets_do(tmp_path):
+    single = _primary_side(tmp_path, "single", batched=False)
+    batched = _primary_side(tmp_path, "batched", batched=True)
+    assert single[0] == [
+        value_of(OVERLAID.get(n, n)) if n < 8 or n in OVERLAID else None for n in LADDER
+    ]
+    stats = _same_ladder(single, batched)
+    assert stats["overlay_hits"] == 6
+    assert stats["negative_cache"]["hits"] == 3
+    assert stats["cache"]["hits"] == 4
+    assert batched[1]["reads"]["pooled"] == 1  # the two engine keys: one trip
+
+
+def test_a_multi_get_on_a_replica_walks_the_ladder_as_its_gets_do(tmp_path):
+    primary = Cole(str(tmp_path / "primary"), PARAMS)
+    wal = WriteAheadLog(str(tmp_path / "primary" / "wal"))
+    replicas = [Cole(str(tmp_path / name), PARAMS) for name in ("single", "batched")]
+    ladder = [0, 100, 1, 0, 100, 3, 101, 1, 6, 102]
+
+    async def scenario(primary_at, replica_at):
+        async with ServerClient(*primary_at) as writer:
+            await writer.multi_put([(addr_of(n), value_of(n)) for n in range(8)])
+            info = await writer.flush()
+        sides = []
+        for (host, port), server in replica_at:
+            async with ServerClient(host, port) as reader:
+                while (await reader.root()).height < info.height:
+                    await asyncio.sleep(0.02)
+                for n in (0, 1, 2, 3, 100, 101):
+                    await reader.get(addr_of(n))
+                answers = await _ask(reader, len(sides) == 1, [addr_of(n) for n in ladder])
+                sides.append((answers, await reader.stats(), _cache_view(server)))
+        return sides
+
+    try:
+        with ServerThread(
+            primary, config=ServerConfig(batch_max_puts=10_000, batch_max_delay=60.0), wal=wal
+        ) as pt:
+            primary_at = pt.start()
+            with ServerThread(replicas[0], replica_of=primary_at) as one, \
+                    ServerThread(replicas[1], replica_of=primary_at) as two:
+                replica_at = [(one.start(), one.server), (two.start(), two.server)]
+                single, batched = asyncio.run(scenario(primary_at, replica_at))
+    finally:
+        wal.close()
+        for engine in [primary] + replicas:
+            engine.close()
+    assert single[0] == [value_of(n) if n < 8 else None for n in ladder]
+    stats = _same_ladder(single, batched)
+    assert stats["overlay_hits"] == 0
+    assert stats["negative_cache"]["hits"] == 3

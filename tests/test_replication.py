@@ -166,41 +166,46 @@ def test_replica_divergence_is_a_crash_stop(tmp_path):
     two modes' roots differ at every block): the applier freezes for
     good, ROOT and STATS keep naming the last verified commit, and reads
     are still answered."""
-    engine, wal, primary = primary_stack(tmp_path, params=PARAMS.with_async(False))
+    # The 8 PUTs must share one group commit: no timer fires before FLUSH.
+    engine, wal, primary = primary_stack(
+        tmp_path, params=PARAMS.with_async(False), batch_max_delay=60.0
+    )
     replica_engine = Cole(str(tmp_path / "replica"), PARAMS)
     verified = replica_engine.root_digest()
-    with primary:
-        phost, pport = primary.start()
-        with ServerThread(replica_engine, replica_of=(phost, pport)) as rt:
-            rhost, rport = rt.start()
+    try:
+        with primary:
+            phost, pport = primary.start()
+            with ServerThread(replica_engine, replica_of=(phost, pport)) as rt:
+                rhost, rport = rt.start()
 
-            async def scenario():
-                async with ServerClient(phost, pport) as pc:
-                    for n in range(8):
-                        await pc.put(addr_of(n), value_of(n))
-                    info = await pc.flush()
-                assert info.height == 1
-                async with ServerClient(rhost, rport) as rc:
-                    for _ in range(500):
-                        repl = (await rc.stats())["replication"]
-                        if repl["diverged"]:
-                            break
-                        await asyncio.sleep(0.02)
-                    assert repl["diverged"]
-                    assert "divergence at height 1" in repl["last_error"]
-                    assert repl["applied_height"] == 0
-                    root = await rc.root()
-                    assert (root.height, root.digest) == (0, verified)
-                    assert await rc.get(addr_of(10_000)) is None
-                    assert await rc.get(addr_of(10_000)) is None  # cached
-                return repl["subscribes"]
+                async def scenario():
+                    async with ServerClient(phost, pport) as pc:
+                        for n in range(8):
+                            await pc.put(addr_of(n), value_of(n))
+                        info = await pc.flush()
+                    assert info.height == 1
+                    async with ServerClient(rhost, rport) as rc:
+                        for _ in range(500):
+                            repl = (await rc.stats())["replication"]
+                            if repl["diverged"]:
+                                break
+                            await asyncio.sleep(0.02)
+                        assert repl["diverged"]
+                        assert "divergence at height 1" in repl["last_error"]
+                        assert repl["applied_height"] == 0
+                        root = await rc.root()
+                        assert (root.height, root.digest) == (0, verified)
+                        assert await rc.get(addr_of(10_000)) is None
+                        assert await rc.get(addr_of(10_000)) is None  # cached
+                    return repl["subscribes"]
 
-            assert asyncio.run(scenario()) == 1
-            # The applier task ended: it does not reconnect and retry.
-            assert rt.server.committer._task.done()
-    wal.close()
-    engine.close()
-    replica_engine.close()
+                assert asyncio.run(scenario()) == 1
+                # The applier task ended: it does not reconnect and retry.
+                assert rt.server.committer._task.done()
+    finally:
+        wal.close()
+        engine.close()
+        replica_engine.close()
 
 
 # =============================================================================

@@ -154,6 +154,7 @@ def test_stats_schema_primary_with_wal(tmp_path):
         engine, config=ServerConfig(batch_max_puts=8), wal=wal
     ) as thread:
         stats = asyncio.run(loaded_stats(*thread.start()))
+    wal.close()
     engine.close()
     assert_core_schema(stats)
     assert_primary_schema(stats)
@@ -207,6 +208,7 @@ def test_stats_schema_replica(tmp_path):
                     return await rc.stats()
 
             stats = asyncio.run(scenario())
+    wal.close()
     primary_engine.close()
     replica_engine.close()
     assert_core_schema(stats)
