@@ -15,8 +15,7 @@ inside an ``async def`` stalls every connection on the server — and
 nothing crashes, it just gets slow, which is why this must be a lint
 rule and not a code review hope.
 
-Scope: ``async def`` bodies in ``server/``, ``cluster/`` and
-``replication/``.  Nested *sync* defs and lambdas inside an async body
+Scope: ``async def`` bodies in ``server/`` and ``replication/``.  Nested *sync* defs and lambdas inside an async body
 are skipped — they are the executor thunks themselves.  Flagged calls:
 
 * known blocking module calls (``os.pread``/``pwrite``/``fsync``/...,
@@ -48,7 +47,7 @@ from repro.analysis.base import Checker, Finding, SourceFile, SourceTree, dotted
 
 RULE = "async-blocking-call"
 
-SCOPES = ("server/", "cluster/", "replication/")
+SCOPES = ("server/", "replication/")
 
 BLOCKING_CALLS = {
     "open",

@@ -171,7 +171,7 @@ CLAIMS = (
           _engines_at_top("tail_s", "cole*", "cole"), "<", 1.0, False),
     Claim("index-share", "value bytes / MPT node bytes (paper: 2.8%)",
           lambda r: at(r)["data_share"], "<", 0.15, True),
-    # -- extensions: serving, durability, replication, scans, cluster ---------
+    # -- extensions: serving, durability, replication, scans -----------------
     Claim("fig17", "failed requests", _errors, "==", 0, True),
     Claim("fig17", "ops/s, most / fewest clients",
           lambda r: growth(r, "ops_per_s", "clients"), ">", 1.0, False),
@@ -191,7 +191,6 @@ CLAIMS = (
     Claim("fig19", "root checks per node, fewest", _roots_per_node, ">=", 1.0, True),
     Claim("fig20", "single-engine entries/s, longest / shortest scans",
           lambda r: growth(r, "entries_per_s", "scan_len"), ">", 1.0, False),
-    Claim("fig21", "root checks per node, fewest", _roots_per_node, ">=", 1.0, True),
     # -- hot-path extensions ---------------------------------------------------
     Claim("multi-get", "keys/s of the largest batch over single GETs",
           lambda r: versus(r, "keys_per_s", "batch", top(r, "batch"), 1), ">=", 2.0, False),

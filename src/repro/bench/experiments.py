@@ -2,7 +2,7 @@
 
 Section 8 is two experiment shapes — *engine x workload x height ->
 (storage, TPS, latency)* and *engine x range / fanout -> (CPU, proof
-size)* — plus the serving, durability, scan and cluster extensions.
+size)* — plus the serving, durability, replication and scan extensions.
 Each ``run_*`` driver is a sweep over a few shared **cells** (build an
 engine, load it, measure, clean up), defined first; every point of a
 sweep measures every column.
@@ -11,7 +11,7 @@ An experiment is a **selection and a projection** over one driver's
 rows: :data:`EXPERIMENTS` names every experiment, the driver arguments
 that select its points and the columns it keeps.  Figs 9-13, Table 1 and
 the index share are one chain sweep, figs 14-15 one provenance sweep,
-figs 17-18 one served sweep and figs 19 and 21 one process sweep.  Every
+figs 17-18 one served sweep and fig 19 the process sweep.  Every
 driver returns a list of result rows (dictionaries) and can be run at
 any scale; an experiment's registered arguments over its driver's
 defaults are its one **figure scale**, sized for minutes, not hours, on
@@ -32,13 +32,11 @@ import os
 import random
 import re
 import shutil
-import socket
 import subprocess
 import sys
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
@@ -53,13 +51,11 @@ from repro.bench.harness import (
 )
 from repro.bench.report import percentile
 from repro.chain.contracts import KVStoreContract, SmallBankContract
-from repro.cluster import plan_manifest
 from repro.common.hashing import hash_bytes
 from repro.common.params import ColeParams
 from repro.core import Cole, verify_provenance
 from repro.diskio.iostats import IOStats
 from repro.server import (
-    KVClient,
     LoadgenParams,
     ServerConfig,
     ServerThread,
@@ -414,18 +410,16 @@ def run_served_sweep(
 
 
 # =============================================================================
-# Figures 19 & 21 (extensions): one sweep over replica sets and clusters
+# Figure 19 (extension): replica sets of server processes
 # =============================================================================
 
 def _spawn_cli_process(procs: List[subprocess.Popen], *argv: str, timeout_s: float = 60.0) -> str:
     """Start ``repro.cli`` in a subprocess registered in ``procs`` and
-    return the ``host:port`` of its readiness line.
+    return the ``host:port`` of its ``serving ... on HOST:PORT`` line.
 
     Subprocesses (not threads) on purpose: scaling across servers is a
     claim about independent engines on independent cores, which the GIL
-    would flatten inside one interpreter.  Both ``repro serve`` and
-    ``repro cluster serve`` print the same ``serving ... on HOST:PORT``
-    line once every port is bound.
+    would flatten inside one interpreter.
     """
     src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -470,118 +464,46 @@ def process_cell() -> Iterator[Tuple[str, List[subprocess.Popen]]]:
         shutil.rmtree(base, ignore_errors=True)
 
 
-def _free_ports(count: int) -> List[int]:
-    """``count`` distinct free TCP ports, held open together while probing
-    so the OS cannot hand one out twice (a server binding one right after
-    is the benign probe race every ephemeral-port harness accepts)."""
-    sockets = []
-    try:
-        for _ in range(count):
-            sock = socket.socket()
-            sock.bind(("127.0.0.1", 0))
-            sockets.append(sock)
-        return [sock.getsockname()[1] for sock in sockets]
-    finally:
-        for sock in sockets:
-            sock.close()
-
-
-#: What a spawn step returns: the client the waves are written through,
-#: every serving node as ``(address, shard it serves)``, and the routing
-#: of a key to its shard.
-Spawned = Tuple[Callable[[], KVClient], List[Tuple[str, int]], Callable[[bytes], int]]
-
-
-def _spawn_replica_set(base: str, procs: List[subprocess.Popen], nodes: int) -> Spawned:
-    """``repro serve --wal`` and ``nodes - 1`` replicas of it: one shard,
-    which every node serves."""
+def _spawn_replica_set(base: str, procs: List[subprocess.Popen], nodes: int) -> List[str]:
+    """``repro serve --wal`` and ``nodes - 1`` replicas of it; returns
+    every node's address, the primary's first."""
     primary = _spawn_cli_process(procs, "serve", f"{base}/primary", "--port", "0", "--wal",
                                  *SERVED_CLI_FLAGS)
-    replicas = [_spawn_cli_process(procs, "serve", f"{base}/replica-{index}", "--port", "0",
-                                   "--replica-of", primary) for index in range(nodes - 1)]
-    return (lambda: connect(primary), [(address, 0) for address in (primary, *replicas)],
-            lambda addr: 0)
+    return [primary, *(_spawn_cli_process(procs, "serve", f"{base}/replica-{index}", "--port",
+                                          "0", "--replica-of", primary)
+                       for index in range(nodes - 1))]
 
 
-def _spawn_cluster(base: str, procs: List[subprocess.Popen], nodes: int) -> Spawned:
-    """A manifest of ``nodes`` one-shard nodes and one ``repro cluster
-    serve`` process per node; the waves go through the manifest-routed
-    client."""
-    ports = _free_ports(2 * nodes)
-    manifest = plan_manifest(nodes, nodes).with_addresses(
-        {shard: f"127.0.0.1:{ports[2 * shard]}" for shard in range(nodes)}
-    )
-    for index in range(nodes):
-        manifest = manifest.with_control(f"node-{index}", f"127.0.0.1:{ports[2 * index + 1]}")
-    manifest_path = f"{base}/manifest.json"
-    manifest.save(manifest_path)
-    for index in range(nodes):
-        _spawn_cli_process(procs, "cluster", "serve", f"{base}/node-{index}", "--node",
-                           f"node-{index}", "-m", manifest_path, *SERVED_CLI_FLAGS)
-    return (lambda: connect(manifest_file=manifest_path),
-            [(manifest.address_of(shard), shard) for shard in range(nodes)], manifest.shard_for)
+def _oracle_roots(base: str, waves: Sequence[Batch]) -> List[Tuple[int, bytes]]:
+    """The ``(height, root)`` every node must report after each wave: an
+    in-process engine configured as ``repro serve`` opens one, fed each
+    wave as one block."""
+    oracle = Cole(f"{base}/oracle", ColeParams(async_merge=True, mem_capacity=512))
+    try:
+        roots = []
+        for batch in waves:
+            oracle.begin_block(oracle.last_blk + 1)
+            oracle.put_many(batch)
+            oracle.commit_block()
+            roots.append((oracle.last_blk, bytes(oracle.root_digest())))
+        return roots
+    finally:
+        oracle.close()
 
 
-def _read_streams(params: LoadgenParams, owned: List[bytes]) -> List[List[ClientOp]]:
-    """A replica set's node serves the load generator's GETs over the
-    whole key space."""
-    reads = replace(params, read_fraction=1.0)
-    return [client_ops(reads, client) for client in range(params.clients)]
-
-
-def _owned_put_streams(params: LoadgenParams, owned: List[bytes]) -> List[List[ClientOp]]:
-    """A shard node takes PUTs of the keys its shard owns; client ``c``
-    walks them from the ``c * ops``-th on."""
-    ops = params.ops_per_client
-    return [[("put", owned[(client * ops + index) % len(owned)], write_value(SEED + 1, index, VALUE_SIZE))
-             for index in range(ops)] for client in range(params.clients)]
-
-
-#: topology -> (spawn step, per-node op streams): the only two steps of
-#: :func:`run_process_sweep` that differ between a replica set and a cluster.
-TOPOLOGIES = {
-    "replicas": (_spawn_replica_set, _read_streams),
-    "cluster": (_spawn_cluster, _owned_put_streams),
-}
-
-
-def _oracle_roots(base: str, waves: Sequence[Batch], shard_of: Callable[[bytes], int],
-                  shards: int) -> List[List[Tuple[int, bytes]]]:
-    """Per shard, the ``(height, root)`` a node serving it must report
-    after each wave: one in-process engine per shard, configured as
-    ``repro serve`` opens one, fed the shard's share of each wave as one
-    block."""
-    expected = []
-    for shard in range(shards):
-        oracle = Cole(f"{base}/oracle-{shard}", ColeParams(async_merge=True, mem_capacity=512))
-        try:
-            roots = []
-            for batch in waves:
-                share = [put for put in batch if shard_of(put[0]) == shard]
-                if share:  # a shard commits no block for a wave that routed it nothing
-                    oracle.begin_block(oracle.last_blk + 1)
-                    oracle.put_many(share)
-                    oracle.commit_block()
-                roots.append((oracle.last_blk, bytes(oracle.root_digest())))
-            expected.append(roots)
-        finally:
-            oracle.close()
-    return expected
-
-
-async def _load_and_check(writer_client: Callable[[], KVClient], nodes: List[Tuple[str, int]],
-                          waves: Sequence[Batch],
-                          expected: List[List[Tuple[int, bytes]]]) -> Tuple[int, int]:
-    """Write each wave as one ``multi_put`` plus one ``flush``, then poll
-    every node up to its shard's oracle height and require the oracle's
-    root there; returns ``(roots checked, most blocks a node lagged)``."""
+async def _load_and_check(nodes: List[str], waves: Sequence[Batch],
+                          expected: List[Tuple[int, bytes]]) -> Tuple[int, int]:
+    """Write each wave to the primary (``nodes[0]``) as one ``multi_put``
+    plus one ``flush``, then poll every node up to the oracle height and
+    require the oracle's root there; returns ``(roots checked, most
+    blocks a node lagged)``."""
     roots_checked = max_lag = 0
-    async with writer_client() as writer:
+    async with connect(nodes[0]) as writer:
         for wave, batch in enumerate(waves, 1):
             await writer.multi_put(batch)
             await writer.flush()
-            for address, shard in nodes:
-                height, digest = expected[shard][wave - 1]
+            height, digest = expected[wave - 1]
+            for address in nodes:
                 async with connect(address) as node:
                     for _ in range(600):
                         info = await node.root()
@@ -590,7 +512,7 @@ async def _load_and_check(writer_client: Callable[[], KVClient], nodes: List[Tup
                             break
                         await asyncio.sleep(0.02)
                 if (info.height, bytes(info.digest)) != (height, digest):
-                    raise RuntimeError(f"node {address} (shard {shard}) after wave {wave}: "
+                    raise RuntimeError(f"node {address} after wave {wave}: "
                                        f"height {info.height}, root {info.digest.hex()[:16]}; "
                                        f"oracle {height}, {digest.hex()[:16]}")
                 roots_checked += 1
@@ -598,35 +520,32 @@ async def _load_and_check(writer_client: Callable[[], KVClient], nodes: List[Tup
 
 
 def run_process_sweep(
-    topology: str,
     node_counts: Sequence[int] = (1, 2, 4),
     clients_per_node: int = 8,
     ops_per_client: int = 300,
     num_keys: int = 1024,
     load_waves: int = 3,
 ) -> List[Row]:
-    """Figures 19 and 21 (new): per-node throughput of a replica set or a
-    cluster of server processes, every node's root checked against an
-    in-process oracle.
+    """Figure 19 (new): per-node read throughput of a replica set of
+    server processes, every node's root checked against an in-process
+    oracle.
 
-    Per node count the ``topology``'s nodes are spawned and the keys
-    ``key_addr(0..num_keys)`` are written in ``load_waves`` waves, each
-    one ``multi_put`` (which joins one block whole) plus one ``flush``.
-    After every wave every node must reach its shard's oracle height and
-    report the oracle's ``ROOT`` there (:func:`_load_and_check`), or the
-    sweep raises naming the node and the wave: COLE's checkpoints are
-    deterministic in a shard's put stream, so a node that lost,
-    misrouted or misapplied a write cannot match.
+    Per node count a primary and ``count - 1`` replicas are spawned and
+    the keys ``key_addr(0..num_keys)`` are written in ``load_waves``
+    waves, each one ``multi_put`` (which joins one block whole) plus one
+    ``flush``.  After every wave every node must reach the oracle height
+    and report the oracle's ``ROOT`` there (:func:`_load_and_check`), or
+    the sweep raises naming the node and the wave: COLE's checkpoints
+    are deterministic in the put stream, so a node that lost or
+    misapplied a write cannot match.
 
     Then each node is measured **alone** through the load generator's
-    closed loop, ``clients_per_node`` clients of ``ops_per_client`` ops
-    (:data:`TOPOLOGIES` picks GETs or owned-key PUTs).  Each node is its
-    own process with its own engine, so its isolated rate is its
-    capacity on a machine of its own; driving every node at once on one
-    small host would measure that host's cores.  ``ops_per_s_per_node``
-    is the slowest node's rate.
+    closed loop, ``clients_per_node`` clients of ``ops_per_client`` GETs.
+    Each node is its own process with its own engine, so its isolated
+    rate is its capacity on a machine of its own; driving every node at
+    once on one small host would measure that host's cores.
+    ``ops_per_s_per_node`` is the slowest node's rate.
     """
-    spawn, node_streams = TOPOLOGIES[topology]
     keys = [key_addr(rank, ADDR_SIZE) for rank in range(num_keys)]
     puts = [(addr, write_value(SEED, rank, VALUE_SIZE)) for rank, addr in enumerate(keys)]
     per_wave = -(-num_keys // load_waves)
@@ -634,21 +553,20 @@ def run_process_sweep(
     rows: List[Row] = []
     for count in node_counts:
         with process_cell() as (base, procs):
-            writer_client, nodes, shard_of = spawn(base, procs, count)
-            expected = _oracle_roots(base, waves, shard_of, len({shard for _, shard in nodes}))
+            nodes = _spawn_replica_set(base, procs, count)
             roots_checked, max_lag = asyncio.run(
-                _load_and_check(writer_client, nodes, waves, expected))
+                _load_and_check(nodes, waves, _oracle_roots(base, waves)))
             reports = []
-            for index, (address, shard) in enumerate(nodes):
+            for index, address in enumerate(nodes):
                 params = LoadgenParams(clients=clients_per_node, ops_per_client=ops_per_client,
                                        num_keys=num_keys, addr_size=ADDR_SIZE,
-                                       value_size=VALUE_SIZE, seed=SEED + index)
-                streams = node_streams(params, [addr for addr in keys if shard_of(addr) == shard])
+                                       value_size=VALUE_SIZE, seed=SEED + index,
+                                       read_fraction=1.0)
+                streams = [client_ops(params, client) for client in range(params.clients)]
                 reports.append(asyncio.run(run_streams(lambda: connect(address), streams)))
                 if reports[-1].errors:
                     raise RuntimeError(f"node {address}: {reports[-1].error_samples}")
-            rows.append({"topology": topology, "nodes": count,
-                         "ops": sum(report.ops for report in reports),
+            rows.append({"nodes": count, "ops": sum(report.ops for report in reports),
                          "ops_per_s_per_node": min(report.throughput for report in reports),
                          "roots_checked": roots_checked, "max_lag_blocks": max_lag})
     return rows
@@ -873,11 +791,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         client_counts=(32,), policies=("off", "none", "batch", "always"),
         read_fraction=0.1, ops_per_client=200, num_keys=1024, repeats=2,
     ), ("policy", *SERVED_LOAD, "wal_syncs", "wal_mb", "syncs_per_put")),
-    "fig19": Experiment(run_process_sweep, dict(
-        topology="replicas", node_counts=(1, 2, 4), num_keys=1024, load_waves=3)),
+    "fig19": Experiment(run_process_sweep, dict(node_counts=(1, 2, 4), num_keys=1024,
+                                                load_waves=3)),
     "fig20": Experiment(run_scan_throughput),
-    "fig21": Experiment(run_process_sweep, dict(
-        topology="cluster", node_counts=(1, 4), num_keys=2048, load_waves=4)),
     "table1": Experiment(run_chain_sweep, dict(
         heights=(100, 300, 1000), engines=PAPER_ENGINES,
     ), ("engine", "blocks", "storage_bytes", "write_io_per_tx", "get_io_per_query",

@@ -16,10 +16,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli export -w /path/to/workspace --at-blk 100 -o slice.repx
     python -m repro.cli import slice.repx -w /path/to/new-workspace
     python -m repro.cli query -w /path/to/workspace levels
-    python -m repro.cli cluster init manifest.json --nodes 2 --shards 4
-    python -m repro.cli cluster serve /data/node0 --node node-0 -m manifest.json
-    python -m repro.cli cluster status -m manifest.json
-    python -m repro.cli cluster migrate 0 node-1 -m manifest.json --snapshot-dir /tmp/s0
 
 ``repro`` is one click group; ``repro query`` (:mod:`repro.obs.query`)
 is one of its subgroups.  :func:`main` maps every outcome to an exit
@@ -96,24 +92,12 @@ def open_store(
     """Lock ``workspace``, open (recovering) its engine and, with
     ``replay``, replay its WAL so the engine holds every durable write;
     everything closes in reverse order on exit.
-
-    A directory of ``shard-NN/`` workspaces with no manifest of its own
-    is refused: it is a cluster node's layout (or one left by the
-    removed in-process sharded engine), and each ``shard-NN/`` is a
-    single-engine workspace ``repro cluster`` serves.
     """
     import os
 
     from repro.common.params import ColeParams
     from repro.core import Cole
-    from repro.cluster.manifest import node_shard_dirs
 
-    if shards := node_shard_dirs(workspace):
-        raise StorageError(
-            f"{workspace} holds {len(shards)} shard-NN/ workspaces and no "
-            "manifest: one engine serves one workspace, so open a shard "
-            "directory itself, or serve the shards with `repro cluster`"
-        )
     with contextlib.ExitStack() as stack:
         stack.enter_context(_lock_workspace(workspace, purpose))
         engine = Cole(workspace, ColeParams(async_merge=True, mem_capacity=mem_capacity))
@@ -153,40 +137,14 @@ def cli() -> None:
     """COLE reproduction utilities."""
 
 
-def _serving_options(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """The engine and group-commit flags ``serve`` and ``cluster serve``
-    share."""
-    options = (
-        click.option("--mem-capacity", type=int, default=512,
-                     help="L0 capacity B (of each shard, under cluster serve)"),
-        click.option("--batch-puts", type=int, default=512,
-                     help="group-commit size threshold"),
-        click.option("--batch-delay-ms", type=float, default=10.0,
-                     help="group-commit time threshold (milliseconds)"),
-        click.option("--wal-sync", type=click.Choice(SYNC_POLICIES),
-                     default="batch",
-                     help="WAL fsync policy: batch = group fsync per ack wave"),
-    )
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
 @cli.command()
 @click.argument("workspace")
 def info(workspace: str) -> int:
     """Inspect a COLE workspace: manifest and committed runs."""
     from repro.bench.report import format_bytes
     from repro.core.manifest import load_manifest
-    from repro.obs.query import collect_levels, format_output, shard_roots
+    from repro.obs.query import collect_levels, format_output
 
-    shards = shard_roots(workspace)
-    if shards != [("-", workspace)]:
-        print(f"workspace:        {workspace} ({len(shards)} shard workspaces)")
-        print("inspect a shard:")
-        for _name, directory in shards:
-            print(f"  repro info {directory}")
-        return 0
     manifest = load_manifest(workspace)
     print(f"workspace:        {workspace}")
     print(f"checkpoint block: {manifest.checkpoint_blk}")
@@ -246,9 +204,7 @@ def experiment(name: str, **sweeps: Optional[str]) -> int:
 
 def _one_engine(ctx: click.Context, param: click.Parameter, value: int) -> int:
     if value != 1:
-        raise click.BadParameter(
-            "a server serves one engine; serve shards with `repro cluster`"
-        )
+        raise click.BadParameter("a server serves one engine")
     return value
 
 
@@ -257,8 +213,13 @@ def _one_engine(ctx: click.Context, param: click.Parameter, value: int) -> int:
 @click.option("--host", default="127.0.0.1")
 @click.option("--port", type=int, default=7407)
 @click.option("--shards", type=int, default=1, expose_value=False,
-              callback=_one_engine, help="always 1 (scale out with `repro cluster`)")
-@_serving_options
+              callback=_one_engine, help="always 1: a server serves one engine")
+@click.option("--mem-capacity", type=int, default=512, help="L0 capacity B")
+@click.option("--batch-puts", type=int, default=512, help="group-commit size threshold")
+@click.option("--batch-delay-ms", type=float, default=10.0,
+              help="group-commit time threshold (milliseconds)")
+@click.option("--wal-sync", type=click.Choice(SYNC_POLICIES), default="batch",
+              help="WAL fsync policy: batch = group fsync per ack wave")
 @click.option("--negative-cache-capacity", type=int, default=4096,
               help="known-absent address cache entries (0 disables)")
 @click.option("--wal", is_flag=True,
@@ -546,12 +507,6 @@ def import_(ctx: click.Context, file: str, workspace: str) -> int:
               "(1 = plain GETs)")
 @click.option("--format", "-f", "fmt", type=click.Choice(["table", "csv", "json"]),
               default="table", show_default=True, help="output format")
-@click.option("--manifest", default=None,
-              help="cluster manifest file: route ops across the cluster "
-              "instead of --host/--port")
-@click.option("--seeds", default=None,
-              help="comma-separated cluster seed addresses (HOST:PORT,...) "
-              "to fetch the manifest from")
 def loadgen(
     host: str,
     port: int,
@@ -564,8 +519,6 @@ def loadgen(
     seed: int,
     multi_get_size: int,
     fmt: str,
-    manifest: Optional[str],
-    seeds: Optional[str],
 ) -> int:
     """Drive a running server with concurrent YCSB-style clients.
 
@@ -590,14 +543,7 @@ def loadgen(
         seed=seed,
         multi_get_size=multi_get_size,
     )
-    if manifest or seeds:
-        # Cluster target: every worker routes by the manifest through
-        # the same connect() factory the single-server path uses.
-        seed_list = tuple(s for s in (seeds or "").split(",") if s)
-        client_factory = partial(connect, manifest_file=manifest, seeds=seed_list)
-    else:
-        client_factory = partial(connect, (host, port))
-    report = asyncio.run(run_loadgen(client_factory, params))
+    report = asyncio.run(run_loadgen(partial(connect, (host, port)), params))
     note = ""
     if report.errors:
         kinds = ", ".join(f"{kind} x{n}" for kind, n in sorted(report.errors_by_type.items()))
@@ -606,155 +552,6 @@ def loadgen(
     rows = report.rows()
     emit(list(rows[-1]), rows, fmt, note)
     return 1 if report.errors else 0
-
-
-@cli.group()
-def cluster() -> None:
-    """Multi-process cluster: init / serve / status / migrate."""
-
-
-@cluster.command(name="init")
-@click.argument("manifest")
-@click.option("--nodes", type=int, default=2)
-@click.option("--shards", type=int, default=4)
-@click.option("--host", default="127.0.0.1")
-@click.option("--base-port", type=int, default=7450,
-              help="node i gets control port base+16i, its shards the ports after")
-def cluster_init(manifest: str, nodes: int, shards: int, host: str, base_port: int) -> int:
-    """Write an epoch-0 cluster manifest with round-robin placement."""
-    from repro.cluster import plan_manifest
-
-    plan = plan_manifest(nodes, shards, host=host, base_port=base_port)
-    plan.save(manifest)
-    print(f"wrote {manifest} (epoch 0, {shards} shards)")
-    for name, control in sorted(plan.nodes.items()):
-        owned = plan.shards_of_node(name)
-        print(f"  {name}: control {control}, shards {list(owned)}")
-        print(f"    repro cluster serve <workspace>/{name} --node {name} "
-              f"-m {manifest}")
-    return 0
-
-
-@cluster.command(name="serve")
-@click.argument("workspace")
-@click.option("--node", required=True, help="node name from the manifest (e.g. node-0)")
-@click.option("-m", "--manifest", required=True, help="cluster manifest file")
-@_serving_options
-@click.pass_context
-def cluster_serve(
-    ctx: click.Context,
-    workspace: str,
-    node: str,
-    manifest: str,
-    mem_capacity: int,
-    batch_puts: int,
-    batch_delay_ms: float,
-    wal_sync: str,
-) -> int:
-    """Serve one cluster node (its shard group + control port)."""
-    import asyncio
-
-    from repro.cluster import ClusterManifest, ClusterNode
-    from repro.server import ServerConfig
-
-    plan = ClusterManifest.load(manifest)
-    ctx.with_resource(_lock_workspace(workspace, "a second cluster node"))
-    config = ServerConfig(
-        batch_max_puts=batch_puts, batch_max_delay=batch_delay_ms / 1000.0
-    )
-    member = ClusterNode(
-        workspace, node, plan, config=config, mem_capacity=mem_capacity,
-        wal_sync=wal_sync,
-    )
-
-    async def run() -> None:
-        host, port = await member.start()
-        for shard_id, address in sorted(member.data_addresses().items()):
-            print(f"  shard {shard_id}: {address}", flush=True)
-        # Same readiness line shape as `repro serve`, so process
-        # supervisors and the bench harness share one regex.
-        print(
-            f"serving {workspace} on {host}:{port} "
-            f"(cluster node {node}, {len(member.shards)} shards, "
-            f"control, loop=asyncio; Ctrl-C stops)",
-            flush=True,
-        )
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await member.stop()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nstopped")
-    return 0
-
-
-@cluster.command(name="status")
-@click.option("-m", "--manifest", default=None, help="cluster manifest file")
-@click.option("--seed", default=None,
-              help="fetch the manifest from this member address instead")
-def cluster_status(manifest: Optional[str], seed: Optional[str]) -> int:
-    """Ask every node's control port for its shard states."""
-    import asyncio
-
-    from repro.cluster import ClusterManifest, admin_call, fetch_manifest
-    from repro.obs.query import format_output
-
-    if manifest:
-        plan = ClusterManifest.load(manifest)
-    elif seed:
-        plan = asyncio.run(fetch_manifest(seed))
-    else:
-        raise click.UsageError("cluster status needs --manifest or --seed")
-    print(f"manifest epoch {plan.epoch}, {plan.num_shards} shards")
-    rows = []
-    for name, control in sorted(plan.nodes.items()):
-        node = {"node": name, "control": control}
-        try:
-            status = asyncio.run(admin_call(control, {"cmd": "status"}))
-        except Exception as exc:  # noqa: BLE001 — report, don't die
-            rows.append({**node, "shard": "-", "phase": f"unreachable: {exc}",
-                         "height": "-", "address": "-"})
-            continue
-        for shard_id, shard in sorted(status["shards"].items()):
-            moved = f" -> {shard['moved_to']}" if shard["moved_to"] else ""
-            rows.append({**node, "shard": shard_id, "phase": shard["phase"] + moved,
-                         "height": shard["height"], "address": shard["address"]})
-    columns = ["node", "control", "shard", "phase", "height", "address"]
-    print(format_output(columns, rows, "table"))
-    return 0
-
-
-@cluster.command(name="migrate")
-@click.argument("shard", type=int)
-@click.argument("to_node")
-@click.option("-m", "--manifest", required=True, help="manifest file (rewritten)")
-@click.option("--snapshot-dir", default=None,
-              help="bootstrap snapshot directory (default: a temp dir)")
-def cluster_migrate(
-    shard: int, to_node: str, manifest: str, snapshot_dir: Optional[str]
-) -> int:
-    """Live-migrate one shard to another node, rewriting the manifest."""
-    import tempfile
-
-    from repro.cluster import ClusterManifest, migrate_shard_sync
-
-    plan = ClusterManifest.load(manifest)
-    old = plan.shards[shard]
-    snapshot_dir = snapshot_dir or tempfile.mkdtemp(
-        prefix=f"repro-migrate-shard{shard}-"
-    )
-    print(f"migrating shard {shard}: {old.node} ({old.address}) -> {to_node} ...")
-    new_plan = migrate_shard_sync(plan, shard, to_node, snapshot_dir=snapshot_dir)
-    new_plan.save(manifest)
-    moved = new_plan.shards[shard]
-    print(
-        f"shard {shard} now on {moved.node} ({moved.address}); "
-        f"manifest epoch {plan.epoch} -> {new_plan.epoch}, rewrote {manifest}"
-    )
-    return 0
 
 
 @cli.command()

@@ -263,9 +263,11 @@ class Cole:
         """Insert a write set for the current block in one dispatch.
 
         Same compound keys and overwrite-within-a-block semantics as one
-        ``put`` per pair; the block height is validated once per batch.
+        ``put`` per pair; the block height is validated once per batch.  An
+        address or value not of the system's length raises ``StorageError``
+        before it is inserted: no run could hold it.
         """
-        addr_size = self.params.system.addr_size
+        addr_size, value_size = self.params.system.addr_size, self.params.system.value_size
         blk = self.current_blk
         check_blk(blk)
         count = 0
@@ -275,6 +277,8 @@ class Cole:
                 for addr, value in items:
                     if len(addr) != addr_size:
                         raise StorageError(f"address must be {addr_size} bytes")
+                    if len(value) != value_size:
+                        raise StorageError(f"value must be {value_size} bytes")
                     insert(compound_key(addr, blk), value)
                     count += 1
             finally:

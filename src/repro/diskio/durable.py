@@ -1,8 +1,8 @@
 """Durable disk effects: the one way to publish or fsync a file.
 
 Every file the store replaces whole — the engine manifest, the WAL's
-format record, ``SNAPSHOT.json``, the cluster manifest and a ``repro
-export`` stream — is published by :func:`replacing`.  Its directory fsync
+format record, ``SNAPSHOT.json`` and a ``repro export`` stream — is
+published by :func:`replacing`.  Its directory fsync
 is what makes the rename survive power loss (Pillai et al., OSDI '14).
 A crash-left ``<target>.<random>.tmp`` in an engine workspace is deleted
 by the orphan sweep on open.  A file written in place — a run, a

@@ -160,43 +160,28 @@ def emit(columns: List[str], rows: List[dict], fmt: str, note: str = "") -> None
 # collectors (plain functions — the tests drive these directly too)
 # =============================================================================
 
-def shard_roots(workspace: str) -> List[Tuple[str, str]]:
-    """``(shard_label, directory)`` pairs covering the workspace.
-
-    A cluster node's workspace is a directory of ``shard-NN``
-    subdirectories (no root manifest); a single-engine workspace is its
-    own root.
-    """
-    from repro.cluster.manifest import node_shard_dirs
-
-    names = node_shard_dirs(workspace)
-    return [(name, os.path.join(workspace, name)) for name in names] or [("-", workspace)]
-
-
-def committed_runs(workspace: str) -> List[Tuple[str, str, int, str, RunRecord]]:
-    """Every manifest-committed run: ``(shard, dir, level, group, record)``."""
+def committed_runs(workspace: str) -> List[Tuple[int, str, RunRecord]]:
+    """Every manifest-committed run: ``(level, group, record)``."""
     from repro.core.manifest import load_manifest
 
-    out = []
-    for shard, directory in shard_roots(workspace):
-        manifest = load_manifest(directory)
-        for level, groups in sorted(manifest.levels.items()):
-            for role, records in sorted(groups.items()):
-                for record in records:
-                    out.append((shard, directory, level, role, record))
-    return out
+    manifest = load_manifest(workspace)
+    return [
+        (level, role, record)
+        for level, groups in sorted(manifest.levels.items())
+        for role, records in sorted(groups.items())
+        for record in records
+    ]
 
 
 def collect_levels(workspace: str) -> List[dict]:
-    """Runs, entry counts, and byte sizes per level per shard: ``bytes``
-    is the run's total, ``val_bytes`` … ``blm_bytes`` its files'."""
+    """Runs, entry counts, and byte sizes per level: ``bytes`` is the
+    run's total, ``val_bytes`` … ``blm_bytes`` its files'."""
     from repro.core.run import run_file_sizes
 
     rows = []
-    for shard, directory, level, role, record in committed_runs(workspace):
-        sizes = run_file_sizes(directory, record.name)
+    for level, role, record in committed_runs(workspace):
+        sizes = run_file_sizes(workspace, record.name)
         row = {
-            "shard": shard,
             "level": level,
             "group": role,
             "run": record.name,
@@ -223,8 +208,8 @@ def collect_segments(workspace: str, page_size: int = 4096) -> List[dict]:
 
     rows = []
     params = SystemParams(page_size=page_size)
-    for shard, directory, level, _role, record in committed_runs(workspace):
-        ws = Workspace(directory, page_size)
+    for level, _role, record in committed_runs(workspace):
+        ws = Workspace(workspace, page_size)
         try:
             index = IndexFile(
                 ws.open_file(f"{record.name}.idx", category="index", create=False),
@@ -234,7 +219,6 @@ def collect_segments(workspace: str, page_size: int = 4096) -> List[dict]:
             epsilon = index.models_per_page // 2
             rows.append(
                 {
-                    "shard": shard,
                     "level": level,
                     "run": record.name,
                     "entries": record.num_entries,
@@ -267,8 +251,8 @@ def collect_bloom(
     rng = random.Random(seed)
     probe_keys = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(probes)]
     rows = []
-    for shard, directory, level, _role, record in committed_runs(workspace):
-        path = os.path.join(directory, f"{record.name}.blm")
+    for level, _role, record in committed_runs(workspace):
+        path = os.path.join(workspace, f"{record.name}.blm")
         if not os.path.exists(path):
             continue
         with open(path, "rb") as handle:
@@ -276,7 +260,6 @@ def collect_bloom(
         hits = sum(1 for key in probe_keys if bloom.may_contain(key))
         rows.append(
             {
-                "shard": shard,
                 "level": level,
                 "run": record.name,
                 "keys": bloom.count,
@@ -347,9 +330,7 @@ def collect_caches(stats: dict) -> List[dict]:
     ]
 
 
-def _compaction_rows(
-    shard: str, flushed: int, rewritten: int, levels: List[tuple]
-) -> List[dict]:
+def _compaction_rows(flushed: int, rewritten: int, levels: List[tuple]) -> List[dict]:
     """Shared row shaping of the cold and live compaction collectors:
     one row per level plus a ``*`` summary row carrying the cumulative
     write-amplification (merge bytes over flush bytes)."""
@@ -357,7 +338,6 @@ def _compaction_rows(
     for level, runs, entries, size, level_rewritten in levels:
         rows.append(
             {
-                "shard": shard,
                 "level": level,
                 "runs": runs,
                 "entries": entries,
@@ -368,7 +348,6 @@ def _compaction_rows(
         )
     rows.append(
         {
-            "shard": shard,
             "level": "*",
             "runs": sum(row[1] for row in levels),
             "entries": sum(row[2] for row in levels),
@@ -390,37 +369,21 @@ def collect_compaction(workspace: str) -> List[dict]:
     from repro.core.manifest import load_manifest
     from repro.core.run import run_file_sizes
 
-    rows = []
-    for shard, directory in shard_roots(workspace):
-        manifest = load_manifest(directory)
-        levels = []
-        for level, groups in sorted(manifest.levels.items()):
-            records = [
-                record
-                for role in sorted(groups)
-                for record in groups[role]
-            ]
-            size = sum(
-                sum(run_file_sizes(directory, record.name).values()) for record in records
-            )
-            levels.append(
-                (
-                    level,
-                    len(records),
-                    sum(record.num_entries for record in records),
-                    size,
-                    manifest.level_bytes_rewritten.get(level, 0),
-                )
-            )
-        rows.extend(
-            _compaction_rows(
-                shard,
-                manifest.bytes_flushed,
-                manifest.bytes_rewritten,
-                levels,
+    manifest = load_manifest(workspace)
+    levels = []
+    for level, groups in sorted(manifest.levels.items()):
+        records = [record for role in sorted(groups) for record in groups[role]]
+        size = sum(sum(run_file_sizes(workspace, record.name).values()) for record in records)
+        levels.append(
+            (
+                level,
+                len(records),
+                sum(record.num_entries for record in records),
+                size,
+                manifest.level_bytes_rewritten.get(level, 0),
             )
         )
-    return rows
+    return _compaction_rows(manifest.bytes_flushed, manifest.bytes_rewritten, levels)
 
 
 def collect_compaction_live(stats: dict) -> List[dict]:
@@ -435,12 +398,7 @@ def collect_compaction_live(stats: dict) -> List[dict]:
         levels.append(
             (level, row["runs"], row["entries"], row["bytes"], row["bytes_rewritten"])
         )
-    return _compaction_rows(
-        "-",
-        snapshot["bytes_flushed"],
-        snapshot["bytes_rewritten"],
-        levels,
-    )
+    return _compaction_rows(snapshot["bytes_flushed"], snapshot["bytes_rewritten"], levels)
 
 
 def collect_latency(metrics_text: str) -> List[dict]:
@@ -602,11 +560,11 @@ def query_group(ctx: click.Context, workspace: Optional[str], server_addr: Optio
 @format_option
 @click.pass_obj
 def levels(target: QueryTarget, fmt: str) -> None:
-    """Runs and sizes per level per shard, with the bytes of each run file."""
+    """Runs and sizes per level, with the bytes of each run file."""
     rows = collect_levels(target.resolve_workspace())
     emit(
         [
-            "shard", "level", "group", "run", "entries", "bytes",
+            "level", "group", "run", "entries", "bytes",
             "val_bytes", "idx_bytes", "mrk_bytes", "blm_bytes",
         ],
         rows,
@@ -622,7 +580,7 @@ def segments(target: QueryTarget, fmt: str) -> None:
     rows = collect_segments(target.resolve_workspace())
     emit(
         [
-            "shard", "level", "run", "entries", "segments", "layers",
+            "level", "run", "entries", "segments", "layers",
             "models_per_page", "epsilon", "entries_per_segment", "seek_pages",
         ],
         rows,
@@ -645,7 +603,7 @@ def bloom(target: QueryTarget, probes: int, fmt: str) -> None:
     rows = collect_bloom(target.resolve_workspace(), probes=probes)
     emit(
         [
-            "shard", "level", "run", "keys", "bits", "hashes",
+            "level", "run", "keys", "bits", "hashes",
             "size_bytes", "fpr_theory", "fpr_measured",
         ],
         rows,
@@ -707,7 +665,7 @@ def replication(target: QueryTarget, fmt: str) -> None:
 def compaction(target: QueryTarget, fmt: str) -> None:
     """Per-level layout and cumulative write-amp.
 
-    The ``*`` row totals a shard: ``bytes`` is the cumulative output of
+    The ``*`` row totals the store: ``bytes`` is the cumulative output of
     builds that landed on level 1, ``bytes_rewritten`` of those that
     landed deeper (together every byte written), ``write_amp`` their
     ratio.
@@ -718,7 +676,7 @@ def compaction(target: QueryTarget, fmt: str) -> None:
         rows = collect_compaction(target.resolve_workspace())
     emit(
         [
-            "shard", "level", "runs", "entries", "bytes",
+            "level", "runs", "entries", "bytes",
             "bytes_rewritten", "write_amp",
         ],
         rows,

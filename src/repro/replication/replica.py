@@ -52,25 +52,15 @@ class ReplicaApplier:
         primary_host: str,
         primary_port: int,
         retry_delay: float = 0.5,
-        wal=None,
     ) -> None:
         """``server`` is the replica-mode :class:`~repro.server.ColeServer`
         that owns the engine, the thread pool, and the read caches this
-        applier reconciles on every applied commit.
-
-        ``wal`` (optional, cluster migration only) is a *local*
-        :class:`~repro.wal.WriteAheadLog` every applied batch is mirrored
-        into — PUTS before the apply, COMMIT after the root verifies —
-        so a catch-up replica about to be promoted to primary can
-        recover from its own disk through the ordinary ``replay_wal``
-        path (idempotent: replay skips heights the engine already has).
-        """
+        applier reconciles on every applied commit."""
         self.server = server
         self.primary_host = primary_host
         self.primary_port = primary_port
         self.primary_addr = f"{primary_host}:{primary_port}"
         self.retry_delay = retry_delay
-        self.wal = wal
         #: Height of the last block applied to the local engine.
         self.last_height = server.engine.last_blk
         #: Root of the last applied block (None until the first apply).
@@ -211,13 +201,6 @@ class ReplicaApplier:
                 self._fail_diverged(record.height, record.root, self.last_root)
             return
         items = pending.pop(record.height, [])
-        if self.wal is not None and items:
-            # Mirror before applying: a crash between the append and the
-            # apply leaves an uncommitted tail that recovery replays
-            # into the engine — never an applied block the WAL missed.
-            # (Executor hop: the append is a write syscall, and the
-            # applier shares the loop with the replica's read traffic.)
-            await self.server._run(self.wal.append_puts, items, record.height)
         apply_started = time.perf_counter()
         root = await self.server._run(self._apply, record.height, items)
         metrics = getattr(self.server, "metrics", None)
@@ -232,8 +215,6 @@ class ReplicaApplier:
             # the caches — ROOT and STATS keep naming the last
             # *verified* commit while the applier freezes.
             self._fail_diverged(record.height, record.root, root)
-        if self.wal is not None:
-            await self.server._run(self.wal.append_commit, record.height, bytes(root))
         self.last_height = record.height
         self.last_root = bytes(root)
         self.batches_applied += 1

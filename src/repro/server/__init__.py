@@ -10,7 +10,7 @@ Turns the in-process engine into a service (see DESIGN.md):
 * :class:`VersionedReadCache` — hot-key read cache, refreshed by each
   commit for the addresses it wrote so cached answers are always exact;
 * :class:`ServerClient` — one pipelined asyncio connection, the only
-  client transport (replica streams and cluster control calls too);
+  client transport (replica streams too);
 * :mod:`repro.server.loadgen` — closed-loop load generation
   (``repro loadgen`` on the CLI; Figure 17 in the benchmarks).
 
@@ -22,15 +22,11 @@ A WAL-enabled server is also a replication primary — live replicas
 each one read through its own ``connect(replica)`` (Figure 19;
 ``tests/test_replication.py``; see :mod:`repro.replication`).
 
-Client code holds one interface regardless of topology: :func:`connect`
-returns a :class:`KVClient` — a :class:`ServerClient` for one server
-(primary, replica or shard server), or the manifest-routed
-``ClusterClient`` (see :mod:`repro.cluster`) when given cluster
-arguments.  Servers that must not answer a request refer the client with
-a :class:`Referral`: a replica answers a write with ``NOT_PRIMARY``
-naming its primary, which a :class:`ServerClient` raises as
-:class:`NotPrimaryError`, and a cluster server answers ``MOVED`` naming
-a migrated shard's new owner; the cluster client follows both.
+Client code holds one interface: :func:`connect` returns a
+:class:`KVClient` for one server, primary or replica.  A replica answers
+a write with ``NOT_PRIMARY`` naming its primary, which a
+:class:`ServerClient` raises as :class:`NotPrimaryError`, a
+:class:`Referral`.
 """
 
 from repro.server.batcher import WriteBatcher
@@ -44,7 +40,6 @@ from repro.server.loadgen import (
     run_loadgen,
 )
 from repro.server.protocol import (
-    MovedError,
     NotPrimaryError,
     Op,
     Referral,
@@ -67,7 +62,6 @@ __all__ = [
     "RootInfo",
     "Referral",
     "NotPrimaryError",
-    "MovedError",
     "LoadgenParams",
     "LoadReport",
     "client_ops",

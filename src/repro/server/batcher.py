@@ -38,6 +38,14 @@ truncates the WAL segments they cover.
 
 The batcher is a primary server's ``committer`` (:mod:`repro.server.server`).
 
+**Admission and crash-stop.**  A put whose address or value length is
+not the engine's is refused before it is logged or buffered: acked, it
+would be served, then wedge every later group commit.  A group commit
+that fails anyway stops the batcher for good — its batch can never
+commit — so from then on every write op is refused with an ERROR frame,
+FLUSH raises and STATS reports ``batcher.commit_failed``, as a replica
+freezes on a divergent root.
+
 One deliberate read-uncommitted window: the overlay publishes a
 buffered write the instant it is logged, while its writer's ack may
 still be waiting on the group fsync.  A *concurrent* reader can thus
@@ -63,7 +71,8 @@ from repro.server.cache import MISSING
 class WriteBatcher:
     """Buffers puts and commits them as one block per flush."""
 
-    #: A primary takes writes: no refusal frame.
+    #: The frame every write op is answered with once a group commit
+    #: failed; ``None`` while this primary takes writes.
     write_refusal: Optional[bytes] = None
 
     def __init__(
@@ -90,6 +99,9 @@ class WriteBatcher:
         :class:`~repro.obs.MetricsRegistry` recording flush latency and
         the batch-size distribution."""
         self.engine = engine
+        system = engine.params.system
+        #: The ``(address, value)`` lengths every put must have.
+        self._sizes = (system.addr_size, system.value_size)
         self.max_batch = max_batch
         self.max_delay = max_delay
         self._run = run_in_executor
@@ -111,7 +123,8 @@ class WriteBatcher:
         self._flushing_height = -1
         self._flush_lock = asyncio.Lock()
         self._timer: Optional[asyncio.TimerHandle] = None
-        self._closed = False
+        #: Why puts are refused (shutdown, a failed commit); ``None``: taken.
+        self._refusal: Optional[str] = None
         # Accounting (exposed via the STATS op).
         self.commits = 0
         self.batched_puts = 0
@@ -119,6 +132,7 @@ class WriteBatcher:
         self.size_flushes = 0
         self.timer_flushes = 0
         self.forced_flushes = 0
+        self.commit_failed = False
         self.last_root: Optional[Digest] = None
         self.last_height = engine.last_blk
         # Latency/size distributions (metric objects cached here so the
@@ -153,8 +167,10 @@ class WriteBatcher:
         durability the ack must wait for (policy-dependent; the server's
         group syncer handles that).
         """
-        if self._closed:
-            raise StorageError("server is shutting down")
+        if self._refusal is not None:
+            raise StorageError(self._refusal)
+        if (len(addr), len(value)) != self._sizes:
+            raise self._malformed()
         height = self._next_height
         # WAL first, buffer second: a failed append must leave nothing
         # behind — a buffered-but-unlogged put would commit, be served,
@@ -181,10 +197,14 @@ class WriteBatcher:
         promises — and with a WAL attached the batch is one
         ``append_puts`` call (one record) instead of a record per key.
         Same WAL-first ordering as :meth:`put`: a failed append leaves
-        nothing buffered.
+        nothing buffered, and one malformed item refuses the whole batch.
         """
-        if self._closed:
-            raise StorageError("server is shutting down")
+        if self._refusal is not None:
+            raise StorageError(self._refusal)
+        sizes = self._sizes
+        for addr, value in items:
+            if (len(addr), len(value)) != sizes:
+                raise self._malformed()
         height = self._next_height
         if self.wal is not None:
             self.last_put_lsn = self.wal.append_puts(items, height)
@@ -200,14 +220,20 @@ class WriteBatcher:
             self._timer = loop.call_later(self.max_delay, self._on_timer)
         return height
 
+    def _malformed(self) -> StorageError:
+        addr_size, value_size = self._sizes
+        return StorageError(f"address must be {addr_size} bytes and value {value_size} bytes")
+
     def _on_timer(self) -> None:
         self._timer = None
-        if self._active_items and not self._closed:
+        if self._active_items and self._refusal is None:
             self.timer_flushes += 1
             self._spawn_flush()
 
     def _spawn_flush(self) -> None:
-        asyncio.get_running_loop().create_task(self.flush())
+        task = asyncio.get_running_loop().create_task(self.flush())
+        # A failed commit is recorded by flush() itself (commit_failed).
+        task.add_done_callback(lambda done: done.cancelled() or done.exception())
 
     # -- read side (event loop only) ------------------------------------------
 
@@ -261,9 +287,11 @@ class WriteBatcher:
 
         With nothing buffered this is :meth:`root`.  Safe to call
         concurrently — flushes serialize and each batch commits exactly
-        once.
+        once.  After a failed commit it raises.
         """
         async with self._flush_lock:
+            if self.commit_failed:
+                raise StorageError(self._refusal)
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
@@ -280,12 +308,12 @@ class WriteBatcher:
             flush_started = time.perf_counter()
             try:
                 root = await self._run(self._commit, height, items)
-            except BaseException:
-                # The engine rejected the block (e.g. a malformed write
-                # slipped through): the batch is lost, but the overlay
-                # must not keep answering for it.
-                self._flushing_overlay = {}
-                self._flushing_height = -1
+            except BaseException as exc:
+                # The batch can never commit, nor can anything after it:
+                # stop taking writes, and stop answering for the buffered
+                # ones.
+                self._stop(f"group commit of block {height} failed ({exc!r}); "
+                           "this server takes no more writes")
                 raise
             if self._flush_hist is not None:
                 self._flush_hist.observe(time.perf_counter() - flush_started)
@@ -315,6 +343,14 @@ class WriteBatcher:
                     await self._durable(self.last_commit_lsn)
                     self._hub.publish(height, items, root)
             return root, height
+
+    def _stop(self, reason: str) -> None:
+        """The crash-stop after a failed commit (module docstring)."""
+        self.commit_failed = True
+        self._refusal = reason
+        self.write_refusal = protocol.encode_error(f"StorageError: {reason}")
+        self._active_items, self._active_overlay = [], {}
+        self._flushing_overlay, self._flushing_height = {}, -1
 
     def _maybe_truncate_wal(self) -> None:
         """Drop WAL segments the engine checkpoint now covers.
@@ -382,13 +418,16 @@ class WriteBatcher:
                 "timer_flushes": self.timer_flushes,
                 "forced_flushes": self.forced_flushes,
                 "multi_put_batches": self.multi_put_batches,
+                "commit_failed": self.commit_failed,
             },
             "replication": None if self._hub is None else self._hub.stats(self.last_height),
         }
 
     async def close(self) -> None:
         """Flush what is buffered and refuse further puts."""
-        self._closed = True
+        if self.commit_failed:
+            return
+        self._refusal = "server is shutting down"
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

@@ -10,15 +10,12 @@ in request order.  Pipelining removes the per-op network round trip from
 the critical path, which is where most of a small op's latency lives.
 The same connection also carries the one ``stream`` op
 (:meth:`ServerClient.stream`), so it is the only client transport: the
-replica applier and the cluster control calls ride it too.
+replica applier rides it too.
 
-Two client shapes implement the one :class:`KVClient` interface: a
-:class:`ServerClient` talks to one server — a primary, a read replica
-or a shard server — and the manifest-routed ``ClusterClient`` (see
-:mod:`repro.cluster.client`) to a whole cluster.  :func:`connect` is the
-factory that picks the shape from its arguments.  Callers (loadgen,
-benchmarks, ``repro query -s``, examples) hold a ``KVClient`` and never
-special-case the class behind it.
+A :class:`ServerClient` talks to one server — a primary or a read
+replica — through the typed :class:`KVClient` methods, and
+:func:`connect` builds one from a target.  Callers (loadgen, benchmarks,
+``repro query -s``, examples) hold a ``KVClient``.
 """
 
 from __future__ import annotations
@@ -40,15 +37,14 @@ STREAM_WINDOW = 64
 
 
 class KVClient:
-    """The one client interface every serving topology implements.
+    """The typed client interface.
 
     ``connect()`` / ``close()`` bracket the session (or use ``async
     with``); between them the data plane is ``get / put / get_at /
     multi_get / multi_put / scan / prov`` and the control plane is
     ``root / flush / stats / metrics``.  The typed methods are written
     once, here, over :meth:`_route` — *one request by its op-table row
-    to the server that should answer it* — so subclasses differ only in
-    routing, never in semantics.
+    to the server* — so a transport supplies only :meth:`_route`.
     """
 
     async def connect(self) -> "KVClient":
@@ -58,8 +54,8 @@ class KVClient:
         raise NotImplementedError
 
     async def _route(self, spec: OpSpec, *args):
-        """Send one ``spec`` request built from ``args`` to the server
-        this topology picks for it; returns the decoded response."""
+        """Send one ``spec`` request built from ``args``; returns the
+        decoded response."""
         raise NotImplementedError
 
     async def __aenter__(self):
@@ -96,7 +92,7 @@ class KVClient:
         self, addr: bytes, blk_low: int, blk_high: int
     ) -> Tuple[object, bytes]:
         """Provenance result plus the ``Hstate`` digest it verifies
-        against — the proof self-verifies, whichever node served it."""
+        against — the proof self-verifies, whichever server answered."""
         return await self._route(_OPS[Op.PROV], addr, blk_low, blk_high)
 
     async def scan(
@@ -238,8 +234,7 @@ class _Connection(protocol.FrameProtocol):
         if self._transport is None:
             # The server hung up: a request sent now would wait for a
             # response nobody is left to send.  Raised as the transport
-            # failure it is — what a send on a reset socket raises too —
-            # so the cluster client reconnects and retries.
+            # failure it is — what a send on a reset socket raises too.
             raise ConnectionResetError(  # repro-lint: disable=error-taxonomy
                 "connection closed by server"
             )
@@ -332,44 +327,13 @@ def _to_addr(target: Target) -> Tuple[str, int]:
     return host, int(port)
 
 
-def connect(
-    target: Optional[Target] = None,
-    *,
-    manifest: object = None,
-    manifest_file: Optional[str] = None,
-    seeds: Sequence[Target] = (),
-) -> KVClient:
-    """Build the right :class:`KVClient` for the serving topology.
-
-    The factory — not the caller — picks the client class:
-
-    * cluster arguments (``manifest``, ``manifest_file``, or ``seeds``)
-      select the manifest-routed ``ClusterClient``;
-    * a bare ``target`` selects the single-server :class:`ServerClient`
-      — a primary, a replica (reads; a write raises
-      :class:`~repro.server.protocol.NotPrimaryError` naming the
-      primary) or one cluster shard server.
+def connect(target: Target) -> KVClient:
+    """A :class:`ServerClient` for ``target`` — a primary, or a replica
+    (reads; a write raises :class:`~repro.server.protocol.NotPrimaryError`
+    naming the primary).
 
     Targets are ``"host:port"`` strings or ``(host, port)`` tuples.  The
     returned client is *not yet connected*: use ``async with
     connect(...) as client`` or ``await connect(...).connect()``.
     """
-    if manifest is not None or manifest_file or seeds:
-        if target is not None:
-            raise StorageError(
-                "connect(): cluster arguments (manifest/manifest_file/seeds) "
-                "are exclusive with a target"
-            )
-        # Imported lazily: repro.cluster depends on this module.
-        from repro.cluster.client import ClusterClient
-
-        seed_addrs = tuple(
-            seed if isinstance(seed, str) else "%s:%d" % _to_addr(seed)
-            for seed in seeds
-        )
-        return ClusterClient(
-            manifest=manifest, manifest_file=manifest_file, seeds=seed_addrs
-        )
-    if target is None:
-        raise StorageError("connect() needs a target or cluster arguments")
     return ServerClient(*_to_addr(target))

@@ -318,10 +318,7 @@ async def run_loadgen(client_factory, params: LoadgenParams) -> LoadReport:
 
     ``client_factory`` is a zero-arg callable returning an *unconnected*
     :class:`~repro.server.client.KVClient`, so it names the target:
-    ``lambda: connect((host, port))`` drives one server and a factory
-    over ``connect(manifest_file=...)`` a whole cluster, through the
-    exact same op streams — the generator never special-cases the
-    client class.
+    ``lambda: connect((host, port))``.
 
     Finishes with a forced group commit (so the run's writes are
     committed) and a STATS snapshot attached to the report.

@@ -13,46 +13,41 @@ Ops
 ---
 
 Every op is declared **once**, as a row of :data:`OPS` at the bottom of
-this module; request decoding, the server's dispatch and counters, the
-typed client methods and the cluster key check all read that table.
+this module; request decoding, the server's dispatch and counters and the
+typed client methods all read that table.
 
-==============  =======  ==========  ========================  =========================
-op              class    routes by   request payload           OK response payload
-==============  =======  ==========  ========================  =========================
-PUT             write    addr        addr16, value32           u64 block height assigned
-GET             read     addr        addr16                    value32 (or NOT_FOUND)
-GET_AT          read     addr        addr16, u64 blk           value32 (or NOT_FOUND)
-PROV            read     addr        addr16, u64 blk_low,      blob32 (pickled result,
-                                     u64 blk_high              root; proof classes only)
-ROOT            control  —           —                         digest16, u64 ver, u64 blk
-STATS           control  —           —                         blob32 (JSON, utf-8)
-FLUSH           write    —           —                         digest16, u64 ver, u64 blk
-REPL_SUBSCRIBE  stream   —           u64 start_height          u64 primary height, then
-                                                               a stream of record frames
-SCAN            read     —           lo16, hi16, u64 at_blk,   one result page: u8 more,
-                                     u32 limit                 [cont16,] u64 snapshot
-                                                               height, u32 count, then
-                                                               count x (addr16, u64 blk,
-                                                               value32)
-MULTI_GET       read     every addr  u16 count, count x        u16 count, count x
-                                     addr16                    (u8 present, [value32])
-MULTI_PUT       write    every addr  u16 count, count x        u64 block height assigned
-                                     (addr16, value32)         to the whole batch
-METRICS         control  —           —                         blob32 (Prometheus text
-                                                               exposition, utf-8)
-CLUSTER         control  —           —                         blob32 (manifest JSON)
-ADMIN           control  —           blob32 (JSON command)     blob32 (JSON result)
-==============  =======  ==========  ========================  =========================
+==============  =======  ========================  =========================
+op              class    request payload           OK response payload
+==============  =======  ========================  =========================
+PUT             write    addr16, value32           u64 block height assigned
+GET             read     addr16                    value32 (or NOT_FOUND)
+GET_AT          read     addr16, u64 blk           value32 (or NOT_FOUND)
+PROV            read     addr16, u64 blk_low,      blob32 (pickled result,
+                         u64 blk_high              root; proof classes only)
+ROOT            control  —                         digest16, u64 ver, u64 blk
+STATS           control  —                         blob32 (JSON, utf-8)
+FLUSH           write    —                         digest16, u64 ver, u64 blk
+REPL_SUBSCRIBE  stream   u64 start_height          u64 primary height, then
+                                                   a stream of record frames
+SCAN            read     lo16, hi16, u64 at_blk,   one result page: u8 more,
+                         u32 limit                 [cont16,] u64 snapshot
+                                                   height, u32 count, then
+                                                   count x (addr16, u64 blk,
+                                                   value32)
+MULTI_GET       read     u16 count, count x        u16 count, count x
+                         addr16                    (u8 present, [value32])
+MULTI_PUT       write    u16 count, count x        u64 block height assigned
+                         (addr16, value32)         to the whole batch
+METRICS         control  —                         blob32 (Prometheus text
+                                                   exposition, utf-8)
+==============  =======  ========================  =========================
 
 The **class** decides who may answer: a replica rejects ``write`` ops
-with ``NOT_PRIMARY``; a shard that has moved away answers ``MOVED`` to
-every ``read`` and ``write`` op (the *data* ops) but keeps serving
-``control`` ops so operators and the migration coordinator can still
-observe it; a ``stream`` op takes over its connection.  **Routes by**
-names the addresses a cluster shard checks ownership of (and a cluster
-client picks the owner by); SCAN and FLUSH are data ops with no routable
-key — a cluster client fans them over every shard.  A request with bytes
-left over after its payload is rejected, whatever the op.
+with ``NOT_PRIMARY``; a ``stream`` op takes over its connection.  A
+request with bytes left over after its payload is rejected, whatever
+the op.  Opcode 13 is unassigned, and opcode 14 (:data:`Op.RETIRED_ADMIN`)
+still decodes its old payload (one blob32) but is answered exactly as
+an unknown opcode is.
 
 ``MULTI_GET`` / ``MULTI_PUT`` are the vectorized point ops: N keys cost
 one round trip, one frame parse, and (for puts) one batcher handoff and
@@ -88,24 +83,11 @@ sequence of OK frames, each carrying exactly one raw WAL record
 them.  A server that cannot serve the stream answers the subscribe with
 an ERROR frame instead (replicas answer ``NOT_PRIMARY``).
 
-``NOT_PRIMARY`` and ``MOVED`` are the two **referral** statuses: the
-server cannot answer, but it knows who can.  ``NOT_PRIMARY`` is the
-write rejection of replica servers (payload: the primary's
-``host:port``); ``MOVED`` is the cluster rejection of a server that no
-longer owns the requested shard (payload: ``u64 manifest_epoch``,
-``u16 shard_id``, then the new owner's ``host:port``).  Both decode in
-one place — :func:`check_status` — into subclasses of one
-:class:`Referral` error carrying ``(reason, address, manifest_epoch,
-shard_id)``, so every client handles redirection through a single type
-instead of per-call-site status checks.
-
-``CLUSTER`` asks any cluster member for its current manifest (JSON,
-utf-8) — the same document the static manifest file holds — so clients
-can bootstrap from one seed address and refresh after a ``MOVED``.
-``ADMIN`` carries a JSON command blob to a cluster node's control
-server (snapshot / adopt / cutover / promote / status...); keeping the
-admin surface inside one opcode means migrations evolve without
-touching the wire format again.
+``NOT_PRIMARY`` is the **referral** status: the server cannot answer,
+but it knows who can — a replica rejecting a write names its primary's
+``host:port``.  It decodes in one place, :func:`check_status`, into a
+:class:`NotPrimaryError`, a :class:`Referral` carrying ``(reason,
+address)``.  Status 4 is unassigned.
 
 ``PROV`` responses carry the engine's full provenance result (values,
 boundary version, and the authentication proof) and the root it is
@@ -138,7 +120,7 @@ import pickle
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.codec import U16, U32, U64, Cursor, pack_bytes16, pack_bytes32, pack_items
 from repro.common.errors import StorageError
@@ -180,8 +162,9 @@ class Op:
     MULTI_GET = 10
     MULTI_PUT = 11
     METRICS = 12
-    CLUSTER = 13
-    ADMIN = 14
+    #: The removed cluster's ADMIN command (a JSON blob): it still
+    #: decodes, and a server answers it as it answers an unknown opcode.
+    RETIRED_ADMIN = 14
 
 
 class Status:
@@ -191,36 +174,21 @@ class Status:
     NOT_FOUND = 1
     ERROR = 2
     NOT_PRIMARY = 3
-    MOVED = 4
 
 
 class Referral(StorageError):
-    """The server cannot answer, but named who can.
+    """The server cannot answer, but named who can: ``address`` is the
+    ``host:port`` to retry against."""
 
-    One error type covers every redirection the protocol knows:
-    ``NOT_PRIMARY`` (a replica naming its primary) and ``MOVED`` (a
-    cluster server naming a shard's new owner).  ``address`` is always
-    the ``host:port`` to retry against; ``manifest_epoch`` / ``shard_id``
-    are only meaningful for MOVED (0 / ``None`` otherwise).
-    """
-
-    def __init__(
-        self,
-        reason: str,
-        address: str,
-        manifest_epoch: int = 0,
-        shard_id: Optional[int] = None,
-    ) -> None:
+    def __init__(self, reason: str, address: str) -> None:
         super().__init__(f"{reason}; retry at {address}")
         self.reason = reason
         self.address = address
-        self.manifest_epoch = manifest_epoch
-        self.shard_id = shard_id
 
 
 def parse_address(address: str) -> Tuple[str, int]:
-    """``host:port`` -> ``(host, port)``: the shape of every referral
-    payload, manifest entry and CLI address option."""
+    """``host:port`` -> ``(host, port)``: the shape of a referral
+    payload and of every CLI address option."""
     host, _, port = address.rpartition(":")
     if not host or not port.isdigit():
         raise StorageError(f"expected HOST:PORT, got {address!r}")
@@ -232,18 +200,6 @@ class NotPrimaryError(Referral):
 
     def __init__(self, primary: str) -> None:
         super().__init__("not the primary; writes go to the primary", primary)
-
-
-class MovedError(Referral):
-    """The shard moved to a new owner; refresh the manifest and retry."""
-
-    def __init__(self, address: str, manifest_epoch: int, shard_id: int) -> None:
-        super().__init__(
-            f"shard {shard_id} moved (manifest epoch {manifest_epoch})",
-            address,
-            manifest_epoch,
-            shard_id,
-        )
 
 
 @dataclass(frozen=True)
@@ -341,14 +297,14 @@ def encode_multi_put(items: List[Tuple[bytes, bytes]]) -> bytes:
 
 
 def encode_simple(op: int) -> bytes:
-    """ROOT / STATS / FLUSH / METRICS / CLUSTER — opcode-only requests."""
+    """ROOT / STATS / FLUSH / METRICS — opcode-only requests."""
     return encode_frame(bytes([op]))
 
 
 def encode_admin(payload: dict) -> bytes:
-    """One ADMIN request: a JSON command blob for a cluster control server."""
+    """One request of the retired opcode 14: a JSON blob."""
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return encode_frame(bytes([Op.ADMIN]) + pack_bytes32(blob))
+    return encode_frame(bytes([Op.RETIRED_ADMIN]) + pack_bytes32(blob))
 
 
 def encode_repl_subscribe(start_height: int) -> bytes:
@@ -418,21 +374,6 @@ def encode_not_primary(primary: str) -> bytes:
     return encode_frame(bytes([Status.NOT_PRIMARY]) + primary.encode("utf-8"))
 
 
-def encode_moved(address: str, manifest_epoch: int, shard_id: int) -> bytes:
-    """Cluster referral: the shard now lives at ``address``.
-
-    The epoch lets clients discard stale manifests monotonically; the
-    shard id lets them patch a single routing entry without a full
-    manifest refresh.
-    """
-    return encode_frame(
-        bytes([Status.MOVED])
-        + U64.pack(manifest_epoch)
-        + U16.pack(shard_id)
-        + address.encode("utf-8")
-    )
-
-
 def encode_value_response(value: Optional[bytes]) -> bytes:
     """GET / GET_AT response."""
     if value is None:
@@ -461,18 +402,14 @@ def check_status(cursor: Cursor) -> int:
     """Consume the status byte; raises on ERROR and referral frames.
 
     This is the *single* decode point for referrals: every response
-    decoder funnels through here, so NOT_PRIMARY and MOVED surface as
-    :class:`Referral` subclasses uniformly across all ops.
+    decoder funnels through here, so NOT_PRIMARY surfaces as
+    :class:`NotPrimaryError` uniformly across all ops.
     """
     status = cursor.u8()
     if status == Status.ERROR:
         raise StorageError(f"server error: {cursor.rest().decode('utf-8', 'replace')}")
     if status == Status.NOT_PRIMARY:
         raise NotPrimaryError(cursor.rest().decode("utf-8", "replace"))
-    if status == Status.MOVED:
-        epoch = cursor.u64()
-        shard_id = cursor.u16()
-        raise MovedError(cursor.rest().decode("utf-8", "replace"), epoch, shard_id)
     return status
 
 
@@ -571,7 +508,7 @@ def decode_text_response(body: bytes) -> str:
 
 
 def decode_json_response(body: bytes) -> dict:
-    """STATS / CLUSTER / ADMIN responses: a JSON blob."""
+    """STATS responses: a JSON blob."""
     try:
         return json.loads(decode_text_response(body))
     except json.JSONDecodeError as exc:
@@ -690,17 +627,12 @@ def decode_repl_record(body: bytes) -> bytes:
 
 READ, WRITE, CONTROL, STREAM = "read", "write", "control", "stream"
 
-#: Classes whose ops touch shard data: they obey MOVED referrals.
-DATA_CLASSES = (READ, WRITE)
-
 
 @dataclass(frozen=True)
 class OpSpec:
     """One row of the op table: all the serving layer knows about an op.
 
-    ``addresses(args)`` yields the addresses the decoded request routes
-    by (``None``: it carries no routable key).  ``encode(*args)`` builds
-    the request frame, ``decode_args(cursor)`` reads its payload back
+    ``encode(*args)`` builds the request frame, ``decode_args(cursor)`` reads its payload back
     into ``args``, and ``decode(body)`` turns the response body into the
     typed result (funnelling through :func:`check_status`).
     """
@@ -708,53 +640,45 @@ class OpSpec:
     op: int
     name: str  # STATS / metrics label
     kind: str  # READ / WRITE / CONTROL / STREAM
-    addresses: Optional[Callable[[tuple], Sequence[bytes]]]
     encode: Callable[..., bytes]
     decode_args: Callable[[Cursor], tuple]
     decode: Callable[[bytes], object]
 
 
-def _first_arg(args: tuple) -> tuple:
-    return args[:1]
-
-
 def _bare(op: int, name: str, kind: str, decode: Callable) -> OpSpec:
     """An opcode-only request."""
     encode = partial(encode_simple, op)
-    return OpSpec(op, name, kind, None, encode, lambda c: (), decode)
+    return OpSpec(op, name, kind, encode, lambda c: (), decode)
 
 
 #: opcode -> spec, in opcode order (the order STATS["ops"] reports).
 OPS: Dict[int, OpSpec] = {
     spec.op: spec
     for spec in (
-        OpSpec(Op.PUT, "put", WRITE, _first_arg, encode_put,
+        OpSpec(Op.PUT, "put", WRITE, encode_put,
                lambda c: (c.bytes16(), c.bytes32()), decode_height_response),
-        OpSpec(Op.GET, "get", READ, _first_arg, encode_get,
+        OpSpec(Op.GET, "get", READ, encode_get,
                lambda c: (c.bytes16(),), decode_value_response),
-        OpSpec(Op.GET_AT, "get_at", READ, _first_arg, encode_get_at,
+        OpSpec(Op.GET_AT, "get_at", READ, encode_get_at,
                lambda c: (c.bytes16(), c.u64()), decode_value_response),
-        OpSpec(Op.PROV, "prov", READ, _first_arg, encode_prov,
+        OpSpec(Op.PROV, "prov", READ, encode_prov,
                lambda c: (c.bytes16(), c.u64(), c.u64()), decode_prov_response),
         _bare(Op.ROOT, "root", CONTROL, decode_root_response),
         _bare(Op.STATS, "stats", CONTROL, decode_json_response),
         _bare(Op.FLUSH, "flush", WRITE, decode_root_response),
-        OpSpec(Op.REPL_SUBSCRIBE, "repl", STREAM, None, encode_repl_subscribe,
+        OpSpec(Op.REPL_SUBSCRIBE, "repl", STREAM, encode_repl_subscribe,
                lambda c: (c.u64(),), decode_repl_handshake),
-        OpSpec(Op.SCAN, "scan", READ, None, encode_scan,
+        OpSpec(Op.SCAN, "scan", READ, encode_scan,
                lambda c: (c.bytes16(), c.bytes16(), c.u64(), c.u32()),
                decode_scan_response),
-        OpSpec(Op.MULTI_GET, "multi_get", READ, lambda args: args[0],
-               encode_multi_get,
+        OpSpec(Op.MULTI_GET, "multi_get", READ, encode_multi_get,
                lambda c: ([c.bytes16() for _ in range(_check_batch_count(c.u16()))],),
                decode_multi_get_response),
-        OpSpec(Op.MULTI_PUT, "multi_put", WRITE,
-               lambda args: [addr for addr, _ in args[0]], encode_multi_put,
+        OpSpec(Op.MULTI_PUT, "multi_put", WRITE, encode_multi_put,
                lambda c: (c.items(_check_batch_count(c.u16())),),
                decode_height_response),
         _bare(Op.METRICS, "metrics", CONTROL, decode_text_response),
-        _bare(Op.CLUSTER, "cluster", CONTROL, decode_json_response),
-        OpSpec(Op.ADMIN, "admin", CONTROL, None, encode_admin,
+        OpSpec(Op.RETIRED_ADMIN, "admin", CONTROL, encode_admin,
                lambda c: (c.bytes32(),), decode_json_response),
     )
 }

@@ -143,14 +143,6 @@ METRICS_TABLE = (
      "replication.batches_published", {}),
     ("repro_replication_records_shipped_total", "counter", "WAL records shipped to replicas",
      "replication.records_shipped", {}),
-    ("repro_cluster_shard_id", "gauge", "Shard this server owns", "cluster.shard_id", {}),
-    ("repro_cluster_manifest_epoch", "gauge", "Adopted manifest epoch",
-     "cluster.manifest_epoch", {}),
-    ("repro_cluster_migration_phase", "gauge",
-     "Migration phase (0=serving 1=snapshot 2=catchup 3=promoting 4=moved)",
-     "cluster.phase_code", {}),
-    ("repro_cluster_moved_referrals_total", "counter", "MOVED referrals answered",
-     "cluster.moved_referrals", {}),
 )
 
 
@@ -534,8 +526,6 @@ class ColeServer:
         config: Optional[ServerConfig] = None,
         wal=None,
         replica_of: Optional[Tuple[str, int]] = None,
-        cluster=None,
-        replica_wal=None,
     ) -> None:
         """Wrap ``engine`` (a ``Cole``); ``port=0``
         binds an ephemeral port (reported by :meth:`start`).
@@ -550,26 +540,13 @@ class ColeServer:
         ``replica_of`` makes this server a read-only *replica* of the
         primary at ``(host, port)``; replicas keep no WAL of their own
         (their recovery source is the primary's stream), so the two
-        options are mutually exclusive.  ``replica_wal`` is the cluster
-        migration exception: a *local* WAL the applier mirrors every
-        applied batch into, so a catch-up replica that is about to be
-        promoted to primary can recover from its own disk — the promoted
-        server then reuses the same WAL through the ordinary ``wal=``
-        recovery path.
-
-        ``cluster`` (a :class:`~repro.cluster.node.ShardRole`, duck-
-        typed) makes this server one shard of a cluster: its
-        ``referral_for`` hook is consulted before every dispatch and may
-        answer ``MOVED`` instead (mid-migration cutover, or a key the
-        shard does not own), and ``Op.CLUSTER`` serves its manifest.
+        options are mutually exclusive.
         """
         if replica_of is not None and wal is not None:
             raise ValueError(
                 "a replica keeps no WAL of its own; recovery re-streams "
                 "from the primary"
             )
-        if replica_wal is not None and replica_of is None:
-            raise ValueError("replica_wal only applies to a replica server")
         self.engine = engine
         self.host = host
         self.port = port
@@ -578,8 +555,6 @@ class ColeServer:
         self.wal_syncer: Optional[_WalSyncer] = None
         self.replay_stats = None  # ReplayStats once start() recovered
         self.replica_of = replica_of
-        self.replica_wal = replica_wal
-        self.cluster = cluster
         #: A primary's ``WriteBatcher`` or a replica's ``ReplicaApplier``.
         self.committer: Any = None  # set by start()
         self.cache = VersionedReadCache(self.config.cache_capacity)
@@ -648,9 +623,7 @@ class ColeServer:
         if self.replica_of is not None:
             from repro.replication import ReplicaApplier
 
-            self.committer = ReplicaApplier(
-                self, *self.replica_of, wal=self.replica_wal
-            )
+            self.committer = ReplicaApplier(self, *self.replica_of)
         else:
             self.committer = WriteBatcher(
                 self.engine,
@@ -775,16 +748,6 @@ class ColeServer:
     async def _dispatch(self, op: int, args: tuple) -> bytes:
         spec = protocol.OPS[op]
         self.op_counts[spec.name] += 1
-        if self.cluster is not None:
-            # The cluster role may refer this request elsewhere (MOVED):
-            # this check and the batcher insert share one synchronous
-            # step (the connection steps this coroutine inline up to its
-            # first suspension, which comes after the insert), which is
-            # what makes the migration cutover lossless — once the role
-            # flips to moved, no write can slip in and ack here.
-            referral = self.cluster.referral_for(op, args)
-            if referral is not None:
-                return referral
         if spec.kind == protocol.WRITE and self.committer.write_refusal is not None:
             return self.committer.write_refusal  # a replica's NOT_PRIMARY
         return await self._HANDLERS[op](self, *args)
@@ -832,15 +795,9 @@ class ColeServer:
             RootInfo(digest=root, version=self.version, height=height)
         )
 
-    async def _op_cluster(self) -> bytes:
-        if self.cluster is None:
-            return protocol.encode_error("this server is not a cluster member")
-        return protocol.encode_blob_response(self.cluster.manifest_json())
-
-    async def _op_admin(self, _blob: bytes) -> bytes:
-        return protocol.encode_error(
-            "ADMIN is answered by the node control port, not a shard server"
-        )
+    async def _op_retired(self, _blob: bytes) -> bytes:
+        # The answer a frame of an unknown opcode gets from the decoder.
+        return _error_frame(StorageError(f"unknown opcode {Op.RETIRED_ADMIN}"))
 
     async def _stream_replication(self, conn: Connection, start_height: int) -> None:
         """Serve one REPL_SUBSCRIBE connection until it closes."""
@@ -1034,7 +991,6 @@ class ColeServer:
                 "categories": engine_stats.per_category(),
             },
             "wal": wal,
-            "cluster": None if self.cluster is None else self.cluster.stats(),
             "replication": role.get("replication"),
         }
         # A section this server's role or set-up lacks is absent, not null.
@@ -1084,8 +1040,7 @@ class ColeServer:
         Op.MULTI_GET: _op_multi_get,
         Op.MULTI_PUT: _op_multi_put,
         Op.METRICS: _op_metrics,
-        Op.CLUSTER: _op_cluster,
-        Op.ADMIN: _op_admin,
+        Op.RETIRED_ADMIN: _op_retired,
     }
 
 

@@ -201,20 +201,6 @@ def test_snapshot_refuses_locked_workspace(tmp_path, capsys):
     assert main(["snapshot", workspace, str(tmp_path / "snap")]) == 0
 
 
-def test_workspace_of_shard_directories_is_refused(tmp_path, capsys):
-    """``shard-NN/`` subdirectories and no manifest of its own: a cluster
-    node's layout, never opened as one engine."""
-    workspace = tmp_path / "ws"
-    for index in range(2):
-        build_durable_workspace(str(workspace / f"shard-{index:02d}"))
-    snap = tmp_path / "snap"
-    assert main(["snapshot", str(workspace), str(snap)]) == 1
-    assert "repro cluster" in capsys.readouterr().err
-    assert not snap.exists()
-    # Each shard directory is a single-engine workspace of its own.
-    assert main(["snapshot", str(workspace / "shard-00"), str(snap)]) == 0
-
-
 def corrupt_one_file(snap):
     with open(os.path.join(snap, "SNAPSHOT.json")) as handle:
         victim = sorted(json.load(handle)["files"])[0]
@@ -272,7 +258,8 @@ def test_snapshot_verify_only_rejects_extra_arguments(tmp_path, capsys):
 
 #: The argparse tree's surface, recorded (``opts``, type, default,
 #: choices, required, nargs per flag and positional) before the CLI moved
-#: onto click, plus the ``query`` group's.
+#: onto click, plus the ``query`` group's, less the ``cluster`` verbs and
+#: ``loadgen --manifest`` / ``--seeds``, which left with the cluster.
 SURFACE = Path(__file__).parent / "fixtures" / "cli_surface.json"
 
 #: Flags the argparse tree had and the click tree dropped.  No caller
@@ -283,13 +270,11 @@ REMOVED_FLAGS = {
     ("serve", "--wal-segment-kb"): "WriteAheadLog's default 4 MiB segments",
     ("loadgen", "--mode"): "closed loop, the only one the generator runs",
     ("loadgen", "--rate"): "read only by an open loop --mode never selected",
-    ("cluster migrate", "--timeout"): "migrate_shard_sync's default, 60 s",
 }
 
 #: Flags of the removed in-process sharded engine: a workspace holds one
-#: engine, so there is no shard count to give (``cluster init --shards``
-#: is the cluster's own).  ``serve --shards`` stays for scripts that pass
-#: it and accepts only 1, its default now.
+#: engine, so there is no shard count to give.  ``serve --shards`` stays
+#: for scripts that pass it and accepts only 1, its default now.
 SHARD_FLAGS = {
     ("experiment", "--shards"): "fig16's shard-count sweep",
     ("snapshot", "--shards"): "the shard count of the workspace to open",
@@ -370,9 +355,10 @@ def test_click_tree_keeps_the_recorded_surface():
         if not path.startswith("query")
         for entry in verb.values()
     )
-    # the argparse tree had 62
+    # the argparse tree had 62; the cluster verbs' 15 and loadgen's two
+    # cluster flags left the recording with the cluster
     assert flags == (
-        62 - len(REMOVED_FLAGS) - len(SHARD_FLAGS) - len(PRESET_FLAGS) - len(FEATURE_FLAGS)
+        45 - len(REMOVED_FLAGS) - len(SHARD_FLAGS) - len(PRESET_FLAGS) - len(FEATURE_FLAGS)
     )
 
 
@@ -416,7 +402,7 @@ def plain(*argv):
         (plain("nope"), 2, "No such command"),
         (plain("query", "levels"), 2, "exactly one of"),
         (plain("experiment", "fig20", "--engines", "cole"), 2, ""),
-        (plain("serve", "TMP/ws", "--shards", "2"), 2, "repro cluster"),
+        (plain("serve", "TMP/ws", "--shards", "2"), 2, "one engine"),
         (plain("loadgen", "--json"), 2, "No such option '--json'"),
         (
             plain("snapshot", "TMP/ws", "TMP/snap", "--incremental-from", "TMP/prev"),

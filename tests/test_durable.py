@@ -1,8 +1,8 @@
 """One way to publish a file: every whole-file writer goes through
 :func:`repro.diskio.durable.replacing`.
 
-The five writers are the engine manifest, the WAL's format record, a
-snapshot's ``SNAPSHOT.json``, the cluster manifest and ``repro export``.
+The four writers are the engine manifest, the WAL's format record, a
+snapshot's ``SNAPSHOT.json`` and ``repro export``.
 Each must fsync the temp file, rename it over the target, then fsync the
 directory; publish with the mode a plain ``open(path, "wb")`` gives; and
 on a failed write leave the target and its directory as they were.
@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.cluster.manifest import plan_manifest
 from repro.common.params import ColeParams
 from repro.core import Cole
 from repro.core.manifest import MANIFEST_NAME, Manifest, save_manifest
@@ -67,12 +66,6 @@ def snapshot_record(tmp_path, closers):
     return dest / SNAPSHOT_META_NAME, lambda: snapshot_store(engine, str(dest))
 
 
-def cluster_manifest(tmp_path, closers):
-    path = tmp_path / "cluster" / "manifest.json"
-    plan_manifest(2, 4).save(str(path))
-    return path, lambda: plan_manifest(3, 6).save(str(path))
-
-
 def export_stream(tmp_path, closers):
     out = tmp_path / "out" / "slice.repx"
     out.parent.mkdir()
@@ -81,7 +74,7 @@ def export_stream(tmp_path, closers):
     return out, lambda: main(export)
 
 
-WRITERS = [engine_manifest, wal_meta, snapshot_record, cluster_manifest, export_stream]
+WRITERS = [engine_manifest, wal_meta, snapshot_record, export_stream]
 
 
 @pytest.fixture(params=WRITERS, ids=lambda writer: writer.__name__)

@@ -54,8 +54,6 @@ SMOKE = {
     # model (latest and at_blk) before timing anything.
     "fig20": dict(scan_lengths=(8, 64), num_addresses=1024,
                   blocks=48, puts_per_block=128, scans_per_point=120, repeats=1),
-    "fig21": dict(node_counts=(2,), clients_per_node=2, ops_per_client=20,
-                  num_keys=64, load_waves=2),
     "table1": dict(heights=(150,), num_accounts=20),
     "index-share": dict(heights=(10,), num_accounts=10),
     "multi-get": dict(batch_sizes=(1, 16), clients=4, ops_per_client=60,
@@ -153,12 +151,12 @@ IN_PROCESS = {
     ),
 }
 
-#: The process sweep's experiments: their row schema.  Every node's root
-#: is checked against its shard's oracle after every wave, and the count
-#: of those checks is an exact claim.
-PROCESS_SWEEP = ("topology", "nodes", "ops", "ops_per_s_per_node", "roots_checked",
-                 "max_lag_blocks")
-SUBPROCESS = {"fig19": PROCESS_SWEEP, "fig21": PROCESS_SWEEP}
+#: The process sweep's experiment: its row schema.  Every node's root is
+#: checked against the oracle after every wave, and the count of those
+#: checks is an exact claim.
+SUBPROCESS = {
+    "fig19": ("nodes", "ops", "ops_per_s_per_node", "roots_checked", "max_lag_blocks"),
+}
 
 
 def smoke_rows(name: str, keys: tuple) -> list:
@@ -222,12 +220,11 @@ class LossyOracle(Cole):
         super().put_many(items[:-1] if self.last_blk == 2 else items)
 
 
-@pytest.mark.parametrize("topology", experiments.TOPOLOGIES)
-def test_a_node_that_diverges_from_its_oracle_fails_the_sweep(monkeypatch, topology):
+def test_a_node_that_diverges_from_its_oracle_fails_the_sweep(monkeypatch):
     # One node, so the replica set's check is the primary's own.
     monkeypatch.setattr(experiments, "Cole", LossyOracle)
-    with pytest.raises(RuntimeError, match=r"^node 127\.0\.0\.1:\d+ \(shard 0\) after wave 2:"):
-        experiments.run_process_sweep(topology, node_counts=(1,), clients_per_node=1,
+    with pytest.raises(RuntimeError, match=r"^node 127\.0\.0\.1:\d+ after wave 2:"):
+        experiments.run_process_sweep(node_counts=(1,), clients_per_node=1,
                                       ops_per_client=1, num_keys=8, load_waves=2)
 
 
@@ -303,8 +300,9 @@ def test_driver_parameter_surface_cannot_regrow():
     # 121 before the drivers became sweeps over shared cells, 68 before
     # figs 9-15, 17, 18, Table 1 and the index share shared three sweeps,
     # 51 before fig16 and fig20's shard counts left with the in-process
-    # sharded engine, 47 before figs 19 and 21 shared the process sweep.
-    assert total <= 43
+    # sharded engine, 47 before figs 19 and 21 shared the process sweep,
+    # 43 before fig21's cluster topology left.
+    assert total <= 42
 
 
 # -- documentation -----------------------------------------------------------

@@ -7,8 +7,7 @@ What the transport promises, tested at its seams:
   ``Connection.data_received`` and under the client's;
 * answers leave in request order whether a handler finishes inline
   (cached GET) or suspends (PUT awaiting the group fsync, a pooled
-  MULTI_GET), and a cluster role that flips to ``moved`` between two
-  pipelined PUTs refuses the second without losing the first;
+  MULTI_GET);
 * a peer that pipelines and never reads is held at the transport's
   high-water mark plus one answer, alone;
 * the client's stream mode (the replica's subscription) yields every
@@ -39,9 +38,8 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.replication.hub import ReplicationHub
 from repro.server import ColeServer, ServerClient, ServerConfig, ServerThread, protocol
-from repro.server.batcher import MISSING
 from repro.server.client import STREAM_WINDOW, _Connection
-from repro.server.protocol import MAX_FRAME, MovedError, Op
+from repro.server.protocol import MAX_FRAME, Op
 from repro.server.server import Connection, _WalSyncer
 from repro.wal import WriteAheadLog
 
@@ -74,7 +72,7 @@ def _split(stream: bytes) -> list:
     return protocol.FrameBuffer().feed(stream)
 
 
-def _in_loop_server(tmp_path, scenario, wal_sync="batch", cluster=None):
+def _in_loop_server(tmp_path, scenario, wal_sync="batch"):
     """Run ``scenario(server, host, port)`` with a ColeServer on the
     scenario's own loop, so the test can look at the server between
     awaits.  ``wal_sync=None`` serves without a WAL (PUT acks inline)."""
@@ -88,7 +86,6 @@ def _in_loop_server(tmp_path, scenario, wal_sync="batch", cluster=None):
             engine,
             config=ServerConfig(batch_max_puts=1000, batch_max_delay=60.0),
             wal=wal,
-            cluster=cluster,
         )
         host, port = await server.start()
         try:
@@ -300,62 +297,6 @@ def test_one_pipeline_of_suspending_and_inline_requests_is_answered_in_order(tmp
         assert not server._conn_tasks  # nothing left suspended
 
     _in_loop_server(tmp_path, scenario)
-
-
-class _FlippingRole:
-    """A duck-typed ``ShardRole`` that serves until :meth:`flip`, then
-    refers every data op — the cutover, reduced to its one decision."""
-
-    def __init__(self):
-        self.moved = False
-        self.on_served = lambda: None
-
-    def flip(self):
-        self.moved = True
-
-    def referral_for(self, op, args):
-        if protocol.OPS[op].kind not in protocol.DATA_CLASSES:
-            return None
-        if self.moved:
-            return protocol.encode_moved("10.0.0.9:7407", 7, 0)
-        self.on_served()
-        return None
-
-
-@pytest.mark.parametrize("wal_sync", ["batch", None], ids=["suspending-put", "inline-put"])
-def test_a_referral_flip_between_two_pipelined_puts_loses_no_write(tmp_path, wal_sync):
-    """The role flips right after the first PUT passed its check — with
-    a WAL while that PUT is parked on the fsync, the second queued behind
-    it.  The first is buffered (check and insert are one synchronous
-    step) and the cutover flush commits it; the second is refused."""
-    role = _FlippingRole()
-
-    async def scenario(server, host, port):
-        loop = asyncio.get_running_loop()
-        if wal_sync is None:
-            role.on_served = role.flip  # before the second frame is stepped
-        else:
-            role.on_served = lambda: loop.call_soon(role.flip)  # while the first waits
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(
-                protocol.encode_put(addr_of(1), value_of(1))
-                + protocol.encode_put(addr_of(2), value_of(2))
-            )
-            first = await read_frame(reader)
-            second = await read_frame(reader)
-        finally:
-            writer.close()
-            await writer.wait_closed()
-        assert protocol.decode_height_response(first) == 1
-        with pytest.raises(MovedError):
-            protocol.decode_height_response(second)
-        assert server.committer.lookup(addr_of(2)) is MISSING
-        await server.committer.flush()  # what the cutover does after the flip
-        assert server.engine.get(addr_of(1)) == value_of(1)
-        assert server.engine.get(addr_of(2)) is None
-
-    _in_loop_server(tmp_path, scenario, wal_sync=wal_sync, cluster=role)
 
 
 def test_a_peer_that_half_closes_still_gets_its_suspended_answer(tmp_path):

@@ -15,6 +15,10 @@ opcodes and classes a proof is made of, and every bit flip of a real
 blob, decoded and then verified, gives the original versions or raises.  The hex goldens pin the WAL
 record format.  The baselines' own formats (an LSM sstable page, an MPT
 node) are swept with every truncation.
+
+A write whose address or value is not of the store's length is refused
+wherever it enters — PUT, MULTI_PUT, ``Cole.put_many`` — before it is
+logged, buffered or acked; one an older build logged replays as skipped.
 """
 
 import asyncio
@@ -35,6 +39,7 @@ from repro.mpt.nibbles import pack_nibbles
 from repro.mpt.node import BranchNode, ExtensionNode, LeafNode, decode_node, encode_node
 from repro.server import ServerClient, ServerConfig, ServerThread, protocol
 from repro.server.protocol import OPS, Op, RootInfo
+from repro.wal import WriteAheadLog, replay_wal
 from repro.wal.record import encode_commit, encode_puts, scan_records
 
 A, B, V = bytes(range(20)), bytes(20), b"value"
@@ -85,7 +90,7 @@ REQUEST_ARGS = {
     Op.SCAN: (A, B, 7, 10),
     Op.MULTI_GET: ([A, B],),
     Op.MULTI_PUT: ([(A, V), (B, b"")],),
-    Op.ADMIN: ({"cmd": "status"},),
+    Op.RETIRED_ADMIN: ({"cmd": "status"},),
 }
 
 
@@ -113,8 +118,7 @@ def response_bodies(prov_blob: bytes) -> dict:
         Op.MULTI_GET: protocol.encode_multi_get_response([V, None]),
         Op.MULTI_PUT: protocol.encode_height_response(9),
         Op.METRICS: protocol.encode_blob_response(b"# TYPE x counter\nx 1\n"),
-        Op.CLUSTER: json_blob,
-        Op.ADMIN: json_blob,
+        Op.RETIRED_ADMIN: json_blob,
     }
 
 
@@ -268,6 +272,74 @@ def test_served_prov_still_verifies_against_its_root(tmp_path):
         kinds = asyncio.run(scenario(*thread.start()))
     engine.close()
     assert kinds == {MemProofItem, RunProofItem, RunNegativeItem, StubItem}
+
+
+# =============================================================================
+# writes of the wrong length
+# =============================================================================
+
+WIDE = ColeParams(system=SystemParams(addr_size=8, value_size=12), mem_capacity=16)
+GOOD_ADDR, GOOD_VALUE = bytes(range(8)), bytes(range(12))
+
+
+def wrong_lengths():
+    """Every ``(address, value)`` with one side of each length from 0 to
+    twice the right one, except the right one."""
+    for size in range(2 * 8 + 1):
+        if size != 8:
+            yield bytes(size), GOOD_VALUE
+    for size in range(2 * 12 + 1):
+        if size != 12:
+            yield GOOD_ADDR, bytes(size)
+
+
+def test_a_served_write_of_the_wrong_length_is_refused_before_the_log(tmp_path):
+    engine = Cole(str(tmp_path / "ws"), WIDE)
+    wal = WriteAheadLog(str(tmp_path / "wal"))
+
+    async def scenario(host, port):
+        async with ServerClient(host, port) as client:
+            await client.put(GOOD_ADDR, GOOD_VALUE)
+            root = await client.flush()
+            records = wal.stats()["records_appended"]
+            for addr, value in wrong_lengths():
+                for write in (client.put(addr, value),
+                              client.multi_put([(bytes(8), GOOD_VALUE), (addr, value)])):
+                    with pytest.raises(ReproError, match="must be 8 bytes and value 12"):
+                        await write
+                assert wal.stats()["records_appended"] == records
+                assert await client.get(bytes(8)) is None  # a bad batch is refused whole
+            assert await client.flush() == root  # nothing was buffered either
+
+    with ServerThread(engine, config=ServerConfig(), wal=wal) as thread:
+        asyncio.run(scenario(*thread.start()))
+    wal.close()
+    engine.close()
+
+
+def test_the_engine_refuses_a_write_of_the_wrong_length(tmp_path):
+    engine = Cole(str(tmp_path / "ws"), WIDE)
+    engine.begin_block(1)
+    engine.put_many([(GOOD_ADDR, GOOD_VALUE)])
+    root = engine.root_digest()
+    for item in wrong_lengths():
+        with pytest.raises(ReproError, match="must be"):
+            engine.put_many([item])
+        assert engine.root_digest() == root
+    engine.commit_block()
+    engine.close()
+
+
+def test_a_logged_write_of_the_wrong_length_replays_as_skipped(tmp_path):
+    wal = WriteAheadLog(str(tmp_path / "wal"))
+    wal.append_puts([(GOOD_ADDR, GOOD_VALUE), (GOOD_ADDR[::-1], b"short")], 1)
+    wal.close()
+    engine = Cole(str(tmp_path / "ws"), WIDE)
+    with WriteAheadLog(str(tmp_path / "wal")) as wal:
+        stats = replay_wal(engine, wal)
+    assert (stats.puts_replayed, stats.puts_skipped_invalid) == (1, 1)
+    assert engine.get(GOOD_ADDR) == GOOD_VALUE
+    engine.close()
 
 
 # =============================================================================

@@ -3,8 +3,8 @@
 Every counter and gauge a server exports is a row of
 ``repro.server.server.METRICS_TABLE`` read off one STATS snapshot, so
 the two reports cannot disagree about which facts exist.  For each
-serving role — primary without a WAL, primary with a WAL, replica,
-cluster shard — under one fixed load:
+serving role — primary without a WAL, primary with a WAL, replica —
+under one fixed load:
 
 * every counter / gauge series in METRICS is exactly the set the table
   resolves against a STATS snapshot taken right after it, with the same
@@ -15,8 +15,9 @@ cluster shard — under one fixed load:
   which this file's ``__main__`` recorded against commit ``aa4aa94``
   (the last tree whose exposition was written out by hand), less the
   in-process sharded engine's role and its ``repro_engine_shards``
-  gauge, and the ``cache="page"`` series of the engine page cache, all
-  since removed:
+  gauge, the ``cache="page"`` series of the engine page cache, and the
+  cluster shard's role, its ``repro_cluster_*`` rows and the
+  ``op="cluster"`` series, all since removed:
 
       PYTHONPATH=<aa4aa94 checkout>/src python tests/test_metrics_table.py
 """
@@ -30,7 +31,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterNode, NodeThread, plan_manifest
 from repro.common.params import ColeParams
 from repro.core import Cole
 from repro.obs.registry import parse_exposition
@@ -38,7 +38,7 @@ from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.wal import WriteAheadLog
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metrics_series.json"
-ROLES = ("primary", "primary_wal", "replica", "cluster_shard")
+ROLES = ("primary", "primary_wal", "replica")
 
 MEM = 32
 WRITES = 120
@@ -88,19 +88,6 @@ def loaded(role: str, tmp_path):
     ``(host, port)`` once it is quiet."""
     directory = str(tmp_path / role)
     with contextlib.ExitStack() as stack:
-        if role == "cluster_shard":
-            plan = plan_manifest(1, 1)
-            node = ClusterNode(
-                directory, next(iter(plan.nodes)), plan, config=CONFIG,
-                mem_capacity=MEM, ephemeral=True,
-            )
-            stack.enter_context(NodeThread(node))
-            host, port = node.data_addresses()[0].rsplit(":", 1)
-            target = (host, int(port))
-            asyncio.run(_load(target, target))
-            node.shards[0].engine.wait_for_merges()
-            yield target
-            return
         engine = Cole(directory, PARAMS)
         stack.callback(engine.close)
         wal = None

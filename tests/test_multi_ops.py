@@ -13,7 +13,6 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cluster import ClusterClient, plan_manifest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
@@ -93,15 +92,10 @@ def test_multi_encode_rejects_bad_batch_sizes():
         protocol.encode_multi_get(oversize)
 
 
-@pytest.mark.parametrize("shape", ["server", "cluster"])
-def test_every_client_shape_refuses_empty_and_oversize_batches(shape):
+def test_the_client_refuses_empty_and_oversize_batches():
     """The batch is checked before any connection opens, so no server
-    runs here.  A cluster checks the whole batch before splitting it: an
-    oversize batch whose every shard's share fits is refused too."""
-    if shape == "server":
-        client = ServerClient("127.0.0.1", 1)
-    else:
-        client = ClusterClient(manifest=plan_manifest(2, 4))
+    runs here."""
+    client = ServerClient("127.0.0.1", 1)
     oversize = [addr_of(n) for n in range(MAX_MULTI_BATCH + 1)]
 
     async def scenario():

@@ -1,8 +1,8 @@
 """The op table (``repro.server.protocol.OPS``) is the contract.
 
-Every protocol op is declared once, as a table row; decoding, dispatch,
-the typed clients and the cluster key check are derived from it.  These
-tests pin what "derived" must keep meaning:
+Every protocol op is declared once, as a table row; decoding, dispatch
+and the typed client are derived from it.  These tests pin what
+"derived" must keep meaning:
 
 * golden frames — request and response bytes recorded at the commit
   *before* the table existed (PR 18, ``c84c513``) still encode to the
@@ -11,11 +11,10 @@ tests pin what "derived" must keep meaning:
 * wiring — every ``Op`` has a row, a server handler that takes the row's
   args, and a ``KVClient`` method (or a stated reason it has none); every
   ``Status`` that is not an answer raises in ``check_status``;
-* the ``write`` / data / keyed op sets, written out as literals, equal
-  what the table derives — on the table and through ``_dispatch`` and
-  ``ShardRole.referral_for``;
-* one committer — ``ColeServer`` and the cluster node ask the server's
-  committer, never which role object it holds (an ``ast`` check).
+* the ``write`` op set, written out as a literal, equals what the table
+  derives — on the table and through ``_dispatch``;
+* one committer — ``ColeServer`` asks its committer, never which role
+  object it holds (an ``ast`` check).
 
 No sockets: this file runs in the CI ``unit`` job.
 """
@@ -31,14 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.cluster import ShardRole, plan_manifest
 from repro.common.errors import StorageError
 from repro.server import ColeServer, KVClient, protocol
 from repro.server.protocol import (
     LATEST_BLK,
     MAX_MULTI_BATCH,
     OPS,
-    MovedError,
     NotPrimaryError,
     Op,
     RootInfo,
@@ -74,7 +71,6 @@ GOLDEN_REQUESTS = [
      ([(b"a1", b"v1"), (b"a2", b"v2")],),
      "000000170b00020002613100000002763100026132000000027632"),
     ("METRICS", 12, (), (), "000000010c"),
-    ("CLUSTER", 13, (), (), "000000010d"),
     ("ADMIN", 14, ({"cmd": "status", "shard": 3},),
      (b'{"cmd": "status", "shard": 3}',),
      "000000220e0000001d7b22636d64223a2022737461747573222c20227368617264"
@@ -124,28 +120,18 @@ GOLDEN_REJECTIONS = {
               StorageError),
     "not_primary": (protocol.encode_not_primary, ("10.0.0.1:7407",),
                     "0000000e0331302e302e302e313a37343037", NotPrimaryError),
-    "moved": (protocol.encode_moved, ("10.0.0.2:7408", 7, 3),
-              "00000018040000000000000007000331302e302e302e323a37343038",
-              MovedError),
 }
 
-# The op sets the serving layer used to keep by hand, as literals.
+# The op set the serving layer used to keep by hand, as a literal.
 WRITE_OPS = {Op.PUT, Op.MULTI_PUT, Op.FLUSH}
-DATA_OPS = {
-    Op.PUT, Op.GET, Op.GET_AT, Op.PROV, Op.SCAN, Op.MULTI_GET, Op.MULTI_PUT,
-    Op.FLUSH,
-}
-ONE_KEY_OPS = {Op.PUT, Op.GET, Op.GET_AT, Op.PROV}
-EVERY_KEY_OPS = {Op.MULTI_GET, Op.MULTI_PUT}
 STATS_OPS_ORDER = [
     "put", "get", "get_at", "prov", "root", "stats", "flush", "repl", "scan",
-    "multi_get", "multi_put", "metrics", "cluster", "admin",
+    "multi_get", "multi_put", "metrics", "admin",
 ]
 #: Ops no ``KVClient`` method speaks, and who speaks them instead.
 NOT_ON_KVCLIENT = {
     Op.REPL_SUBSCRIBE: "the replica applier, over ServerClient.stream",
-    Op.CLUSTER: "repro.cluster.fetch_manifest, a one-shot ServerClient",
-    Op.ADMIN: "repro.cluster.admin_call, a one-shot ServerClient",
+    Op.RETIRED_ADMIN: "nobody: every server answers it as an unknown opcode",
 }
 
 
@@ -177,11 +163,6 @@ def test_golden_rejection_frames(label):
         with pytest.raises(error) as caught:
             spec.decode(bytes.fromhex(frame)[4:])
         assert type(caught.value) is error
-    if error is MovedError:
-        moved = caught.value
-        assert (moved.address, moved.manifest_epoch, moved.shard_id) == (
-            "10.0.0.2:7408", 7, 3
-        )
     if error is NotPrimaryError:
         assert caught.value.address == "10.0.0.1:7407"
 
@@ -222,14 +203,13 @@ ARG_STRATEGIES = {
         st.lists(st.tuples(addrs, values), min_size=1, max_size=8)
     ),
     Op.METRICS: st.just(()),
-    Op.CLUSTER: st.just(()),
 }
 
 
 def test_every_op_has_a_round_trip_strategy():
-    # ADMIN's encoder takes a dict and its decoder hands back the JSON
-    # blob, so it round-trips through the golden frame above instead.
-    assert set(ARG_STRATEGIES) == ALL_OPS - {Op.ADMIN}
+    # The retired opcode's encoder takes a dict and its decoder hands
+    # back the JSON blob, so it round-trips through the golden frame above.
+    assert set(ARG_STRATEGIES) == ALL_OPS - {Op.RETIRED_ADMIN}
 
 
 @settings(max_examples=25, deadline=None)
@@ -466,9 +446,8 @@ def test_every_op_is_reachable_from_kvclient_or_says_why_not():
 
 def test_every_non_answer_status_raises_in_check_status():
     statuses = {v for name, v in vars(Status).items() if name.isupper()}
-    assert statuses == {0, 1, 2, 3, 4}
+    assert statuses == {0, 1, 2, 3}
     for status in statuses:
-        # Payload long enough for MOVED's (u64 epoch, u16 shard) header.
         cursor = protocol.Cursor(bytes([status]) + bytes(10) + b"h:1")
         if status in (Status.OK, Status.NOT_FOUND):
             assert protocol.check_status(cursor) == status
@@ -478,20 +457,11 @@ def test_every_non_answer_status_raises_in_check_status():
 
 
 # =============================================================================
-# (d) the derived op sets equal the literal ones
+# (d) the derived op set equals the literal one
 # =============================================================================
 
 def test_table_derives_the_literal_sets():
     assert {op for op, s in OPS.items() if s.kind == protocol.WRITE} == WRITE_OPS
-    assert {
-        op for op, s in OPS.items() if s.kind in protocol.DATA_CLASSES
-    } == DATA_OPS
-    keyed = {op for op, s in OPS.items() if s.addresses is not None}
-    assert keyed == ONE_KEY_OPS | EVERY_KEY_OPS
-    for op in ONE_KEY_OPS:
-        assert list(OPS[op].addresses(GOLDEN_ARGS[op])) == [A]
-    for op in EVERY_KEY_OPS:
-        assert list(OPS[op].addresses(GOLDEN_ARGS[op])) == [b"a1", b"a2"]
 
 
 def _stub_server():
@@ -527,53 +497,6 @@ def test_a_replica_rejects_exactly_the_write_ops():
     }
 
 
-def _role(shard_id=0):
-    manifest = plan_manifest(num_nodes=2, num_shards=2)
-    return ShardRole(SimpleNamespace(manifest=manifest, name="node-0"), shard_id)
-
-
-def test_a_moved_shard_refers_exactly_the_data_ops():
-    role = _role()
-    role.moved_to, role.moved_epoch = "10.0.0.2:7408", 7
-    server = _stub_server()
-    server.cluster = role
-    moved = protocol.encode_moved("10.0.0.2:7408", 7, 0)
-    answers = _dispatch_all(server)
-    assert {op for op, answer in answers.items() if answer == moved} == DATA_OPS
-    assert {op for op, answer in answers.items() if answer == b"handled"} == (
-        set(answers) - DATA_OPS
-    )
-    assert role.moved_referrals == len(DATA_OPS)
-
-
-def test_the_key_check_covers_one_or_every_address_never_scan_or_flush():
-    role = _role(shard_id=0)
-    manifest = role.manifest
-    mine = next(bytes([n]) * 8 for n in range(256) if manifest.shard_for(bytes([n]) * 8) == 0)
-    theirs = next(bytes([n]) * 8 for n in range(256) if manifest.shard_for(bytes([n]) * 8) == 1)
-    referral = protocol.encode_moved(manifest.address_of(1), manifest.epoch, 1)
-
-    def args_for(op, *keys):
-        if op == Op.MULTI_GET:
-            return (list(keys),)
-        if op == Op.MULTI_PUT:
-            return ([(key, V) for key in keys],)
-        return (keys[0],) + GOLDEN_ARGS[op][1:]
-
-    for op in ONE_KEY_OPS:
-        assert role.referral_for(op, args_for(op, mine)) is None
-        assert role.referral_for(op, args_for(op, theirs)) == referral
-    for op in EVERY_KEY_OPS:
-        assert role.referral_for(op, args_for(op, mine, mine)) is None
-        # One foreign key anywhere in the batch refers the whole batch.
-        assert role.referral_for(op, args_for(op, mine, theirs)) == referral
-    for op in ALL_OPS - ONE_KEY_OPS - EVERY_KEY_OPS:
-        args = GOLDEN_ARGS[op]
-        if op == Op.SCAN:
-            args = (theirs, theirs) + args[2:]  # a range over foreign keys
-        assert role.referral_for(op, args) is None
-
-
 # =============================================================================
 # (e) one committer: no handler asks which role the server plays
 # =============================================================================
@@ -593,7 +516,7 @@ def _self_attr(node):
     return None
 
 
-def _role_findings(server_py: str, node_py: str) -> list:
+def _role_findings(server_py: str) -> list:
     found = []
     tree = ast.parse(server_py)
     [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ColeServer"]
@@ -612,22 +535,12 @@ def _role_findings(server_py: str, node_py: str) -> list:
             role = {_self_attr(o) for o in operands} & (OLD_ROLE_ATTRS | {"committer"})
             if role and any(isinstance(o, ast.Constant) and o.value is None for o in operands):
                 found.append(f"server.py:{node.lineno} tests self.{role.pop()} against None")
-    for node in ast.walk(ast.parse(node_py)):
-        if isinstance(node, ast.Attribute) and node.attr in ("batcher", "replica"):
-            owner = node.value
-            if (isinstance(owner, ast.Attribute) and owner.attr == "server") or (
-                isinstance(owner, ast.Name) and owner.id == "server"
-            ):
-                found.append(f"cluster/node.py:{node.lineno} names server.{node.attr}")
     return found
 
 
-def test_the_server_and_the_node_never_ask_which_role_the_server_plays():
+def test_the_server_never_asks_which_role_it_plays():
     package = Path(repro.__file__).parent
-    assert _role_findings(
-        (package / "server" / "server.py").read_text(encoding="utf-8"),
-        (package / "cluster" / "node.py").read_text(encoding="utf-8"),
-    ) == []
+    assert _role_findings((package / "server" / "server.py").read_text(encoding="utf-8")) == []
 
 
 def test_the_role_check_sees_each_kind_of_finding():
@@ -639,11 +552,8 @@ def test_the_role_check_sees_each_kind_of_finding():
         "        if self.replica is not None and None is self.committer:\n"
         "            pass\n"
     )
-    node_py = "h = serving.server.batcher.last_height\nserver.replica.stats()\n"
-    assert _role_findings(server_py, node_py) == [
+    assert _role_findings(server_py) == [
         "server.py:3 assigns self.batcher",
         "server.py:5 tests self.replica against None",
         "server.py:5 tests self.committer against None",
-        "cluster/node.py:1 names server.batcher",
-        "cluster/node.py:2 names server.replica",
     ]

@@ -207,7 +207,7 @@ def test_cold_csv_format_parses(cold_workspace, capsys):
     code, out = run_cli(["-w", cold_workspace, "levels", "-f", "csv"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][:3] == ["shard", "level", "group"]
+    assert rows[0][:3] == ["level", "group", "run"]
     assert len(rows) > 1
 
 
@@ -386,4 +386,4 @@ def test_query_missing_workspace_is_a_clean_error(tmp_path, capsys):
     code = main(["query", "-w", str(tmp_path / "nope"), "levels"])
     assert code == 0  # empty manifest: no runs, not an error
     out = capsys.readouterr().out
-    assert "shard" in out
+    assert "level" in out

@@ -383,12 +383,15 @@ def _spawn_primary(workspace, port=0):
     ready = threading.Event()
 
     def pump():
-        for line in proc.stdout:
-            lines.append(line)
-            match = re.search(r"serving .* on [\d.]+:(\d+)", line)
-            if match:
-                port_holder["port"] = int(match.group(1))
-                ready.set()
+        # The pipe is this thread's to close: at EOF, once the server has
+        # exited and been waited for (left open, it leaks a file).
+        with proc.stdout:
+            for line in proc.stdout:
+                lines.append(line)
+                match = re.search(r"serving .* on [\d.]+:(\d+)", line)
+                if match:
+                    port_holder["port"] = int(match.group(1))
+                    ready.set()
         ready.set()  # EOF: unblock the waiter either way
 
     threading.Thread(target=pump, daemon=True).start()

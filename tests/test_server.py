@@ -528,6 +528,45 @@ def test_malformed_write_reports_error_and_serving_continues(tmp_path):
     engine.close()
 
 
+def test_a_failed_group_commit_stops_every_later_write(tmp_path):
+    """A commit that raises in a size-triggered flush — a task nobody
+    awaits — stops the primary: later writes are refused, FLUSH raises,
+    STATS says so, and nothing acked after it names an uncommitted height."""
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
+
+    def failing_commit(height, items):
+        raise StorageError("injected commit failure")
+
+    async def scenario(thread, host, port):
+        batcher = thread.server.committer
+        async with ServerClient(host, port) as client:
+            for n in range(4):  # a full batch: block 1 commits
+                await client.put(addr_of(n), value_of(n))
+            committed = await client.flush()
+            assert committed.height == 1
+            batcher._commit = failing_commit
+            for n in range(4, 8):  # the next full batch's commit raises
+                await client.put(addr_of(n), value_of(n))
+            for _ in range(500):
+                if (await client.stats())["batcher"]["commit_failed"]:
+                    break
+                await asyncio.sleep(0.01)
+            acked_after = []
+            for write in (client.put(addr_of(9), value_of(9)),
+                          client.multi_put([(addr_of(10), value_of(10))]),
+                          client.flush()):
+                with pytest.raises(StorageError, match="no more writes"):
+                    acked_after.append(await write)
+            assert acked_after == []
+            assert await client.root() == committed
+            assert await client.get(addr_of(5)) is None  # the lost batch is not served
+            assert await client.get(addr_of(1)) == value_of(1)
+
+    with serve(engine, batch_max_puts=4, batch_max_delay=60.0) as thread:
+        asyncio.run(scenario(thread, *thread.start()))
+    engine.close()
+
+
 def test_pipelining_many_inflight_on_one_connection(tmp_path):
     engine = Cole(str(tmp_path / "ws"), PARAMS)
 

@@ -117,6 +117,7 @@ def assert_primary_schema(stats: dict) -> None:
     ):
         assert isinstance(batcher[field], int), field
     assert isinstance(batcher["avg_batch"], float)
+    assert batcher["commit_failed"] is False
     # A loaded primary has recorded per-op service latency.
     ops_seen = stats["latency"]["op"]
     for op in ("put", "get", "scan", "multi_get"):
