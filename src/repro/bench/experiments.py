@@ -417,9 +417,9 @@ def _spawn_cli_process(procs: List[subprocess.Popen], *argv: str, timeout_s: flo
     """Start ``repro.cli`` in a subprocess registered in ``procs`` and
     return the ``host:port`` of its ``serving ... on HOST:PORT`` line.
 
-    Subprocesses (not threads) on purpose: scaling across servers is a
-    claim about independent engines on independent cores, which the GIL
-    would flatten inside one interpreter.
+    Subprocesses (not threads) on purpose: fig19's replica set is the
+    deployed shape, each node a ``repro serve`` process with its own
+    engine, replicating over real sockets.
     """
     src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -431,12 +431,15 @@ def _spawn_cli_process(procs: List[subprocess.Popen], *argv: str, timeout_s: flo
     ready = threading.Event()
 
     def pump() -> None:
-        for line in proc.stdout:
-            lines.append(line)
-            match = re.search(r"serving .* on ([\d.]+:\d+)", line)
-            if match and not found:
-                found.append(match.group(1))
-                ready.set()
+        # The pipe is this thread's to close, at EOF once the server has
+        # exited: left open, it leaks a file.
+        with proc.stdout:
+            for line in proc.stdout:
+                lines.append(line)
+                match = re.search(r"serving .* on ([\d.]+:\d+)", line)
+                if match and not found:
+                    found.append(match.group(1))
+                    ready.set()
         ready.set()  # EOF: unblock the waiter either way
 
     threading.Thread(target=pump, daemon=True).start()

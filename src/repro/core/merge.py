@@ -136,8 +136,7 @@ class MergeScheduler:
             else ThreadPoolExecutor(MAX_MERGE_WORKERS, "cole-merge")
         )
         #: Optional :class:`~repro.obs.MetricsRegistry`: when a server
-        #: attaches one, every build reports its duration and the bytes
-        #: of the run it wrote (merge write amplification, observable).
+        #: attaches one, every build reports its duration.
         self.metrics = None
 
     def spawn(
@@ -168,20 +167,6 @@ class MergeScheduler:
                     help="Run build duration by kind",
                     kind=kind,
                 ).observe(time.perf_counter() - started)
-                try:
-                    written = run.storage_bytes()
-                except OSError:
-                    written = 0
-                metrics.counter(
-                    "repro_merge_bytes_rewritten_total",
-                    help="Bytes written by merge/flush builds",
-                ).inc(written)
-                metrics.counter(
-                    "repro_compaction_bytes_total",
-                    help="Run-build output bytes by kind and level",
-                    kind=kind,
-                    level=str(level),
-                ).inc(written)
             return run
 
         pending = PendingMerge(

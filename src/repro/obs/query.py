@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 import click
 
 from repro.common.errors import StorageError
-from repro.obs.registry import parse_exposition, quantile_from_buckets
 
 if TYPE_CHECKING:
     from repro.core.manifest import RunRecord
@@ -51,8 +50,8 @@ DEFAULT_BLOOM_PROBES = 512
 class QueryTarget:
     """Where answers come from: a directory, a server, or both.
 
-    STATS / METRICS are fetched once per invocation and cached — every
-    subcommand sees one consistent snapshot.
+    STATS is fetched once per invocation and cached — every subcommand
+    sees one consistent snapshot.
     """
 
     def __init__(
@@ -61,7 +60,6 @@ class QueryTarget:
         self.workspace = workspace
         self.server = server
         self._stats: Optional[dict] = None
-        self._metrics_text: Optional[str] = None
 
     @property
     def live(self) -> bool:
@@ -83,11 +81,6 @@ class QueryTarget:
         if self._stats is None:
             self._stats = self.call(lambda client: client.stats())
         return self._stats
-
-    def metrics_text(self) -> str:
-        if self._metrics_text is None:
-            self._metrics_text = self.call(lambda client: client.metrics())
-        return self._metrics_text
 
     def resolve_workspace(self) -> str:
         """The on-disk workspace: given directly, or asked of the server."""
@@ -401,50 +394,28 @@ def collect_compaction_live(stats: dict) -> List[dict]:
     return _compaction_rows(snapshot["bytes_flushed"], snapshot["bytes_rewritten"], levels)
 
 
-def collect_latency(metrics_text: str) -> List[dict]:
-    """Histogram digests parsed back out of the METRICS exposition.
+def collect_latency(stats: dict) -> List[dict]:
+    """One row per histogram series of a STATS snapshot's ``latency``."""
+    from repro.server.server import LATENCY_FAMILIES
 
-    One row per histogram series: the ``_count`` / ``_sum`` samples give
-    count and mean, the cumulative ``_bucket`` samples give p50/p99 —
-    exactly what any scraper would compute.
-    """
-    series = parse_exposition(metrics_text)
+    section = stats.get("latency") or {}
     rows = []
-    for name in sorted(series):
-        if not name.endswith("_count"):
+    for family, key, label in sorted(LATENCY_FAMILIES):
+        if key not in section:
             continue
-        base = name[: -len("_count")]
-        buckets = series.get(base + "_bucket")
-        if not buckets:
-            continue  # a counter family that happens to end in _count
-        sums = {
-            tuple(sorted(labels.items())): value
-            for labels, value in series.get(base + "_sum", [])
-        }
-        for labels, count in series[name]:
-            key = tuple(sorted(labels.items()))
-            mine = [
-                (bucket_labels, value)
-                for bucket_labels, value in buckets
-                if tuple(
-                    sorted(
-                        (k, v) for k, v in bucket_labels.items() if k != "le"
-                    )
-                )
-                == key
-            ]
-            total = sums.get(key, 0.0)
-            rows.append(
-                {
-                    "metric": base,
-                    "labels": ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-                    or "-",
-                    "count": int(count),
-                    "avg_s": round(total / count, 6) if count else 0.0,
-                    "p50_s": round(quantile_from_buckets(mine, 0.5) or 0.0, 6),
-                    "p99_s": round(quantile_from_buckets(mine, 0.99) or 0.0, 6),
-                }
-            )
+        series = (
+            [(f"{label}={value}", summary) for value, summary in sorted(section[key].items())]
+            if label else [("-", section[key])]
+        )
+        for labels, summary in series:
+            rows.append({
+                "metric": family,
+                "labels": labels,
+                "count": summary["count"],
+                "avg_s": round(summary["avg"], 6),
+                "p50_s": round(summary["p50"], 6),
+                "p99_s": round(summary["p99"], 6),
+            })
     return rows
 
 
@@ -714,9 +685,9 @@ def reads(target: QueryTarget, fmt: str) -> None:
 @format_option
 @click.pass_obj
 def latency(target: QueryTarget, fmt: str) -> None:
-    """Per-op latency histograms (parsed from METRICS exposition)."""
+    """Latency histograms by family (STATS ``latency``)."""
     if target.live:
-        rows = collect_latency(target.metrics_text())
+        rows = collect_latency(target.stats())
         note = ""
     else:
         rows = []

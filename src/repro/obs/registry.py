@@ -1,21 +1,21 @@
-"""A lightweight in-process metrics registry.
+"""A lightweight in-process histogram registry and Prometheus text rendering.
 
-Three metric types — :class:`Counter`, :class:`Gauge`, and
-:class:`LatencyHistogram` — keyed by ``(name, labels)`` in a
-:class:`MetricsRegistry`, exposed two ways:
+:class:`LatencyHistogram` series keyed by ``(name, labels)`` in a
+:class:`MetricsRegistry`, read two ways:
 
-* ``registry.expose()`` renders Prometheus text exposition (the
-  ``Op.METRICS`` payload), parseable by any scraper and by
-  :func:`parse_exposition` below.
 * histogram ``summary()`` dicts feed the ``latency`` section of the
-  server's ``STATS`` response.
+  server's ``STATS`` response;
+* ``registry.expose()`` renders them as Prometheus text exposition, the
+  histogram part of the ``Op.METRICS`` payload.  Counters and gauges are
+  not kept here: the server renders them from one STATS snapshot with
+  :func:`render_rows`.
 
 Design constraints, in order:
 
 * **cheap on the hot path** — ``observe()`` is one log, one list index,
-  and one lock acquisition; callers cache the metric object so the
-  registry dict is only touched at setup.
-* **safe under executor threads** — every mutation holds a per-metric
+  and one lock acquisition; callers cache the histogram so the registry
+  dict is only touched at setup.
+* **safe under executor threads** — every mutation holds a per-histogram
   ``threading.Lock``; the serving stack records from the event loop
   *and* from ``run_in_executor`` workers.
 * **mergeable** — histograms with identical bucket geometry add
@@ -34,72 +34,14 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "parse_exposition",
-]
+__all__ = ["LatencyHistogram", "MetricsRegistry", "render_rows"]
 
 #: Default histogram geometry: quarter-octave buckets from 1us.
 DEFAULT_LO = 1e-6
 DEFAULT_GROWTH = 2.0 ** 0.25
 DEFAULT_BUCKETS = 96
-
-
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def set(self, value: float) -> None:
-        """Scrape-time mirror of an externally maintained total.
-
-        For counters whose source of truth lives elsewhere (e.g. the
-        server's ``op_counts`` dict): the exposition snapshot copies the
-        current total here instead of double-counting on the hot path.
-        """
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value (heights, occupancy, hit rates, lag)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class LatencyHistogram:
@@ -262,49 +204,37 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-class MetricsRegistry:
-    """Named metrics keyed by ``(name, labels)``; get-or-create access.
+def render_rows(rows: Iterable[Tuple[str, str, str, dict, float]]) -> str:
+    """Prometheus text of ``(name, kind, help, labels, value)`` rows.
 
-    ``counter`` / ``gauge`` / ``histogram`` return the live metric
-    object — hot paths call once at setup and keep the reference, so
-    recording never touches the registry lock.
+    One ``# HELP`` / ``# TYPE`` pair per name, then its samples; names
+    and label sets sorted, label values passed through ``str()``.
+    """
+    lines: List[str] = []
+    last = None
+    for name, label_items, kind, help, value in sorted(
+        (name, _label_key(labels), kind, help, value)
+        for name, kind, help, labels, value in rows
+    ):
+        if name != last:
+            last = name
+            lines += [f"# HELP {name} {help}", f"# TYPE {name} {kind}"]
+        lines.append(f"{name}{_format_labels(label_items)} {_format_value(value)}")
+    return "".join(line + "\n" for line in lines)
+
+
+class MetricsRegistry:
+    """Histogram series keyed by ``(name, labels)``; get-or-create access.
+
+    ``histogram`` returns the live histogram — hot paths call it once at
+    setup and keep the reference, so recording never touches the
+    registry lock.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
-        self._kinds: Dict[str, str] = {}
+        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], LatencyHistogram] = {}
         self._help: Dict[str, str] = {}
-
-    def _get(
-        self,
-        kind: str,
-        name: str,
-        help: str,
-        labels: dict,
-        factory: Callable[[], Any],
-    ) -> Any:
-        key = (name, _label_key(labels))
-        with self._lock:
-            existing = self._kinds.get(name)
-            if existing is not None and existing != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing}"
-                )
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = factory()
-                self._metrics[key] = metric
-                self._kinds[name] = kind
-                if help:
-                    self._help[name] = help
-            return metric
-
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        return self._get("counter", name, help, labels, Counter)
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._get("gauge", name, help, labels, Gauge)
 
     def histogram(
         self,
@@ -315,50 +245,51 @@ class MetricsRegistry:
         buckets: int = DEFAULT_BUCKETS,
         **labels: str,
     ) -> LatencyHistogram:
-        return self._get(
-            "histogram", name, help, labels,
-            lambda: LatencyHistogram(lo=lo, growth=growth, buckets=buckets),
-        )
+        key = (name, _label_key(labels))
+        with self._lock:
+            hist = self._metrics.get(key)
+            if hist is None:
+                hist = LatencyHistogram(lo=lo, growth=growth, buckets=buckets)
+                self._metrics[key] = hist
+                if help:
+                    self._help[name] = help
+            return hist
 
     # -- reading -------------------------------------------------------------
 
     def histograms(self, name: str) -> List[Tuple[dict, LatencyHistogram]]:
-        """All ``(labels, histogram)`` series of one histogram family."""
+        """All ``(labels, histogram)`` series of one family."""
         with self._lock:
             return [
-                (dict(key[1]), metric)
-                for key, metric in self._metrics.items()
-                if key[0] == name and isinstance(metric, LatencyHistogram)
+                (dict(key[1]), hist)
+                for key, hist in self._metrics.items()
+                if key[0] == name
             ]
 
     def expose(self) -> str:
-        """Prometheus text exposition of every registered metric.
+        """Prometheus text exposition of every registered histogram.
 
-        Histograms emit the non-empty buckets (cumulative, per the
-        format) plus the mandatory ``+Inf``, ``_sum``, and ``_count``
-        series — sparse but scraper-valid.
+        Each emits its non-empty buckets (cumulative, per the format)
+        plus the mandatory ``+Inf``, ``_sum``, and ``_count`` series —
+        sparse but scraper-valid.
         """
         with self._lock:
             items = sorted(self._metrics.items())
-            kinds = dict(self._kinds)
             helps = dict(self._help)
         lines: List[str] = []
         seen_header = set()
-        for (name, label_items), metric in items:
+        for (name, label_items), hist in items:
             if name not in seen_header:
                 seen_header.add(name)
                 if name in helps:
                     lines.append(f"# HELP {name} {helps[name]}")
-                lines.append(f"# TYPE {name} {kinds[name]}")
+                lines.append(f"# TYPE {name} histogram")
             labels = _format_labels(label_items)
-            if isinstance(metric, (Counter, Gauge)):
-                lines.append(f"{name}{labels} {_format_value(metric.value)}")
-                continue
-            with metric._lock:
-                counts = list(metric._counts)
-                count, total = metric._count, metric._sum
+            with hist._lock:
+                counts = list(hist._counts)
+                count, total = hist._count, hist._sum
             cumulative = 0
-            bounds = metric.bounds
+            bounds = hist.bounds
             for index, n in enumerate(counts):
                 if not n:
                     continue
@@ -371,88 +302,4 @@ class MetricsRegistry:
             lines.append(f"{name}_bucket{inf} {count}")
             lines.append(f"{name}_sum{labels} {_format_value(total)}")
             lines.append(f"{name}_count{labels} {count}")
-        return "\n".join(lines) + "\n"
-
-
-# =============================================================================
-# exposition parsing (repro query latency, round-trip tests)
-# =============================================================================
-
-def _parse_labels(text: str) -> dict:
-    labels: dict = {}
-    index = 0
-    while index < len(text):
-        eq = text.index("=", index)
-        key = text[index:eq].strip().lstrip(",").strip()
-        if text[eq + 1] != '"':
-            raise ValueError(f"unquoted value for label {key!r}")
-        value = []
-        j = eq + 2
-        while text[j] != '"':
-            if text[j] == "\\":
-                j += 1
-            value.append(text[j])
-            j += 1
-        labels[key] = "".join(value)
-        index = j + 1
-    return labels
-
-
-def parse_exposition(text: str) -> Dict[str, List[Tuple[dict, float]]]:
-    """Parse Prometheus text exposition into ``{name: [(labels, value)]}``.
-
-    Inverse of :meth:`MetricsRegistry.expose` (histograms come back as
-    their ``_bucket``/``_sum``/``_count`` series).  Raises
-    ``ValueError`` on a malformed sample line.
-    """
-    series: Dict[str, List[Tuple[dict, float]]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            label_text, value_text = rest.rsplit("}", 1)
-            try:
-                labels = _parse_labels(label_text)
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"bad labels in exposition line: {raw!r}") from exc
-        else:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"bad exposition line: {raw!r}")
-            name, value_text = parts
-            labels = {}
-        value_text = value_text.strip()
-        value = math.inf if value_text == "+Inf" else float(value_text)
-        series.setdefault(name, []).append((labels, value))
-    return series
-
-
-def quantile_from_buckets(
-    buckets: List[Tuple[dict, float]], fraction: float
-) -> Optional[float]:
-    """p-th value from one series' cumulative ``_bucket`` samples.
-
-    ``buckets`` is the ``(labels, cumulative_count)`` list of a single
-    histogram series (labels differing only in ``le``).  Returns the
-    first bucket bound whose cumulative count reaches the rank, or
-    ``None`` for an empty series.
-    """
-    ordered = sorted(
-        (
-            (math.inf if b[0]["le"] == "+Inf" else float(b[0]["le"]), b[1])
-            for b in buckets
-        ),
-        key=lambda pair: pair[0],
-    )
-    if not ordered:
-        return None
-    total = ordered[-1][1]
-    if not total:
-        return None
-    rank = max(1, math.ceil(fraction * total))
-    for bound, cumulative in ordered:
-        if cumulative >= rank:
-            return bound
-    return ordered[-1][0]
+        return "".join(line + "\n" for line in lines)

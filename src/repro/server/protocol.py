@@ -45,9 +45,8 @@ METRICS         control  —                         blob32 (Prometheus text
 The **class** decides who may answer: a replica rejects ``write`` ops
 with ``NOT_PRIMARY``; a ``stream`` op takes over its connection.  A
 request with bytes left over after its payload is rejected, whatever
-the op.  Opcode 13 is unassigned, and opcode 14 (:data:`Op.RETIRED_ADMIN`)
-still decodes its old payload (one blob32) but is answered exactly as
-an unknown opcode is.
+the op.  Opcodes 13 and 14 are unassigned: the decoder rejects them as
+unknown.
 
 ``MULTI_GET`` / ``MULTI_PUT`` are the vectorized point ops: N keys cost
 one round trip, one frame parse, and (for puts) one batcher handoff and
@@ -162,9 +161,6 @@ class Op:
     MULTI_GET = 10
     MULTI_PUT = 11
     METRICS = 12
-    #: The removed cluster's ADMIN command (a JSON blob): it still
-    #: decodes, and a server answers it as it answers an unknown opcode.
-    RETIRED_ADMIN = 14
 
 
 class Status:
@@ -299,12 +295,6 @@ def encode_multi_put(items: List[Tuple[bytes, bytes]]) -> bytes:
 def encode_simple(op: int) -> bytes:
     """ROOT / STATS / FLUSH / METRICS — opcode-only requests."""
     return encode_frame(bytes([op]))
-
-
-def encode_admin(payload: dict) -> bytes:
-    """One request of the retired opcode 14: a JSON blob."""
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return encode_frame(bytes([Op.RETIRED_ADMIN]) + pack_bytes32(blob))
 
 
 def encode_repl_subscribe(start_height: int) -> bytes:
@@ -678,8 +668,6 @@ OPS: Dict[int, OpSpec] = {
                lambda c: (c.items(_check_batch_count(c.u16())),),
                decode_height_response),
         _bare(Op.METRICS, "metrics", CONTROL, decode_text_response),
-        OpSpec(Op.RETIRED_ADMIN, "admin", CONTROL, encode_admin,
-               lambda c: (c.bytes32(),), decode_json_response),
     )
 }
 

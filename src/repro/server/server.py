@@ -76,7 +76,7 @@ from typing import Any, Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import StorageError
 from repro.core.storage import WOULD_BLOCK
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, render_rows
 from repro.server import protocol
 from repro.server.batcher import MISSING, WriteBatcher
 from repro.server.cache import NegativeLookupCache, VersionedReadCache
@@ -91,7 +91,7 @@ OP_NAMES = {op: spec.name for op, spec in protocol.OPS.items()}
 #: snapshot: ``(metric, kind, help, STATS path, labels)``.  A ``*`` path
 #: segment fans out over that dict's keys, each key filling the label
 #: whose value is ``*``; a path a role's STATS lacks exports nothing.
-#: (Histograms are live in the registry instead.)
+#: (Histograms are live in the registry instead: :data:`LATENCY_FAMILIES`.)
 METRICS_TABLE = (
     ("repro_ops_total", "counter", "Requests served by opcode", "ops.*", {"op": "*"}),
     ("repro_connections_total", "counter", "Connections accepted", "connections_total", {}),
@@ -122,6 +122,11 @@ METRICS_TABLE = (
     ("repro_engine_puts_total", "counter", "Puts applied by the engine", "engine.puts_total", {}),
     ("repro_engine_storage_bytes", "gauge", "Engine on-disk footprint", "engine.storage_bytes", {}),
     ("repro_engine_disk_levels", "gauge", "Populated disk levels", "engine.disk_levels", {}),
+    ("repro_compaction_bytes_flushed_total", "counter", "Bytes of runs built onto level 1",
+     "engine.compaction.bytes_flushed", {}),
+    ("repro_compaction_bytes_rewritten_total", "counter",
+     "Bytes of runs built onto each deeper level",
+     "engine.compaction.levels.*.bytes_rewritten", {"level": "*"}),
     ("repro_page_reads_total", "counter", "Pages read by file category",
      "io.categories.*.reads", {"category": "*"}),
     ("repro_page_writes_total", "counter", "Pages written by file category",
@@ -143,6 +148,20 @@ METRICS_TABLE = (
      "replication.batches_published", {}),
     ("repro_replication_records_shipped_total", "counter", "WAL records shipped to replicas",
      "replication.records_shipped", {}),
+)
+
+#: The histogram families of STATS ``latency`` and ``repro query
+#: latency``: ``(family, STATS key, label)``.  A labelled family is a
+#: dict label value -> summary, present even when empty; an unlabelled
+#: one is one summary, present once the family is registered.
+LATENCY_FAMILIES = (
+    ("repro_op_latency_seconds", "op", "op"),
+    ("repro_merge_seconds", "merge", "kind"),
+    ("repro_commit_flush_seconds", "commit_flush", None),
+    ("repro_commit_batch_size", "commit_batch_size", None),
+    ("repro_wal_fsync_seconds", "wal_fsync", None),
+    ("repro_replica_apply_seconds", "replica_apply", None),
+    ("repro_executor_hop_seconds", "executor_hop", None),
 )
 
 
@@ -636,8 +655,8 @@ class ColeServer:
                 hub=hub,
                 metrics=self.metrics,
             )
-        # Merge durations / bytes rewritten: the engine's scheduler
-        # reports into this server's registry.
+        # Run build durations: the engine's scheduler reports into this
+        # server's registry.
         scheduler = getattr(self.engine, "scheduler", None)
         if scheduler is not None:
             scheduler.metrics = self.metrics
@@ -778,14 +797,17 @@ class ColeServer:
         return protocol.encode_blob_response(json.dumps(await self._stats()).encode())
 
     async def _op_metrics(self) -> bytes:
-        """Prometheus text exposition: the live histograms plus every
-        :data:`METRICS_TABLE` row read off one STATS snapshot."""
-        stats, registry = await self._stats(), self.metrics
-        for name, kind, help, path, labels in METRICS_TABLE:
-            for key, value in stats_leaves(stats, path):
-                filled = {label: key if v == "*" else v for label, v in labels.items()}
-                getattr(registry, kind)(name, help, **filled).set(value)
-        return protocol.encode_blob_response(registry.expose().encode("utf-8"))
+        """Prometheus text exposition: every :data:`METRICS_TABLE` row
+        read off one STATS snapshot, then the live histograms."""
+        stats = await self._stats()
+        rows = [
+            (name, kind, help, {label: key if v == "*" else v for label, v in labels.items()},
+             value)
+            for name, kind, help, path, labels in METRICS_TABLE
+            for key, value in stats_leaves(stats, path)
+        ]
+        text = render_rows(rows) + self.metrics.expose()
+        return protocol.encode_blob_response(text.encode("utf-8"))
 
     async def _op_flush(self) -> bytes:
         # FLUSH is a write op: only a primary's batcher gets here.
@@ -794,10 +816,6 @@ class ColeServer:
         return protocol.encode_root_response(
             RootInfo(digest=root, version=self.version, height=height)
         )
-
-    async def _op_retired(self, _blob: bytes) -> bytes:
-        # The answer a frame of an unknown opcode gets from the decoder.
-        return _error_frame(StorageError(f"unknown opcode {Op.RETIRED_ADMIN}"))
 
     async def _stream_replication(self, conn: Connection, start_height: int) -> None:
         """Serve one REPL_SUBSCRIBE connection until it closes."""
@@ -997,31 +1015,14 @@ class ColeServer:
         return {key: value for key, value in stats.items() if value is not None}
 
     def _latency_summaries(self) -> dict:
-        """The ``latency`` STATS section: histogram digests by family.
-
-        ``op`` and ``merge`` are always present (label -> summary, empty
-        until something was recorded); the single-series families appear
-        once they have samples.
-        """
-        registry = self.metrics
-        section: dict = {
-            "op": {
-                labels.get("op", ""): hist.summary()
-                for labels, hist in registry.histograms("repro_op_latency_seconds")
-            },
-            "merge": {
-                labels.get("kind", ""): hist.summary()
-                for labels, hist in registry.histograms("repro_merge_seconds")
-            },
-        }
-        for name, key in (
-            ("repro_commit_flush_seconds", "commit_flush"),
-            ("repro_commit_batch_size", "commit_batch_size"),
-            ("repro_wal_fsync_seconds", "wal_fsync"),
-            ("repro_replica_apply_seconds", "replica_apply"),
-        ):
-            series = registry.histograms(name)
-            if series:
+        """The ``latency`` STATS section: histogram digests by
+        :data:`LATENCY_FAMILIES` row."""
+        section: dict = {}
+        for family, key, label in LATENCY_FAMILIES:
+            series = self.metrics.histograms(family)
+            if label is not None:
+                section[key] = {labels[label]: hist.summary() for labels, hist in series}
+            elif series:
                 section[key] = series[0][1].summary()
         return section
 
@@ -1040,7 +1041,6 @@ class ColeServer:
         Op.MULTI_GET: _op_multi_get,
         Op.MULTI_PUT: _op_multi_put,
         Op.METRICS: _op_metrics,
-        Op.RETIRED_ADMIN: _op_retired,
     }
 
 

@@ -90,7 +90,6 @@ REQUEST_ARGS = {
     Op.SCAN: (A, B, 7, 10),
     Op.MULTI_GET: ([A, B],),
     Op.MULTI_PUT: ([(A, V), (B, b"")],),
-    Op.RETIRED_ADMIN: ({"cmd": "status"},),
 }
 
 
@@ -118,7 +117,6 @@ def response_bodies(prov_blob: bytes) -> dict:
         Op.MULTI_GET: protocol.encode_multi_get_response([V, None]),
         Op.MULTI_PUT: protocol.encode_height_response(9),
         Op.METRICS: protocol.encode_blob_response(b"# TYPE x counter\nx 1\n"),
-        Op.RETIRED_ADMIN: json_blob,
     }
 
 

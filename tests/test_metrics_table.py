@@ -8,16 +8,22 @@ under one fixed load:
 
 * every counter / gauge series in METRICS is exactly the set the table
   resolves against a STATS snapshot taken right after it, with the same
-  values (the live counters the merge scheduler increments are exempt,
-  as histograms are);
+  values — no exemptions;
+* no table row names a histogram family: those are the registry's, and
+  STATS ``latency`` reports them;
 * the ``# HELP`` / ``# TYPE`` lines and the sorted ``(name, labels)``
   set of counter and gauge series match ``tests/fixtures/metrics_series.json``,
   which this file's ``__main__`` recorded against commit ``aa4aa94``
   (the last tree whose exposition was written out by hand), less the
   in-process sharded engine's role and its ``repro_engine_shards``
-  gauge, the ``cache="page"`` series of the engine page cache, and the
+  gauge, the ``cache="page"`` series of the engine page cache, the
   cluster shard's role, its ``repro_cluster_*`` rows and the
-  ``op="cluster"`` series, all since removed:
+  ``op="cluster"`` series, and the retired opcode's ``op="admin"``
+  series, all since removed; and with the merge scheduler's own byte
+  counters (``repro_merge_bytes_rewritten_total``,
+  ``repro_compaction_bytes_total``) replaced by the engine's
+  ``repro_compaction_bytes_flushed_total`` and
+  ``repro_compaction_bytes_rewritten_total`` rows:
 
       PYTHONPATH=<aa4aa94 checkout>/src python tests/test_metrics_table.py
 """
@@ -30,11 +36,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from exposition import parse
 
 from repro.common.params import ColeParams
 from repro.core import Cole
-from repro.obs.registry import parse_exposition
 from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.server.server import LATENCY_FAMILIES, METRICS_TABLE, stats_leaves
 from repro.wal import WriteAheadLog
 
 FIXTURE = Path(__file__).parent / "fixtures" / "metrics_series.json"
@@ -47,10 +54,6 @@ PARAMS = ColeParams(mem_capacity=MEM, size_ratio=2)
 #: vary run to run, but which flushes, merges and IO categories happen
 #: does not, nor does anything tick between two scrapes.
 CONFIG = ServerConfig(batch_max_puts=8, batch_max_delay=60.0)
-
-#: Counters the merge scheduler increments as each run build lands —
-#: live in the registry like the histograms, not read off STATS.
-LIVE = {"repro_merge_bytes_rewritten_total", "repro_compaction_bytes_total"}
 
 
 def addr_of(n: int) -> bytes:
@@ -145,7 +148,7 @@ def counter_gauge_series(text: str) -> dict:
     series = sorted(
         name + ("{%s}" % ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
                 if labels else "")
-        for name, samples in parse_exposition(text).items()
+        for name, samples in parse(text).items()
         if name in scalar
         for labels, _ in samples
     )
@@ -161,14 +164,21 @@ def record_all(tmp_path) -> dict:
     return recorded
 
 
-@pytest.mark.parametrize("role", ROLES)
-def test_metrics_render_one_stats_snapshot(role, tmp_path):
-    from repro.server.server import METRICS_TABLE, stats_leaves
+@pytest.fixture(scope="module")
+def scrapes(tmp_path_factory):
+    """``{role: (METRICS text, STATS)}``, each role loaded once."""
+    scraped = {}
+    for role in ROLES:
+        with loaded(role, tmp_path_factory.mktemp(role)) as target:
+            scraped[role] = asyncio.run(scrape(target))
+    return scraped
 
-    with loaded(role, tmp_path) as target:
-        text, stats = asyncio.run(scrape(target))
+
+@pytest.mark.parametrize("role", ROLES)
+def test_metrics_render_one_stats_snapshot(role, scrapes):
+    text, stats = scrapes[role]
     # The STATS request counted itself after METRICS' snapshot was taken.
-    stats["ops"]["stats"] -= 1
+    stats = {**stats, "ops": {**stats["ops"], "stats": stats["ops"]["stats"] - 1}}
 
     expected = {}
     for name, kind, _help, path, labels in METRICS_TABLE:
@@ -182,8 +192,8 @@ def test_metrics_render_one_stats_snapshot(role, tmp_path):
     kinds = scalar_families(text)
     exposed = {
         (name, tuple(sorted(labels.items()))): (kinds[name], value)
-        for name, samples in parse_exposition(text).items()
-        if name in kinds and name not in LIVE
+        for name, samples in parse(text).items()
+        if name in kinds
         for labels, value in samples
     }
     assert exposed == expected
@@ -196,9 +206,27 @@ def test_metrics_render_one_stats_snapshot(role, tmp_path):
         rate = exposed[("repro_cache_hit_rate", labels)][1]
         assert rate == (hits / lookups if lookups else 0.0)
     assert exposed[("repro_cache_hits_total", (("cache", "read"),))][1] > 0
+    # The load flushed L0 at least once: the engine's write accounting
+    # reaches METRICS through STATS.
+    assert exposed[("repro_compaction_bytes_flushed_total", ())][1] > 0
 
     golden = json.loads(FIXTURE.read_text())[role]
     assert counter_gauge_series(text) == golden
+
+
+def test_no_table_name_is_a_histogram_family(scrapes):
+    table = {name for name, *_ in METRICS_TABLE}
+    families = {family for family, _, _ in LATENCY_FAMILIES}
+    assert not table & families
+    for text, stats in scrapes.values():
+        exposed = {
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ") and line.endswith(" histogram")
+        }
+        # Every histogram the registry exposes is a STATS latency family.
+        assert exposed and exposed <= families
+        assert not table & exposed
+        assert scalar_families(text).keys() <= table
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Tests for the observability registry: counters, gauges, histograms,
-Prometheus exposition, and the exposition parser.
+"""Tests for the observability registry: histograms, their Prometheus
+exposition, and the rendering of counter / gauge rows.
 
 The histogram is the load-bearing piece — O(1) recording into
 log-spaced buckets, merge, and percentile extraction — because every
@@ -7,58 +7,12 @@ latency number the server reports flows through it.
 """
 
 import math
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
+from exposition import parse
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    parse_exposition,
-)
-from repro.obs.registry import quantile_from_buckets
-
-
-# =============================================================================
-# counters and gauges
-# =============================================================================
-
-def test_counter_inc_and_set():
-    counter = Counter()
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    # set() overwrites: the scrape-time mirror of an external total.
-    counter.set(42)
-    assert counter.value == 42
-
-
-def test_gauge_set_and_inc():
-    gauge = Gauge()
-    gauge.set(7)
-    gauge.inc(-2)
-    assert gauge.value == 5
-
-
-def test_counter_thread_safety():
-    counter = Counter()
-
-    def spin():
-        for _ in range(10_000):
-            counter.inc()
-
-    threads = [threading.Thread(target=spin) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert counter.value == 40_000
+from repro.obs import LatencyHistogram, MetricsRegistry, render_rows
 
 
 # =============================================================================
@@ -132,6 +86,22 @@ def test_histogram_merge_rejects_mismatched_geometry():
         left.merge(right)
 
 
+def test_histogram_thread_safety():
+    hist = LatencyHistogram()
+
+    def spin():
+        for _ in range(10_000):
+            hist.observe(0.001)
+
+    threads = [threading.Thread(target=spin) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert hist.count == 40_000
+    assert hist.sum == pytest.approx(40.0)
+
+
 def test_histogram_works_with_shared_percentile_helper():
     """bench.report.percentile must answer from the histogram's own
     buckets — the loadgen report path."""
@@ -150,39 +120,36 @@ def test_histogram_works_with_shared_percentile_helper():
 
 def test_registry_returns_same_instrument_per_name_and_labels():
     registry = MetricsRegistry()
-    a = registry.counter("ops_total", op="get")
-    b = registry.counter("ops_total", op="get")
-    c = registry.counter("ops_total", op="put")
+    a = registry.histogram("lat_seconds", op="get")
+    b = registry.histogram("lat_seconds", op="get")
+    c = registry.histogram("lat_seconds", op="put")
     assert a is b
     assert a is not c
-
-
-def test_registry_rejects_kind_conflicts():
-    registry = MetricsRegistry()
-    registry.counter("thing")
-    with pytest.raises(ValueError):
-        registry.gauge("thing")
+    assert sorted(labels["op"] for labels, _ in registry.histograms("lat_seconds")) == [
+        "get", "put"
+    ]
 
 
 def test_exposition_round_trips_through_parser():
     registry = MetricsRegistry()
-    registry.counter("reqs_total", help="requests", op="get").inc(3)
-    registry.counter("reqs_total", op="put").inc(1)
-    registry.gauge("height").set(42)
     hist = registry.histogram("lat_seconds", help="latency", op="get")
     for value in (0.001, 0.002, 0.004, 0.008):
         hist.observe(value)
-
-    text = registry.expose()
+    rows = render_rows([
+        ("reqs_total", "counter", "requests", {"op": "put"}, 1),
+        ("reqs_total", "counter", "requests", {"op": "get"}, 3),
+        ("height", "gauge", "height", {}, 42),
+    ])
+    text = rows + registry.expose()
+    assert rows.splitlines()[:3] == [
+        "# HELP height height", "# TYPE height gauge", "height 42",
+    ]
     assert "# HELP reqs_total requests" in text
     assert "# TYPE lat_seconds histogram" in text
     assert text.endswith("\n")
 
-    series = parse_exposition(text)
-    reqs = dict(
-        (labels["op"], value) for labels, value in series["reqs_total"]
-    )
-    assert reqs == {"get": 3, "put": 1}
+    series = parse(text)
+    assert series["reqs_total"] == [({"op": "get"}, 3), ({"op": "put"}, 1)]
     assert series["height"][0][1] == 42
     # Histogram: cumulative buckets end at +Inf == count.
     buckets = series["lat_seconds_bucket"]
@@ -197,7 +164,7 @@ def test_exposition_buckets_are_cumulative_and_sorted():
     hist = registry.histogram("h_seconds")
     for value in (0.001, 0.002, 0.004):
         hist.observe(value)
-    series = parse_exposition(registry.expose())
+    series = parse(registry.expose())
     counts = [
         (math.inf if labels["le"] == "+Inf" else float(labels["le"]), value)
         for labels, value in series["h_seconds_bucket"]
@@ -209,45 +176,12 @@ def test_exposition_buckets_are_cumulative_and_sorted():
     assert values[-1] == 3
 
 
-def test_quantile_from_buckets():
+def test_exposition_escapes_label_values():
+    weird = 'a"b\\c'
     registry = MetricsRegistry()
-    hist = registry.histogram("q_seconds")
-    for value in (0.001, 0.002, 0.004, 0.008, 0.016):
-        hist.observe(value)
-    series = parse_exposition(registry.expose())
-    buckets = series["q_seconds_bucket"]
-    p50 = quantile_from_buckets(buckets, 0.5)
-    assert 0.002 <= p50 <= 0.006
-    assert quantile_from_buckets([], 0.5) is None
-
-
-def test_parse_exposition_rejects_malformed_lines():
-    with pytest.raises(ValueError):
-        parse_exposition("not a metric line at all !!!\n")
-
-
-def test_parse_exposition_rejects_unquoted_label_values_under_python_O():
-    # The check is a raise, not an assert that ``python -O`` strips:
-    # unchecked, ``op=ab"`` parses as ``{"op": "b"}``.
-    line = 'm{op=ab"} 1\n'
-    with pytest.raises(ValueError):
-        parse_exposition(line)
-    script = (
-        "from repro.obs import parse_exposition\n"
-        "try:\n"
-        f"    print(parse_exposition({line!r}))\n"
-        "except ValueError:\n"
-        "    print('rejected')\n"
-    )
-    src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
-    )
-    assert run.stdout.strip() == "rejected", run.stdout + run.stderr
-
-
-def test_parse_exposition_handles_escaped_label_values():
-    text = 'weird{path="a\\"b"} 1\n'
-    series = parse_exposition(text)
-    assert series["weird"][0][0]["path"] == 'a"b'
+    registry.histogram("h_seconds", path=weird).observe(0.001)
+    text = render_rows([("m", "gauge", "m", {"path": weird, "level": 2}, 1)])
+    assert 'm{level="2",path="a\\"b\\\\c"} 1' in text  # str() of the label value
+    text += registry.expose()
+    assert parse(text)["m"] == [({"level": "2", "path": weird}, 1)]
+    assert {labels["path"] for labels, _ in parse(text)["h_seconds_count"]} == {weird}

@@ -231,6 +231,15 @@ def test_one_get_enters_each_lookup_seam_once_per_run(tmp_path, monkeypatch):
     cole.close()
 
 
+class _StubCommitter:
+    """Answers ROOT with a fixed committed state, engine-free."""
+
+    write_refusal = None
+
+    async def root(self):
+        return bytes(32), 7
+
+
 def test_served_install_patches_every_seam_and_uninstall_restores():
     spans = _load_spans()
     assert isinstance(OP_NAMES, dict) and OP_NAMES[Op.GET] == "get"
@@ -241,15 +250,18 @@ def test_served_install_patches_every_seam_and_uninstall_restores():
         patched = _current()
         for (owner, attr), old, new in zip(SERVED_SEAMS, before, patched):
             assert new is not old, f"{owner.__name__}.{attr} was not wrapped"
-        # One request through the patched seams, with their call shapes:
-        # decode_request(body), _dispatch(self, op, args), encode_error(msg).
-        op, args = protocol.decode_request(protocol.encode_admin({})[4:])
-        response = asyncio.run(ColeServer(engine=None)._dispatch(op, args))
+        # One engine-free request through the patched seams, with their
+        # call shapes: decode_request(body), _dispatch(self, op, args),
+        # encode_root_response(info).
+        server = ColeServer(engine=None)
+        server.committer = _StubCommitter()
+        op, args = protocol.decode_request(protocol.encode_simple(Op.ROOT)[4:])
+        response = asyncio.run(server._dispatch(op, args))
     finally:
         tracer.uninstall()
     assert _current() == before
-    assert response[4] == protocol.Status.ERROR  # a shard server refuses ADMIN
+    assert protocol.decode_root_response(response[4:]).height == 7
     rows = spans.Aggregates(tracer.aggregates())
     assert rows.count("protocol.decode") == 1
-    assert rows.count("server.dispatch", "admin") == 1
-    assert rows.count("protocol.encode", "admin") == 1
+    assert rows.count("server.dispatch", "root") == 1
+    assert rows.count("protocol.encode", "root") == 1

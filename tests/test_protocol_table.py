@@ -41,7 +41,7 @@ from repro.server.protocol import (
     RootInfo,
     Status,
 )
-from repro.server.server import OP_NAMES
+from repro.server.server import OP_NAMES, Connection
 
 A, V = b"addr-1", b"value-1"
 DIGEST = bytes(range(32))
@@ -71,10 +71,6 @@ GOLDEN_REQUESTS = [
      ([(b"a1", b"v1"), (b"a2", b"v2")],),
      "000000170b00020002613100000002763100026132000000027632"),
     ("METRICS", 12, (), (), "000000010c"),
-    ("ADMIN", 14, ({"cmd": "status", "shard": 3},),
-     (b'{"cmd": "status", "shard": 3}',),
-     "000000220e0000001d7b22636d64223a2022737461747573222c20227368617264"
-     "223a20337d"),
 ]
 GOLDEN_ARGS = {op: decoded for _, op, _, decoded, _ in GOLDEN_REQUESTS}
 
@@ -126,12 +122,11 @@ GOLDEN_REJECTIONS = {
 WRITE_OPS = {Op.PUT, Op.MULTI_PUT, Op.FLUSH}
 STATS_OPS_ORDER = [
     "put", "get", "get_at", "prov", "root", "stats", "flush", "repl", "scan",
-    "multi_get", "multi_put", "metrics", "admin",
+    "multi_get", "multi_put", "metrics",
 ]
 #: Ops no ``KVClient`` method speaks, and who speaks them instead.
 NOT_ON_KVCLIENT = {
     Op.REPL_SUBSCRIBE: "the replica applier, over ServerClient.stream",
-    Op.RETIRED_ADMIN: "nobody: every server answers it as an unknown opcode",
 }
 
 
@@ -180,6 +175,49 @@ def test_unknown_opcode_is_rejected_by_the_decoder():
         protocol.decode_request(bytes([max(ALL_OPS) + 1]))
 
 
+#: A request of opcode 14 (the removed cluster's ADMIN command, one JSON
+#: blob) and the answer a server gives it, byte for byte.
+OPCODE_14_REQUEST = (
+    "000000220e0000001d7b22636d64223a2022737461747573222c20227368617264"
+    "223a20337d"
+)
+OPCODE_14_ANSWER = (
+    "000000200253746f726167654572726f723a20756e6b6e6f776e206f70636f6465203134"
+)
+
+
+class _Wire:
+    """The transport half a :class:`Connection` writes its answers to."""
+
+    def __init__(self):
+        self.written = bytearray()
+
+    def get_write_buffer_limits(self):
+        return 0, 1 << 20
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def write(self, data):
+        self.written += data
+
+    def resume_reading(self):
+        pass
+
+
+def test_opcode_14_gets_the_golden_unknown_opcode_answer():
+    with pytest.raises(StorageError, match="^unknown opcode 14$"):
+        protocol.decode_request(bytes.fromhex(OPCODE_14_REQUEST)[4:])
+
+    async def never(op, args):
+        raise AssertionError("an undecodable request was dispatched")
+
+    conn, wire = Connection(never, set(), set()), _Wire()
+    conn.connection_made(wire)
+    conn.data_received(bytes.fromhex(OPCODE_14_REQUEST))
+    assert wire.written.hex() == OPCODE_14_ANSWER
+
+
 # =============================================================================
 # (b) encode -> decode_request round trips
 # =============================================================================
@@ -207,9 +245,7 @@ ARG_STRATEGIES = {
 
 
 def test_every_op_has_a_round_trip_strategy():
-    # The retired opcode's encoder takes a dict and its decoder hands
-    # back the JSON blob, so it round-trips through the golden frame above.
-    assert set(ARG_STRATEGIES) == ALL_OPS - {Op.RETIRED_ADMIN}
+    assert set(ARG_STRATEGIES) == ALL_OPS
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,11 +14,11 @@ import json
 import os
 
 import pytest
+from exposition import parse
 
 from repro.cli import main
 from repro.common.params import ColeParams
 from repro.core import Cole
-from repro.obs.registry import parse_exposition
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.wal import WriteAheadLog
 
@@ -75,6 +75,7 @@ def cold_workspace(tmp_path_factory):
         wal=wal,
     ) as thread:
         asyncio.run(drive_load(*thread.start()))
+    wal.close()
     engine.close()
     return directory
 
@@ -227,6 +228,7 @@ def live_server(cold_workspace):
         host, port = thread.start()
         asyncio.run(drive_load(host, port, writes=40))
         yield f"{host}:{port}"
+    wal.close()
     engine.close()
 
 
@@ -253,6 +255,43 @@ def test_live_latency_reports_per_op_histograms(live_server, capsys):
     assert ("repro_wal_fsync_seconds", "-") in by_labels
     # Every pooled call (the group commits, here) timed its hand-off.
     assert by_labels[("repro_executor_hop_seconds", "-")]["count"] > 0
+
+
+def test_live_latency_rows_are_the_stats_latency_section(live_server, capsys, monkeypatch):
+    """``query latency`` renders the STATS snapshot it fetched: one row
+    per series of every family, its count / avg / p50 / p99 as STATS has
+    them."""
+    from repro.obs.query import QueryTarget
+    from repro.server.server import LATENCY_FAMILIES
+
+    fetched = []
+    real = QueryTarget.stats
+
+    def recorded(self):
+        fetched.append(real(self))
+        return fetched[-1]
+
+    monkeypatch.setattr(QueryTarget, "stats", recorded)
+    code, out = run_cli(["-s", live_server, "latency", "-f", "json"], capsys)
+    assert code == 0
+    stats = fetched[0]  # cached: every call returns this one snapshot
+    rows = {(row["metric"], row["labels"]): row for row in json.loads(out)}
+
+    expected = {}
+    for family, key, label in LATENCY_FAMILIES:
+        section = stats["latency"].get(key)
+        if section is None:
+            continue
+        series = section.items() if label else [(None, section)]
+        for value, summary in series:
+            expected[(family, f"{label}={value}" if label else "-")] = summary
+    assert rows.keys() == expected.keys()
+    assert ("repro_executor_hop_seconds", "-") in rows
+    for series, summary in expected.items():
+        row = rows[series]
+        assert row["count"] == summary["count"]
+        for column, field in (("avg_s", "avg"), ("p50_s", "p50"), ("p99_s", "p99")):
+            assert row[column] == round(summary[field], 6), (series, column)
 
 
 def test_live_caches_reports_hit_rates(live_server, capsys):
@@ -340,7 +379,7 @@ def test_metrics_op_round_trips(live_server):
             return await client.metrics()
 
     text = asyncio.run(scrape())
-    series = parse_exposition(text)
+    series = parse(text)
     ops = {
         labels["op"]
         for labels, _ in series["repro_ops_total"]

@@ -102,6 +102,9 @@ def assert_core_schema(stats: dict) -> None:
     assert isinstance(latency["merge"], dict)
     for summary in latency["op"].values():
         assert set(summary) == HIST_SUMMARY_KEYS
+    # Every role's server times its thread-pool hand-offs.
+    assert set(latency["executor_hop"]) == HIST_SUMMARY_KEYS
+    assert latency["executor_hop"]["count"] > 0
 
     io = stats["io"]
     assert isinstance(io["page_reads"], int)
