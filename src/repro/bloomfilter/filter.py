@@ -181,12 +181,14 @@ class BloomFilter:
 
         Filter bytes arrive in proofs from an untrusted server: the header
         must describe exactly its payload, as :meth:`to_bytes` writes it,
-        before anything is allocated from it or hashed as the digest.
+        before anything is allocated from it or hashed as the digest.  A
+        probe costs ``num_hashes`` steps, so more hashes than bits (none
+        of which a real filter has) are refused too.
         """
         if len(data) < 12:
             raise StorageError("truncated bloom filter")
         num_bits, num_hashes, count = _HEADER.unpack_from(data)
-        if num_bits < 8 or num_hashes < 1:
+        if num_bits < 8 or not 1 <= num_hashes <= num_bits:
             raise StorageError("bloom filter header is not one to_bytes writes")
         if len(data) - 12 != (num_bits + 7) // 8:
             raise StorageError("bloom filter payload size mismatch")

@@ -13,18 +13,23 @@ the exact order the list is hashed into ``Hstate``:
 
 The verifier recomputes each item's digest, reassembles ``Hstate`` and
 checks it against the block header.
+
+:func:`encode_prov_answer` writes a PROV answer as a version byte and one
+tagged value: ``None``, a signed int in its shortest form, bytes, a list,
+a tuple, or a proof class with its fields in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.bloomfilter import BloomFilter, HashedItem, bits_contain
-from repro.common.errors import VerificationError
+from repro.common.codec import U32, Cursor
+from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import Digest, hash_bytes, hash_concat
 from repro.core.merklefile import MerkleRangeProof
-from repro.mbtree.proof import MBTreeProof
+from repro.mbtree.proof import MBTreeProof, ProofHash, ProofInternal, ProofLeaf
 
 
 @dataclass(frozen=True)
@@ -126,3 +131,92 @@ class ProvenanceResult:
     versions: List[Tuple[int, bytes]]
     boundary_version: Optional[Tuple[int, bytes]]
     proof: ProvenanceProof
+
+
+#: First byte of every encoded PROV answer; a decoder refuses any other.
+PROOF_CODEC_VERSION = 1
+#: Nesting a decoder follows: past any real proof, short of the recursion limit.
+MAX_PROOF_DEPTH = 64
+_NONE, _INT, _BYTES, _LIST, _TUPLE = range(5)
+#: The proof classes; class ``i`` is tag ``_TUPLE + 1 + i``.
+_CLASSES = (ProvenanceResult, ProvenanceProof, MemProofItem, RunProofItem, RunNegativeItem,
+            StubItem, MerkleRangeProof, MBTreeProof, ProofHash, ProofLeaf, ProofInternal)
+
+
+def _int_size(value: int) -> int:
+    """Bytes of ``value``'s shortest two's-complement form."""
+    return ((value if value >= 0 else ~value).bit_length() + 8) // 8
+
+
+def _encode(value: Any, out: List[bytes]) -> None:
+    kind = type(value)
+    if value is None:
+        out.append(bytes([_NONE]))
+    elif kind is int:
+        size = _int_size(value)
+        out += (bytes([_INT, size]), value.to_bytes(size, "big", signed=True))
+    elif kind is bytes:
+        out += (bytes([_BYTES]), U32.pack(len(value)), value)
+    elif kind is list or kind is tuple:
+        out += (bytes([_LIST if kind is list else _TUPLE]), U32.pack(len(value)))
+        for item in value:
+            _encode(item, out)
+    else:
+        out.append(bytes([_TUPLE + 1 + _CLASSES.index(kind)]))
+        for spec in fields(value):
+            _encode(getattr(value, spec.name), out)
+
+
+def _decode(cursor: Cursor, depth: int) -> Any:
+    if depth > MAX_PROOF_DEPTH:
+        raise StorageError(f"proof nests deeper than {MAX_PROOF_DEPTH}")
+    tag = cursor.u8()
+    if tag == _NONE:
+        return None
+    if tag == _INT:
+        raw = cursor.take(cursor.u8())
+        value = int.from_bytes(raw, "big", signed=True)
+        if len(raw) != _int_size(value):
+            raise StorageError("proof int is not in its shortest form")
+        return value
+    if tag == _BYTES:
+        return cursor.bytes32()
+    if tag == _LIST or tag == _TUPLE:
+        count = cursor.u32()
+        if count > len(cursor.data) - cursor.pos:  # every value takes a byte
+            raise StorageError(f"proof list of {count} exceeds the bytes left")
+        items = [_decode(cursor, depth + 1) for _ in range(count)]
+        return items if tag == _LIST else tuple(items)
+    if _TUPLE < tag <= _TUPLE + len(_CLASSES):
+        cls = _CLASSES[tag - _TUPLE - 1]
+        return cls(*[_decode(cursor, depth + 1) for _ in fields(cls)])
+    raise StorageError(f"unknown proof tag {tag}")
+
+
+def encode_prov_answer(result: ProvenanceResult, root: Digest) -> bytes:
+    """The PROV answer blob of ``(result, root)``."""
+    out = [bytes([PROOF_CODEC_VERSION])]
+    _encode((result, root), out)
+    return b"".join(out)
+
+
+def decode_prov_answer(blob: bytes) -> Tuple[ProvenanceResult, Digest]:
+    """``(ProvenanceResult, root)`` from an :func:`encode_prov_answer`
+    blob, read as hostile: anything else raises ``StorageError``.  The
+    proof inside is :func:`~repro.core.verify.verify_provenance`'s to check."""
+    cursor = Cursor(blob)
+    version = cursor.u8()
+    if version != PROOF_CODEC_VERSION:
+        raise StorageError(f"proof codec version {version} is not {PROOF_CODEC_VERSION}")
+    answer = _decode(cursor, 0)
+    if not cursor.done():
+        raise StorageError(f"{len(blob) - cursor.pos} trailing bytes after the proof")
+    if not (
+        type(answer) is tuple
+        and len(answer) == 2
+        and type(answer[0]) is ProvenanceResult
+        and type(answer[1]) is bytes
+        and len(answer[1]) == 32
+    ):
+        raise StorageError("PROV blob is not a (ProvenanceResult, 32-byte root) pair")
+    return answer

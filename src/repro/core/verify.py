@@ -30,9 +30,9 @@ from repro.core.proofs import (
 from repro.mbtree.proof import verify_range_proof as verify_mbtree_range
 
 
-#: What the walk raises on a result not built as a proof is — a field
-#: missing or of another type, an ``int`` no key encoding holds, a node
-#: in its own subtree — as a decoded server answer can be.
+#: What the walk raises on a result not built as a proof is — a decoded
+#: field of another type or an ``int`` no key encoding holds; in process,
+#: also a field missing or a node in its own subtree.
 _WRONG_SHAPE = (AttributeError, TypeError, ValueError, OverflowError, RecursionError)
 
 

@@ -162,32 +162,9 @@ class WriteBatcher:
     def put(self, addr: bytes, value: bytes) -> int:
         """Buffer one put; returns the block height it will commit at.
 
-        With a WAL attached, the put's record is appended here — before
-        the caller can ack — and :attr:`last_put_lsn` is the LSN whose
-        durability the ack must wait for (policy-dependent; the server's
-        group syncer handles that).
+        A batch of one (:meth:`put_batch`), not counted as a MULTI_PUT.
         """
-        if self._refusal is not None:
-            raise StorageError(self._refusal)
-        if (len(addr), len(value)) != self._sizes:
-            raise self._malformed()
-        height = self._next_height
-        # WAL first, buffer second: a failed append must leave nothing
-        # behind — a buffered-but-unlogged put would commit, be served,
-        # and then vanish on recovery.  The reverse ambiguity (logged
-        # but errored to the client) is the standard one: recovery may
-        # resurface a write whose response was lost.
-        if self.wal is not None:
-            self.last_put_lsn = self.wal.append_put(addr, value, height)
-        self._active_items.append((addr, value))
-        self._active_overlay[addr] = value
-        if len(self._active_items) >= self.max_batch:
-            self.size_flushes += 1
-            self._spawn_flush()
-        elif self._timer is None:
-            loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(self.max_delay, self._on_timer)
-        return height
+        return self._buffer([(addr, value)])
 
     def put_batch(self, items: List[Tuple[bytes, bytes]]) -> int:
         """Buffer one MULTI_PUT batch as a unit; returns its commit height.
@@ -196,22 +173,37 @@ class WriteBatcher:
         commits at the same height, which is what the MULTI_PUT response
         promises — and with a WAL attached the batch is one
         ``append_puts`` call (one record) instead of a record per key.
-        Same WAL-first ordering as :meth:`put`: a failed append leaves
-        nothing buffered, and one malformed item refuses the whole batch.
+        """
+        height = self._buffer(items)
+        self.multi_put_batches += 1
+        return height
+
+    def _buffer(self, items: List[Tuple[bytes, bytes]]) -> int:
+        """Buffer ``items`` into the open block; returns its height.
+
+        With a WAL attached, their record is appended here — before the
+        caller can ack — and :attr:`last_put_lsn` is the LSN whose
+        durability the ack must wait for (policy-dependent; the server's
+        group syncer handles that).  One malformed item refuses them all.
         """
         if self._refusal is not None:
             raise StorageError(self._refusal)
-        sizes = self._sizes
+        addr_size, value_size = sizes = self._sizes
         for addr, value in items:
             if (len(addr), len(value)) != sizes:
-                raise self._malformed()
+                raise StorageError(
+                    f"address must be {addr_size} bytes and value {value_size} bytes"
+                )
         height = self._next_height
+        # WAL first, buffer second: a failed append must leave nothing
+        # behind — a buffered-but-unlogged put would commit, be served,
+        # and then vanish on recovery.  The reverse ambiguity (logged
+        # but errored to the client) is the standard one: recovery may
+        # resurface a write whose response was lost.
         if self.wal is not None:
             self.last_put_lsn = self.wal.append_puts(items, height)
         self._active_items.extend(items)
-        for addr, value in items:
-            self._active_overlay[addr] = value
-        self.multi_put_batches += 1
+        self._active_overlay.update(items)
         if len(self._active_items) >= self.max_batch:
             self.size_flushes += 1
             self._spawn_flush()
@@ -219,10 +211,6 @@ class WriteBatcher:
             loop = asyncio.get_running_loop()
             self._timer = loop.call_later(self.max_delay, self._on_timer)
         return height
-
-    def _malformed(self) -> StorageError:
-        addr_size, value_size = self._sizes
-        return StorageError(f"address must be {addr_size} bytes and value {value_size} bytes")
 
     def _on_timer(self) -> None:
         self._timer = None

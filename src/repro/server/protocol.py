@@ -22,8 +22,8 @@ op              class    request payload           OK response payload
 PUT             write    addr16, value32           u64 block height assigned
 GET             read     addr16                    value32 (or NOT_FOUND)
 GET_AT          read     addr16, u64 blk           value32 (or NOT_FOUND)
-PROV            read     addr16, u64 blk_low,      blob32 (pickled result,
-                         u64 blk_high              root; proof classes only)
+PROV            read     addr16, u64 blk_low,      blob32 (proof codec:
+                         u64 blk_high              result, root)
 ROOT            control  —                         digest16, u64 ver, u64 blk
 STATS           control  —                         blob32 (JSON, utf-8)
 FLUSH           write    —                         digest16, u64 ver, u64 blk
@@ -90,11 +90,10 @@ address)``.  Status 4 is unassigned.
 
 ``PROV`` responses carry the engine's full provenance result (values,
 boundary version, and the authentication proof) and the root it is
-anchored at, as a pickle blob, so the client can run the verifier
-locally.  The client trusts only digests, so it reads the blob as
-hostile: :func:`decode_prov_response` admits only the opcodes and the
-classes a proof is made of; anything else raises ``StorageError``, and
-no other global is resolved, let alone called.
+anchored at, in the proof codec of :mod:`repro.core.proofs`, so the
+client can run the verifier locally.  The client trusts only digests,
+so it reads the blob as hostile: anything but a well-formed
+``(ProvenanceResult, 32-byte root)`` raises ``StorageError``.
 
 The framing is deliberately request-id free: the server answers each
 connection's requests strictly in order, so a pipelining client matches
@@ -113,9 +112,7 @@ shape, and every malformed one, goes field by field through
 from __future__ import annotations
 
 import asyncio
-import io
 import json
-import pickle
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -432,61 +429,12 @@ def decode_blob_response(body: bytes) -> bytes:
     return cursor.bytes32()
 
 
-#: The globals a PROV blob may name: the proof's own classes.
-_PROOF_CLASSES = {
-    "repro.core.proofs": {"ProvenanceResult", "ProvenanceProof", "MemProofItem",
-                          "RunProofItem", "RunNegativeItem", "StubItem"},
-    "repro.core.merklefile": {"MerkleRangeProof"},
-    "repro.mbtree.proof": {"MBTreeProof", "ProofHash", "ProofLeaf", "ProofInternal"},
-}
-
-#: The opcodes a protocol-5 pickle of a proof is made of.  Memo writes by
-#: index (``PUT``, ``LONG_BINPUT``) are left out: one can size the memo to
-#: gigabytes.
-_PROOF_OPCODES = set(
-    "PROTO FRAME STOP MARK MEMOIZE BINGET LONG_BINGET STACK_GLOBAL NEWOBJ BUILD NONE NEWTRUE"
-    " NEWFALSE BININT BININT1 BININT2 LONG1 SHORT_BINUNICODE BINUNICODE SHORT_BINBYTES BINBYTES"
-    " EMPTY_TUPLE TUPLE1 TUPLE2 TUPLE3 TUPLE EMPTY_LIST APPEND APPENDS EMPTY_DICT SETITEM SETITEMS"
-    .split()
-)
-
-
-class _ProofUnpickler(pickle.Unpickler):
-    def find_class(self, module: str, name: str) -> Any:
-        if name not in _PROOF_CLASSES.get(module, ()):
-            raise StorageError(f"{module}.{name} is not a proof class")
-        return super().find_class(module, name)
-
-
 def decode_prov_response(body: bytes) -> Tuple[Any, bytes]:
-    """``(ProvenanceResult, root)`` from a PROV answer.  The pickle comes
-    from the server, so it is read as hostile: its opcodes are walked
-    first (each length checked against the bytes there, each opcode
-    against :data:`_PROOF_OPCODES`), then it loads with its globals
-    limited to :data:`_PROOF_CLASSES`, and it must be that pair (the
-    proof inside is :func:`~repro.core.verify.verify_provenance`'s to
-    check)."""
-    import pickletools  # a client's import: no server process loads its tables
+    """``(ProvenanceResult, root)`` from a PROV answer, read as hostile
+    (:func:`repro.core.proofs.decode_prov_answer`)."""
+    from repro.core.proofs import decode_prov_answer
 
-    from repro.core.proofs import ProvenanceResult
-
-    blob = decode_blob_response(body)
-    try:
-        for opcode, _arg, _pos in pickletools.genops(blob):
-            if opcode.name not in _PROOF_OPCODES:
-                raise StorageError(f"opcode {opcode.name} is not a proof's")
-        answer = _ProofUnpickler(io.BytesIO(blob)).load()
-    except Exception as exc:  # a hostile pickle can raise almost any built-in error
-        raise StorageError(f"PROV blob refused: {exc}") from None
-    if not (
-        type(answer) is tuple
-        and len(answer) == 2
-        and type(answer[0]) is ProvenanceResult
-        and type(answer[1]) is bytes
-        and len(answer[1]) == 32
-    ):
-        raise StorageError("PROV blob is not a (ProvenanceResult, 32-byte root) pair")
-    return answer
+    return decode_prov_answer(decode_blob_response(body))
 
 
 def decode_text_response(body: bytes) -> str:

@@ -66,7 +66,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
-import pickle
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +74,7 @@ from itertools import compress, repeat
 from typing import Any, Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import StorageError
+from repro.core.proofs import encode_prov_answer
 from repro.core.storage import WOULD_BLOCK
 from repro.obs import MetricsRegistry, render_rows
 from repro.server import protocol
@@ -908,8 +908,7 @@ class ColeServer:
         result, root = await self._run(
             self.engine.prov_query_anchored, addr, blk_low, blk_high
         )
-        blob = pickle.dumps((result, root), protocol=pickle.HIGHEST_PROTOCOL)
-        return protocol.encode_blob_response(blob)
+        return protocol.encode_blob_response(encode_prov_answer(result, root))
 
     async def _op_scan(
         self, addr_low: bytes, addr_high: bytes, at_blk: int, limit: int

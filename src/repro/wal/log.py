@@ -206,17 +206,14 @@ class WriteAheadLog:
     # =========================================================================
 
     def append_put(self, addr: bytes, value: bytes, height: int) -> int:
-        """Append one put record; returns the LSN a sync must cover."""
-        record = encode_puts(height, [(addr, value)])
-        with self._lock:
-            self.puts_appended += 1
-            return self._append(record, height)
+        """:meth:`append_puts` of one put: the same record bytes."""
+        return self.append_puts([(addr, value)], height)
 
     def append_puts(self, items: List[Tuple[bytes, bytes]], height: int) -> int:
         """Append a whole batch as one record; returns its LSN.
 
-        The bulk variant: the server logs a MULTI_PUT with it, pre-ack, as
-        do embedders logging outside the serving layer.
+        The server logs each PUT and MULTI_PUT with it, pre-ack, as do
+        embedders logging outside the serving layer.
         """
         record = encode_puts(height, items)
         with self._lock:

@@ -134,7 +134,7 @@ def test_from_bytes_checks_length_before_allocating():
     st.lists(st.binary(min_size=1, max_size=8), max_size=40),
     st.lists(st.binary(min_size=1, max_size=8), max_size=40),
     st.integers(min_value=8, max_value=3000),
-    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=8),  # from_bytes refuses more hashes than bits
 )
 def test_flag_adds_match_the_positions_oracle_bit_for_bit(first, second, num_bits, num_hashes):
     # A filter loaded with from_bytes and then added to ORs its new flags

@@ -593,21 +593,22 @@ def test_kill9_mid_snapshot_never_verifies(tmp_path):
         text=True,
         env=env,
     )
-    try:
-        assert proc.stdout.readline().strip() == "READY"
-        before = workspace_state(directory)
-        # The manifest copy is written once the gate is released and
-        # before the first checksum: kill -9 then.
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(os.path.join(dest, "MANIFEST.json")):
-            if time.monotonic() > deadline:
-                raise AssertionError("snapshot never captured the store")
-            time.sleep(0.01)
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=15)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    with proc.stdout:  # left open, the pipe leaks a file
+        try:
+            assert proc.stdout.readline().strip() == "READY"
+            before = workspace_state(directory)
+            # The manifest copy is written once the gate is released and
+            # before the first checksum: kill -9 then.
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(os.path.join(dest, "MANIFEST.json")):
+                if time.monotonic() > deadline:
+                    raise AssertionError("snapshot never captured the store")
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
     assert proc.returncode == -signal.SIGKILL
 
     # The half-written snapshot has no record and must never verify.
@@ -655,12 +656,15 @@ def _spawn_server(workspace):
     ready = threading.Event()
 
     def pump():
-        for line in proc.stdout:
-            lines.append(line)
-            match = re.search(r"serving .* on [\d.]+:(\d+)", line)
-            if match:
-                port_holder["port"] = int(match.group(1))
-                ready.set()
+        # The pipe is this thread's to close: at EOF, once the server has
+        # exited (left open, it leaks a file).
+        with proc.stdout:
+            for line in proc.stdout:
+                lines.append(line)
+                match = re.search(r"serving .* on [\d.]+:(\d+)", line)
+                if match:
+                    port_holder["port"] = int(match.group(1))
+                    ready.set()
         ready.set()  # EOF: unblock the waiter either way
 
     threading.Thread(target=pump, daemon=True).start()

@@ -10,11 +10,13 @@ of raising.  Checksums stop most flips before a decoder sees them, so
 each checksummed format is also swept with its checksums recomputed
 around the flipped bytes.
 
-The PROV blob is a pickle from the server: the client admits only the
-opcodes and classes a proof is made of, and every bit flip of a real
-blob, decoded and then verified, gives the original versions or raises.  The hex goldens pin the WAL
-record format.  The baselines' own formats (an LSM sstable page, an MPT
-node) are swept with every truncation.
+The PROV blob is the proof codec's (:mod:`repro.core.proofs`): real
+proofs of COLE and COLE* round-trip through it, every malformed blob —
+a pickle among them — is refused with ``StorageError``, and every bit
+flip of a real blob, decoded and then verified, gives the original
+versions or raises.  The hex goldens pin the WAL record format.  The
+baselines' own formats (an LSM sstable page, an MPT node) are swept with
+every truncation.
 
 A write whose address or value is not of the store's length is refused
 wherever it enters — PUT, MULTI_PUT, ``Cole.put_many`` — before it is
@@ -24,16 +26,23 @@ logged, buffered or acked; one an older build logged replays as skipped.
 import asyncio
 import io
 import os
-import pickle
 import struct
+import time
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bloomfilter import BloomFilter
+from repro.common.codec import Cursor
 from repro.common.errors import ReproError, StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, export_slice, iter_triples, read_header, verify_provenance
-from repro.core.proofs import MemProofItem, RunNegativeItem, RunProofItem, StubItem
+from repro.core import proofs
+from repro.core.proofs import (
+    MAX_PROOF_DEPTH, MemProofItem, RunNegativeItem, RunProofItem, StubItem, decode_prov_answer,
+    encode_prov_answer,
+)
 from repro.kvstore.sstable import _decode_page, _encode_record
 from repro.mpt.nibbles import pack_nibbles
 from repro.mpt.node import BranchNode, ExtensionNode, LeafNode, decode_node, encode_node
@@ -74,7 +83,7 @@ def tiny_store(tmp_path_factory):
     stream = io.BytesIO()
     export_slice(engine, stream)
     engine.close()
-    return pickle.dumps((result, root), protocol=pickle.HIGHEST_PROTOCOL), stream.getvalue()
+    return encode_prov_answer(result, root), stream.getvalue()
 
 
 # =============================================================================
@@ -189,8 +198,50 @@ def test_every_damaged_export_stream_decodes_or_raises(tiny_store):
 
 
 # =============================================================================
-# PROV: the client unpickles only a proof
+# PROV: the proof codec
 # =============================================================================
+
+def blob_of(value) -> bytes:
+    """``value`` in the proof codec, whatever its shape."""
+    out = [bytes([proofs.PROOF_CODEC_VERSION])]
+    proofs._encode(value, out)
+    return b"".join(out)
+
+
+def decode_blob(blob: bytes):
+    return protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["cole", "cole-star"])
+def history(request, tmp_path_factory):
+    """A store of 12 addresses (address 0 among them) written over 40
+    blocks, open for provenance queries."""
+    params = ColeParams(system=SystemParams(addr_size=4, value_size=4), mem_capacity=8,
+                        size_ratio=2, async_merge=request.param)
+    engine = Cole(str(tmp_path_factory.mktemp("history")), params)
+    for blk in range(1, 41):
+        engine.begin_block(blk)
+        engine.put_many([(n.to_bytes(4, "big"), blk.to_bytes(4, "big")) for n in range(blk % 3, 12, 3)])
+        engine.commit_block()
+    yield engine
+    engine.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(addr=st.integers(0, 12), low=st.integers(0, 41), span=st.integers(0, 41))
+def test_real_proofs_round_trip_through_the_codec(history, addr, low, span):
+    result, root = history.prov_query_anchored(addr.to_bytes(4, "big"), low, low + span)
+    assert decode_prov_answer(encode_prov_answer(result, root)) == (result, root)
+
+
+def test_a_negative_window_bound_round_trips(history):
+    # Address 0 from block 0: the MB-tree window opens at key -1.
+    result, root = history.prov_query_anchored(bytes(4), 0, 40)
+    lows = [item.proof.low for item in result.proof.items if type(item) is MemProofItem]
+    assert -1 in lows
+    assert decode_blob(encode_prov_answer(result, root)) == (result, root)
+    verify_provenance(result, root, addr_size=4)
+
 
 @pytest.mark.parametrize("blob", [
     pytest.param(b"cos\nsystem\n(S'true'\ntR.", id="protocol-0-global-reduce"),
@@ -202,24 +253,23 @@ def test_prov_blob_naming_os_system_is_refused_and_never_called(monkeypatch, blo
     calls = []
     monkeypatch.setattr(os, "system", calls.append)
     with pytest.raises(StorageError):
-        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+        decode_blob(blob)
     assert calls == []
 
 
 def test_every_flipped_prov_blob_verifies_the_same_or_raises(tiny_store):
     """Decode, then verify: a flip either leaves the verified versions as
     they were or raises a taxonomy error — never a built-in error from a
-    proof of the wrong shape (a field gone, renamed or retyped)."""
+    proof of the wrong shape (a field retyped, an int widened)."""
     blob = tiny_store[0]
-    result, root = protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+    result, root = decode_blob(blob)
     versions = verify_provenance(result, root, addr_size=4)
     assert versions == [(1, b"vvvv")]
     for bit in range(8 * len(blob)):
         flipped = bytearray(blob)
         flipped[bit >> 3] ^= 1 << (bit & 7)
-        body = protocol.encode_blob_response(bytes(flipped))[4:]
         try:
-            result, root = protocol.decode_prov_response(body)
+            result, root = decode_blob(bytes(flipped))
             assert verify_provenance(result, root, addr_size=4) == versions, bit
         except ReproError:
             pass
@@ -230,18 +280,67 @@ def test_every_flipped_prov_blob_verifies_the_same_or_raises(tiny_store):
     pytest.param(b"\x00" * 32, id="bytes"),
     pytest.param((None, bytes(32)), id="no-result"),
     pytest.param((), id="empty-tuple"),
+    pytest.param([StubItem(bytes(32)), bytes(32)], id="list"),
 ])
 def test_prov_blob_of_the_wrong_shape_is_refused(answer):
-    blob = pickle.dumps(answer, protocol=pickle.HIGHEST_PROTOCOL)
     with pytest.raises(StorageError, match="not a .ProvenanceResult"):
-        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+        decode_blob(blob_of(answer))
 
 
 def test_prov_blob_with_a_short_root_is_refused(tiny_store):
-    result, _root = pickle.loads(tiny_store[0])
-    blob = pickle.dumps((result, bytes(31)), protocol=pickle.HIGHEST_PROTOCOL)
+    result, _root = decode_prov_answer(tiny_store[0])
     with pytest.raises(StorageError, match="32-byte root"):
-        protocol.decode_prov_response(protocol.encode_blob_response(blob)[4:])
+        decode_blob(blob_of((result, bytes(31))))
+
+
+NONE, INT, BYTES, LIST, TUPLE = (bytes([tag]) for tag in range(5))
+
+
+@pytest.mark.parametrize("body, reason", [
+    pytest.param(NONE + NONE, "trailing", id="trailing-bytes"),
+    pytest.param(LIST + struct.pack(">I", 2**32 - 1) + NONE, "exceeds the bytes left",
+                 id="count-past-the-end"),
+    pytest.param(TUPLE + struct.pack(">I", 2) + NONE + INT, "truncated", id="short-tuple"),
+    pytest.param(BYTES + struct.pack(">I", 2**32 - 1), "truncated", id="bytes-past-the-end"),
+    pytest.param(INT + b"\x02\x00\x05", "shortest form", id="int-leading-zero"),
+    pytest.param(INT + b"\x02\xff\xff", "shortest form", id="int-leading-ones"),
+    pytest.param(INT + b"\x00", "shortest form", id="int-empty"),
+    pytest.param(bytes([255]), "unknown proof tag", id="unknown-tag"),
+    pytest.param((LIST + struct.pack(">I", 1)) * (MAX_PROOF_DEPTH + 2) + NONE, "deeper than",
+                 id="nesting-past-the-cap"),
+    pytest.param((LIST + struct.pack(">I", 1)) * 100_000 + NONE, "deeper than",
+                 id="nesting-bomb"),
+])
+def test_a_malformed_codec_blob_is_refused(body, reason):
+    with pytest.raises(StorageError, match=reason):
+        decode_blob(bytes([proofs.PROOF_CODEC_VERSION]) + body)
+
+
+@pytest.mark.parametrize("version", [0, 2, 0x80])
+def test_another_codec_version_is_refused(tiny_store, version):
+    with pytest.raises(StorageError, match="version"):
+        decode_blob(bytes([version]) + tiny_store[0][1:])
+
+
+@pytest.mark.parametrize("value, size", [
+    (0, 1), (-1, 1), (127, 1), (128, 2), (-128, 1), (-129, 2), (2**64 - 1, 9), (-(2**320), 41),
+])
+def test_signed_ints_take_their_shortest_form(value, size):
+    blob = blob_of(value)
+    assert blob[2] == size and len(blob) == 3 + size
+    assert proofs._decode(Cursor(blob[1:]), 0) == value
+
+
+def test_a_filter_with_more_hashes_than_bits_is_refused_at_once():
+    # 12-byte header (8 bits, 2**32 - 1 hashes) and one all-ones byte:
+    # probed in full it would step about 8 minutes before Hstate is read.
+    forged = struct.pack(">III", 8, 2**32 - 1, 0) + b"\xff"
+    item = RunNegativeItem(bloom_bytes=forged, merkle_root=bytes(32))
+    started = time.perf_counter()
+    with pytest.raises(ReproError):
+        item.commitment((12345, 6789))
+    assert time.perf_counter() - started < 0.5
+    assert BloomFilter.parse_header(struct.pack(">III", 8, 8, 0) + b"\xff")  # as many as bits
 
 
 def test_served_prov_still_verifies_against_its_root(tmp_path):
