@@ -90,7 +90,6 @@ ENGINE_METHODS = {
     "root_hash_list",
     "close",
     "wait_for_merges",
-    "sync_checkpoint",
 }
 
 #: WAL methods that hit the filesystem (append = write syscall,

@@ -21,6 +21,7 @@ from repro.common.params import ColeParams
 from repro.core.indexfile import IndexFile, IndexFileBuilder
 from repro.core.merklefile import MerkleFile, MerkleFileBuilder, MerkleRangeProof
 from repro.core.valuefile import ValueFile, ValueFileWriter
+from repro.diskio import durable
 from repro.diskio.workspace import Workspace
 
 Entry = Tuple[int, bytes]
@@ -88,7 +89,6 @@ class Run:
         self.params = params
         self.merkle_root = merkle_root
         self.bloom = bloom
-        self.fsynced = False  # set once by Cole.sync_checkpoint
         system = params.system
         # Read-only: a just-built run reuses its builder's cached
         # handles, and every other open cannot write a run's bytes.
@@ -128,9 +128,11 @@ class Run:
         the value file stores those bytes, the Merkle leaf hashes them, the
         filter takes its address off their front and only the index
         decodes the key.  The three sinks are fed one value page of pairs
-        at a time.  If the build fails — a short, long or unsorted stream,
-        a sink that raises — the partial artifacts are removed before the
-        error propagates, so ``name`` can be built again.  Every file is
+        at a time.  The four files are synced before it returns, so a
+        manifest naming the run names durable bytes (§4.3).  If the build
+        fails — a short, long or unsorted stream, a sink or an fsync that
+        raises — the partial artifacts are removed before the error
+        propagates, so ``name`` can be built again.  Every file is
         created exclusively: a name that already exists raises
         :class:`StorageError` and its file is left as it was.
         """
@@ -180,6 +182,8 @@ class Run:
             with open(workspace.path_of(f"{name}.blm"), "xb") as handle:
                 created.append(f"{name}.blm")
                 handle.write(bloom.to_bytes())
+            for file_name in created:
+                durable.fsync(workspace.path_of(file_name))
             return cls(workspace, name, level, num_entries, params, merkle_root, bloom)
         except BaseException:
             for file_name in created:

@@ -56,7 +56,6 @@ from repro.core.proofs import (
     StubItem,
 )
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
-from repro.diskio import durable
 from repro.diskio.iostats import IOStats
 from repro.diskio.workspace import Workspace
 
@@ -697,19 +696,21 @@ class Cole:
         level 2 or deeper is one build there: its L0 entries count as
         rewritten.  ``write_amp`` is ``bytes_rewritten / bytes_flushed``.
         The per-level rows report the live run layout (count, entries,
-        on-disk bytes) plus the bytes ever written *onto* that level, so
-        `repro query compaction` can show where rewriting concentrates.
+        on-disk bytes) plus, below level 1 (which only flushes reach),
+        the bytes ever written *onto* that level, so `repro query
+        compaction` can show where rewriting concentrates.
         """
         per_level: Dict[int, dict] = {}
         with self.gate.exclusive():
             for level in self.levels:
                 runs = level.all_runs()
-                per_level[level.level] = {
+                row = per_level[level.level] = {
                     "runs": len(runs),
                     "entries": sum(run.num_entries for run in runs),
                     "bytes": sum(run.storage_bytes() for run in runs),
-                    "bytes_rewritten": self.level_bytes_rewritten.get(level.level, 0),
                 }
+                if level.level > 1:
+                    row["bytes_rewritten"] = self.level_bytes_rewritten.get(level.level, 0)
             flushed = self.bytes_flushed
             rewritten = self.bytes_rewritten
         return {
@@ -811,36 +812,11 @@ class Cole:
         self._restart_merges()
         self._publish_view()
 
-    def sync_checkpoint(self) -> int:
-        """Fsync the runs the manifest names; returns its checkpoint, every
-        write at or below which is then durable without the WAL.
-
-        The checkpoint and the runs are captured under the gate and
-        fsynced outside it, each run's files once (a run never changes
-        after its build; one loaded at open counts as not yet fsynced).
-        A file a later merge deleted meanwhile means a newer manifest:
-        capture again.  The manifest's directory fsync made the names
-        durable.
-        """
-        while True:
-            with self.gate.exclusive():
-                checkpoint = self._checkpoint_blk
-                runs = [run for level in self.levels for run in level.all_runs()]
-            try:
-                for run in runs:
-                    if not run.fsynced:
-                        for suffix in RUN_SUFFIXES:
-                            durable.fsync(self.workspace.path_of(run.name + suffix))
-                        run.fsynced = True
-            except FileNotFoundError:
-                continue
-            return checkpoint
-
     @property
     def checkpoint_blk(self) -> int:
         """Highest block height whose writes are all in the runs the
-        manifest names; they are durable past a machine crash once
-        :meth:`sync_checkpoint` returned it."""
+        manifest names; durable past a machine crash once the manifest
+        names it (:meth:`Run.build` fsyncs a run before it returns)."""
         return self._checkpoint_blk
 
     @property

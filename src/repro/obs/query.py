@@ -326,7 +326,8 @@ def collect_caches(stats: dict) -> List[dict]:
 def _compaction_rows(flushed: int, rewritten: int, levels: List[tuple]) -> List[dict]:
     """Shared row shaping of the cold and live compaction collectors:
     one row per level plus a ``*`` summary row carrying the cumulative
-    write-amplification (merge bytes over flush bytes)."""
+    write-amplification (merge bytes over flush bytes).  Level 1 only
+    receives flushes, so its ``bytes_rewritten`` is blank."""
     rows = []
     for level, runs, entries, size, level_rewritten in levels:
         rows.append(
@@ -335,7 +336,7 @@ def _compaction_rows(flushed: int, rewritten: int, levels: List[tuple]) -> List[
                 "runs": runs,
                 "entries": entries,
                 "bytes": size,
-                "bytes_rewritten": level_rewritten,
+                "bytes_rewritten": "" if level == 1 else level_rewritten,
                 "write_amp": "",
             }
         )
@@ -389,7 +390,7 @@ def collect_compaction_live(stats: dict) -> List[dict]:
         (int(level), row) for level, row in snapshot["levels"].items()
     ):
         levels.append(
-            (level, row["runs"], row["entries"], row["bytes"], row["bytes_rewritten"])
+            (level, row["runs"], row["entries"], row["bytes"], row.get("bytes_rewritten"))
         )
     return _compaction_rows(snapshot["bytes_flushed"], snapshot["bytes_rewritten"], levels)
 

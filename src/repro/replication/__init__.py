@@ -9,7 +9,7 @@ root), the replica applies them through the ordinary
 ``begin_block`` / ``put_many`` / ``commit_block`` path, and equality of
 the two roots at every height *is* the correctness oracle.
 
-* :class:`ReplicationHub` — primary side: fans sealed-and-fsynced WAL
+* :class:`ReplicationHub` — primary side: fans sealed-and-synced WAL
   records out to subscriber streams, each caught up from the on-disk WAL.
 * :class:`ReplicaApplier` — replica side: tails the primary's stream,
   applies and verifies each commit, reconnects forever on failure.

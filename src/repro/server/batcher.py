@@ -33,8 +33,8 @@ acknowledges it — the ack additionally waits for the put's record to be
 durable under the WAL's sync policy (the server's group-fsync path), so
 a crash between ack and group commit loses nothing.  After each commit
 the batcher appends a COMMIT marker and, whenever the engine's
-checkpoint advanced, fsyncs the runs the manifest names and then
-truncates the WAL segments they cover.
+checkpoint advanced, truncates the WAL segments it covers: the runs a
+manifest names were synced when they were built.
 
 The batcher is a primary server's ``committer`` (:mod:`repro.server.server`).
 
@@ -320,7 +320,7 @@ class WriteBatcher:
             if self.wal is not None:
                 self._maybe_truncate_wal()
                 if self._hub is not None and self._hub.subscribers:
-                    # Ship only sealed-and-fsynced batches: a replica must
+                    # Ship only sealed-and-synced batches: a replica must
                     # never hold a write a crashed primary would fail to
                     # recover, or the two would silently diverge when the
                     # primary re-assigns the lost heights.  (Under the
@@ -344,14 +344,14 @@ class WriteBatcher:
         """Drop WAL segments the engine checkpoint now covers.
 
         Runs only when the engine checkpoint advanced (a cascade
-        landed); off-loop, the manifest's runs are fsynced before any
-        segment covering them is deleted.  Deferred while a
-        replication catch-up scan is reading segments — a delete landing
-        mid-scan could remove heights that scan was promised (retried at
-        the next commit; segments only cost disk meanwhile).  The delete
-        stops at ``floor``, the checkpoint read here, even when the
-        fsynced manifest is newer: a subscriber registering while the
-        task is in flight was promised every height above ``floor``.
+        landed), off-loop; the runs the manifest names are already
+        synced.  Deferred while a replication catch-up scan is reading
+        segments — a delete landing mid-scan could remove heights that
+        scan was promised (retried at the next commit; segments only
+        cost disk meanwhile).  The delete stops at ``floor``, the
+        checkpoint read here, even when the manifest is newer by then:
+        a subscriber registering while the task is in flight was
+        promised every height above ``floor``.
         """
         if self._hub is not None and self._hub.catchups_active:
             return
@@ -362,9 +362,7 @@ class WriteBatcher:
 
         async def truncate() -> None:
             try:
-                await self._run(
-                    lambda: self.wal.truncate(min(floor, self.engine.sync_checkpoint()))
-                )
+                await self._run(self.wal.truncate, floor)
             except Exception:
                 # Best-effort: surviving segments only cost disk; rearm
                 # so the next checkpoint advance retries the delete.
@@ -373,12 +371,16 @@ class WriteBatcher:
         asyncio.get_running_loop().create_task(truncate())
 
     def _commit(self, height: int, items: List[Tuple[bytes, bytes]]) -> Digest:
-        """One pooled call per group commit: the block, then its marker."""
+        """One pooled call per group commit: the block, its marker, and
+        a WAL seal when the commit advanced the engine checkpoint."""
+        checkpoint = self.engine.checkpoint_blk
         self.engine.begin_block(height)
         self.engine.put_many(items)
         root = self.engine.commit_block()
         if self.wal is not None:
             self.last_commit_lsn = self.wal.append_commit(height, root)
+            if self.engine.checkpoint_blk > checkpoint:
+                self.wal.seal()
         return root
 
     # -- the committer's serving surface --------------------------------------

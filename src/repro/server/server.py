@@ -657,9 +657,7 @@ class ColeServer:
             )
         # Run build durations: the engine's scheduler reports into this
         # server's registry.
-        scheduler = getattr(self.engine, "scheduler", None)
-        if scheduler is not None:
-            scheduler.metrics = self.metrics
+        self.engine.scheduler.metrics = self.metrics
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self.host, self.port
         )
@@ -963,7 +961,6 @@ class ColeServer:
         storage = await self._run(engine.storage_bytes)
         compaction = await self._run(engine.compaction_stats)
         role = self.committer.stats()
-        engine_stats = getattr(engine, "stats", None)
         wal = None
         if self.wal is not None:
             wal = self.wal.stats()
@@ -997,15 +994,15 @@ class ColeServer:
                 "compaction": compaction,
                 # Where the engine lives on disk: repro query resolves a
                 # live server back to its workspace through this.
-                "workspace": getattr(getattr(engine, "workspace", None), "root", None),
+                "workspace": engine.workspace.root,
             },
             "latency": self._latency_summaries(),
             "batcher": role.get("batcher"),
-            "io": None if engine_stats is None else {
-                "page_reads": engine_stats.total_reads,
-                "page_writes": engine_stats.total_writes,
-                "page_cache": engine_stats.cache_summary(),
-                "categories": engine_stats.per_category(),
+            "io": {
+                "page_reads": engine.stats.total_reads,
+                "page_writes": engine.stats.total_writes,
+                "page_cache": engine.stats.cache_summary(),
+                "categories": engine.stats.per_category(),
             },
             "wal": wal,
             "replication": role.get("replication"),

@@ -24,13 +24,13 @@ Sync policies (``sync_policy``):
 * ``"none"``   — acks return once the record reached the OS page cache;
   data survives a process kill but not a machine crash.
 
-A segment lives from one engine checkpoint to the next: :meth:`truncate`
-**seals** the active segment once it holds a record the checkpoint
-covers, and deletes sealed, synced segments whose newest record height
-is at or below it.  The caller passes a checkpoint whose runs it has
-fsynced (``Cole.sync_checkpoint``), so those puts are durable in runs
-the manifest names and the WAL no longer owes them to recovery.  A
-segment also seals when it outgrows ``segment_max_bytes`` (checked at
+A segment lives from one engine checkpoint advance to the next:
+:meth:`seal` starts a new segment at an advance, and :meth:`truncate`
+deletes sealed, synced segments whose newest record height is at or
+below the engine's checkpoint (``Cole.checkpoint_blk``).  ``Run.build``
+fsyncs every run before a manifest names it, so those puts are durable
+in runs the manifest names and the WAL no longer owes them to recovery.
+A segment also seals when it outgrows ``segment_max_bytes`` (checked at
 append time; records never straddle segments).  A sealed segment's file
 handle stays open until a sync covers it, then closes.
 
@@ -41,7 +41,6 @@ the last clean record boundary, so new appends never land after garbage.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -133,7 +132,6 @@ class WriteAheadLog:
         self._handle = None
         self._path = ""
         self._size = 0
-        self._min_height = math.inf  # the active segment's lowest height
         self._max_height = -1
         self._dirty = False
         #: A segment file was created since the last directory fsync.
@@ -184,7 +182,6 @@ class WriteAheadLog:
             reopened = self._sealed_synced.pop()
             self._seq = sequences[-1]
             self._path = reopened.path
-            self._min_height = min(heights, default=math.inf)
             self._max_height = reopened.max_height
         else:
             self._path = os.path.join(self.directory, segment_name(self._seq))
@@ -232,7 +229,6 @@ class WriteAheadLog:
             raise StorageError("write-ahead log is closed")
         self._write_all(record)
         self._size += len(record)
-        self._min_height = min(self._min_height, height)
         self._max_height = max(self._max_height, height)
         self._dirty = True
         self.records_appended += 1
@@ -273,7 +269,7 @@ class WriteAheadLog:
         """Rotate to a fresh segment (caller holds the lock).
 
         The outgoing handle stays open until a sync covers it — closing
-        early would let truncation treat never-fsynced bytes as durable.
+        early would let truncation treat never-synced bytes as durable.
         """
         self._sealed_dirty.append(
             _Sealed(path=self._path, max_height=self._max_height, handle=self._handle)
@@ -282,7 +278,6 @@ class WriteAheadLog:
         self._path = os.path.join(self.directory, segment_name(self._seq))
         self._handle = open(self._path, "ab", buffering=0)
         self._size = 0
-        self._min_height = math.inf
         self._max_height = -1
         self._dirty = True
         self._dir_dirty = True  # the next sync persists the new entry
@@ -301,7 +296,7 @@ class WriteAheadLog:
         ``always`` policy issues one per ack from a thread pool) — each
         pass re-captures, so a caller never returns until an fsync *it
         observed complete* covered its records.  The directory is
-        fsynced too when it gained a segment file since the last sync,
+        synced too when it gained a segment file since the last sync,
         or a machine crash could drop a freshly rotated segment whose
         data blocks were flushed but whose directory entry was not.
         """
@@ -327,7 +322,7 @@ class WriteAheadLog:
             # after our fsync call, so fsync it once more — usually a
             # no-op — before the handle closes forever.  Segments sealed
             # from a handle we never captured stay dirty for the next
-            # pass; closing them here would orphan never-fsynced bytes
+            # pass; closing them here would orphan never-synced bytes
             # that a later `covered` would then falsely claim.
             with self._lock:
                 to_settle = [
@@ -362,29 +357,34 @@ class WriteAheadLog:
     # truncation
     # =========================================================================
 
+    def seal(self) -> None:
+        """Start a new segment if the active one holds a record: the
+        server seals behind each commit that advances the engine
+        checkpoint, and the next advance's :meth:`truncate` deletes it."""
+        with self._lock:
+            if self._size and not self._closed:
+                self._seal()
+
     def truncate(self, checkpoint: int) -> int:
         """Delete sealed segments fully covered by the engine checkpoint.
 
-        ``checkpoint`` is a height whose writes are all in fsynced runs
-        the engine's manifest names (``Cole.sync_checkpoint``): a segment
+        ``checkpoint`` is a height whose writes are all in synced runs
+        the engine's manifest names (``Cole.checkpoint_blk``): a segment
         whose newest record height is at or below it holds only writes
-        already durable there.  Returns the number of segments deleted.
-        The active segment seals first when it holds a record at or below
-        ``checkpoint``, so the next call can delete it once a sync has
-        covered it; a call that covers nothing changes nothing.
+        already durable there.  Returns the number of segments deleted;
+        only sealed segments a sync has covered go, so a call that
+        covers nothing changes nothing.
 
         The segments leave the live list under the append lock but are
-        unlinked after it is released: freeing an fsynced file's blocks
+        unlinked after it is released: freeing a synced file's blocks
         can take tens of milliseconds, and appends must not wait on it.
         If an unlink fails, that segment and every one not yet tried go
         back on the live list, so a later call finds them again, and the
         error propagates.
         """
         with self._lock:
-            if self._min_height <= checkpoint and not self._closed:
-                self._seal()
             if self.sync_policy == "none":
-                # Never fsynced by design; close so the files are deletable.
+                # Never synced by design; close so the files are deletable.
                 self._settle_sealed()
             covered = [s for s in self._sealed_synced if s.max_height <= checkpoint]
             self._sealed_synced = [

@@ -78,7 +78,7 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
 
     Returns the written metadata.  ``dest`` must be absent or empty.
     The engine stays open and serving-capable afterwards.  Every file,
-    then ``wal/``, then ``SNAPSHOT.json`` and ``dest`` are fsynced before
+    then ``wal/``, then ``SNAPSHOT.json`` and ``dest`` are synced before
     it returns.
 
     The recorded ``root_digest`` equals the root a restore-plus-replay

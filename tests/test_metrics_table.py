@@ -23,7 +23,8 @@ under one fixed load:
   counters (``repro_merge_bytes_rewritten_total``,
   ``repro_compaction_bytes_total``) replaced by the engine's
   ``repro_compaction_bytes_flushed_total`` and
-  ``repro_compaction_bytes_rewritten_total`` rows:
+  ``repro_compaction_bytes_rewritten_total`` rows, the latter with no
+  ``level="1"`` series (level 1 only receives flushes, so it was always 0):
 
       PYTHONPATH=<aa4aa94 checkout>/src python tests/test_metrics_table.py
 """

@@ -20,6 +20,7 @@ from repro.core.merklefile import (
 )
 from repro.core.rewind import _filter_run
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
+from repro.diskio import durable
 from repro.diskio.workspace import Workspace
 from repro.learned.model import Model
 
@@ -178,7 +179,9 @@ def _run_files(ws, name):
     return [found for found in ws.list_files() if found.startswith(name + ".")]
 
 
-@pytest.mark.parametrize("fault", ["short", "long", "unsorted", "bad-value", "sink-raises"])
+@pytest.mark.parametrize(
+    "fault", ["short", "long", "unsorted", "bad-value", "sink-raises", "fsync-raises"]
+)
 def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, fault):
     from repro.common.errors import StorageError
 
@@ -193,13 +196,20 @@ def test_failed_build_removes_partial_artifacts(tmp_path, params, monkeypatch, f
         stream[-1], stream[-2] = stream[-2], stream[-1]
     elif fault == "bad-value":
         stream[-1] = (stream[-1][0], b"tiny")
-    else:
+    elif fault == "sink-raises":
         error = OSError
 
         def full_disk(self):
             raise OSError("disk full")
 
         monkeypatch.setattr(MerkleFileBuilder, "finish", full_disk)
+    else:
+        error = OSError
+
+        def io_error(path):
+            raise OSError("fsync: input/output error")
+
+        monkeypatch.setattr(durable, "fsync", io_error)
     with pytest.raises(error):
         build(ws, "retry", stream, params, declared=declared)
     monkeypatch.undo()

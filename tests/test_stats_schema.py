@@ -94,8 +94,10 @@ def assert_core_schema(stats: dict) -> None:
     assert isinstance(compaction["write_amp"], (int, float))
     # STATS travels as JSON, so level keys arrive as strings.
     assert isinstance(compaction["levels"], dict)
-    for row in compaction["levels"].values():
-        assert set(row) >= {"runs", "entries", "bytes", "bytes_rewritten"}
+    for level, row in compaction["levels"].items():
+        assert set(row) >= {"runs", "entries", "bytes"}
+        # Level 1 only receives flushes: it has no rewritten bytes.
+        assert ("bytes_rewritten" in row) == (level != "1")
 
     latency = stats["latency"]
     assert isinstance(latency["op"], dict)

@@ -1,12 +1,14 @@
 """The WAL retires what the runs hold.
 
-A WAL segment lives from one engine checkpoint advance to the next: the
-batcher's pooled task fsyncs the runs the manifest names
-(``Cole.sync_checkpoint``) and only then lets ``WriteAheadLog.truncate``
-delete the segments that checkpoint covers.  These tests pin the order
-(no segment is unlinked before every file of every run of the covering
-manifest is fsynced), the retention (a few checkpoint intervals of WAL,
-not the whole history), the crash round trip, a snapshot racing a
+A WAL segment lives from one engine checkpoint advance to the next:
+``Run.build`` fsyncs a run's four files before any manifest names it, so
+the batcher's pooled task lets ``WriteAheadLog.truncate`` delete the
+segments the checkpoint covers.  These tests pin the order (no manifest,
+with or without a server, names a run whose files are not fsynced; no
+segment is unlinked before every file of every run of the covering
+manifest is fsynced), the retention (each segment ends at the commit
+that advanced the checkpoint, so a few checkpoint intervals of WAL, not
+the whole history), the crash round trip, a snapshot racing a
 truncation, and a replica subscribing while a retirement is in flight.
 """
 
@@ -16,10 +18,9 @@ import os
 import pytest
 
 from repro.common.params import ColeParams, SystemParams
-from repro.core import Cole
+from repro.core import Cole, storage
 from repro.core.manifest import load_manifest
 from repro.core.run import RUN_SUFFIXES
-from repro.diskio import durable
 from repro.replication import ReplicationHub
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.server.batcher import WriteBatcher
@@ -107,6 +108,52 @@ def inode(path):
 
 
 @pytest.mark.parametrize("async_merge", [False, True], ids=["cole", "cole-star"])
+def test_no_manifest_names_a_run_whose_files_are_not_fsynced(tmp_path, monkeypatch, async_merge):
+    """An engine with no server: every manifest it publishes — after a
+    COLE merge that deletes its inputs, after a COLE* landing — names
+    only runs whose four files were fsynced, so recovery, which deletes
+    every file the manifest does not name, never keeps a lost run."""
+    directory = str(tmp_path / "ws")
+    engine = Cole(directory, params(async_merge))
+    fsynced = set()
+    published = []  # (run names, files not fsynced) of each manifest
+    real_fsync, real_save = os.fsync, storage.save_manifest
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        fsynced.add(os.fstat(fd).st_ino)
+
+    def checked_save(root, manifest):
+        names = {
+            record.name
+            for groups in manifest.levels.values()
+            for records in groups.values()
+            for record in records
+        }
+        unsynced = [name + suffix for name in sorted(names) for suffix in RUN_SUFFIXES
+                    if inode(os.path.join(root, name + suffix)) not in fsynced]
+        published.append((names, unsynced))
+        real_save(root, manifest)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(storage, "save_manifest", checked_save)
+    for blk in range(1, 41):
+        engine.begin_block(blk)
+        engine.put_many(block_items(blk))
+        engine.commit_block()
+    on_disk = set(os.listdir(directory))
+    engine.close()
+    named = set().union(*(names for names, _ in published))
+    merged_away = named - published[-1][0]
+    # A merge landed below level 1, and its inputs' files are gone.
+    assert any(not name.startswith("L1_") for name in named)
+    assert merged_away and not {
+        name + suffix for name in merged_away for suffix in RUN_SUFFIXES
+    } & on_disk
+    assert [unsynced for _, unsynced in published if unsynced] == []
+
+
+@pytest.mark.parametrize("async_merge", [False, True], ids=["cole", "cole-star"])
 def test_no_segment_is_unlinked_before_the_runs_covering_it_are_fsynced(
     tmp_path, monkeypatch, async_merge
 ):
@@ -181,6 +228,33 @@ def test_the_live_wal_holds_a_few_checkpoint_intervals(tmp_path):
     assert live_bytes <= 3 * max(intervals), (live_bytes, intervals)
 
 
+def test_each_segment_ends_at_the_commit_that_advanced_the_checkpoint(tmp_path):
+    """The commit that advances the checkpoint seals the active segment,
+    so once the next advance's retirement ran the live WAL holds only
+    heights above the previous advance — under COLE* too, whose
+    checkpoint lags one flush behind the commit that advanced it."""
+    engine, wal = open_store(str(tmp_path / "ws"), async_merge=True)
+    advances = []  # (checkpoint, committed height) at each advance
+    oldest_live = []  # (previous advance's height, lowest live height)
+
+    def note_checkpoint():
+        if engine.checkpoint_blk > (advances[-1][0] if advances else -1):
+            advances.append((engine.checkpoint_blk, engine.current_blk))
+            heights = [record.height for record in wal.scan()]
+            if len(advances) > 1 and heights:
+                oldest_live.append((advances[-2][1], min(heights)))
+
+    async def scenario():
+        batcher = WriteBatcher(engine, max_delay=60.0, run_in_executor=run_now, wal=wal)
+        await commit_blocks(batcher, wal, 30, on_flush=note_checkpoint)
+
+    asyncio.run(scenario())
+    wal.close()
+    engine.close()
+    assert len(oldest_live) >= 4
+    assert [(previous, lowest) for previous, lowest in oldest_live if lowest <= previous] == []
+
+
 def abandon(engine, wal):
     """A process death: the in-memory level is lost, the files stay."""
     engine.wait_for_merges()
@@ -223,48 +297,6 @@ def test_a_crash_after_retirements_recovers_the_oracle_root(tmp_path, async_merg
     wal.close()
     recovered.close()
     oracle.close()
-
-
-def test_sync_checkpoint_fsyncs_each_run_once_and_recaptures_after_a_merge(
-    tmp_path, monkeypatch
-):
-    directory = str(tmp_path / "ws")
-    engine = Cole(directory, params(False))
-    for blk in range(1, 5):  # one level-1 run
-        engine.begin_block(blk)
-        engine.put_many(block_items(blk))
-        engine.commit_block()
-    synced = []
-    real_fsync = durable.fsync
-    merged = []
-
-    def fsync(path):
-        if not merged:
-            # A merge lands between the capture and the first fsync: the
-            # captured run's files are deleted under the pass.
-            merged.append(engine.checkpoint_blk)
-            for blk in range(5, 9):
-                engine.begin_block(blk)
-                engine.put_many(block_items(blk))
-                engine.commit_block()
-        real_fsync(path)
-        synced.append(os.path.basename(path))
-
-    monkeypatch.setattr(durable, "fsync", fsync)
-    checkpoint = engine.sync_checkpoint()
-    assert checkpoint == engine.checkpoint_blk > merged[0]
-    [run] = [run for level in engine.levels for run in level.all_runs()]
-    assert run.level == 2
-    assert synced[-len(RUN_SUFFIXES):] == [run.name + suffix for suffix in RUN_SUFFIXES]
-    synced.clear()
-    assert engine.sync_checkpoint() == checkpoint
-    assert synced == []  # a run is fsynced once
-    engine.close()
-
-    reopened = Cole(directory, params(False))
-    assert reopened.sync_checkpoint() == checkpoint
-    assert synced == [run.name + suffix for suffix in RUN_SUFFIXES]  # loaded: not yet fsynced
-    reopened.close()
 
 
 def test_a_snapshot_skips_a_segment_truncation_deleted_after_listing_it(tmp_path, monkeypatch):
@@ -333,15 +365,16 @@ def test_a_subscriber_registering_mid_retirement_keeps_every_promised_height(
     tmp_path, monkeypatch
 ):
     """The retirement task deletes up to the checkpoint it was scheduled
-    at, not the newer one its fsync pass captures: a replica that passed
-    ``check_start`` against the first was promised every height above it."""
+    at, not a newer one a cascade landed before its delete ran: a replica
+    that passed ``check_start`` against the first was promised every
+    height above it."""
     engine, wal = open_store(str(tmp_path / "ws"), segment_max_bytes=1024)
     hub = ReplicationHub(engine, wal)
     batcher = WriteBatcher(engine, max_delay=60.0, run_in_executor=run_now, wal=wal, hub=hub)
-    real_sync_checkpoint = engine.sync_checkpoint
+    real_truncate = wal.truncate
     promised = []  # (start, upto) of the one subscriber
 
-    def late_capture():
+    def late_truncate(checkpoint):
         if not promised:
             floor = engine.checkpoint_blk  # the floor the task was scheduled at
             height = batcher.next_height
@@ -356,9 +389,9 @@ def test_a_subscriber_registering_mid_retirement_keeps_every_promised_height(
                 commit_direct(engine, wal, height)
                 height += 1
             wal.sync()
-        return real_sync_checkpoint()
+        return real_truncate(checkpoint)
 
-    monkeypatch.setattr(engine, "sync_checkpoint", late_capture)
+    monkeypatch.setattr(wal, "truncate", late_truncate)
 
     async def scenario():
         while not promised:
