@@ -12,7 +12,7 @@ from conftest import run_once
 from repro.bench.report import format_table
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
-from repro.core.compound import CompoundKey
+from repro.core.compound import MAX_BLK, compound_key
 
 
 def build_engine(tmp_dir):
@@ -46,7 +46,7 @@ def test_bloom_filters_save_read_io(benchmark, series, tmp_path):
     runs = [src.source for src in engine._view.sources if src.kind == "run"]
     before = stats.snapshot()
     for addr in ghosts:
-        key = CompoundKey.latest_of(addr).to_int()
+        key = compound_key(addr, MAX_BLK)
         for run in runs:
             run.floor_search(key)
     without_bloom = stats.delta(before).total_reads

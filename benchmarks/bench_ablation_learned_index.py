@@ -12,7 +12,7 @@ from conftest import run_once
 
 from repro.bench.report import format_table
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey
+from repro.core.compound import MAX_BLK, compound_key
 from repro.core.run import Run, encode_pairs
 from repro.diskio.workspace import Workspace
 
@@ -26,7 +26,7 @@ def build_run(tmp_dir, num_addrs=2000, versions=4):
     for addr in addrs:
         for blk in range(1, versions + 1):
             entries.append(
-                (CompoundKey(addr=addr, blk=blk).to_int(), rng.randbytes(32))
+                (compound_key(addr, blk), rng.randbytes(32))
             )
     entries.sort()
     workspace = Workspace(tmp_dir, system.page_size)
@@ -52,7 +52,7 @@ def binary_search_pages(run, key):
 def test_learned_index_vs_binary_search(benchmark, series, tmp_path):
     run, addrs, workspace = build_run(str(tmp_path / "run"))
     rng = random.Random(7)
-    probes = [CompoundKey.latest_of(rng.choice(addrs)).to_int() for _ in range(300)]
+    probes = [compound_key(rng.choice(addrs), MAX_BLK) for _ in range(300)]
 
     def learned_lookup():
         for key in probes:

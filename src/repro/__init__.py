@@ -11,7 +11,7 @@ inventory.
 """
 
 from repro.common.params import ColeParams, SystemParams
-from repro.core import Cole, CompoundKey, verify_provenance
+from repro.core import Cole, verify_provenance
 from repro.wal import WriteAheadLog, replay_wal, restore_store, snapshot_store
 
 __version__ = "1.2.0"
@@ -20,7 +20,6 @@ __all__ = [
     "Cole",
     "ColeParams",
     "SystemParams",
-    "CompoundKey",
     "verify_provenance",
     "WriteAheadLog",
     "replay_wal",

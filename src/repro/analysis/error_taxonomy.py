@@ -19,8 +19,8 @@ Two failure modes this rule encodes:
 
 The ReproError hierarchy is computed from the tree itself (a fixpoint
 over every ``class X(Y)`` in the file set), so subclasses defined
-outside ``common/errors.py`` — e.g. ``Referral(StorageError)`` in the
-protocol module — are recognized without maintaining a list here.
+outside ``common/errors.py`` — e.g. ``NotPrimaryError(StorageError)`` in
+the protocol module — are recognized without maintaining a list here.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ The engine's concurrency contract (DESIGN.md, ``repro.common.gate``) is:
 
 * structural engine state is mutated only under ``gate.exclusive()``;
 * the gate is **not reentrant** — public entry points acquire exactly
-  once, underscore helpers assume it is already held (that is the whole
-  point of the ``root_digest`` / ``_root_digest`` split);
+  once, underscore helpers assume it is already held;
 * the gate is a *thread* primitive — acquiring it on the event loop
   blocks every connection, so ``async def`` bodies must hop to the
   executor first.

@@ -237,7 +237,7 @@ class LIPPStorage(StorageBackend):
         proof_bytes = 0
         previous: Optional[bytes] = None
         for blk in range(blk_low, blk_high + 1):
-            digest = self._root_digest_at(blk)
+            digest = self._root_at(blk)
             if digest is None:
                 continue
             value, path_bytes = self._get_persisted(digest, key)
@@ -247,7 +247,7 @@ class LIPPStorage(StorageBackend):
             previous = value
         return LIPPProvResult(addr=addr, versions=versions, proof_bytes=proof_bytes)
 
-    def _root_digest_at(self, blk: int) -> Optional[Digest]:
+    def _root_at(self, blk: int) -> Optional[Digest]:
         candidates = [b for b in self.roots if b <= blk]
         if not candidates:
             return None

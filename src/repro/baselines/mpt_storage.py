@@ -144,12 +144,5 @@ class MPTStorage(StorageBackend):
         self.store.flush()  # all data must reach disk before it is counted
         return self.store.storage_bytes()
 
-    def index_share(self) -> float:
-        """Fraction of storage spent on index rather than state values."""
-        total = self.trie.node_bytes_written
-        if total == 0:
-            return 0.0
-        return 1.0 - (self.value_bytes_written / total)
-
     def close(self) -> None:
         self.store.close()

@@ -34,15 +34,6 @@ def format_bytes(num_bytes: int) -> str:
     return f"{value:.1f}GB"
 
 
-def format_seconds(seconds: float) -> str:
-    """Human-readable duration (us / ms / s)."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds:.2f}s"
-
-
 def percentile(values, fraction: float) -> float:
     """Value at ``fraction`` (0..1) of the sample; 0.0 when empty.
 

@@ -9,7 +9,6 @@ from repro.common.errors import (
     StorageError,
     IntegrityError,
     VerificationError,
-    RecoveryError,
 )
 from repro.common.hashing import (
     DIGEST_SIZE,
@@ -17,7 +16,6 @@ from repro.common.hashing import (
     Digest,
     hash_bytes,
     hash_concat,
-    hash_pair,
 )
 from repro.common.gate import CommitGate
 from repro.common.params import ColeParams, SystemParams
@@ -26,10 +24,8 @@ from repro.common.codec import (
     decode_u64,
     encode_u32,
     encode_u64,
-    int_from_bytes,
     int_to_bytes,
     pack_float,
-    unpack_float,
 )
 
 __all__ = [
@@ -37,13 +33,11 @@ __all__ = [
     "StorageError",
     "IntegrityError",
     "VerificationError",
-    "RecoveryError",
     "DIGEST_SIZE",
     "EMPTY_DIGEST",
     "Digest",
     "hash_bytes",
     "hash_concat",
-    "hash_pair",
     "ColeParams",
     "CommitGate",
     "SystemParams",
@@ -52,7 +46,5 @@ __all__ = [
     "encode_u64",
     "decode_u64",
     "int_to_bytes",
-    "int_from_bytes",
     "pack_float",
-    "unpack_float",
 ]

@@ -48,19 +48,9 @@ def pack_float(value: float) -> bytes:
     return _F64.pack(value)
 
 
-def unpack_float(data: bytes, offset: int = 0) -> float:
-    """Decode a big-endian IEEE-754 double at ``offset``."""
-    return _F64.unpack_from(data, offset)[0]
-
-
 def int_to_bytes(value: int, width: int) -> bytes:
     """Encode a non-negative integer as ``width`` big-endian bytes."""
     return value.to_bytes(width, "big")
-
-
-def int_from_bytes(data: bytes) -> int:
-    """Decode a big-endian unsigned integer of any width."""
-    return int.from_bytes(data, "big")
 
 
 def clamp_key(key: int, width: int) -> Optional[int]:

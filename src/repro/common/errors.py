@@ -21,6 +21,3 @@ class IntegrityError(ReproError):
 class VerificationError(ReproError):
     """A Merkle proof failed to verify against the published root digest."""
 
-
-class RecoveryError(ReproError):
-    """Crash recovery could not restore a consistent state."""

@@ -26,11 +26,6 @@ def hash_bytes(data: bytes) -> Digest:
     return hashlib.sha256(data).digest()
 
 
-def hash_pair(left: Digest, right: Digest) -> Digest:
-    """Return ``h(left || right)`` — the binary Merkle internal-node rule."""
-    return hashlib.sha256(left + right).digest()
-
-
 def hash_concat(parts: Iterable[bytes]) -> Digest:
     """Return the digest of the concatenation of ``parts``.
 

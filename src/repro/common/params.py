@@ -9,7 +9,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,3 @@ class ColeParams:
             raise ValueError("mht_fanout must be >= 2")
         if self.mem_capacity < 1:
             raise ValueError("mem_capacity must be >= 1")
-
-    def with_async(self, async_merge: bool = True) -> "ColeParams":
-        """Return a copy with the asynchronous-merge flag set."""
-        return replace(self, async_merge=async_merge)

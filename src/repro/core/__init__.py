@@ -7,7 +7,8 @@ Public surface:
   asynchronous-merge (Algorithm 5, "COLE*") mode;
 * :func:`verify_provenance` — client-side verification of provenance
   results against the state root digest in a block header;
-* :class:`CompoundKey` — the ``<addr, blk>`` key of Section 3.2;
+* :data:`MAX_BLK` — the largest block height, the ``<addr, MAX_BLK>``
+  latest-version sentinel of the Section 3.2 compound key;
 * :func:`rewind_to` — fork support (state rewind), the paper's stated
   future work, implemented as filter-and-rebuild;
 * :func:`export_slice` / :func:`import_slice` — streaming portable
@@ -15,7 +16,7 @@ Public surface:
   (``repro export`` / ``repro import``).
 """
 
-from repro.core.compound import CompoundKey, MAX_BLK
+from repro.core.compound import MAX_BLK
 from repro.core.cursor import MergingCursor, addr_successor
 from repro.core.export import export_slice, import_slice, iter_triples, read_header
 from repro.core.storage import Cole
@@ -30,7 +31,6 @@ __all__ = [
     "iter_triples",
     "read_header",
     "rewind_to",
-    "CompoundKey",
     "MergingCursor",
     "addr_successor",
     "MAX_BLK",

@@ -242,7 +242,7 @@ class Cole:
         with self.gate.exclusive():
             if cascade:
                 self._cascade()
-            return self._root_digest()
+            return self.root_digest()
 
     def needs_cascade(self) -> bool:
         """True when the next commit will flush L0 (capacity reached):
@@ -537,13 +537,11 @@ class Cole:
 
     def root_digest(self) -> Digest:
         """``Hstate``: the digest over ``root_hash_list``.  Takes no gate,
-        so it is also ``_root_digest``, the name a caller holding the
-        gate uses on either engine shape (``repro.wal.snapshot``)."""
+        so a caller holding it (``commit_block``, ``repro.wal.snapshot``)
+        calls it too."""
         view = self._view
         with self._mem_lock:
             return view.root()
-
-    _root_digest = root_digest
 
     # =========================================================================
     # read path

@@ -10,7 +10,6 @@ in a workspace plus any raw (non-paged) artifacts registered with it.
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 from typing import Dict, Iterator, Optional
 
@@ -90,13 +89,6 @@ class Workspace:
             os.remove(path)
         self._raw_bytes.pop(name, None)
 
-    def close_file(self, name: str) -> None:
-        """Close the open handle for ``name`` without deleting it."""
-        with self._files_lock:
-            handle = self._open_files.pop(name, None)
-        if handle is not None:
-            handle.close()
-
     def list_files(self) -> Iterator[str]:
         """Iterate over the names of all regular files present on disk.
 
@@ -155,11 +147,6 @@ class Workspace:
         closes when its last holder drops it."""
         with self._files_lock:
             self._open_files.clear()
-
-    def destroy(self) -> None:
-        """Close everything and delete the workspace directory."""
-        self.close()
-        shutil.rmtree(self.root, ignore_errors=True)
 
     def __enter__(self) -> "Workspace":
         return self

@@ -43,10 +43,6 @@ class MBTree:
     def __len__(self) -> int:
         return self._size
 
-    def is_empty(self) -> bool:
-        """True if the tree holds no entries."""
-        return self._size == 0
-
     def root_hash(self) -> Digest:
         """Root digest (an empty tree is a single empty leaf)."""
         return self._root.digest(self.key_width)

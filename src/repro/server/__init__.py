@@ -3,8 +3,9 @@
 Turns the in-process engine into a service (see DESIGN.md):
 
 * :class:`ColeServer` — asyncio TCP server speaking a length-prefixed
-  binary protocol (PUT / GET / GET_AT / PROV / ROOT / STATS / FLUSH)
-  over one ``Cole``;
+  binary protocol (PUT / GET / GET_AT / PROV / ROOT / STATS / FLUSH /
+  SCAN / MULTI_GET / MULTI_PUT / METRICS / REPL_SUBSCRIBE, the op table
+  of :mod:`repro.server.protocol`) over one ``Cole``;
 * :class:`WriteBatcher` — group commit: many clients' puts coalesce into
   one block through the engine's batched write path;
 * :class:`VersionedReadCache` — hot-key read cache, refreshed by each
@@ -25,8 +26,8 @@ each one read through its own ``connect(replica)`` (Figure 19;
 Client code holds one interface: :func:`connect` returns a
 :class:`KVClient` for one server, primary or replica.  A replica answers
 a write with ``NOT_PRIMARY`` naming its primary, which a
-:class:`ServerClient` raises as :class:`NotPrimaryError`, a
-:class:`Referral`.
+:class:`ServerClient` raises as :class:`NotPrimaryError` carrying the
+primary's ``address``.
 """
 
 from repro.server.batcher import WriteBatcher
@@ -42,7 +43,6 @@ from repro.server.loadgen import (
 from repro.server.protocol import (
     NotPrimaryError,
     Op,
-    Referral,
     RootInfo,
     Status,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "Op",
     "Status",
     "RootInfo",
-    "Referral",
     "NotPrimaryError",
     "LoadgenParams",
     "LoadReport",

@@ -152,11 +152,6 @@ class WriteBatcher:
                 buckets=24,
             )
 
-    @property
-    def next_height(self) -> int:
-        """Height the open (active) batch will commit at."""
-        return self._next_height
-
     # -- write side (event loop only) -----------------------------------------
 
     def put(self, addr: bytes, value: bytes) -> int:

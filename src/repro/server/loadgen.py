@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
 from repro.server.client import KVClient
-from repro.server.protocol import Referral
+from repro.server.protocol import NotPrimaryError
 from repro.workloads.ycsb import ZipfGenerator
 
 #: One op: ("get", addr, None), ("put", addr, value),
@@ -329,7 +329,7 @@ async def run_loadgen(client_factory, params: LoadgenParams) -> LoadReport:
     async with client_factory() as control:
         try:
             await control.flush()
-        except Referral:
+        except NotPrimaryError:
             pass  # a replica target: its commits arrive via the stream
         report.server_stats = await control.stats()
     return report

@@ -85,8 +85,8 @@ an ERROR frame instead (replicas answer ``NOT_PRIMARY``).
 ``NOT_PRIMARY`` is the **referral** status: the server cannot answer,
 but it knows who can — a replica rejecting a write names its primary's
 ``host:port``.  It decodes in one place, :func:`check_status`, into a
-:class:`NotPrimaryError`, a :class:`Referral` carrying ``(reason,
-address)``.  Status 4 is unassigned.
+:class:`NotPrimaryError` carrying that ``address``.  Status 4 is
+unassigned.
 
 ``PROV`` responses carry the engine's full provenance result (values,
 boundary version, and the authentication proof) and the root it is
@@ -169,16 +169,6 @@ class Status:
     NOT_PRIMARY = 3
 
 
-class Referral(StorageError):
-    """The server cannot answer, but named who can: ``address`` is the
-    ``host:port`` to retry against."""
-
-    def __init__(self, reason: str, address: str) -> None:
-        super().__init__(f"{reason}; retry at {address}")
-        self.reason = reason
-        self.address = address
-
-
 def parse_address(address: str) -> Tuple[str, int]:
     """``host:port`` -> ``(host, port)``: the shape of a referral
     payload and of every CLI address option."""
@@ -188,11 +178,15 @@ def parse_address(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-class NotPrimaryError(Referral):
-    """A write (or subscribe) hit a replica; ``address`` is its primary."""
+class NotPrimaryError(StorageError):
+    """A write (or subscribe) hit a replica; ``address`` is its primary's
+    ``host:port``, the one to retry against."""
 
     def __init__(self, primary: str) -> None:
-        super().__init__("not the primary; writes go to the primary", primary)
+        super().__init__(
+            f"not the primary; writes go to the primary; retry at {primary}"
+        )
+        self.address = primary
 
 
 @dataclass(frozen=True)
@@ -302,10 +296,12 @@ def encode_repl_subscribe(start_height: int) -> bytes:
 def decode_request(body: bytes) -> Tuple[int, tuple]:
     """Decode a request body into ``(opcode, args)`` by the op table.
 
-    A well-formed GET or MULTI_GET is sliced by offset first (a MULTI_GET
-    whose addresses share one length unpacked by one ``struct``); every
-    other op — and any GET / MULTI_GET the fast path does not accept
-    whole — takes the table path, which is where each rejection is worded.
+    A well-formed GET, or a MULTI_GET whose addresses share one length
+    (every engine client's: addresses are ``addr_size`` bytes), is
+    sliced by offset first, the MULTI_GET unpacked by one ``struct``;
+    every other op — and any GET / MULTI_GET the fast path does not
+    accept whole — takes the table path, which decodes it to the same
+    args and is where each rejection is worded.
     """
     op = body[0] if body else None
     if op == Op.GET:
@@ -317,18 +313,8 @@ def decode_request(body: bytes) -> Tuple[int, tuple]:
             size = U16.unpack_from(body, 3)[0] if len(body) >= 5 else 0
             if len(body) == 3 + count * (2 + size):
                 fields = _uniform_layout("H", count, size).unpack_from(body, 3)
-                if fields[0::2].count(size) == count:  # else a lookalike: walk it
+                if fields[0::2].count(size) == count:  # else the table path
                     return op, (list(fields[1::2]),)
-            addrs, pos, u16_at = [], 3, U16.unpack_from
-            try:
-                for _ in range(count):
-                    end = pos + 2 + u16_at(body, pos)[0]
-                    addrs.append(body[pos + 2:end])
-                    pos = end
-            except struct.error:  # ran off the end: the table path says how
-                pos = -1
-            if pos == len(body):
-                return op, (addrs,)
     cursor = Cursor(body)
     op = cursor.u8()
     spec = OPS.get(op)

@@ -64,8 +64,10 @@ DESIGN.md "Frames, not streams" has the rules.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
 import json
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -80,7 +82,6 @@ from repro.obs import MetricsRegistry, render_rows
 from repro.server import protocol
 from repro.server.batcher import MISSING, WriteBatcher
 from repro.server.cache import NegativeLookupCache, VersionedReadCache
-from repro.server.eventloop import LoopThread
 from repro.server.protocol import Op, RootInfo
 
 #: Opcode -> STATS/metrics label (the op table's ``name`` column), shared
@@ -618,49 +619,56 @@ class ColeServer:
             max_workers=self.config.executor_workers,
             thread_name_prefix="cole-serve",
         )
-        hub = None
-        if self.wal is not None:
-            from repro.replication import ReplicationHub
-            from repro.wal import replay_wal
+        async with contextlib.AsyncExitStack() as undo:
+            # A failed start (a replay error, a port already bound) undoes
+            # what it built — committer, applier task, pool — before it
+            # re-raises, so nothing it started outlives it.
+            undo.callback(self._executor.shutdown)
+            hub = None
+            if self.wal is not None:
+                from repro.replication import ReplicationHub
+                from repro.wal import replay_wal
 
-            self.replay_stats = await self._run(replay_wal, self.engine, self.wal)
-            # Recovery re-commits blocks without writing COMMIT markers;
-            # re-mark them so a replica's catch-up scan can ship those
-            # heights (the roots are deterministic, so re-marking after
-            # every recovery is idempotent in content).
-            def _remark(replayed: dict) -> int:
-                lsn = 0
-                for height, root in sorted(replayed.items()):
-                    lsn = self.wal.append_commit(height, root)
-                return lsn
+                self.replay_stats = await self._run(replay_wal, self.engine, self.wal)
+                # Recovery re-commits blocks without writing COMMIT markers;
+                # re-mark them so a replica's catch-up scan can ship those
+                # heights (the roots are deterministic, so re-marking after
+                # every recovery is idempotent in content).
+                def _remark(replayed: dict) -> int:
+                    lsn = 0
+                    for height, root in sorted(replayed.items()):
+                        lsn = self.wal.append_commit(height, root)
+                    return lsn
 
-            remarked = await self._run(_remark, self.replay_stats.replayed_roots)
-            self.wal_syncer = _WalSyncer(self.wal, self._run, self._hops, self.metrics)
-            if remarked:
-                await self.wal_syncer.durable(remarked)
-            hub = ReplicationHub(self.engine, self.wal)
-        if self.replica_of is not None:
-            from repro.replication import ReplicaApplier
+                remarked = await self._run(_remark, self.replay_stats.replayed_roots)
+                self.wal_syncer = _WalSyncer(self.wal, self._run, self._hops, self.metrics)
+                if remarked:
+                    await self.wal_syncer.durable(remarked)
+                hub = ReplicationHub(self.engine, self.wal)
+            if self.replica_of is not None:
+                from repro.replication import ReplicaApplier
 
-            self.committer = ReplicaApplier(self, *self.replica_of)
-        else:
-            self.committer = WriteBatcher(
-                self.engine,
-                max_batch=self.config.batch_max_puts,
-                max_delay=self.config.batch_max_delay,
-                run_in_executor=self._run,
-                on_commit=self._committed,
-                wal=self.wal,
-                durable=self.wal_syncer.durable if self.wal_syncer else None,
-                hub=hub,
-                metrics=self.metrics,
+                self.committer = ReplicaApplier(self, *self.replica_of)
+            else:
+                self.committer = WriteBatcher(
+                    self.engine,
+                    max_batch=self.config.batch_max_puts,
+                    max_delay=self.config.batch_max_delay,
+                    run_in_executor=self._run,
+                    on_commit=self._committed,
+                    wal=self.wal,
+                    durable=self.wal_syncer.durable if self.wal_syncer else None,
+                    hub=hub,
+                    metrics=self.metrics,
+                )
+            undo.push_async_callback(self.committer.close)
+            # Run build durations: the engine's scheduler reports into this
+            # server's registry.
+            self.engine.scheduler.metrics = self.metrics
+            self._server = await asyncio.get_running_loop().create_server(
+                self._accept, self.host, self.port
             )
-        # Run build durations: the engine's scheduler reports into this
-        # server's registry.
-        self.engine.scheduler.metrics = self.metrics
-        self._server = await asyncio.get_running_loop().create_server(
-            self._accept, self.host, self.port
-        )
+            undo.pop_all()
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         return self.host, self.port
@@ -1040,16 +1048,74 @@ class ColeServer:
     }
 
 
-class ServerThread(LoopThread):
+class ServerThread:
     """A :class:`ColeServer` on its own event-loop thread.
 
     The in-process deployment shape used by the benchmarks, the tests,
     and the demo: the caller's thread stays free to run clients (or an
     entire load generator) against real sockets while the server loop
-    runs here.  Takes :class:`ColeServer`'s arguments; ``start`` blocks
-    until the port is bound and returns the bound ``(host, port)``.
+    runs here; all interaction goes through those sockets, never
+    cross-thread calls.  Takes :class:`ColeServer`'s arguments.
+    :meth:`start` blocks until the port is bound (re-raising a bind
+    error in the caller's thread) and returns the bound ``(host,
+    port)``; ``start`` / ``stop`` are idempotent.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         self.server = ColeServer(*args, **kwargs)
-        super().__init__(self.server, "cole-server")
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._started = threading.Event()
+        self._startup_error: Optional[BaseException] = None
+        self._address: Optional[Tuple[str, int]] = None
+
+    def start(self) -> Tuple[str, int]:
+        """Spawn the loop thread; returns the bound ``(host, port)``."""
+        if self._thread is None or not self._thread.is_alive():
+            self._started.clear()
+            self._startup_error = None
+            self._thread = threading.Thread(
+                target=self._run, name="cole-server", daemon=True
+            )
+            self._thread.start()
+            self._started.wait()
+            if self._startup_error is not None:
+                self._thread.join()
+                raise self._startup_error
+        return self._address
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        self._loop = loop
+        try:
+            self._address = loop.run_until_complete(self.server.start())
+        except BaseException as exc:  # surface bind errors to start()
+            self._startup_error = exc
+            self._started.set()
+            loop.close()
+            return
+        self._started.set()
+        try:
+            loop.run_forever()  # until stop() calls loop.stop()
+            loop.run_until_complete(self.server.stop())
+        finally:
+            loop.close()
+
+    def stop(self) -> None:
+        """Stop the server and join the loop thread."""
+        loop, thread = self._loop, self._thread
+        if loop is None or thread is None:
+            return
+        if thread.is_alive():
+            loop.call_soon_threadsafe(loop.stop)
+        thread.join()
+        self._loop = None
+        self._thread = None
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()

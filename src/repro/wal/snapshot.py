@@ -132,8 +132,7 @@ def snapshot_store(engine, dest: str, wal: Optional[WriteAheadLog] = None) -> di
                             names.append(rel)
         meta = {
             "format": SNAPSHOT_FORMAT,
-            # Gate-free: the public root_digest would re-acquire the gate.
-            "root_digest": engine._root_digest().hex(),
+            "root_digest": engine.root_digest().hex(),
             "checkpoint_blk": engine.checkpoint_blk,
             "current_blk": engine.current_blk,
             "has_wal": wal is not None,

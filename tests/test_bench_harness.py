@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import ENGINES, fresh_dir, make_engine, run_chain
 from repro.bench.harness import cleanup
-from repro.bench.report import format_bytes, format_seconds, format_table
+from repro.bench.report import format_bytes, format_table
 from repro.core import Cole
 from repro.workloads import SmallBankWorkload
 
@@ -79,6 +79,3 @@ def test_format_table_alignment():
 def test_format_helpers():
     assert format_bytes(512) == "512.0B"
     assert format_bytes(2048) == "2.0KB"
-    assert format_seconds(0.5e-3).endswith("us")
-    assert format_seconds(5e-3).endswith("ms")
-    assert format_seconds(2.0).endswith("s")

@@ -6,6 +6,8 @@ agree with a plain dict (latest values), a per-address version log
 """
 
 
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.params import ColeParams, SystemParams
@@ -105,7 +107,7 @@ def test_async_agrees_with_sync(tmp_path_factory, blocks):
     sync_params = ColeParams(system=SYSTEM, mem_capacity=8, size_ratio=2)
     sync = Cole(str(tmp_path_factory.mktemp("sync")), sync_params)
     async_ = Cole(
-        str(tmp_path_factory.mktemp("async")), sync_params.with_async()
+        str(tmp_path_factory.mktemp("async")), dataclasses.replace(sync_params, async_merge=True)
     )
     try:
         sync_model, _h1 = apply_blocks(sync, blocks)

@@ -6,6 +6,7 @@ workspace whose manifest records another policy is refused, and the
 write-accounting counters persist across a reopen.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -68,7 +69,7 @@ def test_leveling_pinned_root_sync(tmp_path):
 
 def test_leveling_pinned_root_async(tmp_path):
     assert (
-        drive_pinned(Cole(str(tmp_path), PARAMS.with_async()))
+        drive_pinned(Cole(str(tmp_path), dataclasses.replace(PARAMS, async_merge=True)))
         == PINNED_ROOTS["async"]
     )
 

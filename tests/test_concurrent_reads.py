@@ -15,6 +15,7 @@ historical height it snapshots — a torn read or a half-switched group
 would surface as a wrong byte string, not just a crash.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -195,7 +196,7 @@ def test_concurrent_readers_exact_under_merge_cascades(tmp_path):
 
 def test_concurrent_reads_during_synchronous_cascades(tmp_path):
     """Pinned views also cover Algorithm 1's inline recursive merges."""
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(False))
+    engine = Cole(str(tmp_path / "ws"), dataclasses.replace(PARAMS, async_merge=False))
     stop = threading.Event()
     errors = []
     committed = [0]  # highest committed height (torn-free list store)

@@ -8,13 +8,15 @@ engine must return, byte for byte — latest scans, historical ``at_blk``
 scans, paging by limit + continuation, and scans after a rewind.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
-from repro.core import Cole, CompoundKey, MAX_BLK, addr_successor
+from repro.core import Cole, MAX_BLK, addr_successor
+from repro.core.compound import compound_key
 from repro.core.cursor import MergingCursor, ReadSource, scan_bounds, scan_sources
 from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
@@ -30,7 +32,7 @@ PARAMS = ColeParams(
 
 
 def key_of(addr: bytes, blk: int) -> int:
-    return CompoundKey(addr=addr, blk=blk).to_int()
+    return compound_key(addr, blk)
 
 
 # =============================================================================
@@ -209,7 +211,7 @@ def _assert_scan_parity(engine, history, addrs, top_blk, rng, trials=120):
 @pytest.mark.parametrize("async_merge", [False, True])
 def test_cole_scan_matches_model(tmp_path, async_merge):
     rng = random.Random(11 + async_merge)
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(async_merge))
+    engine = Cole(str(tmp_path / "ws"), dataclasses.replace(PARAMS, async_merge=async_merge))
     history = History()
     addrs, top = _load(engine, history, rng)
     try:
@@ -248,7 +250,7 @@ def test_scan_continuation_paging_equals_one_shot(tmp_path):
     """Paging with limit + addr_successor reassembles the full scan —
     the primitive the server's continuation protocol rides."""
     rng = random.Random(31)
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(True))
+    engine = Cole(str(tmp_path / "ws"), dataclasses.replace(PARAMS, async_merge=True))
     history = History()
     addrs, _top = _load(engine, history, rng, blocks=20)
     try:
@@ -286,7 +288,7 @@ def test_scan_validates_arguments(tmp_path):
 
 def test_scan_sees_only_committed_heights_midstream(tmp_path):
     """An at_blk scan over committed history is immune to later writes."""
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(True))
+    engine = Cole(str(tmp_path / "ws"), dataclasses.replace(PARAMS, async_merge=True))
     addr = b"\x42" * ADDR
     try:
         for blk in (1, 2, 3):
@@ -308,7 +310,7 @@ def test_get_and_get_at_ride_the_same_sources(tmp_path):
     """The refactored point lookups answer exactly as the scan layer
     (both traverse the view's ``sources``)."""
     rng = random.Random(47)
-    engine = Cole(str(tmp_path / "ws"), PARAMS.with_async(True))
+    engine = Cole(str(tmp_path / "ws"), dataclasses.replace(PARAMS, async_merge=True))
     history = History()
     addrs, top = _load(engine, history, rng, blocks=25)
     try:

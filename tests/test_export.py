@@ -9,6 +9,7 @@ and lost frames all fail loudly instead of importing silently-wrong
 state.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -54,7 +55,7 @@ def load_write_once(engine, blocks: int = 20, per_block: int = 15) -> dict:
 
 
 def make_engine(directory: str, shape: str):
-    return Cole(directory, PARAMS.with_async(shape == "async"))
+    return Cole(directory, dataclasses.replace(PARAMS, async_merge=shape == "async"))
 
 
 # =============================================================================

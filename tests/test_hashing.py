@@ -7,7 +7,6 @@ from repro.common.hashing import (
     EMPTY_DIGEST,
     hash_bytes,
     hash_concat,
-    hash_pair,
 )
 
 
@@ -21,16 +20,6 @@ def test_digest_size():
 
 def test_empty_digest_matches_empty_hash():
     assert EMPTY_DIGEST == hash_bytes(b"")
-
-
-def test_hash_pair_is_concatenation():
-    left, right = hash_bytes(b"l"), hash_bytes(b"r")
-    assert hash_pair(left, right) == hash_bytes(left + right)
-
-
-def test_hash_pair_order_matters():
-    left, right = hash_bytes(b"l"), hash_bytes(b"r")
-    assert hash_pair(left, right) != hash_pair(right, left)
 
 
 def test_hash_concat_equals_manual():

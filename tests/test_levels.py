@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey
+from repro.core.compound import compound_key
 from repro.core.disklevel import DiskGroup, DiskLevel
 from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
@@ -25,7 +25,7 @@ def params():
 def make_run(tmp_path, params, name, first_byte):
     ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
     entries = [
-        (CompoundKey(addr=bytes([first_byte]) * 8, blk=blk).to_int(), b"\x01" * 8)
+        (compound_key(bytes([first_byte]) * 8, blk), b"\x01" * 8)
         for blk in range(1, 5)
     ]
     pairs = encode_pairs(entries, params.system.key_size)
@@ -34,7 +34,7 @@ def make_run(tmp_path, params, name, first_byte):
 
 def test_mem_group_drain_is_sorted():
     group = MemGroup(key_width=16)
-    keys = [CompoundKey(addr=bytes([b]) * 8, blk=1).to_int() for b in (9, 3, 7)]
+    keys = [compound_key(bytes([b]) * 8, 1) for b in (9, 3, 7)]
     for key in keys:
         group.insert(key, b"v")
     assert len(group) == 3

@@ -20,7 +20,6 @@ def build(entries, order=4):
 def test_empty_tree():
     tree = MBTree()
     assert len(tree) == 0
-    assert tree.is_empty()
     assert tree.get(1) is None
     assert tree.floor_search(10) is None
 
@@ -83,7 +82,7 @@ def test_root_hash_depends_on_values():
 def test_clear():
     tree = build([(i, b"v") for i in range(50)])
     tree.clear()
-    assert tree.is_empty()
+    assert len(tree) == 0
     assert tree.get(3) is None
 
 

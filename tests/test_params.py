@@ -32,13 +32,6 @@ def test_invalid_addr_size_rejected():
         SystemParams(addr_size=0)
 
 
-def test_with_async_flag():
-    params = ColeParams()
-    assert not params.async_merge
-    assert params.with_async().async_merge
-    assert not params.with_async(False).async_merge
-
-
 def test_size_ratio_must_be_at_least_two():
     with pytest.raises(ValueError):
         ColeParams(size_ratio=1)

@@ -26,7 +26,7 @@ from repro.bloomfilter import BloomFilter, hash_item
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import hash_concat
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey, MAX_BLK
+from repro.core.compound import MAX_BLK, compound_key
 from repro.core.indexfile import IndexFile, IndexFileBuilder
 from repro.core.merklefile import (
     MerkleFile,
@@ -357,7 +357,7 @@ def test_run_search_below_and_above_the_key_space(store):
             assert run.index_file.search(-1) is None
             assert run.floor_search(top) == run.floor_search(top - 1)
             assert run.floor_search(top + 12345)[1] == last
-            assert run.prov_scan(-1, CompoundKey(b"\x00" * ADDR_SIZE, 5).to_int()).lo == 0
+            assert run.prov_scan(-1, compound_key(b"\x00" * ADDR_SIZE, 5)).lo == 0
 
 
 # =============================================================================
@@ -478,7 +478,7 @@ PINNED_PAGE_READS = {
 
 def _shape_store(directory, shape):
     """A fixed 80-block store: runs on three levels, a non-empty L0."""
-    engine = Cole(directory, SHAPE_PARAMS.with_async(shape == "async"))
+    engine = Cole(directory, dataclasses.replace(SHAPE_PARAMS, async_merge=shape == "async"))
     rng = random.Random(0x5EED)
     pool = [rng.randbytes(ADDR_SIZE) for _ in range(72)]
     for blk in range(1, 81):
@@ -528,8 +528,8 @@ def _pages_by_kind(engine, batch):
 def _seeks_on_seek_page(engine, low):
     """Run seeks of a scan from ``low`` whose first entry is on the value
     page the seek settled on: the pages a scan no longer reads twice."""
-    key_low = CompoundKey(low, 0).to_int()
-    key_high = CompoundKey(b"\xff" * ADDR_SIZE, MAX_BLK).to_int()
+    key_low = compound_key(low, 0)
+    key_high = compound_key(b"\xff" * ADDR_SIZE, MAX_BLK)
     saved = 0
     for source in engine._view.sources:
         if source.kind != "run" or not source.overlaps(key_low, key_high):

@@ -10,6 +10,7 @@ resumes once the primary recovers.
 """
 
 import asyncio
+import dataclasses
 import os
 import re
 import signal
@@ -168,7 +169,7 @@ def test_replica_divergence_is_a_crash_stop(tmp_path):
     are still answered."""
     # The 8 PUTs must share one group commit: no timer fires before FLUSH.
     engine, wal, primary = primary_stack(
-        tmp_path, params=PARAMS.with_async(False), batch_max_delay=60.0
+        tmp_path, params=dataclasses.replace(PARAMS, async_merge=False), batch_max_delay=60.0
     )
     replica_engine = Cole(str(tmp_path / "replica"), PARAMS)
     verified = replica_engine.root_digest()

@@ -10,7 +10,7 @@ import write_oracle
 from repro.common.errors import StorageError
 from repro.common.hashing import DIGEST_SIZE, hash_bytes
 from repro.common.params import ColeParams, SystemParams
-from repro.core.compound import CompoundKey
+from repro.core.compound import MAX_BLK, blk_of_int, compound_key
 from repro.core.merge import merge_entry_streams
 from repro.core.merklefile import (
     MerkleFileBuilder,
@@ -57,7 +57,7 @@ def make_entries(params, num_addrs=10, versions=5, seed=2):
     entries = []
     for addr in addrs:
         for blk in range(1, versions + 1):
-            key = CompoundKey(addr=addr, blk=blk).to_int()
+            key = compound_key(addr, blk)
             entries.append((key, rng.randbytes(params.system.value_size)))
     return sorted(entries), addrs
 
@@ -75,10 +75,10 @@ def test_build_and_floor_search(tmp_path, params):
 def test_floor_search_latest_version(tmp_path, params):
     entries, addrs = make_entries(params, versions=5)
     run = make_run(tmp_path, params, entries)
-    sentinel = CompoundKey.latest_of(addrs[3]).to_int()
+    sentinel = compound_key(addrs[3], MAX_BLK)
     (key, _value), _pos = run.floor_search(sentinel)
-    assert CompoundKey.from_int(key, params.system.addr_size).addr == addrs[3]
-    assert CompoundKey.from_int(key, params.system.addr_size).blk == 5
+    assert key >> 64 == int.from_bytes(addrs[3], "big")
+    assert blk_of_int(key) == 5
 
 
 def test_floor_before_run_returns_none(tmp_path, params):
@@ -110,8 +110,8 @@ def test_prov_scan_discloses_boundaries(tmp_path, params):
     entries, addrs = make_entries(params, versions=6)
     run = make_run(tmp_path, params, entries)
     addr = addrs[4]
-    key_low = CompoundKey(addr=addr, blk=2).to_int()
-    key_high = CompoundKey(addr=addr, blk=4).to_int()
+    key_low = compound_key(addr, 2)
+    key_high = compound_key(addr, 4)
     scan = run.prov_scan(key_low, key_high)
     disclosed_keys = [key for key, _value in scan.entries]
     assert disclosed_keys[0] <= key_low
@@ -143,7 +143,7 @@ def test_run_load_round_trip(tmp_path, params):
     built = build(ws, "persist", entries, params)
     loaded = Run.load(ws, "persist", 1, len(entries), params, built.merkle_root)
     assert loaded.commitment() == built.commitment()
-    sentinel = CompoundKey.latest_of(addrs[0]).to_int()
+    sentinel = compound_key(addrs[0], MAX_BLK)
     assert loaded.floor_search(sentinel) == built.floor_search(sentinel)
 
 
@@ -162,7 +162,7 @@ def test_large_run_search_io_is_bounded(tmp_path, params):
     run = build(ws, "big", entries, params, level=2)
     stats = ws.stats
     before = stats.snapshot()
-    sentinel = CompoundKey.latest_of(addrs[30]).to_int()
+    sentinel = compound_key(addrs[30], MAX_BLK)
     assert run.floor_search(sentinel) is not None
     delta = stats.delta(before)
     # Table 1's Cmodel: one or two pages per index layer, then the
@@ -311,7 +311,7 @@ def random_entries(system, count, versions, rng):
         addr = rng.randbytes(system.addr_size)
         first = rng.randint(0, 2**64 - versions)
         for blk in range(first, first + versions):
-            keys.add(CompoundKey(addr=addr, blk=blk).to_int())
+            keys.add(compound_key(addr, blk))
     return [(key, rng.randbytes(system.value_size)) for key in sorted(keys)[:count]]
 
 

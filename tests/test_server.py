@@ -6,6 +6,8 @@ async plugin.
 """
 
 import asyncio
+import socket
+import threading
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.server import (
 from repro.server import protocol
 from repro.server.loadgen import key_addr
 from repro.server.protocol import Op, RootInfo
+from repro.wal import WriteAheadLog
 
 from raw_frames import read_frame
 
@@ -778,6 +781,59 @@ def test_server_config_validation():
         ServerConfig(executor_workers=0)
     with pytest.raises(ValueError):
         VersionedReadCache(capacity=0)
+
+
+# =============================================================================
+# ServerThread lifecycle
+# =============================================================================
+
+def test_server_thread_start_and_stop_are_idempotent(tmp_path):
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
+    before = set(threading.enumerate())
+    thread = ServerThread(engine)
+    try:
+        address = thread.start()
+        assert thread.start() == address  # a second start: the same server
+
+        async def scenario():
+            async with ServerClient(*address) as client:
+                await client.put(addr_of(1), value_of(1))
+                assert await client.get(addr_of(1)) == value_of(1)
+
+        asyncio.run(scenario())
+        thread.stop()
+        thread.stop()  # a second stop is a no-op
+        assert set(threading.enumerate()) - before == set()
+    finally:
+        thread.stop()
+        engine.close()
+
+
+@pytest.mark.parametrize("role", ["primary-with-wal", "replica"])
+def test_a_failed_start_leaves_nothing_running(tmp_path, role):
+    """A bind error surfaces from ``start()`` in the caller's thread, and
+    the start undoes what it built first: no pool thread outlives it and
+    a replica's applier task is cancelled, not left pending."""
+    engine = Cole(str(tmp_path / "ws"), PARAMS)
+    wal = WriteAheadLog(str(tmp_path / "wal")) if role == "primary-with-wal" else None
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        host, port = holder.getsockname()
+        replica_of = (host, port) if role == "replica" else None
+        before = set(threading.enumerate())
+        thread = ServerThread(engine, port=port, wal=wal, replica_of=replica_of)
+        try:
+            with pytest.raises(OSError):
+                thread.start()
+            assert set(threading.enumerate()) - before == set()
+            if role == "replica":
+                assert thread.server.committer._task.cancelled()
+        finally:
+            thread.stop()
+            if wal is not None:
+                wal.close()
+            engine.close()
 
 
 # =============================================================================

@@ -29,7 +29,7 @@ import pytest
 
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, verify_provenance
-from repro.core.compound import CompoundKey
+from repro.core.compound import MAX_BLK, compound_key
 from repro.core.storage import WOULD_BLOCK
 from repro.diskio.pagefile import PagedFile
 from version_model import VersionModel
@@ -218,7 +218,7 @@ def _open_fds() -> int:
 
 
 def _view_answers(cole, view):
-    keys = [(CompoundKey.latest_of(addr_of(n)).to_int(), addr_of(n)) for n in range(NUM_ADDRS)]
+    keys = [(compound_key(addr_of(n), MAX_BLK), addr_of(n)) for n in range(NUM_ADDRS)]
     return [cole._lookup(view, key, addr, True) for key, addr in keys]
 
 

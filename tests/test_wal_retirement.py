@@ -81,7 +81,7 @@ async def commit_blocks(batcher, wal, blocks, on_flush=None):
     """``blocks`` group commits of one ``block_items`` batch each; the
     WAL is synced after each, as the server's group fsync would."""
     for _ in range(blocks):
-        batcher.put_batch(block_items(batcher.next_height))
+        batcher.put_batch(block_items(batcher.stats()["open_height"]))
         await batcher.flush()
         wal.sync()
         await settle()
@@ -278,9 +278,9 @@ def test_a_crash_after_retirements_recovers_the_oracle_root(tmp_path, async_merg
         batcher = WriteBatcher(engine, max_delay=60.0, run_in_executor=run_now, wal=wal)
         await commit_blocks(batcher, wal, 30)
         # The last batch is logged and synced but never committed.
-        batcher.put_batch(block_items(batcher.next_height))
+        batcher.put_batch(block_items(batcher.stats()["open_height"]))
         wal.sync()
-        return batcher.next_height
+        return batcher.stats()["open_height"]
 
     last = asyncio.run(scenario())
     assert wal.truncated_segments >= 3
@@ -377,7 +377,7 @@ def test_a_subscriber_registering_mid_retirement_keeps_every_promised_height(
     def late_truncate(checkpoint):
         if not promised:
             floor = engine.checkpoint_blk  # the floor the task was scheduled at
-            height = batcher.next_height
+            height = batcher.stats()["open_height"]
             for _ in range(2):  # two commits below the next cascade
                 commit_direct(engine, wal, height)
                 height += 1
@@ -395,7 +395,7 @@ def test_a_subscriber_registering_mid_retirement_keeps_every_promised_height(
 
     async def scenario():
         while not promised:
-            batcher.put_batch(block_items(batcher.next_height))
+            batcher.put_batch(block_items(batcher.stats()["open_height"]))
             await batcher.flush()
             wal.sync()
             await settle()

@@ -1,7 +1,5 @@
 """Unit tests for the workspace directory abstraction."""
 
-import os
-
 from repro.diskio.workspace import Workspace
 
 
@@ -26,12 +24,8 @@ def test_open_file_rejects_mismatched_reopen(tmp_path):
     assert ws.open_file("f1", category="value", create=False) is not None
     with pytest.raises(StorageError, match="already open"):
         ws.open_file("f1", category="index", create=False)
-    # Closing the handle forgets it: a fresh open may choose another
+    # remove_file forgets the handle: a fresh open may choose another
     # category.
-    ws.close_file("f1")
-    handle = ws.open_file("f1", category="index", create=False)
-    assert handle.category == "index"
-    # remove_file clears it too.
     ws.remove_file("f1")
     assert ws.open_file("f1", category="other").category == "other"
     ws.close()
@@ -66,23 +60,6 @@ def test_list_files_sorted(tmp_path):
     ws.open_file("b").append_page(b"1")
     ws.open_file("a").append_page(b"1")
     assert list(ws.list_files()) == ["a", "b"]
-
-
-def test_destroy_removes_directory(tmp_path):
-    root = str(tmp_path / "ws")
-    ws = Workspace(root, page_size=128)
-    ws.open_file("f").append_page(b"1")
-    ws.destroy()
-    assert not os.path.exists(root)
-
-
-def test_close_file_keeps_data(tmp_path):
-    ws = Workspace(str(tmp_path / "ws"), page_size=128)
-    ws.open_file("f").append_page(b"data")
-    ws.close_file("f")
-    assert ws.exists("f")
-    reopened = ws.open_file("f", create=False)
-    assert reopened.read_page(0)[:4] == b"data"
 
 
 def test_shared_stats(tmp_path):
