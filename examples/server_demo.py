@@ -27,8 +27,8 @@ from repro.server import (
     LoadgenParams,
     ServerConfig,
     ServerThread,
+    client_ops,
     connect,
-    replay_writes,
     run_loadgen,
 )
 from repro.server.loadgen import key_addr
@@ -63,8 +63,16 @@ async def main() -> None:
               f"avg batch {batcher['avg_batch']:.1f} puts")
 
         # -- byte-identical with the in-process engine --------------------
+        # Each key has one writing client: its last put is the key's value.
         direct = Cole(direct_dir, COLE)
-        replay_writes(direct, PARAMS)
+        direct.begin_block(1)
+        direct.put_many(
+            (addr, value)
+            for client_id in range(PARAMS.clients)
+            for kind, addr, value in client_ops(PARAMS, client_id)
+            if kind == "put"
+        )
+        direct.commit_block()
         async with connect((host, port)) as client:
             mismatches = 0
             for rank in range(PARAMS.num_keys):

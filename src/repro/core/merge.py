@@ -9,11 +9,11 @@ within a block overwrite in L0), so it is a plain heap merge; equal keys
 would indicate corruption (or overlapping snapshots) and resolve in
 favour of the newest stream for defence in depth.
 
-:class:`MergeScheduler` starts every run build — the L0 flush, the
-per-level checkpoint merges, and the restart of aborted merges — on a
-``concurrent.futures`` executor: inline for COLE, a thread pool for COLE*.
-The build's :class:`PendingMerge` stays invisible to queries until a
-commit checkpoint lands it (Figure 8).
+Every run build — the L0 flush, the per-level checkpoint merges, and
+the restart of aborted merges — is a :class:`BuildSpec`, a value, which
+:class:`MergeScheduler` runs on a ``concurrent.futures`` executor: inline
+for COLE, a thread pool for COLE*.  The build's :class:`PendingMerge`
+stays invisible to queries until a commit checkpoint lands it (Figure 8).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Sequence, TypeVar, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar, TYPE_CHECKING
 
 from repro.common.errors import StorageError
 
@@ -69,6 +69,24 @@ def merge_entry_streams(streams: List[Iterable[bytes]], key_size: int) -> Iterat
     return merge_newest_first(streams[::-1], key=itemgetter(slice(0, key_size)))
 
 
+@dataclass(frozen=True)
+class BuildSpec:
+    """One run build as a value: what ``repro.core.storage.execute``
+    needs besides the workspace and the parameters.  It pickles, and it
+    reads nothing but the files it names, so it replays in any workspace
+    holding its sources."""
+
+    name: str  # of the output run
+    level: int
+    num_entries: int
+    pairs: Tuple[bytes, ...]  # L0's drained entries, encoded: the newest input
+    sources: Tuple[Tuple[str, int], ...]  # (run name, entries), oldest first
+
+    @property
+    def kind(self) -> str:
+        return "merge" if self.sources else "flush"
+
+
 @dataclass
 class PendingMerge:
     """A run build in flight: its future plus what the commit checkpoint
@@ -81,11 +99,13 @@ class PendingMerge:
     """
 
     future: "Future[Run]"
-    name: str
-    level: int
-    kind: str
+    spec: BuildSpec
     checkpoint_puts: int = 0  # put counter covered by the output run
     checkpoint_blk: int = -1  # block height covered by the output run
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
     def wait(self) -> "Run":
         """Block until the build finishes and return its run (Algorithm 5
@@ -98,8 +118,8 @@ class PendingMerge:
         error = self.future.exception()  # joins the build
         if error is not None:
             raise StorageError(
-                f"background {self.kind} building run {self.name} "
-                f"(level {self.level}) failed: {error!r}"
+                f"background {self.spec.kind} building run {self.name} "
+                f"(level {self.spec.level}) failed: {error!r}"
             ) from error
         return self.future.result()
 
@@ -118,8 +138,9 @@ class InlineExecutor(Executor):
 
 
 class MergeScheduler:
-    """Starts the run builders of one engine on the executor chosen at
-    open: :class:`InlineExecutor` for COLE, a thread pool for COLE*.
+    """Runs the build specs of one engine through ``execute`` on the
+    executor chosen at open: :class:`InlineExecutor` for COLE, a thread
+    pool for COLE*.
 
     Every start site (L0 flush, level merge, recovery and rewind
     restarts) goes through :meth:`spawn`, so build metrics and the
@@ -128,8 +149,9 @@ class MergeScheduler:
     and adds one only when none is idle.
     """
 
-    def __init__(self, inline: bool = False) -> None:
+    def __init__(self, execute: Callable[[BuildSpec], "Run"], inline: bool = False) -> None:
         self.inline = inline
+        self._execute = execute
         self._executor: Executor = (
             InlineExecutor()
             if inline
@@ -140,41 +162,33 @@ class MergeScheduler:
         self.metrics = None
 
     def spawn(
-        self,
-        kind: str,
-        name: str,
-        build: Callable[[], "Run"],
-        *,
-        level: int = 0,
-        checkpoint_puts: int = 0,
-        checkpoint_blk: int = -1,
+        self, spec: BuildSpec, checkpoint_puts: int = 0, checkpoint_blk: int = -1
     ) -> PendingMerge:
-        """Start ``build``; returns its handle.
+        """Start the build of ``spec``; returns its handle.
 
         ``checkpoint_puts`` / ``checkpoint_blk`` record the durability
         point the output run will cover once committed (Section 4.3).
         An inline build has already run: its failure raises here, before
         the caller's checkpoint has moved anything.
         """
-
-        def task() -> "Run":
-            started = time.perf_counter()
-            run = build()
-            metrics = self.metrics
-            if metrics is not None:
-                metrics.histogram(
-                    "repro_merge_seconds",
-                    help="Run build duration by kind",
-                    kind=kind,
-                ).observe(time.perf_counter() - started)
-            return run
-
         pending = PendingMerge(
-            self._executor.submit(task), name, level, kind, checkpoint_puts, checkpoint_blk
+            self._executor.submit(self._build, spec), spec, checkpoint_puts, checkpoint_blk
         )
         if self.inline:
             pending.wait()
         return pending
+
+    def _build(self, spec: BuildSpec) -> "Run":
+        started = time.perf_counter()
+        run = self._execute(spec)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.histogram(
+                "repro_merge_seconds",
+                help="Run build duration by kind",
+                kind=spec.kind,
+            ).observe(time.perf_counter() - started)
+        return run
 
     def close(self) -> None:
         """Finish queued builds and stop the workers (engine close path)."""

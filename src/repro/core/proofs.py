@@ -29,7 +29,7 @@ from repro.common.codec import U32, Cursor
 from repro.common.errors import StorageError, VerificationError
 from repro.common.hashing import Digest, hash_bytes, hash_concat
 from repro.core.merklefile import MerkleRangeProof
-from repro.mbtree.proof import MBTreeProof, ProofHash, ProofInternal, ProofLeaf
+from repro.mbtree.proof import MAX_PROOF_DEPTH, MBTreeProof, ProofHash, ProofInternal, ProofLeaf
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,6 @@ class ProvenanceResult:
 
 #: First byte of every encoded PROV answer; a decoder refuses any other.
 PROOF_CODEC_VERSION = 1
-#: Nesting a decoder follows: past any real proof, short of the recursion limit.
-MAX_PROOF_DEPTH = 64
 _NONE, _INT, _BYTES, _LIST, _TUPLE = range(5)
 #: The proof classes; class ``i`` is tag ``_TUPLE + 1 + i``.
 _CLASSES = (ProvenanceResult, ProvenanceProof, MemProofItem, RunProofItem, RunNegativeItem,
@@ -185,7 +183,12 @@ def _decode(cursor: Cursor, depth: int) -> Any:
         count = cursor.u32()
         if count > len(cursor.data) - cursor.pos:  # every value takes a byte
             raise StorageError(f"proof list of {count} exceeds the bytes left")
-        items = [_decode(cursor, depth + 1) for _ in range(count)]
+        items = []
+        for _ in range(count):
+            item = _decode(cursor, depth + 1)
+            if item is None and tag == _LIST:  # no proof list holds one
+                raise StorageError("proof list holds a None")
+            items.append(item)
         return items if tag == _LIST else tuple(items)
     if _TUPLE < tag <= _TUPLE + len(_CLASSES):
         cls = _CLASSES[tag - _TUPLE - 1]

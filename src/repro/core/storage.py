@@ -32,6 +32,7 @@ under the other one.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.bloomfilter import hash_item
@@ -45,7 +46,7 @@ from repro.core.cursor import ReadSource, ScanBounds, ScanTriple, scan_bounds, s
 from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import MANIFEST_NAME, Manifest, RunRecord, load_manifest, save_manifest
 from repro.core.memlevel import MemGroup
-from repro.core.merge import MergeScheduler, merge_entry_streams
+from repro.core.merge import BuildSpec, MergeScheduler, merge_entry_streams
 from repro.core.proofs import (
     MemProofItem,
     ProofItem,
@@ -55,7 +56,8 @@ from repro.core.proofs import (
     RunProofItem,
     StubItem,
 )
-from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
+from repro.core.run import RUN_SUFFIXES, Entry, Run, encode_pairs
+from repro.core.valuefile import ValueFile
 from repro.diskio.iostats import IOStats
 from repro.diskio.workspace import Workspace
 
@@ -67,6 +69,26 @@ WORKSPACE_LOCK_NAME = "LOCK"
 #: Answer of a ``wait=False`` point read that found L0 mid-insert.
 WOULD_BLOCK = object()
 _NO_LOCK = nullcontext()  # guards the probe of a write-once run
+
+
+def execute(workspace: Workspace, params: ColeParams, spec: BuildSpec) -> Run:
+    """Build the run ``spec`` describes — flush, level merge or restart
+    alike: each source's value file, opened by name through
+    ``workspace``, merged oldest first with L0's pairs
+    (:func:`merge_entry_streams`) and streamed into :meth:`Run.build`."""
+    system = params.system
+    pairs: Iterable[bytes] = spec.pairs
+    if spec.sources:
+        streams = [
+            ValueFile(
+                workspace.open_file(f"{name}.val", category="value", create=False),
+                entries,
+                system,
+            ).iter_pairs()
+            for name, entries in spec.sources
+        ]
+        pairs = merge_entry_streams(streams + [spec.pairs], system.key_size)
+    return Run.build(workspace, spec.name, spec.level, pairs, spec.num_entries, params)
 
 
 class StoreView(NamedTuple):
@@ -184,7 +206,9 @@ class Cole:
         self.mem_writing = self._new_mem_group()
         self.mem_merging = self._new_mem_group()
         self.mem_pending: Optional[PendingMerge] = None
-        self.scheduler = MergeScheduler(inline=not self.params.async_merge)
+        self.scheduler = MergeScheduler(
+            partial(execute, self.workspace, self.params), inline=not self.params.async_merge
+        )
         # The writer mutex: puts, commit checkpoints, rewind and close.
         # Readers pin a view instead, and hold the mem lock around what
         # they read of an L0 group — as put / put_many do around their
@@ -327,20 +351,11 @@ class Cole:
             index += 1
         if not incoming:
             return  # forced cascade, empty L0, nothing full: a no-op
-        target, key_size = index + 1, self.params.system.key_size
+        target = index + 1
         # The run takes the last of the names its elided steps would have.
         steps = bool(entries) + index
         name = f"L{target}_{self._run_seq + steps - 1:08d}"
-
-        def build() -> Run:
-            pairs = encode_pairs(entries, key_size)
-            if target > 1:
-                streams = [source.value_file.iter_pairs() for source in sources]
-                pairs = merge_entry_streams(streams + [pairs], key_size)
-            return Run.build(self.workspace, name, target, pairs, incoming, self.params)
-
-        kind = "merge" if target > 1 else "flush"
-        run = self.scheduler.spawn(kind, name, build, level=target).wait()
+        run = self.scheduler.spawn(self._spec(name, target, entries, sources)).wait()
         self._run_seq += steps
         obsolete: List[Run] = []
         for level in self.levels[:index]:
@@ -383,19 +398,8 @@ class Cole:
     def _start_flush(self, entries, checkpoint_puts: int, checkpoint_blk: int) -> PendingMerge:
         """Build the level-1 run of an L0 group's drained ``entries``; the
         two checkpoint values are what the manifest records once it lands."""
-        name = self._next_run_name(1)
-        key_size = self.params.system.key_size
-        return self.scheduler.spawn(
-            "flush",
-            name,
-            lambda: Run.build(
-                self.workspace, name, 1, encode_pairs(entries, key_size), len(entries),
-                self.params,
-            ),
-            level=1,
-            checkpoint_puts=checkpoint_puts,
-            checkpoint_blk=checkpoint_blk,
-        )
+        spec = self._spec(self._next_run_name(1), 1, entries, [])
+        return self.scheduler.spawn(spec, checkpoint_puts, checkpoint_blk)
 
     def _land_flush(self) -> bool:
         """Commit the pending L0 flush, if there is one: its run joins
@@ -429,18 +433,8 @@ class Cole:
     def _start_merge(self, index: int, group: DiskGroup) -> PendingMerge:
         """Merge ``group`` — level ``index + 1``'s merging group, or the
         writing group about to become it — into one run of the next level."""
-        sources, target = list(group.runs), index + 2
-        total = sum(source.num_entries for source in sources)
-        name = self._next_run_name(target)
-
-        def build() -> Run:
-            merged = merge_entry_streams(
-                [source.value_file.iter_pairs() for source in sources],
-                self.params.system.key_size,
-            )
-            return Run.build(self.workspace, name, target, merged, total, self.params)
-
-        return self.scheduler.spawn("merge", name, build, level=target)
+        target = index + 2
+        return self.scheduler.spawn(self._spec(self._next_run_name(target), target, [], group.runs))
 
     def _land_merge(self, level: DiskLevel) -> List[Run]:
         """Commit ``level``'s pending merge, if there is one: the output
@@ -484,6 +478,13 @@ class Cole:
         name = f"L{level}_{self._run_seq:08d}"
         self._run_seq += 1
         return name
+
+    def _spec(self, name: str, level: int, entries: List[Entry], sources: List[Run]) -> BuildSpec:
+        """The build of L0's drained ``entries`` and ``sources`` (oldest
+        first) into run ``name``."""
+        pairs = tuple(encode_pairs(entries, self.params.system.key_size))
+        total = len(pairs) + sum(run.num_entries for run in sources)
+        return BuildSpec(name, level, total, pairs, tuple((r.name, r.num_entries) for r in sources))
 
     def _new_mem_group(self) -> MemGroup:
         return MemGroup(self.params.system.key_size)

@@ -32,8 +32,8 @@ from repro.mbtree.proof import verify_range_proof as verify_mbtree_range
 
 #: What the walk raises on a result not built as a proof is — a decoded
 #: field of another type or an ``int`` no key encoding holds; in process,
-#: also a field missing or a node in its own subtree.
-_WRONG_SHAPE = (AttributeError, TypeError, ValueError, OverflowError, RecursionError)
+#: also a field missing.
+_WRONG_SHAPE = (AttributeError, TypeError, ValueError, OverflowError)
 
 
 def verify_provenance(

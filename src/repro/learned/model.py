@@ -43,10 +43,6 @@ class Model:
         """Predicted position of ``key``, clamped to ``[0, pmax]``."""
         return predict_position(self.sl, self.ic, self.kmin, self.pmax, key)
 
-    def covers(self, key: int) -> bool:
-        """True if the model may be used for ``key`` (Algorithm 7 line 11)."""
-        return key >= self.kmin
-
     # -- binary codec ---------------------------------------------------------
 
     @staticmethod

@@ -18,6 +18,10 @@ from repro.common.errors import VerificationError
 from repro.common.hashing import Digest
 from repro.mbtree.node import internal_digest, leaf_digest
 
+#: Nesting a proof walk follows: past any real proof, short of the
+#: recursion limit (whose ``RecursionError`` would unset a profile hook).
+MAX_PROOF_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class ProofHash:
@@ -67,21 +71,28 @@ def _node_size(node: ProofNode) -> int:
     return size + sum(_node_size(child) for child in node.children)
 
 
-def _compute_digest(node: ProofNode, key_width: int) -> Digest:
+def _check_depth(depth: int) -> None:
+    if depth > MAX_PROOF_DEPTH:
+        raise VerificationError(f"MB-tree proof nests deeper than {MAX_PROOF_DEPTH}")
+
+
+def _compute_digest(node: ProofNode, key_width: int, depth: int = 0) -> Digest:
     if isinstance(node, ProofHash):
         return node.digest
     if isinstance(node, ProofLeaf):
         return leaf_digest(node.keys, node.values, key_width)
-    child_digests = [_compute_digest(child, key_width) for child in node.children]
+    _check_depth(depth)
+    child_digests = [_compute_digest(child, key_width, depth + 1) for child in node.children]
     return internal_digest(node.keys, child_digests, key_width)
 
 
-def _collect_entries(node: ProofNode, out: List[Tuple[int, bytes]]) -> None:
+def _collect_entries(node: ProofNode, out: List[Tuple[int, bytes]], depth: int = 0) -> None:
     if isinstance(node, ProofLeaf):
         out.extend(zip(node.keys, node.values))
     elif isinstance(node, ProofInternal):
+        _check_depth(depth)
         for child in node.children:
-            _collect_entries(child, out)
+            _collect_entries(child, out, depth + 1)
 
 
 def verify_range_proof(

@@ -37,7 +37,6 @@ from repro.server.loadgen import (
     LoadgenParams,
     LoadReport,
     client_ops,
-    replay_writes,
     run_loadgen,
 )
 from repro.server.protocol import (
@@ -64,6 +63,5 @@ __all__ = [
     "LoadgenParams",
     "LoadReport",
     "client_ops",
-    "replay_writes",
     "run_loadgen",
 ]

@@ -11,10 +11,10 @@ Determinism: the op stream of client ``i`` depends only on the
 parameters and ``i``.  Writes are partitioned — client ``i`` only writes
 keys whose rank is ``i (mod clients)`` — so the final value of every key
 is fixed by the parameters alone, no matter how the server interleaves
-clients.  :func:`replay_writes` applies the same streams directly to an
-in-process engine, which is how the service is checked to be
-byte-identical with the library (``tests/test_server.py``); ``repro
-experiment fig17`` drives it for the service figure.
+clients: the last put of each key in :func:`client_ops`'s streams,
+which is how the service is checked to be byte-identical with the
+library (``tests/test_server.py``); ``repro experiment fig17`` drives
+it for the service figure.
 """
 
 from __future__ import annotations
@@ -149,37 +149,6 @@ def client_ops(params: LoadgenParams, client_id: int) -> List[ClientOp]:
             )
             writes += 1
     return ops
-
-
-def replay_writes(engine, params: LoadgenParams, puts_per_block: int = 256) -> None:
-    """Apply every client's write stream directly to ``engine``.
-
-    Clients are replayed in id order; within a client, op order is
-    preserved.  Because each address has a single writer, the resulting
-    per-address latest values are exactly what any interleaved service
-    run converges to.
-    """
-    pending: List[Tuple[bytes, bytes]] = []
-    height = engine.last_blk
-
-    def commit_pending() -> None:
-        nonlocal height, pending
-        if not pending:
-            return
-        height += 1
-        engine.begin_block(height)
-        engine.put_many(pending)
-        engine.commit_block()
-        pending = []
-
-    for client_id in range(params.clients):
-        for kind, addr, value in client_ops(params, client_id):
-            if kind != "put":
-                continue
-            pending.append((addr, value))
-            if len(pending) >= puts_per_block:
-                commit_pending()
-    commit_pending()
 
 
 # =============================================================================

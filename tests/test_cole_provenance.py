@@ -2,6 +2,7 @@
 
 import copy
 import random
+import sys
 
 import pytest
 
@@ -217,5 +218,16 @@ def test_wrong_shaped_proof_raises_verification_error(stubbed_proof, damage):
     result, root = copy.deepcopy(stubbed_proof)
     verify_provenance(result, root, addr_size=ADDR_SIZE)
     damage(result)
-    with pytest.raises(VerificationError):
-        verify_provenance(result, root, addr_size=ADDR_SIZE)
+
+    def hook(frame, event, arg):
+        pass
+
+    # A RecursionError would silently unset a profile hook.
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        with pytest.raises(VerificationError):
+            verify_provenance(result, root, addr_size=ADDR_SIZE)
+        assert sys.getprofile() is hook
+    finally:
+        sys.setprofile(previous)

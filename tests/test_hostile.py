@@ -28,6 +28,7 @@ import io
 import os
 import struct
 import time
+import tracemalloc
 import zlib
 
 import pytest
@@ -314,6 +315,21 @@ NONE, INT, BYTES, LIST, TUPLE = (bytes([tag]) for tag in range(5))
 def test_a_malformed_codec_blob_is_refused(body, reason):
     with pytest.raises(StorageError, match=reason):
         decode_blob(bytes([proofs.PROOF_CODEC_VERSION]) + body)
+
+
+def test_a_list_of_nones_is_refused_at_the_first():
+    """No proof list holds ``None``: a 1 MiB list of them would decode to
+    8 MiB of pointers before the shape check refused it."""
+    count = 2**20
+    blob = bytes([proofs.PROOF_CODEC_VERSION]) + LIST + struct.pack(">I", count) + NONE * count
+    tracemalloc.start()
+    try:
+        with pytest.raises(StorageError, match="holds a None"):
+            decode_prov_answer(blob)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("version", [0, 2, 0x80])

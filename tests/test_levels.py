@@ -1,6 +1,7 @@
 """Unit tests for the level/group machinery (memlevel, disklevel)."""
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,9 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import compound_key
 from repro.core.disklevel import DiskGroup, DiskLevel
 from repro.core.memlevel import MemGroup
-from repro.core.run import Run, encode_pairs
+from repro.core.merge import BuildSpec, MergeScheduler
+from repro.core.run import encode_pairs
+from repro.core.storage import execute
 from repro.diskio.workspace import Workspace
 
 
@@ -22,14 +25,16 @@ def params():
     )
 
 
+def flush_spec(params, name, first_byte):
+    """A level-1 build of four versions of one address."""
+    entries = [(compound_key(bytes([first_byte]) * 8, blk), b"\x01" * 8) for blk in range(1, 5)]
+    pairs = tuple(encode_pairs(entries, params.system.key_size))
+    return BuildSpec(name, 1, len(pairs), pairs, ()), entries
+
+
 def make_run(tmp_path, params, name, first_byte):
     ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
-    entries = [
-        (compound_key(bytes([first_byte]) * 8, blk), b"\x01" * 8)
-        for blk in range(1, 5)
-    ]
-    pairs = encode_pairs(entries, params.system.key_size)
-    return Run.build(ws, name, 1, iter(pairs), len(entries), params)
+    return execute(ws, params, flush_spec(params, name, first_byte)[0])
 
 
 def test_mem_group_drain_is_sorted():
@@ -81,59 +86,67 @@ def test_view_search_order_is_writing_then_merging_newest_first(tmp_path, params
     cole.close()
 
 
-def test_pending_merge_propagates_error():
-    from repro.core.merge import MergeScheduler
-
-    def boom():
-        raise RuntimeError("merge failed")
-
-    scheduler = MergeScheduler()
-    pending = scheduler.spawn("merge", "L2_00000007", boom, level=2)
+def test_pending_merge_propagates_error(tmp_path, params):
+    ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
+    # A merge of a source run the workspace does not hold.
+    spec = BuildSpec("L2_00000007", 2, 4, (), (("L1_00000003", 4),))
+    scheduler = MergeScheduler(partial(execute, ws, params))
+    pending = scheduler.spawn(spec)
     for _ in range(2):  # a failed build fails every wait
         with pytest.raises(StorageError) as excinfo:
             pending.wait()
-        # The context names the run and chains the original failure.
+        # The context names the run and chains the original failure,
+        # which names the missing source.
         assert "L2_00000007" in str(excinfo.value)
         assert "level 2" in str(excinfo.value)
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "L1_00000003.val" in str(excinfo.value.__cause__)
     scheduler.close()
     # The inline executor has already run the build: it fails at spawn.
-    inline = MergeScheduler(inline=True)
+    inline = MergeScheduler(partial(execute, ws, params), inline=True)
     with pytest.raises(StorageError, match="L2_00000007") as excinfo:
-        inline.spawn("merge", "L2_00000007", boom, level=2)
-    assert isinstance(excinfo.value.__cause__, RuntimeError)
+        inline.spawn(spec)
+    assert "L1_00000003.val" in str(excinfo.value.__cause__)
     inline.close()
+    assert list(ws.list_files()) == []  # neither attempt left a file
+    ws.close()
 
 
-def test_pending_merge_wait_joins_task():
-    from repro.core.merge import MergeScheduler
-
-    seen = []
-    scheduler = MergeScheduler()
-    pending = scheduler.spawn("flush", "L1_00000001", lambda: seen.append(1))
-    pending.wait()
-    assert seen == [1]
+def test_pending_merge_wait_joins_task(tmp_path, params):
+    ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
+    spec, entries = flush_spec(params, "L1_00000001", 3)
+    scheduler = MergeScheduler(partial(execute, ws, params))
+    pending = scheduler.spawn(spec)
+    run = pending.wait()
+    assert pending.future.done()
+    assert (run.name, run.level, run.num_entries) == ("L1_00000001", 1, 4)
+    assert list(run.iter_from(0)) == entries
     scheduler.close()
+    ws.close()
 
 
-def test_merge_scheduler_runs_concurrent_tasks_without_queueing():
+def test_merge_scheduler_runs_concurrent_tasks_without_queueing(tmp_path, params):
     """Back-to-back spawns in one cascade each get their own worker: a
-    task never waits behind an unrelated earlier merge."""
-    from repro.core.merge import MergeScheduler
-
+    build never waits behind an unrelated earlier one."""
+    ws = Workspace(str(tmp_path / "ws"), params.system.page_size)
     release = threading.Event()
     started = threading.Event()
+    first_spec, _ = flush_spec(params, "L1_00000001", 3)
+    second_spec, _ = flush_spec(params, "L1_00000002", 4)
 
-    def blocker():
-        started.set()
-        release.wait(timeout=5)
+    def execute_holding_the_first(spec):
+        if spec is first_spec:
+            started.set()
+            release.wait(timeout=5)
+        return execute(ws, params, spec)
 
-    scheduler = MergeScheduler()
-    first = scheduler.spawn("merge", "L2_00000001", blocker, level=2)
+    scheduler = MergeScheduler(execute_holding_the_first)
+    first = scheduler.spawn(first_spec)
     assert started.wait(timeout=5)
-    second = scheduler.spawn("merge", "L3_00000002", lambda: "done", level=3)
-    # completes while the first task is still blocked
-    assert second.wait() == "done"
+    second = scheduler.spawn(second_spec)
+    # completes while the first build is still held
+    assert second.wait().name == "L1_00000002"
+    assert not first.future.done()
     release.set()
-    first.wait()
+    assert first.wait().name == "L1_00000001"
     scheduler.close()
+    ws.close()

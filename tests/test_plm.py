@@ -111,13 +111,6 @@ def test_model_predict_clamps():
     assert negative.predict(200) == 0
 
 
-def test_model_covers():
-    model = Model(sl=1.0, ic=0.0, kmin=50, pmax=10)
-    assert model.covers(50)
-    assert model.covers(51)
-    assert not model.covers(49)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=2**96), min_size=1, max_size=300, unique=True),

@@ -2,17 +2,17 @@
 
 A name that only tests, examples or a package ``__init__`` re-export
 mention is code the program does not run: it goes, or it is listed in
-``ALLOWED`` with the reason it stays.  The check is textual: a name
-passes when it occurs, as a whole word, more often across the
-non-``__init__`` modules of ``src/repro`` than it is defined there.
-Dunders and click-decorated commands (called by click, by name) are
-exempt.
+``ALLOWED`` with the reason it stays.  The check reads the syntax
+tree, so a comment or a docstring calls nothing: a name passes when the
+non-``__init__`` modules of ``src/repro`` refer to it — as a name, an
+attribute, an imported name, or a string spelling exactly it (a lint
+table, a ``getattr``).  Dunders and click-decorated commands (called by
+click, by name) are exempt.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -22,11 +22,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Names kept with no caller in ``src/repro``, each with its reason.
 ALLOWED: Dict[str, str] = {
     "acquire_shared": "the perf ruler patches it to time shared-gate waits",
+    "edges": "tests read the lock-order graph through it",
     "get_buffer": "asyncio.BufferedProtocol calls it",
     "buffer_updated": "asyncio.BufferedProtocol calls it",
     "read_page_entries": (
         "the binary-search baseline of benchmarks/bench_ablation_learned_index.py"
     ),
+    "prove": "the reference prover for Definition 2's MHT, whose proofs verify_proof checks",
     "reset_lock_order": "tests reset the process-global lock-order graph with it",
     "verify_proof": "the reference verifier for Definition 2's MHT",
     "verify_prov": "the MPT and CMI baselines' proof verifiers; tests check their proofs",
@@ -58,30 +60,42 @@ def _definitions() -> List[Tuple[str, str]]:
     return found
 
 
-def _census() -> Tuple[List[Tuple[str, str]], "Counter[str]", "Counter[str]"]:
-    """The definitions, how often each name is defined, and how often
-    each word occurs in the non-``__init__`` modules."""
-    definitions = _definitions()
-    defined = Counter(name for name, _ in definitions)
-    text = "\n".join(
-        path.read_text() for path in SRC.rglob("*.py") if path.name != "__init__.py"
-    )
-    words = Counter(re.findall(r"\b[A-Za-z_][A-Za-z0-9_]*\b", text))
-    return definitions, defined, words
+def _reference(node: ast.AST) -> str:
+    """The name ``node`` refers to, or ``""``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value if node.value.isidentifier() else ""
+    return ""
+
+
+def _census() -> Tuple[List[Tuple[str, str]], "Counter[str]"]:
+    """The definitions, and how often the non-``__init__`` modules refer
+    to each name."""
+    references: "Counter[str]" = Counter()
+    for path in SRC.rglob("*.py"):
+        if path.name != "__init__.py":
+            references.update(map(_reference, ast.walk(ast.parse(path.read_text()))))
+    return _definitions(), references
 
 
 def test_every_definition_has_a_caller_in_src():
-    definitions, defined, words = _census()
+    definitions, references = _census()
     uncalled = sorted(
         f"{name} ({where})"
         for name, where in definitions
-        if words[name] <= defined[name] and name not in ALLOWED
+        if not references[name] and name not in ALLOWED
     )
     assert uncalled == []
 
 
 def test_every_allowed_name_is_still_defined_and_uncalled():
     """An allow-list entry whose name gained a caller, or went, is stale."""
-    _, defined, words = _census()
-    stale = [name for name in ALLOWED if not defined[name] or words[name] > defined[name]]
+    definitions, references = _census()
+    defined = {name for name, _ in definitions}
+    stale = [name for name in ALLOWED if name not in defined or references[name]]
     assert stale == []
