@@ -25,8 +25,8 @@ import tempfile
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
 from repro.server import (
-    KVClient,
     NotPrimaryError,
+    ServerClient,
     ServerConfig,
     ServerThread,
     connect,
@@ -50,7 +50,7 @@ def value_of(n: int) -> bytes:
     return (n * 31 + 7).to_bytes(4, "big") * 10
 
 
-async def wait_for_height(client: KVClient, height: int):
+async def wait_for_height(client: ServerClient, height: int):
     while True:
         info = await client.root()
         if info.height >= height:

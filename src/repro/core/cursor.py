@@ -107,7 +107,7 @@ class _Entries(tuple):
 class ReadSource:
     """One sorted source of an engine's read path, freshness-ordered.
 
-    Wraps either an L0 :class:`~repro.core.memlevel.MemGroup` or an
+    Wraps either an L0 group's :class:`~repro.mbtree.MBTree` or an
     on-disk :class:`~repro.core.run.Run` behind one interface, labeled
     exactly as in ``root_hash_list`` so provenance proofs can address
     it.  A ``StoreView`` holds them in search order; point lookups
@@ -194,7 +194,7 @@ class ReadSource:
 
     def digest(self):
         """This source's entry in ``root_hash_list``."""
-        return self.source.root() if self.kind == "mem" else self.source.commitment()
+        return self.source.root_hash() if self.kind == "mem" else self.source.commitment()
 
 
 # =============================================================================

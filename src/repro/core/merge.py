@@ -143,10 +143,10 @@ class MergeScheduler:
     pool for COLE*.
 
     Every start site (L0 flush, level merge, recovery and rewind
-    restarts) goes through :meth:`spawn`, so build metrics and the
-    failure wording exist once.  The pool reuses its threads — under GIL
-    pressure ``Thread.start`` stalls the commit path for milliseconds —
-    and adds one only when none is idle.
+    restarts, rewind's rebuilds) goes through :meth:`spawn`, so build
+    metrics and the failure wording exist once.  The pool reuses its
+    threads — under GIL pressure ``Thread.start`` stalls the commit path
+    for milliseconds — and adds one only when none is idle.
     """
 
     def __init__(self, execute: Callable[[BuildSpec], "Run"], inline: bool = False) -> None:

@@ -181,6 +181,8 @@ def _decode(cursor: Cursor, depth: int) -> Any:
         return cursor.bytes32()
     if tag == _LIST or tag == _TUPLE:
         count = cursor.u32()
+        if tag == _TUPLE and count != 2:  # every tuple a proof holds is a pair
+            raise StorageError(f"proof tuple of {count} is not a pair")
         if count > len(cursor.data) - cursor.pos:  # every value takes a byte
             raise StorageError(f"proof list of {count} exceeds the bytes left")
         items = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.compound import MAX_BLK, blk_of_int
+from repro.core.merge import BuildSpec
 from repro.core.run import Run
 
 
@@ -42,21 +43,21 @@ def rewind_to(cole, target_blk: int) -> int:
     for level in cole.levels:
         for group in (level.writing, level.merging):
             rebuilt: List[Run] = []
-            for run in group.runs:
+            for run in group:
                 kept, removed, replaced = _filter_run(cole, run, target_blk)
                 dropped += removed
                 if kept is not None:
                     rebuilt.append(kept)
                 if replaced is not None:
                     obsolete.append(replaced)
-            group.runs = rebuilt
+            group[:] = rebuilt  # no view names a level's lists
     cole.current_blk = min(cole.current_blk, target_blk)
     cole._checkpoint_blk = min(cole._checkpoint_blk, target_blk)
     # What is left of each merging group gets its build back: a merging
     # group is only ever retired by the landing of its own merge.
     if len(cole.mem_merging):
         cole.mem_pending = cole._start_flush(
-            cole.mem_merging.drain(),
+            list(cole.mem_merging.items()),
             flush.checkpoint_puts,
             min(flush.checkpoint_blk, target_blk),
         )
@@ -70,17 +71,17 @@ def rewind_to(cole, target_blk: int) -> int:
     return dropped
 
 
-def _rewind_mem_group(cole, group, target_blk: int):
-    """``(group, versions removed)``: one L0 MB-tree filtered into a fresh
-    group — never in place, published views still name the old one."""
+def _rewind_mem_group(cole, tree, target_blk: int):
+    """``(tree, versions removed)``: one L0 MB-tree filtered into a fresh
+    one — never in place, published views still name the old one."""
     survivors: List[Tuple[int, bytes]] = [
         (key, value)
-        for key, value in group.tree.items()
+        for key, value in tree.items()
         if blk_of_int(key) <= target_blk
     ]
-    removed = len(group.tree) - len(survivors)
+    removed = len(tree) - len(survivors)
     if removed == 0:
-        return group, 0
+        return tree, 0
     rebuilt = cole._new_mem_group()
     for key, value in survivors:
         rebuilt.insert(key, value)
@@ -92,21 +93,20 @@ def _filter_run(cole, run: Run, target_blk: int):
 
     Returns ``(new_run_or_None, versions_removed, replaced_run_or_None)``;
     when a rebuild happens the original run is handed back for deferred
-    deletion (after the manifest is saved), not deleted here.
+    deletion (after the manifest is saved), not deleted here.  The
+    rebuild is a pairs-only :class:`BuildSpec` run through the engine's
+    scheduler, like every other build.
     """
     system = cole.params.system
     heights = slice(system.addr_size, system.key_size)
     # A pair's key ends in its big-endian 8-byte height: compared as
     # bytes it orders as the height does (no height exceeds MAX_BLK).
     limit = min(target_blk, MAX_BLK).to_bytes(8, "big")
-    survivors = [pair for pair in run.value_file.iter_pairs() if pair[heights] <= limit]
+    survivors = tuple(pair for pair in run.value_file.iter_pairs() if pair[heights] <= limit)
     removed = run.num_entries - len(survivors)
     if removed == 0:
         return run, 0, None
     if not survivors:
         return None, removed, run
-    name = cole._next_run_name(run.level)
-    rebuilt = Run.build(
-        cole.workspace, name, run.level, iter(survivors), len(survivors), cole.params
-    )
-    return rebuilt, removed, run
+    spec = BuildSpec(cole._next_run_name(run.level), run.level, len(survivors), survivors, ())
+    return cole.scheduler.spawn(spec).wait(), removed, run

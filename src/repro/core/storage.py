@@ -43,10 +43,8 @@ from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
 from repro.core.compound import MAX_BLK, check_blk, compound_key
 from repro.core.cursor import ReadSource, ScanBounds, ScanTriple, scan_bounds, scan_sources
-from repro.core.disklevel import DiskGroup, DiskLevel, PendingMerge
 from repro.core.manifest import MANIFEST_NAME, Manifest, RunRecord, load_manifest, save_manifest
-from repro.core.memlevel import MemGroup
-from repro.core.merge import BuildSpec, MergeScheduler, merge_entry_streams
+from repro.core.merge import BuildSpec, MergeScheduler, PendingMerge, merge_entry_streams
 from repro.core.proofs import (
     MemProofItem,
     ProofItem,
@@ -60,6 +58,7 @@ from repro.core.run import RUN_SUFFIXES, Entry, Run, encode_pairs
 from repro.core.valuefile import ValueFile
 from repro.diskio.iostats import IOStats
 from repro.diskio.workspace import Workspace
+from repro.mbtree import MBTree
 
 #: Name of the advisory workspace lock file (held via flock by the CLI's
 #: serve/snapshot commands).  Defined here — next to the recovery code
@@ -89,6 +88,25 @@ def execute(workspace: Workspace, params: ColeParams, spec: BuildSpec) -> Run:
         ]
         pairs = merge_entry_streams(streams + [spec.pairs], system.key_size)
     return Run.build(workspace, spec.name, spec.level, pairs, spec.num_entries, params)
+
+
+class DiskLevel:
+    """On-disk level ``level`` (Sections 4 and 5): its writing group takes
+    the runs committed from the level above, its merging group's runs are
+    being merged into the next level by ``pending``; both oldest first,
+    switched at the level's checkpoint (Algorithm 5, Figure 7).  Under
+    COLE a full level merges down inside its checkpoint, so its merging
+    group holds only a merge restarted from a COLE* store."""
+
+    def __init__(self, level: int) -> None:
+        self.level = level
+        self.writing: List[Run] = []
+        self.merging: List[Run] = []
+        self.pending: Optional[PendingMerge] = None
+
+    def all_runs(self) -> List[Run]:
+        """Every committed run, in ``root_hash_list`` order."""
+        return self.writing + self.merging
 
 
 class StoreView(NamedTuple):
@@ -320,7 +338,7 @@ class Cole:
         moved = self._checkpoint_mem()
         obsolete: List[Run] = []
         index = 0
-        while index < len(self.levels) and self._overflows(self.levels[index].writing.runs):
+        while index < len(self.levels) and self._overflows(self.levels[index].writing):
             obsolete += self._checkpoint_level(index)
             index += 1
         if moved or index:  # else a forced cascade, empty L0, nothing in flight
@@ -335,14 +353,14 @@ class Cole:
         merge (recovery, rewind) first, as its checkpoint would.  Nothing
         is applied until the build succeeded, so a failure leaves L0, the
         groups, the manifest and the files as they were."""
-        entries = self.mem_writing.drain()
+        entries = list(self.mem_writing.items())
         sources: List[Run] = []
         landing: List[Run] = []  # the restarted merge a full level lands below it
         incoming = len(entries)
         index = 0
         while index < len(self.levels):
             level = self.levels[index]
-            runs = level.writing.runs + landing
+            runs = level.writing + landing
             if not self._overflows(runs, incoming):
                 break
             landing = [level.pending.wait()] if level.pending is not None else []
@@ -359,8 +377,9 @@ class Cole:
         self._run_seq += steps
         obsolete: List[Run] = []
         for level in self.levels[:index]:
-            obsolete += self._land_merge(level) + level.writing.take_all()
-        self._ensure_level(target).writing.add(run)
+            obsolete += self._land_merge(level) + level.writing
+            level.writing = []
+        self._ensure_level(target).writing.append(run)
         self._count_written(run)
         if entries:
             self._checkpoint_puts, self._checkpoint_blk = self.puts_total, self.current_blk
@@ -385,7 +404,7 @@ class Cole:
         """The L0 commit checkpoint (Algorithm 5, i = 0); True when it
         landed or started a flush."""
         landed = self._land_flush()
-        entries = self.mem_writing.drain()
+        entries = list(self.mem_writing.items())
         if not entries:  # forced cascade on an empty L0: nothing to flush
             return landed
         self.mem_pending = self._start_flush(entries, self.puts_total, self.current_blk)
@@ -408,7 +427,7 @@ class Cole:
         if pending is None:
             return False
         run = pending.wait()
-        self._ensure_level(1).writing.add(run)
+        self._ensure_level(1).writing.append(run)
         self._count_written(run)
         self._checkpoint_puts = pending.checkpoint_puts
         self._checkpoint_blk = pending.checkpoint_blk
@@ -425,16 +444,16 @@ class Cole:
         """
         level = self.levels[index]
         obsolete = self._land_merge(level)
-        pending = self._start_merge(index, level.writing)
-        level.switch_groups()
-        level.pending = pending
+        level.pending = self._start_merge(index, level.writing)
+        # Algorithm 5 line 13: the full writing group becomes the merging one.
+        level.writing, level.merging = level.merging, level.writing
         return obsolete
 
-    def _start_merge(self, index: int, group: DiskGroup) -> PendingMerge:
-        """Merge ``group`` — level ``index + 1``'s merging group, or the
+    def _start_merge(self, index: int, runs: List[Run]) -> PendingMerge:
+        """Merge ``runs`` — level ``index + 1``'s merging group, or the
         writing group about to become it — into one run of the next level."""
         target = index + 2
-        return self.scheduler.spawn(self._spec(self._next_run_name(target), target, [], group.runs))
+        return self.scheduler.spawn(self._spec(self._next_run_name(target), target, [], runs))
 
     def _land_merge(self, level: DiskLevel) -> List[Run]:
         """Commit ``level``'s pending merge, if there is one: the output
@@ -445,10 +464,11 @@ class Cole:
         if pending is None:
             return []
         run = pending.wait()
-        self._ensure_level(run.level).writing.add(run)
+        self._ensure_level(run.level).writing.append(run)
         self._count_written(run)
         level.pending = None
-        return level.merging.take_all()
+        runs, level.merging = level.merging, []
+        return runs
 
     def _count_written(self, run: Run) -> None:
         """Add a landed run to the counters: ``bytes_flushed`` on level 1,
@@ -469,7 +489,7 @@ class Cole:
         """Give every non-empty merging group its merge back: recovery of
         an aborted merge (Section 4.3) and rewind, in either mode."""
         for index, level in enumerate(self.levels):
-            if level.merging.runs:
+            if level.merging:
                 level.pending = self._start_merge(index, level.merging)
 
     # -- shared write helpers -------------------------------------------------------
@@ -486,8 +506,8 @@ class Cole:
         total = len(pairs) + sum(run.num_entries for run in sources)
         return BuildSpec(name, level, total, pairs, tuple((r.name, r.num_entries) for r in sources))
 
-    def _new_mem_group(self) -> MemGroup:
-        return MemGroup(self.params.system.key_size)
+    def _new_mem_group(self) -> MBTree:
+        return MBTree(key_width=self.params.system.key_size)
 
     def _publish_view(self) -> None:
         """Swap in the view of the current structure: the last step of
@@ -498,9 +518,7 @@ class Cole:
         sources, roots = list(mems), list(mems)
         for level in self.levels:
             for role, group in (("w", level.writing), ("m", level.merging)):
-                runs = [
-                    ReadSource.run(f"run:{run.name}:{role}", run) for run in group.runs
-                ]
+                runs = [ReadSource.run(f"run:{run.name}:{role}", run) for run in group]
                 roots += runs
                 sources += reversed(runs)  # search order is newest first
         self._view = StoreView(self._view.epoch + 1, tuple(sources), tuple(roots))
@@ -764,7 +782,7 @@ class Cole:
         for level in self.levels:
             groups: Dict[str, List[RunRecord]] = {"writing": [], "merging": []}
             for role, group in (("writing", level.writing), ("merging", level.merging)):
-                for run in group.runs:
+                for run in group:
                     groups[role].append(
                         RunRecord(
                             name=run.name,
@@ -797,7 +815,7 @@ class Cole:
                         self.params,
                         bytes.fromhex(record.merkle_root_hex),
                     )
-                    target.add(run)
+                    target.append(run)
                     known.update(
                         record.name + suffix for suffix in RUN_SUFFIXES
                     )

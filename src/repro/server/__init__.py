@@ -24,15 +24,15 @@ each one read through its own ``connect(replica)`` (Figure 19;
 ``tests/test_replication.py``; see :mod:`repro.replication`).
 
 Client code holds one interface: :func:`connect` returns a
-:class:`KVClient` for one server, primary or replica.  A replica answers
-a write with ``NOT_PRIMARY`` naming its primary, which a
-:class:`ServerClient` raises as :class:`NotPrimaryError` carrying the
-primary's ``address``.
+:class:`ServerClient` for one server, primary or replica.  A replica
+answers a write with ``NOT_PRIMARY`` naming its primary, which the
+client raises as :class:`NotPrimaryError` carrying the primary's
+``address``.
 """
 
 from repro.server.batcher import WriteBatcher
 from repro.server.cache import VersionedReadCache
-from repro.server.client import KVClient, ServerClient, connect
+from repro.server.client import ServerClient, connect
 from repro.server.loadgen import (
     LoadgenParams,
     LoadReport,
@@ -52,7 +52,6 @@ __all__ = [
     "ServerConfig",
     "ServerThread",
     "ServerClient",
-    "KVClient",
     "connect",
     "WriteBatcher",
     "VersionedReadCache",

@@ -13,9 +13,9 @@ The same connection also carries the one ``stream`` op
 replica applier rides it too.
 
 A :class:`ServerClient` talks to one server — a primary or a read
-replica — through the typed :class:`KVClient` methods, and
-:func:`connect` builds one from a target.  Callers (loadgen, benchmarks,
-``repro query -s``, examples) hold a ``KVClient``.
+replica — through its typed methods, and :func:`connect` builds one
+from a target.  Callers (loadgen, benchmarks, ``repro query -s``,
+examples) hold a ``ServerClient``.
 """
 
 from __future__ import annotations
@@ -36,33 +36,54 @@ _OPS = protocol.OPS
 STREAM_WINDOW = 64
 
 
-class KVClient:
-    """The typed client interface.
+class ServerClient:
+    """Typed ops over one pipelined connection to one server.
 
     ``connect()`` / ``close()`` bracket the session (or use ``async
     with``); between them the data plane is ``get / put / get_at /
     multi_get / multi_put / scan / prov`` and the control plane is
-    ``root / flush / stats / metrics``.  The typed methods are written
-    once, here, over :meth:`_route` — *one request by its op-table row
-    to the server* — so a transport supplies only :meth:`_route`.
+    ``root / flush / stats / metrics``.  Each typed method is one
+    :meth:`_route` — *one request by its op-table row to the server*.
     """
 
-    async def connect(self) -> "KVClient":
-        raise NotImplementedError
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._conn: Optional[_Connection] = None
+
+    async def connect(self) -> "ServerClient":
+        conn = _Connection()
+        await conn.open(self.host, self.port)
+        self._conn = conn
+        return self
 
     async def close(self) -> None:
-        raise NotImplementedError
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            await conn.close()
 
-    async def _route(self, spec: OpSpec, *args):
-        """Send one ``spec`` request built from ``args``; returns the
-        decoded response."""
-        raise NotImplementedError
-
-    async def __aenter__(self):
+    async def __aenter__(self) -> "ServerClient":
         return await self.connect()
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
+
+    def _connected(self) -> _Connection:
+        if self._conn is None:
+            raise StorageError("client is not connected")
+        return self._conn
+
+    async def _route(self, spec: OpSpec, *args):
+        """Encode, send, decode.  The frame is built — and a batch's
+        size validated — before the connection is touched."""
+        frame = spec.encode(*args)
+        return spec.decode(await self._connected().request(frame))
+
+    def stream(self, frame: bytes) -> AsyncIterator[bytes]:
+        """Send one ``stream``-class request and iterate over every body
+        it is answered with (:meth:`_Connection.stream`); the connection
+        serves nothing else afterwards."""
+        return self._connected().stream(frame)
 
     # -- data plane -----------------------------------------------------------
 
@@ -279,43 +300,6 @@ class _Connection(protocol.FrameProtocol):
             await self._lost
 
 
-class ServerClient(KVClient):
-    """Typed ops over one pipelined connection."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._conn: Optional[_Connection] = None
-
-    async def connect(self) -> "ServerClient":
-        conn = _Connection()
-        await conn.open(self.host, self.port)
-        self._conn = conn
-        return self
-
-    async def close(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            await conn.close()
-
-    def _connected(self) -> _Connection:
-        if self._conn is None:
-            raise StorageError("client is not connected")
-        return self._conn
-
-    async def _route(self, spec: OpSpec, *args):
-        """Encode, send, decode.  The frame is built — and a batch's
-        size validated — before the connection is touched."""
-        frame = spec.encode(*args)
-        return spec.decode(await self._connected().request(frame))
-
-    def stream(self, frame: bytes) -> AsyncIterator[bytes]:
-        """Send one ``stream``-class request and iterate over every body
-        it is answered with (:meth:`_Connection.stream`); the connection
-        serves nothing else afterwards."""
-        return self._connected().stream(frame)
-
-
 Target = Union[str, Tuple[str, int]]
 
 
@@ -327,7 +311,7 @@ def _to_addr(target: Target) -> Tuple[str, int]:
     return host, int(port)
 
 
-def connect(target: Target) -> KVClient:
+def connect(target: Target) -> ServerClient:
     """A :class:`ServerClient` for ``target`` — a primary, or a replica
     (reads; a write raises :class:`~repro.server.protocol.NotPrimaryError`
     naming the primary).

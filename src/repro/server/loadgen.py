@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import hash_bytes
 from repro.obs import LatencyHistogram
-from repro.server.client import KVClient
+from repro.server.client import ServerClient
 from repro.server.protocol import NotPrimaryError
 from repro.workloads.ycsb import ZipfGenerator
 
@@ -243,7 +243,7 @@ class LoadReport:
                         "clients": self.clients}]
 
 
-async def _issue(client: KVClient, op: ClientOp):
+async def _issue(client: ServerClient, op: ClientOp):
     kind, addr, extra = op
     if kind == "get":
         return await client.get(addr)
@@ -286,7 +286,7 @@ async def run_loadgen(client_factory, params: LoadgenParams) -> LoadReport:
     """Drive the target with ``params.clients`` concurrent clients.
 
     ``client_factory`` is a zero-arg callable returning an *unconnected*
-    :class:`~repro.server.client.KVClient`, so it names the target:
+    :class:`~repro.server.client.ServerClient`, so it names the target:
     ``lambda: connect((host, port))``.
 
     Finishes with a forced group commit (so the run's writes are

@@ -232,7 +232,7 @@ def scan(sources, addr_low: bytes, addr_high: bytes, at_blk: int, limit: int, ad
     versions: Dict[int, bytes] = {}
     for source in reversed(sources):
         if source.kind == "mem":
-            versions.update(source.source.tree.items())
+            versions.update(source.source.items())
         else:
             versions.update(run_entries(source.source))
     low, high = int.from_bytes(addr_low, "big"), int.from_bytes(addr_high, "big")
@@ -290,7 +290,7 @@ def prov_query(cole, addr: bytes, blk_low: int, blk_high: int) -> ProvenanceResu
         if source.label in items:
             proof_items.append(items[source.label])
         elif source.kind == "mem":
-            proof_items.append(StubItem(digest=source.source.root()))
+            proof_items.append(StubItem(digest=source.source.root_hash()))
         else:
             run = source.source
             bloom_digest = hashlib.sha256(run_bloom_bytes(run)).digest()

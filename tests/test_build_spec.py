@@ -1,6 +1,7 @@
-"""A run build is a value: every :class:`BuildSpec` a chain produces
-pickles, and replayed by :func:`execute` in a fresh workspace holding
-only its source runs it writes the engine's four files byte for byte."""
+"""A run build is a value: every :class:`BuildSpec` a chain produces —
+a rewind's rebuilds included — pickles, and replayed by :func:`execute`
+in a fresh workspace holding only its source runs it writes the engine's
+four files byte for byte."""
 
 import os
 import pickle
@@ -63,6 +64,7 @@ def test_every_spec_of_a_chain_pickles_and_replays_byte_identical(tmp_path, asyn
             (rng.randrange(64).to_bytes(8, "big"), rng.randbytes(8)) for _ in range(4)
         )
         engine.commit_block()
+    engine.rewind_to(200)
     engine.close()
 
     kinds = {(spec.kind, bool(spec.pairs)) for spec, *_ in records}
@@ -72,6 +74,8 @@ def test_every_spec_of_a_chain_pickles_and_replays_byte_identical(tmp_path, asyn
         else {("flush", True), ("merge", True)}
     )
     assert max(spec.level for spec, *_ in records) >= 3
+    # Rewind rebuilds a deep run from its surviving pairs alone.
+    assert any(spec.level >= 2 and not spec.sources for spec, *_ in records)
     for spec, fresh, built, merkle_root in records:
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec

@@ -166,20 +166,20 @@ def test_reopen_under_the_other_merge_mode_keeps_answering(tmp_path, first):
     cole = Cole(directory, make_params(first))
     blk = sweep(cole, 0)
     if first:
-        assert any(level.merging.runs for level in cole.levels)
+        assert any(level.merging for level in cole.levels)
     cole.close()
 
     cole = Cole(directory, make_params(not first))
     for level in cole.levels:  # recovery restarts merges in either mode
-        assert bool(level.merging.runs) == (level.pending is not None)
+        assert bool(level.merging) == (level.pending is not None)
     for _ in range(4):
         blk = sweep(cole, blk)
     for addr in pool:
         assert cole.get(addr) == model[addr]
     for level in cole.levels:
-        assert bool(level.merging.runs) == (level.pending is not None)
+        assert bool(level.merging) == (level.pending is not None)
         if first:  # COLE lands inside the checkpoint: nothing stays merging
-            assert not level.merging.runs
+            assert not level.merging
     cole.close()
 
 

@@ -123,14 +123,14 @@ def test_async_recovery_restarts_aborted_merges(tmp_path):
     log = generate_log(blocks=120, pool_size=48)
     cole = Cole(directory, params)
     apply_log(cole, log)
-    has_merging = any(level.merging.runs for level in cole.levels)
+    has_merging = any(level.merging for level in cole.levels)
     cole.wait_for_merges()
     cole.workspace.close()
 
     recovered = Cole(directory, params)
     if has_merging:
         assert any(
-            level.pending is not None or not level.merging.runs
+            level.pending is not None or not level.merging
             for level in recovered.levels
         )
     recovered.wait_for_merges()

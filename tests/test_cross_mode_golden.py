@@ -76,7 +76,7 @@ def record(directory: str) -> dict:
         params = make_params(mode)
         if cole is not None:
             if mode == "sync":
-                assert any(level.merging.runs for level in cole.levels), (
+                assert any(level.merging for level in cole.levels), (
                     "the COLE* phase must close with merges in flight"
                 )
             cole.close()

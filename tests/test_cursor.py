@@ -18,7 +18,6 @@ from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole, MAX_BLK, addr_successor
 from repro.core.compound import compound_key
 from repro.core.cursor import MergingCursor, ReadSource, scan_bounds, scan_sources
-from repro.core.memlevel import MemGroup
 from repro.core.run import Run, encode_pairs
 from repro.mbtree import MBTree
 
@@ -103,7 +102,7 @@ def test_merging_cursor_merges_a_levels_runs(tmp_path, rng):
 def test_resolve_versions_picks_live_version_and_skips_unborn():
     # scan_sources resolves versions inline on the merged stream.
     a1, a2, a3 = (bytes([n]) * ADDR for n in (1, 2, 3))
-    older, newer = MemGroup(PARAMS.system.key_size), MemGroup(PARAMS.system.key_size)
+    older, newer = (MBTree(key_width=PARAMS.system.key_size) for _ in range(2))
     for group, addr, blk, value in [
         (older, a1, 2, b"a1@2"), (newer, a1, 5, b"a1@5"),
         (newer, a2, 7, b"a2@7"),

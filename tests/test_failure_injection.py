@@ -220,7 +220,7 @@ def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, f
 
     def layout():
         return [
-            ([run.name for run in level.writing.runs], [run.name for run in level.merging.runs])
+            ([run.name for run in level.writing], [run.name for run in level.merging])
             for level in cole.levels
         ]
 
@@ -272,7 +272,7 @@ def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, f
     cole.commit_block(force_cascade=True)
     assert manifest_bytes() != manifest
     assert len(cole.mem_writing) == 0
-    built = cole.levels[failing_level - 1].writing.runs[-1]
+    built = cole.levels[failing_level - 1].writing[-1]
     assert built.name == f"L{failing_level}_{seq + failing_level - 1:08d}"
     assert cole._run_seq == seq + failing_level
     assert len(cole.levels[0].writing) == (1 if failing_level == 1 else 0)
@@ -284,7 +284,7 @@ def test_inline_build_failure_leaves_its_step_unapplied(tmp_path, monkeypatch, f
         cole.commit_block()
     for addr in pool:
         assert cole.get(addr) == model.get(addr)
-    assert all(not level.merging.runs for level in cole.levels)
+    assert all(not level.merging for level in cole.levels)
     cole.close()
 
 

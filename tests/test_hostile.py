@@ -276,15 +276,15 @@ def test_every_flipped_prov_blob_verifies_the_same_or_raises(tiny_store):
             pass
 
 
-@pytest.mark.parametrize("answer", [
-    pytest.param(7, id="int"),
-    pytest.param(b"\x00" * 32, id="bytes"),
-    pytest.param((None, bytes(32)), id="no-result"),
-    pytest.param((), id="empty-tuple"),
-    pytest.param([StubItem(bytes(32)), bytes(32)], id="list"),
+@pytest.mark.parametrize("answer, reason", [
+    pytest.param(7, "not a .ProvenanceResult", id="int"),
+    pytest.param(b"\x00" * 32, "not a .ProvenanceResult", id="bytes"),
+    pytest.param((None, bytes(32)), "not a .ProvenanceResult", id="no-result"),
+    pytest.param((), "tuple of 0 is not a pair", id="empty-tuple"),
+    pytest.param([StubItem(bytes(32)), bytes(32)], "not a .ProvenanceResult", id="list"),
 ])
-def test_prov_blob_of_the_wrong_shape_is_refused(answer):
-    with pytest.raises(StorageError, match="not a .ProvenanceResult"):
+def test_prov_blob_of_the_wrong_shape_is_refused(answer, reason):
+    with pytest.raises(StorageError, match=reason):
         decode_blob(blob_of(answer))
 
 
@@ -317,19 +317,30 @@ def test_a_malformed_codec_blob_is_refused(body, reason):
         decode_blob(bytes([proofs.PROOF_CODEC_VERSION]) + body)
 
 
+def _refusal_peak(tag: bytes, reason: str) -> int:
+    """``tracemalloc``'s peak while a 1 MiB blob — one ``tag`` sequence
+    of 2²⁰ ``None``s — is refused with ``reason``."""
+    count = 2**20
+    blob = bytes([proofs.PROOF_CODEC_VERSION]) + tag + struct.pack(">I", count) + NONE * count
+    tracemalloc.start()
+    try:
+        with pytest.raises(StorageError, match=reason):
+            decode_prov_answer(blob)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_list_of_nones_is_refused_at_the_first():
     """No proof list holds ``None``: a 1 MiB list of them would decode to
     8 MiB of pointers before the shape check refused it."""
-    count = 2**20
-    blob = bytes([proofs.PROOF_CODEC_VERSION]) + LIST + struct.pack(">I", count) + NONE * count
-    tracemalloc.start()
-    try:
-        with pytest.raises(StorageError, match="holds a None"):
-            decode_prov_answer(blob)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2**20
+    assert _refusal_peak(LIST, "holds a None") <= 2 * 2**20
+
+
+def test_a_tuple_that_is_not_a_pair_is_refused_at_its_count():
+    """Every tuple a proof holds is a pair: a tuple of 2²⁰ ``None``s is
+    refused when its count is read, not after 8 MiB of pointers."""
+    assert _refusal_peak(TUPLE, f"tuple of {2**20} is not a pair") <= 2 * 2**20
 
 
 @pytest.mark.parametrize("version", [0, 2, 0x80])

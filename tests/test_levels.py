@@ -1,4 +1,5 @@
-"""Unit tests for the level/group machinery (memlevel, disklevel)."""
+"""Unit tests for the level machinery: the view's source order and the
+build scheduler."""
 
 import threading
 from functools import partial
@@ -8,8 +9,6 @@ import pytest
 from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import compound_key
-from repro.core.disklevel import DiskGroup, DiskLevel
-from repro.core.memlevel import MemGroup
 from repro.core.merge import BuildSpec, MergeScheduler
 from repro.core.run import encode_pairs
 from repro.core.storage import execute
@@ -37,36 +36,6 @@ def make_run(tmp_path, params, name, first_byte):
     return execute(ws, params, flush_spec(params, name, first_byte)[0])
 
 
-def test_mem_group_drain_is_sorted():
-    group = MemGroup(key_width=16)
-    keys = [compound_key(bytes([b]) * 8, 1) for b in (9, 3, 7)]
-    for key in keys:
-        group.insert(key, b"v")
-    assert len(group) == 3
-    drained = group.drain()
-    assert [key for key, _v in drained] == sorted(keys)
-
-
-def test_disk_group_take_all_detaches_runs_and_keeps_files(tmp_path, params):
-    group = DiskGroup()
-    run = make_run(tmp_path, params, "victim", 3)
-    group.add(run)
-    assert group.take_all() == [run]
-    assert len(group) == 0
-    assert run.storage_bytes() > 0
-    run.delete()
-    assert run.storage_bytes() == 0
-
-
-def test_disk_level_switch_groups(tmp_path, params):
-    level = DiskLevel(1)
-    run = make_run(tmp_path, params, "w", 4)
-    level.writing.add(run)
-    level.switch_groups()
-    assert level.merging.runs == [run]
-    assert level.writing.runs == []
-
-
 def test_view_search_order_is_writing_then_merging_newest_first(tmp_path, params):
     """Algorithm 6's order has one definition: the published view."""
     from repro.core import Cole
@@ -74,10 +43,8 @@ def test_view_search_order_is_writing_then_merging_newest_first(tmp_path, params
     cole = Cole(str(tmp_path / "ws"), params)
     level = cole._ensure_level(1)
     runs = [make_run(tmp_path, params, name, byte) for byte, name in enumerate("abcd", 1)]
-    level.merging.add(runs[0])
-    level.merging.add(runs[1])
-    level.writing.add(runs[2])
-    level.writing.add(runs[3])
+    level.merging += runs[:2]
+    level.writing += runs[2:]
     cole._publish_view()
     searched = [s.source for s in cole._view.sources if s.kind == "run"]
     assert searched == [runs[3], runs[2], runs[1], runs[0]]

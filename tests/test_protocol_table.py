@@ -9,7 +9,7 @@ and the typed client are derived from it.  These tests pin what
   same bytes and decode to the same values;
 * a hypothesis round trip ``encode -> decode_request`` per op;
 * wiring — every ``Op`` has a row, a server handler that takes the row's
-  args, and a ``KVClient`` method (or a stated reason it has none); every
+  args, and a ``ServerClient`` method (or a stated reason it has none); every
   ``Status`` that is not an answer raises in ``check_status``;
 * the ``write`` op set, written out as a literal, equals what the table
   derives — on the table and through ``_dispatch``;
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.common.errors import StorageError
-from repro.server import ColeServer, KVClient, protocol
+from repro.server import ColeServer, ServerClient, protocol
 from repro.server.protocol import (
     LATEST_BLK,
     MAX_MULTI_BATCH,
@@ -124,8 +124,8 @@ STATS_OPS_ORDER = [
     "put", "get", "get_at", "prov", "root", "stats", "flush", "repl", "scan",
     "multi_get", "multi_put", "metrics",
 ]
-#: Ops no ``KVClient`` method speaks, and who speaks them instead.
-NOT_ON_KVCLIENT = {
+#: Ops no ``ServerClient`` method speaks, and who speaks them instead.
+NOT_ON_CLIENT = {
     Op.REPL_SUBSCRIBE: "the replica applier, over ServerClient.stream",
 }
 
@@ -443,7 +443,7 @@ def test_every_op_has_a_server_handler_taking_its_args():
     )
 
 
-class _RecordingClient(KVClient):
+class _RecordingClient(ServerClient):
     """A topology that reaches no server: it records which row each
     typed method routes and answers with a canned decoded response."""
 
@@ -476,8 +476,8 @@ def test_every_op_is_reachable_from_kvclient_or_says_why_not():
 
     asyncio.run(call_every_typed_method())
     assert len(client.routed) == len(set(client.routed))  # one row per method
-    assert set(client.routed) | set(NOT_ON_KVCLIENT) == ALL_OPS
-    assert not set(client.routed) & set(NOT_ON_KVCLIENT)
+    assert set(client.routed) | set(NOT_ON_CLIENT) == ALL_OPS
+    assert not set(client.routed) & set(NOT_ON_CLIENT)
 
 
 def test_every_non_answer_status_raises_in_check_status():

@@ -118,7 +118,7 @@ def test_rewind_then_fork_replay(tmp_path, async_merge):
     for addr in pool:
         assert cole.get(addr) == model.get(addr)
     for level in cole.levels:
-        assert bool(level.merging.runs) == (level.pending is not None)
+        assert bool(level.merging) == (level.pending is not None)
     cole.close()
 
 

@@ -2,6 +2,7 @@
 
 import random
 import types
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from repro.common.errors import StorageError
 from repro.common.hashing import DIGEST_SIZE, hash_bytes
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import MAX_BLK, blk_of_int, compound_key
-from repro.core.merge import merge_entry_streams
+from repro.core.merge import MergeScheduler, merge_entry_streams
 from repro.core.merklefile import (
     MerkleFileBuilder,
     layer_offsets,
@@ -20,6 +21,7 @@ from repro.core.merklefile import (
 )
 from repro.core.rewind import _filter_run
 from repro.core.run import RUN_SUFFIXES, Run, encode_pairs
+from repro.core.storage import execute
 from repro.diskio import durable
 from repro.diskio.workspace import Workspace
 from repro.learned.model import Model
@@ -447,7 +449,8 @@ def test_rewind_rebuild_matches_the_reference(tmp_path_factory, geometry, data):
     ws = Workspace(str(tmp_path_factory.mktemp("rewind")), params.system.page_size)
     run = build(ws, "before", entries, params)
     cole = types.SimpleNamespace(
-        workspace=ws, params=params, _next_run_name=lambda level: "rewound"
+        params=params, _next_run_name=lambda level: "rewound",
+        scheduler=MergeScheduler(partial(execute, ws, params), inline=True),
     )
     kept, removed, replaced = _filter_run(cole, run, target)
     assert removed == len(entries) - len(expect)

@@ -7,7 +7,8 @@ tree, so a comment or a docstring calls nothing: a name passes when the
 non-``__init__`` modules of ``src/repro`` refer to it — as a name, an
 attribute, an imported name, or a string spelling exactly it (a lint
 table, a ``getattr``).  Dunders and click-decorated commands (called by
-click, by name) are exempt.
+click, by name) are exempt.  The same reading pins the one function
+that builds a run.
 """
 
 from __future__ import annotations
@@ -99,3 +100,28 @@ def test_every_allowed_name_is_still_defined_and_uncalled():
     defined = {name for name, _ in definitions}
     stale = [name for name in ALLOWED if name not in defined or references[name]]
     assert stale == []
+
+
+def test_run_build_is_referenced_only_by_execute():
+    """Every run build — flush, merge, restart, rewind — is a
+    ``BuildSpec`` that ``storage.execute`` turns into ``Run.build``: no
+    other function in ``src/repro`` names ``Run.build``."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Attribute) and node.attr == "build"
+                and isinstance(node.value, ast.Name) and node.value.id == "Run"
+            ):
+                continue
+            enclosing = max(  # the innermost function around the reference
+                (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                key=lambda f: f.lineno, default=None,
+            )
+            sites.append(f"{path.relative_to(SRC)}:{getattr(enclosing, 'name', '<module>')}")
+    assert sites == ["core/storage.py:execute"]
